@@ -24,7 +24,7 @@ fn bench_selection(c: &mut Criterion) {
     let global = draw_global_sample(&table, 1060, SEED);
     let ctx = loss.prepare(&table, &global);
     let dry = dry_run(&table, &cols, &loss, &ctx, theta).unwrap();
-    let rr = real_run(&table, &cols, &loss, theta, &dry, 0).unwrap();
+    let rr = real_run(&table, &cols, &loss, theta, &dry.iceberg, 0).unwrap();
     let m = rr.entries.len();
 
     let mut group = c.benchmark_group("selection");

@@ -2,13 +2,14 @@
 //! iceberg cuboid of a dry run, time BOTH fetch plans (prune-then-group
 //! vs. group-everything) and report which one the paper's cost model
 //! picked vs. which actually won. Quantifies how often the literal model
-//! is right on this engine.
+//! is right on this engine — and, beside both, what the real run pays
+//! instead: one gather per cuboid from the finest-key partition.
 //!
 //! ```bash
 //! cargo run --release -p tabula-bench --bin ablation_cost_model
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tabula_bench::{default_rows, fmt_duration, taxi_table, SEED};
 use tabula_core::dryrun::dry_run;
 use tabula_core::loss::MeanLoss;
@@ -18,7 +19,7 @@ use tabula_core::AccuracyLoss;
 use tabula_data::CUBED_ATTRIBUTES;
 use tabula_storage::group::group_rows;
 use tabula_storage::join::semi_join;
-use tabula_storage::{group_by, FxHashSet};
+use tabula_storage::{group_by, FinestPartition, FxHashSet};
 
 fn main() {
     let rows = default_rows();
@@ -32,14 +33,27 @@ fn main() {
     let ctx = loss.prepare(&table, &global);
     let dry = dry_run(&table, &cols, &loss, &ctx, theta).unwrap();
 
+    let t0 = Instant::now();
+    let partition = FinestPartition::build(&table, &cols).unwrap();
+    let partition_t = t0.elapsed();
+
     println!("# Ablation: Inequality-1 cost model | rows = {rows} | mean loss, θ = 5%");
     println!(
-        "\n{:<10} {:>8} {:>8} {:>12} {:>12} {:>14} {:>8}",
-        "cuboid", "cells", "iceberg", "prune time", "group time", "model picked", "right?"
+        "\n{:<10} {:>8} {:>8} {:>12} {:>12} {:>12} {:>14} {:>8}",
+        "cuboid",
+        "cells",
+        "iceberg",
+        "prune time",
+        "group time",
+        "gather time",
+        "model picked",
+        "right?"
     );
-    println!("{}", "-".repeat(78));
+    println!("{}", "-".repeat(91));
     let mut agree = 0usize;
     let mut total = 0usize;
+    let mut plans_t = Duration::ZERO;
+    let mut gathers_t = Duration::ZERO;
     let mut masks: Vec<_> = dry.iceberg.keys().copied().collect();
     masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
     for mask in masks {
@@ -57,6 +71,12 @@ fn main() {
         let _all = group_by(&table, &attrs).unwrap();
         let group_t = t0.elapsed();
 
+        let t0 = Instant::now();
+        let _gathered = partition.gather(mask, iceberg_keys);
+        let gather_t = t0.elapsed();
+        plans_t += prune_t.min(group_t);
+        gathers_t += gather_t;
+
         let picked = choose_plan(table.len(), iceberg_keys.len(), k_cells);
         let actual_winner =
             if prune_t < group_t { CuboidPlan::PruneThenGroup } else { CuboidPlan::GroupAll };
@@ -64,12 +84,13 @@ fn main() {
         agree += usize::from(right);
         total += 1;
         println!(
-            "{:<10} {:>8} {:>8} {:>12} {:>12} {:>14} {:>8}",
+            "{:<10} {:>8} {:>8} {:>12} {:>12} {:>12} {:>14} {:>8}",
             mask.to_string(),
             k_cells,
             iceberg_keys.len(),
             fmt_duration(prune_t),
             fmt_duration(group_t),
+            fmt_duration(gather_t),
             match picked {
                 CuboidPlan::PruneThenGroup => "prune",
                 CuboidPlan::GroupAll => "group-all",
@@ -78,4 +99,12 @@ fn main() {
         );
     }
     println!("\nmodel agreed with the measured winner on {agree}/{total} cuboids");
+    println!(
+        "an oracle picking the faster plan per cuboid: {} | one partition ({} runs) + {total} \
+         gathers: {} + {}",
+        fmt_duration(plans_t),
+        partition.runs(),
+        fmt_duration(partition_t),
+        fmt_duration(gathers_t),
+    );
 }

@@ -7,9 +7,9 @@
 //! the benchmark harness share one code path per mode.
 //!
 //! The storage primitives the stages lean on — predicate filter, group-by,
-//! finest-cuboid aggregation, lattice rollup, semi-join — all run as
-//! chunked vectorized kernels over bit-packed dictionary codes when the
-//! cubed attributes' packed key fits 64 bits (see
+//! finest-cuboid aggregation, lattice rollup, the finest-key partition —
+//! all run on bit-packed dictionary codes, as chunked vectorized kernels,
+//! when the cubed attributes' packed key fits 64 bits (see
 //! [`tabula_storage::kernel`]); the build produces byte-identical cubes in
 //! either kernel mode and at any thread count.
 
@@ -159,13 +159,19 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
                 stats.iceberg_cells = dry.iceberg_count;
 
                 let real_span = span!("build.real_run", "icebergs={}", dry.iceberg_count);
-                let rr =
-                    real_run(&self.table, &cols, &self.loss, self.theta, &dry, self.parallelism)?;
+                let rr = real_run(
+                    &self.table,
+                    &cols,
+                    &self.loss,
+                    self.theta,
+                    &dry.iceberg,
+                    self.parallelism,
+                )?;
                 stats.real_run = real_span.stop();
                 stats.cuboids_processed = rr.stats.cuboids_processed;
                 stats.cuboids_skipped = rr.stats.cuboids_skipped;
-                stats.prune_plans = rr.stats.prune_plans;
-                stats.group_all_plans = rr.stats.group_all_plans;
+                stats.finest_runs = rr.stats.finest_runs;
+                stats.gathered_rows = rr.stats.gathered_rows;
 
                 let selection = if self.mode == MaterializationMode::Tabula {
                     let sel_span = span!("build.selection", "samples={}", rr.entries.len());
@@ -282,15 +288,15 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 
 /// Publish one build's statistics into `registry`: stage latencies as
 /// histograms (so repeated builds accumulate distributions), structural
-/// numbers as gauges, and plan choices as counters.
+/// numbers as gauges, and the real run's row-fetch volume as counters.
 fn publish_build_metrics(registry: &obs::Registry, stats: &BuildStats) {
     registry.histogram("build.dry_run").record_duration(stats.dry_run);
     registry.histogram("build.real_run").record_duration(stats.real_run);
     registry.histogram("build.selection").record_duration(stats.selection);
     registry.histogram("build.total").record_duration(stats.total);
     registry.counter("build.count").inc();
-    registry.counter("real_run.plan.prune").add(stats.prune_plans as u64);
-    registry.counter("real_run.plan.group_all").add(stats.group_all_plans as u64);
+    registry.counter("real_run.finest_runs").add(stats.finest_runs as u64);
+    registry.counter("real_run.gathered_rows").add(stats.gathered_rows as u64);
     registry.counter("real_run.cuboids_skipped").add(stats.cuboids_skipped as u64);
     registry.gauge("cube.total_cells").set(stats.total_cells as i64);
     registry.gauge("cube.iceberg_cells").set(stats.iceberg_cells as i64);
@@ -495,10 +501,9 @@ mod tests {
         let s = cube.stats();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("build.count"), 1);
-        assert_eq!(
-            snap.counter("real_run.plan.prune") + snap.counter("real_run.plan.group_all"),
-            s.cuboids_processed as u64
-        );
+        assert_eq!(snap.counter("real_run.finest_runs"), s.finest_runs as u64);
+        assert_eq!(snap.counter("real_run.gathered_rows"), s.gathered_rows as u64);
+        assert!(s.gathered_rows >= s.iceberg_cells, "every iceberg cell has rows");
         assert_eq!(snap.gauges["cube.total_cells"], s.total_cells as i64);
         assert_eq!(snap.gauges["cube.iceberg_cells"], s.iceberg_cells as i64);
         assert_eq!(snap.gauges["cube.samples_after_selection"], s.samples_after_selection as i64);

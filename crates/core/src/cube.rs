@@ -83,10 +83,14 @@ pub struct BuildStats {
     pub cuboids_processed: usize,
     /// Cuboids skipped because they held no iceberg cells.
     pub cuboids_skipped: usize,
-    /// Real-run cuboids that took the prune-then-group plan.
-    pub prune_plans: usize,
-    /// Real-run cuboids that took the full group-by plan.
-    pub group_all_plans: usize,
+    /// Distinct finest-cuboid keys: the runs of the real run's partition.
+    /// (Absent from snapshots written before the partition existed, as is
+    /// `gathered_rows`; those still load.)
+    #[serde(default)]
+    pub finest_runs: usize,
+    /// Row ids the real run handed to the sampler, over all iceberg cells.
+    #[serde(default)]
+    pub gathered_rows: usize,
     /// Local samples drawn before representative selection.
     pub samples_before_selection: usize,
     /// Samples persisted after selection.
@@ -381,6 +385,20 @@ mod tests {
             .mode(MaterializationMode::Tabula)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn build_stats_written_before_the_partition_still_parse() {
+        // The `stats` block of a snapshot taken when the real run chose a
+        // plan per cuboid: two counters since removed, two not yet there.
+        let old = r#"{"cuboids_processed":5,"cuboids_skipped":3,
+            "dry_run":{"nanos":1,"secs":0},"global_sample_size":8,"group_all_plans":4,
+            "iceberg_cells":9,"prune_plans":1,"real_run":{"nanos":2,"secs":0},
+            "samgraph_edges":7,"samples_after_selection":2,"samples_before_selection":9,
+            "selection":{"nanos":3,"secs":0},"total":{"nanos":6,"secs":0},"total_cells":20}"#;
+        let stats: BuildStats = serde_json::from_str(old).unwrap();
+        assert_eq!((stats.cuboids_processed, stats.iceberg_cells), (5, 9));
+        assert_eq!((stats.finest_runs, stats.gathered_rows), (0, 0));
     }
 
     #[test]

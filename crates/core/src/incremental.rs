@@ -29,7 +29,7 @@
 
 use crate::builder::MaterializationMode;
 use crate::cube::{BuildStats, SamplingCube};
-use crate::dryrun::{dry_run, DryRun};
+use crate::dryrun::dry_run;
 use crate::loss::AccuracyLoss;
 use crate::realrun::real_run;
 use crate::samgraph::{build_samgraph, SamGraphConfig};
@@ -262,14 +262,8 @@ pub fn refresh<L: AccuracyLoss>(
         .count();
 
     // 4. Real run restricted to the fresh cells.
-    let dry_fresh = DryRun {
-        states: dry.states.clone(),
-        iceberg: fresh,
-        total_cells: dry.total_cells,
-        iceberg_count: new_iceberg_count - reused.len(),
-    };
-    let real_span = span!("refresh.real_run", "fresh_cells={}", dry_fresh.iceberg_count);
-    let rr = real_run(&new_table, &cols, loss, theta, &dry_fresh, config.parallelism)?;
+    let real_span = span!("refresh.real_run", "fresh_cells={}", new_iceberg_count - reused.len());
+    let rr = real_run(&new_table, &cols, loss, theta, &fresh, config.parallelism)?;
     drop(real_span);
 
     // 5. Selection among fresh samples only (reused samples stay as-is).

@@ -2,19 +2,15 @@
 //! §III-B2, Algorithm 2) — materialize a local sample for every iceberg
 //! cell found by the dry run.
 //!
-//! Non-iceberg cuboids are skipped outright. For each iceberg cuboid the
-//! paper's cost model (Inequality 1) chooses between two plans for
-//! fetching the cells' raw data:
-//!
-//! * **prune-then-group** — equi-join the raw table against the cuboid's
-//!   iceberg-cell list, then group only the surviving rows (wins when the
-//!   cuboid has few iceberg cells);
-//! * **group-everything** — a plain full-table group-by.
-//!
-//! Both plans ride the vectorized storage kernels when the cuboid's
-//! bit-packed key fits 64 bits: the semi-join probes a packed `u64` cell
-//! set and the group-by hashes one packed word per row (see
-//! [`tabula_storage::kernel`]), with identical results either way.
+//! Non-iceberg cuboids are skipped outright. The paper fetches each
+//! iceberg cuboid's raw rows with a scan of its own, choosing per cuboid
+//! between an equi-join against the iceberg-cell list and a full group-by
+//! (Inequality 1, kept here as [`choose_plan`] for the cost-model
+//! ablation). This engine scans once instead: a [`FinestPartition`] holds
+//! the row ids sorted by finest-cuboid key, and every iceberg cell of
+//! every cuboid is a merge of its runs — the cells of a cuboid cost one
+//! probe per run plus the rows they fetch, not another pass over the
+//! table (DESIGN.md §4).
 //!
 //! Local samples are then drawn per cell with the accuracy-loss-aware
 //! greedy sampler, scheduled on the shared `tabula-par` work-stealing
@@ -22,15 +18,12 @@
 //! greedy draw is deterministic given its rows — so samples are
 //! thread-count-independent).
 
-use crate::dryrun::DryRun;
 use crate::loss::AccuracyLoss;
 use crate::Result;
 use tabula_obs::span;
 use tabula_par::Pool;
 use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::group::group_rows;
-use tabula_storage::join::semi_join as semi_join_rows;
-use tabula_storage::{group_by, FxHashSet, RowId, Table};
+use tabula_storage::{FinestPartition, FxHashMap, RowId, Table};
 
 /// One materialized iceberg cell: the paper's cube-table row, carrying the
 /// cell's raw data (needed later by the SamGraph join) and its local
@@ -45,7 +38,7 @@ pub struct CubeEntry {
     pub sample: Vec<RowId>,
 }
 
-/// Which plan Algorithm 2's cost model chose for a cuboid.
+/// The two row-fetch plans of Algorithm 2's cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CuboidPlan {
     /// Equi-join against the iceberg-cell list, then group.
@@ -61,10 +54,10 @@ pub struct RealRunStats {
     pub cuboids_processed: usize,
     /// Cuboids skipped because the dry run found no icebergs in them.
     pub cuboids_skipped: usize,
-    /// How many processed cuboids took the prune-then-group plan.
-    pub prune_plans: usize,
-    /// How many took the full group-by plan.
-    pub group_all_plans: usize,
+    /// Distinct finest-cuboid keys: the runs every cuboid's cells merge.
+    pub finest_runs: usize,
+    /// Row ids handed to the sampler, summed over all iceberg cells.
+    pub gathered_rows: usize,
 }
 
 /// Output of the real run.
@@ -72,12 +65,13 @@ pub struct RealRunStats {
 pub struct RealRun {
     /// Materialized iceberg cells, in deterministic order.
     pub entries: Vec<CubeEntry>,
-    /// Plan statistics.
+    /// What the row fetch did.
     pub stats: RealRunStats,
 }
 
 /// The paper's Inequality 1. `n` = table cardinality, `i` = iceberg cells
-/// in the cuboid, `k` = all cells in the cuboid. Returns the chosen plan.
+/// in the cuboid, `k` = all cells in the cuboid. Returns the plan the
+/// paper would fetch the cuboid's rows with; [`real_run`] does not ask.
 pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
     // Degenerate cuboids (k < 2) leave log_k undefined; a full group-by of
     // one group is trivially right.
@@ -96,8 +90,9 @@ pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
     }
 }
 
-/// Run the real-run stage: materialize local samples for every iceberg
-/// cell of `dry`, drawing them with `loss`'s Algorithm-1 sampler.
+/// Run the real-run stage: materialize local samples for every cell of
+/// `iceberg` (compact keys per cuboid, as the dry run reports them),
+/// drawing them with `loss`'s Algorithm-1 sampler.
 ///
 /// `parallelism` caps the worker threads used for per-cell sampling
 /// (0 = number of available cores).
@@ -106,45 +101,36 @@ pub fn real_run<L: AccuracyLoss>(
     cols: &[usize],
     loss: &L,
     theta: f64,
-    dry: &DryRun<L::State>,
+    iceberg: &FxHashMap<CuboidMask, Vec<Vec<u32>>>,
     parallelism: usize,
 ) -> Result<RealRun> {
-    let mut stats = RealRunStats::default();
-    let n_cuboids = dry.states.cuboids.len();
     // Deterministic cuboid order: finest first, then by mask.
-    let mut masks: Vec<CuboidMask> = dry.iceberg.keys().copied().collect();
+    let mut masks: Vec<CuboidMask> = iceberg.keys().copied().collect();
     masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
-    stats.cuboids_skipped = n_cuboids - masks.len();
+    let mut stats = RealRunStats {
+        cuboids_processed: masks.len(),
+        cuboids_skipped: (1usize << cols.len()) - masks.len(),
+        ..RealRunStats::default()
+    };
 
-    // Phase 1 (sequential, data-system work): fetch each iceberg cell's
-    // raw rows, with the per-cuboid plan chosen by the cost model.
-    let mut work: Vec<(CellKey, Vec<RowId>)> = Vec::with_capacity(dry.iceberg_count);
-    for mask in masks {
-        let iceberg_keys = &dry.iceberg[&mask];
-        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-        let k_cells = dry.states.cuboids[&mask].len();
-        let plan = choose_plan(table.len(), iceberg_keys.len(), k_cells);
-        let _cuboid_span =
-            span!("real_run.cuboid", "mask={mask:?} plan={plan:?} icebergs={}", iceberg_keys.len());
-        stats.cuboids_processed += 1;
-        let iceberg_set: FxHashSet<Vec<u32>> = iceberg_keys.iter().cloned().collect();
-        let grouped = match plan {
-            CuboidPlan::PruneThenGroup => {
-                stats.prune_plans += 1;
-                let rows = semi_join_rows(table, &attrs, &iceberg_set)?;
-                group_rows(table, &attrs, &rows)?
+    // Phase 1 (data-system work): fetch each iceberg cell's raw rows. The
+    // partition is dropped before sampling starts.
+    let mut work: Vec<(CellKey, Vec<RowId>)> =
+        Vec::with_capacity(iceberg.values().map(Vec::len).sum());
+    if !masks.is_empty() {
+        let partition_span = span!("real_run.partition", "rows={}", table.len());
+        let partition = FinestPartition::build(table, cols)?;
+        drop(partition_span);
+        stats.finest_runs = partition.runs();
+        let _gather_span =
+            span!("real_run.gather", "cuboids={} runs={}", masks.len(), partition.runs());
+        let gathered =
+            Pool::global().par_map(&masks, |mask| partition.gather(*mask, &iceberg[mask]));
+        for (mask, cells) in masks.into_iter().zip(gathered) {
+            for (compact, rows) in cells {
+                stats.gathered_rows += rows.len();
+                work.push((CellKey::from_compact(mask, cols.len(), &compact), rows));
             }
-            CuboidPlan::GroupAll => {
-                stats.group_all_plans += 1;
-                group_by(table, &attrs)?
-            }
-        };
-        let n_attrs = cols.len();
-        let mut cells: Vec<(Vec<u32>, Vec<RowId>)> =
-            grouped.groups.into_iter().filter(|(key, _)| iceberg_set.contains(key)).collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (compact, rows) in cells {
-            work.push((CellKey::from_compact(mask, n_attrs, &compact), rows));
         }
     }
 
@@ -203,7 +189,7 @@ mod tests {
         let global = draw_global_sample(&t, 8, 1);
         let ctx = loss.prepare(&t, &global);
         let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
-        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry, 2).unwrap();
+        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry.iceberg, 2).unwrap();
         (t, rr.entries, rr.stats)
     }
 
@@ -213,6 +199,8 @@ mod tests {
         let (t, entries, stats) = build(theta);
         assert!(!entries.is_empty());
         assert_eq!(stats.cuboids_processed + stats.cuboids_skipped, 8);
+        assert!(stats.finest_runs > 0);
+        assert_eq!(stats.gathered_rows, entries.iter().map(|e| e.rows.len()).sum::<usize>());
         let fare = t.schema().index_of("fare").unwrap();
         let loss = MeanLoss::new(fare);
         for e in &entries {
@@ -254,8 +242,8 @@ mod tests {
         let global = draw_global_sample(&t, 5, 3);
         let ctx = loss.prepare(&t, &global);
         let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, 0.02).unwrap();
-        let serial = real_run(&t, &[0, 1, 2], &loss, 0.02, &dry, 1).unwrap();
-        let parallel = real_run(&t, &[0, 1, 2], &loss, 0.02, &dry, 4).unwrap();
+        let serial = real_run(&t, &[0, 1, 2], &loss, 0.02, &dry.iceberg, 1).unwrap();
+        let parallel = real_run(&t, &[0, 1, 2], &loss, 0.02, &dry.iceberg, 4).unwrap();
         assert_eq!(serial.entries.len(), parallel.entries.len());
         for (a, b) in serial.entries.iter().zip(&parallel.entries) {
             assert_eq!(a.cell, b.cell);

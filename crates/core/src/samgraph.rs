@@ -159,7 +159,7 @@ mod tests {
         let global = draw_global_sample(&t, 8, 1);
         let ctx = loss.prepare(&t, &global);
         let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
-        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry, 1).unwrap();
+        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry.iceberg, 1).unwrap();
         (t, rr.entries)
     }
 
@@ -210,7 +210,7 @@ mod tests {
         let global = draw_global_sample(&t, 4, 2);
         let ctx = loss.prepare(&t, &global);
         let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
-        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry, 1).unwrap();
+        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry.iceberg, 1).unwrap();
         assert!(!rr.entries.is_empty());
         let g = build_samgraph(&t, &loss, theta, &rr.entries, &SamGraphConfig::default());
         for (u, outs) in g.edges.iter().enumerate() {

@@ -17,8 +17,12 @@
 //!   single scan of the raw data and every coarser cuboid is derived from an
 //!   already-computed parent by merging mergeable aggregate states
 //!   ([`agg::AggState`]),
-//! * the equi-join of raw rows against an iceberg-cell list ([`join`]) used
-//!   by the cost-model-guided "real run" stage of cube construction.
+//! * the partition of row ids by finest-cuboid key ([`partition`]) that
+//!   the "real run" stage of cube construction fetches every iceberg
+//!   cell's raw rows from,
+//! * the equi-join of raw rows against an iceberg-cell list ([`join`]) —
+//!   one of the two per-cuboid plans the paper's cost model chooses
+//!   between, kept for the cost-model ablation.
 //!
 //! Tables are built once via [`TableBuilder`] and immutable afterwards,
 //! which matches the load-once / analyze-many workload of a visualization
@@ -34,6 +38,7 @@ pub mod group;
 pub mod join;
 pub mod kernel;
 pub mod packed;
+pub mod partition;
 pub mod predicate;
 pub mod schema;
 pub mod shared;
@@ -50,7 +55,8 @@ pub use encoding::{
 pub use fx::{FxHashMap, FxHashSet};
 pub use group::{group_by, GroupedRows};
 pub use kernel::{chunk_rows, kernel_mode, set_kernel_mode, KernelMode, SelectionVector};
-pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+pub use packed::{KeyLayout, KeyProjection, PackedCodes, PackedKeyBuf};
+pub use partition::FinestPartition;
 pub use predicate::{CmpOp, Predicate, ScanKernel, ScanStats};
 pub use schema::{Field, Schema};
 pub use shared::{ColumnBuf, SharedSlice};

@@ -120,17 +120,20 @@ impl KeyLayout {
     pub fn from_cardinalities(cards: &[usize]) -> Option<KeyLayout> {
         let bits: Vec<u8> = cards.iter().map(|&c| Self::bits_for(c)).collect();
         let total: u32 = bits.iter().map(|&b| b as u32).sum();
-        if total > 64 {
-            return None;
-        }
-        // Attribute 0 highest: shiftᵢ = total − (bits₀ + … + bitsᵢ).
+        (total <= 64).then(|| Self::from_bits(bits))
+    }
+
+    /// Lay out fields of the given widths (`Σ bits ≤ 64`), attribute 0
+    /// highest: shiftᵢ = total − (bits₀ + … + bitsᵢ).
+    fn from_bits(bits: Vec<u8>) -> KeyLayout {
+        let total: u32 = bits.iter().map(|&b| b as u32).sum();
         let mut shifts = Vec::with_capacity(bits.len());
         let mut used = 0u32;
         for &b in &bits {
             used += b as u32;
             shifts.push((total - used) as u8);
         }
-        Some(KeyLayout { bits, shifts, total_bits: total })
+        KeyLayout { bits, shifts, total_bits: total }
     }
 
     /// Bits needed to store any code of an attribute with cardinality
@@ -228,17 +231,51 @@ impl KeyLayout {
 
     /// The layout of keys with attribute `removed` squeezed out.
     pub fn without_attr(&self, removed: usize) -> KeyLayout {
-        let b = self.bits[removed] as u32;
         let mut bits = self.bits.clone();
         bits.remove(removed);
-        let total = self.total_bits - b;
-        let mut shifts = Vec::with_capacity(bits.len());
-        let mut used = 0u32;
-        for &w in &bits {
-            used += w as u32;
-            shifts.push((total - used) as u8);
-        }
-        KeyLayout { bits, shifts, total_bits: total }
+        Self::from_bits(bits)
+    }
+
+    /// The map from this layout's keys onto the keys of the cuboid that
+    /// keeps only `attrs` (ascending attribute indices) — [`squeeze`]
+    /// for any number of removed attributes at once.
+    ///
+    /// [`squeeze`]: Self::squeeze
+    pub fn projection(&self, attrs: &[usize]) -> KeyProjection {
+        let layout = Self::from_bits(attrs.iter().map(|&a| self.bits[a]).collect());
+        let fields = attrs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| self.bits[a] > 0)
+            .map(|(i, &a)| {
+                (self.shifts[a], layout.shifts[i], Self::field_mask(self.bits[a] as u32))
+            })
+            .collect();
+        KeyProjection { layout, fields }
+    }
+}
+
+/// Projects packed keys of a parent layout onto a subset of its
+/// attributes; built by [`KeyLayout::projection`].
+#[derive(Debug, Clone)]
+pub struct KeyProjection {
+    layout: KeyLayout,
+    /// Per kept attribute of non-zero width: shift in the parent key,
+    /// shift in the projected key, field mask.
+    fields: Vec<(u8, u8, u64)>,
+}
+
+impl KeyProjection {
+    /// The layout of the projected keys.
+    pub fn layout(&self) -> &KeyLayout {
+        &self.layout
+    }
+
+    /// Project one parent key. Equals the projected layout's
+    /// [`encode`](KeyLayout::encode) of the kept attributes' codes.
+    #[inline]
+    pub fn apply(&self, key: u64) -> u64 {
+        self.fields.iter().fold(0, |out, &(from, to, mask)| out | ((key >> from) & mask) << to)
     }
 }
 
@@ -433,6 +470,27 @@ mod tests {
             child_codes.remove(removed);
             assert_eq!(l.squeeze(key, removed), child.encode(&child_codes), "attr {removed}");
         }
+    }
+
+    #[test]
+    fn projection_matches_sub_layout_encoding() {
+        // Widths (2, 2, 0, 3, 1): a zero-width attribute in the middle.
+        let l = KeyLayout::from_cardinalities(&[4, 3, 1, 8, 2]).unwrap();
+        let codes = [3u32, 2, 0, 5, 1];
+        let key = l.encode(&codes);
+        for mask in 0u32..32 {
+            let attrs: Vec<usize> = (0..5).filter(|a| mask & (1 << a) != 0).collect();
+            let kept: Vec<u32> = attrs.iter().map(|&a| codes[a]).collect();
+            let p = l.projection(&attrs);
+            assert_eq!(p.apply(key), p.layout().encode(&kept), "attrs {attrs:?}");
+            assert_eq!(p.layout().decode(p.apply(key)), kept, "attrs {attrs:?}");
+        }
+        // 64 bits total: no shift reaches 64.
+        let l = KeyLayout::from_cardinalities(&[1 << 32, 1 << 32]).unwrap();
+        let key = l.encode(&[u32::MAX, 7]);
+        assert_eq!(l.projection(&[0]).apply(key), u32::MAX as u64);
+        assert_eq!(l.projection(&[1]).apply(key), 7);
+        assert_eq!(l.projection(&[0, 1]).apply(key), key);
     }
 
     #[test]

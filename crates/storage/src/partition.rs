@@ -1,0 +1,254 @@
+//! Row ids partitioned by finest-cuboid key.
+//!
+//! Every cell of every cuboid is a union of finest-cuboid cells: dropping
+//! attributes from a grouping list only ever merges groups. So one
+//! partition of the table's row ids by the *finest* key — rows sorted by
+//! `(key, row id)`, with a boundary per distinct key — holds the raw rows
+//! of all `2ⁿ` cuboids at once. Fetching the rows of a coarser cuboid's
+//! cells ([`FinestPartition::gather`]) projects each run's key onto the
+//! cuboid's attributes, keeps the runs that land on a wanted cell, and
+//! concatenates them: work proportional to the number of runs plus the
+//! rows actually fetched, with no further pass over the table.
+//!
+//! Run keys are bit-packed `u64`s when the [`KeyLayout`] fits 64 bits
+//! (projection is then [`KeyLayout::projection`]'s shift-and-mask, and a
+//! wanted cell is found by binary search over packed words); otherwise
+//! they stay `u32` code tuples and every step compares tuples instead.
+//! Both forms order runs lexicographically by code tuple.
+
+use crate::cube::CuboidMask;
+use crate::group::group_by;
+use crate::kernel;
+use crate::packed::KeyLayout;
+use crate::table::{RowId, Table};
+use crate::Result;
+
+/// Keys of the partition's runs, ascending.
+#[derive(Debug)]
+enum RunKeys {
+    Packed { layout: KeyLayout, keys: Vec<u64> },
+    Tuples(Vec<Vec<u32>>),
+}
+
+/// The row ids of a table sorted by finest-cuboid key (ties by row id),
+/// with one run per distinct key. See the module docs.
+#[derive(Debug)]
+pub struct FinestPartition {
+    rows: Vec<RowId>,
+    /// Run `i` is `rows[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    keys: RunKeys,
+}
+
+impl FinestPartition {
+    /// Partition all rows of `table` by the categorical columns `cols`.
+    ///
+    /// One [`group_by`] (a single hashing pass, run-aligned on RLE
+    /// columns) finds the runs with their rows already ascending; only
+    /// the distinct keys are sorted.
+    pub fn build(table: &Table, cols: &[usize]) -> Result<FinestPartition> {
+        let mut groups: Vec<(Vec<u32>, Vec<RowId>)> =
+            group_by(table, cols)?.groups.into_iter().collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rows = Vec::with_capacity(table.len());
+        let mut starts = Vec::with_capacity(groups.len() + 1);
+        let mut tuples = Vec::with_capacity(groups.len());
+        for (key, members) in groups {
+            starts.push(rows.len() as u32);
+            rows.extend_from_slice(&members);
+            tuples.push(key);
+        }
+        starts.push(rows.len() as u32);
+        let cards: Vec<usize> = cols
+            .iter()
+            .map(|&c| table.cat(c).map(|cat| cat.cardinality()))
+            .collect::<Result<_>>()?;
+        let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
+        let keys = match layout {
+            Some(layout) => {
+                let keys = tuples.iter().map(|t| layout.encode(t)).collect();
+                RunKeys::Packed { layout, keys }
+            }
+            None => RunKeys::Tuples(tuples),
+        };
+        Ok(FinestPartition { rows, starts, keys })
+    }
+
+    /// Number of runs (distinct finest keys).
+    pub fn runs(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// All row ids, sorted by `(finest key, row id)`.
+    pub fn rows(&self) -> &[RowId] {
+        &self.rows
+    }
+
+    /// The rows of run `i`, ascending.
+    pub fn run_rows(&self, i: usize) -> &[RowId] {
+        &self.rows[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// The code tuple all rows of run `i` share.
+    pub fn run_key(&self, i: usize) -> Vec<u32> {
+        match &self.keys {
+            RunKeys::Packed { layout, keys } => layout.decode(keys[i]),
+            RunKeys::Tuples(tuples) => tuples[i].clone(),
+        }
+    }
+
+    /// Fetch the rows of `cells` — compact keys of cuboid `mask`, whose
+    /// attribute `i` is the partition's column `i`. Returns each cell that
+    /// has rows, with its rows ascending, in lexicographic cell order.
+    pub fn gather(&self, mask: CuboidMask, cells: &[Vec<u32>]) -> Vec<(Vec<u32>, Vec<RowId>)> {
+        let attrs = mask.attrs();
+        let mut wanted: Vec<&Vec<u32>> = cells.iter().collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        // runs_of[i]: the runs whose key projects onto wanted[i].
+        let runs_of = match &self.keys {
+            RunKeys::Packed { layout, keys } => {
+                let projection = layout.projection(&attrs);
+                // A code outside its field's domain equals no row's code;
+                // packing it would alias another cell.
+                wanted.retain(|cell| projection.layout().fits(cell));
+                let packed: Vec<u64> =
+                    wanted.iter().map(|cell| projection.layout().encode(cell)).collect();
+                let mut runs_of = vec![Vec::new(); wanted.len()];
+                for (run, &key) in keys.iter().enumerate() {
+                    if let Ok(i) = packed.binary_search(&projection.apply(key)) {
+                        runs_of[i].push(run);
+                    }
+                }
+                runs_of
+            }
+            RunKeys::Tuples(tuples) => {
+                let mut runs_of = vec![Vec::new(); wanted.len()];
+                let mut projected = Vec::with_capacity(attrs.len());
+                for (run, tuple) in tuples.iter().enumerate() {
+                    projected.clear();
+                    projected.extend(attrs.iter().map(|&a| tuple[a]));
+                    if let Ok(i) = wanted.binary_search_by(|cell| cell.as_slice().cmp(&projected)) {
+                        runs_of[i].push(run);
+                    }
+                }
+                runs_of
+            }
+        };
+        wanted
+            .into_iter()
+            .zip(runs_of)
+            .filter(|(_, runs)| !runs.is_empty())
+            .map(|(cell, runs)| {
+                let runs: Vec<&[RowId]> = runs.into_iter().map(|r| self.run_rows(r)).collect();
+                (cell.clone(), merge_ascending(&runs))
+            })
+            .collect()
+    }
+}
+
+/// Merge non-empty ascending runs of distinct row ids into one ascending
+/// list. A cell that holds a fair share of the rows between its first and
+/// last marks a bit per row id in that span and reads the bits back,
+/// which is linear; a sparse one concatenates and leaves the merging to
+/// the stable sort, which finds the runs again.
+fn merge_ascending(runs: &[&[RowId]]) -> Vec<RowId> {
+    let len: usize = runs.iter().map(|run| run.len()).sum();
+    let mut rows = Vec::with_capacity(len);
+    let min = runs.iter().map(|run| run[0]).min().unwrap_or(0);
+    let max = runs.iter().map(|run| run[run.len() - 1]).max().unwrap_or(0);
+    let words = ((max - min) / 64 + 1) as usize;
+    if runs.len() < 2 || words > SPAN_WORDS_PER_ROW * len {
+        for run in runs {
+            rows.extend_from_slice(run);
+        }
+        rows.sort();
+        return rows;
+    }
+    let mut bits = vec![0u64; words];
+    for &row in runs.iter().copied().flatten() {
+        let at = row - min;
+        bits[(at / 64) as usize] |= 1 << (at % 64);
+    }
+    for (w, mut word) in bits.into_iter().enumerate() {
+        while word != 0 {
+            rows.push(min + w as RowId * 64 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+    rows
+}
+
+/// How many 64-row words of span [`merge_ascending`] will scan per row
+/// before a comparison sort is cheaper: skipping an empty word costs
+/// about a tenth of sorting one row into place.
+const SPAN_WORDS_PER_ROW: usize = 4;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::{Field, Schema};
+    use crate::table::TableBuilder;
+    use crate::types::ColumnType;
+
+    fn table() -> Table {
+        let schema = Schema::new(vec![
+            Field::new("payment", ColumnType::Str),
+            Field::new("passengers", ColumnType::Int64),
+            Field::new("fare", ColumnType::Float64),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        let data: [(&str, i64, f64); 6] = [
+            ("cash", 1, 5.0),
+            ("credit", 2, 9.5),
+            ("cash", 1, 7.25),
+            ("dispute", 3, 12.0),
+            ("cash", 2, 3.0),
+            ("credit", 2, 4.0),
+        ];
+        for (p, n, f) in data {
+            b.push_row(&[p.into(), n.into(), f.into()]).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn runs_are_sorted_by_key_then_row() {
+        let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
+        // Codes: cash=0 credit=1 dispute=2; passengers 1→0, 2→1, 3→2.
+        assert_eq!(p.runs(), 4);
+        assert_eq!(p.rows(), &[0, 2, 4, 1, 5, 3]);
+        let keys: Vec<Vec<u32>> = (0..p.runs()).map(|i| p.run_key(i)).collect();
+        assert_eq!(keys, vec![vec![0, 0], vec![0, 1], vec![1, 1], vec![2, 2]]);
+        assert_eq!(p.run_rows(0), &[0, 2]);
+        assert_eq!(p.run_rows(3), &[3]);
+    }
+
+    #[test]
+    fn merge_ascending_agrees_with_sort_dense_or_sparse() {
+        // Three interleaved ascending runs; the step sets the density.
+        for step in [1u32, 7, 64, 1_000, 100_000] {
+            let runs: Vec<Vec<RowId>> = [2u32, 0, 1]
+                .iter()
+                .map(|phase| (0..50).map(|i| 5 + (3 * i + phase) * step).collect())
+                .collect();
+            let mut want = runs.concat();
+            want.sort_unstable();
+            let runs: Vec<&[RowId]> = runs.iter().map(Vec::as_slice).collect();
+            assert_eq!(merge_ascending(&runs), want, "step {step}");
+            assert_eq!(merge_ascending(&runs[..1]), runs[0], "step {step}, one run");
+        }
+        assert!(merge_ascending(&[]).is_empty());
+    }
+
+    #[test]
+    fn gather_merges_runs_and_skips_absent_cells() {
+        let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
+        // Cuboid {passengers}: cell 1 (two passengers) spans two runs.
+        let got = p.gather(CuboidMask(0b10), &[vec![1], vec![0], vec![7], vec![1]]);
+        assert_eq!(got, vec![(vec![0], vec![0, 2]), (vec![1], vec![1, 4, 5])]);
+        // The ALL cuboid's single cell is the whole table.
+        assert_eq!(p.gather(CuboidMask(0), &[vec![]]), vec![(vec![], vec![0, 1, 2, 3, 4, 5])]);
+        assert!(p.gather(CuboidMask(0b11), &[]).is_empty());
+    }
+}

@@ -53,23 +53,30 @@ impl Heatmap {
         let mut density = vec![0.0f64; config.width * config.height];
         let span_x = (config.max.x - config.min.x).max(1e-12);
         let span_y = (config.max.y - config.min.y).max(1e-12);
+        let (w, h) = (config.width as isize, config.height as isize);
         let r = config.splat_radius as isize;
+        // Gaussian falloff with σ ≈ radius/2: one weight per offset of the
+        // (2r+1)² splat, shared by every point.
+        let sigma = (config.splat_radius as f64 / 2.0).max(0.5);
+        let side = 2 * r + 1;
+        let stencil: Vec<f64> = (-r..=r)
+            .flat_map(|dy| {
+                (-r..=r)
+                    .map(move |dx| (-((dx * dx + dy * dy) as f64) / (2.0 * sigma * sigma)).exp())
+            })
+            .collect();
         for p in points {
             let fx = (p.x - config.min.x) / span_x * config.width as f64;
             let fy = (p.y - config.min.y) / span_y * config.height as f64;
-            let cx = (fx.floor() as isize).clamp(0, config.width as isize - 1);
-            let cy = (fy.floor() as isize).clamp(0, config.height as isize - 1);
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    let (x, y) = (cx + dx, cy + dy);
-                    if x < 0 || y < 0 || x >= config.width as isize || y >= config.height as isize {
-                        continue;
-                    }
-                    // Gaussian falloff with σ ≈ radius/2.
-                    let d2 = (dx * dx + dy * dy) as f64;
-                    let sigma = (config.splat_radius as f64 / 2.0).max(0.5);
-                    let w = (-d2 / (2.0 * sigma * sigma)).exp();
-                    density[y as usize * config.width + x as usize] += w;
+            let cx = (fx.floor() as isize).clamp(0, w - 1);
+            let cy = (fy.floor() as isize).clamp(0, h - 1);
+            // The part of the splat that falls on the grid, row by row.
+            let (x0, x1) = ((cx - r).max(0), (cx + r).min(w - 1));
+            for y in (cy - r).max(0)..=(cy + r).min(h - 1) {
+                let weights = &stencil[((y - cy + r) * side + (x0 - cx + r)) as usize..];
+                let cells = &mut density[(y * w + x0) as usize..=(y * w + x1) as usize];
+                for (cell, weight) in cells.iter_mut().zip(weights) {
+                    *cell += weight;
                 }
             }
         }
@@ -173,6 +180,63 @@ mod tests {
         let far = hm.density_at(100, 100);
         assert!(near > 0.5, "near {near}");
         assert!(far < 0.05, "far {far}");
+    }
+
+    /// `render` before the stencil: σ and the weight recomputed inside
+    /// the offset loops, off-grid offsets skipped one by one.
+    fn render_per_cell(points: &[Point], config: HeatmapConfig) -> Vec<f64> {
+        let mut density = vec![0.0f64; config.width * config.height];
+        let span_x = (config.max.x - config.min.x).max(1e-12);
+        let span_y = (config.max.y - config.min.y).max(1e-12);
+        let r = config.splat_radius as isize;
+        for p in points {
+            let fx = (p.x - config.min.x) / span_x * config.width as f64;
+            let fy = (p.y - config.min.y) / span_y * config.height as f64;
+            let cx = (fx.floor() as isize).clamp(0, config.width as isize - 1);
+            let cy = (fy.floor() as isize).clamp(0, config.height as isize - 1);
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let (x, y) = (cx + dx, cy + dy);
+                    if x < 0 || y < 0 || x >= config.width as isize || y >= config.height as isize {
+                        continue;
+                    }
+                    let d2 = (dx * dx + dy * dy) as f64;
+                    let sigma = (config.splat_radius as f64 / 2.0).max(0.5);
+                    let w = (-d2 / (2.0 * sigma * sigma)).exp();
+                    density[y as usize * config.width + x as usize] += w;
+                }
+            }
+        }
+        let max = density.iter().cloned().fold(0.0f64, f64::max);
+        if max > 0.0 {
+            for d in &mut density {
+                *d /= max;
+            }
+        }
+        density
+    }
+
+    #[test]
+    fn stencil_render_is_bit_identical_to_per_cell_weights() {
+        // Two clusters, all four corners, the centre, and points outside
+        // the box (clamped onto the border cells).
+        let mut pts = cluster(0.3, 0.6, 150);
+        pts.extend(cluster(0.97, 0.02, 40));
+        for (x, y) in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)] {
+            pts.push(Point::new(x, y));
+        }
+        for (x, y) in [(-3.0, 0.4), (0.4, 7.0), (1.5, -0.2), (-1.0, -1.0)] {
+            pts.push(Point::new(x, y));
+        }
+        for (width, height) in [(128, 128), (7, 3), (1, 1)] {
+            for splat_radius in [0, 1, 2, 5] {
+                let cfg = HeatmapConfig { width, height, splat_radius, ..Default::default() };
+                let got = Heatmap::render(&pts, cfg);
+                let want = render_per_cell(&pts, cfg);
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.densities()), bits(&want), "{width}x{height} r={splat_radius}");
+            }
+        }
     }
 
     #[test]
