@@ -5,7 +5,7 @@
 //!
 //! 1. **baseline** — uncached [`SamplingCube::query`] + materialization,
 //!    the pre-serve read path;
-//! 2. **cold** — a fresh [`Server`] (compiled predicates + serving index,
+//! 2. **cold** — a fresh [`Server`] (compiled predicates + cube-table probe,
 //!    empty answer cache);
 //! 3. **warm** — the same server replaying the same session, so the
 //!    sharded answer cache absorbs the session's revisit locality.
@@ -138,7 +138,7 @@ fn main() {
         answer.materialize(&table).len()
     });
 
-    // Phase 2: cold server — compiled predicates + frozen index, but every
+    // Phase 2: cold server — compiled predicates + cube-table probe, but every
     // answer is a cache miss that must be computed and inserted.
     let srv = Server::with_cache(Arc::clone(&cube), AnswerCache::from_env(), Arc::clone(&registry))
         .expect("server build succeeds");

@@ -336,7 +336,7 @@ impl Fingerprint {
     pub(crate) fn of(cube: &SamplingCube) -> Self {
         let mut cells: Vec<(Vec<Option<u32>>, Vec<RowId>)> = cube
             .cube_table()
-            .map(|(key, sid)| (key.codes.clone(), cube.sample(sid).as_ref().clone()))
+            .map(|(key, sid)| (key.codes, cube.sample(sid).as_ref().clone()))
             .collect();
         cells.sort();
         Fingerprint {
@@ -397,8 +397,8 @@ fn check_cube(
 
     // 2. The materialized cell set against the oracle's own
     //    classification of every cell vs the global sample.
-    let materialized: BTreeSet<&Vec<Option<u32>>> =
-        cube.cube_table().map(|(key, _)| &key.codes).collect();
+    let materialized: BTreeSet<Vec<Option<u32>>> =
+        cube.cube_table().map(|(key, _)| key.codes).collect();
     if mode == MaterializationMode::FullSamCube {
         if materialized.len() != reference.cells.len() {
             return Err(Divergence {
@@ -487,7 +487,7 @@ fn check_serve(
     )
     .map_err(|e| Divergence {
         check: "serve_build",
-        detail: format!("{mode:?}: serving index build failed: {e:?}"),
+        detail: format!("{mode:?}: server construction failed: {e:?}"),
     })?;
 
     let preds: Vec<Predicate> = case
@@ -583,7 +583,7 @@ fn check_serve_traces(
         Server::with_cache(Arc::clone(&cube), AnswerCache::new(8 << 20, 4), Arc::clone(&registry))
             .map_err(|e| Divergence {
                 check: "serve_build",
-                detail: format!("{mode:?}: traced serving index build failed: {e:?}"),
+                detail: format!("{mode:?}: traced server construction failed: {e:?}"),
             })?
             .with_tracer(Arc::clone(&tracer));
 
@@ -616,7 +616,7 @@ fn check_serve_traces(
                 counters.serve_cache_hits() - before.3,
             );
             let expected = match trace.provenance {
-                TraceProvenance::LocalDirect | TraceProvenance::LocalSorted => (1, 0, 0, 0),
+                TraceProvenance::Local => (1, 0, 0, 0),
                 TraceProvenance::GlobalSample => (0, 1, 0, 0),
                 TraceProvenance::EmptyDomain => (0, 0, 1, 0),
                 TraceProvenance::CacheHit => (0, 0, 0, 1),

@@ -176,7 +176,7 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
         )
         .map_err(|e| Divergence {
             check: "ingest_build",
-            detail: format!("threads={threads}: serving index build failed: {e:?}"),
+            detail: format!("threads={threads}: server construction failed: {e:?}"),
         })?,
     );
     let config = IngestConfig {
@@ -238,9 +238,8 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
         // served workload answers.
         let prefix = prefix_table(case, fed);
         let rebuilt = build(Arc::clone(&prefix))?;
-        let mut streamed_keys: Vec<_> =
-            streamed.cube_table().map(|(k, _)| k.codes.clone()).collect();
-        let mut rebuilt_keys: Vec<_> = rebuilt.cube_table().map(|(k, _)| k.codes.clone()).collect();
+        let mut streamed_keys: Vec<_> = streamed.cube_table().map(|(k, _)| k.codes).collect();
+        let mut rebuilt_keys: Vec<_> = rebuilt.cube_table().map(|(k, _)| k.codes).collect();
         streamed_keys.sort();
         rebuilt_keys.sort();
         if streamed_keys != rebuilt_keys {

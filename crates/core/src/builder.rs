@@ -14,6 +14,7 @@
 //! either kernel mode and at any thread count.
 
 use crate::cube::{BuildStats, SamplingCube};
+use crate::cube_table::{cardinalities, CubeTable};
 use crate::dryrun::dry_run;
 use crate::loss::AccuracyLoss;
 use crate::realrun::{real_run, CubeEntry};
@@ -212,8 +213,9 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
         };
         stats.samples_before_selection = entries.len();
 
-        // Assemble cube table + sample table.
-        let (cube_table, samples) = match selection {
+        // Assemble sample table + cube table: each cell's sample id, then
+        // the table's one sort.
+        let (sample_ids, samples): (Vec<u32>, Vec<Arc<Vec<_>>>) = match selection {
             Some(sel) => {
                 let mut sample_id_of_rep: FxHashMap<u32, u32> = FxHashMap::default();
                 let mut samples = Vec::with_capacity(sel.representatives.len());
@@ -221,27 +223,23 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
                     sample_id_of_rep.insert(rep, samples.len() as u32);
                     samples.push(Arc::new(entries[rep as usize].sample.clone()));
                 }
-                let cube_table: FxHashMap<CellKey, u32> = entries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (e.cell.clone(), sample_id_of_rep[&sel.rep_of[i]]))
-                    .collect();
-                (cube_table, samples)
+                (sel.rep_of.iter().map(|rep| sample_id_of_rep[rep]).collect(), samples)
             }
-            None => {
-                let samples: Vec<Arc<Vec<_>>> =
-                    entries.iter().map(|e| Arc::new(e.sample.clone())).collect();
-                let cube_table: FxHashMap<CellKey, u32> =
-                    entries.iter().enumerate().map(|(i, e)| (e.cell.clone(), i as u32)).collect();
-                (cube_table, samples)
-            }
+            None => (
+                (0..entries.len() as u32).collect(),
+                entries.iter().map(|e| Arc::new(e.sample.clone())).collect(),
+            ),
         };
+        let cells = CubeTable::from_cells(
+            cardinalities(&self.table, &cols)?,
+            entries.iter().map(|e| &e.cell).zip(sample_ids),
+        );
         stats.samples_after_selection = samples.len();
         stats.total = total_span.stop();
         publish_build_metrics(&registry, &stats);
 
         Ok(SamplingCube::new(
-            self.table, self.attrs, cols, self.theta, cube_table, samples, global, stats,
+            self.table, self.attrs, cols, self.theta, cells, samples, global, stats,
         )
         .with_registry(&registry))
     }
@@ -450,10 +448,8 @@ mod tests {
             .unwrap();
         // Same iceberg cells (both evaluate loss(cell, global) > θ; one
         // algebraically, one naively).
-        let mut a: Vec<_> = star.cube_table().map(|(k, _)| k.clone()).collect();
-        let mut b: Vec<_> = part.cube_table().map(|(k, _)| k.clone()).collect();
-        a.sort_by(|x, y| x.codes.cmp(&y.codes));
-        b.sort_by(|x, y| x.codes.cmp(&y.codes));
+        let a: Vec<_> = star.cube_table().map(|(k, _)| k).collect();
+        let b: Vec<_> = part.cube_table().map(|(k, _)| k).collect();
         assert_eq!(a, b);
     }
 

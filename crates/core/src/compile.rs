@@ -2,23 +2,19 @@
 //! stack-allocated cell reference in one pass, with zero heap allocation
 //! per query.
 //!
-//! [`SamplingCube::cell_for_predicate`] allocates a fresh
-//! `Vec<Option<u32>>` per query and re-walks the attribute list through
-//! `String` comparisons. On the serving hot path that allocation (and the
-//! `CellKey` clone it feeds into the hash probe) dominates the probe
-//! itself. [`CompiledCell`] is the allocation-free replacement: a fixed
+//! [`CompiledCell`] is the one query-side key: a fixed
 //! `[u32; MAX_CUBED_ATTRS]` code buffer plus a presence bitmask, built on
-//! the stack, hashed and compared without touching the heap.
+//! the stack, hashed and compared without touching the heap. The cube
+//! table ([`crate::cube_table::CubeTable`]) probes with it, the serving
+//! layer's answer cache is keyed by it, and a heap [`CellKey`] converts
+//! with [`CompiledCell::from_cell_key`].
 //!
 //! Compilation short-circuits to `None` (the **EmptyDomain** answer) as
 //! soon as a predicate value falls outside its attribute's dictionary or
-//! two equality terms contradict — exactly the cases where
-//! [`SamplingCube::cell_for_predicate`] returns `Ok(None)`.
-//!
-//! [`SamplingCube::cell_for_predicate`]: tabula_core::SamplingCube::cell_for_predicate
+//! two equality terms contradict — the raw answer is provably empty.
 
+use crate::{CoreError, Result};
 use std::hash::{Hash, Hasher};
-use tabula_core::{CoreError, Result};
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CmpOp, Predicate, Table};
 
@@ -78,12 +74,6 @@ impl CompiledCell {
         out
     }
 
-    /// The presence bitmask (equals the owning cuboid's mask).
-    #[inline]
-    pub fn mask(&self) -> u32 {
-        self.mask
-    }
-
     /// Number of cubed attributes (constrained or not).
     #[inline]
     pub fn arity(&self) -> usize {
@@ -96,23 +86,8 @@ impl CompiledCell {
         (self.mask & (1 << i) != 0).then(|| self.codes[i])
     }
 
-    /// Gather the present codes (ascending attribute order) into `buf`,
-    /// returning the filled prefix — the compact key probed against the
-    /// serving index. No allocation: `buf` lives on the caller's stack.
-    #[inline]
-    pub fn compact_into<'b>(&self, buf: &'b mut [u32; MAX_CUBED_ATTRS]) -> &'b [u32] {
-        let mut k = 0;
-        let mut bits = self.mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            buf[k] = self.codes[i];
-            k += 1;
-            bits &= bits - 1;
-        }
-        &buf[..k]
-    }
-
-    /// Lossless conversion from the heap cell key (test/compat path).
+    /// Lossless conversion from the heap cell key. The key must carry
+    /// fewer than [`MAX_CUBED_ATTRS`] codes.
     pub fn from_cell_key(key: &CellKey) -> Self {
         let mut cell = CompiledCell::all(key.codes.len());
         for (i, code) in key.codes.iter().enumerate() {
@@ -121,11 +96,6 @@ impl CompiledCell {
             }
         }
         cell
-    }
-
-    /// Lossless conversion to the heap cell key (test/compat path).
-    pub fn to_cell_key(&self) -> CellKey {
-        CellKey::new((0..self.n as usize).map(|i| self.code(i)).collect())
     }
 }
 
@@ -160,11 +130,10 @@ impl Hash for CompiledCell {
 ///
 /// `Ok(None)` is the EmptyDomain short-circuit: some value is outside its
 /// attribute's domain, or two equality terms contradict — the raw answer
-/// is provably empty, no probe needed. Errors mirror
-/// [`SamplingCube::cell_for_predicate`] exactly: non-equality terms are a
-/// configuration error, non-cubed columns are `NotCubedAttribute`.
-///
-/// [`SamplingCube::cell_for_predicate`]: tabula_core::SamplingCube::cell_for_predicate
+/// is provably empty, no probe needed. Non-equality terms are a
+/// configuration error, non-cubed columns are `NotCubedAttribute` (the
+/// paper: "the attributes in the WHERE clause must be a subset of the
+/// cubed attributes").
 pub fn compile_predicate(
     table: &Table,
     attrs: &[String],
@@ -221,15 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn compiles_to_the_same_cell_as_the_cube_resolver() {
+    fn compiles_terms_in_any_order_to_one_cell() {
         let t = table();
         let (attrs, cols) = attrs();
         let pred = Predicate::eq("b", 2i64).and("a", CmpOp::Eq, "y");
         let cell = compile_predicate(&t, &attrs, &cols, &pred).unwrap().unwrap();
-        assert_eq!(cell.to_cell_key(), CellKey::new(vec![Some(1), Some(1)]));
-        assert_eq!(cell.mask(), 0b11);
-        let mut buf = [0u32; MAX_CUBED_ATTRS];
-        assert_eq!(cell.compact_into(&mut buf), &[1, 1]);
+        assert_eq!(cell, CompiledCell::from_cell_key(&CellKey::new(vec![Some(1), Some(1)])));
+        assert_eq!((cell.code(0), cell.code(1)), (Some(1), Some(1)));
     }
 
     #[test]
@@ -259,10 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_cell_keys_and_hashes_consistently() {
+    fn converts_cell_keys_and_hashes_consistently() {
         let key = CellKey::new(vec![Some(7), None, Some(0)]);
         let cell = CompiledCell::from_cell_key(&key);
-        assert_eq!(cell.to_cell_key(), key);
+        assert_eq!((cell.code(0), cell.code(1), cell.code(2)), (Some(7), None, Some(0)));
         assert_eq!(cell.arity(), 3);
         // A wildcard in position 1 differs from code 0 in position 1.
         let zero = CompiledCell::from_cell_key(&CellKey::new(vec![Some(7), Some(0), Some(0)]));

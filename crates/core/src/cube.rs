@@ -6,13 +6,15 @@
 //! are answered with the **global sample** — the dry run proved its loss
 //! is within θ for those cells, so the guarantee holds either way.
 
-use crate::{CoreError, Result};
+use crate::compile::{compile_predicate, CompiledCell};
+use crate::cube_table::CubeTable;
+use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 use tabula_obs::ProvenanceCounters;
 use tabula_storage::cube::CellKey;
-use tabula_storage::{CmpOp, FxHashMap, Predicate, RowId, Table};
+use tabula_storage::{Predicate, RowId, Table};
 
 /// Where a query answer's sample came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +128,7 @@ pub struct SamplingCube {
     attrs: Vec<String>,
     cols: Vec<usize>,
     theta: f64,
-    cube_table: FxHashMap<CellKey, u32>,
+    cells: CubeTable,
     samples: Vec<Arc<Vec<RowId>>>,
     global_sample: Arc<Vec<RowId>>,
     stats: BuildStats,
@@ -144,7 +146,7 @@ impl SamplingCube {
         attrs: Vec<String>,
         cols: Vec<usize>,
         theta: f64,
-        cube_table: FxHashMap<CellKey, u32>,
+        cells: CubeTable,
         samples: Vec<Arc<Vec<RowId>>>,
         global_sample: Arc<Vec<RowId>>,
         stats: BuildStats,
@@ -154,7 +156,7 @@ impl SamplingCube {
             attrs,
             cols,
             theta,
-            cube_table,
+            cells,
             samples,
             global_sample,
             stats,
@@ -204,7 +206,7 @@ impl SamplingCube {
 
     /// Number of materialized (iceberg) cells in the cube table.
     pub fn materialized_cells(&self) -> usize {
-        self.cube_table.len()
+        self.cells.len()
     }
 
     /// Number of persisted samples in the sample table.
@@ -223,68 +225,41 @@ impl SamplingCube {
     /// paper: "the attributes in the WHERE clause must be a subset of the
     /// cubed attributes").
     pub fn query(&self, pred: &Predicate) -> Result<QueryAnswer> {
-        let cell = self.cell_for_predicate(pred)?;
-        match cell {
-            Some(cell) => Ok(self.query_cell(&cell)),
-            None => {
-                self.provenance.record_cell_miss();
-                Ok(QueryAnswer {
-                    rows: Arc::new(Vec::new()),
-                    provenance: SampleProvenance::EmptyDomain,
-                })
-            }
-        }
+        let cell = self.compile(pred)?;
+        let (rows, provenance) = self.lookup(cell.as_ref());
+        Ok(QueryAnswer { rows, provenance })
     }
 
     /// Answer a query already resolved to a cube cell.
     pub fn query_cell(&self, cell: &CellKey) -> QueryAnswer {
-        match self.cube_table.get(cell) {
-            Some(&sample_id) => {
-                self.provenance.record_local_hit();
-                QueryAnswer {
-                    rows: Arc::clone(&self.samples[sample_id as usize]),
-                    provenance: SampleProvenance::Local(sample_id),
-                }
-            }
-            None => {
-                self.provenance.record_global_hit();
-                QueryAnswer {
-                    rows: Arc::clone(&self.global_sample),
-                    provenance: SampleProvenance::Global,
-                }
-            }
-        }
+        let (rows, provenance) = self.lookup(Some(&CompiledCell::from_cell_key(cell)));
+        QueryAnswer { rows, provenance }
     }
 
     /// Resolve a predicate to a cube cell. `Ok(None)` means some predicate
     /// value is outside its attribute's domain (the raw answer is empty).
-    pub fn cell_for_predicate(&self, pred: &Predicate) -> Result<Option<CellKey>> {
-        let mut codes: Vec<Option<u32>> = vec![None; self.attrs.len()];
-        for term in pred.terms() {
-            if term.op != CmpOp::Eq {
-                return Err(CoreError::Config(format!(
-                    "sampling-cube queries support equality predicates only (column {})",
-                    term.column
-                )));
+    pub fn compile(&self, pred: &Predicate) -> Result<Option<CompiledCell>> {
+        compile_predicate(&self.table, &self.attrs, &self.cols, pred)
+    }
+
+    /// The cube's one lookup — every query path ends here: the sample
+    /// serving a compiled cell (`None`: the predicate compiled to no cell,
+    /// its raw answer is empty), tallied in the provenance counters.
+    pub fn lookup(&self, cell: Option<&CompiledCell>) -> (Arc<Vec<RowId>>, SampleProvenance) {
+        let Some(cell) = cell else {
+            self.provenance.record_cell_miss();
+            return (Arc::new(Vec::new()), SampleProvenance::EmptyDomain);
+        };
+        match self.cells.probe(cell) {
+            Some(sample_id) => {
+                self.provenance.record_local_hit();
+                (Arc::clone(&self.samples[sample_id as usize]), SampleProvenance::Local(sample_id))
             }
-            let pos = self
-                .attrs
-                .iter()
-                .position(|a| a == &term.column)
-                .ok_or_else(|| CoreError::NotCubedAttribute(term.column.clone()))?;
-            let cat = self.table.cat(self.cols[pos])?;
-            match cat.lookup(&term.value) {
-                Some(code) => {
-                    if codes[pos].is_some_and(|c| c != code) {
-                        // Contradictory equality terms: empty answer.
-                        return Ok(None);
-                    }
-                    codes[pos] = Some(code);
-                }
-                None => return Ok(None),
+            None => {
+                self.provenance.record_global_hit();
+                (Arc::clone(&self.global_sample), SampleProvenance::Global)
             }
         }
-        Ok(Some(CellKey::new(codes)))
     }
 
     /// The paper's memory-footprint accounting: bytes of the three
@@ -292,20 +267,22 @@ impl SamplingCube {
     /// table's row width (what materializing it in the data system costs).
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let row = self.table.row_bytes();
-        let n = self.attrs.len();
-        // Cell key: n × (1 presence byte + 4 code bytes), plus a 4-byte
-        // sample id and nominal hash-table slot overhead.
-        let per_entry = n * 5 + 4 + 16;
         MemoryBreakdown {
             global_bytes: self.global_sample.len() * row,
-            cube_table_bytes: self.cube_table.len() * per_entry,
+            cube_table_bytes: self.cells.heap_bytes(),
             sample_table_bytes: self.samples.iter().map(|s| s.len() * row).sum(),
         }
     }
 
-    /// Iterate the cube table (cell → sample id) in unspecified order.
-    pub fn cube_table(&self) -> impl Iterator<Item = (&CellKey, u32)> + '_ {
-        self.cube_table.iter().map(|(k, &v)| (k, v))
+    /// Iterate the cube table (cell → sample id), decoded on the fly, in
+    /// ascending key order.
+    pub fn cube_table(&self) -> impl Iterator<Item = (CellKey, u32)> + '_ {
+        self.cells.iter()
+    }
+
+    /// The cube table itself: sorted keys and aligned sample ids.
+    pub fn cells(&self) -> &CubeTable {
+        &self.cells
     }
 
     /// A persisted sample's rows by id.
@@ -314,68 +291,14 @@ impl SamplingCube {
     }
 }
 
-/// Serializable form of a cube (row ids only; pair with the same raw
-/// table when loading).
-#[derive(Serialize, Deserialize)]
-pub struct CubePersist {
-    /// Cubed attribute names.
-    pub attrs: Vec<String>,
-    /// Loss threshold.
-    pub theta: f64,
-    /// Cube table as (cell, sample id) pairs.
-    pub cube_table: Vec<(CellKey, u32)>,
-    /// Sample table.
-    pub samples: Vec<Vec<RowId>>,
-    /// Global sample.
-    pub global_sample: Vec<RowId>,
-    /// Build statistics.
-    pub stats: BuildStats,
-}
-
-impl SamplingCube {
-    /// Extract the serializable state.
-    pub fn to_persist(&self) -> CubePersist {
-        let mut cube_table: Vec<(CellKey, u32)> =
-            self.cube_table.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        cube_table.sort_by(|a, b| a.0.codes.cmp(&b.0.codes));
-        CubePersist {
-            attrs: self.attrs.clone(),
-            theta: self.theta,
-            cube_table,
-            samples: self.samples.iter().map(|s| s.as_ref().clone()).collect(),
-            global_sample: self.global_sample.as_ref().clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Rebuild a cube from persisted state plus the raw table it was
-    /// built over.
-    pub fn from_persist(persist: CubePersist, table: Arc<Table>) -> Result<Self> {
-        let cols: Vec<usize> = persist
-            .attrs
-            .iter()
-            .map(|a| table.schema().index_of(a))
-            .collect::<std::result::Result<_, _>>()?;
-        Ok(SamplingCube {
-            table,
-            attrs: persist.attrs,
-            cols,
-            theta: persist.theta,
-            cube_table: persist.cube_table.into_iter().collect(),
-            samples: persist.samples.into_iter().map(Arc::new).collect(),
-            global_sample: Arc::new(persist.global_sample),
-            stats: persist.stats,
-            provenance: ProvenanceCounters::global(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{MaterializationMode, SamplingCubeBuilder};
     use crate::loss::MeanLoss;
+    use crate::CoreError;
     use tabula_data::example_dcm_table;
+    use tabula_storage::CmpOp;
 
     fn cube() -> SamplingCube {
         let t = Arc::new(example_dcm_table());
@@ -406,10 +329,7 @@ mod tests {
         let c = cube();
         assert!(c.materialized_cells() > 0);
         // Find some materialized cell and query it by predicate.
-        let (cell, sample_id) = {
-            let (k, v) = c.cube_table().next().unwrap();
-            (k.clone(), v)
-        };
+        let (cell, sample_id) = c.cube_table().next().unwrap();
         let answer = c.query_cell(&cell);
         assert_eq!(answer.provenance, SampleProvenance::Local(sample_id));
         assert!(!answer.is_empty());
@@ -472,22 +392,9 @@ mod tests {
         let expected: usize =
             (0..c.persisted_samples() as u32).map(|i| c.sample(i).len() * row).sum();
         assert_eq!(m.sample_table_bytes, expected);
-    }
-
-    #[test]
-    fn persistence_round_trip() {
-        let c = cube();
-        let json = serde_json::to_string(&c.to_persist()).unwrap();
-        let persist: CubePersist = serde_json::from_str(&json).unwrap();
-        let back = SamplingCube::from_persist(persist, Arc::clone(c.table())).unwrap();
-        assert_eq!(back.materialized_cells(), c.materialized_cells());
-        assert_eq!(back.persisted_samples(), c.persisted_samples());
-        // Same query, same answer.
-        let p = Predicate::eq("M", "dispute");
-        let a = c.query(&p).unwrap();
-        let b = back.query(&p).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.provenance, b.provenance);
+        // The cube table is charged what its arrays hold: a packed `u64`
+        // key and a `u32` sample id per cell.
+        assert_eq!(m.cube_table_bytes, c.materialized_cells() * 12);
     }
 
     #[test]

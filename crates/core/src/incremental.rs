@@ -28,7 +28,9 @@
 //! [`QueryAnswer::materialize_into`](crate::cube::QueryAnswer::materialize_into).
 
 use crate::builder::MaterializationMode;
+use crate::compile::CompiledCell;
 use crate::cube::{BuildStats, SamplingCube};
+use crate::cube_table::{cardinalities, CubeTable};
 use crate::dryrun::dry_run;
 use crate::loss::AccuracyLoss;
 use crate::realrun::real_run;
@@ -229,37 +231,30 @@ pub fn refresh<L: AccuracyLoss>(
         }
     }
 
-    // 3. Partition the new iceberg set into reusable and fresh cells.
-    let old_cells: FxHashMap<CellKey, u32> =
-        cube.cube_table().map(|(k, v)| (k.clone(), v)).collect();
+    // 3. Partition the new iceberg set into reusable and fresh cells by
+    //    probing the old generation's table (its codes are the new
+    //    table's: appends only extend a dictionary).
+    let old_cells = cube.cells();
     let mut reused: Vec<(CellKey, u32)> = Vec::new(); // cell → old sample id
     let mut fresh: FxHashMap<CuboidMask, Vec<Vec<u32>>> = FxHashMap::default();
     let mut new_iceberg_count = 0usize;
+    let mut still_iceberg = 0usize;
     for (mask, keys) in &dry.iceberg {
         for compact in keys {
             new_iceberg_count += 1;
             let cell = CellKey::from_compact(*mask, n, compact);
-            match old_cells.get(&cell) {
-                Some(&old_id) if !touched.contains(&cell) => {
-                    // Same raw data, θ-good sample: carry it over.
-                    reused.push((cell, old_id));
-                }
+            let old_id = old_cells.probe(&CompiledCell::from_cell_key(&cell));
+            still_iceberg += usize::from(old_id.is_some());
+            match old_id {
+                // Same raw data, θ-good sample: carry it over.
+                Some(old_id) if !touched.contains(&cell) => reused.push((cell, old_id)),
                 _ => fresh.entry(*mask).or_default().push(compact.clone()),
             }
         }
     }
-    // Per-mask hash sets of the new iceberg compacts: membership is O(1)
-    // per old cell instead of a linear scan over that cuboid's iceberg
-    // keys (O(old_cells × iceberg_keys) blows up quadratically once an
-    // ingest loop refreshes large cubes continuously).
-    let iceberg_sets: FxHashMap<CuboidMask, FxHashSet<&Vec<u32>>> =
-        dry.iceberg.iter().map(|(mask, keys)| (*mask, keys.iter().collect())).collect();
-    let retired_cells = old_cells
-        .keys()
-        .filter(|cell| {
-            iceberg_sets.get(&cell.mask()).is_none_or(|keys| !keys.contains(&cell.compact()))
-        })
-        .count();
+    // Both cell sets are duplicate-free, so the old cells that left the
+    // iceberg set are the old cells the loop above did not meet.
+    let retired_cells = old_cells.len() - still_iceberg;
 
     // 4. Real run restricted to the fresh cells.
     let real_span = span!("refresh.real_run", "fresh_cells={}", new_iceberg_count - reused.len());
@@ -277,14 +272,13 @@ pub fn refresh<L: AccuracyLoss>(
 
     // 6. Assemble: old reused samples (deduplicated by old id) + fresh.
     let mut samples: Vec<Arc<Vec<RowId>>> = Vec::new();
-    let mut cube_table: FxHashMap<CellKey, u32> = FxHashMap::default();
+    let mut sample_ids: Vec<u32> = Vec::with_capacity(new_iceberg_count);
     let mut old_id_map: FxHashMap<u32, u32> = FxHashMap::default();
-    for (cell, old_id) in reused.iter() {
-        let new_id = *old_id_map.entry(*old_id).or_insert_with(|| {
+    for (_, old_id) in &reused {
+        sample_ids.push(*old_id_map.entry(*old_id).or_insert_with(|| {
             samples.push(Arc::clone(cube.sample(*old_id)));
             (samples.len() - 1) as u32
-        });
-        cube_table.insert(cell.clone(), new_id);
+        }));
     }
     match &selection {
         Some(sel) => {
@@ -293,17 +287,23 @@ pub fn refresh<L: AccuracyLoss>(
                 rep_id.insert(rep, samples.len() as u32);
                 samples.push(Arc::new(rr.entries[rep as usize].sample.clone()));
             }
-            for (i, e) in rr.entries.iter().enumerate() {
-                cube_table.insert(e.cell.clone(), rep_id[&sel.rep_of[i]]);
-            }
+            sample_ids.extend(sel.rep_of.iter().map(|rep| rep_id[rep]));
         }
         None => {
             for e in &rr.entries {
-                cube_table.insert(e.cell.clone(), samples.len() as u32);
+                sample_ids.push(samples.len() as u32);
                 samples.push(Arc::new(e.sample.clone()));
             }
         }
     }
+    let cells = CubeTable::from_cells(
+        cardinalities(&new_table, &cols)?,
+        reused
+            .iter()
+            .map(|(cell, _)| cell)
+            .chain(rr.entries.iter().map(|e| &e.cell))
+            .zip(sample_ids),
+    );
 
     // Every fresh cell drew a sample, but under representative selection
     // only the representatives' samples were persisted — the rest of the
@@ -340,7 +340,7 @@ pub fn refresh<L: AccuracyLoss>(
         ..BuildStats::default()
     };
     let new_cube =
-        SamplingCube::new(new_table, attrs, cols, theta, cube_table, samples, global, build_stats);
+        SamplingCube::new(new_table, attrs, cols, theta, cells, samples, global, build_stats);
     Ok((new_cube, stats))
 }
 
@@ -423,10 +423,8 @@ mod tests {
             .build()
             .unwrap();
         // Same iceberg cell set (the dry run is identical).
-        let mut a: Vec<_> = refreshed.cube_table().map(|(k, _)| k.clone()).collect();
-        let mut b: Vec<_> = rebuilt.cube_table().map(|(k, _)| k.clone()).collect();
-        a.sort_by(|x, y| x.codes.cmp(&y.codes));
-        b.sort_by(|x, y| x.codes.cmp(&y.codes));
+        let a: Vec<_> = refreshed.cube_table().map(|(k, _)| k).collect();
+        let b: Vec<_> = rebuilt.cube_table().map(|(k, _)| k).collect();
         assert_eq!(a, b);
 
         // Query answers over a workload agree semantically: same serving
@@ -537,8 +535,8 @@ mod tests {
         .unwrap();
         // Every iceberg cell is materialized, so the retired count must
         // equal "old cube-table keys absent from the new cube table".
-        let new_keys: FxHashSet<CellKey> = refreshed.cube_table().map(|(k, _)| k.clone()).collect();
-        let naive = cube.cube_table().filter(|(k, _)| !new_keys.contains(*k)).count();
+        let new_keys: FxHashSet<CellKey> = refreshed.cube_table().map(|(k, _)| k).collect();
+        let naive = cube.cube_table().filter(|(k, _)| !new_keys.contains(k)).count();
         assert_eq!(stats.retired_cells, naive);
     }
 

@@ -43,7 +43,8 @@
 //!    greedy dominating set of representative samples is persisted.
 //!
 //! The result is a [`cube::SamplingCube`] that answers dashboard queries
-//! in microseconds by hash lookup.
+//! in microseconds: compile the predicate to a cell ([`compile`]), one
+//! binary search over the sorted cube table ([`cube_table`]).
 //!
 //! ## Loss functions
 //!
@@ -54,7 +55,9 @@
 //! losses implement the same trait (see `examples/custom_loss.rs`).
 
 pub mod builder;
+pub mod compile;
 pub mod cube;
+pub mod cube_table;
 pub mod dryrun;
 pub mod incremental;
 pub mod loss;
@@ -66,7 +69,9 @@ pub mod serfling;
 pub mod store;
 
 pub use builder::{MaterializationMode, SamplingCubeBuilder};
+pub use compile::{compile_predicate, CompiledCell, MAX_CUBED_ATTRS};
 pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
+pub use cube_table::{CubeKeys, CubeTable};
 pub use incremental::{refresh, RefreshConfig, RefreshStats};
 pub use loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, RegressionLoss};
 pub use sampling::greedy_sample;

@@ -1,11 +1,9 @@
 //! Snapshot materialization: freeze a built [`SamplingCube`] into a
 //! `tabula-store` file and thaw it back without repaying the build.
 //!
-//! This is the production persistence route (the JSON
-//! [`crate::cube::CubePersist`] path remains for debugging/interchange).
-//! Unlike `CubePersist`, a snapshot is **self-contained**: it carries the
-//! raw table's columns alongside the cube table, sample lists and global
-//! sample, so a fresh process restores a serving-ready cube from one file.
+//! A snapshot is **self-contained**: it carries the raw table's columns
+//! alongside the cube table, sample lists and global sample, so a fresh
+//! process restores a serving-ready cube from one file.
 //!
 //! ## Block inventory
 //!
@@ -23,8 +21,9 @@
 //! | `global:rows`      | global-sample row ids (u32)                    |
 //! | `stats`            | [`BuildStats`] (JSON)                          |
 //!
-//! Cell keys are encoded over per-attribute domains of `cardinality + 1`
-//! (slot 0 is `*`/`None`, code `c` maps to `c + 1`) and written in
+//! The `cube:*` blocks are the cube's own [`CubeTable`] arrays, written
+//! verbatim and adopted as written: keys over per-attribute domains of
+//! `cardinality + 1` (slot 0 is `*`/`None`, code `c` maps to `c + 1`) in
 //! ascending key order, so snapshot bytes are a pure function of cube
 //! content — two processes that built the same cube write identical files.
 //!
@@ -32,19 +31,21 @@
 //!
 //! Beyond the store layer's checksums, the loader re-derives every
 //! invariant it relies on: dictionary codes < dictionary length, the
-//! recomputed key layout's bit widths against the manifest's, cell codes <
+//! recomputed key layout's bit widths against the manifest's, cell keys
+//! strictly ascending with no bits outside the layout, cell codes <
 //! attribute cardinality, sample ids < sample count, row ids < table
 //! length, sample offsets monotonic and exhaustive. A snapshot that loads
-//! is a cube that cannot index out of bounds.
+//! is a cube that cannot index out of bounds or probe past a duplicate.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tabula_storage::{CellKey, Column, ColumnType, FxHashMap, KeyLayout, RowId, Schema, Table};
+use tabula_storage::{Column, ColumnType, RowId, Schema, Table};
 use tabula_store::{Snapshot, SnapshotWriter, StoreError};
 
 use crate::cube::{BuildStats, SamplingCube};
+use crate::cube_table::{cardinalities, CubeKeys, CubeTable};
 use crate::Result;
 
 /// Writer-defined manifest payload for cube snapshots.
@@ -83,8 +84,6 @@ pub struct SnapshotInfo {
 const KIND: &str = "sampling-cube";
 const ENC_PACKED: &str = "packed64";
 const ENC_FLAT: &str = "flat32";
-/// Flat-encoding sentinel for `*`/`None`.
-const FLAT_STAR: u32 = u32::MAX;
 
 fn corrupt(msg: impl Into<String>) -> crate::CoreError {
     StoreError::CorruptManifest(msg.into()).into()
@@ -92,12 +91,6 @@ fn corrupt(msg: impl Into<String>) -> crate::CoreError {
 
 fn bad_block(region: &str, reason: impl Into<String>) -> crate::CoreError {
     StoreError::BadBlock { region: format!("block:{region}"), reason: reason.into() }.into()
-}
-
-/// Per-attribute cardinalities of the cubed columns (the `+1`-shifted
-/// domains the key encoders run over).
-fn cardinalities(table: &Table, cols: &[usize]) -> Result<Vec<usize>> {
-    cols.iter().map(|&c| Ok(table.cat(c)?.cardinality())).collect()
 }
 
 /// Load a column payload in whatever representation the snapshot holds:
@@ -138,6 +131,17 @@ fn max_code(codes: &tabula_storage::ColumnBuf<u32>) -> Option<u32> {
     }
 }
 
+/// Per-attribute bit widths of packed keys (none for flat keys): the
+/// manifest's `key_bits`.
+fn key_bits(keys: &CubeKeys) -> Vec<u32> {
+    match keys {
+        CubeKeys::Packed { layout, .. } => {
+            (0..layout.width()).map(|i| layout.attr_bits(i)).collect()
+        }
+        CubeKeys::Flat(_) => Vec::new(),
+    }
+}
+
 fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
     let table = cube.table();
     let schema_json = serde_json::to_string(table.schema())
@@ -170,52 +174,19 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
         }
     }
 
-    let cols = cube.cubed_cols();
-    let cards = cardinalities(table, cols)?;
-    let shifted: Vec<usize> = cards.iter().map(|&c| c + 1).collect();
-    let layout = KeyLayout::from_cardinalities(&shifted);
+    // The cube table's arrays, verbatim.
     let cells = cube.materialized_cells() as u64;
-
-    let (key_encoding, key_bits) = match &layout {
-        Some(layout) => {
-            // Packed route: one u64 per cell, ascending order.
-            let mut entries: Vec<(u64, u32)> = cube
-                .cube_table()
-                .map(|(key, sid)| {
-                    let codes: Vec<u32> =
-                        key.codes.iter().map(|c| c.map_or(0, |v| v + 1)).collect();
-                    (layout.encode(&codes), sid)
-                })
-                .collect();
-            entries.sort_unstable();
-            let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-            let sids: Vec<u32> = entries.iter().map(|&(_, s)| s).collect();
-            w.add_block("cube:keys", cells, &tabula_store::encode_u64s(&keys))?;
-            w.add_block("cube:sample_ids", cells, &tabula_store::encode_u32s(&sids))?;
-            let bits: Vec<u32> = (0..cols.len()).map(|i| layout.attr_bits(i)).collect();
-            (ENC_PACKED, bits)
+    let key_encoding = match cube.cells().keys() {
+        CubeKeys::Packed { keys, .. } => {
+            w.add_block("cube:keys", cells, &tabula_store::encode_u64s(keys))?;
+            ENC_PACKED
         }
-        None => {
-            // Flat route for >64-bit keys: n u32 slots per cell.
-            let mut entries: Vec<(Vec<u32>, u32)> = cube
-                .cube_table()
-                .map(|(key, sid)| {
-                    let codes: Vec<u32> =
-                        key.codes.iter().map(|c| c.unwrap_or(FLAT_STAR)).collect();
-                    (codes, sid)
-                })
-                .collect();
-            entries.sort_unstable();
-            let mut flat = Vec::with_capacity(entries.len() * cols.len());
-            for (codes, _) in &entries {
-                flat.extend_from_slice(codes);
-            }
-            let sids: Vec<u32> = entries.iter().map(|(_, s)| *s).collect();
-            w.add_block("cube:flat", cells, &tabula_store::encode_u32s(&flat))?;
-            w.add_block("cube:sample_ids", cells, &tabula_store::encode_u32s(&sids))?;
-            (ENC_FLAT, Vec::new())
+        CubeKeys::Flat(words) => {
+            w.add_block("cube:flat", cells, &tabula_store::encode_u32s(words))?;
+            ENC_FLAT
         }
     };
+    w.add_block("cube:sample_ids", cells, &tabula_store::encode_u32s(cube.cells().sample_ids()))?;
 
     let mut offsets: Vec<u64> = Vec::with_capacity(cube.persisted_samples() + 1);
     let mut sample_rows: Vec<u32> = Vec::new();
@@ -248,7 +219,7 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
         attrs: cube.attrs().to_vec(),
         theta: cube.theta(),
         key_encoding: key_encoding.to_string(),
-        key_bits,
+        key_bits: key_bits(cube.cells().keys()),
         cells,
         table_rows: table.len() as u64,
         samples: cube.persisted_samples() as u64,
@@ -321,117 +292,47 @@ fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
         .iter()
         .map(|a| table.schema().index_of(a).map_err(crate::CoreError::from))
         .collect::<Result<_>>()?;
-    let cards = cardinalities(&table, &cols)?;
-    let n_attrs = cols.len();
     let sample_count = meta.samples;
 
-    let sample_ids_view = snap.block("cube:sample_ids")?;
-    let sids = sample_ids_view.u32s()?;
-    let mut cube_table: FxHashMap<CellKey, u32> = FxHashMap::default();
-    cube_table.reserve(sids.len());
-
-    let mut insert = |key: CellKey, sid: u32| -> Result<()> {
-        if u64::from(sid) >= sample_count {
-            return Err(bad_block(
-                "cube:sample_ids",
-                format!("sample id {sid} out of range for {sample_count} samples"),
-            ));
-        }
-        if cube_table.insert(key, sid).is_some() {
-            return Err(bad_block("cube:keys", "duplicate cell key"));
-        }
-        Ok(())
-    };
-
-    match meta.key_encoding.as_str() {
+    // Cube table: validated, then adopted as written.
+    let cards = cardinalities(&table, &cols)?;
+    let sids = snap.block("cube:sample_ids")?.u32s()?;
+    if let Some(&sid) = sids.iter().find(|&&sid| u64::from(sid) >= sample_count) {
+        return Err(bad_block(
+            "cube:sample_ids",
+            format!("sample id {sid} out of range for {sample_count} samples"),
+        ));
+    }
+    let (block, adopted) = match meta.key_encoding.as_str() {
         ENC_PACKED => {
-            let shifted: Vec<usize> = cards.iter().map(|&c| c + 1).collect();
-            let layout = KeyLayout::from_cardinalities(&shifted).ok_or_else(|| {
-                bad_block("cube:keys", "packed64 encoding but recomputed key exceeds 64 bits")
-            })?;
-            let bits: Vec<u32> = (0..n_attrs).map(|i| layout.attr_bits(i)).collect();
-            if bits != meta.key_bits {
-                return Err(bad_block(
-                    "cube:keys",
-                    format!(
-                        "key bit widths {:?} in manifest do not match widths {bits:?} \
-                         recomputed from dictionary cardinalities",
-                        meta.key_bits
-                    ),
-                ));
-            }
-            let keys = snap.block("cube:keys")?.u64s()?;
-            if keys.len() != sids.len() {
-                return Err(bad_block(
-                    "cube:keys",
-                    format!("{} keys vs {} sample ids", keys.len(), sids.len()),
-                ));
-            }
-            let mut decoded = Vec::with_capacity(n_attrs);
-            for (&k, &sid) in keys.iter().zip(sids) {
-                layout.decode_into(k, &mut decoded);
-                let mut codes = Vec::with_capacity(n_attrs);
-                for (i, &v) in decoded.iter().enumerate() {
-                    if v == 0 {
-                        codes.push(None);
-                    } else if ((v - 1) as usize) < cards[i] {
-                        codes.push(Some(v - 1));
-                    } else {
-                        return Err(bad_block(
-                            "cube:keys",
-                            format!(
-                                "code {} out of range for attribute {:?} of cardinality {}",
-                                v - 1,
-                                meta.attrs[i],
-                                cards[i]
-                            ),
-                        ));
-                    }
-                }
-                insert(CellKey { codes }, sid)?;
-            }
+            let keys = snap.block("cube:keys")?.u64s()?.to_vec();
+            ("cube:keys", CubeTable::adopt_packed(cards, keys, sids.to_vec()))
         }
         ENC_FLAT => {
-            let flat = snap.block("cube:flat")?.u32s()?;
-            if n_attrs == 0 || flat.len() != sids.len() * n_attrs {
-                return Err(bad_block(
-                    "cube:flat",
-                    format!(
-                        "{} flat words do not tile {} cells × {n_attrs} attributes",
-                        flat.len(),
-                        sids.len()
-                    ),
-                ));
-            }
-            for (cell, &sid) in flat.chunks_exact(n_attrs).zip(sids) {
-                let mut codes = Vec::with_capacity(n_attrs);
-                for (i, &v) in cell.iter().enumerate() {
-                    if v == FLAT_STAR {
-                        codes.push(None);
-                    } else if (v as usize) < cards[i] {
-                        codes.push(Some(v));
-                    } else {
-                        return Err(bad_block(
-                            "cube:flat",
-                            format!(
-                                "code {v} out of range for attribute {:?} of cardinality {}",
-                                meta.attrs[i], cards[i]
-                            ),
-                        ));
-                    }
-                }
-                insert(CellKey { codes }, sid)?;
-            }
+            let words = snap.block("cube:flat")?.u32s()?.to_vec();
+            ("cube:flat", CubeTable::adopt_flat(cards, words, sids.to_vec()))
         }
         other => {
             return Err(StoreError::Unsupported(format!("unknown key encoding {other:?}")).into())
         }
+    };
+    let cells = adopted.map_err(|reason| bad_block(block, reason))?;
+    let bits = key_bits(cells.keys());
+    if bits != meta.key_bits {
+        return Err(bad_block(
+            block,
+            format!(
+                "key bit widths {:?} in manifest do not match widths {bits:?} \
+                 recomputed from dictionary cardinalities",
+                meta.key_bits
+            ),
+        ));
     }
-    if cube_table.len() as u64 != meta.cells {
+    if cells.len() as u64 != meta.cells {
         return Err(corrupt(format!(
             "meta claims {} cells, cube table holds {}",
             meta.cells,
-            cube_table.len()
+            cells.len()
         )));
     }
 
@@ -489,13 +390,13 @@ fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
         .map_err(|e| corrupt(format!("stats parse failed: {}", e.0)))?;
 
     let info =
-        SnapshotInfo { epoch: snap.epoch(), file_bytes: snap.file_len(), cells: cube_table.len() };
+        SnapshotInfo { epoch: snap.epoch(), file_bytes: snap.file_len(), cells: cells.len() };
     let cube = SamplingCube::new(
         table,
         meta.attrs,
         cols,
         meta.theta,
-        cube_table,
+        cells,
         samples,
         global_sample,
         stats,
@@ -560,9 +461,9 @@ mod tests {
         assert_eq!(back.global_sample(), c.global_sample());
         assert_eq!(back.table().len(), c.table().len());
         // Every cell answers identically, sample ids included.
-        for (key, sid) in c.cube_table() {
-            assert_eq!(back.query_cell(key).rows, c.query_cell(key).rows);
-            assert_eq!(back.cube_table().find(|(k, _)| *k == key).unwrap().1, sid);
+        assert!(back.cube_table().eq(c.cube_table()));
+        for (key, _) in c.cube_table() {
+            assert_eq!(back.query_cell(&key).rows, c.query_cell(&key).rows);
         }
         // Predicate path agrees too.
         for pred in [Predicate::eq("M", "cash"), Predicate::eq("M", "dispute"), Predicate::all()] {

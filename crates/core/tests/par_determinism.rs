@@ -42,7 +42,7 @@ struct Fingerprint {
 
 fn fingerprint(cube: &SamplingCube) -> Fingerprint {
     let mut cells: Vec<(CellKey, Vec<RowId>)> =
-        cube.cube_table().map(|(k, id)| (k.clone(), cube.sample(id).as_ref().clone())).collect();
+        cube.cube_table().map(|(k, id)| (k, cube.sample(id).as_ref().clone())).collect();
     cells.sort_by(|a, b| a.0.codes.cmp(&b.0.codes));
     Fingerprint {
         cells,

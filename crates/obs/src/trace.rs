@@ -3,9 +3,9 @@
 //! A [`QueryTrace`] is a stack-carried context created once per query (by
 //! `serve::Server::query` or the SQL executor) and threaded through the
 //! stages of the serving path — predicate compile, answer-cache probe,
-//! serve-index probe, materialization, raw scan. Each stage records its
+//! cube-table probe, materialization, raw scan. Each stage records its
 //! elapsed nanos plus the rows and bytes it touched; the query's provenance
-//! (cache hit / direct index / dense probe / global sample / scan) and the
+//! (cache hit / local sample / global sample / scan) and the
 //! generation epoch it was served from ride along.
 //!
 //! **Overhead contract.** Deciding whether to trace is one relaxed atomic
@@ -44,7 +44,7 @@ pub enum Stage {
     Compile,
     /// Answer-cache lookup.
     CacheProbe,
-    /// ServeIndex cuboid probe.
+    /// Cube-table probe.
     IndexProbe,
     /// Sample materialization (`Table::take`).
     Materialize,
@@ -66,8 +66,8 @@ impl Stage {
 }
 
 /// Where the answer ultimately came from — the trace-level refinement of
-/// [`ProvenanceCounters`](crate::ProvenanceCounters): local hits split into
-/// direct-index vs dense-probe, and the raw scan path gets its own label.
+/// [`ProvenanceCounters`](crate::ProvenanceCounters): the raw scan path
+/// gets its own label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceProvenance {
     /// Not yet resolved (a trace abandoned mid-query).
@@ -75,10 +75,8 @@ pub enum TraceProvenance {
     Unresolved,
     /// Served from the answer cache.
     CacheHit,
-    /// Local sample found via a direct-index (dense array) cuboid.
-    LocalDirect,
-    /// Local sample found via a sorted-keys (dense probe) cuboid.
-    LocalSorted,
+    /// Local sample found in the cube table.
+    Local,
     /// Fell back to the global sample.
     GlobalSample,
     /// Predicate named a value outside the domain: empty answer, no probe.
@@ -93,8 +91,7 @@ impl TraceProvenance {
         match self {
             TraceProvenance::Unresolved => "unresolved",
             TraceProvenance::CacheHit => "cache_hit",
-            TraceProvenance::LocalDirect => "local_direct",
-            TraceProvenance::LocalSorted => "local_sorted",
+            TraceProvenance::Local => "local",
             TraceProvenance::GlobalSample => "global_sample",
             TraceProvenance::EmptyDomain => "empty_domain",
             TraceProvenance::Scan => "scan",
@@ -539,7 +536,7 @@ mod tests {
         let s = t.stage_start();
         std::thread::sleep(std::time::Duration::from_nanos(ns_work));
         t.stage(Stage::Compile, s, 0, 0);
-        t.set_provenance(TraceProvenance::LocalDirect);
+        t.set_provenance(TraceProvenance::Local);
         tracer.finish(t).expect("forced trace completes")
     }
 
@@ -625,7 +622,7 @@ mod tests {
         assert_eq!(lines.len(), 2, "slow duplicates must be deduped:\n{jsonl}");
         for line in lines {
             assert_eq!(line.matches('{').count(), line.matches('}').count(), "{line}");
-            assert!(line.contains("\"provenance\":\"local_direct\""), "{line}");
+            assert!(line.contains("\"provenance\":\"local\""), "{line}");
             assert!(line.contains("\"stage\":\"compile\""), "{line}");
         }
     }

@@ -33,11 +33,10 @@
 //! locks; mismatched entries are reclaimed lazily when an equal-or-newer
 //! reader trips over them.
 
-use crate::compile::CompiledCell;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tabula_core::SampleProvenance;
+use tabula_core::{CompiledCell, SampleProvenance};
 use tabula_storage::fx::FxHasher;
 use tabula_storage::{FxHashMap, RowId, Table};
 

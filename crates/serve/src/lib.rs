@@ -3,26 +3,19 @@
 //! The high-throughput concurrent query-serving layer over the
 //! materialized sampling cube.
 //!
-//! `tabula-core` optimizes the cube's *build* side; this crate optimizes
-//! the *serving* side — the paper's actual value proposition (dashboard
-//! zoom/pan queries answered in milliseconds, "heavy traffic from
-//! millions of users"). `SamplingCube::query` is correct but cold: it
-//! allocates a fresh `CellKey` per query, probes one global hash map, and
-//! re-materializes the sample table on every hit. This crate separates
-//! the write-time structure from a read-optimized serving structure:
+//! `tabula-core` optimizes the cube's *build* side and owns the cube's one
+//! lookup (predicate → [`CompiledCell`] → sorted cube table → sample);
+//! this crate is what a dashboard fleet needs *around* that lookup — the
+//! paper's actual value proposition (zoom/pan queries answered in
+//! milliseconds, "heavy traffic from millions of users"):
 //!
-//! * [`compile`] — a predicate compiler resolving a `Predicate` into a
-//!   stack-allocated [`CompiledCell`] with zero heap allocation per
-//!   query, short-circuiting empty-domain queries before any probe;
-//! * [`index`] — a frozen [`ServeIndex`] built once per cube generation:
-//!   cuboid-partitioned dense arrays probed by branch-free binary search,
-//!   or direct slot indexing when a cuboid's key domain is small;
 //! * [`cache`] — a sharded LRU [`AnswerCache`] of fully materialized
 //!   answers (capacity `TABULA_CACHE_MB`, bypass `TABULA_CACHE_BYPASS`),
-//!   invalidated in O(1) by epoch bump on refresh;
-//! * [`server`] — the [`Server`] façade gluing the three together, with
-//!   `serve.hits` / `serve.misses` / `serve.evictions` counters and a
-//!   `serve.probe_ns` histogram in the `tabula-obs` registry, and an
+//!   keyed by compiled cell, invalidated in O(1) by epoch bump on refresh;
+//! * [`server`] — the [`Server`] façade: compile, cache probe, on a miss
+//!   [`SamplingCube::lookup`] + materialize, with `serve.hits` /
+//!   `serve.misses` / `serve.evictions` counters and a `serve.probe_ns`
+//!   histogram in the `tabula-obs` registry, and an
 //!   [`install`](Server::install)/[`refresh`](Server::refresh) path that
 //!   swaps generations without serving a stale cached answer.
 //!
@@ -31,15 +24,13 @@
 //! enforces this continuously.
 //!
 //! [`SamplingCube::query`]: tabula_core::SamplingCube::query
+//! [`SamplingCube::lookup`]: tabula_core::SamplingCube::lookup
+//! [`CompiledCell`]: tabula_core::CompiledCell
 
 pub mod cache;
-pub mod compile;
-pub mod index;
 pub mod server;
 
 pub use cache::{AnswerCache, CacheLookup, CachedAnswer};
-pub use compile::{compile_predicate, CompiledCell, MAX_CUBED_ATTRS};
-pub use index::{IndexLayout, ServeIndex};
 pub use server::{
     ServeAnswer, Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES, SERVE_PROBE_NS, SERVE_QUERY_NS,
 };

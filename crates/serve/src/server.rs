@@ -1,33 +1,36 @@
-//! The concurrent query server: compiled predicates in front of a frozen
-//! index in front of a sharded answer cache.
+//! The concurrent query server: a sharded answer cache, materialization
+//! and the generation swap around the cube's own lookup.
 //!
 //! One [`Server`] wraps one cube *generation* at a time. The read path
 //! takes a single `RwLock` read acquisition (to clone the generation
 //! `Arc`), then runs entirely on immutable data: compile the predicate on
-//! the stack, probe the cache, on a miss probe the frozen index and
-//! materialize. Each generation carries the cache epoch it was installed
-//! under — the bump and the pointer swap happen inside the same
-//! write-lock critical section, and every cache probe and insert passes
-//! the *generation's* epoch rather than re-reading the cache clock. That
-//! pins each answer to the generation that computed it: an in-flight
-//! query that races with a refresh can only insert under its own (old)
-//! generation's epoch, which no reader of the new generation can match,
-//! so no stale cached answer survives the swap.
+//! the stack, probe the cache, on a miss ask the cube
+//! ([`SamplingCube::lookup`]) and materialize. Each generation carries
+//! the cache epoch it was installed under — the bump and the pointer swap
+//! happen inside the same write-lock critical section, and every cache
+//! probe and insert passes the *generation's* epoch rather than
+//! re-reading the cache clock. That pins each answer to the generation
+//! that computed it: an in-flight query that races with a refresh can
+//! only insert under its own (old) generation's epoch, which no reader of
+//! the new generation can match, so no stale cached answer survives the
+//! swap.
 //!
 //! Answers are byte-identical to [`SamplingCube::query`] at any thread
-//! count and cache size: the index probe replicates the cube table lookup
-//! exactly, the cache stores exactly what a miss computed, and provenance
-//! accounting stays exact (a cache hit tallies `serve_cache_hit`, every
-//! other outcome tallies the same counter the cube itself would).
+//! count and cache size: a miss *is* the cube's lookup, the cache stores
+//! exactly what a miss computed, and provenance accounting stays exact (a
+//! cache hit tallies `serve_cache_hit`, every other outcome is tallied by
+//! the cube).
+//!
+//! The generation lock only ever guards one `Arc` assignment, so a guard
+//! recovered from a poisoned lock still holds a whole generation: a
+//! writer that panicked cannot take serving down with it.
 
 use crate::cache::{AnswerCache, CacheLookup, CachedAnswer};
-use crate::compile::{compile_predicate, CompiledCell};
-use crate::index::{IndexLayout, ServeIndex};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
 use tabula_core::incremental::{refresh, RefreshConfig, RefreshStats};
 use tabula_core::loss::AccuracyLoss;
-use tabula_core::{Result, SampleProvenance, SamplingCube, SnapshotInfo};
+use tabula_core::{CompiledCell, Result, SampleProvenance, SamplingCube, SnapshotInfo};
 use tabula_obs::metrics::{Counter, Histogram, Registry};
 use tabula_obs::trace::{QueryTrace, Stage, TraceProvenance, Tracer};
 use tabula_obs::window::WindowedHistogram;
@@ -35,11 +38,11 @@ use tabula_storage::{Predicate, RowId, Table};
 
 /// Counter: answers served from the cache.
 pub const SERVE_HITS: &str = "serve.hits";
-/// Counter: answers computed through the index (cache miss or bypass).
+/// Counter: answers computed from the cube table (cache miss or bypass).
 pub const SERVE_MISSES: &str = "serve.misses";
 /// Counter: cache entries evicted for capacity.
 pub const SERVE_EVICTIONS: &str = "serve.evictions";
-/// Histogram: nanoseconds spent probing the frozen index on misses.
+/// Histogram: nanoseconds spent probing the cube table on misses.
 pub const SERVE_PROBE_NS: &str = "serve.probe_ns";
 /// Histogram + 60 s sliding window: end-to-end nanoseconds per served query.
 pub const SERVE_QUERY_NS: &str = "serve.query_ns";
@@ -68,15 +71,11 @@ impl ServeMetrics {
     }
 }
 
-/// One immutable cube generation: the cube plus its frozen index, a
-/// pre-materialized empty answer table, and the cache epoch the
-/// generation was installed under.
+/// One immutable cube generation: the cube, a pre-materialized empty
+/// answer table, and the cache epoch the generation was installed under.
 #[derive(Debug)]
 struct Generation {
     cube: Arc<SamplingCube>,
-    index: ServeIndex,
-    attrs: Vec<String>,
-    cols: Vec<usize>,
     empty: Arc<Table>,
     /// Cache epoch this generation is valid under. Stamped inside the
     /// same write-lock critical section that swaps the generation in, so
@@ -86,12 +85,9 @@ struct Generation {
 }
 
 impl Generation {
-    fn build(cube: Arc<SamplingCube>, epoch: u64) -> Result<Self> {
-        let index = ServeIndex::build(&cube)?;
-        let attrs = cube.attrs().to_vec();
-        let cols = cube.cubed_cols().to_vec();
+    fn new(cube: Arc<SamplingCube>, epoch: u64) -> Self {
         let empty = Arc::new(cube.table().take(&[]));
-        Ok(Generation { cube, index, attrs, cols, empty, epoch })
+        Generation { cube, empty, epoch }
     }
 }
 
@@ -141,7 +137,7 @@ impl Server {
         cache: AnswerCache,
         registry: Arc<Registry>,
     ) -> Result<Self> {
-        let generation = Arc::new(Generation::build(cube, cache.epoch())?);
+        let generation = Arc::new(Generation::new(cube, cache.epoch()));
         Ok(Server {
             generation: RwLock::new(generation),
             cache,
@@ -163,9 +159,15 @@ impl Server {
         &self.tracer
     }
 
+    /// The generation slot, read-locked. A poisoned lock is recovered:
+    /// the slot holds a fully built generation at every instant.
+    fn current(&self) -> RwLockReadGuard<'_, Arc<Generation>> {
+        self.generation.read().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The currently served cube generation.
     pub fn cube(&self) -> Arc<SamplingCube> {
-        Arc::clone(&self.generation.read().unwrap().cube)
+        Arc::clone(&self.current().cube)
     }
 
     /// The answer cache (for diagnostics).
@@ -185,12 +187,12 @@ impl Server {
     /// pipeline) use it to count generation swaps and to verify that the
     /// answer cache is invalidated once per published generation.
     pub fn epoch(&self) -> u64 {
-        self.generation.read().unwrap().epoch
+        self.current().epoch
     }
 
-    /// Materialized cells in the current generation's frozen index.
+    /// Materialized cells in the current generation's cube table.
     pub fn indexed_cells(&self) -> usize {
-        self.generation.read().unwrap().index.cells()
+        self.current().cube.materialized_cells()
     }
 
     /// Serve one dashboard query.
@@ -222,25 +224,21 @@ impl Server {
     }
 
     fn query_inner(&self, pred: &Predicate, trace: &mut QueryTrace) -> Result<ServeAnswer> {
-        let generation = Arc::clone(&self.generation.read().unwrap());
+        let generation = Arc::clone(&self.current());
         let cube = &generation.cube;
         if trace.is_enabled() {
             trace.set_label(format!("{pred:?}"));
             trace.set_epoch(generation.epoch);
         }
         let stage = trace.stage_start();
-        let compiled = compile_predicate(cube.table(), &generation.attrs, &generation.cols, pred)?;
+        let compiled = cube.compile(pred)?;
         trace.stage(Stage::Compile, stage, 0, 0);
         let Some(cell) = compiled else {
             // EmptyDomain short-circuit: nothing to probe, nothing to cache.
-            cube.provenance_counters().record_cell_miss();
+            let (rows, provenance) = cube.lookup(None);
             trace.set_provenance(TraceProvenance::EmptyDomain);
-            return Ok(ServeAnswer {
-                rows: Arc::new(Vec::new()),
-                provenance: SampleProvenance::EmptyDomain,
-                table: Arc::clone(&generation.empty),
-                cached: false,
-            });
+            let table = Arc::clone(&generation.empty);
+            return Ok(ServeAnswer { rows, provenance, table, cached: false });
         };
         if trace.is_enabled() {
             trace.set_cell(cell.describe());
@@ -288,7 +286,7 @@ impl Server {
         }
     }
 
-    /// Probe the frozen index and materialize — the cache-miss path.
+    /// Look the cell up in the cube and materialize — the cache-miss path.
     fn compute(
         &self,
         generation: &Generation,
@@ -298,41 +296,28 @@ impl Server {
         let cube = &generation.cube;
         let stage = trace.stage_start();
         let start = Instant::now();
-        let probed = generation.index.probe(cell);
+        let (rows, provenance) = cube.lookup(Some(cell));
         self.metrics.probe_ns.record_duration(start.elapsed());
         trace.stage(Stage::IndexProbe, stage, 0, 0);
-        let (rows, provenance) = match probed {
-            Some(sample_id) => {
-                cube.provenance_counters().record_local_hit();
-                trace.set_provenance(match generation.index.layout(cell.mask()) {
-                    IndexLayout::Direct => TraceProvenance::LocalDirect,
-                    _ => TraceProvenance::LocalSorted,
-                });
-                (Arc::clone(cube.sample(sample_id)), SampleProvenance::Local(sample_id))
-            }
-            None => {
-                cube.provenance_counters().record_global_hit();
-                trace.set_provenance(TraceProvenance::GlobalSample);
-                (Arc::clone(cube.global_sample()), SampleProvenance::Global)
-            }
-        };
+        trace.set_provenance(match provenance {
+            SampleProvenance::Local(_) => TraceProvenance::Local,
+            _ => TraceProvenance::GlobalSample,
+        });
         let stage = trace.stage_start();
         let table = Arc::new(cube.table().take(&rows));
         trace.stage(Stage::Materialize, stage, rows.len() as u64, table.heap_bytes() as u64);
         ServeAnswer { rows, provenance, table, cached: false }
     }
 
-    /// Install a new cube generation: freeze its index, then — inside
-    /// one write-lock critical section — bump the cache epoch, stamp the
-    /// generation with it, and swap it in. The atomic pairing is what
-    /// keeps the cache sound: queries pin the (generation, epoch) pair
-    /// they observed, so an answer computed against the old generation
-    /// can never be cached or served as a new-generation answer.
+    /// Install a new cube generation: inside one write-lock critical
+    /// section, bump the cache epoch, stamp the generation with it, and
+    /// swap it in. The atomic pairing is what keeps the cache sound:
+    /// queries pin the (generation, epoch) pair they observed, so an
+    /// answer computed against the old generation can never be cached or
+    /// served as a new-generation answer.
     pub fn install(&self, cube: Arc<SamplingCube>) -> Result<()> {
-        // Index freezing is the expensive part; do it before taking the
-        // lock so readers keep serving the old generation meanwhile.
-        let mut generation = Generation::build(cube, 0)?;
-        let mut slot = self.generation.write().unwrap();
+        let mut generation = Generation::new(cube, 0);
+        let mut slot = self.generation.write().unwrap_or_else(|e| e.into_inner());
         generation.epoch = self.cache.advance_epoch();
         *slot = Arc::new(generation);
         Ok(())
@@ -343,15 +328,14 @@ impl Server {
     /// Returns the bytes written.
     pub fn save_snapshot(&self, path: &std::path::Path) -> Result<u64> {
         let (cube, epoch) = {
-            let g = self.generation.read().unwrap();
+            let g = self.current();
             (Arc::clone(&g.cube), g.epoch)
         };
         cube.write_snapshot(path, epoch)
     }
 
-    /// Install a generation thawed from a snapshot file. The `ServeIndex`
-    /// is **rebuilt** from the thawed cube (it is a deterministic pure
-    /// function of cube content, see DESIGN.md §11) and the live cache
+    /// Install a generation thawed from a snapshot file. The thawed cube
+    /// table is serve-ready as loaded (DESIGN.md §11); the live cache
     /// epoch still advances monotonically — previously cached answers are
     /// invalidated exactly as for [`install`](Self::install). The returned
     /// [`SnapshotInfo`] carries the manifest epoch as provenance of the
@@ -504,12 +488,41 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_that_panicked_does_not_take_serving_down() {
+        let registry = Arc::new(Registry::new());
+        let srv = server(&registry);
+        let pred = Predicate::eq("M", "dispute");
+        let before = srv.query(&pred).unwrap();
+        let epoch = srv.epoch();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = srv.generation.write().unwrap();
+                panic!("writer dies holding the generation lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && srv.generation.is_poisoned());
+        // Reads serve the last good generation...
+        assert_eq!(srv.epoch(), epoch);
+        assert_eq!(srv.indexed_cells(), srv.cube().materialized_cells());
+        let after = srv.query(&pred).unwrap();
+        assert_eq!((&after.rows, after.provenance), (&before.rows, before.provenance));
+        // ...and the next writer installs over the poisoned slot.
+        srv.install(srv.cube()).unwrap();
+        assert_eq!(srv.epoch(), epoch + 1);
+        assert_eq!(srv.query(&pred).unwrap().rows, after.rows);
+        let dir = std::env::temp_dir().join(format!("tabula-serve-poison-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(srv.save_snapshot(&dir.join("gen.tabsnap")).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn generation_epoch_tracks_cache_epoch_across_installs() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         for _ in 0..3 {
-            let generation = Arc::clone(&srv.generation.read().unwrap());
-            assert_eq!(generation.epoch, srv.cache.epoch());
+            assert_eq!(srv.epoch(), srv.cache.epoch());
             srv.install(srv.cube()).unwrap();
         }
     }
@@ -525,10 +538,8 @@ mod tests {
         let srv = server(&registry);
         let pred = Predicate::eq("M", "dispute");
         // An in-flight query pins generation N and computes its answer...
-        let stalled = Arc::clone(&srv.generation.read().unwrap());
-        let cell = compile_predicate(stalled.cube.table(), &stalled.attrs, &stalled.cols, &pred)
-            .unwrap()
-            .unwrap();
+        let stalled = Arc::clone(&srv.current());
+        let cell = stalled.cube.compile(&pred).unwrap().unwrap();
         let answer = srv.compute(&stalled, &cell, &mut QueryTrace::disabled());
         // ...the refresh installs generation N+1 before the insert...
         srv.install(srv.cube()).unwrap();
@@ -562,10 +573,7 @@ mod tests {
             vec![Stage::Compile, Stage::CacheProbe, Stage::IndexProbe, Stage::Materialize]
         );
         assert!(cold.stages.iter().all(|s| s.ns >= 1));
-        assert!(matches!(
-            cold.provenance,
-            TraceProvenance::LocalDirect | TraceProvenance::LocalSorted
-        ));
+        assert_eq!(cold.provenance, TraceProvenance::Local);
         assert!(cold.cell.starts_with("cell{"), "{}", cold.cell);
         assert_eq!(cold.epoch, srv.cache.epoch());
 
@@ -612,10 +620,7 @@ mod tests {
         // serving invariant that local hits trace as local.
         srv.query(&Predicate::eq("M", "cash")).unwrap();
         let t = tracer.recorder().recent().pop().unwrap();
-        assert!(matches!(
-            t.provenance,
-            TraceProvenance::LocalDirect | TraceProvenance::LocalSorted
-        ));
+        assert_eq!(t.provenance, TraceProvenance::Local);
     }
 
     #[test]
@@ -633,13 +638,13 @@ mod tests {
     }
 
     /// Pins the snapshot contract for serve-layer state (DESIGN.md §11):
-    /// the `ServeIndex` and the answer-cache epoch are NOT persisted —
-    /// the index is rebuilt from the thawed cube (and must cover exactly
-    /// the same cells), and installing a snapshot advances the live cache
-    /// epoch so answers cached before the install can never be served
-    /// after it. The manifest epoch is returned as provenance only.
+    /// the answer-cache epoch is NOT persisted — installing a snapshot
+    /// advances the live cache epoch so answers cached before the install
+    /// can never be served after it, and the thawed cube table covers
+    /// exactly the same cells. The manifest epoch is returned as
+    /// provenance only.
     #[test]
-    fn snapshot_install_rebuilds_index_and_invalidates_cache() {
+    fn snapshot_install_serves_the_same_cells_and_invalidates_cache() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         let pred = Predicate::eq("M", "cash");
@@ -655,7 +660,7 @@ mod tests {
         let info = srv.install_snapshot(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        // Index is rebuilt, not loaded — and covers the same cells.
+        // The loaded table covers the same cells.
         assert_eq!(srv.indexed_cells(), cells_before);
         assert_eq!(info.cells, cells_before);
         assert_eq!(srv.cube().materialized_cells(), cells_before);

@@ -78,7 +78,7 @@ impl QueryResult {
 }
 
 /// A cube registered in a session, fronted by its serving layer: sample
-/// queries go through the [`Server`] (compiled predicates, frozen index,
+/// queries go through the [`Server`] (compiled predicates, cube-table probe,
 /// answer cache), while management statements still reach the cube
 /// directly.
 struct ServedCube {

@@ -4,7 +4,6 @@ use crate::dictionary::Dictionary;
 use crate::encoding::EncodingMode;
 use crate::shared::ColumnBuf;
 use crate::types::{ColumnType, Point, Value};
-use serde::{Deserialize, Serialize};
 
 /// A single column of a table, stored contiguously by type.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// on the build/ingest path, or a shared zero-copy view into a snapshot
 /// image on the restore path. Reads are identical either way; mutation
 /// of a shared column promotes it to an owned copy first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Column {
     /// 64-bit integers.
     Int64(ColumnBuf<i64>),

@@ -36,13 +36,12 @@ use crate::kernel;
 use crate::packed::{KeyLayout, PackedCodes, PackedKeyBuf};
 use crate::table::{Cat, RowId, Table};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 
 /// Identifies a cuboid: bit `i` set means cubed attribute `i` is on the
 /// grouping list. The all-bits mask is the finest cuboid; `0` is the `ALL`
 /// pseudo-cuboid (no grouping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CuboidMask(pub u32);
 
 impl CuboidMask {
@@ -117,7 +116,7 @@ impl std::fmt::Display for CuboidMask {
 /// for the presence mask plus one word per present code — the same
 /// sequence the serving layer's stack-allocated compiled cell hashes, so
 /// the two key forms are interchangeable in Fx-hashed tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellKey {
     /// Per-attribute assignment, aligned with the cubed-attribute order.
     pub codes: Vec<Option<u32>>,
@@ -136,7 +135,7 @@ impl std::hash::Hash for CellKey {
     #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Keys the cube builds carry ≤ 32 codes (the `CuboidMask`
-        // ceiling), but `CellKey` is a public (de)serializable type, so
+        // ceiling), but `CellKey`'s codes are a public field, so
         // over-long keys must hash without shift overflow: `i & 31`
         // aliases presence bits past position 31 onto the low word —
         // a possible collision there, never a panic. Equal keys still

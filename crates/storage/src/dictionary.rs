@@ -1,7 +1,6 @@
 //! String dictionary encoding for categorical columns.
 
 use crate::fx::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A bidirectional mapping between strings and dense `u32` codes.
 ///
@@ -9,9 +8,8 @@ use serde::{Deserialize, Serialize};
 /// deterministic for a deterministic input stream — important because cube
 /// cell keys, and therefore every downstream artifact (iceberg tables,
 /// sample ids), are expressed in terms of these codes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    #[serde(skip)]
     index: FxHashMap<String, u32>,
     values: Vec<String>,
 }
@@ -57,11 +55,6 @@ impl Dictionary {
     /// Iterate over `(code, value)` pairs in code order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         self.values.iter().enumerate().map(|(i, v)| (i as u32, v.as_str()))
-    }
-
-    /// Rebuild the (serde-skipped) reverse index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self.values.iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
     }
 
     /// Approximate heap bytes held by the dictionary.
@@ -122,17 +115,5 @@ mod tests {
         assert_eq!(d.code_bits(), 2);
         d.encode("e");
         assert_eq!(d.code_bits(), 3);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut d = Dictionary::new();
-        d.encode("x");
-        d.encode("y");
-        let mut restored = Dictionary { index: FxHashMap::default(), values: d.values.clone() };
-        assert_eq!(restored.lookup("y"), None); // index lost (as after serde)
-        restored.rebuild_index();
-        assert_eq!(restored.lookup("y"), Some(1));
-        assert_eq!(restored.lookup("x"), Some(0));
     }
 }

@@ -18,7 +18,6 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::encoding::{Codable, Encoded, EncodedBuf, RunsView};
-use serde::{DeError, Deserialize, Serialize, Value};
 
 /// An immutable `&[T]` view whose backing memory is kept alive by a
 /// shared owner. Cloning clones the `Arc`, not the data.
@@ -210,21 +209,6 @@ impl<T: Codable> Default for ColumnBuf<T> {
     }
 }
 
-// On the wire a ColumnBuf is indistinguishable from its element sequence
-// — shared, encoded and owned backings serialize identically, and
-// deserialized data is always owned.
-impl<T: Codable + Serialize> Serialize for ColumnBuf<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Codable + Deserialize> Deserialize for ColumnBuf<T> {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        Vec::<T>::from_value(v).map(ColumnBuf::Owned)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,28 +262,5 @@ mod tests {
         // The encoded clone is untouched by the promotion.
         assert_eq!(reader.row_count(), 2000);
         assert!(matches!(reader, ColumnBuf::Encoded(_)));
-    }
-
-    #[test]
-    fn serde_round_trips_encoded_as_owned() {
-        use crate::encoding::encode_for;
-        let data = vec![100i64, 101, 102, 101];
-        let buf: ColumnBuf<i64> = EncodedBuf::new(encode_for(&data)).into();
-        let json = serde_json::to_string(&buf).unwrap();
-        assert_eq!(json, "[100,101,102,101]");
-        let back: ColumnBuf<i64> = serde_json::from_str(&json).unwrap();
-        assert!(matches!(back, ColumnBuf::Owned(_)));
-        assert_eq!(&*back, &data[..]);
-    }
-
-    #[test]
-    fn serde_round_trips_shared_as_owned() {
-        let owner = Arc::new(vec![7u32, 8]);
-        let buf: ColumnBuf<u32> = shared_from(owner).into();
-        let json = serde_json::to_string(&buf).unwrap();
-        assert_eq!(json, "[7,8]");
-        let back: ColumnBuf<u32> = serde_json::from_str(&json).unwrap();
-        assert!(matches!(back, ColumnBuf::Owned(_)));
-        assert_eq!(&*back, &*buf);
     }
 }

@@ -8,7 +8,6 @@ use crate::schema::Schema;
 use crate::shared::ColumnBuf;
 use crate::types::{ColumnType, Value};
 use crate::{Result, StorageError};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Row identifier within a table. `u32` bounds tables at ~4.3 B rows, far
@@ -134,14 +133,6 @@ impl<'t> Cat<'t> {
     }
 }
 
-/// Serializable mirror of [`Table`] (drops lazily-built caches).
-#[derive(Serialize, Deserialize)]
-struct TableRepr {
-    schema: Schema,
-    columns: Vec<Column>,
-    len: usize,
-}
-
 /// An immutable, columnar, in-memory table.
 ///
 /// Built once via [`TableBuilder`]; all analysis (filters, group-bys, cube
@@ -155,22 +146,6 @@ pub struct Table {
     int_cat: Vec<OnceLock<Arc<IntCatIndex>>>,
 }
 
-// Hand-written (de)serialization through [`TableRepr`]: the lazily-built
-// categorical caches are dropped on write and rebuilt on demand, and
-// string-dictionary reverse indexes are restored eagerly on read.
-impl Serialize for Table {
-    fn to_value(&self) -> serde::Value {
-        TableRepr { schema: self.schema.clone(), columns: self.columns.clone(), len: self.len }
-            .to_value()
-    }
-}
-
-impl Deserialize for Table {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        TableRepr::from_value(v).map(Table::from)
-    }
-}
-
 impl Clone for Table {
     fn clone(&self) -> Self {
         Table {
@@ -179,30 +154,6 @@ impl Clone for Table {
             len: self.len,
             int_cat: (0..self.columns.len()).map(|_| OnceLock::new()).collect(),
         }
-    }
-}
-
-impl From<TableRepr> for Table {
-    fn from(repr: TableRepr) -> Self {
-        let mut columns = repr.columns;
-        for c in &mut columns {
-            if let Column::Str { dict, .. } = c {
-                dict.rebuild_index();
-            }
-        }
-        let n = columns.len();
-        Table {
-            schema: repr.schema,
-            columns,
-            len: repr.len,
-            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
-        }
-    }
-}
-
-impl From<Table> for TableRepr {
-    fn from(t: Table) -> Self {
-        TableRepr { schema: t.schema, columns: t.columns, len: t.len }
     }
 }
 
@@ -587,18 +538,6 @@ mod tests {
         let other = TableBuilder::new(Schema::new(vec![Field::new("x", ColumnType::Int64)]));
         let mut wrong = other.finish();
         assert!(!t.take_into(&[0], &mut wrong));
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_lookups() {
-        let t = taxi_mini();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Table = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.value(1, 0), Value::Str("credit".into()));
-        // Dictionary reverse index must be rebuilt by deserialization.
-        let cat = back.cat(0).unwrap();
-        assert_eq!(cat.lookup(&Value::Str("credit".into())), Some(1));
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn main() {
         tabula::serve::AnswerCache::new(4 << 20, 4),
         Arc::clone(&registry),
     )
-    .expect("serving index build succeeds")
+    .expect("server construction succeeds")
     .with_tracer(Arc::clone(&tracer));
     for q in &queries[..SERVED] {
         server.query(&q.predicate).expect("served query succeeds");

@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Non-test code lines per crate: for each crates/*/src/**/*.rs, the lines
+# before the first `#[cfg(test)]` that are neither blank nor comments
+# (`//`, `///`, `//!`). ROADMAP item 4 tracks the sum over
+# core + serve + storage + store + sql.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+total=0
+tracked=0
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    n=$(find "$dir/src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { print n + 0 }')
+    printf '%-10s %6d\n' "$crate" "$n"
+    total=$((total + n))
+    case "$crate" in
+        core | serve | storage | store | sql) tracked=$((tracked + n)) ;;
+    esac
+done
+printf '%-10s %6d\n' "all" "$total"
+printf '%-10s %6d  (core + serve + storage + store + sql)\n' "tracked" "$tracked"

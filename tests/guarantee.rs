@@ -48,7 +48,7 @@ fn verify_guarantee<L: AccuracyLoss + Clone>(
     assert!(cube.materialized_cells() > 0, "{}: θ produced no icebergs", loss.name());
     let cols: Vec<usize> = attrs.iter().map(|a| table.schema().index_of(a).unwrap()).collect();
     for (cell, _) in cube.cube_table().take(40) {
-        let answer = cube.query_cell(cell);
+        let answer = cube.query_cell(&cell);
         assert!(matches!(answer.provenance, tabula::core::SampleProvenance::Local(_)));
         let cats: Vec<_> = cols.iter().map(|&c| table.cat(c).unwrap()).collect();
         let raw: Vec<u32> = (0..table.len() as u32)

@@ -1,15 +1,14 @@
 //! Cube persistence: the paper stores the sampling cube "in the
-//! underlying data system"; here that is a serde round-trip paired with
-//! the raw table at load time.
+//! underlying data system"; here that is one self-contained snapshot
+//! (raw table + cube table + samples) that a fresh process thaws.
 
 use std::sync::Arc;
-use tabula::core::cube::CubePersist;
 use tabula::core::loss::{AccuracyLoss, MeanLoss};
 use tabula::core::{SamplingCube, SamplingCubeBuilder};
 use tabula::data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 
 #[test]
-fn cube_round_trips_through_json_and_keeps_the_guarantee() {
+fn cube_round_trips_through_a_snapshot_and_keeps_the_guarantee() {
     let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 21 }).generate());
     let fare = table.schema().index_of("fare_amount").unwrap();
     let loss = MeanLoss::new(fare);
@@ -20,24 +19,28 @@ fn cube_round_trips_through_json_and_keeps_the_guarantee() {
             .build()
             .unwrap();
 
-    let json = serde_json::to_string(&cube.to_persist()).unwrap();
-    let persist: CubePersist = serde_json::from_str(&json).unwrap();
-    let restored = SamplingCube::from_persist(persist, Arc::clone(&table)).unwrap();
+    let bytes = cube.snapshot_bytes(0).unwrap();
+    let (restored, info) = SamplingCube::from_snapshot_bytes(bytes.clone()).unwrap();
+    assert_eq!(info.cells, cube.materialized_cells());
+    assert_eq!(restored.snapshot_bytes(0).unwrap(), bytes);
 
     assert_eq!(restored.materialized_cells(), cube.materialized_cells());
     assert_eq!(restored.persisted_samples(), cube.persisted_samples());
     assert_eq!(restored.theta(), cube.theta());
     assert_eq!(restored.memory_breakdown().total(), cube.memory_breakdown().total());
 
-    // Replay a workload: answers identical, guarantee intact.
+    // Replay a workload: answers identical, guarantee intact — checked
+    // against the *restored* table, which shares nothing with the original.
+    let restored_table = restored.table();
     let workload = Workload::new(&CUBED_ATTRIBUTES[..4]);
     for q in workload.generate(&table, 30, 99).unwrap() {
         let a = cube.query_cell(&q.cell);
         let b = restored.query_cell(&q.cell);
         assert_eq!(a.rows, b.rows, "query [{}]", q.description);
         assert_eq!(a.provenance, b.provenance);
-        let raw = q.predicate.filter(&table).unwrap();
-        assert!(loss.loss(&table, &raw, &b.rows) <= theta + 1e-9);
+        let raw = q.predicate.filter(restored_table).unwrap();
+        assert_eq!(raw, q.predicate.filter(&table).unwrap());
+        assert!(loss.loss(restored_table, &raw, &b.rows) <= theta + 1e-9);
     }
 }
 
@@ -126,8 +129,9 @@ fn snapshot_answers_are_identical_across_processes() {
 }
 
 #[test]
-fn table_snapshot_plus_cube_is_fully_self_contained() {
-    // Persist BOTH the raw table and the cube; reload into fresh memory.
+fn snapshot_file_is_fully_self_contained() {
+    // One file carries BOTH the raw table and the cube; reload it with
+    // the originals gone.
     let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 3_000, seed: 22 }).generate());
     let fare = table.schema().index_of("fare_amount").unwrap();
     let cube = SamplingCubeBuilder::new(
@@ -139,17 +143,18 @@ fn table_snapshot_plus_cube_is_fully_self_contained() {
     .build()
     .unwrap();
 
-    let table_json = serde_json::to_string(&*table).unwrap();
-    let cube_json = serde_json::to_string(&cube.to_persist()).unwrap();
+    let path = std::env::temp_dir().join(format!("tabula-selfcont-{}.tabsnap", std::process::id()));
+    cube.write_snapshot(&path, 1).unwrap();
+    let (rows, schema) = (table.len(), table.schema().clone());
     drop(cube);
     drop(table);
 
-    let table2: Arc<tabula::storage::Table> = Arc::new(serde_json::from_str(&table_json).unwrap());
-    let persist: CubePersist = serde_json::from_str(&cube_json).unwrap();
-    let cube2 = SamplingCube::from_persist(persist, Arc::clone(&table2)).unwrap();
+    let (cube2, _info) = SamplingCube::from_snapshot(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!((cube2.table().len(), cube2.table().schema()), (rows, &schema));
     let answer = cube2.query(&tabula::storage::Predicate::eq("pickup_weekday", "Fri")).unwrap();
     assert!(!answer.is_empty());
     // Materialization works against the reloaded table.
-    let sample = answer.materialize(&table2);
+    let sample = answer.materialize(cube2.table());
     assert_eq!(sample.len(), answer.len());
 }

@@ -8,6 +8,13 @@
 //! is ever constructed) no possibility of a wrong answer. A final sweep
 //! flips one bit in *every* byte of the file to prove there is no
 //! unprotected gap anywhere in the format.
+//!
+//! Checksums only prove a file is what its writer wrote. The last test
+//! plays a hostile writer: cube-table blocks that lie — unsorted,
+//! duplicated, out-of-domain, mis-sized — under valid CRCs must still be
+//! typed errors, because the loader adopts those arrays as written.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -307,5 +314,146 @@ fn encoded_block_corruption_is_typed_and_never_a_wrong_answer() {
             matches!(&e, StoreError::ChecksumMismatch { region, .. } if *region == want),
             "{name}: got {e}"
         );
+    }
+}
+
+/// `bytes` re-authored through [`SnapshotWriter`] with block `name`
+/// carrying `payload` instead: every checksum in the result is valid, so
+/// only the cube loader's own checks stand between it and a served cube.
+fn reauthored(bytes: &[u8], name: &str, payload: &[u8]) -> Vec<u8> {
+    let snap = Snapshot::from_bytes(bytes.to_vec()).unwrap();
+    let mut w = SnapshotWriter::new();
+    w.set_epoch(snap.epoch());
+    w.set_meta(snap.meta().to_string());
+    for b in &snap.manifest().blocks {
+        let body = if b.name == name { payload } else { snap.block(&b.name).unwrap().bytes() };
+        w.add_block(&b.name, b.rows, body).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// Lies a cube table can tell while every CRC passes, as
+/// `(case, block to replace, its payload, block the error must name)`.
+fn hostile_cube_tables(
+    cube: &SamplingCube,
+) -> Vec<(&'static str, &'static str, Vec<u8>, &'static str)> {
+    use tabula::core::CubeKeys;
+    use tabula::store::{encode_u32s, encode_u64s};
+    let cards: Vec<usize> =
+        cube.cubed_cols().iter().map(|&c| cube.table().cat(c).unwrap().cardinality()).collect();
+    let n = cards.len();
+    let ids = cube.cells().sample_ids();
+    assert!(ids.len() >= 3, "need a few cells to shuffle");
+    let mut bad_id = ids.to_vec();
+    bad_id[ids.len() / 2] = cube.persisted_samples() as u32;
+    let mut cases = vec![
+        (
+            "sample id past the sample count",
+            "cube:sample_ids",
+            encode_u32s(&bad_id),
+            "cube:sample_ids",
+        ),
+        ("one sample id short", "cube:sample_ids", encode_u32s(&ids[1..]), KEYS),
+    ];
+    let alter = |f: &dyn Fn(&mut Vec<u64>)| {
+        let CubeKeys::Packed { keys, .. } = cube.cells().keys() else { unreachable!() };
+        let mut keys = keys.clone();
+        f(&mut keys);
+        encode_u64s(&keys)
+    };
+    let alter_flat = |f: &dyn Fn(&mut Vec<u32>)| {
+        let CubeKeys::Flat(words) = cube.cells().keys() else { unreachable!() };
+        let mut words = words.clone();
+        f(&mut words);
+        encode_u32s(&words)
+    };
+    const KEYS: &str = "cube:keys";
+    const FLAT: &str = "cube:flat";
+    match cube.cells().keys() {
+        CubeKeys::Packed { layout, .. } => {
+            // An attribute whose bit field has room past `cardinality`
+            // (slot 0 is `*`, so codes occupy 1..=cardinality).
+            let roomy = (0..n)
+                .find(|&i| cards[i] + 1 < 1usize << layout.attr_bits(i))
+                .expect("some attribute's field must have an unused value");
+            assert!(layout.total_bits() < 64);
+            cases.extend([
+                ("two adjacent keys swapped", KEYS, alter(&|k| k.swap(1, 2)), KEYS),
+                ("one key duplicated", KEYS, alter(&|k| k[2] = k[1]), KEYS),
+                (
+                    "a code past its attribute's cardinality",
+                    KEYS,
+                    alter(&|k| {
+                        let mut fields = layout.decode(k[0]);
+                        fields[roomy] = cards[roomy] as u32 + 1;
+                        k[0] = layout.encode(&fields);
+                    }),
+                    KEYS,
+                ),
+                (
+                    "a bit outside the key layout",
+                    KEYS,
+                    alter(&|k| *k.last_mut().unwrap() |= 1 << 63),
+                    KEYS,
+                ),
+                ("one key short", KEYS, alter(&|k| k.truncate(k.len() - 1)), KEYS),
+            ]);
+        }
+        CubeKeys::Flat(_) => {
+            cases[1].3 = FLAT;
+            cases.extend([
+                (
+                    "two adjacent rows swapped",
+                    FLAT,
+                    alter_flat(&|w| w[n..3 * n].rotate_left(n)),
+                    FLAT,
+                ),
+                ("one row duplicated", FLAT, alter_flat(&|w| w.copy_within(n..2 * n, 2 * n)), FLAT),
+                (
+                    "a code past its attribute's cardinality",
+                    FLAT,
+                    alter_flat(&|w| w[0] = cards[0] as u32),
+                    FLAT,
+                ),
+                (
+                    "words that do not tile rows",
+                    FLAT,
+                    alter_flat(&|w| w.truncate(w.len() - 1)),
+                    FLAT,
+                ),
+                ("one row short", FLAT, alter_flat(&|w| w.truncate(w.len() - n)), FLAT),
+            ]);
+        }
+    }
+    cases
+}
+
+#[test]
+fn checksummed_but_hostile_cube_tables_are_typed_errors() {
+    use tabula::core::CoreError;
+    let dcm = SamplingCube::from_snapshot_bytes(snapshot_bytes()).unwrap().0;
+    let wide = common::cube_over(&common::wide_table());
+    for cube in [dcm, wide] {
+        let bytes = cube.snapshot_bytes(42).unwrap();
+        // Re-authoring alone changes nothing the loader can see.
+        let same = reauthored(
+            &bytes,
+            "cube:sample_ids",
+            &tabula::store::encode_u32s(cube.cells().sample_ids()),
+        );
+        assert_eq!(same, bytes);
+        for (case, block, payload, named) in hostile_cube_tables(&cube) {
+            let hostile = reauthored(&bytes, block, &payload);
+            assert!(Snapshot::from_bytes(hostile.clone()).is_ok(), "{case}: checksums must pass");
+            let want = format!("block:{named}");
+            match SamplingCube::from_snapshot_bytes(hostile) {
+                Err(CoreError::Store(e)) => assert!(
+                    matches!(&*e, StoreError::BadBlock { region, .. } if *region == want),
+                    "{case}: got {e}"
+                ),
+                Err(other) => panic!("{case}: expected a store error, got {other}"),
+                Ok(_) => panic!("{case}: a hostile cube table loaded"),
+            }
+        }
     }
 }

@@ -61,10 +61,8 @@ fn explain_analyze_served_query_prints_all_stages() {
     assert!(lines[0].contains("SELECT sample FROM cube"), "{lines:#?}");
     assert!(lines[1].starts_with("answer:"), "{lines:#?}");
     assert!(
-        lines[1].contains("local_direct")
-            || lines[1].contains("local_sorted")
-            || lines[1].contains("global_sample"),
-        "cold served query must resolve to an index provenance: {lines:#?}"
+        lines[1].contains("trace provenance: local |") || lines[1].contains("global_sample"),
+        "cold served query must resolve to a cube-table provenance: {lines:#?}"
     );
     assert!(lines.iter().any(|l| l.starts_with("cell: cell{")), "{lines:#?}");
 
@@ -155,7 +153,7 @@ fn traces_agree_with_provenance_counters() {
         // Exactly one counter moved, and it matches the trace's provenance.
         assert_eq!(delta.0 + delta.1 + delta.2 + delta.3, 1, "{sql}");
         let expected = match trace.provenance {
-            TraceProvenance::LocalDirect | TraceProvenance::LocalSorted => (1, 0, 0, 0),
+            TraceProvenance::Local => (1, 0, 0, 0),
             TraceProvenance::GlobalSample => (0, 1, 0, 0),
             TraceProvenance::EmptyDomain => (0, 0, 1, 0),
             TraceProvenance::CacheHit => (0, 0, 0, 1),
