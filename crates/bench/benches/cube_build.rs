@@ -11,6 +11,7 @@ use tabula_core::loss::MeanLoss;
 use tabula_core::serfling::draw_global_sample;
 use tabula_core::{AccuracyLoss, SamplingCubeBuilder};
 use tabula_data::CUBED_ATTRIBUTES;
+use tabula_storage::FinestPartition;
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("cube_build");
@@ -25,7 +26,10 @@ fn bench_build(c: &mut Criterion) {
         let ctx = loss.prepare(&table, &global);
 
         group.bench_with_input(BenchmarkId::new("dry_run_mean_5attrs", rows), &rows, |b, _| {
-            b.iter(|| black_box(dry_run(&table, &cols, &loss, &ctx, 0.05).unwrap()))
+            b.iter(|| {
+                let partition = FinestPartition::build(&table, &cols).unwrap();
+                black_box(dry_run(&table, &partition, &loss, &ctx, 0.05))
+            })
         });
         group.bench_with_input(BenchmarkId::new("full_build_mean_5attrs", rows), &rows, |b, _| {
             b.iter(|| {

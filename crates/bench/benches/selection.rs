@@ -13,6 +13,7 @@ use tabula_core::selection::select_representatives;
 use tabula_core::serfling::draw_global_sample;
 use tabula_core::AccuracyLoss;
 use tabula_data::CUBED_ATTRIBUTES;
+use tabula_storage::FinestPartition;
 
 fn bench_selection(c: &mut Criterion) {
     let table = taxi_table(20_000);
@@ -23,8 +24,9 @@ fn bench_selection(c: &mut Criterion) {
         CUBED_ATTRIBUTES[..5].iter().map(|a| table.schema().index_of(a).unwrap()).collect();
     let global = draw_global_sample(&table, 1060, SEED);
     let ctx = loss.prepare(&table, &global);
-    let dry = dry_run(&table, &cols, &loss, &ctx, theta).unwrap();
-    let rr = real_run(&table, &cols, &loss, theta, &dry.iceberg, 0).unwrap();
+    let partition = FinestPartition::build(&table, &cols).unwrap();
+    let dry = dry_run(&table, &partition, &loss, &ctx, theta);
+    let rr = real_run(&table, &partition, &loss, theta, &dry.iceberg);
     let m = rr.entries.len();
 
     let mut group = c.benchmark_group("selection");

@@ -31,11 +31,10 @@ fn main() {
         CUBED_ATTRIBUTES[..5].iter().map(|a| table.schema().index_of(a).unwrap()).collect();
     let global = draw_global_sample(&table, 1060, SEED);
     let ctx = loss.prepare(&table, &global);
-    let dry = dry_run(&table, &cols, &loss, &ctx, theta).unwrap();
-
     let t0 = Instant::now();
     let partition = FinestPartition::build(&table, &cols).unwrap();
     let partition_t = t0.elapsed();
+    let dry = dry_run(&table, &partition, &loss, &ctx, theta);
 
     println!("# Ablation: Inequality-1 cost model | rows = {rows} | mean loss, θ = 5%");
     println!(

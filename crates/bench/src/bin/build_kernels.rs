@@ -7,8 +7,9 @@
 //!   `Value` comparison,
 //! * `group_by` — hash grouping on bit-packed `u64` keys vs `u32` slice
 //!   keys,
-//! * `finest_agg` — the finest-cuboid aggregation scan on packed codes vs
-//!   per-row key materialization.
+//! * `finest_agg` — the finest cuboid as the build computes it: one
+//!   [`FinestPartition`] plus a fold of its runs (the grouping is the
+//!   kernel-switched part; the run fold is the same in both modes).
 //!
 //! Each kernel runs under `KernelMode::ForceScalar` and
 //! `KernelMode::ForceVectorized` on the same table, single-threaded (the
@@ -30,8 +31,9 @@ use std::time::Instant;
 use tabula_bench::{taxi_table, write_run_summary};
 use tabula_data::CUBED_ATTRIBUTES;
 use tabula_storage::agg::SumCount;
-use tabula_storage::cube::finest_cuboid;
-use tabula_storage::{group_by, set_kernel_mode, CmpOp, Column, KernelMode, Predicate, RowId};
+use tabula_storage::{
+    group_by, set_kernel_mode, CmpOp, Column, FinestPartition, KernelMode, Predicate, RowId,
+};
 
 /// Larger default than the harness-wide 20 000: kernel ns/row needs enough
 /// rows for the per-run fixed costs to vanish, and the CI gate needs a
@@ -169,14 +171,13 @@ fn main() {
             rows,
             reps,
             || {
-                finest_cuboid(t, &cols, SumCount::default, |s, row| s.add(fare[row as usize]))
-                    .expect("finest cuboid succeeds")
+                FinestPartition::build(t, &cols)
+                    .expect("partition succeeds")
+                    .fold_runs(SumCount::default, |s, row| s.add(fare[row as usize]))
             },
-            |finest: &tabula_storage::FxHashMap<Vec<u32>, SumCount>| {
-                let mut entries: Vec<_> = finest.iter().collect();
-                entries.sort_by(|a, b| a.0.cmp(b.0));
+            |finest: &Vec<(Vec<u32>, SumCount)>| {
                 let mut out = Vec::new();
-                for (k, s) in entries {
+                for (k, s) in finest {
                     for c in k.iter() {
                         out.extend_from_slice(&c.to_le_bytes());
                     }

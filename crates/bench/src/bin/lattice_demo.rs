@@ -12,7 +12,7 @@ use tabula_core::loss::{AccuracyLoss, MeanLoss};
 use tabula_core::serfling::draw_global_sample;
 use tabula_data::example_dcm_table;
 use tabula_storage::cube::CellKey;
-use tabula_storage::Table;
+use tabula_storage::{FinestPartition, Table};
 
 /// Render a cell the way the paper's Table I does: values or `(null)`.
 fn render_cell(table: &Table, cols: &[usize], cell: &CellKey) -> String {
@@ -35,7 +35,9 @@ fn main() {
     let theta = 0.10;
     let global = draw_global_sample(&table, 8, 1);
     let ctx = loss.prepare(&table, &global);
-    let dry = dry_run(&table, &cols, &loss, &ctx, theta).expect("dry run succeeds");
+    let partition =
+        FinestPartition::build(&table, &cols).expect("cubed attributes are categorical");
+    let dry = dry_run(&table, &partition, &loss, &ctx, theta);
 
     println!("# Dry-run stage on the running example (D, C, M), mean loss, θ = 10%");
     println!(

@@ -172,7 +172,6 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                     .mode(mode)
                     .serfling(case.serfling_config())
                     .seed(case.build_seed)
-                    .parallelism(threads)
                     .build()
                     .map_err(|e| Divergence {
                         check: "build",
@@ -235,7 +234,6 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                     .mode(mode)
                     .serfling(case.serfling_config())
                     .seed(case.build_seed)
-                    .parallelism(THREAD_COUNTS[0])
                     .build()
                     .map_err(|e| Divergence {
                         check: "build",
@@ -283,7 +281,6 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                     .mode(mode)
                     .serfling(case.serfling_config())
                     .seed(case.build_seed)
-                    .parallelism(THREAD_COUNTS[0])
                     .build()
                     .map_err(|e| Divergence {
                         check: "build",

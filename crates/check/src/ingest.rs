@@ -158,7 +158,6 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
             .mode(MaterializationMode::Tabula)
             .serfling(case.serfling_config())
             .seed(case.build_seed)
-            .parallelism(threads)
             .build()
             .map_err(|e| Divergence {
                 check: "ingest_build",
@@ -183,7 +182,6 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
         refresh: RefreshConfig {
             serfling: case.serfling_config(),
             seed: case.build_seed,
-            parallelism: threads,
             mode: MaterializationMode::Tabula,
             ..RefreshConfig::default()
         },

@@ -1,22 +1,28 @@
-//! Orchestration of sampling-cube initialization.
+//! Orchestration of sampling-cube initialization and maintenance.
 //!
-//! [`SamplingCubeBuilder`] runs the paper's pipeline — global sample →
-//! dry run → real run → representative-sample selection — and also
-//! implements the degraded materialization modes the paper evaluates
-//! against (Tabula\*, FullSamCube, PartSamCube), so the baseline crate and
-//! the benchmark harness share one code path per mode.
+//! One function, [`materialize`], runs the paper's pipeline — global
+//! sample → finest-key partition → dry run → real run → representative-
+//! sample selection → cube-table assembly — against an optional previous
+//! generation. [`SamplingCubeBuilder::build`] calls it with none (every
+//! iceberg cell is fresh), [`refresh`](crate::incremental::refresh) with
+//! the cube being maintained (untouched iceberg cells keep their sample):
+//! a build is a refresh from nothing. It also implements the degraded
+//! materialization modes the paper evaluates against (Tabula\*,
+//! FullSamCube, PartSamCube), so the baseline crate and the benchmark
+//! harness share one code path per mode.
 //!
 //! The storage primitives the stages lean on — predicate filter, group-by,
-//! finest-cuboid aggregation, lattice rollup, the finest-key partition —
-//! all run on bit-packed dictionary codes, as chunked vectorized kernels,
-//! when the cubed attributes' packed key fits 64 bits (see
-//! [`tabula_storage::kernel`]); the build produces byte-identical cubes in
-//! either kernel mode and at any thread count.
+//! lattice rollup, the finest-key partition — all run on bit-packed
+//! dictionary codes, as chunked vectorized kernels, when the cubed
+//! attributes' packed key fits 64 bits (see [`tabula_storage::kernel`]);
+//! the build produces byte-identical cubes in either kernel mode and at
+//! any thread count.
 
+use crate::compile::CompiledCell;
 use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::{cardinalities, CubeTable};
 use crate::dryrun::dry_run;
-use crate::loss::AccuracyLoss;
+use crate::loss::{exceeds_theta, AccuracyLoss};
 use crate::realrun::{real_run, CubeEntry};
 use crate::samgraph::{build_samgraph, SamGraphConfig};
 use crate::selection::select_representatives;
@@ -26,7 +32,7 @@ use std::sync::Arc;
 use tabula_obs as obs;
 use tabula_obs::span;
 use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::{group_by, FxHashMap, Table};
+use tabula_storage::{group_by, FinestPartition, FxHashMap, FxHashSet, RowId, Table};
 
 /// Which cube variant to materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,17 +52,65 @@ pub enum MaterializationMode {
     PartSamCube,
 }
 
+/// The pipeline's knobs: one struct for [`SamplingCubeBuilder`],
+/// [`refresh`](crate::incremental::refresh) and the ingest pipeline's
+/// per-fold refresh.
+#[derive(Debug, Clone, Copy)]
+pub struct RefreshConfig {
+    /// Serfling parameters sizing the global sample.
+    pub serfling: SerflingConfig,
+    /// SamGraph join configuration for representative selection.
+    pub samgraph: SamGraphConfig,
+    /// RNG seed for the global sample.
+    pub seed: u64,
+    /// Which cube variant to materialize.
+    pub mode: MaterializationMode,
+}
+
+impl Default for RefreshConfig {
+    fn default() -> Self {
+        RefreshConfig {
+            serfling: SerflingConfig::default(),
+            samgraph: SamGraphConfig::default(),
+            seed: 42,
+            mode: MaterializationMode::Tabula,
+        }
+    }
+}
+
+/// What one run of the pipeline reused and redid, for observability and
+/// tests. A build reuses nothing and counts every row as appended.
+#[derive(Debug, Clone, Default)]
+pub struct RefreshStats {
+    /// Iceberg cells that kept their previous sample untouched.
+    pub reused_cells: usize,
+    /// Iceberg cells whose own freshly drawn sample was persisted this
+    /// round. Under representative selection (Tabula mode) several fresh
+    /// cells may end up served by a single representative's sample, so
+    /// this counts representatives — see [`fresh_samples`] for the number
+    /// of cells that drew a sample at all.
+    ///
+    /// [`fresh_samples`]: RefreshStats::fresh_samples
+    pub resampled_cells: usize,
+    /// Fresh local samples drawn before representative selection (one per
+    /// touched-or-new iceberg cell; `>= resampled_cells`).
+    pub fresh_samples: usize,
+    /// Previous iceberg cells that are no longer iceberg (their queries
+    /// now ride the global sample).
+    pub retired_cells: usize,
+    /// Appended rows processed.
+    pub appended_rows: usize,
+    /// Wall time of the whole run.
+    pub total: std::time::Duration,
+}
+
 /// Builder for a [`SamplingCube`]. See the crate docs for the pipeline.
 pub struct SamplingCubeBuilder<L: AccuracyLoss> {
     table: Arc<Table>,
     attrs: Vec<String>,
     loss: L,
     theta: f64,
-    mode: MaterializationMode,
-    serfling: SerflingConfig,
-    samgraph: SamGraphConfig,
-    seed: u64,
-    parallelism: usize,
+    config: RefreshConfig,
     registry: Option<Arc<obs::Registry>>,
 }
 
@@ -69,42 +123,32 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
             attrs: attrs.iter().map(|a| a.as_ref().to_owned()).collect(),
             loss,
             theta,
-            mode: MaterializationMode::Tabula,
-            serfling: SerflingConfig::default(),
-            samgraph: SamGraphConfig::default(),
-            seed: 42,
-            parallelism: 0,
+            config: RefreshConfig::default(),
             registry: None,
         }
     }
 
     /// Select the materialization mode (default [`MaterializationMode::Tabula`]).
     pub fn mode(mut self, mode: MaterializationMode) -> Self {
-        self.mode = mode;
+        self.config.mode = mode;
         self
     }
 
     /// Override the Serfling parameters sizing the global sample.
     pub fn serfling(mut self, config: SerflingConfig) -> Self {
-        self.serfling = config;
+        self.config.serfling = config;
         self
     }
 
     /// Override the SamGraph join configuration.
     pub fn samgraph(mut self, config: SamGraphConfig) -> Self {
-        self.samgraph = config;
+        self.config.samgraph = config;
         self
     }
 
     /// RNG seed for the global sample (default 42).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Worker threads for per-cell sampling (0 = all cores, default).
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
+        self.config.seed = seed;
         self
     }
 
@@ -117,182 +161,275 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 
     /// Run the pipeline.
     pub fn build(self) -> Result<SamplingCube> {
-        if self.theta < 0.0 || self.theta.is_nan() {
-            return Err(CoreError::Config(format!(
-                "accuracy loss threshold must be non-negative, got {}",
-                self.theta
-            )));
-        }
-        if self.attrs.is_empty() {
-            return Err(CoreError::Config("at least one cubed attribute required".into()));
-        }
-        if self.attrs.len() > 31 {
-            return Err(CoreError::Config("at most 31 cubed attributes supported".into()));
-        }
-        let cols: Vec<usize> = self
-            .attrs
-            .iter()
-            .map(|a| self.table.schema().index_of(a))
-            .collect::<std::result::Result<_, _>>()?;
-        // Fail fast on non-categorical attributes.
-        for (&c, name) in cols.iter().zip(&self.attrs) {
-            self.table.cat(c).map_err(|_| {
-                CoreError::Config(format!("cubed attribute {name} is not categorical"))
-            })?;
-        }
-
-        let registry = self.registry.clone().unwrap_or_else(|| Arc::clone(obs::global()));
-        let total_span = span!("build.total", "mode={:?} attrs={}", self.mode, self.attrs.len());
-        let mut stats = BuildStats::default();
-        let global_span = span!("build.global_sample");
-        let global =
-            Arc::new(draw_global_sample(&self.table, self.serfling.sample_size(), self.seed));
-        drop(global_span);
-        stats.global_sample_size = global.len();
-
-        let (entries, selection) = match self.mode {
-            MaterializationMode::Tabula | MaterializationMode::TabulaStar => {
-                let ctx = self.loss.prepare(&self.table, &global);
-                let dry_span = span!("build.dry_run");
-                let dry = dry_run(&self.table, &cols, &self.loss, &ctx, self.theta)?;
-                stats.dry_run = dry_span.stop();
-                stats.total_cells = dry.total_cells;
-                stats.iceberg_cells = dry.iceberg_count;
-
-                let real_span = span!("build.real_run", "icebergs={}", dry.iceberg_count);
-                let rr = real_run(
-                    &self.table,
-                    &cols,
-                    &self.loss,
-                    self.theta,
-                    &dry.iceberg,
-                    self.parallelism,
-                )?;
-                stats.real_run = real_span.stop();
-                stats.cuboids_processed = rr.stats.cuboids_processed;
-                stats.cuboids_skipped = rr.stats.cuboids_skipped;
-                stats.finest_runs = rr.stats.finest_runs;
-                stats.gathered_rows = rr.stats.gathered_rows;
-
-                let selection = if self.mode == MaterializationMode::Tabula {
-                    let sel_span = span!("build.selection", "samples={}", rr.entries.len());
-                    let graph = build_samgraph(
-                        &self.table,
-                        &self.loss,
-                        self.theta,
-                        &rr.entries,
-                        &self.samgraph,
-                    );
-                    stats.samgraph_edges = graph.edge_count();
-                    let sel = select_representatives(&graph);
-                    stats.selection = sel_span.stop();
-                    Some(sel)
-                } else {
-                    None
-                };
-                (rr.entries, selection)
-            }
-            MaterializationMode::FullSamCube => {
-                let real_span = span!("build.real_run", "mode=FullSamCube");
-                let entries = self.materialize_all_cells(&cols, None)?;
-                stats.real_run = real_span.stop();
-                stats.total_cells = entries.len();
-                stats.iceberg_cells = entries.len();
-                stats.cuboids_processed = 1 << cols.len();
-                (entries, None)
-            }
-            MaterializationMode::PartSamCube => {
-                let real_span = span!("build.real_run", "mode=PartSamCube");
-                let ctx = self.loss.prepare(&self.table, &global);
-                let entries = self.materialize_all_cells(&cols, Some(&ctx))?;
-                stats.real_run = real_span.stop();
-                stats.iceberg_cells = entries.len();
-                stats.cuboids_processed = 1 << cols.len();
-                (entries, None)
-            }
-        };
-        stats.samples_before_selection = entries.len();
-
-        // Assemble sample table + cube table: each cell's sample id, then
-        // the table's one sort.
-        let (sample_ids, samples): (Vec<u32>, Vec<Arc<Vec<_>>>) = match selection {
-            Some(sel) => {
-                let mut sample_id_of_rep: FxHashMap<u32, u32> = FxHashMap::default();
-                let mut samples = Vec::with_capacity(sel.representatives.len());
-                for &rep in &sel.representatives {
-                    sample_id_of_rep.insert(rep, samples.len() as u32);
-                    samples.push(Arc::new(entries[rep as usize].sample.clone()));
-                }
-                (sel.rep_of.iter().map(|rep| sample_id_of_rep[rep]).collect(), samples)
-            }
-            None => (
-                (0..entries.len() as u32).collect(),
-                entries.iter().map(|e| Arc::new(e.sample.clone())).collect(),
-            ),
-        };
-        let cells = CubeTable::from_cells(
-            cardinalities(&self.table, &cols)?,
-            entries.iter().map(|e| &e.cell).zip(sample_ids),
-        );
-        stats.samples_after_selection = samples.len();
-        stats.total = total_span.stop();
-        publish_build_metrics(&registry, &stats);
-
-        Ok(SamplingCube::new(
-            self.table, self.attrs, cols, self.theta, cells, samples, global, stats,
-        )
-        .with_registry(&registry))
-    }
-
-    /// Naive materialization used by FullSamCube / PartSamCube: run all
-    /// `2ⁿ` group-bys directly on the raw table; draw a local sample for
-    /// every cell (FullSamCube, `iceberg_ctx = None`) or for cells whose
-    /// raw loss against the global sample exceeds θ (PartSamCube).
-    fn materialize_all_cells(
-        &self,
-        cols: &[usize],
-        iceberg_ctx: Option<&L::SampleCtx>,
-    ) -> Result<Vec<CubeEntry>> {
-        let n = cols.len();
-        let mut entries = Vec::new();
-        for mask in CuboidMask::enumerate(n) {
-            let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-            let grouped = group_by(&self.table, &attrs)?;
-            let mut cells: Vec<(Vec<u32>, Vec<tabula_storage::RowId>)> =
-                grouped.groups.into_iter().collect();
-            cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            for (compact, rows) in cells {
-                if let Some(ctx) = iceberg_ctx {
-                    // PartSamCube evaluates the iceberg condition from raw
-                    // data — the expensive path the dry run exists to avoid.
-                    // Same classifier predicate as the dry run, so both
-                    // modes materialize exactly the same cells.
-                    let cell_loss = self.loss.loss_with_ctx(&self.table, &rows, ctx);
-                    if !crate::loss::exceeds_theta(cell_loss, self.theta) {
-                        continue;
-                    }
-                }
-                let sample = self.loss.sample_greedy(&self.table, &rows, self.theta);
-                entries.push(CubeEntry {
-                    cell: CellKey::from_compact(mask, n, &compact),
-                    rows,
-                    sample,
-                });
-            }
-        }
-        Ok(entries)
+        let registry = self.registry.unwrap_or_else(|| Arc::clone(obs::global()));
+        materialize(self.table, self.attrs, &self.loss, self.theta, &self.config, None, &registry)
+            .map(|(cube, _)| cube)
     }
 }
 
-/// Publish one build's statistics into `registry`: stage latencies as
-/// histograms (so repeated builds accumulate distributions), structural
-/// numbers as gauges, and the real run's row-fetch volume as counters.
-fn publish_build_metrics(registry: &obs::Registry, stats: &BuildStats) {
-    registry.histogram("build.dry_run").record_duration(stats.dry_run);
-    registry.histogram("build.real_run").record_duration(stats.real_run);
-    registry.histogram("build.selection").record_duration(stats.selection);
-    registry.histogram("build.total").record_duration(stats.total);
-    registry.counter("build.count").inc();
+/// Run the pipeline over `table` and assemble a cube homed in `registry`.
+///
+/// With a `previous` generation (whose table must be a prefix of `table` —
+/// [`refresh`](crate::incremental::refresh) checks), an iceberg cell that
+/// was iceberg before and holds no appended row keeps its old sample;
+/// every other iceberg cell is sampled afresh, and selection runs among
+/// the fresh samples. Without one, every cell is fresh. Spans and metrics
+/// are named `refresh.*` in the first case, `build.*` in the second.
+pub(crate) fn materialize<L: AccuracyLoss>(
+    table: Arc<Table>,
+    attrs: Vec<String>,
+    loss: &L,
+    theta: f64,
+    config: &RefreshConfig,
+    previous: Option<&SamplingCube>,
+    registry: &Arc<obs::Registry>,
+) -> Result<(SamplingCube, RefreshStats)> {
+    if theta < 0.0 || theta.is_nan() {
+        return Err(CoreError::Config(format!(
+            "accuracy loss threshold must be non-negative, got {theta}"
+        )));
+    }
+    if attrs.is_empty() {
+        return Err(CoreError::Config("at least one cubed attribute required".into()));
+    }
+    if attrs.len() > 31 {
+        return Err(CoreError::Config("at most 31 cubed attributes supported".into()));
+    }
+    let cols: Vec<usize> =
+        attrs.iter().map(|a| table.schema().index_of(a)).collect::<std::result::Result<_, _>>()?;
+    // Fail fast on non-categorical attributes.
+    for (&c, name) in cols.iter().zip(&attrs) {
+        table
+            .cat(c)
+            .map_err(|_| CoreError::Config(format!("cubed attribute {name} is not categorical")))?;
+    }
+    let n = cols.len();
+    let prefix = if previous.is_some() { "refresh" } else { "build" };
+    let stage = |name: &str| format!("{prefix}.{name}");
+
+    let total_span = span!(stage("total"), "mode={:?} attrs={n}", config.mode);
+    let mut stats = BuildStats::default();
+    let global_span = span!(stage("global_sample"));
+    let global = Arc::new(draw_global_sample(&table, config.serfling.sample_size(), config.seed));
+    drop(global_span);
+    stats.global_sample_size = global.len();
+
+    // Iceberg cells that keep the previous generation's sample (by its old
+    // id), then the freshly sampled ones.
+    let mut reused: Vec<(CellKey, u32)> = Vec::new();
+    let mut retired_cells = 0;
+    let (entries, selection) = match config.mode {
+        MaterializationMode::Tabula | MaterializationMode::TabulaStar => {
+            // The build's one grouping of the table is the dry run's scan.
+            let ctx = loss.prepare(&table, &global);
+            let dry_span = span!(stage("dry_run"));
+            let partition_span = span!("dry_run.partition", "rows={}", table.len());
+            let partition = FinestPartition::build(&table, &cols)?;
+            drop(partition_span);
+            let dry = dry_run(&table, &partition, loss, &ctx, theta);
+            stats.dry_run = dry_span.stop();
+            stats.total_cells = dry.total_cells;
+            stats.iceberg_cells = dry.iceberg_count;
+
+            // Split the iceberg set into reusable and fresh cells by probing
+            // the previous generation's table (its codes are this table's:
+            // appends only extend a dictionary). From nothing, all are fresh.
+            let touched = previous
+                .map_or_else(FxHashSet::default, |p| touched_cells(&partition, p.table().len()));
+            let mut fresh: FxHashMap<CuboidMask, Vec<Vec<u32>>> = FxHashMap::default();
+            let mut still_iceberg = 0;
+            for (mask, keys) in &dry.iceberg {
+                for compact in keys {
+                    let cell = CellKey::from_compact(*mask, n, compact);
+                    let old_id =
+                        previous.and_then(|p| p.cells().probe(&CompiledCell::from_cell_key(&cell)));
+                    still_iceberg += usize::from(old_id.is_some());
+                    match old_id {
+                        // Same raw data, θ-good sample: carry it over.
+                        Some(old_id) if !touched.contains(&cell) => reused.push((cell, old_id)),
+                        _ => fresh.entry(*mask).or_default().push(compact.clone()),
+                    }
+                }
+            }
+            // Both cell sets are duplicate-free, so the old cells that left
+            // the iceberg set are the old cells the loop above did not meet.
+            retired_cells = previous.map_or(0, |p| p.cells().len()) - still_iceberg;
+
+            let real_span =
+                span!(stage("real_run"), "fresh_cells={}", dry.iceberg_count - reused.len());
+            let rr = real_run(&table, &partition, loss, theta, &fresh);
+            stats.real_run = real_span.stop();
+            stats.cuboids_processed = rr.stats.cuboids_processed;
+            stats.cuboids_skipped = rr.stats.cuboids_skipped;
+            stats.finest_runs = rr.stats.finest_runs;
+            stats.gathered_rows = rr.stats.gathered_rows;
+
+            // Selection among fresh samples only (reused samples stay as-is).
+            let selection = (config.mode == MaterializationMode::Tabula).then(|| {
+                let sel_span = span!(stage("selection"), "samples={}", rr.entries.len());
+                let graph = build_samgraph(&table, loss, theta, &rr.entries, &config.samgraph);
+                stats.samgraph_edges = graph.edge_count();
+                let sel = select_representatives(&graph);
+                stats.selection = sel_span.stop();
+                sel
+            });
+            (rr.entries, selection)
+        }
+        MaterializationMode::FullSamCube => {
+            let real_span = span!(stage("real_run"), "mode=FullSamCube");
+            let entries = materialize_all_cells(&table, &cols, loss, theta, None)?;
+            stats.real_run = real_span.stop();
+            stats.total_cells = entries.len();
+            stats.iceberg_cells = entries.len();
+            stats.cuboids_processed = 1 << n;
+            (entries, None)
+        }
+        MaterializationMode::PartSamCube => {
+            let real_span = span!(stage("real_run"), "mode=PartSamCube");
+            let ctx = loss.prepare(&table, &global);
+            let entries = materialize_all_cells(&table, &cols, loss, theta, Some(&ctx))?;
+            stats.real_run = real_span.stop();
+            stats.iceberg_cells = entries.len();
+            stats.cuboids_processed = 1 << n;
+            (entries, None)
+        }
+    };
+    stats.samples_before_selection = reused.len() + entries.len();
+
+    // Assemble sample table + cube table: the reused samples (deduplicated
+    // by old id), then the fresh ones; each cell's sample id; then the
+    // table's one sort.
+    let mut samples: Vec<Arc<Vec<RowId>>> = Vec::new();
+    let mut sample_ids: Vec<u32> = Vec::with_capacity(stats.samples_before_selection);
+    if let Some(previous) = previous {
+        let mut new_id_of_old: FxHashMap<u32, u32> = FxHashMap::default();
+        for (_, old_id) in &reused {
+            sample_ids.push(*new_id_of_old.entry(*old_id).or_insert_with(|| {
+                samples.push(Arc::clone(previous.sample(*old_id)));
+                (samples.len() - 1) as u32
+            }));
+        }
+    }
+    match &selection {
+        Some(sel) => {
+            let mut sample_id_of_rep: FxHashMap<u32, u32> = FxHashMap::default();
+            for &rep in &sel.representatives {
+                sample_id_of_rep.insert(rep, samples.len() as u32);
+                samples.push(Arc::new(entries[rep as usize].sample.clone()));
+            }
+            sample_ids.extend(sel.rep_of.iter().map(|rep| sample_id_of_rep[rep]));
+        }
+        None => {
+            sample_ids.extend(samples.len() as u32..(samples.len() + entries.len()) as u32);
+            samples.extend(entries.iter().map(|e| Arc::new(e.sample.clone())));
+        }
+    }
+    let cells = CubeTable::from_cells(
+        cardinalities(&table, &cols)?,
+        reused.iter().map(|(cell, _)| cell).chain(entries.iter().map(|e| &e.cell)).zip(sample_ids),
+    );
+    stats.samples_after_selection = samples.len();
+    stats.total = total_span.stop();
+
+    // Every fresh cell drew a sample, but under representative selection
+    // only the representatives' samples were persisted — the rest of the
+    // fresh cells share them.
+    let refresh_stats = RefreshStats {
+        reused_cells: reused.len(),
+        resampled_cells: selection.map_or(entries.len(), |sel| sel.representatives.len()),
+        fresh_samples: entries.len(),
+        retired_cells,
+        appended_rows: table.len() - previous.map_or(0, |p| p.table().len()),
+        total: stats.total,
+    };
+    publish_metrics(registry, prefix, &stats, &refresh_stats);
+    let cube = SamplingCube::new(table, attrs, cols, theta, cells, samples, global, stats)
+        .with_registry(registry);
+    Ok((cube, refresh_stats))
+}
+
+/// Every cell, of every cuboid, that holds a row appended after the first
+/// `old_len`: the projections of the runs whose last (largest) row id is
+/// an appended one.
+fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CellKey> {
+    let masks = CuboidMask::enumerate(partition.width());
+    let mut touched = FxHashSet::default();
+    for run in 0..partition.runs() {
+        if partition.run_rows(run).last().is_some_and(|&last| last as usize >= old_len) {
+            let full = partition.run_key(run);
+            touched.extend(masks.iter().map(|&mask| CellKey::project(mask, &full)));
+        }
+    }
+    touched
+}
+
+/// Naive materialization used by FullSamCube / PartSamCube: run all `2ⁿ`
+/// group-bys directly on the raw table; draw a local sample for every cell
+/// (FullSamCube, `iceberg_ctx = None`) or for cells whose raw loss against
+/// the global sample exceeds θ (PartSamCube).
+fn materialize_all_cells<L: AccuracyLoss>(
+    table: &Table,
+    cols: &[usize],
+    loss: &L,
+    theta: f64,
+    iceberg_ctx: Option<&L::SampleCtx>,
+) -> Result<Vec<CubeEntry>> {
+    let n = cols.len();
+    let mut entries = Vec::new();
+    for mask in CuboidMask::enumerate(n) {
+        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
+        let grouped = group_by(table, &attrs)?;
+        let mut cells: Vec<(Vec<u32>, Vec<RowId>)> = grouped.groups.into_iter().collect();
+        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (compact, rows) in cells {
+            if let Some(ctx) = iceberg_ctx {
+                // PartSamCube evaluates the iceberg condition from raw
+                // data — the expensive path the dry run exists to avoid.
+                // Same classifier predicate as the dry run, so both
+                // modes materialize exactly the same cells.
+                if !exceeds_theta(loss.loss_with_ctx(table, &rows, ctx), theta) {
+                    continue;
+                }
+            }
+            let sample = loss.sample_greedy(table, &rows, theta);
+            entries.push(CubeEntry {
+                cell: CellKey::from_compact(mask, n, &compact),
+                rows,
+                sample,
+            });
+        }
+    }
+    Ok(entries)
+}
+
+/// Publish one generation's statistics into `registry` under `prefix`
+/// (`build` or `refresh`): stage latencies as histograms (so repeated runs
+/// accumulate distributions), how much prior work was carried over and the
+/// real run's row-fetch volume as counters, structural numbers as gauges.
+fn publish_metrics(
+    registry: &obs::Registry,
+    prefix: &str,
+    stats: &BuildStats,
+    refresh: &RefreshStats,
+) {
+    for (name, duration) in [
+        ("dry_run", stats.dry_run),
+        ("real_run", stats.real_run),
+        ("selection", stats.selection),
+        ("total", stats.total),
+    ] {
+        registry.histogram(&format!("{prefix}.{name}")).record_duration(duration);
+    }
+    for (name, n) in [
+        ("count", 1),
+        ("reused_cells", refresh.reused_cells),
+        ("resampled_cells", refresh.resampled_cells),
+        ("fresh_samples", refresh.fresh_samples),
+        ("retired_cells", refresh.retired_cells),
+        ("appended_rows", refresh.appended_rows),
+    ] {
+        registry.counter(&format!("{prefix}.{name}")).add(n as u64);
+    }
     registry.counter("real_run.finest_runs").add(stats.finest_runs as u64);
     registry.counter("real_run.gathered_rows").add(stats.gathered_rows as u64);
     registry.counter("real_run.cuboids_skipped").add(stats.cuboids_skipped as u64);

@@ -132,6 +132,9 @@ pub struct SamplingCube {
     samples: Vec<Arc<Vec<RowId>>>,
     global_sample: Arc<Vec<RowId>>,
     stats: BuildStats,
+    /// The registry this cube reports into: its provenance counters live
+    /// there, and so do the metrics of a refresh that starts from it.
+    registry: Arc<tabula_obs::Registry>,
     /// Where each query answer came from (one relaxed counter bump per
     /// query; clones share the same counters).
     provenance: ProvenanceCounters,
@@ -160,16 +163,24 @@ impl SamplingCube {
             samples,
             global_sample,
             stats,
+            registry: Arc::clone(tabula_obs::global()),
             provenance: ProvenanceCounters::global(),
         }
     }
 
-    /// Re-home this cube's provenance counters in `registry` (they default
-    /// to the process-wide registry). Use a private [`tabula_obs::Registry`]
+    /// Re-home this cube in `registry` (the default is the process-wide
+    /// one): its provenance counters, and the `refresh.*` metrics of every
+    /// generation refreshed from it. Use a private [`tabula_obs::Registry`]
     /// when isolated accounting is needed, e.g. in tests or benchmarks.
-    pub fn with_registry(mut self, registry: &tabula_obs::Registry) -> Self {
+    pub fn with_registry(mut self, registry: &Arc<tabula_obs::Registry>) -> Self {
         self.provenance = ProvenanceCounters::in_registry(registry);
+        self.registry = Arc::clone(registry);
         self
+    }
+
+    /// The registry this cube reports into.
+    pub fn registry(&self) -> &Arc<tabula_obs::Registry> {
+        &self.registry
     }
 
     /// The cube's provenance counters (local hits / global-sample

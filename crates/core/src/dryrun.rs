@@ -2,26 +2,22 @@
 //! §III-B1) — identify every iceberg cell *without materializing any
 //! sample*, touching the raw data only once.
 //!
-//! Because the accuracy loss is algebraic (see [`crate::loss`]), a single
-//! scan of the raw table builds the finest cuboid of per-cell loss states;
-//! every coarser cuboid is derived by merging states down the lattice.
-//! Both steps are the build's hottest loops and run vectorized when
-//! possible: the finest scan aggregates directly on bit-packed `u64` keys
-//! in [`chunk-sized`](tabula_storage::kernel::chunk_rows) batches, and the
-//! rollup squeezes each parent's packed key down to its child's with two
-//! shifts instead of re-hashing code tuples.
+//! Because the accuracy loss is algebraic (see [`crate::loss`]), the one
+//! grouping of the raw table the build makes — the [`FinestPartition`] the
+//! real run later fetches rows from — is also the dry run's scan: each of
+//! its runs folds into one loss state, which is the finest cuboid, and
+//! every coarser cuboid is derived by merging states down the lattice
+//! (on bit-packed `u64` keys when they fit, squeezing each parent's key
+//! down to its child's with two shifts instead of re-hashing code tuples).
 //! Each cell's loss against the global sample is then evaluated from its
 //! state alone: cells with `loss(cell, Sam_global) > θ` are **iceberg
 //! cells** and are handed to the real run for local-sample
 //! materialization.
 
 use crate::loss::{exceeds_theta, AccuracyLoss};
-use crate::Result;
 use tabula_obs::span;
-use tabula_storage::cube::{
-    finest_cuboid as finest_cuboid_scan, rollup_from_finest, CellKey, CubeResult, CuboidMask,
-};
-use tabula_storage::{FxHashMap, Table};
+use tabula_storage::cube::{rollup_from_finest, CellKey, CubeResult, CuboidMask};
+use tabula_storage::{FinestPartition, FxHashMap, Table};
 
 /// Per-cuboid dry-run summary — the numbers annotated on the paper's
 /// Figure 5a lattice ("(all cells, iceberg cells)").
@@ -82,25 +78,24 @@ impl<S> DryRun<S> {
 
 /// Run the dry-run stage.
 ///
-/// * `cols` — the cubed attributes (column indices of `table`);
+/// * `partition` — `table`'s rows partitioned by the cubed attributes;
 /// * `global_ctx` — the prepared context of the global sample;
 /// * `theta` — the accuracy-loss threshold.
 pub fn dry_run<L: AccuracyLoss>(
     table: &Table,
-    cols: &[usize],
+    partition: &FinestPartition,
     loss: &L,
     global_ctx: &L::SampleCtx,
     theta: f64,
-) -> Result<DryRun<L::State>> {
-    // One raw scan builds the finest cuboid of loss states…
-    let scan_span = span!("dry_run.scan", "rows={}", table.len());
-    let finest = finest_cuboid_scan(table, cols, L::State::default, |state, row| {
-        loss.fold(global_ctx, state, table, row)
-    })?;
+) -> DryRun<L::State> {
+    // The partition's runs fold into the finest cuboid of loss states…
+    let scan_span = span!("dry_run.scan", "rows={} runs={}", table.len(), partition.runs());
+    let finest = partition
+        .fold_runs(L::State::default, |state, row| loss.fold(global_ctx, state, table, row));
     drop(scan_span);
     // …and the rest of the lattice is pure state merging.
     let rollup_span = span!("dry_run.rollup");
-    let states = rollup_from_finest(cols.len(), finest, &L::State::default);
+    let states = rollup_from_finest(partition.width(), finest, &L::State::default);
     drop(rollup_span);
 
     // Per-cuboid loss-predicate evaluation is embarrassingly parallel:
@@ -131,7 +126,7 @@ pub fn dry_run<L: AccuracyLoss>(
             iceberg.insert(mask, cells);
         }
     }
-    Ok(DryRun { states, iceberg, total_cells, iceberg_count })
+    DryRun { states, iceberg, total_cells, iceberg_count }
 }
 
 #[cfg(test)]
@@ -142,6 +137,10 @@ mod tests {
     use tabula_data::example_dcm_table;
     use tabula_storage::RowId;
 
+    fn dcm_partition(t: &Table) -> FinestPartition {
+        FinestPartition::build(t, &[0, 1, 2]).unwrap()
+    }
+
     #[test]
     fn dry_run_flags_exactly_the_cells_whose_direct_loss_exceeds_theta() {
         let t = example_dcm_table();
@@ -150,7 +149,7 @@ mod tests {
         let global: Vec<RowId> = draw_global_sample(&t, 8, 1);
         let ctx = loss.prepare(&t, &global);
         let theta = 0.10;
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
+        let dry = dry_run(&t, &dcm_partition(&t), &loss, &ctx, theta);
 
         // Cross-check every cell against a direct (non-algebraic)
         // computation on the raw rows.
@@ -178,7 +177,7 @@ mod tests {
         let loss = HeatmapLoss::new(pickup, Metric::Euclidean);
         let global: Vec<RowId> = draw_global_sample(&t, 6, 2);
         let ctx = loss.prepare(&t, &global);
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, 0.05).unwrap();
+        let dry = dry_run(&t, &dcm_partition(&t), &loss, &ctx, 0.05);
         assert_eq!(dry.total_cells, dry.states.total_cells());
         let from_map: usize = dry.iceberg.values().map(|v| v.len()).sum();
         assert_eq!(dry.iceberg_count, from_map);
@@ -198,8 +197,8 @@ mod tests {
         let loss = MeanLoss::new(fare);
         let global: Vec<RowId> = draw_global_sample(&t, 8, 1);
         let ctx = loss.prepare(&t, &global);
-        let loose = dry_run(&t, &[0, 1, 2], &loss, &ctx, 0.5).unwrap();
-        let tight = dry_run(&t, &[0, 1, 2], &loss, &ctx, 0.01).unwrap();
+        let loose = dry_run(&t, &dcm_partition(&t), &loss, &ctx, 0.5);
+        let tight = dry_run(&t, &dcm_partition(&t), &loss, &ctx, 0.01);
         assert!(tight.iceberg_count >= loose.iceberg_count);
     }
 
@@ -213,7 +212,7 @@ mod tests {
         // The "sample" is the entire table; wait — per-cell raw means still
         // differ from the GLOBAL mean, so icebergs can exist. Use a huge θ
         // instead to assert the none-iceberg path.
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, f64::INFINITY).unwrap();
+        let dry = dry_run(&t, &dcm_partition(&t), &loss, &ctx, f64::INFINITY);
         assert_eq!(dry.iceberg_count, 0);
         assert!(dry.iceberg.is_empty());
     }

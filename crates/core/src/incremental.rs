@@ -7,93 +7,32 @@
 //! which keeps dictionary codes stable) while reusing as much prior work
 //! as possible:
 //!
-//! * the dry run re-runs in full (it is the cheap, single-scan stage, and
-//!   the global sample is redrawn over the grown table);
+//! * the partition and the dry run re-run in full (they are the cheap,
+//!   single-grouping stage, and the global sample is redrawn over the
+//!   grown table);
 //! * iceberg cells **untouched by the appended rows** keep their old
 //!   sample: the sample was within θ of exactly the same raw data before,
 //!   so the guarantee carries over verbatim — no resampling, no data
-//!   access;
+//!   access (a cell is touched iff one of its finest-key runs ends in an
+//!   appended row id);
 //! * cells with appended rows, and cells that became iceberg only under
 //!   the new global sample, get fresh local samples via the normal real
 //!   run (restricted to just those cells) followed by representative
 //!   selection among the fresh samples.
 //!
 //! The result satisfies the same invariant as a from-scratch build: every
-//! query's answer is within θ of its raw answer *on the new table*.
-//!
-//! Refresh rounds ride the same vectorized storage kernels as the initial
-//! build (the appended-row grouping in step 2 hashes bit-packed `u64`
-//! keys), and repeated materializations across rounds can reuse buffer
-//! capacity via [`Table::take_into`] /
-//! [`QueryAnswer::materialize_into`](crate::cube::QueryAnswer::materialize_into).
+//! query's answer is within θ of its raw answer *on the new table*. It is
+//! also the same code: [`refresh`] checks the prefix contract and hands
+//! over to the builder's one pipeline with the old cube as the previous
+//! generation — a build is that pipeline with none.
 
-use crate::builder::MaterializationMode;
-use crate::compile::CompiledCell;
-use crate::cube::{BuildStats, SamplingCube};
-use crate::cube_table::{cardinalities, CubeTable};
-use crate::dryrun::dry_run;
+use crate::builder::materialize;
+pub use crate::builder::{RefreshConfig, RefreshStats};
+use crate::cube::SamplingCube;
 use crate::loss::AccuracyLoss;
-use crate::realrun::real_run;
-use crate::samgraph::{build_samgraph, SamGraphConfig};
-use crate::selection::select_representatives;
-use crate::serfling::{draw_global_sample, SerflingConfig};
 use crate::{CoreError, Result};
 use std::sync::Arc;
-use tabula_obs::span;
-use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::{FxHashMap, FxHashSet, RowId, Table, Value};
-
-/// What a refresh did, for observability and tests.
-#[derive(Debug, Clone, Default)]
-pub struct RefreshStats {
-    /// Iceberg cells that kept their previous sample untouched.
-    pub reused_cells: usize,
-    /// Iceberg cells whose own freshly drawn sample was persisted this
-    /// round. Under representative selection (Tabula mode) several fresh
-    /// cells may end up served by a single representative's sample, so
-    /// this counts representatives — see [`fresh_samples`] for the number
-    /// of cells that drew a sample at all.
-    ///
-    /// [`fresh_samples`]: RefreshStats::fresh_samples
-    pub resampled_cells: usize,
-    /// Fresh local samples drawn before representative selection (one per
-    /// touched-or-new iceberg cell; `>= resampled_cells`).
-    pub fresh_samples: usize,
-    /// Previous iceberg cells that are no longer iceberg (their queries
-    /// now ride the global sample).
-    pub retired_cells: usize,
-    /// Appended rows processed.
-    pub appended_rows: usize,
-    /// Wall time of the whole refresh.
-    pub total: std::time::Duration,
-}
-
-/// Configuration of a refresh (mirrors the builder's knobs).
-#[derive(Debug, Clone, Copy)]
-pub struct RefreshConfig {
-    /// Serfling parameters for the redrawn global sample.
-    pub serfling: SerflingConfig,
-    /// SamGraph knobs for selection among the fresh samples.
-    pub samgraph: SamGraphConfig,
-    /// Seed for the redrawn global sample.
-    pub seed: u64,
-    /// Parallelism for fresh-cell sampling (0 = all cores).
-    pub parallelism: usize,
-    /// Whether to run representative selection among fresh samples.
-    pub mode: MaterializationMode,
-}
-
-impl Default for RefreshConfig {
-    fn default() -> Self {
-        RefreshConfig {
-            serfling: SerflingConfig::default(),
-            samgraph: SamGraphConfig::default(),
-            seed: 42,
-            parallelism: 0,
-            mode: MaterializationMode::Tabula,
-        }
-    }
-}
+use tabula_storage::{Table, Value};
 
 /// Rows spot-checked by [`verify_prefix`] (the first and last old row are
 /// always probed in addition).
@@ -180,13 +119,14 @@ fn verify_prefix(old: &Table, new: &Table, cols: &[usize]) -> Result<()> {
 
 /// Refresh `cube` against `new_table`, which must be the cube's table with
 /// zero or more rows appended (same schema; old rows first, in order).
+/// Metrics (`refresh.*`) go to the registry `cube` is homed in, as does the
+/// refreshed cube.
 pub fn refresh<L: AccuracyLoss>(
     cube: &SamplingCube,
     new_table: Arc<Table>,
     loss: &L,
     config: RefreshConfig,
 ) -> Result<(SamplingCube, RefreshStats)> {
-    let total_span = span!("refresh.total");
     let old_table = cube.table();
     if new_table.schema() != old_table.schema() {
         return Err(CoreError::Config(
@@ -196,152 +136,9 @@ pub fn refresh<L: AccuracyLoss>(
     if new_table.len() < old_table.len() {
         return Err(CoreError::Config("refresh requires an extended table (appends only)".into()));
     }
-    let theta = cube.theta();
-    let attrs: Vec<String> = cube.attrs().to_vec();
-    let cols: Vec<usize> = attrs
-        .iter()
-        .map(|a| new_table.schema().index_of(a))
-        .collect::<std::result::Result<_, _>>()?;
-    let n = cols.len();
-    verify_prefix(old_table, &new_table, &cols)?;
-    let old_len = old_table.len() as RowId;
-    let appended: Vec<RowId> = (old_len..new_table.len() as RowId).collect();
-
-    // 1. Redraw the global sample over the grown table; full dry run.
-    let global =
-        Arc::new(draw_global_sample(&new_table, config.serfling.sample_size(), config.seed));
-    let ctx = loss.prepare(&new_table, &global);
-    let dry_span = span!("refresh.dry_run");
-    let dry = dry_run(&new_table, &cols, loss, &ctx, theta)?;
-    drop(dry_span);
-
-    // 2. Which cells did the appended rows touch? (Every ancestor cell of
-    //    every appended row, across all 2ⁿ cuboids.) Group the appended
-    //    rows by their full attribute tuple first: the 2ⁿ projections (and
-    //    their key allocations) then happen once per distinct tuple, not
-    //    once per row.
-    let mut touched: FxHashSet<CellKey> = FxHashSet::default();
-    if !appended.is_empty() {
-        let grouped = tabula_storage::group::group_rows(&new_table, &cols, &appended)?;
-        let masks = CuboidMask::enumerate(n);
-        for full in grouped.groups.keys() {
-            for &mask in &masks {
-                touched.insert(CellKey::project(mask, full));
-            }
-        }
-    }
-
-    // 3. Partition the new iceberg set into reusable and fresh cells by
-    //    probing the old generation's table (its codes are the new
-    //    table's: appends only extend a dictionary).
-    let old_cells = cube.cells();
-    let mut reused: Vec<(CellKey, u32)> = Vec::new(); // cell → old sample id
-    let mut fresh: FxHashMap<CuboidMask, Vec<Vec<u32>>> = FxHashMap::default();
-    let mut new_iceberg_count = 0usize;
-    let mut still_iceberg = 0usize;
-    for (mask, keys) in &dry.iceberg {
-        for compact in keys {
-            new_iceberg_count += 1;
-            let cell = CellKey::from_compact(*mask, n, compact);
-            let old_id = old_cells.probe(&CompiledCell::from_cell_key(&cell));
-            still_iceberg += usize::from(old_id.is_some());
-            match old_id {
-                // Same raw data, θ-good sample: carry it over.
-                Some(old_id) if !touched.contains(&cell) => reused.push((cell, old_id)),
-                _ => fresh.entry(*mask).or_default().push(compact.clone()),
-            }
-        }
-    }
-    // Both cell sets are duplicate-free, so the old cells that left the
-    // iceberg set are the old cells the loop above did not meet.
-    let retired_cells = old_cells.len() - still_iceberg;
-
-    // 4. Real run restricted to the fresh cells.
-    let real_span = span!("refresh.real_run", "fresh_cells={}", new_iceberg_count - reused.len());
-    let rr = real_run(&new_table, &cols, loss, theta, &fresh, config.parallelism)?;
-    drop(real_span);
-
-    // 5. Selection among fresh samples only (reused samples stay as-is).
-    let selection = if config.mode == MaterializationMode::Tabula {
-        let _sel_span = span!("refresh.selection", "samples={}", rr.entries.len());
-        let graph = build_samgraph(&new_table, loss, theta, &rr.entries, &config.samgraph);
-        Some(select_representatives(&graph))
-    } else {
-        None
-    };
-
-    // 6. Assemble: old reused samples (deduplicated by old id) + fresh.
-    let mut samples: Vec<Arc<Vec<RowId>>> = Vec::new();
-    let mut sample_ids: Vec<u32> = Vec::with_capacity(new_iceberg_count);
-    let mut old_id_map: FxHashMap<u32, u32> = FxHashMap::default();
-    for (_, old_id) in &reused {
-        sample_ids.push(*old_id_map.entry(*old_id).or_insert_with(|| {
-            samples.push(Arc::clone(cube.sample(*old_id)));
-            (samples.len() - 1) as u32
-        }));
-    }
-    match &selection {
-        Some(sel) => {
-            let mut rep_id: FxHashMap<u32, u32> = FxHashMap::default();
-            for &rep in &sel.representatives {
-                rep_id.insert(rep, samples.len() as u32);
-                samples.push(Arc::new(rr.entries[rep as usize].sample.clone()));
-            }
-            sample_ids.extend(sel.rep_of.iter().map(|rep| rep_id[rep]));
-        }
-        None => {
-            for e in &rr.entries {
-                sample_ids.push(samples.len() as u32);
-                samples.push(Arc::new(e.sample.clone()));
-            }
-        }
-    }
-    let cells = CubeTable::from_cells(
-        cardinalities(&new_table, &cols)?,
-        reused
-            .iter()
-            .map(|(cell, _)| cell)
-            .chain(rr.entries.iter().map(|e| &e.cell))
-            .zip(sample_ids),
-    );
-
-    // Every fresh cell drew a sample, but under representative selection
-    // only the representatives' samples were persisted — the rest of the
-    // fresh cells share them.
-    let resampled_cells =
-        selection.as_ref().map_or(rr.entries.len(), |sel| sel.representatives.len());
-    let stats = RefreshStats {
-        reused_cells: reused.len(),
-        resampled_cells,
-        fresh_samples: rr.entries.len(),
-        retired_cells,
-        appended_rows: appended.len(),
-        total: total_span.stop(),
-    };
-    {
-        // Refresh accounting in the process-wide registry: how much prior
-        // work incremental maintenance is saving over full rebuilds.
-        let registry = tabula_obs::global();
-        registry.counter("refresh.count").inc();
-        registry.counter("refresh.reused_cells").add(stats.reused_cells as u64);
-        registry.counter("refresh.resampled_cells").add(stats.resampled_cells as u64);
-        registry.counter("refresh.fresh_samples").add(stats.fresh_samples as u64);
-        registry.counter("refresh.retired_cells").add(stats.retired_cells as u64);
-        registry.counter("refresh.appended_rows").add(stats.appended_rows as u64);
-        registry.histogram("refresh.total").record_duration(stats.total);
-    }
-    let build_stats = BuildStats {
-        total: stats.total,
-        total_cells: dry.total_cells,
-        iceberg_cells: new_iceberg_count,
-        samples_before_selection: reused.len() + rr.entries.len(),
-        samples_after_selection: samples.len(),
-        global_sample_size: global.len(),
-        ..BuildStats::default()
-    };
-    let new_cube =
-        SamplingCube::new(new_table, attrs, cols, theta, cells, samples, global, build_stats);
-    Ok((new_cube, stats))
+    verify_prefix(old_table, &new_table, cube.cubed_cols())?;
+    let attrs = cube.attrs().to_vec();
+    materialize(new_table, attrs, loss, cube.theta(), &config, Some(cube), cube.registry())
 }
 
 #[cfg(test)]
@@ -351,7 +148,8 @@ mod tests {
     use crate::loss::MeanLoss;
     use crate::SamplingCubeBuilder;
     use tabula_data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
-    use tabula_storage::TableBuilder;
+    use tabula_storage::cube::CellKey;
+    use tabula_storage::{FxHashSet, TableBuilder};
 
     /// Build `base` rows, then a second table extending them with `extra`
     /// differently-seeded rows (old rows first, in order, as `refresh`

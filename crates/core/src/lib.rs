@@ -29,18 +29,22 @@
 //!
 //! ## Pipeline
 //!
-//! [`builder::SamplingCubeBuilder`] orchestrates the three stages:
+//! [`builder::SamplingCubeBuilder`] runs the three stages over one
+//! grouping of the table by the finest key
+//! ([`tabula_storage::FinestPartition`]):
 //!
-//! 1. **Dry run** ([`dryrun`]) — one scan of the raw table builds an
+//! 1. **Dry run** ([`dryrun`]) — folding the partition's runs builds an
 //!    algebraic loss-state cube; rolling it up identifies every iceberg
 //!    cell without materializing anything.
-//! 2. **Real run** ([`realrun`], Algorithm 2) — per iceberg cuboid, a
-//!    cost model (the paper's Inequality 1) chooses between
-//!    prune-then-group and group-everything, then local samples are drawn
-//!    for iceberg cells (in parallel).
+//! 2. **Real run** ([`realrun`], Algorithm 2) — every iceberg cell's rows
+//!    are a merge of the same partition's runs; local samples are drawn
+//!    for them (in parallel).
 //! 3. **Sample selection** ([`samgraph`], [`selection`]) — a
 //!    representation-relationship graph over local samples is built and a
 //!    greedy dominating set of representative samples is persisted.
+//!
+//! [`incremental::refresh`] is the same pipeline started from a previous
+//! generation, whose untouched iceberg cells keep their samples.
 //!
 //! The result is a [`cube::SamplingCube`] that answers dashboard queries
 //! in microseconds: compile the predicate to a cell ([`compile`]), one
@@ -68,11 +72,11 @@ pub mod selection;
 pub mod serfling;
 pub mod store;
 
-pub use builder::{MaterializationMode, SamplingCubeBuilder};
+pub use builder::{MaterializationMode, RefreshConfig, RefreshStats, SamplingCubeBuilder};
 pub use compile::{compile_predicate, CompiledCell, MAX_CUBED_ATTRS};
 pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};
-pub use incremental::{refresh, RefreshConfig, RefreshStats};
+pub use incremental::refresh;
 pub use loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, RegressionLoss};
 pub use sampling::greedy_sample;
 pub use serfling::{global_sample_size, SerflingConfig};

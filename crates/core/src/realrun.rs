@@ -6,11 +6,12 @@
 //! iceberg cuboid's raw rows with a scan of its own, choosing per cuboid
 //! between an equi-join against the iceberg-cell list and a full group-by
 //! (Inequality 1, kept here as [`choose_plan`] for the cost-model
-//! ablation). This engine scans once instead: a [`FinestPartition`] holds
-//! the row ids sorted by finest-cuboid key, and every iceberg cell of
-//! every cuboid is a merge of its runs — the cells of a cuboid cost one
-//! probe per run plus the rows they fetch, not another pass over the
-//! table (DESIGN.md §4).
+//! ablation). This engine does not scan again at all: the
+//! [`FinestPartition`] the dry run folded its states from holds the row
+//! ids sorted by finest-cuboid key, and every iceberg cell of every cuboid
+//! is a merge of its runs — the cells of a cuboid cost one probe per run
+//! plus the rows they fetch, not another pass over the table (DESIGN.md
+//! §4).
 //!
 //! Local samples are then drawn per cell with the accuracy-loss-aware
 //! greedy sampler, scheduled on the shared `tabula-par` work-stealing
@@ -19,7 +20,6 @@
 //! thread-count-independent).
 
 use crate::loss::AccuracyLoss;
-use crate::Result;
 use tabula_obs::span;
 use tabula_par::Pool;
 use tabula_storage::cube::{CellKey, CuboidMask};
@@ -92,56 +92,45 @@ pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
 
 /// Run the real-run stage: materialize local samples for every cell of
 /// `iceberg` (compact keys per cuboid, as the dry run reports them),
-/// drawing them with `loss`'s Algorithm-1 sampler.
-///
-/// `parallelism` caps the worker threads used for per-cell sampling
-/// (0 = number of available cores).
+/// fetching their rows from `partition` (the dry run's) and drawing the
+/// samples with `loss`'s Algorithm-1 sampler.
 pub fn real_run<L: AccuracyLoss>(
     table: &Table,
-    cols: &[usize],
+    partition: &FinestPartition,
     loss: &L,
     theta: f64,
     iceberg: &FxHashMap<CuboidMask, Vec<Vec<u32>>>,
-    parallelism: usize,
-) -> Result<RealRun> {
+) -> RealRun {
     // Deterministic cuboid order: finest first, then by mask.
     let mut masks: Vec<CuboidMask> = iceberg.keys().copied().collect();
     masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
     let mut stats = RealRunStats {
         cuboids_processed: masks.len(),
-        cuboids_skipped: (1usize << cols.len()) - masks.len(),
-        ..RealRunStats::default()
+        cuboids_skipped: (1usize << partition.width()) - masks.len(),
+        finest_runs: partition.runs(),
+        gathered_rows: 0,
     };
+    let pool = Pool::global();
 
-    // Phase 1 (data-system work): fetch each iceberg cell's raw rows. The
-    // partition is dropped before sampling starts.
+    // Phase 1 (data-system work): fetch each iceberg cell's raw rows.
+    let gather_span = span!("real_run.gather", "cuboids={} runs={}", masks.len(), partition.runs());
+    let gathered = pool.par_map(&masks, |mask| partition.gather(*mask, &iceberg[mask]));
     let mut work: Vec<(CellKey, Vec<RowId>)> =
         Vec::with_capacity(iceberg.values().map(Vec::len).sum());
-    if !masks.is_empty() {
-        let partition_span = span!("real_run.partition", "rows={}", table.len());
-        let partition = FinestPartition::build(table, cols)?;
-        drop(partition_span);
-        stats.finest_runs = partition.runs();
-        let _gather_span =
-            span!("real_run.gather", "cuboids={} runs={}", masks.len(), partition.runs());
-        let gathered =
-            Pool::global().par_map(&masks, |mask| partition.gather(*mask, &iceberg[mask]));
-        for (mask, cells) in masks.into_iter().zip(gathered) {
-            for (compact, rows) in cells {
-                stats.gathered_rows += rows.len();
-                work.push((CellKey::from_compact(mask, cols.len(), &compact), rows));
-            }
+    for (mask, cells) in masks.into_iter().zip(gathered) {
+        for (compact, rows) in cells {
+            stats.gathered_rows += rows.len();
+            work.push((CellKey::from_compact(mask, partition.width(), &compact), rows));
         }
     }
+    drop(gather_span);
 
     // Phase 2 (parallel): draw a local sample per iceberg cell on the
     // shared work-stealing pool.
-    let pool = if parallelism == 0 { Pool::global() } else { Pool::with_threads(parallelism) };
-    let sample_span =
+    let _sample_span =
         span!("real_run.sample_cells", "cells={} threads={}", work.len(), pool.threads());
     let entries = sample_cells(table, loss, theta, work, &pool);
-    drop(sample_span);
-    Ok(RealRun { entries, stats })
+    RealRun { entries, stats }
 }
 
 /// Draw local samples for `work` on `pool`, preserving input order in the
@@ -166,7 +155,7 @@ fn sample_cells<L: AccuracyLoss>(
 mod tests {
     use super::*;
     use crate::dryrun::dry_run;
-    use crate::loss::{HeatmapLoss, MeanLoss, Metric};
+    use crate::loss::MeanLoss;
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
 
@@ -188,8 +177,9 @@ mod tests {
         let loss = MeanLoss::new(fare);
         let global = draw_global_sample(&t, 8, 1);
         let ctx = loss.prepare(&t, &global);
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
-        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry.iceberg, 2).unwrap();
+        let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
+        let dry = dry_run(&t, &partition, &loss, &ctx, theta);
+        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
         (t, rr.entries, rr.stats)
     }
 
@@ -231,24 +221,6 @@ mod tests {
             let mut got = e.rows.clone();
             got.sort_unstable();
             assert_eq!(got, expect, "cell {}", e.cell);
-        }
-    }
-
-    #[test]
-    fn parallel_and_serial_sampling_agree() {
-        let t = example_dcm_table();
-        let pickup = t.schema().index_of("pickup").unwrap();
-        let loss = HeatmapLoss::new(pickup, Metric::Euclidean);
-        let global = draw_global_sample(&t, 5, 3);
-        let ctx = loss.prepare(&t, &global);
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, 0.02).unwrap();
-        let serial = real_run(&t, &[0, 1, 2], &loss, 0.02, &dry.iceberg, 1).unwrap();
-        let parallel = real_run(&t, &[0, 1, 2], &loss, 0.02, &dry.iceberg, 4).unwrap();
-        assert_eq!(serial.entries.len(), parallel.entries.len());
-        for (a, b) in serial.entries.iter().zip(&parallel.entries) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.sample, b.sample);
         }
     }
 

@@ -151,6 +151,7 @@ mod tests {
     use crate::realrun::real_run;
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
+    use tabula_storage::FinestPartition;
 
     fn entries_for_mean(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry>) {
         let t = example_dcm_table();
@@ -158,8 +159,9 @@ mod tests {
         let loss = MeanLoss::new(fare);
         let global = draw_global_sample(&t, 8, 1);
         let ctx = loss.prepare(&t, &global);
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
-        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry.iceberg, 1).unwrap();
+        let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
+        let dry = dry_run(&t, &partition, &loss, &ctx, theta);
+        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
         (t, rr.entries)
     }
 
@@ -209,8 +211,9 @@ mod tests {
         let theta = 0.05;
         let global = draw_global_sample(&t, 4, 2);
         let ctx = loss.prepare(&t, &global);
-        let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
-        let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry.iceberg, 1).unwrap();
+        let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
+        let dry = dry_run(&t, &partition, &loss, &ctx, theta);
+        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
         assert!(!rr.entries.is_empty());
         let g = build_samgraph(&t, &loss, theta, &rr.entries, &SamGraphConfig::default());
         for (u, outs) in g.edges.iter().enumerate() {

@@ -14,8 +14,8 @@ use tabula_storage::{RowId, Table, TableBuilder};
 
 fn build(table: &Arc<Table>, threads: usize) -> SamplingCube {
     // The runtime override steers every Pool::global() call in the build
-    // (finest scan, rollup, dry-run classify, group-by, semi-join,
-    // SamGraph); the builder's own knob covers the real-run pool.
+    // (partition, run fold, rollup, dry-run classify, gather, per-cell
+    // sampling, SamGraph).
     tabula_par::set_threads(threads);
     let fare = table.schema().index_of("fare_amount").unwrap();
     let cube = SamplingCubeBuilder::new(
@@ -25,7 +25,6 @@ fn build(table: &Arc<Table>, threads: usize) -> SamplingCube {
         0.05,
     )
     .seed(13)
-    .parallelism(threads)
     .build()
     .expect("cube build succeeds");
     tabula_par::set_threads(0);
@@ -101,7 +100,6 @@ fn sample_dependent_selection_path_is_identical_across_thread_counts() {
             meters_to_norm(500.0),
         )
         .seed(13)
-        .parallelism(threads)
         .build()
         .expect("heatmap cube build succeeds");
         tabula_par::set_threads(0);
@@ -147,7 +145,7 @@ fn refreshed_cube_is_identical_across_thread_counts() {
     let refresh_at = |threads: usize| {
         let cube = build(&base, threads);
         tabula_par::set_threads(threads);
-        let config = RefreshConfig { seed: 99, parallelism: threads, ..RefreshConfig::default() };
+        let config = RefreshConfig { seed: 99, ..RefreshConfig::default() };
         let (refreshed, stats) =
             refresh(&cube, Arc::clone(&extended), &MeanLoss::new(fare), config)
                 .expect("refresh succeeds");
@@ -251,7 +249,7 @@ fn provenance_counters_are_thread_count_independent() {
     for threads in [1usize, 2, 8] {
         // A private registry per cube keeps the provenance counters from
         // accumulating across the three builds (they are registry-backed).
-        let registry = tabula_obs::Registry::new();
+        let registry = Arc::new(tabula_obs::Registry::new());
         let cube = build(&table, threads).with_registry(&registry);
         let (mut local, mut global) = (0u64, 0u64);
         for q in &queries {

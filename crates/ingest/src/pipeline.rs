@@ -10,7 +10,7 @@
 //! crossed θ (cells touched by the appended rows, plus cells pushed over
 //! the boundary by the redrawn global sample) are resampled; every other
 //! iceberg cell keeps its prior sample verbatim. The refresh stages run
-//! on the tabula-par pool at `IngestConfig::refresh.parallelism`.
+//! on the shared tabula-par pool.
 //! [`Server::install`] swaps the generation under a write lock readers
 //! only briefly contend on, and bumps the answer-cache epoch exactly
 //! once per generation.
@@ -49,7 +49,7 @@ pub const INGEST_FRESHNESS_NS: &str = "ingest.freshness_lag_ns";
 /// [`from_env`](IngestConfig::from_env), `TABULA_INGEST_*`).
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
-    /// Refresh knobs (seed, serfling, parallelism, materialization mode)
+    /// Refresh knobs (seed, serfling, samgraph, materialization mode)
     /// applied to every fold.
     pub refresh: RefreshConfig,
     /// Most batches folded into a single generation

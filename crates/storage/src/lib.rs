@@ -13,13 +13,14 @@
 //! * vectorised predicate evaluation ([`Predicate`]),
 //! * hash group-by on categorical attribute tuples ([`group`]),
 //! * the OLAP **CUBE** operator and its cuboid lattice ([`cube`]), including
-//!   the *algebraic rollup* optimization: the finest cuboid is built with a
-//!   single scan of the raw data and every coarser cuboid is derived from an
-//!   already-computed parent by merging mergeable aggregate states
+//!   the *algebraic rollup* optimization: the finest cuboid is folded from
+//!   one grouping of the raw data and every coarser cuboid is derived from
+//!   an already-computed parent by merging mergeable aggregate states
 //!   ([`agg::AggState`]),
-//! * the partition of row ids by finest-cuboid key ([`partition`]) that
-//!   the "real run" stage of cube construction fetches every iceberg
-//!   cell's raw rows from,
+//! * that grouping: the partition of row ids by finest-cuboid key
+//!   ([`partition`]), whose runs the "dry run" stage of cube construction
+//!   folds into per-cell states and the "real run" stage fetches every
+//!   iceberg cell's raw rows from,
 //! * the equi-join of raw rows against an iceberg-cell list ([`join`]) —
 //!   one of the two per-cuboid plans the paper's cost model chooses
 //!   between, kept for the cost-model ablation.

@@ -10,6 +10,10 @@
 //! concatenates them: work proportional to the number of runs plus the
 //! rows actually fetched, with no further pass over the table.
 //!
+//! The same runs are the finest cuboid itself: folding each run's rows
+//! into one aggregate state ([`FinestPartition::fold_runs`]) is the dry
+//! run's scan, so a build groups the table exactly once.
+//!
 //! Run keys are bit-packed `u64`s when the [`KeyLayout`] fits 64 bits
 //! (projection is then [`KeyLayout::projection`]'s shift-and-mask, and a
 //! wanted cell is found by binary search over packed words); otherwise
@@ -22,6 +26,17 @@ use crate::kernel;
 use crate::packed::KeyLayout;
 use crate::table::{RowId, Table};
 use crate::Result;
+use std::time::Instant;
+use tabula_par::Pool;
+
+/// Runs folded per pool task by [`FinestPartition::fold_runs`].
+const RUNS_PER_TASK: usize = 64;
+
+/// Add `since.elapsed()` to `cube.kernel_ns`, the process-wide time spent
+/// grouping and folding the finest cuboid.
+fn record_kernel_ns(since: Instant) {
+    tabula_obs::global().counter("cube.kernel_ns").add(since.elapsed().as_nanos() as u64);
+}
 
 /// Keys of the partition's runs, ascending.
 #[derive(Debug)]
@@ -34,6 +49,8 @@ enum RunKeys {
 /// with one run per distinct key. See the module docs.
 #[derive(Debug)]
 pub struct FinestPartition {
+    /// Number of partitioning columns.
+    width: usize,
     rows: Vec<RowId>,
     /// Run `i` is `rows[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
@@ -47,6 +64,7 @@ impl FinestPartition {
     /// columns) finds the runs with their rows already ascending; only
     /// the distinct keys are sorted.
     pub fn build(table: &Table, cols: &[usize]) -> Result<FinestPartition> {
+        let started = Instant::now();
         let mut groups: Vec<(Vec<u32>, Vec<RowId>)> =
             group_by(table, cols)?.groups.into_iter().collect();
         groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -71,7 +89,14 @@ impl FinestPartition {
             }
             None => RunKeys::Tuples(tuples),
         };
-        Ok(FinestPartition { rows, starts, keys })
+        tabula_obs::global().counter("cube.scan_rows").add(table.len() as u64);
+        record_kernel_ns(started);
+        Ok(FinestPartition { width: cols.len(), rows, starts, keys })
+    }
+
+    /// Number of partitioning columns: the length of every run key.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Number of runs (distinct finest keys).
@@ -95,6 +120,31 @@ impl FinestPartition {
             RunKeys::Packed { layout, keys } => layout.decode(keys[i]),
             RunKeys::Tuples(tuples) => tuples[i].clone(),
         }
+    }
+
+    /// The finest cuboid: each run's key with the state obtained by
+    /// folding the run's rows, ascending, into a fresh `make()`. One pool
+    /// task folds a whole run, so a state's fold sequence — and its float
+    /// bits — cannot depend on the thread count.
+    pub fn fold_runs<S, M, F>(&self, make: M, fold: F) -> Vec<(Vec<u32>, S)>
+    where
+        S: Send,
+        M: Fn() -> S + Sync,
+        F: Fn(&mut S, RowId) + Sync,
+    {
+        let started = Instant::now();
+        let folded = Pool::global().par_chunks(self.runs(), RUNS_PER_TASK, |runs| {
+            runs.map(|run| {
+                let mut state = make();
+                for &row in self.run_rows(run) {
+                    fold(&mut state, row);
+                }
+                (self.run_key(run), state)
+            })
+            .collect::<Vec<_>>()
+        });
+        record_kernel_ns(started);
+        folded.into_iter().flatten().collect()
     }
 
     /// Fetch the rows of `cells` — compact keys of cuboid `mask`, whose
@@ -222,6 +272,16 @@ mod tests {
         assert_eq!(keys, vec![vec![0, 0], vec![0, 1], vec![1, 1], vec![2, 2]]);
         assert_eq!(p.run_rows(0), &[0, 2]);
         assert_eq!(p.run_rows(3), &[3]);
+    }
+
+    #[test]
+    fn fold_runs_sees_each_run_whole_and_ascending() {
+        let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
+        assert_eq!(p.width(), 2);
+        let folded = p.fold_runs(Vec::new, |seen: &mut Vec<RowId>, row| seen.push(row));
+        let want: Vec<(Vec<u32>, Vec<RowId>)> =
+            (0..p.runs()).map(|i| (p.run_key(i), p.run_rows(i).to_vec())).collect();
+        assert_eq!(folded, want);
     }
 
     #[test]

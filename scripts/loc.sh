@@ -2,9 +2,17 @@
 # Non-test code lines per crate: for each crates/*/src/**/*.rs, the lines
 # before the first `#[cfg(test)]` that are neither blank nor comments
 # (`//`, `///`, `//!`). ROADMAP item 4 tracks the sum over
-# core + serve + storage + store + sql.
+# core + serve + storage + store + sql; `--max <n>` fails when that sum
+# exceeds `n` (CI passes the last merged total, so growth shows in a diff).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+max=
+case "${1-}" in
+    "") ;;
+    --max) max=${2:?--max needs a number} ;;
+    *) echo "usage: $0 [--max <n>]" >&2; exit 2 ;;
+esac
 
 total=0
 tracked=0
@@ -24,3 +32,7 @@ for dir in crates/*/; do
 done
 printf '%-10s %6d\n' "all" "$total"
 printf '%-10s %6d  (core + serve + storage + store + sql)\n' "tracked" "$tracked"
+if [ -n "$max" ] && [ "$tracked" -gt "$max" ]; then
+    echo "tracked lines $tracked exceed --max $max" >&2
+    exit 1
+fi

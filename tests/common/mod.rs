@@ -1,11 +1,12 @@
-//! Tables shared by the cube-table tests: `Int64` categorical columns
-//! `a0..` beside one `Float64` measure `v`.
+//! Shared by the cube tests: tables of `Int64` categorical columns `a0..`
+//! beside one `Float64` measure `v`, and a cube's content checksum.
 #![allow(dead_code)]
 
 use std::sync::Arc;
 use tabula::core::loss::MeanLoss;
 use tabula::core::{MaterializationMode, SamplingCube, SamplingCubeBuilder};
 use tabula::storage::{ColumnType, Field, Schema, Table, TableBuilder, Value};
+use tabula::store::{crc64, Snapshot};
 
 /// θ of every cube these tests build: relative error of the mean of `v`.
 pub const THETA: f64 = 0.05;
@@ -61,4 +62,18 @@ pub fn cube_over(table: &Arc<Table>) -> SamplingCube {
         .seed(7)
         .build()
         .unwrap()
+}
+
+/// CRC-64 of everything a snapshot says about the cube and its table:
+/// every block but `stats` (name and payload, in file order), then the
+/// meta string. `stats` carries wall times, which differ run to run.
+pub fn content_crc(cube: &SamplingCube) -> u64 {
+    let snap = Snapshot::from_bytes(cube.snapshot_bytes(0).unwrap()).unwrap();
+    let mut content = Vec::new();
+    for block in snap.manifest().blocks.iter().filter(|b| b.name != "stats") {
+        content.extend_from_slice(block.name.as_bytes());
+        content.extend_from_slice(snap.block(&block.name).unwrap().bytes());
+    }
+    content.extend_from_slice(snap.meta().as_bytes());
+    crc64(&content)
 }

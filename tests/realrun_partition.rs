@@ -2,15 +2,17 @@
 //! key serves every cuboid, and the cubes it feeds are the cubes the
 //! per-cuboid regrouping used to feed.
 
+mod common;
+
+use common::content_crc;
 use std::sync::Arc;
 use tabula::core::loss::{HeatmapLoss, Metric};
-use tabula::core::{refresh, RefreshConfig, SamplingCube, SamplingCubeBuilder};
+use tabula::core::{refresh, RefreshConfig, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::storage::{
     group_by, ColumnType, CuboidMask, Field, FinestPartition, KeyLayout, RowId, Schema, Table,
     TableBuilder, Value,
 };
-use tabula::store::{crc64, Snapshot};
 
 fn taxi(rows: usize, seed: u64) -> Table {
     TaxiGenerator::new(TaxiConfig { rows, seed }).generate()
@@ -84,20 +86,6 @@ fn partition_cells_equal_group_by_cells_for_every_cuboid() {
         assert_partition_serves_every_cuboid(&int_table(&[vec![4], vec![2]]), &[0, 1]);
     }
     tabula_par::set_threads(0);
-}
-
-/// CRC-64 of everything a snapshot says about the cube and its table:
-/// every block but `stats` (name and payload, in file order), then the
-/// meta string. `stats` carries wall times, which differ run to run.
-fn content_crc(cube: &SamplingCube) -> u64 {
-    let snap = Snapshot::from_bytes(cube.snapshot_bytes(0).unwrap()).unwrap();
-    let mut content = Vec::new();
-    for block in snap.manifest().blocks.iter().filter(|b| b.name != "stats") {
-        content.extend_from_slice(block.name.as_bytes());
-        content.extend_from_slice(snap.block(&block.name).unwrap().bytes());
-    }
-    content.extend_from_slice(snap.meta().as_bytes());
-    crc64(&content)
 }
 
 /// Recorded at commit cd1ea0b, where `real_run` still regrouped the table
