@@ -59,7 +59,11 @@ fn main() {
         let iceberg_keys = &dry.iceberg[&mask];
         let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
         let k_cells = dry.states.cuboids[&mask].len();
-        let iceberg_set: FxHashSet<Vec<u32>> = iceberg_keys.iter().cloned().collect();
+        // The join takes the cells as `group_by` spells them: present codes.
+        let iceberg_set: FxHashSet<Vec<u32>> = iceberg_keys
+            .iter()
+            .map(|key| partition.space().decode(key).codes.into_iter().flatten().collect())
+            .collect();
 
         let t0 = Instant::now();
         let joined = semi_join(&table, &attrs, &iceberg_set).unwrap();

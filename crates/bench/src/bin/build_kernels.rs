@@ -32,7 +32,8 @@ use tabula_bench::{taxi_table, write_run_summary};
 use tabula_data::CUBED_ATTRIBUTES;
 use tabula_storage::agg::SumCount;
 use tabula_storage::{
-    group_by, set_kernel_mode, CmpOp, Column, FinestPartition, KernelMode, Predicate, RowId,
+    group_by, set_kernel_mode, CellSpace, CmpOp, Column, CubeKey, FinestPartition, KernelMode,
+    Predicate, RowId,
 };
 
 /// Larger default than the harness-wide 20 000: kernel ns/row needs enough
@@ -171,14 +172,16 @@ fn main() {
             rows,
             reps,
             || {
-                FinestPartition::build(t, &cols)
-                    .expect("partition succeeds")
-                    .fold_runs(SumCount::default, |s, row| s.add(fare[row as usize]))
+                let partition = FinestPartition::build(t, &cols).expect("partition succeeds");
+                let finest =
+                    partition.fold_runs(SumCount::default, |s, row| s.add(fare[row as usize]));
+                (partition.space().clone(), finest)
             },
-            |finest: &Vec<(Vec<u32>, SumCount)>| {
+            // The two modes spell keys at different widths: compare codes.
+            |(space, finest): &(CellSpace, Vec<(CubeKey, SumCount)>)| {
                 let mut out = Vec::new();
                 for (k, s) in finest {
-                    for c in k.iter() {
+                    for c in space.decode(k).codes.iter().flatten() {
                         out.extend_from_slice(&c.to_le_bytes());
                     }
                     // Bit-exact: the kernels promise identical float bits,

@@ -11,14 +11,12 @@
 //! FullSamCube, PartSamCube), so the baseline crate and the benchmark
 //! harness share one code path per mode.
 //!
-//! The storage primitives the stages lean on — predicate filter, group-by,
-//! lattice rollup, the finest-key partition — all run on bit-packed
-//! dictionary codes, as chunked vectorized kernels, when the cubed
-//! attributes' packed key fits 64 bits (see [`tabula_storage::kernel`]);
-//! the build produces byte-identical cubes in either kernel mode and at
-//! any thread count.
+//! From the partition to the cube table a cell is one value: its
+//! [`CubeKey`] in the partition's [`CellSpace`] — a packed `u64` when the
+//! cubed attributes' `cardinality + 1` domains fit 64 bits, flat words
+//! otherwise or under `TABULA_KERNELS=scalar`. The build produces
+//! byte-identical cubes at either width and at any thread count.
 
-use crate::compile::CompiledCell;
 use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::{cardinalities, CubeTable};
 use crate::dryrun::dry_run;
@@ -32,7 +30,9 @@ use std::sync::Arc;
 use tabula_obs as obs;
 use tabula_obs::span;
 use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::{group_by, FinestPartition, FxHashMap, FxHashSet, RowId, Table};
+use tabula_storage::{
+    group_by, CellSpace, CubeKey, FinestPartition, FxHashMap, FxHashSet, RowId, Table,
+};
 
 /// Which cube variant to materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,9 +216,9 @@ pub(crate) fn materialize<L: AccuracyLoss>(
 
     // Iceberg cells that keep the previous generation's sample (by its old
     // id), then the freshly sampled ones.
-    let mut reused: Vec<(CellKey, u32)> = Vec::new();
+    let mut reused: Vec<(CubeKey, u32)> = Vec::new();
     let mut retired_cells = 0;
-    let (entries, selection) = match config.mode {
+    let (space, entries, selection) = match config.mode {
         MaterializationMode::Tabula | MaterializationMode::TabulaStar => {
             // The build's one grouping of the table is the dry run's scan.
             let ctx = loss.prepare(&table, &global);
@@ -234,20 +234,21 @@ pub(crate) fn materialize<L: AccuracyLoss>(
             // Split the iceberg set into reusable and fresh cells by probing
             // the previous generation's table (its codes are this table's:
             // appends only extend a dictionary). From nothing, all are fresh.
+            let space = partition.space();
             let touched = previous
                 .map_or_else(FxHashSet::default, |p| touched_cells(&partition, p.table().len()));
-            let mut fresh: FxHashMap<CuboidMask, Vec<Vec<u32>>> = FxHashMap::default();
+            let mut fresh: FxHashMap<CuboidMask, Vec<CubeKey>> = FxHashMap::default();
             let mut still_iceberg = 0;
             for (mask, keys) in &dry.iceberg {
-                for compact in keys {
-                    let cell = CellKey::from_compact(*mask, n, compact);
-                    let old_id =
-                        previous.and_then(|p| p.cells().probe(&CompiledCell::from_cell_key(&cell)));
+                for key in keys {
+                    let old_id = previous.and_then(|p| p.cells().probe_key(space, key));
                     still_iceberg += usize::from(old_id.is_some());
                     match old_id {
                         // Same raw data, θ-good sample: carry it over.
-                        Some(old_id) if !touched.contains(&cell) => reused.push((cell, old_id)),
-                        _ => fresh.entry(*mask).or_default().push(compact.clone()),
+                        Some(old_id) if !touched.contains(key) => {
+                            reused.push((key.clone(), old_id))
+                        }
+                        _ => fresh.entry(*mask).or_default().push(key.clone()),
                     }
                 }
             }
@@ -273,25 +274,25 @@ pub(crate) fn materialize<L: AccuracyLoss>(
                 stats.selection = sel_span.stop();
                 sel
             });
-            (rr.entries, selection)
+            (space.clone(), rr.entries, selection)
         }
         MaterializationMode::FullSamCube => {
             let real_span = span!(stage("real_run"), "mode=FullSamCube");
-            let entries = materialize_all_cells(&table, &cols, loss, theta, None)?;
+            let (space, entries) = materialize_all_cells(&table, &cols, loss, theta, None)?;
             stats.real_run = real_span.stop();
             stats.total_cells = entries.len();
             stats.iceberg_cells = entries.len();
             stats.cuboids_processed = 1 << n;
-            (entries, None)
+            (space, entries, None)
         }
         MaterializationMode::PartSamCube => {
             let real_span = span!(stage("real_run"), "mode=PartSamCube");
             let ctx = loss.prepare(&table, &global);
-            let entries = materialize_all_cells(&table, &cols, loss, theta, Some(&ctx))?;
+            let (space, entries) = materialize_all_cells(&table, &cols, loss, theta, Some(&ctx))?;
             stats.real_run = real_span.stop();
             stats.iceberg_cells = entries.len();
             stats.cuboids_processed = 1 << n;
-            (entries, None)
+            (space, entries, None)
         }
     };
     stats.samples_before_selection = reused.len() + entries.len();
@@ -325,7 +326,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         }
     }
     let cells = CubeTable::from_cells(
-        cardinalities(&table, &cols)?,
+        &space,
         reused.iter().map(|(cell, _)| cell).chain(entries.iter().map(|e| &e.cell)).zip(sample_ids),
     );
     stats.samples_after_selection = samples.len();
@@ -351,13 +352,14 @@ pub(crate) fn materialize<L: AccuracyLoss>(
 /// Every cell, of every cuboid, that holds a row appended after the first
 /// `old_len`: the projections of the runs whose last (largest) row id is
 /// an appended one.
-fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CellKey> {
-    let masks = CuboidMask::enumerate(partition.width());
+fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CubeKey> {
+    let space = partition.space();
+    let projections: Vec<_> =
+        CuboidMask::enumerate(space.width()).into_iter().map(|mask| space.project(mask)).collect();
     let mut touched = FxHashSet::default();
     for run in 0..partition.runs() {
         if partition.run_rows(run).last().is_some_and(|&last| last as usize >= old_len) {
-            let full = partition.run_key(run);
-            touched.extend(masks.iter().map(|&mask| CellKey::project(mask, &full)));
+            touched.extend(projections.iter().map(|project| project(partition.run_key(run))));
         }
     }
     touched
@@ -366,15 +368,17 @@ fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CellK
 /// Naive materialization used by FullSamCube / PartSamCube: run all `2ⁿ`
 /// group-bys directly on the raw table; draw a local sample for every cell
 /// (FullSamCube, `iceberg_ctx = None`) or for cells whose raw loss against
-/// the global sample exceeds θ (PartSamCube).
+/// the global sample exceeds θ (PartSamCube). Returns the cells with the
+/// key space they are spelled in.
 fn materialize_all_cells<L: AccuracyLoss>(
     table: &Table,
     cols: &[usize],
     loss: &L,
     theta: f64,
     iceberg_ctx: Option<&L::SampleCtx>,
-) -> Result<Vec<CubeEntry>> {
+) -> Result<(CellSpace, Vec<CubeEntry>)> {
     let n = cols.len();
+    let space = CellSpace::new(cardinalities(table, cols)?);
     let mut entries = Vec::new();
     for mask in CuboidMask::enumerate(n) {
         let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
@@ -392,14 +396,13 @@ fn materialize_all_cells<L: AccuracyLoss>(
                 }
             }
             let sample = loss.sample_greedy(table, &rows, theta);
-            entries.push(CubeEntry {
-                cell: CellKey::from_compact(mask, n, &compact),
-                rows,
-                sample,
-            });
+            let cell = space
+                .encode_cell(&CellKey::from_compact(mask, n, &compact))
+                .expect("codes of the table's own rows");
+            entries.push(CubeEntry { cell, rows, sample });
         }
     }
-    Ok(entries)
+    Ok((space, entries))
 }
 
 /// Publish one generation's statistics into `registry` under `prefix`

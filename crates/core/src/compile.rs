@@ -43,7 +43,7 @@ impl CompiledCell {
     /// The wildcard-only cell over `n` attributes (the `ALL` cell).
     #[inline]
     pub fn all(n: usize) -> Self {
-        debug_assert!(n < MAX_CUBED_ATTRS);
+        debug_assert!(n <= MAX_CUBED_ATTRS);
         CompiledCell { mask: 0, codes: [0; MAX_CUBED_ATTRS], n: n as u8 }
     }
 
@@ -86,11 +86,14 @@ impl CompiledCell {
         (self.mask & (1 << i) != 0).then(|| self.codes[i])
     }
 
-    /// Lossless conversion from the heap cell key. The key must carry
-    /// fewer than [`MAX_CUBED_ATTRS`] codes.
+    /// Conversion from the heap cell key: lossless for the fewer than
+    /// [`MAX_CUBED_ATTRS`] codes a cube's own keys carry. `codes` is a
+    /// public field, so a key may be longer; it becomes a cell of arity
+    /// [`MAX_CUBED_ATTRS`] over its first codes — one more arity no cube
+    /// has, answered like every other.
     pub fn from_cell_key(key: &CellKey) -> Self {
-        let mut cell = CompiledCell::all(key.codes.len());
-        for (i, code) in key.codes.iter().enumerate() {
+        let mut cell = CompiledCell::all(key.codes.len().min(MAX_CUBED_ATTRS));
+        for (i, code) in key.codes.iter().enumerate().take(MAX_CUBED_ATTRS) {
             if let Some(c) = code {
                 cell.set(i, *c);
             }

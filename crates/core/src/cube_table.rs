@@ -1,56 +1,34 @@
 //! The cube table (paper Figure 4): iceberg cell → sample id, held once.
 //!
-//! Cell keys are kept sorted ascending in exactly the encodings the
-//! snapshot's `cube:keys` / `cube:flat` blocks carry, with the sample ids
-//! aligned beside them. The builder and `refresh` sort once at assembly,
-//! the snapshot writer dumps the arrays verbatim, the loader validates and
-//! adopts them, and every query is *pack the cell, one binary search*:
-//!
-//! * **packed** — one `u64` per cell over per-attribute domains of
-//!   `cardinality + 1` (slot 0 is `*`, code `c` is `c + 1`), attribute 0
-//!   in the highest bits, whenever those domains fit 64 bits;
-//! * **flat** — otherwise, rows of `n` `u32` words with `u32::MAX` for `*`,
-//!   ordered lexicographically.
-//!
-//! Which of the two a cube uses is a function of its attributes'
+//! Cell keys are the build's own [`CubeKey`]s, kept sorted ascending in
+//! exactly the encodings the snapshot's `cube:keys` / `cube:flat` blocks
+//! carry, with the sample ids aligned beside them. The builder and
+//! `refresh` sort once at assembly, the snapshot writer dumps the arrays
+//! verbatim, the loader validates and adopts them, and every query is
+//! *spell the cell, one binary search*. Which of the two encodings a cube
+//! uses is its [`CellSpace`]'s decision — a function of its attributes'
 //! cardinalities alone, so two processes that built the same cube hold —
 //! and write — the same bytes.
 
-use crate::compile::{CompiledCell, MAX_CUBED_ATTRS};
+use crate::compile::CompiledCell;
 use std::cmp::Ordering;
-use tabula_storage::{CellKey, KeyLayout, Table};
+use tabula_storage::{CellKey, CellSpace, CubeKey, Table};
 
 /// The sorted cell keys of a [`CubeTable`], in one of the two encodings.
 #[derive(Debug, Clone)]
 pub enum CubeKeys {
     /// One packed `u64` per cell, strictly ascending.
-    Packed {
-        /// Bit layout over the `cardinality + 1` domains.
-        layout: KeyLayout,
-        /// The keys.
-        keys: Vec<u64>,
-    },
+    Packed(Vec<u64>),
     /// `n` words per cell (`u32::MAX` = `*`), rows strictly ascending.
     Flat(Vec<u32>),
-}
-
-impl CubeKeys {
-    /// How a key word spells one attribute: `star` for `*`, a code plus
-    /// `shift` otherwise.
-    fn star_and_shift(&self) -> (u32, u32) {
-        match self {
-            CubeKeys::Packed { .. } => (0, 1),
-            CubeKeys::Flat(_) => (u32::MAX, 0),
-        }
-    }
 }
 
 /// The frozen cell → sample-id map of one cube.
 #[derive(Debug, Clone)]
 pub struct CubeTable {
-    /// Cardinality of each cubed attribute in the table the cube was
-    /// built over; codes at or past it name no stored cell.
-    cards: Vec<usize>,
+    /// How the cube's cells are spelled, over the cardinalities of the
+    /// cubed attributes in the table the cube was built over.
+    space: CellSpace,
     keys: CubeKeys,
     sample_ids: Vec<u32>,
 }
@@ -61,43 +39,36 @@ pub(crate) fn cardinalities(table: &Table, cols: &[usize]) -> crate::Result<Vec<
 }
 
 impl CubeTable {
-    /// The packed layout for attributes of cardinalities `cards`, or
-    /// `None` when the `+ 1`-shifted domains exceed 64 bits (flat keys).
-    fn key_layout(cards: &[usize]) -> Option<KeyLayout> {
-        let shifted: Vec<usize> = cards.iter().map(|&c| c + 1).collect();
-        KeyLayout::from_cardinalities(&shifted)
-    }
-
-    /// Encode and sort `cells` (distinct, every code inside its
-    /// attribute's cardinality) — the one sort a cube's keys ever get.
+    /// Sort `cells` (distinct keys of the space `from`) — the one sort a
+    /// cube's keys ever get. Keys are re-spelled only when `from` is not
+    /// the space of its own cardinalities, i.e. when the build was forced
+    /// to the flat width.
     pub fn from_cells<'a>(
-        cards: Vec<usize>,
-        cells: impl Iterator<Item = (&'a CellKey, u32)>,
+        from: &CellSpace,
+        cells: impl Iterator<Item = (&'a CubeKey, u32)>,
     ) -> Self {
-        let keys = match Self::key_layout(&cards) {
-            Some(layout) => CubeKeys::Packed { layout, keys: Vec::new() },
-            None => CubeKeys::Flat(Vec::new()),
-        };
-        let mut table = CubeTable { cards, keys, sample_ids: Vec::new() };
-        let n = table.cards.len();
-        // Words past the arity are all `star`, so ordering whole buffers
-        // orders flat rows — and packed keys, attribute 0 being highest.
-        let mut entries: Vec<([u32; MAX_CUBED_ATTRS], u32)> = cells
-            .map(|(cell, id)| {
-                let words = table.key_words(&CompiledCell::from_cell_key(cell));
-                (words.expect("cube cells carry the table's own dictionary codes"), id)
+        let space = CellSpace::new(from.cards().to_vec());
+        let mut entries: Vec<(CubeKey, u32)> = cells
+            .map(|(key, id)| {
+                let key = space.respell(from, key);
+                (key.expect("both spaces hold the table's own dictionary codes"), id)
             })
             .collect();
         entries.sort_unstable();
-        table.sample_ids = entries.iter().map(|&(_, id)| id).collect();
-        match &mut table.keys {
-            CubeKeys::Packed { layout, keys } => {
-                *keys = entries.iter().map(|(words, _)| layout.encode(&words[..n])).collect()
+        let mut keys = match space.layout() {
+            Some(_) => CubeKeys::Packed(Vec::with_capacity(entries.len())),
+            None => CubeKeys::Flat(Vec::with_capacity(entries.len() * space.width())),
+        };
+        let mut sample_ids = Vec::with_capacity(entries.len());
+        for (key, id) in entries {
+            match (&mut keys, key) {
+                (CubeKeys::Packed(keys), CubeKey::Packed(key)) => keys.push(key),
+                (CubeKeys::Flat(words), CubeKey::Flat(key)) => words.extend_from_slice(&key),
+                _ => unreachable!("respelled keys are keys of the table's space"),
             }
-            CubeKeys::Flat(flat) => {
-                *flat = entries.iter().flat_map(|(words, _)| &words[..n]).copied().collect()
-            }
+            sample_ids.push(id);
         }
+        let table = CubeTable { space, keys, sample_ids };
         debug_assert!(table.first_unordered_slot().is_none());
         table
     }
@@ -110,9 +81,13 @@ impl CubeTable {
         keys: Vec<u64>,
         sample_ids: Vec<u32>,
     ) -> std::result::Result<Self, String> {
-        let layout = Self::key_layout(&cards)
-            .ok_or("packed keys, but the dictionary cardinalities call for more than 64 bits")?;
-        CubeTable { cards, keys: CubeKeys::Packed { layout, keys }, sample_ids }.validated()
+        let space = CellSpace::new(cards);
+        if space.layout().is_none() {
+            return Err(
+                "packed keys, but the dictionary cardinalities call for more than 64 bits".into()
+            );
+        }
+        CubeTable { space, keys: CubeKeys::Packed(keys), sample_ids }.validated()
     }
 
     /// [`adopt_packed`](Self::adopt_packed) for a `cube:flat` block.
@@ -121,10 +96,11 @@ impl CubeTable {
         words: Vec<u32>,
         sample_ids: Vec<u32>,
     ) -> std::result::Result<Self, String> {
-        if Self::key_layout(&cards).is_some() {
+        let space = CellSpace::new(cards);
+        if space.layout().is_some() {
             return Err("flat keys, but the dictionary cardinalities fit a packed key".into());
         }
-        CubeTable { cards, keys: CubeKeys::Flat(words), sample_ids }.validated()
+        CubeTable { space, keys: CubeKeys::Flat(words), sample_ids }.validated()
     }
 
     /// Everything [`probe`](Self::probe) relies on, checked: one key per
@@ -132,9 +108,9 @@ impl CubeTable {
     /// (so no cell twice), no bit outside the packed layout, every word
     /// `*` or a code of its attribute.
     fn validated(self) -> std::result::Result<Self, String> {
-        let (n, cells) = (self.cards.len(), self.len());
+        let (n, cells) = (self.space.width(), self.len());
         let held = match &self.keys {
-            CubeKeys::Packed { keys, .. } => keys.len(),
+            CubeKeys::Packed(keys) => keys.len(),
             CubeKeys::Flat(words) if words.len() % n == 0 => words.len() / n,
             CubeKeys::Flat(words) => {
                 return Err(format!("{} words do not tile rows of {n} attributes", words.len()))
@@ -149,22 +125,18 @@ impl CubeTable {
             ));
         }
         // Ascending keys put any bit above the layout in the last one.
-        if let CubeKeys::Packed { layout, keys } = &self.keys {
+        if let (Some(layout), CubeKeys::Packed(keys)) = (self.space.layout(), &self.keys) {
             let bits = layout.total_bits();
             if bits < 64 && keys.last().is_some_and(|&key| key >> bits != 0) {
                 return Err(format!("keys carry bits outside the {bits}-bit layout"));
             }
         }
-        let (star, shift) = self.keys.star_and_shift();
-        let mut words = Vec::with_capacity(n);
         for slot in 0..cells {
-            self.words_at(slot, &mut words);
-            for (i, &word) in words.iter().enumerate() {
-                if word != star && (word - shift) as usize >= self.cards[i] {
+            let cell = self.space.decode(&self.key_at(slot));
+            for (i, (code, &card)) in cell.codes.iter().zip(self.space.cards()).enumerate() {
+                if let Some(code) = code.filter(|&code| code as usize >= card) {
                     return Err(format!(
-                        "code {} out of range for attribute {i} of cardinality {}",
-                        word - shift,
-                        self.cards[i]
+                        "code {code} out of range for attribute {i} of cardinality {card}"
                     ));
                 }
             }
@@ -172,43 +144,22 @@ impl CubeTable {
         Ok(self)
     }
 
-    /// `cell` spelled in key words, or `None` when the cell has another
-    /// arity or names a code outside an attribute's dictionary: no stored
-    /// cell can match it, and packing it would alias one that does.
-    fn key_words(&self, cell: &CompiledCell) -> Option<[u32; MAX_CUBED_ATTRS]> {
-        if cell.arity() != self.cards.len() {
-            return None;
-        }
-        let (star, shift) = self.keys.star_and_shift();
-        let mut words = [star; MAX_CUBED_ATTRS];
-        for (i, &card) in self.cards.iter().enumerate() {
-            if let Some(code) = cell.code(i) {
-                if code as usize >= card {
-                    return None;
-                }
-                words[i] = code + shift;
-            }
-        }
-        Some(words)
-    }
-
-    /// The key words of the cell at `slot`, into `out`.
-    fn words_at(&self, slot: usize, out: &mut Vec<u32>) {
+    /// The key of the cell at `slot`.
+    fn key_at(&self, slot: usize) -> CubeKey {
         match &self.keys {
-            CubeKeys::Packed { layout, keys } => layout.decode_into(keys[slot], out),
+            CubeKeys::Packed(keys) => CubeKey::Packed(keys[slot]),
             CubeKeys::Flat(words) => {
-                let n = self.cards.len();
-                out.clear();
-                out.extend_from_slice(&words[slot * n..][..n]);
+                let n = self.space.width();
+                CubeKey::Flat(words[slot * n..][..n].into())
             }
         }
     }
 
     /// The first slot whose key does not exceed its predecessor's.
     fn first_unordered_slot(&self) -> Option<usize> {
-        let n = self.cards.len();
+        let n = self.space.width();
         (1..self.len()).find(|&slot| match &self.keys {
-            CubeKeys::Packed { keys, .. } => keys[slot - 1] >= keys[slot],
+            CubeKeys::Packed(keys) => keys[slot - 1] >= keys[slot],
             CubeKeys::Flat(words) => words[(slot - 1) * n..slot * n] >= words[slot * n..][..n],
         })
     }
@@ -221,6 +172,11 @@ impl CubeTable {
     /// Whether no cell is materialized.
     pub fn is_empty(&self) -> bool {
         self.sample_ids.is_empty()
+    }
+
+    /// How the table's cells are spelled.
+    pub fn space(&self) -> &CellSpace {
+        &self.space
     }
 
     /// The sorted keys (what the snapshot's key block holds).
@@ -236,49 +192,56 @@ impl CubeTable {
     /// Bytes the table's arrays hold: 12 per cell packed, `4n + 4` flat.
     pub fn heap_bytes(&self) -> usize {
         let key_bytes = match &self.keys {
-            CubeKeys::Packed { keys, .. } => keys.len() * 8,
+            CubeKeys::Packed(keys) => keys.len() * 8,
             CubeKeys::Flat(words) => words.len() * 4,
         };
         key_bytes + self.sample_ids.len() * 4
     }
 
     /// The sample id serving `cell`, or `None` when the cell is not
-    /// materialized (the global-sample fallback).
+    /// materialized (the global-sample fallback) — as is any cell of
+    /// another arity or naming a code outside an attribute's dictionary.
     #[inline]
     pub fn probe(&self, cell: &CompiledCell) -> Option<u32> {
-        let n = self.cards.len();
-        let probe = self.key_words(cell)?;
-        let slot = match &self.keys {
-            CubeKeys::Packed { layout, keys } => {
-                keys.binary_search(&layout.encode(&probe[..n])).ok()?
-            }
-            CubeKeys::Flat(words) => {
+        self.find(&self.space.encode(cell.arity(), |i| cell.code(i))?)
+    }
+
+    /// [`probe`](Self::probe) for a cell spelled as a key of the space
+    /// `from`: a later generation's build asking this one.
+    pub fn probe_key(&self, from: &CellSpace, key: &CubeKey) -> Option<u32> {
+        self.find(&self.space.respell(from, key)?)
+    }
+
+    /// The sample id beside `key`, a key of this table's space.
+    fn find(&self, key: &CubeKey) -> Option<u32> {
+        let slot = match (&self.keys, key) {
+            (CubeKeys::Packed(keys), CubeKey::Packed(key)) => keys.binary_search(key).ok()?,
+            (CubeKeys::Flat(words), CubeKey::Flat(probe)) => {
+                let n = probe.len();
                 let (mut lo, mut hi) = (0, self.len());
                 loop {
                     if lo == hi {
                         return None;
                     }
                     let mid = lo + (hi - lo) / 2;
-                    match words[mid * n..][..n].cmp(&probe[..n]) {
+                    match words[mid * n..][..n].cmp(&probe[..]) {
                         Ordering::Less => lo = mid + 1,
                         Ordering::Greater => hi = mid,
                         Ordering::Equal => break mid,
                     }
                 }
             }
+            _ => unreachable!("{key:?} is not a key of this table's space"),
         };
         Some(self.sample_ids[slot])
     }
 
     /// Every `(cell, sample id)`, decoded on the fly, in table order.
     pub fn iter(&self) -> impl Iterator<Item = (CellKey, u32)> + '_ {
-        let (star, shift) = self.keys.star_and_shift();
-        let mut words = Vec::with_capacity(self.cards.len());
-        self.sample_ids.iter().enumerate().map(move |(slot, &id)| {
-            self.words_at(slot, &mut words);
-            let codes = words.iter().map(|&w| (w != star).then(|| w - shift)).collect();
-            (CellKey { codes }, id)
-        })
+        self.sample_ids
+            .iter()
+            .enumerate()
+            .map(|(slot, &id)| (self.space.decode(&self.key_at(slot)), id))
     }
 }
 
@@ -288,6 +251,14 @@ mod tests {
 
     fn cell(codes: &[Option<u32>]) -> CompiledCell {
         CompiledCell::from_cell_key(&CellKey::new(codes.to_vec()))
+    }
+
+    /// The table holding `cells` of the cube over `cards`, fed backwards
+    /// (the table sorts) through the space `from`.
+    fn table_of(from: &CellSpace, cells: &[(CellKey, u32)]) -> CubeTable {
+        let keys: Vec<(CubeKey, u32)> =
+            cells.iter().map(|(cell, id)| (from.encode_cell(cell).unwrap(), *id)).collect();
+        CubeTable::from_cells(from, keys.iter().rev().map(|(key, id)| (key, *id)))
     }
 
     /// Every third cell of the full lattice over `cards`, as a table.
@@ -306,9 +277,9 @@ mod tests {
             .filter(|(i, _)| i % 3 == 0)
             .map(|(i, codes)| (CellKey::new(codes), i as u32))
             .collect();
-        // Feed the cells backwards: the table sorts.
-        let table =
-            CubeTable::from_cells(cards.to_vec(), stored.iter().rev().map(|(k, id)| (k, *id)));
+        // Built at the flat width, the keys are re-spelled on the way in.
+        let table = table_of(&CellSpace::flat(cards.to_vec()), &stored);
+        assert!(table_of(&CellSpace::new(cards.to_vec()), &stored).iter().eq(table.iter()));
         (table, stored)
     }
 
@@ -343,7 +314,7 @@ mod tests {
         let decoded: Vec<(CellKey, u32)> = table.iter().collect();
         let mut want = stored;
         match table.keys() {
-            CubeKeys::Packed { .. } => want.sort_by(|a, b| a.0.codes.cmp(&b.0.codes)),
+            CubeKeys::Packed(_) => want.sort_by(|a, b| a.0.codes.cmp(&b.0.codes)),
             // `*` is the largest flat word, the smallest `Option`.
             CubeKeys::Flat(_) => want.sort_by_key(|(k, _)| {
                 k.codes.iter().map(|c| c.unwrap_or(u32::MAX)).collect::<Vec<_>>()
@@ -374,13 +345,13 @@ mod tests {
                 }
             }
         }
-        let stored: Vec<(&CellKey, u32)> = lattice
+        let stored: Vec<(CellKey, u32)> = lattice
             .iter()
             .enumerate()
             .filter(|(i, _)| i % 3 == 0)
-            .map(|(i, k)| (k, i as u32))
+            .map(|(i, k)| (k.clone(), i as u32))
             .collect();
-        let table = CubeTable::from_cells(cards.to_vec(), stored.iter().rev().copied());
+        let table = table_of(&CellSpace::new(cards.to_vec()), &stored);
         assert!(matches!(table.keys(), CubeKeys::Flat(w) if w.len() == 3 * stored.len()));
         for (i, key) in lattice.iter().enumerate() {
             let want = (i % 3 == 0).then_some(i as u32);
@@ -395,7 +366,8 @@ mod tests {
 
     #[test]
     fn probe_handles_sizes_zero_and_one() {
-        let empty = CubeTable::from_cells(vec![3, 2], std::iter::empty());
+        let space = CellSpace::new(vec![3, 2]);
+        let empty = table_of(&space, &[]);
         assert!(empty.is_empty());
         assert_eq!(empty.probe(&cell(&[None, None])), None);
         assert_eq!(empty.probe(&cell(&[Some(0), Some(1)])), None);
@@ -403,14 +375,14 @@ mod tests {
 
         // The lone ALL cell: every field `*`, key 0.
         let all = CellKey::new(vec![None, None]);
-        let one = CubeTable::from_cells(vec![3, 2], std::iter::once((&all, 7)));
+        let one = table_of(&space, &[(all.clone(), 7)]);
         assert_eq!(one.probe(&cell(&[None, None])), Some(7));
         assert_eq!(one.probe(&cell(&[Some(0), None])), None);
         assert_eq!(one.probe(&cell(&[None, Some(0)])), None);
         assert_eq!(one.heap_bytes(), 12);
 
         // Attributes of an empty table have no codes at all.
-        let nothing = CubeTable::from_cells(vec![0, 0], std::iter::once((&all, 0)));
+        let nothing = table_of(&CellSpace::new(vec![0, 0]), &[(all, 0)]);
         assert_eq!(nothing.probe(&cell(&[None, None])), Some(0));
         assert_eq!(nothing.probe(&cell(&[Some(0), None])), None);
     }

@@ -6,9 +6,8 @@
 //! grouping of the raw table the build makes — the [`FinestPartition`] the
 //! real run later fetches rows from — is also the dry run's scan: each of
 //! its runs folds into one loss state, which is the finest cuboid, and
-//! every coarser cuboid is derived by merging states down the lattice
-//! (on bit-packed `u64` keys when they fit, squeezing each parent's key
-//! down to its child's with two shifts instead of re-hashing code tuples).
+//! every coarser cuboid is derived by merging states down the lattice (a
+//! child's key is its parent's with one more attribute starred out).
 //! Each cell's loss against the global sample is then evaluated from its
 //! state alone: cells with `loss(cell, Sam_global) > θ` are **iceberg
 //! cells** and are handed to the real run for local-sample
@@ -17,7 +16,7 @@
 use crate::loss::{exceeds_theta, AccuracyLoss};
 use tabula_obs::span;
 use tabula_storage::cube::{rollup_from_finest, CellKey, CubeResult, CuboidMask};
-use tabula_storage::{FinestPartition, FxHashMap, Table};
+use tabula_storage::{CubeKey, FinestPartition, FxHashMap, Table};
 
 /// Per-cuboid dry-run summary — the numbers annotated on the paper's
 /// Figure 5a lattice ("(all cells, iceberg cells)").
@@ -36,9 +35,9 @@ pub struct CuboidSummary {
 pub struct DryRun<S> {
     /// The full cube of algebraic loss states.
     pub states: CubeResult<S>,
-    /// Compact keys of the iceberg cells, per cuboid (cuboids with no
+    /// The iceberg cells, per cuboid, ascending by key (cuboids with no
     /// icebergs are absent — the real run skips them entirely).
-    pub iceberg: FxHashMap<CuboidMask, Vec<Vec<u32>>>,
+    pub iceberg: FxHashMap<CuboidMask, Vec<CubeKey>>,
     /// Total populated cells across all cuboids.
     pub total_cells: usize,
     /// Total iceberg cells.
@@ -65,14 +64,7 @@ impl<S> DryRun<S> {
     /// The iceberg-cell table (paper Table Ia): every iceberg cell of
     /// every cuboid as a [`CellKey`].
     pub fn iceberg_cells(&self) -> Vec<CellKey> {
-        let n = self.states.n;
-        let mut out = Vec::with_capacity(self.iceberg_count);
-        for (mask, keys) in &self.iceberg {
-            for compact in keys {
-                out.push(CellKey::from_compact(*mask, n, compact));
-            }
-        }
-        out
+        self.iceberg.values().flatten().map(|key| self.states.space.decode(key)).collect()
     }
 }
 
@@ -95,32 +87,25 @@ pub fn dry_run<L: AccuracyLoss>(
     drop(scan_span);
     // …and the rest of the lattice is pure state merging.
     let rollup_span = span!("dry_run.rollup");
-    let states = rollup_from_finest(partition.width(), finest, &L::State::default);
+    let states = rollup_from_finest(partition.space(), finest, &L::State::default);
     drop(rollup_span);
 
     // Per-cuboid loss-predicate evaluation is embarrassingly parallel:
-    // one task per cuboid, assembled in deterministic (finest-first) mask
-    // order afterwards.
+    // one task per cuboid, filtering cells that are already in key order,
+    // assembled in deterministic (finest-first) mask order afterwards.
     let _classify_span = span!("dry_run.classify");
-    let mut masks: Vec<CuboidMask> = states.cuboids.keys().copied().collect();
-    masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
-    let pool = tabula_par::Pool::global();
-    let classified: Vec<(usize, Vec<Vec<u32>>)> = pool.par_map(&masks, |mask| {
-        let groups = &states.cuboids[mask];
-        let mut cells: Vec<Vec<u32>> = groups
+    let masks = CuboidMask::enumerate(partition.space().width());
+    let classified: Vec<Vec<CubeKey>> = tabula_par::Pool::global().par_map(&masks, |mask| {
+        states.cuboids[mask]
             .iter()
             .filter(|(_, state)| exceeds_theta(loss.finish(global_ctx, state), theta))
             .map(|(key, _)| key.clone())
-            .collect();
-        // Deterministic ordering for reproducible builds.
-        cells.sort_unstable();
-        (groups.len(), cells)
+            .collect()
     });
-    let mut iceberg: FxHashMap<CuboidMask, Vec<Vec<u32>>> = FxHashMap::default();
-    let mut total_cells = 0usize;
+    let mut iceberg: FxHashMap<CuboidMask, Vec<CubeKey>> = FxHashMap::default();
+    let total_cells = states.total_cells();
     let mut iceberg_count = 0usize;
-    for (mask, (cuboid_cells, cells)) in masks.into_iter().zip(classified) {
-        total_cells += cuboid_cells;
+    for (mask, cells) in masks.into_iter().zip(classified) {
         if !cells.is_empty() {
             iceberg_count += cells.len();
             iceberg.insert(mask, cells);
@@ -160,7 +145,9 @@ mod tests {
             let grouped = group_by(&t, &attrs).unwrap();
             for (key, rows) in &grouped.groups {
                 let direct = loss.loss_with_ctx(&t, rows, &ctx);
-                let flagged = dry.iceberg.get(&mask).is_some_and(|cells| cells.contains(key));
+                let cell = CellKey::from_compact(mask, 3, key);
+                let cell = dry.states.space.encode_cell(&cell).unwrap();
+                let flagged = dry.iceberg.get(&mask).is_some_and(|cells| cells.contains(&cell));
                 assert_eq!(
                     flagged,
                     exceeds_theta(direct, theta),

@@ -22,16 +22,17 @@
 use crate::loss::AccuracyLoss;
 use tabula_obs::span;
 use tabula_par::Pool;
-use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::{FinestPartition, FxHashMap, RowId, Table};
+use tabula_storage::cube::CuboidMask;
+use tabula_storage::{CubeKey, FinestPartition, FxHashMap, RowId, Table};
 
 /// One materialized iceberg cell: the paper's cube-table row, carrying the
 /// cell's raw data (needed later by the SamGraph join) and its local
 /// sample.
 #[derive(Debug, Clone)]
 pub struct CubeEntry {
-    /// The cell.
-    pub cell: CellKey,
+    /// The cell, as a key of the build's
+    /// [`CellSpace`](tabula_storage::CellSpace).
+    pub cell: CubeKey,
     /// Row ids of the cell's raw data.
     pub rows: Vec<RowId>,
     /// Row ids of the cell's local sample (⊆ `rows`).
@@ -91,39 +92,32 @@ pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
 }
 
 /// Run the real-run stage: materialize local samples for every cell of
-/// `iceberg` (compact keys per cuboid, as the dry run reports them),
-/// fetching their rows from `partition` (the dry run's) and drawing the
-/// samples with `loss`'s Algorithm-1 sampler.
+/// `iceberg` (keys per cuboid, as the dry run reports them), fetching
+/// their rows from `partition` (the dry run's) and drawing the samples
+/// with `loss`'s Algorithm-1 sampler.
 pub fn real_run<L: AccuracyLoss>(
     table: &Table,
     partition: &FinestPartition,
     loss: &L,
     theta: f64,
-    iceberg: &FxHashMap<CuboidMask, Vec<Vec<u32>>>,
+    iceberg: &FxHashMap<CuboidMask, Vec<CubeKey>>,
 ) -> RealRun {
     // Deterministic cuboid order: finest first, then by mask.
     let mut masks: Vec<CuboidMask> = iceberg.keys().copied().collect();
     masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
-    let mut stats = RealRunStats {
-        cuboids_processed: masks.len(),
-        cuboids_skipped: (1usize << partition.width()) - masks.len(),
-        finest_runs: partition.runs(),
-        gathered_rows: 0,
-    };
     let pool = Pool::global();
 
     // Phase 1 (data-system work): fetch each iceberg cell's raw rows.
     let gather_span = span!("real_run.gather", "cuboids={} runs={}", masks.len(), partition.runs());
     let gathered = pool.par_map(&masks, |mask| partition.gather(*mask, &iceberg[mask]));
-    let mut work: Vec<(CellKey, Vec<RowId>)> =
-        Vec::with_capacity(iceberg.values().map(Vec::len).sum());
-    for (mask, cells) in masks.into_iter().zip(gathered) {
-        for (compact, rows) in cells {
-            stats.gathered_rows += rows.len();
-            work.push((CellKey::from_compact(mask, partition.width(), &compact), rows));
-        }
-    }
+    let work: Vec<(CubeKey, Vec<RowId>)> = gathered.into_iter().flatten().collect();
     drop(gather_span);
+    let stats = RealRunStats {
+        cuboids_processed: masks.len(),
+        cuboids_skipped: (1usize << partition.space().width()) - masks.len(),
+        finest_runs: partition.runs(),
+        gathered_rows: work.iter().map(|(_, rows)| rows.len()).sum(),
+    };
 
     // Phase 2 (parallel): draw a local sample per iceberg cell on the
     // shared work-stealing pool.
@@ -140,7 +134,7 @@ fn sample_cells<L: AccuracyLoss>(
     table: &Table,
     loss: &L,
     theta: f64,
-    work: Vec<(CellKey, Vec<RowId>)>,
+    work: Vec<(CubeKey, Vec<RowId>)>,
     pool: &Pool,
 ) -> Vec<CubeEntry> {
     let samples: Vec<Vec<RowId>> =
@@ -158,6 +152,7 @@ mod tests {
     use crate::loss::MeanLoss;
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
+    use tabula_storage::CellSpace;
 
     #[test]
     fn cost_model_prefers_prune_for_few_icebergs() {
@@ -171,7 +166,7 @@ mod tests {
         assert_eq!(choose_plan(100, 1, 1), CuboidPlan::GroupAll);
     }
 
-    fn build(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry>, RealRunStats) {
+    fn build(theta: f64) -> (tabula_storage::Table, CellSpace, Vec<CubeEntry>, RealRunStats) {
         let t = example_dcm_table();
         let fare = t.schema().index_of("fare").unwrap();
         let loss = MeanLoss::new(fare);
@@ -180,13 +175,13 @@ mod tests {
         let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
         let dry = dry_run(&t, &partition, &loss, &ctx, theta);
         let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
-        (t, rr.entries, rr.stats)
+        (t, partition.space().clone(), rr.entries, rr.stats)
     }
 
     #[test]
     fn every_iceberg_cell_gets_a_sample_meeting_theta() {
         let theta = 0.10;
-        let (t, entries, stats) = build(theta);
+        let (t, _, entries, stats) = build(theta);
         assert!(!entries.is_empty());
         assert_eq!(stats.cuboids_processed + stats.cuboids_skipped, 8);
         assert!(stats.finest_runs > 0);
@@ -199,20 +194,20 @@ mod tests {
             // Sample rows are a subset of the cell's rows.
             assert!(e.sample.iter().all(|r| e.rows.contains(r)));
             let achieved = loss.loss(&t, &e.rows, &e.sample);
-            assert!(achieved <= theta + 1e-12, "cell {}: {achieved}", e.cell);
+            assert!(achieved <= theta + 1e-12, "cell {:?}: {achieved}", e.cell);
         }
     }
 
     #[test]
     fn entry_rows_match_direct_filtering() {
-        let (t, entries, _) = build(0.10);
+        let (t, space, entries, _) = build(0.10);
         for e in &entries {
+            let cell = space.decode(&e.cell);
             // Reconstruct the cell's rows by scanning the whole table.
             let cats: Vec<_> = (0..3).map(|c| t.cat(c).unwrap()).collect();
             let expect: Vec<RowId> = (0..t.len() as RowId)
                 .filter(|&r| {
-                    e.cell
-                        .codes
+                    cell.codes
                         .iter()
                         .zip(&cats)
                         .all(|(code, cat)| code.is_none_or(|c| cat.codes()[r as usize] == c))
@@ -220,13 +215,13 @@ mod tests {
                 .collect();
             let mut got = e.rows.clone();
             got.sort_unstable();
-            assert_eq!(got, expect, "cell {}", e.cell);
+            assert_eq!(got, expect, "cell {cell}");
         }
     }
 
     #[test]
     fn no_icebergs_means_no_entries() {
-        let (_, entries, stats) = build(f64::INFINITY);
+        let (_, _, entries, stats) = build(f64::INFINITY);
         assert!(entries.is_empty());
         assert_eq!(stats.cuboids_processed, 0);
         assert_eq!(stats.cuboids_skipped, 8);
@@ -237,8 +232,8 @@ mod tests {
         let t = example_dcm_table();
         let fare = t.schema().index_of("fare").unwrap();
         let loss = MeanLoss::new(fare);
-        let work: Vec<(CellKey, Vec<RowId>)> =
-            (0..6).map(|i| (CellKey::new(vec![Some(i)]), t.all_rows())).collect();
+        let work: Vec<(CubeKey, Vec<RowId>)> =
+            (0..6).map(|i| (CubeKey::Packed(i), t.all_rows())).collect();
         let serial = sample_cells(&t, &loss, 0.1, work.clone(), &Pool::with_threads(1));
         let parallel = sample_cells(&t, &loss, 0.1, work, &Pool::with_threads(4));
         assert_eq!(serial.len(), parallel.len());

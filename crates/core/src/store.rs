@@ -133,13 +133,11 @@ fn max_code(codes: &tabula_storage::ColumnBuf<u32>) -> Option<u32> {
 
 /// Per-attribute bit widths of packed keys (none for flat keys): the
 /// manifest's `key_bits`.
-fn key_bits(keys: &CubeKeys) -> Vec<u32> {
-    match keys {
-        CubeKeys::Packed { layout, .. } => {
-            (0..layout.width()).map(|i| layout.attr_bits(i)).collect()
-        }
-        CubeKeys::Flat(_) => Vec::new(),
-    }
+fn key_bits(cells: &CubeTable) -> Vec<u32> {
+    cells
+        .space()
+        .layout()
+        .map_or_else(Vec::new, |layout| (0..layout.width()).map(|i| layout.attr_bits(i)).collect())
 }
 
 fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
@@ -177,7 +175,7 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
     // The cube table's arrays, verbatim.
     let cells = cube.materialized_cells() as u64;
     let key_encoding = match cube.cells().keys() {
-        CubeKeys::Packed { keys, .. } => {
+        CubeKeys::Packed(keys) => {
             w.add_block("cube:keys", cells, &tabula_store::encode_u64s(keys))?;
             ENC_PACKED
         }
@@ -219,7 +217,7 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
         attrs: cube.attrs().to_vec(),
         theta: cube.theta(),
         key_encoding: key_encoding.to_string(),
-        key_bits: key_bits(cube.cells().keys()),
+        key_bits: key_bits(cube.cells()),
         cells,
         table_rows: table.len() as u64,
         samples: cube.persisted_samples() as u64,
@@ -317,7 +315,7 @@ fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
         }
     };
     let cells = adopted.map_err(|reason| bad_block(block, reason))?;
-    let bits = key_bits(cells.keys());
+    let bits = key_bits(&cells);
     if bits != meta.key_bits {
         return Err(bad_block(
             block,

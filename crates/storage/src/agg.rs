@@ -11,7 +11,7 @@
 //!   per-tuple-decomposed visualization losses (Functions 2/histogram),
 //! * [`Moments2D`] — the five regression moments `(n, Σx, Σy, Σxy, Σx²)`
 //!   (Function 3: regression-angle loss),
-//! * [`Count`], [`MinMax`] — bookkeeping used by cost models and tests.
+//! * [`Count`] — bookkeeping used by cost models and tests.
 
 use serde::{Deserialize, Serialize};
 
@@ -175,53 +175,6 @@ impl AggState for Moments2D {
     }
 }
 
-/// Minimum and maximum of a scalar (distributive).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MinMax {
-    /// Smallest value seen, `+∞` when empty.
-    pub min: f64,
-    /// Largest value seen, `−∞` when empty.
-    pub max: f64,
-}
-
-impl Default for MinMax {
-    fn default() -> Self {
-        MinMax { min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-}
-
-impl MinMax {
-    /// Account one value.
-    #[inline]
-    pub fn add(&mut self, v: f64) {
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Account a whole chunk of values (min/max are order-insensitive, but
-    /// the fold is left-to-right anyway for uniformity).
-    #[inline]
-    pub fn add_slice(&mut self, values: &[f64]) {
-        for &v in values {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-    }
-
-    /// Whether any value has been folded in.
-    pub fn is_populated(&self) -> bool {
-        self.min <= self.max
-    }
-}
-
-impl AggState for MinMax {
-    #[inline]
-    fn merge(&mut self, other: &Self) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,29 +283,10 @@ mod tests {
         assert_eq!(bulk.sxx.to_bits(), one.sxx.to_bits());
         assert_eq!(bulk.n, one.n);
 
-        let mut bulk = MinMax::default();
-        bulk.add_slice(&xs);
-        assert_eq!(bulk.min, xs[0]);
-        assert_eq!(bulk.max, xs[99]);
-
         let mut c = Count::default();
         c.add_n(7);
         c.add();
         assert_eq!(c.n, 8);
-    }
-
-    #[test]
-    fn minmax_tracks_extremes() {
-        let mut m = MinMax::default();
-        assert!(!m.is_populated());
-        m.add(3.0);
-        m.add(-1.0);
-        let mut other = MinMax::default();
-        other.add(10.0);
-        m.merge(&other);
-        assert_eq!(m.min, -1.0);
-        assert_eq!(m.max, 10.0);
-        assert!(m.is_populated());
     }
 
     #[test]

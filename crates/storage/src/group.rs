@@ -275,17 +275,6 @@ fn group_scalar(
     groups
 }
 
-/// Project each row of `rows` to its code tuple under `cols` without
-/// grouping, packed row-major (one allocation total, not one per row).
-/// Useful for membership probes against a set of cells.
-pub fn project_codes(table: &Table, cols: &[usize], rows: &[RowId]) -> Result<PackedCodes> {
-    let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
-    let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-    let mut packed = PackedCodes::new(cols.len());
-    packed.fill(&code_slices, rows);
-    Ok(packed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,14 +346,6 @@ mod tests {
     fn non_categorical_column_is_error() {
         let t = table();
         assert!(group_by(&t, &[2]).is_err());
-    }
-
-    #[test]
-    fn project_codes_matches_group_keys() {
-        let t = table();
-        let codes = project_codes(&t, &[0, 1], &[0, 3]).unwrap();
-        let keys: Vec<&[u32]> = codes.keys().collect();
-        assert_eq!(keys, vec![&[0, 0][..], &[2, 2][..]]);
     }
 
     /// The run-aligned kernel must produce groups identical to both the

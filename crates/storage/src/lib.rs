@@ -17,6 +17,8 @@
 //!   one grouping of the raw data and every coarser cuboid is derived from
 //!   an already-computed parent by merging mergeable aggregate states
 //!   ([`agg::AggState`]),
+//! * the one key every cell of every cuboid is spelled as, from that
+//!   grouping to the frozen cube table ([`cellspace`]),
 //! * that grouping: the partition of row ids by finest-cuboid key
 //!   ([`partition`]), whose runs the "dry run" stage of cube construction
 //!   folds into per-cell states and the "real run" stage fetches every
@@ -30,6 +32,7 @@
 //! dashboard and lets per-column categorical indexes be cached safely.
 
 pub mod agg;
+pub mod cellspace;
 pub mod column;
 pub mod cube;
 pub mod dictionary;
@@ -47,8 +50,9 @@ pub mod table;
 pub mod types;
 
 pub use agg::AggState;
+pub use cellspace::{CellSpace, CubeKey};
 pub use column::Column;
-pub use cube::{CellKey, CuboidMask, Lattice};
+pub use cube::{CellKey, CuboidMask};
 pub use dictionary::Dictionary;
 pub use encoding::{
     decode_count, encoding_mode, set_encoding_mode, Codable, Encoded, EncodedBuf, EncodingMode,
@@ -56,7 +60,7 @@ pub use encoding::{
 pub use fx::{FxHashMap, FxHashSet};
 pub use group::{group_by, GroupedRows};
 pub use kernel::{chunk_rows, kernel_mode, set_kernel_mode, KernelMode, SelectionVector};
-pub use packed::{KeyLayout, KeyProjection, PackedCodes, PackedKeyBuf};
+pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
 pub use partition::FinestPartition;
 pub use predicate::{CmpOp, Predicate, ScanKernel, ScanStats};
 pub use schema::{Field, Schema};

@@ -11,15 +11,13 @@
 //!   occupies `Σ ⌈log₂ cᵢ⌉` bits instead of 32 bits per attribute. When
 //!   that sum fits in 64 bits (true for every realistic dashboard cube —
 //!   e.g. seven attributes of cardinality 100 need 49 bits), a key is one
-//!   `u64`: hashing is a single-word mix, equality one compare, and the
-//!   lattice rollup merges parent states by *squeezing* the removed
-//!   attribute's bit field out of the key without ever re-decoding.
+//!   `u64`: hashing is a single-word mix, equality one compare.
 //!
 //! Layouts place attribute 0 in the **highest** bits, so ascending `u64`
 //! order equals ascending lexicographic order of the decoded code tuples.
-//! The rollup exploits this: sorting packed entries by `u64` gives exactly
-//! the order the scalar path gets by sorting `Vec<u32>` keys, which is how
-//! the two paths stay bit-identical (see `cube::rollup_from_finest`).
+//! A cube's cell keys ([`crate::cellspace`]) are this layout over domains
+//! of `cardinality + 1`, which is why sorting them sorts every cuboid's
+//! cells the way sorting its code tuples would.
 //!
 //! Both buffer types reuse their allocation across refills (`clear` +
 //! `resize` never shrink capacity), so steady-state loops — morsel after
@@ -120,20 +118,17 @@ impl KeyLayout {
     pub fn from_cardinalities(cards: &[usize]) -> Option<KeyLayout> {
         let bits: Vec<u8> = cards.iter().map(|&c| Self::bits_for(c)).collect();
         let total: u32 = bits.iter().map(|&b| b as u32).sum();
-        (total <= 64).then(|| Self::from_bits(bits))
-    }
-
-    /// Lay out fields of the given widths (`Σ bits ≤ 64`), attribute 0
-    /// highest: shiftᵢ = total − (bits₀ + … + bitsᵢ).
-    fn from_bits(bits: Vec<u8>) -> KeyLayout {
-        let total: u32 = bits.iter().map(|&b| b as u32).sum();
+        if total > 64 {
+            return None;
+        }
+        // Attribute 0 highest: shiftᵢ = total − (bits₀ + … + bitsᵢ).
         let mut shifts = Vec::with_capacity(bits.len());
         let mut used = 0u32;
         for &b in &bits {
             used += b as u32;
             shifts.push((total - used) as u8);
         }
-        KeyLayout { bits, shifts, total_bits: total }
+        Some(KeyLayout { bits, shifts, total_bits: total })
     }
 
     /// Bits needed to store any code of an attribute with cardinality
@@ -179,7 +174,7 @@ impl KeyLayout {
                 "code {c} exceeds {} bits",
                 self.bits[i]
             );
-            key |= (c as u64) << self.shifts[i];
+            key |= self.field(i, c);
         }
         key
     }
@@ -194,88 +189,31 @@ impl KeyLayout {
             && codes.iter().zip(&self.bits).all(|(&c, &b)| b == 32 || (c as u64) < (1u64 << b))
     }
 
-    /// Unpack a key into `out` (cleared first).
-    #[inline]
-    pub fn decode_into(&self, key: u64, out: &mut Vec<u32>) {
-        out.clear();
-        for i in 0..self.bits.len() {
-            let b = self.bits[i] as u32;
-            let field = if b == 0 { 0 } else { (key >> self.shifts[i]) & Self::field_mask(b) };
-            out.push(field as u32);
-        }
-    }
-
-    /// Unpack a key into a fresh vector.
+    /// Unpack a key into its code tuple.
     pub fn decode(&self, key: u64) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.bits.len());
-        self.decode_into(key, &mut out);
-        out
-    }
-
-    /// Remove attribute `removed`'s bit field from `key`, closing the gap —
-    /// the packed form of dropping one position from a compact code tuple.
-    /// The result is exactly what [`Self::without_attr`]'s layout encodes
-    /// for the shortened tuple, so the lattice rollup maps parent keys to
-    /// child keys with two shifts and a mask, never re-decoding.
-    #[inline]
-    pub fn squeeze(&self, key: u64, removed: usize) -> u64 {
-        let b = self.bits[removed] as u32;
-        if b == 0 {
-            return key;
-        }
-        let s = self.shifts[removed] as u32;
-        let low = if s == 0 { 0 } else { key & ((1u64 << s) - 1) };
-        let high = if s + b >= 64 { 0 } else { key >> (s + b) };
-        (high << s) | low
-    }
-
-    /// The layout of keys with attribute `removed` squeezed out.
-    pub fn without_attr(&self, removed: usize) -> KeyLayout {
-        let mut bits = self.bits.clone();
-        bits.remove(removed);
-        Self::from_bits(bits)
-    }
-
-    /// The map from this layout's keys onto the keys of the cuboid that
-    /// keeps only `attrs` (ascending attribute indices) — [`squeeze`]
-    /// for any number of removed attributes at once.
-    ///
-    /// [`squeeze`]: Self::squeeze
-    pub fn projection(&self, attrs: &[usize]) -> KeyProjection {
-        let layout = Self::from_bits(attrs.iter().map(|&a| self.bits[a]).collect());
-        let fields = attrs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| self.bits[a] > 0)
-            .map(|(i, &a)| {
-                (self.shifts[a], layout.shifts[i], Self::field_mask(self.bits[a] as u32))
+        (0..self.bits.len())
+            .map(|i| {
+                let b = self.bits[i] as u32;
+                if b == 0 {
+                    0
+                } else {
+                    ((key >> self.shifts[i]) & Self::field_mask(b)) as u32
+                }
             })
-            .collect();
-        KeyProjection { layout, fields }
-    }
-}
-
-/// Projects packed keys of a parent layout onto a subset of its
-/// attributes; built by [`KeyLayout::projection`].
-#[derive(Debug, Clone)]
-pub struct KeyProjection {
-    layout: KeyLayout,
-    /// Per kept attribute of non-zero width: shift in the parent key,
-    /// shift in the projected key, field mask.
-    fields: Vec<(u8, u8, u64)>,
-}
-
-impl KeyProjection {
-    /// The layout of the projected keys.
-    pub fn layout(&self) -> &KeyLayout {
-        &self.layout
+            .collect()
     }
 
-    /// Project one parent key. Equals the projected layout's
-    /// [`encode`](KeyLayout::encode) of the kept attributes' codes.
+    /// `word` placed in attribute `i`'s bit field.
     #[inline]
-    pub fn apply(&self, key: u64) -> u64 {
-        self.fields.iter().fold(0, |out, &(from, to, mask)| out | ((key >> from) & mask) << to)
+    pub fn field(&self, i: usize, word: u32) -> u64 {
+        // A zero-width field above a 64-bit key sits at shift 64.
+        (word as u64).checked_shl(self.shifts[i] as u32).unwrap_or(0)
+    }
+
+    /// The bits attribute `i`'s field occupies in a packed key.
+    #[inline]
+    pub fn field_bits(&self, i: usize) -> u64 {
+        Self::field_mask(self.bits[i] as u32).checked_shl(self.shifts[i] as u32).unwrap_or(0)
     }
 }
 
@@ -457,50 +395,6 @@ mod tests {
         assert!(KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 20]).is_some());
         // 22 + 22 + 21 = 65 bits: one too many.
         assert!(KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 21]).is_none());
-    }
-
-    #[test]
-    fn squeeze_matches_child_layout_encoding() {
-        let l = KeyLayout::from_cardinalities(&[4, 3, 2, 1]).unwrap();
-        let codes = [3u32, 2, 1, 0];
-        let key = l.encode(&codes);
-        for removed in 0..4 {
-            let child = l.without_attr(removed);
-            let mut child_codes = codes.to_vec();
-            child_codes.remove(removed);
-            assert_eq!(l.squeeze(key, removed), child.encode(&child_codes), "attr {removed}");
-        }
-    }
-
-    #[test]
-    fn projection_matches_sub_layout_encoding() {
-        // Widths (2, 2, 0, 3, 1): a zero-width attribute in the middle.
-        let l = KeyLayout::from_cardinalities(&[4, 3, 1, 8, 2]).unwrap();
-        let codes = [3u32, 2, 0, 5, 1];
-        let key = l.encode(&codes);
-        for mask in 0u32..32 {
-            let attrs: Vec<usize> = (0..5).filter(|a| mask & (1 << a) != 0).collect();
-            let kept: Vec<u32> = attrs.iter().map(|&a| codes[a]).collect();
-            let p = l.projection(&attrs);
-            assert_eq!(p.apply(key), p.layout().encode(&kept), "attrs {attrs:?}");
-            assert_eq!(p.layout().decode(p.apply(key)), kept, "attrs {attrs:?}");
-        }
-        // 64 bits total: no shift reaches 64.
-        let l = KeyLayout::from_cardinalities(&[1 << 32, 1 << 32]).unwrap();
-        let key = l.encode(&[u32::MAX, 7]);
-        assert_eq!(l.projection(&[0]).apply(key), u32::MAX as u64);
-        assert_eq!(l.projection(&[1]).apply(key), 7);
-        assert_eq!(l.projection(&[0, 1]).apply(key), key);
-    }
-
-    #[test]
-    fn squeeze_full_width_key() {
-        // 64 bits total: squeezing must not shift by ≥ 64.
-        let l = KeyLayout::from_cardinalities(&[1 << 32, 1 << 32]).unwrap();
-        assert_eq!(l.total_bits(), 64);
-        let key = l.encode(&[u32::MAX, 7]);
-        assert_eq!(l.squeeze(key, 0), 7);
-        assert_eq!(l.squeeze(key, 1), u32::MAX as u64);
     }
 
     #[test]

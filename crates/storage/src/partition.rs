@@ -14,16 +14,15 @@
 //! into one aggregate state ([`FinestPartition::fold_runs`]) is the dry
 //! run's scan, so a build groups the table exactly once.
 //!
-//! Run keys are bit-packed `u64`s when the [`KeyLayout`] fits 64 bits
-//! (projection is then [`KeyLayout::projection`]'s shift-and-mask, and a
-//! wanted cell is found by binary search over packed words); otherwise
-//! they stay `u32` code tuples and every step compares tuples instead.
-//! Both forms order runs lexicographically by code tuple.
+//! Run keys are [`CubeKey`]s of the cube's [`CellSpace`], built here: a
+//! run's key is a cell with no `*`, the coarser cell it belongs to is that
+//! key projected onto the cuboid, and a wanted cell is found by binary
+//! search. Runs ascend by key, which is lexicographic code-tuple order.
 
+use crate::cellspace::{CellSpace, CubeKey};
 use crate::cube::CuboidMask;
 use crate::group::group_by;
 use crate::kernel;
-use crate::packed::KeyLayout;
 use crate::table::{RowId, Table};
 use crate::Result;
 use std::time::Instant;
@@ -38,23 +37,16 @@ fn record_kernel_ns(since: Instant) {
     tabula_obs::global().counter("cube.kernel_ns").add(since.elapsed().as_nanos() as u64);
 }
 
-/// Keys of the partition's runs, ascending.
-#[derive(Debug)]
-enum RunKeys {
-    Packed { layout: KeyLayout, keys: Vec<u64> },
-    Tuples(Vec<Vec<u32>>),
-}
-
 /// The row ids of a table sorted by finest-cuboid key (ties by row id),
 /// with one run per distinct key. See the module docs.
 #[derive(Debug)]
 pub struct FinestPartition {
-    /// Number of partitioning columns.
-    width: usize,
+    space: CellSpace,
     rows: Vec<RowId>,
     /// Run `i` is `rows[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
-    keys: RunKeys,
+    /// Key of each run, ascending.
+    keys: Vec<CubeKey>,
 }
 
 impl FinestPartition {
@@ -62,46 +54,47 @@ impl FinestPartition {
     ///
     /// One [`group_by`] (a single hashing pass, run-aligned on RLE
     /// columns) finds the runs with their rows already ascending; only
-    /// the distinct keys are sorted.
+    /// the distinct keys are sorted. The keys' [`CellSpace`] is the cube
+    /// table's, a function of the columns' cardinalities — except under
+    /// `TABULA_KERNELS=scalar`, which forces the flat width on the whole
+    /// build so that it can be compared against the packed one.
     pub fn build(table: &Table, cols: &[usize]) -> Result<FinestPartition> {
         let started = Instant::now();
-        let mut groups: Vec<(Vec<u32>, Vec<RowId>)> =
-            group_by(table, cols)?.groups.into_iter().collect();
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut rows = Vec::with_capacity(table.len());
-        let mut starts = Vec::with_capacity(groups.len() + 1);
-        let mut tuples = Vec::with_capacity(groups.len());
-        for (key, members) in groups {
-            starts.push(rows.len() as u32);
-            rows.extend_from_slice(&members);
-            tuples.push(key);
-        }
-        starts.push(rows.len() as u32);
         let cards: Vec<usize> = cols
             .iter()
             .map(|&c| table.cat(c).map(|cat| cat.cardinality()))
             .collect::<Result<_>>()?;
-        let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
-        let keys = match layout {
-            Some(layout) => {
-                let keys = tuples.iter().map(|t| layout.encode(t)).collect();
-                RunKeys::Packed { layout, keys }
-            }
-            None => RunKeys::Tuples(tuples),
-        };
+        let space =
+            if kernel::vectorize() { CellSpace::new(cards) } else { CellSpace::flat(cards) };
+        let mut groups: Vec<(CubeKey, Vec<RowId>)> = group_by(table, cols)?
+            .groups
+            .into_iter()
+            .map(|(codes, members)| (space.finest(&codes), members))
+            .collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rows = Vec::with_capacity(table.len());
+        let mut starts = Vec::with_capacity(groups.len() + 1);
+        let mut keys = Vec::with_capacity(groups.len());
+        for (key, members) in groups {
+            starts.push(rows.len() as u32);
+            rows.extend_from_slice(&members);
+            keys.push(key);
+        }
+        starts.push(rows.len() as u32);
         tabula_obs::global().counter("cube.scan_rows").add(table.len() as u64);
         record_kernel_ns(started);
-        Ok(FinestPartition { width: cols.len(), rows, starts, keys })
+        Ok(FinestPartition { space, rows, starts, keys })
     }
 
-    /// Number of partitioning columns: the length of every run key.
-    pub fn width(&self) -> usize {
-        self.width
+    /// The key space of the run keys — and of every cell gathered from
+    /// them.
+    pub fn space(&self) -> &CellSpace {
+        &self.space
     }
 
     /// Number of runs (distinct finest keys).
     pub fn runs(&self) -> usize {
-        self.starts.len() - 1
+        self.keys.len()
     }
 
     /// All row ids, sorted by `(finest key, row id)`.
@@ -114,19 +107,16 @@ impl FinestPartition {
         &self.rows[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
-    /// The code tuple all rows of run `i` share.
-    pub fn run_key(&self, i: usize) -> Vec<u32> {
-        match &self.keys {
-            RunKeys::Packed { layout, keys } => layout.decode(keys[i]),
-            RunKeys::Tuples(tuples) => tuples[i].clone(),
-        }
+    /// The finest cell all rows of run `i` share.
+    pub fn run_key(&self, i: usize) -> &CubeKey {
+        &self.keys[i]
     }
 
     /// The finest cuboid: each run's key with the state obtained by
     /// folding the run's rows, ascending, into a fresh `make()`. One pool
     /// task folds a whole run, so a state's fold sequence — and its float
     /// bits — cannot depend on the thread count.
-    pub fn fold_runs<S, M, F>(&self, make: M, fold: F) -> Vec<(Vec<u32>, S)>
+    pub fn fold_runs<S, M, F>(&self, make: M, fold: F) -> Vec<(CubeKey, S)>
     where
         S: Send,
         M: Fn() -> S + Sync,
@@ -139,7 +129,7 @@ impl FinestPartition {
                 for &row in self.run_rows(run) {
                     fold(&mut state, row);
                 }
-                (self.run_key(run), state)
+                (self.keys[run].clone(), state)
             })
             .collect::<Vec<_>>()
         });
@@ -147,51 +137,27 @@ impl FinestPartition {
         folded.into_iter().flatten().collect()
     }
 
-    /// Fetch the rows of `cells` — compact keys of cuboid `mask`, whose
-    /// attribute `i` is the partition's column `i`. Returns each cell that
-    /// has rows, with its rows ascending, in lexicographic cell order.
-    pub fn gather(&self, mask: CuboidMask, cells: &[Vec<u32>]) -> Vec<(Vec<u32>, Vec<RowId>)> {
-        let attrs = mask.attrs();
-        let mut wanted: Vec<&Vec<u32>> = cells.iter().collect();
+    /// Fetch the rows of `cells`, cells of cuboid `mask`. Returns each
+    /// cell that has rows, with its rows ascending, in key order.
+    pub fn gather(&self, mask: CuboidMask, cells: &[CubeKey]) -> Vec<(CubeKey, Vec<RowId>)> {
+        let mut wanted = cells.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
         // runs_of[i]: the runs whose key projects onto wanted[i].
-        let runs_of = match &self.keys {
-            RunKeys::Packed { layout, keys } => {
-                let projection = layout.projection(&attrs);
-                // A code outside its field's domain equals no row's code;
-                // packing it would alias another cell.
-                wanted.retain(|cell| projection.layout().fits(cell));
-                let packed: Vec<u64> =
-                    wanted.iter().map(|cell| projection.layout().encode(cell)).collect();
-                let mut runs_of = vec![Vec::new(); wanted.len()];
-                for (run, &key) in keys.iter().enumerate() {
-                    if let Ok(i) = packed.binary_search(&projection.apply(key)) {
-                        runs_of[i].push(run);
-                    }
-                }
-                runs_of
+        let project = self.space.project(mask);
+        let mut runs_of = vec![Vec::new(); wanted.len()];
+        for (run, key) in self.keys.iter().enumerate() {
+            if let Ok(i) = wanted.binary_search(&project(key)) {
+                runs_of[i].push(run);
             }
-            RunKeys::Tuples(tuples) => {
-                let mut runs_of = vec![Vec::new(); wanted.len()];
-                let mut projected = Vec::with_capacity(attrs.len());
-                for (run, tuple) in tuples.iter().enumerate() {
-                    projected.clear();
-                    projected.extend(attrs.iter().map(|&a| tuple[a]));
-                    if let Ok(i) = wanted.binary_search_by(|cell| cell.as_slice().cmp(&projected)) {
-                        runs_of[i].push(run);
-                    }
-                }
-                runs_of
-            }
-        };
+        }
         wanted
             .into_iter()
             .zip(runs_of)
             .filter(|(_, runs)| !runs.is_empty())
             .map(|(cell, runs)| {
                 let runs: Vec<&[RowId]> = runs.into_iter().map(|r| self.run_rows(r)).collect();
-                (cell.clone(), merge_ascending(&runs))
+                (cell, merge_ascending(&runs))
             })
             .collect()
     }
@@ -268,8 +234,9 @@ mod tests {
         // Codes: cash=0 credit=1 dispute=2; passengers 1→0, 2→1, 3→2.
         assert_eq!(p.runs(), 4);
         assert_eq!(p.rows(), &[0, 2, 4, 1, 5, 3]);
-        let keys: Vec<Vec<u32>> = (0..p.runs()).map(|i| p.run_key(i)).collect();
-        assert_eq!(keys, vec![vec![0, 0], vec![0, 1], vec![1, 1], vec![2, 2]]);
+        let keys: Vec<CubeKey> = (0..p.runs()).map(|i| p.run_key(i).clone()).collect();
+        let want = [[0, 0], [0, 1], [1, 1], [2, 2]].map(|codes| p.space().finest(&codes));
+        assert_eq!(keys, want);
         assert_eq!(p.run_rows(0), &[0, 2]);
         assert_eq!(p.run_rows(3), &[3]);
     }
@@ -277,10 +244,9 @@ mod tests {
     #[test]
     fn fold_runs_sees_each_run_whole_and_ascending() {
         let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
-        assert_eq!(p.width(), 2);
         let folded = p.fold_runs(Vec::new, |seen: &mut Vec<RowId>, row| seen.push(row));
-        let want: Vec<(Vec<u32>, Vec<RowId>)> =
-            (0..p.runs()).map(|i| (p.run_key(i), p.run_rows(i).to_vec())).collect();
+        let want: Vec<(CubeKey, Vec<RowId>)> =
+            (0..p.runs()).map(|i| (p.run_key(i).clone(), p.run_rows(i).to_vec())).collect();
         assert_eq!(folded, want);
     }
 
@@ -304,11 +270,17 @@ mod tests {
     #[test]
     fn gather_merges_runs_and_skips_absent_cells() {
         let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
+        let cell = |codes: [Option<u32>; 2]| p.space().encode(2, |i| codes[i]).unwrap();
         // Cuboid {passengers}: cell 1 (two passengers) spans two runs.
-        let got = p.gather(CuboidMask(0b10), &[vec![1], vec![0], vec![7], vec![1]]);
-        assert_eq!(got, vec![(vec![0], vec![0, 2]), (vec![1], vec![1, 4, 5])]);
+        let passengers = |code| cell([None, Some(code)]);
+        let got = p.gather(CuboidMask(0b10), &[passengers(1), passengers(0), passengers(1)]);
+        assert_eq!(got, vec![(passengers(0), vec![0, 2]), (passengers(1), vec![1, 4, 5])]);
+        // No dispute was a single-passenger ride.
+        let (cash, dispute) = (cell([Some(0), Some(0)]), cell([Some(2), Some(0)]));
+        assert_eq!(p.gather(CuboidMask(0b11), &[dispute, cash.clone()]), vec![(cash, vec![0, 2])]);
         // The ALL cuboid's single cell is the whole table.
-        assert_eq!(p.gather(CuboidMask(0), &[vec![]]), vec![(vec![], vec![0, 1, 2, 3, 4, 5])]);
+        let all = [cell([None, None])];
+        assert_eq!(p.gather(CuboidMask(0), &all), vec![(all[0].clone(), vec![0, 1, 2, 3, 4, 5])]);
         assert!(p.gather(CuboidMask(0b11), &[]).is_empty());
     }
 }

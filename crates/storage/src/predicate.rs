@@ -21,7 +21,7 @@ use crate::encoding::{Codable, ForView};
 use crate::kernel::{self, SelectionVector};
 use crate::table::{RowId, Table};
 use crate::types::Value;
-use crate::{Result, StorageError};
+use crate::Result;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 
 /// Comparison operator of a single predicate term.
@@ -687,24 +687,13 @@ fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     }
 }
 
-/// Convenience: validate that every predicate column exists and is one of
-/// `allowed` (used by the cube query path, where WHERE columns must be a
-/// subset of the cubed attributes).
-pub fn validate_columns(pred: &Predicate, allowed: &[String]) -> Result<()> {
-    for term in pred.terms() {
-        if !allowed.iter().any(|a| a == &term.column) {
-            return Err(StorageError::UnknownColumn(term.column.clone()));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{Field, Schema};
     use crate::table::TableBuilder;
     use crate::types::{ColumnType, Point};
+    use crate::StorageError;
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -778,13 +767,6 @@ mod tests {
             Predicate::eq("nope", 1i64).filter(&t),
             Err(StorageError::UnknownColumn(_))
         ));
-    }
-
-    #[test]
-    fn validate_columns_enforces_subset() {
-        let allowed = vec!["payment".to_owned(), "passengers".to_owned()];
-        assert!(validate_columns(&Predicate::eq("payment", "cash"), &allowed).is_ok());
-        assert!(validate_columns(&Predicate::eq("fare", 1.0), &allowed).is_err());
     }
 
     #[test]

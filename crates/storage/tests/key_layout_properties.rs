@@ -1,9 +1,9 @@
 //! Property-based tests of bit-packed key encoding ([`KeyLayout`]): the
 //! packed `u64` must round-trip every in-domain code tuple exactly —
 //! including zero-width attributes (cardinality ≤ 1) and keys wider than
-//! 32 bits in total — and `squeeze` must agree with re-encoding under the
-//! shortened layout, since the lattice rollup derives every child key that
-//! way without decoding.
+//! 32 bits in total — in lexicographic tuple order. (What a cube does with
+//! such keys — star attributes out, tell a cell's cuboid — is
+//! `tests/realrun_partition.rs`'s key-space property at the repo root.)
 
 use proptest::prelude::*;
 use tabula_storage::packed::KeyLayout;
@@ -65,29 +65,6 @@ proptest! {
                 .collect();
             let (kx, ky) = (layout.encode(&x), layout.encode(&y));
             prop_assert_eq!(kx.cmp(&ky), x.cmp(&y), "keys {:?} vs {:?}", x, y);
-        }
-    }
-
-    /// Squeezing attribute `i` out of a packed key equals encoding the
-    /// shortened tuple under the shortened layout.
-    #[test]
-    fn squeeze_agrees_with_child_encode(attrs in arb_attrs(), pick in 0usize..6) {
-        let cards: Vec<usize> = attrs.iter().map(|&(c, _)| c).collect();
-        let codes: Vec<u32> = attrs.iter().map(|&(_, code)| code).collect();
-        if let Some(layout) = KeyLayout::from_cardinalities(&cards) {
-            let removed = pick % cards.len();
-            let key = layout.encode(&codes);
-            let mut child_cards = cards.clone();
-            child_cards.remove(removed);
-            let mut child_codes = codes.clone();
-            child_codes.remove(removed);
-            let child = KeyLayout::from_cardinalities(&child_cards)
-                .expect("child key is narrower than its parent");
-            prop_assert_eq!(layout.squeeze(key, removed), child.encode(&child_codes));
-            prop_assert_eq!(
-                layout.without_attr(removed).decode(layout.squeeze(key, removed)),
-                child_codes
-            );
         }
     }
 }

@@ -163,6 +163,19 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
             assert_eq!(cube.query_cell(&cell).provenance, SampleProvenance::Local(id), "{cell}");
         }
     }
+    // A key of another arity, however long, names no stored cell.
+    for len in [n + 1, 32, 33, 40] {
+        for code in [Some(0), None] {
+            for cube in [&built, &restored] {
+                let answer = cube.query_cell(&CellKey::new(vec![code; len]));
+                assert_eq!(
+                    (answer.provenance, &answer.rows),
+                    (SampleProvenance::Global, built.global_sample()),
+                    "{len} codes of {code:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -224,7 +237,7 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
     let bytes = std::fs::read(path).unwrap();
     let (old, info) = SamplingCube::from_snapshot_bytes(bytes.clone()).unwrap();
     assert_eq!(info.epoch, 42);
-    assert!(matches!(old.cells().keys(), CubeKeys::Packed { .. }));
+    assert!(matches!(old.cells().keys(), CubeKeys::Packed(_)));
     assert_eq!(old.snapshot_bytes(42).unwrap(), bytes);
 
     let table = Arc::new(example_dcm_table());

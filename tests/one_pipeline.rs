@@ -5,7 +5,7 @@
 mod common;
 
 use common::{content_crc, measured_table, wide_table};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use tabula::core::dryrun::dry_run;
@@ -51,10 +51,11 @@ where
         tabula_par::set_threads(threads);
         let partition = FinestPartition::build(table, cols).unwrap();
         let dry = dry_run(table, &partition, loss, &ctx, f64::INFINITY);
+        // Ascending keys are ascending code tuples: the two walk together.
         let finest = &dry.states.cuboids[&CuboidMask::finest(cols.len())];
         assert_eq!(finest.len(), want.len(), "threads={threads}");
-        for (key, state) in &want {
-            let got = finest[key];
+        for ((key, state), (got_key, got)) in want.iter().zip(finest) {
+            assert_eq!(*got_key, partition.space().finest(key), "threads={threads}");
             assert_eq!(
                 (got.sum.to_bits(), got.count),
                 (state.sum.to_bits(), state.count),
@@ -184,6 +185,18 @@ fn edge_tables_and_thresholds_go_through_both_entry_points() {
             .unwrap_or_else(|e| panic!("{what}: refresh: {e}"));
         assert_eq!(stats.appended_rows, last.len() - first.len(), "{what}");
         assert_theta_holds(&refreshed, &loss, theta, what);
+        // What a fold may reuse, counted from outside: the previous iceberg
+        // cells that still are and hold no appended row. The previous
+        // generation spells them over smaller dictionaries.
+        let still_iceberg: HashSet<CellKey> = refreshed.cube_table().map(|(k, _)| k).collect();
+        let reusable = base.cube_table().filter(|(cell, _)| {
+            let compact: Vec<u32> = cell.codes.iter().flatten().copied().collect();
+            let rows = &group_by(&last, &cell.mask().attrs()).unwrap().groups[&compact];
+            still_iceberg.contains(cell) && rows.iter().all(|&r| (r as usize) < first.len())
+        });
+        let reusable = reusable.count();
+        assert_eq!(stats.reused_cells, reusable, "{what}");
+        assert!(reusable > 0 || !what.contains("dictionaries"), "{what}: nothing to reuse");
         // Both saw the same table under the same global sample.
         assert!(
             refreshed.cube_table().map(|(k, _)| k).eq(built.cube_table().map(|(k, _)| k)),

@@ -356,7 +356,7 @@ fn hostile_cube_tables(
         ("one sample id short", "cube:sample_ids", encode_u32s(&ids[1..]), KEYS),
     ];
     let alter = |f: &dyn Fn(&mut Vec<u64>)| {
-        let CubeKeys::Packed { keys, .. } = cube.cells().keys() else { unreachable!() };
+        let CubeKeys::Packed(keys) = cube.cells().keys() else { unreachable!() };
         let mut keys = keys.clone();
         f(&mut keys);
         encode_u64s(&keys)
@@ -369,8 +369,8 @@ fn hostile_cube_tables(
     };
     const KEYS: &str = "cube:keys";
     const FLAT: &str = "cube:flat";
-    match cube.cells().keys() {
-        CubeKeys::Packed { layout, .. } => {
+    match cube.cells().space().layout() {
+        Some(layout) => {
             // An attribute whose bit field has room past `cardinality`
             // (slot 0 is `*`, so codes occupy 1..=cardinality).
             let roomy = (0..n)
@@ -399,7 +399,7 @@ fn hostile_cube_tables(
                 ("one key short", KEYS, alter(&|k| k.truncate(k.len() - 1)), KEYS),
             ]);
         }
-        CubeKeys::Flat(_) => {
+        None => {
             cases[1].3 = FLAT;
             cases.extend([
                 (
