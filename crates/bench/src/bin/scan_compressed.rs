@@ -17,7 +17,7 @@
 //! * `snapshot` (clustered table only) — cube snapshot bytes with plain
 //!   vs encoded blocks, and the encoded cold-load wall time.
 //!
-//! `BENCH_scan_compressed.json` records every row; the `encoding` CI job
+//! `BENCH_scan_compressed.json` records every row; the `test` CI job
 //! gates on the clustered-scan speedup (≥ 2×) and the snapshot size
 //! reduction (≥ 30%).
 //!

@@ -14,7 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tabula_baselines::{Approach, PoiSam, SampleFirst, SampleOnTheFly};
 use tabula_bench::{
-    default_queries, default_rows, fmt_duration, taxi_table, workload, write_run_summary, SEED,
+    default_queries, default_rows, fmt_duration, mean_duration, taxi_table, workload,
+    write_run_summary, SEED,
 };
 use tabula_core::loss::{HeatmapLoss, MeanLoss, Metric, RegressionLoss};
 use tabula_core::{AccuracyLoss, SamplingCubeBuilder};
@@ -76,19 +77,15 @@ impl Task {
 }
 
 /// Per-approach mean visualization time over a workload, given a closure
-/// producing the answer rows. Accumulates through an [`obs::PhaseTimer`]
-/// instead of hand-rolled `Vec<Duration>` averaging.
+/// producing the answer rows.
 fn measure(
     table: &Table,
     queries: &[QueryCell],
     task: Task,
     mut answer: impl FnMut(&QueryCell) -> Vec<RowId>,
 ) -> Duration {
-    let mut timer = obs::PhaseTimer::new();
-    for q in queries {
-        timer.record(task.run(table, &answer(q)));
-    }
-    timer.mean()
+    let times: Vec<Duration> = queries.iter().map(|q| task.run(table, &answer(q))).collect();
+    mean_duration(&times)
 }
 
 fn main() {

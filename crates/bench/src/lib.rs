@@ -209,17 +209,6 @@ pub fn print_comparison(theta_label: &str, theta: f64, results: &[WorkloadResult
     }
 }
 
-/// Pretty-print one figure-style series row.
-pub fn print_series_header(title: &str, columns: &[&str]) {
-    println!("\n=== {title} ===");
-    print!("{:<22}", "approach");
-    for c in columns {
-        print!("{c:>16}");
-    }
-    println!();
-    println!("{}", "-".repeat(22 + 16 * columns.len()));
-}
-
 /// Format a duration in engineering units.
 pub fn fmt_duration(d: Duration) -> String {
     if d.as_secs() >= 10 {

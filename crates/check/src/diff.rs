@@ -1096,10 +1096,10 @@ mod tests {
     fn kernel_lane_restores_the_ambient_kernel_mode() {
         let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = kernel_mode();
-        set_kernel_mode(KernelMode::ForceVectorized);
+        set_kernel_mode(KernelMode::Auto);
         let case = gen_case(7);
         diff_case(&case).expect("pinned seed 7 is a clean case");
-        assert_eq!(kernel_mode(), KernelMode::ForceVectorized);
+        assert_eq!(kernel_mode(), KernelMode::Auto);
         set_kernel_mode(prev);
     }
 

@@ -14,7 +14,7 @@
 //! materialization.
 
 use crate::loss::{exceeds_theta, AccuracyLoss};
-use tabula_obs::span;
+use std::time::{Duration, Instant};
 use tabula_storage::cube::{rollup_from_finest, CellKey, CubeResult, CuboidMask};
 use tabula_storage::{CubeKey, FinestPartition, FxHashMap, Table};
 
@@ -42,6 +42,12 @@ pub struct DryRun<S> {
     pub total_cells: usize,
     /// Total iceberg cells.
     pub iceberg_count: usize,
+    /// Wall time folding the partition's runs into the finest cuboid.
+    pub scan: Duration,
+    /// Wall time merging the finest cuboid's states down the lattice.
+    pub rollup: Duration,
+    /// Wall time evaluating every cell's loss against θ.
+    pub classify: Duration,
 }
 
 impl<S> DryRun<S> {
@@ -81,19 +87,19 @@ pub fn dry_run<L: AccuracyLoss>(
     theta: f64,
 ) -> DryRun<L::State> {
     // The partition's runs fold into the finest cuboid of loss states…
-    let scan_span = span!("dry_run.scan", "rows={} runs={}", table.len(), partition.runs());
+    let start = Instant::now();
     let finest = partition
         .fold_runs(L::State::default, |state, row| loss.fold(global_ctx, state, table, row));
-    drop(scan_span);
+    let scan = start.elapsed();
     // …and the rest of the lattice is pure state merging.
-    let rollup_span = span!("dry_run.rollup");
+    let start = Instant::now();
     let states = rollup_from_finest(partition.space(), finest, &L::State::default);
-    drop(rollup_span);
+    let rollup = start.elapsed();
 
     // Per-cuboid loss-predicate evaluation is embarrassingly parallel:
     // one task per cuboid, filtering cells that are already in key order,
     // assembled in deterministic (finest-first) mask order afterwards.
-    let _classify_span = span!("dry_run.classify");
+    let start = Instant::now();
     let masks = CuboidMask::enumerate(partition.space().width());
     let classified: Vec<Vec<CubeKey>> = tabula_par::Pool::global().par_map(&masks, |mask| {
         states.cuboids[mask]
@@ -111,7 +117,7 @@ pub fn dry_run<L: AccuracyLoss>(
             iceberg.insert(mask, cells);
         }
     }
-    DryRun { states, iceberg, total_cells, iceberg_count }
+    DryRun { states, iceberg, total_cells, iceberg_count, scan, rollup, classify: start.elapsed() }
 }
 
 #[cfg(test)]

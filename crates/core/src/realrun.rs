@@ -20,7 +20,7 @@
 //! thread-count-independent).
 
 use crate::loss::AccuracyLoss;
-use tabula_obs::span;
+use std::time::{Duration, Instant};
 use tabula_par::Pool;
 use tabula_storage::cube::CuboidMask;
 use tabula_storage::{CubeKey, FinestPartition, FxHashMap, RowId, Table};
@@ -59,6 +59,10 @@ pub struct RealRunStats {
     pub finest_runs: usize,
     /// Row ids handed to the sampler, summed over all iceberg cells.
     pub gathered_rows: usize,
+    /// Wall time fetching the iceberg cells' rows from the partition.
+    pub gather: Duration,
+    /// Wall time drawing the cells' local samples.
+    pub sample_cells: Duration,
 }
 
 /// Output of the real run.
@@ -108,22 +112,24 @@ pub fn real_run<L: AccuracyLoss>(
     let pool = Pool::global();
 
     // Phase 1 (data-system work): fetch each iceberg cell's raw rows.
-    let gather_span = span!("real_run.gather", "cuboids={} runs={}", masks.len(), partition.runs());
+    let start = Instant::now();
     let gathered = pool.par_map(&masks, |mask| partition.gather(*mask, &iceberg[mask]));
     let work: Vec<(CubeKey, Vec<RowId>)> = gathered.into_iter().flatten().collect();
-    drop(gather_span);
+    let gather = start.elapsed();
+    let gathered_rows = work.iter().map(|(_, rows)| rows.len()).sum();
+
+    // Phase 2 (parallel): draw a local sample per iceberg cell on the
+    // shared work-stealing pool.
+    let start = Instant::now();
+    let entries = sample_cells(table, loss, theta, work, &pool);
     let stats = RealRunStats {
         cuboids_processed: masks.len(),
         cuboids_skipped: (1usize << partition.space().width()) - masks.len(),
         finest_runs: partition.runs(),
-        gathered_rows: work.iter().map(|(_, rows)| rows.len()).sum(),
+        gathered_rows,
+        gather,
+        sample_cells: start.elapsed(),
     };
-
-    // Phase 2 (parallel): draw a local sample per iceberg cell on the
-    // shared work-stealing pool.
-    let _sample_span =
-        span!("real_run.sample_cells", "cells={} threads={}", work.len(), pool.threads());
-    let entries = sample_cells(table, loss, theta, work, &pool);
     RealRun { entries, stats }
 }
 

@@ -21,7 +21,6 @@
 
 use crate::loss::AccuracyLoss;
 use crate::realrun::CubeEntry;
-use tabula_obs::span;
 use tabula_par::Pool;
 use tabula_storage::Table;
 
@@ -75,7 +74,6 @@ pub fn build_samgraph<L: AccuracyLoss>(
 ) -> SamGraph {
     let m = entries.len();
     let pool = Pool::global();
-    let _span = span!("selection.samgraph_join", "samples={m} threads={}", pool.threads());
     if m <= 1 {
         return SamGraph { edges: (0..m).map(|u| vec![u as u32]).collect() };
     }

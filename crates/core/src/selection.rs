@@ -11,7 +11,6 @@
 //! representative's sample id.
 
 use crate::samgraph::SamGraph;
-use tabula_obs::span;
 
 /// Output of Algorithm 3.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +39,6 @@ impl Selection {
 /// self-edge, coverage is total.
 pub fn select_representatives(graph: &SamGraph) -> Selection {
     let m = graph.len();
-    let _span = span!("selection.greedy", "vertices={m} edges={}", graph.edge_count());
     // Sort heads by descending out-degree, ascending index on ties.
     let mut order: Vec<u32> = (0..m as u32).collect();
     order.sort_by_key(|&h| (std::cmp::Reverse(graph.edges[h as usize].len()), h));

@@ -187,8 +187,8 @@ fn cube_is_identical_across_kernel_modes_and_thread_counts() {
     assert!(!baseline.cells.is_empty());
     for (mode, threads) in [
         (KernelMode::ForceScalar, 8usize),
-        (KernelMode::ForceVectorized, 1),
-        (KernelMode::ForceVectorized, 8),
+        (KernelMode::Auto, 1),
+        (KernelMode::Auto, 8),
         (KernelMode::Auto, 2),
     ] {
         set_kernel_mode(mode);

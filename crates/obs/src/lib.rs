@@ -6,13 +6,12 @@
 //!
 //! Three pillars:
 //!
-//! * **Spans** ([`span!`], [`SpanGuard`], [`Subscriber`], [`MemoryCollector`]):
-//!   RAII-timed regions with per-thread nesting depth and a pluggable global
-//!   subscriber. Disabled spans cost one relaxed atomic load.
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]):
 //!   named atomic metrics with log₂-bucketed latency histograms
 //!   (p50/p95/p99/max), point-in-time [`MetricsSnapshot`]s, and JSON /
-//!   Prometheus text exporters.
+//!   Prometheus text exporters. The write side times itself here: every
+//!   build and fold records its stages as `{build|refresh}.<stage>`
+//!   histograms in the registry its cube lives in (DESIGN.md §9).
 //! * **Provenance** ([`ProvenanceCounters`]): where did each query answer come
 //!   from — local cell sample, global-sample fallback, or empty cell.
 //! * **Tracing** ([`Tracer`], [`QueryTrace`], [`FlightRecorder`]): request-
@@ -22,29 +21,23 @@
 //!   per query.
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::time::Duration;
 //! use tabula_obs as obs;
 //!
-//! // Install the default in-memory span collector.
-//! let collector = Arc::new(obs::MemoryCollector::new());
-//! obs::set_subscriber(collector.clone());
+//! // A private registry: nothing else in the process writes to it.
+//! let registry = obs::Registry::new();
+//! registry.histogram("build.dry_run").record_duration(Duration::from_millis(3));
+//! registry.counter("dry_run.cells").add(128);
 //!
-//! {
-//!     let _span = obs::span!("build.dry_run", "cuboids={}", 8);
-//!     obs::metrics::global().counter("dry_run.cells").add(128);
-//! }
-//!
-//! obs::clear_subscriber();
-//! assert_eq!(collector.count_of("build.dry_run"), 1);
-//! let json = obs::metrics::global().snapshot().to_json();
-//! assert!(json.contains("dry_run.cells"));
+//! let snap = registry.snapshot();
+//! assert_eq!(snap.histograms["build.dry_run"].count, 1);
+//! assert_eq!(snap.counter("dry_run.cells"), 128);
+//! assert!(snap.to_json().contains("dry_run.cells"));
 //! ```
 
 pub mod export;
 pub mod metrics;
 pub mod provenance;
-pub mod span;
-pub mod timing;
 pub mod trace;
 pub mod window;
 
@@ -52,11 +45,6 @@ pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use provenance::ProvenanceCounters;
-pub use span::{
-    clear_subscriber, set_subscriber, timed, tracing_enabled, MemoryCollector, SpanGuard,
-    SpanRecord, Subscriber,
-};
-pub use timing::PhaseTimer;
 pub use trace::{
     CompletedTrace, FlightRecorder, QueryTrace, Stage, StageRecord, TraceProvenance, Tracer,
 };

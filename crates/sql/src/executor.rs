@@ -11,7 +11,6 @@ use tabula_core::loss::expr::{Expr, ExprLoss};
 use tabula_core::loss::{HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss};
 use tabula_core::{MaterializationMode, SamplingCubeBuilder, SerflingConfig, SnapshotInfo};
 use tabula_obs as obs;
-use tabula_obs::span;
 use tabula_obs::trace::{CompletedTrace, Stage, TraceProvenance, Tracer};
 use tabula_serve::Server;
 use tabula_storage::{Predicate, ScanStats, Table};
@@ -77,19 +76,13 @@ impl QueryResult {
     }
 }
 
-/// A cube registered in a session, fronted by its serving layer: sample
-/// queries go through the [`Server`] (compiled predicates, cube-table probe,
-/// answer cache), while management statements still reach the cube
-/// directly.
-struct ServedCube {
-    cube: Arc<SamplingCube>,
-    server: Server,
-}
-
 /// A SQL session: named tables, registered loss functions, built cubes.
 pub struct Session {
     tables: HashMap<String, Arc<Table>>,
-    cubes: HashMap<String, ServedCube>,
+    /// Each cube behind its serving layer: sample queries go through the
+    /// [`Server`] (compiled predicates, cube-table probe, answer cache),
+    /// management statements read its current generation.
+    cubes: HashMap<String, Server>,
     losses: HashMap<String, LossDecl>,
     seed: u64,
     serfling: SerflingConfig,
@@ -187,15 +180,15 @@ impl Session {
         self.tables.get(name)
     }
 
-    /// Look up a built cube.
-    pub fn cube(&self, name: &str) -> Option<&SamplingCube> {
-        self.cubes.get(name).map(|entry| entry.cube.as_ref())
+    /// Look up a cube: the generation its server serves right now.
+    pub fn cube(&self, name: &str) -> Option<Arc<SamplingCube>> {
+        self.cubes.get(name).map(Server::cube)
     }
 
     /// Look up a cube's serving layer (index/cache statistics, manual
     /// generation installs).
     pub fn cube_server(&self, name: &str) -> Option<&Server> {
-        self.cubes.get(name).map(|entry| &entry.server)
+        self.cubes.get(name)
     }
 
     /// Names of the cubes registered in this session, sorted.
@@ -208,11 +201,11 @@ impl Session {
     /// Freeze cube `name`'s current serving generation into a snapshot
     /// file (the REPL's `\save`). Returns the bytes written.
     pub fn save_cube(&self, name: &str, path: &std::path::Path) -> Result<u64> {
-        let entry = self
+        let server = self
             .cubes
             .get(name)
             .ok_or(SqlError::Unknown { kind: "cube", name: name.to_string() })?;
-        Ok(entry.server.save_snapshot(path)?)
+        Ok(server.save_snapshot(path)?)
     }
 
     /// Thaw a cube from a snapshot file and register it under `name` (the
@@ -220,16 +213,14 @@ impl Session {
     /// installed as a new generation — cached answers from the previous
     /// generation are invalidated atomically, exactly as for a refresh.
     pub fn load_cube(&mut self, name: &str, path: &std::path::Path) -> Result<SnapshotInfo> {
-        if let Some(entry) = self.cubes.get_mut(name) {
-            let info = entry.server.install_snapshot(path)?;
-            entry.cube = entry.server.cube();
-            return Ok(info);
+        if let Some(server) = self.cubes.get(name) {
+            return Ok(server.install_snapshot(path)?);
         }
         let (cube, info) = SamplingCube::from_snapshot(path).map_err(SqlError::from)?;
         let cube = Arc::new(cube.with_registry(&self.registry));
-        let server = Server::in_registry(Arc::clone(&cube), &self.registry)?
-            .with_tracer(Arc::clone(&self.tracer));
-        self.cubes.insert(name.to_string(), ServedCube { cube, server });
+        let server =
+            Server::in_registry(cube, &self.registry)?.with_tracer(Arc::clone(&self.tracer));
+        self.cubes.insert(name.to_string(), server);
         Ok(info)
     }
 
@@ -242,11 +233,9 @@ impl Session {
     /// Execute a pre-parsed statement.
     ///
     /// Every statement is timed: the wall time lands in the session
-    /// registry's `sql.statement` histogram (plus a per-kind counter), and
-    /// a `sql.statement` span is emitted for any installed subscriber.
+    /// registry's `sql.statement` histogram (plus a per-kind counter).
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<QueryResult> {
         let kind = statement_kind(&stmt);
-        let _span = span!("sql.statement", "{kind}");
         let start = Instant::now();
         let result = self.dispatch(stmt);
         self.registry.histogram("sql.statement").record_duration(start.elapsed());
@@ -330,14 +319,13 @@ impl Session {
                     }
                 };
                 let stats = cube.stats().clone();
-                let cube = Arc::new(cube);
-                let server = Server::in_registry(Arc::clone(&cube), &self.registry)?
+                let server = Server::in_registry(Arc::new(cube), &self.registry)?
                     .with_tracer(Arc::clone(&self.tracer));
-                self.cubes.insert(name.clone(), ServedCube { cube, server });
+                self.cubes.insert(name.clone(), server);
                 Ok(QueryResult::CubeCreated { name, stats })
             }
             Statement::SelectSample { cube, conditions } => {
-                let entry = self
+                let server = self
                     .cubes
                     .get(&cube)
                     .ok_or(SqlError::Unknown { kind: "cube", name: cube.clone() })?;
@@ -345,7 +333,7 @@ impl Session {
                 let q_start = Instant::now();
                 // The server begins/finishes its own trace (its tracer is
                 // this session's — see CreateCube).
-                let answer = entry.server.query(&pred)?;
+                let answer = server.query(&pred)?;
                 let elapsed = q_start.elapsed();
                 self.registry.histogram("query.latency").record_duration(elapsed);
                 self.registry.window("query.latency").record_duration(elapsed);
@@ -390,8 +378,8 @@ impl Session {
                     ShowKind::Cubes => self
                         .cubes
                         .iter()
-                        .map(|(name, entry)| {
-                            let cube = &entry.cube;
+                        .map(|(name, server)| {
+                            let cube = server.cube();
                             format!(
                                 "{name} | attrs: {} | θ = {} | {} cells | {} samples",
                                 cube.attrs().join(","),
@@ -424,11 +412,11 @@ impl Session {
                 Ok(QueryResult::Info(lines))
             }
             Statement::ExplainCube(name) => {
-                let entry = self
+                let server = self
                     .cubes
                     .get(&name)
                     .ok_or(SqlError::Unknown { kind: "cube", name: name.clone() })?;
-                let cube = &entry.cube;
+                let cube = server.cube();
                 let s = cube.stats();
                 let m = cube.memory_breakdown();
                 Ok(QueryResult::Info(vec![
@@ -456,10 +444,10 @@ impl Session {
                     ),
                     format!(
                         "serving: {} indexed cells | answer cache {} entries ({}B){}",
-                        entry.server.indexed_cells(),
-                        entry.server.cache().len(),
-                        entry.server.cache().bytes(),
-                        if entry.server.cache().is_bypass() { " [bypassed]" } else { "" }
+                        server.indexed_cells(),
+                        server.cache().len(),
+                        server.cache().bytes(),
+                        if server.cache().is_bypass() { " [bypassed]" } else { "" }
                     ),
                 ]))
             }
@@ -475,12 +463,12 @@ impl Session {
         trace.set_label(sql_text.clone());
         let (rows, provenance) = match &stmt {
             Statement::SelectSample { cube, conditions } => {
-                let entry = self
+                let server = self
                     .cubes
                     .get(cube)
                     .ok_or(SqlError::Unknown { kind: "cube", name: cube.clone() })?;
                 let pred = predicate_of(conditions);
-                let answer = entry.server.query_traced(&pred, &mut trace)?;
+                let answer = server.query_traced(&pred, &mut trace)?;
                 (answer.table.len(), format!("{:?}", answer.provenance))
             }
             Statement::SelectRaw { table, conditions } => {

@@ -27,6 +27,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::kernel::{mode_or_env, MODE_UNSET};
 use crate::shared::ColumnBuf;
 use crate::types::Point;
 
@@ -46,41 +47,27 @@ pub enum EncodingMode {
     Force,
 }
 
-const MODE_UNSET: u8 = u8::MAX;
 static ENCODING_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_from_env() -> EncodingMode {
-    match std::env::var("TABULA_ENCODING").ok().as_deref() {
-        Some("off") => EncodingMode::Off,
-        Some("force") => EncodingMode::Force,
-        _ => EncodingMode::Auto,
-    }
-}
 
 /// The active [`EncodingMode`]: the last [`set_encoding_mode`] override,
 /// else the `TABULA_ENCODING` env knob (`auto` / `off` / `force`).
 pub fn encoding_mode() -> EncodingMode {
-    match ENCODING_MODE.load(Ordering::Relaxed) {
-        0 => EncodingMode::Auto,
+    let env = || match std::env::var("TABULA_ENCODING").ok().as_deref() {
+        Some("off") => EncodingMode::Off as u8,
+        Some("force") => EncodingMode::Force as u8,
+        _ => EncodingMode::Auto as u8,
+    };
+    match mode_or_env(&ENCODING_MODE, env) {
         1 => EncodingMode::Off,
         2 => EncodingMode::Force,
-        _ => {
-            let m = mode_from_env();
-            set_encoding_mode(m);
-            m
-        }
+        _ => EncodingMode::Auto,
     }
 }
 
 /// Override the encoding mode at runtime (used by the differential
 /// harness and the `scan_compressed` micro-benchmark to pin one path).
 pub fn set_encoding_mode(mode: EncodingMode) {
-    let v = match mode {
-        EncodingMode::Auto => 0,
-        EncodingMode::Off => 1,
-        EncodingMode::Force => 2,
-    };
-    ENCODING_MODE.store(v, Ordering::Relaxed);
+    ENCODING_MODE.store(mode as u8, Ordering::Relaxed);
 }
 
 /// Element types that can round-trip through a `u64` ordinal. The

@@ -6,7 +6,7 @@
 //! independent of `TABULA_THREADS`.
 //!
 //! When the bit-packed key fits 64 bits (see [`crate::packed::KeyLayout`])
-//! the kernel is vectorized: chunks of [`crate::kernel::chunk_rows`] rows
+//! the kernel is vectorized: chunks of [`crate::kernel::CHUNK_ROWS`] rows
 //! pack into a `u64` key buffer, probe a slot map, and append members to
 //! dense per-slot vectors — one word hashed per row, no slice keys, no
 //! per-group key allocation until the final decode. The scalar slice-key
@@ -168,7 +168,7 @@ fn group_vectorized(
     code_slices: &[&[u32]],
     src: &RowSrc<'_>,
 ) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let chunk = kernel::chunk_rows();
+    let chunk = kernel::CHUNK_ROWS;
     let pool = Pool::global();
     let partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)> =
         pool.par_chunks(src.len(), DEFAULT_MORSEL_ROWS, |range| {
@@ -389,7 +389,7 @@ mod tests {
         set_kernel_mode(KernelMode::ForceScalar);
         let scalar = group_by(&t, &[0, 1]).unwrap();
         let scalar_sub = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
-        set_kernel_mode(KernelMode::ForceVectorized);
+        set_kernel_mode(KernelMode::Auto);
         let vector = group_by(&t, &[0, 1]).unwrap();
         let vector_sub = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
         set_kernel_mode(prev);

@@ -66,7 +66,7 @@ fn semi_join_vectorized(
     if packed_cells.is_empty() {
         return Vec::new();
     }
-    let chunk = kernel::chunk_rows();
+    let chunk = kernel::CHUNK_ROWS;
     let pool = Pool::global();
     let partials = pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
         let mut packed = PackedKeyBuf::new();

@@ -2,51 +2,34 @@
 //!
 //! The storage hot loops (scan, filter, group-by, finest-cuboid
 //! aggregation) process each `tabula-par` morsel in fixed-size *chunks* of
-//! [`chunk_rows`] rows. A chunk is small enough that its packed keys, its
+//! [`CHUNK_ROWS`] rows. A chunk is small enough that its packed keys, its
 //! [`SelectionVector`], and the touched column slices stay cache-resident,
 //! while still amortizing per-batch dispatch over thousands of rows.
 //!
 //! Chunk boundaries — like morsel boundaries — are a pure function of the
-//! input length and the `TABULA_CHUNK_ROWS` knob, never of the thread
-//! count, so chunking preserves the tabula-par determinism contract:
-//! results are byte-identical for any `TABULA_THREADS`.
+//! input length, never of the thread count, so chunking preserves the
+//! tabula-par determinism contract: results are byte-identical for any
+//! `TABULA_THREADS`.
 //!
 //! [`KernelMode`] selects between the vectorized kernels and the original
 //! row-at-a-time scalar paths. Both produce *identical* results (the
 //! differential lane in tabula-check replays every fuzz case through both);
-//! the override exists for benchmarking ([`crate::predicate`] vs the
-//! scalar reference) and for pinning one path in regression tests.
+//! the override exists for pinning one path in regression tests.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
-/// Default number of rows per execution chunk.
-pub const DEFAULT_CHUNK_ROWS: usize = 2048;
-
-static CHUNK_ROWS: OnceLock<usize> = OnceLock::new();
-
-/// Rows per execution chunk: `TABULA_CHUNK_ROWS` if set (clamped to ≥ 1),
-/// else [`DEFAULT_CHUNK_ROWS`]. Read once and cached for the process
-/// lifetime, so every scan in a run chunks identically.
-pub fn chunk_rows() -> usize {
-    *CHUNK_ROWS.get_or_init(|| {
-        std::env::var("TABULA_CHUNK_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|v| v.max(1))
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
-}
+/// Rows per execution chunk.
+pub const CHUNK_ROWS: usize = 2048;
 
 /// Number of chunks a scan over `len` rows visits, given the morsel size
 /// `morsel` — per-morsel chunking restarts at each morsel boundary, so the
-/// count is `Σ ⌈morsel_len / chunk_rows⌉`. Pure arithmetic (no scan-side
+/// count is `Σ ⌈morsel_len / CHUNK_ROWS⌉`. Pure arithmetic (no scan-side
 /// accounting), hence identical at any thread count.
 pub fn chunk_count(len: usize, morsel: usize) -> u64 {
     if len == 0 {
         return 0;
     }
-    let chunk = chunk_rows();
+    let chunk = CHUNK_ROWS;
     let morsel = morsel.max(1);
     let full = len / morsel;
     let tail = len % morsel;
@@ -62,46 +45,44 @@ pub enum KernelMode {
     Auto,
     /// Always the row-at-a-time scalar reference path.
     ForceScalar,
-    /// Vectorized whenever possible (same selection rule as `Auto`; the
-    /// scalar fallback still covers shapes with no vectorized form).
-    ForceVectorized,
 }
 
-const MODE_UNSET: u8 = u8::MAX;
+pub(crate) const MODE_UNSET: u8 = u8::MAX;
 static KERNEL_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
-fn mode_from_env() -> KernelMode {
-    match std::env::var("TABULA_KERNELS").ok().as_deref() {
-        Some("scalar") => KernelMode::ForceScalar,
-        Some("vectorized") => KernelMode::ForceVectorized,
-        _ => KernelMode::Auto,
+/// The mode stored in `cell`. An unset cell is first initialised from
+/// `env` — unless an explicit store lands while `env` runs: the override
+/// wins over the environment's default, whichever thread is first.
+pub(crate) fn mode_or_env(cell: &AtomicU8, env: impl FnOnce() -> u8) -> u8 {
+    match cell.load(Ordering::Relaxed) {
+        MODE_UNSET => {
+            let env = env();
+            match cell.compare_exchange(MODE_UNSET, env, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => env,
+                Err(set) => set,
+            }
+        }
+        set => set,
     }
 }
 
 /// The active [`KernelMode`]: the last [`set_kernel_mode`] override, else
-/// the `TABULA_KERNELS` env knob (`scalar` / `vectorized` / `auto`).
+/// the `TABULA_KERNELS` env knob (`scalar` / `auto`).
 pub fn kernel_mode() -> KernelMode {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        0 => KernelMode::Auto,
+    let env = || match std::env::var("TABULA_KERNELS").ok().as_deref() {
+        Some("scalar") => KernelMode::ForceScalar as u8,
+        _ => KernelMode::Auto as u8,
+    };
+    match mode_or_env(&KERNEL_MODE, env) {
         1 => KernelMode::ForceScalar,
-        2 => KernelMode::ForceVectorized,
-        _ => {
-            let m = mode_from_env();
-            set_kernel_mode(m);
-            m
-        }
+        _ => KernelMode::Auto,
     }
 }
 
 /// Override the kernel mode at runtime (used by the differential harness
-/// and the `build_kernels` micro-benchmark to pin one path per run).
+/// to pin one path per run).
 pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Auto => 0,
-        KernelMode::ForceScalar => 1,
-        KernelMode::ForceVectorized => 2,
-    };
-    KERNEL_MODE.store(v, Ordering::Relaxed);
+    KERNEL_MODE.store(mode as u8, Ordering::Relaxed);
 }
 
 /// Whether operators should *try* the vectorized path (they still fall
@@ -175,7 +156,7 @@ mod tests {
 
     #[test]
     fn chunk_count_is_sum_over_morsels() {
-        let chunk = chunk_rows();
+        let chunk = CHUNK_ROWS;
         // One exact morsel of 4 chunks.
         assert_eq!(chunk_count(4 * chunk, 4 * chunk), 4);
         // Two morsels: 4 full chunks + a 1-row tail chunk.
@@ -204,8 +185,33 @@ mod tests {
         set_kernel_mode(KernelMode::ForceScalar);
         assert_eq!(kernel_mode(), KernelMode::ForceScalar);
         assert!(!vectorize());
-        set_kernel_mode(KernelMode::ForceVectorized);
+        set_kernel_mode(KernelMode::Auto);
         assert!(vectorize());
         set_kernel_mode(prev);
+    }
+
+    #[test]
+    fn an_override_racing_the_first_read_is_not_lost() {
+        // Thread A reads an unset cell and is still looking up the env
+        // default when thread B stores an override.
+        let cell = AtomicU8::new(MODE_UNSET);
+        let (in_env, stored) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let read = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                mode_or_env(&cell, || {
+                    in_env.wait();
+                    stored.wait();
+                    0
+                })
+            });
+            in_env.wait();
+            cell.store(1, Ordering::Relaxed);
+            stored.wait();
+            reader.join().unwrap()
+        });
+        assert_eq!((read, cell.load(Ordering::Relaxed)), (1, 1));
+        // With nobody racing, the env default sticks.
+        let cell = AtomicU8::new(MODE_UNSET);
+        assert_eq!((mode_or_env(&cell, || 0), mode_or_env(&cell, || 1)), (0, 0));
     }
 }

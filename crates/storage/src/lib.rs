@@ -59,7 +59,7 @@ pub use encoding::{
 };
 pub use fx::{FxHashMap, FxHashSet};
 pub use group::{group_by, GroupedRows};
-pub use kernel::{chunk_rows, kernel_mode, set_kernel_mode, KernelMode, SelectionVector};
+pub use kernel::{kernel_mode, set_kernel_mode, KernelMode, SelectionVector};
 pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
 pub use partition::FinestPartition;
 pub use predicate::{CmpOp, Predicate, ScanKernel, ScanStats};

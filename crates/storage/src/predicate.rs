@@ -247,7 +247,7 @@ fn filter_scalar(table: &Table, compiled: &[CompiledTerm]) -> Vec<RowId> {
 /// remaining term kernel narrows it in place. Surviving ids append in
 /// chunk (hence row) order.
 fn filter_vectorized(len: usize, terms: &[VecTerm<'_>]) -> Vec<RowId> {
-    let chunk = kernel::chunk_rows();
+    let chunk = kernel::CHUNK_ROWS;
     let pool = Pool::global();
     let partials = pool.par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
         let mut out = Vec::new();
@@ -787,7 +787,7 @@ mod tests {
         let t = table();
         let p = Predicate::eq("payment", "cash");
         let prev = crate::kernel::kernel_mode();
-        set_kernel_mode(KernelMode::ForceVectorized);
+        set_kernel_mode(KernelMode::Auto);
         let (_, vstats) = p.filter_with_stats(&t).unwrap();
         set_kernel_mode(KernelMode::ForceScalar);
         let (_, sstats) = p.filter_with_stats(&t).unwrap();
@@ -837,7 +837,7 @@ mod tests {
                     let p = Predicate::all().and(col, op, lit.clone());
                     set_kernel_mode(KernelMode::ForceScalar);
                     let scalar = p.filter(&t).unwrap();
-                    set_kernel_mode(KernelMode::ForceVectorized);
+                    set_kernel_mode(KernelMode::Auto);
                     let vector = p.filter(&t).unwrap();
                     assert_eq!(scalar, vector, "col={col} op={op:?} lit={lit:?}");
                 }

@@ -21,4 +21,4 @@ pub use heatmap::{Heatmap, HeatmapConfig};
 pub use histogram::Histogram;
 pub use regression::RegressionFit;
 pub use stats::mean_of;
-pub use timing::{timed, PhaseTimer};
+pub use timing::timed;

@@ -1,12 +1,6 @@
-//! Timing helpers for the data-to-visualization breakdown.
-//!
-//! [`PhaseTimer`] now lives in `tabula-obs` (re-exported here for
-//! compatibility) so the whole workspace shares one implementation — the
-//! viz-local copy had a `mean()` that truncated its divisor to u32.
+//! Timing helper for the data-to-visualization breakdown.
 
 use std::time::{Duration, Instant};
-
-pub use tabula_obs::PhaseTimer;
 
 /// Run `f`, returning its result and elapsed wall time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
@@ -24,16 +18,5 @@ mod tests {
         let (v, d) = timed(|| 2 + 2);
         assert_eq!(v, 4);
         assert!(d < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn phase_timer_accumulates() {
-        let mut t = PhaseTimer::default();
-        assert_eq!(t.mean(), Duration::ZERO);
-        t.record(Duration::from_millis(10));
-        t.record(Duration::from_millis(30));
-        assert_eq!(t.count(), 2);
-        assert_eq!(t.total(), Duration::from_millis(40));
-        assert_eq!(t.mean(), Duration::from_millis(20));
     }
 }

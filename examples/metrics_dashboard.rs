@@ -1,7 +1,7 @@
-//! End-to-end observability tour: build a sampling cube with tracing
-//! enabled, run a 1 000-query dashboard workload against it (plus a
-//! served pass with a fully-sampled query tracer), and dump the
-//! resulting metrics snapshot as JSON and Prometheus text, the windowed
+//! End-to-end observability tour: build a sampling cube, run a
+//! 1 000-query dashboard workload against it (plus a served pass with a
+//! fully-sampled query tracer), and dump the resulting metrics snapshot
+//! as JSON and Prometheus text, the build's stage timings, the windowed
 //! serve latency, and the flight recorder's last slow-query trace.
 //!
 //! ```bash
@@ -15,7 +15,7 @@
 //! prints.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tabula::core::loss::MeanLoss;
 use tabula::core::SamplingCubeBuilder;
 use tabula::data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
@@ -26,13 +26,9 @@ const QUERIES: usize = 1_000;
 const SERVED: usize = 200;
 
 fn main() {
-    // 1. Capture spans: the collector sees every stage of the build
-    //    (build.total → build.dry_run / build.real_run / build.selection,
-    //    plus per-cuboid spans beneath them).
-    let collector = Arc::new(obs::MemoryCollector::new());
-    obs::set_subscriber(Arc::clone(&collector) as Arc<dyn obs::Subscriber>);
-
-    // 2. Metrics: a private registry isolates this run's numbers.
+    // 1. Metrics: a private registry isolates this run's numbers. The
+    //    build records every stage into it (build.total, build.dry_run,
+    //    build.dry_run.scan, …).
     let registry = Arc::new(obs::Registry::new());
 
     let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: ROWS, seed: 42 }).generate());
@@ -45,7 +41,7 @@ fn main() {
         .build()
         .expect("cube build succeeds");
 
-    // 3. A dashboard workload: 1 000 cell lookups, latency into a
+    // 2. A dashboard workload: 1 000 cell lookups, latency into a
     //    histogram, provenance tallied by the cube itself.
     let queries = Workload::new(&attrs)
         .generate(&table, QUERIES, 0xBEEF)
@@ -57,7 +53,7 @@ fn main() {
         latency.record_duration(start.elapsed());
     }
 
-    // 4. The served path, with every query traced: slow threshold 0 ms
+    // 3. The served path, with every query traced: slow threshold 0 ms
     //    means every trace also lands in the always-retained slow ring,
     //    so the flight recorder is guaranteed to have a capture to show.
     let cube = Arc::new(cube);
@@ -73,9 +69,7 @@ fn main() {
         server.query(&q.predicate).expect("served query succeeds");
     }
 
-    obs::clear_subscriber();
-
-    // 5. The numbers. JSON snapshot first (what a dashboard would scrape) …
+    // 4. The numbers. JSON snapshot first (what a dashboard would scrape) …
     let snapshot = registry.snapshot();
     println!("=== JSON metrics snapshot ===");
     println!("{}", snapshot.to_json());
@@ -87,18 +81,10 @@ fn main() {
     // … and a human-readable digest.
     let prov = cube.provenance_counters();
     println!("\n=== digest ===");
-    println!("build stages (spans recorded by the collector):");
-    for record in collector.records() {
-        if record.name.starts_with("build.") {
-            println!(
-                "  {:indent$}{} {:?} {}",
-                "",
-                record.name,
-                record.duration,
-                record.detail,
-                indent = record.depth * 2
-            );
-        }
+    println!("build stages (histograms of the registry; a.b ran inside a):");
+    for (name, stage) in snapshot.histograms.iter().filter(|(name, _)| name.starts_with("build.")) {
+        let indent = 2 * (name.matches('.').count() - 1);
+        println!("  {:indent$}{name} {:?}", "", Duration::from_nanos(stage.sum_ns));
     }
     let lat = &snapshot.histograms["query.latency"];
     println!("query latency over {} queries:", lat.count);

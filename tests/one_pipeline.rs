@@ -208,18 +208,40 @@ fn edge_tables_and_thresholds_go_through_both_entry_points() {
     }
 }
 
+/// The write side's stage histograms, as `publish_metrics` names them
+/// under `build.` and `refresh.`; a `a.b` stage runs inside `a`.
+const STAGES: [&str; 14] = [
+    "global_sample",
+    "dry_run",
+    "dry_run.partition",
+    "dry_run.scan",
+    "dry_run.rollup",
+    "dry_run.classify",
+    "real_run",
+    "real_run.gather",
+    "real_run.sample_cells",
+    "selection",
+    "selection.samgraph_join",
+    "selection.greedy",
+    "assemble",
+    "total",
+];
+
 #[test]
 fn a_folded_generation_reports_its_own_build() {
-    let base = taxi(8_000, 51);
-    let batch = taxi(1_000, 52);
+    let base = taxi(150_000, 51);
+    let batch = taxi(10_000, 52);
     let rows: Vec<Vec<Value>> = (0..batch.len()).map(|r| batch.row(r)).collect();
     let grown = Arc::new(base.extend_rows(&rows).unwrap());
     let loss = MeanLoss::new(base.schema().index_of("fare_amount").unwrap());
+    let build = |table: &Arc<Table>, registry: &Arc<Registry>| {
+        SamplingCubeBuilder::new(Arc::clone(table), &CUBED_ATTRIBUTES[..4], loss.clone(), 0.05)
+            .registry(Arc::clone(registry))
+            .build()
+            .unwrap()
+    };
     let registry = Arc::new(Registry::new());
-    let cube = SamplingCubeBuilder::new(base, &CUBED_ATTRIBUTES[..4], loss.clone(), 0.05)
-        .registry(Arc::clone(&registry))
-        .build()
-        .unwrap();
+    let cube = build(&base, &registry);
     let (refreshed, stats) = refresh(&cube, grown, &loss, RefreshConfig::default()).unwrap();
     assert!(stats.reused_cells > 0 && stats.fresh_samples > 0, "{stats:?}");
 
@@ -228,24 +250,62 @@ fn a_folded_generation_reports_its_own_build() {
     {
         assert!(d > Duration::ZERO, "{stage} took no time: {s:?}");
     }
-    assert!(s.dry_run + s.real_run + s.selection <= s.total, "{s:?}");
     assert_eq!(s.total, stats.total);
     assert!(s.samgraph_edges > 0 && s.finest_runs > 0 && s.gathered_rows > 0, "{s:?}");
     assert_eq!(s.cuboids_processed + s.cuboids_skipped, 16);
     assert_eq!(s.samples_before_selection, stats.reused_cells + stats.fresh_samples);
 
-    // The fold reports where its cube lives, not into the process registry.
+    // The fold reports where its cube lives, not into the process registry:
+    // one build and one fold, each stage of each recorded once.
     let snap = registry.snapshot();
     assert_eq!((snap.counter("build.count"), snap.counter("refresh.count")), (1, 1));
     assert_eq!(snap.counter("refresh.reused_cells"), stats.reused_cells as u64);
-    for (stage, d) in [
-        ("refresh.dry_run", s.dry_run),
-        ("refresh.real_run", s.real_run),
-        ("refresh.selection", s.selection),
-        ("refresh.total", s.total),
-    ] {
-        let h = &snap.histograms[stage];
-        assert_eq!((h.count, h.sum_ns), (1, d.as_nanos() as u64), "{stage}");
-    }
     assert!(Arc::ptr_eq(refreshed.registry(), &registry));
+    for (prefix, s) in [("build", cube.stats()), ("refresh", s)] {
+        let ns = |stage: &str| {
+            let h = &snap.histograms[&format!("{prefix}.{stage}")];
+            assert_eq!(h.count, 1, "{prefix}.{stage}");
+            h.sum_ns
+        };
+        // The cube's own statistics are the same measurements.
+        for (stage, d) in [
+            ("dry_run", s.dry_run),
+            ("real_run", s.real_run),
+            ("selection", s.selection),
+            ("total", s.total),
+        ] {
+            assert_eq!(ns(stage), d.as_nanos() as u64, "{prefix}.{stage}");
+        }
+        // Sub-stages run inside their parent; the top-level stages add up
+        // to the whole run, the untimed glue between them being small.
+        let mut top_level = 0;
+        for parent in STAGES.iter().filter(|stage| !stage.contains('.') && **stage != "total") {
+            let children: u64 =
+                STAGES.iter().filter(|c| c.starts_with(&format!("{parent}."))).map(|c| ns(c)).sum();
+            assert!(children <= ns(parent), "{prefix}.{parent}: {children} > {}", ns(parent));
+            top_level += ns(parent);
+        }
+        let total = ns("total");
+        assert!(top_level <= total, "{prefix}: {top_level} > {total}");
+        assert!(
+            total - top_level <= (total / 20).max(2_000_000),
+            "{prefix}: {top_level} of {total}"
+        );
+    }
+
+    // Builds running side by side in private registries see only their own.
+    let small = taxi(8_000, 53);
+    let registries = [Arc::new(Registry::new()), Arc::new(Registry::new())];
+    std::thread::scope(|scope| {
+        for registry in &registries {
+            scope.spawn(|| build(&small, registry));
+        }
+    });
+    for registry in &registries {
+        let snap = registry.snapshot();
+        assert_eq!(snap.histograms.len(), STAGES.len(), "{:?}", snap.histograms.keys());
+        for stage in STAGES {
+            assert_eq!(snap.histograms[&format!("build.{stage}")].count, 1, "{stage}");
+        }
+    }
 }

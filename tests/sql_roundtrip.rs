@@ -2,6 +2,8 @@
 //! statement flow against the synthetic taxi table.
 
 use std::sync::Arc;
+use tabula::core::loss::MeanLoss;
+use tabula::core::RefreshConfig;
 use tabula::data::{TaxiConfig, TaxiGenerator};
 use tabula::sql::{QueryResult, Session, SqlError};
 use tabula::storage::Predicate;
@@ -90,6 +92,47 @@ fn empty_domain_queries_return_no_rows() {
     };
     assert_eq!(table.len(), 0);
     assert!(matches!(provenance, tabula::core::SampleProvenance::EmptyDomain));
+}
+
+#[test]
+fn management_statements_follow_the_served_generation() {
+    let mut s = session(8_000);
+    s.execute(
+        "CREATE TABLE cube AS \
+         SELECT payment_type, passenger_count, rate_code, SAMPLING(*, 0.05) AS sample \
+         FROM nyctaxi GROUPBY CUBE(payment_type, passenger_count, rate_code) \
+         HAVING mean_loss(fare_amount, Sam_global) > 0.05",
+    )
+    .unwrap();
+    // What SHOW CUBES and EXPLAIN CUBE say about a generation.
+    let described = |cube: &tabula::core::SamplingCube| {
+        (
+            format!("{} cells | {} samples", cube.materialized_cells(), cube.persisted_samples()),
+            format!("{} total, {} iceberg", cube.stats().total_cells, cube.materialized_cells()),
+            format!("total {:?}", cube.stats().total),
+        )
+    };
+    let first = described(&s.cube("cube").unwrap());
+
+    // A generation installed behind the session's back, through the server.
+    let table = Arc::clone(s.table("nyctaxi").unwrap());
+    let batch = TaxiGenerator::new(TaxiConfig { rows: 2_000, seed: 5 }).generate();
+    let rows: Vec<_> = (0..batch.len()).map(|r| batch.row(r)).collect();
+    let grown = Arc::new(table.extend_rows(&rows).unwrap());
+    let loss = MeanLoss::new(table.schema().index_of("fare_amount").unwrap());
+    s.cube_server("cube").unwrap().refresh(grown, &loss, RefreshConfig::default()).unwrap();
+
+    let served = s.cube_server("cube").unwrap().cube();
+    let (show, cells, total) = described(&served);
+    assert!(show != first.0 && cells != first.1 && total != first.2, "{first:?} again");
+    let current = s.cube("cube").unwrap();
+    assert!(Arc::ptr_eq(&current, &served));
+    assert_eq!(current.table().len(), 10_000);
+    let QueryResult::Info(cubes) = s.execute("SHOW CUBES").unwrap() else { panic!() };
+    assert!(cubes[0].ends_with(&show), "{cubes:?} should say {show}");
+    let QueryResult::Info(explain) = s.execute("EXPLAIN CUBE cube").unwrap() else { panic!() };
+    assert!(explain[1].contains(&cells), "{explain:?} should say {cells}");
+    assert!(explain[2].ends_with(&total), "{explain:?} should say {total}");
 }
 
 #[test]
