@@ -562,8 +562,12 @@ fn check_serve(
 /// each query's [`tabula_obs::trace::CompletedTrace`] to agree exactly
 /// with the cube's [`tabula_obs::ProvenanceCounters`] delta — the
 /// counters are the accounting ground truth, the trace is the per-query
-/// narrative, and they must never tell different stories. A cache hit
-/// must additionally record no index/materialize/scan stages.
+/// narrative, and they must never tell different stories. Cold and warm
+/// follow the *sample*, not the cell: a query is a cache hit exactly when
+/// an earlier one was served the same Local sample, and `cached` exactly
+/// then or when the answer is the global sample. A cache hit must record
+/// no materialize/scan stages, a global-sample or empty-domain answer no
+/// cache-probe/materialize stages.
 fn check_serve_traces(
     case: &CaseSpec,
     cube: &Arc<SamplingCube>,
@@ -584,6 +588,7 @@ fn check_serve_traces(
             })?
             .with_tracer(Arc::clone(&tracer));
 
+    let mut served_samples = BTreeSet::new();
     for pass in 0..2 {
         for (j, q) in case.queries.iter().enumerate() {
             let mut pred = Predicate::all();
@@ -596,7 +601,7 @@ fn check_serve_traces(
                 counters.cell_misses(),
                 counters.serve_cache_hits(),
             );
-            server.query(&pred).map_err(|e| Divergence {
+            let served = server.query(&pred).map_err(|e| Divergence {
                 check: "serve_query",
                 detail: format!("{mode:?} traced pass={pass} query {j}: {e:?}"),
             })?;
@@ -637,17 +642,34 @@ fn check_serve_traces(
                     ),
                 });
             }
-            if trace.provenance == TraceProvenance::CacheHit
-                && (trace.stage_ns(Stage::IndexProbe).is_some()
-                    || trace.stage_ns(Stage::Materialize).is_some()
-                    || trace.stage_ns(Stage::Scan).is_some())
-            {
+            let forbidden: &[Stage] = match trace.provenance {
+                TraceProvenance::CacheHit => &[Stage::Materialize, Stage::Scan],
+                TraceProvenance::Local => &[Stage::Scan],
+                _ => &[Stage::CacheProbe, Stage::Materialize, Stage::Scan],
+            };
+            if forbidden.iter().any(|&stage| trace.stage_ns(stage).is_some()) {
                 return Err(Divergence {
                     check: "trace_stages",
                     detail: format!(
-                        "{mode:?} pass={pass} query {q:?}: cache hit recorded probe/scan \
-                         stages: {:?}",
-                        trace.stages
+                        "{mode:?} pass={pass} query {q:?}: {:?} answer recorded one of \
+                         {forbidden:?}: {:?}",
+                        trace.provenance, trace.stages
+                    ),
+                });
+            }
+            let warm = match served.provenance {
+                SampleProvenance::Local(id) => !served_samples.insert(id),
+                SampleProvenance::Global => true,
+                SampleProvenance::EmptyDomain => false,
+            };
+            let hit = warm && served.provenance != SampleProvenance::Global;
+            if served.cached != warm || (trace.provenance == TraceProvenance::CacheHit) != hit {
+                return Err(Divergence {
+                    check: "serve_warmth",
+                    detail: format!(
+                        "{mode:?} pass={pass} query {q:?}: {:?} with sample served before={warm} \
+                         came back cached={} and traced {:?}",
+                        served.provenance, served.cached, trace.provenance
                     ),
                 });
             }

@@ -131,6 +131,8 @@ pub struct SamplingCube {
     cells: CubeTable,
     samples: Vec<Arc<Vec<RowId>>>,
     global_sample: Arc<Vec<RowId>>,
+    /// The EmptyDomain answer: no rows, shared by every such query.
+    no_rows: Arc<Vec<RowId>>,
     stats: BuildStats,
     /// The registry this cube reports into: its provenance counters live
     /// there, and so do the metrics of a refresh that starts from it.
@@ -162,6 +164,7 @@ impl SamplingCube {
             cells,
             samples,
             global_sample,
+            no_rows: Arc::new(Vec::new()),
             stats,
             registry: Arc::clone(tabula_obs::global()),
             provenance: ProvenanceCounters::global(),
@@ -257,19 +260,35 @@ impl SamplingCube {
     /// serving a compiled cell (`None`: the predicate compiled to no cell,
     /// its raw answer is empty), tallied in the provenance counters.
     pub fn lookup(&self, cell: Option<&CompiledCell>) -> (Arc<Vec<RowId>>, SampleProvenance) {
-        let Some(cell) = cell else {
-            self.provenance.record_cell_miss();
-            return (Arc::new(Vec::new()), SampleProvenance::EmptyDomain);
-        };
-        match self.cells.probe(cell) {
-            Some(sample_id) => {
-                self.provenance.record_local_hit();
-                (Arc::clone(&self.samples[sample_id as usize]), SampleProvenance::Local(sample_id))
-            }
-            None => {
-                self.provenance.record_global_hit();
-                (Arc::clone(&self.global_sample), SampleProvenance::Global)
-            }
+        let provenance = cell.map_or(SampleProvenance::EmptyDomain, |cell| self.probe(cell));
+        self.tally(provenance);
+        (Arc::clone(self.rows(provenance)), provenance)
+    }
+
+    /// The rows a provenance stands for — the one place that mapping is
+    /// spelled: a persisted sample, the global sample, or the cube's one
+    /// empty answer.
+    pub fn rows(&self, provenance: SampleProvenance) -> &Arc<Vec<RowId>> {
+        match provenance {
+            SampleProvenance::Local(id) => &self.samples[id as usize],
+            SampleProvenance::Global => &self.global_sample,
+            SampleProvenance::EmptyDomain => &self.no_rows,
+        }
+    }
+
+    /// The probe half of [`lookup`](Self::lookup): which sample serves
+    /// `cell`, counted nowhere. The caller owes exactly one tally per query.
+    pub fn probe(&self, cell: &CompiledCell) -> SampleProvenance {
+        self.cells.probe(cell).map_or(SampleProvenance::Global, SampleProvenance::Local)
+    }
+
+    /// The tally half of [`lookup`](Self::lookup): count one query answered
+    /// from `provenance`.
+    pub fn tally(&self, provenance: SampleProvenance) {
+        match provenance {
+            SampleProvenance::Local(_) => self.provenance.record_local_hit(),
+            SampleProvenance::Global => self.provenance.record_global_hit(),
+            SampleProvenance::EmptyDomain => self.provenance.record_cell_miss(),
         }
     }
 

@@ -1,77 +1,61 @@
 //! The sharded LRU answer cache: materialized sample tables keyed by
-//! compiled cell.
+//! sample id.
 //!
-//! Repeat zoom/pan queries are the common case on a dashboard (a user
-//! panning back and forth re-issues the same cells), and for those the
-//! expensive step is not the probe but the `Table::take` materialization.
-//! The cache stores the finished [`Table`] (behind an `Arc`, so a hit is
-//! one clone of a pointer) and the answer's row ids + provenance.
+//! Many cells share one answer (paper Fig. 4: the cube table maps cells to
+//! sample ids in front of a sample table), so the cache is keyed by what
+//! the answer *is* — the id the cube-table probe returned — not by the
+//! cell that asked. Repeat zoom/pan queries are the common case on a
+//! dashboard, and for those the expensive step is not the probe but the
+//! `Table::take` materialization: the cache stores the finished [`Table`]
+//! behind an `Arc`, so a hit is one clone of a pointer and every cell
+//! served by a sample ships the same table. Only Local samples live here;
+//! the global sample's table and the empty answer are fields of the
+//! server's generation and touch no shard.
 //!
 //! **Sharding.** A power-of-two number of shards, each behind its own
 //! `Mutex`; a key's shard is picked from its Fx hash, so concurrent
 //! clients rarely contend on the same lock. Per-shard state is a slab of
 //! intrusively doubly-linked nodes (`usize` indices, no `Rc` juggling)
-//! plus an `FxHashMap<CompiledCell, slot>`; LRU eviction pops the list
-//! tail.
+//! plus an `FxHashMap<sample id, slot>`; LRU eviction pops the list tail.
+//! A shard is only a cache: one found poisoned (a holder panicked, maybe
+//! mid-relink) is emptied, un-poisoned and carried on with as a miss.
 //!
 //! **Capacity** is byte-based: `TABULA_CACHE_MB` megabytes (default 64)
 //! split evenly across shards, each entry charged its materialized
-//! table's heap bytes. `TABULA_CACHE_MB=0` (or `TABULA_CACHE_BYPASS=1`)
-//! disables caching entirely.
+//! table's heap bytes plus a flat per-entry overhead (the row-id list is
+//! the cube's, not the cache's). `TABULA_CACHE_MB=0` (or
+//! `TABULA_CACHE_BYPASS=1`) disables caching entirely.
 //!
 //! **Invalidation** is epoch-based, and the epoch an entry is valid
 //! under is supplied by the *caller*, not read from the cache's clock:
 //! every cube generation carries the epoch it was installed under (the
 //! server bumps the cache clock and stamps the generation inside the
 //! same write-lock critical section), and both [`AnswerCache::get`] and
-//! [`AnswerCache::insert`] take that generation epoch explicitly. An
-//! answer computed against generation N can therefore only ever be
-//! inserted and matched under N's epoch — a query that races with a
-//! refresh (reads generation N, inserts after the swap) stamps its entry
-//! N, which no generation-N+1 reader can match, so a refresh can never
-//! leak a stale cached answer. Invalidation itself is O(1) and takes no
-//! locks; mismatched entries are reclaimed lazily when an equal-or-newer
-//! reader trips over them.
+//! [`AnswerCache::insert`] take that generation epoch explicitly. A table
+//! materialized from generation N can therefore only ever be inserted and
+//! matched under N's epoch — a query that races with a refresh (reads
+//! generation N, inserts after the swap) stamps its entry N, which no
+//! generation-N+1 reader can match, so a refresh can never leak a stale
+//! cached answer (sample ids are per generation: id 7 of N+1 is another
+//! sample). Invalidation itself is O(1) and takes no locks; mismatched
+//! entries are reclaimed lazily when an equal-or-newer reader trips over
+//! them.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tabula_core::{CompiledCell, SampleProvenance};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tabula_storage::fx::FxHasher;
-use tabula_storage::{FxHashMap, RowId, Table};
+use tabula_storage::{FxHashMap, Table};
 
-/// A cached, fully materialized query answer.
-#[derive(Debug, Clone)]
-pub struct CachedAnswer {
-    /// Sample row ids (into the raw table of the generation that produced
-    /// them).
-    pub rows: Arc<Vec<RowId>>,
-    /// Which cube path produced the rows.
-    pub provenance: SampleProvenance,
-    /// The materialized sample table shipped to the dashboard.
-    pub table: Arc<Table>,
-}
-
-impl CachedAnswer {
-    fn bytes(&self) -> usize {
-        // Charge the materialized tuples plus the row-id list plus a flat
-        // per-entry overhead for the key, node and map slot.
-        self.table.heap_bytes() + self.rows.len() * std::mem::size_of::<RowId>() + 256
-    }
-
-    /// The bytes this answer is charged against the cache capacity —
-    /// what a trace reports as "bytes touched" on a cache hit.
-    pub fn heap_bytes(&self) -> usize {
-        self.bytes()
-    }
-}
+/// Bytes charged per entry on top of its table: key, node and map slot.
+const ENTRY_OVERHEAD: usize = 256;
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug)]
 struct Node {
-    key: CompiledCell,
-    value: CachedAnswer,
+    key: u32,
+    table: Arc<Table>,
     epoch: u64,
     bytes: usize,
     prev: usize,
@@ -79,9 +63,9 @@ struct Node {
 }
 
 /// One shard: slab + intrusive LRU list + key map, all under one mutex.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
-    map: FxHashMap<CompiledCell, usize>,
+    map: FxHashMap<u32, usize>,
     slab: Vec<Option<Node>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -131,34 +115,23 @@ impl Shard {
         }
     }
 
-    /// Remove `slot` entirely, returning its freed byte count.
-    fn remove(&mut self, slot: usize) -> usize {
+    /// Remove `slot` entirely.
+    fn remove(&mut self, slot: usize) {
         self.unlink(slot);
         let node = self.slab[slot].take().unwrap();
         self.map.remove(&node.key);
         self.free.push(slot);
         self.bytes -= node.bytes;
-        node.bytes
     }
 }
 
-/// Sharded, epoch-invalidated LRU cache of materialized answers.
+/// Sharded, epoch-invalidated LRU cache of materialized sample tables.
 #[derive(Debug)]
 pub struct AnswerCache {
     shards: Vec<Mutex<Shard>>,
     shard_mask: usize,
     per_shard_cap: usize,
     epoch: AtomicU64,
-}
-
-/// Outcome of a cache probe, for the server's metrics.
-pub enum CacheLookup {
-    /// Fresh entry under the current epoch.
-    Hit(CachedAnswer),
-    /// Absent (or stale — the entry was dropped).
-    Miss,
-    /// Caching disabled; the server should skip inserts too.
-    Bypass,
 }
 
 impl AnswerCache {
@@ -215,52 +188,63 @@ impl AnswerCache {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
+    /// Lock shard `i`. A poisoned shard is emptied before use: its holder
+    /// may have panicked between two link updates, and nothing in a cache
+    /// is worth serving from a half-linked list.
+    fn lock(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().unwrap_or_else(|poisoned| {
+            let mut shard = poisoned.into_inner();
+            *shard = Shard::new();
+            self.shards[i].clear_poison();
+            shard
+        })
+    }
+
+    /// Lock the shard `sample` lives in.
     #[inline]
-    fn shard_for(&self, key: &CompiledCell) -> usize {
+    fn shard_of(&self, sample: u32) -> MutexGuard<'_, Shard> {
         let mut h = FxHasher::default();
-        key.hash(&mut h);
+        h.write_u32(sample);
         // Shard on the high bits: the map inside the shard uses the low
         // bits, and reusing them would cluster each shard's keys into a
         // fraction of its buckets.
-        (h.finish() >> 48) as usize & self.shard_mask
+        self.lock((h.finish() >> 48) as usize & self.shard_mask)
     }
 
-    /// Look up `key` as seen from the generation installed under
-    /// `epoch`, refreshing the entry's recency on a hit. Only an entry
-    /// stamped with exactly `epoch` is a hit; an older entry is removed
-    /// (lazy reclamation), a newer one — inserted by a reader of a
-    /// fresher generation — is left in place for that generation's
-    /// readers.
-    pub fn get(&self, key: &CompiledCell, epoch: u64) -> CacheLookup {
+    /// Look up `sample`'s table as seen from the generation installed
+    /// under `epoch`, refreshing the entry's recency on a hit. Only an
+    /// entry stamped with exactly `epoch` is a hit; an older entry is
+    /// removed (lazy reclamation), a newer one — inserted by a reader of
+    /// a fresher generation — is left in place for that generation's
+    /// readers. A bypassed cache always misses.
+    pub fn get(&self, sample: u32, epoch: u64) -> Option<Arc<Table>> {
         if self.is_bypass() {
-            return CacheLookup::Bypass;
+            return None;
         }
-        let mut shard = self.shards[self.shard_for(key)].lock().unwrap();
-        let Some(&slot) = shard.map.get(key) else {
-            return CacheLookup::Miss;
-        };
+        let mut shard = self.shard_of(sample);
+        let slot = *shard.map.get(&sample)?;
         let entry_epoch = shard.slab[slot].as_ref().unwrap().epoch;
         if entry_epoch != epoch {
             if entry_epoch < epoch {
                 shard.remove(slot);
             }
-            return CacheLookup::Miss;
+            return None;
         }
         shard.unlink(slot);
         shard.push_front(slot);
-        CacheLookup::Hit(shard.slab[slot].as_ref().unwrap().value.clone())
+        Some(Arc::clone(&shard.slab[slot].as_ref().unwrap().table))
     }
 
-    /// Insert `value` under `key`, stamped with the epoch of the
-    /// generation the answer was computed from, evicting LRU entries
-    /// while over capacity. Returns the number of capacity evictions
-    /// performed (stale-epoch reclamations are not counted).
+    /// Insert `sample`'s materialized `table`, stamped with the epoch of
+    /// the generation it was taken from, evicting LRU entries while over
+    /// capacity. Returns the number of capacity evictions performed
+    /// (stale-epoch reclamations are not counted).
     ///
     /// The entry can only ever satisfy a [`get`](AnswerCache::get) that
     /// passes the same `epoch` — so an insert that races with a
     /// generation swap parks an entry no reader of the new generation
     /// can match, rather than poisoning the fresh epoch.
-    pub fn insert(&self, key: CompiledCell, value: CachedAnswer, epoch: u64) -> usize {
+    pub fn insert(&self, sample: u32, table: Arc<Table>, epoch: u64) -> usize {
         if self.is_bypass() {
             return 0;
         }
@@ -272,13 +256,13 @@ impl AnswerCache {
             // the stamp below keeps the entry invisible to new readers.
             return 0;
         }
-        let bytes = value.bytes();
+        let bytes = table.heap_bytes() + ENTRY_OVERHEAD;
         if bytes > self.per_shard_cap {
             // Larger than a whole shard: never cacheable.
             return 0;
         }
-        let mut shard = self.shards[self.shard_for(&key)].lock().unwrap();
-        if let Some(&slot) = shard.map.get(&key) {
+        let mut shard = self.shard_of(sample);
+        if let Some(&slot) = shard.map.get(&sample) {
             if shard.slab[slot].as_ref().unwrap().epoch > epoch {
                 // A fresher generation already cached this key; keep it.
                 return 0;
@@ -297,7 +281,7 @@ impl AnswerCache {
                 evictions += 1;
             }
         }
-        let node = Node { key, value, epoch, bytes, prev: NIL, next: NIL };
+        let node = Node { key: sample, table, epoch, bytes, prev: NIL, next: NIL };
         let slot = match shard.free.pop() {
             Some(s) => {
                 shard.slab[s] = Some(node);
@@ -308,7 +292,7 @@ impl AnswerCache {
                 shard.slab.len() - 1
             }
         };
-        shard.map.insert(key, slot);
+        shard.map.insert(sample, slot);
         shard.push_front(slot);
         shard.bytes += bytes;
         evictions
@@ -316,7 +300,7 @@ impl AnswerCache {
 
     /// Total live entries across shards (diagnostics; takes every lock).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        (0..self.shards.len()).map(|i| self.lock(i).map.len()).sum()
     }
 
     /// Whether no entries are cached.
@@ -324,9 +308,10 @@ impl AnswerCache {
         self.len() == 0
     }
 
-    /// Total cached bytes across shards (diagnostics).
+    /// Total bytes the LRU holds across shards: every live entry's table
+    /// plus the flat per-entry overhead (diagnostics; takes every lock).
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().bytes).sum()
+        (0..self.shards.len()).map(|i| self.lock(i).bytes).sum()
     }
 }
 
@@ -336,52 +321,47 @@ mod tests {
     use tabula_storage::schema::{Field, Schema};
     use tabula_storage::{ColumnType, TableBuilder};
 
-    fn answer(rows: usize) -> CachedAnswer {
+    fn table(rows: usize) -> Arc<Table> {
         let schema = Schema::new(vec![Field::new("x", ColumnType::Int64)]);
         let mut b = TableBuilder::new(schema);
         for i in 0..rows {
             b.push_row(&[(i as i64).into()]).unwrap();
         }
-        CachedAnswer {
-            rows: Arc::new((0..rows as RowId).collect()),
-            provenance: SampleProvenance::Global,
-            table: Arc::new(b.finish()),
-        }
+        Arc::new(b.finish())
     }
 
-    fn key(code: u32) -> CompiledCell {
-        let mut c = CompiledCell::all(2);
-        c.set(0, code);
-        c
+    fn entry_bytes(rows: usize) -> usize {
+        table(rows).heap_bytes() + ENTRY_OVERHEAD
     }
 
     #[test]
     fn hit_after_insert_and_miss_after_epoch_bump() {
         let cache = AnswerCache::new(1 << 20, 4);
         let e0 = cache.epoch();
-        assert!(matches!(cache.get(&key(1), e0), CacheLookup::Miss));
-        cache.insert(key(1), answer(10), e0);
-        match cache.get(&key(1), e0) {
-            CacheLookup::Hit(a) => assert_eq!(a.rows.len(), 10),
-            _ => panic!("expected hit"),
-        }
+        assert!(cache.get(1, e0).is_none());
+        let inserted = table(10);
+        cache.insert(1, Arc::clone(&inserted), e0);
+        assert!(Arc::ptr_eq(&cache.get(1, e0).expect("hit"), &inserted));
+        // The LRU is charged the table and the flat overhead, nothing else.
+        assert_eq!((cache.len(), cache.bytes()), (1, entry_bytes(10)));
         let e1 = cache.advance_epoch();
         assert_eq!(e1, e0 + 1);
-        assert!(matches!(cache.get(&key(1), e1), CacheLookup::Miss));
+        assert!(cache.get(1, e1).is_none());
         // Lazy reclamation removed the stale entry.
         assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]
     fn late_insert_stamped_with_old_epoch_never_serves_under_new_epoch() {
-        // The refresh race: a query computed its answer against
+        // The refresh race: a query materialized its sample from
         // generation e0, the swap + bump landed, and only then did the
         // insert run. The entry must stay invisible to e1 readers.
         let cache = AnswerCache::new(1 << 20, 1);
         let e0 = cache.epoch();
         let e1 = cache.advance_epoch();
-        cache.insert(key(1), answer(10), e0);
-        assert!(matches!(cache.get(&key(1), e1), CacheLookup::Miss));
+        cache.insert(1, table(10), e0);
+        assert!(cache.get(1, e1).is_none());
         // (The best-effort freshness check refused the insert outright.)
         assert!(cache.is_empty());
     }
@@ -389,63 +369,94 @@ mod tests {
     #[test]
     fn old_generation_reader_misses_but_does_not_reclaim_fresh_entries() {
         // The mirror race: a straggler still holding generation e0 probes
-        // a key a fresher reader already cached under e1. It must miss —
-        // its answer would come from a different generation — without
+        // a sample id a fresher reader already cached under e1. It must
+        // miss — its id names a sample of a different generation — without
         // destroying the entry the e1 readers rely on.
         let cache = AnswerCache::new(1 << 20, 1);
         let e0 = cache.epoch();
         let e1 = cache.advance_epoch();
-        cache.insert(key(2), answer(10), e1);
-        assert!(matches!(cache.get(&key(2), e0), CacheLookup::Miss));
-        assert!(matches!(cache.get(&key(2), e1), CacheLookup::Hit(_)));
+        cache.insert(2, table(10), e1);
+        assert!(cache.get(2, e0).is_none());
+        assert!(cache.get(2, e1).is_some());
         // And a straggler's insert must not clobber the fresher entry.
-        cache.insert(key(2), answer(3), e0);
-        match cache.get(&key(2), e1) {
-            CacheLookup::Hit(a) => assert_eq!(a.rows.len(), 10),
-            _ => panic!("fresh entry must survive the stale insert"),
-        }
+        cache.insert(2, table(3), e0);
+        assert_eq!(cache.get(2, e1).expect("fresh entry survives the stale insert").len(), 10);
     }
 
     #[test]
     fn lru_evicts_oldest_first() {
-        // Single shard, capacity for ~3 small answers.
-        let per = answer(10).bytes();
+        // Single shard, capacity for 3 small tables.
+        let per = entry_bytes(10);
         let cache = AnswerCache::new(per * 3, 1);
         let e = cache.epoch();
-        cache.insert(key(1), answer(10), e);
-        cache.insert(key(2), answer(10), e);
-        cache.insert(key(3), answer(10), e);
+        cache.insert(1, table(10), e);
+        cache.insert(2, table(10), e);
+        cache.insert(3, table(10), e);
         // Touch key 1 so key 2 becomes LRU.
-        assert!(matches!(cache.get(&key(1), e), CacheLookup::Hit(_)));
-        let evicted = cache.insert(key(4), answer(10), e);
+        assert!(cache.get(1, e).is_some());
+        let evicted = cache.insert(4, table(10), e);
         assert_eq!(evicted, 1);
-        assert!(matches!(cache.get(&key(2), e), CacheLookup::Miss));
-        assert!(matches!(cache.get(&key(1), e), CacheLookup::Hit(_)));
-        assert!(matches!(cache.get(&key(3), e), CacheLookup::Hit(_)));
-        assert!(matches!(cache.get(&key(4), e), CacheLookup::Hit(_)));
-        assert!(cache.bytes() <= per * 3);
+        assert!(cache.get(2, e).is_none());
+        assert!(cache.get(1, e).is_some());
+        assert!(cache.get(3, e).is_some());
+        assert!(cache.get(4, e).is_some());
+        assert_eq!(cache.bytes(), per * 3);
     }
 
     #[test]
     fn zero_capacity_bypasses() {
         let cache = AnswerCache::new(0, 8);
         assert!(cache.is_bypass());
-        assert!(matches!(cache.get(&key(1), 0), CacheLookup::Bypass));
-        cache.insert(key(1), answer(10), 0);
+        assert!(cache.get(1, 0).is_none());
+        cache.insert(1, table(10), 0);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn oversized_entry_is_refused_without_eviction() {
-        let small = answer(2).bytes();
-        let cache = AnswerCache::new(small, 1);
+        let cache = AnswerCache::new(entry_bytes(2), 1);
         let e = cache.epoch();
-        cache.insert(key(1), answer(2), e);
-        assert!(matches!(cache.get(&key(1), e), CacheLookup::Hit(_)));
+        cache.insert(1, table(2), e);
+        assert!(cache.get(1, e).is_some());
         // A giant entry must not wipe the shard just to fail anyway.
-        assert_eq!(cache.insert(key(2), answer(10_000), e), 0);
-        assert!(matches!(cache.get(&key(1), e), CacheLookup::Hit(_)));
-        assert!(matches!(cache.get(&key(2), e), CacheLookup::Miss));
+        assert_eq!(cache.insert(2, table(10_000), e), 0);
+        assert!(cache.get(1, e).is_some());
+        assert!(cache.get(2, e).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_shard_is_emptied_and_keeps_caching() {
+        let cache = AnswerCache::new(1 << 20, 2);
+        let e = cache.epoch();
+        for id in 0..64 {
+            cache.insert(id, table(4), e);
+        }
+        // A holder of shard 0 dies between two link updates: the list head
+        // names a slot that does not exist.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut shard = cache.shards[0].lock().unwrap();
+                shard.head = usize::MAX - 1;
+                panic!("holder dies mid-relink");
+            })
+            .join()
+        });
+        assert!(died.is_err() && cache.shards[0].is_poisoned());
+        let survivors = cache.shards[1].lock().unwrap().map.len();
+        assert!(survivors > 0 && survivors < 64, "both shards must hold keys: {survivors}");
+        // Diagnostics and the query path carry on: shard 0's keys miss
+        // (its contents are gone, never a half-linked list served), shard
+        // 1's still hit, and shard 0 caches again.
+        assert_eq!(cache.len(), survivors);
+        assert!(!cache.shards[0].is_poisoned());
+        assert_eq!(cache.bytes(), survivors * entry_bytes(4));
+        let missed: Vec<u32> = (0..64).filter(|&id| cache.get(id, e).is_none()).collect();
+        assert_eq!(missed.len(), 64 - survivors);
+        for &id in &missed {
+            cache.insert(id, table(5), e);
+            assert_eq!(cache.get(id, e).expect("the emptied shard caches again").len(), 5);
+        }
+        assert_eq!(cache.len(), 64);
     }
 
     #[test]
@@ -459,11 +470,11 @@ mod tests {
                         // Each iteration models a query pinned to the
                         // generation (epoch) it observed at its start.
                         let e = cache.epoch();
-                        let k = key((t * 7 + i) % 32);
-                        match cache.get(&k, e) {
-                            CacheLookup::Hit(a) => assert_eq!(a.rows.len(), 5),
-                            _ => {
-                                cache.insert(k, answer(5), e);
+                        let k = (t * 7 + i) % 32;
+                        match cache.get(k, e) {
+                            Some(table) => assert_eq!(table.len(), 5),
+                            None => {
+                                cache.insert(k, table(5), e);
                             }
                         }
                         if i % 100 == 99 && t == 0 {
@@ -475,10 +486,9 @@ mod tests {
         });
         // All remaining entries must be coherent.
         let e = cache.epoch();
-        for c in 0..32 {
-            if let CacheLookup::Hit(a) = cache.get(&key(c), e) {
-                assert_eq!(a.rows.len(), 5);
-                assert_eq!(a.table.len(), 5);
+        for k in 0..32 {
+            if let Some(table) = cache.get(k, e) {
+                assert_eq!(table.len(), 5);
             }
         }
     }

@@ -1,48 +1,64 @@
-//! The concurrent query server: a sharded answer cache, materialization
-//! and the generation swap around the cube's own lookup.
+//! The concurrent query server: the generation's constant answers, a
+//! sharded cache of materialized samples and the generation swap around
+//! the cube's own probe.
 //!
 //! One [`Server`] wraps one cube *generation* at a time. The read path
 //! takes a single `RwLock` read acquisition (to clone the generation
 //! `Arc`), then runs entirely on immutable data: compile the predicate on
-//! the stack, probe the cache, on a miss ask the cube
-//! ([`SamplingCube::lookup`]) and materialize. Each generation carries
-//! the cache epoch it was installed under — the bump and the pointer swap
-//! happen inside the same write-lock critical section, and every cache
-//! probe and insert passes the *generation's* epoch rather than
-//! re-reading the cache clock. That pins each answer to the generation
-//! that computed it: an in-flight query that races with a refresh can
-//! only insert under its own (old) generation's epoch, which no reader of
-//! the new generation can match, so no stale cached answer survives the
-//! swap.
+//! the stack, probe the cube table ([`SamplingCube::probe`]), and only
+//! then look for the answer's table — keyed by what the probe found, not
+//! by the cell that asked, so the many cells sharing one sample share one
+//! materialized table:
+//!
+//! * **EmptyDomain** (no cell) and **Global** (cell not in the cube table)
+//!   are constants of the generation, built once in `Generation::new`:
+//!   no shard mutex, no materialization, hot from the first query after
+//!   every install, whatever `TABULA_CACHE_MB` says;
+//! * **Local(id)** goes through the [`AnswerCache`] under the sample id:
+//!   a hit ships the cached table, a miss materializes and inserts it.
+//!
+//! Each generation carries the cache epoch it was installed under — the
+//! bump and the pointer swap happen inside the same write-lock critical
+//! section, and every cache probe and insert passes the *generation's*
+//! epoch rather than re-reading the cache clock. That pins each table to
+//! the generation that materialized it: an in-flight query that races
+//! with a refresh can only insert under its own (old) generation's epoch,
+//! which no reader of the new generation can match, so no stale cached
+//! answer survives the swap.
 //!
 //! Answers are byte-identical to [`SamplingCube::query`] at any thread
-//! count and cache size: a miss *is* the cube's lookup, the cache stores
-//! exactly what a miss computed, and provenance accounting stays exact (a
-//! cache hit tallies `serve_cache_hit`, every other outcome is tallied by
-//! the cube).
+//! count and cache size: the rows are always the cube's own `Arc`, a
+//! table is always `take` of exactly those rows, and provenance
+//! accounting stays exact — one counter per query: a Local table out of
+//! the cache tallies `serve_cache_hit`, a materialized one `local_hit`,
+//! the generation's global table `global_hit`, the empty answer
+//! `cell_miss`. `serve.misses` counts exactly the `Materialize` stages,
+//! `serve.hits` every cell answer served without one, and
+//! [`ServeAnswer::cached`] is true exactly when `serve.hits` moved.
 //!
 //! The generation lock only ever guards one `Arc` assignment, so a guard
 //! recovered from a poisoned lock still holds a whole generation: a
 //! writer that panicked cannot take serving down with it.
 
-use crate::cache::{AnswerCache, CacheLookup, CachedAnswer};
+use crate::cache::AnswerCache;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
 use tabula_core::incremental::{refresh, RefreshConfig, RefreshStats};
 use tabula_core::loss::AccuracyLoss;
-use tabula_core::{CompiledCell, Result, SampleProvenance, SamplingCube, SnapshotInfo};
+use tabula_core::{Result, SampleProvenance, SamplingCube, SnapshotInfo};
 use tabula_obs::metrics::{Counter, Histogram, Registry};
 use tabula_obs::trace::{QueryTrace, Stage, TraceProvenance, Tracer};
 use tabula_obs::window::WindowedHistogram;
 use tabula_storage::{Predicate, RowId, Table};
 
-/// Counter: answers served from the cache.
+/// Counter: cell answers served without materializing — a Local sample's
+/// table out of the cache, or the generation's global table.
 pub const SERVE_HITS: &str = "serve.hits";
-/// Counter: answers computed from the cube table (cache miss or bypass).
+/// Counter: Local samples materialized (cache miss or bypass).
 pub const SERVE_MISSES: &str = "serve.misses";
 /// Counter: cache entries evicted for capacity.
 pub const SERVE_EVICTIONS: &str = "serve.evictions";
-/// Histogram: nanoseconds spent probing the cube table on misses.
+/// Histogram: nanoseconds spent probing the cube table, per compiled cell.
 pub const SERVE_PROBE_NS: &str = "serve.probe_ns";
 /// Histogram + 60 s sliding window: end-to-end nanoseconds per served query.
 pub const SERVE_QUERY_NS: &str = "serve.query_ns";
@@ -71,23 +87,28 @@ impl ServeMetrics {
     }
 }
 
-/// One immutable cube generation: the cube, a pre-materialized empty
-/// answer table, and the cache epoch the generation was installed under.
+/// One immutable cube generation: the cube, its two constant tables (the
+/// empty one and the global sample's) and the cache epoch the generation
+/// was installed under.
 #[derive(Debug)]
 struct Generation {
     cube: Arc<SamplingCube>,
     empty: Arc<Table>,
+    /// `take` of the global sample: the answer of every cell the cube
+    /// table does not hold, materialized once instead of once per cell.
+    global: Arc<Table>,
     /// Cache epoch this generation is valid under. Stamped inside the
     /// same write-lock critical section that swaps the generation in, so
-    /// answers computed from this generation can only ever be cached and
-    /// matched under this epoch — never under a later generation's.
+    /// tables materialized from this generation can only ever be cached
+    /// and matched under this epoch — never under a later generation's.
     epoch: u64,
 }
 
 impl Generation {
     fn new(cube: Arc<SamplingCube>, epoch: u64) -> Self {
         let empty = Arc::new(cube.table().take(&[]));
-        Generation { cube, empty, epoch }
+        let global = Arc::new(cube.table().take(cube.global_sample()));
+        Generation { cube, empty, global, epoch }
     }
 }
 
@@ -100,7 +121,8 @@ pub struct ServeAnswer {
     pub provenance: SampleProvenance,
     /// The materialized sample table (what ships to the dashboard).
     pub table: Arc<Table>,
-    /// Whether this answer came from the cache.
+    /// Whether `table` was already materialized when the query arrived:
+    /// a Local sample's out of the cache, or the generation's global one.
     pub cached: bool,
 }
 
@@ -235,78 +257,72 @@ impl Server {
         trace.stage(Stage::Compile, stage, 0, 0);
         let Some(cell) = compiled else {
             // EmptyDomain short-circuit: nothing to probe, nothing to cache.
-            let (rows, provenance) = cube.lookup(None);
+            cube.tally(SampleProvenance::EmptyDomain);
             trace.set_provenance(TraceProvenance::EmptyDomain);
-            let table = Arc::clone(&generation.empty);
-            return Ok(ServeAnswer { rows, provenance, table, cached: false });
+            return Ok(ServeAnswer {
+                rows: Arc::clone(cube.rows(SampleProvenance::EmptyDomain)),
+                provenance: SampleProvenance::EmptyDomain,
+                table: Arc::clone(&generation.empty),
+                cached: false,
+            });
         };
         if trace.is_enabled() {
             trace.set_cell(cell.describe());
         }
         let stage = trace.stage_start();
-        let lookup = self.cache.get(&cell, generation.epoch);
-        match lookup {
-            CacheLookup::Hit(hit) => {
+        let start = Instant::now();
+        let provenance = cube.probe(&cell);
+        self.metrics.probe_ns.record_duration(start.elapsed());
+        trace.stage(Stage::IndexProbe, stage, 0, 0);
+        let SampleProvenance::Local(id) = provenance else {
+            cube.tally(provenance);
+            trace.set_provenance(TraceProvenance::GlobalSample);
+            self.metrics.hits.inc();
+            return Ok(ServeAnswer {
+                rows: Arc::clone(cube.rows(provenance)),
+                provenance,
+                table: Arc::clone(&generation.global),
+                cached: true,
+            });
+        };
+        let rows = Arc::clone(cube.rows(provenance));
+        let stage = trace.stage_start();
+        let hit = self.cache.get(id, generation.epoch);
+        let cached = hit.is_some();
+        let table = match hit {
+            Some(table) => {
                 trace.stage(
                     Stage::CacheProbe,
                     stage,
-                    hit.rows.len() as u64,
-                    hit.heap_bytes() as u64,
+                    table.len() as u64,
+                    table.heap_bytes() as u64,
                 );
                 trace.set_provenance(TraceProvenance::CacheHit);
                 self.metrics.hits.inc();
                 cube.provenance_counters().record_serve_cache_hit();
-                Ok(ServeAnswer {
-                    rows: hit.rows,
-                    provenance: hit.provenance,
-                    table: hit.table,
-                    cached: true,
-                })
+                table
             }
-            lookup => {
+            None => {
                 trace.stage(Stage::CacheProbe, stage, 0, 0);
+                trace.set_provenance(TraceProvenance::Local);
                 self.metrics.misses.inc();
-                let answer = self.compute(&generation, &cell, trace);
-                if !matches!(lookup, CacheLookup::Bypass) {
-                    let evicted = self.cache.insert(
-                        cell,
-                        CachedAnswer {
-                            rows: Arc::clone(&answer.rows),
-                            provenance: answer.provenance,
-                            table: Arc::clone(&answer.table),
-                        },
-                        generation.epoch,
-                    );
-                    if evicted > 0 {
-                        self.metrics.evictions.add(evicted as u64);
-                    }
+                cube.tally(provenance);
+                let stage = trace.stage_start();
+                let table = Arc::new(cube.table().take(&rows));
+                trace.stage(
+                    Stage::Materialize,
+                    stage,
+                    rows.len() as u64,
+                    table.heap_bytes() as u64,
+                );
+                let evicted = self.cache.insert(id, Arc::clone(&table), generation.epoch);
+                if evicted > 0 {
+                    self.metrics.evictions.add(evicted as u64);
                 }
-                Ok(answer)
+                table
             }
-        }
-    }
-
-    /// Look the cell up in the cube and materialize — the cache-miss path.
-    fn compute(
-        &self,
-        generation: &Generation,
-        cell: &CompiledCell,
-        trace: &mut QueryTrace,
-    ) -> ServeAnswer {
-        let cube = &generation.cube;
-        let stage = trace.stage_start();
-        let start = Instant::now();
-        let (rows, provenance) = cube.lookup(Some(cell));
-        self.metrics.probe_ns.record_duration(start.elapsed());
-        trace.stage(Stage::IndexProbe, stage, 0, 0);
-        trace.set_provenance(match provenance {
-            SampleProvenance::Local(_) => TraceProvenance::Local,
-            _ => TraceProvenance::GlobalSample,
-        });
-        let stage = trace.stage_start();
-        let table = Arc::new(cube.table().take(&rows));
-        trace.stage(Stage::Materialize, stage, rows.len() as u64, table.heap_bytes() as u64);
-        ServeAnswer { rows, provenance, table, cached: false }
+        };
+        Ok(ServeAnswer { rows, provenance, table, cached })
     }
 
     /// Install a new cube generation: inside one write-lock critical
@@ -411,10 +427,20 @@ mod tests {
                 assert_eq!(served.table.len(), direct.rows.len());
             }
         }
-        // Second passes were cache hits (except EmptyDomain, never cached).
+        // `serve.misses` is the Local samples materialized, `serve.hits`
+        // every other cell answer (EmptyDomain moves neither).
+        let cells = preds.len() as u64 - 1;
+        let locals: std::collections::HashSet<_> = preds
+            .iter()
+            .filter_map(|p| match cube.query(p).unwrap().provenance {
+                SampleProvenance::Local(id) => Some(id),
+                _ => None,
+            })
+            .collect();
+        assert!(!locals.is_empty());
         let snap = registry.snapshot();
-        assert_eq!(snap.counter(SERVE_HITS), 4);
-        assert_eq!(snap.counter(SERVE_MISSES), 4);
+        assert_eq!(snap.counter(SERVE_MISSES), locals.len() as u64);
+        assert_eq!(snap.counter(SERVE_HITS), 2 * cells - locals.len() as u64);
     }
 
     #[test]
@@ -532,26 +558,21 @@ mod tests {
         // Deterministic replay of the refresh race: a query reads
         // generation N, the install (swap + epoch bump) lands, and only
         // then does the query's cache insert run. The entry carries N's
-        // epoch, so readers of generation N+1 must recompute, never see
-        // the stale answer.
+        // epoch, so readers of generation N+1 — whose sample ids name
+        // other samples — must rematerialize, never see the stale table.
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         let pred = Predicate::eq("M", "dispute");
-        // An in-flight query pins generation N and computes its answer...
+        // An in-flight query pins generation N and materializes its sample...
         let stalled = Arc::clone(&srv.current());
         let cell = stalled.cube.compile(&pred).unwrap().unwrap();
-        let answer = srv.compute(&stalled, &cell, &mut QueryTrace::disabled());
+        let SampleProvenance::Local(id) = stalled.cube.probe(&cell) else {
+            panic!("M=dispute is an iceberg cell")
+        };
+        let table = Arc::new(stalled.cube.table().take(stalled.cube.sample(id)));
         // ...the refresh installs generation N+1 before the insert...
         srv.install(srv.cube()).unwrap();
-        srv.cache.insert(
-            cell,
-            CachedAnswer {
-                rows: Arc::clone(&answer.rows),
-                provenance: answer.provenance,
-                table: Arc::clone(&answer.table),
-            },
-            stalled.epoch,
-        );
+        srv.cache.insert(id, table, stalled.epoch);
         // ...and the next query must miss the cache and recompute.
         assert!(!srv.query(&pred).unwrap().cached);
         assert!(srv.query(&pred).unwrap().cached);
@@ -564,24 +585,24 @@ mod tests {
         let srv = server(&registry).with_tracer(Arc::clone(&tracer));
         let pred = Predicate::eq("M", "dispute");
 
-        // Cold: compile → cache probe (miss) → index probe → materialize.
+        // Cold: compile → index probe → cache probe (miss) → materialize.
         srv.query(&pred).unwrap();
         let cold = tracer.recorder().recent().pop().unwrap();
         let stages: Vec<Stage> = cold.stages.iter().map(|s| s.stage).collect();
         assert_eq!(
             stages,
-            vec![Stage::Compile, Stage::CacheProbe, Stage::IndexProbe, Stage::Materialize]
+            vec![Stage::Compile, Stage::IndexProbe, Stage::CacheProbe, Stage::Materialize]
         );
         assert!(cold.stages.iter().all(|s| s.ns >= 1));
         assert_eq!(cold.provenance, TraceProvenance::Local);
         assert!(cold.cell.starts_with("cell{"), "{}", cold.cell);
         assert_eq!(cold.epoch, srv.cache.epoch());
 
-        // Warm: the cache hit must not record index or materialize stages.
+        // Warm: the cache hit must not record a materialize stage.
         srv.query(&pred).unwrap();
         let warm = tracer.recorder().recent().pop().unwrap();
         let stages: Vec<Stage> = warm.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(stages, vec![Stage::Compile, Stage::CacheProbe]);
+        assert_eq!(stages, vec![Stage::Compile, Stage::IndexProbe, Stage::CacheProbe]);
         assert_eq!(warm.provenance, TraceProvenance::CacheHit);
         assert!(warm.rows > 0, "cache hits report rows touched");
         assert!(warm.bytes > 0, "cache hits report bytes touched");
@@ -600,27 +621,45 @@ mod tests {
     }
 
     #[test]
-    fn global_fallback_trace_says_global_sample() {
+    fn global_answers_are_the_generations_one_table() {
         let registry = Arc::new(Registry::new());
         let tracer = Arc::new(Tracer::new(1, 1_000, 16));
-        let srv = server(&registry).with_tracer(Arc::clone(&tracer));
-        // "free" exists in the domain but is too rare to be materialized
-        // in every cuboid; find a pred whose answer is Global.
+        // A bypassed cache: the generation's table needs none.
+        let srv =
+            Server::with_cache(cube(&registry), AnswerCache::new(0, 1), Arc::clone(&registry))
+                .unwrap()
+                .with_tracer(Arc::clone(&tracer));
         let cube = srv.cube();
-        for m in ["free", "cash", "credit", "dispute"] {
-            let pred = Predicate::eq("M", m);
-            if cube.query(&pred).unwrap().provenance == SampleProvenance::Global {
-                srv.query(&pred).unwrap();
-                let t = tracer.recorder().recent().pop().unwrap();
-                assert_eq!(t.provenance, TraceProvenance::GlobalSample);
-                return;
-            }
+        // `*` and every D × M cell, those the cube table leaves out.
+        let values = |attr: &str| {
+            let cat = cube.table().cat(cube.table().schema().index_of(attr).unwrap()).unwrap();
+            (0..cat.cardinality()).map(|c| cat.decode(c as u32)).collect::<Vec<_>>()
+        };
+        let mut global = vec![Predicate::all()];
+        for d in values("D") {
+            global.extend(
+                values("M")
+                    .into_iter()
+                    .map(|m| Predicate::eq("D", d.clone()).and("M", CmpOp::Eq, m)),
+            );
         }
-        // The DCM example materializes every M cell: fall back to the
-        // serving invariant that local hits trace as local.
-        srv.query(&Predicate::eq("M", "cash")).unwrap();
-        let t = tracer.recorder().recent().pop().unwrap();
-        assert_eq!(t.provenance, TraceProvenance::Local);
+        global.retain(|p| cube.query(p).unwrap().provenance == SampleProvenance::Global);
+        assert!(global.len() >= 2, "{global:?}");
+        let first = srv.query(&global[0]).unwrap();
+        for pred in &global {
+            let answer = srv.query(pred).unwrap();
+            assert!(answer.cached && Arc::ptr_eq(&answer.table, &first.table), "{pred:?}");
+            assert_eq!(answer.table.len(), cube.global_sample().len());
+            let t = tracer.recorder().recent().pop().unwrap();
+            assert_eq!(t.provenance, TraceProvenance::GlobalSample);
+            let stages: Vec<Stage> = t.stages.iter().map(|s| s.stage).collect();
+            assert_eq!(stages, vec![Stage::Compile, Stage::IndexProbe]);
+        }
+        assert_eq!(registry.snapshot().counter(SERVE_MISSES), 0);
+        // Hot again with the first query after an install, as a new table.
+        srv.install(srv.cube()).unwrap();
+        let after = srv.query(&global[0]).unwrap();
+        assert!(after.cached && !Arc::ptr_eq(&after.table, &first.table));
     }
 
     #[test]

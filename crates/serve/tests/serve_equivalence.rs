@@ -96,16 +96,17 @@ fn refresh_never_serves_stale_cached_answers() {
     let cube = build_cube(&old, &registry);
     let srv = server_over(Arc::clone(&cube), &registry);
 
-    // Warm the cache over a session on the OLD generation.
+    // Warm the cache over a session on the OLD generation, keeping every
+    // table it shipped alive (so no later table can reuse an address).
     let workload = Workload::new(&CUBED_ATTRIBUTES[..3]);
     let queries = workload.generate_session(&old, 200, 23, 0.4).unwrap();
-    for q in &queries {
-        srv.query(&q.predicate).unwrap();
-    }
+    let old_tables: Vec<Arc<Table>> =
+        queries.iter().map(|q| srv.query(&q.predicate).unwrap().table).collect();
     assert!(!srv.cache().is_empty(), "warm-up must populate the cache");
 
     // Refresh in place: appended rows flip iceberg status for touched
-    // cells; reused/retired cells change sample ids.
+    // cells; reused/retired cells change sample ids, so the cache's keys
+    // of the old generation name other samples in the new one.
     let fare = new.schema().index_of("fare_amount").unwrap();
     let loss = MeanLoss::new(fare);
     let stats = srv
@@ -114,21 +115,28 @@ fn refresh_never_serves_stale_cached_answers() {
     assert!(stats.resampled_cells > 0, "appends must have touched cells");
 
     // Every answer after the refresh must match a FRESH cube queried
-    // directly — a stale cached answer (old rows / old sample ids) fails
-    // this differential immediately.
+    // directly, tuple for tuple, and ship no table the old generation
+    // materialized — not from the cache (an old sample id's table), not
+    // the old generation's global table. The second pass is allowed to
+    // hit the (new) cache — still matching.
     let fresh = srv.cube();
-    for q in &queries {
-        let served = srv.query(&q.predicate).unwrap();
-        let direct = fresh.query(&q.predicate).unwrap();
-        assert_eq!(served.rows, direct.rows, "stale answer for [{}]", q.description);
-        assert_eq!(served.provenance, direct.provenance);
-    }
-    // And the second post-refresh pass is allowed to hit the (new) cache —
-    // still matching.
-    for q in &queries {
-        let served = srv.query(&q.predicate).unwrap();
-        let direct = fresh.query(&q.predicate).unwrap();
-        assert_eq!(served.rows, direct.rows);
+    for pass in 0..2 {
+        for q in &queries {
+            let served = srv.query(&q.predicate).unwrap();
+            let direct = fresh.query(&q.predicate).unwrap();
+            assert_eq!(served.rows, direct.rows, "stale answer for [{}]", q.description);
+            assert_eq!(served.provenance, direct.provenance);
+            assert!(
+                !old_tables.iter().any(|t| Arc::ptr_eq(t, &served.table)),
+                "pass {pass}: old generation's table served for [{}]",
+                q.description
+            );
+            let want = direct.materialize(fresh.table());
+            assert_eq!(served.table.len(), want.len());
+            for r in 0..want.len() {
+                assert_eq!(served.table.row(r), want.row(r), "[{}] tuple {r}", q.description);
+            }
+        }
     }
 }
 

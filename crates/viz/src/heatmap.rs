@@ -38,6 +38,9 @@ impl Default for HeatmapConfig {
     }
 }
 
+/// Side of the default splat (radius 2), the one with a fixed-width path.
+const FAST_SIDE: usize = 5;
+
 /// A rendered heat map: densities plus the rendered pixels.
 #[derive(Debug, Clone)]
 pub struct Heatmap {
@@ -65,25 +68,64 @@ impl Heatmap {
                     .map(move |dx| (-((dx * dx + dy * dy) as f64) / (2.0 * sigma * sigma)).exp())
             })
             .collect();
+        // The default radius gets its stencil as a fixed 5 × 5 block, so a
+        // point whose whole splat is on the grid adds five 5-wide rows with
+        // no clipping and one bounds check a row.
+        let block: Option<[[f64; FAST_SIDE]; FAST_SIDE]> = (side as usize == FAST_SIDE)
+            .then(|| std::array::from_fn(|y| std::array::from_fn(|x| stencil[y * FAST_SIDE + x])));
+        // Rows any splat reached: everything outside them is still 0.
+        let (mut top, mut bottom) = (h, 0);
         for p in points {
             let fx = (p.x - config.min.x) / span_x * config.width as f64;
             let fy = (p.y - config.min.y) / span_y * config.height as f64;
-            let cx = (fx.floor() as isize).clamp(0, w - 1);
-            let cy = (fy.floor() as isize).clamp(0, h - 1);
-            // The part of the splat that falls on the grid, row by row.
+            // Truncation is `floor` wherever the clamp does not decide: a
+            // negative coordinate lands on cell 0 either way (NaN too).
+            let cx = (fx as isize).clamp(0, w - 1);
+            let cy = (fy as isize).clamp(0, h - 1);
             let (x0, x1) = ((cx - r).max(0), (cx + r).min(w - 1));
-            for y in (cy - r).max(0)..=(cy + r).min(h - 1) {
-                let weights = &stencil[((y - cy + r) * side + (x0 - cx + r)) as usize..];
-                let cells = &mut density[(y * w + x0) as usize..=(y * w + x1) as usize];
-                for (cell, weight) in cells.iter_mut().zip(weights) {
-                    *cell += weight;
+            let (y0, y1) = ((cy - r).max(0), (cy + r).min(h - 1));
+            (top, bottom) = (top.min(y0), bottom.max(y1 + 1));
+            match &block {
+                Some(block) if x1 - x0 == 2 * r && y1 - y0 == 2 * r => {
+                    for (dy, weights) in block.iter().enumerate() {
+                        let at = (y0 as usize + dy) * config.width + x0 as usize;
+                        let cells: &mut [f64; FAST_SIDE] =
+                            (&mut density[at..at + FAST_SIDE]).try_into().expect("5 cells");
+                        for (cell, weight) in cells.iter_mut().zip(weights) {
+                            *cell += weight;
+                        }
+                    }
+                }
+                // The part of the splat that falls on the grid, row by row.
+                _ => {
+                    for y in y0..=y1 {
+                        let weights = &stencil[((y - cy + r) * side + (x0 - cx + r)) as usize..];
+                        let cells = &mut density[(y * w + x0) as usize..=(y * w + x1) as usize];
+                        for (cell, weight) in cells.iter_mut().zip(weights) {
+                            *cell += weight;
+                        }
+                    }
                 }
             }
         }
         // Normalize to [0, 1] so maps of different sample sizes compare.
-        let max = density.iter().cloned().fold(0.0f64, f64::max);
+        // Densities are sums of positive finite weights, so the maximum is
+        // the same in any order: independent lanes, not one 16 384-long
+        // dependency chain.
+        let touched =
+            &mut density[top.min(bottom) as usize * config.width..bottom as usize * config.width];
+        let mut lanes = [0.0f64; 8];
+        let mut chunks = touched.chunks_exact(8);
+        for chunk in &mut chunks {
+            for (lane, &d) in lanes.iter_mut().zip(chunk) {
+                if d > *lane {
+                    *lane = d;
+                }
+            }
+        }
+        let max = lanes.iter().chain(chunks.remainder()).cloned().fold(0.0f64, f64::max);
         if max > 0.0 {
-            for d in &mut density {
+            for d in touched {
                 *d /= max;
             }
         }
@@ -218,24 +260,57 @@ mod tests {
 
     #[test]
     fn stencil_render_is_bit_identical_to_per_cell_weights() {
-        // Two clusters, all four corners, the centre, and points outside
-        // the box (clamped onto the border cells).
-        let mut pts = cluster(0.3, 0.6, 150);
-        pts.extend(cluster(0.97, 0.02, 40));
-        for (x, y) in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)] {
-            pts.push(Point::new(x, y));
+        // Two clusters, a band of rows, every corner and edge (on it, one
+        // cell inside, just outside), the centre, points far outside the
+        // box (clamped onto the border cells) and coordinates that are not
+        // numbers at all.
+        let mut mixed = cluster(0.3, 0.6, 150);
+        mixed.extend(cluster(0.97, 0.02, 40));
+        mixed.extend((0..200).map(|i| Point::new(i as f64 / 200.0, 0.4 + 0.001 * (i % 97) as f64)));
+        let border = [0.0, 1e-9, 1.0 / 128.0, 0.02, 0.5, 0.98, 1.0 - 1e-9, 1.0, -1e-9, 1.0 + 1e-9];
+        for x in border {
+            mixed.extend(border.map(|y| Point::new(x, y)));
         }
-        for (x, y) in [(-3.0, 0.4), (0.4, 7.0), (1.5, -0.2), (-1.0, -1.0)] {
-            pts.push(Point::new(x, y));
+        for (x, y) in [(-3.0, 0.4), (0.4, 7.0), (1.5, -0.2), (-1.0, -1.0), (-0.0, 0.5)] {
+            mixed.push(Point::new(x, y));
         }
-        for (width, height) in [(128, 128), (7, 3), (1, 1)] {
-            for splat_radius in [0, 1, 2, 5] {
-                let cfg = HeatmapConfig { width, height, splat_radius, ..Default::default() };
-                let got = Heatmap::render(&pts, cfg);
-                let want = render_per_cell(&pts, cfg);
-                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got.densities()), bits(&want), "{width}x{height} r={splat_radius}");
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN, 0.5];
+        for x in odd {
+            mixed.extend(odd.map(|y| Point::new(x, y)));
+        }
+        let inputs = [
+            ("mixed", mixed),
+            ("empty", vec![]),
+            ("single point", vec![Point::new(0.37, 0.61)]),
+            ("single corner point", vec![Point::new(1.0, 0.0)]),
+            ("one cell", vec![Point::new(0.5001, 0.5002); 300]),
+            ("one row", (0..128).map(|i| Point::new(i as f64 / 128.0, 0.7)).collect()),
+        ];
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, pts) in &inputs {
+            for (width, height) in
+                [(128, 128), (64, 200), (200, 64), (7, 3), (3, 7), (5, 5), (1, 1)]
+            {
+                for splat_radius in [0, 1, 2, 3, 5] {
+                    let cfg = HeatmapConfig { width, height, splat_radius, ..Default::default() };
+                    let got = Heatmap::render(pts, cfg);
+                    let want = render_per_cell(pts, cfg);
+                    assert_eq!(
+                        bits(got.densities()),
+                        bits(&want),
+                        "{name} {width}x{height} r={splat_radius}"
+                    );
+                }
             }
+        }
+        // A box that is not the unit square, and one with no extent.
+        for (min, max) in [
+            (Point::new(-2.0, 3.0), Point::new(5.0, 4.5)),
+            (Point::new(0.5, 0.5), Point::new(0.5, 0.5)),
+        ] {
+            let cfg = HeatmapConfig { min, max, ..Default::default() };
+            let got = Heatmap::render(&inputs[0].1, cfg);
+            assert_eq!(bits(got.densities()), bits(&render_per_cell(&inputs[0].1, cfg)));
         }
     }
 

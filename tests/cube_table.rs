@@ -5,11 +5,13 @@
 //! `SELECT sample` all end in the same probe of it, before and after a
 //! snapshot round trip, and must agree on every cell — the materialized
 //! ones, the ones that ride the global sample, and the ones that cannot
-//! exist.
+//! exist. Behind the probe the server keeps one materialized table per
+//! *sample*: cells that share a sample ship the same `Arc`, at every
+//! cache size.
 
 mod common;
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use common::{constant_attr_table, cube_over, measured_table, wide_table};
@@ -18,7 +20,7 @@ use tabula::core::loss::MeanLoss;
 use tabula::core::{CubeKeys, SampleProvenance, SamplingCube};
 use tabula::data::{example_dcm_table, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
-use tabula::serve::{AnswerCache, Server};
+use tabula::serve::{AnswerCache, Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session, Statement};
 use tabula::storage::{group_by, CellKey, CmpOp, ColumnType, CuboidMask, Predicate, Table, Value};
@@ -86,6 +88,115 @@ fn probes(cube: &SamplingCube) -> Vec<(Predicate, SampleProvenance)> {
     probes
 }
 
+/// One server under test and what it has shipped so far.
+struct Door {
+    server: Server,
+    /// `roomy` holds every sample, `one entry` about one, `bypassed` none.
+    cache: &'static str,
+    /// The table shipped for each sample (`None`: the global one), kept
+    /// alive so no later table can reuse its address.
+    shipped: HashMap<Option<u32>, Arc<Table>>,
+    /// Queries answered from a Local sample.
+    local_queries: u64,
+    /// Queries answered from the global sample.
+    global_queries: u64,
+}
+
+impl Door {
+    fn new(cube: &Arc<SamplingCube>, cache: &'static str) -> Door {
+        let (bytes, shards) = match cache {
+            "roomy" => (8 << 20, 2),
+            // The largest entry a Local sample can make: its tuples plus
+            // the cache's flat per-entry overhead.
+            "one entry" => (0..cube.persisted_samples() as u32)
+                .map(|id| (cube.sample(id).len() * cube.table().row_bytes() + 256, 1))
+                .max()
+                .unwrap_or((0, 1)),
+            _ => (0, 1),
+        };
+        let answers = AnswerCache::new(bytes, shards);
+        let server = Server::with_cache(Arc::clone(cube), answers, Arc::new(Registry::new()));
+        Door {
+            server: server.unwrap(),
+            cache,
+            shipped: HashMap::new(),
+            local_queries: 0,
+            global_queries: 0,
+        }
+    }
+
+    /// Ask `pred`, whose answer must be `rows` out of `provenance`.
+    fn ask(&mut self, pred: &Predicate, provenance: SampleProvenance, rows: &Arc<Vec<u32>>) {
+        let cube = self.server.cube();
+        let answer = self.server.query(pred).unwrap();
+        let context = format!("{} cache, {pred:?}", self.cache);
+        assert_eq!((answer.provenance, &answer.rows), (provenance, rows), "{context}");
+        let sample = match provenance {
+            SampleProvenance::EmptyDomain => {
+                assert!(!answer.cached && answer.table.is_empty(), "{context}");
+                assert_eq!(answer.table.schema(), cube.table().schema(), "{context}");
+                return;
+            }
+            SampleProvenance::Global => {
+                self.global_queries += 1;
+                None
+            }
+            SampleProvenance::Local(id) => {
+                self.local_queries += 1;
+                Some(id)
+            }
+        };
+        // Already materialized: the global sample always, a Local sample
+        // once this generation has served it (and kept it).
+        let before = self.shipped.get(&sample);
+        let expect_cached = match (sample, self.cache) {
+            (None, _) => Some(true),
+            (Some(_), "roomy") => Some(before.is_some()),
+            (Some(_), "bypassed") => Some(false),
+            _ => None,
+        };
+        if let Some(cached) = expect_cached {
+            assert_eq!(answer.cached, cached, "{context}");
+        }
+        match before {
+            // A cached answer is the very table shipped before; one
+            // materialized again holds the same tuples.
+            Some(first) if answer.cached => {
+                assert!(Arc::ptr_eq(first, &answer.table), "{context}");
+                return;
+            }
+            Some(first) => assert!(!Arc::ptr_eq(first, &answer.table), "{context}"),
+            None => assert!(!answer.cached || sample.is_none(), "{context}"),
+        }
+        assert_eq!(rows_of(&answer.table), rows_of(&cube.table().take(rows)), "{context}");
+        self.shipped.insert(sample, answer.table);
+    }
+
+    /// `serve.misses` is the Local samples materialized, `serve.hits`
+    /// every other cell answer.
+    fn assert_counters(&self) {
+        let snap = self.server.registry().snapshot();
+        let (hits, misses) = (snap.counter(SERVE_HITS), snap.counter(SERVE_MISSES));
+        let locals = self.shipped.keys().flatten().count() as u64;
+        assert_eq!(hits + misses, self.local_queries + self.global_queries, "{}", self.cache);
+        match self.cache {
+            "roomy" => {
+                assert_eq!(misses, locals, "one materialization per Local sample touched");
+                assert_eq!(snap.counter(SERVE_EVICTIONS), 0);
+                assert_eq!(self.server.cache().len() as u64, locals);
+            }
+            "bypassed" => assert_eq!((hits, misses), (self.global_queries, self.local_queries)),
+            _ => {
+                assert!(misses >= locals && hits >= self.global_queries);
+                assert!(self.server.cache().len() <= 1.max(locals as usize));
+                if locals > 1 {
+                    assert!(snap.counter(SERVE_EVICTIONS) > 0, "one entry must evict");
+                }
+            }
+        }
+    }
+}
+
 /// Build → freeze → thaw → serve → SQL, asking every door every probe.
 fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
     let cells = built.materialized_cells();
@@ -110,13 +221,12 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
 
     let probes = probes(&built);
     let (built, restored) = (Arc::new(built), Arc::new(restored));
-    let serve = |cube: &Arc<SamplingCube>| {
-        let cache = AnswerCache::new(8 << 20, 2);
-        Server::with_cache(Arc::clone(cube), cache, Arc::new(Registry::new())).unwrap()
-    };
-    let servers = [serve(&built), serve(&restored)];
-    for server in &servers {
-        assert_eq!(server.indexed_cells(), cells);
+    let mut doors: Vec<Door> = [&built, &restored]
+        .into_iter()
+        .flat_map(|cube| ["roomy", "one entry", "bypassed"].map(|cache| Door::new(cube, cache)))
+        .collect();
+    for door in &doors {
+        assert_eq!(door.server.indexed_cells(), cells);
     }
 
     for (pred, provenance) in &probes {
@@ -129,18 +239,10 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
             let answer = cube.query(pred).unwrap();
             assert_eq!((answer.provenance, &answer.rows), (*provenance, &rows), "{pred:?}");
         }
-        for server in &servers {
-            for pass in ["cold", "warm"] {
-                let answer = server.query(pred).unwrap();
-                assert_eq!(
-                    (answer.provenance, &answer.rows),
-                    (*provenance, &rows),
-                    "{pass} {pred:?}"
-                );
-                assert_eq!(answer.table.len(), rows.len());
-                let hit = pass == "warm" && *provenance != SampleProvenance::EmptyDomain;
-                assert_eq!(answer.cached, hit, "{pass} {pred:?}");
-            }
+        for door in &mut doors {
+            // Cold, then warm.
+            door.ask(pred, *provenance, &rows);
+            door.ask(pred, *provenance, &rows);
         }
         let conditions = pred
             .terms()
@@ -154,6 +256,21 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
                 assert_eq!(rows_of(&table), rows_of(&restored.table().take(&rows)), "{sql}");
             }
             other => panic!("{sql}: {other:?}"),
+        }
+    }
+    for door in &mut doors {
+        door.assert_counters();
+        // A new generation of the same cube: nothing the old one shipped
+        // comes back, and its global table is hot from the first query.
+        let old: Vec<Arc<Table>> = std::mem::take(&mut door.shipped).into_values().collect();
+        door.server.install(door.server.cube()).unwrap();
+        for (pred, provenance) in &probes {
+            let answer = door.server.query(pred).unwrap();
+            assert_eq!(answer.provenance, *provenance, "{pred:?}");
+            assert!(!old.iter().any(|t| Arc::ptr_eq(t, &answer.table)), "{pred:?}");
+            if *provenance == SampleProvenance::Global {
+                assert!(answer.cached, "{pred:?}");
+            }
         }
     }
 

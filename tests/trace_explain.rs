@@ -6,7 +6,9 @@
 use std::sync::Arc;
 use tabula::data::{TaxiConfig, TaxiGenerator};
 use tabula::obs::trace::{Stage, TraceProvenance, Tracer};
-use tabula::sql::{QueryResult, Session};
+use tabula::sql::ast::WhereTerm;
+use tabula::sql::{QueryResult, Session, Statement};
+use tabula::storage::CmpOp;
 
 fn traced_session(rows: usize) -> (Session, Arc<Tracer>) {
     let registry = Arc::new(tabula::obs::Registry::new());
@@ -25,6 +27,25 @@ fn traced_session(rows: usize) -> (Session, Arc<Tracer>) {
     )
     .unwrap();
     (s, tracer)
+}
+
+/// A Global answer: the cube table leaves all of `cash` to the global sample.
+const GLOBAL_SELECT: &str = "SELECT sample FROM cube WHERE payment_type = 'cash'";
+
+/// A Local answer: `SELECT sample` of the first cell the cube table holds.
+fn local_select(s: &Session) -> String {
+    let cube = s.cube("cube").unwrap();
+    let (cell, _) = cube.cube_table().next().expect("θ = 0.1 leaves iceberg cells");
+    let conditions = cell
+        .codes
+        .iter()
+        .zip(cube.attrs().iter().zip(cube.cubed_cols()))
+        .filter_map(|(code, (attr, &col))| {
+            let value = cube.table().cat(col).unwrap().decode((*code)?);
+            Some(WhereTerm { column: attr.clone(), op: CmpOp::Eq, value })
+        })
+        .collect();
+    Statement::SelectSample { cube: "cube".into(), conditions }.to_string()
 }
 
 /// Parse the stage table of an `EXPLAIN ANALYZE` Info result back into
@@ -53,23 +74,24 @@ fn stage_rows(lines: &[String]) -> Vec<(String, String, u64, u64, u64)> {
 #[test]
 fn explain_analyze_served_query_prints_all_stages() {
     let (mut s, _tracer) = traced_session(5_000);
-    let result =
-        s.execute("EXPLAIN ANALYZE SELECT sample FROM cube WHERE payment_type = 'cash'").unwrap();
+    let sql = local_select(&s);
+    let result = s.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
     let QueryResult::Info(lines) = result else { panic!("{result:?}") };
 
     // The answer summary leads with the SQL text and carries provenance.
     assert!(lines[0].contains("SELECT sample FROM cube"), "{lines:#?}");
     assert!(lines[1].starts_with("answer:"), "{lines:#?}");
     assert!(
-        lines[1].contains("trace provenance: local |") || lines[1].contains("global_sample"),
-        "cold served query must resolve to a cube-table provenance: {lines:#?}"
+        lines[1].contains("trace provenance: local |"),
+        "a cold query of a cube-table cell materializes its sample: {lines:#?}"
     );
     assert!(lines.iter().any(|l| l.starts_with("cell: cell{")), "{lines:#?}");
 
-    // ≥ 4 distinct stages, each with nonzero recorded time.
+    // All four stages, each with nonzero recorded time: the probe comes
+    // before the cache, which is keyed by what the probe found.
     let stages = stage_rows(&lines);
     let names: Vec<&str> = stages.iter().map(|(n, ..)| n.as_str()).collect();
-    assert_eq!(names, ["compile", "cache_probe", "index_probe", "materialize"], "{lines:#?}");
+    assert_eq!(names, ["compile", "index_probe", "cache_probe", "materialize"], "{lines:#?}");
     for (name, ns, ..) in &stages {
         assert_ne!(ns, "0ns", "stage {name} must have nonzero nanos");
     }
@@ -77,17 +99,30 @@ fn explain_analyze_served_query_prints_all_stages() {
     let materialize = stages.iter().find(|(n, ..)| n == "materialize").unwrap();
     assert!(materialize.2 > 0, "materialize rows: {lines:#?}");
     assert!(materialize.3 > 0, "materialize bytes: {lines:#?}");
+
+    // A cell outside the cube table ships the generation's global table:
+    // no cache to probe, nothing to materialize, cold or warm.
+    for _ in 0..2 {
+        let QueryResult::Info(lines) =
+            s.execute(&format!("EXPLAIN ANALYZE {GLOBAL_SELECT}")).unwrap()
+        else {
+            panic!()
+        };
+        assert!(lines[1].contains("trace provenance: global_sample |"), "{lines:#?}");
+        let names: Vec<String> = stage_rows(&lines).into_iter().map(|(n, ..)| n).collect();
+        assert_eq!(names, ["compile", "index_probe"], "{lines:#?}");
+    }
 }
 
 #[test]
 fn explain_analyze_warm_query_reports_cache_hit() {
     let (mut s, _tracer) = traced_session(5_000);
-    let sql = "EXPLAIN ANALYZE SELECT sample FROM cube WHERE payment_type = 'cash'";
-    s.execute(sql).unwrap(); // cold: fills the cache
-    let QueryResult::Info(lines) = s.execute(sql).unwrap() else { panic!() };
+    let sql = format!("EXPLAIN ANALYZE {}", local_select(&s));
+    s.execute(&sql).unwrap(); // cold: fills the cache
+    let QueryResult::Info(lines) = s.execute(&sql).unwrap() else { panic!() };
     assert!(lines[1].contains("cache_hit"), "{lines:#?}");
     let names: Vec<String> = stage_rows(&lines).into_iter().map(|(n, ..)| n).collect();
-    assert_eq!(names, ["compile", "cache_probe"], "cache hit probes nothing else");
+    assert_eq!(names, ["compile", "index_probe", "cache_probe"], "a hit materializes nothing");
 }
 
 #[test]
@@ -130,11 +165,17 @@ fn explain_analyze_works_with_tracing_disabled() {
 fn traces_agree_with_provenance_counters() {
     let (mut s, tracer) = traced_session(5_000);
     let counters = s.cube("cube").unwrap().provenance_counters().clone();
+    // A cache hit is a Local sample already served in this generation —
+    // by whichever cell; the global sample is never one, however warm.
+    let local = local_select(&s);
     let queries = [
-        ("SELECT sample FROM cube WHERE payment_type = 'cash'", false),
-        ("SELECT sample FROM cube WHERE payment_type = 'cash'", true), // warm repeat
+        (local.as_str(), false),
+        (local.as_str(), true), // warm repeat
+        (GLOBAL_SELECT, false),
+        (GLOBAL_SELECT, false),
         ("SELECT sample FROM cube WHERE payment_type = 'no_such_payment'", false),
     ];
+    let mut seen = Vec::new();
     for (sql, expect_cache_hit) in queries {
         let before = (
             counters.local_hits(),
@@ -161,15 +202,22 @@ fn traces_agree_with_provenance_counters() {
         };
         assert_eq!(delta, expected, "{sql}");
         assert_eq!(trace.provenance == TraceProvenance::CacheHit, expect_cache_hit, "{sql}");
-        if trace.provenance == TraceProvenance::CacheHit {
-            assert!(
-                trace.stage_ns(Stage::IndexProbe).is_none()
-                    && trace.stage_ns(Stage::Materialize).is_none()
-                    && trace.stage_ns(Stage::Scan).is_none(),
-                "cache hit must record no probe/scan stages: {trace:?}"
-            );
+        let ran = |stage| trace.stage_ns(stage).is_some();
+        match trace.provenance {
+            TraceProvenance::CacheHit => assert!(
+                !ran(Stage::Materialize) && !ran(Stage::Scan),
+                "cache hit must record no materialize/scan stages: {trace:?}"
+            ),
+            TraceProvenance::Local => assert!(ran(Stage::Materialize), "{trace:?}"),
+            _ => assert!(
+                !ran(Stage::CacheProbe) && !ran(Stage::Materialize),
+                "the generation's constant answers touch no cache: {trace:?}"
+            ),
         }
+        seen.push(trace.provenance);
     }
+    use TraceProvenance::*;
+    assert_eq!(seen, [Local, CacheHit, GlobalSample, GlobalSample, EmptyDomain]);
 }
 
 #[test]
