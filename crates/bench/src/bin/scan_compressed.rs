@@ -4,7 +4,7 @@
 //! clustering factors, plus the snapshot size / load-time effect of
 //! persisting encoded blocks.
 //!
-//! Three lanes per clustering factor (`run_len` = expected run length of
+//! Four lanes per clustering factor (`run_len` = expected run length of
 //! the clustered columns):
 //!
 //! * `scan` — a two-term predicate (`Str` equality and a float range)
@@ -12,14 +12,19 @@
 //!   kernel, encoded columns the run/frame pushdown kernels. Outputs are
 //!   asserted identical; ns/row and physical bytes/row come from
 //!   [`Predicate::filter_with_stats`].
+//! * `scan_conj` — the shape of a dashboard's raw fallback: six equality
+//!   terms over low-cardinality columns, written with the 50 %-selective
+//!   one first (a misprediction every other row for a branching filter)
+//!   and the most selective one third.
 //! * `group_by` — hash grouping on the two categorical columns: decoded
 //!   kernels vs the run-aligned segment walk.
 //! * `snapshot` (clustered table only) — cube snapshot bytes with plain
 //!   vs encoded blocks, and the encoded cold-load wall time.
 //!
 //! `BENCH_scan_compressed.json` records every row; the `test` CI job
-//! gates on the clustered-scan speedup (≥ 2×) and the snapshot size
-//! reduction (≥ 30%).
+//! gates on the clustered-scan speedup (≥ 2×), the snapshot size
+//! reduction (≥ 30%) and the scattered `scan_conj` lane (≤ 4 ns/row on
+//! both twins).
 //!
 //! ```bash
 //! cargo run --release -p tabula-bench --bin scan_compressed
@@ -77,6 +82,41 @@ fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
         .expect("synthetic rows conform to schema");
     }
     Arc::new(b.finish())
+}
+
+/// Six low-cardinality attributes in the taxi table's shape — cardinalities
+/// 2, 4, 7, 6 (an `Int64`), 5 and 2 — each constant over runs of `run_len`
+/// rows and scattered from run to run, with the predicate that selects row
+/// 0's cell, written in column order.
+fn conj_table(rows: usize, run_len: usize) -> (Arc<Table>, Predicate) {
+    const CARDS: [u64; 6] = [2, 4, 7, 6, 5, 2];
+    set_encoding_mode(EncodingMode::Off);
+    let fields = (0..CARDS.len())
+        .map(|c| {
+            Field::new(format!("c{c}"), if c == 3 { ColumnType::Int64 } else { ColumnType::Str })
+        })
+        .collect();
+    let mut b = TableBuilder::new(Schema::new(fields));
+    let value = |row: usize, c: usize| {
+        // splitmix64's finalizer: a multiplicative hash of consecutive run
+        // numbers is regular enough for a branch predictor to learn.
+        let mut z = ((row / run_len) * CARDS.len() + c) as u64;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        let v = (z ^ (z >> 31)) % CARDS[c];
+        if c == 3 {
+            tabula_storage::Value::Int64(v as i64)
+        } else {
+            format!("a{v}").as_str().into()
+        }
+    };
+    for row in 0..rows {
+        let values: Vec<_> = (0..CARDS.len()).map(|c| value(row, c)).collect();
+        b.push_row(&values).expect("synthetic rows conform to schema");
+    }
+    let pred = (0..CARDS.len())
+        .fold(Predicate::all(), |p, c| p.and(format!("c{c}"), CmpOp::Eq, value(0, c)));
+    (Arc::new(b.finish()), pred)
 }
 
 /// The force-encoded twin: same rows, every column frozen under
@@ -159,6 +199,35 @@ fn result_row(
     Value::Obj(row)
 }
 
+/// Time `pred` over a plain table and its encoded twin, require the same
+/// rows of both, record the lane and return the encoded scan's speed-up.
+fn scan_lane(
+    bench: &str,
+    run_len: usize,
+    reps: usize,
+    pred: &Predicate,
+    [plain, encoded]: [&Table; 2],
+    results: &mut Vec<Value>,
+) -> f64 {
+    let (plain_ns, plain_ids) = time_best(reps, || pred.filter(plain).expect("plain filter"));
+    let (enc_ns, enc_ids) = time_best(reps, || pred.filter(encoded).expect("encoded filter"));
+    assert!(!plain_ids.is_empty(), "{bench} run_len={run_len}: nothing selected");
+    assert_eq!(plain_ids, enc_ids, "{bench} run_len={run_len}: encoded scan diverges from plain");
+    let (_, plain_stats) = pred.filter_with_stats(plain).expect("plain stats");
+    let (_, enc_stats) = pred.filter_with_stats(encoded).expect("encoded stats");
+    results.push(result_row(
+        bench,
+        run_len,
+        plain.len(),
+        plain_ns,
+        enc_ns,
+        plain_stats.bytes_scanned,
+        enc_stats.bytes_scanned,
+        enc_stats.kernel.name(),
+    ));
+    plain_ns as f64 / enc_ns.max(1) as f64
+}
+
 fn main() {
     let rows = bench_rows();
     let reps = 5;
@@ -187,25 +256,13 @@ fn main() {
             tabula_storage::Value::Float64(1.0),
         );
 
-        let (plain_ns, plain_ids) = time_best(reps, || pred.filter(&plain).expect("plain filter"));
-        let (enc_ns, enc_ids) = time_best(reps, || pred.filter(&encoded).expect("encoded filter"));
-        assert_eq!(plain_ids, enc_ids, "run_len={run_len}: encoded scan diverges from plain");
-        let (_, plain_stats) = pred.filter_with_stats(&plain).expect("plain stats");
-        let (_, enc_stats) = pred.filter_with_stats(&encoded).expect("encoded stats");
-        let speedup = plain_ns as f64 / enc_ns.max(1) as f64;
+        let speedup = scan_lane("scan", run_len, reps, &pred, [&plain, &encoded], &mut results);
         if run_len == 1024 {
             clustered_scan_speedup = speedup;
         }
-        results.push(result_row(
-            "scan",
-            run_len,
-            rows,
-            plain_ns,
-            enc_ns,
-            plain_stats.bytes_scanned,
-            enc_stats.bytes_scanned,
-            enc_stats.kernel.name(),
-        ));
+        let (conj_plain, conj) = conj_table(rows, run_len);
+        let conj_encoded = encoded_twin(&conj_plain);
+        scan_lane("scan_conj", run_len, reps, &conj, [&conj_plain, &conj_encoded], &mut results);
 
         let cols = [0usize, 1];
         let (plain_ns, plain_groups) =

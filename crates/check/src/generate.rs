@@ -85,7 +85,9 @@ pub fn gen_case(seed: u64) -> CaseSpec {
             codes.push(j);
             row.push(match schema[i].1 {
                 ColumnType::Str => Value::Str(format!("v{j}")),
-                _ => Value::Int64(j as i64),
+                // From −1: the grammar spells a negative number only as a
+                // float, so SQL reaches `int_col = <integral float>`.
+                _ => Value::Int64(j as i64 - 1),
             });
         }
         // Fare depends on the cell so per-cell means differ, with
@@ -187,7 +189,11 @@ pub fn gen_where_terms(rng: &mut SmallRng, case: &CaseSpec) -> Vec<WhereTerm> {
         let (name, _) = &case.schema[col];
         let op = ALL_OPS[rng.gen_range(0..ALL_OPS.len())];
         let value = if rng.gen_bool(0.8) {
-            case.rows[rng.gen_range(0..case.rows.len())][col].clone()
+            match case.rows[rng.gen_range(0..case.rows.len())][col] {
+                // What `-1` parses to (see `gen_literal`).
+                Value::Int64(v) if v < 0 => Value::Float64(v as f64),
+                ref v => v.clone(),
+            }
         } else {
             gen_literal(rng)
         };

@@ -54,16 +54,6 @@ impl QueryAnswer {
     pub fn materialize(&self, table: &Table) -> Table {
         table.take(&self.rows)
     }
-
-    /// [`materialize`](Self::materialize) into an existing table of the
-    /// same schema, reusing its column buffer capacity — the serving and
-    /// incremental-refresh paths rematerialize answers round after round,
-    /// and a kept scratch table makes that allocation-free at steady state.
-    /// Returns `false` (leaving `out` untouched beyond cleared columns) on
-    /// a schema mismatch.
-    pub fn materialize_into(&self, table: &Table, out: &mut Table) -> bool {
-        table.take_into(&self.rows, out)
-    }
 }
 
 /// Per-stage build statistics reported by the benchmark harness.

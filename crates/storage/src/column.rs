@@ -139,49 +139,6 @@ impl Column {
         }
     }
 
-    /// [`take`](Self::take) into an existing column of the same type,
-    /// reusing its buffer capacity. Incremental refresh re-materializes
-    /// local samples every round; routing those gathers through a kept
-    /// scratch column makes steady-state refresh allocation-free once the
-    /// buffers have grown to working-set size.
-    ///
-    /// For string columns the dictionary is cloned from `self` only when
-    /// `out`'s dictionary differs (cheap `Arc`-free equality proxy: same
-    /// length means same dictionary here, since both sides derive from the
-    /// same immutable source column).
-    pub fn take_into(&self, rows: &[u32], out: &mut Column) -> bool {
-        #[inline]
-        fn gather_into<T: Copy>(src: &[T], rows: &[u32], out: &mut Vec<T>) {
-            out.clear();
-            out.extend(rows.iter().map(|&r| src[r as usize]));
-        }
-        match (self, out) {
-            (Column::Int64(v), Column::Int64(o)) => gather_into(v, rows, o.to_mut()),
-            (Column::Float64(v), Column::Float64(o)) => gather_into(v, rows, o.to_mut()),
-            (Column::Str { codes, dict }, Column::Str { codes: ocodes, dict: odict }) => {
-                gather_into(codes, rows, ocodes.to_mut());
-                if odict.len() != dict.len() {
-                    *odict = dict.clone();
-                }
-            }
-            (Column::Point(v), Column::Point(o)) => gather_into(v, rows, o.to_mut()),
-            _ => return false,
-        }
-        true
-    }
-
-    /// Capacity (in rows) of the column's backing buffer. Shared
-    /// (snapshot-backed) columns are not growable and report their
-    /// length.
-    pub fn capacity(&self) -> usize {
-        match self {
-            Column::Int64(v) => v.capacity(),
-            Column::Float64(v) => v.capacity(),
-            Column::Str { codes, .. } => codes.capacity(),
-            Column::Point(v) => v.capacity(),
-        }
-    }
-
     /// Borrow the float data, if this is a float column.
     pub fn as_f64_slice(&self) -> Option<&[f64]> {
         match self {
@@ -307,40 +264,6 @@ mod tests {
         let t = c.take(&[4, 0, 2]);
         assert_eq!(t.as_f64_slice().unwrap(), &[4.0, 0.0, 2.0]);
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn take_into_reuses_capacity_across_rounds() {
-        let mut c = Column::empty(ColumnType::Int64);
-        for i in 0..100 {
-            c.push(&Value::Int64(i));
-        }
-        let mut out = Column::empty(ColumnType::Int64);
-        c.take_into(&(0..80).collect::<Vec<u32>>(), &mut out);
-        let cap = out.capacity();
-        let ptr = out.as_i64_slice().unwrap().as_ptr();
-        for round in 0..10 {
-            let rows: Vec<u32> = (0..(40 + round)).collect();
-            assert!(c.take_into(&rows, &mut out));
-            assert_eq!(out.len(), rows.len());
-            assert_eq!(out.capacity(), cap, "round {round} reallocated");
-            assert_eq!(out.as_i64_slice().unwrap().as_ptr(), ptr);
-        }
-        // Type mismatch is rejected, not coerced.
-        let mut wrong = Column::empty(ColumnType::Float64);
-        assert!(!c.take_into(&[0], &mut wrong));
-    }
-
-    #[test]
-    fn take_into_refreshes_stale_dictionary() {
-        let mut c = Column::empty(ColumnType::Str);
-        for s in ["a", "b", "c"] {
-            c.push(&Value::Str(s.into()));
-        }
-        let mut out = Column::empty(ColumnType::Str);
-        assert!(c.take_into(&[2, 0], &mut out));
-        assert_eq!(out.value(0), Value::Str("c".into()));
-        assert_eq!(out.value(1), Value::Str("a".into()));
     }
 
     #[test]

@@ -93,60 +93,88 @@ pub fn vectorize() -> bool {
 }
 
 /// A selection vector: the row ids (ascending) of one chunk that survive
-/// the predicate terms applied so far. Filters narrow it in place —
-/// conjunction evaluation is "fill from the chunk range, then each term
-/// retains its matches" — so one buffer is reused across every chunk of a
-/// morsel with no per-chunk allocation.
-#[derive(Debug, Default)]
+/// the predicate terms applied so far, in [`CHUNK_ROWS`] slots allocated
+/// once per morsel. A conjunction is [`narrow`](Self::narrow) term after
+/// term: the first from the chunk's row range, the rest from the selection.
+#[derive(Debug)]
 pub struct SelectionVector {
-    ids: Vec<u32>,
+    ids: Box<[u32]>,
+    len: usize,
 }
 
 impl SelectionVector {
     /// An empty selection with room for one chunk.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SelectionVector { ids: Vec::with_capacity(capacity) }
+    pub fn new() -> Self {
+        SelectionVector { ids: vec![0; CHUNK_ROWS].into_boxed_slice(), len: 0 }
     }
 
-    /// Reset to all rows of `range` (the start of a chunk's evaluation).
-    pub fn fill_range(&mut self, range: std::ops::Range<usize>) {
-        self.ids.clear();
-        self.ids.extend(range.map(|r| r as u32));
-    }
-
-    /// Append every row id in `range`, without clearing first — used by
-    /// run-encoded predicate terms that emit kept row *ranges* directly.
+    /// Keep the candidates for which `keep` holds, ascending: the rows of
+    /// `from` (at most one chunk), or of the current selection when `None`.
+    /// Branch-free — every candidate's id is written and the write position
+    /// advances by the test — so a 50 %-selective term costs what a 1 % one
+    /// does instead of a misprediction every other row.
     #[inline]
-    pub fn push_range(&mut self, range: std::ops::Range<usize>) {
-        self.ids.extend(range.map(|r| r as u32));
+    pub fn narrow(
+        &mut self,
+        from: Option<std::ops::Range<usize>>,
+        mut keep: impl FnMut(u32) -> bool,
+    ) {
+        let mut n = 0;
+        match from {
+            Some(range) => {
+                let ids = &mut self.ids[..range.len()];
+                for r in range.start as u32..range.end as u32 {
+                    ids[n] = r;
+                    n += keep(r) as usize;
+                }
+            }
+            None => {
+                let ids = &mut self.ids[..self.len];
+                for i in 0..ids.len() {
+                    let r = ids[i];
+                    ids[n] = r;
+                    n += keep(r) as usize;
+                }
+            }
+        }
+        self.len = n;
     }
 
-    /// Keep only the selected rows for which `keep` holds, preserving
-    /// ascending order.
+    /// Append `ids` (ascending, beyond the last selected row) — run-encoded
+    /// terms emit kept row *ranges* this way, with no per-row test.
     #[inline]
-    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        self.ids.retain(|&r| keep(r));
+    pub fn extend(&mut self, ids: impl IntoIterator<Item = u32>) {
+        for r in ids {
+            self.ids[self.len] = r;
+            self.len += 1;
+        }
     }
 
     /// Selected row ids, ascending.
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
-        &self.ids
+        &self.ids[..self.len]
     }
 
     /// Number of selected rows.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// Whether nothing is selected.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// Drop all selected rows.
     pub fn clear(&mut self) {
-        self.ids.clear();
+        self.len = 0;
+    }
+}
+
+impl Default for SelectionVector {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -168,15 +196,18 @@ mod tests {
 
     #[test]
     fn selection_vector_narrows_in_place() {
-        let mut sel = SelectionVector::with_capacity(8);
-        sel.fill_range(10..18);
-        assert_eq!(sel.len(), 8);
-        sel.retain(|r| r % 2 == 0);
+        let mut sel = SelectionVector::new();
+        sel.narrow(Some(10..18), |r| r % 2 == 0);
         assert_eq!(sel.as_slice(), &[10, 12, 14, 16]);
-        sel.retain(|r| r > 12);
+        sel.narrow(None, |r| r > 12);
         assert_eq!(sel.as_slice(), &[14, 16]);
+        sel.extend(20..22);
+        assert_eq!(sel.as_slice(), &[14, 16, 20, 21]);
         sel.clear();
         assert!(sel.is_empty());
+        // A whole chunk survives its own narrowing.
+        sel.narrow(Some(0..CHUNK_ROWS), |_| true);
+        assert_eq!(sel.len(), CHUNK_ROWS);
     }
 
     #[test]

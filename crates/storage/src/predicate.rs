@@ -10,7 +10,8 @@
 //! column's native slice (dictionary codes, `i64`, `f64` — string
 //! ordering terms precompute a per-code lookup table so no row ever
 //! materializes a `String`), and a [`SelectionVector`] carries the
-//! surviving row ids of each chunk through the conjunction. The
+//! surviving row ids of each chunk through the conjunction, most
+//! selective term first ([`most_selective_first`]). The
 //! row-at-a-time scalar path remains as the `TABULA_KERNELS=scalar`
 //! reference; both produce identical row sets by construction (each
 //! kernel replicates [`compare`]'s exact semantics, `NaN` and
@@ -19,9 +20,11 @@
 use crate::dictionary::Dictionary;
 use crate::encoding::{Codable, ForView};
 use crate::kernel::{self, SelectionVector};
-use crate::table::{RowId, Table};
+use crate::shared::ColumnBuf;
+use crate::table::{Cat, RowId, Table};
 use crate::types::Value;
 use crate::Result;
+use std::ops::Range;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 
 /// Comparison operator of a single predicate term.
@@ -123,8 +126,11 @@ impl Predicate {
     fn filter_impl(&self, table: &Table) -> Result<(Vec<RowId>, ScanStats)> {
         let compiled = self.compile(table)?;
         let started = std::time::Instant::now();
-        let vec_terms =
-            if kernel::vectorize() { Some(compile_vectorized(&compiled, table)) } else { None };
+        let vec_terms = kernel::vectorize().then(|| {
+            let mut terms = compile_vectorized(&compiled, table);
+            most_selective_first(&mut terms, table.len());
+            terms
+        });
         let (rows, used, chunks, bytes, runs, encoded_bytes) = match &vec_terms {
             Some(terms) => {
                 let cost = scan_cost(terms);
@@ -241,29 +247,25 @@ fn filter_scalar(table: &Table, compiled: &[CompiledTerm]) -> Vec<RowId> {
     partials.concat()
 }
 
-/// Chunked columnar scan: per chunk, the first term seeds the selection
-/// vector (run-encoded terms emit their kept row *ranges* directly, so a
-/// clustered scan never evaluates a per-row predicate), then each
-/// remaining term kernel narrows it in place. Surviving ids append in
-/// chunk (hence row) order.
+/// Chunked columnar scan: per chunk, the first term narrows the chunk's
+/// row range and each further term the selection that is left (see
+/// [`VecTerm::narrow`]). Surviving ids append in chunk (hence row) order.
 fn filter_vectorized(len: usize, terms: &[VecTerm<'_>]) -> Vec<RowId> {
-    let chunk = kernel::CHUNK_ROWS;
-    let pool = Pool::global();
-    let partials = pool.par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+    if terms.is_empty() {
+        return (0..len as RowId).collect();
+    }
+    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
         let mut out = Vec::new();
-        let mut sel = SelectionVector::with_capacity(chunk);
+        let mut sel = SelectionVector::new();
         let mut start = range.start;
         while start < range.end {
-            let end = range.end.min(start + chunk);
-            match terms.first() {
-                Some(first) => first.apply_full(start..end, &mut sel),
-                None => sel.fill_range(start..end),
-            }
-            for term in terms.iter().skip(1) {
+            let end = range.end.min(start + kernel::CHUNK_ROWS);
+            let mut from = Some(start..end);
+            for term in terms {
+                term.narrow(from.take(), &mut sel);
                 if sel.is_empty() {
                     break;
                 }
-                term.apply(&mut sel);
             }
             out.extend_from_slice(sel.as_slice());
             start = end;
@@ -271,6 +273,29 @@ fn filter_vectorized(len: usize, terms: &[VecTerm<'_>]) -> Vec<RowId> {
         out
     });
     partials.concat()
+}
+
+/// Reorder a conjunction so the term that keeps the fewest rows runs first
+/// and every later term sees the smallest selection. The share each term
+/// keeps is measured, not guessed from position or cardinality: each
+/// narrows the same strided sample of at most `SAMPLE_ROWS` rows through
+/// its own kernel. The sample is a function of the table length alone and
+/// ties keep their written order, so the order is deterministic at any
+/// thread count; a conjunction commutes and ids leave in row order, so
+/// neither the rows nor the [`ScanStats`] can depend on it.
+fn most_selective_first(terms: &mut [VecTerm<'_>], len: usize) {
+    const SAMPLE_ROWS: usize = 512;
+    if terms.len() < 2 {
+        return;
+    }
+    let stride = len.div_ceil(SAMPLE_ROWS).max(1);
+    let mut sel = SelectionVector::new();
+    terms.sort_by_cached_key(|term| {
+        sel.clear();
+        sel.extend((0..len).step_by(stride).map(|r| r as u32));
+        term.narrow(None, &mut sel);
+        sel.len()
+    });
 }
 
 /// Work accounting for one [`Predicate::filter_with_stats`] scan.
@@ -344,34 +369,58 @@ impl CompiledTerm {
     }
 }
 
-/// A term lowered onto its column's native (possibly encoded) payload.
-/// Each variant replicates the exact row-at-a-time semantics of
-/// [`CompiledTerm::matches`] / [`compare`] for its (column type, literal
-/// type) pair; combinations `compare` deems incomparable lower to
-/// `Never`. Byte/run figures are the payload the variant touches over a
-/// full scan (see [`ScanStats::bytes_scanned`]).
+/// Where a term reads its column: the plain slice, or the FOR frame
+/// (`width/8` bytes per row, never decoded).
+enum Col<'t, T> {
+    Plain(&'t [T]),
+    For(ForView<'t>),
+}
+
+impl<'t, T: Codable> Col<'t, T> {
+    fn of(buf: &'t ColumnBuf<T>) -> Self {
+        match buf.encoded().and_then(|e| e.for_view()) {
+            Some(view) => Col::For(view),
+            None => Col::Plain(buf),
+        }
+    }
+
+    /// Narrow `from` to the rows whose value passes `test`.
+    #[inline]
+    fn narrow(
+        &self,
+        from: Option<Range<usize>>,
+        sel: &mut SelectionVector,
+        test: impl Fn(T) -> bool,
+    ) {
+        match self {
+            Col::Plain(data) => sel.narrow(from, |r| test(data[r as usize])),
+            Col::For(view) => {
+                sel.narrow(from, |r| test(T::from_ordinal(view.get_ordinal(r as usize))))
+            }
+        }
+    }
+}
+
+/// A term lowered onto its column's native (possibly encoded) payload:
+/// where it reads ([`Col`]) × what it tests. Each variant replicates the
+/// exact row-at-a-time semantics of [`CompiledTerm::matches`] / [`compare`]
+/// for its (column type, literal type) pair; combinations `compare` deems
+/// incomparable lower to `Never`.
 enum VecTerm<'t> {
     Never,
-    CatEq { codes: &'t [u32], code: u32 },
-    I64 { data: &'t [i64], op: CmpOp, rhs: i64 },
-    I64AsF64 { data: &'t [i64], op: CmpOp, rhs: f64 },
-    F64 { data: &'t [f64], op: CmpOp, rhs: f64 },
+    CodeEq(Col<'t, u32>, u32),
     // String ordering against a literal: one `&str` compare per *distinct
     // code* at compile time, then a per-row table lookup — the scalar path
     // allocates a `String` per row here.
-    StrLut { codes: &'t [u32], lut: Vec<bool> },
+    CodeLut(Col<'t, u32>, Vec<bool>),
+    Int(Col<'t, i64>, CmpOp, i64),
+    IntAsFloat(Col<'t, i64>, CmpOp, f64),
+    Float(Col<'t, f64>, CmpOp, f64),
     // A term over an RLE column, any payload type: the comparison ran
     // once per run at compile time, so a scan consults one bool per run
     // — and when this is the leading term it emits kept row ranges
-    // without any per-row work.
-    RleKeep { keep: Vec<bool>, ends: &'t [u32], bytes: u64 },
-    // Terms over FOR bit-packed columns: per selected row, a shift/mask
-    // ordinal extraction — no decode, `width/8` bytes per row.
-    ForI64 { view: ForView<'t>, op: CmpOp, rhs: i64 },
-    ForI64AsF64 { view: ForView<'t>, op: CmpOp, rhs: f64 },
-    ForF64 { view: ForView<'t>, op: CmpOp, rhs: f64 },
-    ForCatEq { view: ForView<'t>, code: u32 },
-    ForStrLut { view: ForView<'t>, lut: Vec<bool> },
+    // without any per-row work. `bytes` is the run payload a scan touches.
+    Runs { keep: Vec<bool>, ends: &'t [u32], bytes: u64 },
 }
 
 /// Evaluate a term once per RLE run, yielding the per-run keep table.
@@ -381,7 +430,7 @@ fn rle_keep<'t, T: Copy>(
 ) -> VecTerm<'t> {
     let keep = runs.values.iter().map(|&v| pred(v)).collect();
     let bytes = (std::mem::size_of_val(runs.values) + runs.ends.len() * 4) as u64;
-    VecTerm::RleKeep { keep, ends: runs.ends, bytes }
+    VecTerm::Runs { keep, ends: runs.ends, bytes }
 }
 
 fn compile_vectorized<'t>(compiled: &[CompiledTerm], table: &'t Table) -> Vec<VecTerm<'t>> {
@@ -392,99 +441,57 @@ fn compile_vectorized<'t>(compiled: &[CompiledTerm], table: &'t Table) -> Vec<Ve
             CompiledTerm::CatEq { col, code } => {
                 let cat = table.cat(*col).expect("compile() verified the column is categorical");
                 let code = *code;
-                if let Some(runs) = cat.runs() {
-                    return rle_keep(runs, |c| c == code);
+                match (cat.runs(), cat) {
+                    (Some(runs), _) => rle_keep(runs, |c| c == code),
+                    // A string column's codes may be a FOR frame; an integer
+                    // attribute's expanded codes (`IntCatIndex`) are plain.
+                    (None, Cat::Str(codes, _)) => VecTerm::CodeEq(Col::of(codes), code),
+                    (None, Cat::Int(idx)) => VecTerm::CodeEq(Col::Plain(&idx.codes), code),
                 }
-                if let Some(view) = for_codes(table, *col) {
-                    return VecTerm::ForCatEq { view, code };
-                }
-                VecTerm::CatEq { codes: cat.codes(), code }
             }
             CompiledTerm::General { col, op, value } => {
                 let column = table.column(*col);
+                let op = *op;
                 if let Some(data) = column.as_i64_buf() {
-                    let rle = data.runs();
-                    let fo = data.encoded().and_then(|e| e.for_view());
-                    return match value {
-                        Value::Int64(rhs) => {
-                            let (op, rhs) = (*op, *rhs);
-                            match (rle, fo) {
-                                (Some(runs), _) => rle_keep(runs, |x| cmp_i64(op, x, rhs)),
-                                (None, Some(view)) => VecTerm::ForI64 { view, op, rhs },
-                                (None, None) => VecTerm::I64 { data, op, rhs },
-                            }
+                    return match (value, data.runs()) {
+                        (&Value::Int64(rhs), Some(runs)) => rle_keep(runs, |x| cmp(op, x, rhs)),
+                        (&Value::Int64(rhs), None) => VecTerm::Int(Col::of(data), op, rhs),
+                        (&Value::Float64(rhs), Some(runs)) => {
+                            rle_keep(runs, |x| cmp(op, x as f64, rhs))
                         }
-                        Value::Float64(rhs) => {
-                            let (op, rhs) = (*op, *rhs);
-                            match (rle, fo) {
-                                (Some(runs), _) => rle_keep(runs, |x| cmp_f64(op, x as f64, rhs)),
-                                (None, Some(view)) => VecTerm::ForI64AsF64 { view, op, rhs },
-                                (None, None) => VecTerm::I64AsF64 { data, op, rhs },
-                            }
-                        }
+                        (&Value::Float64(rhs), None) => VecTerm::IntAsFloat(Col::of(data), op, rhs),
                         _ => VecTerm::Never,
                     };
                 }
                 if let Some(data) = column.as_f64_buf() {
                     // as_f64 widens Int64 literals; Str/Point have no
                     // float form, so compare() never matches them.
-                    return match value.as_f64() {
-                        Some(rhs) => {
-                            let op = *op;
-                            match (data.runs(), data.encoded().and_then(|e| e.for_view())) {
-                                (Some(runs), _) => rle_keep(runs, |x| cmp_f64(op, x, rhs)),
-                                (None, Some(view)) => VecTerm::ForF64 { view, op, rhs },
-                                (None, None) => VecTerm::F64 { data, op, rhs },
-                            }
-                        }
-                        None => VecTerm::Never,
+                    return match (value.as_f64(), data.runs()) {
+                        (Some(rhs), Some(runs)) => rle_keep(runs, |x| cmp(op, x, rhs)),
+                        (Some(rhs), None) => VecTerm::Float(Col::of(data), op, rhs),
+                        (None, _) => VecTerm::Never,
                     };
                 }
-                if let Some((codes, dict)) = column.as_code_buf() {
-                    return match value {
-                        Value::Str(rhs) => {
-                            let lut = str_lut(dict, *op, rhs);
-                            match (codes.runs(), codes.encoded().and_then(|e| e.for_view())) {
-                                (Some(runs), _) => rle_keep(runs, |c| lut[c as usize]),
-                                (None, Some(view)) => VecTerm::ForStrLut { view, lut },
-                                (None, None) => VecTerm::StrLut { codes, lut },
-                            }
-                        }
-                        _ => VecTerm::Never,
+                if let (Some((codes, dict)), Value::Str(rhs)) = (column.as_code_buf(), value) {
+                    let lut = str_lut(dict, op, rhs);
+                    return match codes.runs() {
+                        Some(runs) => rle_keep(runs, |c| lut[c as usize]),
+                        None => VecTerm::CodeLut(Col::of(codes), lut),
                     };
                 }
-                // Point columns: no total order, nothing ever matches.
+                // A string column against a non-string literal, or a point
+                // column (no total order): nothing ever matches.
                 VecTerm::Never
             }
         })
         .collect()
 }
 
-/// The FOR view of a *string* column's code payload, if that is how it
-/// is encoded. (Integer categorical attributes go through the cached
-/// `IntCatIndex`, whose expanded codes are always plain.)
-fn for_codes<'t>(table: &'t Table, col: usize) -> Option<ForView<'t>> {
-    table.column(col).as_code_buf().and_then(|(codes, _)| codes.encoded()?.for_view())
-}
-
-/// Scalar [`CmpOp`] evaluation on `i64`, matching [`retain_i64`].
+/// [`CmpOp`] on a partially ordered type with [`compare`]'s semantics: a
+/// `NaN` on either side matches nothing, `Ne` included — hence
+/// `x < rhs || x > rhs`, which `x != rhs` is not.
 #[inline]
-fn cmp_i64(op: CmpOp, x: i64, rhs: i64) -> bool {
-    match op {
-        CmpOp::Eq => x == rhs,
-        CmpOp::Ne => x != rhs,
-        CmpOp::Lt => x < rhs,
-        CmpOp::Le => x <= rhs,
-        CmpOp::Gt => x > rhs,
-        CmpOp::Ge => x >= rhs,
-    }
-}
-
-/// Scalar [`CmpOp`] evaluation on `f64`, matching [`retain_f64`]'s
-/// partial-order semantics exactly: a `NaN` on either side matches
-/// nothing, `Ne` included.
-#[inline]
-fn cmp_f64(op: CmpOp, x: f64, rhs: f64) -> bool {
+fn cmp<V: PartialOrd>(op: CmpOp, x: V, rhs: V) -> bool {
     match op {
         CmpOp::Eq => x == rhs,
         #[allow(clippy::double_comparisons)]
@@ -508,31 +515,29 @@ struct ScanCost {
 
 /// Physical payload each term touches over a full scan.
 fn scan_cost(terms: &[VecTerm<'_>]) -> ScanCost {
-    let mut cost = ScanCost::default();
-    for t in terms {
-        match t {
-            VecTerm::Never => {}
-            VecTerm::CatEq { codes, .. } => cost.bytes += codes.len() as u64 * 4,
-            VecTerm::StrLut { codes, .. } => cost.bytes += codes.len() as u64 * 4,
-            VecTerm::I64 { data, .. } | VecTerm::I64AsF64 { data, .. } => {
-                cost.bytes += data.len() as u64 * 8;
-            }
-            VecTerm::F64 { data, .. } => cost.bytes += data.len() as u64 * 8,
-            VecTerm::RleKeep { keep, bytes, .. } => {
-                cost.bytes += bytes;
-                cost.encoded_bytes += bytes;
-                cost.runs += keep.len() as u64;
-                cost.rle_terms += 1;
-            }
-            VecTerm::ForI64 { view, .. }
-            | VecTerm::ForI64AsF64 { view, .. }
-            | VecTerm::ForF64 { view, .. }
-            | VecTerm::ForCatEq { view, .. }
-            | VecTerm::ForStrLut { view, .. } => {
+    fn col<T>(cost: &mut ScanCost, col: &Col<'_, T>) {
+        match col {
+            Col::Plain(data) => cost.bytes += std::mem::size_of_val(*data) as u64,
+            Col::For(view) => {
                 let b = view.words.len() as u64 * 8;
                 cost.bytes += b;
                 cost.encoded_bytes += b;
                 cost.for_terms += 1;
+            }
+        }
+    }
+    let mut cost = ScanCost::default();
+    for t in terms {
+        match t {
+            VecTerm::Never => {}
+            VecTerm::CodeEq(c, _) | VecTerm::CodeLut(c, _) => col(&mut cost, c),
+            VecTerm::Int(c, ..) | VecTerm::IntAsFloat(c, ..) => col(&mut cost, c),
+            VecTerm::Float(c, ..) => col(&mut cost, c),
+            VecTerm::Runs { keep, bytes, .. } => {
+                cost.bytes += bytes;
+                cost.encoded_bytes += bytes;
+                cost.runs += keep.len() as u64;
+                cost.rle_terms += 1;
             }
         }
     }
@@ -563,114 +568,72 @@ fn str_lut(dict: &Dictionary, op: CmpOp, rhs: &str) -> Vec<bool> {
 }
 
 impl VecTerm<'_> {
-    /// Seed `sel` with the rows of `range` this term keeps — the
-    /// chunk-leading position. A run-encoded term emits its kept row
-    /// *ranges* directly (one branch per run, zero per-row work on a
-    /// clustered scan); every other variant fills the range and narrows.
-    fn apply_full(&self, range: std::ops::Range<usize>, sel: &mut SelectionVector) {
+    /// Narrow `from` — a chunk's row range in the leading position, the
+    /// selection the earlier terms left (`None`) after it — to the rows
+    /// this term keeps.
+    fn narrow(&self, from: Option<Range<usize>>, sel: &mut SelectionVector) {
         match self {
             VecTerm::Never => sel.clear(),
-            VecTerm::RleKeep { keep, ends, .. } => {
-                sel.clear();
-                let mut run = ends.partition_point(|&e| (e as usize) <= range.start);
-                let mut pos = range.start;
-                while pos < range.end {
-                    let run_end = (ends[run] as usize).min(range.end);
-                    if keep[run] {
-                        sel.push_range(pos..run_end);
-                    }
-                    pos = run_end;
-                    run += 1;
-                }
+            VecTerm::CodeEq(col, code) => col.narrow(from, sel, |c| c == *code),
+            VecTerm::CodeLut(col, lut) => col.narrow(from, sel, |c| lut[c as usize]),
+            VecTerm::Int(col, op, rhs) => narrow_cmp(col, from, sel, *op, *rhs, |x| x),
+            VecTerm::IntAsFloat(col, op, rhs) => {
+                narrow_cmp(col, from, sel, *op, *rhs, |x| x as f64)
             }
-            _ => {
-                sel.fill_range(range);
-                self.apply(sel);
-            }
-        }
-    }
-
-    #[inline]
-    fn apply(&self, sel: &mut SelectionVector) {
-        match self {
-            VecTerm::Never => sel.clear(),
-            VecTerm::CatEq { codes, code } => sel.retain(|r| codes[r as usize] == *code),
-            VecTerm::I64 { data, op, rhs } => retain_i64(sel, data, *op, *rhs),
-            VecTerm::I64AsF64 { data, op, rhs } => {
-                retain_f64(sel, *op, *rhs, |r| data[r as usize] as f64)
-            }
-            VecTerm::F64 { data, op, rhs } => retain_f64(sel, *op, *rhs, |r| data[r as usize]),
-            VecTerm::StrLut { codes, lut } => sel.retain(|r| lut[codes[r as usize] as usize]),
-            VecTerm::RleKeep { keep, ends, .. } => {
-                // Selection ids are ascending, so a forward cursor over
-                // the runs suffices; seed it with a binary search at the
-                // first id (the selection may start mid-table).
-                let mut run = usize::MAX;
-                sel.retain(|r| {
-                    if run == usize::MAX {
-                        run = ends.partition_point(|&e| e <= r);
-                    } else {
-                        while ends[run] <= r {
-                            run += 1;
+            VecTerm::Float(col, op, rhs) => narrow_cmp(col, from, sel, *op, *rhs, |x| x),
+            // One branch per run, no per-row work on a clustered scan.
+            VecTerm::Runs { keep, ends, .. } => match from {
+                Some(range) => {
+                    sel.clear();
+                    let mut run = ends.partition_point(|&e| (e as usize) <= range.start);
+                    let mut pos = range.start;
+                    while pos < range.end {
+                        let run_end = (ends[run] as usize).min(range.end);
+                        if keep[run] {
+                            sel.extend(pos as u32..run_end as u32);
                         }
+                        pos = run_end;
+                        run += 1;
                     }
-                    keep[run]
-                });
-            }
-            VecTerm::ForI64 { view, op, rhs } => {
-                let (op, rhs) = (*op, *rhs);
-                sel.retain(|r| cmp_i64(op, i64::from_ordinal(view.get_ordinal(r as usize)), rhs));
-            }
-            VecTerm::ForI64AsF64 { view, op, rhs } => {
-                let (op, rhs) = (*op, *rhs);
-                sel.retain(|r| {
-                    cmp_f64(op, i64::from_ordinal(view.get_ordinal(r as usize)) as f64, rhs)
-                });
-            }
-            VecTerm::ForF64 { view, op, rhs } => {
-                let (op, rhs) = (*op, *rhs);
-                sel.retain(|r| cmp_f64(op, f64::from_ordinal(view.get_ordinal(r as usize)), rhs));
-            }
-            VecTerm::ForCatEq { view, code } => {
-                sel.retain(|r| u32::from_ordinal(view.get_ordinal(r as usize)) == *code);
-            }
-            VecTerm::ForStrLut { view, lut } => {
-                sel.retain(|r| lut[u32::from_ordinal(view.get_ordinal(r as usize)) as usize]);
-            }
+                }
+                None => {
+                    // Selection ids are ascending, so a forward cursor over
+                    // the runs suffices; seed it with a binary search at the
+                    // first id (the selection may start mid-table).
+                    let mut run = usize::MAX;
+                    sel.narrow(None, |r| {
+                        if run == usize::MAX {
+                            run = ends.partition_point(|&e| e <= r);
+                        } else {
+                            while ends[run] <= r {
+                                run += 1;
+                            }
+                        }
+                        keep[run]
+                    });
+                }
+            },
         }
     }
 }
 
-/// Integer comparison kernels: the op is dispatched once per chunk, so
-/// each arm is a tight monomorphic loop.
-fn retain_i64(sel: &mut SelectionVector, data: &[i64], op: CmpOp, rhs: i64) {
+/// Comparison kernels: the op is dispatched once per chunk, so each arm is
+/// a tight monomorphic loop over `widen(value) <op> rhs`.
+fn narrow_cmp<T: Codable, V: PartialOrd + Copy>(
+    col: &Col<'_, T>,
+    from: Option<Range<usize>>,
+    sel: &mut SelectionVector,
+    op: CmpOp,
+    rhs: V,
+    widen: impl Fn(T) -> V,
+) {
     match op {
-        CmpOp::Eq => sel.retain(|r| data[r as usize] == rhs),
-        CmpOp::Ne => sel.retain(|r| data[r as usize] != rhs),
-        CmpOp::Lt => sel.retain(|r| data[r as usize] < rhs),
-        CmpOp::Le => sel.retain(|r| data[r as usize] <= rhs),
-        CmpOp::Gt => sel.retain(|r| data[r as usize] > rhs),
-        CmpOp::Ge => sel.retain(|r| data[r as usize] >= rhs),
-    }
-}
-
-/// Float comparison kernels with `partial_cmp` semantics: a `NaN` on
-/// either side matches nothing — note `Ne` is `x < rhs || x > rhs`, *not*
-/// `x != rhs` (which would match `NaN`, unlike the scalar reference).
-fn retain_f64(sel: &mut SelectionVector, op: CmpOp, rhs: f64, at: impl Fn(u32) -> f64) {
-    match op {
-        CmpOp::Eq => sel.retain(|r| at(r) == rhs),
-        // Not `x != rhs`: clippy's simplification is true for NaN, this
-        // form is not — and NaN must match nothing.
-        #[allow(clippy::double_comparisons)]
-        CmpOp::Ne => sel.retain(|r| {
-            let x = at(r);
-            x < rhs || x > rhs
-        }),
-        CmpOp::Lt => sel.retain(|r| at(r) < rhs),
-        CmpOp::Le => sel.retain(|r| at(r) <= rhs),
-        CmpOp::Gt => sel.retain(|r| at(r) > rhs),
-        CmpOp::Ge => sel.retain(|r| at(r) >= rhs),
+        CmpOp::Eq => col.narrow(from, sel, |x| cmp(CmpOp::Eq, widen(x), rhs)),
+        CmpOp::Ne => col.narrow(from, sel, |x| cmp(CmpOp::Ne, widen(x), rhs)),
+        CmpOp::Lt => col.narrow(from, sel, |x| cmp(CmpOp::Lt, widen(x), rhs)),
+        CmpOp::Le => col.narrow(from, sel, |x| cmp(CmpOp::Le, widen(x), rhs)),
+        CmpOp::Gt => col.narrow(from, sel, |x| cmp(CmpOp::Gt, widen(x), rhs)),
+        CmpOp::Ge => col.narrow(from, sel, |x| cmp(CmpOp::Ge, widen(x), rhs)),
     }
 }
 
@@ -751,6 +714,9 @@ mod tests {
         let t = table();
         let p = Predicate::all().and("passengers", CmpOp::Ge, 2.5f64);
         assert_eq!(p.filter(&t).unwrap(), vec![3]);
+        // Equality goes through the dictionary: 2.0 names the integer 2.
+        assert_eq!(Predicate::eq("passengers", 2.0f64).filter(&t).unwrap(), vec![1, 4]);
+        assert!(Predicate::eq("passengers", 2.5f64).filter(&t).unwrap().is_empty());
     }
 
     #[test]
@@ -924,6 +890,49 @@ mod tests {
             let expect: Vec<RowId> =
                 (0..t.len()).filter(|&r| p.matches(&t, r).unwrap()).map(|r| r as RowId).collect();
             assert_eq!(p.filter(&t).unwrap(), expect, "pred={p:?}");
+        }
+    }
+
+    /// With the reordering bypassed, every kernel — RLE ranges and run
+    /// cursor, FOR ordinals, plain slices — leads and narrows in turn, and
+    /// all 24 orders of a conjunction select the same rows.
+    #[test]
+    fn every_term_order_selects_the_same_rows() {
+        let plain = run_table();
+        let terms: [(&str, CmpOp, Value); 4] = [
+            ("s", CmpOp::Ne, "cash".into()),
+            ("id", CmpOp::Lt, 2900i64.into()),
+            ("s2", CmpOp::Ge, "v2".into()),
+            ("f", CmpOp::Le, 5.5f64.into()),
+        ];
+        let conj = |order: &[usize]| {
+            order.iter().fold(Predicate::all(), |p, &i| {
+                let (column, op, value) = &terms[i];
+                p.and(*column, *op, value.clone())
+            })
+        };
+        let expect = filter_scalar(&plain, &conj(&[0, 1, 2, 3]).compile(&plain).unwrap());
+        assert!(expect.len() > 100 && expect.len() < plain.len() / 2);
+        let mut orders = vec![vec![]];
+        for i in 0..terms.len() {
+            orders = orders
+                .iter()
+                .flat_map(|o: &Vec<usize>| {
+                    (0..=o.len()).map(move |at| {
+                        let mut o = o.clone();
+                        o.insert(at, i);
+                        o
+                    })
+                })
+                .collect();
+        }
+        assert_eq!(orders.len(), 24);
+        for t in [&plain, &force_encoded(&plain)] {
+            for order in &orders {
+                let compiled = conj(order).compile(t).unwrap();
+                let rows = filter_vectorized(t.len(), &compile_vectorized(&compiled, t));
+                assert_eq!(rows, expect, "order {order:?}");
+            }
         }
     }
 

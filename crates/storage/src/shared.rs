@@ -120,16 +120,6 @@ impl<T: Codable> ColumnBuf<T> {
         }
     }
 
-    /// Spare capacity in rows: shared and encoded backings are not
-    /// growable, so they report no headroom beyond their length.
-    pub fn capacity(&self) -> usize {
-        match self {
-            ColumnBuf::Owned(v) => v.capacity(),
-            ColumnBuf::Shared(s) => s.len(),
-            ColumnBuf::Encoded(e) => e.len(),
-        }
-    }
-
     /// Number of rows, without decoding an encoded backing.
     pub fn row_count(&self) -> usize {
         match self {
@@ -235,7 +225,6 @@ mod tests {
     fn to_mut_promotes_shared_to_owned_copy() {
         let owner = Arc::new(vec![1u32, 2, 3]);
         let mut buf: ColumnBuf<u32> = shared_from(Arc::clone(&owner)).into();
-        assert_eq!(buf.capacity(), 3);
         buf.to_mut().push(4);
         assert_eq!(&*buf, &[1, 2, 3, 4]);
         assert_eq!(&*owner, &[1, 2, 3], "promotion must not touch the shared backing");

@@ -123,11 +123,18 @@ impl<'t> Cat<'t> {
         }
     }
 
-    /// Encode a value, if present in this column's domain.
+    /// Encode a value, if present in this column's domain. A float literal
+    /// that is exactly an integer names that integer — `passengers = 2.0`
+    /// is `passengers = 2`, as the widening comparison of `>=` / `<=` has
+    /// it; `2.5`, `NaN` and `±∞` are outside every integer domain.
     pub fn lookup(&self, value: &Value) -> Option<u32> {
         match (self, value) {
             (Cat::Str(_, dict), Value::Str(s)) => dict.lookup(s),
             (Cat::Int(idx), Value::Int64(v)) => idx.index.get(v).copied(),
+            // `as` saturates and sends NaN to 0; the round trip rejects both.
+            (Cat::Int(idx), &Value::Float64(f)) if (f as i64) as f64 == f => {
+                idx.index.get(&(f as i64)).copied()
+            }
             _ => None,
         }
     }
@@ -263,29 +270,6 @@ impl Table {
             len: rows.len(),
             int_cat: (0..n).map(|_| OnceLock::new()).collect(),
         }
-    }
-
-    /// [`take`](Self::take) into an existing table of the same schema,
-    /// reusing its column buffer capacity across calls — the materialize
-    /// path of repeated answers and incremental-refresh rounds gathers
-    /// every column each round, where fresh allocation would dominate.
-    /// Cached categorical indexes of `out` are reset (they described the
-    /// old rows). Returns `false` on a schema mismatch, leaving `out`'s
-    /// rows unspecified but its buffers intact.
-    pub fn take_into(&self, rows: &[RowId], out: &mut Table) -> bool {
-        if self.schema != out.schema || self.columns.len() != out.columns.len() {
-            return false;
-        }
-        for (src, dst) in self.columns.iter().zip(&mut out.columns) {
-            if !src.take_into(rows, dst) {
-                return false;
-            }
-        }
-        out.len = rows.len();
-        for slot in &mut out.int_cat {
-            *slot = OnceLock::new();
-        }
-        true
     }
 
     /// Approximate bytes one row of this table occupies.
@@ -517,27 +501,6 @@ mod tests {
         assert_eq!(sub.value(1, 0), Value::Str("cash".into()));
         // Categorical views on the projection still work.
         assert_eq!(sub.cat(0).unwrap().codes(), &[0, 0]);
-    }
-
-    #[test]
-    fn take_into_is_capacity_stable_across_rounds() {
-        let t = taxi_mini();
-        let mut out = t.take(&[0, 1, 2]);
-        let caps: Vec<usize> = out.columns.iter().map(|c| c.capacity()).collect();
-        for round in 0..8 {
-            let rows: Vec<RowId> = if round % 2 == 0 { vec![2, 0] } else { vec![1, 2, 0] };
-            assert!(t.take_into(&rows, &mut out), "schemas match");
-            assert_eq!(out.len(), rows.len());
-            assert_eq!(out.row(0), t.row(rows[0] as usize));
-            let now: Vec<usize> = out.columns.iter().map(|c| c.capacity()).collect();
-            assert_eq!(now, caps, "round {round} reallocated a column");
-            // Cached categorical indexes are rebuilt for the new rows.
-            assert_eq!(out.cat(1).unwrap().codes().len(), rows.len());
-        }
-        // Schema mismatch is rejected.
-        let other = TableBuilder::new(Schema::new(vec![Field::new("x", ColumnType::Int64)]));
-        let mut wrong = other.finish();
-        assert!(!t.take_into(&[0], &mut wrong));
     }
 
     #[test]
