@@ -155,6 +155,14 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Forget every sample, in place: handles resolved earlier keep
+    /// recording into the histogram the registry reports.
+    pub(crate) fn reset(&self) {
+        for cell in self.buckets.iter().chain([&self.count, &self.sum, &self.max]) {
+            cell.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Consistent point-in-time view. Individual loads are relaxed, so a
     /// snapshot taken concurrently with writers may straddle an in-flight
     /// record; quantiles remain meaningful because every bucket is monotone.
@@ -325,9 +333,8 @@ impl Registry {
         for c in self.counters.read().unwrap().values() {
             c.reset();
         }
-        let mut h = self.histograms.write().unwrap();
-        for v in h.values_mut() {
-            *v = Arc::new(Histogram::new());
+        for h in self.histograms.read().unwrap().values() {
+            h.reset();
         }
         for w in self.windows.read().unwrap().values() {
             w.reset();
@@ -436,7 +443,8 @@ mod tests {
     fn registry_reset_clears_counters_and_histograms() {
         let r = Registry::new();
         r.counter("c").add(5);
-        r.histogram("h").record(123);
+        let h = r.histogram("h");
+        h.record(123);
         r.gauge("g").set(9);
         r.window("w").record(77);
         r.reset();
@@ -445,6 +453,9 @@ mod tests {
         assert_eq!(s.histograms["h"].count, 0);
         assert_eq!(s.gauges["g"], 9);
         assert_eq!(s.windows["w"].hist.count, 0);
+        // A handle resolved before the reset still feeds the registry.
+        h.record(7);
+        assert_eq!(r.snapshot().histograms["h"].sum_ns, 7);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! # tabula-par — morsel-driven deterministic parallel execution
 //!
-//! A `std`-only parallel execution layer for the cube pipeline: a scoped
-//! worker pool with per-worker work-stealing deques, plus three
-//! primitives — [`Pool::par_map`], [`Pool::par_chunks`] and
-//! [`Pool::par_fold_merge`] — that every hot stage (finest-cuboid scan,
-//! lattice rollup, dry-run classification, group-by, per-cell sampling,
-//! SamGraph join) is built on.
+//! A `std`-only parallel execution layer for the cube pipeline: one
+//! process-wide set of parked helper threads, plus three primitives —
+//! [`Pool::par_map`], [`Pool::par_chunks`] and [`Pool::par_fold_merge`] —
+//! that every hot stage (finest-cuboid scan, lattice rollup, dry-run
+//! classification, group-by, per-cell sampling, SamGraph join, the raw
+//! `Predicate::filter`) is built on.
 //!
 //! ## Determinism contract
 //!
@@ -25,6 +25,25 @@
 //! serial path (`TABULA_THREADS=1`) executes the same morsels in the same
 //! merge order inline, it is bit-for-bit the parallel result.
 //!
+//! ## Threads
+//!
+//! [`Pool::run`] at `workers` > 1 is a *job*: the caller is worker 0 and
+//! starts on the tasks at once; `workers − 1` helpers are woken to join it.
+//! Helpers are spawned by the first job that wants them (never by the
+//! serial path), grown to the largest `workers − 1` ever asked for, named
+//! `tabula-par-<i>`, and live for the rest of the process, parked on a
+//! condition variable between jobs. They do not spin: a parked helper
+//! costs a reader on the other core nothing, and a helper that wakes late
+//! finds the tasks gone and parks again — the worst case is the serial run
+//! plus one queue push, never a wait for a thread to arrive. Open jobs sit
+//! in one queue and a free helper joins the oldest; a caller only ever
+//! waits for helpers that are *inside* one of its tasks, so nested and
+//! concurrent `run`s cannot deadlock. Tasks are handed out by one atomic
+//! cursor per job, in task order.
+//!
+//! A panicking task does not kill the pool: the helper it ran on catches
+//! it, the job drains, and the first payload is re-raised on the caller.
+//!
 //! ## Configuration
 //!
 //! The process-wide thread count comes from the `TABULA_THREADS`
@@ -35,18 +54,18 @@
 //!
 //! ## Instrumentation
 //!
-//! The pool reports into the global [`tabula_obs`] registry:
-//! `par.tasks` / `par.steals` counters, `par.morsel_ns` and
-//! `par.queue_depth` histograms, and a `par.threads` gauge — so
-//! `BENCH_*.json` summaries can show scheduler behaviour next to stage
-//! wall times.
+//! The pool reports into the global [`tabula_obs`] registry: a `par.tasks`
+//! counter, a `par.morsel_ns` histogram (busy time per task on the parallel
+//! path) and a `par.threads` gauge, resolved once per process.
 //!
 //! [`SumCount`-style]: https://en.wikipedia.org/wiki/Floating-point_arithmetic#Accuracy_problems
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 use tabula_obs as obs;
 
@@ -95,9 +114,177 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Handle on the parallel execution layer: a thread count plus the obs
-/// instruments. Cheap to construct; worker threads are scoped per call
-/// (no idle threads linger between stages).
+/// The pool's obs instruments, resolved once per process.
+struct Instruments {
+    threads: Arc<obs::Gauge>,
+    tasks: Arc<obs::Counter>,
+    morsel_ns: Arc<obs::Histogram>,
+}
+
+fn instruments() -> &'static Instruments {
+    static INSTRUMENTS: OnceLock<Instruments> = OnceLock::new();
+    INSTRUMENTS.get_or_init(|| {
+        let metrics = obs::global();
+        Instruments {
+            threads: metrics.gauge("par.threads"),
+            tasks: metrics.counter("par.tasks"),
+            morsel_ns: metrics.histogram("par.morsel_ns"),
+        }
+    })
+}
+
+/// Lock a mutex of this module. None of them is ever held while a task
+/// runs, so a poisoned one still guards consistent data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One parallel [`Pool::run`] in flight.
+struct Job {
+    /// The caller's task closure with its lifetime erased; see [`run_job`]
+    /// for why no call can outlive the borrow.
+    task: &'static (dyn Fn(usize) + Sync),
+    tasks: usize,
+    /// Next task index to hand out. `Relaxed` throughout: it publishes no
+    /// data, a task's result travels through its slot's mutex and `state`.
+    next: AtomicUsize,
+    state: Mutex<JobState>,
+    /// Signalled when the last helper inside the job leaves.
+    left: Condvar,
+}
+
+struct JobState {
+    /// Helpers the job still has room for.
+    wanted: usize,
+    /// Helpers that joined and have not left yet.
+    inside: usize,
+    /// Payload of the first task that panicked on a helper.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Job {
+    /// Run tasks until the cursor passes the last one.
+    fn work(&self) {
+        let instruments = instruments();
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.tasks {
+                return;
+            }
+            let start = Instant::now();
+            (self.task)(i);
+            instruments.morsel_ns.record_duration(start.elapsed());
+            instruments.tasks.inc();
+        }
+    }
+}
+
+/// The jobs that still want helpers, oldest first, and how many helper
+/// threads exist.
+struct Queue {
+    open: VecDeque<Arc<Job>>,
+    spawned: usize,
+}
+
+static QUEUE: Mutex<Queue> = Mutex::new(Queue { open: VecDeque::new(), spawned: 0 });
+/// Helpers park here while `QUEUE.open` is empty.
+static WAKE: Condvar = Condvar::new();
+
+/// Body of a helper thread: join the oldest open job, work, leave, park.
+fn helper() {
+    let mut queue = lock(&QUEUE);
+    loop {
+        let Some(job) = queue.open.front().cloned() else {
+            queue = WAKE.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            continue;
+        };
+        {
+            // Joining happens under the queue lock, so once a caller has
+            // retracted its job `inside` can only fall.
+            let mut state = lock(&job.state);
+            state.inside += 1;
+            state.wanted -= 1;
+            if state.wanted == 0 {
+                queue.open.pop_front();
+            }
+        }
+        drop(queue);
+        let outcome = catch_unwind(AssertUnwindSafe(|| job.work()));
+        let mut state = lock(&job.state);
+        if let Err(payload) = outcome {
+            job.next.store(job.tasks, Ordering::Relaxed);
+            state.panic.get_or_insert(payload);
+        }
+        state.inside -= 1;
+        if state.inside == 0 {
+            job.left.notify_one();
+        }
+        drop(state);
+        queue = lock(&QUEUE);
+    }
+}
+
+/// Closes a job: on drop — return or unwind — no helper is in it any more.
+struct Open<'a>(&'a Arc<Job>);
+
+impl Drop for Open<'_> {
+    fn drop(&mut self) {
+        let job = self.0;
+        // Only matters on unwind: tasks not yet started never will be.
+        job.next.store(job.tasks, Ordering::Relaxed);
+        lock(&QUEUE).open.retain(|open| !Arc::ptr_eq(open, job));
+        let mut state = lock(&job.state);
+        while state.inside > 0 {
+            state = job.left.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Run `task(0..tasks)` on the calling thread and up to `helpers` helper
+/// threads; re-raises the first panic of a task that ran on a helper.
+fn run_job(helpers: usize, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+    // SAFETY: the erased reference is stored in `job.task` and nowhere
+    // else, and is called only from `Job::work`. Besides this frame, only
+    // helpers that joined the job run `work`; they join through `QUEUE`,
+    // under its lock, and count themselves in `inside` until they are back
+    // out of `work`. `Open::drop` — which runs before this frame dies,
+    // on return and on unwind — takes the job off the queue, so nobody can
+    // join any more, and then blocks until `inside` is 0. After that the
+    // `Arc<Job>` a helper may still hold is never called through again.
+    let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
+    let state = JobState { wanted: helpers, inside: 0, panic: None };
+    let job = Arc::new(Job {
+        task,
+        tasks,
+        next: AtomicUsize::new(0),
+        state: Mutex::new(state),
+        left: Condvar::new(),
+    });
+    let open = Open(&job);
+    let mut queue = lock(&QUEUE);
+    while queue.spawned < helpers {
+        // Helpers live as long as the process and catch their tasks'
+        // panics, so there is nothing to join. A thread that cannot be
+        // spawned is a helper that never arrives: the caller does its work.
+        let name = format!("tabula-par-{}", queue.spawned);
+        if std::thread::Builder::new().name(name).spawn(helper).is_err() {
+            break;
+        }
+        queue.spawned += 1;
+    }
+    queue.open.push_back(Arc::clone(&job));
+    drop(queue);
+    (0..helpers).for_each(|_| WAKE.notify_one());
+    job.work();
+    drop(open);
+    let panic = lock(&job.state).panic.take();
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+}
+
+/// Handle on the parallel execution layer: a thread count. Cheap to
+/// construct; every pool schedules onto the one process-wide helper set.
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
@@ -107,12 +294,6 @@ impl Default for Pool {
     fn default() -> Self {
         Pool::global()
     }
-}
-
-/// Per-worker state: the owned deque workers pop from the front of and
-/// victims steal from the back of.
-struct Deque {
-    tasks: Mutex<VecDeque<usize>>,
 }
 
 impl Pool {
@@ -132,9 +313,10 @@ impl Pool {
     }
 
     /// Execute `tasks` independent tasks, returning their results in task
-    /// order. The scheduling unit is the task index; distribution is
-    /// block-cyclic into per-worker deques with back-steals when a worker
-    /// drains its own.
+    /// order. The scheduling unit is the task index; the calling thread and
+    /// `min(threads, tasks) − 1` helpers take indices off one cursor. A
+    /// panic in a task is re-raised here once the job has drained; tasks
+    /// not yet started by then are skipped.
     pub fn run<R, F>(&self, tasks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -144,76 +326,25 @@ impl Pool {
             return Vec::new();
         }
         let workers = self.threads.min(tasks);
-        let metrics = obs::global();
-        metrics.gauge("par.threads").set(self.threads as i64);
-        let task_counter = metrics.counter("par.tasks");
+        let instruments = instruments();
+        instruments.threads.set(self.threads as i64);
         if workers <= 1 {
             // Serial path: same tasks, same order, same results.
-            task_counter.add(tasks as u64);
+            instruments.tasks.add(tasks as u64);
             return (0..tasks).map(f).collect();
         }
-        let steal_counter = metrics.counter("par.steals");
-        let morsel_ns = metrics.histogram("par.morsel_ns");
-        let queue_depth = metrics.histogram("par.queue_depth");
-
-        // Block distribution: worker w owns a contiguous run of tasks, so
-        // neighbouring morsels (likely touching neighbouring data) stay on
-        // one core until stealing kicks in.
-        let deques: Vec<Deque> = (0..workers)
-            .map(|w| {
-                let lo = tasks * w / workers;
-                let hi = tasks * (w + 1) / workers;
-                Deque { tasks: Mutex::new((lo..hi).collect()) }
-            })
-            .collect();
-
-        let produced: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let deques = &deques;
-                    let f = &f;
-                    let task_counter = &task_counter;
-                    let steal_counter = &steal_counter;
-                    let morsel_ns = &morsel_ns;
-                    let queue_depth = &queue_depth;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            // Own deque first (front), then steal (back).
-                            let mut task = {
-                                let mut q = deques[w].tasks.lock().unwrap();
-                                queue_depth.record(q.len() as u64);
-                                q.pop_front()
-                            };
-                            if task.is_none() {
-                                for v in 1..workers {
-                                    let victim = (w + v) % workers;
-                                    if let Some(t) = deques[victim].tasks.lock().unwrap().pop_back()
-                                    {
-                                        steal_counter.inc();
-                                        task = Some(t);
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(i) = task else { break };
-                            let start = Instant::now();
-                            local.push((i, f(i)));
-                            morsel_ns.record_duration(start.elapsed());
-                            task_counter.inc();
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        let slots: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        run_job(workers - 1, tasks, &|i| {
+            let result = f(i);
+            *lock(&slots[i]) = Some(result);
         });
-        let mut out: Vec<Option<R>> = Vec::new();
-        out.resize_with(tasks, || None);
-        for (i, r) in produced.into_iter().flatten() {
-            out[i] = Some(r);
-        }
-        out.into_iter().map(|r| r.expect("every task produced a result")).collect()
+        slots
+            .into_iter()
+            .map(|slot| {
+                let result = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+                result.expect("every task produced a result")
+            })
+            .collect()
     }
 
     /// Map `f` over `items` in parallel, preserving order.

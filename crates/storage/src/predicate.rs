@@ -942,23 +942,28 @@ mod tests {
     #[test]
     fn encoded_scan_stats_report_kernel_runs_and_physical_bytes() {
         let t = force_encoded(&run_table());
+        // `TABULA_KERNELS=scalar` sends every scan through the row-at-a-time
+        // reference: no pushdown, no runs, the decoded payload's bytes.
+        let vectorized = kernel::vectorize();
+        let pushed_down = |k: ScanKernel| if vectorized { k } else { ScanKernel::Scalar };
         // Clustered string column: RLE pushdown.
         let (rows, stats) = Predicate::eq("s", "cash").filter_with_stats(&t).unwrap();
         assert!(!rows.is_empty());
-        assert_eq!(stats.kernel, ScanKernel::Rle);
-        assert!(stats.runs_scanned > 0);
-        assert!(stats.bytes_scanned < t.len() as u64 * 4, "encoded scan must beat 4 B/row");
+        assert_eq!(stats.kernel, pushed_down(ScanKernel::Rle));
+        assert_eq!(stats.runs_scanned > 0, vectorized);
+        assert_eq!(stats.chunks > 0, vectorized);
+        assert_eq!(stats.bytes_scanned < t.len() as u64 * 4, vectorized, "4 B/row decoded");
         // Distinct ascending ints: FOR pushdown, no runs.
         let (rows, stats) =
             Predicate::all().and("id", CmpOp::Lt, 2000i64).filter_with_stats(&t).unwrap();
         assert_eq!(rows.len(), 1000);
-        assert_eq!(stats.kernel, ScanKernel::For);
+        assert_eq!(stats.kernel, pushed_down(ScanKernel::For));
         assert_eq!(stats.runs_scanned, 0);
-        assert!(stats.bytes_scanned < t.len() as u64 * 8, "packed scan must beat 8 B/row");
+        assert_eq!(stats.bytes_scanned < t.len() as u64 * 8, vectorized, "8 B/row decoded");
         // Mixed RLE + FOR terms report the RLE kernel (coarsest win).
         let (_, stats) =
             Predicate::eq("s", "cash").and("id", CmpOp::Ge, 1500i64).filter_with_stats(&t).unwrap();
-        assert_eq!(stats.kernel, ScanKernel::Rle);
+        assert_eq!(stats.kernel, pushed_down(ScanKernel::Rle));
     }
 
     /// An RLE leading term emits kept ranges; narrowing terms use the

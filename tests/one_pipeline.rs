@@ -7,7 +7,6 @@ mod common;
 use common::{content_crc, measured_table, wide_table};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 use tabula::core::dryrun::dry_run;
 use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric, LOSS_EPS};
 use tabula::core::serfling::draw_global_sample;
@@ -246,10 +245,6 @@ fn a_folded_generation_reports_its_own_build() {
     assert!(stats.reused_cells > 0 && stats.fresh_samples > 0, "{stats:?}");
 
     let s = refreshed.stats();
-    for (stage, d) in [("dry_run", s.dry_run), ("real_run", s.real_run), ("selection", s.selection)]
-    {
-        assert!(d > Duration::ZERO, "{stage} took no time: {s:?}");
-    }
     assert_eq!(s.total, stats.total);
     assert!(s.samgraph_edges > 0 && s.finest_runs > 0 && s.gathered_rows > 0, "{s:?}");
     assert_eq!(s.cuboids_processed + s.cuboids_skipped, 16);
@@ -276,8 +271,9 @@ fn a_folded_generation_reports_its_own_build() {
         ] {
             assert_eq!(ns(stage), d.as_nanos() as u64, "{prefix}.{stage}");
         }
-        // Sub-stages run inside their parent; the top-level stages add up
-        // to the whole run, the untimed glue between them being small.
+        // Sub-stages run inside their parent and the top-level stages inside
+        // the whole run. How small the untimed glue between them is depends
+        // on who else wants the core, so `perf/` watches that, not this test.
         let mut top_level = 0;
         for parent in STAGES.iter().filter(|stage| !stage.contains('.') && **stage != "total") {
             let children: u64 =
@@ -287,10 +283,6 @@ fn a_folded_generation_reports_its_own_build() {
         }
         let total = ns("total");
         assert!(top_level <= total, "{prefix}: {top_level} > {total}");
-        assert!(
-            total - top_level <= (total / 20).max(2_000_000),
-            "{prefix}: {top_level} of {total}"
-        );
     }
 
     // Builds running side by side in private registries see only their own.
