@@ -18,7 +18,7 @@ use tabula_core::loss::{
     AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
 };
 use tabula_core::{MaterializationMode, SampleProvenance, SamplingCube, SamplingCubeBuilder};
-use tabula_serve::{AnswerCache, Server};
+use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{
     encoding_mode, kernel_mode, set_encoding_mode, set_kernel_mode, CmpOp, EncodingMode,
@@ -475,17 +475,13 @@ fn check_serve(
     mode: MaterializationMode,
 ) -> Result<(), Divergence> {
     let cube = Arc::new(cube.clone());
-    // Private cache and registry: the fuzz sweep must not depend on (or
-    // pollute) process-wide cache/metric state.
-    let server = Server::with_cache(
-        Arc::clone(&cube),
-        AnswerCache::new(8 << 20, 4),
-        Arc::new(tabula_obs::Registry::new()),
-    )
-    .map_err(|e| Divergence {
-        check: "serve_build",
-        detail: format!("{mode:?}: server construction failed: {e:?}"),
-    })?;
+    // Private registry: the fuzz sweep must not depend on (or pollute)
+    // process-wide metric state.
+    let server = Server::in_registry(Arc::clone(&cube), &Arc::new(tabula_obs::Registry::new()))
+        .map_err(|e| Divergence {
+            check: "serve_build",
+            detail: format!("{mode:?}: server construction failed: {e:?}"),
+        })?;
 
     let preds: Vec<Predicate> = case
         .queries
@@ -580,13 +576,12 @@ fn check_serve_traces(
     let cube = Arc::new(cube.as_ref().clone().with_registry(&registry));
     let counters = cube.provenance_counters().clone();
     let tracer = Arc::new(Tracer::new(1, u64::MAX >> 21, case.queries.len() * 2 + 8));
-    let server =
-        Server::with_cache(Arc::clone(&cube), AnswerCache::new(8 << 20, 4), Arc::clone(&registry))
-            .map_err(|e| Divergence {
-                check: "serve_build",
-                detail: format!("{mode:?}: traced server construction failed: {e:?}"),
-            })?
-            .with_tracer(Arc::clone(&tracer));
+    let server = Server::in_registry(Arc::clone(&cube), &registry)
+        .map_err(|e| Divergence {
+            check: "serve_build",
+            detail: format!("{mode:?}: traced server construction failed: {e:?}"),
+        })?
+        .with_tracer(Arc::clone(&tracer));
 
     let mut served_samples = BTreeSet::new();
     for pass in 0..2 {

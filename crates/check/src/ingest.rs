@@ -23,7 +23,7 @@ use tabula_core::loss::{
 };
 use tabula_core::{MaterializationMode, RefreshConfig, SamplingCubeBuilder};
 use tabula_ingest::{IngestConfig, Ingestor};
-use tabula_serve::{AnswerCache, Server};
+use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CmpOp, Field, Predicate, Schema, Table, TableBuilder};
 
@@ -165,18 +165,15 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
             })
     };
     let base_cube = build(prefix_table(case, base))?;
-    // Private cache and registry, like the serve lane: the sweep must not
-    // depend on (or pollute) process-wide state.
+    // Private registry, like the serve lane: the sweep must not depend on
+    // (or pollute) process-wide state.
     let server = Arc::new(
-        Server::with_cache(
-            Arc::new(base_cube),
-            AnswerCache::new(8 << 20, 4),
-            Arc::new(tabula_obs::Registry::new()),
-        )
-        .map_err(|e| Divergence {
-            check: "ingest_build",
-            detail: format!("threads={threads}: server construction failed: {e:?}"),
-        })?,
+        Server::in_registry(Arc::new(base_cube), &Arc::new(tabula_obs::Registry::new())).map_err(
+            |e| Divergence {
+                check: "ingest_build",
+                detail: format!("threads={threads}: server construction failed: {e:?}"),
+            },
+        )?,
     );
     let config = IngestConfig {
         refresh: RefreshConfig {
@@ -216,14 +213,14 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
                 ),
             });
         }
-        // The answer cache must be invalidated exactly once per published
-        // generation: one batch = one fold = one epoch bump.
+        // Exactly one generation (with empty answer slots) per batch: one
+        // batch = one fold = one install = one epoch bump.
         let now = server.epoch();
         if now != epoch + 1 {
             return Err(Divergence {
                 check: "ingest_epoch",
                 detail: format!(
-                    "threads={threads} barrier {barrier}: cache epoch went {epoch} -> {now}, \
+                    "threads={threads} barrier {barrier}: generation epoch went {epoch} -> {now}, \
                      expected exactly one bump per generation"
                 ),
             });

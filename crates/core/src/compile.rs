@@ -5,9 +5,8 @@
 //! [`CompiledCell`] is the one query-side key: a fixed
 //! `[u32; MAX_CUBED_ATTRS]` code buffer plus a presence bitmask, built on
 //! the stack, hashed and compared without touching the heap. The cube
-//! table ([`crate::cube_table::CubeTable`]) probes with it, the serving
-//! layer's answer cache is keyed by it, and a heap [`CellKey`] converts
-//! with [`CompiledCell::from_cell_key`].
+//! table ([`crate::cube_table::CubeTable`]) probes with it, and a heap
+//! [`CellKey`] converts with [`CompiledCell::from_cell_key`].
 //!
 //! Compilation short-circuits to `None` (the **EmptyDomain** answer) as
 //! soon as a predicate value falls outside its attribute's dictionary or
@@ -30,8 +29,8 @@ pub const MAX_CUBED_ATTRS: usize = 32;
 /// Bit `i` of `mask` set means cubed attribute `i` is constrained to
 /// `codes[i]`; unset positions are the cell's `*` wildcards and their
 /// `codes` slots are always zero (which keeps `Eq`/`Hash` a plain prefix
-/// comparison). `Copy` by design: the answer cache stores the key inline,
-/// so a cache insert allocates nothing for the key either.
+/// comparison). `Copy` by design: a query carries it by value and
+/// allocates nothing for the key.
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledCell {
     mask: u32,

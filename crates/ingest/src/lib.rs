@@ -14,9 +14,8 @@
 //!   dictionary codes stable, satisfying the incremental-refresh prefix
 //!   contract by construction), refreshes the cube incrementally on the
 //!   tabula-par pool, and publishes each new generation through
-//!   [`Server::install`](tabula_serve::Server)'s epoch swap — readers
-//!   never block, and the answer cache is invalidated exactly once per
-//!   generation.
+//!   [`Server::install`](tabula_serve::Server)'s generation swap — readers
+//!   never block, and each generation starts with empty answer slots.
 //! * **[`IngestStats`]** and the `ingest.*` metrics — per-fold latency
 //!   and per-batch *freshness lag* (append → visible-to-readers),
 //!   recorded as both lifetime histograms and 60 s sliding windows in
@@ -48,8 +47,9 @@ pub enum IngestError {
     EmptyBatch,
     /// A row failed schema validation at the producer.
     Row(StorageError),
-    /// The maintenance thread halted on a fold failure (rendered
-    /// [`CoreError`](tabula_core::CoreError) message).
+    /// The maintenance thread halted on a fold failure: the rendered
+    /// [`CoreError`](tabula_core::CoreError) message, or `fold panicked: …`
+    /// with the panic's message.
     Fold(String),
 }
 

@@ -12,13 +12,14 @@
 //! iceberg cell keeps its prior sample verbatim. The refresh stages run
 //! on the shared tabula-par pool.
 //! [`Server::install`] swaps the generation under a write lock readers
-//! only briefly contend on, and bumps the answer-cache epoch exactly
-//! once per generation.
+//! only briefly contend on, and bumps the server's epoch exactly once per
+//! generation.
 //!
 //! [`Table::extend_rows`]: tabula_storage::Table::extend_rows
 
 use crate::log::IngestLog;
 use crate::IngestError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -298,13 +299,26 @@ fn maintenance_loop<L: AccuracyLoss>(
         }
         // Extend (memcpy + append; prefix contract holds by construction),
         // refresh incrementally, publish. `Server::refresh` installs the
-        // new generation and bumps the cache epoch exactly once.
-        let result = server
-            .cube()
-            .table()
-            .extend_rows(&rows)
-            .map_err(tabula_core::CoreError::from)
-            .and_then(|t| server.refresh(Arc::new(t), &loss, config.refresh));
+        // new generation and bumps the epoch exactly once. A panic in the
+        // fold (or re-raised from a pool task) halts the loop like an
+        // error does, so no waiter is left blocked on a dead thread.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            server
+                .cube()
+                .table()
+                .extend_rows(&rows)
+                .map_err(tabula_core::CoreError::from)
+                .and_then(|t| server.refresh(Arc::new(t), &loss, config.refresh))
+                .map_err(|e| e.to_string())
+        }))
+        .unwrap_or_else(|panic| {
+            let msg = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+                (Some(s), _) => s,
+                (_, Some(s)) => s.as_str(),
+                _ => "",
+            };
+            Err(format!("fold panicked: {msg}"))
+        });
         match result {
             Ok(_refresh_stats) => {
                 let fold_ns = started.elapsed().as_nanos() as u64;
@@ -322,9 +336,9 @@ fn maintenance_loop<L: AccuracyLoss>(
                 shared.folded_rows_ctr.add(rows.len() as u64);
                 log.mark_folded(barrier);
             }
-            Err(e) => {
+            Err(msg) => {
                 shared.fold_errors.inc();
-                *shared.error.lock().unwrap() = Some(e.to_string());
+                *shared.error.lock().unwrap() = Some(msg);
                 break;
             }
         }

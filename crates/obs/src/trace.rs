@@ -2,8 +2,8 @@
 //!
 //! A [`QueryTrace`] is a stack-carried context created once per query (by
 //! `serve::Server::query` or the SQL executor) and threaded through the
-//! stages of the serving path — predicate compile, answer-cache probe,
-//! cube-table probe, materialization, raw scan. Each stage records its
+//! stages of the serving path — predicate compile, cube-table probe,
+//! answer-slot probe, materialization, raw scan. Each stage records its
 //! elapsed nanos plus the rows and bytes it touched; the query's provenance
 //! (cache hit / local sample / global sample / scan) and the
 //! generation epoch it was served from ride along.
@@ -42,7 +42,7 @@ pub const DEFAULT_SLOW_MS: u64 = 100;
 pub enum Stage {
     /// Predicate → `CompiledCell` compilation.
     Compile,
-    /// Answer-cache lookup.
+    /// Answer lookup: the generation's slot for a Local sample.
     CacheProbe,
     /// Cube-table probe.
     IndexProbe,
@@ -73,7 +73,8 @@ pub enum TraceProvenance {
     /// Not yet resolved (a trace abandoned mid-query).
     #[default]
     Unresolved,
-    /// Served from the answer cache.
+    /// A Local sample's table some earlier query of the generation
+    /// materialized.
     CacheHit,
     /// Local sample found in the cube table.
     Local,

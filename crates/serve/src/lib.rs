@@ -8,33 +8,27 @@
 //! this crate is what a dashboard fleet needs *around* that probe — the
 //! paper's actual value proposition (zoom/pan queries answered in
 //! milliseconds, "heavy traffic from millions of users"). Many cells share
-//! one answer, so the unit of sharing is the sample, not the cell:
-//!
-//! * [`cache`] — a sharded LRU [`AnswerCache`] of materialized tables
-//!   (capacity `TABULA_CACHE_MB`, bypass `TABULA_CACHE_BYPASS`), keyed by
-//!   Local sample id, invalidated in O(1) by epoch bump on refresh, a
-//!   poisoned shard emptied rather than served or panicked on;
-//! * [`server`] — the [`Server`] façade: compile, [`SamplingCube::probe`],
-//!   then the answer's table — the generation's own for the global sample
-//!   and the empty domain, the cache's (on a miss: materialize + insert)
-//!   for a Local sample — with `serve.hits` / `serve.misses` /
-//!   `serve.evictions` counters and a `serve.probe_ns` histogram in the
-//!   `tabula-obs` registry, and an
-//!   [`install`](Server::install)/[`refresh`](Server::refresh) path that
-//!   swaps generations without serving a stale table.
+//! one answer, so the unit of sharing is the sample, not the cell: the
+//! [`Server`] keeps each cube generation together with its answers — the
+//! empty table, the global sample's table, and one slot per persisted
+//! sample that the first query needing it fills — and counts
+//! `serve.hits` / `serve.misses` and a `serve.probe_ns` histogram in the
+//! `tabula-obs` registry. [`install`](Server::install) and
+//! [`refresh`](Server::refresh) swap in a new generation with empty
+//! slots; the old one's tables go when its last reader drops it. Nothing
+//! is evicted and there is nothing to size: the slots can hold at most the
+//! cube's own sample table.
 //!
 //! Answers are byte-identical to [`SamplingCube::query`] at any thread
-//! count and any cache size; the differential lane in `tabula-check`
-//! enforces this continuously.
+//! count; the differential lane in `tabula-check` enforces this
+//! continuously.
 //!
 //! [`SamplingCube::query`]: tabula_core::SamplingCube::query
-//! [`SamplingCube::probe`]: tabula_core::SamplingCube::probe
 //! [`CompiledCell`]: tabula_core::CompiledCell
 
-pub mod cache;
 pub mod server;
 
-pub use cache::AnswerCache;
 pub use server::{
-    ServeAnswer, Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES, SERVE_PROBE_NS, SERVE_QUERY_NS,
+    AnswerSlots, ServeAnswer, Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES, SERVE_PROBE_NS,
+    SERVE_QUERY_NS,
 };

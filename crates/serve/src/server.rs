@@ -1,47 +1,45 @@
-//! The concurrent query server: the generation's constant answers, a
-//! sharded cache of materialized samples and the generation swap around
-//! the cube's own probe.
+//! The concurrent query server: one cube generation at a time, together
+//! with every answer it has materialized.
 //!
 //! One [`Server`] wraps one cube *generation* at a time. The read path
 //! takes a single `RwLock` read acquisition (to clone the generation
-//! `Arc`), then runs entirely on immutable data: compile the predicate on
-//! the stack, probe the cube table ([`SamplingCube::probe`]), and only
-//! then look for the answer's table — keyed by what the probe found, not
-//! by the cell that asked, so the many cells sharing one sample share one
-//! materialized table:
+//! `Arc`), then runs entirely on data the generation owns: compile the
+//! predicate on the stack, probe the cube table ([`SamplingCube::probe`]),
+//! and only then pick the answer's table — by what the probe found, not by
+//! the cell that asked, so the many cells sharing one sample share one
+//! materialized table (paper Fig. 4: the cube table maps a cell to a
+//! sample id, and the sample is the answer):
 //!
 //! * **EmptyDomain** (no cell) and **Global** (cell not in the cube table)
-//!   are constants of the generation, built once in `Generation::new`:
-//!   no shard mutex, no materialization, hot from the first query after
-//!   every install, whatever `TABULA_CACHE_MB` says;
-//! * **Local(id)** goes through the [`AnswerCache`] under the sample id:
-//!   a hit ships the cached table, a miss materializes and inserts it.
+//!   are constants of the generation, built once in `Generation::new`;
+//! * **Local(id)** is slot `id` of the generation, one
+//!   `OnceLock<Arc<Table>>` per persisted sample: the first query that
+//!   needs it runs `take` of the sample's rows, every later one — and
+//!   every query that raced it — clones the same `Arc`.
 //!
-//! Each generation carries the cache epoch it was installed under — the
-//! bump and the pointer swap happen inside the same write-lock critical
-//! section, and every cache probe and insert passes the *generation's*
-//! epoch rather than re-reading the cache clock. That pins each table to
-//! the generation that materialized it: an in-flight query that races
-//! with a refresh can only insert under its own (old) generation's epoch,
-//! which no reader of the new generation can match, so no stale cached
-//! answer survives the swap.
+//! A generation's slots die with it. [`install`](Server::install) swaps a
+//! new generation with empty slots in under the write lock and stamps it
+//! with the previous generation's epoch plus one; a query that still holds
+//! the old generation can only ever fill the old generation's slots. No
+//! answer is ever evicted, and none has to be: the slots hold at most
+//! `memory_breakdown().sample_table_bytes` of the cube they belong to.
 //!
 //! Answers are byte-identical to [`SamplingCube::query`] at any thread
-//! count and cache size: the rows are always the cube's own `Arc`, a
-//! table is always `take` of exactly those rows, and provenance
-//! accounting stays exact — one counter per query: a Local table out of
-//! the cache tallies `serve_cache_hit`, a materialized one `local_hit`,
+//! count: the rows are always the cube's own `Arc`, a table is always
+//! `take` of exactly those rows, and provenance accounting stays exact —
+//! one counter per query: a Local table some earlier query materialized
+//! tallies `serve_cache_hit`, one this query materialized `local_hit`,
 //! the generation's global table `global_hit`, the empty answer
-//! `cell_miss`. `serve.misses` counts exactly the `Materialize` stages,
-//! `serve.hits` every cell answer served without one, and
+//! `cell_miss`. `serve.misses` counts the slots filled — exactly the
+//! distinct Local samples a generation served, however many clients
+//! raced — `serve.hits` every other cell answer, and
 //! [`ServeAnswer::cached`] is true exactly when `serve.hits` moved.
 //!
 //! The generation lock only ever guards one `Arc` assignment, so a guard
 //! recovered from a poisoned lock still holds a whole generation: a
 //! writer that panicked cannot take serving down with it.
 
-use crate::cache::AnswerCache;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 use std::time::Instant;
 use tabula_core::incremental::{refresh, RefreshConfig, RefreshStats};
 use tabula_core::loss::AccuracyLoss;
@@ -52,11 +50,12 @@ use tabula_obs::window::WindowedHistogram;
 use tabula_storage::{Predicate, RowId, Table};
 
 /// Counter: cell answers served without materializing — a Local sample's
-/// table out of the cache, or the generation's global table.
+/// table some earlier query filled, or the generation's global table.
 pub const SERVE_HITS: &str = "serve.hits";
-/// Counter: Local samples materialized (cache miss or bypass).
+/// Counter: Local samples materialized (answer slots filled).
 pub const SERVE_MISSES: &str = "serve.misses";
-/// Counter: cache entries evicted for capacity.
+/// Counter: answers evicted. Always 0 — a generation keeps every answer it
+/// materialized — and registered so scrapes that read it still find it.
 pub const SERVE_EVICTIONS: &str = "serve.evictions";
 /// Histogram: nanoseconds spent probing the cube table, per compiled cell.
 pub const SERVE_PROBE_NS: &str = "serve.probe_ns";
@@ -68,7 +67,6 @@ pub const SERVE_QUERY_NS: &str = "serve.query_ns";
 struct ServeMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
-    evictions: Arc<Counter>,
     probe_ns: Arc<Histogram>,
     query_ns: Arc<Histogram>,
     query_window: Arc<WindowedHistogram>,
@@ -76,10 +74,10 @@ struct ServeMetrics {
 
 impl ServeMetrics {
     fn in_registry(registry: &Registry) -> Self {
+        registry.counter(SERVE_EVICTIONS);
         ServeMetrics {
             hits: registry.counter(SERVE_HITS),
             misses: registry.counter(SERVE_MISSES),
-            evictions: registry.counter(SERVE_EVICTIONS),
             probe_ns: registry.histogram(SERVE_PROBE_NS),
             query_ns: registry.histogram(SERVE_QUERY_NS),
             query_window: registry.window(SERVE_QUERY_NS),
@@ -87,9 +85,8 @@ impl ServeMetrics {
     }
 }
 
-/// One immutable cube generation: the cube, its two constant tables (the
-/// empty one and the global sample's) and the cache epoch the generation
-/// was installed under.
+/// One immutable cube generation and its answers: the empty table, the
+/// global sample's, and one slot per persisted sample.
 #[derive(Debug)]
 struct Generation {
     cube: Arc<SamplingCube>,
@@ -97,18 +94,44 @@ struct Generation {
     /// `take` of the global sample: the answer of every cell the cube
     /// table does not hold, materialized once instead of once per cell.
     global: Arc<Table>,
-    /// Cache epoch this generation is valid under. Stamped inside the
-    /// same write-lock critical section that swaps the generation in, so
-    /// tables materialized from this generation can only ever be cached
-    /// and matched under this epoch — never under a later generation's.
+    /// `take` of persisted sample `id` in slot `id`, filled by the first
+    /// query that needs it.
+    slots: Box<[OnceLock<Arc<Table>>]>,
+    /// Installs before this one: the initial generation is 0, and each
+    /// [`Server::install`] stamps its predecessor's epoch plus one.
     epoch: u64,
 }
 
 impl Generation {
-    fn new(cube: Arc<SamplingCube>, epoch: u64) -> Self {
+    fn new(cube: Arc<SamplingCube>) -> Self {
         let empty = Arc::new(cube.table().take(&[]));
         let global = Arc::new(cube.table().take(cube.global_sample()));
-        Generation { cube, empty, global, epoch }
+        let slots = (0..cube.persisted_samples()).map(|_| OnceLock::new()).collect();
+        Generation { cube, empty, global, slots, epoch: 0 }
+    }
+}
+
+/// The answer slots a generation has filled so far (diagnostics).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AnswerSlots {
+    len: usize,
+    bytes: usize,
+}
+
+impl AnswerSlots {
+    /// Local samples materialized.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no Local sample has been materialized.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Heap bytes of the materialized tables.
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
@@ -121,8 +144,9 @@ pub struct ServeAnswer {
     pub provenance: SampleProvenance,
     /// The materialized sample table (what ships to the dashboard).
     pub table: Arc<Table>,
-    /// Whether `table` was already materialized when the query arrived:
-    /// a Local sample's out of the cache, or the generation's global one.
+    /// Whether this query found `table` materialized rather than
+    /// materializing it: a Local sample's slot filled before, or the
+    /// generation's global table.
     pub cached: bool,
 }
 
@@ -133,38 +157,24 @@ pub struct ServeAnswer {
 #[derive(Debug)]
 pub struct Server {
     generation: RwLock<Arc<Generation>>,
-    cache: AnswerCache,
     metrics: ServeMetrics,
     registry: Arc<Registry>,
     tracer: Arc<Tracer>,
 }
 
 impl Server {
-    /// Serve `cube` with cache settings from the environment
-    /// (`TABULA_CACHE_MB`, `TABULA_CACHE_BYPASS`), metrics in the
-    /// process-wide registry.
+    /// Serve `cube` with metrics in the process-wide registry.
     pub fn new(cube: Arc<SamplingCube>) -> Result<Self> {
-        Server::with_cache(cube, AnswerCache::from_env(), Arc::clone(tabula_obs::global()))
+        Server::in_registry(cube, tabula_obs::global())
     }
 
     /// Serve `cube` with metrics (and refreshed generations' provenance)
-    /// homed in `registry`, cache from the environment.
+    /// homed in `registry`.
     pub fn in_registry(cube: Arc<SamplingCube>, registry: &Arc<Registry>) -> Result<Self> {
-        Server::with_cache(cube, AnswerCache::from_env(), Arc::clone(registry))
-    }
-
-    /// Full-control constructor.
-    pub fn with_cache(
-        cube: Arc<SamplingCube>,
-        cache: AnswerCache,
-        registry: Arc<Registry>,
-    ) -> Result<Self> {
-        let generation = Arc::new(Generation::new(cube, cache.epoch()));
         Ok(Server {
-            generation: RwLock::new(generation),
-            cache,
-            metrics: ServeMetrics::in_registry(&registry),
-            registry,
+            generation: RwLock::new(Arc::new(Generation::new(cube))),
+            metrics: ServeMetrics::in_registry(registry),
+            registry: Arc::clone(registry),
             tracer: Arc::clone(Tracer::global()),
         })
     }
@@ -192,9 +202,12 @@ impl Server {
         Arc::clone(&self.current().cube)
     }
 
-    /// The answer cache (for diagnostics).
-    pub fn cache(&self) -> &AnswerCache {
-        &self.cache
+    /// The answer slots the served generation has filled so far.
+    pub fn cache(&self) -> AnswerSlots {
+        let generation = Arc::clone(&self.current());
+        generation.slots.iter().filter_map(OnceLock::get).fold(AnswerSlots::default(), |s, t| {
+            AnswerSlots { len: s.len + 1, bytes: s.bytes + t.heap_bytes() }
+        })
     }
 
     /// The registry this server's metrics live in — the ingest pipeline
@@ -204,10 +217,9 @@ impl Server {
         &self.registry
     }
 
-    /// Cache epoch of the currently served generation. Advances exactly
-    /// once per [`install`](Self::install) — observers (tests, the ingest
-    /// pipeline) use it to count generation swaps and to verify that the
-    /// answer cache is invalidated once per published generation.
+    /// Epoch of the currently served generation: 0 for the one the server
+    /// was built with, one more per [`install`](Self::install). Observers
+    /// (tests, the ingest pipeline) count generation swaps with it.
     pub fn epoch(&self) -> u64 {
         self.current().epoch
     }
@@ -256,7 +268,7 @@ impl Server {
         let compiled = cube.compile(pred)?;
         trace.stage(Stage::Compile, stage, 0, 0);
         let Some(cell) = compiled else {
-            // EmptyDomain short-circuit: nothing to probe, nothing to cache.
+            // EmptyDomain short-circuit: nothing to probe, nothing to fill.
             cube.tally(SampleProvenance::EmptyDomain);
             trace.set_provenance(TraceProvenance::EmptyDomain);
             return Ok(ServeAnswer {
@@ -287,61 +299,43 @@ impl Server {
         };
         let rows = Arc::clone(cube.rows(provenance));
         let stage = trace.stage_start();
-        let hit = self.cache.get(id, generation.epoch);
-        let cached = hit.is_some();
-        let table = match hit {
-            Some(table) => {
-                trace.stage(
-                    Stage::CacheProbe,
-                    stage,
-                    table.len() as u64,
-                    table.heap_bytes() as u64,
-                );
-                trace.set_provenance(TraceProvenance::CacheHit);
-                self.metrics.hits.inc();
-                cube.provenance_counters().record_serve_cache_hit();
-                table
-            }
-            None => {
-                trace.stage(Stage::CacheProbe, stage, 0, 0);
-                trace.set_provenance(TraceProvenance::Local);
-                self.metrics.misses.inc();
-                cube.tally(provenance);
-                let stage = trace.stage_start();
-                let table = Arc::new(cube.table().take(&rows));
-                trace.stage(
-                    Stage::Materialize,
-                    stage,
-                    rows.len() as u64,
-                    table.heap_bytes() as u64,
-                );
-                let evicted = self.cache.insert(id, Arc::clone(&table), generation.epoch);
-                if evicted > 0 {
-                    self.metrics.evictions.add(evicted as u64);
-                }
-                table
-            }
-        };
-        Ok(ServeAnswer { rows, provenance, table, cached })
+        let mut materialized = false;
+        let table = Arc::clone(generation.slots[id as usize].get_or_init(|| {
+            trace.stage(Stage::CacheProbe, stage, 0, 0);
+            let stage = trace.stage_start();
+            let table = Arc::new(cube.table().take(&rows));
+            trace.stage(Stage::Materialize, stage, rows.len() as u64, table.heap_bytes() as u64);
+            materialized = true;
+            table
+        }));
+        if materialized {
+            trace.set_provenance(TraceProvenance::Local);
+            self.metrics.misses.inc();
+            cube.tally(provenance);
+        } else {
+            trace.stage(Stage::CacheProbe, stage, table.len() as u64, table.heap_bytes() as u64);
+            trace.set_provenance(TraceProvenance::CacheHit);
+            self.metrics.hits.inc();
+            cube.provenance_counters().record_serve_cache_hit();
+        }
+        Ok(ServeAnswer { rows, provenance, table, cached: !materialized })
     }
 
-    /// Install a new cube generation: inside one write-lock critical
-    /// section, bump the cache epoch, stamp the generation with it, and
-    /// swap it in. The atomic pairing is what keeps the cache sound:
-    /// queries pin the (generation, epoch) pair they observed, so an
-    /// answer computed against the old generation can never be cached or
-    /// served as a new-generation answer.
+    /// Install a new cube generation with empty answer slots: inside one
+    /// write-lock critical section, stamp it with the served generation's
+    /// epoch plus one and swap it in. Queries already holding the old
+    /// generation finish on it and fill only its slots.
     pub fn install(&self, cube: Arc<SamplingCube>) -> Result<()> {
-        let mut generation = Generation::new(cube, 0);
+        let mut generation = Generation::new(cube);
         let mut slot = self.generation.write().unwrap_or_else(|e| e.into_inner());
-        generation.epoch = self.cache.advance_epoch();
+        generation.epoch = slot.epoch + 1;
         *slot = Arc::new(generation);
         Ok(())
     }
 
     /// Freeze the currently served generation into a snapshot file at
-    /// `path`, stamping the generation's cache epoch into the manifest.
-    /// Returns the bytes written.
+    /// `path`, stamping the generation's epoch into the manifest. Returns
+    /// the bytes written.
     pub fn save_snapshot(&self, path: &std::path::Path) -> Result<u64> {
         let (cube, epoch) = {
             let g = self.current();
@@ -351,11 +345,11 @@ impl Server {
     }
 
     /// Install a generation thawed from a snapshot file. The thawed cube
-    /// table is serve-ready as loaded (DESIGN.md §11); the live cache
-    /// epoch still advances monotonically — previously cached answers are
-    /// invalidated exactly as for [`install`](Self::install). The returned
-    /// [`SnapshotInfo`] carries the manifest epoch as provenance of the
-    /// generation that wrote the file; it does not reset the local clock.
+    /// table is serve-ready as loaded (DESIGN.md §11); like any
+    /// [`install`](Self::install) it starts with empty answer slots and
+    /// advances the live epoch by one. The returned [`SnapshotInfo`]
+    /// carries the manifest epoch as provenance of the generation that
+    /// wrote the file; it does not reset the local count.
     pub fn install_snapshot(&self, path: &std::path::Path) -> Result<SnapshotInfo> {
         let (cube, info) = SamplingCube::from_snapshot(path)?;
         self.install(Arc::new(cube.with_registry(&self.registry)))?;
@@ -363,9 +357,8 @@ impl Server {
     }
 
     /// Incrementally refresh the served cube against `new_table` (the
-    /// current table with rows appended) and install the result. Cached
-    /// answers from the previous generation are invalidated atomically
-    /// with the swap.
+    /// current table with rows appended) and install the result, whose
+    /// answer slots start empty.
     pub fn refresh<L: AccuracyLoss>(
         &self,
         new_table: Arc<Table>,
@@ -401,8 +394,7 @@ mod tests {
     }
 
     fn server(registry: &Arc<Registry>) -> Server {
-        Server::with_cache(cube(registry), AnswerCache::new(4 << 20, 4), Arc::clone(registry))
-            .unwrap()
+        Server::in_registry(cube(registry), registry).unwrap()
     }
 
     #[test]
@@ -441,10 +433,12 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter(SERVE_MISSES), locals.len() as u64);
         assert_eq!(snap.counter(SERVE_HITS), 2 * cells - locals.len() as u64);
+        assert_eq!(snap.counter(SERVE_EVICTIONS), 0);
+        assert_eq!(srv.cache().len(), locals.len());
     }
 
     #[test]
-    fn provenance_accounting_stays_exact_with_cache_hits() {
+    fn provenance_accounting_stays_exact_with_filled_slots() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         let counters = srv.cube().provenance_counters().clone();
@@ -454,24 +448,7 @@ mod tests {
             srv.query(&Predicate::eq("M", m)).unwrap();
         }
         assert_eq!(counters.total(), queries);
-        assert!(counters.serve_cache_hits() >= queries - 6, "repeats must hit the cache");
-    }
-
-    #[test]
-    fn bypass_cache_still_serves_identical_answers() {
-        let registry = Arc::new(Registry::new());
-        let srv =
-            Server::with_cache(cube(&registry), AnswerCache::new(0, 1), Arc::clone(&registry))
-                .unwrap();
-        let cube = srv.cube();
-        let pred = Predicate::eq("M", "dispute");
-        let direct = cube.query(&pred).unwrap();
-        for _ in 0..3 {
-            let served = srv.query(&pred).unwrap();
-            assert_eq!(served.rows, direct.rows);
-            assert!(!served.cached);
-        }
-        assert_eq!(registry.snapshot().counter(SERVE_HITS), 0);
+        assert!(counters.serve_cache_hits() >= queries - 6, "repeats must find their slot");
     }
 
     #[test]
@@ -500,15 +477,16 @@ mod tests {
     }
 
     #[test]
-    fn install_invalidates_cached_answers() {
+    fn install_starts_with_empty_slots() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         let pred = Predicate::eq("M", "dispute");
         srv.query(&pred).unwrap();
         assert!(srv.query(&pred).unwrap().cached);
-        // Reinstall the same cube: epoch bump must force recomputation.
-        let same = srv.cube();
-        srv.install(same).unwrap();
+        assert_eq!(srv.cache().len(), 1);
+        // Reinstall the same cube: the new generation materializes afresh.
+        srv.install(srv.cube()).unwrap();
+        assert!(srv.cache().is_empty());
         assert!(!srv.query(&pred).unwrap().cached);
         assert!(srv.query(&pred).unwrap().cached);
     }
@@ -544,37 +522,36 @@ mod tests {
     }
 
     #[test]
-    fn generation_epoch_tracks_cache_epoch_across_installs() {
+    fn epoch_counts_installs() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
-        for _ in 0..3 {
-            assert_eq!(srv.epoch(), srv.cache.epoch());
+        for n in 0..3 {
+            assert_eq!(srv.epoch(), n);
             srv.install(srv.cube()).unwrap();
         }
     }
 
     #[test]
-    fn late_insert_from_superseded_generation_is_never_served() {
-        // Deterministic replay of the refresh race: a query reads
-        // generation N, the install (swap + epoch bump) lands, and only
-        // then does the query's cache insert run. The entry carries N's
-        // epoch, so readers of generation N+1 — whose sample ids name
-        // other samples — must rematerialize, never see the stale table.
+    fn late_fill_of_a_superseded_generation_is_never_served() {
+        // Deterministic replay of the refresh race: a query holds
+        // generation N, the install lands, and only then does the query
+        // fill its slot. The slot belongs to N, so readers of generation
+        // N+1 — whose sample ids name other samples — must materialize.
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         let pred = Predicate::eq("M", "dispute");
-        // An in-flight query pins generation N and materializes its sample...
         let stalled = Arc::clone(&srv.current());
         let cell = stalled.cube.compile(&pred).unwrap().unwrap();
         let SampleProvenance::Local(id) = stalled.cube.probe(&cell) else {
             panic!("M=dispute is an iceberg cell")
         };
-        let table = Arc::new(stalled.cube.table().take(stalled.cube.sample(id)));
-        // ...the refresh installs generation N+1 before the insert...
         srv.install(srv.cube()).unwrap();
-        srv.cache.insert(id, table, stalled.epoch);
-        // ...and the next query must miss the cache and recompute.
-        assert!(!srv.query(&pred).unwrap().cached);
+        let late = Arc::clone(
+            stalled.slots[id as usize]
+                .get_or_init(|| Arc::new(stalled.cube.table().take(stalled.cube.sample(id)))),
+        );
+        let first = srv.query(&pred).unwrap();
+        assert!(!first.cached && !Arc::ptr_eq(&first.table, &late));
         assert!(srv.query(&pred).unwrap().cached);
     }
 
@@ -585,7 +562,7 @@ mod tests {
         let srv = server(&registry).with_tracer(Arc::clone(&tracer));
         let pred = Predicate::eq("M", "dispute");
 
-        // Cold: compile → index probe → cache probe (miss) → materialize.
+        // Cold: compile → index probe → slot probe (empty) → materialize.
         srv.query(&pred).unwrap();
         let cold = tracer.recorder().recent().pop().unwrap();
         let stages: Vec<Stage> = cold.stages.iter().map(|s| s.stage).collect();
@@ -596,16 +573,16 @@ mod tests {
         assert!(cold.stages.iter().all(|s| s.ns >= 1));
         assert_eq!(cold.provenance, TraceProvenance::Local);
         assert!(cold.cell.starts_with("cell{"), "{}", cold.cell);
-        assert_eq!(cold.epoch, srv.cache.epoch());
+        assert_eq!(cold.epoch, srv.epoch());
 
-        // Warm: the cache hit must not record a materialize stage.
+        // Warm: a filled slot must not record a materialize stage.
         srv.query(&pred).unwrap();
         let warm = tracer.recorder().recent().pop().unwrap();
         let stages: Vec<Stage> = warm.stages.iter().map(|s| s.stage).collect();
         assert_eq!(stages, vec![Stage::Compile, Stage::IndexProbe, Stage::CacheProbe]);
         assert_eq!(warm.provenance, TraceProvenance::CacheHit);
-        assert!(warm.rows > 0, "cache hits report rows touched");
-        assert!(warm.bytes > 0, "cache hits report bytes touched");
+        assert!(warm.rows > 0, "filled slots report rows touched");
+        assert!(warm.bytes > 0, "filled slots report bytes touched");
     }
 
     #[test]
@@ -624,11 +601,7 @@ mod tests {
     fn global_answers_are_the_generations_one_table() {
         let registry = Arc::new(Registry::new());
         let tracer = Arc::new(Tracer::new(1, 1_000, 16));
-        // A bypassed cache: the generation's table needs none.
-        let srv =
-            Server::with_cache(cube(&registry), AnswerCache::new(0, 1), Arc::clone(&registry))
-                .unwrap()
-                .with_tracer(Arc::clone(&tracer));
+        let srv = server(&registry).with_tracer(Arc::clone(&tracer));
         let cube = srv.cube();
         // `*` and every D × M cell, those the cube table leaves out.
         let values = |attr: &str| {
@@ -656,6 +629,7 @@ mod tests {
             assert_eq!(stages, vec![Stage::Compile, Stage::IndexProbe]);
         }
         assert_eq!(registry.snapshot().counter(SERVE_MISSES), 0);
+        assert!(srv.cache().is_empty(), "the global table fills no slot");
         // Hot again with the first query after an install, as a new table.
         srv.install(srv.cube()).unwrap();
         let after = srv.query(&global[0]).unwrap();
@@ -677,18 +651,18 @@ mod tests {
     }
 
     /// Pins the snapshot contract for serve-layer state (DESIGN.md §11):
-    /// the answer-cache epoch is NOT persisted — installing a snapshot
-    /// advances the live cache epoch so answers cached before the install
-    /// can never be served after it, and the thawed cube table covers
-    /// exactly the same cells. The manifest epoch is returned as
-    /// provenance only.
+    /// answer slots are NOT persisted — installing a snapshot starts a
+    /// generation with empty slots and advances the live epoch, so no
+    /// answer materialized before the install is served after it, and the
+    /// thawed cube table covers exactly the same cells. The manifest epoch
+    /// is returned as provenance only.
     #[test]
-    fn snapshot_install_serves_the_same_cells_and_invalidates_cache() {
+    fn snapshot_install_serves_the_same_cells_from_empty_slots() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
         let pred = Predicate::eq("M", "cash");
         let before = srv.query(&pred).unwrap();
-        assert!(srv.query(&pred).unwrap().cached, "second query must be a cache hit");
+        assert!(srv.query(&pred).unwrap().cached, "second query must find the slot filled");
 
         let dir = std::env::temp_dir().join(format!("tabula-serve-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -703,10 +677,11 @@ mod tests {
         assert_eq!(srv.indexed_cells(), cells_before);
         assert_eq!(info.cells, cells_before);
         assert_eq!(srv.cube().materialized_cells(), cells_before);
-        // The pre-install cached answer is unreachable: the first query
-        // against the new generation is a miss, then hits again.
+        // The pre-install answer is unreachable: the first query against
+        // the new generation materializes, then finds its slot filled.
         let after = srv.query(&pred).unwrap();
-        assert!(!after.cached, "install must invalidate the cache");
+        assert!(!after.cached, "install must start from empty slots");
+        assert!(!Arc::ptr_eq(&after.table, &before.table));
         assert_eq!(after.rows, before.rows, "thawed generation answers identically");
         assert!(srv.query(&pred).unwrap().cached);
     }

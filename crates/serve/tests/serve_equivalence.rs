@@ -1,7 +1,7 @@
 //! Differential guarantees of the serving layer: answers byte-identical
-//! to `SamplingCube::query` at thread counts {1, 8}, across cold and warm
-//! caches, and — the invalidation contract — never stale across an
-//! incremental refresh that changes cells' iceberg status.
+//! to `SamplingCube::query` at thread counts {1, 8}, from empty and filled
+//! answer slots, and never stale across an incremental refresh that
+//! changes cells' iceberg status.
 
 use std::sync::Arc;
 use tabula_core::incremental::RefreshConfig;
@@ -9,7 +9,7 @@ use tabula_core::loss::MeanLoss;
 use tabula_core::{MaterializationMode, SamplingCube, SamplingCubeBuilder};
 use tabula_data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula_obs::Registry;
-use tabula_serve::{AnswerCache, Server};
+use tabula_serve::Server;
 use tabula_storage::{Table, TableBuilder};
 
 fn build_cube(table: &Arc<Table>, registry: &Arc<Registry>) -> Arc<SamplingCube> {
@@ -30,9 +30,7 @@ fn build_cube(table: &Arc<Table>, registry: &Arc<Registry>) -> Arc<SamplingCube>
 }
 
 fn server_over(cube: Arc<SamplingCube>, registry: &Arc<Registry>) -> Server {
-    // A private cache sized well below the workload's footprint would
-    // still have to be correct, but use a roomy one so warm passes hit.
-    Server::with_cache(cube, AnswerCache::new(32 << 20, 4), Arc::clone(registry)).unwrap()
+    Server::in_registry(cube, registry).unwrap()
 }
 
 #[test]
@@ -70,7 +68,7 @@ fn answers_match_cube_at_thread_counts_1_and_8() {
             }
         });
     }
-    // The sweep produced real cache traffic.
+    // The sweep both filled slots and found them filled.
     let snap = registry.snapshot();
     assert!(snap.counter(tabula_serve::SERVE_HITS) > 0);
     assert!(snap.counter(tabula_serve::SERVE_MISSES) > 0);
@@ -96,17 +94,17 @@ fn refresh_never_serves_stale_cached_answers() {
     let cube = build_cube(&old, &registry);
     let srv = server_over(Arc::clone(&cube), &registry);
 
-    // Warm the cache over a session on the OLD generation, keeping every
+    // Fill slots over a session on the OLD generation, keeping every
     // table it shipped alive (so no later table can reuse an address).
     let workload = Workload::new(&CUBED_ATTRIBUTES[..3]);
     let queries = workload.generate_session(&old, 200, 23, 0.4).unwrap();
     let old_tables: Vec<Arc<Table>> =
         queries.iter().map(|q| srv.query(&q.predicate).unwrap().table).collect();
-    assert!(!srv.cache().is_empty(), "warm-up must populate the cache");
+    assert!(!srv.cache().is_empty(), "warm-up must fill answer slots");
 
     // Refresh in place: appended rows flip iceberg status for touched
-    // cells; reused/retired cells change sample ids, so the cache's keys
-    // of the old generation name other samples in the new one.
+    // cells; reused/retired cells change sample ids, so the old
+    // generation's slot ids name other samples in the new one.
     let fare = new.schema().index_of("fare_amount").unwrap();
     let loss = MeanLoss::new(fare);
     let stats = srv
@@ -116,9 +114,9 @@ fn refresh_never_serves_stale_cached_answers() {
 
     // Every answer after the refresh must match a FRESH cube queried
     // directly, tuple for tuple, and ship no table the old generation
-    // materialized — not from the cache (an old sample id's table), not
-    // the old generation's global table. The second pass is allowed to
-    // hit the (new) cache — still matching.
+    // materialized — not an old sample id's slot, not the old
+    // generation's global table. The second pass finds the new
+    // generation's slots filled — still matching.
     let fresh = srv.cube();
     for pass in 0..2 {
         for q in &queries {
@@ -141,7 +139,7 @@ fn refresh_never_serves_stale_cached_answers() {
 }
 
 #[test]
-fn provenance_total_is_exact_across_cache_states() {
+fn provenance_total_is_exact_across_slot_states() {
     let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 2_000, seed: 31 }).generate());
     let registry = Arc::new(Registry::new());
     let cube = build_cube(&table, &registry);
@@ -155,5 +153,5 @@ fn provenance_total_is_exact_across_cache_states() {
     }
     // Each query lands in exactly one provenance bucket.
     assert_eq!(counters.total(), queries.len() as u64);
-    assert!(counters.serve_cache_hits() > 0, "session locality must produce cache hits");
+    assert!(counters.serve_cache_hits() > 0, "session locality must find filled slots");
 }

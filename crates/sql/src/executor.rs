@@ -38,9 +38,9 @@ pub enum QueryResult {
     Table(Table),
     /// A sample returned by a cube (paper Query 2), with provenance.
     Sample {
-        /// The materialized sample tuples (shared with the serving
-        /// layer's answer cache — repeat queries return the same table
-        /// without re-materializing).
+        /// The materialized sample tuples (owned by the serving layer's
+        /// generation — repeat queries return the same table without
+        /// re-materializing).
         table: Arc<Table>,
         /// Whether the sample was local, global, or empty-domain.
         provenance: SampleProvenance,
@@ -80,7 +80,7 @@ impl QueryResult {
 pub struct Session {
     tables: HashMap<String, Arc<Table>>,
     /// Each cube behind its serving layer: sample queries go through the
-    /// [`Server`] (compiled predicates, cube-table probe, answer cache),
+    /// [`Server`] (compiled predicates, cube-table probe, answer slots),
     /// management statements read its current generation.
     cubes: HashMap<String, Server>,
     losses: HashMap<String, LossDecl>,
@@ -185,7 +185,7 @@ impl Session {
         self.cubes.get(name).map(Server::cube)
     }
 
-    /// Look up a cube's serving layer (index/cache statistics, manual
+    /// Look up a cube's serving layer (index/answer statistics, manual
     /// generation installs).
     pub fn cube_server(&self, name: &str) -> Option<&Server> {
         self.cubes.get(name)
@@ -210,8 +210,8 @@ impl Session {
 
     /// Thaw a cube from a snapshot file and register it under `name` (the
     /// REPL's `\load`). If the name is already served, the snapshot is
-    /// installed as a new generation — cached answers from the previous
-    /// generation are invalidated atomically, exactly as for a refresh.
+    /// installed as a new generation whose answer slots start empty,
+    /// exactly as for a refresh.
     pub fn load_cube(&mut self, name: &str, path: &std::path::Path) -> Result<SnapshotInfo> {
         if let Some(server) = self.cubes.get(name) {
             return Ok(server.install_snapshot(path)?);
@@ -417,6 +417,7 @@ impl Session {
                     .get(&name)
                     .ok_or(SqlError::Unknown { kind: "cube", name: name.clone() })?;
                 let cube = server.cube();
+                let answers = server.cache();
                 let s = cube.stats();
                 let m = cube.memory_breakdown();
                 Ok(QueryResult::Info(vec![
@@ -443,11 +444,11 @@ impl Session {
                         m.total()
                     ),
                     format!(
-                        "serving: {} indexed cells | answer cache {} entries ({}B){}",
+                        "serving: {} indexed cells | answers: {} of {} samples materialized ({}B)",
                         server.indexed_cells(),
-                        server.cache().len(),
-                        server.cache().bytes(),
-                        if server.cache().is_bypass() { " [bypassed]" } else { "" }
+                        answers.len(),
+                        cube.persisted_samples(),
+                        answers.bytes()
                     ),
                 ]))
             }
@@ -747,6 +748,9 @@ mod tests {
         let QueryResult::Info(lines) = s.execute("EXPLAIN CUBE c").unwrap() else { panic!() };
         assert!(lines.iter().any(|l| l.contains("iceberg")));
         assert!(lines.iter().any(|l| l.starts_with("real run:") && l.contains("finest runs")));
+        let persisted = s.cube("c").unwrap().persisted_samples();
+        let unqueried = format!("answers: 0 of {persisted} samples materialized (0B)");
+        assert!(lines.last().unwrap().ends_with(&unqueried), "{lines:?}");
 
         // DROP frees the name for reuse; built-ins cannot be dropped.
         assert!(matches!(s.execute("DROP CUBE c").unwrap(), QueryResult::Dropped(_)));

@@ -645,6 +645,7 @@ mod tests {
 
     #[test]
     fn mode_round_trips() {
+        let _modes = crate::kernel::mode_lock();
         let prev = encoding_mode();
         set_encoding_mode(EncodingMode::Force);
         assert_eq!(encoding_mode(), EncodingMode::Force);

@@ -384,6 +384,7 @@ mod tests {
     #[test]
     fn scalar_and_vectorized_groupings_agree() {
         use crate::kernel::{set_kernel_mode, KernelMode};
+        let _modes = crate::kernel::mode_lock();
         let t = table();
         let prev = crate::kernel::kernel_mode();
         set_kernel_mode(KernelMode::ForceScalar);

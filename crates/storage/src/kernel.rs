@@ -178,6 +178,17 @@ impl Default for SelectionVector {
     }
 }
 
+/// Serialises this crate's unit tests that set [`KernelMode`] or the
+/// encoding mode, or assert a result that depends on either: both are
+/// process-wide, and the test harness runs tests on parallel threads. One
+/// failing test must not fail every later one, so a poisoned lock is
+/// taken over.
+#[cfg(test)]
+pub(crate) fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    MODE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +223,7 @@ mod tests {
 
     #[test]
     fn mode_round_trips() {
+        let _modes = mode_lock();
         let prev = kernel_mode();
         set_kernel_mode(KernelMode::ForceScalar);
         assert_eq!(kernel_mode(), KernelMode::ForceScalar);

@@ -737,6 +737,8 @@ mod tests {
 
     #[test]
     fn filter_with_stats_accounts_for_the_scan() {
+        // Plain columns: bytes scanned depend on the encoding mode.
+        let _modes = crate::kernel::mode_lock();
         let t = table();
         let p = Predicate::eq("payment", "cash").and("fare", CmpOp::Gt, 4.0);
         let (rows, stats) = p.filter_with_stats(&t).unwrap();
@@ -750,6 +752,7 @@ mod tests {
     #[test]
     fn stats_report_kernel_and_chunks() {
         use crate::kernel::{set_kernel_mode, KernelMode};
+        let _modes = crate::kernel::mode_lock();
         let t = table();
         let p = Predicate::eq("payment", "cash");
         let prev = crate::kernel::kernel_mode();
@@ -779,6 +782,7 @@ mod tests {
     #[test]
     fn scalar_and_vectorized_filters_agree() {
         use crate::kernel::{set_kernel_mode, KernelMode};
+        let _modes = crate::kernel::mode_lock();
         let schema = Schema::new(vec![
             Field::new("s", ColumnType::Str),
             Field::new("i", ColumnType::Int64),
@@ -941,6 +945,7 @@ mod tests {
     /// scan of the same column would touch.
     #[test]
     fn encoded_scan_stats_report_kernel_runs_and_physical_bytes() {
+        let _modes = crate::kernel::mode_lock();
         let t = force_encoded(&run_table());
         // `TABULA_KERNELS=scalar` sends every scan through the row-at-a-time
         // reference: no pushdown, no runs, the decoded payload's bytes.

@@ -58,13 +58,9 @@ fn main() {
     //    so the flight recorder is guaranteed to have a capture to show.
     let cube = Arc::new(cube);
     let tracer = Arc::new(obs::Tracer::new(1, 0, 64));
-    let server = tabula::serve::Server::with_cache(
-        Arc::clone(&cube),
-        tabula::serve::AnswerCache::new(4 << 20, 4),
-        Arc::clone(&registry),
-    )
-    .expect("server construction succeeds")
-    .with_tracer(Arc::clone(&tracer));
+    let server = tabula::serve::Server::in_registry(Arc::clone(&cube), &registry)
+        .expect("server construction succeeds")
+        .with_tracer(Arc::clone(&tracer));
     for q in &queries[..SERVED] {
         server.query(&q.predicate).expect("served query succeeds");
     }

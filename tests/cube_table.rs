@@ -6,13 +6,14 @@
 //! snapshot round trip, and must agree on every cell — the materialized
 //! ones, the ones that ride the global sample, and the ones that cannot
 //! exist. Behind the probe the server keeps one materialized table per
-//! *sample*: cells that share a sample ship the same `Arc`, at every
-//! cache size.
+//! *sample*: cells that share a sample ship the same `Arc`, the tables
+//! never add up to more than the cube's own sample table, and clients
+//! racing for a cold sample materialize it once.
 
 mod common;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use common::{constant_attr_table, cube_over, measured_table, wide_table};
 use tabula::core::builder::{MaterializationMode, SamplingCubeBuilder};
@@ -20,7 +21,7 @@ use tabula::core::loss::MeanLoss;
 use tabula::core::{CubeKeys, SampleProvenance, SamplingCube};
 use tabula::data::{example_dcm_table, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
-use tabula::serve::{AnswerCache, Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES};
+use tabula::serve::{Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session, Statement};
 use tabula::storage::{group_by, CellKey, CmpOp, ColumnType, CuboidMask, Predicate, Table, Value};
@@ -91,7 +92,7 @@ fn probes(cube: &SamplingCube) -> Vec<(Predicate, SampleProvenance)> {
 /// One server under test and what it has shipped so far.
 struct Door {
     server: Server,
-    /// `roomy` holds every sample, `one entry` about one, `bypassed` none.
+    /// `roomy`: the generation keeps every sample it materialized.
     cache: &'static str,
     /// The table shipped for each sample (`None`: the global one), kept
     /// alive so no later table can reuse its address.
@@ -104,18 +105,7 @@ struct Door {
 
 impl Door {
     fn new(cube: &Arc<SamplingCube>, cache: &'static str) -> Door {
-        let (bytes, shards) = match cache {
-            "roomy" => (8 << 20, 2),
-            // The largest entry a Local sample can make: its tuples plus
-            // the cache's flat per-entry overhead.
-            "one entry" => (0..cube.persisted_samples() as u32)
-                .map(|id| (cube.sample(id).len() * cube.table().row_bytes() + 256, 1))
-                .max()
-                .unwrap_or((0, 1)),
-            _ => (0, 1),
-        };
-        let answers = AnswerCache::new(bytes, shards);
-        let server = Server::with_cache(Arc::clone(cube), answers, Arc::new(Registry::new()));
+        let server = Server::in_registry(Arc::clone(cube), &Arc::new(Registry::new()));
         Door {
             server: server.unwrap(),
             cache,
@@ -152,7 +142,6 @@ impl Door {
         let expect_cached = match (sample, self.cache) {
             (None, _) => Some(true),
             (Some(_), "roomy") => Some(before.is_some()),
-            (Some(_), "bypassed") => Some(false),
             _ => None,
         };
         if let Some(cached) = expect_cached {
@@ -185,15 +174,21 @@ impl Door {
                 assert_eq!(snap.counter(SERVE_EVICTIONS), 0);
                 assert_eq!(self.server.cache().len() as u64, locals);
             }
-            "bypassed" => assert_eq!((hits, misses), (self.global_queries, self.local_queries)),
-            _ => {
-                assert!(misses >= locals && hits >= self.global_queries);
-                assert!(self.server.cache().len() <= 1.max(locals as usize));
-                if locals > 1 {
-                    assert!(snap.counter(SERVE_EVICTIONS) > 0, "one entry must evict");
-                }
-            }
+            other => unreachable!("no {other} door"),
         }
+    }
+
+    /// Once every cell has been asked, the generation holds each
+    /// persisted sample's table once: exactly the cube's own sample table.
+    /// That is the bound, by arithmetic, in place of a byte budget.
+    fn assert_bound(&self) {
+        let cube = self.server.cube();
+        let touched: Vec<u32> = self.shipped.keys().flatten().copied().collect();
+        assert_eq!(touched.len(), cube.persisted_samples(), "every sample serves some cell");
+        let bytes: usize =
+            touched.iter().map(|&id| cube.table().take(cube.sample(id)).heap_bytes()).sum();
+        assert_eq!(self.server.cache().bytes(), bytes, "{}", self.cache);
+        assert_eq!(bytes, cube.memory_breakdown().sample_table_bytes, "{}", self.cache);
     }
 }
 
@@ -221,10 +216,8 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
 
     let probes = probes(&built);
     let (built, restored) = (Arc::new(built), Arc::new(restored));
-    let mut doors: Vec<Door> = [&built, &restored]
-        .into_iter()
-        .flat_map(|cube| ["roomy", "one entry", "bypassed"].map(|cache| Door::new(cube, cache)))
-        .collect();
+    let mut doors: Vec<Door> =
+        [&built, &restored].into_iter().map(|cube| Door::new(cube, "roomy")).collect();
     for door in &doors {
         assert_eq!(door.server.indexed_cells(), cells);
     }
@@ -260,6 +253,7 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
     }
     for door in &mut doors {
         door.assert_counters();
+        door.assert_bound();
         // A new generation of the same cube: nothing the old one shipped
         // comes back, and its global table is hot from the first query.
         let old: Vec<Arc<Table>> = std::mem::take(&mut door.shipped).into_values().collect();
@@ -374,4 +368,37 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
             assert_eq!((a.provenance, a.rows), (b.provenance, b.rows), "{cell}");
         }
     }
+}
+
+/// Clients racing for one cold Local cell: one of them materializes the
+/// sample, every other waits for it and ships the very same table.
+#[test]
+fn racing_clients_materialize_a_cold_sample_once() {
+    const CLIENTS: usize = 8;
+    let cube = Arc::new(cube_over(&wide_table()));
+    let (cell, id) = cube.cube_table().next().expect("an iceberg cell");
+    let pred = predicate_of(&cube, &cell);
+    let registry = Arc::new(Registry::new());
+    let server = Server::in_registry(Arc::clone(&cube), &registry).unwrap();
+    let start = Barrier::new(CLIENTS);
+    let answers: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    server.query(&pred).unwrap()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for answer in &answers {
+        assert_eq!(answer.provenance, SampleProvenance::Local(id));
+        assert!(Arc::ptr_eq(&answer.table, &answers[0].table));
+    }
+    assert_eq!(answers.iter().filter(|a| !a.cached).count(), 1, "one client materialized");
+    let snap = registry.snapshot();
+    assert_eq!((snap.counter(SERVE_MISSES), snap.counter(SERVE_HITS)), (1, CLIENTS as u64 - 1));
+    assert_eq!(server.cache().len(), 1);
+    assert_eq!(server.cache().bytes(), answers[0].table.heap_bytes());
 }
