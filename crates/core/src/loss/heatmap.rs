@@ -4,7 +4,7 @@
 //! produce heat maps visually indistinguishable from the raw data's
 //! (VAS / POIsam's objective).
 
-use super::index::GridIndex;
+use super::index::XSortedIndex;
 use super::AccuracyLoss;
 use crate::sampling::{coverage_greedy, CoverageSpace};
 use tabula_storage::agg::SumCount;
@@ -59,7 +59,7 @@ impl HeatmapLoss {
 
 /// Sample context: a nearest-neighbour index over the sample's points.
 pub struct HeatmapCtx {
-    index: GridIndex,
+    index: XSortedIndex,
     metric: Metric,
 }
 
@@ -88,7 +88,7 @@ impl AccuracyLoss for HeatmapLoss {
 
     fn prepare(&self, table: &Table, sample: &[RowId]) -> HeatmapCtx {
         let points: Vec<Point> = sample.iter().map(|&r| self.point(table, r)).collect();
-        HeatmapCtx { index: GridIndex::build(points), metric: self.metric }
+        HeatmapCtx { index: XSortedIndex::build(points), metric: self.metric }
     }
 
     fn fold(&self, ctx: &HeatmapCtx, state: &mut SumCount, table: &Table, row: RowId) {
@@ -160,6 +160,28 @@ impl CoverageSpace for PointSpace {
     #[inline]
     fn dist(&self, a: usize, b: usize) -> f64 {
         self.metric.dist(&self.points[a], &self.points[b])
+    }
+
+    /// Euclidean: no square root when `d² ≥ cur²`, for then `d ≥ cur` and
+    /// the term is zero. Exact because sqrt is correctly rounded and
+    /// monotone and `sqrt(fl(x²)) = x` whenever `x²` is normal. The bound is
+    /// floored at the least normal number: below it `cur²` may have
+    /// underflowed, but a `d² ≥ 2⁻¹⁰²²` has `d ≥ 2⁻⁵¹¹ > cur` anyway. An
+    /// overflowed `cur² = ∞` only admits `d = ∞`; a NaN `cur` or `d²` makes
+    /// the term zero on either path.
+    #[inline]
+    fn gain(&self, cur: f64, a: usize, b: usize) -> f64 {
+        match self.metric {
+            Metric::Euclidean => {
+                let d2 = self.points[a].euclidean_sq(&self.points[b]);
+                if d2 >= (cur * cur).max(f64::MIN_POSITIVE) {
+                    0.0
+                } else {
+                    (cur - d2.sqrt()).max(0.0)
+                }
+            }
+            Metric::Manhattan => (cur - self.dist(a, b)).max(0.0),
+        }
     }
 
     fn center_element(&self) -> usize {

@@ -1,230 +1,83 @@
 //! Nearest-neighbour indexes used by the visualization-aware loss
-//! functions: a uniform grid for 2-D points and a sorted array for 1-D
-//! values. Both answer exact nearest-neighbour distance queries; they only
+//! functions: points sorted by x for 2-D, a sorted array for 1-D values.
+//! Both answer exact nearest-neighbour distance queries; they only
 //! accelerate, never approximate.
+//!
+//! A heat-map sample is small (tens of points for most cells, ≈ 1 000 for
+//! the global sample), so a sweep over the x-sorted points that stops once
+//! the x gap alone exceeds the best distance reads a few neighbours per
+//! query, with no bucket arithmetic and one allocation per index.
 
 use tabula_storage::Point;
 
-/// Exact nearest-neighbour index over a fixed set of 2-D points, backed by
-/// a uniform grid sized to the point count.
+/// Exact nearest-neighbour index over a fixed set of 2-D points: the points
+/// sorted by x. A query walks outwards from its own x, on each side, and
+/// stops a side as soon as the x gap alone rules out an improvement — once
+/// dx² exceeds the best squared distance so far (Manhattan: once |dx|
+/// exceeds the best distance). Every distance is computed by the expression
+/// [`Point::euclidean_sq`] / [`Point::manhattan`] use, so the answer is the
+/// brute-force minimum bit for bit.
 #[derive(Debug, Clone)]
-pub struct GridIndex {
+pub struct XSortedIndex {
+    /// The indexed points without NaN coordinates, ascending by x. A point
+    /// with a NaN coordinate is at NaN distance from every query, and NaN
+    /// never wins a comparison, so dropping it changes no answer.
     points: Vec<Point>,
-    /// Grid origin (min corner of the bounding box).
-    ox: f64,
-    oy: f64,
-    /// Cell side length.
-    cell: f64,
-    /// Grid dimensions.
-    nx: usize,
-    ny: usize,
-    /// Point indices per grid cell, row-major.
-    buckets: Vec<Vec<u32>>,
 }
 
-impl GridIndex {
+impl XSortedIndex {
     /// Build an index over `points`. An empty set is allowed; queries then
     /// return `f64::INFINITY`.
-    pub fn build(points: Vec<Point>) -> Self {
-        if points.is_empty() {
-            return GridIndex {
-                points,
-                ox: 0.0,
-                oy: 0.0,
-                cell: 1.0,
-                nx: 0,
-                ny: 0,
-                buckets: Vec::new(),
-            };
-        }
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in &points {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        let extent = (max_x - min_x).max(max_y - min_y).max(1e-12);
-        // Aim for ~1 point per bucket: grid side ≈ √n.
-        let side = (points.len() as f64).sqrt().ceil().max(1.0) as usize;
-        let cell = extent / side as f64;
-        let nx = (((max_x - min_x) / cell).floor() as usize + 1).max(1);
-        let ny = (((max_y - min_y) / cell).floor() as usize + 1).max(1);
-        let mut buckets = vec![Vec::new(); nx * ny];
-        for (i, p) in points.iter().enumerate() {
-            let bx = (((p.x - min_x) / cell).floor() as usize).min(nx - 1);
-            let by = (((p.y - min_y) / cell).floor() as usize).min(ny - 1);
-            buckets[by * nx + bx].push(i as u32);
-        }
-        GridIndex { points, ox: min_x, oy: min_y, cell, nx, ny, buckets }
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &[Point] {
-        &self.points
-    }
-
-    /// Exact Manhattan (L1) distance from `q` to its nearest-under-L1
-    /// indexed point; `INFINITY` if the index is empty.
-    ///
-    /// Ring pruning reuses the Euclidean lower bound, which is valid for
-    /// L1 because `L1(a, b) ≥ L2(a, b)` always.
-    pub fn nearest_dist_manhattan(&self, q: &Point) -> f64 {
-        if self.points.is_empty() {
-            return f64::INFINITY;
-        }
-        let (cx, cy) = self.anchor_cell(q);
-        let mut best = f64::INFINITY;
-        let max_ring = self.nx.max(self.ny) as isize;
-        for ring in 0..=max_ring {
-            if best.is_finite() && self.ring_lower_bound(q, cx, cy, ring) > best {
-                break;
-            }
-            self.scan_ring_metric(q, cx, cy, ring, &mut best, true);
-        }
-        best
+    pub fn build(mut points: Vec<Point>) -> Self {
+        points.retain(|p| !p.x.is_nan() && !p.y.is_nan());
+        points.sort_unstable_by(|a, b| a.x.total_cmp(&b.x));
+        XSortedIndex { points }
     }
 
     /// Exact Euclidean distance from `q` to its nearest indexed point;
-    /// `INFINITY` if the index is empty.
+    /// `INFINITY` if the index is empty or no distance is a number.
     pub fn nearest_dist(&self, q: &Point) -> f64 {
-        if self.points.is_empty() {
-            return f64::INFINITY;
-        }
-        // Expanding ring search: examine rings of grid cells around the
-        // query's cell; stop when the nearest possible point in the next
-        // ring is farther than the best found.
-        let (cx, cy) = self.anchor_cell(q);
-        let mut best_sq = f64::INFINITY;
-        let max_ring = self.nx.max(self.ny) as isize;
-        for ring in 0..=max_ring {
-            // Once something is found, rings beyond best/cell can't help.
-            if best_sq.is_finite() {
-                // Lower bound on distance to any cell in this ring. The
-                // query point may lie outside the grid, so measure from the
-                // query to the ring's bounding square in grid space.
-                let ring_lb = self.ring_lower_bound(q, cx, cy, ring);
-                if ring_lb * ring_lb > best_sq {
-                    break;
-                }
-            }
-            self.scan_ring(q, cx, cy, ring, &mut best_sq);
-        }
-        best_sq.sqrt()
+        self.sweep(q, |dx| dx * dx, |dx, dy| dx * dx + dy * dy).sqrt()
     }
 
-    /// Lowest possible distance from `q` to any point lying in a cell of
-    /// ring `ring` (cells at Chebyshev grid distance exactly `ring` from
-    /// `(cx, cy)`).
-    fn ring_lower_bound(&self, q: &Point, cx: isize, cy: isize, ring: isize) -> f64 {
-        if ring == 0 {
-            return 0.0;
-        }
-        // Every cell of the ring lies outside the "inner box" of cells at
-        // Chebyshev distance ≤ ring−1, so the distance from q to the
-        // complement of that box bounds the ring from below.
-        let inner_lo_x = self.ox + (cx - (ring - 1)) as f64 * self.cell;
-        let inner_hi_x = self.ox + (cx + ring) as f64 * self.cell;
-        let inner_lo_y = self.oy + (cy - (ring - 1)) as f64 * self.cell;
-        let inner_hi_y = self.oy + (cy + ring) as f64 * self.cell;
-        let inside_x = q.x >= inner_lo_x && q.x <= inner_hi_x;
-        let inside_y = q.y >= inner_lo_y && q.y <= inner_hi_y;
-        if !(inside_x && inside_y) {
-            // q is outside the inner box: the ring shell may touch it.
-            return 0.0;
-        }
-        // q is inside: it must travel to the nearest face of the box.
-        (q.x - inner_lo_x)
-            .min(inner_hi_x - q.x)
-            .min(q.y - inner_lo_y)
-            .min(inner_hi_y - q.y)
-            .max(0.0)
+    /// Exact Manhattan (L1) distance from `q` to its nearest-under-L1
+    /// indexed point; `INFINITY` if the index is empty or no distance is a
+    /// number.
+    pub fn nearest_dist_manhattan(&self, q: &Point) -> f64 {
+        self.sweep(q, f64::abs, |dx, dy| dx.abs() + dy.abs())
     }
 
-    /// Grid cell the query anchors to (clamped into the grid).
-    fn anchor_cell(&self, q: &Point) -> (isize, isize) {
-        let qx = ((q.x - self.ox) / self.cell).floor();
-        let qy = ((q.y - self.oy) / self.cell).floor();
-        (qx.clamp(0.0, (self.nx - 1) as f64) as isize, qy.clamp(0.0, (self.ny - 1) as f64) as isize)
-    }
-
-    /// Ring scan tracking a plain (non-squared) best distance under either
-    /// metric.
-    fn scan_ring_metric(
-        &self,
-        q: &Point,
-        cx: isize,
-        cy: isize,
-        ring: isize,
-        best: &mut f64,
-        manhattan: bool,
-    ) {
-        let mut visit = |bx: isize, by: isize| {
-            if bx < 0 || by < 0 || bx >= self.nx as isize || by >= self.ny as isize {
-                return;
+    /// The least `dist(q − p)` over the indexed points `p`, skipping NaNs.
+    /// `gap(dx) ≤ dist(dx, dy)` for every `dy` and grows with `|dx|`, which
+    /// grows monotonically along each side of `q.x` (float subtraction is
+    /// monotone), so the first `gap` above the best bounds the rest of that
+    /// side. A NaN `q.x` finds no side to stop and no number to keep.
+    #[inline(always)]
+    fn sweep(&self, q: &Point, gap: impl Fn(f64) -> f64, dist: impl Fn(f64, f64) -> f64) -> f64 {
+        let split = self.points.partition_point(|p| p.x < q.x);
+        let mut best = f64::INFINITY;
+        let mut visit = |p: &Point| {
+            let dx = q.x - p.x;
+            if gap(dx) > best {
+                return false;
             }
-            for &i in &self.buckets[by as usize * self.nx + bx as usize] {
-                let p = &self.points[i as usize];
-                let d = if manhattan { q.manhattan(p) } else { q.euclidean(p) };
-                if d < *best {
-                    *best = d;
-                }
+            let d = dist(dx, q.y - p.y);
+            if d < best {
+                best = d;
             }
+            true
         };
-        if ring == 0 {
-            visit(cx, cy);
-            return;
-        }
-        let (x0, x1, y0, y1) = (cx - ring, cx + ring, cy - ring, cy + ring);
-        for bx in x0..=x1 {
-            visit(bx, y0);
-            visit(bx, y1);
-        }
-        for by in (y0 + 1)..y1 {
-            visit(x0, by);
-            visit(x1, by);
-        }
-    }
-
-    fn scan_ring(&self, q: &Point, cx: isize, cy: isize, ring: isize, best_sq: &mut f64) {
-        let x0 = cx - ring;
-        let x1 = cx + ring;
-        let y0 = cy - ring;
-        let y1 = cy + ring;
-        let mut visit = |bx: isize, by: isize| {
-            if bx < 0 || by < 0 || bx >= self.nx as isize || by >= self.ny as isize {
-                return;
+        for p in &self.points[split..] {
+            if !visit(p) {
+                break;
             }
-            for &i in &self.buckets[by as usize * self.nx + bx as usize] {
-                let d = q.euclidean_sq(&self.points[i as usize]);
-                if d < *best_sq {
-                    *best_sq = d;
-                }
+        }
+        for p in self.points[..split].iter().rev() {
+            if !visit(p) {
+                break;
             }
-        };
-        if ring == 0 {
-            visit(cx, cy);
-            return;
         }
-        for bx in x0..=x1 {
-            visit(bx, y0);
-            visit(bx, y1);
-        }
-        for by in (y0 + 1)..y1 {
-            visit(x0, by);
-            visit(x1, by);
-        }
+        best
     }
 }
 
@@ -281,87 +134,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn brute_nearest(points: &[Point], q: &Point) -> f64 {
-        points.iter().map(|p| p.euclidean(q)).fold(f64::INFINITY, f64::min)
-    }
-
     #[test]
     fn empty_index_returns_infinity() {
-        let g = GridIndex::build(Vec::new());
+        // The 2-D index is compared with brute force bit for bit in the
+        // root package's `tests/nearest.rs`.
+        let g = XSortedIndex::build(Vec::new());
         assert_eq!(g.nearest_dist(&Point::new(0.5, 0.5)), f64::INFINITY);
+        assert_eq!(g.nearest_dist_manhattan(&Point::new(0.5, 0.5)), f64::INFINITY);
         let s = Sorted1D::build(Vec::new());
         assert_eq!(s.nearest_dist(1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn grid_matches_brute_force_on_random_data() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let points: Vec<Point> = (0..500)
-            .map(|_| Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
-            .collect();
-        let g = GridIndex::build(points.clone());
-        for _ in 0..500 {
-            // Queries both inside and outside the indexed bounding box.
-            let q = Point::new(rng.gen_range(-0.3..1.3), rng.gen_range(-0.3..1.3));
-            let fast = g.nearest_dist(&q);
-            let brute = brute_nearest(&points, &q);
-            assert!(
-                (fast - brute).abs() < 1e-12,
-                "mismatch at ({}, {}): grid {fast} vs brute {brute}",
-                q.x,
-                q.y
-            );
-        }
-    }
-
-    #[test]
-    fn grid_handles_clustered_data() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        // Two tight clusters far apart — stresses ring termination.
-        let mut points = Vec::new();
-        for _ in 0..200 {
-            points.push(Point::new(
-                0.1 + rng.gen_range(-0.001..0.001),
-                0.1 + rng.gen_range(-0.001..0.001),
-            ));
-            points.push(Point::new(
-                0.9 + rng.gen_range(-0.001..0.001),
-                0.9 + rng.gen_range(-0.001..0.001),
-            ));
-        }
-        let g = GridIndex::build(points.clone());
-        for _ in 0..200 {
-            let q = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-            assert!((g.nearest_dist(&q) - brute_nearest(&points, &q)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn grid_single_point() {
-        let g = GridIndex::build(vec![Point::new(0.3, 0.7)]);
-        assert!((g.nearest_dist(&Point::new(0.3, 0.7)) - 0.0).abs() < 1e-15);
-        assert!((g.nearest_dist(&Point::new(0.3, 0.2)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grid_identical_points() {
-        let g = GridIndex::build(vec![Point::new(0.5, 0.5); 100]);
-        assert_eq!(g.nearest_dist(&Point::new(0.5, 0.5)), 0.0);
-        assert!((g.nearest_dist(&Point::new(1.5, 0.5)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn manhattan_matches_brute_force() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let points: Vec<Point> = (0..400)
-            .map(|_| Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
-            .collect();
-        let g = GridIndex::build(points.clone());
-        for _ in 0..400 {
-            let q = Point::new(rng.gen_range(-0.2..1.2), rng.gen_range(-0.2..1.2));
-            let brute = points.iter().map(|p| p.manhattan(&q)).fold(f64::INFINITY, f64::min);
-            assert!((g.nearest_dist_manhattan(&q) - brute).abs() < 1e-12);
-        }
     }
 
     #[test]

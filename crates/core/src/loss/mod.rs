@@ -45,7 +45,7 @@ pub use combined::MaxLoss;
 pub use expr::ExprLoss;
 pub use heatmap::{HeatmapLoss, Metric};
 pub use histogram::HistogramLoss;
-pub use index::{GridIndex, Sorted1D};
+pub use index::{Sorted1D, XSortedIndex};
 pub use mean::MeanLoss;
 pub use regression::RegressionLoss;
 

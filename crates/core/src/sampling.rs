@@ -22,8 +22,17 @@
 //!   **lazy-forward** strategy: marginal gains are submodular (they only
 //!   shrink as the sample grows), so stale gains are valid upper bounds
 //!   and most candidates are never re-priced.
+//!
+//! A coverage sampler's cost is its distance work. Every term
+//! `max(cur − d(i, c), 0)` of a candidate's gain goes through
+//! [`CoverageSpace::gain`], which the heat-map space overrides to skip the
+//! square root when `d² ≥ cur²` (the term is zero then). The exact engine
+//! computes each pair's distance once into a per-worker table and sums only
+//! the positive terms of a gain. Both change how much is computed, never a
+//! bit of what is: every sample is the one the plain expressions give.
 
 use crate::loss::AccuracyLoss;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tabula_storage::{RowId, Table};
@@ -122,6 +131,14 @@ pub trait CoverageSpace: Sync {
     }
     /// Distance between elements `a` and `b` (symmetric, non-negative).
     fn dist(&self, a: usize, b: usize) -> f64;
+    /// How much choosing `b` would shorten `cur`, element `a`'s distance to
+    /// its nearest chosen element: `max(cur − dist(a, b), 0)`, one term of a
+    /// candidate's marginal gain. An override may skip work when the term
+    /// is provably zero, but must return exactly the default's value.
+    #[inline]
+    fn gain(&self, cur: f64, a: usize, b: usize) -> f64 {
+        (cur - self.dist(a, b)).max(0.0)
+    }
     /// A cheap-to-compute good first pick (e.g. the element nearest the
     /// centroid).
     fn center_element(&self) -> usize;
@@ -164,10 +181,11 @@ const EXACT_GREEDY_LIMIT: usize = 512;
 /// the loss to exactly zero).
 ///
 /// Engine choice by input size:
-/// * `n ≤ 2048` — exact greedy with POIsam's **lazy-forward** strategy:
+/// * `n ≤ 512` — exact greedy with POIsam's **lazy-forward** strategy:
 ///   initial marginal gains are priced once, and because gains are
 ///   submodular (they only shrink as the sample grows) stale heap entries
 ///   remain valid upper bounds, so few candidates are re-priced per round.
+///   Pricing reads a table of all pairwise distances, filled once.
 /// * larger — **stochastic greedy** (Mirzasoleiman et al.): each round
 ///   prices a small random candidate pool plus the current
 ///   worst-covered element. The achieved-loss stopping rule is unchanged,
@@ -185,47 +203,83 @@ pub fn coverage_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
     }
 }
 
+thread_local! {
+    /// The exact engine's pairwise distance table, one per worker thread,
+    /// reused cell after cell: at most `EXACT_GREEDY_LIMIT²` entries (2 MiB).
+    static DISTANCES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
 fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
     let n = space.len();
-    let first = space.center_element();
-    let mut chosen = vec![first];
-    let mut selected = vec![false; n];
-    selected[first] = true;
-    // cur[i] = distance from i to its nearest chosen element.
-    let mut cur: Vec<f64> = (0..n).map(|i| space.dist(i, first)).collect();
-    let mut sum: f64 = cur.iter().sum();
-    let gain_of = |cur: &[f64], c: usize| -> f64 {
-        (0..n).map(|i| (cur[i] - space.dist(i, c)).max(0.0)).sum()
-    };
-    // Price every candidate once against the initial coverage; these
-    // stay valid upper bounds for all later rounds (submodularity).
-    let mut heap: BinaryHeap<GainEntry> = BinaryHeap::with_capacity(n);
-    for (idx, &sel) in selected.iter().enumerate() {
-        if !sel {
-            heap.push(GainEntry { gain: gain_of(&cur, idx), idx, round: 0 });
+    DISTANCES.with_borrow_mut(|table| {
+        if table.len() < n * n {
+            table.resize(n * n, 0.0);
         }
-    }
-    let mut round: u32 = 1;
-    while sum / n as f64 > theta {
-        // Pop until the top entry is exact for this round.
-        let next = loop {
-            let Some(top) = heap.pop() else { break None };
-            if selected[top.idx] {
-                continue;
+        // Row `c` holds every element's distance to `c`. Each pair is
+        // computed once; `dist`'s symmetry fills the other half.
+        for a in 0..n {
+            for b in a..n {
+                let d = space.dist(a, b);
+                table[a * n + b] = d;
+                table[b * n + a] = d;
             }
-            if top.round == round {
-                break Some(top.idx);
+        }
+        let row = |c: usize| &table[c * n..(c + 1) * n];
+        let first = space.center_element();
+        let mut chosen = vec![first];
+        let mut selected = vec![false; n];
+        selected[first] = true;
+        // cur[i] = distance from i to its nearest chosen element.
+        let mut cur: Vec<f64> = row(first).to_vec();
+        let mut sum: f64 = cur.iter().sum();
+        let mut terms = vec![0.0; n];
+        let mut gain_of = |cur: &[f64], c: usize| positive_sum(cur, row(c), &mut terms);
+        // Price every candidate once against the initial coverage; these
+        // stay valid upper bounds for all later rounds (submodularity).
+        let mut heap: BinaryHeap<GainEntry> = BinaryHeap::with_capacity(n);
+        for (idx, &sel) in selected.iter().enumerate() {
+            if !sel {
+                heap.push(GainEntry { gain: gain_of(&cur, idx), idx, round: 0 });
             }
-            // Stale: re-price exactly against the current coverage.
-            heap.push(GainEntry { gain: gain_of(&cur, top.idx), idx: top.idx, round });
-        };
-        let Some(c) = next else {
-            break; // every element selected; sum is 0
-        };
-        commit(space, c, &mut selected, &mut chosen, &mut cur, &mut sum);
-        round += 1;
+        }
+        let mut round: u32 = 1;
+        while sum / n as f64 > theta {
+            // Pop until the top entry is exact for this round.
+            let next = loop {
+                let Some(top) = heap.pop() else { break None };
+                if selected[top.idx] {
+                    continue;
+                }
+                if top.round == round {
+                    break Some(top.idx);
+                }
+                // Stale: re-price exactly against the current coverage.
+                heap.push(GainEntry { gain: gain_of(&cur, top.idx), idx: top.idx, round });
+            };
+            let Some(c) = next else {
+                break; // every element selected; sum is 0
+            };
+            let to_c = row(c);
+            commit(c, |i| to_c[i], &mut selected, &mut chosen, &mut cur, &mut sum);
+            round += 1;
+        }
+        chosen
+    })
+}
+
+/// `Σ_i max(cur[i] − dist[i], 0)` with the bits of the plain left-to-right
+/// sum, adding only the positive terms: they are compacted into `terms`
+/// without a branch, then summed in index order. A dropped term is a zero
+/// (`max` also turns a NaN into one), and adding zero to a sum that is
+/// already `+0.0` or positive leaves its bits as they are.
+fn positive_sum(cur: &[f64], dist: &[f64], terms: &mut [f64]) -> f64 {
+    let mut k = 0;
+    for (&c, &d) in cur.iter().zip(dist) {
+        let t = c - d;
+        terms[k] = t;
+        k += usize::from(t > 0.0);
     }
-    chosen
+    terms[..k].iter().fold(0.0, |sum, &t| sum + t)
 }
 
 fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
@@ -276,8 +330,8 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
         let mut best = (-1.0f64, usize::MAX);
         for &c in &pool {
             let gain: f64 = match &probe {
-                Some(idxs) => idxs.iter().map(|&i| (cur[i] - space.dist(i, c)).max(0.0)).sum(),
-                None => (0..n).map(|i| (cur[i] - space.dist(i, c)).max(0.0)).sum(),
+                Some(idxs) => idxs.iter().map(|&i| space.gain(cur[i], i, c)).sum(),
+                None => (0..n).map(|i| space.gain(cur[i], i, c)).sum(),
             };
             if gain > best.0 {
                 best = (gain, c);
@@ -286,15 +340,16 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
         let Some(c) = (best.1 != usize::MAX).then_some(best.1) else {
             break;
         };
-        commit(space, c, &mut selected, &mut chosen, &mut cur, &mut sum);
+        commit(c, |i| space.dist(i, c), &mut selected, &mut chosen, &mut cur, &mut sum);
     }
     chosen
 }
 
-/// Commit a selection: update coverage distances and the running sum.
-fn commit<S: CoverageSpace>(
-    space: &S,
+/// Commit a selection: update coverage distances (`dist_to_c(i)` is
+/// element `i`'s distance to `c`) and the running sum.
+fn commit(
     c: usize,
+    dist_to_c: impl Fn(usize) -> f64,
     selected: &mut [bool],
     chosen: &mut Vec<usize>,
     cur: &mut [f64],
@@ -303,7 +358,7 @@ fn commit<S: CoverageSpace>(
     selected[c] = true;
     chosen.push(c);
     for (i, cur_i) in cur.iter_mut().enumerate() {
-        let d = space.dist(i, c);
+        let d = dist_to_c(i);
         if d < *cur_i {
             *sum -= *cur_i - d;
             *cur_i = d;
