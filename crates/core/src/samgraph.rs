@@ -18,9 +18,20 @@
 //!   cheap per-cell signature (centroid / mean) and only the
 //!   `max_candidates` nearest are checked exactly — with the early-exit
 //!   [`AccuracyLoss::loss_within`] evaluation.
+//!
+//! The ranking is a k-nearest-neighbour query per cell over the `m`
+//! signatures. [`SignatureIndex`] answers it with a sweep over the
+//! signatures sorted by x, which visits the few candidates within the
+//! `k`-th best distance in x instead of pricing all `m²` pairs, and returns
+//! exactly the first `k` of the total order (squared distance, index). Twin
+//! cells — a cell and a parent with the same rows — share a signature, so
+//! ties are common, and the index order makes the candidate set, hence the
+//! cube, a function of the input alone.
 
 use crate::loss::AccuracyLoss;
 use crate::realrun::CubeEntry;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use tabula_par::Pool;
 use tabula_storage::Table;
 
@@ -28,8 +39,10 @@ use tabula_storage::Table;
 #[derive(Debug, Clone, Copy)]
 pub struct SamGraphConfig {
     /// For sample-dependent losses: how many signature-nearest candidate
-    /// representatives to check exactly, per cell. Higher values find more
-    /// edges (more memory savings) at higher build cost.
+    /// representatives to check exactly, per cell — the first this many of
+    /// the order [`SignatureIndex`] states. Higher values find more edges
+    /// (more memory savings) at higher build cost; `0` checks none, so
+    /// every cell keeps its own sample, as under Tabula\*.
     pub max_candidates: usize,
 }
 
@@ -104,41 +117,160 @@ pub fn build_samgraph<L: AccuracyLoss>(
         return SamGraph { edges };
     }
 
-    // Sample-dependent path: rank candidates by signature proximity, check
-    // the nearest `max_candidates` exactly (early-exit at θ). The per-target
-    // candidate scan parallelizes over v; representative lists are then
-    // folded back in ascending v, reproducing the serial edge order.
+    // Sample-dependent path: check each cell's `max_candidates` nearest
+    // signatures exactly (early-exit at θ). The per-target scan
+    // parallelizes over v; representative lists are then folded back in
+    // ascending v, reproducing the serial edge order.
+    let cap = cfg.max_candidates.min(m - 1);
+    let mut edges: Vec<Vec<u32>> = (0..m).map(|u| vec![u as u32]).collect();
+    if cap == 0 {
+        return SamGraph { edges };
+    }
     let sigs: Vec<[f64; 2]> = pool.par_map(entries, |e| loss.signature(table, &e.rows));
     let ctxs: Vec<L::SampleCtx> = pool.par_map(entries, |e| loss.prepare(table, &e.sample));
-    let cap = cfg.max_candidates.min(m - 1);
+    let index = SignatureIndex::build(sigs);
     let reps_of: Vec<Vec<u32>> = pool.run(m, |v| {
-        let mut cands: Vec<(f64, usize)> = (0..m)
-            .filter(|&u| u != v)
-            .map(|u| {
-                let dx = sigs[u][0] - sigs[v][0];
-                let dy = sigs[u][1] - sigs[v][1];
-                (dx * dx + dy * dy, u)
-            })
-            .collect();
-        if cands.len() > cap {
-            cands.select_nth_unstable_by(cap - 1, |a, b| a.0.total_cmp(&b.0));
-            cands.truncate(cap);
-        }
-        let mut reps = Vec::new();
-        for (_, u) in cands {
-            if loss.loss_within(table, &entries[v].rows, &ctxs[u], theta).is_some() {
-                reps.push(u as u32);
-            }
-        }
+        let mut reps = index.nearest(v, cap);
+        reps.retain(|&u| {
+            loss.loss_within(table, &entries[v].rows, &ctxs[u as usize], theta).is_some()
+        });
         reps
     });
-    let mut edges: Vec<Vec<u32>> = (0..m).map(|u| vec![u as u32]).collect();
     for (v, reps) in reps_of.iter().enumerate() {
         for &u in reps {
             edges[u as usize].push(v as u32);
         }
     }
     SamGraph { edges }
+}
+
+/// A candidate `u` at squared signature distance `d2` from the target.
+/// Ordered by `(d2, u)`; a NaN distance is stored as the positive NaN,
+/// which `total_cmp` places after every number, `+∞` included.
+#[derive(Clone, Copy)]
+struct Near {
+    d2: f64,
+    u: u32,
+}
+
+impl Near {
+    fn new(d2: f64, u: usize) -> Self {
+        Near { d2: if d2.is_nan() { f64::NAN } else { d2 }, u: u as u32 }
+    }
+}
+
+impl PartialEq for Near {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Near {}
+impl PartialOrd for Near {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Near {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.d2.total_cmp(&other.d2).then(self.u.cmp(&other.u))
+    }
+}
+
+/// The signatures sorted by x, answering "which `cap` signatures are
+/// nearest signature `v`" with a sweep: candidates are visited in order of
+/// their x gap to `v`, alternating sides, until the squared gap alone
+/// exceeds the `cap`-th best squared distance found so far.
+///
+/// "Nearest" is the total order of (squared distance, index): the
+/// squared distance is `dx² + dy²` with `dx = sig[u].x − sig[v].x`; ties go
+/// to the smaller index; a NaN distance (a NaN coordinate, or the same
+/// infinity on both sides) ranks after every number. The answer is exactly
+/// the first `cap` candidates of that order — what a sort of all `m − 1`
+/// would give, for any `cap`.
+pub struct SignatureIndex {
+    sigs: Vec<[f64; 2]>,
+    /// `(x, index)` of the signatures with a finite x, ascending by x.
+    by_x: Vec<(f64, u32)>,
+    /// Each signature's position in `by_x`; `u32::MAX` for the rest.
+    pos: Vec<u32>,
+    /// The signatures whose x is not finite: no sweep bound holds for
+    /// them, so every query offers them all.
+    rest: Vec<u32>,
+}
+
+impl SignatureIndex {
+    /// Index `sigs` (one per cell, addressed by position).
+    pub fn build(sigs: Vec<[f64; 2]>) -> Self {
+        let (finite, rest): (Vec<u32>, Vec<u32>) =
+            (0..sigs.len() as u32).partition(|&u| sigs[u as usize][0].is_finite());
+        let mut by_x: Vec<(f64, u32)> =
+            finite.into_iter().map(|u| (sigs[u as usize][0], u)).collect();
+        by_x.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut pos = vec![u32::MAX; sigs.len()];
+        for (i, &(_, u)) in by_x.iter().enumerate() {
+            pos[u as usize] = i as u32;
+        }
+        SignatureIndex { sigs, by_x, pos, rest }
+    }
+
+    /// The `cap` signatures nearest signature `v`, `v` itself excluded,
+    /// nearest first.
+    pub fn nearest(&self, v: usize, cap: usize) -> Vec<u32> {
+        let m = self.sigs.len();
+        let cap = cap.min(m.saturating_sub(1));
+        if cap == 0 {
+            return Vec::new();
+        }
+        let [x, y] = self.sigs[v];
+        let near = |u: usize| {
+            let [ux, uy] = self.sigs[u];
+            let (dx, dy) = (ux - x, uy - y);
+            Near::new(dx * dx + dy * dy, u)
+        };
+        // The `cap` nearest so far; the top is the worst of them.
+        let mut best: BinaryHeap<Near> = BinaryHeap::with_capacity(cap + 1);
+        let offer = |best: &mut BinaryHeap<Near>, u: usize| {
+            if best.len() < cap {
+                best.push(near(u));
+            } else if best.peek().is_some_and(|worst| near(u) < *worst) {
+                best.pop();
+                best.push(near(u));
+            }
+        };
+        let p = self.pos[v];
+        if p == u32::MAX {
+            // A non-finite x bounds nothing: offer every candidate.
+            (0..m).filter(|&u| u != v).for_each(|u| offer(&mut best, u));
+        } else {
+            // The next candidate on the left is `left - 1`, on the right
+            // `right`; the nearer in x goes first.
+            let (mut left, mut right) = (p as usize, p as usize + 1);
+            let gap2 = |i: usize| (self.by_x[i].0 - x) * (self.by_x[i].0 - x);
+            loop {
+                let take_left = match (left > 0, right < self.by_x.len()) {
+                    (false, false) => break,
+                    (true, true) => gap2(left - 1) <= gap2(right),
+                    (on_left, _) => on_left,
+                };
+                let i = if take_left { left - 1 } else { right };
+                // Every candidate not yet visited is at least this far in
+                // x, so once the heap is full and its worst is nearer than
+                // this gap, squared, none of them can enter.
+                let g2 = gap2(i);
+                if best.len() == cap && best.peek().is_some_and(|worst| g2 > worst.d2) {
+                    break;
+                }
+                if take_left {
+                    left -= 1;
+                } else {
+                    right += 1;
+                }
+                offer(&mut best, self.by_x[i].1 as usize);
+            }
+            self.rest.iter().for_each(|&u| offer(&mut best, u as usize));
+        }
+        best.into_sorted_vec().into_iter().map(|n| n.u).collect()
+    }
 }
 
 #[cfg(test)]

@@ -3,6 +3,9 @@
 //!
 //! * the heat-map loss's x-sorted index returns the brute-force nearest
 //!   distance bit for bit, under both metrics, on every shape of input;
+//! * the SamGraph join's sweep ranking returns exactly the first `cap`
+//!   candidates of the total order (squared signature distance, index), and
+//!   every candidate cap — none, one, all — builds a cube within θ;
 //! * both coverage engines return exactly the samples of a verbatim copy of
 //!   the engines as they were before the distance table, the positive-term
 //!   gain sums and the heat-map space's square-root skip.
@@ -11,14 +14,19 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabula::core::dryrun::dry_run;
-use tabula::core::loss::{HeatmapLoss, HistogramLoss, Metric, XSortedIndex};
+use tabula::core::loss::{HeatmapLoss, HistogramLoss, Metric, XSortedIndex, LOSS_EPS};
 use tabula::core::realrun::real_run;
+use tabula::core::samgraph::{SamGraphConfig, SignatureIndex};
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
 use tabula::core::serfling::draw_global_sample;
-use tabula::core::{AccuracyLoss, SerflingConfig};
+use tabula::core::SerflingConfig;
+use tabula::core::{
+    AccuracyLoss, MaterializationMode, SampleProvenance, SamplingCube, SamplingCubeBuilder,
+};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::storage::{
-    ColumnType, Field, FinestPartition, Point, RowId, Schema, Table, TableBuilder,
+    group_by, CellKey, ColumnType, CuboidMask, Field, FinestPartition, Point, RowId, Schema, Table,
+    TableBuilder,
 };
 
 const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Manhattan];
@@ -126,6 +134,160 @@ fn the_x_sorted_index_is_brute_force_bit_for_bit() {
             }
         }
     }
+}
+
+/// The first `cap` candidates for `v` by a sort of all of them under the
+/// documented order: squared distance ascending, a NaN one after every
+/// number, ties to the smaller index.
+fn brute_top(sigs: &[[f64; 2]], v: usize, cap: usize) -> Vec<u32> {
+    let d2 = |u: usize| {
+        let (dx, dy) = (sigs[u][0] - sigs[v][0], sigs[u][1] - sigs[v][1]);
+        dx * dx + dy * dy
+    };
+    let mut all: Vec<(f64, usize)> =
+        (0..sigs.len()).filter(|&u| u != v).map(|u| (d2(u), u)).collect();
+    all.sort_by(|a, b| match (a.0.is_nan(), b.0.is_nan()) {
+        (false, false) => a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)),
+        (x, y) => x.cmp(&y).then(a.1.cmp(&b.1)),
+    });
+    all.into_iter().take(cap).map(|(_, u)| u as u32).collect()
+}
+
+fn assert_ranking_is_brute_force(name: &str, sigs: &[[f64; 2]], caps: &[usize]) {
+    let index = SignatureIndex::build(sigs.to_vec());
+    for v in 0..sigs.len() {
+        for &cap in caps {
+            assert_eq!(
+                index.nearest(v, cap),
+                brute_top(sigs, v, cap),
+                "{name}: v = {v}, cap = {cap}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_sweep_ranking_is_the_brute_force_top_k() {
+    let mut rng = SmallRng::seed_from_u64(21);
+    let caps = [0, 1, 2, 7, 32, 100, usize::MAX];
+    let pair = |p: Point| [p.x, p.y];
+    let random: Vec<[f64; 2]> = random_points(&mut rng, 400, 1.0).into_iter().map(pair).collect();
+    assert_ranking_is_brute_force("random", &random, &caps);
+    let clustered: Vec<[f64; 2]> = clustered_points(&mut rng, 300).into_iter().map(pair).collect();
+    assert_ranking_is_brute_force("clustered", &clustered, &caps);
+    // Twin cells: a cell and its one-attribute parent often have the same
+    // rows, hence the same centroid; here most signatures have many twins.
+    let twins: Vec<[f64; 2]> = duplicated_points(&mut rng, 300).into_iter().map(pair).collect();
+    assert_ranking_is_brute_force("twins", &twins, &caps);
+    let one_x: Vec<[f64; 2]> = (0..100).map(|i| [0.5, (i % 9) as f64]).collect();
+    assert_ranking_is_brute_force("one x", &one_x, &caps);
+    // m ≤ cap + 1: every other signature is a candidate.
+    for m in 0..5 {
+        assert_ranking_is_brute_force(
+            "small",
+            &random[..m],
+            &[0, 1, m.saturating_sub(1), m, m + 1],
+        );
+    }
+    let mut odd = random[..60].to_vec();
+    for (i, v) in
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300].into_iter().enumerate()
+    {
+        odd[3 * i] = [v, 0.5];
+        odd[3 * i + 1] = [0.5, v];
+        odd[3 * i + 2] = [v, v];
+    }
+    assert_ranking_is_brute_force("NaN and infinite centroids", &odd, &caps);
+}
+
+#[test]
+fn nan_and_infinite_centroids_rank_after_every_finite_distance() {
+    // 0: origin, 1: NaN x, 2: +∞ x, 3: one away, 4: NaN y, 5: −∞ x, 6: +∞ x
+    // again, 7: a twin of the origin.
+    let sigs = [
+        [0.0, 0.0],
+        [f64::NAN, 0.0],
+        [f64::INFINITY, 0.0],
+        [1.0, 0.0],
+        [0.0, f64::NAN],
+        [f64::NEG_INFINITY, 5.0],
+        [f64::INFINITY, 1.0],
+        [0.0, 0.0],
+    ];
+    let index = SignatureIndex::build(sigs.to_vec());
+    // Finite distances first (the twin at 0 before the neighbour at 1),
+    // then the infinite ones by index, then the NaN ones by index.
+    assert_eq!(index.nearest(0, usize::MAX), [7, 3, 2, 5, 6, 1, 4]);
+    assert_eq!(index.nearest(0, 3), [7, 3, 2]);
+    // Between two +∞ x the gap is NaN: 6 ranks with the NaN signatures.
+    assert_eq!(index.nearest(2, usize::MAX), [0, 3, 5, 7, 1, 4, 6]);
+    // A NaN signature is NaN away from everything: index order.
+    assert_eq!(index.nearest(1, 4), [0, 2, 3, 4]);
+}
+
+/// Every cell of every cuboid over `cols`, with its rows.
+fn every_cell(table: &Table, cols: &[usize]) -> Vec<(CellKey, Vec<RowId>)> {
+    let mut cells = Vec::new();
+    for mask in CuboidMask::enumerate(cols.len()) {
+        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
+        for (compact, rows) in group_by(table, &attrs).unwrap().groups {
+            cells.push((CellKey::from_compact(mask, cols.len(), &compact), rows));
+        }
+    }
+    cells
+}
+
+/// Every cell is answered within θ by `cube`.
+fn assert_theta_on_every_cell(
+    cube: &SamplingCube,
+    loss: &HeatmapLoss,
+    theta: f64,
+    cells: &[(CellKey, Vec<RowId>)],
+) {
+    let table = cube.table();
+    let global = loss.prepare(table, cube.global_sample());
+    for (cell, rows) in cells {
+        let answer = cube.query_cell(cell);
+        let achieved = match answer.provenance {
+            SampleProvenance::Global => loss.loss_with_ctx(table, rows, &global),
+            _ => loss.loss(table, rows, &answer.rows),
+        };
+        assert!(achieved <= theta + LOSS_EPS, "cell {cell}: loss {achieved} > θ {theta}");
+    }
+}
+
+#[test]
+fn every_candidate_cap_builds_a_cube_within_theta() {
+    let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 20_000, seed: 42 }).generate());
+    let attrs = &CUBED_ATTRIBUTES;
+    let cols: Vec<usize> = attrs.iter().map(|a| table.schema().index_of(a).unwrap()).collect();
+    let loss = HeatmapLoss::new(table.schema().index_of("pickup").unwrap(), Metric::Euclidean);
+    let theta = meters_to_norm(500.0);
+    let build = |mode, cap| {
+        SamplingCubeBuilder::new(Arc::clone(&table), attrs, loss.clone(), theta)
+            .mode(mode)
+            .samgraph(SamGraphConfig { max_candidates: cap })
+            .seed(42)
+            .build()
+            .unwrap()
+    };
+    let star = build(MaterializationMode::TabulaStar, 0);
+    let cubes: Vec<SamplingCube> =
+        [0, 1, usize::MAX].into_iter().map(|cap| build(MaterializationMode::Tabula, cap)).collect();
+    let cells = every_cell(&table, &cols);
+    for cube in &cubes {
+        assert_theta_on_every_cell(cube, &loss, theta, &cells);
+    }
+    // No candidate: self-edges only, so every cell keeps its own sample —
+    // Tabula*'s sample set.
+    let [none, one, all] = &cubes[..] else { unreachable!() };
+    assert!(star.stats().iceberg_cells > 100, "{:?}", star.stats());
+    assert_eq!(none.stats().samgraph_edges, none.stats().iceberg_cells);
+    assert_eq!(none.persisted_samples(), star.persisted_samples());
+    assert!(none.cube_table().eq(star.cube_table()));
+    assert!(one.persisted_samples() < none.persisted_samples());
+    assert!(all.persisted_samples() <= one.persisted_samples());
+    assert!(all.stats().samgraph_edges >= one.stats().samgraph_edges);
 }
 
 // ---------------------------------------------------------------------------

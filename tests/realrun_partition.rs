@@ -100,10 +100,14 @@ fn partition_cells_equal_group_by_cells_for_every_cuboid() {
     tabula_par::set_threads(0);
 }
 
-/// Recorded at commit cd1ea0b, where `real_run` still regrouped the table
-/// once per iceberg cuboid.
-const BUILD_CRC: u64 = 0x1a03_6aae_4e0d_3305;
-const REFRESH_CRC: u64 = 0x6a73_5bb5_1aa7_cc1f;
+/// Re-recorded when the SamGraph join began ranking candidates by the
+/// total order (squared signature distance, index): the heat-map cubes
+/// are sample-dependent, and `select_nth_unstable_by` had broken ties among
+/// twin signatures arbitrarily, so some cells were checked against other
+/// candidates. Before that they were recorded at commit cd1ea0b, where
+/// `real_run` still regrouped the table once per iceberg cuboid.
+const BUILD_CRC: u64 = 0x890d_8433_11af_3f18;
+const REFRESH_CRC: u64 = 0x4ae2_b24a_6885_c3ba;
 /// Recorded at commit d1c4c90, where the flat width was code tuples in
 /// per-cuboid hash maps.
 const FLAT_BUILD_CRC: u64 = 0x4758_e1fb_bff5_2539;
