@@ -28,7 +28,7 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
 
-    for cap in [1usize, 4, 16, 32, 128, usize::MAX] {
+    for cap in [0usize, 1, 4, 16, 32, 128, usize::MAX] {
         let cube = SamplingCubeBuilder::new(
             Arc::clone(&table),
             &attrs,

@@ -56,25 +56,24 @@ impl XSortedIndex {
     fn sweep(&self, q: &Point, gap: impl Fn(f64) -> f64, dist: impl Fn(f64, f64) -> f64) -> f64 {
         let split = self.points.partition_point(|p| p.x < q.x);
         let mut best = f64::INFINITY;
-        let mut visit = |p: &Point| {
+        for p in &self.points[split..] {
             let dx = q.x - p.x;
             if gap(dx) > best {
-                return false;
+                break;
             }
             let d = dist(dx, q.y - p.y);
             if d < best {
                 best = d;
             }
-            true
-        };
-        for p in &self.points[split..] {
-            if !visit(p) {
-                break;
-            }
         }
         for p in self.points[..split].iter().rev() {
-            if !visit(p) {
+            let dx = q.x - p.x;
+            if gap(dx) > best {
                 break;
+            }
+            let d = dist(dx, q.y - p.y);
+            if d < best {
+                best = d;
             }
         }
         best
@@ -93,21 +92,6 @@ impl Sorted1D {
         debug_assert!(values.iter().all(|v| !v.is_nan()));
         values.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
         Sorted1D { values }
-    }
-
-    /// Number of indexed values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The sorted values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 
     /// Exact distance from `q` to the nearest indexed value; `INFINITY`

@@ -30,7 +30,6 @@
 
 use crate::loss::AccuracyLoss;
 use crate::realrun::CubeEntry;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tabula_par::Pool;
 use tabula_storage::Table;
@@ -121,16 +120,15 @@ pub fn build_samgraph<L: AccuracyLoss>(
     // signatures exactly (early-exit at θ). The per-target scan
     // parallelizes over v; representative lists are then folded back in
     // ascending v, reproducing the serial edge order.
-    let cap = cfg.max_candidates.min(m - 1);
     let mut edges: Vec<Vec<u32>> = (0..m).map(|u| vec![u as u32]).collect();
-    if cap == 0 {
+    if cfg.max_candidates == 0 {
         return SamGraph { edges };
     }
     let sigs: Vec<[f64; 2]> = pool.par_map(entries, |e| loss.signature(table, &e.rows));
     let ctxs: Vec<L::SampleCtx> = pool.par_map(entries, |e| loss.prepare(table, &e.sample));
     let index = SignatureIndex::build(sigs);
     let reps_of: Vec<Vec<u32>> = pool.run(m, |v| {
-        let mut reps = index.nearest(v, cap);
+        let mut reps = index.nearest(v, cfg.max_candidates);
         reps.retain(|&u| {
             loss.loss_within(table, &entries[v].rows, &ctxs[u as usize], theta).is_some()
         });
@@ -144,36 +142,11 @@ pub fn build_samgraph<L: AccuracyLoss>(
     SamGraph { edges }
 }
 
-/// A candidate `u` at squared signature distance `d2` from the target.
-/// Ordered by `(d2, u)`; a NaN distance is stored as the positive NaN,
-/// which `total_cmp` places after every number, `+∞` included.
-#[derive(Clone, Copy)]
-struct Near {
-    d2: f64,
-    u: u32,
-}
-
-impl Near {
-    fn new(d2: f64, u: usize) -> Self {
-        Near { d2: if d2.is_nan() { f64::NAN } else { d2 }, u: u as u32 }
-    }
-}
-
-impl PartialEq for Near {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Near {}
-impl PartialOrd for Near {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Near {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.d2.total_cmp(&other.d2).then(self.u.cmp(&other.u))
-    }
+/// A candidate's place in the ranking: `(squared distance, index)`. A
+/// squared distance is never negative, so its bits order as its value does;
+/// a NaN one is stored as the positive NaN, whose bits order after `+∞`.
+fn rank(d2: f64, u: usize) -> (u64, u32) {
+    (if d2.is_nan() { f64::NAN } else { d2 }.to_bits(), u as u32)
 }
 
 /// The signatures sorted by x, answering "which `cap` signatures are
@@ -225,16 +198,16 @@ impl SignatureIndex {
         let near = |u: usize| {
             let [ux, uy] = self.sigs[u];
             let (dx, dy) = (ux - x, uy - y);
-            Near::new(dx * dx + dy * dy, u)
+            rank(dx * dx + dy * dy, u)
         };
         // The `cap` nearest so far; the top is the worst of them.
-        let mut best: BinaryHeap<Near> = BinaryHeap::with_capacity(cap + 1);
-        let offer = |best: &mut BinaryHeap<Near>, u: usize| {
+        let mut best: BinaryHeap<(u64, u32)> = BinaryHeap::with_capacity(cap + 1);
+        let offer = |best: &mut BinaryHeap<(u64, u32)>, u: usize| {
+            let candidate = near(u);
             if best.len() < cap {
-                best.push(near(u));
-            } else if best.peek().is_some_and(|worst| near(u) < *worst) {
-                best.pop();
-                best.push(near(u));
+                best.push(candidate);
+            } else if let Some(mut worst) = best.peek_mut().filter(|worst| candidate < **worst) {
+                *worst = candidate;
             }
         };
         let p = self.pos[v];
@@ -257,7 +230,7 @@ impl SignatureIndex {
                 // x, so once the heap is full and its worst is nearer than
                 // this gap, squared, none of them can enter.
                 let g2 = gap2(i);
-                if best.len() == cap && best.peek().is_some_and(|worst| g2 > worst.d2) {
+                if best.len() == cap && best.peek().is_some_and(|worst| g2.to_bits() > worst.0) {
                     break;
                 }
                 if take_left {
@@ -269,7 +242,7 @@ impl SignatureIndex {
             }
             self.rest.iter().for_each(|&u| offer(&mut best, u as usize));
         }
-        best.into_sorted_vec().into_iter().map(|n| n.u).collect()
+        best.into_sorted_vec().into_iter().map(|(_, u)| u).collect()
     }
 }
 

@@ -32,7 +32,7 @@
 //! bit of what is: every sample is the one the plain expressions give.
 
 use crate::loss::AccuracyLoss;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tabula_storage::{RowId, Table};
@@ -206,65 +206,63 @@ pub fn coverage_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
 thread_local! {
     /// The exact engine's pairwise distance table, one per worker thread,
     /// reused cell after cell: at most `EXACT_GREEDY_LIMIT²` entries (2 MiB).
-    static DISTANCES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    static DISTANCES: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
     let n = space.len();
-    DISTANCES.with_borrow_mut(|table| {
-        if table.len() < n * n {
-            table.resize(n * n, 0.0);
+    // Row `c` holds every element's distance to `c`. Each pair is computed
+    // once; `dist`'s symmetry fills the other half.
+    let mut table = DISTANCES.take();
+    table.resize(n * n, 0.0);
+    for a in 0..n {
+        for b in a..n {
+            let d = space.dist(a, b);
+            table[a * n + b] = d;
+            table[b * n + a] = d;
         }
-        // Row `c` holds every element's distance to `c`. Each pair is
-        // computed once; `dist`'s symmetry fills the other half.
-        for a in 0..n {
-            for b in a..n {
-                let d = space.dist(a, b);
-                table[a * n + b] = d;
-                table[b * n + a] = d;
+    }
+    let row = |c: usize| &table[c * n..(c + 1) * n];
+    let first = space.center_element();
+    let mut chosen = vec![first];
+    let mut selected = vec![false; n];
+    selected[first] = true;
+    // cur[i] = distance from i to its nearest chosen element.
+    let mut cur: Vec<f64> = row(first).to_vec();
+    let mut sum: f64 = cur.iter().sum();
+    let mut terms = vec![0.0; n];
+    let mut gain_of = |cur: &[f64], c: usize| positive_sum(cur, row(c), &mut terms);
+    // Price every candidate once against the initial coverage; these
+    // stay valid upper bounds for all later rounds (submodularity).
+    let mut heap: BinaryHeap<GainEntry> = BinaryHeap::with_capacity(n);
+    for (idx, &sel) in selected.iter().enumerate() {
+        if !sel {
+            heap.push(GainEntry { gain: gain_of(&cur, idx), idx, round: 0 });
+        }
+    }
+    let mut round: u32 = 1;
+    while sum / n as f64 > theta {
+        // Pop until the top entry is exact for this round.
+        let next = loop {
+            let Some(top) = heap.pop() else { break None };
+            if selected[top.idx] {
+                continue;
             }
-        }
-        let row = |c: usize| &table[c * n..(c + 1) * n];
-        let first = space.center_element();
-        let mut chosen = vec![first];
-        let mut selected = vec![false; n];
-        selected[first] = true;
-        // cur[i] = distance from i to its nearest chosen element.
-        let mut cur: Vec<f64> = row(first).to_vec();
-        let mut sum: f64 = cur.iter().sum();
-        let mut terms = vec![0.0; n];
-        let mut gain_of = |cur: &[f64], c: usize| positive_sum(cur, row(c), &mut terms);
-        // Price every candidate once against the initial coverage; these
-        // stay valid upper bounds for all later rounds (submodularity).
-        let mut heap: BinaryHeap<GainEntry> = BinaryHeap::with_capacity(n);
-        for (idx, &sel) in selected.iter().enumerate() {
-            if !sel {
-                heap.push(GainEntry { gain: gain_of(&cur, idx), idx, round: 0 });
+            if top.round == round {
+                break Some(top.idx);
             }
-        }
-        let mut round: u32 = 1;
-        while sum / n as f64 > theta {
-            // Pop until the top entry is exact for this round.
-            let next = loop {
-                let Some(top) = heap.pop() else { break None };
-                if selected[top.idx] {
-                    continue;
-                }
-                if top.round == round {
-                    break Some(top.idx);
-                }
-                // Stale: re-price exactly against the current coverage.
-                heap.push(GainEntry { gain: gain_of(&cur, top.idx), idx: top.idx, round });
-            };
-            let Some(c) = next else {
-                break; // every element selected; sum is 0
-            };
-            let to_c = row(c);
-            commit(c, |i| to_c[i], &mut selected, &mut chosen, &mut cur, &mut sum);
-            round += 1;
-        }
-        chosen
-    })
+            // Stale: re-price exactly against the current coverage.
+            heap.push(GainEntry { gain: gain_of(&cur, top.idx), idx: top.idx, round });
+        };
+        let Some(c) = next else {
+            break; // every element selected; sum is 0
+        };
+        let to_c = row(c);
+        commit(c, |i| to_c[i], &mut selected, &mut chosen, &mut cur, &mut sum);
+        round += 1;
+    }
+    DISTANCES.set(table);
+    chosen
 }
 
 /// `Σ_i max(cur[i] − dist[i], 0)` with the bits of the plain left-to-right
