@@ -162,6 +162,7 @@ impl CoverageSpace for PointSpace {
         self.metric.dist(&self.points[a], &self.points[b])
     }
 
+    /// Called by the stochastic engine only (cells of more than 512 rows).
     /// Euclidean: no square root when `d² ≥ cur²`, for then `d ≥ cur` and
     /// the term is zero. Exact because sqrt is correctly rounded and
     /// monotone and `sqrt(fl(x²)) = x` whenever `x²` is normal. The bound is

@@ -23,16 +23,16 @@
 //!   shrink as the sample grows), so stale gains are valid upper bounds
 //!   and most candidates are never re-priced.
 //!
-//! A coverage sampler's cost is its distance work. Every term
-//! `max(cur − d(i, c), 0)` of a candidate's gain goes through
-//! [`CoverageSpace::gain`], which the heat-map space overrides to skip the
-//! square root when `d² ≥ cur²` (the term is zero then). The exact engine
-//! computes each pair's distance once into a per-worker table and sums only
-//! the positive terms of a gain. Both change how much is computed, never a
-//! bit of what is: every sample is the one the plain expressions give.
+//! A coverage sampler's cost is its distance work. The exact engine
+//! (n ≤ 512) computes each pair's distance once into a table and prices a
+//! gain by summing only its positive terms. The stochastic engine prices
+//! every term `max(cur − d(i, c), 0)` through [`CoverageSpace::gain`],
+//! which the heat-map space overrides to skip the square root when
+//! `d² ≥ cur²` (the term is zero then). Both change how much is computed,
+//! never a bit of what is: every sample is the one the plain expressions
+//! give.
 
 use crate::loss::AccuracyLoss;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tabula_storage::{RowId, Table};
@@ -133,8 +133,10 @@ pub trait CoverageSpace: Sync {
     fn dist(&self, a: usize, b: usize) -> f64;
     /// How much choosing `b` would shorten `cur`, element `a`'s distance to
     /// its nearest chosen element: `max(cur − dist(a, b), 0)`, one term of a
-    /// candidate's marginal gain. An override may skip work when the term
-    /// is provably zero, but must return exactly the default's value.
+    /// candidate's marginal gain, as the stochastic engine prices it (the
+    /// exact engine reads its distance table instead). An override may skip
+    /// work when the term is provably zero, but must return exactly the
+    /// default's value.
     #[inline]
     fn gain(&self, cur: f64, a: usize, b: usize) -> f64 {
         (cur - self.dist(a, b)).max(0.0)
@@ -203,18 +205,11 @@ pub fn coverage_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
     }
 }
 
-thread_local! {
-    /// The exact engine's pairwise distance table, one per worker thread,
-    /// reused cell after cell: at most `EXACT_GREEDY_LIMIT²` entries (2 MiB).
-    static DISTANCES: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-}
-
 fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
     let n = space.len();
     // Row `c` holds every element's distance to `c`. Each pair is computed
     // once; `dist`'s symmetry fills the other half.
-    let mut table = DISTANCES.take();
-    table.resize(n * n, 0.0);
+    let mut table = vec![0.0; n * n];
     for a in 0..n {
         for b in a..n {
             let d = space.dist(a, b);
@@ -261,7 +256,6 @@ fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
         commit(c, |i| to_c[i], &mut selected, &mut chosen, &mut cur, &mut sum);
         round += 1;
     }
-    DISTANCES.set(table);
     chosen
 }
 

@@ -573,8 +573,9 @@ fn heatmap_samples_equal_the_reference_on_every_iceberg_cell_of_the_taxi_cube() 
     let dry = dry_run(&table, &partition, &loss, &loss.prepare(&table, &global), theta);
     let cells = real_run(&table, &partition, &loss, theta, &dry.iceberg).entries;
     assert!(cells.len() > 1_000, "{} iceberg cells", cells.len());
-    // Cells here hold at most a few hundred rows, so this is the exact
-    // engine; the random sets below reach the stochastic one.
+    // Iceberg cells here hold at most a few hundred rows, so this is the
+    // exact engine; the coarse cells below and the random sets reach the
+    // stochastic one.
     let points = table.column(pickup).as_point_slice().unwrap();
     for (i, cell) in cells.iter().enumerate() {
         // The real run's own sample, then both metrics through the loss.
@@ -589,6 +590,18 @@ fn heatmap_samples_equal_the_reference_on_every_iceberg_cell_of_the_taxi_cube() 
             assert_heatmap_samples_as_before(&table, pickup, &cell.rows, theta, "taxi cell");
         }
     }
+    // Cells of one attribute that hold more than 512 rows: the stochastic
+    // engine on taxi points, as on the 500 k-row build's largest cells.
+    let mut coarse = 0;
+    for &col in &cols {
+        for (_, rows) in group_by(&table, &[col]).unwrap().groups {
+            if (513..=3_000).contains(&rows.len()) {
+                assert_heatmap_samples_as_before(&table, pickup, &rows, theta, "coarse taxi cell");
+                coarse += 1;
+            }
+        }
+    }
+    assert!(coarse >= 4, "{coarse} coarse cells");
 }
 
 #[test]
