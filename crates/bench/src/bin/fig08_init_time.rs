@@ -144,13 +144,9 @@ fn main() {
         let col = table.schema().index_of(name).expect("cubed attribute exists");
         let _ = table.cat(col);
     }
-    let kernels = match tabula_storage::kernel_mode() {
-        tabula_storage::KernelMode::ForceScalar => "scalar",
-        _ => "vectorized",
-    };
     let attrs5: Vec<&str> = CUBED_ATTRIBUTES[..5].to_vec();
     println!(
-        "# Figure 8 | rows = {rows} | attributes = 5 (a–c) / 4–7 (d) | threads = {} (serial baseline: 1) | kernels = {kernels}",
+        "# Figure 8 | rows = {rows} | attributes = 5 (a–c) / 4–7 (d) | threads = {} (serial baseline: 1)",
         tabula_par::threads()
     );
 
@@ -217,7 +213,7 @@ fn main() {
     match write_run_summary(
         "fig08_init_time",
         &report.aggregate.snapshot(),
-        &[("results", Value::Arr(report.results)), ("kernels", Value::Str(kernels.to_owned()))],
+        &[("results", Value::Arr(report.results))],
     ) {
         Ok(path) => println!("\nrun summary written to {}", path.display()),
         Err(e) => eprintln!("\ncould not write run summary: {e}"),

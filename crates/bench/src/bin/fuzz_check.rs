@@ -18,9 +18,10 @@
 //! each case through the `tabula-ingest` pipeline barrier by barrier and
 //! requires the streamed cube to stay differentially equivalent to a
 //! from-scratch build on every prefix (the CI `ingest` job's sweep).
-//! `--encoding` rebuilds every case under `TABULA_ENCODING=off` and
-//! `force` and requires byte-identical fingerprints, iceberg sets and
-//! served answers (the CI `encoding` job's sweep). `--all` turns on
+//! `--encoding` rebuilds every case's table frozen with
+//! `EncodingMode::Off` and `Force` and requires byte-identical
+//! fingerprints, iceberg sets and served answers (the CI `encoding` job's
+//! sweep). `--all` turns on
 //! every opt-in lane at once.
 
 use serde::Value;

@@ -40,8 +40,8 @@ use tabula_core::builder::{MaterializationMode, SamplingCubeBuilder};
 use tabula_core::loss::MeanLoss;
 use tabula_core::SamplingCube;
 use tabula_storage::{
-    group_by, set_encoding_mode, CmpOp, ColumnType, EncodingMode, Field, GroupedRows, Predicate,
-    RowId, Schema, Table, TableBuilder,
+    group_by, CmpOp, ColumnType, EncodingMode, Field, GroupedRows, Predicate, RowId, Schema, Table,
+    TableBuilder,
 };
 
 /// Enough rows for stable ns/row and visible run structure at the largest
@@ -61,7 +61,6 @@ fn bench_rows() -> usize {
 /// measure `m`. Built with encoding off — the caller derives the encoded
 /// twin explicitly.
 fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
-    set_encoding_mode(EncodingMode::Off);
     let schema = Schema::new(vec![
         Field::new("v", ColumnType::Str),
         Field::new("k", ColumnType::Int64),
@@ -81,7 +80,7 @@ fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
         ])
         .expect("synthetic rows conform to schema");
     }
-    Arc::new(b.finish())
+    Arc::new(b.finish_with(EncodingMode::Off))
 }
 
 /// Six low-cardinality attributes in the taxi table's shape — cardinalities
@@ -90,7 +89,6 @@ fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
 /// 0's cell, written in column order.
 fn conj_table(rows: usize, run_len: usize) -> (Arc<Table>, Predicate) {
     const CARDS: [u64; 6] = [2, 4, 7, 6, 5, 2];
-    set_encoding_mode(EncodingMode::Off);
     let fields = (0..CARDS.len())
         .map(|c| {
             Field::new(format!("c{c}"), if c == 3 { ColumnType::Int64 } else { ColumnType::Str })
@@ -116,7 +114,7 @@ fn conj_table(rows: usize, run_len: usize) -> (Arc<Table>, Predicate) {
     }
     let pred = (0..CARDS.len())
         .fold(Predicate::all(), |p, c| p.and(format!("c{c}"), CmpOp::Eq, value(0, c)));
-    (Arc::new(b.finish()), pred)
+    (Arc::new(b.finish_with(EncodingMode::Off)), pred)
 }
 
 /// The force-encoded twin: same rows, every column frozen under

@@ -1,7 +1,6 @@
 //! The diff engine: replay a generated case through the real pipeline —
-//! every materialization mode, multiple thread counts, both build-kernel
-//! paths (vectorized and scalar) — and through the naive oracle, and
-//! report the first divergence. A diverging case can be
+//! every materialization mode, multiple thread counts — and through the
+//! naive oracle, and report the first divergence. A diverging case can be
 //! auto-shrunk ([`shrink`]) to a minimal reproducer and printed as a
 //! ready-to-paste regression test
 //! ([`CaseSpec::to_regression_test`]).
@@ -20,10 +19,7 @@ use tabula_core::loss::{
 use tabula_core::{MaterializationMode, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
-use tabula_storage::{
-    encoding_mode, kernel_mode, set_encoding_mode, set_kernel_mode, CmpOp, EncodingMode,
-    KernelMode, Predicate, RowId, Table, Value,
-};
+use tabula_storage::{CmpOp, EncodingMode, Predicate, RowId, Table, Value};
 
 /// Every materialization mode the diff engine sweeps.
 pub const MODES: [MaterializationMode; 4] = [
@@ -50,8 +46,8 @@ pub const SERVE_CLIENTS: [usize; 2] = [1, 8];
 static SNAPSHOT_LANE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Enable or disable the snapshot round-trip lane for subsequent
-/// [`diff_case`] / [`diff_with_loss`] calls (process-global, like the
-/// kernel-mode override).
+/// [`diff_case`] / [`diff_with_loss`] calls. The flag is process-global:
+/// it steers every caller in the process until it is set again.
 pub fn set_snapshot_lane(on: bool) {
     SNAPSHOT_LANE.store(on, std::sync::atomic::Ordering::SeqCst);
 }
@@ -62,16 +58,16 @@ pub fn snapshot_lane() -> bool {
 }
 
 /// Opt-in switch for the encoding lane ([`set_encoding_lane`]): when on,
-/// every case additionally rebuilds the table and cube under
-/// `TABULA_ENCODING=off` (plain reference) and `force` (maximum
-/// encoded-kernel coverage) and requires byte-identical fingerprints —
-/// cells, iceberg sets, sample row ids — plus serve-path identity on the
-/// forced build. Off by default; `fuzz_check --encoding` turns it on.
+/// every case additionally rebuilds the table frozen with
+/// [`EncodingMode::Off`] (plain reference) and `Force` (maximum
+/// encoded-kernel coverage), rebuilds the cube on each, and requires
+/// byte-identical fingerprints — cells, iceberg sets, sample row ids —
+/// plus serve-path identity on the forced build. Off by default; `fuzz_check --encoding` turns it on.
 static ENCODING_LANE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Enable or disable the encoding differential lane for subsequent
-/// [`diff_case`] / [`diff_with_loss`] calls (process-global, like the
-/// kernel-mode override).
+/// [`diff_case`] / [`diff_with_loss`] calls. The flag is process-global,
+/// like [`set_snapshot_lane`]'s.
 pub fn set_encoding_lane(on: bool) {
     ENCODING_LANE.store(on, std::sync::atomic::Ordering::SeqCst);
 }
@@ -218,59 +214,19 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
             }
         }
     }
-    // The kernel-differential lane: rebuild every mode with the scalar
-    // reference kernels (`KernelMode::ForceScalar`) and require byte
-    // identity with the first-pass build, which ran whatever kernels the
-    // ambient mode selected (vectorized by default). Fuzz cases run
-    // sequentially in-process, so flipping the process-global mode here
-    // is safe; it is restored on every exit path.
-    let prev_kernel = kernel_mode();
-    set_kernel_mode(KernelMode::ForceScalar);
-    tabula_par::set_threads(THREAD_COUNTS[0]);
-    let scalar_pass = (|| {
-        for (m, &mode) in MODES.iter().enumerate() {
-            let cube =
-                SamplingCubeBuilder::new(Arc::clone(&table), &attr_refs, loss.clone(), case.theta)
-                    .mode(mode)
-                    .serfling(case.serfling_config())
-                    .seed(case.build_seed)
-                    .build()
-                    .map_err(|e| Divergence {
-                        check: "build",
-                        detail: format!("{mode:?} scalar kernels: build failed: {e:?}"),
-                    })?;
-            if Fingerprint::of(&cube) != fingerprints[0][m] {
-                return Err(Divergence {
-                    check: "kernel_differential",
-                    detail: format!(
-                        "{mode:?}: cube built with scalar kernels differs from the \
-                         vectorized build at {} threads",
-                        THREAD_COUNTS[0]
-                    ),
-                });
-            }
-        }
-        Ok(())
-    })();
-    set_kernel_mode(prev_kernel);
-    tabula_par::set_threads(0);
-    scalar_pass?;
-
-    // The encoding-differential lane: rebuild the *table* (freezing
-    // re-applies the encoding mode) and every materialization mode under
-    // `TABULA_ENCODING=off` and `force`, and require byte identity with
-    // the first-pass build, which ran under the ambient (Auto) mode.
+    // The encoding-differential lane: rebuild the *table* frozen with
+    // `EncodingMode::Off` and `Force`, and every materialization mode on
+    // it, and require byte identity with the first-pass build, whose table
+    // froze under `Auto`.
     // Column encoding is a physical property — it must never change a
     // cell set, an iceberg classification, or a sampled row id. The
     // forced build additionally goes through the serve check, so served
     // answers over encoded columns are compared too.
     if encoding_lane() {
-        let prev_encoding = encoding_mode();
         tabula_par::set_threads(THREAD_COUNTS[0]);
         let encoding_pass = (|| {
             for enc in [EncodingMode::Off, EncodingMode::Force] {
-                set_encoding_mode(enc);
-                let table = case.table();
+                let table = case.table_with(enc);
                 for (m, &mode) in MODES.iter().enumerate() {
                     let cube = SamplingCubeBuilder::new(
                         Arc::clone(&table),
@@ -290,8 +246,8 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                         return Err(Divergence {
                             check: "encoding_differential",
                             detail: format!(
-                                "{mode:?}: cube built under TABULA_ENCODING={enc:?} \
-                                 differs from the ambient-mode build"
+                                "{mode:?}: cube built on the {enc:?}-encoded table \
+                                 differs from the Auto build"
                             ),
                         });
                     }
@@ -302,7 +258,6 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
             }
             Ok(())
         })();
-        set_encoding_mode(prev_encoding);
         tabula_par::set_threads(0);
         encoding_pass?;
     }
@@ -967,9 +922,10 @@ mod tests {
     use crate::generate::gen_case;
     use std::sync::Mutex;
 
-    /// Serializes the tests that drive the diff engine: the engine's
-    /// kernel-differential lane flips the process-global kernel mode, so
-    /// concurrent runs would observe each other's transient ForceScalar.
+    /// Serializes the tests that drive the diff engine: the engine sets the
+    /// process-global `tabula_par::set_threads` override, and two of them
+    /// flip the snapshot and encoding lane flags, so concurrent runs would
+    /// observe each other's settings.
     static DIFF_LOCK: Mutex<()> = Mutex::new(());
 
     /// The clean pipeline must survive a handful of pinned seeds across
@@ -1080,17 +1036,13 @@ mod tests {
         result.unwrap();
     }
 
-    /// The encoding lane must pass on clean pinned seeds — rebuilding
-    /// under `TABULA_ENCODING=off` and `force` is byte-identical to the
-    /// ambient build for every materialization mode — and must leave the
-    /// process-global encoding mode exactly as it found it: a leaked
-    /// Force would silently re-encode every later frozen table. (The
-    /// wide sweep runs in `fuzz_check --encoding`.)
+    /// The encoding lane must pass on clean pinned seeds: the cube built
+    /// on the `Off`- and the `Force`-frozen table is byte-identical to the
+    /// `Auto` build for every materialization mode. (The wide sweep runs
+    /// in `fuzz_check --encoding`.)
     #[test]
-    fn encoding_lane_round_trips_pinned_seeds_and_restores_the_mode() {
+    fn encoding_lane_round_trips_pinned_seeds() {
         let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = encoding_mode();
-        set_encoding_mode(EncodingMode::Auto);
         set_encoding_lane(true);
         let result: Result<(), String> = (|| {
             for seed in [1, 6, 9] {
@@ -1100,24 +1052,7 @@ mod tests {
             Ok(())
         })();
         set_encoding_lane(false);
-        assert_eq!(encoding_mode(), EncodingMode::Auto, "lane leaked an encoding override");
-        set_encoding_mode(prev);
         result.unwrap();
-    }
-
-    /// The kernel-differential lane must leave the process-global kernel
-    /// mode exactly as it found it, pass or fail — a leaked ForceScalar
-    /// would silently disable the vectorized kernels for the rest of the
-    /// process.
-    #[test]
-    fn kernel_lane_restores_the_ambient_kernel_mode() {
-        let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::Auto);
-        let case = gen_case(7);
-        diff_case(&case).expect("pinned seed 7 is a clean case");
-        assert_eq!(kernel_mode(), KernelMode::Auto);
-        set_kernel_mode(prev);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::sync::Arc;
 use tabula_core::loss::expr::{AggFn, Expr, Side};
 use tabula_core::SerflingConfig;
 use tabula_sql::ast::{DropKind, LossRef, ShowKind, Statement, WhereTerm};
-use tabula_storage::{CmpOp, ColumnType, Field, Point, Schema, Table, TableBuilder, Value};
+use tabula_storage::{
+    CmpOp, ColumnType, EncodingMode, Field, Point, Schema, Table, TableBuilder, Value,
+};
 
 /// A fully self-contained differential-test case: enough to rebuild the
 /// table, the cube (in any mode, at any thread count) and the workload.
@@ -44,13 +46,18 @@ pub struct CaseSpec {
 impl CaseSpec {
     /// Materialize the case's table.
     pub fn table(&self) -> Arc<Table> {
+        self.table_with(EncodingMode::Auto)
+    }
+
+    /// The case's table, frozen under encoding `mode`.
+    pub fn table_with(&self, mode: EncodingMode) -> Arc<Table> {
         let fields =
             self.schema.iter().map(|(n, ty)| Field::new(n.clone(), *ty)).collect::<Vec<_>>();
         let mut b = TableBuilder::new(Schema::new(fields));
         for row in &self.rows {
             b.push_row(row).expect("case rows match case schema");
         }
-        Arc::new(b.finish())
+        Arc::new(b.finish_with(mode))
     }
 
     /// The Serfling configuration for the pipeline build.

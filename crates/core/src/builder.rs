@@ -14,8 +14,8 @@
 //! From the partition to the cube table a cell is one value: its
 //! [`CubeKey`] in the partition's [`CellSpace`] — a packed `u64` when the
 //! cubed attributes' `cardinality + 1` domains fit 64 bits, flat words
-//! otherwise or under `TABULA_KERNELS=scalar`. The build produces
-//! byte-identical cubes at either width and at any thread count.
+//! otherwise. The build produces byte-identical cubes at either width and
+//! at any thread count.
 
 use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::{cardinalities, CubeTable};

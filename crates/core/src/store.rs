@@ -95,7 +95,7 @@ fn bad_block(region: &str, reason: impl Into<String>) -> crate::CoreError {
 
 /// Load a column payload in whatever representation the snapshot holds:
 /// an `:rle` or `:for` block becomes a zero-copy encoded buffer (decoded
-/// lazily, only if a scalar path ever needs the plain rows); otherwise
+/// lazily, only if a reader ever needs the plain rows); otherwise
 /// `plain` views the raw-words block.
 fn restore_buf<'s, T: tabula_storage::Codable>(
     snap: &'s Snapshot,

@@ -10,7 +10,7 @@ use tabula_core::loss::{HeatmapLoss, MeanLoss, Metric};
 use tabula_core::{refresh, RefreshConfig, SamplingCubeBuilder};
 use tabula_data::{meters_to_norm, TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula_storage::cube::CellKey;
-use tabula_storage::{RowId, Table, TableBuilder};
+use tabula_storage::{EncodingMode, RowId, Table, TableBuilder};
 
 fn build(table: &Arc<Table>, threads: usize) -> SamplingCube {
     // The runtime override steers every Pool::global() call in the build
@@ -171,72 +171,35 @@ fn refreshed_cube_is_identical_across_thread_counts() {
     }
 }
 
-/// The chunked vectorized build kernels (bit-packed group-by keys, packed
-/// finest-cuboid aggregation, packed rollup) must be as invisible as the
-/// thread count: a cube built under `TABULA_KERNELS=scalar` is
-/// byte-identical to one built with the vectorized kernels, at any thread
-/// count — float bits included, because both kernels fold rows and merge
-/// parents in the same canonical order.
-#[test]
-fn cube_is_identical_across_kernel_modes_and_thread_counts() {
-    use tabula_storage::{set_kernel_mode, KernelMode};
-    let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 31 }).generate());
-    let prev = tabula_storage::kernel_mode();
-    set_kernel_mode(KernelMode::ForceScalar);
-    let baseline = fingerprint(&build(&table, 1));
-    assert!(!baseline.cells.is_empty());
-    for (mode, threads) in [
-        (KernelMode::ForceScalar, 8usize),
-        (KernelMode::Auto, 1),
-        (KernelMode::Auto, 8),
-        (KernelMode::Auto, 2),
-    ] {
-        set_kernel_mode(mode);
-        let got = fingerprint(&build(&table, threads));
-        assert_eq!(baseline.iceberg_cells, got.iceberg_cells, "{mode:?} x{threads}");
-        assert_eq!(baseline.global_sample, got.global_sample, "{mode:?} x{threads}");
-        assert_eq!(baseline.cells, got.cells, "cube differs under {mode:?} x{threads}");
+/// `table`'s rows pushed into a fresh builder and frozen under `mode`.
+fn refreeze(table: &Table, mode: EncodingMode) -> Arc<Table> {
+    let mut b = TableBuilder::new(table.schema().clone());
+    for i in 0..table.len() {
+        b.push_row(&table.row(i)).expect("row of the same schema");
     }
-    set_kernel_mode(prev);
+    Arc::new(b.finish_with(mode))
 }
 
 /// The compressed-storage invariant: the cube is a pure function of the
-/// data — not of the column encoding, the kernel family, or the thread
-/// count. Sweep `TABULA_ENCODING={off,force,auto}` ×
-/// `TABULA_KERNELS={scalar,auto}` × threads={1,4}; every build must be
-/// byte-identical to the plain scalar single-threaded baseline, float
-/// bits included. The table is regenerated under each encoding mode so
-/// the freeze path (where encoding happens) is part of the sweep.
+/// data — not of the column encoding or the thread count. Sweep the
+/// freeze's encoding {off, force, auto} × threads {1, 4}; every build must
+/// be byte-identical to the plain single-threaded baseline, float bits
+/// included. The table is frozen anew under each encoding so the freeze
+/// path (where encoding happens) is part of the sweep.
 #[test]
-fn cube_is_identical_across_encoding_modes_kernels_and_threads() {
-    use tabula_storage::{set_encoding_mode, set_kernel_mode, EncodingMode, KernelMode};
-    let prev_enc = tabula_storage::encoding_mode();
-    let prev_kern = tabula_storage::kernel_mode();
-    set_encoding_mode(EncodingMode::Off);
-    set_kernel_mode(KernelMode::ForceScalar);
-    let baseline = {
-        let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 47 }).generate());
-        fingerprint(&build(&table, 1))
-    };
+fn cube_is_identical_across_encoding_modes_and_threads() {
+    let rows = TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 47 }).generate();
+    let baseline = fingerprint(&build(&refreeze(&rows, EncodingMode::Off), 1));
     assert!(!baseline.cells.is_empty());
     for enc in [EncodingMode::Off, EncodingMode::Force, EncodingMode::Auto] {
-        set_encoding_mode(enc);
-        let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 47 }).generate());
-        for (kern, threads) in
-            [(KernelMode::ForceScalar, 4usize), (KernelMode::Auto, 1), (KernelMode::Auto, 4)]
-        {
-            set_kernel_mode(kern);
+        let table = refreeze(&rows, enc);
+        for threads in [1usize, 4] {
             let got = fingerprint(&build(&table, threads));
-            assert_eq!(baseline.iceberg_cells, got.iceberg_cells, "{enc:?} {kern:?} x{threads}");
-            assert_eq!(baseline.global_sample, got.global_sample, "{enc:?} {kern:?} x{threads}");
-            assert_eq!(
-                baseline.cells, got.cells,
-                "cube differs under encoding={enc:?} kernels={kern:?} x{threads}"
-            );
+            assert_eq!(baseline.iceberg_cells, got.iceberg_cells, "{enc:?} x{threads}");
+            assert_eq!(baseline.global_sample, got.global_sample, "{enc:?} x{threads}");
+            assert_eq!(baseline.cells, got.cells, "cube differs under encoding={enc:?} x{threads}");
         }
     }
-    set_kernel_mode(prev_kern);
-    set_encoding_mode(prev_enc);
 }
 
 #[test]

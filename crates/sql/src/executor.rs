@@ -479,8 +479,8 @@ impl Session {
                     .ok_or(SqlError::Unknown { kind: "table", name: table.clone() })?;
                 let pred = predicate_of(conditions);
                 let (rows, stats) = scan_traced(&pred, t, &mut trace)?;
-                // Surface which filter kernel ran (vectorized chunked vs
-                // row-at-a-time scalar) in the answer line.
+                // Surface which filter kernel ran (plain chunked, or pushed
+                // down onto RLE runs / FOR frames) in the answer line.
                 (rows.len(), format!("Scan[{}]", stats.kernel.name()))
             }
             // The parser only wraps SELECTs, but a hand-built AST could
@@ -523,19 +523,14 @@ fn statement_kind(stmt: &Statement) -> &'static str {
 }
 
 /// Run `pred` over `t` recording a `scan` stage into `trace`. The stats
-/// pass only runs when the trace is enabled; the untraced path is the plain
-/// morsel-parallel filter.
+/// come with every filter; a disabled trace ignores them.
 fn scan_traced(
     pred: &Predicate,
     t: &Arc<Table>,
     trace: &mut obs::QueryTrace,
 ) -> Result<(Vec<tabula_storage::RowId>, ScanStats)> {
     let stage = trace.stage_start();
-    let (rows, stats) = if trace.is_enabled() {
-        pred.filter_with_stats(t)?
-    } else {
-        (pred.filter(t)?, ScanStats::default())
-    };
+    let (rows, stats) = pred.filter_with_stats(t)?;
     trace.stage_chunks(Stage::Scan, stage, stats.rows_matched, stats.bytes_scanned, stats.chunks);
     trace.set_provenance(TraceProvenance::Scan);
     Ok((rows, stats))

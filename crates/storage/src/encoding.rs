@@ -16,58 +16,33 @@
 //!   reproduces the source bits exactly.
 //!
 //! The selection is per-column at freeze time ([`choose`]), steered by
-//! the `TABULA_ENCODING` knob (`auto` / `off` / `force`): `auto` encodes
+//! the [`EncodingMode`] the freeze is given: `Auto` (what
+//! [`TableBuilder::finish`](crate::TableBuilder::finish) uses) encodes
 //! only when a deterministic sampled estimator predicts a real byte win,
-//! `force` encodes everything encodable (the fuzz lanes use it to reach
-//! the edge cases), `off` keeps every column plain. Whatever the mode,
+//! `Force` encodes everything encodable (the fuzz lanes use it to reach
+//! the edge cases), `Off` keeps every column plain. Whatever the mode,
 //! results are byte-identical — encoding only changes which kernel path
-//! runs, never what it produces; the differential lanes in tabula-check
-//! enforce that the same way they pin `TABULA_KERNELS=scalar`.
+//! runs, never what it produces; tabula-check's encoding lane rebuilds
+//! every case under `Off` and `Force` to enforce that.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::kernel::{mode_or_env, MODE_UNSET};
 use crate::shared::ColumnBuf;
 use crate::types::Point;
 
-/// Whether freshly frozen columns get encoded, mirroring
-/// [`KernelMode`](crate::KernelMode)'s shape.
+/// Whether a freeze encodes its columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodingMode {
     /// Encode a column only when the sampled estimator predicts the
     /// encoded payload at ≤ [`AUTO_BYTE_FRACTION`] of the plain bytes.
     Auto,
     /// Never encode; every column stays on the plain path. This is the
-    /// differential reference lane (`TABULA_ENCODING=off`).
+    /// differential reference lane.
     Off,
     /// Encode every encodable column with whichever of RLE/FOR is
     /// smaller, even when neither wins over plain — maximizes coverage
     /// of the encoded kernels in the fuzz lanes.
     Force,
-}
-
-static ENCODING_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// The active [`EncodingMode`]: the last [`set_encoding_mode`] override,
-/// else the `TABULA_ENCODING` env knob (`auto` / `off` / `force`).
-pub fn encoding_mode() -> EncodingMode {
-    let env = || match std::env::var("TABULA_ENCODING").ok().as_deref() {
-        Some("off") => EncodingMode::Off as u8,
-        Some("force") => EncodingMode::Force as u8,
-        _ => EncodingMode::Auto as u8,
-    };
-    match mode_or_env(&ENCODING_MODE, env) {
-        1 => EncodingMode::Off,
-        2 => EncodingMode::Force,
-        _ => EncodingMode::Auto,
-    }
-}
-
-/// Override the encoding mode at runtime (used by the differential
-/// harness and the `scan_compressed` micro-benchmark to pin one path).
-pub fn set_encoding_mode(mode: EncodingMode) {
-    ENCODING_MODE.store(mode as u8, Ordering::Relaxed);
 }
 
 /// Element types that can round-trip through a `u64` ordinal. The
@@ -459,16 +434,6 @@ fn estimate_runs<T: Codable>(data: &[T]) -> usize {
     1 + (boundaries * data.len()).div_ceil(pairs.max(1))
 }
 
-/// Process-wide count of encoded-column decodes (cache fills), for the
-/// decode-exactly-once tests.
-static DECODE_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// How many encoded columns have materialized their decode cache so far
-/// in this process.
-pub fn decode_count() -> u64 {
-    DECODE_COUNT.load(Ordering::Relaxed)
-}
-
 struct EncodedInner<T: Codable> {
     enc: Encoded<T>,
     decoded: OnceLock<Vec<T>>,
@@ -507,10 +472,12 @@ impl<T: Codable> EncodedBuf<T> {
     /// The decoded rows, materializing the shared cache on first use.
     #[inline]
     pub fn decoded(&self) -> &[T] {
-        self.inner.decoded.get_or_init(|| {
-            DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
-            self.inner.enc.decode()
-        })
+        self.inner.decoded.get_or_init(|| self.inner.enc.decode())
+    }
+
+    /// Whether this payload's shared decode cache has been filled.
+    pub fn is_decoded(&self) -> bool {
+        self.inner.decoded.get().is_some()
     }
 }
 
@@ -636,22 +603,10 @@ mod tests {
         let data: Vec<i64> = (0..1000).map(|i| i / 50).collect();
         let buf = EncodedBuf::new(encode_rle(&data));
         let clone = buf.clone();
-        let before = decode_count();
+        assert!(!clone.is_decoded());
         assert_eq!(buf.decoded(), &data[..]);
-        assert_eq!(clone.decoded(), &data[..]);
+        assert!(clone.is_decoded(), "clones must share one decode cache");
         assert_eq!(buf.decoded().as_ptr(), clone.decoded().as_ptr());
-        assert_eq!(decode_count() - before, 1, "clones must share one decode");
-    }
-
-    #[test]
-    fn mode_round_trips() {
-        let _modes = crate::kernel::mode_lock();
-        let prev = encoding_mode();
-        set_encoding_mode(EncodingMode::Force);
-        assert_eq!(encoding_mode(), EncodingMode::Force);
-        set_encoding_mode(EncodingMode::Off);
-        assert_eq!(encoding_mode(), EncodingMode::Off);
-        set_encoding_mode(prev);
     }
 
     proptest! {

@@ -9,9 +9,8 @@
 //! the kernel is vectorized: chunks of [`crate::kernel::CHUNK_ROWS`] rows
 //! pack into a `u64` key buffer, probe a slot map, and append members to
 //! dense per-slot vectors — one word hashed per row, no slice keys, no
-//! per-group key allocation until the final decode. The scalar slice-key
-//! path remains as the fallback (and the `TABULA_KERNELS=scalar`
-//! reference); both produce identical results.
+//! per-group key allocation until the final decode. Wider keys take the
+//! slice-key path; both produce identical results.
 
 use crate::encoding::RunsView;
 use crate::fx::FxHashMap;
@@ -84,7 +83,7 @@ pub fn group_rows(table: &Table, cols: &[usize], rows: &[RowId]) -> Result<Group
 fn group_impl(table: &Table, cols: &[usize], src: RowSrc<'_>) -> Result<GroupedRows> {
     let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
     let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-    let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
+    let layout = KeyLayout::from_cardinalities(&cards);
     // Run-aligned grouping: full-table scans where every grouping column
     // exposes RLE runs — checked *before* `codes()`, which would force a
     // decode of an encoded column.
@@ -232,7 +231,7 @@ fn merge_packed_members(
     groups
 }
 
-/// Row-at-a-time reference grouping on row-major `u32` slice keys.
+/// Grouping on row-major `u32` slice keys, for keys wider than 64 bits.
 fn group_scalar(
     width: usize,
     code_slices: &[&[u32]],
@@ -349,9 +348,8 @@ mod tests {
     }
 
     /// The run-aligned kernel must produce groups identical to both the
-    /// vectorized (decoded) and scalar kernels — first-seen order and
-    /// member order included. Kernels are invoked directly, so no global
-    /// mode is touched.
+    /// packed-key (decoded) and slice-key kernels — first-seen order and
+    /// member order included.
     #[test]
     fn run_aligned_grouping_matches_decoded_kernels() {
         let schema =
@@ -381,20 +379,18 @@ mod tests {
         assert_eq!(aligned, scalar);
     }
 
+    /// The packed-key and slice-key kernels, called directly, agree on
+    /// whole-table and subset sources — members in order included.
     #[test]
     fn scalar_and_vectorized_groupings_agree() {
-        use crate::kernel::{set_kernel_mode, KernelMode};
-        let _modes = crate::kernel::mode_lock();
         let t = table();
-        let prev = crate::kernel::kernel_mode();
-        set_kernel_mode(KernelMode::ForceScalar);
-        let scalar = group_by(&t, &[0, 1]).unwrap();
-        let scalar_sub = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
-        set_kernel_mode(KernelMode::Auto);
-        let vector = group_by(&t, &[0, 1]).unwrap();
-        let vector_sub = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
-        set_kernel_mode(prev);
-        assert_eq!(scalar.groups, vector.groups);
-        assert_eq!(scalar_sub.groups, vector_sub.groups);
+        let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
+        let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
+        let layout = KeyLayout::from_cardinalities(&cards).unwrap();
+        let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
+        for src in [RowSrc::All(t.len()), RowSrc::Subset(&[5, 1, 0, 4])] {
+            let vector = group_vectorized(&layout, &code_slices, &src);
+            assert_eq!(vector, group_scalar(2, &code_slices, &src));
+        }
     }
 }

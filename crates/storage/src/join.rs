@@ -33,8 +33,7 @@ pub fn semi_join(table: &Table, cols: &[usize], cells: &FxHashSet<Vec<u32>>) -> 
     let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
     let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
     let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-    let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
-    if let Some(layout) = layout {
+    if let Some(layout) = KeyLayout::from_cardinalities(&cards) {
         return Ok(semi_join_vectorized(table, &layout, &code_slices, cells));
     }
     let pool = Pool::global();

@@ -11,12 +11,11 @@
 //! tabula-par determinism contract: results are byte-identical for any
 //! `TABULA_THREADS`.
 //!
-//! [`KernelMode`] selects between the vectorized kernels and the original
-//! row-at-a-time scalar paths. Both produce *identical* results (the
-//! differential lane in tabula-check replays every fuzz case through both);
-//! the override exists for pinning one path in regression tests.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! No switch picks a kernel: the input does (key width, column encoding),
+//! and the row-at-a-time reference is [`Predicate::filter_rows`], kept for
+//! the tests that compare against it.
+//!
+//! [`Predicate::filter_rows`]: crate::Predicate::filter_rows
 
 /// Rows per execution chunk.
 pub const CHUNK_ROWS: usize = 2048;
@@ -35,61 +34,6 @@ pub fn chunk_count(len: usize, morsel: usize) -> u64 {
     let tail = len % morsel;
     let per_full = morsel.div_ceil(chunk) as u64;
     full as u64 * per_full + if tail > 0 { tail.div_ceil(chunk) as u64 } else { 0 }
-}
-
-/// Which implementation the storage hot loops run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Vectorized when the operator supports it (packed key fits 64 bits,
-    /// all predicate terms have a typed kernel), scalar otherwise.
-    Auto,
-    /// Always the row-at-a-time scalar reference path.
-    ForceScalar,
-}
-
-pub(crate) const MODE_UNSET: u8 = u8::MAX;
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// The mode stored in `cell`. An unset cell is first initialised from
-/// `env` — unless an explicit store lands while `env` runs: the override
-/// wins over the environment's default, whichever thread is first.
-pub(crate) fn mode_or_env(cell: &AtomicU8, env: impl FnOnce() -> u8) -> u8 {
-    match cell.load(Ordering::Relaxed) {
-        MODE_UNSET => {
-            let env = env();
-            match cell.compare_exchange(MODE_UNSET, env, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => env,
-                Err(set) => set,
-            }
-        }
-        set => set,
-    }
-}
-
-/// The active [`KernelMode`]: the last [`set_kernel_mode`] override, else
-/// the `TABULA_KERNELS` env knob (`scalar` / `auto`).
-pub fn kernel_mode() -> KernelMode {
-    let env = || match std::env::var("TABULA_KERNELS").ok().as_deref() {
-        Some("scalar") => KernelMode::ForceScalar as u8,
-        _ => KernelMode::Auto as u8,
-    };
-    match mode_or_env(&KERNEL_MODE, env) {
-        1 => KernelMode::ForceScalar,
-        _ => KernelMode::Auto,
-    }
-}
-
-/// Override the kernel mode at runtime (used by the differential harness
-/// to pin one path per run).
-pub fn set_kernel_mode(mode: KernelMode) {
-    KERNEL_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// Whether operators should *try* the vectorized path (they still fall
-/// back to scalar when no vectorized form exists for the input shape).
-#[inline]
-pub fn vectorize() -> bool {
-    kernel_mode() != KernelMode::ForceScalar
 }
 
 /// A selection vector: the row ids (ascending) of one chunk that survive
@@ -178,17 +122,6 @@ impl Default for SelectionVector {
     }
 }
 
-/// Serialises this crate's unit tests that set [`KernelMode`] or the
-/// encoding mode, or assert a result that depends on either: both are
-/// process-wide, and the test harness runs tests on parallel threads. One
-/// failing test must not fail every later one, so a poisoned lock is
-/// taken over.
-#[cfg(test)]
-pub(crate) fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    MODE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,42 +152,5 @@ mod tests {
         // A whole chunk survives its own narrowing.
         sel.narrow(Some(0..CHUNK_ROWS), |_| true);
         assert_eq!(sel.len(), CHUNK_ROWS);
-    }
-
-    #[test]
-    fn mode_round_trips() {
-        let _modes = mode_lock();
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::ForceScalar);
-        assert_eq!(kernel_mode(), KernelMode::ForceScalar);
-        assert!(!vectorize());
-        set_kernel_mode(KernelMode::Auto);
-        assert!(vectorize());
-        set_kernel_mode(prev);
-    }
-
-    #[test]
-    fn an_override_racing_the_first_read_is_not_lost() {
-        // Thread A reads an unset cell and is still looking up the env
-        // default when thread B stores an override.
-        let cell = AtomicU8::new(MODE_UNSET);
-        let (in_env, stored) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
-        let read = std::thread::scope(|s| {
-            let reader = s.spawn(|| {
-                mode_or_env(&cell, || {
-                    in_env.wait();
-                    stored.wait();
-                    0
-                })
-            });
-            in_env.wait();
-            cell.store(1, Ordering::Relaxed);
-            stored.wait();
-            reader.join().unwrap()
-        });
-        assert_eq!((read, cell.load(Ordering::Relaxed)), (1, 1));
-        // With nobody racing, the env default sticks.
-        let cell = AtomicU8::new(MODE_UNSET);
-        assert_eq!((mode_or_env(&cell, || 0), mode_or_env(&cell, || 1)), (0, 0));
     }
 }

@@ -54,12 +54,10 @@ pub use cellspace::{CellSpace, CubeKey};
 pub use column::Column;
 pub use cube::{CellKey, CuboidMask};
 pub use dictionary::Dictionary;
-pub use encoding::{
-    decode_count, encoding_mode, set_encoding_mode, Codable, Encoded, EncodedBuf, EncodingMode,
-};
+pub use encoding::{Codable, Encoded, EncodedBuf, EncodingMode};
 pub use fx::{FxHashMap, FxHashSet};
 pub use group::{group_by, GroupedRows};
-pub use kernel::{kernel_mode, set_kernel_mode, KernelMode, SelectionVector};
+pub use kernel::SelectionVector;
 pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
 pub use partition::FinestPartition;
 pub use predicate::{CmpOp, Predicate, ScanKernel, ScanStats};

@@ -22,7 +22,6 @@
 use crate::cellspace::{CellSpace, CubeKey};
 use crate::cube::CuboidMask;
 use crate::group::group_by;
-use crate::kernel;
 use crate::table::{RowId, Table};
 use crate::Result;
 use std::time::Instant;
@@ -55,17 +54,14 @@ impl FinestPartition {
     /// One [`group_by`] (a single hashing pass, run-aligned on RLE
     /// columns) finds the runs with their rows already ascending; only
     /// the distinct keys are sorted. The keys' [`CellSpace`] is the cube
-    /// table's, a function of the columns' cardinalities — except under
-    /// `TABULA_KERNELS=scalar`, which forces the flat width on the whole
-    /// build so that it can be compared against the packed one.
+    /// table's, a function of the columns' cardinalities alone.
     pub fn build(table: &Table, cols: &[usize]) -> Result<FinestPartition> {
         let started = Instant::now();
         let cards: Vec<usize> = cols
             .iter()
             .map(|&c| table.cat(c).map(|cat| cat.cardinality()))
             .collect::<Result<_>>()?;
-        let space =
-            if kernel::vectorize() { CellSpace::new(cards) } else { CellSpace::flat(cards) };
+        let space = CellSpace::new(cards);
         let mut groups: Vec<(CubeKey, Vec<RowId>)> = group_by(table, cols)?
             .groups
             .into_iter()

@@ -11,9 +11,10 @@
 //! ordering terms precompute a per-code lookup table so no row ever
 //! materializes a `String`), and a [`SelectionVector`] carries the
 //! surviving row ids of each chunk through the conjunction, most
-//! selective term first ([`most_selective_first`]). The
-//! row-at-a-time scalar path remains as the `TABULA_KERNELS=scalar`
-//! reference; both produce identical row sets by construction (each
+//! selective term first ([`most_selective_first`]). Every term has a
+//! kernel; the row-at-a-time [`Predicate::filter_rows`] /
+//! [`Predicate::matches`] remain as the reference the tests compare
+//! against, and both produce identical row sets by construction (each
 //! kernel replicates [`compare`]'s exact semantics, `NaN` and
 //! mixed-type cases included).
 
@@ -126,61 +127,39 @@ impl Predicate {
     fn filter_impl(&self, table: &Table) -> Result<(Vec<RowId>, ScanStats)> {
         let compiled = self.compile(table)?;
         let started = std::time::Instant::now();
-        let vec_terms = kernel::vectorize().then(|| {
-            let mut terms = compile_vectorized(&compiled, table);
-            most_selective_first(&mut terms, table.len());
-            terms
-        });
-        let (rows, used, chunks, bytes, runs, encoded_bytes) = match &vec_terms {
-            Some(terms) => {
-                let cost = scan_cost(terms);
-                let used = if cost.rle_terms > 0 {
-                    ScanKernel::Rle
-                } else if cost.for_terms > 0 {
-                    ScanKernel::For
-                } else {
-                    ScanKernel::Vectorized
-                };
-                (
-                    filter_vectorized(table.len(), terms),
-                    used,
-                    kernel::chunk_count(table.len(), DEFAULT_MORSEL_ROWS),
-                    cost.bytes,
-                    cost.runs,
-                    cost.encoded_bytes,
-                )
-            }
-            None => {
-                // The scalar reference dereferences every column, so it
-                // touches the decoded (plain) payload whatever the
-                // column's physical encoding.
-                let bytes = table.len() as u64 * decoded_row_bytes(&compiled, table);
-                (filter_scalar(table, &compiled), ScanKernel::Scalar, 0, bytes, 0, 0)
-            }
+        let mut terms = compile_vectorized(&compiled, table);
+        most_selective_first(&mut terms, table.len());
+        let cost = scan_cost(&terms);
+        let used = if cost.rle_terms > 0 {
+            ScanKernel::Rle
+        } else if cost.for_terms > 0 {
+            ScanKernel::For
+        } else {
+            ScanKernel::Vectorized
         };
+        let rows = filter_vectorized(table.len(), &terms);
         let metrics = tabula_obs::global();
         metrics.counter("predicate.scan_rows").add(table.len() as u64);
         metrics.counter("predicate.kernel_ns").add(started.elapsed().as_nanos() as u64);
         metrics
             .counter(match used {
                 ScanKernel::Vectorized => "predicate.kernel.vectorized",
-                ScanKernel::Scalar => "predicate.kernel.scalar",
                 ScanKernel::Rle => "predicate.kernel.rle",
                 ScanKernel::For => "predicate.kernel.for",
             })
             .inc();
-        if runs > 0 {
-            metrics.counter("scan.runs").add(runs);
+        if cost.runs > 0 {
+            metrics.counter("scan.runs").add(cost.runs);
         }
-        if encoded_bytes > 0 {
-            metrics.counter("scan.encoded_bytes").add(encoded_bytes);
+        if cost.encoded_bytes > 0 {
+            metrics.counter("scan.encoded_bytes").add(cost.encoded_bytes);
         }
         let stats = ScanStats {
             rows_scanned: table.len() as u64,
             rows_matched: rows.len() as u64,
-            bytes_scanned: bytes,
-            runs_scanned: runs,
-            chunks,
+            bytes_scanned: cost.bytes,
+            runs_scanned: cost.runs,
+            chunks: kernel::chunk_count(table.len(), DEFAULT_MORSEL_ROWS),
             kernel: used,
         };
         Ok((rows, stats))
@@ -227,24 +206,6 @@ impl Predicate {
             })
             .collect()
     }
-}
-
-/// Row-at-a-time reference scan.
-fn filter_scalar(table: &Table, compiled: &[CompiledTerm]) -> Vec<RowId> {
-    let pool = Pool::global();
-    let partials = pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut out = Vec::new();
-        'rows: for row in range {
-            for term in compiled {
-                if !term.matches(table, row) {
-                    continue 'rows;
-                }
-            }
-            out.push(row as RowId);
-        }
-        out
-    });
-    partials.concat()
 }
 
 /// Chunked columnar scan: per chunk, the first term narrows the chunk's
@@ -299,7 +260,7 @@ fn most_selective_first(terms: &mut [VecTerm<'_>], len: usize) {
 }
 
 /// Work accounting for one [`Predicate::filter_with_stats`] scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanStats {
     /// Rows the scan visited (the whole table for a full filter).
     pub rows_scanned: u64,
@@ -313,19 +274,15 @@ pub struct ScanStats {
     /// RLE runs the encoded terms processed (0 when no term ran on
     /// run-encoded data).
     pub runs_scanned: u64,
-    /// Execution chunks the scan was carved into (0 for the scalar path,
-    /// which iterates rows directly).
+    /// Execution chunks the scan was carved into.
     pub chunks: u64,
     /// Which kernel implementation ran.
     pub kernel: ScanKernel,
 }
 
 /// Which filter implementation a scan ran (reported by EXPLAIN ANALYZE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanKernel {
-    /// Row-at-a-time reference path.
-    #[default]
-    Scalar,
     /// Chunked columnar kernels over a selection vector.
     Vectorized,
     /// Chunked kernels with at least one term evaluated per RLE run.
@@ -339,7 +296,6 @@ impl ScanKernel {
     /// Short lowercase name for traces and EXPLAIN output.
     pub fn name(self) -> &'static str {
         match self {
-            ScanKernel::Scalar => "scalar",
             ScanKernel::Vectorized => "vectorized",
             ScanKernel::Rle => "rle",
             ScanKernel::For => "for",
@@ -410,8 +366,8 @@ enum VecTerm<'t> {
     Never,
     CodeEq(Col<'t, u32>, u32),
     // String ordering against a literal: one `&str` compare per *distinct
-    // code* at compile time, then a per-row table lookup — the scalar path
-    // allocates a `String` per row here.
+    // code* at compile time, then a per-row table lookup — no row
+    // materializes a `String`.
     CodeLut(Col<'t, u32>, Vec<bool>),
     Int(Col<'t, i64>, CmpOp, i64),
     IntAsFloat(Col<'t, i64>, CmpOp, f64),
@@ -542,24 +498,6 @@ fn scan_cost(terms: &[VecTerm<'_>]) -> ScanCost {
         }
     }
     cost
-}
-
-/// Decoded bytes per row the scalar reference touches per term: one
-/// dictionary code (4 B) for categorical equality and string terms, one
-/// typed value otherwise.
-fn decoded_row_bytes(compiled: &[CompiledTerm], table: &Table) -> u64 {
-    compiled
-        .iter()
-        .map(|t| match t {
-            CompiledTerm::CatEq { .. } => 4,
-            CompiledTerm::General { col, .. } => match table.column(*col).column_type() {
-                crate::types::ColumnType::Str => 4,
-                crate::types::ColumnType::Point => 16,
-                _ => 8,
-            },
-            CompiledTerm::Never => 0,
-        })
-        .sum()
 }
 
 /// Per-code match table for a string ordering term.
@@ -735,14 +673,19 @@ mod tests {
         ));
     }
 
+    /// The row-at-a-time reference: [`Predicate::filter_rows`] over every
+    /// row of `t`.
+    fn every_row(p: &Predicate, t: &Table) -> Vec<RowId> {
+        p.filter_rows(t, &(0..t.len() as RowId).collect::<Vec<_>>()).unwrap()
+    }
+
     #[test]
     fn filter_with_stats_accounts_for_the_scan() {
-        // Plain columns: bytes scanned depend on the encoding mode.
-        let _modes = crate::kernel::mode_lock();
+        // Five rows stay plain under `Auto`.
         let t = table();
         let p = Predicate::eq("payment", "cash").and("fare", CmpOp::Gt, 4.0);
         let (rows, stats) = p.filter_with_stats(&t).unwrap();
-        assert_eq!(rows, p.filter(&t).unwrap());
+        assert_eq!(rows, every_row(&p, &t));
         assert_eq!(stats.rows_scanned, 5);
         assert_eq!(stats.rows_matched, 2);
         // One cat-eq term (4 B/row) + one general term (8 B/row).
@@ -751,21 +694,13 @@ mod tests {
 
     #[test]
     fn stats_report_kernel_and_chunks() {
-        use crate::kernel::{set_kernel_mode, KernelMode};
-        let _modes = crate::kernel::mode_lock();
         let t = table();
         let p = Predicate::eq("payment", "cash");
-        let prev = crate::kernel::kernel_mode();
-        set_kernel_mode(KernelMode::Auto);
-        let (_, vstats) = p.filter_with_stats(&t).unwrap();
-        set_kernel_mode(KernelMode::ForceScalar);
-        let (_, sstats) = p.filter_with_stats(&t).unwrap();
-        set_kernel_mode(prev);
-        assert_eq!(vstats.kernel, ScanKernel::Vectorized);
-        assert_eq!(vstats.chunks, 1); // 5 rows fit one chunk
-        assert_eq!(sstats.kernel, ScanKernel::Scalar);
-        assert_eq!(sstats.chunks, 0);
-        assert_eq!(vstats.rows_matched, sstats.rows_matched);
+        let (rows, stats) = p.filter_with_stats(&t).unwrap();
+        assert_eq!(stats.kernel, ScanKernel::Vectorized);
+        assert_eq!(stats.chunks, 1); // 5 rows fit one chunk
+        assert_eq!(rows, every_row(&p, &t));
+        assert_eq!(stats.rows_matched, rows.len() as u64);
     }
 
     #[test]
@@ -777,12 +712,10 @@ mod tests {
     }
 
     /// Every (column type, literal type, op) combination must agree
-    /// between the scalar reference and the vectorized kernels — NaN,
-    /// string ordering, and incomparable pairs included.
+    /// between the row-at-a-time reference and the vectorized kernels —
+    /// NaN, string ordering, and incomparable pairs included.
     #[test]
     fn scalar_and_vectorized_filters_agree() {
-        use crate::kernel::{set_kernel_mode, KernelMode};
-        let _modes = crate::kernel::mode_lock();
         let schema = Schema::new(vec![
             Field::new("s", ColumnType::Str),
             Field::new("i", ColumnType::Int64),
@@ -800,25 +733,18 @@ mod tests {
         let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
         let lits: Vec<Value> =
             vec!["b".into(), "aa".into(), 5i64.into(), 1.5f64.into(), f64::NAN.into(), 0i64.into()];
-        let prev = crate::kernel::kernel_mode();
         for col in ["s", "i", "f", "p"] {
             for &op in &ops {
                 for lit in &lits {
                     let p = Predicate::all().and(col, op, lit.clone());
-                    set_kernel_mode(KernelMode::ForceScalar);
-                    let scalar = p.filter(&t).unwrap();
-                    set_kernel_mode(KernelMode::Auto);
-                    let vector = p.filter(&t).unwrap();
-                    assert_eq!(scalar, vector, "col={col} op={op:?} lit={lit:?}");
+                    assert_eq!(p.filter(&t).unwrap(), every_row(&p, &t), "{col} {op:?} {lit:?}");
                 }
             }
         }
-        set_kernel_mode(prev);
     }
 
-    /// A clone of `t` with every encodable column force-encoded — built
-    /// without touching the global encoding mode, so parallel tests are
-    /// undisturbed. Force picks the smaller of RLE/FOR per column.
+    /// A clone of `t` with every encodable column force-encoded. Force
+    /// picks the smaller of RLE/FOR per column.
     fn force_encoded(t: &Table) -> Table {
         let cols = (0..t.schema().fields().len())
             .map(|i| {
@@ -915,7 +841,7 @@ mod tests {
                 p.and(*column, *op, value.clone())
             })
         };
-        let expect = filter_scalar(&plain, &conj(&[0, 1, 2, 3]).compile(&plain).unwrap());
+        let expect = every_row(&conj(&[0, 1, 2, 3]), &plain);
         assert!(expect.len() > 100 && expect.len() < plain.len() / 2);
         let mut orders = vec![vec![]];
         for i in 0..terms.len() {
@@ -945,30 +871,25 @@ mod tests {
     /// scan of the same column would touch.
     #[test]
     fn encoded_scan_stats_report_kernel_runs_and_physical_bytes() {
-        let _modes = crate::kernel::mode_lock();
         let t = force_encoded(&run_table());
-        // `TABULA_KERNELS=scalar` sends every scan through the row-at-a-time
-        // reference: no pushdown, no runs, the decoded payload's bytes.
-        let vectorized = kernel::vectorize();
-        let pushed_down = |k: ScanKernel| if vectorized { k } else { ScanKernel::Scalar };
         // Clustered string column: RLE pushdown.
         let (rows, stats) = Predicate::eq("s", "cash").filter_with_stats(&t).unwrap();
         assert!(!rows.is_empty());
-        assert_eq!(stats.kernel, pushed_down(ScanKernel::Rle));
-        assert_eq!(stats.runs_scanned > 0, vectorized);
-        assert_eq!(stats.chunks > 0, vectorized);
-        assert_eq!(stats.bytes_scanned < t.len() as u64 * 4, vectorized, "4 B/row decoded");
+        assert_eq!(stats.kernel, ScanKernel::Rle);
+        assert!(stats.runs_scanned > 0);
+        assert!(stats.chunks > 0);
+        assert!(stats.bytes_scanned < t.len() as u64 * 4, "4 B/row decoded");
         // Distinct ascending ints: FOR pushdown, no runs.
         let (rows, stats) =
             Predicate::all().and("id", CmpOp::Lt, 2000i64).filter_with_stats(&t).unwrap();
         assert_eq!(rows.len(), 1000);
-        assert_eq!(stats.kernel, pushed_down(ScanKernel::For));
+        assert_eq!(stats.kernel, ScanKernel::For);
         assert_eq!(stats.runs_scanned, 0);
-        assert_eq!(stats.bytes_scanned < t.len() as u64 * 8, vectorized, "8 B/row decoded");
+        assert!(stats.bytes_scanned < t.len() as u64 * 8, "8 B/row decoded");
         // Mixed RLE + FOR terms report the RLE kernel (coarsest win).
         let (_, stats) =
             Predicate::eq("s", "cash").and("id", CmpOp::Ge, 1500i64).filter_with_stats(&t).unwrap();
-        assert_eq!(stats.kernel, pushed_down(ScanKernel::Rle));
+        assert_eq!(stats.kernel, ScanKernel::Rle);
     }
 
     /// An RLE leading term emits kept ranges; narrowing terms use the

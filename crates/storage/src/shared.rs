@@ -71,8 +71,8 @@ impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
 
 /// A column's backing store: an owned, growable `Vec<T>` (built data), a
 /// [`SharedSlice`] into a refcounted allocation (restored data), or an
-/// [`EncodedBuf`] holding an RLE/FOR payload (frozen data under
-/// `TABULA_ENCODING`, see [`crate::encoding`]).
+/// [`EncodedBuf`] holding an RLE/FOR payload (frozen data, see
+/// [`crate::encoding`]).
 ///
 /// Reads go through `Deref<Target = [T]>`, identical for all variants —
 /// an encoded backing materializes its shared decode cache on first
@@ -233,18 +233,19 @@ mod tests {
 
     #[test]
     fn encoded_buf_derefs_lazily_and_promotes_on_write() {
-        use crate::encoding::{decode_count, encode_rle};
+        use crate::encoding::encode_rle;
         let data: Vec<u32> = (0..2000).map(|i| i / 100).collect();
-        let mut buf: ColumnBuf<u32> = EncodedBuf::new(encode_rle(&data)).into();
+        let enc = EncodedBuf::new(encode_rle(&data));
+        let mut buf: ColumnBuf<u32> = enc.clone().into();
         let reader = buf.clone();
         assert_eq!(buf.row_count(), 2000);
         assert!(buf.physical_bytes() < 2000 * 4, "rle payload must be smaller than plain");
-        let before = decode_count();
-        assert_eq!(&*reader, &data[..]);
-        // `to_mut` reuses the clone's cached decode: exactly one decode
-        // total across deref + promotion.
+        assert!(!enc.is_decoded(), "row_count and physical_bytes must not decode");
+        // `to_mut` decodes through the shared cache, so the clone's deref
+        // finds it filled: one decode across promotion + deref.
         buf.to_mut().push(99);
-        assert_eq!(decode_count() - before, 1, "deref + to_mut must share one decode");
+        assert!(enc.is_decoded(), "to_mut must fill the shared decode cache");
+        assert_eq!(&*reader, &data[..]);
         assert_eq!(buf.row_count(), 2001);
         assert_eq!(buf[2000], 99);
         assert!(matches!(buf, ColumnBuf::Owned(_)));

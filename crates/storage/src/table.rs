@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::dictionary::Dictionary;
-use crate::encoding::RunsView;
+use crate::encoding::{EncodingMode, RunsView};
 use crate::fx::FxHashMap;
 use crate::schema::Schema;
 use crate::shared::ColumnBuf;
@@ -386,13 +386,18 @@ impl TableBuilder {
         self.len == 0
     }
 
-    /// Freeze into an immutable [`Table`], applying the active
-    /// `TABULA_ENCODING` policy per column (see [`crate::encoding`]):
-    /// clustered or narrow-range payloads leave the builder RLE- or
-    /// FOR-encoded, everything else stays plain. Either way the frozen
-    /// rows read back bit-identically.
+    /// Freeze into an immutable [`Table`] under [`EncodingMode::Auto`]
+    /// (see [`crate::encoding`]): clustered or narrow-range payloads leave
+    /// the builder RLE- or FOR-encoded, everything else stays plain.
+    /// Either way the frozen rows read back bit-identically.
     pub fn finish(self) -> Table {
-        let mode = crate::encoding::encoding_mode();
+        self.finish_with(EncodingMode::Auto)
+    }
+
+    /// [`finish`](Self::finish) under an explicit encoding `mode` — `Off`
+    /// and `Force` are the differential lanes' plain and fully encoded
+    /// twins of the same rows.
+    pub fn finish_with(self, mode: EncodingMode) -> Table {
         let mut columns = self.columns;
         for c in &mut columns {
             c.encode_for_freeze(mode);

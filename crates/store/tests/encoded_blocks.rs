@@ -10,7 +10,7 @@
 //! one must surface as a typed [`StoreError::BadBlock`] at load — never
 //! a panic, never a silently wrong column.
 
-use tabula_storage::{decode_count, ColumnBuf, EncodedBuf, EncodingMode};
+use tabula_storage::{ColumnBuf, EncodedBuf, EncodingMode};
 use tabula_store::blocks::{encode_column_data, ColumnData, FOR_HEADER, RLE_HEADER};
 use tabula_store::{Snapshot, SnapshotWriter, StoreError};
 
@@ -79,23 +79,23 @@ fn for_block_round_trips_zero_copy_and_reserializes_identically() {
     assert_eq!(again, bytes);
 }
 
-/// The one test in this binary that decodes: a snapshot-backed encoded
-/// buffer decodes exactly once — the deref fills the shared cache and
-/// `to_mut` (copy-on-write) reuses it instead of decoding again.
+/// A snapshot-backed encoded buffer decodes once: loading does not
+/// decode, and `to_mut` (copy-on-write) decodes through the payload's
+/// shared cache, so every other holder of the payload reuses that decode.
 #[test]
 fn snapshot_backed_buffer_decodes_once_on_write() {
     let values = clustered();
     let buf = force(values.clone());
     let ColumnData::Rle(bytes) = encode_column_data(&buf) else { panic!() };
     let snap = snapshot_with("col:0:data:rle", values.len() as u64, &bytes);
-    let enc = snap.block("col:0:data:rle").unwrap().encoded_rle::<i64>().unwrap();
-    let mut restored: ColumnBuf<i64> = EncodedBuf::new(enc).into();
+    let enc = EncodedBuf::new(snap.block("col:0:data:rle").unwrap().encoded_rle::<i64>().unwrap());
+    let mut restored: ColumnBuf<i64> = enc.clone().into();
 
-    let before = decode_count();
-    assert_eq!(&restored[..], &values[..]); // deref: the one decode
-    let rows = restored.to_mut(); // CoW: reuses the cached decode
+    assert!(!enc.is_decoded(), "a zero-copy restore must not decode");
+    let rows = restored.to_mut(); // CoW: decodes into the shared cache
     rows[0] += 1;
-    assert_eq!(decode_count() - before, 1, "deref + to_mut must share one decode");
+    assert!(enc.is_decoded(), "to_mut must decode through the shared cache");
+    assert_eq!(enc.decoded(), &values[..]);
     assert_eq!(restored[0], values[0] + 1);
 }
 

@@ -110,7 +110,7 @@ fn a_build_is_a_refresh_from_nothing() {
         attrs: &[impl AsRef<str>],
         loss: &L,
         theta: f64,
-    ) {
+    ) -> SamplingCube {
         let build = |t: &Arc<Table>| {
             SamplingCubeBuilder::new(Arc::clone(t), attrs, loss.clone(), theta)
                 .seed(11)
@@ -125,9 +125,13 @@ fn a_build_is_a_refresh_from_nothing() {
         assert_eq!((stats.reused_cells, stats.retired_cells), (0, 0));
         assert_eq!(stats.appended_rows, table.len());
         assert_eq!(content_crc(&refreshed), content_crc(&built));
+        built
     }
     check(&taxi, &CUBED_ATTRIBUTES, &heatmap, meters_to_norm(500.0));
-    check(&wide, &wide_attrs, &mean, common::THETA);
+    // The flat width is the input's choice, so this is the one build here
+    // that spells its keys in flat words: θ on every cell of all 128 cuboids.
+    let flat = check(&wide, &wide_attrs, &mean, common::THETA);
+    assert_theta_holds(&flat, &mean, common::THETA, "flat keys");
 }
 
 /// Every cell of every cuboid of `cube`'s table is answered within `theta`.

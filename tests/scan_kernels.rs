@@ -6,9 +6,9 @@
 //! with the same `ScanStats` — whatever order the conjunction is written
 //! in, however the columns are encoded and at any thread count.
 //!
-//! Nothing here switches the kernel or encoding mode: the three tables are
-//! encoded column by column. Only `scans_agree…` changes the thread count,
-//! which cannot change a result.
+//! The three tables are encoded column by column. Only `scans_agree…`
+//! changes a process-wide setting, the thread count, which cannot change a
+//! result.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -18,8 +18,8 @@ use tabula::core::{SampleProvenance, SamplingCubeBuilder};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session};
 use tabula::storage::{
-    kernel_mode, CmpOp, Column, ColumnType, Dictionary, EncodingMode, Field, KernelMode, Point,
-    Predicate, RowId, ScanKernel, Schema, Table, TableBuilder, Value,
+    CmpOp, Column, ColumnType, Dictionary, EncodingMode, Field, Point, Predicate, RowId,
+    ScanKernel, Schema, Table, TableBuilder, Value,
 };
 use tabula_check::naive_filter;
 
@@ -232,12 +232,8 @@ fn the_three_tables_are_encoded_as_the_cases_need() {
     // 64 bits a value save nothing: only Force packs them.
     assert_eq!(width(&auto, "w64"), None);
     assert_eq!(width(&force, "w64"), Some(64));
-    // Under `TABULA_KERNELS=scalar` (CI runs this file that way too) every
-    // scan is the row-at-a-time reference.
-    let scalar = kernel_mode() == KernelMode::ForceScalar;
     let ran = |t: &Table, p: Predicate, kernel| {
-        let expect = if scalar { ScanKernel::Scalar } else { kernel };
-        assert_eq!(p.filter_with_stats(t).unwrap().1.kernel, expect, "{p:?}");
+        assert_eq!(p.filter_with_stats(t).unwrap().1.kernel, kernel, "{p:?}");
     };
     for t in [&auto, &force] {
         ran(t, conj(&[("s_scatter", CmpOp::Eq, s("v3"))]), ScanKernel::For);
