@@ -70,7 +70,7 @@ impl<L: AccuracyLoss> Approach for PoiSam<L> {
         };
         // Greedy sampling treats the pre-sample as the dataset — this is
         // where the deterministic guarantee is traded away.
-        let rows = self.loss.sample_greedy(&self.table, &presample, self.theta);
+        let rows = self.loss.sample_greedy(&self.table, &presample, &[], self.theta);
         ApproachAnswer { rows, data_system_time: start.elapsed() }
     }
 }

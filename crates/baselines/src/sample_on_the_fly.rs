@@ -42,7 +42,7 @@ impl<L: AccuracyLoss> Approach for SampleOnTheFly<L> {
     fn query(&self, pred: &Predicate) -> ApproachAnswer {
         let start = Instant::now();
         let raw = pred.filter(&self.table).expect("workload predicates reference valid columns");
-        let rows = self.loss.sample_greedy(&self.table, &raw, self.theta);
+        let rows = self.loss.sample_greedy(&self.table, &raw, &[], self.theta);
         ApproachAnswer { rows, data_system_time: start.elapsed() }
     }
 }

@@ -25,16 +25,16 @@ fn bench_engines(c: &mut Criterion) {
     for n in [256usize, 1024, 4096, 16384] {
         let raw: Vec<RowId> = (0..n as RowId).collect();
         group.bench_with_input(BenchmarkId::new("coverage_heatmap", n), &raw, |b, raw| {
-            b.iter(|| black_box(heat.sample_greedy(&table, raw, theta_heat)))
+            b.iter(|| black_box(heat.sample_greedy(&table, raw, &[], theta_heat)))
         });
         group.bench_with_input(BenchmarkId::new("incremental_mean", n), &raw, |b, raw| {
-            b.iter(|| black_box(mean.sample_greedy(&table, raw, 0.01)))
+            b.iter(|| black_box(mean.sample_greedy(&table, raw, &[], 0.01)))
         });
     }
     // The literal pseudocode, small inputs only (it is quadratic).
     let raw_small: Vec<RowId> = (0..128).collect();
     group.bench_function("naive_literal_mean_128", |b| {
-        b.iter(|| black_box(naive_greedy(&mean, &table, &raw_small, 0.01)))
+        b.iter(|| black_box(naive_greedy(&mean, &table, &raw_small, &[], 0.01)))
     });
     group.finish();
 }

@@ -26,7 +26,7 @@ fn bench_selection(c: &mut Criterion) {
     let ctx = loss.prepare(&table, &global);
     let partition = FinestPartition::build(&table, &cols).unwrap();
     let dry = dry_run(&table, &partition, &loss, &ctx, theta);
-    let rr = real_run(&table, &partition, &loss, theta, &dry.iceberg);
+    let rr = real_run(&table, &partition, &loss, theta, &dry.iceberg, |_| &[]);
     let m = rr.entries.len();
 
     let mut group = c.benchmark_group("selection");

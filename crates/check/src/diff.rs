@@ -978,8 +978,14 @@ mod tests {
             self.0.signature(table, rows)
         }
 
-        fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
-            self.0.sample_greedy(table, raw, theta)
+        fn sample_greedy(
+            &self,
+            table: &Table,
+            raw: &[RowId],
+            start: &[usize],
+            theta: f64,
+        ) -> Vec<RowId> {
+            self.0.sample_greedy(table, raw, start, theta)
         }
     }
 

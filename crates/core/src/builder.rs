@@ -4,9 +4,10 @@
 //! sample → finest-key partition → dry run → real run → representative-
 //! sample selection → cube-table assembly — against an optional previous
 //! generation. [`SamplingCubeBuilder::build`] calls it with none (every
-//! iceberg cell is fresh), [`refresh`](crate::incremental::refresh) with
-//! the cube being maintained (untouched iceberg cells keep their sample):
-//! a build is a refresh from nothing. It also implements the degraded
+//! iceberg cell is drawn from nothing), [`refresh`](crate::incremental::refresh)
+//! with the cube being maintained (untouched iceberg cells keep their
+//! sample, touched ones start their draw from it): a build is a refresh
+//! from nothing. It also implements the degraded
 //! materialization modes the paper evaluates against (Tabula\*,
 //! FullSamCube, PartSamCube), so the baseline crate and the benchmark
 //! harness share one code path per mode.
@@ -95,6 +96,12 @@ pub struct RefreshStats {
     /// Fresh local samples drawn before representative selection (one per
     /// touched-or-new iceberg cell; `>= resampled_cells`).
     pub fresh_samples: usize,
+    /// Fresh cells whose draw started from their old sample ∩ their rows
+    /// (touched cells that were iceberg before; `<= fresh_samples`, 0 in a
+    /// build).
+    pub warm_cells: usize,
+    /// Old-sample rows those draws started from, summed.
+    pub warm_start_rows: usize,
     /// Previous iceberg cells that are no longer iceberg (their queries
     /// now ride the global sample).
     pub retired_cells: usize,
@@ -187,9 +194,11 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 ///
 /// With a `previous` generation (whose table must be a prefix of `table` —
 /// [`refresh`](crate::incremental::refresh) checks), an iceberg cell that
-/// was iceberg before and holds no appended row keeps its old sample;
-/// every other iceberg cell is sampled afresh, and selection runs among
-/// the fresh samples. Without one, every cell is fresh. Metrics are named
+/// was iceberg before and holds no appended row keeps its old sample; one
+/// that holds an appended row is sampled afresh, starting from the rows of
+/// its old sample that are its own; a cell new to the iceberg set is
+/// sampled from nothing. Selection runs among the fresh samples. Without a
+/// previous generation, every cell is sampled from nothing. Metrics are named
 /// `refresh.*` in the first case, `build.*` in the second.
 pub(crate) fn materialize<L: AccuracyLoss>(
     table: Arc<Table>,
@@ -231,7 +240,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     // Iceberg cells that keep the previous generation's sample (by its old
     // id), then the freshly sampled ones.
     let mut reused: Vec<(CubeKey, u32)> = Vec::new();
-    let mut retired_cells = 0;
+    let (mut retired_cells, mut warm_cells, mut warm_start_rows) = (0, 0, 0);
     let (space, entries, selection) = match config.mode {
         MaterializationMode::Tabula | MaterializationMode::TabulaStar => {
             // The build's one grouping of the table is the dry run's scan.
@@ -270,14 +279,22 @@ pub(crate) fn materialize<L: AccuracyLoss>(
             // the iceberg set are the old cells the loop above did not meet.
             retired_cells = previous.map_or(0, |p| p.cells().len()) - still_iceberg;
 
+            // A fresh cell that was iceberg before holds appended rows; under
+            // a monotone loss its old sample still covers the old ones.
+            let warm = previous.filter(|_| loss.monotone());
+            let old_sample = |key: &CubeKey| {
+                warm.and_then(|p| Some(p.sample(p.cells().probe_key(space, key)?).as_slice()))
+                    .unwrap_or_default()
+            };
             let start = Instant::now();
-            let rr = real_run(&table, &partition, loss, theta, &fresh);
+            let rr = real_run(&table, &partition, loss, theta, &fresh, old_sample);
             stats.real_run = start.elapsed();
             (times.gather, times.sample_cells) = (rr.stats.gather, rr.stats.sample_cells);
             stats.cuboids_processed = rr.stats.cuboids_processed;
             stats.cuboids_skipped = rr.stats.cuboids_skipped;
             stats.finest_runs = rr.stats.finest_runs;
             stats.gathered_rows = rr.stats.gathered_rows;
+            (warm_cells, warm_start_rows) = (rr.stats.warm_cells, rr.stats.warm_start_rows);
 
             // Selection among fresh samples only (reused samples stay as-is).
             let selection = (config.mode == MaterializationMode::Tabula).then(|| {
@@ -358,6 +375,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         reused_cells: reused.len(),
         resampled_cells: selection.map_or(entries.len(), |sel| sel.representatives.len()),
         fresh_samples: entries.len(),
+        warm_cells,
+        warm_start_rows,
         retired_cells,
         appended_rows: table.len() - previous.map_or(0, |p| p.table().len()),
         total: stats.total,
@@ -415,7 +434,7 @@ fn materialize_all_cells<L: AccuracyLoss>(
                     continue;
                 }
             }
-            let sample = loss.sample_greedy(table, &rows, theta);
+            let sample = loss.sample_greedy(table, &rows, &[], theta);
             let cell = space
                 .encode_cell(&CellKey::from_compact(mask, n, &compact))
                 .expect("codes of the table's own rows");
@@ -461,6 +480,8 @@ fn publish_metrics(
         ("reused_cells", refresh.reused_cells),
         ("resampled_cells", refresh.resampled_cells),
         ("fresh_samples", refresh.fresh_samples),
+        ("warm_cells", refresh.warm_cells),
+        ("warm_start_rows", refresh.warm_start_rows),
         ("retired_cells", refresh.retired_cells),
         ("appended_rows", refresh.appended_rows),
     ] {

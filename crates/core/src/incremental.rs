@@ -15,10 +15,16 @@
 //!   so the guarantee carries over verbatim — no resampling, no data
 //!   access (a cell is touched iff one of its finest-key runs ends in an
 //!   appended row id);
-//! * cells with appended rows, and cells that became iceberg only under
-//!   the new global sample, get fresh local samples via the normal real
-//!   run (restricted to just those cells) followed by representative
-//!   selection among the fresh samples.
+//! * cells with appended rows are redrawn by the normal real run
+//!   (restricted to the redrawn cells). Under a monotone loss
+//!   ([`AccuracyLoss::monotone`]: the coverage losses) a touched cell that
+//!   was iceberg before does not start from nothing: Algorithm 1 begins
+//!   with the rows of its old sample that are its own rows, which still
+//!   cover its old rows, and adds rows only until the appended ones are
+//!   covered too;
+//! * cells that became iceberg only under the new global sample, and
+//!   touched cells under any other loss, are drawn from nothing;
+//! * representative selection then runs among the redrawn samples.
 //!
 //! The result satisfies the same invariant as a from-scratch build: every
 //! query's answer is within θ of its raw answer *on the new table*. It is

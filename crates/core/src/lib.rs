@@ -78,7 +78,6 @@ pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};
 pub use incremental::refresh;
 pub use loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, RegressionLoss};
-pub use sampling::greedy_sample;
 pub use serfling::{global_sample_size, SerflingConfig};
 pub use store::SnapshotInfo;
 

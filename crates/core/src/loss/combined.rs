@@ -19,6 +19,7 @@
 //!   their bounds.
 
 use super::AccuracyLoss;
+use std::collections::{HashMap, HashSet};
 use tabula_storage::agg::AggState;
 use tabula_storage::{RowId, Table};
 
@@ -78,6 +79,10 @@ impl<A: AccuracyLoss, B: AccuracyLoss> AccuracyLoss for MaxLoss<A, B> {
         self.a.state_depends_on_sample() || self.b.state_depends_on_sample()
     }
 
+    fn monotone(&self) -> bool {
+        self.a.monotone() && self.b.monotone()
+    }
+
     fn prepare(&self, table: &Table, sample: &[RowId]) -> Self::SampleCtx {
         (self.a.prepare(table, sample), self.b.prepare(table, sample))
     }
@@ -100,42 +105,26 @@ impl<A: AccuracyLoss, B: AccuracyLoss> AccuracyLoss for MaxLoss<A, B> {
         [sa[0] * self.norm_a, sb[0] * self.norm_b]
     }
 
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         // Alternating strategy: let each component's specialized engine
         // sample for its own (scaled-back) threshold, union the picks,
         // then top up with the literal greedy if the combination still
         // misses the bound (it rarely does: each union member set already
         // satisfies its side).
-        let theta_a = theta / self.norm_a;
-        let theta_b = theta / self.norm_b;
-        let mut sample = self.a.sample_greedy(table, raw, theta_a);
-        let picked: std::collections::HashSet<RowId> = sample.iter().copied().collect();
-        for r in self.b.sample_greedy(table, raw, theta_b) {
-            if !picked.contains(&r) {
-                sample.push(r);
-            }
-        }
-        let mut current = self.loss(table, raw, &sample);
-        if current <= theta {
-            return sample;
-        }
-        // Top-up loop (guaranteed to terminate: it can add every row).
-        let mut remaining: Vec<RowId> =
-            raw.iter().copied().filter(|r| !sample.contains(r)).collect();
-        while current > theta && !remaining.is_empty() {
-            let mut best = (f64::INFINITY, 0usize);
-            for (i, &cand) in remaining.iter().enumerate() {
-                sample.push(cand);
-                let l = self.loss(table, raw, &sample);
-                sample.pop();
-                if l < best.0 {
-                    best = (l, i);
-                }
-            }
-            sample.push(remaining.swap_remove(best.1));
-            current = best.0;
-        }
-        sample
+        let mut union = self.a.sample_greedy(table, raw, start, theta / self.norm_a);
+        let picked: HashSet<RowId> = union.iter().copied().collect();
+        let b = self.b.sample_greedy(table, raw, start, theta / self.norm_b);
+        union.extend(b.into_iter().filter(|r| !picked.contains(r)));
+        let position: HashMap<RowId, usize> =
+            raw.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let union: Vec<usize> = union.iter().map(|r| position[r]).collect();
+        crate::sampling::naive_greedy(self, table, raw, &union, theta)
     }
 }
 
@@ -175,7 +164,7 @@ mod tests {
         let (theta_heat, theta_mean) = (0.02, 0.05);
         let combined = MaxLoss::with_thresholds(heat.clone(), theta_heat, mean.clone(), theta_mean);
         let all: Vec<u32> = t.all_rows();
-        let sample = combined.sample_greedy(&t, &all, 1.0);
+        let sample = combined.sample_greedy(&t, &all, &[], 1.0);
         assert!(combined.loss(&t, &all, &sample) <= 1.0 + 1e-9);
         assert!(heat.loss(&t, &all, &sample) <= theta_heat + 1e-9);
         assert!(mean.loss(&t, &all, &sample) <= theta_mean + 1e-9);

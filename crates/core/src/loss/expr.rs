@@ -245,7 +245,13 @@ impl AccuracyLoss for ExprLoss {
         self.loss_of_states(state, ctx)
     }
 
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         let values: Vec<f64> = raw.iter().map(|&r| self.value(table, r)).collect();
         let mut raw_state = NumericState::default();
         for &v in &values {
@@ -253,7 +259,7 @@ impl AccuracyLoss for ExprLoss {
         }
         let eval =
             ExprGreedy { loss: self.clone(), values, raw_state, sample: NumericState::default() };
-        run_incremental_greedy(eval, raw, theta)
+        run_incremental_greedy(eval, raw, start, theta)
     }
 }
 
@@ -368,7 +374,7 @@ mod tests {
         // Sample {5}: |9−5| + |1−5| = 8.
         assert!((loss.loss(&t, &all, &[1]) - 8.0).abs() < 1e-12);
         // Greedy must pick both extremes to reach θ = 0.
-        let sample = loss.sample_greedy(&t, &all, 1e-9);
+        let sample = loss.sample_greedy(&t, &all, &[], 1e-9);
         let vals = t.column(0).as_f64_slice().unwrap();
         let picked: Vec<f64> = sample.iter().map(|&r| vals[r as usize]).collect();
         assert!(picked.contains(&1.0) && picked.contains(&9.0));
@@ -380,7 +386,7 @@ mod tests {
         let t = table(&values);
         let loss = ExprLoss::new(0, Expr::mean_relative_error());
         let all: Vec<RowId> = t.all_rows();
-        let sample = loss.sample_greedy(&t, &all, 0.01);
+        let sample = loss.sample_greedy(&t, &all, &[], 0.01);
         use crate::loss::AccuracyLoss as _;
         assert!(loss.loss(&t, &all, &sample) <= 0.01);
     }

@@ -86,6 +86,10 @@ impl AccuracyLoss for HeatmapLoss {
         true
     }
 
+    fn monotone(&self) -> bool {
+        true
+    }
+
     fn prepare(&self, table: &Table, sample: &[RowId]) -> HeatmapCtx {
         let points: Vec<Point> = sample.iter().map(|&r| self.point(table, r)).collect();
         HeatmapCtx { index: XSortedIndex::build(points), metric: self.metric }
@@ -138,18 +142,24 @@ impl AccuracyLoss for HeatmapLoss {
         [sx / n, sy / n]
     }
 
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         let points: Vec<Point> = raw.iter().map(|&r| self.point(table, r)).collect();
         let metric = self.metric;
-        let picked = coverage_greedy(&PointSpace { points, metric }, theta);
+        let picked = coverage_greedy(&PointSpace { points, metric }, start, theta);
         picked.into_iter().map(|i| raw[i]).collect()
     }
 }
 
 /// Coverage space over 2-D points for the lazy-forward greedy engine.
-struct PointSpace {
-    points: Vec<Point>,
-    metric: Metric,
+pub(crate) struct PointSpace {
+    pub(crate) points: Vec<Point>,
+    pub(crate) metric: Metric,
 }
 
 impl CoverageSpace for PointSpace {
@@ -183,6 +193,13 @@ impl CoverageSpace for PointSpace {
             }
             Metric::Manhattan => (cur - self.dist(a, b)).max(0.0),
         }
+    }
+
+    /// One [`XSortedIndex`] over the start points, queried once per point.
+    fn cover(&self, start: &[usize]) -> Vec<f64> {
+        let index = XSortedIndex::build(start.iter().map(|&s| self.points[s]).collect());
+        let ctx = HeatmapCtx { index, metric: self.metric };
+        self.points.iter().map(|p| ctx.nearest(p)).collect()
     }
 
     fn center_element(&self) -> usize {
@@ -258,7 +275,7 @@ mod tests {
         let t = table(&pts);
         let loss = HeatmapLoss::new(0, Metric::Euclidean);
         let all: Vec<RowId> = t.all_rows();
-        let sample = loss.sample_greedy(&t, &all, 0.01);
+        let sample = loss.sample_greedy(&t, &all, &[], 0.01);
         let achieved = loss.loss(&t, &all, &sample);
         assert!(achieved <= 0.01);
         let pickups = t.column(0).as_point_slice().unwrap();
@@ -280,7 +297,7 @@ mod tests {
         for metric in [Metric::Euclidean, Metric::Manhattan] {
             let loss = HeatmapLoss::new(0, metric);
             for theta in [0.2, 0.05, 0.02] {
-                let sample = loss.sample_greedy(&t, &all, theta);
+                let sample = loss.sample_greedy(&t, &all, &[], theta);
                 let achieved = loss.loss(&t, &all, &sample);
                 assert!(achieved <= theta + 1e-12, "{metric:?} θ={theta}: {achieved}");
             }
@@ -295,8 +312,8 @@ mod tests {
         let t = table(&pts);
         let loss = HeatmapLoss::new(0, Metric::Euclidean);
         let all: Vec<RowId> = t.all_rows();
-        let loose = loss.sample_greedy(&t, &all, 0.2).len();
-        let tight = loss.sample_greedy(&t, &all, 0.02).len();
+        let loose = loss.sample_greedy(&t, &all, &[], 0.2).len();
+        let tight = loss.sample_greedy(&t, &all, &[], 0.02).len();
         assert!(tight > loose, "tight {tight} vs loose {loose}");
     }
 }

@@ -51,6 +51,10 @@ impl AccuracyLoss for HistogramLoss {
         true
     }
 
+    fn monotone(&self) -> bool {
+        true
+    }
+
     fn prepare(&self, table: &Table, sample: &[RowId]) -> HistogramCtx {
         let values: Vec<f64> = sample.iter().map(|&r| self.value(table, r)).collect();
         HistogramCtx { index: Sorted1D::build(values) }
@@ -93,16 +97,22 @@ impl AccuracyLoss for HistogramLoss {
         [sum / rows.len() as f64, 0.0]
     }
 
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         let values: Vec<f64> = raw.iter().map(|&r| self.value(table, r)).collect();
-        let picked = coverage_greedy(&ValueSpace { values }, theta);
+        let picked = coverage_greedy(&ValueSpace { values }, start, theta);
         picked.into_iter().map(|i| raw[i]).collect()
     }
 }
 
 /// Coverage space over scalars for the lazy-forward greedy engine.
-struct ValueSpace {
-    values: Vec<f64>,
+pub(crate) struct ValueSpace {
+    pub(crate) values: Vec<f64>,
 }
 
 impl CoverageSpace for ValueSpace {
@@ -113,6 +123,15 @@ impl CoverageSpace for ValueSpace {
     #[inline]
     fn dist(&self, a: usize, b: usize) -> f64 {
         (self.values[a] - self.values[b]).abs()
+    }
+
+    /// One [`Sorted1D`] over the start values, queried once per value. A
+    /// NaN start value is at NaN distance from every value, so it never
+    /// wins and is left out of the index.
+    fn cover(&self, start: &[usize]) -> Vec<f64> {
+        let values = start.iter().map(|&s| self.values[s]).filter(|v| !v.is_nan()).collect();
+        let index = Sorted1D::build(values);
+        self.values.iter().map(|&v| index.nearest_dist(v)).collect()
     }
 
     fn center_element(&self) -> usize {
@@ -162,12 +181,12 @@ mod tests {
         let loss = HistogramLoss::new(0);
         let all: Vec<RowId> = t.all_rows();
         for theta in [2.0, 0.5, 0.1] {
-            let sample = loss.sample_greedy(&t, &all, theta);
+            let sample = loss.sample_greedy(&t, &all, &[], theta);
             let achieved = loss.loss(&t, &all, &sample);
             assert!(achieved <= theta + 1e-12, "θ={theta}: {achieved}");
         }
         // A $0.5 threshold must force a sample value near the $52 mode.
-        let sample = loss.sample_greedy(&t, &all, 0.5);
+        let sample = loss.sample_greedy(&t, &all, &[], 0.5);
         let vals = t.column(0).as_f64_slice().unwrap();
         assert!(sample.iter().any(|&r| vals[r as usize] > 50.0));
     }

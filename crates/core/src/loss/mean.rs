@@ -81,14 +81,20 @@ impl AccuracyLoss for MeanLoss {
         [sum / rows.len() as f64, 0.0]
     }
 
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         let values: Vec<f64> = raw.iter().map(|&r| self.value(table, r)).collect();
         let mut raw_state = SumCount::default();
         for &v in &values {
             raw_state.add(v);
         }
         let eval = MeanGreedy { values, raw_mean: raw_state.mean(), sample: SumCount::default() };
-        run_incremental_greedy(eval, raw, theta)
+        run_incremental_greedy(eval, raw, start, theta)
     }
 }
 
@@ -156,7 +162,7 @@ mod tests {
         let loss = MeanLoss::new(0);
         let all: Vec<RowId> = t.all_rows();
         for theta in [0.2, 0.05, 0.01, 0.001] {
-            let sample = loss.sample_greedy(&t, &all, theta);
+            let sample = loss.sample_greedy(&t, &all, &[], theta);
             let achieved = loss.loss(&t, &all, &sample);
             assert!(achieved <= theta, "θ={theta}: achieved {achieved}");
             // Tight thresholds should still need only a handful of tuples:

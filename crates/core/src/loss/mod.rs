@@ -145,6 +145,16 @@ pub trait AccuracyLoss: Send + Sync + 'static {
         (loss <= bound).then_some(loss)
     }
 
+    /// Whether adding rows to a sample never raises its loss, as with the
+    /// coverage losses: another sample point only shortens distances. A fold
+    /// then starts a touched cell's draw from its old sample, which still
+    /// covers the cell's old rows. Under any other loss (a mean, say) the
+    /// old sample may lean the wrong way, and starting from it would only
+    /// grow the sample fold after fold, so the fold draws from nothing.
+    fn monotone(&self) -> bool {
+        false
+    }
+
     /// A low-dimensional signature of a row set, used ONLY to order
     /// candidate representatives in the SamGraph join — a pruning
     /// heuristic whose quality affects memory savings, never correctness.
@@ -159,12 +169,23 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// guaranteed because the loop can at worst pick every row, and
     /// `loss(raw, raw) = 0` for any well-formed loss.
     ///
+    /// `start` holds distinct positions in `raw` that the sample begins
+    /// with: the result contains `raw[i]` for each of them (the built-ins
+    /// put them first, in order) and meets θ. An empty `start` is
+    /// Algorithm 1 from nothing.
+    ///
     /// The default is the literal O(|raw|²·cost(loss)) greedy of the
     /// paper's pseudocode — correct for any loss, affordable only for
     /// small cells. Built-ins override it with incremental engines (see
     /// [`crate::sampling`]).
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
-        crate::sampling::naive_greedy(self, table, raw, theta)
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
+        crate::sampling::naive_greedy(self, table, raw, start, theta)
     }
 }
 
@@ -221,7 +242,7 @@ mod tests {
         let all: Vec<RowId> = t.all_rows();
 
         fn check<L: AccuracyLoss>(loss: &L, t: &Table, raw: &[RowId], theta: f64) {
-            let sample = loss.sample_greedy(t, raw, theta);
+            let sample = loss.sample_greedy(t, raw, &[], theta);
             assert!(!sample.is_empty());
             let achieved = loss.loss(t, raw, &sample);
             assert!(achieved <= theta + 1e-12, "{}: achieved {achieved} > θ {theta}", loss.name());

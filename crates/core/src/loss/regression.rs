@@ -96,7 +96,13 @@ impl AccuracyLoss for RegressionLoss {
         [m.angle_degrees().unwrap_or(1e6), 0.0]
     }
 
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         let xys: Vec<(f64, f64)> = raw.iter().map(|&r| self.xy(table, r)).collect();
         let mut raw_m = Moments2D::default();
         for &(x, y) in &xys {
@@ -104,7 +110,7 @@ impl AccuracyLoss for RegressionLoss {
         }
         let eval =
             RegGreedy { xys, raw_angle: raw_m.angle_degrees(), sample: Moments2D::default() };
-        run_incremental_greedy(eval, raw, theta)
+        run_incremental_greedy(eval, raw, start, theta)
     }
 }
 
@@ -201,7 +207,7 @@ mod tests {
         let loss = RegressionLoss::new(0, 1);
         let all: Vec<RowId> = t.all_rows();
         for theta in [10.0, 5.0, 1.0, 0.25] {
-            let sample = loss.sample_greedy(&t, &all, theta);
+            let sample = loss.sample_greedy(&t, &all, &[], theta);
             let achieved = loss.loss(&t, &all, &sample);
             assert!(achieved <= theta + 1e-9, "θ={theta}: {achieved}");
         }

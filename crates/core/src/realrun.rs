@@ -16,8 +16,10 @@
 //! Local samples are then drawn per cell with the accuracy-loss-aware
 //! greedy sampler, scheduled on the shared `tabula-par` work-stealing
 //! pool (the per-cell work is embarrassingly parallel, and each cell's
-//! greedy draw is deterministic given its rows — so samples are
-//! thread-count-independent).
+//! greedy draw is deterministic given its rows and its start — so samples
+//! are thread-count-independent). In a fold, a touched cell that was
+//! iceberg before starts its draw from the rows of its old sample that
+//! are its own rows; every other cell starts from nothing.
 
 use crate::loss::AccuracyLoss;
 use std::time::{Duration, Instant};
@@ -35,7 +37,8 @@ pub struct CubeEntry {
     pub cell: CubeKey,
     /// Row ids of the cell's raw data.
     pub rows: Vec<RowId>,
-    /// Row ids of the cell's local sample (⊆ `rows`).
+    /// Row ids of the cell's local sample (⊆ `rows`). A warm-started cell's
+    /// sample begins with its start: its old sample ∩ `rows`.
     pub sample: Vec<RowId>,
 }
 
@@ -63,6 +66,10 @@ pub struct RealRunStats {
     pub gather: Duration,
     /// Wall time drawing the cells' local samples.
     pub sample_cells: Duration,
+    /// Cells whose draw started from a non-empty part of an old sample.
+    pub warm_cells: usize,
+    /// Old-sample rows the warm cells started from, summed.
+    pub warm_start_rows: usize,
 }
 
 /// Output of the real run.
@@ -98,13 +105,16 @@ pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
 /// Run the real-run stage: materialize local samples for every cell of
 /// `iceberg` (keys per cuboid, as the dry run reports them), fetching
 /// their rows from `partition` (the dry run's) and drawing the samples
-/// with `loss`'s Algorithm-1 sampler.
-pub fn real_run<L: AccuracyLoss>(
+/// with `loss`'s Algorithm-1 sampler. Each cell's draw starts from
+/// `old_sample(cell)` ∩ its rows: in a fold, a touched cell's previous
+/// sample; empty for a cell to draw from nothing.
+pub fn real_run<'a, L: AccuracyLoss>(
     table: &Table,
     partition: &FinestPartition,
     loss: &L,
     theta: f64,
     iceberg: &FxHashMap<CuboidMask, Vec<CubeKey>>,
+    old_sample: impl Fn(&CubeKey) -> &'a [RowId] + Sync,
 ) -> RealRun {
     // Deterministic cuboid order: finest first, then by mask.
     let mut masks: Vec<CuboidMask> = iceberg.keys().copied().collect();
@@ -119,9 +129,15 @@ pub fn real_run<L: AccuracyLoss>(
     let gathered_rows = work.iter().map(|(_, rows)| rows.len()).sum();
 
     // Phase 2 (parallel): draw a local sample per iceberg cell on the
-    // shared work-stealing pool.
+    // shared work-stealing pool, in input order. A warm cell's start is the
+    // positions of its old sample's rows among its own (ascending) rows.
     let start = Instant::now();
-    let entries = sample_cells(table, loss, theta, work, &pool);
+    let drawn: Vec<(Vec<RowId>, usize)> = pool.run(work.len(), |i| {
+        let (cell, rows) = &work[i];
+        let old = old_sample(cell);
+        let start: Vec<usize> = old.iter().filter_map(|r| rows.binary_search(r).ok()).collect();
+        (loss.sample_greedy(table, rows, &start, theta), start.len())
+    });
     let stats = RealRunStats {
         cuboids_processed: masks.len(),
         cuboids_skipped: (1usize << partition.space().width()) - masks.len(),
@@ -129,26 +145,15 @@ pub fn real_run<L: AccuracyLoss>(
         gathered_rows,
         gather,
         sample_cells: start.elapsed(),
+        warm_cells: drawn.iter().filter(|(_, start_rows)| *start_rows > 0).count(),
+        warm_start_rows: drawn.iter().map(|(_, start_rows)| start_rows).sum(),
     };
+    let entries = work
+        .into_iter()
+        .zip(drawn)
+        .map(|((cell, rows), (sample, _))| CubeEntry { cell, rows, sample })
+        .collect();
     RealRun { entries, stats }
-}
-
-/// Draw local samples for `work` on `pool`, preserving input order in the
-/// output. Each cell's greedy draw sees exactly its own rows, so the
-/// result is independent of scheduling.
-fn sample_cells<L: AccuracyLoss>(
-    table: &Table,
-    loss: &L,
-    theta: f64,
-    work: Vec<(CubeKey, Vec<RowId>)>,
-    pool: &Pool,
-) -> Vec<CubeEntry> {
-    let samples: Vec<Vec<RowId>> =
-        pool.run(work.len(), |i| loss.sample_greedy(table, &work[i].1, theta));
-    work.into_iter()
-        .zip(samples)
-        .map(|((cell, rows), sample)| CubeEntry { cell, rows, sample })
-        .collect()
 }
 
 #[cfg(test)]
@@ -180,7 +185,7 @@ mod tests {
         let ctx = loss.prepare(&t, &global);
         let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
         let dry = dry_run(&t, &partition, &loss, &ctx, theta);
-        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
+        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg, |_| &[]);
         (t, partition.space().clone(), rr.entries, rr.stats)
     }
 
@@ -231,22 +236,5 @@ mod tests {
         assert!(entries.is_empty());
         assert_eq!(stats.cuboids_processed, 0);
         assert_eq!(stats.cuboids_skipped, 8);
-    }
-
-    #[test]
-    fn sample_cells_runs_on_the_shared_pool_in_order() {
-        let t = example_dcm_table();
-        let fare = t.schema().index_of("fare").unwrap();
-        let loss = MeanLoss::new(fare);
-        let work: Vec<(CubeKey, Vec<RowId>)> =
-            (0..6).map(|i| (CubeKey::Packed(i), t.all_rows())).collect();
-        let serial = sample_cells(&t, &loss, 0.1, work.clone(), &Pool::with_threads(1));
-        let parallel = sample_cells(&t, &loss, 0.1, work, &Pool::with_threads(4));
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.sample, b.sample);
-        }
     }
 }

@@ -264,7 +264,7 @@ mod tests {
         let ctx = loss.prepare(&t, &global);
         let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
         let dry = dry_run(&t, &partition, &loss, &ctx, theta);
-        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
+        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg, |_| &[]);
         (t, rr.entries)
     }
 
@@ -316,7 +316,7 @@ mod tests {
         let ctx = loss.prepare(&t, &global);
         let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
         let dry = dry_run(&t, &partition, &loss, &ctx, theta);
-        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg);
+        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg, |_| &[]);
         assert!(!rr.entries.is_empty());
         let g = build_samgraph(&t, &loss, theta, &rr.entries, &SamGraphConfig::default());
         for (u, outs) in g.edges.iter().enumerate() {

@@ -31,22 +31,16 @@
 //! `d² ≥ cur²` (the term is zero then). Both change how much is computed,
 //! never a bit of what is: every sample is the one the plain expressions
 //! give.
+//!
+//! Every engine can also start *warm*, from a subset of the rows given as
+//! positions (`start` of [`AccuracyLoss::sample_greedy`]): it commits those
+//! first and adds rows only until θ holds. A fold starts a touched cell
+//! from its old sample, which already covers the cell's old rows.
 
 use crate::loss::AccuracyLoss;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tabula_storage::{RowId, Table};
-
-/// Entry point: draw a sample of `raw` meeting `theta` under `loss`.
-/// Dispatches to the loss's specialized engine.
-pub fn greedy_sample<L: AccuracyLoss>(
-    loss: &L,
-    table: &Table,
-    raw: &[RowId],
-    theta: f64,
-) -> Vec<RowId> {
-    loss.sample_greedy(table, raw, theta)
-}
 
 /// The literal Algorithm 1. Correct for any loss; affordable only for
 /// small cells (quadratic in `|raw|`). Built-in losses override
@@ -55,11 +49,14 @@ pub fn naive_greedy<L: AccuracyLoss + ?Sized>(
     loss: &L,
     table: &Table,
     raw: &[RowId],
+    start: &[usize],
     theta: f64,
 ) -> Vec<RowId> {
-    let mut remaining: Vec<RowId> = raw.to_vec();
-    let mut sample: Vec<RowId> = Vec::new();
-    let mut current = f64::INFINITY;
+    let taken = taken(raw.len(), start);
+    let mut remaining: Vec<RowId> =
+        raw.iter().zip(&taken).filter(|(_, &t)| !t).map(|(&r, _)| r).collect();
+    let mut sample: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
+    let mut current = if start.is_empty() { f64::INFINITY } else { loss.loss(table, raw, &sample) };
     while current > theta && !remaining.is_empty() {
         let mut best = (f64::INFINITY, 0usize);
         for (i, &cand) in remaining.iter().enumerate() {
@@ -77,6 +74,15 @@ pub fn naive_greedy<L: AccuracyLoss + ?Sized>(
     sample
 }
 
+/// `taken[i]` is whether position `i` is one of `start`'s.
+fn taken(n: usize, start: &[usize]) -> Vec<bool> {
+    let mut taken = vec![false; n];
+    for &i in start {
+        taken[i] = true;
+    }
+    taken
+}
+
 /// A loss whose value can be re-priced in O(1) when one candidate is
 /// provisionally added to the running sample. Candidates are addressed by
 /// their *position* in the raw row list the engine was started with.
@@ -89,17 +95,20 @@ pub trait IncrementalEval {
     fn add(&mut self, idx: usize);
 }
 
-/// Greedy loop over an [`IncrementalEval`]: each round scans all remaining
-/// candidates (O(1) each) and commits the argmin, until the threshold is
-/// met or every row has been taken.
+/// Greedy loop over an [`IncrementalEval`]: commits the `start` positions,
+/// then each round scans all remaining candidates (O(1) each) and commits
+/// the argmin, until the threshold is met or every row has been taken.
 pub fn run_incremental_greedy<E: IncrementalEval>(
     mut eval: E,
     raw: &[RowId],
+    start: &[usize],
     theta: f64,
 ) -> Vec<RowId> {
-    let mut remaining: Vec<usize> = (0..raw.len()).collect();
-    let mut picked: Vec<RowId> = Vec::new();
-    let mut current = f64::INFINITY;
+    let taken = taken(raw.len(), start);
+    let mut remaining: Vec<usize> = (0..raw.len()).filter(|&i| !taken[i]).collect();
+    let mut picked: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
+    start.iter().for_each(|&i| eval.add(i));
+    let mut current = if start.is_empty() { f64::INFINITY } else { eval.current() };
     while current > theta && !remaining.is_empty() {
         let mut best = (f64::INFINITY, 0usize);
         for (pos, &idx) in remaining.iter().enumerate() {
@@ -141,6 +150,19 @@ pub trait CoverageSpace: Sync {
     fn gain(&self, cur: f64, a: usize, b: usize) -> f64 {
         (cur - self.dist(a, b)).max(0.0)
     }
+    /// Every element's distance to its nearest element of `start`: what
+    /// committing the start elements one by one leaves in `cur`, `∞` where
+    /// no distance is a number less than `∞`. An override may use an index,
+    /// but must return exactly these bits.
+    fn cover(&self, start: &[usize]) -> Vec<f64> {
+        let mut cur = vec![f64::INFINITY; self.len()];
+        for &s in start {
+            for (i, cur_i) in cur.iter_mut().enumerate() {
+                *cur_i = cur_i.min(self.dist(i, s)); // a NaN distance never wins
+            }
+        }
+        cur
+    }
     /// A cheap-to-compute good first pick (e.g. the element nearest the
     /// centroid).
     fn center_element(&self) -> usize;
@@ -178,9 +200,15 @@ impl Ord for GainEntry {
 const EXACT_GREEDY_LIMIT: usize = 512;
 
 /// Greedy sampler for coverage losses. Returns indices into the space, in
-/// selection order. Guarantees `avg_i min_{s∈result} dist(i, s) ≤ theta`
-/// on return (in the worst case by selecting every element, which drives
-/// the loss to exactly zero).
+/// selection order: the `start` indices first, as given, then the picks.
+/// Guarantees `avg_i min_{s∈result} dist(i, s) ≤ theta` on return (in the
+/// worst case by selecting every element, which drives the loss to exactly
+/// zero).
+///
+/// From an empty `start` this is Algorithm 1: the first pick is the
+/// space's [`center_element`](CoverageSpace::center_element). A non-empty
+/// `start` (distinct indices) is committed at once through
+/// [`CoverageSpace::cover`], and returned as is when it already meets θ.
 ///
 /// Engine choice by input size:
 /// * `n ≤ 512` — exact greedy with POIsam's **lazy-forward** strategy:
@@ -193,19 +221,64 @@ const EXACT_GREEDY_LIMIT: usize = 512;
 ///   worst-covered element. The achieved-loss stopping rule is unchanged,
 ///   so the θ guarantee is exact either way; only sample minimality is
 ///   (slightly) relaxed — the same trade Algorithm 1 already makes.
-pub fn coverage_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
+pub fn coverage_greedy<S: CoverageSpace>(space: &S, start: &[usize], theta: f64) -> Vec<usize> {
     let n = space.len();
     if n == 0 {
         return Vec::new();
     }
-    if n <= EXACT_GREEDY_LIMIT {
-        exact_lazy_greedy(space, theta)
+    let (chosen, cur) = match start {
+        [] => {
+            let first = space.center_element();
+            (vec![first], (0..n).map(|i| space.dist(i, first)).collect())
+        }
+        _ => (start.to_vec(), space.cover(start)),
+    };
+    let cov = Coverage { selected: taken(n, &chosen), chosen, sum: cur.iter().sum(), cur };
+    // An element no start element reaches (a NaN coordinate, an overflowing
+    // distance) leaves the sum at ∞, and no pick brings it back to a number
+    // (∞ − ∞ is NaN): keep the start rather than take every row. From the
+    // centre pick such a sum is NaN, which ends the loop at once too.
+    if cov.sum / n as f64 <= theta || (!start.is_empty() && cov.sum.is_infinite()) {
+        cov.chosen
+    } else if n <= EXACT_GREEDY_LIMIT {
+        exact_lazy_greedy(space, theta, cov)
     } else {
-        stochastic_greedy(space, theta)
+        stochastic_greedy(space, theta, cov)
     }
 }
 
-fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
+/// A coverage greedy's state: the elements chosen so far and every
+/// element's distance to its nearest chosen one.
+struct Coverage {
+    chosen: Vec<usize>,
+    selected: Vec<bool>,
+    /// `cur[i]` = distance from `i` to its nearest chosen element.
+    cur: Vec<f64>,
+    /// `Σ cur`, kept up to date by [`Coverage::commit`].
+    sum: f64,
+}
+
+impl Coverage {
+    /// Choose `c` (`dist_to_c(i)` is element `i`'s distance to it): update
+    /// the coverage distances and the running sum.
+    fn commit(&mut self, c: usize, dist_to_c: impl Fn(usize) -> f64) {
+        self.selected[c] = true;
+        self.chosen.push(c);
+        for (i, cur_i) in self.cur.iter_mut().enumerate() {
+            let d = dist_to_c(i);
+            if d < *cur_i {
+                self.sum -= *cur_i - d;
+                *cur_i = d;
+            }
+        }
+        // Guard against floating-point drift below zero.
+        if self.sum < 0.0 {
+            self.sum = 0.0;
+        }
+    }
+}
+
+fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64, mut cov: Coverage) -> Vec<usize> {
     let n = space.len();
     // Row `c` holds every element's distance to `c`. Each pair is computed
     // once; `dist`'s symmetry fills the other half.
@@ -218,45 +291,38 @@ fn exact_lazy_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
         }
     }
     let row = |c: usize| &table[c * n..(c + 1) * n];
-    let first = space.center_element();
-    let mut chosen = vec![first];
-    let mut selected = vec![false; n];
-    selected[first] = true;
-    // cur[i] = distance from i to its nearest chosen element.
-    let mut cur: Vec<f64> = row(first).to_vec();
-    let mut sum: f64 = cur.iter().sum();
     let mut terms = vec![0.0; n];
     let mut gain_of = |cur: &[f64], c: usize| positive_sum(cur, row(c), &mut terms);
     // Price every candidate once against the initial coverage; these
     // stay valid upper bounds for all later rounds (submodularity).
     let mut heap: BinaryHeap<GainEntry> = BinaryHeap::with_capacity(n);
-    for (idx, &sel) in selected.iter().enumerate() {
+    for (idx, &sel) in cov.selected.iter().enumerate() {
         if !sel {
-            heap.push(GainEntry { gain: gain_of(&cur, idx), idx, round: 0 });
+            heap.push(GainEntry { gain: gain_of(&cov.cur, idx), idx, round: 0 });
         }
     }
     let mut round: u32 = 1;
-    while sum / n as f64 > theta {
+    while cov.sum / n as f64 > theta {
         // Pop until the top entry is exact for this round.
         let next = loop {
             let Some(top) = heap.pop() else { break None };
-            if selected[top.idx] {
+            if cov.selected[top.idx] {
                 continue;
             }
             if top.round == round {
                 break Some(top.idx);
             }
             // Stale: re-price exactly against the current coverage.
-            heap.push(GainEntry { gain: gain_of(&cur, top.idx), idx: top.idx, round });
+            heap.push(GainEntry { gain: gain_of(&cov.cur, top.idx), idx: top.idx, round });
         };
         let Some(c) = next else {
             break; // every element selected; sum is 0
         };
         let to_c = row(c);
-        commit(c, |i| to_c[i], &mut selected, &mut chosen, &mut cur, &mut sum);
+        cov.commit(c, |i| to_c[i]);
         round += 1;
     }
-    chosen
+    cov.chosen
 }
 
 /// `Σ_i max(cur[i] − dist[i], 0)` with the bits of the plain left-to-right
@@ -274,7 +340,7 @@ fn positive_sum(cur: &[f64], dist: &[f64], terms: &mut [f64]) -> f64 {
     terms[..k].iter().fold(0.0, |sum, &t| sum + t)
 }
 
-fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
+fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64, mut cov: Coverage) -> Vec<usize> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     /// Random candidates priced per round (plus the worst-covered point).
@@ -286,25 +352,19 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
     const PROBE: usize = 1024;
 
     let n = space.len();
-    let first = space.center_element();
-    let mut chosen = vec![first];
-    let mut selected = vec![false; n];
-    selected[first] = true;
-    let mut cur: Vec<f64> = (0..n).map(|i| space.dist(i, first)).collect();
-    let mut sum: f64 = cur.iter().sum();
     // Deterministic per input size so builds are reproducible.
     let mut rng = SmallRng::seed_from_u64(0x7ab0_1a5e ^ n as u64);
     // Gain-probe subset for very large inputs.
     let probe: Option<Vec<usize>> = (n > PROBE_LIMIT)
         .then(|| rand::seq::index::sample(&mut rng, n, PROBE).into_iter().collect());
-    while sum / n as f64 > theta && chosen.len() < n {
+    while cov.sum / n as f64 > theta && cov.chosen.len() < n {
         // Candidate pool: POOL random unselected elements + the element
         // farthest from the current sample (it always has positive gain
         // and drives worst-case coverage).
         let mut pool: Vec<usize> = Vec::with_capacity(POOL + 1);
         let mut farthest = (0.0f64, usize::MAX);
-        for (i, &d) in cur.iter().enumerate() {
-            if !selected[i] && d > farthest.0 {
+        for (i, &d) in cov.cur.iter().enumerate() {
+            if !cov.selected[i] && d > farthest.0 {
                 farthest = (d, i);
             }
         }
@@ -315,15 +375,15 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
         while pool.len() < POOL + 1 && attempts < POOL * 8 {
             let i = rng.gen_range(0..n);
             attempts += 1;
-            if !selected[i] && !pool.contains(&i) {
+            if !cov.selected[i] && !pool.contains(&i) {
                 pool.push(i);
             }
         }
         let mut best = (-1.0f64, usize::MAX);
         for &c in &pool {
             let gain: f64 = match &probe {
-                Some(idxs) => idxs.iter().map(|&i| space.gain(cur[i], i, c)).sum(),
-                None => (0..n).map(|i| space.gain(cur[i], i, c)).sum(),
+                Some(idxs) => idxs.iter().map(|&i| space.gain(cov.cur[i], i, c)).sum(),
+                None => (0..n).map(|i| space.gain(cov.cur[i], i, c)).sum(),
             };
             if gain > best.0 {
                 best = (gain, c);
@@ -332,39 +392,16 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64) -> Vec<usize> {
         let Some(c) = (best.1 != usize::MAX).then_some(best.1) else {
             break;
         };
-        commit(c, |i| space.dist(i, c), &mut selected, &mut chosen, &mut cur, &mut sum);
+        cov.commit(c, |i| space.dist(i, c));
     }
-    chosen
-}
-
-/// Commit a selection: update coverage distances (`dist_to_c(i)` is
-/// element `i`'s distance to `c`) and the running sum.
-fn commit(
-    c: usize,
-    dist_to_c: impl Fn(usize) -> f64,
-    selected: &mut [bool],
-    chosen: &mut Vec<usize>,
-    cur: &mut [f64],
-    sum: &mut f64,
-) {
-    selected[c] = true;
-    chosen.push(c);
-    for (i, cur_i) in cur.iter_mut().enumerate() {
-        let d = dist_to_c(i);
-        if d < *cur_i {
-            *sum -= *cur_i - d;
-            *cur_i = d;
-        }
-    }
-    // Guard against floating-point drift below zero.
-    if *sum < 0.0 {
-        *sum = 0.0;
-    }
+    cov.chosen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::heatmap::PointSpace;
+    use crate::loss::histogram::ValueSpace;
     use crate::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -400,7 +437,7 @@ mod tests {
         let xs: Vec<f64> = (0..400).map(|_| rng.gen_range(0.0..100.0)).collect();
         let space = Line { xs };
         for theta in [20.0, 5.0, 1.0, 0.1, 0.0] {
-            let chosen = coverage_greedy(&space, theta);
+            let chosen = coverage_greedy(&space, &[], theta);
             let loss = coverage_loss(&space, &chosen);
             assert!(loss <= theta + 1e-9, "θ={theta}: loss {loss}");
         }
@@ -415,7 +452,7 @@ mod tests {
         let xs: Vec<f64> = (0..300).map(|_| rng.gen_range(0.0..10.0)).collect();
         let space = Line { xs: xs.clone() };
         let theta = 0.05;
-        let lazy = coverage_greedy(&space, theta);
+        let lazy = coverage_greedy(&space, &[], theta);
 
         // Eager reference implementation.
         let n = xs.len();
@@ -455,9 +492,9 @@ mod tests {
     #[test]
     fn coverage_greedy_single_and_duplicate_elements() {
         let one = Line { xs: vec![3.0] };
-        assert_eq!(coverage_greedy(&one, 0.0), vec![0]);
+        assert_eq!(coverage_greedy(&one, &[], 0.0), vec![0]);
         let dup = Line { xs: vec![2.0; 50] };
-        let chosen = coverage_greedy(&dup, 0.0);
+        let chosen = coverage_greedy(&dup, &[], 0.0);
         assert_eq!(chosen.len(), 1, "duplicates are covered by one pick");
     }
 
@@ -472,35 +509,174 @@ mod tests {
         let loss = MeanLoss::new(0);
         let all: Vec<RowId> = t.all_rows();
         let theta = 0.02;
-        let naive = naive_greedy(&loss, &t, &all, theta);
-        let fast = loss.sample_greedy(&t, &all, theta);
+        let naive = naive_greedy(&loss, &t, &all, &[], theta);
+        let fast = loss.sample_greedy(&t, &all, &[], theta);
         assert!(loss.loss(&t, &all, &naive) <= theta);
         assert!(loss.loss(&t, &all, &fast) <= theta);
     }
 
-    #[test]
-    fn greedy_sample_dispatches_and_guarantees() {
-        let schema = Schema::new(vec![Field::new("p", ColumnType::Point)]);
-        let mut b = TableBuilder::new(schema);
-        let mut rng = SmallRng::seed_from_u64(6);
-        for _ in 0..200 {
-            b.push_row(&[Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)).into()])
-                .unwrap();
+    /// `S` without its `cover` override: the default loop.
+    struct DefaultCover<'a, S>(&'a S);
+
+    impl<S: CoverageSpace> CoverageSpace for DefaultCover<'_, S> {
+        fn len(&self) -> usize {
+            self.0.len()
         }
-        let t = b.finish();
+        fn dist(&self, a: usize, b: usize) -> f64 {
+            self.0.dist(a, b)
+        }
+        fn center_element(&self) -> usize {
+            self.0.center_element()
+        }
+    }
+
+    /// Random starts over `n` elements: empty, one, a few, all.
+    fn starts(n: usize, rng: &mut SmallRng) -> Vec<Vec<usize>> {
+        let some = rand::seq::index::sample(rng, n, n / 7).into_iter().collect();
+        vec![vec![], vec![rng.gen_range(0..n)], some, (0..n).collect()]
+    }
+
+    fn assert_cover_is_the_default_loop<S: CoverageSpace>(space: &S, start: &[usize]) {
+        let bits = |cur: Vec<f64>| cur.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(space.cover(start)), bits(DefaultCover(space).cover(start)), "{start:?}");
+    }
+
+    #[test]
+    fn cover_overrides_equal_the_default_loop_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e300, -1e300];
+        let coordinate = |rng: &mut SmallRng| match rng.gen_range(0..10) {
+            0 => odd[rng.gen_range(0..odd.len())],
+            1 => 0.5, // duplicates
+            _ => rng.gen_range(-1.0..1.0),
+        };
+        for n in [1, 2, 40, 300] {
+            let points: Vec<Point> = (0..n)
+                .map(|_| {
+                    let x = coordinate(&mut rng);
+                    Point::new(x, coordinate(&mut rng))
+                })
+                .collect();
+            let values: Vec<f64> = points.iter().map(|p| p.x).collect();
+            for start in starts(n, &mut rng) {
+                for metric in [Metric::Euclidean, Metric::Manhattan] {
+                    let space = PointSpace { points: points.clone(), metric };
+                    assert_cover_is_the_default_loop(&space, &start);
+                    // A NaN distance never wins: the index leaves ∞ there.
+                    let cur = space.cover(&start);
+                    for (i, p) in points.iter().enumerate() {
+                        if p.x.is_nan() || p.y.is_nan() {
+                            assert!(start.iter().all(|&s| space.dist(i, s).is_nan()));
+                            assert_eq!(cur[i], f64::INFINITY);
+                        }
+                    }
+                }
+                assert_cover_is_the_default_loop(&ValueSpace { values: values.clone() }, &start);
+            }
+        }
+    }
+
+    #[test]
+    fn a_start_that_leaves_a_row_unreachable_is_returned_as_is() {
+        // Drawn on, every row would be taken: the NaN point stays at ∞.
+        let mut points: Vec<Point> = (0..3_000).map(|i| Point::new(i as f64, 0.0)).collect();
+        points[17] = Point::new(f64::NAN, 0.0);
+        let space = PointSpace { points, metric: Metric::Euclidean };
+        assert_eq!(coverage_greedy(&space, &[4, 2_000], 1.0), vec![4, 2_000]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn the_1d_index_holds_no_nan() {
+        crate::loss::Sorted1D::build(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn a_start_already_within_theta_is_returned_as_is() {
+        let space = Line { xs: (0..600).map(|i| i as f64).collect() };
+        for n in [300, 600] {
+            let line = Line { xs: space.xs[..n].to_vec() };
+            let start: Vec<usize> = (0..n).rev().step_by(3).collect();
+            assert!(coverage_loss(&line, &start) <= 1.0);
+            assert_eq!(coverage_greedy(&line, &start, 1.0), start);
+        }
+        let t = points_table(50, 3);
+        let all = t.all_rows();
+        let start: Vec<usize> = (0..50).collect();
         let loss = HeatmapLoss::new(0, Metric::Euclidean);
-        let all: Vec<RowId> = t.all_rows();
-        let sample = greedy_sample(&loss, &t, &all, 0.05);
-        assert!(loss.loss(&t, &all, &sample) <= 0.05);
+        assert_eq!(loss.sample_greedy(&t, &all, &start, 0.0), all);
+        let mean = MeanLoss::new(1);
+        assert_eq!(mean.sample_greedy(&t, &all, &[7, 3], f64::INFINITY), vec![7, 3]);
+        assert_eq!(naive_greedy(&mean, &t, &all, &[7, 3], f64::INFINITY), vec![7, 3]);
+    }
+
+    /// `n` random points in column 0 and their x as a number in column 1.
+    fn points_table(n: usize, seed: u64) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("p", ColumnType::Point),
+            Field::new("x", ColumnType::Float64),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..n {
+            let (x, y) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+            b.push_row(&[Point::new(x, y).into(), x.into()]).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn a_warm_draw_keeps_its_start_and_meets_theta() {
+        fn check<L: AccuracyLoss>(loss: &L, t: &Table, raw: &[RowId], start: &[usize], theta: f64) {
+            let sample = loss.sample_greedy(t, raw, start, theta);
+            let head: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
+            assert_eq!(sample[..start.len()], head, "{}: the start comes first", loss.name());
+            let mut distinct = sample.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), sample.len(), "{}: without replacement", loss.name());
+            assert!(sample.iter().all(|r| raw.contains(r)), "{}", loss.name());
+            let achieved = loss.loss(t, raw, &sample);
+            assert!(achieved <= theta + 1e-12, "{}: {achieved} > θ {theta}", loss.name());
+        }
+        // 300 rows reach the exact coverage engine, 3 000 the stochastic.
+        for n in [300, 3_000] {
+            let t = points_table(n, n as u64);
+            let raw: Vec<RowId> = t.all_rows().into_iter().rev().collect();
+            let mut rng = SmallRng::seed_from_u64(5);
+            for start in starts(n, &mut rng) {
+                for metric in [Metric::Euclidean, Metric::Manhattan] {
+                    check(&HeatmapLoss::new(0, metric), &t, &raw, &start, 0.01);
+                }
+                check(&crate::loss::HistogramLoss::new(1), &t, &raw, &start, 0.001);
+                check(&MeanLoss::new(1), &t, &raw, &start, 0.001);
+                let both = crate::loss::MaxLoss::with_thresholds(
+                    HeatmapLoss::new(0, Metric::Euclidean),
+                    0.02,
+                    MeanLoss::new(1),
+                    0.001,
+                );
+                check(&both, &t, &raw, &start, 1.0);
+            }
+        }
+        // The literal Algorithm 1, on a cell small enough for it.
+        let t = points_table(40, 8);
+        let raw = t.all_rows();
+        let mean = MeanLoss::new(1);
+        for start in starts(40, &mut SmallRng::seed_from_u64(9)) {
+            let sample = naive_greedy(&mean, &t, &raw, &start, 1e-4);
+            assert!(start.iter().zip(&sample).all(|(&i, &r)| raw[i] == r));
+            assert!(mean.loss(&t, &raw, &sample) <= 1e-4);
+        }
     }
 
     #[test]
     fn empty_input_yields_empty_sample() {
         let space = Line { xs: vec![] };
-        assert!(coverage_greedy(&space, 0.1).is_empty());
+        assert!(coverage_greedy(&space, &[], 0.1).is_empty());
         let schema = Schema::new(vec![Field::new("v", ColumnType::Float64)]);
         let t = TableBuilder::new(schema).finish();
         let loss = MeanLoss::new(0);
-        assert!(loss.sample_greedy(&t, &[], 0.1).is_empty());
+        assert!(loss.sample_greedy(&t, &[], &[], 0.1).is_empty());
     }
 }

@@ -72,7 +72,13 @@ impl AccuracyLoss for RangeCoverageLoss {
     // (quadratic) Algorithm 1, which is fine for tiny cells but not for a
     // 60 k-row table. Custom losses whose value derives from small
     // aggregate states get an O(1)-per-candidate engine in a few lines:
-    fn sample_greedy(&self, table: &Table, raw: &[RowId], theta: f64) -> Vec<RowId> {
+    fn sample_greedy(
+        &self,
+        table: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Vec<RowId> {
         struct Eval {
             values: Vec<f64>,
             raw: NumericState,
@@ -107,6 +113,7 @@ impl AccuracyLoss for RangeCoverageLoss {
         run_incremental_greedy(
             Eval { values, raw: raw_state, sample: NumericState::default() },
             raw,
+            start,
             theta,
         )
     }

@@ -551,7 +551,7 @@ fn assert_heatmap_samples_as_before(
 ) {
     let points = table.column(col).as_point_slice().unwrap();
     for metric in METRICS {
-        let got = HeatmapLoss::new(col, metric).sample_greedy(table, rows, theta);
+        let got = HeatmapLoss::new(col, metric).sample_greedy(table, rows, &[], theta);
         let plain =
             PlainPoints { points: rows.iter().map(|&r| points[r as usize]).collect(), metric };
         let want: Vec<RowId> =
@@ -571,7 +571,7 @@ fn heatmap_samples_equal_the_reference_on_every_iceberg_cell_of_the_taxi_cube() 
     let global = draw_global_sample(&table, SerflingConfig::default().sample_size(), 42);
     let partition = FinestPartition::build(&table, &cols).unwrap();
     let dry = dry_run(&table, &partition, &loss, &loss.prepare(&table, &global), theta);
-    let cells = real_run(&table, &partition, &loss, theta, &dry.iceberg).entries;
+    let cells = real_run(&table, &partition, &loss, theta, &dry.iceberg, |_| &[]).entries;
     assert!(cells.len() > 1_000, "{} iceberg cells", cells.len());
     // Iceberg cells here hold at most a few hundred rows, so this is the
     // exact engine; the coarse cells below and the random sets reach the
@@ -652,7 +652,7 @@ fn histogram_and_line_samples_equal_the_reference() {
         let table = value_table(&values);
         let rows = table.all_rows();
         for theta in [2.0, 0.5, 0.1, 0.0] {
-            let got = HistogramLoss::new(0).sample_greedy(&table, &rows, theta);
+            let got = HistogramLoss::new(0).sample_greedy(&table, &rows, &[], theta);
             let plain = PlainValues { values: values.clone() };
             let want: Vec<RowId> =
                 reference::coverage_greedy(&plain, theta).into_iter().map(|i| rows[i]).collect();
@@ -660,7 +660,7 @@ fn histogram_and_line_samples_equal_the_reference() {
 
             let line = Line { xs: values.clone() };
             let want = reference::coverage_greedy(&line, theta);
-            assert_eq!(coverage_greedy(&line, theta), want, "line, {n} values, θ = {theta}");
+            assert_eq!(coverage_greedy(&line, &[], theta), want, "line, {n} values, θ = {theta}");
         }
     }
 }

@@ -62,7 +62,7 @@ proptest! {
     ) {
         let loss = HistogramLoss::new(2);
         let all: Vec<u32> = table.all_rows();
-        let sample = loss.sample_greedy(&table, &all, theta);
+        let sample = loss.sample_greedy(&table, &all, &[], theta);
         prop_assert!(!sample.is_empty());
         let achieved = loss.loss(&table, &all, &sample);
         prop_assert!(achieved <= theta + 1e-9, "{achieved} > {theta}");
@@ -91,9 +91,9 @@ proptest! {
                 .map(|i| chosen.iter().map(|&c| space.dist(i, c)).fold(f64::INFINITY, f64::min))
                 .sum::<f64>() / n as f64
         };
-        let at_theta = coverage_greedy(&space, theta);
+        let at_theta = coverage_greedy(&space, &[], theta);
         prop_assert!(loss_of(&at_theta) <= theta + 1e-9);
-        let tighter = coverage_greedy(&space, theta / 4.0);
+        let tighter = coverage_greedy(&space, &[], theta / 4.0);
         prop_assert!(loss_of(&tighter) <= theta / 4.0 + 1e-9);
         prop_assert!(tighter.len() >= at_theta.len());
     }

@@ -107,7 +107,11 @@ fn partition_cells_equal_group_by_cells_for_every_cuboid() {
 /// candidates. Before that they were recorded at commit cd1ea0b, where
 /// `real_run` still regrouped the table once per iceberg cuboid.
 const BUILD_CRC: u64 = 0x890d_8433_11af_3f18;
-const REFRESH_CRC: u64 = 0x4ae2_b24a_6885_c3ba;
+/// Re-recorded when a fold began drawing each touched cell's sample from
+/// its old sample ∩ its rows instead of from nothing. The flat refresh did
+/// not move: its touched cells gain a copy of a row they hold, and the
+/// mean loss's greedy redraws the old sample from nothing there too.
+const REFRESH_CRC: u64 = 0x4421_5287_4dc9_6db7;
 /// Recorded at commit d1c4c90, where the flat width was code tuples in
 /// per-cuboid hash maps.
 const FLAT_BUILD_CRC: u64 = 0x4758_e1fb_bff5_2539;
