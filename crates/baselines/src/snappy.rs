@@ -14,8 +14,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tabula_storage::group::group_by;
-use tabula_storage::{Predicate, RowId, Table};
+use tabula_storage::{FinestPartition, Predicate, RowId, Table};
 
 /// Answer to an AVG query.
 #[derive(Debug, Clone, Copy)]
@@ -60,15 +59,13 @@ impl SnappyLike {
             .map(|a| table.schema().index_of(a.as_ref()))
             .collect::<tabula_storage::Result<_>>()?;
         let target = table.schema().index_of(target_attr)?;
-        let grouped = group_by(&table, &cols)?;
+        let strata = FinestPartition::build(&table, &cols)?;
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut sample = Vec::new();
-        // Deterministic stratum order.
-        let mut strata: Vec<(Vec<u32>, Vec<RowId>)> = grouped.groups.into_iter().collect();
-        strata.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (_, rows) in strata {
+        // Strata in key order, which is deterministic.
+        for rows in (0..strata.runs()).map(|run| strata.run_rows(run)) {
             if rows.len() <= per_stratum {
-                sample.extend_from_slice(&rows);
+                sample.extend_from_slice(rows);
             } else {
                 sample.extend(
                     rand::seq::index::sample(&mut rng, rows.len(), per_stratum)

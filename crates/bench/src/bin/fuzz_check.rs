@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use tabula_bench::write_run_summary;
 use tabula_check::{
-    diff_case, diff_ingest_case, diff_sql_case, gen_case, shrink, CaseSpec, Divergence,
+    diff_case, diff_ingest_case, diff_sql_case, gen_case, shrink, CaseSpec, Divergence, Lanes,
 };
 use tabula_obs as obs;
 
@@ -38,20 +38,13 @@ struct Args {
     seed: u64,
     cases: u64,
     no_shrink: bool,
-    snapshot: bool,
+    lanes: Lanes,
     ingest: bool,
-    encoding: bool,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        cases: 100,
-        no_shrink: false,
-        snapshot: false,
-        ingest: false,
-        encoding: false,
-    };
+    let mut args =
+        Args { seed: 42, cases: 100, no_shrink: false, lanes: Lanes::default(), ingest: false };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -62,13 +55,13 @@ fn parse_args() -> Args {
                 args.cases = it.next().and_then(|v| v.parse().ok()).expect("--cases <u64>");
             }
             "--no-shrink" => args.no_shrink = true,
-            "--snapshot" => args.snapshot = true,
+            "--snapshot" => args.lanes.snapshot = true,
             "--ingest" => args.ingest = true,
-            "--encoding" => args.encoding = true,
+            "--encoding" => args.lanes.encoding = true,
             "--all" => {
-                args.snapshot = true;
+                args.lanes.snapshot = true;
                 args.ingest = true;
-                args.encoding = true;
+                args.lanes.encoding = true;
             }
             other => {
                 eprintln!(
@@ -93,8 +86,8 @@ struct Coverage {
 }
 
 /// Run the cube diff, the SQL diff and (opt-in) the ingest lane for one case.
-fn run_one(case: &CaseSpec, sql_seed: u64, ingest: bool) -> Result<Coverage, Divergence> {
-    let report = diff_case(case)?;
+fn run_one(case: &CaseSpec, sql_seed: u64, args: &Args) -> Result<Coverage, Divergence> {
+    let report = diff_case(case, args.lanes)?;
     let statements = diff_sql_case(case, sql_seed, 8)?;
     let mut cov = Coverage {
         cells: report.cells_checked,
@@ -102,7 +95,7 @@ fn run_one(case: &CaseSpec, sql_seed: u64, ingest: bool) -> Result<Coverage, Div
         statements,
         ..Coverage::default()
     };
-    if ingest {
+    if args.ingest {
         let ingest_report = diff_ingest_case(case)?;
         cov.ingest_barriers = ingest_report.barriers;
         cov.ingest_cells = ingest_report.cells_checked;
@@ -112,12 +105,6 @@ fn run_one(case: &CaseSpec, sql_seed: u64, ingest: bool) -> Result<Coverage, Div
 
 fn main() -> ExitCode {
     let args = parse_args();
-    // The snapshot lane (freeze → thaw → replay, byte-identical) roughly
-    // doubles per-case cost, so it is opt-in.
-    tabula_check::set_snapshot_lane(args.snapshot);
-    // The encoding lane triples the build count per case (ambient, off,
-    // force), so it is opt-in as well.
-    tabula_check::set_encoding_lane(args.encoding);
     let registry = obs::Registry::new();
     let start = Instant::now();
 
@@ -130,7 +117,7 @@ fn main() -> ExitCode {
         let case = gen_case(case_seed);
         *by_loss.entry(case.loss.name().to_string()).or_default() += 1;
         let case_start = Instant::now();
-        match run_one(&case, case_seed, args.ingest) {
+        match run_one(&case, case_seed, &args) {
             Ok(cov) => {
                 total.cells += cov.cells;
                 total.queries += cov.queries;
@@ -157,7 +144,7 @@ fn main() -> ExitCode {
             (case, first)
         } else {
             eprintln!("shrinking the diverging case...");
-            match shrink(&case, |c| run_one(c, case_seed, args.ingest).err()) {
+            match shrink(&case, |c| run_one(c, case_seed, &args).err()) {
                 Some(s) => {
                     eprintln!(
                         "shrunk to {} rows / {} queries / {} attrs in {} attempts",
@@ -192,9 +179,9 @@ fn main() -> ExitCode {
         ("ingest_barriers_checked", Value::Int(total.ingest_barriers as i128)),
         ("ingest_cells_checked", Value::Int(total.ingest_cells as i128)),
         ("diverged", Value::Str(diverged.to_string())),
-        ("snapshot_lane", Value::Str(args.snapshot.to_string())),
+        ("snapshot_lane", Value::Str(args.lanes.snapshot.to_string())),
         ("ingest_lane", Value::Str(args.ingest.to_string())),
-        ("encoding_lane", Value::Str(args.encoding.to_string())),
+        ("encoding_lane", Value::Str(args.lanes.encoding.to_string())),
         (
             "by_loss",
             Value::Obj(

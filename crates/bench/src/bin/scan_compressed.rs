@@ -16,8 +16,9 @@
 //!   terms over low-cardinality columns, written with the 50 %-selective
 //!   one first (a misprediction every other row for a branching filter)
 //!   and the most selective one third.
-//! * `group_by` — hash grouping on the two categorical columns: decoded
-//!   kernels vs the run-aligned segment walk.
+//! * `group_by` — the finest partition of the two categorical columns
+//!   ([`FinestPartition::build`], the only hash grouping): the chunked
+//!   packed kernel on decoded codes vs the run-aligned segment walk.
 //! * `snapshot` (clustered table only) — cube snapshot bytes with plain
 //!   vs encoded blocks, and the encoded cold-load wall time.
 //!
@@ -40,8 +41,8 @@ use tabula_core::builder::{MaterializationMode, SamplingCubeBuilder};
 use tabula_core::loss::MeanLoss;
 use tabula_core::SamplingCube;
 use tabula_storage::{
-    group_by, CmpOp, ColumnType, EncodingMode, Field, GroupedRows, Predicate, RowId, Schema, Table,
-    TableBuilder,
+    CmpOp, ColumnType, CubeKey, EncodingMode, Field, FinestPartition, Predicate, RowId, Schema,
+    Table, TableBuilder,
 };
 
 /// Enough rows for stable ns/row and visible run structure at the largest
@@ -140,24 +141,6 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (u64, R) {
         best = best.min(start.elapsed().as_nanos() as u64);
     }
     (best, out)
-}
-
-/// Canonical byte image of a grouping: sorted `(key, members)` pairs.
-fn grouping_bytes(groups: &GroupedRows) -> Vec<u8> {
-    let mut entries: Vec<(&Vec<u32>, &Vec<RowId>)> = groups.groups.iter().collect();
-    entries.sort();
-    let mut out = Vec::new();
-    for (k, m) in entries {
-        for c in k.iter() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out.extend_from_slice(&u64::MAX.to_le_bytes());
-        for r in m.iter() {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&u64::MAX.to_le_bytes());
-    }
-    out
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -263,13 +246,15 @@ fn main() {
         scan_lane("scan_conj", run_len, reps, &conj, [&conj_plain, &conj_encoded], &mut results);
 
         let cols = [0usize, 1];
-        let (plain_ns, plain_groups) =
-            time_best(reps, || group_by(&plain, &cols).expect("plain group_by"));
-        let (enc_ns, enc_groups) =
-            time_best(reps, || group_by(&encoded, &cols).expect("encoded group_by"));
+        let partition = |t: &Table| FinestPartition::build(t, &cols).expect("partition");
+        let (plain_ns, plain_partition) = time_best(reps, || partition(&plain));
+        let (enc_ns, enc_partition) = time_best(reps, || partition(&encoded));
+        let runs = |p: &FinestPartition| -> Vec<(CubeKey, Vec<RowId>)> {
+            (0..p.runs()).map(|i| (p.run_key(i).clone(), p.run_rows(i).to_vec())).collect()
+        };
         assert_eq!(
-            grouping_bytes(&plain_groups),
-            grouping_bytes(&enc_groups),
+            runs(&plain_partition),
+            runs(&enc_partition),
             "run_len={run_len}: encoded grouping diverges from plain"
         );
         results.push(result_row("group_by", run_len, rows, plain_ns, enc_ns, 0, 0, "runs"));

@@ -2,8 +2,7 @@
 //!
 //! The benchmark harness regenerating every table and figure of the
 //! paper's evaluation (Section V). One binary per experiment — see
-//! `src/bin/` and the per-experiment index in `DESIGN.md` — plus criterion
-//! micro-benchmarks under `benches/`.
+//! `src/bin/` and the per-experiment index in `DESIGN.md`.
 //!
 //! ## Scale
 //!

@@ -38,43 +38,22 @@ pub const THREAD_COUNTS: [usize; 2] = [1, 4];
 /// under concurrent clients.
 pub const SERVE_CLIENTS: [usize; 2] = [1, 8];
 
-/// Opt-in switch for the snapshot lane ([`set_snapshot_lane`]): when on,
-/// every case additionally freezes the built cube into an in-memory
-/// `tabula-store` snapshot, thaws it back, and requires byte-identical
-/// fingerprints, answers, and re-frozen bytes. Off by default because it
-/// roughly doubles per-case cost; `fuzz_check --snapshot` turns it on.
-static SNAPSHOT_LANE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enable or disable the snapshot round-trip lane for subsequent
-/// [`diff_case`] / [`diff_with_loss`] calls. The flag is process-global:
-/// it steers every caller in the process until it is set again.
-pub fn set_snapshot_lane(on: bool) {
-    SNAPSHOT_LANE.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the snapshot lane is currently enabled.
-pub fn snapshot_lane() -> bool {
-    SNAPSHOT_LANE.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Opt-in switch for the encoding lane ([`set_encoding_lane`]): when on,
-/// every case additionally rebuilds the table frozen with
-/// [`EncodingMode::Off`] (plain reference) and `Force` (maximum
-/// encoded-kernel coverage), rebuilds the cube on each, and requires
-/// byte-identical fingerprints — cells, iceberg sets, sample row ids —
-/// plus serve-path identity on the forced build. Off by default; `fuzz_check --encoding` turns it on.
-static ENCODING_LANE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enable or disable the encoding differential lane for subsequent
-/// [`diff_case`] / [`diff_with_loss`] calls. The flag is process-global,
-/// like [`set_snapshot_lane`]'s.
-pub fn set_encoding_lane(on: bool) {
-    ENCODING_LANE.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the encoding lane is currently enabled.
-pub fn encoding_lane() -> bool {
-    ENCODING_LANE.load(std::sync::atomic::Ordering::SeqCst)
+/// The opt-in lanes of [`diff_case`] / [`diff_with_loss`]; the default
+/// runs neither.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lanes {
+    /// Every case additionally freezes the built cube into an in-memory
+    /// `tabula-store` snapshot, thaws it back, and requires byte-identical
+    /// fingerprints, answers, and re-frozen bytes. It roughly doubles the
+    /// per-case cost; `fuzz_check --snapshot` turns it on.
+    pub snapshot: bool,
+    /// Every case additionally rebuilds the table frozen with
+    /// [`EncodingMode::Off`] (plain reference) and `Force` (maximum
+    /// encoded-kernel coverage), rebuilds the cube on each, and requires
+    /// byte-identical fingerprints — cells, iceberg sets, sample row ids —
+    /// plus serve-path identity on the forced build. It triples the builds
+    /// per case; `fuzz_check --encoding` turns it on.
+    pub encoding: bool,
 }
 
 /// Cells whose naive loss sits within this band of θ are excluded from
@@ -123,24 +102,26 @@ impl NaiveEval for LossSpec {
     }
 }
 
-/// Run the full differential check for one case, dispatching the case's
-/// [`LossSpec`] to the matching production kernel.
-pub fn diff_case(case: &CaseSpec) -> Result<CaseReport, Divergence> {
+/// Run the full differential check for one case, with the opt-in `lanes`,
+/// dispatching the case's [`LossSpec`] to the matching production kernel.
+pub fn diff_case(case: &CaseSpec, lanes: Lanes) -> Result<CaseReport, Divergence> {
     let table = case.table();
     let col = |name: &str| {
         table.schema().index_of(name).unwrap_or_else(|_| panic!("case column {name} missing"))
     };
     match &case.loss {
-        LossSpec::Mean { attr } => diff_with_loss(case, MeanLoss::new(col(attr)), &case.loss),
+        LossSpec::Mean { attr } => {
+            diff_with_loss(case, MeanLoss::new(col(attr)), &case.loss, lanes)
+        }
         LossSpec::Histogram { attr } => {
-            diff_with_loss(case, HistogramLoss::new(col(attr)), &case.loss)
+            diff_with_loss(case, HistogramLoss::new(col(attr)), &case.loss, lanes)
         }
         LossSpec::Heatmap { attr, manhattan } => {
             let metric = if *manhattan { Metric::Manhattan } else { Metric::Euclidean };
-            diff_with_loss(case, HeatmapLoss::new(col(attr), metric), &case.loss)
+            diff_with_loss(case, HeatmapLoss::new(col(attr), metric), &case.loss, lanes)
         }
         LossSpec::Regression { x, y } => {
-            diff_with_loss(case, RegressionLoss::new(col(x), col(y)), &case.loss)
+            diff_with_loss(case, RegressionLoss::new(col(x), col(y)), &case.loss, lanes)
         }
     }
 }
@@ -151,6 +132,7 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
     case: &CaseSpec,
     loss: L,
     oracle: &dyn NaiveEval,
+    lanes: Lanes,
 ) -> Result<CaseReport, Divergence> {
     let table = case.table();
     let reference = naive_cube(&table, &case.attrs)
@@ -189,7 +171,7 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                     tabula_par::set_threads(0);
                     return Err(e);
                 }
-                if snapshot_lane() {
+                if lanes.snapshot {
                     if let Err(e) = check_snapshot(case, &cube, mode) {
                         tabula_par::set_threads(0);
                         return Err(e);
@@ -222,7 +204,7 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
     // cell set, an iceberg classification, or a sampled row id. The
     // forced build additionally goes through the serve check, so served
     // answers over encoded columns are compared too.
-    if encoding_lane() {
+    if lanes.encoding {
         tabula_par::set_threads(THREAD_COUNTS[0]);
         let encoding_pass = (|| {
             for enc in [EncodingMode::Off, EncodingMode::Force] {
@@ -871,7 +853,7 @@ impl CaseSpec {
         let _ = writeln!(s, "/// Divergence: {divergence}");
         let _ = writeln!(s, "#[test]");
         let _ = writeln!(s, "fn {fn_name}() {{");
-        let _ = writeln!(s, "    use tabula_check::{{diff_case, CaseSpec, LossSpec}};");
+        let _ = writeln!(s, "    use tabula_check::{{diff_case, CaseSpec, Lanes, LossSpec}};");
         let _ = writeln!(s, "    use tabula_storage::{{ColumnType, Point, Value}};");
         let _ = writeln!(s, "    let case = CaseSpec {{");
         let _ = writeln!(s, "        name: {:?}.into(),", self.name);
@@ -906,7 +888,7 @@ impl CaseSpec {
         }
         let _ = writeln!(s, "        ],");
         let _ = writeln!(s, "    }};");
-        let _ = writeln!(s, "    let diverged = diff_case(&case).err();");
+        let _ = writeln!(s, "    let diverged = diff_case(&case, Lanes::default()).err();");
         let _ = writeln!(
             s,
             "    assert!(diverged.is_none(), \"divergence persists: {{diverged:?}}\");"
@@ -923,9 +905,8 @@ mod tests {
     use std::sync::Mutex;
 
     /// Serializes the tests that drive the diff engine: the engine sets the
-    /// process-global `tabula_par::set_threads` override, and two of them
-    /// flip the snapshot and encoding lane flags, so concurrent runs would
-    /// observe each other's settings.
+    /// process-global `tabula_par::set_threads` override, so concurrent
+    /// runs would observe each other's thread counts.
     static DIFF_LOCK: Mutex<()> = Mutex::new(());
 
     /// The clean pipeline must survive a handful of pinned seeds across
@@ -936,7 +917,7 @@ mod tests {
         let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for seed in [1, 2, 3, 4, 5] {
             let case = gen_case(seed);
-            if let Err(d) = diff_case(&case) {
+            if let Err(d) = diff_case(&case, Lanes::default()) {
                 panic!("seed {seed} ({}): {d}", case.loss.name());
             }
         }
@@ -996,7 +977,8 @@ mod tests {
             let LossSpec::Mean { attr } = &case.loss else { return None };
             let table = case.table();
             let col = table.schema().index_of(attr).unwrap();
-            diff_with_loss(case, HalvedMeanLoss(MeanLoss::new(col)), &case.loss).err()
+            diff_with_loss(case, HalvedMeanLoss(MeanLoss::new(col)), &case.loss, Lanes::default())
+                .err()
         };
         let mut caught = None;
         for seed in 0..60 {
@@ -1021,7 +1003,10 @@ mod tests {
         assert!(repro.contains("#[test]") && repro.contains("diff_case"), "reproducer:\n{repro}");
         // The clean kernel must pass the shrunk case: the bug is in the
         // sabotage, not the pipeline.
-        assert!(diff_case(&shrunk.case).is_ok(), "clean kernel fails the shrunk case");
+        assert!(
+            diff_case(&shrunk.case, Lanes::default()).is_ok(),
+            "clean kernel fails the shrunk case"
+        );
     }
 
     /// The snapshot lane must pass on clean pinned seeds: freeze → thaw →
@@ -1030,16 +1015,13 @@ mod tests {
     #[test]
     fn snapshot_lane_round_trips_pinned_seeds() {
         let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_snapshot_lane(true);
-        let result: Result<(), String> = (|| {
-            for seed in [1, 6, 9] {
-                let case = gen_case(seed);
-                diff_case(&case).map_err(|d| format!("seed {seed} ({}): {d}", case.loss.name()))?;
+        let lanes = Lanes { snapshot: true, ..Lanes::default() };
+        for seed in [1, 6, 9] {
+            let case = gen_case(seed);
+            if let Err(d) = diff_case(&case, lanes) {
+                panic!("seed {seed} ({}): {d}", case.loss.name());
             }
-            Ok(())
-        })();
-        set_snapshot_lane(false);
-        result.unwrap();
+        }
     }
 
     /// The encoding lane must pass on clean pinned seeds: the cube built
@@ -1049,16 +1031,13 @@ mod tests {
     #[test]
     fn encoding_lane_round_trips_pinned_seeds() {
         let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_encoding_lane(true);
-        let result: Result<(), String> = (|| {
-            for seed in [1, 6, 9] {
-                let case = gen_case(seed);
-                diff_case(&case).map_err(|d| format!("seed {seed} ({}): {d}", case.loss.name()))?;
+        let lanes = Lanes { encoding: true, ..Lanes::default() };
+        for seed in [1, 6, 9] {
+            let case = gen_case(seed);
+            if let Err(d) = diff_case(&case, lanes) {
+                panic!("seed {seed} ({}): {d}", case.loss.name());
             }
-            Ok(())
-        })();
-        set_encoding_lane(false);
-        result.unwrap();
+        }
     }
 
     #[test]

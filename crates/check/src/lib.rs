@@ -43,7 +43,7 @@
 //! * any byte-level difference between cubes built at different thread
 //!   counts;
 //! * an `EmptyDomain` answer for a query that matches raw rows;
-//! * with the snapshot lane on ([`set_snapshot_lane`], `fuzz_check
+//! * with the snapshot lane on ([`Lanes::snapshot`], `fuzz_check
 //!   --snapshot`): a thawed `tabula-store` snapshot whose fingerprint,
 //!   workload answers, or re-frozen bytes differ from the original cube.
 
@@ -53,8 +53,8 @@ pub mod ingest;
 pub mod oracle;
 
 pub use diff::{
-    diff_case, diff_sql_case, diff_with_loss, encoding_lane, set_encoding_lane, set_snapshot_lane,
-    shrink, snapshot_lane, CaseReport, Divergence, NaiveEval, Shrunk, MODES, THREAD_COUNTS,
+    diff_case, diff_sql_case, diff_with_loss, shrink, CaseReport, Divergence, Lanes, NaiveEval,
+    Shrunk, MODES, THREAD_COUNTS,
 };
 pub use generate::{gen_case, gen_statement, gen_statements, gen_where_terms, CaseSpec};
 pub use ingest::{diff_ingest_case, IngestReport, INGEST_BARRIERS};

@@ -31,9 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabula_obs as obs;
 use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::{
-    group_by, CellSpace, CubeKey, FinestPartition, FxHashMap, FxHashSet, RowId, Table,
-};
+use tabula_storage::{CellSpace, CubeKey, FinestPartition, FxHashMap, FxHashSet, RowId, Table};
 
 /// Which cube variant to materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,11 +402,11 @@ fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CubeK
     touched
 }
 
-/// Naive materialization used by FullSamCube / PartSamCube: run all `2ⁿ`
-/// group-bys directly on the raw table; draw a local sample for every cell
-/// (FullSamCube, `iceberg_ctx = None`) or for cells whose raw loss against
-/// the global sample exceeds θ (PartSamCube). Returns the cells with the
-/// key space they are spelled in.
+/// Naive materialization used by FullSamCube / PartSamCube: partition the
+/// raw table once per cuboid, all `2ⁿ` of them; draw a local sample for
+/// every cell (FullSamCube, `iceberg_ctx = None`) or for cells whose raw
+/// loss against the global sample exceeds θ (PartSamCube). Returns the
+/// cells with the key space they are spelled in.
 fn materialize_all_cells<L: AccuracyLoss>(
     table: &Table,
     cols: &[usize],
@@ -421,24 +419,25 @@ fn materialize_all_cells<L: AccuracyLoss>(
     let mut entries = Vec::new();
     for mask in CuboidMask::enumerate(n) {
         let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-        let grouped = group_by(table, &attrs)?;
-        let mut cells: Vec<(Vec<u32>, Vec<RowId>)> = grouped.groups.into_iter().collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (compact, rows) in cells {
+        let cuboid = FinestPartition::build(table, &attrs)?;
+        for run in 0..cuboid.runs() {
+            let rows = cuboid.run_rows(run);
             if let Some(ctx) = iceberg_ctx {
                 // PartSamCube evaluates the iceberg condition from raw
                 // data — the expensive path the dry run exists to avoid.
                 // Same classifier predicate as the dry run, so both
                 // modes materialize exactly the same cells.
-                if !exceeds_theta(loss.loss_with_ctx(table, &rows, ctx), theta) {
+                if !exceeds_theta(loss.loss_with_ctx(table, rows, ctx), theta) {
                     continue;
                 }
             }
-            let sample = loss.sample_greedy(table, &rows, &[], theta);
+            let sample = loss.sample_greedy(table, rows, &[], theta);
+            let compact: Vec<u32> =
+                cuboid.space().decode(cuboid.run_key(run)).codes.into_iter().flatten().collect();
             let cell = space
                 .encode_cell(&CellKey::from_compact(mask, n, &compact))
                 .expect("codes of the table's own rows");
-            entries.push(CubeEntry { cell, rows, sample });
+            entries.push(CubeEntry { cell, rows: rows.to_vec(), sample });
         }
     }
     Ok((space, entries))
@@ -499,15 +498,29 @@ fn publish_metrics(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cube::SampleProvenance;
     use crate::loss::{HeatmapLoss, MeanLoss, Metric};
+    use std::collections::BTreeMap;
     use tabula_data::example_dcm_table;
-    use tabula_storage::group::group_rows;
 
     fn mini() -> Arc<Table> {
         Arc::new(example_dcm_table())
+    }
+
+    /// Every cell of every cuboid over the columns `cols`, with its rows,
+    /// found a row at a time.
+    pub(crate) fn lattice(t: &Table, cols: &[usize]) -> Vec<(CellKey, Vec<RowId>)> {
+        let cats: Vec<_> = cols.iter().map(|&c| t.cat(c).unwrap()).collect();
+        let mut cells: BTreeMap<Vec<Option<u32>>, Vec<RowId>> = BTreeMap::new();
+        for mask in CuboidMask::enumerate(cols.len()) {
+            for row in 0..t.len() {
+                let full: Vec<u32> = cats.iter().map(|c| c.codes()[row]).collect();
+                cells.entry(CellKey::project(mask, &full).codes).or_default().push(row as RowId);
+            }
+        }
+        cells.into_iter().map(|(codes, rows)| (CellKey::new(codes), rows)).collect()
     }
 
     fn mean_loss(t: &Table) -> MeanLoss {
@@ -543,19 +556,14 @@ mod tests {
             .seed(7)
             .build()
             .unwrap();
-        for mask in CuboidMask::enumerate(3) {
-            let attrs = mask.attrs();
-            let grouped = group_by(&t, &attrs).unwrap();
-            for (compact, rows) in &grouped.groups {
-                let cell = CellKey::from_compact(mask, 3, compact);
-                let ans = cube.query_cell(&cell);
-                let achieved = loss.loss(&t, rows, &ans.rows);
-                assert!(
-                    achieved <= theta + crate::loss::LOSS_EPS,
-                    "{mode:?} cell {cell}: loss {achieved} > θ {theta} (prov {:?})",
-                    ans.provenance
-                );
-            }
+        for (cell, rows) in lattice(&t, &[0, 1, 2]) {
+            let ans = cube.query_cell(&cell);
+            let achieved = loss.loss(&t, &rows, &ans.rows);
+            assert!(
+                achieved <= theta + crate::loss::LOSS_EPS,
+                "{mode:?} cell {cell}: loss {achieved} > θ {theta} (prov {:?})",
+                ans.provenance
+            );
         }
     }
 
@@ -617,11 +625,7 @@ mod tests {
             .build()
             .unwrap();
         // Count cells directly.
-        let mut expected = 0;
-        for mask in CuboidMask::enumerate(3) {
-            expected += group_by(&t, &mask.attrs()).unwrap().groups.len();
-        }
-        assert_eq!(full.materialized_cells(), expected);
+        assert_eq!(full.materialized_cells(), lattice(&t, &[0, 1, 2]).len());
         // Every query is answered locally.
         let ans = full.query_cell(&CellKey::new(vec![None, None, None]));
         assert!(matches!(ans.provenance, SampleProvenance::Local(_)));
@@ -662,14 +666,6 @@ mod tests {
         assert!(s.samples_after_selection <= s.samples_before_selection);
         assert!(s.global_sample_size > 0);
         assert!(s.total >= s.dry_run);
-    }
-
-    #[test]
-    fn queries_on_grouped_subsets_match_entry_rows() {
-        // Sanity for group_rows reuse in tests elsewhere.
-        let t = mini();
-        let g = group_rows(&t, &[2], &t.all_rows()).unwrap();
-        assert_eq!(g.groups.len(), 3);
     }
 
     #[test]

@@ -144,22 +144,16 @@ mod tests {
 
         // Cross-check every cell against a direct (non-algebraic)
         // computation on the raw rows.
-        use tabula_storage::cube::CuboidMask;
-        use tabula_storage::group_by;
-        for mask in CuboidMask::enumerate(3) {
-            let attrs = mask.attrs();
-            let grouped = group_by(&t, &attrs).unwrap();
-            for (key, rows) in &grouped.groups {
-                let direct = loss.loss_with_ctx(&t, rows, &ctx);
-                let cell = CellKey::from_compact(mask, 3, key);
-                let cell = dry.states.space.encode_cell(&cell).unwrap();
-                let flagged = dry.iceberg.get(&mask).is_some_and(|cells| cells.contains(&cell));
-                assert_eq!(
-                    flagged,
-                    exceeds_theta(direct, theta),
-                    "cell {key:?} of cuboid {mask:?}: direct loss {direct}"
-                );
-            }
+        for (cell, rows) in crate::builder::tests::lattice(&t, &[0, 1, 2]) {
+            let direct = loss.loss_with_ctx(&t, &rows, &ctx);
+            let mask = cell.mask();
+            let key = dry.states.space.encode_cell(&cell).unwrap();
+            let flagged = dry.iceberg.get(&mask).is_some_and(|cells| cells.contains(&key));
+            assert_eq!(
+                flagged,
+                exceeds_theta(direct, theta),
+                "cell {cell} of cuboid {mask:?}: direct loss {direct}"
+            );
         }
     }
 

@@ -5,8 +5,8 @@
 //! Non-iceberg cuboids are skipped outright. The paper fetches each
 //! iceberg cuboid's raw rows with a scan of its own, choosing per cuboid
 //! between an equi-join against the iceberg-cell list and a full group-by
-//! (Inequality 1, kept here as [`choose_plan`] for the cost-model
-//! ablation). This engine does not scan again at all: the
+//! (its Inequality 1; DESIGN.md §4 keeps the model). This engine does not
+//! scan again at all, so it has neither plan: the
 //! [`FinestPartition`] the dry run folded its states from holds the row
 //! ids sorted by finest-cuboid key, and every iceberg cell of every cuboid
 //! is a merge of its runs — the cells of a cuboid cost one probe per run
@@ -42,15 +42,6 @@ pub struct CubeEntry {
     pub sample: Vec<RowId>,
 }
 
-/// The two row-fetch plans of Algorithm 2's cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CuboidPlan {
-    /// Equi-join against the iceberg-cell list, then group.
-    PruneThenGroup,
-    /// Full-table group-by.
-    GroupAll,
-}
-
 /// Statistics of a real run.
 #[derive(Debug, Clone, Default)]
 pub struct RealRunStats {
@@ -79,27 +70,6 @@ pub struct RealRun {
     pub entries: Vec<CubeEntry>,
     /// What the row fetch did.
     pub stats: RealRunStats,
-}
-
-/// The paper's Inequality 1. `n` = table cardinality, `i` = iceberg cells
-/// in the cuboid, `k` = all cells in the cuboid. Returns the plan the
-/// paper would fetch the cuboid's rows with; [`real_run`] does not ask.
-pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
-    // Degenerate cuboids (k < 2) leave log_k undefined; a full group-by of
-    // one group is trivially right.
-    if k < 2 || i == 0 {
-        return CuboidPlan::GroupAll;
-    }
-    let (n, i, k) = (n as f64, i as f64, k as f64);
-    let log_k = |x: f64| x.max(1.0).ln() / k.ln();
-    let pruned_rows = (i / k) * n; // expected rows surviving the prune
-    let cost_prune = n * i + pruned_rows * log_k(pruned_rows);
-    let cost_group_all = n * log_k(n);
-    if cost_prune < cost_group_all {
-        CuboidPlan::PruneThenGroup
-    } else {
-        CuboidPlan::GroupAll
-    }
 }
 
 /// Run the real-run stage: materialize local samples for every cell of
@@ -164,18 +134,6 @@ mod tests {
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
     use tabula_storage::CellSpace;
-
-    #[test]
-    fn cost_model_prefers_prune_for_few_icebergs() {
-        // A single iceberg cell in a wide cuboid: join wins. (The paper's
-        // literal cost model prices the join at N·i, so prune only wins
-        // for very small i relative to log_k(N).)
-        assert_eq!(choose_plan(1_000_000, 1, 5_000), CuboidPlan::PruneThenGroup);
-        // Most cells iceberg: group-all wins (the N·i term explodes).
-        assert_eq!(choose_plan(1_000_000, 4_000, 5_000), CuboidPlan::GroupAll);
-        // Degenerate cuboid.
-        assert_eq!(choose_plan(100, 1, 1), CuboidPlan::GroupAll);
-    }
 
     fn build(theta: f64) -> (tabula_storage::Table, CellSpace, Vec<CubeEntry>, RealRunStats) {
         let t = example_dcm_table();

@@ -9,7 +9,7 @@ use std::time::Instant;
 use tabula_core::cube::{BuildStats, SampleProvenance, SamplingCube};
 use tabula_core::loss::expr::{Expr, ExprLoss};
 use tabula_core::loss::{HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss};
-use tabula_core::{MaterializationMode, SamplingCubeBuilder, SerflingConfig, SnapshotInfo};
+use tabula_core::{SamplingCubeBuilder, SnapshotInfo};
 use tabula_obs as obs;
 use tabula_obs::trace::{CompletedTrace, Stage, TraceProvenance, Tracer};
 use tabula_serve::Server;
@@ -85,8 +85,6 @@ pub struct Session {
     cubes: HashMap<String, Server>,
     losses: HashMap<String, LossDecl>,
     seed: u64,
-    serfling: SerflingConfig,
-    mode: MaterializationMode,
     registry: Arc<obs::Registry>,
     tracer: Arc<Tracer>,
 }
@@ -113,8 +111,6 @@ impl Session {
             cubes: HashMap::new(),
             losses,
             seed: 42,
-            serfling: SerflingConfig::default(),
-            mode: MaterializationMode::Tabula,
             registry: Arc::clone(obs::global()),
             tracer: Arc::clone(Tracer::global()),
         }
@@ -157,19 +153,6 @@ impl Session {
         self
     }
 
-    /// Override the Serfling configuration for global-sample sizing.
-    pub fn with_serfling(mut self, config: SerflingConfig) -> Self {
-        self.serfling = config;
-        self
-    }
-
-    /// Override the materialization mode for subsequently created cubes
-    /// (default: full Tabula).
-    pub fn with_mode(mut self, mode: MaterializationMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Register a raw table under `name`.
     pub fn register_table(&mut self, name: impl Into<String>, table: Arc<Table>) {
         self.tables.insert(name.into(), table);
@@ -189,13 +172,6 @@ impl Session {
     /// generation installs).
     pub fn cube_server(&self, name: &str) -> Option<&Server> {
         self.cubes.get(name)
-    }
-
-    /// Names of the cubes registered in this session, sorted.
-    pub fn cube_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.cubes.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Freeze cube `name`'s current serving generation into a snapshot
@@ -500,8 +476,6 @@ impl Session {
     ) -> Result<SamplingCube> {
         SamplingCubeBuilder::new(table, attrs, loss, theta)
             .seed(self.seed)
-            .serfling(self.serfling)
-            .mode(self.mode)
             .registry(Arc::clone(&self.registry))
             .build()
             .map_err(SqlError::from)

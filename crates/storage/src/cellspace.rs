@@ -118,6 +118,15 @@ impl CellSpace {
         self.encode(codes.len(), |i| Some(codes[i])).expect("codes of the cubed columns' own rows")
     }
 
+    /// The finest key of the rows whose codes, packed as they stand under
+    /// [`layout`](Self::layout), are `codes`: every field moves one past
+    /// `*`. A grouping kernel packs each row's codes once and spells only
+    /// the distinct keys. Packed spaces only.
+    pub(crate) fn finest_packed(&self, codes: u64) -> CubeKey {
+        let layout = self.layout.as_ref().expect("a packed space");
+        CubeKey::Packed((0..self.width()).fold(codes, |key, i| key + layout.field(i, 1)))
+    }
+
     /// The map from a cell to the cell of cuboid `mask` that contains it:
     /// every attribute off the mask becomes `*`. What that takes of `mask`
     /// is worked out here, once for all the keys the map is applied to.

@@ -126,7 +126,8 @@ impl CellKey {
     }
 
     /// Reassemble a cell key from a cuboid mask and a compact key (the
-    /// codes of the mask's attributes, ascending — a `group_by` key).
+    /// codes of the mask's attributes, ascending — the codes of a run key
+    /// of a partition over just those attributes).
     pub fn from_compact(mask: CuboidMask, n: usize, compact: &[u32]) -> Self {
         let mut it = compact.iter();
         CellKey {

@@ -1,396 +1,278 @@
-//! Hash group-by on categorical attribute tuples.
+//! The grouping kernels of [`FinestPartition::build`]: one hashing pass
+//! over the cubed columns that finds every distinct finest key, spelled
+//! in the partition's [`CellSpace`], with its rows ascending.
 //!
-//! Grouping is morsel-parallel: each ~64k-row morsel packs its codes and
-//! builds a partial table; partials merge in ascending morsel order, so
-//! group contents, their row order, and map insertion order are all
-//! independent of `TABULA_THREADS`.
+//! Grouping is morsel-parallel: each ~64k-row morsel groups its own rows,
+//! and the partials merge in ascending morsel order, so a group's rows
+//! ascend whatever the thread count. The input picks the kernel, and all
+//! three find the same groups:
 //!
-//! When the bit-packed key fits 64 bits (see [`crate::packed::KeyLayout`])
-//! the kernel is vectorized: chunks of [`crate::kernel::CHUNK_ROWS`] rows
-//! pack into a `u64` key buffer, probe a slot map, and append members to
-//! dense per-slot vectors — one word hashed per row, no slice keys, no
-//! per-group key allocation until the final decode. Wider keys take the
-//! slice-key path; both produce identical results.
+//! * **run-aligned** — the space packs its keys and every column exposes
+//!   RLE runs: one key per segment of constant key, its rows appended as
+//!   a whole range;
+//! * **chunked packed** — the space packs its keys: chunks of
+//!   [`CHUNK_ROWS`](crate::kernel::CHUNK_ROWS) rows pack their codes
+//!   column by column into `u64`s, one word hashed per row;
+//! * **slice keys** — the space is flat: row-major `u32` code tuples,
+//!   hashed as slices.
+//!
+//! The packed kernels hash the codes packed as they stand under the
+//! space's layout and the slice kernel hashes the code tuples;
+//! [`CellSpace::finest_packed`] and [`CellSpace::finest`] spell each
+//! distinct one as a key once.
+//!
+//! [`FinestPartition::build`]: crate::FinestPartition::build
 
+use crate::cellspace::{CellSpace, CubeKey};
 use crate::encoding::RunsView;
 use crate::fx::FxHashMap;
 use crate::kernel;
 use crate::packed::{KeyLayout, PackedCodes, PackedKeyBuf};
-use crate::table::{Cat, RowId, Table};
-use crate::Result;
+use crate::table::{Cat, RowId};
+use std::hash::Hash;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 
-/// Result of a group-by: each group's code tuple and its member rows.
-#[derive(Debug, Clone, Default)]
-pub struct GroupedRows {
-    /// Map from group key (one code per grouping column, in column order)
-    /// to the row ids belonging to the group.
-    pub groups: FxHashMap<Vec<u32>, Vec<RowId>>,
-}
-
-impl GroupedRows {
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether there are no groups.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-}
-
-/// The two row sources a grouping kernel can scan: every row of the table
-/// (contiguous — no row-id indirection), or an explicit subset.
-enum RowSrc<'a> {
-    All(usize),
-    Subset(&'a [RowId]),
-}
-
-impl RowSrc<'_> {
-    fn len(&self) -> usize {
-        match self {
-            RowSrc::All(n) => *n,
-            RowSrc::Subset(rows) => rows.len(),
-        }
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> RowId {
-        match self {
-            RowSrc::All(_) => i as RowId,
-            RowSrc::Subset(rows) => rows[i],
-        }
-    }
-}
-
-/// Group all rows of `table` by the categorical columns `cols`.
-///
-/// Cost: one pass over the data, hashing one small integer tuple per row —
-/// this is the `GroupBy` primitive the paper's cost model (Inequality 1)
-/// prices as `N·log_k(N)`. The full-table form scans contiguous ranges
-/// directly; no row-id list is materialized.
-pub fn group_by(table: &Table, cols: &[usize]) -> Result<GroupedRows> {
-    group_impl(table, cols, RowSrc::All(table.len()))
-}
-
-/// Group an explicit subset of rows of `table` by the categorical columns
-/// `cols`. Used by the real-run stage after pruning to iceberg-cell rows.
-pub fn group_rows(table: &Table, cols: &[usize], rows: &[RowId]) -> Result<GroupedRows> {
-    group_impl(table, cols, RowSrc::Subset(rows))
-}
-
-fn group_impl(table: &Table, cols: &[usize], src: RowSrc<'_>) -> Result<GroupedRows> {
-    let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
-    let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-    let layout = KeyLayout::from_cardinalities(&cards);
-    // Run-aligned grouping: full-table scans where every grouping column
-    // exposes RLE runs — checked *before* `codes()`, which would force a
-    // decode of an encoded column.
-    if let (Some(layout), RowSrc::All(n)) = (&layout, &src) {
-        let run_views: Option<Vec<RunsView<'_, u32>>> = cats.iter().map(|c| c.runs()).collect();
-        if let Some(runs) = run_views {
-            if !runs.is_empty() {
-                tabula_obs::global().counter("group.kernel.runs").inc();
-                return Ok(GroupedRows { groups: group_runs(layout, &runs, *n) });
-            }
-        }
-    }
-    let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-    let groups = match &layout {
-        Some(layout) => group_vectorized(layout, &code_slices, &src),
-        None => group_scalar(cols.len(), &code_slices, &src),
+/// The finest groups of the `len` rows of the columns `cats`, keyed in
+/// `space` (the space over the columns' cardinalities), in no particular
+/// order; each group's rows ascend.
+pub(crate) fn finest_groups(
+    cats: &[Cat<'_>],
+    space: &CellSpace,
+    len: usize,
+) -> Vec<(CubeKey, Vec<RowId>)> {
+    let Some(layout) = space.layout() else {
+        let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
+        let groups = group_slices(&code_slices, len);
+        return groups.into_iter().map(|(codes, rows)| (space.finest(&codes), rows)).collect();
     };
-    Ok(GroupedRows { groups })
+    // Checked *before* `codes()`, which would decode an encoded column.
+    let run_views: Option<Vec<RunsView<'_, u32>>> = cats.iter().map(|c| c.runs()).collect();
+    let groups = match run_views {
+        Some(runs) if !runs.is_empty() => {
+            tabula_obs::global().counter("group.kernel.runs").inc();
+            group_runs(layout, &runs, len)
+        }
+        _ => {
+            let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
+            group_packed(layout, &code_slices, len)
+        }
+    };
+    groups.into_iter().map(|(codes, rows)| (space.finest_packed(codes), rows)).collect()
+}
+
+/// One morsel's groups: each distinct key in first-seen order, with its
+/// rows.
+type Partial<K> = (Vec<K>, Vec<Vec<RowId>>);
+
+/// The slot of `key` in `partial`, opened when the morsel first sees it.
+fn slot_of<K: Hash + Eq + Clone>(
+    slots: &mut FxHashMap<K, u32>,
+    (keys, members): &mut Partial<K>,
+    key: &K,
+) -> usize {
+    if let Some(&slot) = slots.get(key) {
+        return slot as usize;
+    }
+    slots.insert(key.clone(), keys.len() as u32);
+    keys.push(key.clone());
+    members.push(Vec::new());
+    keys.len() - 1
+}
+
+/// Merge the morsels' partials in ascending morsel order, so each group's
+/// rows stay ascending.
+fn merge<K: Hash + Eq>(partials: Vec<Partial<K>>) -> FxHashMap<K, Vec<RowId>> {
+    let mut groups: FxHashMap<K, Vec<RowId>> = FxHashMap::default();
+    for (keys, members) in partials {
+        for (key, mut rows) in keys.into_iter().zip(members) {
+            groups.entry(key).or_default().append(&mut rows);
+        }
+    }
+    groups
 }
 
 /// Run-aligned grouping over RLE-encoded columns: per morsel, walk the
 /// columns' runs in lockstep and split the morsel into maximal segments
-/// of constant key — one key encode and one slot probe per *segment*,
-/// with members appended as a whole row range. Segment order is row
-/// order, so first-seen group order, member order, and the morsel merge
-/// are identical to [`group_vectorized`] / [`group_scalar`].
+/// of constant key — one key packed and one slot probed per *segment*,
+/// its rows appended as a whole range.
 fn group_runs(
     layout: &KeyLayout,
     runs: &[RunsView<'_, u32>],
     len: usize,
-) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let pool = Pool::global();
-    let partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)> =
-        pool.par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut keys: Vec<u64> = Vec::new();
-            let mut members: Vec<Vec<RowId>> = Vec::new();
-            let mut cursors: Vec<usize> = runs
-                .iter()
-                .map(|rv| rv.ends.partition_point(|&e| (e as usize) <= range.start))
-                .collect();
-            let mut scratch = vec![0u32; runs.len()];
-            let mut pos = range.start;
-            while pos < range.end {
-                let mut seg_end = range.end;
-                for (ci, rv) in runs.iter().enumerate() {
-                    scratch[ci] = rv.values[cursors[ci]];
-                    seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
-                }
-                let k = layout.encode(&scratch);
-                let slot = match slots.get(&k) {
-                    Some(&s) => s,
-                    None => {
-                        let s = keys.len() as u32;
-                        slots.insert(k, s);
-                        keys.push(k);
-                        members.push(Vec::new());
-                        s
-                    }
-                };
-                members[slot as usize].extend(pos as RowId..seg_end as RowId);
-                for (ci, rv) in runs.iter().enumerate() {
-                    if rv.ends[cursors[ci]] as usize == seg_end {
-                        cursors[ci] += 1;
-                    }
-                }
-                pos = seg_end;
+) -> FxHashMap<u64, Vec<RowId>> {
+    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+        let mut slots = FxHashMap::default();
+        let mut partial: Partial<u64> = Default::default();
+        let mut cursors: Vec<usize> = runs
+            .iter()
+            .map(|rv| rv.ends.partition_point(|&e| (e as usize) <= range.start))
+            .collect();
+        let mut scratch = vec![0u32; runs.len()];
+        let mut pos = range.start;
+        while pos < range.end {
+            let mut seg_end = range.end;
+            for (ci, rv) in runs.iter().enumerate() {
+                scratch[ci] = rv.values[cursors[ci]];
+                seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
             }
-            (keys, members)
-        });
-    merge_packed_members(layout, partials)
-}
-
-/// Chunked grouping on bit-packed `u64` keys: per morsel, each chunk packs
-/// its keys, probes the slot map, and appends members to dense per-slot
-/// vectors; morsel partials merge in ascending order and decode once at
-/// the end. First-seen group order and member order match [`group_scalar`]
-/// exactly.
-fn group_vectorized(
-    layout: &KeyLayout,
-    code_slices: &[&[u32]],
-    src: &RowSrc<'_>,
-) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let chunk = kernel::CHUNK_ROWS;
-    let pool = Pool::global();
-    let partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)> =
-        pool.par_chunks(src.len(), DEFAULT_MORSEL_ROWS, |range| {
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut keys: Vec<u64> = Vec::new();
-            let mut members: Vec<Vec<RowId>> = Vec::new();
-            let mut packed = PackedKeyBuf::new();
-            let mut start = range.start;
-            while start < range.end {
-                let end = range.end.min(start + chunk);
-                match src {
-                    RowSrc::All(_) => packed.fill_range(layout, code_slices, start..end),
-                    RowSrc::Subset(rows) => packed.fill(layout, code_slices, &rows[start..end]),
-                }
-                for (i, &k) in packed.keys().iter().enumerate() {
-                    let slot = match slots.get(&k) {
-                        Some(&s) => s,
-                        None => {
-                            let s = keys.len() as u32;
-                            slots.insert(k, s);
-                            keys.push(k);
-                            members.push(Vec::new());
-                            s
-                        }
-                    };
-                    members[slot as usize].push(src.row(start + i));
-                }
-                start = end;
-            }
-            (keys, members)
-        });
-    merge_packed_members(layout, partials)
-}
-
-/// Merge per-morsel packed partials in ascending morsel order, then
-/// decode each `u64` key once at the end.
-fn merge_packed_members(
-    layout: &KeyLayout,
-    partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)>,
-) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut members: Vec<Vec<RowId>> = Vec::new();
-    for (pkeys, pmembers) in partials {
-        for (k, mut m) in pkeys.into_iter().zip(pmembers) {
-            match slots.get(&k) {
-                Some(&slot) => members[slot as usize].append(&mut m),
-                None => {
-                    slots.insert(k, keys.len() as u32);
-                    keys.push(k);
-                    members.push(m);
+            let slot = slot_of(&mut slots, &mut partial, &layout.encode(&scratch));
+            partial.1[slot].extend(pos as RowId..seg_end as RowId);
+            for (ci, rv) in runs.iter().enumerate() {
+                if rv.ends[cursors[ci]] as usize == seg_end {
+                    cursors[ci] += 1;
                 }
             }
+            pos = seg_end;
         }
-    }
-    let mut groups: FxHashMap<Vec<u32>, Vec<RowId>> = FxHashMap::default();
-    groups.reserve(keys.len());
-    for (k, m) in keys.into_iter().zip(members) {
-        groups.insert(layout.decode(k), m);
-    }
-    groups
-}
-
-/// Grouping on row-major `u32` slice keys, for keys wider than 64 bits.
-fn group_scalar(
-    width: usize,
-    code_slices: &[&[u32]],
-    src: &RowSrc<'_>,
-) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let pool = Pool::global();
-    let partials = pool.par_chunks(src.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut packed = PackedCodes::new(width);
-        match src {
-            RowSrc::All(_) => packed.fill_range(code_slices, range.clone()),
-            RowSrc::Subset(rows) => packed.fill(code_slices, &rows[range.clone()]),
-        }
-        let mut groups: FxHashMap<Vec<u32>, Vec<RowId>> = FxHashMap::default();
-        for (i, at) in range.enumerate() {
-            let key = packed.key(i);
-            let row = src.row(at);
-            match groups.get_mut(key) {
-                Some(v) => v.push(row),
-                None => {
-                    groups.insert(key.to_vec(), vec![row]);
-                }
-            }
-        }
-        groups
+        partial
     });
-    // Ordered merge: group members concatenate in morsel order, i.e. in
-    // the caller's original row order — identical to a serial pass.
-    let mut iter = partials.into_iter();
-    let mut groups = iter.next().unwrap_or_default();
-    for partial in iter {
-        for (key, mut members) in partial {
-            match groups.get_mut(&key) {
-                Some(v) => v.append(&mut members),
+    merge(partials)
+}
+
+/// Chunked grouping on packed `u64` keys: per morsel, each chunk packs its
+/// keys column by column, then probes the slot map once per row.
+fn group_packed(
+    layout: &KeyLayout,
+    code_slices: &[&[u32]],
+    len: usize,
+) -> FxHashMap<u64, Vec<RowId>> {
+    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+        let mut slots = FxHashMap::default();
+        let mut partial: Partial<u64> = Default::default();
+        let mut packed = PackedKeyBuf::new();
+        let mut start = range.start;
+        while start < range.end {
+            let end = range.end.min(start + kernel::CHUNK_ROWS);
+            packed.fill_range(layout, code_slices, start..end);
+            for (row, key) in (start..end).zip(packed.keys()) {
+                let slot = slot_of(&mut slots, &mut partial, key);
+                partial.1[slot].push(row as RowId);
+            }
+            start = end;
+        }
+        partial
+    });
+    merge(partials)
+}
+
+/// Grouping on row-major `u32` code tuples, for keys wider than 64 bits.
+fn group_slices(code_slices: &[&[u32]], len: usize) -> FxHashMap<Vec<u32>, Vec<RowId>> {
+    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+        let mut packed = PackedCodes::new(code_slices.len());
+        packed.fill_range(code_slices, range.clone());
+        let mut groups: FxHashMap<Vec<u32>, Vec<RowId>> = FxHashMap::default();
+        for (i, row) in range.enumerate() {
+            match groups.get_mut(packed.key(i)) {
+                Some(rows) => rows.push(row as RowId),
                 None => {
-                    groups.insert(key, members);
+                    groups.insert(packed.key(i).to_vec(), vec![row as RowId]);
                 }
             }
         }
-    }
-    groups
+        groups.into_iter().unzip()
+    });
+    merge(partials)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::EncodingMode;
     use crate::schema::{Field, Schema};
     use crate::table::TableBuilder;
     use crate::types::ColumnType;
+    use std::collections::BTreeMap;
 
-    fn table() -> Table {
-        let schema = Schema::new(vec![
-            Field::new("payment", ColumnType::Str),
-            Field::new("passengers", ColumnType::Int64),
-            Field::new("fare", ColumnType::Float64),
-        ]);
-        let mut b = TableBuilder::new(schema);
-        let data: [(&str, i64, f64); 6] = [
-            ("cash", 1, 5.0),
-            ("credit", 2, 9.5),
-            ("cash", 1, 7.25),
-            ("dispute", 3, 12.0),
-            ("cash", 2, 3.0),
-            ("credit", 2, 4.0),
-        ];
-        for (p, n, f) in data {
-            b.push_row(&[p.into(), n.into(), f.into()]).unwrap();
-        }
-        b.finish()
+    /// Each group as (packed codes, rows), sorted.
+    fn sorted(groups: FxHashMap<u64, Vec<RowId>>) -> Vec<(u64, Vec<RowId>)> {
+        let mut groups: Vec<_> = groups.into_iter().collect();
+        groups.sort_unstable();
+        groups
     }
 
-    #[test]
-    fn single_column_groups() {
-        let t = table();
-        let g = group_by(&t, &[0]).unwrap();
-        assert_eq!(g.len(), 3);
-        // payment codes: cash=0, credit=1, dispute=2 (first-seen order).
-        assert_eq!(g.groups[&vec![0]], vec![0, 2, 4]);
-        assert_eq!(g.groups[&vec![1]], vec![1, 5]);
-        assert_eq!(g.groups[&vec![2]], vec![3]);
+    /// The slice kernel's groups, packed under `layout`, sorted.
+    fn sorted_slices(
+        layout: &KeyLayout,
+        code_slices: &[&[u32]],
+        len: usize,
+    ) -> Vec<(u64, Vec<RowId>)> {
+        let groups = group_slices(code_slices, len);
+        sorted(groups.into_iter().map(|(codes, rows)| (layout.encode(&codes), rows)).collect())
     }
 
-    #[test]
-    fn multi_column_groups() {
-        let t = table();
-        let g = group_by(&t, &[0, 1]).unwrap();
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.groups[&vec![0, 0]], vec![0, 2]); // cash, 1
-        assert_eq!(g.groups[&vec![1, 1]], vec![1, 5]); // credit, 2
-        assert_eq!(g.groups[&vec![0, 1]], vec![4]); // cash, 2
-        assert_eq!(g.groups[&vec![2, 2]], vec![3]); // dispute, 3
-    }
-
-    #[test]
-    fn group_subset_of_rows() {
-        let t = table();
-        let g = group_rows(&t, &[0], &[1, 3, 5]).unwrap();
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.groups[&vec![1]], vec![1, 5]);
-        assert_eq!(g.groups[&vec![2]], vec![3]);
-    }
-
-    #[test]
-    fn grouping_on_empty_column_list_yields_one_group() {
-        let t = table();
-        let g = group_by(&t, &[]).unwrap();
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.groups[&vec![]].len(), 6);
-    }
-
-    #[test]
-    fn non_categorical_column_is_error() {
-        let t = table();
-        assert!(group_by(&t, &[2]).is_err());
-    }
-
-    /// The run-aligned kernel must produce groups identical to both the
-    /// packed-key (decoded) and slice-key kernels — first-seen order and
-    /// member order included.
+    /// The run-aligned kernel finds the groups the chunked packed and the
+    /// slice kernels find on the decoded columns — rows in order included.
     #[test]
     fn run_aligned_grouping_matches_decoded_kernels() {
         let schema =
             Schema::new(vec![Field::new("a", ColumnType::Str), Field::new("b", ColumnType::Int64)]);
         let mut b = TableBuilder::new(schema);
-        for row in 0..1500usize {
+        for row in 0..150_000usize {
             let blk = row / 53;
             b.push_row(&[["x", "y", "z"][blk % 3].into(), ((blk % 5) as i64).into()]).unwrap();
         }
-        let t = b.finish();
-        let mut cols: Vec<crate::column::Column> = Vec::new();
-        for i in 0..2 {
-            let mut c = t.column(i).clone();
-            c.encode_for_freeze(crate::encoding::EncodingMode::Force);
-            cols.push(c);
-        }
-        let t = Table::from_columns(t.schema().clone(), cols).unwrap();
+        let t = b.finish_with(EncodingMode::Force);
         let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
         let runs: Vec<RunsView<'_, u32>> = cats.iter().map(|c| c.runs().unwrap()).collect();
-        let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-        let layout = KeyLayout::from_cardinalities(&cards).unwrap();
-        let aligned = group_runs(&layout, &runs, t.len());
+        let space = CellSpace::new(cats.iter().map(|c| c.cardinality()).collect());
+        let layout = space.layout().unwrap();
+        let aligned = sorted(group_runs(layout, &runs, t.len()));
+        assert_eq!(aligned.len(), 15);
         let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-        let vectorized = group_vectorized(&layout, &code_slices, &RowSrc::All(t.len()));
-        let scalar = group_scalar(2, &code_slices, &RowSrc::All(t.len()));
-        assert_eq!(aligned, vectorized);
-        assert_eq!(aligned, scalar);
+        assert_eq!(aligned, sorted(group_packed(layout, &code_slices, t.len())));
+        assert_eq!(aligned, sorted_slices(layout, &code_slices, t.len()));
     }
 
-    /// The packed-key and slice-key kernels, called directly, agree on
-    /// whole-table and subset sources — members in order included.
+    /// The chunked packed and the slice kernels, called directly, agree —
+    /// rows in order included — across chunk and morsel boundaries.
     #[test]
     fn scalar_and_vectorized_groupings_agree() {
-        let t = table();
-        let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
-        let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-        let layout = KeyLayout::from_cardinalities(&cards).unwrap();
-        let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-        for src in [RowSrc::All(t.len()), RowSrc::Subset(&[5, 1, 0, 4])] {
-            let vector = group_vectorized(&layout, &code_slices, &src);
-            assert_eq!(vector, group_scalar(2, &code_slices, &src));
+        let codes: [Vec<u32>; 3] = [
+            (0..150_000u32).map(|r| r % 7).collect(),
+            (0..150_000u32).map(|r| (r / 3) % 5).collect(),
+            (0..150_000u32).map(|r| r.wrapping_mul(2_654_435_761) >> 30).collect(),
+        ];
+        let code_slices: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
+        let layout = CellSpace::new(vec![7, 5, 4]).layout().unwrap().clone();
+        for len in [0, 1, 2_049, 150_000] {
+            let packed = sorted(group_packed(&layout, &code_slices, len));
+            assert_eq!(packed, sorted_slices(&layout, &code_slices, len), "{len} rows");
+            assert_eq!(packed.iter().map(|(_, rows)| rows.len()).sum::<usize>(), len);
+        }
+    }
+
+    /// Whichever kernel the input picks, `finest_groups` finds each finest
+    /// cell's rows under the cell's key in the space; a row-at-a-time
+    /// `BTreeMap` is the reference.
+    #[test]
+    fn every_kernel_spells_keys_in_the_space() {
+        let table = |mode| {
+            let schema = Schema::new(vec![
+                Field::new("a", ColumnType::Str),
+                Field::new("b", ColumnType::Int64),
+            ]);
+            let mut b = TableBuilder::new(schema);
+            for row in 0..600usize {
+                let blk = row / 50;
+                b.push_row(&[["x", "y", "z"][blk % 3].into(), ((blk % 4) as i64).into()]).unwrap();
+            }
+            b.finish_with(mode)
+        };
+        for (t, encoded) in [(table(EncodingMode::Off), false), (table(EncodingMode::Force), true)]
+        {
+            let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
+            assert!(cats.iter().all(|c| c.runs().is_some() == encoded));
+            let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
+            for space in [CellSpace::new(cards.clone()), CellSpace::flat(cards.clone())] {
+                let mut got = finest_groups(&cats, &space, t.len());
+                got.sort_unstable();
+                let mut want: BTreeMap<CubeKey, Vec<RowId>> = BTreeMap::new();
+                for row in 0..t.len() {
+                    let codes: Vec<u32> = cats.iter().map(|c| c.codes()[row]).collect();
+                    want.entry(space.finest(&codes)).or_default().push(row as RowId);
+                }
+                assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "{space:?}");
+            }
         }
     }
 }

@@ -11,7 +11,6 @@
 //! * typed, dictionary-encoded columnar storage ([`Table`], [`Column`],
 //!   [`Dictionary`]),
 //! * vectorised predicate evaluation ([`Predicate`]),
-//! * hash group-by on categorical attribute tuples ([`group`]),
 //! * the OLAP **CUBE** operator and its cuboid lattice ([`cube`]), including
 //!   the *algebraic rollup* optimization: the finest cuboid is folded from
 //!   one grouping of the raw data and every coarser cuboid is derived from
@@ -19,13 +18,10 @@
 //!   ([`agg::AggState`]),
 //! * the one key every cell of every cuboid is spelled as, from that
 //!   grouping to the frozen cube table ([`cellspace`]),
-//! * that grouping: the partition of row ids by finest-cuboid key
-//!   ([`partition`]), whose runs the "dry run" stage of cube construction
-//!   folds into per-cell states and the "real run" stage fetches every
-//!   iceberg cell's raw rows from,
-//! * the equi-join of raw rows against an iceberg-cell list ([`join`]) —
-//!   one of the two per-cuboid plans the paper's cost model chooses
-//!   between, kept for the cost-model ablation.
+//! * that grouping, the crate's only hash group-by: the partition of row
+//!   ids by finest-cuboid key ([`partition`]), whose runs the "dry run"
+//!   stage of cube construction folds into per-cell states and the "real
+//!   run" stage fetches every iceberg cell's raw rows from.
 //!
 //! Tables are built once via [`TableBuilder`] and immutable afterwards,
 //! which matches the load-once / analyze-many workload of a visualization
@@ -38,8 +34,7 @@ pub mod cube;
 pub mod dictionary;
 pub mod encoding;
 pub mod fx;
-pub mod group;
-pub mod join;
+mod group;
 pub mod kernel;
 pub mod packed;
 pub mod partition;
@@ -56,7 +51,6 @@ pub use cube::{CellKey, CuboidMask};
 pub use dictionary::Dictionary;
 pub use encoding::{Codable, Encoded, EncodedBuf, EncodingMode};
 pub use fx::{FxHashMap, FxHashSet};
-pub use group::{group_by, GroupedRows};
 pub use kernel::SelectionVector;
 pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
 pub use partition::FinestPartition;

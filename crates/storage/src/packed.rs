@@ -1,11 +1,12 @@
-//! Packed grouping-key buffers for the group-by / cube hot paths.
+//! Packed grouping-key buffers for the finest partition's grouping
+//! kernels, and the bit layout of a cube's packed cell keys.
 //!
-//! Two generations of key packing live here:
+//! Two key packings live here, each filled from a contiguous row range:
 //!
 //! * [`PackedCodes`] — row-major `u32` code tuples, `width` codes per row.
 //!   Hash-map lookups borrow fixed-width `&[u32]` slices directly, so the
-//!   per-row key allocation disappears. This is the generic fallback: it
-//!   works for any cardinalities.
+//!   per-row key allocation disappears. The slice-key kernel uses it when
+//!   a cube's keys are flat.
 //! * [`KeyLayout`] / [`PackedKeyBuf`] — **bit-packed** keys. Attribute `i`
 //!   with cardinality `cᵢ` needs only `⌈log₂ cᵢ⌉` bits, so a whole key
 //!   occupies `Σ ⌈log₂ cᵢ⌉` bits instead of 32 bits per attribute. When
@@ -20,13 +21,11 @@
 //! cells the way sorting its code tuples would.
 //!
 //! Both buffer types reuse their allocation across refills (`clear` +
-//! `resize` never shrink capacity), so steady-state loops — morsel after
-//! morsel, or incremental-refresh round after round — allocate nothing.
-
-use crate::table::RowId;
+//! `resize` never shrink capacity), so a morsel's chunk loop allocates
+//! nothing after its first chunk.
 
 /// A row-major buffer of grouping codes: `width` codes per row, packed
-/// contiguously. Reusable across morsels via [`PackedCodes::fill`].
+/// contiguously. Reusable across morsels via [`PackedCodes::fill_range`].
 #[derive(Debug, Default)]
 pub struct PackedCodes {
     width: usize,
@@ -40,25 +39,9 @@ impl PackedCodes {
         PackedCodes { width, rows: 0, flat: Vec::new() }
     }
 
-    /// Repack the buffer with the codes of `rows`, read from the
-    /// per-column `code_slices` (one `&[u32]` per grouping column, full
+    /// Repack with the codes of the contiguous row range `range`, read from
+    /// the per-column `code_slices` (one `&[u32]` per grouping column, full
     /// table length). Column-major fill: each source slice is walked once.
-    pub fn fill(&mut self, code_slices: &[&[u32]], rows: &[RowId]) {
-        debug_assert_eq!(code_slices.len(), self.width);
-        self.rows = rows.len();
-        self.flat.clear();
-        self.flat.resize(rows.len() * self.width, 0);
-        for (c, codes) in code_slices.iter().enumerate() {
-            let mut at = c;
-            for &row in rows {
-                self.flat[at] = codes[row as usize];
-                at += self.width;
-            }
-        }
-    }
-
-    /// Repack with a contiguous row range (the morsel fast path — no row
-    /// id indirection).
     pub fn fill_range(&mut self, code_slices: &[&[u32]], range: std::ops::Range<usize>) {
         debug_assert_eq!(code_slices.len(), self.width);
         self.rows = range.len();
@@ -113,8 +96,8 @@ pub struct KeyLayout {
 
 impl KeyLayout {
     /// Build the layout for the given per-attribute cardinalities, or
-    /// `None` when the packed key would exceed 64 bits (callers then fall
-    /// back to [`PackedCodes`] slice keys).
+    /// `None` when the packed key would exceed 64 bits (a cube's keys are
+    /// then flat, and its partition groups on [`PackedCodes`] slice keys).
     pub fn from_cardinalities(cards: &[usize]) -> Option<KeyLayout> {
         let bits: Vec<u8> = cards.iter().map(|&c| Self::bits_for(c)).collect();
         let total: u32 = bits.iter().map(|&b| b as u32).sum();
@@ -177,16 +160,6 @@ impl KeyLayout {
             key |= self.field(i, c);
         }
         key
-    }
-
-    /// Whether every code of `codes` fits its bit field — i.e. whether
-    /// [`encode`](Self::encode) is injective for this tuple. Build-side
-    /// guard for semi-join probes whose cells may carry codes from a wider
-    /// domain than the probe table's.
-    #[inline]
-    pub fn fits(&self, codes: &[u32]) -> bool {
-        codes.len() == self.bits.len()
-            && codes.iter().zip(&self.bits).all(|(&c, &b)| b == 32 || (c as u64) < (1u64 << b))
     }
 
     /// Unpack a key into its code tuple.
@@ -253,22 +226,6 @@ impl PackedKeyBuf {
         }
     }
 
-    /// Pack the keys of an explicit row-id list (selection-vector path).
-    pub fn fill(&mut self, layout: &KeyLayout, code_slices: &[&[u32]], rows: &[RowId]) {
-        debug_assert_eq!(code_slices.len(), layout.width());
-        self.keys.clear();
-        self.keys.resize(rows.len(), 0);
-        for (i, codes) in code_slices.iter().enumerate() {
-            let shift = layout.shifts[i];
-            if layout.bits[i] == 0 {
-                continue;
-            }
-            for (k, &row) in self.keys.iter_mut().zip(rows) {
-                *k |= (codes[row as usize] as u64) << shift;
-            }
-        }
-    }
-
     /// The packed keys, in row order.
     #[inline]
     pub fn keys(&self) -> &[u64] {
@@ -296,34 +253,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fill_transposes_column_slices() {
-        let col_a: &[u32] = &[10, 11, 12, 13];
-        let col_b: &[u32] = &[20, 21, 22, 23];
-        let mut p = PackedCodes::new(2);
-        p.fill(&[col_a, col_b], &[0, 2, 3]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.key(0), &[10, 20]);
-        assert_eq!(p.key(1), &[12, 22]);
-        assert_eq!(p.key(2), &[13, 23]);
-        let all: Vec<&[u32]> = p.keys().collect();
-        assert_eq!(all, vec![&[10, 20][..], &[12, 22][..], &[13, 23][..]]);
-    }
-
-    #[test]
-    fn fill_range_matches_fill() {
-        let col: &[u32] = &[5, 6, 7, 8, 9];
-        let mut a = PackedCodes::new(1);
-        let mut b = PackedCodes::new(1);
-        a.fill(&[col], &[1, 2, 3]);
-        b.fill_range(&[col], 1..4);
-        assert_eq!(a.key(0), b.key(0));
-        assert_eq!(a.key(2), b.key(2));
-    }
-
-    #[test]
     fn zero_width_keys() {
         let mut p = PackedCodes::new(0);
-        p.fill(&[], &[0, 1, 2]);
+        p.fill_range(&[], 0..3);
         assert_eq!(p.len(), 3);
         assert_eq!(p.key(1), &[] as &[u32]);
         assert_eq!(p.keys().count(), 3);
@@ -331,12 +263,13 @@ mod tests {
 
     #[test]
     fn refill_reuses_buffer() {
-        let col: &[u32] = &[1, 2, 3];
-        let mut p = PackedCodes::new(1);
-        p.fill(&[col], &[0, 1, 2]);
-        p.fill(&[col], &[2]);
+        let (a, b): (&[u32], &[u32]) = (&[1, 2, 3], &[4, 5, 6]);
+        let mut p = PackedCodes::new(2);
+        p.fill_range(&[a, b], 0..3);
+        assert_eq!(p.key(1), &[2, 5]);
+        p.fill_range(&[a, b], 2..3);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.key(0), &[3]);
+        assert_eq!(p.keys().collect::<Vec<_>>(), [&[3, 6]]);
     }
 
     #[test]
@@ -353,8 +286,6 @@ mod tests {
             let n = 100 * (round % 5 + 1);
             p.fill_range(&slices, 0..n);
             assert_eq!(p.len(), n);
-            let rows: Vec<RowId> = (0..n as u32).collect();
-            p.fill(&slices, &rows);
             assert_eq!(p.capacity(), cap, "capacity changed on round {round}");
             assert_eq!(p.flat.as_ptr(), ptr, "buffer reallocated on round {round}");
         }
@@ -398,15 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn fits_guards_out_of_range_codes() {
-        let l = KeyLayout::from_cardinalities(&[4, 2]).unwrap();
-        assert!(l.fits(&[3, 1]));
-        assert!(!l.fits(&[4, 0]));
-        assert!(!l.fits(&[0, 2]));
-        assert!(!l.fits(&[0]));
-    }
-
-    #[test]
     fn key_buf_matches_per_row_encode() {
         let l = KeyLayout::from_cardinalities(&[4, 3]).unwrap();
         let a: Vec<u32> = vec![0, 1, 2, 3, 0];
@@ -416,8 +338,6 @@ mod tests {
         buf.fill_range(&l, &slices, 1..4);
         let expect: Vec<u64> = (1..4).map(|r| l.encode(&[a[r], b[r]])).collect();
         assert_eq!(buf.keys(), &expect[..]);
-        buf.fill(&l, &slices, &[4, 0]);
-        assert_eq!(buf.keys(), &[l.encode(&[0, 1]), l.encode(&[0, 2])]);
     }
 
     #[test]

@@ -18,11 +18,16 @@
 //! run's key is a cell with no `*`, the coarser cell it belongs to is that
 //! key projected onto the cuboid, and a wanted cell is found by binary
 //! search. Runs ascend by key, which is lexicographic code-tuple order.
+//!
+//! Building a partition is the crate's only hash group-by: its kernels
+//! (`group.rs`) emit each run's key already spelled in the space. A
+//! caller that wants the groups of some columns — one cuboid, a set of
+//! strata — partitions by just those columns and reads the runs.
 
 use crate::cellspace::{CellSpace, CubeKey};
 use crate::cube::CuboidMask;
-use crate::group::group_by;
-use crate::table::{RowId, Table};
+use crate::group::finest_groups;
+use crate::table::{Cat, RowId, Table};
 use crate::Result;
 use std::time::Instant;
 use tabula_par::Pool;
@@ -51,22 +56,16 @@ pub struct FinestPartition {
 impl FinestPartition {
     /// Partition all rows of `table` by the categorical columns `cols`.
     ///
-    /// One [`group_by`] (a single hashing pass, run-aligned on RLE
-    /// columns) finds the runs with their rows already ascending; only
-    /// the distinct keys are sorted. The keys' [`CellSpace`] is the cube
-    /// table's, a function of the columns' cardinalities alone.
+    /// One hashing pass (`group.rs`'s kernels, run-aligned on RLE
+    /// columns) finds the runs with their keys already spelled and
+    /// their rows already ascending; only the distinct keys are sorted.
+    /// The keys' [`CellSpace`] is the cube table's, a function of the
+    /// columns' cardinalities alone.
     pub fn build(table: &Table, cols: &[usize]) -> Result<FinestPartition> {
         let started = Instant::now();
-        let cards: Vec<usize> = cols
-            .iter()
-            .map(|&c| table.cat(c).map(|cat| cat.cardinality()))
-            .collect::<Result<_>>()?;
-        let space = CellSpace::new(cards);
-        let mut groups: Vec<(CubeKey, Vec<RowId>)> = group_by(table, cols)?
-            .groups
-            .into_iter()
-            .map(|(codes, members)| (space.finest(&codes), members))
-            .collect();
+        let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
+        let space = CellSpace::new(cats.iter().map(|cat| cat.cardinality()).collect());
+        let mut groups = finest_groups(&cats, &space, table.len());
         groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut rows = Vec::with_capacity(table.len());
         let mut starts = Vec::with_capacity(groups.len() + 1);
@@ -235,6 +234,14 @@ mod tests {
         assert_eq!(keys, want);
         assert_eq!(p.run_rows(0), &[0, 2]);
         assert_eq!(p.run_rows(3), &[3]);
+    }
+
+    #[test]
+    fn no_columns_is_one_run_and_a_measure_is_an_error() {
+        let p = FinestPartition::build(&table(), &[]).unwrap();
+        assert_eq!((p.runs(), p.run_rows(0)), (1, &[0, 1, 2, 3, 4, 5][..]));
+        assert_eq!(p.run_key(0), &p.space().finest(&[]));
+        assert!(FinestPartition::build(&table(), &[2]).is_err(), "fare is not categorical");
     }
 
     #[test]

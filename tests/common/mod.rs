@@ -1,12 +1,14 @@
 //! Shared by the cube tests: tables of `Int64` categorical columns `a0..`
-//! beside one `Float64` measure `v`, and a cube's content checksum.
+//! beside one `Float64` measure `v`, a cube's content checksum, and the
+//! row-at-a-time reference lattice.
 #![allow(dead_code)]
 
 use std::sync::Arc;
 use tabula::core::loss::MeanLoss;
 use tabula::core::{MaterializationMode, SamplingCube, SamplingCubeBuilder};
-use tabula::storage::{ColumnType, Field, Schema, Table, TableBuilder, Value};
+use tabula::storage::{CellKey, ColumnType, Field, RowId, Schema, Table, TableBuilder, Value};
 use tabula::store::{crc64, Snapshot};
+use tabula_check::naive_cube;
 
 /// θ of every cube these tests build: relative error of the mean of `v`.
 pub const THETA: f64 = 0.05;
@@ -76,4 +78,13 @@ pub fn content_crc(cube: &SamplingCube) -> u64 {
     }
     content.extend_from_slice(snap.meta().as_bytes());
     crc64(&content)
+}
+
+/// Every cell of every cuboid over the columns `cols` of `table`, with its
+/// rows ascending, in `CellKey` code order: `tabula_check::naive_cube`,
+/// which groups a row at a time into a `BTreeMap`.
+pub fn lattice(table: &Table, cols: &[usize]) -> Vec<(CellKey, Vec<RowId>)> {
+    let names: Vec<String> = cols.iter().map(|&c| table.schema().field(c).name.clone()).collect();
+    let cube = naive_cube(table, &names).unwrap();
+    cube.cells.into_iter().map(|(codes, rows)| (CellKey::new(codes), rows)).collect()
 }

@@ -15,7 +15,7 @@ mod common;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 
-use common::{constant_attr_table, cube_over, measured_table, wide_table};
+use common::{constant_attr_table, cube_over, lattice, measured_table, wide_table};
 use tabula::core::builder::{MaterializationMode, SamplingCubeBuilder};
 use tabula::core::loss::MeanLoss;
 use tabula::core::{CubeKeys, SampleProvenance, SamplingCube};
@@ -24,7 +24,7 @@ use tabula::obs::Registry;
 use tabula::serve::{Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session, Statement};
-use tabula::storage::{group_by, CellKey, CmpOp, ColumnType, CuboidMask, Predicate, Table, Value};
+use tabula::storage::{CellKey, CmpOp, ColumnType, CuboidMask, Predicate, Table, Value};
 
 /// Absent cells probed per cuboid.
 const ABSENT_PER_CUBOID: usize = 8;
@@ -56,16 +56,13 @@ fn probes(cube: &SamplingCube) -> Vec<(Predicate, SampleProvenance)> {
     }
     assert_eq!(materialized.len(), cube.materialized_cells(), "cube_table() repeats a cell");
     // Cells that hold rows but are not iceberg cells: the global sample.
+    let every_cell = lattice(table, cube.cubed_cols());
     for mask in CuboidMask::enumerate(n) {
-        let cols: Vec<usize> = mask.attrs().iter().map(|&a| cube.cubed_cols()[a]).collect();
-        let mut absent: Vec<CellKey> = group_by(table, &cols)
-            .unwrap()
-            .groups
-            .keys()
-            .map(|compact| CellKey::from_compact(mask, n, compact))
-            .filter(|cell| !materialized.contains(cell))
+        let absent: Vec<&CellKey> = every_cell
+            .iter()
+            .map(|(cell, _)| cell)
+            .filter(|cell| cell.mask() == mask && !materialized.contains(*cell))
             .collect();
-        absent.sort_by(|a, b| a.codes.cmp(&b.codes));
         let step = absent.len().div_ceil(ABSENT_PER_CUBOID).max(1);
         for cell in absent.iter().step_by(step) {
             probes.push((predicate_of(cube, cell), SampleProvenance::Global));
@@ -361,12 +358,9 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
             .unwrap();
     assert!(old.cube_table().eq(fresh.cube_table()));
     assert_eq!(old.global_sample(), fresh.global_sample());
-    for mask in CuboidMask::enumerate(3) {
-        for compact in group_by(&table, &mask.attrs()).unwrap().groups.keys() {
-            let cell = CellKey::from_compact(mask, 3, compact);
-            let (a, b) = (old.query_cell(&cell), fresh.query_cell(&cell));
-            assert_eq!((a.provenance, a.rows), (b.provenance, b.rows), "{cell}");
-        }
+    for (cell, _) in lattice(&table, &[0, 1, 2]) {
+        let (a, b) = (old.query_cell(&cell), fresh.query_cell(&cell));
+        assert_eq!((a.provenance, a.rows), (b.provenance, b.rows), "{cell}");
     }
 }
 

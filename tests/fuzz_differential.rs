@@ -7,7 +7,7 @@
 //! CI `fuzz-smoke` job); this test keeps a fast always-on slice of it in
 //! plain `cargo test`.
 
-use tabula_check::{diff_case, gen_case, shrink, LossSpec};
+use tabula_check::{diff_case, gen_case, shrink, Lanes, LossSpec};
 
 /// Ten pinned seeds — deterministically covering all four loss kernels —
 /// must produce zero divergences.
@@ -17,10 +17,10 @@ fn pinned_seeds_diverge_nowhere() {
     for seed in 0..10 {
         let case = gen_case(seed);
         losses_seen.insert(case.loss.name());
-        if let Err(d) = diff_case(&case) {
+        if let Err(d) = diff_case(&case, Lanes::default()) {
             // Shrink before failing so the assertion message is directly
             // actionable.
-            let msg = match shrink(&case, |c| diff_case(c).err()) {
+            let msg = match shrink(&case, |c| diff_case(c, Lanes::default()).err()) {
                 Some(s) => s.case.to_regression_test(&format!("fuzz_seed_{seed}"), &s.divergence),
                 None => format!("flaky divergence (vanished on re-run): {d}"),
             };
@@ -39,10 +39,11 @@ fn harness_covers_both_classification_extremes() {
     let mut loose = gen_case(2);
     loose.theta = 1e9;
     loose.loss = LossSpec::Mean { attr: "fare".to_string() };
-    diff_case(&loose).expect("loose θ: no cell is iceberg, global sample everywhere");
+    diff_case(&loose, Lanes::default())
+        .expect("loose θ: no cell is iceberg, global sample everywhere");
 
     let mut tight = gen_case(2);
     tight.theta = 0.0;
     tight.loss = LossSpec::Mean { attr: "fare".to_string() };
-    diff_case(&tight).expect("θ = 0: every populated cell is iceberg");
+    diff_case(&tight, Lanes::default()).expect("θ = 0: every populated cell is iceberg");
 }

@@ -10,6 +10,9 @@
 //!   the engines as they were before the distance table, the positive-term
 //!   gain sums and the heat-map space's square-root skip.
 
+mod common;
+
+use common::lattice;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -25,8 +28,7 @@ use tabula::core::{
 };
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::storage::{
-    group_by, CellKey, ColumnType, CuboidMask, Field, FinestPartition, Point, RowId, Schema, Table,
-    TableBuilder,
+    CellKey, ColumnType, Field, FinestPartition, Point, RowId, Schema, Table, TableBuilder,
 };
 
 const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Manhattan];
@@ -225,18 +227,6 @@ fn nan_and_infinite_centroids_rank_after_every_finite_distance() {
     assert_eq!(index.nearest(1, 4), [0, 2, 3, 4]);
 }
 
-/// Every cell of every cuboid over `cols`, with its rows.
-fn every_cell(table: &Table, cols: &[usize]) -> Vec<(CellKey, Vec<RowId>)> {
-    let mut cells = Vec::new();
-    for mask in CuboidMask::enumerate(cols.len()) {
-        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-        for (compact, rows) in group_by(table, &attrs).unwrap().groups {
-            cells.push((CellKey::from_compact(mask, cols.len(), &compact), rows));
-        }
-    }
-    cells
-}
-
 /// Every cell is answered within θ by `cube`.
 fn assert_theta_on_every_cell(
     cube: &SamplingCube,
@@ -274,7 +264,7 @@ fn every_candidate_cap_builds_a_cube_within_theta() {
     let star = build(MaterializationMode::TabulaStar, 0);
     let cubes: Vec<SamplingCube> =
         [0, 1, usize::MAX].into_iter().map(|cap| build(MaterializationMode::Tabula, cap)).collect();
-    let cells = every_cell(&table, &cols);
+    let cells = lattice(&table, &cols);
     for cube in &cubes {
         assert_theta_on_every_cell(cube, &loss, theta, &cells);
     }
@@ -594,9 +584,10 @@ fn heatmap_samples_equal_the_reference_on_every_iceberg_cell_of_the_taxi_cube() 
     // engine on taxi points, as on the 500 k-row build's largest cells.
     let mut coarse = 0;
     for &col in &cols {
-        for (_, rows) in group_by(&table, &[col]).unwrap().groups {
+        let cuboid = FinestPartition::build(&table, &[col]).unwrap();
+        for rows in (0..cuboid.runs()).map(|run| cuboid.run_rows(run)) {
             if (513..=3_000).contains(&rows.len()) {
-                assert_heatmap_samples_as_before(&table, pickup, &rows, theta, "coarse taxi cell");
+                assert_heatmap_samples_as_before(&table, pickup, rows, theta, "coarse taxi cell");
                 coarse += 1;
             }
         }

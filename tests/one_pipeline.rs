@@ -4,8 +4,8 @@
 
 mod common;
 
-use common::{content_crc, measured_table, wide_table};
-use std::collections::{BTreeMap, HashSet};
+use common::{content_crc, lattice, measured_table, wide_table};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use tabula::core::dryrun::dry_run;
 use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric, LOSS_EPS};
@@ -14,9 +14,7 @@ use tabula::core::{refresh, AccuracyLoss, RefreshConfig, SamplingCube, SamplingC
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
 use tabula::storage::agg::SumCount;
-use tabula::storage::{
-    group_by, CellKey, CuboidMask, FinestPartition, RowId, Table, TableBuilder, Value,
-};
+use tabula::storage::{CellKey, CuboidMask, FinestPartition, RowId, Table, TableBuilder, Value};
 
 fn taxi(rows: usize, seed: u64) -> Arc<Table> {
     Arc::new(TaxiGenerator::new(TaxiConfig { rows, seed }).generate())
@@ -137,14 +135,9 @@ fn a_build_is_a_refresh_from_nothing() {
 /// Every cell of every cuboid of `cube`'s table is answered within `theta`.
 fn assert_theta_holds(cube: &SamplingCube, loss: &MeanLoss, theta: f64, what: &str) {
     let table = cube.table();
-    let n = cube.attrs().len();
-    for mask in CuboidMask::enumerate(n) {
-        let cols: Vec<usize> = mask.attrs().iter().map(|&a| cube.cubed_cols()[a]).collect();
-        for (compact, rows) in &group_by(table, &cols).unwrap().groups {
-            let cell = CellKey::from_compact(mask, n, compact);
-            let achieved = loss.loss(table, rows, &cube.query_cell(&cell).rows);
-            assert!(achieved <= theta + LOSS_EPS, "{what}: cell {cell}: {achieved} > {theta}");
-        }
+    for (cell, rows) in lattice(table, cube.cubed_cols()) {
+        let achieved = loss.loss(table, &rows, &cube.query_cell(&cell).rows);
+        assert!(achieved <= theta + LOSS_EPS, "{what}: cell {cell}: {achieved} > {theta}");
     }
 }
 
@@ -192,10 +185,9 @@ fn edge_tables_and_thresholds_go_through_both_entry_points() {
         // cells that still are and hold no appended row. The previous
         // generation spells them over smaller dictionaries.
         let still_iceberg: HashSet<CellKey> = refreshed.cube_table().map(|(k, _)| k).collect();
+        let cells: HashMap<CellKey, Vec<RowId>> = lattice(&last, &[0, 1]).into_iter().collect();
         let reusable = base.cube_table().filter(|(cell, _)| {
-            let compact: Vec<u32> = cell.codes.iter().flatten().copied().collect();
-            let rows = &group_by(&last, &cell.mask().attrs()).unwrap().groups[&compact];
-            still_iceberg.contains(cell) && rows.iter().all(|&r| (r as usize) < first.len())
+            still_iceberg.contains(cell) && cells[cell].iter().all(|&r| (r as usize) < first.len())
         });
         let reusable = reusable.count();
         assert_eq!(stats.reused_cells, reusable, "{what}");

@@ -1,13 +1,15 @@
 //! Property-based tests (proptest) of the core invariants on *arbitrary*
 //! small tables — not just the taxi generator's distributions.
 
+mod common;
+
+use common::lattice;
 use proptest::prelude::*;
 use std::sync::Arc;
 use tabula::core::loss::{AccuracyLoss, HistogramLoss, MeanLoss};
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
 use tabula::core::{MaterializationMode, SamplingCubeBuilder};
-use tabula::storage::cube::{CellKey, CuboidMask};
-use tabula::storage::{group_by, ColumnType, Field, Schema, Table, TableBuilder};
+use tabula::storage::{ColumnType, Field, Schema, Table, TableBuilder};
 
 /// An arbitrary small table with two categorical columns and one measure.
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -40,17 +42,10 @@ proptest! {
         .seed(1)
         .build()
         .unwrap();
-        for mask in CuboidMask::enumerate(2) {
-            let grouped = group_by(&table, &mask.attrs()).unwrap();
-            for (compact, rows) in &grouped.groups {
-                let cell = CellKey::from_compact(mask, 2, compact);
-                let ans = cube.query_cell(&cell);
-                let achieved = loss.loss(&table, rows, &ans.rows);
-                prop_assert!(
-                    achieved <= theta + 1e-9,
-                    "cell {cell}: {achieved} > {theta}"
-                );
-            }
+        for (cell, rows) in lattice(&table, &[0, 1]) {
+            let ans = cube.query_cell(&cell);
+            let achieved = loss.loss(&table, &rows, &ans.rows);
+            prop_assert!(achieved <= theta + 1e-9, "cell {cell}: {achieved} > {theta}");
         }
     }
 

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{content_crc, wide_table};
+use common::{content_crc, lattice, wide_table};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric};
@@ -13,7 +13,7 @@ use tabula::core::{
 };
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::storage::{
-    group_by, CellKey, CellSpace, ColumnType, CubeKey, CuboidMask, Field, FinestPartition, RowId,
+    CellKey, CellSpace, ColumnType, CubeKey, CuboidMask, Field, FinestPartition, KeyLayout, RowId,
     Schema, Table, TableBuilder, Value,
 };
 
@@ -33,10 +33,14 @@ fn int_table(columns: &[Vec<i64>]) -> Table {
 }
 
 /// For every cuboid over `cols`: the cells the partition gathers are the
-/// groups a `group_by` of that cuboid finds — same cells, same rows, and
-/// key order is the lexicographic order of the groups' code tuples —
-/// whether all cells are asked for or some.
-fn assert_partition_serves_every_cuboid(table: &Table, cols: &[usize]) {
+/// cells of `reference` (the table's [`common::lattice`] over `cols`) —
+/// same cells, same rows, and key order is the lexicographic order of the
+/// cells' code tuples — whether all cells are asked for or some.
+fn assert_partition_serves_every_cuboid(
+    table: &Table,
+    cols: &[usize],
+    reference: &[(CellKey, Vec<RowId>)],
+) {
     let partition = FinestPartition::build(table, cols).unwrap();
     let space = partition.space();
     let mut sorted: Vec<RowId> = partition.rows().to_vec();
@@ -47,16 +51,10 @@ fn assert_partition_serves_every_cuboid(table: &Table, cols: &[usize]) {
         assert!(run == 0 || partition.run_key(run - 1) < partition.run_key(run), "run {run}");
     }
     for mask in CuboidMask::enumerate(cols.len()) {
-        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-        let mut groups: Vec<(Vec<u32>, Vec<RowId>)> =
-            group_by(table, &attrs).unwrap().groups.into_iter().collect();
-        groups.sort_unstable();
-        let want: Vec<(CubeKey, Vec<RowId>)> = groups
-            .into_iter()
-            .map(|(compact, rows)| {
-                let cell = CellKey::from_compact(mask, cols.len(), &compact);
-                (space.encode_cell(&cell).unwrap(), rows)
-            })
+        let want: Vec<(CubeKey, Vec<RowId>)> = reference
+            .iter()
+            .filter(|(cell, _)| cell.mask() == mask)
+            .map(|(cell, rows)| (space.encode_cell(cell).unwrap(), rows.clone()))
             .collect();
         let backwards: Vec<CubeKey> = want.iter().rev().map(|(cell, _)| cell.clone()).collect();
         assert_eq!(partition.gather(mask, &backwards), want, "cuboid {mask}");
@@ -82,6 +80,17 @@ fn partition_cells_equal_group_by_cells_for_every_cuboid() {
     let cards: Vec<usize> = (0..7).map(|c| wide.cat(c).unwrap().cardinality()).collect();
     assert!(CellSpace::new(cards.clone()).layout().is_none(), "{cards:?} must not fit 64 bits");
 
+    // Eight attributes of 256 codes: the codes pack into 8 × 8 = 64 bits,
+    // but with `*` beside them every attribute needs 9, so keys are flat.
+    let byte_wide = int_table(
+        &(0..8i64)
+            .map(|c| (0..512).map(|r| (r * (2 * c + 1) + c) % 256).collect())
+            .collect::<Vec<_>>(),
+    );
+    let cards: Vec<usize> = (0..8).map(|c| byte_wide.cat(c).unwrap().cardinality()).collect();
+    assert!(KeyLayout::from_cardinalities(&cards).is_some(), "{cards:?} codes fit 64 bits");
+    assert!(CellSpace::new(cards.clone()).layout().is_none(), "{cards:?} cells must not");
+
     // A zero-bit attribute between two ordinary ones.
     let constant = int_table(&[
         (0..500).map(|r| r % 5).collect(),
@@ -89,13 +98,20 @@ fn partition_cells_equal_group_by_cells_for_every_cuboid() {
         (0..500).map(|r| (r * 7) % 11).collect(),
     ]);
 
+    let cases: Vec<(Table, Vec<usize>)> = vec![
+        (taxi, taxi_cols),
+        (wide, (0..7).collect()),
+        (byte_wide, (0..8).collect()),
+        (constant, vec![0, 1, 2]),
+        (int_table(&[vec![], vec![]]), vec![0, 1]),
+        (int_table(&[vec![4], vec![2]]), vec![0, 1]),
+    ];
+    let references: Vec<_> = cases.iter().map(|(table, cols)| lattice(table, cols)).collect();
     for threads in [1, 4] {
         tabula_par::set_threads(threads);
-        assert_partition_serves_every_cuboid(&taxi, &taxi_cols);
-        assert_partition_serves_every_cuboid(&wide, &[0, 1, 2, 3, 4, 5, 6]);
-        assert_partition_serves_every_cuboid(&constant, &[0, 1, 2]);
-        assert_partition_serves_every_cuboid(&int_table(&[vec![], vec![]]), &[0, 1]);
-        assert_partition_serves_every_cuboid(&int_table(&[vec![4], vec![2]]), &[0, 1]);
+        for ((table, cols), reference) in cases.iter().zip(&references) {
+            assert_partition_serves_every_cuboid(table, cols, reference);
+        }
     }
     tabula_par::set_threads(0);
 }

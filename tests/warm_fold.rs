@@ -30,8 +30,9 @@ use tabula::core::{
 };
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
-use tabula::storage::cube::{CellKey, CuboidMask};
-use tabula::storage::{group_by, RowId, Table, Value};
+use tabula::storage::cube::CellKey;
+use tabula::storage::{RowId, Table, Value};
+use tabula_check::naive_cube;
 
 const BASE_ROWS: usize = 20_000;
 const BATCH_ROWS: usize = 500;
@@ -66,18 +67,11 @@ fn sample_rows(cube: &SamplingCube) -> usize {
     (0..cube.persisted_samples() as u32).map(|id| cube.sample(id).len()).sum()
 }
 
-/// Every cell of the lattice with its raw rows (ascending).
+/// Every cell of the lattice with its raw rows (ascending), grouped a row at
+/// a time by `tabula_check::naive_cube`.
 fn lattice(table: &Table, cube: &SamplingCube) -> Vec<(CellKey, Vec<RowId>)> {
-    let n = cube.attrs().len();
-    let mut cells = Vec::new();
-    for mask in CuboidMask::enumerate(n) {
-        let cols: Vec<usize> = mask.attrs().iter().map(|&a| cube.cubed_cols()[a]).collect();
-        for (compact, mut rows) in group_by(table, &cols).unwrap().groups {
-            rows.sort_unstable();
-            cells.push((CellKey::from_compact(mask, n, &compact), rows));
-        }
-    }
-    cells
+    let cube = naive_cube(table, cube.attrs()).unwrap();
+    cube.cells.into_iter().map(|(codes, rows)| (CellKey::new(codes), rows)).collect()
 }
 
 fn materialized(cube: &SamplingCube) -> HashSet<CellKey> {
