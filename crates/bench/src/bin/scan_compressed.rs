@@ -294,6 +294,7 @@ fn main() {
         &registry.snapshot(),
         &[
             ("results", Value::Arr(results)),
+            ("rows", Value::Int(rows as i128)),
             ("scan_rows", Value::Int(rows as i128)),
             ("clustered_scan_speedup", Value::Float(clustered_scan_speedup)),
             ("snapshot_plain_bytes", Value::Int(plain_bytes.len() as i128)),

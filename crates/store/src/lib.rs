@@ -2,7 +2,7 @@
 //!
 //! On-disk columnar snapshots of built sampling cubes, so a restart maps
 //! a generation back in milliseconds instead of repaying the build (the
-//! most expensive operation in the system — see `BENCH_fig08_init_time`).
+//! most expensive operation in the system — see `paper fig08`'s stages).
 //!
 //! A snapshot is **one immutable file**:
 //!
