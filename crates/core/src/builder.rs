@@ -30,8 +30,10 @@ use crate::{CoreError, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabula_obs as obs;
-use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::{CellSpace, CubeKey, FinestPartition, FxHashMap, FxHashSet, RowId, Table};
+use tabula_storage::{
+    CellSpace, CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table,
+    MAX_CUBED_ATTRS,
+};
 
 /// Which cube variant to materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,8 +217,10 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     if attrs.is_empty() {
         return Err(CoreError::Config("at least one cubed attribute required".into()));
     }
-    if attrs.len() > 31 {
-        return Err(CoreError::Config("at most 31 cubed attributes supported".into()));
+    if attrs.len() > MAX_CUBED_ATTRS {
+        return Err(CoreError::Config(format!(
+            "at most {MAX_CUBED_ATTRS} cubed attributes supported"
+        )));
     }
     let cols: Vec<usize> =
         attrs.iter().map(|a| table.schema().index_of(a)).collect::<std::result::Result<_, _>>()?;
@@ -416,6 +420,7 @@ fn materialize_all_cells<L: AccuracyLoss>(
 ) -> Result<(CellSpace, Vec<CubeEntry>)> {
     let n = cols.len();
     let space = CellSpace::new(cardinalities(table, cols)?);
+    let cats = cols.iter().map(|&c| table.cat(c)).collect::<tabula_storage::Result<Vec<_>>>()?;
     let mut entries = Vec::new();
     for mask in CuboidMask::enumerate(n) {
         let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
@@ -432,10 +437,10 @@ fn materialize_all_cells<L: AccuracyLoss>(
                 }
             }
             let sample = loss.sample_greedy(table, rows, &[], theta);
-            let compact: Vec<u32> =
-                cuboid.space().decode(cuboid.run_key(run)).codes.into_iter().flatten().collect();
+            // Every row of the run holds the cell's codes: spell its first.
+            let row = rows[0] as usize;
             let cell = space
-                .encode_cell(&CellKey::from_compact(mask, n, &compact))
+                .encode(n, |i| mask.contains(i).then(|| cats[i].codes()[row]))
                 .expect("codes of the table's own rows");
             entries.push(CubeEntry { cell, rows: rows.to_vec(), sample });
         }
@@ -504,6 +509,7 @@ pub(crate) mod tests {
     use crate::loss::{HeatmapLoss, MeanLoss, Metric};
     use std::collections::BTreeMap;
     use tabula_data::example_dcm_table;
+    use tabula_storage::CellKey;
 
     fn mini() -> Arc<Table> {
         Arc::new(example_dcm_table())

@@ -6,7 +6,7 @@
 //! are answered with the **global sample** — the dry run proved its loss
 //! is within θ for those cells, so the guarantee holds either way.
 
-use crate::compile::{compile_predicate, CompiledCell};
+use crate::compile::compile_predicate;
 use crate::cube_table::CubeTable;
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tabula_obs::ProvenanceCounters;
 use tabula_storage::cube::CellKey;
-use tabula_storage::{Predicate, RowId, Table};
+use tabula_storage::{CubeKey, Predicate, RowId, Table};
 
 /// Where a query answer's sample came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,30 +229,29 @@ impl SamplingCube {
     /// paper: "the attributes in the WHERE clause must be a subset of the
     /// cubed attributes").
     pub fn query(&self, pred: &Predicate) -> Result<QueryAnswer> {
-        let cell = self.compile(pred)?;
-        let (rows, provenance) = self.lookup(cell.as_ref());
-        Ok(QueryAnswer { rows, provenance })
+        let key = self.compile(pred)?;
+        Ok(self.answer(key.map_or(SampleProvenance::EmptyDomain, |key| self.probe(&key))))
     }
 
-    /// Answer a query already resolved to a cube cell.
+    /// Answer a query already resolved to a cube cell. A cell no key of
+    /// the cube spells (another arity, a code past a dictionary) is not
+    /// materialized: the global sample answers it.
     pub fn query_cell(&self, cell: &CellKey) -> QueryAnswer {
-        let (rows, provenance) = self.lookup(Some(&CompiledCell::from_cell_key(cell)));
-        QueryAnswer { rows, provenance }
+        let key = self.cells.space().encode_cell(cell);
+        self.answer(key.map_or(SampleProvenance::Global, |key| self.probe(&key)))
     }
 
-    /// Resolve a predicate to a cube cell. `Ok(None)` means some predicate
-    /// value is outside its attribute's domain (the raw answer is empty).
-    pub fn compile(&self, pred: &Predicate) -> Result<Option<CompiledCell>> {
-        compile_predicate(&self.table, &self.attrs, &self.cols, pred)
+    /// Resolve a predicate to the key of its cube cell. `Ok(None)` means
+    /// some predicate value is outside its attribute's domain (the raw
+    /// answer is empty).
+    pub fn compile(&self, pred: &Predicate) -> Result<Option<CubeKey>> {
+        compile_predicate(&self.table, self.cells.space(), &self.attrs, &self.cols, pred)
     }
 
-    /// The cube's one lookup — every query path ends here: the sample
-    /// serving a compiled cell (`None`: the predicate compiled to no cell,
-    /// its raw answer is empty), tallied in the provenance counters.
-    pub fn lookup(&self, cell: Option<&CompiledCell>) -> (Arc<Vec<RowId>>, SampleProvenance) {
-        let provenance = cell.map_or(SampleProvenance::EmptyDomain, |cell| self.probe(cell));
+    /// The answer from `provenance`, tallied in the provenance counters.
+    fn answer(&self, provenance: SampleProvenance) -> QueryAnswer {
         self.tally(provenance);
-        (Arc::clone(self.rows(provenance)), provenance)
+        QueryAnswer { rows: Arc::clone(self.rows(provenance)), provenance }
     }
 
     /// The rows a provenance stands for — the one place that mapping is
@@ -266,14 +265,13 @@ impl SamplingCube {
         }
     }
 
-    /// The probe half of [`lookup`](Self::lookup): which sample serves
-    /// `cell`, counted nowhere. The caller owes exactly one tally per query.
-    pub fn probe(&self, cell: &CompiledCell) -> SampleProvenance {
-        self.cells.probe(cell).map_or(SampleProvenance::Global, SampleProvenance::Local)
+    /// Which sample serves the cell `key`, counted nowhere. The caller
+    /// owes exactly one [`tally`](Self::tally) per query.
+    pub fn probe(&self, key: &CubeKey) -> SampleProvenance {
+        self.cells.probe(key).map_or(SampleProvenance::Global, SampleProvenance::Local)
     }
 
-    /// The tally half of [`lookup`](Self::lookup): count one query answered
-    /// from `provenance`.
+    /// Count one query answered from `provenance`.
     pub fn tally(&self, provenance: SampleProvenance) {
         match provenance {
             SampleProvenance::Local(_) => self.provenance.record_local_hit(),

@@ -10,7 +10,6 @@
 //! cardinalities alone, so two processes that built the same cube hold —
 //! and write — the same bytes.
 
-use crate::compile::CompiledCell;
 use std::cmp::Ordering;
 use tabula_storage::{CellKey, CellSpace, CubeKey, Table};
 
@@ -198,22 +197,11 @@ impl CubeTable {
         key_bytes + self.sample_ids.len() * 4
     }
 
-    /// The sample id serving `cell`, or `None` when the cell is not
-    /// materialized (the global-sample fallback) — as is any cell of
-    /// another arity or naming a code outside an attribute's dictionary.
+    /// The sample id serving the cell `key`, a key of this table's space,
+    /// or `None` when the cell is not materialized (the global-sample
+    /// fallback).
     #[inline]
-    pub fn probe(&self, cell: &CompiledCell) -> Option<u32> {
-        self.find(&self.space.encode(cell.arity(), |i| cell.code(i))?)
-    }
-
-    /// [`probe`](Self::probe) for a cell spelled as a key of the space
-    /// `from`: a later generation's build asking this one.
-    pub fn probe_key(&self, from: &CellSpace, key: &CubeKey) -> Option<u32> {
-        self.find(&self.space.respell(from, key)?)
-    }
-
-    /// The sample id beside `key`, a key of this table's space.
-    fn find(&self, key: &CubeKey) -> Option<u32> {
+    pub fn probe(&self, key: &CubeKey) -> Option<u32> {
         let slot = match (&self.keys, key) {
             (CubeKeys::Packed(keys), CubeKey::Packed(key)) => keys.binary_search(key).ok()?,
             (CubeKeys::Flat(words), CubeKey::Flat(probe)) => {
@@ -236,6 +224,12 @@ impl CubeTable {
         Some(self.sample_ids[slot])
     }
 
+    /// [`probe`](Self::probe) for a cell spelled as a key of the space
+    /// `from`: a later generation's build asking this one.
+    pub fn probe_key(&self, from: &CellSpace, key: &CubeKey) -> Option<u32> {
+        self.probe(&self.space.respell(from, key)?)
+    }
+
     /// Every `(cell, sample id)`, decoded on the fly, in table order.
     pub fn iter(&self) -> impl Iterator<Item = (CellKey, u32)> + '_ {
         self.sample_ids
@@ -249,8 +243,11 @@ impl CubeTable {
 mod tests {
     use super::*;
 
-    fn cell(codes: &[Option<u32>]) -> CompiledCell {
-        CompiledCell::from_cell_key(&CellKey::new(codes.to_vec()))
+    /// The sample id serving the cell `codes` spell, `None` also when no
+    /// key of the table's space spells them (another arity, or a code past
+    /// a cardinality).
+    fn probe(table: &CubeTable, codes: &[Option<u32>]) -> Option<u32> {
+        table.probe(&table.space().encode_cell(&CellKey::new(codes.to_vec()))?)
     }
 
     /// The table holding `cells` of the cube over `cards`, fed backwards
@@ -289,13 +286,13 @@ mod tests {
         let (table, stored) = table_over(cards);
         assert_eq!(table.len(), stored.len());
         let mut seen = 0;
-        let mut probe = vec![None; cards.len()];
+        let mut cell = vec![None; cards.len()];
         'lattice: loop {
-            let want = stored.iter().find(|(k, _)| k.codes == probe).map(|&(_, id)| id);
-            assert_eq!(table.probe(&cell(&probe)), want, "{probe:?}");
+            let want = stored.iter().find(|(k, _)| k.codes == cell).map(|&(_, id)| id);
+            assert_eq!(probe(&table, &cell), want, "{cell:?}");
             seen += usize::from(want.is_some());
             // Odometer over `*`, 0 .. card (one past the domain included).
-            for (slot, &card) in probe.iter_mut().zip(cards).rev() {
+            for (slot, &card) in cell.iter_mut().zip(cards).rev() {
                 *slot = match *slot {
                     None => Some(0),
                     Some(c) if (c as usize) < card => Some(c + 1),
@@ -308,8 +305,8 @@ mod tests {
             break;
         }
         assert_eq!(seen, stored.len());
-        assert_eq!(table.probe(&cell(&vec![None; cards.len() + 1])), None);
-        assert_eq!(table.probe(&cell(&vec![Some(u32::MAX); cards.len()])), None);
+        assert_eq!(probe(&table, &vec![None; cards.len() + 1]), None);
+        assert_eq!(probe(&table, &vec![Some(u32::MAX); cards.len()]), None);
         // Decoding yields the stored cells, each once, in key order.
         let decoded: Vec<(CellKey, u32)> = table.iter().collect();
         let mut want = stored;
@@ -355,11 +352,11 @@ mod tests {
         assert!(matches!(table.keys(), CubeKeys::Flat(w) if w.len() == 3 * stored.len()));
         for (i, key) in lattice.iter().enumerate() {
             let want = (i % 3 == 0).then_some(i as u32);
-            assert_eq!(table.probe(&CompiledCell::from_cell_key(key)), want, "{key}");
+            assert_eq!(probe(&table, &key.codes), want, "{key}");
         }
-        assert_eq!(table.probe(&cell(&[Some(big as u32), None, None])), None);
-        assert_eq!(table.probe(&cell(&[Some(u32::MAX), None, None])), None, "MAX is not `*`");
-        assert_eq!(table.probe(&cell(&[None, None])), None);
+        assert_eq!(probe(&table, &[Some(big as u32), None, None]), None);
+        assert_eq!(probe(&table, &[Some(u32::MAX), None, None]), None, "MAX is not `*`");
+        assert_eq!(probe(&table, &[None, None]), None);
         assert_eq!(table.iter().count(), stored.len());
         assert_eq!(table.heap_bytes(), stored.len() * (4 * 3 + 4));
     }
@@ -369,21 +366,21 @@ mod tests {
         let space = CellSpace::new(vec![3, 2]);
         let empty = table_of(&space, &[]);
         assert!(empty.is_empty());
-        assert_eq!(empty.probe(&cell(&[None, None])), None);
-        assert_eq!(empty.probe(&cell(&[Some(0), Some(1)])), None);
+        assert_eq!(probe(&empty, &[None, None]), None);
+        assert_eq!(probe(&empty, &[Some(0), Some(1)]), None);
         assert_eq!(empty.iter().count(), 0);
 
         // The lone ALL cell: every field `*`, key 0.
         let all = CellKey::new(vec![None, None]);
         let one = table_of(&space, &[(all.clone(), 7)]);
-        assert_eq!(one.probe(&cell(&[None, None])), Some(7));
-        assert_eq!(one.probe(&cell(&[Some(0), None])), None);
-        assert_eq!(one.probe(&cell(&[None, Some(0)])), None);
+        assert_eq!(probe(&one, &[None, None]), Some(7));
+        assert_eq!(probe(&one, &[Some(0), None]), None);
+        assert_eq!(probe(&one, &[None, Some(0)]), None);
         assert_eq!(one.heap_bytes(), 12);
 
         // Attributes of an empty table have no codes at all.
         let nothing = table_of(&CellSpace::new(vec![0, 0]), &[(all, 0)]);
-        assert_eq!(nothing.probe(&cell(&[None, None])), Some(0));
-        assert_eq!(nothing.probe(&cell(&[Some(0), None])), None);
+        assert_eq!(probe(&nothing, &[None, None]), Some(0));
+        assert_eq!(probe(&nothing, &[Some(0), None]), None);
     }
 }

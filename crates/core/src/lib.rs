@@ -47,8 +47,8 @@
 //! generation, whose untouched iceberg cells keep their samples.
 //!
 //! The result is a [`cube::SamplingCube`] that answers dashboard queries
-//! in microseconds: compile the predicate to a cell ([`compile`]), one
-//! binary search over the sorted cube table ([`cube_table`]).
+//! in microseconds: compile the predicate to the cube table's own key
+//! ([`compile`]), one binary search over the sorted keys ([`cube_table`]).
 //!
 //! ## Loss functions
 //!
@@ -73,13 +73,14 @@ pub mod serfling;
 pub mod store;
 
 pub use builder::{MaterializationMode, RefreshConfig, RefreshStats, SamplingCubeBuilder};
-pub use compile::{compile_predicate, CompiledCell, MAX_CUBED_ATTRS};
+pub use compile::compile_predicate;
 pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};
 pub use incremental::refresh;
 pub use loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, RegressionLoss};
 pub use serfling::{global_sample_size, SerflingConfig};
 pub use store::SnapshotInfo;
+pub use tabula_storage::MAX_CUBED_ATTRS;
 
 /// Errors produced by the middleware.
 #[derive(Debug, Clone)]

@@ -33,7 +33,6 @@
 //! * [`RegressionLoss`] — angle difference between OLS regression lines,
 //! * [`HistogramLoss`] — 1-D average minimum distance.
 
-pub mod combined;
 pub mod expr;
 pub mod heatmap;
 pub mod histogram;
@@ -41,7 +40,6 @@ pub mod index;
 pub mod mean;
 pub mod regression;
 
-pub use combined::MaxLoss;
 pub use expr::ExprLoss;
 pub use heatmap::{HeatmapLoss, Metric};
 pub use histogram::HistogramLoss;

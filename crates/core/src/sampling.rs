@@ -650,13 +650,6 @@ mod tests {
                 }
                 check(&crate::loss::HistogramLoss::new(1), &t, &raw, &start, 0.001);
                 check(&MeanLoss::new(1), &t, &raw, &start, 0.001);
-                let both = crate::loss::MaxLoss::with_thresholds(
-                    HeatmapLoss::new(0, Metric::Euclidean),
-                    0.02,
-                    MeanLoss::new(1),
-                    0.001,
-                );
-                check(&both, &t, &raw, &start, 1.0);
             }
         }
         // The literal Algorithm 1, on a cell small enough for it.

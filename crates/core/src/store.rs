@@ -41,7 +41,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tabula_storage::{Column, ColumnType, RowId, Schema, Table};
+use tabula_storage::{Column, ColumnType, RowId, Schema, Table, MAX_CUBED_ATTRS};
 use tabula_store::{Snapshot, SnapshotWriter, StoreError};
 
 use crate::cube::{BuildStats, SamplingCube};
@@ -285,6 +285,9 @@ fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
     }
 
     // Cubed attribute resolution + key layout verification.
+    if meta.attrs.len() > MAX_CUBED_ATTRS {
+        return Err(corrupt(format!("more than {MAX_CUBED_ATTRS} cubed attributes")));
+    }
     let cols: Vec<usize> = meta
         .attrs
         .iter()

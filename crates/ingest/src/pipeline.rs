@@ -46,24 +46,21 @@ pub const INGEST_FOLD_NS: &str = "ingest.fold_ns";
 /// is the dashboard's staleness knob readout.
 pub const INGEST_FRESHNESS_NS: &str = "ingest.freshness_lag_ns";
 
-/// Knobs of the ingest pipeline (env overrides via
-/// [`from_env`](IngestConfig::from_env), `TABULA_INGEST_*`).
+/// Knobs of the ingest pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
     /// Refresh knobs (seed, serfling, samgraph, materialization mode)
     /// applied to every fold.
     pub refresh: RefreshConfig,
-    /// Most batches folded into a single generation
-    /// (`TABULA_INGEST_FOLD_BATCHES`, default 64). Smaller values mean
-    /// fresher answers and more refresh work per row.
+    /// Most batches folded into a single generation (default 64).
+    /// Smaller values mean fresher answers and more refresh work per row.
     pub fold_batches: usize,
-    /// Backpressure bound on unfolded rows
-    /// (`TABULA_INGEST_PENDING_ROWS`, default 1 Mi rows): appends block
-    /// past it, bounding staleness by construction.
+    /// Backpressure bound on unfolded rows (default 1 Mi rows): appends
+    /// block past it, bounding staleness by construction.
     pub pending_rows: usize,
-    /// Idle poll interval of the maintenance thread
-    /// (`TABULA_INGEST_POLL_MS`, default 20 ms). Arrivals wake the
-    /// thread immediately; this only bounds shutdown latency.
+    /// Idle poll interval of the maintenance thread (default 20 ms).
+    /// Arrivals wake the thread immediately; this only bounds shutdown
+    /// latency.
     pub poll: Duration,
 }
 
@@ -75,26 +72,6 @@ impl Default for IngestConfig {
             pending_rows: 1 << 20,
             poll: Duration::from_millis(20),
         }
-    }
-}
-
-impl IngestConfig {
-    /// Defaults overridden by the `TABULA_INGEST_*` environment knobs.
-    pub fn from_env() -> Self {
-        fn parse(name: &str) -> Option<u64> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut c = IngestConfig::default();
-        if let Some(v) = parse("TABULA_INGEST_FOLD_BATCHES") {
-            c.fold_batches = (v as usize).max(1);
-        }
-        if let Some(v) = parse("TABULA_INGEST_PENDING_ROWS") {
-            c.pending_rows = (v as usize).max(1);
-        }
-        if let Some(v) = parse("TABULA_INGEST_POLL_MS") {
-            c.poll = Duration::from_millis(v.max(1));
-        }
-        c
     }
 }
 

@@ -40,7 +40,7 @@ pub const DEFAULT_SLOW_MS: u64 = 100;
 /// A stage of the query path, in the order the serving layer visits them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Predicate → `CompiledCell` compilation.
+    /// Predicate → the cube table's cell key (`CubeKey`).
     Compile,
     /// Answer lookup: the generation's slot for a Local sample.
     CacheProbe,
@@ -202,7 +202,7 @@ impl QueryTrace {
         }
     }
 
-    /// Attach the compiled-cell description.
+    /// Attach the queried cell, spelled as `⟨*, 3, *⟩`.
     pub fn set_cell(&mut self, cell: impl Into<String>) {
         if self.enabled {
             self.cell = cell.into();
@@ -259,7 +259,7 @@ pub struct CompletedTrace {
     pub seq: u64,
     /// Caller-supplied label (SQL text or predicate rendering).
     pub label: String,
-    /// Compiled-cell description (empty for raw scans / empty domains).
+    /// The queried cell, `⟨*, 3, *⟩` (empty for raw scans / empty domains).
     pub cell: String,
     /// Wall time from trace creation to completion.
     pub total_ns: u64,

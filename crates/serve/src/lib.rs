@@ -4,7 +4,7 @@
 //! materialized sampling cube.
 //!
 //! `tabula-core` optimizes the cube's *build* side and owns the cube's one
-//! probe (predicate → [`CompiledCell`] → sorted cube table → sample id);
+//! probe (predicate → [`CubeKey`] → sorted cube table → sample id);
 //! this crate is what a dashboard fleet needs *around* that probe — the
 //! paper's actual value proposition (zoom/pan queries answered in
 //! milliseconds, "heavy traffic from millions of users"). Many cells share
@@ -24,7 +24,7 @@
 //! continuously.
 //!
 //! [`SamplingCube::query`]: tabula_core::SamplingCube::query
-//! [`CompiledCell`]: tabula_core::CompiledCell
+//! [`CubeKey`]: tabula_storage::CubeKey
 
 pub mod server;
 

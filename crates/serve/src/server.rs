@@ -57,7 +57,7 @@ pub const SERVE_MISSES: &str = "serve.misses";
 /// Counter: answers evicted. Always 0 — a generation keeps every answer it
 /// materialized — and registered so scrapes that read it still find it.
 pub const SERVE_EVICTIONS: &str = "serve.evictions";
-/// Histogram: nanoseconds spent probing the cube table, per compiled cell.
+/// Histogram: nanoseconds spent probing the cube table, per probed cell.
 pub const SERVE_PROBE_NS: &str = "serve.probe_ns";
 /// Histogram + 60 s sliding window: end-to-end nanoseconds per served query.
 pub const SERVE_QUERY_NS: &str = "serve.query_ns";
@@ -267,7 +267,7 @@ impl Server {
         let stage = trace.stage_start();
         let compiled = cube.compile(pred)?;
         trace.stage(Stage::Compile, stage, 0, 0);
-        let Some(cell) = compiled else {
+        let Some(key) = compiled else {
             // EmptyDomain short-circuit: nothing to probe, nothing to fill.
             cube.tally(SampleProvenance::EmptyDomain);
             trace.set_provenance(TraceProvenance::EmptyDomain);
@@ -279,11 +279,11 @@ impl Server {
             });
         };
         if trace.is_enabled() {
-            trace.set_cell(cell.describe());
+            trace.set_cell(cube.cells().space().decode(&key).to_string());
         }
         let stage = trace.stage_start();
         let start = Instant::now();
-        let provenance = cube.probe(&cell);
+        let provenance = cube.probe(&key);
         self.metrics.probe_ns.record_duration(start.elapsed());
         trace.stage(Stage::IndexProbe, stage, 0, 0);
         let SampleProvenance::Local(id) = provenance else {
@@ -541,8 +541,8 @@ mod tests {
         let srv = server(&registry);
         let pred = Predicate::eq("M", "dispute");
         let stalled = Arc::clone(&srv.current());
-        let cell = stalled.cube.compile(&pred).unwrap().unwrap();
-        let SampleProvenance::Local(id) = stalled.cube.probe(&cell) else {
+        let key = stalled.cube.compile(&pred).unwrap().unwrap();
+        let SampleProvenance::Local(id) = stalled.cube.probe(&key) else {
             panic!("M=dispute is an iceberg cell")
         };
         srv.install(srv.cube()).unwrap();
@@ -572,7 +572,8 @@ mod tests {
         );
         assert!(cold.stages.iter().all(|s| s.ns >= 1));
         assert_eq!(cold.provenance, TraceProvenance::Local);
-        assert!(cold.cell.starts_with("cell{"), "{}", cold.cell);
+        // The cell over (D, C, M); `dispute` is the third payment seen.
+        assert_eq!(cold.cell, "⟨*, *, 2⟩");
         assert_eq!(cold.epoch, srv.epoch());
 
         // Warm: a filled slot must not record a materialize stage.

@@ -511,7 +511,7 @@ fn scan_traced(
 }
 
 /// Render a completed trace as the `EXPLAIN ANALYZE` info lines: the
-/// answer summary, the compiled cell (when there is one), then one line
+/// answer summary, the queried cell (when there is one), then one line
 /// per stage with nanos, rows and bytes.
 fn render_explain(
     sql_text: &str,

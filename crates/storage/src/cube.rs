@@ -32,6 +32,10 @@ use crate::table::{RowId, Table};
 use crate::Result;
 use tabula_par::Pool;
 
+/// The most attributes a cube can be over: its `2ⁿ` cuboids are counted
+/// in a `u32`, as the [`CuboidMask`]s that name them are.
+pub const MAX_CUBED_ATTRS: usize = 31;
+
 /// Identifies a cuboid: bit `i` set means cubed attribute `i` is on the
 /// grouping list. The all-bits mask is the finest cuboid; `0` is the `ALL`
 /// pseudo-cuboid (no grouping).
@@ -41,7 +45,7 @@ pub struct CuboidMask(pub u32);
 impl CuboidMask {
     /// The finest cuboid over `n` attributes (all bits set).
     pub fn finest(n: usize) -> Self {
-        assert!(n <= 31, "at most 31 cubed attributes supported");
+        assert!(n <= MAX_CUBED_ATTRS, "at most {MAX_CUBED_ATTRS} cubed attributes supported");
         CuboidMask(((1u64 << n) - 1) as u32)
     }
 
@@ -123,25 +127,6 @@ impl CellKey {
     pub fn mask(&self) -> CuboidMask {
         let present = self.codes.iter().take(32).enumerate().filter(|(_, c)| c.is_some());
         CuboidMask(present.fold(0, |m, (i, _)| m | 1 << i))
-    }
-
-    /// Reassemble a cell key from a cuboid mask and a compact key (the
-    /// codes of the mask's attributes, ascending — the codes of a run key
-    /// of a partition over just those attributes).
-    pub fn from_compact(mask: CuboidMask, n: usize, compact: &[u32]) -> Self {
-        let mut it = compact.iter();
-        CellKey {
-            codes: (0..n)
-                .map(|i| {
-                    if mask.contains(i) {
-                        // Arity of `compact` always equals mask arity.
-                        Some(*it.next().expect("compact key arity mismatch"))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        }
     }
 
     /// Whether this cell is an ancestor of (or equal to) the finest key
@@ -315,8 +300,6 @@ mod tests {
         let key = CellKey::project(CuboidMask(0b101), &[7, 8, 9]);
         assert_eq!(key.codes, vec![Some(7), None, Some(9)]);
         assert_eq!(key.mask(), CuboidMask(0b101));
-        let back = CellKey::from_compact(CuboidMask(0b101), 3, &[7, 9]);
-        assert_eq!(back, key);
         assert!(key.covers(&[7, 123, 9]));
         assert!(!key.covers(&[6, 123, 9]));
     }

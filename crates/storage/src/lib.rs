@@ -47,7 +47,7 @@ pub mod types;
 pub use agg::AggState;
 pub use cellspace::{CellSpace, CubeKey};
 pub use column::Column;
-pub use cube::{CellKey, CuboidMask};
+pub use cube::{CellKey, CuboidMask, MAX_CUBED_ATTRS};
 pub use dictionary::Dictionary;
 pub use encoding::{Codable, Encoded, EncodedBuf, EncodingMode};
 pub use fx::{FxHashMap, FxHashSet};

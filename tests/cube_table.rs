@@ -18,7 +18,7 @@ use std::sync::{Arc, Barrier};
 use common::{constant_attr_table, cube_over, lattice, measured_table, wide_table};
 use tabula::core::builder::{MaterializationMode, SamplingCubeBuilder};
 use tabula::core::loss::MeanLoss;
-use tabula::core::{CubeKeys, SampleProvenance, SamplingCube};
+use tabula::core::{CoreError, CubeKeys, SampleProvenance, SamplingCube};
 use tabula::data::{example_dcm_table, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
 use tabula::serve::{Server, SERVE_EVICTIONS, SERVE_HITS, SERVE_MISSES};
@@ -283,6 +283,35 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
                 );
             }
         }
+    }
+    // A code at, past or far past an attribute's dictionary names no cell.
+    for (i, &col) in built.cubed_cols().iter().enumerate() {
+        let card = built.table().cat(col).unwrap().cardinality() as u32;
+        for code in [card, card + 1, u32::MAX] {
+            let mut codes = vec![None; n];
+            codes[i] = Some(code);
+            let cell = CellKey::new(codes);
+            for cube in [&built, &restored] {
+                let answer = cube.query_cell(&cell);
+                assert_eq!(
+                    (answer.provenance, &answer.rows),
+                    (SampleProvenance::Global, built.global_sample()),
+                    "{cell}"
+                );
+            }
+        }
+    }
+    // A column the cube is not over is no part of any cell.
+    let schema = built.table().schema();
+    let other = schema.fields().iter().find(|f| !built.attrs().contains(&f.name)).unwrap();
+    let pred = Predicate::eq(other.name.clone(), 0i64);
+    for cube in [&built, &restored] {
+        let err = cube.query(&pred).unwrap_err();
+        assert!(matches!(&err, CoreError::NotCubedAttribute(c) if *c == other.name), "{err:?}");
+    }
+    for door in &doors {
+        let err = door.server.query(&pred).unwrap_err();
+        assert!(matches!(&err, CoreError::NotCubedAttribute(c) if *c == other.name), "{err:?}");
     }
 }
 

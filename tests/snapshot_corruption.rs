@@ -457,3 +457,27 @@ fn checksummed_but_hostile_cube_tables_are_typed_errors() {
         }
     }
 }
+
+/// A manifest naming more cubed attributes than a cube can be over is
+/// refused at load, before any query could spell a cell over them.
+#[test]
+fn a_cube_over_too_many_attributes_is_refused() {
+    use tabula::core::{CoreError, MAX_CUBED_ATTRS};
+    let snap = Snapshot::from_bytes(snapshot_bytes()).unwrap();
+    let attrs = format!("[{}]", vec![r#""D""#; MAX_CUBED_ATTRS + 1].join(","));
+    let meta = snap.meta().replace(r#"["D","C","M"]"#, &attrs);
+    assert_ne!(meta, snap.meta(), "the manifest names D, C, M");
+    let mut w = SnapshotWriter::new();
+    w.set_epoch(snap.epoch());
+    w.set_meta(meta);
+    for b in &snap.manifest().blocks {
+        w.add_block(&b.name, b.rows, snap.block(&b.name).unwrap().bytes()).unwrap();
+    }
+    match SamplingCube::from_snapshot_bytes(w.finish().unwrap()) {
+        Err(CoreError::Store(e)) => {
+            assert!(matches!(&*e, StoreError::CorruptManifest(m) if m.contains("31")), "{e}")
+        }
+        Err(other) => panic!("expected a store error, got {other}"),
+        Ok(_) => panic!("a cube over {} attributes loaded", MAX_CUBED_ATTRS + 1),
+    }
+}

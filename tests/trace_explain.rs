@@ -8,7 +8,7 @@ use tabula::data::{TaxiConfig, TaxiGenerator};
 use tabula::obs::trace::{Stage, TraceProvenance, Tracer};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session, Statement};
-use tabula::storage::CmpOp;
+use tabula::storage::{CellKey, CmpOp};
 
 fn traced_session(rows: usize) -> (Session, Arc<Tracer>) {
     let registry = Arc::new(tabula::obs::Registry::new());
@@ -32,10 +32,17 @@ fn traced_session(rows: usize) -> (Session, Arc<Tracer>) {
 /// A Global answer: the cube table leaves all of `cash` to the global sample.
 const GLOBAL_SELECT: &str = "SELECT sample FROM cube WHERE payment_type = 'cash'";
 
-/// A Local answer: `SELECT sample` of the first cell the cube table holds.
+/// The first cell the cube table holds.
+fn local_cell(s: &Session) -> CellKey {
+    let (cell, _) =
+        s.cube("cube").unwrap().cube_table().next().expect("θ = 0.1 leaves iceberg cells");
+    cell
+}
+
+/// A Local answer: `SELECT sample` of [`local_cell`].
 fn local_select(s: &Session) -> String {
     let cube = s.cube("cube").unwrap();
-    let (cell, _) = cube.cube_table().next().expect("θ = 0.1 leaves iceberg cells");
+    let cell = local_cell(s);
     let conditions = cell
         .codes
         .iter()
@@ -85,7 +92,8 @@ fn explain_analyze_served_query_prints_all_stages() {
         lines[1].contains("trace provenance: local |"),
         "a cold query of a cube-table cell materializes its sample: {lines:#?}"
     );
-    assert!(lines.iter().any(|l| l.starts_with("cell: cell{")), "{lines:#?}");
+    let cell = format!("cell: {}", local_cell(&s));
+    assert!(lines.contains(&cell), "{cell} in {lines:#?}");
 
     // All four stages, each with nonzero recorded time: the probe comes
     // before the cache, which is keyed by what the probe found.
