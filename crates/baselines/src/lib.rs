@@ -4,24 +4,26 @@
 //!
 //! | Paper name      | Here                                  |
 //! |-----------------|---------------------------------------|
-//! | SampleFirst     | [`SampleFirst`] (two pre-built sizes) |
+//! | SampleFirst     | [`SampleFirst`]                       |
 //! | SampleOnTheFly  | [`SampleOnTheFly`]                    |
 //! | POIsam          | [`PoiSam`]                            |
 //! | SnappyData      | [`SnappyLike`]                        |
-//! | FullSamCube     | `MaterializationMode::FullSamCube`    |
-//! | PartSamCube     | `MaterializationMode::PartSamCube`    |
-//! | Tabula / Tabula\* | `MaterializationMode::{Tabula, TabulaStar}` |
+//! | FullSamCube     | [`full_sam_cube`]                     |
+//! | PartSamCube     | [`part_sam_cube`]                     |
 //!
-//! The cube-shaped approaches reuse `tabula-core`'s builder modes; this
-//! crate implements the sampling-side baselines and the common
-//! [`Approach`] interface the benchmark harness drives.
+//! Tabula itself is `tabula-core`'s builder, and Tabula\* (no sample
+//! selection) the same builder with a SamGraph join of no candidates. The
+//! two naive cubes return a `SamplingCube` like it; the sampling-side
+//! baselines share the [`Approach`] interface the benchmark harness drives.
 
 pub mod poisam;
+pub mod sam_cube;
 pub mod sample_first;
 pub mod sample_on_the_fly;
 pub mod snappy;
 
 pub use poisam::PoiSam;
+pub use sam_cube::{full_sam_cube, part_sam_cube};
 pub use sample_first::SampleFirst;
 pub use sample_on_the_fly::SampleOnTheFly;
 pub use snappy::{AvgAnswer, SnappyLike};

@@ -10,8 +10,8 @@ use std::time::Instant;
 use tabula_core::serfling::draw_global_sample;
 use tabula_storage::{Predicate, RowId, Table};
 
-/// SampleFirst with a byte-budgeted pre-built sample (the paper evaluates
-/// 100 MB and 1 GB variants).
+/// SampleFirst with a pre-built sample of a fixed number of tuples (the
+/// paper evaluates 100 MB and 1 GB variants).
 #[derive(Debug, Clone)]
 pub struct SampleFirst {
     table: Arc<Table>,
@@ -20,13 +20,6 @@ pub struct SampleFirst {
 }
 
 impl SampleFirst {
-    /// Pre-build a random sample of roughly `budget_bytes` worth of
-    /// tuples.
-    pub fn with_bytes(table: Arc<Table>, budget_bytes: usize, seed: u64) -> Self {
-        let rows = (budget_bytes / table.row_bytes().max(1)).max(1);
-        Self::with_rows(table, rows, seed)
-    }
-
     /// Pre-build a random sample of `rows` tuples.
     pub fn with_rows(table: Arc<Table>, rows: usize, seed: u64) -> Self {
         let sample = draw_global_sample(&table, rows, seed);
@@ -76,12 +69,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_is_budgeted_and_queryable() {
+    fn sample_is_sized_and_queryable() {
         let t = table();
-        let sf = SampleFirst::with_bytes(Arc::clone(&t), 50_000, 7).named("SamFirst-50KB");
-        assert_eq!(sf.name(), "SamFirst-50KB");
-        assert!(sf.sample_size() > 0);
-        assert!(sf.memory_bytes() <= 50_000 + t.row_bytes());
+        let sf = SampleFirst::with_rows(Arc::clone(&t), 400, 7).named("SamFirst-400");
+        assert_eq!(sf.name(), "SamFirst-400");
+        assert_eq!(sf.sample_size(), 400);
+        assert_eq!(sf.memory_bytes(), 400 * t.row_bytes());
         let ans = sf.query(&Predicate::eq("payment_type", "credit"));
         // Only rows from the pre-built sample are returned, and they all
         // match the predicate.

@@ -1,6 +1,6 @@
 //! The deterministic fuzz harness over `tabula-check`'s differential
 //! oracle: generate N seeded cases, replay each through the full pipeline
-//! (every materialization mode, thread counts 1 and 4) and the naive
+//! (every cube variant, thread counts 1 and 4) and the naive
 //! reference implementation, and fail loudly on the first divergence —
 //! after auto-shrinking it to a minimal reproducer written next to the
 //! JSON summary as a ready-to-paste `#[test]`.

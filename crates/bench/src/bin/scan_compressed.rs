@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tabula_bench::write_run_summary;
-use tabula_core::builder::{MaterializationMode, SamplingCubeBuilder};
+use tabula_core::builder::SamplingCubeBuilder;
 use tabula_core::loss::MeanLoss;
 use tabula_core::SamplingCube;
 use tabula_storage::{
@@ -268,7 +268,6 @@ fn main() {
     let cube_over = |t: &Arc<Table>| {
         SamplingCubeBuilder::new(Arc::clone(t), &["v", "k"], MeanLoss::new(m), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .expect("cube build succeeds")
     };

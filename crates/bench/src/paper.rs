@@ -11,14 +11,16 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tabula_baselines::{Approach, PoiSam, SampleFirst, SampleOnTheFly, SnappyLike};
+use tabula_baselines::{
+    full_sam_cube, part_sam_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly, SnappyLike,
+};
 use tabula_core::dryrun::dry_run;
 use tabula_core::loss::{
     AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss,
 };
 use tabula_core::samgraph::SamGraphConfig;
 use tabula_core::serfling::draw_global_sample;
-use tabula_core::{MaterializationMode, SamplingCube, SamplingCubeBuilder, SerflingConfig};
+use tabula_core::{RefreshConfig, SamplingCube, SamplingCubeBuilder, SerflingConfig};
 use tabula_data::{
     example_dcm_table, meters_to_norm, QueryCell, TaxiConfig, TaxiGenerator, Workload,
     CUBED_ATTRIBUTES,
@@ -228,18 +230,21 @@ fn cube_row(row: Row, cube: &SamplingCube) -> Row {
         .t("total", s.total)
 }
 
-const TABULA: (&str, MaterializationMode) = ("Tabula", MaterializationMode::Tabula);
-const TABULA_STAR: (&str, MaterializationMode) = ("Tabula*", MaterializationMode::TabulaStar);
+/// The paper's Tabula\*: the builder with a SamGraph join of no
+/// candidates, so every iceberg cell keeps its own sample.
+const TABULA_STAR: SamGraphConfig = SamGraphConfig { max_candidates: 0 };
 
-/// Build one cube per mode at every rung of every panel.
-fn sweep(s: &Setup, figure: &'static str, modes: &[(&str, MaterializationMode)]) -> Vec<Row> {
+/// Build Tabula — and with `star` Tabula\* beside it — at every rung of
+/// every panel.
+fn sweep(s: &Setup, figure: &'static str, star: bool) -> Vec<Row> {
+    let approaches = [("Tabula", SamGraphConfig::default()), ("Tabula*", TABULA_STAR)];
     let mut rows = Vec::new();
     for panel in Panel::ALL {
         for rung in panel.ladder() {
-            for &(name, mode) in modes {
+            for &(name, samgraph) in &approaches[..1 + usize::from(star)] {
                 let cube = with_loss!(s, panel, |loss| s
                     .builder(rung.attrs, loss, rung.theta)
-                    .mode(mode)
+                    .samgraph(samgraph)
                     .build()
                     .expect("build succeeds"));
                 rows.push(cube_row(Row::new(figure, panel.name(), &rung.label, name), &cube));
@@ -251,28 +256,32 @@ fn sweep(s: &Setup, figure: &'static str, modes: &[(&str, MaterializationMode)])
 
 /// **Fig 8** — initialization time by stage vs θ (8a–c) and vs #attributes (8d).
 pub fn fig08(s: &Setup) -> Vec<Row> {
-    sweep(s, "fig08", &[TABULA])
+    sweep(s, "fig08", false)
 }
 
 /// **Fig 9** — memory (global sample / cube table / sample table), Tabula beside Tabula\*.
 pub fn fig09(s: &Setup) -> Vec<Row> {
-    sweep(s, "fig09", &[TABULA, TABULA_STAR])
+    sweep(s, "fig09", true)
 }
 
 /// **Fig 10** — cubing overhead against the full and the naive partial
 /// sampling cube, on a table a quarter the size (the paper's 5 GB).
 pub fn fig10(s: &Setup) -> Vec<Row> {
     let small = Setup::new(s.rows / 4);
+    let (table, attrs) = (&small.table, &CUBED_ATTRIBUTES[..5]);
+    let config = RefreshConfig { seed: small.seed, ..RefreshConfig::default() };
     let mut rows = Vec::new();
     for theta in [2.0, 1.0, 0.5] {
-        for (name, mode) in [
-            TABULA,
-            TABULA_STAR,
-            ("PartSamCube", MaterializationMode::PartSamCube),
-            ("FullSamCube", MaterializationMode::FullSamCube),
-        ] {
-            let loss = HistogramLoss::new(small.fare);
-            let cube = small.builder(5, loss, theta).mode(mode).build().expect("build succeeds");
+        let loss = HistogramLoss::new(small.fare);
+        let builder = || small.builder(5, loss.clone(), theta);
+        let cubes = [
+            ("Tabula", builder().build()),
+            ("Tabula*", builder().samgraph(TABULA_STAR).build()),
+            ("PartSamCube", part_sam_cube(Arc::clone(table), attrs, &loss, theta, &config)),
+            ("FullSamCube", full_sam_cube(Arc::clone(table), attrs, &loss, theta, &config)),
+        ];
+        for (name, cube) in cubes {
+            let cube = cube.expect("build succeeds");
             let row = Row::new("fig10", "histogram", &format!("${theta}"), name);
             rows.push(cube_row(row, &cube).n("table_rows", small.rows));
         }
@@ -370,8 +379,8 @@ fn comparison(s: &Setup, figure: &'static str, panel: Panel, skip: usize) -> Vec
     for rung in panel.ladder().into_iter().skip(skip) {
         let queries = s.workload(rung.attrs);
         with_loss!(s, panel, |loss| {
-            let star = s.builder(rung.attrs, loss.clone(), rung.theta);
-            let star = star.mode(MaterializationMode::TabulaStar).build().expect("build succeeds");
+            let star = s.builder(rung.attrs, loss.clone(), rung.theta).samgraph(TABULA_STAR);
+            let star = star.build().expect("build succeeds");
             let mut list = approaches(s, rung.attrs, &loss, rung.theta);
             list.push(cube_lookup("Tabula*", star));
             for (name, answer) in list {
@@ -514,17 +523,17 @@ fn heatmap_500m(s: &Setup) -> SamplingCubeBuilder<HeatmapLoss> {
 }
 
 /// **Ablation** — the SamGraph join's candidate cap, and no selection at
-/// all (Tabula\*), at heat map 500 m.
+/// all (Tabula\*, a cap of 0), at heat map 500 m.
 pub fn ablation_selection(s: &Setup) -> Vec<Row> {
     let mut rows = Vec::new();
-    for cap in [0usize, 1, 4, 16, 32, 128, usize::MAX] {
+    for cap in [1, 4, 16, 32, 128, usize::MAX] {
         let config = SamGraphConfig { max_candidates: cap };
         let cube = heatmap_500m(s).samgraph(config).build().expect("build succeeds");
         let label =
             if cap == usize::MAX { "exhaustive".to_owned() } else { format!("cap = {cap}") };
         rows.push(cube_row(Row::new("ablation-selection", "heat map", "500m", &label), &cube));
     }
-    let star = heatmap_500m(s).mode(MaterializationMode::TabulaStar).build().expect("builds");
+    let star = heatmap_500m(s).samgraph(TABULA_STAR).build().expect("builds");
     rows.push(cube_row(Row::new("ablation-selection", "heat map", "500m", "Tabula*"), &star));
     rows
 }

@@ -1,5 +1,5 @@
 //! The diff engine: replay a generated case through the real pipeline —
-//! every materialization mode, multiple thread counts — and through the
+//! every [`Variant`] of the cube, multiple thread counts — and through the
 //! naive oracle, and report the first divergence. A diverging case can be
 //! auto-shrunk ([`shrink`]) to a minimal reproducer and printed as a
 //! ready-to-paste regression test
@@ -13,21 +13,63 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use tabula_baselines::{full_sam_cube, part_sam_cube};
 use tabula_core::loss::{
     AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
 };
-use tabula_core::{MaterializationMode, SampleProvenance, SamplingCube, SamplingCubeBuilder};
+use tabula_core::samgraph::SamGraphConfig;
+use tabula_core::{RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CmpOp, EncodingMode, Predicate, RowId, Table, Value};
 
-/// Every materialization mode the diff engine sweeps.
-pub const MODES: [MaterializationMode; 4] = [
-    MaterializationMode::Tabula,
-    MaterializationMode::TabulaStar,
-    MaterializationMode::FullSamCube,
-    MaterializationMode::PartSamCube,
-];
+/// The four cubes every case is built as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variant {
+    /// The full pipeline: dry run, real run, sample selection.
+    Tabula,
+    /// The pipeline without selection: a SamGraph join of no candidates.
+    TabulaStar,
+    /// `tabula-baselines`' cube with a sample for every lattice cell.
+    FullSamCube,
+    /// `tabula-baselines`' naively classified partial cube.
+    PartSamCube,
+}
+
+/// Every cube variant the diff engine sweeps.
+pub const VARIANTS: [Variant; 4] =
+    [Variant::Tabula, Variant::TabulaStar, Variant::FullSamCube, Variant::PartSamCube];
+
+impl Variant {
+    /// Build this variant of `case`'s cube over `table` (the case's table,
+    /// or an encoding twin of it) with the case's θ, Serfling size and seed.
+    pub fn build<L: AccuracyLoss + Clone>(
+        self,
+        case: &CaseSpec,
+        table: &Arc<Table>,
+        loss: &L,
+    ) -> tabula_core::Result<SamplingCube> {
+        let config = RefreshConfig {
+            serfling: case.serfling_config(),
+            seed: case.build_seed,
+            ..RefreshConfig::default()
+        };
+        let (attrs, theta) = (&case.attrs, case.theta);
+        let builder = |samgraph| {
+            SamplingCubeBuilder::new(Arc::clone(table), attrs, loss.clone(), theta)
+                .serfling(config.serfling)
+                .samgraph(samgraph)
+                .seed(config.seed)
+                .build()
+        };
+        match self {
+            Variant::Tabula => builder(config.samgraph),
+            Variant::TabulaStar => builder(SamGraphConfig { max_candidates: 0 }),
+            Variant::FullSamCube => full_sam_cube(Arc::clone(table), attrs, loss, theta, &config),
+            Variant::PartSamCube => part_sam_cube(Arc::clone(table), attrs, loss, theta, &config),
+        }
+    }
+}
 
 /// Thread counts the diff engine sweeps (determinism must hold across
 /// them; `tabula_par::set_threads` is the override knob).
@@ -69,7 +111,7 @@ const BORDERLINE: f64 = 1e-6;
 pub struct Divergence {
     /// Which check tripped (`"guarantee"`, `"iceberg_set"`, ...).
     pub check: &'static str,
-    /// Human-readable specifics: mode, cell, losses.
+    /// Human-readable specifics: variant, cell, losses.
     pub detail: String,
 }
 
@@ -82,9 +124,9 @@ impl fmt::Display for Divergence {
 /// What a clean differential run covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CaseReport {
-    /// Reference-cube cells verified (per mode).
+    /// Reference-cube cells verified (per variant).
     pub cells_checked: usize,
-    /// Workload queries verified (per mode).
+    /// Workload queries verified (per variant).
     pub queries_checked: usize,
 }
 
@@ -137,27 +179,19 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
     let table = case.table();
     let reference = naive_cube(&table, &case.attrs)
         .unwrap_or_else(|e| panic!("case {} is malformed: {e}", case.name));
-    let attr_refs: Vec<&str> = case.attrs.iter().map(String::as_str).collect();
-
     let mut report = CaseReport::default();
     let mut fingerprints: Vec<Vec<Fingerprint>> = Vec::new();
     for &threads in &THREAD_COUNTS {
         tabula_par::set_threads(threads);
-        let mut per_mode = Vec::new();
-        for &mode in &MODES {
-            let cube =
-                SamplingCubeBuilder::new(Arc::clone(&table), &attr_refs, loss.clone(), case.theta)
-                    .mode(mode)
-                    .serfling(case.serfling_config())
-                    .seed(case.build_seed)
-                    .build()
-                    .map_err(|e| Divergence {
-                        check: "build",
-                        detail: format!("{mode:?} threads={threads}: build failed: {e:?}"),
-                    })?;
-            per_mode.push(Fingerprint::of(&cube));
+        let mut per_variant = Vec::new();
+        for &variant in &VARIANTS {
+            let cube = variant.build(case, &table, &loss).map_err(|e| Divergence {
+                check: "build",
+                detail: format!("{variant:?} threads={threads}: build failed: {e:?}"),
+            })?;
+            per_variant.push(Fingerprint::of(&cube));
             if threads == THREAD_COUNTS[0] {
-                let r = check_cube(case, &table, &cube, mode, oracle, &reference);
+                let r = check_cube(case, &table, &cube, variant, oracle, &reference);
                 // Restore the default before propagating, so a divergence
                 // does not leak a thread override into the caller.
                 if let Err(e) = r {
@@ -167,29 +201,29 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                 let (cells, queries) = r.unwrap();
                 report.cells_checked += cells;
                 report.queries_checked += queries;
-                if let Err(e) = check_serve(case, &cube, mode) {
+                if let Err(e) = check_serve(case, &cube, variant) {
                     tabula_par::set_threads(0);
                     return Err(e);
                 }
                 if lanes.snapshot {
-                    if let Err(e) = check_snapshot(case, &cube, mode) {
+                    if let Err(e) = check_snapshot(case, &cube, variant) {
                         tabula_par::set_threads(0);
                         return Err(e);
                     }
                 }
             }
         }
-        fingerprints.push(per_mode);
+        fingerprints.push(per_variant);
     }
     tabula_par::set_threads(0);
 
-    for (m, &mode) in MODES.iter().enumerate() {
+    for (m, &variant) in VARIANTS.iter().enumerate() {
         for t in 1..THREAD_COUNTS.len() {
             if fingerprints[t][m] != fingerprints[0][m] {
                 return Err(Divergence {
                     check: "thread_determinism",
                     detail: format!(
-                        "{mode:?}: cube built with {} threads differs from {} threads",
+                        "{variant:?}: cube built with {} threads differs from {} threads",
                         THREAD_COUNTS[t], THREAD_COUNTS[0]
                     ),
                 });
@@ -197,7 +231,7 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
         }
     }
     // The encoding-differential lane: rebuild the *table* frozen with
-    // `EncodingMode::Off` and `Force`, and every materialization mode on
+    // `EncodingMode::Off` and `Force`, and every cube variant on
     // it, and require byte identity with the first-pass build, whose table
     // froze under `Auto`.
     // Column encoding is a physical property — it must never change a
@@ -209,32 +243,22 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
         let encoding_pass = (|| {
             for enc in [EncodingMode::Off, EncodingMode::Force] {
                 let table = case.table_with(enc);
-                for (m, &mode) in MODES.iter().enumerate() {
-                    let cube = SamplingCubeBuilder::new(
-                        Arc::clone(&table),
-                        &attr_refs,
-                        loss.clone(),
-                        case.theta,
-                    )
-                    .mode(mode)
-                    .serfling(case.serfling_config())
-                    .seed(case.build_seed)
-                    .build()
-                    .map_err(|e| Divergence {
+                for (m, &variant) in VARIANTS.iter().enumerate() {
+                    let cube = variant.build(case, &table, &loss).map_err(|e| Divergence {
                         check: "build",
-                        detail: format!("{mode:?} encoding={enc:?}: build failed: {e:?}"),
+                        detail: format!("{variant:?} encoding={enc:?}: build failed: {e:?}"),
                     })?;
                     if Fingerprint::of(&cube) != fingerprints[0][m] {
                         return Err(Divergence {
                             check: "encoding_differential",
                             detail: format!(
-                                "{mode:?}: cube built on the {enc:?}-encoded table \
+                                "{variant:?}: cube built on the {enc:?}-encoded table \
                                  differs from the Auto build"
                             ),
                         });
                     }
                     if enc == EncodingMode::Force {
-                        check_serve(case, &cube, mode)?;
+                        check_serve(case, &cube, variant)?;
                     }
                 }
             }
@@ -290,7 +314,7 @@ fn check_cube(
     case: &CaseSpec,
     table: &Table,
     cube: &SamplingCube,
-    mode: MaterializationMode,
+    variant: Variant,
     oracle: &dyn NaiveEval,
     reference: &NaiveCube,
 ) -> Result<(usize, usize), Divergence> {
@@ -303,25 +327,23 @@ fn check_cube(
             return Err(Divergence {
                 check: "guarantee",
                 detail: format!(
-                    "{mode:?} cell {key:?} ({} raw rows, {:?}): naive loss {achieved} > θ {theta}",
+                    "{variant:?} cell {key:?} ({} raw rows, {:?}): naive loss {achieved} > θ {theta}",
                     raw.len(),
                     answer.provenance
                 ),
             });
         }
-        // Outside full-pipeline Tabula mode (whose representative-sample
+        // Outside full-pipeline Tabula (whose representative-sample
         // selection deliberately serves a cell with a *similar* cell's
         // sample), a materialized sample must consist of rows of its own
         // cell.
-        if mode != MaterializationMode::Tabula
-            && matches!(answer.provenance, SampleProvenance::Local(_))
-        {
+        if variant != Variant::Tabula && matches!(answer.provenance, SampleProvenance::Local(_)) {
             for &r in answer.rows.iter() {
                 if raw.binary_search(&r).is_err() {
                     return Err(Divergence {
                         check: "sample_subset",
                         detail: format!(
-                            "{mode:?} cell {key:?}: sample row {r} is not a row of the cell"
+                            "{variant:?} cell {key:?}: sample row {r} is not a row of the cell"
                         ),
                     });
                 }
@@ -333,7 +355,7 @@ fn check_cube(
     //    classification of every cell vs the global sample.
     let materialized: BTreeSet<Vec<Option<u32>>> =
         cube.cube_table().map(|(key, _)| key.codes).collect();
-    if mode == MaterializationMode::FullSamCube {
+    if variant == Variant::FullSamCube {
         if materialized.len() != reference.cells.len() {
             return Err(Divergence {
                 check: "full_materialization",
@@ -356,7 +378,7 @@ fn check_cube(
                 return Err(Divergence {
                     check: "iceberg_set",
                     detail: format!(
-                        "{mode:?} cell {key:?}: naive loss vs global sample is {naive} \
+                        "{variant:?} cell {key:?}: naive loss vs global sample is {naive} \
                          (θ {theta}), expected iceberg={expect_iceberg}, \
                          materialized={}",
                         !expect_iceberg
@@ -375,13 +397,13 @@ fn check_cube(
         let raw = pred.filter(table).unwrap_or_else(|e| panic!("workload predicate: {e}"));
         let answer = cube.query(&pred).map_err(|e| Divergence {
             check: "query",
-            detail: format!("{mode:?} query {q:?}: {e:?}"),
+            detail: format!("{variant:?} query {q:?}: {e:?}"),
         })?;
         if answer.provenance == SampleProvenance::EmptyDomain && !raw.is_empty() {
             return Err(Divergence {
                 check: "empty_domain",
                 detail: format!(
-                    "{mode:?} query {q:?}: answered EmptyDomain but {} raw rows match",
+                    "{variant:?} query {q:?}: answered EmptyDomain but {} raw rows match",
                     raw.len()
                 ),
             });
@@ -391,7 +413,7 @@ fn check_cube(
             return Err(Divergence {
                 check: "query_guarantee",
                 detail: format!(
-                    "{mode:?} query {q:?} ({} raw rows, {:?}): naive loss {achieved} > θ {theta}",
+                    "{variant:?} query {q:?} ({} raw rows, {:?}): naive loss {achieved} > θ {theta}",
                     raw.len(),
                     answer.provenance
                 ),
@@ -406,18 +428,14 @@ fn check_cube(
 /// concurrent clients — and require every served answer to match the
 /// direct cube answer byte for byte (rows AND provenance; a cache hit
 /// must reproduce the original provenance, not invent its own).
-fn check_serve(
-    case: &CaseSpec,
-    cube: &SamplingCube,
-    mode: MaterializationMode,
-) -> Result<(), Divergence> {
+fn check_serve(case: &CaseSpec, cube: &SamplingCube, variant: Variant) -> Result<(), Divergence> {
     let cube = Arc::new(cube.clone());
     // Private registry: the fuzz sweep must not depend on (or pollute)
     // process-wide metric state.
     let server = Server::in_registry(Arc::clone(&cube), &Arc::new(tabula_obs::Registry::new()))
         .map_err(|e| Divergence {
             check: "serve_build",
-            detail: format!("{mode:?}: server construction failed: {e:?}"),
+            detail: format!("{variant:?}: server construction failed: {e:?}"),
         })?;
 
     let preds: Vec<Predicate> = case
@@ -453,7 +471,7 @@ fn check_serve(
                                 Err(e) => {
                                     *failure.lock().unwrap() = Some(Divergence {
                                         check: "serve_query",
-                                        detail: format!("{mode:?} query {j}: {e:?}"),
+                                        detail: format!("{variant:?} query {j}: {e:?}"),
                                     });
                                     return;
                                 }
@@ -465,7 +483,7 @@ fn check_serve(
                                 *failure.lock().unwrap() = Some(Divergence {
                                     check: "serve_path",
                                     detail: format!(
-                                        "{mode:?} clients={clients} pass={pass} query {:?}: \
+                                        "{variant:?} clients={clients} pass={pass} query {:?}: \
                                          served ({} rows, {:?}, cached={}) differs from direct \
                                          ({} rows, {:?})",
                                         case.queries[j],
@@ -487,7 +505,7 @@ fn check_serve(
             return Err(d);
         }
     }
-    check_serve_traces(case, &cube, mode)
+    check_serve_traces(case, &cube, variant)
 }
 
 /// The trace-agreement lane: replay the workload sequentially through a
@@ -504,7 +522,7 @@ fn check_serve(
 fn check_serve_traces(
     case: &CaseSpec,
     cube: &Arc<SamplingCube>,
-    mode: MaterializationMode,
+    variant: Variant,
 ) -> Result<(), Divergence> {
     use tabula_obs::trace::{Stage, TraceProvenance, Tracer};
     // Private registry: re-homing the cube clone gives this lane its own
@@ -516,7 +534,7 @@ fn check_serve_traces(
     let server = Server::in_registry(Arc::clone(&cube), &registry)
         .map_err(|e| Divergence {
             check: "serve_build",
-            detail: format!("{mode:?}: traced server construction failed: {e:?}"),
+            detail: format!("{variant:?}: traced server construction failed: {e:?}"),
         })?
         .with_tracer(Arc::clone(&tracer));
 
@@ -535,12 +553,12 @@ fn check_serve_traces(
             );
             let served = server.query(&pred).map_err(|e| Divergence {
                 check: "serve_query",
-                detail: format!("{mode:?} traced pass={pass} query {j}: {e:?}"),
+                detail: format!("{variant:?} traced pass={pass} query {j}: {e:?}"),
             })?;
             let trace = tracer.recorder().recent().pop().ok_or_else(|| Divergence {
                 check: "trace_provenance",
                 detail: format!(
-                    "{mode:?} pass={pass} query {q:?}: full-sampling tracer recorded no trace"
+                    "{variant:?} pass={pass} query {q:?}: full-sampling tracer recorded no trace"
                 ),
             })?;
             let delta = (
@@ -558,7 +576,7 @@ fn check_serve_traces(
                     return Err(Divergence {
                         check: "trace_provenance",
                         detail: format!(
-                            "{mode:?} pass={pass} query {q:?}: served trace carries \
+                            "{variant:?} pass={pass} query {q:?}: served trace carries \
                              non-serve provenance {other:?}"
                         ),
                     })
@@ -568,7 +586,7 @@ fn check_serve_traces(
                 return Err(Divergence {
                     check: "trace_provenance",
                     detail: format!(
-                        "{mode:?} pass={pass} query {q:?}: trace says {:?} but counter delta \
+                        "{variant:?} pass={pass} query {q:?}: trace says {:?} but counter delta \
                          is (local, global, miss, cache)={delta:?}, expected {expected:?}",
                         trace.provenance
                     ),
@@ -583,7 +601,7 @@ fn check_serve_traces(
                 return Err(Divergence {
                     check: "trace_stages",
                     detail: format!(
-                        "{mode:?} pass={pass} query {q:?}: {:?} answer recorded one of \
+                        "{variant:?} pass={pass} query {q:?}: {:?} answer recorded one of \
                          {forbidden:?}: {:?}",
                         trace.provenance, trace.stages
                     ),
@@ -599,7 +617,7 @@ fn check_serve_traces(
                 return Err(Divergence {
                     check: "serve_warmth",
                     detail: format!(
-                        "{mode:?} pass={pass} query {q:?}: {:?} with sample served before={warm} \
+                        "{variant:?} pass={pass} query {q:?}: {:?} with sample served before={warm} \
                          came back cached={} and traced {:?}",
                         served.provenance, served.cached, trace.provenance
                     ),
@@ -622,11 +640,11 @@ fn check_serve_traces(
 fn check_snapshot(
     case: &CaseSpec,
     cube: &SamplingCube,
-    mode: MaterializationMode,
+    variant: Variant,
 ) -> Result<(), Divergence> {
     let io = |stage: &str, e: &dyn fmt::Debug| Divergence {
         check: "snapshot_io",
-        detail: format!("{mode:?} {stage}: {e:?}"),
+        detail: format!("{variant:?} {stage}: {e:?}"),
     };
     let bytes = cube.snapshot_bytes(0).map_err(|e| io("freeze", &e))?;
     let (thawed, info) =
@@ -635,7 +653,7 @@ fn check_snapshot(
         return Err(Divergence {
             check: "snapshot_roundtrip",
             detail: format!(
-                "{mode:?}: snapshot reports {} cells, cube has {}",
+                "{variant:?}: snapshot reports {} cells, cube has {}",
                 info.cells,
                 cube.materialized_cells()
             ),
@@ -644,7 +662,7 @@ fn check_snapshot(
     if Fingerprint::of(&thawed) != Fingerprint::of(cube) {
         return Err(Divergence {
             check: "snapshot_roundtrip",
-            detail: format!("{mode:?}: thawed cube fingerprint differs from the original"),
+            detail: format!("{variant:?}: thawed cube fingerprint differs from the original"),
         });
     }
     for q in &case.queries {
@@ -658,7 +676,7 @@ fn check_snapshot(
             return Err(Divergence {
                 check: "snapshot_roundtrip",
                 detail: format!(
-                    "{mode:?} query {q:?}: thawed cube answered ({} rows, {:?}), \
+                    "{variant:?} query {q:?}: thawed cube answered ({} rows, {:?}), \
                      original ({} rows, {:?})",
                     b.rows.len(),
                     b.provenance,
@@ -673,7 +691,7 @@ fn check_snapshot(
         return Err(Divergence {
             check: "snapshot_roundtrip",
             detail: format!(
-                "{mode:?}: re-frozen snapshot differs byte-for-byte \
+                "{variant:?}: re-frozen snapshot differs byte-for-byte \
                  ({} vs {} bytes)",
                 refrozen.len(),
                 bytes.len()
@@ -910,7 +928,7 @@ mod tests {
     static DIFF_LOCK: Mutex<()> = Mutex::new(());
 
     /// The clean pipeline must survive a handful of pinned seeds across
-    /// every mode and thread count. (The heavyweight sweep lives in the
+    /// every variant and thread count. (The heavyweight sweep lives in the
     /// `fuzz_check` bench binary and the fuzz-smoke CI job.)
     #[test]
     fn clean_pipeline_has_no_divergence_on_pinned_seeds() {
@@ -1010,7 +1028,7 @@ mod tests {
     }
 
     /// The snapshot lane must pass on clean pinned seeds: freeze → thaw →
-    /// replay is byte-identical for every materialization mode. (The wide
+    /// replay is byte-identical for every cube variant. (The wide
     /// sweep runs in `fuzz_check --snapshot`.)
     #[test]
     fn snapshot_lane_round_trips_pinned_seeds() {
@@ -1026,7 +1044,7 @@ mod tests {
 
     /// The encoding lane must pass on clean pinned seeds: the cube built
     /// on the `Off`- and the `Force`-frozen table is byte-identical to the
-    /// `Auto` build for every materialization mode. (The wide sweep runs
+    /// `Auto` build for every cube variant. (The wide sweep runs
     /// in `fuzz_check --encoding`.)
     #[test]
     fn encoding_lane_round_trips_pinned_seeds() {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use tabula_core::loss::{
     AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
 };
-use tabula_core::{MaterializationMode, RefreshConfig, SamplingCubeBuilder};
+use tabula_core::{RefreshConfig, SamplingCubeBuilder};
 use tabula_ingest::{IngestConfig, Ingestor};
 use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
@@ -155,7 +155,6 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
     let theta = case.theta;
     let build = |table: Arc<Table>| {
         SamplingCubeBuilder::new(table, attr_refs, loss.clone(), theta)
-            .mode(MaterializationMode::Tabula)
             .serfling(case.serfling_config())
             .seed(case.build_seed)
             .build()
@@ -179,7 +178,6 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
         refresh: RefreshConfig {
             serfling: case.serfling_config(),
             seed: case.build_seed,
-            mode: MaterializationMode::Tabula,
             ..RefreshConfig::default()
         },
         // Barrier-aligned: exactly one batch per fold, so the streamed

@@ -15,8 +15,9 @@
 //!   cube-attribute subsets, θ values, query workloads and SQL statement
 //!   ASTs. Same seed, same case — always.
 //! * [`diff`] — the diff engine: replays each case through the real
-//!   pipeline under every [`MaterializationMode`](tabula_core::MaterializationMode)
-//!   and multiple thread counts, compares against the oracle, and on
+//!   pipeline as every cube [`Variant`] — Tabula, Tabula\* (no sample
+//!   selection) and `tabula-baselines`' FullSamCube and PartSamCube — at
+//!   multiple thread counts, compares against the oracle, and on
 //!   divergence auto-shrinks the case (drop rows → queries → attributes)
 //!   into a minimal reproducer it can print as a ready-to-paste
 //!   regression test.
@@ -54,7 +55,7 @@ pub mod oracle;
 
 pub use diff::{
     diff_case, diff_sql_case, diff_with_loss, shrink, CaseReport, Divergence, Lanes, NaiveEval,
-    Shrunk, MODES, THREAD_COUNTS,
+    Shrunk, Variant, THREAD_COUNTS, VARIANTS,
 };
 pub use generate::{gen_case, gen_statement, gen_statements, gen_where_terms, CaseSpec};
 pub use ingest::{diff_ingest_case, IngestReport, INGEST_BARRIERS};

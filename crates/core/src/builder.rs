@@ -7,10 +7,10 @@
 //! iceberg cell is drawn from nothing), [`refresh`](crate::incremental::refresh)
 //! with the cube being maintained (untouched iceberg cells keep their
 //! sample, touched ones start their draw from it): a build is a refresh
-//! from nothing. It also implements the degraded
-//! materialization modes the paper evaluates against (Tabula\*,
-//! FullSamCube, PartSamCube), so the baseline crate and the benchmark
-//! harness share one code path per mode.
+//! from nothing. The paper's Tabula\* (no sample selection) is this
+//! pipeline with a SamGraph join of no candidates
+//! ([`SamGraphConfig::max_candidates`] 0); the naive full and partial
+//! sampling cubes it is compared against live in `tabula-baselines`.
 //!
 //! From the partition to the cube table a cell is one value: its
 //! [`CubeKey`] in the partition's [`CellSpace`] — a packed `u64` when the
@@ -19,10 +19,10 @@
 //! at any thread count.
 
 use crate::cube::{BuildStats, SamplingCube};
-use crate::cube_table::{cardinalities, CubeTable};
+use crate::cube_table::CubeTable;
 use crate::dryrun::dry_run;
-use crate::loss::{exceeds_theta, AccuracyLoss};
-use crate::realrun::{real_run, CubeEntry};
+use crate::loss::AccuracyLoss;
+use crate::realrun::real_run;
 use crate::samgraph::{build_samgraph, SamGraphConfig};
 use crate::selection::select_representatives;
 use crate::serfling::{draw_global_sample, SerflingConfig};
@@ -31,27 +31,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabula_obs as obs;
 use tabula_storage::{
-    CellSpace, CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table,
-    MAX_CUBED_ATTRS,
+    CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table, MAX_CUBED_ATTRS,
 };
-
-/// Which cube variant to materialize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaterializationMode {
-    /// The full Tabula pipeline: dry run, real run, sample selection.
-    Tabula,
-    /// Tabula without the sample-selection stage (the paper's `Tabula*`):
-    /// every iceberg cell persists its own local sample.
-    TabulaStar,
-    /// Fully materialized sampling cube: a local sample for *every* cell
-    /// of every cuboid, iceberg or not (the paper's `FullSamCube`).
-    FullSamCube,
-    /// Partially materialized cube built naively: all `2ⁿ` cuboids are
-    /// grouped directly from the raw table and each cell's loss against
-    /// the global sample is evaluated from raw data — no dry run, no
-    /// selection (the paper's `PartSamCube`).
-    PartSamCube,
-}
 
 /// The pipeline's knobs: one struct for [`SamplingCubeBuilder`],
 /// [`refresh`](crate::incremental::refresh) and the ingest pipeline's
@@ -64,8 +45,6 @@ pub struct RefreshConfig {
     pub samgraph: SamGraphConfig,
     /// RNG seed for the global sample.
     pub seed: u64,
-    /// Which cube variant to materialize.
-    pub mode: MaterializationMode,
 }
 
 impl Default for RefreshConfig {
@@ -74,7 +53,6 @@ impl Default for RefreshConfig {
             serfling: SerflingConfig::default(),
             samgraph: SamGraphConfig::default(),
             seed: 42,
-            mode: MaterializationMode::Tabula,
         }
     }
 }
@@ -86,10 +64,10 @@ pub struct RefreshStats {
     /// Iceberg cells that kept their previous sample untouched.
     pub reused_cells: usize,
     /// Iceberg cells whose own freshly drawn sample was persisted this
-    /// round. Under representative selection (Tabula mode) several fresh
-    /// cells may end up served by a single representative's sample, so
-    /// this counts representatives — see [`fresh_samples`] for the number
-    /// of cells that drew a sample at all.
+    /// round. Under representative selection several fresh cells may end
+    /// up served by a single representative's sample, so this counts
+    /// representatives — see [`fresh_samples`] for the number of cells
+    /// that drew a sample at all.
     ///
     /// [`fresh_samples`]: RefreshStats::fresh_samples
     pub resampled_cells: usize,
@@ -112,7 +90,8 @@ pub struct RefreshStats {
 }
 
 /// Wall times of the stages [`BuildStats`] does not carry, on their way to
-/// [`publish_metrics`]. A stage the mode skips stays zero.
+/// [`publish_metrics`]. A stage the run skips (selection under
+/// Tabula\*) stays zero.
 #[derive(Default)]
 struct StageTimes {
     global_sample: Duration,
@@ -151,19 +130,14 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
         }
     }
 
-    /// Select the materialization mode (default [`MaterializationMode::Tabula`]).
-    pub fn mode(mut self, mode: MaterializationMode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
     /// Override the Serfling parameters sizing the global sample.
     pub fn serfling(mut self, config: SerflingConfig) -> Self {
         self.config.serfling = config;
         self
     }
 
-    /// Override the SamGraph join configuration.
+    /// Override the SamGraph join configuration (`max_candidates` 0 skips
+    /// selection: the paper's Tabula\*).
     pub fn samgraph(mut self, config: SamGraphConfig) -> Self {
         self.config.samgraph = config;
         self
@@ -209,28 +183,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     previous: Option<&SamplingCube>,
     registry: &Arc<obs::Registry>,
 ) -> Result<(SamplingCube, RefreshStats)> {
-    if theta < 0.0 || theta.is_nan() {
-        return Err(CoreError::Config(format!(
-            "accuracy loss threshold must be non-negative, got {theta}"
-        )));
-    }
-    if attrs.is_empty() {
-        return Err(CoreError::Config("at least one cubed attribute required".into()));
-    }
-    if attrs.len() > MAX_CUBED_ATTRS {
-        return Err(CoreError::Config(format!(
-            "at most {MAX_CUBED_ATTRS} cubed attributes supported"
-        )));
-    }
-    let cols: Vec<usize> =
-        attrs.iter().map(|a| table.schema().index_of(a)).collect::<std::result::Result<_, _>>()?;
-    // Fail fast on non-categorical attributes.
-    for (&c, name) in cols.iter().zip(&attrs) {
-        table
-            .cat(c)
-            .map_err(|_| CoreError::Config(format!("cubed attribute {name} is not categorical")))?;
-    }
-    let n = cols.len();
+    let cols = cubed_columns(&table, &attrs, theta)?;
 
     let total_start = Instant::now();
     let mut stats = BuildStats::default();
@@ -239,98 +192,75 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     times.global_sample = total_start.elapsed();
     stats.global_sample_size = global.len();
 
-    // Iceberg cells that keep the previous generation's sample (by its old
-    // id), then the freshly sampled ones.
+    // The build's one grouping of the table is the dry run's scan.
+    let ctx = loss.prepare(&table, &global);
+    let start = Instant::now();
+    let partition = FinestPartition::build(&table, &cols)?;
+    times.partition = start.elapsed();
+    let dry = dry_run(&table, &partition, loss, &ctx, theta);
+    stats.dry_run = start.elapsed();
+    (times.scan, times.rollup, times.classify) = (dry.scan, dry.rollup, dry.classify);
+    stats.total_cells = dry.total_cells;
+    stats.iceberg_cells = dry.iceberg_count;
+
+    // Split the iceberg set into cells that keep the previous generation's
+    // sample (by its old id) and fresh ones, by probing the previous
+    // generation's table (its codes are this table's: appends only extend a
+    // dictionary). From nothing, all are fresh.
+    let space = partition.space().clone();
+    let touched =
+        previous.map_or_else(FxHashSet::default, |p| touched_cells(&partition, p.table().len()));
     let mut reused: Vec<(CubeKey, u32)> = Vec::new();
-    let (mut retired_cells, mut warm_cells, mut warm_start_rows) = (0, 0, 0);
-    let (space, entries, selection) = match config.mode {
-        MaterializationMode::Tabula | MaterializationMode::TabulaStar => {
-            // The build's one grouping of the table is the dry run's scan.
-            let ctx = loss.prepare(&table, &global);
-            let start = Instant::now();
-            let partition = FinestPartition::build(&table, &cols)?;
-            times.partition = start.elapsed();
-            let dry = dry_run(&table, &partition, loss, &ctx, theta);
-            stats.dry_run = start.elapsed();
-            (times.scan, times.rollup, times.classify) = (dry.scan, dry.rollup, dry.classify);
-            stats.total_cells = dry.total_cells;
-            stats.iceberg_cells = dry.iceberg_count;
-
-            // Split the iceberg set into reusable and fresh cells by probing
-            // the previous generation's table (its codes are this table's:
-            // appends only extend a dictionary). From nothing, all are fresh.
-            let space = partition.space();
-            let touched = previous
-                .map_or_else(FxHashSet::default, |p| touched_cells(&partition, p.table().len()));
-            let mut fresh: FxHashMap<CuboidMask, Vec<CubeKey>> = FxHashMap::default();
-            let mut still_iceberg = 0;
-            for (mask, keys) in &dry.iceberg {
-                for key in keys {
-                    let old_id = previous.and_then(|p| p.cells().probe_key(space, key));
-                    still_iceberg += usize::from(old_id.is_some());
-                    match old_id {
-                        // Same raw data, θ-good sample: carry it over.
-                        Some(old_id) if !touched.contains(key) => {
-                            reused.push((key.clone(), old_id))
-                        }
-                        _ => fresh.entry(*mask).or_default().push(key.clone()),
-                    }
-                }
+    let mut fresh: FxHashMap<CuboidMask, Vec<CubeKey>> = FxHashMap::default();
+    let mut still_iceberg = 0;
+    for (mask, keys) in &dry.iceberg {
+        for key in keys {
+            let old_id = previous.and_then(|p| p.cells().probe_key(&space, key));
+            still_iceberg += usize::from(old_id.is_some());
+            match old_id {
+                // Same raw data, θ-good sample: carry it over.
+                Some(old_id) if !touched.contains(key) => reused.push((key.clone(), old_id)),
+                _ => fresh.entry(*mask).or_default().push(key.clone()),
             }
-            // Both cell sets are duplicate-free, so the old cells that left
-            // the iceberg set are the old cells the loop above did not meet.
-            retired_cells = previous.map_or(0, |p| p.cells().len()) - still_iceberg;
+        }
+    }
+    // Both cell sets are duplicate-free, so the old cells that left the
+    // iceberg set are the old cells the loop above did not meet.
+    let retired_cells = previous.map_or(0, |p| p.cells().len()) - still_iceberg;
 
-            // A fresh cell that was iceberg before holds appended rows; under
-            // a monotone loss its old sample still covers the old ones.
-            let warm = previous.filter(|_| loss.monotone());
-            let old_sample = |key: &CubeKey| {
-                warm.and_then(|p| Some(p.sample(p.cells().probe_key(space, key)?).as_slice()))
-                    .unwrap_or_default()
-            };
-            let start = Instant::now();
-            let rr = real_run(&table, &partition, loss, theta, &fresh, old_sample);
-            stats.real_run = start.elapsed();
-            (times.gather, times.sample_cells) = (rr.stats.gather, rr.stats.sample_cells);
-            stats.cuboids_processed = rr.stats.cuboids_processed;
-            stats.cuboids_skipped = rr.stats.cuboids_skipped;
-            stats.finest_runs = rr.stats.finest_runs;
-            stats.gathered_rows = rr.stats.gathered_rows;
-            (warm_cells, warm_start_rows) = (rr.stats.warm_cells, rr.stats.warm_start_rows);
-
-            // Selection among fresh samples only (reused samples stay as-is).
-            let selection = (config.mode == MaterializationMode::Tabula).then(|| {
-                let start = Instant::now();
-                let graph = build_samgraph(&table, loss, theta, &rr.entries, &config.samgraph);
-                times.samgraph_join = start.elapsed();
-                stats.samgraph_edges = graph.edge_count();
-                let greedy_start = Instant::now();
-                let sel = select_representatives(&graph);
-                times.greedy = greedy_start.elapsed();
-                stats.selection = start.elapsed();
-                sel
-            });
-            (space.clone(), rr.entries, selection)
-        }
-        MaterializationMode::FullSamCube => {
-            let start = Instant::now();
-            let (space, entries) = materialize_all_cells(&table, &cols, loss, theta, None)?;
-            stats.real_run = start.elapsed();
-            stats.total_cells = entries.len();
-            stats.iceberg_cells = entries.len();
-            stats.cuboids_processed = 1 << n;
-            (space, entries, None)
-        }
-        MaterializationMode::PartSamCube => {
-            let start = Instant::now();
-            let ctx = loss.prepare(&table, &global);
-            let (space, entries) = materialize_all_cells(&table, &cols, loss, theta, Some(&ctx))?;
-            stats.real_run = start.elapsed();
-            stats.iceberg_cells = entries.len();
-            stats.cuboids_processed = 1 << n;
-            (space, entries, None)
-        }
+    // A fresh cell that was iceberg before holds appended rows; under a
+    // monotone loss its old sample still covers the old ones.
+    let warm = previous.filter(|_| loss.monotone());
+    let old_sample = |key: &CubeKey| {
+        warm.and_then(|p| Some(p.sample(p.cells().probe_key(&space, key)?).as_slice()))
+            .unwrap_or_default()
     };
+    let start = Instant::now();
+    let rr = real_run(&table, &partition, loss, theta, &fresh, old_sample);
+    stats.real_run = start.elapsed();
+    (times.gather, times.sample_cells) = (rr.stats.gather, rr.stats.sample_cells);
+    stats.cuboids_processed = rr.stats.cuboids_processed;
+    stats.cuboids_skipped = rr.stats.cuboids_skipped;
+    stats.finest_runs = rr.stats.finest_runs;
+    stats.gathered_rows = rr.stats.gathered_rows;
+    let entries = rr.entries;
+    // The grouping and the dry run's cells are spent: free them before
+    // selection and assembly allocate.
+    drop((ctx, partition, dry, touched, fresh));
+
+    // Selection among fresh samples only (reused samples stay as-is). A
+    // join of no candidates finds no edges, so it is skipped: Tabula*.
+    let selection = (config.samgraph.max_candidates > 0).then(|| {
+        let start = Instant::now();
+        let graph = build_samgraph(&table, loss, theta, &entries, &config.samgraph);
+        times.samgraph_join = start.elapsed();
+        stats.samgraph_edges = graph.edge_count();
+        let greedy_start = Instant::now();
+        let sel = select_representatives(&graph);
+        times.greedy = greedy_start.elapsed();
+        stats.selection = start.elapsed();
+        sel
+    });
     stats.samples_before_selection = reused.len() + entries.len();
 
     // Assemble sample table + cube table: the reused samples (deduplicated
@@ -377,8 +307,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         reused_cells: reused.len(),
         resampled_cells: selection.map_or(entries.len(), |sel| sel.representatives.len()),
         fresh_samples: entries.len(),
-        warm_cells,
-        warm_start_rows,
+        warm_cells: rr.stats.warm_cells,
+        warm_start_rows: rr.stats.warm_start_rows,
         retired_cells,
         appended_rows: table.len() - previous.map_or(0, |p| p.table().len()),
         total: stats.total,
@@ -388,6 +318,33 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let cube = SamplingCube::new(table, attrs, cols, theta, cells, samples, global, stats)
         .with_registry(registry);
     Ok((cube, refresh_stats))
+}
+
+/// The columns of the cubed `attrs` in `table`, once `theta` and the
+/// attribute list are checked: a non-negative θ, 1 to
+/// [`MAX_CUBED_ATTRS`] attributes, each a categorical column.
+pub(crate) fn cubed_columns(table: &Table, attrs: &[String], theta: f64) -> Result<Vec<usize>> {
+    if theta < 0.0 || theta.is_nan() {
+        return Err(CoreError::Config(format!(
+            "accuracy loss threshold must be non-negative, got {theta}"
+        )));
+    }
+    if attrs.is_empty() {
+        return Err(CoreError::Config("at least one cubed attribute required".into()));
+    }
+    if attrs.len() > MAX_CUBED_ATTRS {
+        return Err(CoreError::Config(format!(
+            "at most {MAX_CUBED_ATTRS} cubed attributes supported"
+        )));
+    }
+    let cols: Vec<usize> =
+        attrs.iter().map(|a| table.schema().index_of(a)).collect::<std::result::Result<_, _>>()?;
+    for (&c, name) in cols.iter().zip(attrs) {
+        table
+            .cat(c)
+            .map_err(|_| CoreError::Config(format!("cubed attribute {name} is not categorical")))?;
+    }
+    Ok(cols)
 }
 
 /// Every cell, of every cuboid, that holds a row appended after the first
@@ -404,48 +361,6 @@ fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CubeK
         }
     }
     touched
-}
-
-/// Naive materialization used by FullSamCube / PartSamCube: partition the
-/// raw table once per cuboid, all `2ⁿ` of them; draw a local sample for
-/// every cell (FullSamCube, `iceberg_ctx = None`) or for cells whose raw
-/// loss against the global sample exceeds θ (PartSamCube). Returns the
-/// cells with the key space they are spelled in.
-fn materialize_all_cells<L: AccuracyLoss>(
-    table: &Table,
-    cols: &[usize],
-    loss: &L,
-    theta: f64,
-    iceberg_ctx: Option<&L::SampleCtx>,
-) -> Result<(CellSpace, Vec<CubeEntry>)> {
-    let n = cols.len();
-    let space = CellSpace::new(cardinalities(table, cols)?);
-    let cats = cols.iter().map(|&c| table.cat(c)).collect::<tabula_storage::Result<Vec<_>>>()?;
-    let mut entries = Vec::new();
-    for mask in CuboidMask::enumerate(n) {
-        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-        let cuboid = FinestPartition::build(table, &attrs)?;
-        for run in 0..cuboid.runs() {
-            let rows = cuboid.run_rows(run);
-            if let Some(ctx) = iceberg_ctx {
-                // PartSamCube evaluates the iceberg condition from raw
-                // data — the expensive path the dry run exists to avoid.
-                // Same classifier predicate as the dry run, so both
-                // modes materialize exactly the same cells.
-                if !exceeds_theta(loss.loss_with_ctx(table, rows, ctx), theta) {
-                    continue;
-                }
-            }
-            let sample = loss.sample_greedy(table, rows, &[], theta);
-            // Every row of the run holds the cell's codes: spell its first.
-            let row = rows[0] as usize;
-            let cell = space
-                .encode(n, |i| mask.contains(i).then(|| cats[i].codes()[row]))
-                .expect("codes of the table's own rows");
-            entries.push(CubeEntry { cell, rows: rows.to_vec(), sample });
-        }
-    }
-    Ok((space, entries))
 }
 
 /// Publish one generation's statistics into `registry` under `prefix`
@@ -505,7 +420,6 @@ fn publish_metrics(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::cube::SampleProvenance;
     use crate::loss::{HeatmapLoss, MeanLoss, Metric};
     use std::collections::BTreeMap;
     use tabula_data::example_dcm_table;
@@ -553,12 +467,15 @@ pub(crate) mod tests {
         assert!(SamplingCubeBuilder::new(Arc::clone(&t), &["missing"], loss, 0.1).build().is_err());
     }
 
+    /// Tabula\*: the join of no candidates, so no selection.
+    const NO_SELECTION: SamGraphConfig = SamGraphConfig { max_candidates: 0 };
+
     /// The end-to-end guarantee: for EVERY cell of the full cube, the
     /// answer Tabula returns must be within θ of the cell's raw data.
-    fn check_guarantee<LL: AccuracyLoss + Clone>(loss: LL, theta: f64, mode: MaterializationMode) {
+    fn check_guarantee<LL: AccuracyLoss + Clone>(loss: LL, theta: f64, samgraph: SamGraphConfig) {
         let t = mini();
         let cube = SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], loss.clone(), theta)
-            .mode(mode)
+            .samgraph(samgraph)
             .seed(7)
             .build()
             .unwrap();
@@ -567,29 +484,22 @@ pub(crate) mod tests {
             let achieved = loss.loss(&t, &rows, &ans.rows);
             assert!(
                 achieved <= theta + crate::loss::LOSS_EPS,
-                "{mode:?} cell {cell}: loss {achieved} > θ {theta} (prov {:?})",
+                "{samgraph:?} cell {cell}: loss {achieved} > θ {theta} (prov {:?})",
                 ans.provenance
             );
         }
     }
 
     #[test]
-    fn guarantee_holds_for_tabula_mode_mean_loss() {
+    fn guarantee_holds_for_tabula_mean_loss() {
         let t = mini();
-        check_guarantee(mean_loss(&t), 0.10, MaterializationMode::Tabula);
+        check_guarantee(mean_loss(&t), 0.10, SamGraphConfig::default());
     }
 
     #[test]
-    fn guarantee_holds_for_tabula_star_mode() {
+    fn guarantee_holds_without_sample_selection() {
         let t = mini();
-        check_guarantee(mean_loss(&t), 0.10, MaterializationMode::TabulaStar);
-    }
-
-    #[test]
-    fn guarantee_holds_for_full_and_part_cubes() {
-        let t = mini();
-        check_guarantee(mean_loss(&t), 0.10, MaterializationMode::FullSamCube);
-        check_guarantee(mean_loss(&t), 0.10, MaterializationMode::PartSamCube);
+        check_guarantee(mean_loss(&t), 0.10, NO_SELECTION);
     }
 
     #[test]
@@ -599,7 +509,7 @@ pub(crate) mod tests {
         check_guarantee(
             HeatmapLoss::new(pickup, Metric::Euclidean),
             0.05,
-            MaterializationMode::Tabula,
+            SamGraphConfig::default(),
         );
     }
 
@@ -612,7 +522,7 @@ pub(crate) mod tests {
                 .build()
                 .unwrap();
         let star = SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], mean_loss(&t), 0.10)
-            .mode(MaterializationMode::TabulaStar)
+            .samgraph(NO_SELECTION)
             .seed(7)
             .build()
             .unwrap();
@@ -621,40 +531,6 @@ pub(crate) mod tests {
         let m_tabula = tabula.memory_breakdown().sample_table_bytes;
         let m_star = star.memory_breakdown().sample_table_bytes;
         assert!(m_tabula <= m_star);
-    }
-
-    #[test]
-    fn full_cube_materializes_every_cell() {
-        let t = mini();
-        let full = SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], mean_loss(&t), 0.10)
-            .mode(MaterializationMode::FullSamCube)
-            .build()
-            .unwrap();
-        // Count cells directly.
-        assert_eq!(full.materialized_cells(), lattice(&t, &[0, 1, 2]).len());
-        // Every query is answered locally.
-        let ans = full.query_cell(&CellKey::new(vec![None, None, None]));
-        assert!(matches!(ans.provenance, SampleProvenance::Local(_)));
-    }
-
-    #[test]
-    fn part_cube_matches_tabula_star_cells() {
-        let t = mini();
-        let star = SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], mean_loss(&t), 0.10)
-            .mode(MaterializationMode::TabulaStar)
-            .seed(7)
-            .build()
-            .unwrap();
-        let part = SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], mean_loss(&t), 0.10)
-            .mode(MaterializationMode::PartSamCube)
-            .seed(7)
-            .build()
-            .unwrap();
-        // Same iceberg cells (both evaluate loss(cell, global) > θ; one
-        // algebraically, one naively).
-        let a: Vec<_> = star.cube_table().map(|(k, _)| k).collect();
-        let b: Vec<_> = part.cube_table().map(|(k, _)| k).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! are answered with the **global sample** — the dry run proved its loss
 //! is within θ for those cells, so the guarantee holds either way.
 
+use crate::builder::cubed_columns;
 use crate::compile::compile_predicate;
 use crate::cube_table::CubeTable;
+use crate::realrun::CubeEntry;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 use tabula_obs::ProvenanceCounters;
 use tabula_storage::cube::CellKey;
-use tabula_storage::{CubeKey, Predicate, RowId, Table};
+use tabula_storage::{CellSpace, CubeKey, Predicate, RowId, Table};
 
 /// Where a query answer's sample came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +161,26 @@ impl SamplingCube {
             registry: Arc::clone(tabula_obs::global()),
             provenance: ProvenanceCounters::global(),
         }
+    }
+
+    /// Assemble a cube whose cells were materialized outside the builder
+    /// (the naive sampling cubes of `tabula-baselines`): each of `entries`
+    /// persists its own sample, `entries[i].cell` a key of `space`.
+    /// `attrs` and `theta` are checked as the builder checks them.
+    pub fn from_entries(
+        table: Arc<Table>,
+        attrs: &[impl AsRef<str>],
+        theta: f64,
+        space: &CellSpace,
+        entries: Vec<CubeEntry>,
+        global_sample: Vec<RowId>,
+        stats: BuildStats,
+    ) -> Result<Self> {
+        let attrs: Vec<String> = attrs.iter().map(|a| a.as_ref().to_owned()).collect();
+        let cols = cubed_columns(&table, &attrs, theta)?;
+        let cells = CubeTable::from_cells(space, entries.iter().map(|e| &e.cell).zip(0..));
+        let samples = entries.into_iter().map(|e| Arc::new(e.sample)).collect();
+        Ok(Self::new(table, attrs, cols, theta, cells, samples, Arc::new(global_sample), stats))
     }
 
     /// Re-home this cube in `registry` (the default is the process-wide
@@ -312,7 +334,7 @@ impl SamplingCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MaterializationMode, SamplingCubeBuilder};
+    use crate::builder::SamplingCubeBuilder;
     use crate::loss::MeanLoss;
     use crate::CoreError;
     use tabula_data::example_dcm_table;
@@ -323,7 +345,6 @@ mod tests {
         let fare = t.schema().index_of("fare").unwrap();
         SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap()
     }

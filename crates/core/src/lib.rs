@@ -72,7 +72,7 @@ pub mod selection;
 pub mod serfling;
 pub mod store;
 
-pub use builder::{MaterializationMode, RefreshConfig, RefreshStats, SamplingCubeBuilder};
+pub use builder::{RefreshConfig, RefreshStats, SamplingCubeBuilder};
 pub use compile::compile_predicate;
 pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};

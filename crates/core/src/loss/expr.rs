@@ -18,7 +18,7 @@
 //! (`tabula-sql`) parses the DDL body into an [`Expr`]; programmatic users
 //! can build the AST directly.
 
-use super::AccuracyLoss;
+use super::{AccuracyLoss, REL_EPS};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use serde::{Deserialize, Serialize};
 use tabula_storage::agg::AggState;
@@ -86,8 +86,11 @@ impl Expr {
     }
 
     /// Evaluate against the two aggregate states. `None` propagates from
-    /// any undefined sub-expression (aggregate of an empty set, division
-    /// by zero, non-finite intermediate).
+    /// any undefined sub-expression (aggregate of an empty set, non-finite
+    /// intermediate). A divisor is kept at least [`REL_EPS`] from zero,
+    /// keeping its sign, as [`MeanLoss`](super::MeanLoss) guards its
+    /// relative error: Function 1 over a cell whose raw mean is 0 scores a
+    /// finite loss, and the raw rows themselves score 0.
     pub fn eval(&self, raw: &NumericState, sam: &NumericState) -> Option<f64> {
         let v = match self {
             Expr::Const(c) => *c,
@@ -105,10 +108,7 @@ impl Expr {
             Expr::Mul(a, b) => a.eval(raw, sam)? * b.eval(raw, sam)?,
             Expr::Div(a, b) => {
                 let d = b.eval(raw, sam)?;
-                if d == 0.0 {
-                    return None;
-                }
-                a.eval(raw, sam)? / d
+                a.eval(raw, sam)? / (d.signum() * d.abs().max(REL_EPS))
             }
         };
         v.is_finite().then_some(v)
@@ -211,8 +211,8 @@ impl ExprLoss {
         if sam.count == 0 {
             return f64::INFINITY;
         }
-        // Undefined expressions (e.g. division by a zero aggregate) are
-        // treated as unbounded loss so the sampler keeps refining.
+        // Undefined expressions (an aggregate of no rows, a non-finite
+        // value) are treated as unbounded loss so the sampler keeps refining.
         self.expr.eval(raw, sam).map_or(f64::INFINITY, f64::abs)
     }
 }
@@ -349,10 +349,15 @@ mod tests {
     }
 
     #[test]
-    fn division_by_zero_is_unbounded_loss() {
-        let t = table(&[-1.0, 1.0]); // AVG(Raw) = 0
+    fn division_by_a_zero_mean_is_guarded() {
+        let t = table(&[-1.0, 1.0, 0.0]); // AVG(Raw) = 0
         let loss = ExprLoss::new(0, Expr::mean_relative_error());
-        assert!(loss.loss(&t, &[0, 1], &[0]).is_infinite());
+        // A sample off the raw mean: finite, and above any θ in use.
+        let off = loss.loss(&t, &[0, 1, 2], &[0]);
+        assert!(off.is_finite() && off > 1e6, "{off}");
+        // A zero-mean sample — the raw rows themselves, or one zero — is exact.
+        assert_eq!(loss.loss(&t, &[0, 1, 2], &[0, 1, 2]), 0.0);
+        assert_eq!(loss.loss(&t, &[0, 1, 2], &[2]), 0.0);
     }
 
     #[test]

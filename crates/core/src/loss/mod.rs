@@ -61,8 +61,8 @@ pub(crate) const REL_EPS: f64 = 1e-12;
 /// `loss > θ` comparison could classify a borderline cell one way and
 /// check it the other. Both sides therefore share this constant:
 ///
-/// * the classifiers ([`exceeds_theta`], used by the dry run and the
-///   naive PartSamCube path) treat any loss above `θ − LOSS_EPS` as
+/// * the classifiers ([`exceeds_theta`], used by the dry run and by
+///   `tabula-baselines`' naive partial cube) treat any loss above `θ − LOSS_EPS` as
 ///   iceberg — borderline cells are *materialized*, never left to the
 ///   global sample;
 /// * correctness checks accept `loss ≤ θ + LOSS_EPS`.
@@ -73,8 +73,8 @@ pub(crate) const REL_EPS: f64 = 1e-12;
 /// classifier because there is only one constant.
 pub const LOSS_EPS: f64 = 1e-9;
 
-/// The classifier predicate shared by the dry run and the naive
-/// PartSamCube path: whether a cell with this loss against the global
+/// The classifier predicate shared by the dry run and `tabula-baselines`'
+/// naive partial cube: whether a cell with this loss against the global
 /// sample must be materialized. Conservative by [`LOSS_EPS`]: borderline
 /// cells count as iceberg.
 #[inline]

@@ -40,8 +40,9 @@ pub struct SamGraphConfig {
     /// For sample-dependent losses: how many signature-nearest candidate
     /// representatives to check exactly, per cell — the first this many of
     /// the order [`SignatureIndex`] states. Higher values find more edges
-    /// (more memory savings) at higher build cost; `0` checks none, so
-    /// every cell keeps its own sample, as under Tabula\*.
+    /// (more memory savings) at higher build cost. `0`, for any loss, is
+    /// the paper's Tabula\*: the builder skips the join and the selection,
+    /// and every iceberg cell keeps its own sample.
     pub max_candidates: usize,
 }
 
@@ -121,9 +122,6 @@ pub fn build_samgraph<L: AccuracyLoss>(
     // parallelizes over v; representative lists are then folded back in
     // ascending v, reproducing the serial edge order.
     let mut edges: Vec<Vec<u32>> = (0..m).map(|u| vec![u as u32]).collect();
-    if cfg.max_candidates == 0 {
-        return SamGraph { edges };
-    }
     let sigs: Vec<[f64; 2]> = pool.par_map(entries, |e| loss.signature(table, &e.rows));
     let ctxs: Vec<L::SampleCtx> = pool.par_map(entries, |e| loss.prepare(table, &e.sample));
     let index = SignatureIndex::build(sigs);

@@ -435,7 +435,7 @@ impl SamplingCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MaterializationMode, SamplingCubeBuilder};
+    use crate::builder::SamplingCubeBuilder;
     use crate::loss::MeanLoss;
     use tabula_data::example_dcm_table;
     use tabula_storage::Predicate;
@@ -445,7 +445,6 @@ mod tests {
         let fare = t.schema().index_of("fare").unwrap();
         SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap()
     }
@@ -519,7 +518,6 @@ mod tests {
         let fare = t.schema().index_of("fare").unwrap();
         SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap()
     }

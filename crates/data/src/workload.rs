@@ -181,7 +181,7 @@ mod tests {
         let t = example_dcm_table();
         let w = Workload::new(&["D", "C", "M"]);
         let q = w.cell_for_row(&t, &[0, 1, 2], 3, CuboidMask(0)).unwrap();
-        assert!(q.predicate.is_trivial());
+        assert!(q.predicate.terms().is_empty());
         assert_eq!(q.description, "<all rows>");
         assert_eq!(q.predicate.filter(&t).unwrap().len(), t.len());
     }

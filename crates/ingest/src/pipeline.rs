@@ -49,8 +49,8 @@ pub const INGEST_FRESHNESS_NS: &str = "ingest.freshness_lag_ns";
 /// Knobs of the ingest pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
-    /// Refresh knobs (seed, serfling, samgraph, materialization mode)
-    /// applied to every fold.
+    /// Refresh knobs (seed, Serfling size, SamGraph candidate cap) applied
+    /// to every fold.
     pub refresh: RefreshConfig,
     /// Most batches folded into a single generation (default 64).
     /// Smaller values mean fresher answers and more refresh work per row.

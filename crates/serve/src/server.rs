@@ -375,7 +375,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabula_core::builder::{MaterializationMode, SamplingCubeBuilder};
+    use tabula_core::builder::SamplingCubeBuilder;
     use tabula_core::loss::MeanLoss;
     use tabula_data::example_dcm_table;
     use tabula_storage::CmpOp;
@@ -386,7 +386,6 @@ mod tests {
         Arc::new(
             SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
                 .seed(1)
-                .mode(MaterializationMode::Tabula)
                 .build()
                 .unwrap()
                 .with_registry(registry),

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use tabula_core::incremental::RefreshConfig;
 use tabula_core::loss::MeanLoss;
-use tabula_core::{MaterializationMode, SamplingCube, SamplingCubeBuilder};
+use tabula_core::{SamplingCube, SamplingCubeBuilder};
 use tabula_data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula_obs::Registry;
 use tabula_serve::Server;
@@ -22,7 +22,6 @@ fn build_cube(table: &Arc<Table>, registry: &Arc<Registry>) -> Arc<SamplingCube>
             0.05,
         )
         .seed(9)
-        .mode(MaterializationMode::Tabula)
         .build()
         .unwrap()
         .with_registry(registry),

@@ -36,12 +36,6 @@ impl Count {
     pub fn add(&mut self) {
         self.n += 1;
     }
-
-    /// Account `n` rows at once (chunk kernels fold whole runs per call).
-    #[inline]
-    pub fn add_n(&mut self, n: u64) {
-        self.n += n;
-    }
 }
 
 impl AggState for Count {
@@ -66,18 +60,6 @@ impl SumCount {
     pub fn add(&mut self, v: f64) {
         self.sum += v;
         self.count += 1;
-    }
-
-    /// Account a whole chunk of values in slice order. Accumulation is a
-    /// strict left-to-right fold — bit-identical to calling
-    /// [`add`](Self::add) per element, so chunked kernels and per-row
-    /// folds produce the same float bits.
-    #[inline]
-    pub fn add_slice(&mut self, values: &[f64]) {
-        for &v in values {
-            self.sum += v;
-        }
-        self.count += values.len() as u64;
     }
 
     /// The mean, or `None` for an empty state.
@@ -120,21 +102,6 @@ impl Moments2D {
         self.sy += y;
         self.sxy += x * y;
         self.sxx += x * x;
-    }
-
-    /// Account a whole chunk of `(x, y)` points pairwise in slice order —
-    /// strict left-to-right, bit-identical to per-point [`add`](Self::add).
-    /// Panics if the slices differ in length.
-    #[inline]
-    pub fn add_slices(&mut self, xs: &[f64], ys: &[f64]) {
-        assert_eq!(xs.len(), ys.len());
-        for (&x, &y) in xs.iter().zip(ys) {
-            self.sx += x;
-            self.sy += y;
-            self.sxy += x * y;
-            self.sxx += x * x;
-        }
-        self.n += xs.len() as u64;
     }
 
     /// OLS slope `(nΣxy − ΣxΣy) / (nΣx² − (Σx)²)`; `None` when degenerate
@@ -259,34 +226,6 @@ mod tests {
         a.merge(&b);
         assert!((a.slope().unwrap() - bulk.slope().unwrap()).abs() < 1e-9);
         assert_eq!(a.n, bulk.n);
-    }
-
-    #[test]
-    fn slice_folds_match_per_element_adds_exactly() {
-        // Values chosen so float addition order matters; the slice fold
-        // must be bit-identical to the element-at-a-time fold.
-        let xs: Vec<f64> = (0..100).map(|i| 1.0 + (i as f64) * 1e-13).collect();
-        let ys: Vec<f64> = (0..100).map(|i| 3.0 - (i as f64) * 1e-13).collect();
-
-        let mut bulk = SumCount::default();
-        bulk.add_slice(&xs);
-        let mut one = SumCount::default();
-        xs.iter().for_each(|&v| one.add(v));
-        assert_eq!(bulk.sum.to_bits(), one.sum.to_bits());
-        assert_eq!(bulk.count, one.count);
-
-        let mut bulk = Moments2D::default();
-        bulk.add_slices(&xs, &ys);
-        let mut one = Moments2D::default();
-        xs.iter().zip(&ys).for_each(|(&x, &y)| one.add(x, y));
-        assert_eq!(bulk.sxy.to_bits(), one.sxy.to_bits());
-        assert_eq!(bulk.sxx.to_bits(), one.sxx.to_bits());
-        assert_eq!(bulk.n, one.n);
-
-        let mut c = Count::default();
-        c.add_n(7);
-        c.add();
-        assert_eq!(c.n, 8);
     }
 
     #[test]

@@ -163,14 +163,6 @@ impl Column {
         }
     }
 
-    /// Borrow the dictionary codes and dictionary, if this is a string column.
-    pub fn as_str_codes(&self) -> Option<(&[u32], &Dictionary)> {
-        match self {
-            Column::Str { codes, dict } => Some((codes, dict)),
-            _ => None,
-        }
-    }
-
     /// Borrow the integer backing buffer (runs/encoded form included),
     /// if this is an integer column.
     pub fn as_i64_buf(&self) -> Option<&ColumnBuf<i64>> {
@@ -239,9 +231,8 @@ mod tests {
         assert!(c.push(&Value::Str("cash".into())));
         assert!(c.push(&Value::Str("credit".into())));
         assert!(c.push(&Value::Str("cash".into())));
-        let (codes, dict) = c.as_str_codes().unwrap();
-        assert_eq!(codes, &[0, 1, 0]);
-        assert_eq!(dict.len(), 2);
+        assert_eq!(c.value(2), Value::Str("cash".into()));
+        assert_eq!(c.value(1), Value::Str("credit".into()));
 
         let mut c = Column::empty(ColumnType::Point);
         assert!(c.push(&Value::Point(Point::new(1.0, 2.0))));

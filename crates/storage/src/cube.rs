@@ -49,11 +49,6 @@ impl CuboidMask {
         CuboidMask(((1u64 << n) - 1) as u32)
     }
 
-    /// The `ALL` cuboid (no grouping attributes).
-    pub fn all_cuboid() -> Self {
-        CuboidMask(0)
-    }
-
     /// Whether attribute `i` is on this cuboid's grouping list.
     #[inline]
     pub fn contains(self, i: usize) -> bool {
@@ -355,7 +350,7 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(CuboidMask::all_cuboid().to_string(), "ALL");
+        assert_eq!(CuboidMask(0).to_string(), "ALL");
         assert_eq!(CuboidMask(0b101).to_string(), "a0,a2");
         let key = CellKey::new(vec![Some(1), None]);
         assert_eq!(key.to_string(), "⟨1, *⟩");

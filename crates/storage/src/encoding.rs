@@ -133,12 +133,6 @@ pub struct RunsView<'a, T> {
 }
 
 impl<'a, T: Copy> RunsView<'a, T> {
-    /// Number of runs.
-    #[inline]
-    pub fn run_count(&self) -> usize {
-        self.values.len()
-    }
-
     /// Index of the run containing `row`.
     #[inline]
     pub fn run_of(&self, row: u32) -> usize {
@@ -537,7 +531,7 @@ mod tests {
         assert_round_trip(&f);
         let rle = encode_rle(&f);
         // The two NaNs are one run; -0.0 and 0.0 are distinct runs.
-        assert_eq!(rle.runs().unwrap().run_count(), 5);
+        assert_eq!(rle.runs().unwrap().values.len(), 5);
     }
 
     #[test]

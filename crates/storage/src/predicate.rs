@@ -100,11 +100,6 @@ impl Predicate {
         &self.terms
     }
 
-    /// Whether this predicate matches every row trivially.
-    pub fn is_trivial(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// Evaluate over `table`, returning matching row ids in ascending order.
     ///
     /// Categorical equality terms are evaluated on dictionary codes (one

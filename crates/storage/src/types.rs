@@ -145,14 +145,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Extract a point, if this is a point value.
-    pub fn as_point(&self) -> Option<Point> {
-        match self {
-            Value::Point(p) => Some(*p),
-            _ => None,
-        }
-    }
 }
 
 impl From<i64> for Value {
@@ -218,7 +210,6 @@ mod tests {
         assert_eq!(Value::from(3i64).as_f64(), Some(3.0));
         assert_eq!(Value::from(2.5f64).as_f64(), Some(2.5));
         assert_eq!(Value::from("cash").as_str(), Some("cash"));
-        assert_eq!(Value::from(Point::new(1.0, 2.0)).as_point(), Some(Point::new(1.0, 2.0)));
         // Cross-type extraction fails rather than coercing.
         assert_eq!(Value::from("cash").as_f64(), None);
         assert_eq!(Value::from(1.5f64).as_i64(), None);

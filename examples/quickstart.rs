@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use tabula::core::loss::{HeatmapLoss, Metric};
-use tabula::core::{MaterializationMode, SamplingCubeBuilder};
+use tabula::core::SamplingCubeBuilder;
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::storage::Predicate;
 use tabula::viz::timed;
@@ -22,13 +22,14 @@ fn main() {
     // 2. Build the sampling cube over the paper's default 5 attributes,
     //    with the heat-map loss at θ = 500 m (the paper's headline runs
     //    250 m on a 48-core cluster; 500 m keeps this demo snappy on a
-    //    laptop — try 250.0 to reproduce the tight setting).
+    //    laptop — try 250.0 to reproduce the tight setting). Add
+    //    `.samgraph(SamGraphConfig { max_candidates: 0 })` for the paper's
+    //    Tabula*, which skips sample selection.
     let pickup = table.schema().index_of("pickup").unwrap();
     let theta = meters_to_norm(500.0);
     let loss = HeatmapLoss::new(pickup, Metric::Euclidean);
     let (cube, build_time) = timed(|| {
         SamplingCubeBuilder::new(Arc::clone(&table), &CUBED_ATTRIBUTES[..5], loss, theta)
-            .mode(MaterializationMode::Tabula)
             .build()
             .expect("valid configuration")
     });

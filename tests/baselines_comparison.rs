@@ -3,9 +3,12 @@
 //! benchmark harness; these are the *semantic* relationships).
 
 use std::sync::Arc;
-use tabula::baselines::{Approach, PoiSam, SampleFirst, SampleOnTheFly, SnappyLike};
+use tabula::baselines::{
+    full_sam_cube, part_sam_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly, SnappyLike,
+};
 use tabula::core::loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, Metric};
-use tabula::core::{MaterializationMode, SamplingCubeBuilder};
+use tabula::core::samgraph::SamGraphConfig;
+use tabula::core::{RefreshConfig, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula::storage::{Predicate, Table};
 
@@ -52,18 +55,20 @@ fn memory_ordering_matches_the_paper() {
     let loss = HistogramLoss::new(fare);
     let theta = 0.1; // tight enough ($0.10) to force a real iceberg set
     let attrs = &CUBED_ATTRIBUTES[..4];
-    let build = |mode| {
+    let config = RefreshConfig { seed: 3, ..RefreshConfig::default() };
+    let build = |max_candidates| {
         SamplingCubeBuilder::new(Arc::clone(&t), attrs, loss.clone(), theta)
-            .mode(mode)
-            .seed(3)
+            .samgraph(SamGraphConfig { max_candidates })
+            .seed(config.seed)
             .build()
             .unwrap()
             .memory_breakdown()
     };
-    let full = build(MaterializationMode::FullSamCube);
-    let part = build(MaterializationMode::PartSamCube);
-    let star = build(MaterializationMode::TabulaStar);
-    let tabula = build(MaterializationMode::Tabula);
+    let full = full_sam_cube(Arc::clone(&t), attrs, &loss, theta, &config).unwrap();
+    let part = part_sam_cube(Arc::clone(&t), attrs, &loss, theta, &config).unwrap();
+    let (full, part) = (full.memory_breakdown(), part.memory_breakdown());
+    let star = build(0);
+    let tabula = build(SamGraphConfig::default().max_candidates);
     assert!(
         full.sample_table_bytes >= part.sample_table_bytes,
         "full {} < part {}",

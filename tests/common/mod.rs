@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 use tabula::core::loss::MeanLoss;
-use tabula::core::{MaterializationMode, SamplingCube, SamplingCubeBuilder};
+use tabula::core::samgraph::SamGraphConfig;
+use tabula::core::{SamplingCube, SamplingCubeBuilder};
 use tabula::storage::{CellKey, ColumnType, Field, RowId, Schema, Table, TableBuilder, Value};
 use tabula::store::{crc64, Snapshot};
 use tabula_check::naive_cube;
@@ -60,7 +61,7 @@ pub fn cube_over(table: &Arc<Table>) -> SamplingCube {
     let v = table.schema().index_of("v").unwrap();
     let attrs: Vec<String> = (0..v).map(|c| format!("a{c}")).collect();
     SamplingCubeBuilder::new(Arc::clone(table), &attrs, MeanLoss::new(v), THETA)
-        .mode(MaterializationMode::TabulaStar)
+        .samgraph(SamGraphConfig { max_candidates: 0 })
         .seed(7)
         .build()
         .unwrap()

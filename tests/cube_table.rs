@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 
 use common::{constant_attr_table, cube_over, lattice, measured_table, wide_table};
-use tabula::core::builder::{MaterializationMode, SamplingCubeBuilder};
+use tabula::core::builder::SamplingCubeBuilder;
 use tabula::core::loss::MeanLoss;
 use tabula::core::{CoreError, CubeKeys, SampleProvenance, SamplingCube};
 use tabula::data::{example_dcm_table, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
@@ -382,7 +382,6 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
     let fresh =
         SamplingCubeBuilder::new(Arc::clone(&table), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap();
     assert!(old.cube_table().eq(fresh.cube_table()));

@@ -1,6 +1,6 @@
 //! The differential oracle wired into the integration suite: a handful
 //! of pinned seeds run through the full `tabula-check` diff engine —
-//! every materialization mode, thread counts 1 and 4, exhaustive
+//! every cube variant, thread counts 1 and 4, exhaustive
 //! per-cell θ-guarantee against the naive reference implementation.
 //!
 //! The heavyweight sweep lives in the `fuzz_check` bench binary (and the

@@ -1,16 +1,22 @@
 //! The system's headline invariant, tested end to end across crates: for
 //! EVERY query over the cubed attributes, the sample Tabula returns is
 //! within the user's accuracy-loss threshold of the raw query answer —
-//! with certainty, for every built-in loss function, every
-//! materialization mode, and randomized workloads.
+//! with certainty, for every built-in loss function, with and without
+//! sample selection, and randomized workloads.
 
 use std::sync::Arc;
+use tabula::core::loss::expr::Expr;
 use tabula::core::loss::{
-    AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
+    AccuracyLoss, ExprLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
 };
-use tabula::core::{MaterializationMode, SamplingCubeBuilder};
+use tabula::core::samgraph::SamGraphConfig;
+use tabula::core::SamplingCubeBuilder;
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
-use tabula::storage::Table;
+use tabula::sql::{QueryResult, Session};
+use tabula::storage::{Predicate, Table};
+
+/// Tabula\*: a SamGraph join of no candidates, so no sample selection.
+const TABULA_STAR: SamGraphConfig = SamGraphConfig { max_candidates: 0 };
 
 fn taxi(rows: usize, seed: u64) -> Arc<Table> {
     Arc::new(TaxiGenerator::new(TaxiConfig { rows, seed }).generate())
@@ -22,10 +28,10 @@ fn verify_guarantee<L: AccuracyLoss + Clone>(
     attrs: &[&str],
     loss: L,
     theta: f64,
-    mode: MaterializationMode,
+    samgraph: SamGraphConfig,
 ) {
     let cube = SamplingCubeBuilder::new(Arc::clone(table), attrs, loss.clone(), theta)
-        .mode(mode)
+        .samgraph(samgraph)
         .seed(9)
         .build()
         .expect("build succeeds");
@@ -37,7 +43,7 @@ fn verify_guarantee<L: AccuracyLoss + Clone>(
         let achieved = loss.loss(table, &raw, &answer.rows);
         assert!(
             achieved <= theta + LOSS_EPS,
-            "{} mode {mode:?}: query [{}] loss {achieved} > θ {theta} ({:?})",
+            "{} {samgraph:?}: query [{}] loss {achieved} > θ {theta} ({:?})",
             loss.name(),
             q.description,
             answer.provenance,
@@ -77,7 +83,7 @@ fn mean_loss_guarantee_over_random_workload() {
         &CUBED_ATTRIBUTES[..5],
         MeanLoss::new(fare),
         0.05,
-        MaterializationMode::Tabula,
+        SamGraphConfig::default(),
     );
 }
 
@@ -90,7 +96,7 @@ fn heatmap_loss_guarantee_over_random_workload() {
         &CUBED_ATTRIBUTES[..5],
         HeatmapLoss::new(pickup, Metric::Euclidean),
         meters_to_norm(500.0),
-        MaterializationMode::Tabula,
+        SamGraphConfig::default(),
     );
 }
 
@@ -103,7 +109,7 @@ fn histogram_loss_guarantee_over_random_workload() {
         &CUBED_ATTRIBUTES[..4],
         HistogramLoss::new(fare),
         0.5, // $0.5 — the paper's Fig 12 setting
-        MaterializationMode::Tabula,
+        SamGraphConfig::default(),
     );
 }
 
@@ -117,7 +123,7 @@ fn regression_loss_guarantee_over_random_workload() {
         &CUBED_ATTRIBUTES[..4],
         RegressionLoss::new(fare, tip),
         2.0,
-        MaterializationMode::Tabula,
+        SamGraphConfig::default(),
     );
 }
 
@@ -125,28 +131,22 @@ fn regression_loss_guarantee_over_random_workload() {
 fn guarantee_holds_without_sample_selection_too() {
     let t = taxi(10_000, 5);
     let fare = t.schema().index_of("fare_amount").unwrap();
-    verify_guarantee(
-        &t,
-        &CUBED_ATTRIBUTES[..4],
-        MeanLoss::new(fare),
-        0.05,
-        MaterializationMode::TabulaStar,
-    );
+    verify_guarantee(&t, &CUBED_ATTRIBUTES[..4], MeanLoss::new(fare), 0.05, TABULA_STAR);
 }
 
 #[test]
 fn tabula_and_tabula_star_answer_identically_sized_cell_sets() {
     let t = taxi(10_000, 6);
     let fare = t.schema().index_of("fare_amount").unwrap();
-    let build = |mode| {
+    let build = |samgraph| {
         SamplingCubeBuilder::new(Arc::clone(&t), &CUBED_ATTRIBUTES[..4], MeanLoss::new(fare), 0.05)
-            .mode(mode)
+            .samgraph(samgraph)
             .seed(9)
             .build()
             .unwrap()
     };
-    let tabula = build(MaterializationMode::Tabula);
-    let star = build(MaterializationMode::TabulaStar);
+    let tabula = build(SamGraphConfig::default());
+    let star = build(TABULA_STAR);
     assert_eq!(tabula.materialized_cells(), star.materialized_cells());
     // Selection strictly reduces persisted samples on this data.
     assert!(tabula.persisted_samples() < star.persisted_samples());
@@ -171,4 +171,80 @@ fn tighter_thresholds_produce_more_icebergs_and_more_memory() {
     assert!(tight.memory_breakdown().total() > loose.memory_breakdown().total());
     // Global sample size is θ-independent (Serfling depends only on ε/δ).
     assert_eq!(tight.stats().global_sample_size, loose.stats().global_sample_size);
+}
+
+#[test]
+fn a_join_of_no_candidates_keeps_one_sample_per_iceberg_cell() {
+    // The mean loss prices every pair of cells exactly; a cap of 0 still
+    // means no join and no selection.
+    let t = taxi(10_000, 6);
+    let fare = t.schema().index_of("fare_amount").unwrap();
+    let cube =
+        SamplingCubeBuilder::new(Arc::clone(&t), &CUBED_ATTRIBUTES[..4], MeanLoss::new(fare), 0.05)
+            .samgraph(TABULA_STAR)
+            .seed(9)
+            .build()
+            .unwrap();
+    let stats = cube.stats();
+    assert!(stats.iceberg_cells > 0);
+    assert_eq!(stats.samgraph_edges, 0);
+    assert_eq!(cube.materialized_cells(), stats.iceberg_cells);
+    assert_eq!(cube.persisted_samples(), stats.iceberg_cells);
+}
+
+/// The paper's Function 1 declared in SQL, over `tip_amount`: every cash
+/// tip is 0, so the cash cell's raw mean is 0. Its sample must still meet
+/// θ, and be smaller than the cell.
+#[test]
+fn function_one_in_sql_samples_a_zero_mean_cell_within_theta() {
+    let t = taxi(20_000, 42);
+    let mut session = Session::new().with_seed(42);
+    session.register_table("nyctaxi", Arc::clone(&t));
+    session
+        .execute(
+            "CREATE AGGREGATE f1(Raw, Sam) RETURN decimal_value AS \
+             BEGIN ABS((AVG(Raw) - AVG(Sam)) / AVG(Raw)) END",
+        )
+        .unwrap();
+    session
+        .execute(
+            "CREATE TABLE tips AS SELECT payment_type, rate_code, SAMPLING(*, 0.1) AS sample \
+             FROM nyctaxi GROUPBY CUBE(payment_type, rate_code) \
+             HAVING f1(tip_amount, Sam_global) > 0.1",
+        )
+        .unwrap();
+    let cash = Predicate::eq("payment_type", "cash");
+    let raw = cash.filter(&t).unwrap();
+    let answer = session.cube("tips").unwrap().query(&cash).unwrap();
+    let tip = t.schema().index_of("tip_amount").unwrap();
+    let achieved = ExprLoss::new(tip, Expr::mean_relative_error()).loss(&t, &raw, &answer.rows);
+    assert!(achieved <= 0.1 + LOSS_EPS, "cash cell: loss {achieved} > θ 0.1");
+    assert!(answer.rows.len() < raw.len(), "{} of {} rows", answer.rows.len(), raw.len());
+    let served = session.execute("SELECT sample FROM tips WHERE payment_type = 'cash'").unwrap();
+    let QueryResult::Sample { table, .. } = served else { panic!("{served:?}") };
+    assert_eq!(table.len(), answer.rows.len());
+}
+
+/// Function 1 as an expression is `MeanLoss`, bit for bit: the same cube
+/// table and the same samples, including over a zero-mean cell.
+#[test]
+fn function_one_as_an_expression_builds_the_mean_loss_cube() {
+    let t = taxi(20_000, 42);
+    for attr in ["tip_amount", "fare_amount"] {
+        let col = t.schema().index_of(attr).unwrap();
+        let attrs = &CUBED_ATTRIBUTES[..4];
+        let mean = SamplingCubeBuilder::new(Arc::clone(&t), attrs, MeanLoss::new(col), 0.05)
+            .seed(42)
+            .build()
+            .unwrap();
+        let expr = ExprLoss::new(col, Expr::mean_relative_error());
+        let expr =
+            SamplingCubeBuilder::new(Arc::clone(&t), attrs, expr, 0.05).seed(42).build().unwrap();
+        assert!(mean.materialized_cells() > 0, "{attr}");
+        assert!(mean.cube_table().eq(expr.cube_table()), "{attr}: cube tables differ");
+        assert_eq!(mean.persisted_samples(), expr.persisted_samples(), "{attr}");
+        for id in 0..mean.persisted_samples() as u32 {
+            assert_eq!(mean.sample(id), expr.sample(id), "{attr}: sample {id}");
+        }
+    }
 }

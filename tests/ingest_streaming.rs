@@ -16,7 +16,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use tabula::core::loss::{AccuracyLoss, MeanLoss};
-use tabula::core::{MaterializationMode, SamplingCube, SamplingCubeBuilder};
+use tabula::core::{SamplingCube, SamplingCubeBuilder};
 use tabula::data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula::ingest::{
     IngestConfig, IngestError, Ingestor, INGEST_FOLDS, INGEST_FOLD_ERRORS, INGEST_ROWS,
@@ -44,7 +44,6 @@ fn streamed_generations_stay_fresh_and_guaranteed_under_readers() {
     let cube: Arc<SamplingCube> = Arc::new(
         SamplingCubeBuilder::new(Arc::clone(&table), attrs, loss.clone(), THETA)
             .seed(42)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap()
             .with_registry(&registry),
@@ -195,7 +194,6 @@ fn a_panicking_fold_halts_the_pipeline_instead_of_hanging_its_waiters() {
     let loss = PanicsOnGrowth(MeanLoss::new(table.schema().index_of("fare_amount").unwrap()));
     let cube = SamplingCubeBuilder::new(Arc::clone(&table), attrs, loss.clone(), THETA)
         .seed(42)
-        .mode(MaterializationMode::Tabula)
         .build()
         .unwrap()
         .with_registry(&registry);

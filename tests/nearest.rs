@@ -23,9 +23,7 @@ use tabula::core::samgraph::{SamGraphConfig, SignatureIndex};
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
 use tabula::core::serfling::draw_global_sample;
 use tabula::core::SerflingConfig;
-use tabula::core::{
-    AccuracyLoss, MaterializationMode, SampleProvenance, SamplingCube, SamplingCubeBuilder,
-};
+use tabula::core::{AccuracyLoss, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::storage::{
     CellKey, ColumnType, Field, FinestPartition, Point, RowId, Schema, Table, TableBuilder,
@@ -253,28 +251,25 @@ fn every_candidate_cap_builds_a_cube_within_theta() {
     let cols: Vec<usize> = attrs.iter().map(|a| table.schema().index_of(a).unwrap()).collect();
     let loss = HeatmapLoss::new(table.schema().index_of("pickup").unwrap(), Metric::Euclidean);
     let theta = meters_to_norm(500.0);
-    let build = |mode, cap| {
+    let build = |cap| {
         SamplingCubeBuilder::new(Arc::clone(&table), attrs, loss.clone(), theta)
-            .mode(mode)
             .samgraph(SamGraphConfig { max_candidates: cap })
             .seed(42)
             .build()
             .unwrap()
     };
-    let star = build(MaterializationMode::TabulaStar, 0);
-    let cubes: Vec<SamplingCube> =
-        [0, 1, usize::MAX].into_iter().map(|cap| build(MaterializationMode::Tabula, cap)).collect();
+    let cubes: Vec<SamplingCube> = [0, 1, usize::MAX].into_iter().map(build).collect();
     let cells = lattice(&table, &cols);
     for cube in &cubes {
         assert_theta_on_every_cell(cube, &loss, theta, &cells);
     }
-    // No candidate: self-edges only, so every cell keeps its own sample —
-    // Tabula*'s sample set.
+    // No candidate: no join, so every iceberg cell keeps its own sample —
+    // Tabula*.
     let [none, one, all] = &cubes[..] else { unreachable!() };
-    assert!(star.stats().iceberg_cells > 100, "{:?}", star.stats());
-    assert_eq!(none.stats().samgraph_edges, none.stats().iceberg_cells);
-    assert_eq!(none.persisted_samples(), star.persisted_samples());
-    assert!(none.cube_table().eq(star.cube_table()));
+    assert!(none.stats().iceberg_cells > 100, "{:?}", none.stats());
+    assert_eq!(none.stats().samgraph_edges, 0);
+    assert_eq!(none.persisted_samples(), none.stats().iceberg_cells);
+    assert_eq!(none.materialized_cells(), none.stats().iceberg_cells);
     assert!(one.persisted_samples() < none.persisted_samples());
     assert!(all.persisted_samples() <= one.persisted_samples());
     assert!(all.stats().samgraph_edges >= one.stats().samgraph_edges);

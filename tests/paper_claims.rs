@@ -104,14 +104,18 @@ fn fig09_memory_grows_as_theta_shrinks_and_selection_always_saves() {
 #[test]
 fn fig10_tabula_materializes_no_more_cells_than_part_and_full_samcube() {
     let rows = paper::fig10(setup());
-    let cells = |x: &str, approach: &str| {
+    let get = |x: &str, approach: &str, name: &str| {
         let r = rows.iter().find(|r| r.x == x && r.approach == approach).expect("row exists");
-        field(r, "materialized")
+        field(r, name)
     };
     for x in ["$2", "$1", "$0.5"] {
-        let (tabula, part, full) =
-            (cells(x, "Tabula"), cells(x, "PartSamCube"), cells(x, "FullSamCube"));
+        let cells = |approach| get(x, approach, "materialized");
+        let (tabula, part, full) = (cells("Tabula"), cells("PartSamCube"), cells("FullSamCube"));
         assert!(tabula <= part && part <= full, "θ = {x}: {tabula} / {part} / {full}");
+        // Both naive cubes group the whole lattice.
+        let lattice = get(x, "FullSamCube", "cells");
+        assert_eq!(get(x, "PartSamCube", "cells"), lattice, "θ = {x}");
+        assert_eq!(lattice, full, "θ = {x}");
     }
 }
 

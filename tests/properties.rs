@@ -7,8 +7,9 @@ use common::lattice;
 use proptest::prelude::*;
 use std::sync::Arc;
 use tabula::core::loss::{AccuracyLoss, HistogramLoss, MeanLoss};
+use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
-use tabula::core::{MaterializationMode, SamplingCubeBuilder};
+use tabula::core::SamplingCubeBuilder;
 use tabula::storage::{ColumnType, Field, Schema, Table, TableBuilder};
 
 /// An arbitrary small table with two categorical columns and one measure.
@@ -98,15 +99,15 @@ proptest! {
     fn selection_never_increases_memory(table in arb_table()) {
         let table = Arc::new(table);
         let loss = MeanLoss::new(2);
-        let build = |mode| {
+        let build = |samgraph| {
             SamplingCubeBuilder::new(Arc::clone(&table), &["a", "b"], loss.clone(), 0.05)
-                .mode(mode)
+                .samgraph(samgraph)
                 .seed(1)
                 .build()
                 .unwrap()
         };
-        let tabula = build(MaterializationMode::Tabula);
-        let star = build(MaterializationMode::TabulaStar);
+        let tabula = build(SamGraphConfig::default());
+        let star = build(SamGraphConfig { max_candidates: 0 });
         prop_assert!(tabula.persisted_samples() <= star.persisted_samples());
         prop_assert!(
             tabula.memory_breakdown().sample_table_bytes

@@ -18,7 +18,7 @@ mod common;
 
 use std::sync::Arc;
 
-use tabula::core::builder::{MaterializationMode, SamplingCubeBuilder};
+use tabula::core::builder::SamplingCubeBuilder;
 use tabula::core::loss::MeanLoss;
 use tabula::core::SamplingCube;
 use tabula::data::example_dcm_table;
@@ -30,7 +30,6 @@ fn snapshot_bytes() -> Vec<u8> {
     let cube =
         SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap();
     cube.snapshot_bytes(42).unwrap()
@@ -268,7 +267,6 @@ fn encoded_snapshot_bytes() -> Vec<u8> {
     let cube =
         SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
             .seed(1)
-            .mode(MaterializationMode::Tabula)
             .build()
             .unwrap();
     cube.snapshot_bytes(42).unwrap()

@@ -24,9 +24,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 use tabula::core::loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, LOSS_EPS};
+use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::{
-    refresh, MaterializationMode, RefreshConfig, SampleProvenance, SamplingCube,
-    SamplingCubeBuilder, SerflingConfig,
+    refresh, RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder, SerflingConfig,
 };
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
@@ -41,6 +41,8 @@ const FOLDS: u64 = 8;
 const EXACT_LIMIT: usize = 512;
 /// A global sample of 29 rows: too few to stand in for a coarse cell.
 const SMALL_GLOBAL: SerflingConfig = SerflingConfig { epsilon: 0.2, delta: 0.2 };
+/// Tabula\*: a SamGraph join of no candidates, so no sample selection.
+const TABULA_STAR: SamGraphConfig = SamGraphConfig { max_candidates: 0 };
 
 /// Vendor, pickup weekday, passenger count: eight cuboids.
 fn attrs() -> &'static [&'static str] {
@@ -51,11 +53,11 @@ fn build<L: AccuracyLoss + Clone>(
     table: Arc<Table>,
     loss: &L,
     theta: f64,
-    mode: MaterializationMode,
+    samgraph: SamGraphConfig,
     registry: &Arc<Registry>,
 ) -> SamplingCube {
     SamplingCubeBuilder::new(table, attrs(), loss.clone(), theta)
-        .mode(mode)
+        .samgraph(samgraph)
         .serfling(SMALL_GLOBAL)
         .seed(42)
         .registry(Arc::clone(registry))
@@ -80,14 +82,14 @@ fn materialized(cube: &SamplingCube) -> HashSet<CellKey> {
 
 /// Fold `FOLDS` batches one at a time into a cube over `BASE_ROWS` taxi
 /// rows, checking each generation.
-fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, mode: MaterializationMode) {
-    let what = format!("{} {mode:?}", loss.name());
-    let star = mode == MaterializationMode::TabulaStar;
+fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, samgraph: SamGraphConfig) {
+    let what = format!("{} {samgraph:?}", loss.name());
+    let star = samgraph.max_candidates == 0;
     let registry = Arc::new(Registry::new());
     let mut table =
         Arc::new(TaxiGenerator::new(TaxiConfig { rows: BASE_ROWS, seed: 42 }).generate());
-    let mut cube = build(Arc::clone(&table), &loss, theta, mode, &registry);
-    let config = RefreshConfig { serfling: SMALL_GLOBAL, seed: 42, mode, ..Default::default() };
+    let mut cube = build(Arc::clone(&table), &loss, theta, samgraph, &registry);
+    let config = RefreshConfig { serfling: SMALL_GLOBAL, seed: 42, samgraph };
     let (mut warm_cells, mut warm_start_rows) = (0, 0);
     // Cells that were iceberg before and after a fold that touched them,
     // within the exact engine's reach and above it.
@@ -142,7 +144,8 @@ fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, mode: MaterializationMode
         assert!(strays.is_empty(), "{what} fold {fold}: samples {strays:?} leave their cells");
 
         if star {
-            let rebuilt = build(Arc::clone(&grown), &loss, theta, mode, &Arc::new(Registry::new()));
+            let rebuilt =
+                build(Arc::clone(&grown), &loss, theta, samgraph, &Arc::new(Registry::new()));
             let (folded, scratch) = (sample_rows(&next), sample_rows(&rebuilt));
             assert!(
                 folded as f64 <= 1.10 * scratch as f64,
@@ -165,22 +168,22 @@ fn column(name: &str) -> usize {
 #[test]
 fn warm_folds_of_the_euclidean_heatmap_loss() {
     let loss = HeatmapLoss::new(column("pickup"), Metric::Euclidean);
-    chain(loss.clone(), meters_to_norm(1_000.0), MaterializationMode::TabulaStar);
-    chain(loss, meters_to_norm(1_000.0), MaterializationMode::Tabula);
+    chain(loss.clone(), meters_to_norm(1_000.0), TABULA_STAR);
+    chain(loss, meters_to_norm(1_000.0), SamGraphConfig::default());
 }
 
 #[test]
 fn warm_folds_of_the_manhattan_heatmap_loss() {
     let loss = HeatmapLoss::new(column("pickup"), Metric::Manhattan);
-    chain(loss, meters_to_norm(1_000.0), MaterializationMode::TabulaStar);
+    chain(loss, meters_to_norm(1_000.0), TABULA_STAR);
 }
 
 #[test]
 fn warm_folds_of_the_histogram_loss() {
-    chain(HistogramLoss::new(column("fare_amount")), 0.5, MaterializationMode::TabulaStar);
+    chain(HistogramLoss::new(column("fare_amount")), 0.5, TABULA_STAR);
 }
 
 #[test]
 fn the_mean_loss_folds_cold() {
-    chain(MeanLoss::new(column("fare_amount")), 0.01, MaterializationMode::TabulaStar);
+    chain(MeanLoss::new(column("fare_amount")), 0.01, TABULA_STAR);
 }
