@@ -12,21 +12,25 @@
 //! | PartSamCube     | [`part_sam_cube`]                     |
 //!
 //! Tabula itself is `tabula-core`'s builder, and Tabula\* (no sample
-//! selection) the same builder with a SamGraph join of no candidates. The
-//! two naive cubes return a `SamplingCube` like it; the sampling-side
-//! baselines share the [`Approach`] interface the benchmark harness drives.
+//! selection) the same builder with a candidate cap of 0. The paper's own
+//! two-phase order of its Algorithms 2 and 3, which the builder replaced
+//! with one coarse-to-fine pass, is [`two_phase_cube`]. The cubes return a
+//! `SamplingCube` like the builder's; the sampling-side baselines share the
+//! [`Approach`] interface the benchmark harness drives.
 
 pub mod poisam;
 pub mod sam_cube;
 pub mod sample_first;
 pub mod sample_on_the_fly;
 pub mod snappy;
+pub mod two_phase;
 
 pub use poisam::PoiSam;
 pub use sam_cube::{full_sam_cube, part_sam_cube};
 pub use sample_first::SampleFirst;
 pub use sample_on_the_fly::SampleOnTheFly;
 pub use snappy::{AvgAnswer, SnappyLike};
+pub use two_phase::two_phase_cube;
 
 use std::time::Duration;
 use tabula_storage::{Predicate, RowId};

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use tabula_core::cube::BuildStats;
 use tabula_core::loss::{exceeds_theta, AccuracyLoss};
-use tabula_core::realrun::CubeEntry;
 use tabula_core::serfling::draw_global_sample;
 use tabula_core::{RefreshConfig, Result, SamplingCube};
 use tabula_storage::{CellSpace, CuboidMask, FinestPartition, Table};
@@ -61,7 +60,7 @@ fn sam_cube<L: AccuracyLoss>(
 
     let start = Instant::now();
     let ctx = iceberg_only.then(|| loss.prepare(&table, &global));
-    let (mut entries, mut lattice_cells) = (Vec::new(), 0);
+    let (mut cells, mut samples, mut lattice_cells) = (Vec::new(), Vec::new(), 0);
     for mask in CuboidMask::enumerate(n) {
         let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
         let cuboid = FinestPartition::build(&table, &attrs)?;
@@ -82,21 +81,23 @@ fn sam_cube<L: AccuracyLoss>(
             let cell = space
                 .encode(n, |i| mask.contains(i).then(|| cats[i].codes()[row]))
                 .expect("codes of the table's own rows");
-            entries.push(CubeEntry { cell, rows: rows.to_vec(), sample });
+            cells.push(cell);
+            samples.push(sample);
         }
     }
     let stats = BuildStats {
         real_run: start.elapsed(),
         total_cells: lattice_cells,
-        iceberg_cells: entries.len(),
+        iceberg_cells: cells.len(),
         cuboids_processed: 1 << n,
-        samples_before_selection: entries.len(),
-        samples_after_selection: entries.len(),
+        samples_before_selection: cells.len(),
+        samples_after_selection: cells.len(),
         global_sample_size: global.len(),
         total: total_start.elapsed(),
         ..BuildStats::default()
     };
-    SamplingCube::from_entries(table, attrs, theta, &space, entries, global, stats)
+    let ids = cells.iter().zip(0..);
+    SamplingCube::from_entries(table, attrs, theta, &space, ids, samples, global, stats)
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabula_baselines::{
-    full_sam_cube, part_sam_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly, SnappyLike,
+    full_sam_cube, part_sam_cube, two_phase_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly,
+    SnappyLike,
 };
 use tabula_core::dryrun::dry_run;
 use tabula_core::loss::{
@@ -522,19 +523,26 @@ fn heatmap_500m(s: &Setup) -> SamplingCubeBuilder<HeatmapLoss> {
     s.builder(5, HeatmapLoss::new(s.pickup, Metric::Euclidean), meters_to_norm(500.0))
 }
 
-/// **Ablation** — the SamGraph join's candidate cap, and no selection at
-/// all (Tabula\*, a cap of 0), at heat map 500 m.
+/// **Ablation** — the candidate cap of the represent tests and the level
+/// joins, no selection at all (Tabula\*, a cap of 0), and the paper's
+/// two-phase order at the default cap, at heat map 500 m.
 pub fn ablation_selection(s: &Setup) -> Vec<Row> {
+    let row = |label: &str| Row::new("ablation-selection", "heat map", "500m", label);
     let mut rows = Vec::new();
     for cap in [1, 4, 16, 32, 128, usize::MAX] {
         let config = SamGraphConfig { max_candidates: cap };
         let cube = heatmap_500m(s).samgraph(config).build().expect("build succeeds");
         let label =
             if cap == usize::MAX { "exhaustive".to_owned() } else { format!("cap = {cap}") };
-        rows.push(cube_row(Row::new("ablation-selection", "heat map", "500m", &label), &cube));
+        rows.push(cube_row(row(&label), &cube));
     }
+    let (loss, theta) = (HeatmapLoss::new(s.pickup, Metric::Euclidean), meters_to_norm(500.0));
+    let config = RefreshConfig { seed: s.seed, ..RefreshConfig::default() };
+    let attrs = &CUBED_ATTRIBUTES[..5];
+    let two_phase = two_phase_cube(Arc::clone(&s.table), attrs, &loss, theta, &config);
+    rows.push(cube_row(row("two-phase"), &two_phase.expect("build succeeds")));
     let star = heatmap_500m(s).samgraph(TABULA_STAR).build().expect("builds");
-    rows.push(cube_row(Row::new("ablation-selection", "heat map", "500m", "Tabula*"), &star));
+    rows.push(cube_row(row("Tabula*"), &star));
     rows
 }
 

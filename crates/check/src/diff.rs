@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use tabula_baselines::{full_sam_cube, part_sam_cube};
+use tabula_baselines::{full_sam_cube, part_sam_cube, two_phase_cube};
 use tabula_core::loss::{
     AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
 };
@@ -23,13 +23,17 @@ use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CmpOp, EncodingMode, Predicate, RowId, Table, Value};
 
-/// The four cubes every case is built as.
+/// The five cubes every case is built as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// The full pipeline: dry run, real run, sample selection.
+    /// The full pipeline: dry run, then the one coarse-to-fine pass that
+    /// samples only the cells no kept sample represents.
     Tabula,
-    /// The pipeline without selection: a SamGraph join of no candidates.
+    /// The pipeline without selection: a candidate cap of 0.
     TabulaStar,
+    /// `tabula-baselines`' cube in the paper's two-phase order: a sample
+    /// for every iceberg cell, then the SamGraph join and Algorithm 3.
+    TwoPhase,
     /// `tabula-baselines`' cube with a sample for every lattice cell.
     FullSamCube,
     /// `tabula-baselines`' naively classified partial cube.
@@ -37,8 +41,13 @@ pub enum Variant {
 }
 
 /// Every cube variant the diff engine sweeps.
-pub const VARIANTS: [Variant; 4] =
-    [Variant::Tabula, Variant::TabulaStar, Variant::FullSamCube, Variant::PartSamCube];
+pub const VARIANTS: [Variant; 5] = [
+    Variant::Tabula,
+    Variant::TabulaStar,
+    Variant::TwoPhase,
+    Variant::FullSamCube,
+    Variant::PartSamCube,
+];
 
 impl Variant {
     /// Build this variant of `case`'s cube over `table` (the case's table,
@@ -65,6 +74,7 @@ impl Variant {
         match self {
             Variant::Tabula => builder(config.samgraph),
             Variant::TabulaStar => builder(SamGraphConfig { max_candidates: 0 }),
+            Variant::TwoPhase => two_phase_cube(Arc::clone(table), attrs, loss, theta, &config),
             Variant::FullSamCube => full_sam_cube(Arc::clone(table), attrs, loss, theta, &config),
             Variant::PartSamCube => part_sam_cube(Arc::clone(table), attrs, loss, theta, &config),
         }
@@ -268,15 +278,17 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
         encoding_pass?;
     }
 
-    // Tabula and TabulaStar share the dry-run classifier verbatim, so
-    // their materialized cell sets must match exactly (no borderline
-    // allowance here).
-    let (tab, star) = (&fingerprints[0][0], &fingerprints[0][1]);
-    if tab.cell_keys() != star.cell_keys() {
-        return Err(Divergence {
-            check: "mode_cell_set",
-            detail: "Tabula and TabulaStar materialize different cell sets".to_string(),
-        });
+    // Tabula, TabulaStar and TwoPhase share the dry-run classifier
+    // verbatim, so their materialized cell sets must match exactly (no
+    // borderline allowance here).
+    let tab = &fingerprints[0][0];
+    for (m, variant) in [(1, Variant::TabulaStar), (2, Variant::TwoPhase)] {
+        if tab.cell_keys() != fingerprints[0][m].cell_keys() {
+            return Err(Divergence {
+                check: "mode_cell_set",
+                detail: format!("Tabula and {variant:?} materialize different cell sets"),
+            });
+        }
     }
     Ok(report)
 }
@@ -333,11 +345,11 @@ fn check_cube(
                 ),
             });
         }
-        // Outside full-pipeline Tabula (whose representative-sample
-        // selection deliberately serves a cell with a *similar* cell's
-        // sample), a materialized sample must consist of rows of its own
-        // cell.
-        if variant != Variant::Tabula && matches!(answer.provenance, SampleProvenance::Local(_)) {
+        // Outside Tabula and the two-phase cube (whose representative
+        // samples deliberately serve a cell with a *similar* cell's sample),
+        // a materialized sample must consist of rows of its own cell.
+        let shares = matches!(variant, Variant::Tabula | Variant::TwoPhase);
+        if !shares && matches!(answer.provenance, SampleProvenance::Local(_)) {
             for &r in answer.rows.iter() {
                 if raw.binary_search(&r).is_err() {
                     return Err(Divergence {

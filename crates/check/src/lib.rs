@@ -16,7 +16,8 @@
 //!   ASTs. Same seed, same case — always.
 //! * [`diff`] — the diff engine: replays each case through the real
 //!   pipeline as every cube [`Variant`] — Tabula, Tabula\* (no sample
-//!   selection) and `tabula-baselines`' FullSamCube and PartSamCube — at
+//!   selection) and `tabula-baselines`' two-phase cube, FullSamCube and
+//!   PartSamCube — at
 //!   multiple thread counts, compares against the oracle, and on
 //!   divergence auto-shrinks the case (drop rows → queries → attributes)
 //!   into a minimal reproducer it can print as a ready-to-paste
@@ -39,8 +40,8 @@
 //! * a materialized local sample containing rows from outside its cell;
 //! * an iceberg classification that contradicts the oracle's (outside a
 //!   float borderline band);
-//! * `FullSamCube` not materializing the whole lattice, or `Tabula` and
-//!   `TabulaStar` materializing different cell sets;
+//! * `FullSamCube` not materializing the whole lattice, or `Tabula`,
+//!   `TabulaStar` and `TwoPhase` materializing different cell sets;
 //! * any byte-level difference between cubes built at different thread
 //!   counts;
 //! * an `EmptyDomain` answer for a query that matches raw rows;

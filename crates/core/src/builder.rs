@@ -1,16 +1,33 @@
 //! Orchestration of sampling-cube initialization and maintenance.
 //!
 //! One function, [`materialize`], runs the paper's pipeline — global
-//! sample → finest-key partition → dry run → real run → representative-
-//! sample selection → cube-table assembly — against an optional previous
+//! sample → finest-key partition → dry run → one coarse-to-fine pass of
+//! Algorithms 2 and 3 → cube-table assembly — against an optional previous
 //! generation. [`SamplingCubeBuilder::build`] calls it with none (every
-//! iceberg cell is drawn from nothing), [`refresh`](crate::incremental::refresh)
-//! with the cube being maintained (untouched iceberg cells keep their
-//! sample, touched ones start their draw from it): a build is a refresh
-//! from nothing. The paper's Tabula\* (no sample selection) is this
-//! pipeline with a SamGraph join of no candidates
-//! ([`SamGraphConfig::max_candidates`] 0); the naive full and partial
-//! sampling cubes it is compared against live in `tabula-baselines`.
+//! iceberg cell is fresh), [`refresh`](crate::incremental::refresh) with the
+//! cube being maintained (untouched iceberg cells keep their sample, touched
+//! ones start their draw from it): a build is a refresh from nothing.
+//!
+//! The paper draws a sample for every iceberg cell (Algorithm 2) and then
+//! keeps a dominating set of them (Algorithm 3), discarding most draws. The
+//! pass here walks the lattice coarse to fine instead — arity ascending,
+//! then cuboid and key order, so the cube is a function of the input alone
+//! — and at each level:
+//!
+//! 1. tests every fresh cell against the samples kept so far: its parents'
+//!    (the cells one attribute coarser) first, then the kept samples
+//!    nearest its signature, at most [`SamGraphConfig::max_candidates`]
+//!    exact tests at θ on the cell's raw rows, the first pass winning;
+//! 2. draws a sample only for the cells nobody represents;
+//! 3. runs Algorithm 3 over the level's draws alone, whose representatives
+//!    join the kept set.
+//!
+//! A fold seeds the kept set with the samples it reuses. Every cell is
+//! served by its own greedy draw or by a sample that passed an exact test
+//! on its rows, so θ holds by construction. A cap of 0 tests and joins
+//! nothing: the paper's Tabula\*, one sample per iceberg cell. The paper's
+//! two-phase order and the naive full and partial sampling cubes live in
+//! `tabula-baselines`.
 //!
 //! From the partition to the cube table a cell is one value: its
 //! [`CubeKey`] in the partition's [`CellSpace`] — a packed `u64` when the
@@ -22,14 +39,15 @@ use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::CubeTable;
 use crate::dryrun::dry_run;
 use crate::loss::AccuracyLoss;
-use crate::realrun::real_run;
-use crate::samgraph::{build_samgraph, SamGraphConfig};
+use crate::realrun::draw;
+use crate::samgraph::{build_samgraph, Found, KeptSet, SamGraphConfig};
 use crate::selection::select_representatives;
 use crate::serfling::{draw_global_sample, SerflingConfig};
 use crate::{CoreError, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabula_obs as obs;
+use tabula_par::Pool;
 use tabula_storage::{
     CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table, MAX_CUBED_ATTRS,
 };
@@ -58,24 +76,27 @@ impl Default for RefreshConfig {
 }
 
 /// What one run of the pipeline reused and redid, for observability and
-/// tests. A build reuses nothing and counts every row as appended.
+/// tests. A build reuses nothing and counts every row as appended. The work
+/// counters are sums over cells in key order, so they do not depend on the
+/// thread count.
 #[derive(Debug, Clone, Default)]
 pub struct RefreshStats {
     /// Iceberg cells that kept their previous sample untouched.
     pub reused_cells: usize,
-    /// Iceberg cells whose own freshly drawn sample was persisted this
-    /// round. Under representative selection several fresh cells may end
-    /// up served by a single representative's sample, so this counts
-    /// representatives — see [`fresh_samples`] for the number of cells
-    /// that drew a sample at all.
-    ///
-    /// [`fresh_samples`]: RefreshStats::fresh_samples
+    /// Samples drawn and persisted this round: the representatives of the
+    /// drawn cells (`<= sampled_cells`).
     pub resampled_cells: usize,
-    /// Fresh local samples drawn before representative selection (one per
-    /// touched-or-new iceberg cell; `>= resampled_cells`).
-    pub fresh_samples: usize,
-    /// Fresh cells whose draw started from their old sample ∩ their rows
-    /// (touched cells that were iceberg before; `<= fresh_samples`, 0 in a
+    /// Candidate samples a fresh cell was tested against before it drew one.
+    pub represent_tests: usize,
+    /// Fresh cells served by the sample of one of their parents.
+    pub represented_by_parent: usize,
+    /// Fresh cells served by a signature-neighbour's sample.
+    pub represented_by_neighbour: usize,
+    /// Fresh cells that nobody represented, so drew a sample: with the two
+    /// counts above, every touched-or-new iceberg cell.
+    pub sampled_cells: usize,
+    /// Drawn cells whose draw started from their old sample ∩ their rows
+    /// (touched cells that were iceberg before; `<= sampled_cells`, 0 in a
     /// build).
     pub warm_cells: usize,
     /// Old-sample rows those draws started from, summed.
@@ -170,10 +191,12 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 /// [`refresh`](crate::incremental::refresh) checks), an iceberg cell that
 /// was iceberg before and holds no appended row keeps its old sample; one
 /// that holds an appended row is sampled afresh, starting from the rows of
-/// its old sample that are its own; a cell new to the iceberg set is
-/// sampled from nothing. Selection runs among the fresh samples. Without a
-/// previous generation, every cell is sampled from nothing. Metrics are named
-/// `refresh.*` in the first case, `build.*` in the second.
+/// its old sample that are its own, unless a kept sample represents it; a
+/// cell new to the iceberg set is tested the same way and sampled from
+/// nothing. The reused samples are kept from the start, so a fresh cell is
+/// tested against them too. Without a previous generation, every cell is
+/// fresh. Metrics are named `refresh.*` in the first case, `build.*` in the
+/// second.
 pub(crate) fn materialize<L: AccuracyLoss>(
     table: Arc<Table>,
     attrs: Vec<String>,
@@ -203,23 +226,33 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     stats.total_cells = dry.total_cells;
     stats.iceberg_cells = dry.iceberg_count;
 
+    // The kept set is the sample table: a sample's id is its position.
     // Split the iceberg set into cells that keep the previous generation's
-    // sample (by its old id) and fresh ones, by probing the previous
-    // generation's table (its codes are this table's: appends only extend a
-    // dictionary). From nothing, all are fresh.
+    // sample and fresh ones, by probing the previous generation's table (its
+    // codes are this table's: appends only extend a dictionary); the kept
+    // samples start as the reused ones, once per old id. From nothing, all
+    // cells are fresh.
     let space = partition.space().clone();
     let touched =
         previous.map_or_else(FxHashSet::default, |p| touched_cells(&partition, p.table().len()));
-    let mut reused: Vec<(CubeKey, u32)> = Vec::new();
+    let mut samples: Vec<Arc<Vec<RowId>>> = Vec::new();
+    let mut sample_of: FxHashMap<CubeKey, u32> = FxHashMap::default();
+    let mut new_id_of_old: FxHashMap<u32, u32> = FxHashMap::default();
     let mut fresh: FxHashMap<CuboidMask, Vec<CubeKey>> = FxHashMap::default();
     let mut still_iceberg = 0;
     for (mask, keys) in &dry.iceberg {
         for key in keys {
-            let old_id = previous.and_then(|p| p.cells().probe_key(&space, key));
-            still_iceberg += usize::from(old_id.is_some());
-            match old_id {
+            let old = previous.and_then(|p| Some((p, p.cells().probe_key(&space, key)?)));
+            still_iceberg += usize::from(old.is_some());
+            match old {
                 // Same raw data, θ-good sample: carry it over.
-                Some(old_id) if !touched.contains(key) => reused.push((key.clone(), old_id)),
+                Some((p, old_id)) if !touched.contains(key) => {
+                    let id = *new_id_of_old.entry(old_id).or_insert_with(|| {
+                        samples.push(Arc::clone(p.sample(old_id)));
+                        (samples.len() - 1) as u32
+                    });
+                    sample_of.insert(key.clone(), id);
+                }
                 _ => fresh.entry(*mask).or_default().push(key.clone()),
             }
         }
@@ -235,83 +268,127 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         warm.and_then(|p| Some(p.sample(p.cells().probe_key(&space, key)?).as_slice()))
             .unwrap_or_default()
     };
+    let mut done = RefreshStats { reused_cells: sample_of.len(), ..RefreshStats::default() };
+    let reused_samples = samples.len();
+    let cap = config.samgraph.max_candidates;
     let start = Instant::now();
-    let rr = real_run(&table, &partition, loss, theta, &fresh, old_sample);
+    let mut kept = KeptSet::new();
+    if cap > 0 {
+        kept.extend(&table, loss, &samples);
+    }
     stats.real_run = start.elapsed();
-    (times.gather, times.sample_cells) = (rr.stats.gather, rr.stats.sample_cells);
-    stats.cuboids_processed = rr.stats.cuboids_processed;
-    stats.cuboids_skipped = rr.stats.cuboids_skipped;
-    stats.finest_runs = rr.stats.finest_runs;
-    stats.gathered_rows = rr.stats.gathered_rows;
-    let entries = rr.entries;
-    // The grouping and the dry run's cells are spent: free them before
-    // selection and assembly allocate.
-    drop((ctx, partition, dry, touched, fresh));
 
-    // Selection among fresh samples only (reused samples stay as-is). A
-    // join of no candidates finds no edges, so it is skipped: Tabula*.
-    let selection = (config.samgraph.max_candidates > 0).then(|| {
+    // Algorithms 2 and 3 as one pass over the lattice, coarse to fine and
+    // in key order within a cuboid. A level's fresh cells are tested
+    // against the samples kept so far, only the cells nobody represents
+    // draw a sample, and Algorithm 3 deduplicates the level's draws before
+    // they join the kept set. A cap of 0 tests nothing and joins nothing:
+    // every iceberg cell keeps its own sample (Tabula*).
+    let pool = Pool::global();
+    let mut masks: Vec<CuboidMask> = fresh.keys().copied().collect();
+    masks.sort_by_key(|m| (m.arity(), *m));
+    for level in masks.chunk_by(|a, b| a.arity() == b.arity()) {
+        let level_start = Instant::now();
+        let gathered = pool.par_map(level, |mask| partition.gather(*mask, &fresh[mask]));
+        let cells: Vec<(usize, CubeKey, Vec<RowId>)> = (gathered.into_iter().enumerate())
+            .flat_map(|(m, cells)| cells.into_iter().map(move |(cell, rows)| (m, cell, rows)))
+            .collect();
+        times.gather += level_start.elapsed();
+        stats.gathered_rows += cells.iter().map(|(_, _, rows)| rows.len()).sum::<usize>();
+
+        // 1. Test each cell against the kept set, the samples of its
+        //    parents (the cells one attribute coarser) first.
+        let found: Vec<Found> = if cap > 0 && !samples.is_empty() {
+            let parents_of: Vec<Vec<_>> = (level.iter())
+                .map(|m| m.attrs().into_iter().map(|a| space.project(CuboidMask(m.0 ^ 1 << a))))
+                .map(|projections| projections.collect())
+                .collect();
+            pool.run(cells.len(), |i| {
+                let (m, cell, rows) = &cells[i];
+                let mut parents: Vec<u32> = Vec::new();
+                for &id in parents_of[*m].iter().filter_map(|parent| sample_of.get(&parent(cell))) {
+                    if !parents.contains(&id) {
+                        parents.push(id);
+                    }
+                }
+                kept.represent(&table, loss, theta, cap, rows, &parents)
+            })
+        } else {
+            vec![Found::default(); cells.len()]
+        };
+        let mut unrepresented = Vec::new();
+        for ((_, cell, rows), found) in cells.into_iter().zip(found) {
+            done.represent_tests += found.tests;
+            match found.by {
+                Some(id) => {
+                    done.represented_by_parent += usize::from(found.by_parent);
+                    done.represented_by_neighbour += usize::from(!found.by_parent);
+                    sample_of.insert(cell, id);
+                }
+                None => unrepresented.push((cell, rows)),
+            }
+        }
+
+        // 2. Draw a sample for each cell nobody represents.
+        let start = Instant::now();
+        let (mut entries, warm_cells, warm_start_rows) =
+            draw(&table, loss, theta, unrepresented, old_sample);
+        times.sample_cells += start.elapsed();
+        done.sampled_cells += entries.len();
+        done.warm_cells += warm_cells;
+        done.warm_start_rows += warm_start_rows;
+        stats.real_run += level_start.elapsed();
+
+        // 3. Algorithm 3 over the level's draws: its representatives join
+        //    the kept set, and every drawn cell is served by one of them.
+        if cap == 0 {
+            for entry in entries {
+                sample_of.insert(entry.cell, samples.len() as u32);
+                samples.push(Arc::new(entry.sample));
+            }
+            continue;
+        }
         let start = Instant::now();
         let graph = build_samgraph(&table, loss, theta, &entries, &config.samgraph);
-        times.samgraph_join = start.elapsed();
-        stats.samgraph_edges = graph.edge_count();
+        times.samgraph_join += start.elapsed();
+        stats.samgraph_edges += graph.edge_count();
         let greedy_start = Instant::now();
         let sel = select_representatives(&graph);
-        times.greedy = greedy_start.elapsed();
-        stats.selection = start.elapsed();
-        sel
-    });
-    stats.samples_before_selection = reused.len() + entries.len();
+        times.greedy += greedy_start.elapsed();
+        let first = samples.len();
+        let mut id_of = vec![u32::MAX; entries.len()];
+        for &rep in &sel.representatives {
+            id_of[rep as usize] = samples.len() as u32;
+            samples.push(Arc::new(std::mem::take(&mut entries[rep as usize].sample)));
+        }
+        for (entry, rep) in entries.into_iter().zip(sel.rep_of) {
+            sample_of.insert(entry.cell, id_of[rep as usize]);
+        }
+        kept.extend(&table, loss, &samples[first..]);
+        stats.selection += start.elapsed();
+    }
+    stats.cuboids_processed = masks.len();
+    stats.cuboids_skipped = (1usize << space.width()) - masks.len();
+    stats.finest_runs = partition.runs();
+    stats.samples_before_selection = done.reused_cells + done.sampled_cells;
+    // The grouping, the dry run's cells and the kept contexts are spent:
+    // free them before assembly allocates.
+    drop((ctx, partition, dry, touched, fresh, kept));
 
-    // Assemble sample table + cube table: the reused samples (deduplicated
-    // by old id), then the fresh ones; each cell's sample id; then the
-    // table's one sort.
+    // Assemble the cube table: every cell's sample id, then the table's
+    // one sort.
     let start = Instant::now();
-    let mut samples: Vec<Arc<Vec<RowId>>> = Vec::new();
-    let mut sample_ids: Vec<u32> = Vec::with_capacity(stats.samples_before_selection);
-    if let Some(previous) = previous {
-        let mut new_id_of_old: FxHashMap<u32, u32> = FxHashMap::default();
-        for (_, old_id) in &reused {
-            sample_ids.push(*new_id_of_old.entry(*old_id).or_insert_with(|| {
-                samples.push(Arc::clone(previous.sample(*old_id)));
-                (samples.len() - 1) as u32
-            }));
-        }
-    }
-    match &selection {
-        Some(sel) => {
-            let mut sample_id_of_rep: FxHashMap<u32, u32> = FxHashMap::default();
-            for &rep in &sel.representatives {
-                sample_id_of_rep.insert(rep, samples.len() as u32);
-                samples.push(Arc::new(entries[rep as usize].sample.clone()));
-            }
-            sample_ids.extend(sel.rep_of.iter().map(|rep| sample_id_of_rep[rep]));
-        }
-        None => {
-            sample_ids.extend(samples.len() as u32..(samples.len() + entries.len()) as u32);
-            samples.extend(entries.iter().map(|e| Arc::new(e.sample.clone())));
-        }
-    }
-    let cells = CubeTable::from_cells(
-        &space,
-        reused.iter().map(|(cell, _)| cell).chain(entries.iter().map(|e| &e.cell)).zip(sample_ids),
-    );
+    let cells = CubeTable::from_cells(&space, sample_of.iter().map(|(cell, &id)| (cell, id)));
     stats.samples_after_selection = samples.len();
     times.assemble = start.elapsed();
     stats.total = total_start.elapsed();
 
-    // Every fresh cell drew a sample, but under representative selection
-    // only the representatives' samples were persisted — the rest of the
-    // fresh cells share them.
     let refresh_stats = RefreshStats {
-        reused_cells: reused.len(),
-        resampled_cells: selection.map_or(entries.len(), |sel| sel.representatives.len()),
-        fresh_samples: entries.len(),
-        warm_cells: rr.stats.warm_cells,
-        warm_start_rows: rr.stats.warm_start_rows,
+        resampled_cells: samples.len() - reused_samples,
         retired_cells,
         appended_rows: table.len() - previous.map_or(0, |p| p.table().len()),
         total: stats.total,
+        ..done
     };
     let prefix = if previous.is_some() { "refresh" } else { "build" };
     publish_metrics(registry, prefix, &stats, &times, &refresh_stats);
@@ -398,7 +475,10 @@ fn publish_metrics(
         ("count", 1),
         ("reused_cells", refresh.reused_cells),
         ("resampled_cells", refresh.resampled_cells),
-        ("fresh_samples", refresh.fresh_samples),
+        ("represent_tests", refresh.represent_tests),
+        ("represented_by_parent", refresh.represented_by_parent),
+        ("represented_by_neighbour", refresh.represented_by_neighbour),
+        ("sampled_cells", refresh.sampled_cells),
         ("warm_cells", refresh.warm_cells),
         ("warm_start_rows", refresh.warm_start_rows),
         ("retired_cells", refresh.retired_cells),

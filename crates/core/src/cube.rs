@@ -9,7 +9,6 @@
 use crate::builder::cubed_columns;
 use crate::compile::compile_predicate;
 use crate::cube_table::CubeTable;
-use crate::realrun::CubeEntry;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -63,9 +62,11 @@ impl QueryAnswer {
 pub struct BuildStats {
     /// Wall time of the dry-run stage.
     pub dry_run: Duration,
-    /// Wall time of the real-run stage.
+    /// Wall time of the real run: fetching the fresh cells' rows, testing
+    /// them against the kept samples and drawing samples for the rest.
     pub real_run: Duration,
-    /// Wall time of SamGraph construction + Algorithm 3.
+    /// Wall time of Algorithm 3: the SamGraph joins over each level's
+    /// draws and their greedy covers.
     pub selection: Duration,
     /// Total initialization wall time.
     pub total: Duration,
@@ -82,14 +83,15 @@ pub struct BuildStats {
     /// `gathered_rows`; those still load.)
     #[serde(default)]
     pub finest_runs: usize,
-    /// Row ids the real run handed to the sampler, over all iceberg cells.
+    /// Row ids the real run fetched, over all fresh iceberg cells.
     #[serde(default)]
     pub gathered_rows: usize,
-    /// Local samples drawn before representative selection.
+    /// Samples before representative selection: the cells that drew one
+    /// plus the cells that kept their previous one.
     pub samples_before_selection: usize,
     /// Samples persisted after selection.
     pub samples_after_selection: usize,
-    /// Edges of the SamGraph (0 when selection is disabled).
+    /// Edges the SamGraph joins found (0 when selection is disabled).
     pub samgraph_edges: usize,
     /// Tuples in the global sample.
     pub global_sample_size: usize,
@@ -164,22 +166,25 @@ impl SamplingCube {
     }
 
     /// Assemble a cube whose cells were materialized outside the builder
-    /// (the naive sampling cubes of `tabula-baselines`): each of `entries`
-    /// persists its own sample, `entries[i].cell` a key of `space`.
-    /// `attrs` and `theta` are checked as the builder checks them.
-    pub fn from_entries(
+    /// (the baseline cubes of `tabula-baselines`): each of `cells`, a key
+    /// of `space`, is served by the sample of the id beside it, an index
+    /// into `samples`. `attrs` and `theta` are checked as the builder checks
+    /// them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_entries<'a>(
         table: Arc<Table>,
         attrs: &[impl AsRef<str>],
         theta: f64,
         space: &CellSpace,
-        entries: Vec<CubeEntry>,
+        cells: impl Iterator<Item = (&'a CubeKey, u32)>,
+        samples: Vec<Vec<RowId>>,
         global_sample: Vec<RowId>,
         stats: BuildStats,
     ) -> Result<Self> {
         let attrs: Vec<String> = attrs.iter().map(|a| a.as_ref().to_owned()).collect();
         let cols = cubed_columns(&table, &attrs, theta)?;
-        let cells = CubeTable::from_cells(space, entries.iter().map(|e| &e.cell).zip(0..));
-        let samples = entries.into_iter().map(|e| Arc::new(e.sample)).collect();
+        let cells = CubeTable::from_cells(space, cells);
+        let samples = samples.into_iter().map(Arc::new).collect();
         Ok(Self::new(table, attrs, cols, theta, cells, samples, Arc::new(global_sample), stats))
     }
 

@@ -15,16 +15,20 @@
 //!   so the guarantee carries over verbatim — no resampling, no data
 //!   access (a cell is touched iff one of its finest-key runs ends in an
 //!   appended row id);
-//! * cells with appended rows are redrawn by the normal real run
-//!   (restricted to the redrawn cells). Under a monotone loss
+//! * cells with appended rows, and cells new to the iceberg set, go
+//!   through the builder's one pass: each is tested against the kept
+//!   samples — the reused ones from the start, and those the fold keeps
+//!   at coarser levels — and served by the first that passes at θ on its
+//!   new rows;
+//! * only the cells nobody represents are redrawn. Under a monotone loss
 //!   ([`AccuracyLoss::monotone`]: the coverage losses) a touched cell that
 //!   was iceberg before does not start from nothing: Algorithm 1 begins
 //!   with the rows of its old sample that are its own rows, which still
 //!   cover its old rows, and adds rows only until the appended ones are
-//!   covered too;
-//! * cells that became iceberg only under the new global sample, and
-//!   touched cells under any other loss, are drawn from nothing;
-//! * representative selection then runs among the redrawn samples.
+//!   covered too. Cells that became iceberg only under the new global
+//!   sample, and touched cells under any other loss, are drawn from
+//!   nothing;
+//! * representative selection runs among each level's redrawn samples.
 //!
 //! The result satisfies the same invariant as a from-scratch build: every
 //! query's answer is within θ of its raw answer *on the new table*. It is
@@ -190,7 +194,7 @@ mod tests {
         assert!(stats.reused_cells > 0, "untouched cells must be reused");
         assert!(stats.resampled_cells > 0, "touched cells must be resampled");
         assert!(
-            stats.fresh_samples >= stats.resampled_cells,
+            stats.sampled_cells >= stats.resampled_cells,
             "selection can only shrink the persisted set"
         );
 
@@ -293,11 +297,12 @@ mod tests {
             .unwrap();
             assert_eq!(stats.appended_rows, 800, "round {round}");
             assert!(stats.reused_cells > 0, "round {round} reused nothing");
-            assert!(stats.fresh_samples >= stats.resampled_cells, "round {round}");
+            assert!(stats.sampled_cells >= stats.resampled_cells, "round {round}");
+            let represented = stats.represented_by_parent + stats.represented_by_neighbour;
             assert_eq!(
-                stats.reused_cells + stats.fresh_samples,
+                stats.reused_cells + represented + stats.sampled_cells,
                 refreshed.materialized_cells(),
-                "round {round}: every iceberg cell is either reused or freshly sampled"
+                "round {round}: every iceberg cell is reused, represented or freshly sampled"
             );
             for q in workload.generate(&new_t, 40, 100 + round).unwrap() {
                 let raw = q.predicate.filter(&new_t).unwrap();
@@ -367,7 +372,7 @@ mod tests {
         .unwrap();
         assert_eq!(stats.appended_rows, 0);
         assert_eq!(stats.resampled_cells, 0, "nothing was touched");
-        assert_eq!(stats.fresh_samples, 0, "no fresh samples were drawn");
+        assert_eq!(stats.sampled_cells, 0, "no fresh samples were drawn");
         assert_eq!(stats.retired_cells, 0);
         assert_eq!(refreshed.materialized_cells(), cube.materialized_cells());
     }

@@ -21,27 +21,27 @@
 //!   of the whole table, [`serfling`]) is already within `θ` are *not*
 //!   materialized — queries hitting them are answered with the global
 //!   sample;
-//! * the remaining **iceberg cells** get a *local sample* drawn by the
-//!   accuracy-loss-aware greedy sampler ([`sampling`], the paper's
+//! * the remaining **iceberg cells** are served by a *local sample*: one
+//!   already kept that represents them within `θ`, or else one drawn by
+//!   the accuracy-loss-aware greedy sampler ([`sampling`], the paper's
 //!   Algorithm 1);
-//! * similar local samples are deduplicated by the representative-sample
+//! * similar fresh samples are deduplicated by the representative-sample
 //!   selection ([`samgraph`], [`selection`] — the paper's Algorithm 3).
 //!
 //! ## Pipeline
 //!
-//! [`builder::SamplingCubeBuilder`] runs the three stages over one
-//! grouping of the table by the finest key
-//! ([`tabula_storage::FinestPartition`]):
+//! [`builder::SamplingCubeBuilder`] runs two stages over one grouping of
+//! the table by the finest key ([`tabula_storage::FinestPartition`]):
 //!
 //! 1. **Dry run** ([`dryrun`]) — folding the partition's runs builds an
 //!    algebraic loss-state cube; rolling it up identifies every iceberg
 //!    cell without materializing anything.
-//! 2. **Real run** ([`realrun`], Algorithm 2) — every iceberg cell's rows
-//!    are a merge of the same partition's runs; local samples are drawn
-//!    for them (in parallel).
-//! 3. **Sample selection** ([`samgraph`], [`selection`]) — a
-//!    representation-relationship graph over local samples is built and a
-//!    greedy dominating set of representative samples is persisted.
+//! 2. **Real run and sample selection** ([`realrun`], [`samgraph`],
+//!    [`selection`]; Algorithms 2 and 3 as one pass) — level by level,
+//!    coarse to fine, every iceberg cell's rows are a merge of the same
+//!    partition's runs; each cell is tested against the samples kept so
+//!    far, only the cells nobody represents draw one (in parallel), and a
+//!    greedy dominating set of the level's draws joins the kept set.
 //!
 //! [`incremental::refresh`] is the same pipeline started from a previous
 //! generation, whose untouched iceberg cells keep their samples.

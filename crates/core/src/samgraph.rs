@@ -1,48 +1,54 @@
 //! The **SamGraph** (paper Definition 6): a directed graph over the local
 //! samples of iceberg cells, with an edge `u → v` whenever the sample of
 //! cell `u` can *represent* cell `v`, i.e. `loss(cell_v_raw, sam_u) ≤ θ`
-//! (Definition 5).
+//! (Definition 5) — and the same relation tested before a cell draws a
+//! sample at all.
 //!
-//! The graph is the input to the representative-sample selection
-//! ([`crate::selection`]). Building it is a self-join of the cube table on
-//! the representation relationship; the paper notes the join "does not
-//! have to exhaust all possible representation relationships" — any subset
-//! of the true edges keeps the bounded-error guarantee (uncovered samples
-//! simply stay materialized). This implementation exploits that freedom:
+//! The builder asks the relation twice per lattice level. First
+//! `KeptSet::represent` tests each fresh cell against the samples kept by
+//! the coarser levels: its parents' first, then its signature neighbours'.
+//! Then, among the cells nobody represented, [`build_samgraph`] joins the
+//! level's fresh draws and [`crate::selection`] keeps a dominating set of
+//! them. The paper notes the join "does not have to exhaust all possible
+//! representation relationships" — any subset of the true edges keeps the
+//! bounded-error guarantee (unrepresented cells simply keep their own
+//! sample). This implementation exploits that freedom:
 //!
 //! * for **sample-independent** losses (mean, regression, expression
-//!   losses) every pair is priced in O(1) from pre-folded cell states, so
-//!   the join is exhaustive;
+//!   losses) every pair is priced in O(1) from a folded cell state, so both
+//!   the tests and the join are exhaustive;
 //! * for **sample-dependent** losses (heat map, histogram) each pair costs
 //!   a pass over the target cell's raw rows, so candidates are ranked by a
-//!   cheap per-cell signature (centroid / mean) and only the
-//!   `max_candidates` nearest are checked exactly — with the early-exit
+//!   cheap signature (centroid / mean) and only the `max_candidates`
+//!   nearest are checked exactly — with the early-exit
 //!   [`AccuracyLoss::loss_within`] evaluation.
 //!
-//! The ranking is a k-nearest-neighbour query per cell over the `m`
-//! signatures. [`SignatureIndex`] answers it with a sweep over the
-//! signatures sorted by x, which visits the few candidates within the
-//! `k`-th best distance in x instead of pricing all `m²` pairs, and returns
-//! exactly the first `k` of the total order (squared distance, index). Twin
-//! cells — a cell and a parent with the same rows — share a signature, so
-//! ties are common, and the index order makes the candidate set, hence the
-//! cube, a function of the input alone.
+//! The ranking is a k-nearest-neighbour query over the signatures.
+//! [`SignatureIndex`] answers it with a sweep over the signatures sorted by
+//! x, which visits the few candidates within the `k`-th best distance in x
+//! instead of pricing every pair, and returns exactly the first `k` of the
+//! total order (squared distance, index). Twin cells — a cell and a parent
+//! with the same rows — share a signature, so ties are common, and the
+//! index order makes the candidate set, hence the cube, a function of the
+//! input alone.
 
 use crate::loss::AccuracyLoss;
 use crate::realrun::CubeEntry;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use tabula_par::Pool;
-use tabula_storage::Table;
+use tabula_storage::{RowId, Table};
 
-/// Tuning knobs of the SamGraph join.
+/// Tuning knobs of the representation tests and the SamGraph join.
 #[derive(Debug, Clone, Copy)]
 pub struct SamGraphConfig {
-    /// For sample-dependent losses: how many signature-nearest candidate
-    /// representatives to check exactly, per cell — the first this many of
-    /// the order [`SignatureIndex`] states. Higher values find more edges
-    /// (more memory savings) at higher build cost. `0`, for any loss, is
-    /// the paper's Tabula\*: the builder skips the join and the selection,
-    /// and every iceberg cell keeps its own sample.
+    /// For sample-dependent losses: how many candidate representatives to
+    /// check exactly, per cell — in the join, the first this many of the
+    /// order [`SignatureIndex`] states; before a draw, the cell's parents'
+    /// samples and then that order, this many in all. Higher values find
+    /// more representations (more memory savings) at higher build cost.
+    /// `0`, for any loss, is the paper's Tabula\*: the builder tests and
+    /// joins nothing, and every iceberg cell keeps its own sample.
     pub max_candidates: usize,
 }
 
@@ -140,6 +146,84 @@ pub fn build_samgraph<L: AccuracyLoss>(
     SamGraph { edges }
 }
 
+/// The samples a build has kept so far, ready to be tested against a cell
+/// before the cell draws one of its own: each sample's prepared context
+/// and signature (of the sample's own rows), and the signatures' index.
+/// Sample ids are positions, in the order the samples were kept.
+pub(crate) struct KeptSet<L: AccuracyLoss> {
+    ctxs: Vec<L::SampleCtx>,
+    index: SignatureIndex,
+}
+
+/// Which kept sample represents a cell, if any, and what finding out took.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Found {
+    /// The representing sample's id.
+    pub by: Option<u32>,
+    /// Whether it is the sample of one of the cell's parents.
+    pub by_parent: bool,
+    /// Candidates tested.
+    pub tests: usize,
+}
+
+impl<L: AccuracyLoss> KeptSet<L> {
+    pub(crate) fn new() -> Self {
+        KeptSet { ctxs: Vec::new(), index: SignatureIndex::build(Vec::new()) }
+    }
+
+    /// Keep `samples` too, after the ones already kept.
+    pub(crate) fn extend(&mut self, table: &Table, loss: &L, samples: &[Arc<Vec<RowId>>]) {
+        let pool = Pool::global();
+        self.ctxs.extend(pool.par_map(samples, |sample| loss.prepare(table, sample)));
+        let mut sigs = std::mem::take(&mut self.index.sigs);
+        sigs.extend(pool.par_map(samples, |sample| loss.signature(table, sample)));
+        self.index = SignatureIndex::build(sigs);
+    }
+
+    /// The first kept sample within `theta` of `rows`, a cell's raw rows:
+    /// the samples of its `parents` first, then the kept samples nearest
+    /// the cell's signature, `cap` tests in all, each an exact
+    /// [`AccuracyLoss::loss_within`] at θ. Under a sample-independent loss a
+    /// test is O(1) from the cell's folded state, so every kept sample is
+    /// tried, in id order, as the SamGraph join's state path does.
+    pub(crate) fn represent(
+        &self,
+        table: &Table,
+        loss: &L,
+        theta: f64,
+        cap: usize,
+        rows: &[RowId],
+        parents: &[u32],
+    ) -> Found {
+        // The state path's fold reads no sample: any context will do.
+        let state = (!loss.state_depends_on_sample()).then(|| {
+            let (blank, mut state) = (loss.prepare(table, &[]), L::State::default());
+            rows.iter().for_each(|&r| loss.fold(&blank, &mut state, table, r));
+            state
+        });
+        let (others, cap): (Vec<u32>, usize) = match state {
+            Some(_) => ((0..self.ctxs.len() as u32).collect(), usize::MAX),
+            None => (self.index.nearest_to(loss.signature(table, rows), cap), cap),
+        };
+        let candidates =
+            parents.iter().copied().chain(others.into_iter().filter(|u| !parents.contains(u)));
+        let mut found = Found::default();
+        for (i, u) in candidates.take(cap).enumerate() {
+            found.tests += 1;
+            let ctx = &self.ctxs[u as usize];
+            let passes = match &state {
+                Some(state) => loss.finish(ctx, state) <= theta,
+                None => loss.loss_within(table, rows, ctx, theta).is_some(),
+            };
+            if passes {
+                (found.by, found.by_parent) = (Some(u), i < parents.len());
+                break;
+            }
+        }
+        found
+    }
+}
+
 /// A candidate's place in the ranking: `(squared distance, index)`. A
 /// squared distance is never negative, so its bits order as its value does;
 /// a NaN one is stored as the positive NaN, whose bits order after `+∞`.
@@ -148,22 +232,21 @@ fn rank(d2: f64, u: usize) -> (u64, u32) {
 }
 
 /// The signatures sorted by x, answering "which `cap` signatures are
-/// nearest signature `v`" with a sweep: candidates are visited in order of
-/// their x gap to `v`, alternating sides, until the squared gap alone
-/// exceeds the `cap`-th best squared distance found so far.
+/// nearest signature `v`" (or a point `v` that is not indexed) with a
+/// sweep: candidates are visited in order of their x gap to `v`,
+/// alternating sides, until the squared gap alone exceeds the `cap`-th best
+/// squared distance found so far.
 ///
 /// "Nearest" is the total order of (squared distance, index): the
-/// squared distance is `dx² + dy²` with `dx = sig[u].x − sig[v].x`; ties go
+/// squared distance is `dx² + dy²` with `dx = sig[u].x − v.x`; ties go
 /// to the smaller index; a NaN distance (a NaN coordinate, or the same
 /// infinity on both sides) ranks after every number. The answer is exactly
-/// the first `cap` candidates of that order — what a sort of all `m − 1`
+/// the first `cap` candidates of that order — what a sort of all of them
 /// would give, for any `cap`.
 pub struct SignatureIndex {
     sigs: Vec<[f64; 2]>,
     /// `(x, index)` of the signatures with a finite x, ascending by x.
     by_x: Vec<(f64, u32)>,
-    /// Each signature's position in `by_x`; `u32::MAX` for the rest.
-    pos: Vec<u32>,
     /// The signatures whose x is not finite: no sweep bound holds for
     /// them, so every query offers them all.
     rest: Vec<u32>,
@@ -177,22 +260,26 @@ impl SignatureIndex {
         let mut by_x: Vec<(f64, u32)> =
             finite.into_iter().map(|u| (sigs[u as usize][0], u)).collect();
         by_x.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let mut pos = vec![u32::MAX; sigs.len()];
-        for (i, &(_, u)) in by_x.iter().enumerate() {
-            pos[u as usize] = i as u32;
-        }
-        SignatureIndex { sigs, by_x, pos, rest }
+        SignatureIndex { sigs, by_x, rest }
     }
 
     /// The `cap` signatures nearest signature `v`, `v` itself excluded,
     /// nearest first.
     pub fn nearest(&self, v: usize, cap: usize) -> Vec<u32> {
+        let mut near = self.nearest_to(self.sigs[v], cap.saturating_add(1));
+        near.retain(|&u| u as usize != v);
+        near.truncate(cap);
+        near
+    }
+
+    /// The `cap` signatures nearest the point `at`, nearest first: the same
+    /// order, for a query that is not one of the indexed signatures.
+    pub fn nearest_to(&self, [x, y]: [f64; 2], cap: usize) -> Vec<u32> {
         let m = self.sigs.len();
-        let cap = cap.min(m.saturating_sub(1));
+        let cap = cap.min(m);
         if cap == 0 {
             return Vec::new();
         }
-        let [x, y] = self.sigs[v];
         let near = |u: usize| {
             let [ux, uy] = self.sigs[u];
             let (dx, dy) = (ux - x, uy - y);
@@ -208,14 +295,14 @@ impl SignatureIndex {
                 *worst = candidate;
             }
         };
-        let p = self.pos[v];
-        if p == u32::MAX {
+        if !x.is_finite() {
             // A non-finite x bounds nothing: offer every candidate.
-            (0..m).filter(|&u| u != v).for_each(|u| offer(&mut best, u));
+            (0..m).for_each(|u| offer(&mut best, u));
         } else {
             // The next candidate on the left is `left - 1`, on the right
             // `right`; the nearer in x goes first.
-            let (mut left, mut right) = (p as usize, p as usize + 1);
+            let p = self.by_x.partition_point(|&(ux, _)| ux < x);
+            let (mut left, mut right) = (p, p);
             let gap2 = |i: usize| (self.by_x[i].0 - x) * (self.by_x[i].0 - x);
             loop {
                 let take_left = match (left > 0, right < self.by_x.len()) {
@@ -249,10 +336,23 @@ mod tests {
     use super::*;
     use crate::dryrun::dry_run;
     use crate::loss::{HeatmapLoss, MeanLoss, Metric};
-    use crate::realrun::real_run;
+    use crate::realrun::draw;
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
-    use tabula_storage::FinestPartition;
+    use tabula_storage::{CubeKey, CuboidMask, FinestPartition, FxHashMap};
+
+    /// Every `iceberg` cell's rows, gathered from `partition`, and its
+    /// sample drawn from nothing.
+    fn draw_all<L: AccuracyLoss>(
+        t: &Table,
+        partition: &FinestPartition,
+        loss: &L,
+        theta: f64,
+        iceberg: &FxHashMap<CuboidMask, Vec<CubeKey>>,
+    ) -> Vec<CubeEntry> {
+        let work = iceberg.iter().flat_map(|(mask, keys)| partition.gather(*mask, keys));
+        draw(t, loss, theta, work.collect(), |_| &[]).0
+    }
 
     fn entries_for_mean(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry>) {
         let t = example_dcm_table();
@@ -262,8 +362,8 @@ mod tests {
         let ctx = loss.prepare(&t, &global);
         let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
         let dry = dry_run(&t, &partition, &loss, &ctx, theta);
-        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg, |_| &[]);
-        (t, rr.entries)
+        let entries = draw_all(&t, &partition, &loss, theta, &dry.iceberg);
+        (t, entries)
     }
 
     #[test]
@@ -314,12 +414,12 @@ mod tests {
         let ctx = loss.prepare(&t, &global);
         let partition = FinestPartition::build(&t, &[0, 1, 2]).unwrap();
         let dry = dry_run(&t, &partition, &loss, &ctx, theta);
-        let rr = real_run(&t, &partition, &loss, theta, &dry.iceberg, |_| &[]);
-        assert!(!rr.entries.is_empty());
-        let g = build_samgraph(&t, &loss, theta, &rr.entries, &SamGraphConfig::default());
+        let entries = draw_all(&t, &partition, &loss, theta, &dry.iceberg);
+        assert!(!entries.is_empty());
+        let g = build_samgraph(&t, &loss, theta, &entries, &SamGraphConfig::default());
         for (u, outs) in g.edges.iter().enumerate() {
             for &v in outs {
-                let l = loss.loss(&t, &rr.entries[v as usize].rows, &rr.entries[u].sample);
+                let l = loss.loss(&t, &entries[v as usize].rows, &entries[u].sample);
                 assert!(l <= theta + 1e-9, "edge {u}→{v}: loss {l}");
             }
         }

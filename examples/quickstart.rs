@@ -40,8 +40,8 @@ fn main() {
         stats.dry_run, stats.total_cells, stats.iceberg_cells
     );
     println!(
-        "  real run       {:>10.2?} ({} cuboids skipped)",
-        stats.real_run, stats.cuboids_skipped
+        "  real run       {:>10.2?} ({} cuboids skipped, {} of the icebergs drew a sample)",
+        stats.real_run, stats.cuboids_skipped, stats.samples_before_selection
     );
     println!(
         "  selection      {:>10.2?} ({} -> {} samples)",

@@ -16,7 +16,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 
 use common::{constant_attr_table, cube_over, lattice, measured_table, wide_table};
-use tabula::core::builder::SamplingCubeBuilder;
+use tabula::baselines::two_phase_cube;
+use tabula::core::builder::{RefreshConfig, SamplingCubeBuilder};
 use tabula::core::loss::MeanLoss;
 use tabula::core::{CoreError, CubeKeys, SampleProvenance, SamplingCube};
 use tabula::data::{example_dcm_table, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
@@ -332,7 +333,11 @@ fn taxi_schema_with_packed_keys() {
             .build()
             .unwrap();
     assert!(cube.materialized_cells() > 1_000, "{}", cube.materialized_cells());
-    assert!(cube.persisted_samples() > 50, "{}", cube.persisted_samples());
+    // Enough samples that every door serves many distinct ones, and each
+    // shared by many cells. Building coarse to fine keeps 44 at 4 000 rows
+    // (the two-phase order kept more, for fewer cells apiece).
+    let (samples, cells) = (cube.persisted_samples(), cube.materialized_cells());
+    assert!(samples > 40 && samples * 10 < cells, "{samples} samples for {cells} cells");
     assert_every_door_agrees(cube, false);
 }
 
@@ -367,7 +372,9 @@ fn empty_and_single_row_tables() {
 
 /// `tests/data/dcm_cube_pr12.tabsnap` was written by the commit before the
 /// cube table existed (PR 12: hash-map cube, keys encoded and sorted on
-/// every write) for the DCM example cube built below, at epoch 42.
+/// every write) for the DCM example cube built below, at epoch 42. The
+/// builder then ran Algorithms 2 and 3 in the paper's two-phase order, which
+/// `tabula_baselines::two_phase_cube` keeps.
 #[test]
 fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/dcm_cube_pr12.tabsnap");
@@ -379,11 +386,9 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
 
     let table = Arc::new(example_dcm_table());
     let fare = table.schema().index_of("fare").unwrap();
-    let fresh =
-        SamplingCubeBuilder::new(Arc::clone(&table), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
-            .seed(1)
-            .build()
-            .unwrap();
+    let config = RefreshConfig { seed: 1, ..RefreshConfig::default() };
+    let loss = MeanLoss::new(fare);
+    let fresh = two_phase_cube(Arc::clone(&table), &["D", "C", "M"], &loss, 0.10, &config).unwrap();
     assert!(old.cube_table().eq(fresh.cube_table()));
     assert_eq!(old.global_sample(), fresh.global_sample());
     for (cell, _) in lattice(&table, &[0, 1, 2]) {

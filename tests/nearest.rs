@@ -18,13 +18,14 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabula::core::dryrun::dry_run;
 use tabula::core::loss::{HeatmapLoss, HistogramLoss, Metric, XSortedIndex, LOSS_EPS};
-use tabula::core::realrun::real_run;
+use tabula::core::realrun::draw;
 use tabula::core::samgraph::{SamGraphConfig, SignatureIndex};
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
 use tabula::core::serfling::draw_global_sample;
 use tabula::core::SerflingConfig;
 use tabula::core::{AccuracyLoss, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
+use tabula::obs::Registry;
 use tabula::storage::{
     CellKey, ColumnType, Field, FinestPartition, Point, RowId, Schema, Table, TableBuilder,
 };
@@ -136,16 +137,16 @@ fn the_x_sorted_index_is_brute_force_bit_for_bit() {
     }
 }
 
-/// The first `cap` candidates for `v` by a sort of all of them under the
-/// documented order: squared distance ascending, a NaN one after every
-/// number, ties to the smaller index.
-fn brute_top(sigs: &[[f64; 2]], v: usize, cap: usize) -> Vec<u32> {
+/// The first `cap` candidates nearest `at`, `skip` excluded, by a sort of
+/// all of them under the documented order: squared distance ascending, a
+/// NaN one after every number, ties to the smaller index.
+fn brute_top(sigs: &[[f64; 2]], at: [f64; 2], skip: Option<usize>, cap: usize) -> Vec<u32> {
     let d2 = |u: usize| {
-        let (dx, dy) = (sigs[u][0] - sigs[v][0], sigs[u][1] - sigs[v][1]);
+        let (dx, dy) = (sigs[u][0] - at[0], sigs[u][1] - at[1]);
         dx * dx + dy * dy
     };
     let mut all: Vec<(f64, usize)> =
-        (0..sigs.len()).filter(|&u| u != v).map(|u| (d2(u), u)).collect();
+        (0..sigs.len()).filter(|&u| Some(u) != skip).map(|u| (d2(u), u)).collect();
     all.sort_by(|a, b| match (a.0.is_nan(), b.0.is_nan()) {
         (false, false) => a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)),
         (x, y) => x.cmp(&y).then(a.1.cmp(&b.1)),
@@ -153,15 +154,20 @@ fn brute_top(sigs: &[[f64; 2]], v: usize, cap: usize) -> Vec<u32> {
     all.into_iter().take(cap).map(|(_, u)| u as u32).collect()
 }
 
+/// Every signature's neighbours, itself excluded, and the neighbours of
+/// two points queried by value: the signature itself and the point halfway
+/// to the next signature, which is not indexed.
 fn assert_ranking_is_brute_force(name: &str, sigs: &[[f64; 2]], caps: &[usize]) {
     let index = SignatureIndex::build(sigs.to_vec());
     for v in 0..sigs.len() {
+        let [x, y] = sigs[v];
+        let [nx, ny] = sigs[(v + 1) % sigs.len()];
+        let halfway = [(x + nx) / 2.0, (y + ny) / 2.0];
         for &cap in caps {
-            assert_eq!(
-                index.nearest(v, cap),
-                brute_top(sigs, v, cap),
-                "{name}: v = {v}, cap = {cap}"
-            );
+            let at = format!("{name}: v = {v}, cap = {cap}");
+            assert_eq!(index.nearest(v, cap), brute_top(sigs, sigs[v], Some(v), cap), "{at}");
+            assert_eq!(index.nearest_to(sigs[v], cap), brute_top(sigs, sigs[v], None, cap), "{at}");
+            assert_eq!(index.nearest_to(halfway, cap), brute_top(sigs, halfway, None, cap), "{at}");
         }
     }
 }
@@ -255,6 +261,7 @@ fn every_candidate_cap_builds_a_cube_within_theta() {
         SamplingCubeBuilder::new(Arc::clone(&table), attrs, loss.clone(), theta)
             .samgraph(SamGraphConfig { max_candidates: cap })
             .seed(42)
+            .registry(Arc::new(Registry::new()))
             .build()
             .unwrap()
     };
@@ -272,7 +279,12 @@ fn every_candidate_cap_builds_a_cube_within_theta() {
     assert_eq!(none.materialized_cells(), none.stats().iceberg_cells);
     assert!(one.persisted_samples() < none.persisted_samples());
     assert!(all.persisted_samples() <= one.persisted_samples());
-    assert!(all.stats().samgraph_edges >= one.stats().samgraph_edges);
+    // The cap bounds the tests each fresh cell makes before it draws a
+    // sample: none at 0, at most one at 1.
+    let tests = |cube: &SamplingCube| cube.registry().snapshot().counter("build.represent_tests");
+    assert_eq!(tests(none), 0);
+    assert!(0 < tests(one) && tests(one) <= one.stats().iceberg_cells as u64, "{}", tests(one));
+    assert!(tests(all) > tests(one), "{} tests at no cap, {} at 1", tests(all), tests(one));
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +568,8 @@ fn heatmap_samples_equal_the_reference_on_every_iceberg_cell_of_the_taxi_cube() 
     let global = draw_global_sample(&table, SerflingConfig::default().sample_size(), 42);
     let partition = FinestPartition::build(&table, &cols).unwrap();
     let dry = dry_run(&table, &partition, &loss, &loss.prepare(&table, &global), theta);
-    let cells = real_run(&table, &partition, &loss, theta, &dry.iceberg, |_| &[]).entries;
+    let work = dry.iceberg.iter().flat_map(|(mask, keys)| partition.gather(*mask, keys));
+    let cells = draw(&table, &loss, theta, work.collect(), |_| &[]).0;
     assert!(cells.len() > 1_000, "{} iceberg cells", cells.len());
     // Iceberg cells here hold at most a few hundred rows, so this is the
     // exact engine; the coarse cells below and the random sets reach the

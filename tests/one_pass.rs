@@ -1,0 +1,221 @@
+//! Algorithms 2 and 3 as one coarse-to-fine pass: a fresh iceberg cell is
+//! tested against the samples already kept — its parents' first, then its
+//! signature neighbours' — and draws a sample of its own only when none
+//! represents it. Every answer is a cell's own draw or passed an exact test
+//! at θ on the cell's raw rows, so:
+//!
+//! * θ holds on every cell of the lattice for the heat-map, mean,
+//!   regression and histogram losses, and the cube is the same bytes at one
+//!   and four threads;
+//! * the work counters are the same at one, two and four threads, and
+//!   every fresh cell is either represented or sampled;
+//! * at θ = 0 a cell is represented only by a sample at zero loss, and a
+//!   cell whose pickups are all NaN by no other cell's sample.
+
+mod common;
+
+use common::content_crc;
+use std::collections::HashMap;
+use std::sync::Arc;
+use tabula::core::loss::{
+    AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
+};
+use tabula::core::{refresh, RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder};
+use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
+use tabula::obs::Registry;
+use tabula::storage::cube::CellKey;
+use tabula::storage::{ColumnType, Field, Point, RowId, Schema, Table, TableBuilder, Value};
+use tabula_check::{naive_cube, LossSpec};
+
+fn taxi(rows: usize, seed: u64) -> Arc<Table> {
+    Arc::new(TaxiGenerator::new(TaxiConfig { rows, seed }).generate())
+}
+
+/// The builder's cube at `threads` threads, reporting into `registry`.
+fn build<L: AccuracyLoss + Clone>(
+    table: &Arc<Table>,
+    attrs: &[impl AsRef<str>],
+    loss: &L,
+    theta: f64,
+    threads: usize,
+    registry: &Arc<Registry>,
+) -> SamplingCube {
+    tabula_par::set_threads(threads);
+    let cube = SamplingCubeBuilder::new(Arc::clone(table), attrs, loss.clone(), theta)
+        .seed(42)
+        .registry(Arc::clone(registry))
+        .build()
+        .unwrap();
+    tabula_par::set_threads(0);
+    cube
+}
+
+/// Every cell of `cube`'s lattice with its rows, grouped a row at a time.
+fn lattice(cube: &SamplingCube) -> Vec<(CellKey, Vec<RowId>)> {
+    let cells = naive_cube(cube.table(), cube.attrs()).unwrap().cells;
+    cells.into_iter().map(|(codes, rows)| (CellKey::new(codes), rows)).collect()
+}
+
+/// θ on every cell: a Local answer by the oracle's brute-force loss, the
+/// global sample by the production loss against one prepared context.
+fn assert_theta_on_every_cell<L: AccuracyLoss>(
+    cube: &SamplingCube,
+    loss: &L,
+    oracle: &LossSpec,
+    theta: f64,
+) {
+    let table = cube.table();
+    let global = loss.prepare(table, cube.global_sample());
+    for (cell, rows) in lattice(cube) {
+        let answer = cube.query_cell(&cell);
+        let achieved = match answer.provenance {
+            SampleProvenance::Global => loss.loss_with_ctx(table, &rows, &global),
+            _ => oracle.naive_loss(table, &rows, &answer.rows),
+        };
+        let what = format!("{} cell {cell} ({} rows)", loss.name(), rows.len());
+        assert!(achieved <= theta + LOSS_EPS, "{what}: {achieved} > θ {theta}");
+    }
+}
+
+/// Build at one and four threads: the same bytes, and θ on every cell.
+fn assert_one_pass_holds<L: AccuracyLoss + Clone>(loss: L, oracle: LossSpec, theta: f64) {
+    let table = taxi(20_000, 42);
+    let registry = Arc::new(Registry::new());
+    let one = build(&table, &CUBED_ATTRIBUTES, &loss, theta, 1, &registry);
+    let four = build(&table, &CUBED_ATTRIBUTES, &loss, theta, 4, &registry);
+    assert_eq!(content_crc(&one), content_crc(&four), "{}", loss.name());
+    let snap = registry.snapshot();
+    let represented = snap.counter("build.represented_by_parent")
+        + snap.counter("build.represented_by_neighbour");
+    assert!(represented > 0, "{}: no cell was represented", loss.name());
+    assert_theta_on_every_cell(&one, &loss, &oracle, theta);
+}
+
+#[test]
+fn theta_holds_on_every_cell_for_every_loss() {
+    let t = taxi(1, 0);
+    let col = |name: &str| t.schema().index_of(name).unwrap();
+    let spec = |attr: &str| attr.to_owned();
+    let (pickup, fare, tip) = (col("pickup"), col("fare_amount"), col("tip_amount"));
+    assert_one_pass_holds(
+        HeatmapLoss::new(pickup, Metric::Euclidean),
+        LossSpec::Heatmap { attr: spec("pickup"), manhattan: false },
+        meters_to_norm(500.0),
+    );
+    assert_one_pass_holds(MeanLoss::new(fare), LossSpec::Mean { attr: spec("fare_amount") }, 0.05);
+    assert_one_pass_holds(
+        RegressionLoss::new(fare, tip),
+        LossSpec::Regression { x: spec("fare_amount"), y: spec("tip_amount") },
+        5.0,
+    );
+    assert_one_pass_holds(
+        HistogramLoss::new(fare),
+        LossSpec::Histogram { attr: spec("fare_amount") },
+        0.5,
+    );
+}
+
+/// The counters of one pass that the thread count must not move.
+const WORK: [&str; 4] =
+    ["represent_tests", "represented_by_parent", "represented_by_neighbour", "sampled_cells"];
+
+#[test]
+fn work_counters_do_not_depend_on_the_thread_count() {
+    let base = taxi(20_000, 42);
+    let batch = taxi(2_000, 43);
+    let rows: Vec<Vec<Value>> = (0..batch.len()).map(|r| batch.row(r)).collect();
+    let grown = Arc::new(base.extend_rows(&rows).unwrap());
+    let loss = HeatmapLoss::new(base.schema().index_of("pickup").unwrap(), Metric::Euclidean);
+    let theta = meters_to_norm(500.0);
+    let run = |threads: usize| {
+        let registry = Arc::new(Registry::new());
+        let cube = build(&base, &CUBED_ATTRIBUTES, &loss, theta, threads, &registry);
+        tabula_par::set_threads(threads);
+        let config = RefreshConfig { seed: 42, ..RefreshConfig::default() };
+        let (folded, stats) = refresh(&cube, Arc::clone(&grown), &loss, config).unwrap();
+        tabula_par::set_threads(0);
+        let snap = registry.snapshot();
+        let count = |stage: &str| WORK.map(|name| snap.counter(&format!("{stage}.{name}")));
+        let (built, refreshed) = (count("build"), count("refresh"));
+        // Every fresh cell is represented (parent or neighbour) or sampled;
+        // a build's fresh cells are all its iceberg cells.
+        assert_eq!(built[1] + built[2] + built[3], cube.stats().iceberg_cells as u64);
+        let fresh = folded.stats().iceberg_cells - stats.reused_cells;
+        assert_eq!(refreshed[1] + refreshed[2] + refreshed[3], fresh as u64);
+        let (by_parent, by_neighbour) =
+            (stats.represented_by_parent, stats.represented_by_neighbour);
+        let counted = [stats.represent_tests, by_parent, by_neighbour, stats.sampled_cells];
+        assert_eq!(refreshed, counted.map(|n| n as u64), "the fold's stats are its counters");
+        (built, refreshed, content_crc(&cube), content_crc(&folded))
+    };
+    let serial = run(1);
+    let [tests, by_parent, by_neighbour, sampled] = serial.0;
+    assert!(tests > 0 && by_parent > 0 && by_neighbour > 0 && sampled > 0, "{:?}", serial.0);
+    assert!(serial.1[0] > 0 && serial.1[3] > 0, "the fold tests and draws: {:?}", serial.1);
+    for threads in [2, 4] {
+        assert_eq!(run(threads), serial, "{threads} threads");
+    }
+}
+
+/// At θ = 0 every cell is iceberg and a sample represents a cell only if
+/// it holds each of the cell's points: every Local answer is at zero loss.
+#[test]
+fn at_theta_zero_a_cell_is_represented_only_at_zero_loss() {
+    let table = taxi(2_000, 7);
+    let loss = HeatmapLoss::new(table.schema().index_of("pickup").unwrap(), Metric::Euclidean);
+    let oracle = LossSpec::Heatmap { attr: "pickup".to_owned(), manhattan: false };
+    let registry = Arc::new(Registry::new());
+    let cube = build(&table, &CUBED_ATTRIBUTES[..4], &loss, 0.0, 0, &registry);
+    let snap = registry.snapshot();
+    let represented = snap.counter("build.represented_by_parent")
+        + snap.counter("build.represented_by_neighbour");
+    assert!(represented > 0, "no cell was represented at θ = 0");
+    for (cell, rows) in lattice(&cube) {
+        let answer = cube.query_cell(&cell);
+        assert!(matches!(answer.provenance, SampleProvenance::Local(_)), "{cell}");
+        let achieved = oracle.naive_loss(&table, &rows, &answer.rows);
+        assert_eq!(achieved, 0.0, "cell {cell}: {:?}", answer.provenance);
+    }
+}
+
+/// Cells whose pickups are all NaN are at infinite distance from every
+/// sample, their own included: each keeps the sample it drew, which serves
+/// no other cell.
+#[test]
+fn a_cell_of_nan_pickups_is_represented_by_no_other_cell() {
+    let schema = Schema::new(vec![
+        Field::new("a0", ColumnType::Int64),
+        Field::new("a1", ColumnType::Int64),
+        Field::new("pickup", ColumnType::Point),
+    ]);
+    let mut b = TableBuilder::new(schema);
+    for r in 0..600i64 {
+        let (a0, a1) = (r % 4, r % 7);
+        let p = match a0 {
+            0 => Point { x: f64::NAN, y: f64::NAN },
+            _ => Point { x: (r % 13) as f64 * 0.01, y: (r % 11) as f64 * 0.01 },
+        };
+        b.push_row(&[a0.into(), a1.into(), p.into()]).unwrap();
+    }
+    let table = Arc::new(b.finish());
+    let loss = HeatmapLoss::new(2, Metric::Euclidean);
+    let cube = build(&table, &["a0", "a1"], &loss, 0.001, 0, &Arc::new(Registry::new()));
+    let mut cells_of: HashMap<u32, usize> = HashMap::new();
+    for (_, id) in cube.cube_table() {
+        *cells_of.entry(id).or_default() += 1;
+    }
+    let mut nan_cells = 0;
+    for (cell, rows) in lattice(&cube) {
+        let points = table.column(2).as_point_slice().unwrap();
+        if !rows.iter().all(|&r| points[r as usize].x.is_nan()) {
+            continue;
+        }
+        nan_cells += 1;
+        let SampleProvenance::Local(id) = cube.query_cell(&cell).provenance else {
+            panic!("cell {cell} of NaN pickups is not materialized");
+        };
+        assert!(cube.sample(id).iter().all(|r| rows.binary_search(r).is_ok()), "{cell}");
+        assert_eq!(cells_of[&id], 1, "cell {cell} shares sample {id}");
+    }
+    assert_eq!(nan_cells, 1 + 7, "a0 = 0 and its seven cells by a1");
+}

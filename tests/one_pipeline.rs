@@ -238,13 +238,13 @@ fn a_folded_generation_reports_its_own_build() {
     let registry = Arc::new(Registry::new());
     let cube = build(&base, &registry);
     let (refreshed, stats) = refresh(&cube, grown, &loss, RefreshConfig::default()).unwrap();
-    assert!(stats.reused_cells > 0 && stats.fresh_samples > 0, "{stats:?}");
+    assert!(stats.reused_cells > 0 && stats.sampled_cells > 0, "{stats:?}");
 
     let s = refreshed.stats();
     assert_eq!(s.total, stats.total);
     assert!(s.samgraph_edges > 0 && s.finest_runs > 0 && s.gathered_rows > 0, "{s:?}");
     assert_eq!(s.cuboids_processed + s.cuboids_skipped, 16);
-    assert_eq!(s.samples_before_selection, stats.reused_cells + stats.fresh_samples);
+    assert_eq!(s.samples_before_selection, stats.reused_cells + stats.sampled_cells);
 
     // The fold reports where its cube lives, not into the process registry:
     // one build and one fold, each stage of each recorded once.

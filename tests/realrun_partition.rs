@@ -7,6 +7,7 @@ mod common;
 use common::{content_crc, lattice, wide_table};
 use proptest::prelude::*;
 use std::sync::Arc;
+use tabula::baselines::two_phase_cube;
 use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric};
 use tabula::core::{refresh, AccuracyLoss, CubeKeys, RefreshConfig, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
@@ -114,33 +115,44 @@ fn partition_cells_equal_group_by_cells_for_every_cuboid() {
     tabula_par::set_threads(0);
 }
 
-/// Re-recorded when the SamGraph join began ranking candidates by the
-/// total order (squared signature distance, index): the heat-map cubes
-/// are sample-dependent, and `select_nth_unstable_by` had broken ties among
-/// twin signatures arbitrarily, so some cells were checked against other
-/// candidates. Before that they were recorded at commit cd1ea0b, where
-/// `real_run` still regrouped the table once per iceberg cuboid.
-const BUILD_CRC: u64 = 0x890d_8433_11af_3f18;
-/// Re-recorded when a fold began drawing each touched cell's sample from
-/// its old sample ∩ its rows instead of from nothing. The flat refresh did
-/// not move: its touched cells gain a copy of a row they hold, and the
-/// mean loss's greedy redraws the old sample from nothing there too.
-const REFRESH_CRC: u64 = 0x4421_5287_4dc9_6db7;
+/// The builder's cubes. Re-recorded when Algorithms 2 and 3 became one
+/// coarse-to-fine pass: a cell is tested against the samples already kept,
+/// its parents' first, and draws a sample only when none represents it, so
+/// the heat-map cubes keep fewer, coarser samples under new ids. The flat
+/// build did not move: on that table both orders persist the same samples
+/// under the same ids.
+const BUILD_CRC: u64 = 0x7fd7_e8c9_f533_eb79;
+const REFRESH_CRC: u64 = 0x0979_3277_8a8b_79ad;
+const FLAT_BUILD_CRC: u64 = 0x4758_e1fb_bff5_2539;
+const FLAT_REFRESH_CRC: u64 = 0xee76_b4c6_a6c5_0b86;
+/// The paper's two-phase order, `tabula_baselines::two_phase_cube`: the
+/// builder's cubes before the one pass, unchanged. Re-recorded when the
+/// SamGraph join began ranking candidates by the total order (squared
+/// signature distance, index): the heat-map cubes are sample-dependent, and
+/// `select_nth_unstable_by` had broken ties among twin signatures
+/// arbitrarily, so some cells were checked against other candidates. Before
+/// that they were recorded at commit cd1ea0b, where `real_run` still
+/// regrouped the table once per iceberg cuboid.
+const TWO_PHASE_BUILD_CRC: u64 = 0x890d_8433_11af_3f18;
 /// Recorded at commit d1c4c90, where the flat width was code tuples in
 /// per-cuboid hash maps.
-const FLAT_BUILD_CRC: u64 = 0x4758_e1fb_bff5_2539;
-const FLAT_REFRESH_CRC: u64 = 0x1edb_227e_b6f9_e4fb;
+const TWO_PHASE_FLAT_BUILD_CRC: u64 = 0x4758_e1fb_bff5_2539;
 
 /// A build over `base` and one refresh with `batch` appended write the
-/// bytes they were recorded to write.
+/// bytes they were recorded to write, and so does the two-phase cube over
+/// `base`.
 fn assert_pinned<L: AccuracyLoss + Clone>(
     base: Arc<Table>,
     attrs: &[impl AsRef<str>],
     loss: L,
     theta: f64,
     batch: &[Vec<Value>],
-    (build_crc, refresh_crc): (u64, u64),
+    (build_crc, refresh_crc, two_phase_crc): (u64, u64, u64),
 ) -> CubeKeys {
+    let config = RefreshConfig { seed: 42, ..RefreshConfig::default() };
+    let two_phase = two_phase_cube(Arc::clone(&base), attrs, &loss, theta, &config).unwrap();
+    assert_eq!(content_crc(&two_phase), two_phase_crc, "two-phase build");
+
     let cube = SamplingCubeBuilder::new(Arc::clone(&base), attrs, loss.clone(), theta)
         .seed(42)
         .build()
@@ -150,7 +162,10 @@ fn assert_pinned<L: AccuracyLoss + Clone>(
 
     let grown = Arc::new(base.extend_rows(batch).unwrap());
     let (refreshed, stats) = refresh(&cube, grown, &loss, RefreshConfig::default()).unwrap();
-    assert!(stats.reused_cells > 0 && stats.fresh_samples > 0, "{stats:?}");
+    // Some cells keep their samples and some are redone: represented by a
+    // kept sample (all of them, at the flat width) or drawn afresh.
+    let fresh = stats.represented_by_parent + stats.represented_by_neighbour + stats.sampled_cells;
+    assert!(stats.reused_cells > 0 && fresh > 0, "{stats:?}");
     assert_eq!(content_crc(&refreshed), refresh_crc, "refresh");
     refreshed.cells().keys().clone()
 }
@@ -162,7 +177,7 @@ fn cubes_are_byte_identical_to_the_regrouping_real_run() {
     let loss = HeatmapLoss::new(pickup, Metric::Euclidean);
     let batch = taxi(2_000, 43);
     let rows: Vec<Vec<Value>> = (0..batch.len()).map(|r| batch.row(r)).collect();
-    let crcs = (BUILD_CRC, REFRESH_CRC);
+    let crcs = (BUILD_CRC, REFRESH_CRC, TWO_PHASE_BUILD_CRC);
     let keys = assert_pinned(base, &CUBED_ATTRIBUTES, loss, meters_to_norm(500.0), &rows, crcs);
     assert!(matches!(keys, CubeKeys::Packed(_)));
 
@@ -172,7 +187,7 @@ fn cubes_are_byte_identical_to_the_regrouping_real_run() {
     let loss = MeanLoss::new(wide.schema().index_of("v").unwrap());
     let attrs: Vec<String> = (0..7).map(|c| format!("a{c}")).collect();
     let rows: Vec<Vec<Value>> = (0..wide.len()).step_by(100).map(|r| wide.row(r)).collect();
-    let crcs = (FLAT_BUILD_CRC, FLAT_REFRESH_CRC);
+    let crcs = (FLAT_BUILD_CRC, FLAT_REFRESH_CRC, TWO_PHASE_FLAT_BUILD_CRC);
     let keys = assert_pinned(wide, &attrs, loss, common::THETA, &rows, crcs);
     assert!(matches!(keys, CubeKeys::Flat(_)));
 }

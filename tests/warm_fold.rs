@@ -106,7 +106,7 @@ fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, samgraph: SamGraphConfig)
         } else {
             assert_eq!((stats.warm_cells, stats.warm_start_rows), (0, 0), "{what} fold {fold}");
         }
-        assert!(stats.warm_cells <= stats.fresh_samples, "{what} fold {fold}: {stats:?}");
+        assert!(stats.warm_cells <= stats.sampled_cells, "{what} fold {fold}: {stats:?}");
         warm_cells += stats.warm_cells as u64;
         warm_start_rows += stats.warm_start_rows as u64;
         let counters = registry.snapshot();
