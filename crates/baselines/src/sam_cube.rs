@@ -3,11 +3,13 @@
 //! local sample for every cell whose raw loss against the global sample
 //! exceeds θ, classified naively). Both group the raw table once per
 //! cuboid, all `2ⁿ` of them, and skip the dry run and sample selection —
-//! the work Tabula's pipeline exists to avoid. Both return a
-//! [`SamplingCube`] that answers queries exactly as Tabula's does.
+//! the work Tabula's pipeline exists to avoid. Both check `attrs` and θ
+//! first, as the builder does, and return a [`SamplingCube`] that answers
+//! queries exactly as Tabula's does.
 
 use std::sync::Arc;
 use std::time::Instant;
+use tabula_core::builder::cubed_columns;
 use tabula_core::cube::BuildStats;
 use tabula_core::loss::{exceeds_theta, AccuracyLoss};
 use tabula_core::serfling::draw_global_sample;
@@ -49,10 +51,7 @@ fn sam_cube<L: AccuracyLoss>(
     iceberg_only: bool,
 ) -> Result<SamplingCube> {
     let total_start = Instant::now();
-    let cols = attrs
-        .iter()
-        .map(|a| table.schema().index_of(a.as_ref()))
-        .collect::<tabula_storage::Result<Vec<_>>>()?;
+    let cols = cubed_columns(&table, attrs, theta)?;
     let cats = cols.iter().map(|&c| table.cat(c)).collect::<tabula_storage::Result<Vec<_>>>()?;
     let n = cols.len();
     let space = CellSpace::new(cats.iter().map(|cat| cat.cardinality()).collect());

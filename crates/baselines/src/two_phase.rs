@@ -10,19 +10,21 @@
 use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Instant;
+use tabula_core::builder::cubed_columns;
 use tabula_core::cube::BuildStats;
 use tabula_core::dryrun::dry_run;
 use tabula_core::loss::AccuracyLoss;
 use tabula_core::realrun::draw;
 use tabula_core::samgraph::build_samgraph;
-use tabula_core::selection::{select_representatives, Selection};
+use tabula_core::selection::select_representatives;
 use tabula_core::serfling::draw_global_sample;
 use tabula_core::{RefreshConfig, Result, SamplingCube};
 use tabula_storage::{CuboidMask, FinestPartition, Table};
 
 /// The two-phase cube: `config` supplies the global sample's seed and
-/// Serfling size and the join's candidate cap (0: no join, every iceberg
-/// cell keeps its own sample).
+/// Serfling size and the join's candidate cap (0: a join of self-edges
+/// alone, so every iceberg cell keeps its own sample). `attrs` and `theta`
+/// are checked first, as the builder checks them.
 pub fn two_phase_cube<L: AccuracyLoss>(
     table: Arc<Table>,
     attrs: &[impl AsRef<str>],
@@ -31,10 +33,7 @@ pub fn two_phase_cube<L: AccuracyLoss>(
     config: &RefreshConfig,
 ) -> Result<SamplingCube> {
     let total_start = Instant::now();
-    let cols = attrs
-        .iter()
-        .map(|a| table.schema().index_of(a.as_ref()))
-        .collect::<tabula_storage::Result<Vec<_>>>()?;
+    let cols = cubed_columns(&table, attrs, theta)?;
     let global = draw_global_sample(&table, config.serfling.sample_size(), config.seed);
 
     let start = Instant::now();
@@ -54,13 +53,8 @@ pub fn two_phase_cube<L: AccuracyLoss>(
     // Algorithm 3 over all of them.
     let start = Instant::now();
     let m = entries.len();
-    let (sel, edges) = if config.samgraph.max_candidates > 0 {
-        let graph = build_samgraph(&table, loss, theta, &entries, &config.samgraph);
-        (select_representatives(&graph), graph.edge_count())
-    } else {
-        let all: Vec<u32> = (0..m as u32).collect();
-        (Selection { representatives: all.clone(), rep_of: all }, 0)
-    };
+    let graph = build_samgraph(&table, loss, theta, &entries, &config.samgraph);
+    let sel = select_representatives(&graph);
     // The representatives' samples in selection order; a cell's sample id
     // is its representative's place in it.
     let mut id_of = vec![u32::MAX; m];
@@ -81,7 +75,7 @@ pub fn two_phase_cube<L: AccuracyLoss>(
         gathered_rows,
         samples_before_selection: m,
         samples_after_selection: samples.len(),
-        samgraph_edges: edges,
+        samgraph_edges: graph.iter().map(Vec::len).sum(),
         global_sample_size: global.len(),
         total: total_start.elapsed(),
     };

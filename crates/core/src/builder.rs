@@ -40,7 +40,7 @@ use crate::cube_table::CubeTable;
 use crate::dryrun::dry_run;
 use crate::loss::AccuracyLoss;
 use crate::realrun::draw;
-use crate::samgraph::{build_samgraph, Found, KeptSet, SamGraphConfig};
+use crate::samgraph::{KeptSet, SamGraphConfig};
 use crate::selection::select_representatives;
 use crate::serfling::{draw_global_sample, SerflingConfig};
 use crate::{CoreError, Result};
@@ -59,7 +59,8 @@ use tabula_storage::{
 pub struct RefreshConfig {
     /// Serfling parameters sizing the global sample.
     pub serfling: SerflingConfig,
-    /// SamGraph join configuration for representative selection.
+    /// The representation relation's candidate cap, before a draw and in
+    /// the SamGraph join.
     pub samgraph: SamGraphConfig,
     /// RNG seed for the global sample.
     pub seed: u64,
@@ -88,6 +89,8 @@ pub struct RefreshStats {
     pub resampled_cells: usize,
     /// Candidate samples a fresh cell was tested against before it drew one.
     pub represent_tests: usize,
+    /// Candidate samples the level joins tested a drawn cell against.
+    pub join_tests: usize,
     /// Fresh cells served by the sample of one of their parents.
     pub represented_by_parent: usize,
     /// Fresh cells served by a signature-neighbour's sample.
@@ -157,8 +160,8 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
         self
     }
 
-    /// Override the SamGraph join configuration (`max_candidates` 0 skips
-    /// selection: the paper's Tabula\*).
+    /// Override the representation relation's candidate cap
+    /// (`max_candidates` 0 tests and joins nothing: the paper's Tabula\*).
     pub fn samgraph(mut self, config: SamGraphConfig) -> Self {
         self.config.samgraph = config;
         self
@@ -272,10 +275,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let reused_samples = samples.len();
     let cap = config.samgraph.max_candidates;
     let start = Instant::now();
-    let mut kept = KeptSet::new();
-    if cap > 0 {
-        kept.extend(&table, loss, &samples);
-    }
+    let mut kept = KeptSet::new(&table, loss, theta, cap, &[]);
+    kept.extend(&samples, None);
     stats.real_run = start.elapsed();
 
     // Algorithms 2 and 3 as one pass over the lattice, coarse to fine and
@@ -298,31 +299,27 @@ pub(crate) fn materialize<L: AccuracyLoss>(
 
         // 1. Test each cell against the kept set, the samples of its
         //    parents (the cells one attribute coarser) first.
-        let found: Vec<Found> = if cap > 0 && !samples.is_empty() {
-            let parents_of: Vec<Vec<_>> = (level.iter())
-                .map(|m| m.attrs().into_iter().map(|a| space.project(CuboidMask(m.0 ^ 1 << a))))
-                .map(|projections| projections.collect())
-                .collect();
-            pool.run(cells.len(), |i| {
-                let (m, cell, rows) = &cells[i];
-                let mut parents: Vec<u32> = Vec::new();
-                for &id in parents_of[*m].iter().filter_map(|parent| sample_of.get(&parent(cell))) {
-                    if !parents.contains(&id) {
-                        parents.push(id);
-                    }
+        let parents_of: Vec<Vec<_>> = (level.iter())
+            .map(|m| m.attrs().into_iter().map(|a| space.project(CuboidMask(m.0 ^ 1 << a))))
+            .map(|projections| projections.collect())
+            .collect();
+        let found = pool.run(cells.len(), |i| {
+            let (m, cell, rows) = &cells[i];
+            let mut parents: Vec<u32> = Vec::new();
+            for &id in parents_of[*m].iter().filter_map(|parent| sample_of.get(&parent(cell))) {
+                if !parents.contains(&id) {
+                    parents.push(id);
                 }
-                kept.represent(&table, loss, theta, cap, rows, &parents)
-            })
-        } else {
-            vec![Found::default(); cells.len()]
-        };
+            }
+            kept.represent(rows, &parents)
+        });
         let mut unrepresented = Vec::new();
-        for ((_, cell, rows), found) in cells.into_iter().zip(found) {
-            done.represent_tests += found.tests;
-            match found.by {
-                Some(id) => {
-                    done.represented_by_parent += usize::from(found.by_parent);
-                    done.represented_by_neighbour += usize::from(!found.by_parent);
+        for ((_, cell, rows), (by, tests)) in cells.into_iter().zip(found) {
+            done.represent_tests += tests;
+            match by {
+                Some((id, by_parent)) => {
+                    done.represented_by_parent += usize::from(by_parent);
+                    done.represented_by_neighbour += usize::from(!by_parent);
                     sample_of.insert(cell, id);
                 }
                 None => unrepresented.push((cell, rows)),
@@ -340,7 +337,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         stats.real_run += level_start.elapsed();
 
         // 3. Algorithm 3 over the level's draws: its representatives join
-        //    the kept set, and every drawn cell is served by one of them.
+        //    the kept set, their contexts prepared once for the join, and
+        //    every drawn cell is served by one of them.
         if cap == 0 {
             for entry in entries {
                 sample_of.insert(entry.cell, samples.len() as u32);
@@ -349,9 +347,11 @@ pub(crate) fn materialize<L: AccuracyLoss>(
             continue;
         }
         let start = Instant::now();
-        let graph = build_samgraph(&table, loss, theta, &entries, &config.samgraph);
+        let drawn = KeptSet::new(&table, loss, theta, cap, &entries);
+        let (graph, tests) = drawn.join(&entries);
+        done.join_tests += tests;
         times.samgraph_join += start.elapsed();
-        stats.samgraph_edges += graph.edge_count();
+        stats.samgraph_edges += graph.iter().map(Vec::len).sum::<usize>();
         let greedy_start = Instant::now();
         let sel = select_representatives(&graph);
         times.greedy += greedy_start.elapsed();
@@ -364,7 +364,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         for (entry, rep) in entries.into_iter().zip(sel.rep_of) {
             sample_of.insert(entry.cell, id_of[rep as usize]);
         }
-        kept.extend(&table, loss, &samples[first..]);
+        kept.extend(&samples[first..], Some((drawn, &sel.representatives)));
         stats.selection += start.elapsed();
     }
     stats.cuboids_processed = masks.len();
@@ -399,8 +399,9 @@ pub(crate) fn materialize<L: AccuracyLoss>(
 
 /// The columns of the cubed `attrs` in `table`, once `theta` and the
 /// attribute list are checked: a non-negative θ, 1 to
-/// [`MAX_CUBED_ATTRS`] attributes, each a categorical column.
-pub(crate) fn cubed_columns(table: &Table, attrs: &[String], theta: f64) -> Result<Vec<usize>> {
+/// [`MAX_CUBED_ATTRS`] attributes, each a categorical column. The builder
+/// and the baseline cubes of `tabula-baselines` call it before any work.
+pub fn cubed_columns(table: &Table, attrs: &[impl AsRef<str>], theta: f64) -> Result<Vec<usize>> {
     if theta < 0.0 || theta.is_nan() {
         return Err(CoreError::Config(format!(
             "accuracy loss threshold must be non-negative, got {theta}"
@@ -414,9 +415,12 @@ pub(crate) fn cubed_columns(table: &Table, attrs: &[String], theta: f64) -> Resu
             "at most {MAX_CUBED_ATTRS} cubed attributes supported"
         )));
     }
-    let cols: Vec<usize> =
-        attrs.iter().map(|a| table.schema().index_of(a)).collect::<std::result::Result<_, _>>()?;
+    let cols: Vec<usize> = attrs
+        .iter()
+        .map(|a| table.schema().index_of(a.as_ref()))
+        .collect::<std::result::Result<_, _>>()?;
     for (&c, name) in cols.iter().zip(attrs) {
+        let name = name.as_ref();
         table
             .cat(c)
             .map_err(|_| CoreError::Config(format!("cubed attribute {name} is not categorical")))?;
@@ -476,6 +480,7 @@ fn publish_metrics(
         ("reused_cells", refresh.reused_cells),
         ("resampled_cells", refresh.resampled_cells),
         ("represent_tests", refresh.represent_tests),
+        ("join_tests", refresh.join_tests),
         ("represented_by_parent", refresh.represented_by_parent),
         ("represented_by_neighbour", refresh.represented_by_neighbour),
         ("sampled_cells", refresh.sampled_cells),

@@ -65,8 +65,10 @@ pub struct BuildStats {
     /// Wall time of the real run: fetching the fresh cells' rows, testing
     /// them against the kept samples and drawing samples for the rest.
     pub real_run: Duration,
-    /// Wall time of Algorithm 3: the SamGraph joins over each level's
-    /// draws and their greedy covers.
+    /// Wall time of Algorithm 3, per level: the SamGraph join of the
+    /// level's draws (their contexts prepared, then the representation
+    /// relation walked for each draw against the others), the greedy
+    /// cover, and the representatives joining the kept set.
     pub selection: Duration,
     /// Total initialization wall time.
     pub total: Duration,
@@ -91,7 +93,8 @@ pub struct BuildStats {
     pub samples_before_selection: usize,
     /// Samples persisted after selection.
     pub samples_after_selection: usize,
-    /// Edges the SamGraph joins found (0 when selection is disabled).
+    /// Edges the SamGraph joins found, each draw's self-edge included (0
+    /// under the builder's Tabula\*, which joins nothing).
     pub samgraph_edges: usize,
     /// Tuples in the global sample.
     pub global_sample_size: usize,

@@ -22,8 +22,8 @@
 //! contribution is the row's minimum distance *to the fixed sample*, so
 //! the state depends on the sample ([`AccuracyLoss::state_depends_on_sample`]
 //! returns `true`); for mean/regression the state summarizes raw data only
-//! and can be reused against any sample — the dry run and the SamGraph
-//! join exploit this distinction.
+//! and can be reused against any sample — the dry run and the
+//! representation relation (`samgraph::KeptSet`) exploit this distinction.
 //!
 //! ## Built-ins (the paper's Functions 1–3 plus the histogram variant)
 //!
@@ -95,8 +95,9 @@ pub trait AccuracyLoss: Send + Sync + 'static {
 
     /// Whether [`AccuracyLoss::fold`] reads the sample context. When
     /// `false`, a folded state cube can be re-evaluated against *different*
-    /// samples with [`AccuracyLoss::finish`] alone — the SamGraph join
-    /// uses this to price candidate representatives in O(1) per pair.
+    /// samples with [`AccuracyLoss::finish`] alone — the representation
+    /// relation, before a draw and in the SamGraph join, uses this to price
+    /// candidate representatives in O(1) per pair.
     fn state_depends_on_sample(&self) -> bool;
 
     /// Prepare the reusable context for a fixed sample (row ids of
@@ -131,7 +132,7 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// result provably exceeds `bound`. Returns `Some(loss)` when
     /// `loss ≤ bound`, `None` otherwise. The default computes fully;
     /// per-row-decomposable losses override with an early exit — the
-    /// SamGraph join's hot path.
+    /// representation relation's hot path under a sample-dependent loss.
     fn loss_within(
         &self,
         table: &Table,
@@ -154,7 +155,7 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     }
 
     /// A low-dimensional signature of a row set, used ONLY to order
-    /// candidate representatives in the SamGraph join — a pruning
+    /// candidate representatives in the representation relation — a pruning
     /// heuristic whose quality affects memory savings, never correctness.
     /// The default (a constant) disables the ordering.
     fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {

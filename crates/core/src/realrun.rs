@@ -31,8 +31,8 @@ use tabula_par::Pool;
 use tabula_storage::{CubeKey, RowId, Table};
 
 /// One materialized iceberg cell: the paper's cube-table row, carrying the
-/// cell's raw data (needed later by the SamGraph join) and its local
-/// sample.
+/// cell's raw data and its local sample — a level's join tests the level's
+/// other samples against those rows, and ranks them by their signature.
 #[derive(Debug, Clone)]
 pub struct CubeEntry {
     /// The cell, as a key of the build's
@@ -64,9 +64,7 @@ pub fn draw<'a, L: AccuracyLoss>(
     });
     let warm_cells = drawn.iter().filter(|(_, start_rows)| *start_rows > 0).count();
     let warm_start_rows = drawn.iter().map(|(_, start_rows)| start_rows).sum();
-    let entries = work
-        .into_iter()
-        .zip(drawn)
+    let entries = (work.into_iter().zip(drawn))
         .map(|((cell, rows), (sample, _))| CubeEntry { cell, rows, sample })
         .collect();
     (entries, warm_cells, warm_start_rows)

@@ -10,8 +10,6 @@
 //! local sample is discarded and its cube-table cell points at its
 //! representative's sample id.
 
-use crate::samgraph::SamGraph;
-
 /// Output of Algorithm 3.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
@@ -23,25 +21,19 @@ pub struct Selection {
     pub rep_of: Vec<u32>,
 }
 
-impl Selection {
-    /// How many samples selection avoided persisting.
-    pub fn samples_saved(&self) -> usize {
-        self.rep_of.len() - self.representatives.len()
-    }
-}
-
-/// Run Algorithm 3 on `graph`.
+/// Run Algorithm 3 on the SamGraph of `edges` (`edges[u]`: the vertices
+/// `u` represents).
 ///
 /// Faithful to the paper: heads are sorted by out-degree *once* (the
 /// LinkedHashMap), then scanned in order; each head that is still present
 /// is selected and all its tails are removed. Ties are broken by vertex
 /// index, making the output deterministic. Because every vertex carries a
 /// self-edge, coverage is total.
-pub fn select_representatives(graph: &SamGraph) -> Selection {
-    let m = graph.len();
+pub fn select_representatives(edges: &[Vec<u32>]) -> Selection {
+    let m = edges.len();
     // Sort heads by descending out-degree, ascending index on ties.
     let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_by_key(|&h| (std::cmp::Reverse(graph.edges[h as usize].len()), h));
+    order.sort_by_key(|&h| (std::cmp::Reverse(edges[h as usize].len()), h));
 
     let mut removed = vec![false; m];
     let mut rep_of = vec![u32::MAX; m];
@@ -53,7 +45,7 @@ pub fn select_representatives(graph: &SamGraph) -> Selection {
         representatives.push(head);
         removed[head as usize] = true;
         rep_of[head as usize] = head;
-        for &tail in &graph.edges[head as usize] {
+        for &tail in &edges[head as usize] {
             if !removed[tail as usize] {
                 removed[tail as usize] = true;
                 rep_of[tail as usize] = head;
@@ -69,17 +61,15 @@ mod tests {
     use super::*;
 
     /// Build a graph from explicit adjacency (self-edges added).
-    fn graph(adj: &[&[u32]]) -> SamGraph {
-        let edges = adj
-            .iter()
+    fn graph(adj: &[&[u32]]) -> Vec<Vec<u32>> {
+        adj.iter()
             .enumerate()
             .map(|(u, outs)| {
                 let mut e = vec![u as u32];
                 e.extend(outs.iter().copied().filter(|&v| v != u as u32));
                 e
             })
-            .collect();
-        SamGraph { edges }
+            .collect()
     }
 
     #[test]
@@ -103,11 +93,10 @@ mod tests {
                                                            // Every vertex covered by a representative that has an edge to it.
         for (v, &r) in sel.rep_of.iter().enumerate() {
             assert!(
-                g.edges[r as usize].contains(&(v as u32)),
+                g[r as usize].contains(&(v as u32)),
                 "vertex {v} not actually represented by {r}"
             );
         }
-        assert_eq!(sel.samples_saved(), 4);
     }
 
     #[test]
@@ -116,7 +105,6 @@ mod tests {
         let sel = select_representatives(&g);
         assert_eq!(sel.representatives, vec![0, 1, 2]);
         assert_eq!(sel.rep_of, vec![0, 1, 2]);
-        assert_eq!(sel.samples_saved(), 0);
     }
 
     #[test]
@@ -126,7 +114,6 @@ mod tests {
         assert_eq!(sel.representatives.len(), 1);
         let r = sel.representatives[0];
         assert!(sel.rep_of.iter().all(|&x| x == r));
-        assert_eq!(sel.samples_saved(), 3);
     }
 
     #[test]
@@ -140,7 +127,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = SamGraph { edges: vec![] };
+        let g: Vec<Vec<u32>> = Vec::new();
         let sel = select_representatives(&g);
         assert!(sel.representatives.is_empty());
         assert!(sel.rep_of.is_empty());
@@ -152,7 +139,7 @@ mod tests {
         let g = graph(&[&[1], &[2], &[3], &[]]);
         let sel = select_representatives(&g);
         for (v, &r) in sel.rep_of.iter().enumerate() {
-            assert!(g.edges[r as usize].contains(&(v as u32)), "vertex {v}");
+            assert!(g[r as usize].contains(&(v as u32)), "vertex {v}");
         }
         // Representatives are exactly the fixed points of rep_of.
         for &r in &sel.representatives {

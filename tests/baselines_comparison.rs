@@ -4,11 +4,12 @@
 
 use std::sync::Arc;
 use tabula::baselines::{
-    full_sam_cube, part_sam_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly, SnappyLike,
+    full_sam_cube, part_sam_cube, two_phase_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly,
+    SnappyLike,
 };
 use tabula::core::loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, Metric};
 use tabula::core::samgraph::SamGraphConfig;
-use tabula::core::{RefreshConfig, SamplingCubeBuilder};
+use tabula::core::{CoreError, RefreshConfig, SamplingCubeBuilder, MAX_CUBED_ATTRS};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula::storage::{Predicate, Table};
 
@@ -245,4 +246,33 @@ fn baselines_violate_theta_on_planted_iceberg_cell_while_tabula_does_not() {
     );
     let tabula_loss = loss.loss(&t, &raw, &cube_answer.rows);
     assert!(tabula_loss <= theta + LOSS_EPS, "Tabula violated θ: {tabula_loss}");
+}
+
+/// The baseline cubes check θ and the cubed attributes as the builder does,
+/// before any work: each bad input is a `Config` error. The table is small,
+/// and the names past the attribute ceiling name no column, so a cube that
+/// checked late would still return at once, with another error.
+#[test]
+fn baseline_cubes_refuse_bad_inputs_as_the_builder_does() {
+    let t = taxi(500, 5);
+    let loss = HeatmapLoss::new(t.schema().index_of("pickup").unwrap(), Metric::Euclidean);
+    let config = RefreshConfig::default();
+    let attrs: Vec<String> = CUBED_ATTRIBUTES.iter().map(|a| a.to_string()).collect();
+    let too_many: Vec<String> = (0..=MAX_CUBED_ATTRS).map(|i| format!("a{i}")).collect();
+    let cases: [(&str, &[String], f64); 5] = [
+        ("θ < 0", &attrs, -1.0),
+        ("θ = NaN", &attrs, f64::NAN),
+        ("no attribute", &[], 0.1),
+        ("one attribute too many", &too_many, 0.1),
+        ("a non-categorical attribute", &["fare_amount".to_owned()], 0.1),
+    ];
+    for (case, attrs, theta) in cases {
+        for (name, cube) in [
+            ("two_phase_cube", two_phase_cube(Arc::clone(&t), attrs, &loss, theta, &config)),
+            ("full_sam_cube", full_sam_cube(Arc::clone(&t), attrs, &loss, theta, &config)),
+            ("part_sam_cube", part_sam_cube(Arc::clone(&t), attrs, &loss, theta, &config)),
+        ] {
+            assert!(matches!(cube, Err(CoreError::Config(_))), "{name}, {case}: {:?}", cube.err());
+        }
+    }
 }

@@ -3,8 +3,10 @@
 //!
 //! * the heat-map loss's x-sorted index returns the brute-force nearest
 //!   distance bit for bit, under both metrics, on every shape of input;
-//! * the SamGraph join's sweep ranking returns exactly the first `cap`
-//!   candidates of the total order (squared signature distance, index), and
+//! * the signature ranking's sweep returns exactly the first `cap`
+//!   candidates of the total order (squared signature distance, index);
+//!   the SamGraph join's edges are exactly the representations among those
+//!   candidates (among all pairs under a sample-independent loss); and
 //!   every candidate cap — none, one, all — builds a cube within θ;
 //! * both coverage engines return exactly the samples of a verbatim copy of
 //!   the engines as they were before the distance table, the positive-term
@@ -17,9 +19,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabula::core::dryrun::dry_run;
-use tabula::core::loss::{HeatmapLoss, HistogramLoss, Metric, XSortedIndex, LOSS_EPS};
+use tabula::core::loss::{HeatmapLoss, HistogramLoss, MeanLoss, Metric, XSortedIndex, LOSS_EPS};
 use tabula::core::realrun::draw;
-use tabula::core::samgraph::{SamGraphConfig, SignatureIndex};
+use tabula::core::realrun::CubeEntry;
+use tabula::core::samgraph::{build_samgraph, SamGraphConfig, SignatureIndex};
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
 use tabula::core::serfling::draw_global_sample;
 use tabula::core::SerflingConfig;
@@ -29,6 +32,7 @@ use tabula::obs::Registry;
 use tabula::storage::{
     CellKey, ColumnType, Field, FinestPartition, Point, RowId, Schema, Table, TableBuilder,
 };
+use tabula_check::LossSpec;
 
 const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Manhattan];
 
@@ -154,9 +158,9 @@ fn brute_top(sigs: &[[f64; 2]], at: [f64; 2], skip: Option<usize>, cap: usize) -
     all.into_iter().take(cap).map(|(_, u)| u as u32).collect()
 }
 
-/// Every signature's neighbours, itself excluded, and the neighbours of
-/// two points queried by value: the signature itself and the point halfway
-/// to the next signature, which is not indexed.
+/// The neighbours of two points for every signature: the signature
+/// itself, which finds itself too, and the point halfway to the next
+/// signature, which is not indexed.
 fn assert_ranking_is_brute_force(name: &str, sigs: &[[f64; 2]], caps: &[usize]) {
     let index = SignatureIndex::build(sigs.to_vec());
     for v in 0..sigs.len() {
@@ -165,7 +169,6 @@ fn assert_ranking_is_brute_force(name: &str, sigs: &[[f64; 2]], caps: &[usize]) 
         let halfway = [(x + nx) / 2.0, (y + ny) / 2.0];
         for &cap in caps {
             let at = format!("{name}: v = {v}, cap = {cap}");
-            assert_eq!(index.nearest(v, cap), brute_top(sigs, sigs[v], Some(v), cap), "{at}");
             assert_eq!(index.nearest_to(sigs[v], cap), brute_top(sigs, sigs[v], None, cap), "{at}");
             assert_eq!(index.nearest_to(halfway, cap), brute_top(sigs, halfway, None, cap), "{at}");
         }
@@ -221,14 +224,117 @@ fn nan_and_infinite_centroids_rank_after_every_finite_distance() {
         [0.0, 0.0],
     ];
     let index = SignatureIndex::build(sigs.to_vec());
-    // Finite distances first (the twin at 0 before the neighbour at 1),
-    // then the infinite ones by index, then the NaN ones by index.
-    assert_eq!(index.nearest(0, usize::MAX), [7, 3, 2, 5, 6, 1, 4]);
-    assert_eq!(index.nearest(0, 3), [7, 3, 2]);
-    // Between two +∞ x the gap is NaN: 6 ranks with the NaN signatures.
-    assert_eq!(index.nearest(2, usize::MAX), [0, 3, 5, 7, 1, 4, 6]);
-    // A NaN signature is NaN away from everything: index order.
-    assert_eq!(index.nearest(1, 4), [0, 2, 3, 4]);
+    // Finite distances first (0 itself and its twin at 0 before the
+    // neighbour at 1), then the infinite ones by index, then the NaN ones
+    // by index.
+    assert_eq!(index.nearest_to(sigs[0], usize::MAX), [0, 7, 3, 2, 5, 6, 1, 4]);
+    assert_eq!(index.nearest_to(sigs[0], 4), [0, 7, 3, 2]);
+    // Between two +∞ x the gap is NaN: 2 itself and 6 rank with the NaN
+    // signatures.
+    assert_eq!(index.nearest_to(sigs[2], usize::MAX), [0, 3, 5, 7, 1, 2, 4, 6]);
+    // A NaN signature is NaN away from everything, itself too: index order.
+    assert_eq!(index.nearest_to(sigs[1], 4), [0, 1, 2, 3]);
+}
+
+/// Every iceberg cell of the taxi `table`'s cube over `attrs` under
+/// `loss`, with its rows and its own draw from nothing.
+fn taxi_draws<L: AccuracyLoss>(
+    table: &Table,
+    attrs: &[&str],
+    loss: &L,
+    theta: f64,
+) -> Vec<CubeEntry> {
+    let cols: Vec<usize> = attrs.iter().map(|a| table.schema().index_of(a).unwrap()).collect();
+    let global = draw_global_sample(table, SerflingConfig::default().sample_size(), 42);
+    let partition = FinestPartition::build(table, &cols).unwrap();
+    let dry = dry_run(table, &partition, loss, &loss.prepare(table, &global), theta);
+    let work = dry.iceberg.iter().flat_map(|(mask, keys)| partition.gather(*mask, keys));
+    draw(table, loss, theta, work.collect(), |_| &[]).0
+}
+
+/// `build_samgraph`'s edges into each cell, sources ascending, self-edges
+/// left out, once every source's list is checked to start with itself.
+fn edges_into(graph: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    let mut into = vec![Vec::new(); graph.len()];
+    for (u, outs) in graph.iter().enumerate() {
+        assert_eq!(outs.first(), Some(&(u as u32)), "{u}'s self-edge");
+        outs[1..].iter().for_each(|&v| into[v as usize].push(u as u32));
+    }
+    into
+}
+
+/// Every edge `u → v` of `graph`, a join of `entries`, by `oracle`'s loss:
+/// `u`'s sample within θ of `v`'s rows.
+fn assert_edges_within_theta(
+    table: &Table,
+    entries: &[CubeEntry],
+    graph: &[Vec<u32>],
+    oracle: &LossSpec,
+    theta: f64,
+) {
+    for (u, outs) in graph.iter().enumerate() {
+        for &v in outs {
+            let achieved = oracle.naive_loss(table, &entries[v as usize].rows, &entries[u].sample);
+            assert!(achieved <= theta + LOSS_EPS, "edge {u} → {v}: loss {achieved} > θ {theta}");
+        }
+    }
+}
+
+/// The join through its public door, on taxi draws: every edge passes the
+/// oracle's loss at θ; under the mean loss the edges are every valid pair;
+/// under the heat map the edges into a cell are the θ-passing members of
+/// the brute-force top `cap` of the cells' row signatures, the cell itself
+/// left out; and a cap of 0 leaves the self-edges alone, for both losses.
+#[test]
+fn the_join_is_the_representation_relation_over_the_brute_force_candidates() {
+    let config = |max_candidates| SamGraphConfig { max_candidates };
+    let self_edges = |m: usize| (0..m as u32).map(|u| vec![u]).collect::<Vec<_>>();
+
+    let table = TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 42 }).generate();
+    let theta = 0.05;
+    let loss = MeanLoss::new(table.schema().index_of("fare_amount").unwrap());
+    let entries = taxi_draws(&table, &CUBED_ATTRIBUTES[..4], &loss, theta);
+    let m = entries.len();
+    assert!(m > 50, "{m} iceberg cells");
+    let graph = build_samgraph(&table, &loss, theta, &entries, &SamGraphConfig::default());
+    let oracle = LossSpec::Mean { attr: "fare_amount".to_owned() };
+    assert_edges_within_theta(&table, &entries, &graph, &oracle, theta);
+    let ctxs: Vec<_> = entries.iter().map(|e| loss.prepare(&table, &e.sample)).collect();
+    let into = edges_into(&graph);
+    for (v, e) in entries.iter().enumerate() {
+        let valid = (0..m as u32).filter(|&u| u as usize != v);
+        let valid: Vec<u32> = valid
+            .filter(|&u| loss.loss_with_ctx(&table, &e.rows, &ctxs[u as usize]) <= theta)
+            .collect();
+        assert_eq!(into[v], valid, "mean loss: edges into {v}");
+    }
+    assert!(graph.iter().any(|outs| outs.len() > 1), "the mean loss's join found no edge");
+    let none = build_samgraph(&table, &loss, theta, &entries, &config(0));
+    assert_eq!(none, self_edges(m), "mean loss, cap 0");
+
+    let theta = meters_to_norm(500.0);
+    let pickup = table.schema().index_of("pickup").unwrap();
+    let loss = HeatmapLoss::new(pickup, Metric::Euclidean);
+    let entries = taxi_draws(&table, &CUBED_ATTRIBUTES, &loss, theta);
+    let m = entries.len();
+    assert!(m > 50, "{m} iceberg cells");
+    let sigs: Vec<[f64; 2]> = entries.iter().map(|e| loss.signature(&table, &e.rows)).collect();
+    let ctxs: Vec<_> = entries.iter().map(|e| loss.prepare(&table, &e.sample)).collect();
+    let oracle = LossSpec::Heatmap { attr: "pickup".to_owned(), manhattan: false };
+    for cap in [1, 4, 32] {
+        let graph = build_samgraph(&table, &loss, theta, &entries, &config(cap));
+        assert_edges_within_theta(&table, &entries, &graph, &oracle, theta);
+        let into = edges_into(&graph);
+        for (v, e) in entries.iter().enumerate() {
+            let mut want = brute_top(&sigs, sigs[v], Some(v), cap);
+            want.retain(|&u| loss.loss_within(&table, &e.rows, &ctxs[u as usize], theta).is_some());
+            want.sort_unstable();
+            assert_eq!(into[v], want, "heat map, cap {cap}: edges into {v}");
+        }
+        assert!(graph.iter().any(|outs| outs.len() > 1), "cap {cap}: no edge");
+    }
+    let none = build_samgraph(&table, &loss, theta, &entries, &config(0));
+    assert_eq!(none, self_edges(m), "heat map, cap 0");
 }
 
 /// Every cell is answered within θ by `cube`.
@@ -565,11 +671,7 @@ fn heatmap_samples_equal_the_reference_on_every_iceberg_cell_of_the_taxi_cube() 
         CUBED_ATTRIBUTES.iter().map(|a| table.schema().index_of(a).unwrap()).collect();
     let theta = meters_to_norm(500.0);
     let loss = HeatmapLoss::new(pickup, Metric::Euclidean);
-    let global = draw_global_sample(&table, SerflingConfig::default().sample_size(), 42);
-    let partition = FinestPartition::build(&table, &cols).unwrap();
-    let dry = dry_run(&table, &partition, &loss, &loss.prepare(&table, &global), theta);
-    let work = dry.iceberg.iter().flat_map(|(mask, keys)| partition.gather(*mask, keys));
-    let cells = draw(&table, &loss, theta, work.collect(), |_| &[]).0;
+    let cells = taxi_draws(&table, &CUBED_ATTRIBUTES, &loss, theta);
     assert!(cells.len() > 1_000, "{} iceberg cells", cells.len());
     // Iceberg cells here hold at most a few hundred rows, so this is the
     // exact engine; the coarse cells below and the random sets reach the

@@ -116,8 +116,13 @@ fn theta_holds_on_every_cell_for_every_loss() {
 }
 
 /// The counters of one pass that the thread count must not move.
-const WORK: [&str; 4] =
-    ["represent_tests", "represented_by_parent", "represented_by_neighbour", "sampled_cells"];
+const WORK: [&str; 5] = [
+    "represent_tests",
+    "represented_by_parent",
+    "represented_by_neighbour",
+    "sampled_cells",
+    "join_tests",
+];
 
 #[test]
 fn work_counters_do_not_depend_on_the_thread_count() {
@@ -144,13 +149,15 @@ fn work_counters_do_not_depend_on_the_thread_count() {
         assert_eq!(refreshed[1] + refreshed[2] + refreshed[3], fresh as u64);
         let (by_parent, by_neighbour) =
             (stats.represented_by_parent, stats.represented_by_neighbour);
-        let counted = [stats.represent_tests, by_parent, by_neighbour, stats.sampled_cells];
+        let counted =
+            [stats.represent_tests, by_parent, by_neighbour, stats.sampled_cells, stats.join_tests];
         assert_eq!(refreshed, counted.map(|n| n as u64), "the fold's stats are its counters");
         (built, refreshed, content_crc(&cube), content_crc(&folded))
     };
     let serial = run(1);
-    let [tests, by_parent, by_neighbour, sampled] = serial.0;
+    let [tests, by_parent, by_neighbour, sampled, join_tests] = serial.0;
     assert!(tests > 0 && by_parent > 0 && by_neighbour > 0 && sampled > 0, "{:?}", serial.0);
+    assert!(join_tests > 0, "the level joins test: {:?}", serial.0);
     assert!(serial.1[0] > 0 && serial.1[3] > 0, "the fold tests and draws: {:?}", serial.1);
     for threads in [2, 4] {
         assert_eq!(run(threads), serial, "{threads} threads");
