@@ -78,7 +78,7 @@ impl<L: AccuracyLoss> Approach for PoiSam<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabula_core::loss::{HeatmapLoss, HistogramLoss, Metric};
+    use tabula_core::loss::{HeatmapLoss, Metric};
     use tabula_data::{TaxiConfig, TaxiGenerator};
 
     fn table() -> Arc<Table> {
@@ -105,7 +105,7 @@ mod tests {
     fn presample_caps_the_greedy_input() {
         let t = table();
         let fare = t.schema().index_of("fare_amount").unwrap();
-        let loss = HistogramLoss::new(fare);
+        let loss = HeatmapLoss::histogram(fare);
         let poisam = PoiSam::new(Arc::clone(&t), loss, 0.25, 9).with_presample_size(50);
         let ans = poisam.query(&Predicate::all());
         assert!(ans.rows.len() <= 50);
@@ -115,7 +115,7 @@ mod tests {
     fn small_populations_skip_presampling() {
         let t = table();
         let fare = t.schema().index_of("fare_amount").unwrap();
-        let loss = HistogramLoss::new(fare);
+        let loss = HeatmapLoss::histogram(fare);
         let theta = 0.5;
         let poisam = PoiSam::new(Arc::clone(&t), loss.clone(), theta, 1);
         // dispute ∩ jfk is tiny (often < presample size): the exact

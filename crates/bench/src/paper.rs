@@ -16,9 +16,7 @@ use tabula_baselines::{
     SnappyLike,
 };
 use tabula_core::dryrun::dry_run;
-use tabula_core::loss::{
-    AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss,
-};
+use tabula_core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss};
 use tabula_core::samgraph::SamGraphConfig;
 use tabula_core::serfling::draw_global_sample;
 use tabula_core::{RefreshConfig, SamplingCube, SamplingCubeBuilder, SerflingConfig};
@@ -149,7 +147,7 @@ macro_rules! with_loss {
                 $body
             }
             Panel::Histogram => {
-                let $loss = HistogramLoss::new($s.fare);
+                let $loss = HeatmapLoss::histogram($s.fare);
                 $body
             }
         }
@@ -273,7 +271,7 @@ pub fn fig10(s: &Setup) -> Vec<Row> {
     let config = RefreshConfig { seed: small.seed, ..RefreshConfig::default() };
     let mut rows = Vec::new();
     for theta in [2.0, 1.0, 0.5] {
-        let loss = HistogramLoss::new(small.fare);
+        let loss = HeatmapLoss::histogram(small.fare);
         let builder = || small.builder(5, loss.clone(), theta);
         let cubes = [
             ("Tabula", builder().build()),

@@ -14,9 +14,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tabula_baselines::{full_sam_cube, part_sam_cube, two_phase_cube};
-use tabula_core::loss::{
-    AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
-};
+use tabula_core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS};
 use tabula_core::samgraph::SamGraphConfig;
 use tabula_core::{RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula_serve::Server;
@@ -166,7 +164,7 @@ pub fn diff_case(case: &CaseSpec, lanes: Lanes) -> Result<CaseReport, Divergence
             diff_with_loss(case, MeanLoss::new(col(attr)), &case.loss, lanes)
         }
         LossSpec::Histogram { attr } => {
-            diff_with_loss(case, HistogramLoss::new(col(attr)), &case.loss, lanes)
+            diff_with_loss(case, HeatmapLoss::histogram(col(attr)), &case.loss, lanes)
         }
         LossSpec::Heatmap { attr, manhattan } => {
             let metric = if *manhattan { Metric::Manhattan } else { Metric::Euclidean };
@@ -645,8 +643,8 @@ fn check_serve_traces(
 /// be indistinguishable from the original — byte-identical fingerprint
 /// (every cell key, every sample, the global sample), byte-identical
 /// answers (rows AND provenance) over the case's query workload, and a
-/// re-frozen snapshot identical to the first one byte for byte (the
-/// format is a pure function of cube content). Any store-layer failure is
+/// re-frozen snapshot identical to the first one byte for byte (the thawed
+/// cube carries the original's `stats` block). Any store-layer failure is
 /// its own divergence kind (`snapshot_io`) so fuzzing separates "the
 /// format broke" from "the format changed the answers".
 fn check_snapshot(

@@ -18,9 +18,7 @@ use crate::diff::{Divergence, Fingerprint, NaiveEval, THREAD_COUNTS};
 use crate::generate::CaseSpec;
 use crate::oracle::{naive_cube, LossSpec};
 use std::sync::Arc;
-use tabula_core::loss::{
-    AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
-};
+use tabula_core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS};
 use tabula_core::{RefreshConfig, SamplingCubeBuilder};
 use tabula_ingest::{IngestConfig, Ingestor};
 use tabula_serve::Server;
@@ -51,7 +49,7 @@ pub fn diff_ingest_case(case: &CaseSpec) -> Result<IngestReport, Divergence> {
     match &case.loss {
         LossSpec::Mean { attr } => ingest_with_loss(case, MeanLoss::new(col(attr)), &case.loss),
         LossSpec::Histogram { attr } => {
-            ingest_with_loss(case, HistogramLoss::new(col(attr)), &case.loss)
+            ingest_with_loss(case, HeatmapLoss::histogram(col(attr)), &case.loss)
         }
         LossSpec::Heatmap { attr, manhattan } => {
             let metric = if *manhattan { Metric::Manhattan } else { Metric::Euclidean };

@@ -54,9 +54,9 @@
 //!
 //! The [`loss`] module defines the [`loss::AccuracyLoss`] contract and the
 //! paper's built-ins: statistical-mean relative error (Function 1),
-//! geospatial heat-map average-minimum-distance (Function 2), regression
-//! angle difference (Function 3) and the 1-D histogram variant. Custom
-//! losses implement the same trait (see `examples/custom_loss.rs`).
+//! geospatial heat-map average-minimum-distance (Function 2, over 1-D values
+//! too: the histogram loss) and regression angle difference (Function 3).
+//! Custom losses implement the same trait (see `examples/custom_loss.rs`).
 
 pub mod builder;
 pub mod compile;
@@ -77,7 +77,7 @@ pub use compile::compile_predicate;
 pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};
 pub use incremental::refresh;
-pub use loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, RegressionLoss};
+pub use loss::{AccuracyLoss, HeatmapLoss, MeanLoss, RegressionLoss};
 pub use serfling::{global_sample_size, SerflingConfig};
 pub use store::SnapshotInfo;
 pub use tabula_storage::MAX_CUBED_ATTRS;

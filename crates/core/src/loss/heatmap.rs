@@ -3,12 +3,17 @@
 //! from each raw point to its nearest sample point. Samples with low loss
 //! produce heat maps visually indistinguishable from the raw data's
 //! (VAS / POIsam's objective).
+//!
+//! A numeric column is read as the points `(v, 0)`: that is the paper's
+//! histogram loss ([`HeatmapLoss::histogram`]), the same function over 1-D
+//! values, whose Manhattan distance `|a − b| + |0 − 0|` is `|a − b|`. With
+//! fares as the target its unit is US dollars (the paper's Section V).
 
 use super::index::XSortedIndex;
 use super::AccuracyLoss;
 use crate::sampling::{coverage_greedy, CoverageSpace};
 use tabula_storage::agg::SumCount;
-use tabula_storage::{Point, RowId, Table};
+use tabula_storage::{Column, Point, RowId, Table};
 
 /// Pairwise distance metric used between two points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,17 +35,24 @@ impl Metric {
     }
 }
 
-/// Geospatial heat-map accuracy loss over one point-typed attribute.
+/// Visualization-aware accuracy loss over one attribute read as points.
 #[derive(Debug, Clone)]
 pub struct HeatmapLoss {
-    point_col: usize,
+    col: usize,
     metric: Metric,
 }
 
 impl HeatmapLoss {
-    /// Loss over the `Point` column at index `point_col`.
-    pub fn new(point_col: usize, metric: Metric) -> Self {
-        HeatmapLoss { point_col, metric }
+    /// Loss over the column at index `col`: a `Point` column as it is, an
+    /// `Int64` or `Float64` column as the points `(v, 0)`.
+    pub fn new(col: usize, metric: Metric) -> Self {
+        HeatmapLoss { col, metric }
+    }
+
+    /// The paper's histogram loss over the numeric column at index `col`:
+    /// the average distance from each raw value to its nearest sample value.
+    pub fn histogram(col: usize) -> Self {
+        HeatmapLoss::new(col, Metric::Manhattan)
     }
 
     /// The metric in use.
@@ -50,10 +62,13 @@ impl HeatmapLoss {
 
     #[inline]
     fn point(&self, table: &Table, row: RowId) -> Point {
-        table
-            .column(self.point_col)
-            .as_point_slice()
-            .expect("HeatmapLoss target attribute must be a Point column")[row as usize]
+        let row = row as usize;
+        match table.column(self.col) {
+            Column::Point(v) => v[row],
+            Column::Float64(v) => Point::new(v[row], 0.0),
+            Column::Int64(v) => Point::new(v[row] as f64, 0.0),
+            Column::Str { .. } => panic!("HeatmapLoss target attribute must be a point or number"),
+        }
     }
 }
 
@@ -156,7 +171,8 @@ impl AccuracyLoss for HeatmapLoss {
     }
 }
 
-/// Coverage space over 2-D points for the lazy-forward greedy engine.
+/// Coverage space over 2-D points for the lazy-forward greedy engine (the
+/// histogram loss's values lie on the line `y = 0`).
 pub(crate) struct PointSpace {
     pub(crate) points: Vec<Point>,
     pub(crate) metric: Metric,
@@ -246,6 +262,44 @@ mod tests {
         // Manhattan: (0 + 1 + 1 + 2) / 4.
         let l1 = HeatmapLoss::new(0, Metric::Manhattan);
         assert!((l1.loss(&t, &all, &[0]) - 1.0).abs() < 1e-12);
+    }
+
+    fn fares(values: &[f64]) -> Table {
+        let schema = Schema::new(vec![Field::new("fare", ColumnType::Float64)]);
+        let mut b = TableBuilder::new(schema);
+        for &v in values {
+            b.push_row(&[v.into()]).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn histogram_exact_loss_small_case() {
+        let t = fares(&[1.0, 2.0, 3.0, 10.0]);
+        let loss = HeatmapLoss::histogram(0);
+        let all: Vec<RowId> = t.all_rows();
+        // Sample {2.0}: distances 1 + 0 + 1 + 8 = 10; avg 2.5.
+        assert!((loss.loss(&t, &all, &[1]) - 2.5).abs() < 1e-12);
+        // Sample {2.0, 10.0}: distances 1 + 0 + 1 + 0 = 2; avg 0.5.
+        assert!((loss.loss(&t, &all, &[1, 3]) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_greedy_hits_dollar_thresholds() {
+        // Bimodal fares: city trips around $10, JFK flat fares at $52.
+        let mut values: Vec<f64> = (0..200).map(|i| 8.0 + (i % 40) as f64 * 0.1).collect();
+        values.extend((0..20).map(|i| 52.0 + (i % 5) as f64 * 0.2));
+        let t = fares(&values);
+        let loss = HeatmapLoss::histogram(0);
+        let all: Vec<RowId> = t.all_rows();
+        for theta in [2.0, 0.5, 0.1] {
+            let sample = loss.sample_greedy(&t, &all, &[], theta);
+            let achieved = loss.loss(&t, &all, &sample);
+            assert!(achieved <= theta + 1e-12, "θ={theta}: {achieved}");
+        }
+        // A $0.5 threshold must force a sample value near the $52 mode.
+        let sample = loss.sample_greedy(&t, &all, &[], 0.5);
+        assert!(sample.iter().any(|&r| values[r as usize] > 50.0));
     }
 
     #[test]

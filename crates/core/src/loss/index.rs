@@ -1,7 +1,7 @@
-//! Nearest-neighbour indexes used by the visualization-aware loss
-//! functions: points sorted by x for 2-D, a sorted array for 1-D values.
-//! Both answer exact nearest-neighbour distance queries; they only
-//! accelerate, never approximate.
+//! The nearest-neighbour index of the visualization-aware loss: points
+//! sorted by x. It answers exact nearest-neighbour distance queries; it
+//! only accelerates, never approximates. The histogram loss's values are
+//! the points `(v, 0)`, so they are indexed here too.
 //!
 //! A heat-map sample is small (tens of points for most cells, ≈ 1 000 for
 //! the global sample), so a sweep over the x-sorted points that stops once
@@ -80,73 +80,16 @@ impl XSortedIndex {
     }
 }
 
-/// Exact nearest-neighbour index over a fixed multiset of 1-D values.
-#[derive(Debug, Clone)]
-pub struct Sorted1D {
-    values: Vec<f64>,
-}
-
-impl Sorted1D {
-    /// Build from values (NaNs are rejected by debug assertion).
-    pub fn build(mut values: Vec<f64>) -> Self {
-        debug_assert!(values.iter().all(|v| !v.is_nan()));
-        values.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-        Sorted1D { values }
-    }
-
-    /// Exact distance from `q` to the nearest indexed value; `INFINITY`
-    /// if empty.
-    pub fn nearest_dist(&self, q: f64) -> f64 {
-        if self.values.is_empty() {
-            return f64::INFINITY;
-        }
-        let idx = self.values.partition_point(|&v| v < q);
-        let mut best = f64::INFINITY;
-        if idx < self.values.len() {
-            best = best.min((self.values[idx] - q).abs());
-        }
-        if idx > 0 {
-            best = best.min((q - self.values[idx - 1]).abs());
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn empty_index_returns_infinity() {
-        // The 2-D index is compared with brute force bit for bit in the
+        // The index is compared with brute force bit for bit in the
         // root package's `tests/nearest.rs`.
         let g = XSortedIndex::build(Vec::new());
         assert_eq!(g.nearest_dist(&Point::new(0.5, 0.5)), f64::INFINITY);
         assert_eq!(g.nearest_dist_manhattan(&Point::new(0.5, 0.5)), f64::INFINITY);
-        let s = Sorted1D::build(Vec::new());
-        assert_eq!(s.nearest_dist(1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn sorted1d_matches_brute_force() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let values: Vec<f64> = (0..300).map(|_| rng.gen_range(-10.0..10.0)).collect();
-        let s = Sorted1D::build(values.clone());
-        for _ in 0..300 {
-            let q = rng.gen_range(-12.0..12.0);
-            let brute = values.iter().map(|v| (v - q).abs()).fold(f64::INFINITY, f64::min);
-            assert!((s.nearest_dist(q) - brute).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sorted1d_boundaries() {
-        let s = Sorted1D::build(vec![1.0, 5.0, 9.0]);
-        assert_eq!(s.nearest_dist(0.0), 1.0);
-        assert_eq!(s.nearest_dist(10.0), 1.0);
-        assert_eq!(s.nearest_dist(5.0), 0.0);
-        assert!((s.nearest_dist(6.9) - 1.9).abs() < 1e-12);
     }
 }

@@ -25,25 +25,24 @@
 //! and can be reused against any sample — the dry run and the
 //! representation relation (`samgraph::KeptSet`) exploit this distinction.
 //!
-//! ## Built-ins (the paper's Functions 1–3 plus the histogram variant)
+//! ## Built-ins (the paper's Functions 1–3)
 //!
 //! * [`MeanLoss`] — relative error of the statistical mean,
 //! * [`HeatmapLoss`] — average minimum distance between raw points and
-//!   sample points (VAS / POIsam-style visualization-aware loss),
-//! * [`RegressionLoss`] — angle difference between OLS regression lines,
-//! * [`HistogramLoss`] — 1-D average minimum distance.
+//!   sample points (VAS / POIsam-style visualization-aware loss); over a
+//!   numeric column, [`HeatmapLoss::histogram`] reads each value `v` as the
+//!   point `(v, 0)`: the paper's histogram loss is the same function,
+//! * [`RegressionLoss`] — angle difference between OLS regression lines.
 
 pub mod expr;
 pub mod heatmap;
-pub mod histogram;
 pub mod index;
 pub mod mean;
 pub mod regression;
 
 pub use expr::ExprLoss;
 pub use heatmap::{HeatmapLoss, Metric};
-pub use histogram::HistogramLoss;
-pub use index::{Sorted1D, XSortedIndex};
+pub use index::XSortedIndex;
 pub use mean::MeanLoss;
 pub use regression::RegressionLoss;
 
@@ -228,7 +227,7 @@ mod tests {
         check_contract(&MeanLoss::new(fare), &t);
         check_contract(&HeatmapLoss::new(pickup, Metric::Euclidean), &t);
         check_contract(&HeatmapLoss::new(pickup, Metric::Manhattan), &t);
-        check_contract(&HistogramLoss::new(fare), &t);
+        check_contract(&HeatmapLoss::histogram(fare), &t);
         check_contract(&RegressionLoss::new(fare, tip), &t);
     }
 
@@ -252,7 +251,7 @@ mod tests {
 
         check(&MeanLoss::new(fare), &t, &all, 0.05);
         check(&HeatmapLoss::new(pickup, Metric::Euclidean), &t, &all, 0.05);
-        check(&HistogramLoss::new(fare), &t, &all, 2.0);
+        check(&HeatmapLoss::histogram(fare), &t, &all, 2.0);
         check(&RegressionLoss::new(fare, tip), &t, &all, 2.0);
     }
 }

@@ -18,10 +18,12 @@
 //!   candidate is priced in O(1) by provisionally updating the sample
 //!   state. Cost `O(|T| · rounds)`.
 //! * [`coverage_greedy`] — for the per-tuple-decomposable visualization
-//!   losses (`loss = avg_i min_{s∈t} dist(i, s)`), the POIsam
-//!   **lazy-forward** strategy: marginal gains are submodular (they only
-//!   shrink as the sample grows), so stale gains are valid upper bounds
-//!   and most candidates are never re-priced.
+//!   loss (`loss = avg_i min_{s∈t} dist(i, s)`, Function 2, whose 1-D
+//!   reading is the histogram loss), the POIsam **lazy-forward** strategy:
+//!   marginal gains are submodular (they only shrink as the sample grows),
+//!   so stale gains are valid upper bounds and most candidates are never
+//!   re-priced. Its one production [`CoverageSpace`] is the heat-map
+//!   loss's points; a histogram's values are the points `(v, 0)`.
 //!
 //! A coverage sampler's cost is its distance work. The exact engine
 //! (n ≤ 512) computes each pair's distance once into a table and prices a
@@ -401,7 +403,6 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64, mut cov: Coverage)
 mod tests {
     use super::*;
     use crate::loss::heatmap::PointSpace;
-    use crate::loss::histogram::ValueSpace;
     use crate::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -557,7 +558,8 @@ mod tests {
                     Point::new(x, coordinate(&mut rng))
                 })
                 .collect();
-            let values: Vec<f64> = points.iter().map(|p| p.x).collect();
+            // Values read as points on a line: the histogram loss's space.
+            let line: Vec<Point> = points.iter().map(|p| Point::new(p.x, 0.0)).collect();
             for start in starts(n, &mut rng) {
                 for metric in [Metric::Euclidean, Metric::Manhattan] {
                     let space = PointSpace { points: points.clone(), metric };
@@ -571,7 +573,8 @@ mod tests {
                         }
                     }
                 }
-                assert_cover_is_the_default_loop(&ValueSpace { values: values.clone() }, &start);
+                let space = PointSpace { points: line.clone(), metric: Metric::Manhattan };
+                assert_cover_is_the_default_loop(&space, &start);
             }
         }
     }
@@ -583,12 +586,6 @@ mod tests {
         points[17] = Point::new(f64::NAN, 0.0);
         let space = PointSpace { points, metric: Metric::Euclidean };
         assert_eq!(coverage_greedy(&space, &[4, 2_000], 1.0), vec![4, 2_000]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn the_1d_index_holds_no_nan() {
-        crate::loss::Sorted1D::build(vec![1.0, f64::NAN]);
     }
 
     #[test]
@@ -648,7 +645,7 @@ mod tests {
                 for metric in [Metric::Euclidean, Metric::Manhattan] {
                     check(&HeatmapLoss::new(0, metric), &t, &raw, &start, 0.01);
                 }
-                check(&crate::loss::HistogramLoss::new(1), &t, &raw, &start, 0.001);
+                check(&HeatmapLoss::histogram(1), &t, &raw, &start, 0.001);
                 check(&MeanLoss::new(1), &t, &raw, &start, 0.001);
             }
         }

@@ -22,10 +22,15 @@
 //! | `stats`            | [`BuildStats`] (JSON)                          |
 //!
 //! The `cube:*` blocks are the cube's own [`CubeTable`] arrays, written
-//! verbatim and adopted as written: keys over per-attribute domains of
-//! `cardinality + 1` (slot 0 is `*`/`None`, code `c` maps to `c + 1`) in
-//! ascending key order, so snapshot bytes are a pure function of cube
-//! content — two processes that built the same cube write identical files.
+//! verbatim: keys over per-attribute domains of `cardinality + 1` (slot 0
+//! is `*`/`None`, code `c` maps to `c + 1`) in ascending key order. On load
+//! they are copied once out of the file buffer and adopted as they are —
+//! nothing is re-sorted or rebuilt, but unlike the columns they are not
+//! zero-copy views. Every block but `stats` is a pure function of cube
+//! content; `stats` carries [`BuildStats`]' wall times, so two builds of
+//! the same cube write different `stats` bytes (and a file length that
+//! may differ by a byte or so). A thawed cube re-freezes to identical
+//! bytes, `stats` included.
 //!
 //! ## What is verified on load
 //!
@@ -478,8 +483,8 @@ mod tests {
     fn snapshot_bytes_are_deterministic() {
         let c = cube();
         assert_eq!(c.snapshot_bytes(3).unwrap(), c.snapshot_bytes(3).unwrap());
-        // A cube rebuilt from the snapshot re-freezes to identical bytes:
-        // snapshot content is a pure function of cube content.
+        // A cube rebuilt from the snapshot re-freezes to identical bytes,
+        // the build's wall times in `stats` included.
         let bytes = c.snapshot_bytes(3).unwrap();
         let (back, _) = SamplingCube::from_snapshot_bytes(bytes.clone()).unwrap();
         assert_eq!(back.snapshot_bytes(3).unwrap(), bytes);

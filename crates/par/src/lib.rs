@@ -1,11 +1,11 @@
 //! # tabula-par — morsel-driven deterministic parallel execution
 //!
 //! A `std`-only parallel execution layer for the cube pipeline: one
-//! process-wide set of parked helper threads, plus three primitives —
-//! [`Pool::par_map`], [`Pool::par_chunks`] and [`Pool::par_fold_merge`] —
-//! that every hot stage (finest-cuboid scan, lattice rollup, dry-run
-//! classification, group-by, per-cell sampling, SamGraph join, the raw
-//! `Predicate::filter`) is built on.
+//! process-wide set of parked helper threads, plus [`Pool::run`] and its two
+//! shapes — [`Pool::par_map`] and [`Pool::par_chunks`] — that every hot
+//! stage (finest-cuboid scan, lattice rollup, dry-run classification,
+//! group-by, per-cell sampling, SamGraph join, the raw `Predicate::filter`)
+//! is built on.
 //!
 //! ## Determinism contract
 //!
@@ -290,12 +290,6 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::global()
-    }
-}
-
 impl Pool {
     /// The pool at the process-wide thread count (see [`threads`]).
     pub fn global() -> Self {
@@ -372,48 +366,11 @@ impl Pool {
             f(lo..(lo + morsel).min(len))
         })
     }
-
-    /// Morsel-driven accumulate-then-merge over `0..len`: `fold` builds
-    /// one accumulator per morsel, `merge` combines them **in ascending
-    /// morsel order** on the calling thread (the ordered merge that keeps
-    /// non-associative accumulation deterministic). Returns `None` for an
-    /// empty range.
-    pub fn par_fold_merge<A, F, M>(
-        &self,
-        len: usize,
-        morsel: usize,
-        fold: F,
-        mut merge: M,
-    ) -> Option<A>
-    where
-        A: Send,
-        F: Fn(Range<usize>) -> A + Sync,
-        M: FnMut(A, A) -> A,
-    {
-        let mut partials = self.par_chunks(len, morsel, fold).into_iter();
-        let first = partials.next()?;
-        Some(partials.fold(first, &mut merge))
-    }
 }
 
 /// [`Pool::par_map`] on the process-wide pool.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     Pool::global().par_map(items, f)
-}
-
-/// [`Pool::par_chunks`] on the process-wide pool with the default morsel.
-pub fn par_chunks<R: Send>(len: usize, f: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
-    Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, f)
-}
-
-/// [`Pool::par_fold_merge`] on the process-wide pool with the default
-/// morsel.
-pub fn par_fold_merge<A: Send>(
-    len: usize,
-    fold: impl Fn(Range<usize>) -> A + Sync,
-    merge: impl FnMut(A, A) -> A,
-) -> Option<A> {
-    Pool::global().par_fold_merge(len, DEFAULT_MORSEL_ROWS, fold, merge)
 }
 
 #[cfg(test)]
@@ -447,27 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn fold_merge_is_bitwise_deterministic_for_floats() {
-        // Sums crafted so that association order changes the bits.
-        let values: Vec<f64> = (0..100_000).map(|i| 1.0 + (i as f64) * 1e-9).collect();
-        let fold = |r: Range<usize>| values[r].iter().sum::<f64>();
-        let reference =
-            Pool::with_threads(1).par_fold_merge(values.len(), 1024, fold, |a, b| a + b).unwrap();
-        for threads in [2, 4, 32] {
-            let got = Pool::with_threads(threads)
-                .par_fold_merge(values.len(), 1024, fold, |a, b| a + b)
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn empty_inputs() {
         let pool = Pool::with_threads(4);
         assert!(pool.run(0, |i| i).is_empty());
         assert!(pool.par_map::<u8, u8, _>(&[], |&x| x).is_empty());
         assert!(pool.par_chunks(0, 16, |r| r).is_empty());
-        assert!(pool.par_fold_merge(0, 16, |_| 0u8, |a, _| a).is_none());
     }
 
     #[test]

@@ -8,12 +8,12 @@ use std::sync::Arc;
 use std::time::Instant;
 use tabula_core::cube::{BuildStats, SampleProvenance, SamplingCube};
 use tabula_core::loss::expr::{Expr, ExprLoss};
-use tabula_core::loss::{HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss};
+use tabula_core::loss::{HeatmapLoss, MeanLoss, Metric, RegressionLoss};
 use tabula_core::{SamplingCubeBuilder, SnapshotInfo};
 use tabula_obs as obs;
 use tabula_obs::trace::{CompletedTrace, Stage, TraceProvenance, Tracer};
 use tabula_serve::Server;
-use tabula_storage::{Predicate, ScanStats, Table};
+use tabula_storage::{ColumnType, Predicate, ScanStats, Table};
 
 /// How a registered loss function binds to target attributes at cube
 /// build time.
@@ -23,7 +23,7 @@ enum LossDecl {
     Mean,
     /// Built-in Function 2 (heat map; one point attribute).
     Heatmap(Metric),
-    /// Built-in histogram variant (one numeric attribute).
+    /// Built-in Function 2 over one numeric attribute (the histogram loss).
     Histogram,
     /// Built-in Function 3 (regression; two numeric attributes, x then y).
     Regression,
@@ -251,47 +251,51 @@ impl Session {
                     .iter()
                     .map(|a| table.schema().index_of(a).map_err(SqlError::from))
                     .collect::<Result<_>>()?;
-                let expect_targets = |n: usize| -> Result<()> {
-                    if targets.len() == n {
-                        Ok(())
-                    } else {
-                        Err(SqlError::Parse(format!(
-                            "loss function {} takes {n} target attribute(s), got {}",
-                            loss.name,
-                            targets.len()
-                        )))
-                    }
+                // A loss reads its targets unchecked (a wrong column type
+                // panics mid-build), so arity and types are checked here.
+                let (arity, points) = match decl {
+                    LossDecl::Heatmap(_) => (1, true),
+                    LossDecl::Regression => (2, false),
+                    _ => (1, false),
                 };
-                let cube = match decl.clone() {
-                    LossDecl::Mean => {
-                        expect_targets(1)?;
-                        self.build(table, &cubed_attrs, MeanLoss::new(targets[0]), theta)?
+                if targets.len() != arity {
+                    return Err(SqlError::Parse(format!(
+                        "loss function {} takes {arity} target attribute(s), got {}",
+                        loss.name,
+                        targets.len()
+                    )));
+                }
+                for &t in &targets {
+                    let field = table.schema().field(t);
+                    let fits = match field.ty {
+                        ColumnType::Point => points,
+                        ColumnType::Int64 | ColumnType::Float64 => !points,
+                        ColumnType::Str => false,
+                    };
+                    if !fits {
+                        let want = if points { "a Point" } else { "an Int64 or Float64" };
+                        return Err(SqlError::Parse(format!(
+                            "loss function {} needs {want} target, {} is {}",
+                            loss.name,
+                            field.name,
+                            field.ty.name()
+                        )));
                     }
+                }
+                let (attrs, t) = (&cubed_attrs, targets[0]);
+                let cube = match decl.clone() {
+                    LossDecl::Mean => self.build(table, attrs, MeanLoss::new(t), theta)?,
                     LossDecl::Heatmap(metric) => {
-                        expect_targets(1)?;
-                        self.build(
-                            table,
-                            &cubed_attrs,
-                            HeatmapLoss::new(targets[0], metric),
-                            theta,
-                        )?
+                        self.build(table, attrs, HeatmapLoss::new(t, metric), theta)?
                     }
                     LossDecl::Histogram => {
-                        expect_targets(1)?;
-                        self.build(table, &cubed_attrs, HistogramLoss::new(targets[0]), theta)?
+                        self.build(table, attrs, HeatmapLoss::histogram(t), theta)?
                     }
                     LossDecl::Regression => {
-                        expect_targets(2)?;
-                        self.build(
-                            table,
-                            &cubed_attrs,
-                            RegressionLoss::new(targets[0], targets[1]),
-                            theta,
-                        )?
+                        self.build(table, attrs, RegressionLoss::new(t, targets[1]), theta)?
                     }
                     LossDecl::UserExpr(expr) => {
-                        expect_targets(1)?;
-                        self.build(table, &cubed_attrs, ExprLoss::new(targets[0], expr), theta)?
+                        self.build(table, attrs, ExprLoss::new(t, expr), theta)?
                     }
                 };
                 let stats = cube.stats().clone();

@@ -7,7 +7,7 @@ use tabula::baselines::{
     full_sam_cube, part_sam_cube, two_phase_cube, Approach, PoiSam, SampleFirst, SampleOnTheFly,
     SnappyLike,
 };
-use tabula::core::loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, Metric};
+use tabula::core::loss::{AccuracyLoss, HeatmapLoss, Metric};
 use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::{CoreError, RefreshConfig, SamplingCubeBuilder, MAX_CUBED_ATTRS};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
@@ -53,7 +53,7 @@ fn memory_ordering_matches_the_paper() {
     // and online approaches hold nothing.
     let t = taxi(8_000, 12);
     let fare = t.schema().index_of("fare_amount").unwrap();
-    let loss = HistogramLoss::new(fare);
+    let loss = HeatmapLoss::histogram(fare);
     let theta = 0.1; // tight enough ($0.10) to force a real iceberg set
     let attrs = &CUBED_ATTRIBUTES[..4];
     let config = RefreshConfig { seed: 3, ..RefreshConfig::default() };

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use tabula::core::loss::expr::Expr;
 use tabula::core::loss::{
-    AccuracyLoss, ExprLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
+    AccuracyLoss, ExprLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
 };
 use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::SamplingCubeBuilder;
@@ -107,7 +107,7 @@ fn histogram_loss_guarantee_over_random_workload() {
     verify_guarantee(
         &t,
         &CUBED_ATTRIBUTES[..4],
-        HistogramLoss::new(fare),
+        HeatmapLoss::histogram(fare),
         0.5, // $0.5 — the paper's Fig 12 setting
         SamGraphConfig::default(),
     );

@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabula::core::dryrun::dry_run;
-use tabula::core::loss::{HeatmapLoss, HistogramLoss, MeanLoss, Metric, XSortedIndex, LOSS_EPS};
+use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric, XSortedIndex, LOSS_EPS};
 use tabula::core::realrun::draw;
 use tabula::core::realrun::CubeEntry;
 use tabula::core::samgraph::{build_samgraph, SamGraphConfig, SignatureIndex};
@@ -753,7 +753,7 @@ fn histogram_and_line_samples_equal_the_reference() {
         let table = value_table(&values);
         let rows = table.all_rows();
         for theta in [2.0, 0.5, 0.1, 0.0] {
-            let got = HistogramLoss::new(0).sample_greedy(&table, &rows, &[], theta);
+            let got = HeatmapLoss::histogram(0).sample_greedy(&table, &rows, &[], theta);
             let plain = PlainValues { values: values.clone() };
             let want: Vec<RowId> =
                 reference::coverage_greedy(&plain, theta).into_iter().map(|i| rows[i]).collect();

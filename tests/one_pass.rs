@@ -10,16 +10,14 @@
 //! * the work counters are the same at one, two and four threads, and
 //!   every fresh cell is either represented or sampled;
 //! * at θ = 0 a cell is represented only by a sample at zero loss, and a
-//!   cell whose pickups are all NaN by no other cell's sample.
+//!   cell whose pickups or fares are all NaN by no other cell's sample.
 
 mod common;
 
 use common::content_crc;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tabula::core::loss::{
-    AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS,
-};
+use tabula::core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS};
 use tabula::core::{refresh, RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::obs::Registry;
@@ -109,7 +107,7 @@ fn theta_holds_on_every_cell_for_every_loss() {
         5.0,
     );
     assert_one_pass_holds(
-        HistogramLoss::new(fare),
+        HeatmapLoss::histogram(fare),
         LossSpec::Histogram { attr: spec("fare_amount") },
         0.5,
     );
@@ -185,44 +183,48 @@ fn at_theta_zero_a_cell_is_represented_only_at_zero_loss() {
     }
 }
 
-/// Cells whose pickups are all NaN are at infinite distance from every
-/// sample, their own included: each keeps the sample it drew, which serves
-/// no other cell.
+/// Cells whose pickups (or fares) are all NaN are at infinite distance from
+/// every sample, their own included: each keeps the sample it drew, which
+/// serves no other cell.
 #[test]
 fn a_cell_of_nan_pickups_is_represented_by_no_other_cell() {
     let schema = Schema::new(vec![
         Field::new("a0", ColumnType::Int64),
         Field::new("a1", ColumnType::Int64),
         Field::new("pickup", ColumnType::Point),
+        Field::new("fare", ColumnType::Float64),
     ]);
     let mut b = TableBuilder::new(schema);
     for r in 0..600i64 {
         let (a0, a1) = (r % 4, r % 7);
-        let p = match a0 {
-            0 => Point { x: f64::NAN, y: f64::NAN },
-            _ => Point { x: (r % 13) as f64 * 0.01, y: (r % 11) as f64 * 0.01 },
+        let (p, fare) = match a0 {
+            0 => (Point { x: f64::NAN, y: f64::NAN }, f64::NAN),
+            _ => (Point { x: (r % 13) as f64 * 0.01, y: (r % 11) as f64 * 0.01 }, (r % 17) as f64),
         };
-        b.push_row(&[a0.into(), a1.into(), p.into()]).unwrap();
+        b.push_row(&[a0.into(), a1.into(), p.into(), fare.into()]).unwrap();
     }
     let table = Arc::new(b.finish());
-    let loss = HeatmapLoss::new(2, Metric::Euclidean);
-    let cube = build(&table, &["a0", "a1"], &loss, 0.001, 0, &Arc::new(Registry::new()));
-    let mut cells_of: HashMap<u32, usize> = HashMap::new();
-    for (_, id) in cube.cube_table() {
-        *cells_of.entry(id).or_default() += 1;
-    }
-    let mut nan_cells = 0;
-    for (cell, rows) in lattice(&cube) {
-        let points = table.column(2).as_point_slice().unwrap();
-        if !rows.iter().all(|&r| points[r as usize].x.is_nan()) {
-            continue;
+    let a0 = table.column(0).as_i64_slice().unwrap();
+    for (loss, theta) in
+        [(HeatmapLoss::new(2, Metric::Euclidean), 0.001), (HeatmapLoss::histogram(3), 0.01)]
+    {
+        let cube = build(&table, &["a0", "a1"], &loss, theta, 0, &Arc::new(Registry::new()));
+        let mut cells_of: HashMap<u32, usize> = HashMap::new();
+        for (_, id) in cube.cube_table() {
+            *cells_of.entry(id).or_default() += 1;
         }
-        nan_cells += 1;
-        let SampleProvenance::Local(id) = cube.query_cell(&cell).provenance else {
-            panic!("cell {cell} of NaN pickups is not materialized");
-        };
-        assert!(cube.sample(id).iter().all(|r| rows.binary_search(r).is_ok()), "{cell}");
-        assert_eq!(cells_of[&id], 1, "cell {cell} shares sample {id}");
+        let mut nan_cells = 0;
+        for (cell, rows) in lattice(&cube) {
+            if !rows.iter().all(|&r| a0[r as usize] == 0) {
+                continue;
+            }
+            nan_cells += 1;
+            let SampleProvenance::Local(id) = cube.query_cell(&cell).provenance else {
+                panic!("{loss:?}: cell {cell} of NaN targets is not materialized");
+            };
+            assert!(cube.sample(id).iter().all(|r| rows.binary_search(r).is_ok()), "{cell}");
+            assert_eq!(cells_of[&id], 1, "{loss:?}: cell {cell} shares sample {id}");
+        }
+        assert_eq!(nan_cells, 1 + 7, "{loss:?}: a0 = 0 and its seven cells by a1");
     }
-    assert_eq!(nan_cells, 1 + 7, "a0 = 0 and its seven cells by a1");
 }

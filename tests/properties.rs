@@ -6,7 +6,7 @@ mod common;
 use common::lattice;
 use proptest::prelude::*;
 use std::sync::Arc;
-use tabula::core::loss::{AccuracyLoss, HistogramLoss, MeanLoss};
+use tabula::core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss};
 use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::sampling::{coverage_greedy, CoverageSpace};
 use tabula::core::SamplingCubeBuilder;
@@ -56,7 +56,7 @@ proptest! {
         table in arb_table(),
         theta in 0.0f64..5.0,
     ) {
-        let loss = HistogramLoss::new(2);
+        let loss = HeatmapLoss::histogram(2);
         let all: Vec<u32> = table.all_rows();
         let sample = loss.sample_greedy(&table, &all, &[], theta);
         prop_assert!(!sample.is_empty());

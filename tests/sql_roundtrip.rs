@@ -154,4 +154,25 @@ fn errors_surface_cleanly() {
          HAVING mean_loss(no_such_column, Sam_global) > 0.1",
     );
     assert!(matches!(err, Err(SqlError::Storage(_))), "{err:?}");
+    // A target column of the wrong type: the heat map reads points, every
+    // other loss numbers.
+    s.execute(
+        "CREATE AGGREGATE my_loss(Raw, Sam) RETURN decimal_value AS \
+         BEGIN ABS((AVG(Raw) - AVG(Sam)) / AVG(Raw)) END",
+    )
+    .unwrap();
+    for having in [
+        "heatmap_loss(fare_amount, Sam_global)",
+        "histogram_loss(payment_type, Sam_global)",
+        "mean_loss(payment_type, Sam_global)",
+        "mean_loss(pickup, Sam_global)",
+        "regression_loss(fare_amount, payment_type, Sam_global)",
+        "my_loss(pickup, Sam_global)",
+    ] {
+        let err = s.execute(&format!(
+            "CREATE TABLE c3 AS SELECT payment_type, SAMPLING(*, 0.1) AS sample \
+             FROM nyctaxi GROUPBY CUBE(payment_type) HAVING {having} > 0.1"
+        ));
+        assert!(matches!(err, Err(SqlError::Parse(_))), "{having}: {err:?}");
+    }
 }

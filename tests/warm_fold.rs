@@ -23,7 +23,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use tabula::core::loss::{AccuracyLoss, HeatmapLoss, HistogramLoss, MeanLoss, Metric, LOSS_EPS};
+use tabula::core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, LOSS_EPS};
 use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::{
     refresh, RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder, SerflingConfig,
@@ -180,7 +180,7 @@ fn warm_folds_of_the_manhattan_heatmap_loss() {
 
 #[test]
 fn warm_folds_of_the_histogram_loss() {
-    chain(HistogramLoss::new(column("fare_amount")), 0.5, TABULA_STAR);
+    chain(HeatmapLoss::histogram(column("fare_amount")), 0.5, TABULA_STAR);
 }
 
 #[test]
