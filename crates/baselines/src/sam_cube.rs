@@ -51,7 +51,7 @@ fn sam_cube<L: AccuracyLoss>(
     iceberg_only: bool,
 ) -> Result<SamplingCube> {
     let total_start = Instant::now();
-    let cols = cubed_columns(&table, attrs, theta)?;
+    let cols = cubed_columns(&table, attrs, loss, theta)?;
     let cats = cols.iter().map(|&c| table.cat(c)).collect::<tabula_storage::Result<Vec<_>>>()?;
     let n = cols.len();
     let space = CellSpace::new(cats.iter().map(|cat| cat.cardinality()).collect());

@@ -209,7 +209,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     previous: Option<&SamplingCube>,
     registry: &Arc<obs::Registry>,
 ) -> Result<(SamplingCube, RefreshStats)> {
-    let cols = cubed_columns(&table, &attrs, theta)?;
+    let cols = cubed_columns(&table, &attrs, loss, theta)?;
 
     let total_start = Instant::now();
     let mut stats = BuildStats::default();
@@ -397,11 +397,44 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     Ok((cube, refresh_stats))
 }
 
-/// The columns of the cubed `attrs` in `table`, once `theta` and the
-/// attribute list are checked: a non-negative θ, 1 to
-/// [`MAX_CUBED_ATTRS`] attributes, each a categorical column. The builder
-/// and the baseline cubes of `tabula-baselines` call it before any work.
-pub fn cubed_columns(table: &Table, attrs: &[impl AsRef<str>], theta: f64) -> Result<Vec<usize>> {
+/// The columns of the cubed `attrs` in `table`, once `theta`, the
+/// attribute list and `loss`'s targets are checked: a non-negative θ, 1
+/// to [`MAX_CUBED_ATTRS`] attributes, each a categorical column, and each
+/// column the loss reads present and of a type it reads. The builder and
+/// the baseline cubes of `tabula-baselines` call it before any work.
+pub fn cubed_columns<L: AccuracyLoss>(
+    table: &Table,
+    attrs: &[impl AsRef<str>],
+    loss: &L,
+    theta: f64,
+) -> Result<Vec<usize>> {
+    let fields = table.schema().fields();
+    for (col, accepted) in loss.targets() {
+        let Some(field) = fields.get(col) else {
+            return Err(CoreError::Config(format!(
+                "the {} loss reads column {col}, but the table has {} columns",
+                loss.name(),
+                fields.len()
+            )));
+        };
+        if !accepted.contains(&field.ty) {
+            return Err(CoreError::Config(format!(
+                "the {} loss cannot read column {} of type {:?} (it reads {accepted:?})",
+                loss.name(),
+                field.name,
+                field.ty
+            )));
+        }
+    }
+    attr_columns(table, attrs, theta)
+}
+
+/// [`cubed_columns`] without a loss: the checks on `theta` and `attrs`.
+pub(crate) fn attr_columns(
+    table: &Table,
+    attrs: &[impl AsRef<str>],
+    theta: f64,
+) -> Result<Vec<usize>> {
     if theta < 0.0 || theta.is_nan() {
         return Err(CoreError::Config(format!(
             "accuracy loss threshold must be non-negative, got {theta}"

@@ -6,7 +6,7 @@
 //! are answered with the **global sample** — the dry run proved its loss
 //! is within θ for those cells, so the guarantee holds either way.
 
-use crate::builder::cubed_columns;
+use crate::builder::attr_columns;
 use crate::compile::compile_predicate;
 use crate::cube_table::CubeTable;
 use crate::Result;
@@ -185,7 +185,7 @@ impl SamplingCube {
         stats: BuildStats,
     ) -> Result<Self> {
         let attrs: Vec<String> = attrs.iter().map(|a| a.as_ref().to_owned()).collect();
-        let cols = cubed_columns(&table, &attrs, theta)?;
+        let cols = attr_columns(&table, &attrs, theta)?;
         let cells = CubeTable::from_cells(space, cells);
         let samples = samples.into_iter().map(Arc::new).collect();
         Ok(Self::new(table, attrs, cols, theta, cells, samples, Arc::new(global_sample), stats))

@@ -18,11 +18,11 @@
 //! (`tabula-sql`) parses the DDL body into an [`Expr`]; programmatic users
 //! can build the AST directly.
 
-use super::{AccuracyLoss, REL_EPS};
+use super::{AccuracyLoss, NUMERIC, REL_EPS};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use serde::{Deserialize, Serialize};
 use tabula_storage::agg::AggState;
-use tabula_storage::{RowId, Table};
+use tabula_storage::{ColumnType, RowId, Table};
 
 /// Which dataset an aggregate draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -223,6 +223,10 @@ impl AccuracyLoss for ExprLoss {
 
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn targets(&self) -> Vec<(usize, &'static [ColumnType])> {
+        vec![(self.attr, NUMERIC)]
     }
 
     fn state_depends_on_sample(&self) -> bool {

@@ -13,7 +13,7 @@ use super::index::XSortedIndex;
 use super::AccuracyLoss;
 use crate::sampling::{coverage_greedy, CoverageSpace};
 use tabula_storage::agg::SumCount;
-use tabula_storage::{Column, Point, RowId, Table};
+use tabula_storage::{Column, ColumnType, Point, RowId, Table};
 
 /// Pairwise distance metric used between two points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +95,10 @@ impl AccuracyLoss for HeatmapLoss {
 
     fn name(&self) -> &'static str {
         "heatmap_avg_min_dist"
+    }
+
+    fn targets(&self) -> Vec<(usize, &'static [ColumnType])> {
+        vec![(self.col, &[ColumnType::Point, ColumnType::Int64, ColumnType::Float64])]
     }
 
     fn state_depends_on_sample(&self) -> bool {

@@ -1,10 +1,10 @@
 //! Function 1 of the paper: relative error of the statistical mean,
 //! `ABS((AVG(Raw) − AVG(Sam)) / AVG(Raw))`.
 
-use super::{AccuracyLoss, REL_EPS};
+use super::{AccuracyLoss, NUMERIC, REL_EPS};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula_storage::agg::SumCount;
-use tabula_storage::{RowId, Table};
+use tabula_storage::{ColumnType, RowId, Table};
 
 /// Statistical-mean accuracy loss over one numeric target attribute.
 #[derive(Debug, Clone)]
@@ -51,6 +51,10 @@ impl AccuracyLoss for MeanLoss {
 
     fn name(&self) -> &'static str {
         "statistical_mean"
+    }
+
+    fn targets(&self) -> Vec<(usize, &'static [ColumnType])> {
+        vec![(self.attr, NUMERIC)]
     }
 
     fn state_depends_on_sample(&self) -> bool {

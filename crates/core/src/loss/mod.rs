@@ -46,7 +46,10 @@ pub use index::XSortedIndex;
 pub use mean::MeanLoss;
 pub use regression::RegressionLoss;
 
-use tabula_storage::{AggState, RowId, Table};
+use tabula_storage::{AggState, ColumnType, RowId, Table};
+
+/// The column types a loss reads as numbers.
+pub const NUMERIC: &[ColumnType] = &[ColumnType::Int64, ColumnType::Float64];
 
 /// Denominator guard for relative-error losses.
 pub(crate) const REL_EPS: f64 = 1e-12;
@@ -91,6 +94,15 @@ pub trait AccuracyLoss: Send + Sync + 'static {
 
     /// Short name for diagnostics and harness output.
     fn name(&self) -> &'static str;
+
+    /// The columns this loss reads, each with the column types it can
+    /// read. The builder and the baseline cubes check them against the
+    /// table before any work, so a target of the wrong type is a
+    /// configuration error, not a panic inside the dry run. The default
+    /// names none.
+    fn targets(&self) -> Vec<(usize, &'static [ColumnType])> {
+        Vec::new()
+    }
 
     /// Whether [`AccuracyLoss::fold`] reads the sample context. When
     /// `false`, a folded state cube can be re-evaluated against *different*

@@ -4,10 +4,10 @@
 //! sample. The paper's running example regresses tip amount on fare
 //! amount.
 
-use super::AccuracyLoss;
+use super::{AccuracyLoss, NUMERIC};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula_storage::agg::Moments2D;
-use tabula_storage::{RowId, Table};
+use tabula_storage::{ColumnType, RowId, Table};
 
 /// Regression-angle accuracy loss over `(x, y)` numeric attributes.
 #[derive(Debug, Clone)]
@@ -59,6 +59,10 @@ impl AccuracyLoss for RegressionLoss {
 
     fn name(&self) -> &'static str {
         "regression_angle"
+    }
+
+    fn targets(&self) -> Vec<(usize, &'static [ColumnType])> {
+        vec![(self.x_col, NUMERIC), (self.y_col, NUMERIC)]
     }
 
     fn state_depends_on_sample(&self) -> bool {

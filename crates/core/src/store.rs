@@ -32,6 +32,14 @@
 //! may differ by a byte or so). A thawed cube re-freezes to identical
 //! bytes, `stats` included.
 //!
+//! ## Writing
+//!
+//! Every payload streams from the cube's own memory (column words, the
+//! parts of an RLE or FOR column, points, cube-table keys, sample ids,
+//! each sample's rows and offsets) through `tabula-store`'s writer, which
+//! stages, checksums and writes it chunk by chunk. Only the small JSON and
+//! dictionary blocks are built first.
+//!
 //! ## What is verified on load
 //!
 //! Beyond the store layer's checksums, the loader re-derives every
@@ -145,34 +153,47 @@ fn key_bits(cells: &CubeTable) -> Vec<u32> {
         .map_or_else(Vec::new, |layout| (0..layout.width()).map(|i| layout.attr_bits(i)).collect())
 }
 
-fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
+/// The capacity of an in-memory image of `cube`, so that it is never
+/// copied as it grows: the column, cube-table and sample payloads, the
+/// dictionaries' heap (more than their blocks take), and 64 KiB for the
+/// JSON blocks, header, padding, manifest and footer.
+fn image_bytes(cube: &SamplingCube) -> usize {
+    let table = cube.table();
+    let columns: usize = (0..table.schema().fields().len())
+        .map(|i| match table.column(i) {
+            Column::Str { codes, dict } => codes.physical_bytes() + dict.heap_bytes(),
+            col => col.physical_bytes(),
+        })
+        .sum();
+    let samples: usize =
+        (0..cube.persisted_samples() as u32).map(|sid| 8 + 4 * cube.sample(sid).len()).sum();
+    columns + cube.cells().heap_bytes() + samples + 4 * cube.global_sample().len() + (64 << 10)
+}
+
+/// Stream `cube` into `w`: every payload goes from the cube's memory
+/// straight into the writer, with no per-block copy in between.
+fn write_cube<W: std::io::Write>(
+    cube: &SamplingCube,
+    epoch: u64,
+    w: &mut SnapshotWriter<W>,
+) -> Result<()> {
     let table = cube.table();
     let schema_json = serde_json::to_string(table.schema())
         .map_err(|e| corrupt(format!("schema serialize failed: {e}")))?;
 
-    let mut w = SnapshotWriter::new();
     w.set_epoch(epoch);
     w.add_block("schema", table.schema().fields().len() as u64, schema_json.as_bytes())?;
 
     for i in 0..table.schema().fields().len() {
-        let col = table.column(i);
-        let rows = col.len() as u64;
-        match tabula_store::encode_column(col) {
-            tabula_store::ColumnBlocks::Int64(data) | tabula_store::ColumnBlocks::Float64(data) => {
-                let (suffix, bytes) = data.into_parts();
-                w.add_block(&format!("col:{i}:data{suffix}"), rows, &bytes)?;
-            }
-            tabula_store::ColumnBlocks::Point(data) => {
-                w.add_block(&format!("col:{i}:data"), rows, &data)?;
-            }
-            tabula_store::ColumnBlocks::Str { codes, dict } => {
-                let (suffix, bytes) = codes.into_parts();
-                w.add_block(&format!("col:{i}:codes{suffix}"), rows, &bytes)?;
-                let dict_entries = match col {
-                    Column::Str { dict, .. } => dict.len() as u64,
-                    _ => unreachable!("Str blocks from non-Str column"),
-                };
-                w.add_block(&format!("col:{i}:dict"), dict_entries, &dict)?;
+        let data = format!("col:{i}:data");
+        match table.column(i) {
+            Column::Int64(buf) => w.add_column_buf(&data, buf)?,
+            Column::Float64(buf) => w.add_column_buf(&data, buf)?,
+            Column::Point(pts) => w.add_words(&data, pts.len() as u64, pts)?,
+            Column::Str { codes, dict } => {
+                w.add_column_buf(&format!("col:{i}:codes"), codes)?;
+                let entries = dict.len() as u64;
+                w.add_block(&format!("col:{i}:dict"), entries, &tabula_store::encode_dict(dict))?;
             }
         }
     }
@@ -181,38 +202,29 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
     let cells = cube.materialized_cells() as u64;
     let key_encoding = match cube.cells().keys() {
         CubeKeys::Packed(keys) => {
-            w.add_block("cube:keys", cells, &tabula_store::encode_u64s(keys))?;
+            w.add_words("cube:keys", cells, keys)?;
             ENC_PACKED
         }
         CubeKeys::Flat(words) => {
-            w.add_block("cube:flat", cells, &tabula_store::encode_u32s(words))?;
+            w.add_words("cube:flat", cells, words)?;
             ENC_FLAT
         }
     };
-    w.add_block("cube:sample_ids", cells, &tabula_store::encode_u32s(cube.cells().sample_ids()))?;
+    w.add_words("cube:sample_ids", cells, cube.cells().sample_ids())?;
 
-    let mut offsets: Vec<u64> = Vec::with_capacity(cube.persisted_samples() + 1);
-    let mut sample_rows: Vec<u32> = Vec::new();
-    offsets.push(0);
-    for sid in 0..cube.persisted_samples() as u32 {
-        sample_rows.extend_from_slice(cube.sample(sid));
-        offsets.push(sample_rows.len() as u64);
-    }
-    w.add_block(
-        "samples:offsets",
-        cube.persisted_samples() as u64,
-        &tabula_store::encode_u64s(&offsets),
-    )?;
-    w.add_block(
-        "samples:rows",
-        sample_rows.len() as u64,
-        &tabula_store::encode_u32s(&sample_rows),
-    )?;
-    w.add_block(
-        "global:rows",
-        cube.global_sample().len() as u64,
-        &tabula_store::encode_u32s(cube.global_sample()),
-    )?;
+    let samples = cube.persisted_samples() as u32;
+    let mut offset = 0u64;
+    w.add_block_with("samples:offsets", u64::from(samples), |b| {
+        b.words(&[offset])?;
+        (0..samples).try_for_each(|sid| {
+            offset += cube.sample(sid).len() as u64;
+            b.words(&[offset])
+        })
+    })?;
+    w.add_block_with("samples:rows", offset, |b| {
+        (0..samples).try_for_each(|sid| b.words(&cube.sample(sid)[..]))
+    })?;
+    w.add_words("global:rows", cube.global_sample().len() as u64, cube.global_sample())?;
     let stats_json = serde_json::to_string(cube.stats())
         .map_err(|e| corrupt(format!("stats serialize failed: {e}")))?;
     w.add_block("stats", 1, stats_json.as_bytes())?;
@@ -225,10 +237,10 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
         key_bits: key_bits(cube.cells()),
         cells,
         table_rows: table.len() as u64,
-        samples: cube.persisted_samples() as u64,
+        samples: u64::from(samples),
     };
     w.set_meta(serde_json::to_string(&meta).map_err(|e| corrupt(format!("meta: {e}")))?);
-    Ok(w)
+    Ok(())
 }
 
 fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
@@ -414,13 +426,15 @@ impl SamplingCube {
     /// Freeze this cube into a snapshot file at `path`, stamping `epoch`
     /// into the manifest. Returns the byte count written.
     pub fn write_snapshot(&self, path: &Path, epoch: u64) -> Result<u64> {
-        Ok(build_writer(self, epoch)?.write_to(path)?)
+        SnapshotWriter::write_file(path, |w| write_cube(self, epoch, w))
     }
 
     /// Freeze this cube into an in-memory snapshot image (the file bytes,
     /// verbatim). Used by the differential-test snapshot lane.
     pub fn snapshot_bytes(&self, epoch: u64) -> Result<Vec<u8>> {
-        Ok(build_writer(self, epoch)?.finish()?)
+        let mut w = SnapshotWriter::new(Vec::with_capacity(image_bytes(self)));
+        write_cube(self, epoch, &mut w)?;
+        Ok(w.finish()?)
     }
 
     /// Thaw a cube from a snapshot file. All store-level checksums and

@@ -1,13 +1,17 @@
-//! Block encoders: fixed-width column payloads and the dictionary block.
+//! Block payload layouts: fixed-width words, the self-describing RLE and
+//! FOR blocks of encoded columns, and the dictionary block.
 //!
-//! Everything is little-endian raw words. Encoding is a cast + copy;
+//! Everything is little-endian raw words. The writer streams words from
+//! their source through [`Word`] (a cast + copy into its staging chunk);
 //! decoding on the read side is a typed reinterpretation of the mapped
-//! bytes (see [`crate::reader::BlockView`]) — the functions here exist so
-//! the writer, the reader's validators, and the property tests all agree
-//! on one byte layout.
+//! bytes (see [`crate::reader::BlockView`]) — the layouts here are the one
+//! both sides agree on.
 
-use tabula_storage::{Codable, Column, ColumnBuf, Dictionary, Encoded};
+use std::io::Write;
 
+use tabula_storage::{Codable, ColumnBuf, Dictionary, Encoded, Point};
+
+use crate::writer::SnapshotWriter;
 use crate::{Result, StoreError};
 
 /// Byte length of the `[len u64][runs u64]` header of an RLE block.
@@ -17,174 +21,79 @@ pub const RLE_HEADER: usize = 16;
 pub const FOR_HEADER: usize = 24;
 
 /// Little-endian serialization of one fixed-width payload word — the
-/// bridge that lets the encoded-block writer stay generic over the
-/// column payload types (`u32` codes, `i64`/`f64` values, `u64` packed
-/// words). Floats write their bit patterns, so NaN payloads and signed
-/// zeros survive.
+/// bridge that lets the writer stream any column payload type (`u32`
+/// codes, `i64`/`f64` values, `u64` packed words, points, raw bytes)
+/// straight from its source. Floats write their bit patterns, so NaN
+/// payloads and signed zeros survive.
 pub trait Word: Copy {
-    /// Append this word's little-endian bytes.
-    fn put(self, out: &mut Vec<u8>);
+    /// Bytes per word on disk (at most 16).
+    const WIDTH: usize;
+    /// Write this word's little-endian bytes into `out`, which is exactly
+    /// [`Word::WIDTH`] bytes long.
+    fn put(self, out: &mut [u8]);
 }
 
-impl Word for u32 {
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
+/// Integers write their own little-endian bytes.
+macro_rules! int_word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
 }
 
-impl Word for u64 {
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl Word for i64 {
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
+int_word!(u8, u32, u64, i64);
 
 impl Word for f64 {
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    const WIDTH: usize = 8;
+    fn put(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_bits().to_le_bytes());
     }
 }
 
-fn put_words<T: Word>(values: &[T], out: &mut Vec<u8>) {
-    for &v in values {
-        v.put(out);
+/// A point is its `x` then its `y` bit pattern — the interleaved layout
+/// the reader views as `[Point]` in place.
+impl Word for Point {
+    const WIDTH: usize = 16;
+    fn put(self, out: &mut [u8]) {
+        self.x.put(&mut out[..8]);
+        self.y.put(&mut out[8..]);
     }
 }
 
-/// Encode a `&[u32]` as little-endian bytes.
-pub fn encode_u32s(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Encode a `&[u64]` as little-endian bytes.
-pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Encode a `&[i64]` as little-endian bytes.
-pub fn encode_i64s(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Encode a `&[f64]` as little-endian **bit patterns** — NaN payloads and
-/// signed zeros survive the round trip untouched.
-pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// One column data payload: the column's *current* physical
-/// representation, serialized verbatim. A column that froze encoded
-/// persists its encoded payload (no re-choosing — so a load/re-freeze
-/// cycle is byte-identical); a plain column persists raw words.
-#[derive(Debug)]
-pub enum ColumnData {
-    /// Raw little-endian words — block `col:<i>:data` / `col:<i>:codes`.
-    Plain(Vec<u8>),
-    /// Self-describing RLE block (`…:rle`):
-    /// `[len u64][runs u64][values: runs × width][ends: runs × u32]`.
-    Rle(Vec<u8>),
-    /// Self-describing FOR block (`…:for`):
-    /// `[len u64][base u64][width u64][words: ⌈len·width/64⌉ × u64]`.
-    For(Vec<u8>),
-}
-
-impl ColumnData {
-    /// The block-name suffix for this representation (`""`, `":rle"`,
-    /// `":for"`) and the payload bytes.
-    pub fn into_parts(self) -> (&'static str, Vec<u8>) {
-        match self {
-            ColumnData::Plain(b) => ("", b),
-            ColumnData::Rle(b) => (":rle", b),
-            ColumnData::For(b) => (":for", b),
-        }
-    }
-}
-
-/// Serialize one column buffer in its current representation.
-pub fn encode_column_data<T: Codable + Word>(buf: &ColumnBuf<T>) -> ColumnData {
-    match buf.encoded() {
-        Some(Encoded::Rle { len, values, ends }) => {
-            let mut out = Vec::with_capacity(
-                RLE_HEADER + values.len() * std::mem::size_of::<T>() + ends.len() * 4,
-            );
-            out.extend_from_slice(&(*len as u64).to_le_bytes());
-            out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-            put_words(values, &mut out);
-            put_words(ends, &mut out);
-            ColumnData::Rle(out)
-        }
-        Some(Encoded::For { len, base, width, words }) => {
-            let mut out = Vec::with_capacity(FOR_HEADER + words.len() * 8);
-            out.extend_from_slice(&(*len as u64).to_le_bytes());
-            out.extend_from_slice(&base.to_le_bytes());
-            out.extend_from_slice(&(*width as u64).to_le_bytes());
-            put_words(words, &mut out);
-            ColumnData::For(out)
-        }
-        None => {
-            let mut out = Vec::with_capacity(buf.row_count() * std::mem::size_of::<T>());
-            put_words(buf, &mut out);
-            ColumnData::Plain(out)
-        }
-    }
-}
-
-/// The encoded payload(s) of one [`Column`]. `Str` columns produce two
-/// blocks (codes + dictionary); every other type produces one.
-#[derive(Debug)]
-pub enum ColumnBlocks {
-    /// i64 words, plain or encoded.
-    Int64(ColumnData),
-    /// f64 bit patterns, plain or encoded.
-    Float64(ColumnData),
-    /// Dictionary codes plus the dictionary block itself.
-    Str {
-        /// u32 codes, one per row, plain or encoded.
-        codes: ColumnData,
-        /// Dictionary block (see [`encode_dict`]).
-        dict: Vec<u8>,
-    },
-    /// Interleaved `x, y` f64 bit patterns, two words per point. Point
-    /// columns never encode.
-    Point(Vec<u8>),
-}
-
-/// Encode a column into its block payload(s).
-pub fn encode_column(col: &Column) -> ColumnBlocks {
-    match col {
-        Column::Int64(v) => ColumnBlocks::Int64(encode_column_data(v)),
-        Column::Float64(v) => ColumnBlocks::Float64(encode_column_data(v)),
-        Column::Str { codes, dict } => {
-            ColumnBlocks::Str { codes: encode_column_data(codes), dict: encode_dict(dict) }
-        }
-        Column::Point(pts) => {
-            let mut out = Vec::with_capacity(pts.len() * 16);
-            for p in pts.iter() {
-                out.extend_from_slice(&p.x.to_bits().to_le_bytes());
-                out.extend_from_slice(&p.y.to_bits().to_le_bytes());
+impl<W: Write> SnapshotWriter<W> {
+    /// Append one column buffer under `base` in its *current* physical
+    /// representation, streamed verbatim. A buffer that froze encoded
+    /// persists its encoded payload (no re-choosing — so a load/re-freeze
+    /// cycle is byte-identical); a plain one persists raw words:
+    ///
+    /// * `<base>` — raw little-endian words;
+    /// * `<base>:rle` — `[len u64][runs u64][values: runs × width][ends: runs × u32]`;
+    /// * `<base>:for` — `[len u64][base u64][width u64][words: ⌈len·width/64⌉ × u64]`.
+    pub fn add_column_buf<T: Codable + Word>(
+        &mut self,
+        base: &str,
+        buf: &ColumnBuf<T>,
+    ) -> Result<()> {
+        let rows = buf.row_count() as u64;
+        match buf.encoded() {
+            Some(Encoded::Rle { len, values, ends }) => {
+                self.add_block_with(&format!("{base}:rle"), rows, |b| {
+                    b.words(&[*len as u64, values.len() as u64])?;
+                    b.words(values)?;
+                    b.words(ends)
+                })
             }
-            ColumnBlocks::Point(out)
+            Some(Encoded::For { len, base: first, width, words }) => {
+                self.add_block_with(&format!("{base}:for"), rows, |b| {
+                    b.words(&[*len as u64, *first, u64::from(*width)])?;
+                    b.words(words)
+                })
+            }
+            None => self.add_words(base, rows, buf),
         }
     }
 }

@@ -36,20 +36,19 @@
 //! are rejected with [`StoreError::Unsupported`] rather than silently
 //! misreading.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod blocks;
 pub mod checksum;
 pub mod format;
 pub mod reader;
 pub mod writer;
 
-pub use blocks::{
-    decode_dict_strings, encode_column, encode_dict, encode_f64s, encode_i64s, encode_u32s,
-    encode_u64s, rebuild_dict, ColumnBlocks, ColumnData,
-};
+pub use blocks::{decode_dict_strings, encode_dict, rebuild_dict, Word};
 pub use checksum::crc64;
 pub use format::{BlockDesc, Manifest, FOOTER_LEN, FORMAT_VERSION, HEADER_LEN, MAGIC};
 pub use reader::{BlockView, Snapshot};
-pub use writer::SnapshotWriter;
+pub use writer::{BlockSink, SnapshotWriter, STAGING_BYTES};
 
 /// Histogram: nanoseconds spent writing snapshots.
 pub const STORE_WRITE_NS: &str = "store.write_ns";

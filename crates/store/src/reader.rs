@@ -23,11 +23,6 @@ use crate::checksum::{crc64, crc64_combine};
 use crate::format::{Manifest, FOOTER_LEN, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use crate::{Result, StoreError, STORE_BYTES, STORE_LOAD_NS};
 
-/// Below this many total block bytes the per-block checksums are verified
-/// sequentially; above it they fan out over the worker pool (one task per
-/// block — column blocks are the natural parallel grain).
-const PARALLEL_CRC_BYTES: u64 = 4 << 20;
-
 /// File bytes in an 8-byte-aligned allocation (`Vec<u64>` backed), so
 /// typed views of any 8-aligned block offset are themselves aligned.
 struct AlignedBytes {
@@ -39,7 +34,7 @@ impl AlignedBytes {
     fn from_vec(bytes: Vec<u8>) -> Self {
         let len = bytes.len();
         let mut buf = Self::zeroed(len);
-        // Safety: a `[u64]` of ⌈len/8⌉ words is at least `len` bytes and
+        // SAFETY: a `[u64]` of ⌈len/8⌉ words is at least `len` bytes and
         // u64 has no invalid byte patterns.
         unsafe {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), buf.words.as_mut_ptr() as *mut u8, len);
@@ -54,7 +49,7 @@ impl AlignedBytes {
         let mut file = std::fs::File::open(path)?;
         let len = file.metadata()?.len() as usize;
         let mut buf = Self::zeroed(len);
-        // Safety: the u64 allocation holds ≥ `len` bytes, all initialized
+        // SAFETY: the u64 allocation holds ≥ `len` bytes, all initialized
         // (zeroed), and u8 has no alignment or validity requirements.
         let dst = unsafe { std::slice::from_raw_parts_mut(buf.words.as_mut_ptr() as *mut u8, len) };
         file.read_exact(dst)?;
@@ -75,7 +70,7 @@ impl AlignedBytes {
     }
 
     fn bytes(&self) -> &[u8] {
-        // Safety: the allocation holds at least `len` initialized bytes.
+        // SAFETY: the allocation holds at least `len` initialized bytes.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
     }
 }
@@ -184,7 +179,7 @@ impl<'a> BlockView<'a> {
             });
         }
         debug_assert_eq!(self.bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
-        // Safety: the buffer is 8-byte aligned and block offsets are
+        // SAFETY: the buffer is 8-byte aligned and block offsets are
         // multiples of 8 (verified at open), so the pointer satisfies any
         // primitive alignment; length is an exact element multiple; the
         // target types (u32/u64/i64/f64 and repr(C) Point, i.e. two f64s)
@@ -235,7 +230,7 @@ impl<'a> BlockView<'a> {
     /// alive for as long as the slice is held.
     fn shared<T>(&self, slice: &'a [T]) -> SharedSlice<T> {
         let owner: Arc<dyn std::any::Any + Send + Sync> = Arc::clone(self.owner) as _;
-        // Safety: `slice` points into the `AlignedBytes` buffer the Arc
+        // SAFETY: `slice` points into the `AlignedBytes` buffer the Arc
         // owns; the buffer is immutable and pinned for the Arc's life.
         unsafe { SharedSlice::new(owner, slice) }
     }
@@ -277,11 +272,11 @@ impl<'a> BlockView<'a> {
                 self.bytes.len()
             )));
         };
-        // Safety: bounds checked above; the block start is 8-aligned and
+        debug_assert_eq!((self.bytes.as_ptr() as usize + offset) % std::mem::align_of::<T>(), 0);
+        // SAFETY: bounds checked above; the block start is 8-aligned and
         // every encoded-payload offset (16 or 24 plus whole-element
         // multiples) preserves the element alignment; the target types
         // have no invalid bit patterns.
-        debug_assert_eq!((self.bytes.as_ptr() as usize + offset) % std::mem::align_of::<T>(), 0);
         Ok(unsafe { std::slice::from_raw_parts(self.bytes[offset..].as_ptr() as *const T, count) })
     }
 
@@ -498,19 +493,12 @@ fn validate(bytes: &[u8]) -> Result<Manifest> {
         }
     }
     // Per-block CRCs, checked before the whole-file comparison so a
-    // damaged block is named precisely. Fanned out over the worker pool
-    // for large snapshots (column blocks are the parallel grain); the
-    // first mismatch in manifest order is reported either way.
-    let payload = |desc: &crate::format::BlockDesc| {
-        &bytes[desc.offset as usize..(desc.offset + desc.len) as usize]
-    };
-    let total: u64 = manifest.blocks.iter().map(|b| b.len).sum();
-    let actuals: Vec<u64> = if total >= PARALLEL_CRC_BYTES {
-        tabula_par::par_map(&manifest.blocks, |desc| crc64(payload(desc)))
-    } else {
-        manifest.blocks.iter().map(|desc| crc64(payload(desc))).collect()
-    };
-    for (desc, &actual) in manifest.blocks.iter().zip(&actuals) {
+    // damaged block is named precisely; the first mismatch in manifest
+    // order is reported. One pass on one thread: the folding kernel reads
+    // at memory speed, and a fan-out over the worker pool measured no
+    // faster on restart.
+    for desc in &manifest.blocks {
+        let actual = crc64(&bytes[desc.offset as usize..(desc.offset + desc.len) as usize]);
         if actual != desc.crc64 {
             return Err(StoreError::ChecksumMismatch {
                 region: format!("block:{}", desc.name),

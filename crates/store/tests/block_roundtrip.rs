@@ -10,16 +10,15 @@
 //! signed zeros must survive unchanged.
 
 use proptest::prelude::*;
-use tabula_storage::{Column, Dictionary, Point};
+use tabula_storage::{ColumnBuf, Dictionary, Point};
 use tabula_store::{
-    decode_dict_strings, encode_column, encode_dict, encode_f64s, encode_i64s, encode_u32s,
-    encode_u64s, rebuild_dict, ColumnBlocks, Snapshot, SnapshotWriter,
+    decode_dict_strings, encode_dict, rebuild_dict, Snapshot, SnapshotWriter, Word,
 };
 
 /// Round-trip a single payload through writer → verified reader.
-fn round_trip(payload: &[u8], rows: u64) -> Snapshot {
-    let mut w = SnapshotWriter::new();
-    w.add_block("b", rows, payload).unwrap();
+fn round_trip<T: Word>(payload: &[T], rows: u64) -> Snapshot {
+    let mut w = SnapshotWriter::new(Vec::new());
+    w.add_words("b", rows, payload).unwrap();
     Snapshot::from_bytes(w.finish().unwrap()).unwrap()
 }
 
@@ -54,26 +53,26 @@ proptest! {
     #[test]
     fn i64_blocks_round_trip(values in proptest::collection::vec(
         (0u64..u64::MAX).prop_map(|s| s as i64), 0..200)) {
-        let snap = round_trip(&encode_i64s(&values), values.len() as u64);
+        let snap = round_trip(&values, values.len() as u64);
         prop_assert_eq!(snap.block("b").unwrap().i64s().unwrap(), &values[..]);
     }
 
     #[test]
     fn u64_blocks_round_trip(values in proptest::collection::vec(0u64..u64::MAX, 0..200)) {
-        let snap = round_trip(&encode_u64s(&values), values.len() as u64);
+        let snap = round_trip(&values, values.len() as u64);
         prop_assert_eq!(snap.block("b").unwrap().u64s().unwrap(), &values[..]);
     }
 
     #[test]
     fn u32_blocks_round_trip(values in proptest::collection::vec(0u32..u32::MAX, 0..200)) {
-        let snap = round_trip(&encode_u32s(&values), values.len() as u64);
+        let snap = round_trip(&values, values.len() as u64);
         prop_assert_eq!(snap.block("b").unwrap().u32s().unwrap(), &values[..]);
     }
 
     #[test]
     fn f64_blocks_round_trip_bit_identically(
         values in proptest::collection::vec(arb_f64(), 0..200)) {
-        let snap = round_trip(&encode_f64s(&values), values.len() as u64);
+        let snap = round_trip(&values, values.len() as u64);
         let back = snap.block("b").unwrap().f64s().unwrap();
         prop_assert_eq!(back.len(), values.len());
         for (a, b) in values.iter().zip(back) {
@@ -85,12 +84,7 @@ proptest! {
     fn point_blocks_round_trip_bit_identically(
         coords in proptest::collection::vec((arb_f64(), arb_f64()), 0..100)) {
         let points: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let blocks = encode_column(&Column::Point(points.clone().into()));
-        let payload = match blocks {
-            ColumnBlocks::Point(p) => p,
-            other => panic!("expected Point blocks, got {other:?}"),
-        };
-        let snap = round_trip(&payload, points.len() as u64);
+        let snap = round_trip(&points, points.len() as u64);
         let back = snap.block("b").unwrap().points().unwrap();
         prop_assert_eq!(back.len(), points.len());
         for (a, b) in points.iter().zip(&back) {
@@ -126,18 +120,12 @@ proptest! {
     fn str_column_codes_round_trip(raw in proptest::collection::vec(arb_string(), 0..60)) {
         let mut dict = Dictionary::new();
         let codes: Vec<u32> = raw.iter().map(|s| dict.encode(s)).collect();
-        let col = Column::Str { codes: codes.clone().into(), dict };
-        let (codes_block, dict_block) = match encode_column(&col) {
-            ColumnBlocks::Str { codes, dict } => (codes, dict),
-            other => panic!("expected Str blocks, got {other:?}"),
-        };
-        // Plain (owned) codes serialize as a raw-words block: no suffix.
-        let (suffix, codes_block) = codes_block.into_parts();
-        prop_assert_eq!(suffix, "");
-        let mut w = SnapshotWriter::new();
-        w.add_block("codes", codes.len() as u64, &codes_block).unwrap();
-        w.add_block("dict", 0, &dict_block).unwrap();
+        let mut w = SnapshotWriter::new(Vec::new());
+        w.add_column_buf("codes", &ColumnBuf::from(codes.clone())).unwrap();
+        w.add_block("dict", 0, &encode_dict(&dict)).unwrap();
         let snap = Snapshot::from_bytes(w.finish().unwrap()).unwrap();
+        // Plain (owned) codes serialize as a raw-words block: no suffix.
+        prop_assert_eq!(snap.manifest().blocks[0].name.as_str(), "codes");
         prop_assert_eq!(snap.block("codes").unwrap().u32s().unwrap(), &codes[..]);
         let back = snap.block("dict").unwrap().dict().unwrap();
         for (s, &code) in raw.iter().zip(&codes) {

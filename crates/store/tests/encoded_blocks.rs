@@ -10,9 +10,9 @@
 //! one must surface as a typed [`StoreError::BadBlock`] at load — never
 //! a panic, never a silently wrong column.
 
-use tabula_storage::{ColumnBuf, EncodedBuf, EncodingMode};
-use tabula_store::blocks::{encode_column_data, ColumnData, FOR_HEADER, RLE_HEADER};
-use tabula_store::{Snapshot, SnapshotWriter, StoreError};
+use tabula_storage::{Codable, ColumnBuf, EncodedBuf, EncodingMode};
+use tabula_store::blocks::{FOR_HEADER, RLE_HEADER};
+use tabula_store::{Snapshot, SnapshotWriter, StoreError, Word};
 
 /// Ten long runs — Force picks RLE.
 fn clustered() -> Vec<i64> {
@@ -31,18 +31,26 @@ fn force<T: tabula_storage::Codable>(values: Vec<T>) -> ColumnBuf<T> {
 }
 
 fn snapshot_with(name: &str, rows: u64, payload: &[u8]) -> Snapshot {
-    let mut w = SnapshotWriter::new();
+    let mut w = SnapshotWriter::new(Vec::new());
     w.add_block(name, rows, payload).unwrap();
     Snapshot::from_bytes(w.finish().unwrap()).unwrap()
+}
+
+/// The payload the writer streams for `buf` under the base name `c`, or
+/// `None` when it lands in a block other than `c<suffix>`.
+fn streamed<T: Codable + Word>(buf: &ColumnBuf<T>, suffix: &str) -> Option<Vec<u8>> {
+    let mut w = SnapshotWriter::new(Vec::new());
+    w.add_column_buf("c", buf).unwrap();
+    let snap = Snapshot::from_bytes(w.finish().unwrap()).unwrap();
+    let block = snap.block(&format!("c{suffix}")).ok()?;
+    Some(block.bytes().to_vec())
 }
 
 #[test]
 fn rle_block_round_trips_zero_copy_and_reserializes_identically() {
     let values = clustered();
     let buf = force(values.clone());
-    let ColumnData::Rle(bytes) = encode_column_data(&buf) else {
-        panic!("clustered i64s must RLE-encode")
-    };
+    let Some(bytes) = streamed(&buf, ":rle") else { panic!("clustered i64s must RLE-encode") };
     let snap = snapshot_with("col:0:data:rle", values.len() as u64, &bytes);
     let enc = snap.block("col:0:data:rle").unwrap().encoded_rle::<i64>().unwrap();
     assert_eq!(enc.len(), values.len());
@@ -53,7 +61,7 @@ fn rle_block_round_trips_zero_copy_and_reserializes_identically() {
     // Re-serializing the loaded view reproduces the block byte-for-byte,
     // so a load → re-freeze cycle cannot drift.
     let restored: ColumnBuf<i64> = EncodedBuf::new(enc).into();
-    let ColumnData::Rle(again) = encode_column_data(&restored) else {
+    let Some(again) = streamed(&restored, ":rle") else {
         panic!("restored buffer must still be RLE")
     };
     assert_eq!(again, bytes);
@@ -63,9 +71,7 @@ fn rle_block_round_trips_zero_copy_and_reserializes_identically() {
 fn for_block_round_trips_zero_copy_and_reserializes_identically() {
     let values = scattered();
     let buf = force(values.clone());
-    let ColumnData::For(bytes) = encode_column_data(&buf) else {
-        panic!("scattered u32s must FOR-encode")
-    };
+    let Some(bytes) = streamed(&buf, ":for") else { panic!("scattered u32s must FOR-encode") };
     let snap = snapshot_with("col:0:codes:for", values.len() as u64, &bytes);
     let enc = snap.block("col:0:codes:for").unwrap().encoded_for::<u32>().unwrap();
     assert_eq!(enc.len(), values.len());
@@ -73,7 +79,7 @@ fn for_block_round_trips_zero_copy_and_reserializes_identically() {
         assert_eq!(enc.get(i), v);
     }
     let restored: ColumnBuf<u32> = EncodedBuf::new(enc).into();
-    let ColumnData::For(again) = encode_column_data(&restored) else {
+    let Some(again) = streamed(&restored, ":for") else {
         panic!("restored buffer must still be FOR")
     };
     assert_eq!(again, bytes);
@@ -86,7 +92,7 @@ fn for_block_round_trips_zero_copy_and_reserializes_identically() {
 fn snapshot_backed_buffer_decodes_once_on_write() {
     let values = clustered();
     let buf = force(values.clone());
-    let ColumnData::Rle(bytes) = encode_column_data(&buf) else { panic!() };
+    let Some(bytes) = streamed(&buf, ":rle") else { panic!() };
     let snap = snapshot_with("col:0:data:rle", values.len() as u64, &bytes);
     let enc = EncodedBuf::new(snap.block("col:0:data:rle").unwrap().encoded_rle::<i64>().unwrap());
     let mut restored: ColumnBuf<i64> = enc.clone().into();
@@ -115,7 +121,7 @@ fn expect_bad_rle(name: &str, rows: u64, payload: &[u8]) -> String {
 #[test]
 fn truncated_rle_payload_is_rejected() {
     let values = clustered();
-    let ColumnData::Rle(bytes) = encode_column_data(&force(values.clone())) else { panic!() };
+    let Some(bytes) = streamed(&force(values.clone()), ":rle") else { panic!() };
     // Drop the final run-end word: header still claims 10 runs.
     let reason = expect_bad_rle("c", values.len() as u64, &bytes[..bytes.len() - 4]);
     assert!(reason.contains("do not tile"), "{reason}");
@@ -127,7 +133,7 @@ fn truncated_rle_payload_is_rejected() {
 #[test]
 fn non_monotonic_rle_run_ends_are_rejected() {
     let values = clustered();
-    let ColumnData::Rle(mut bytes) = encode_column_data(&force(values.clone())) else { panic!() };
+    let Some(mut bytes) = streamed(&force(values.clone()), ":rle") else { panic!() };
     // Swap the first two run ends (they live after 10 × i64 run values).
     let ends_at = RLE_HEADER + 10 * 8;
     let (a, b) = (ends_at, ends_at + 4);
@@ -141,7 +147,7 @@ fn non_monotonic_rle_run_ends_are_rejected() {
 #[test]
 fn rle_row_count_mismatch_with_manifest_is_rejected() {
     let values = clustered();
-    let ColumnData::Rle(bytes) = encode_column_data(&force(values.clone())) else { panic!() };
+    let Some(bytes) = streamed(&force(values.clone()), ":rle") else { panic!() };
     let reason = expect_bad_rle("c", values.len() as u64 + 1, &bytes);
     assert!(reason.contains("manifest"), "{reason}");
 }
@@ -149,7 +155,7 @@ fn rle_row_count_mismatch_with_manifest_is_rejected() {
 #[test]
 fn rle_last_end_must_equal_row_count() {
     let values = clustered();
-    let ColumnData::Rle(mut bytes) = encode_column_data(&force(values.clone())) else { panic!() };
+    let Some(mut bytes) = streamed(&force(values.clone()), ":rle") else { panic!() };
     // Shrink the final run end by one row; lie about the row count in the
     // header too so the ends are the only inconsistency left.
     let last_end_at = RLE_HEADER + 10 * 8 + 9 * 4;
@@ -163,7 +169,7 @@ fn rle_last_end_must_equal_row_count() {
 #[test]
 fn truncated_for_payload_is_rejected() {
     let values = scattered();
-    let ColumnData::For(bytes) = encode_column_data(&force(values.clone())) else { panic!() };
+    let Some(bytes) = streamed(&force(values.clone()), ":for") else { panic!() };
     let snap = snapshot_with("c", values.len() as u64, &bytes[..bytes.len() - 8]);
     match snap.block("c").unwrap().encoded_for::<u32>() {
         Err(StoreError::BadBlock { reason, .. }) => {
@@ -176,7 +182,7 @@ fn truncated_for_payload_is_rejected() {
 #[test]
 fn for_width_over_64_bits_is_rejected() {
     let values = scattered();
-    let ColumnData::For(mut bytes) = encode_column_data(&force(values.clone())) else { panic!() };
+    let Some(mut bytes) = streamed(&force(values.clone()), ":for") else { panic!() };
     bytes[16..24].copy_from_slice(&65u64.to_le_bytes());
     let snap = snapshot_with("c", values.len() as u64, &bytes);
     match snap.block("c").unwrap().encoded_for::<u32>() {

@@ -383,6 +383,12 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
     assert_eq!(info.epoch, 42);
     assert!(matches!(old.cells().keys(), CubeKeys::Packed(_)));
     assert_eq!(old.snapshot_bytes(42).unwrap(), bytes);
+    // The file path streams the very same bytes.
+    let file = std::env::temp_dir().join(format!("tabula-pr12-{}.tabsnap", std::process::id()));
+    old.write_snapshot(&file, 42).unwrap();
+    let written = std::fs::read(&file).unwrap();
+    std::fs::remove_file(&file).unwrap();
+    assert_eq!(written, bytes);
 
     let table = Arc::new(example_dcm_table());
     let fare = table.schema().index_of("fare").unwrap();

@@ -9,6 +9,12 @@
 //! flips one bit in *every* byte of the file to prove there is no
 //! unprotected gap anywhere in the format.
 //!
+//! A snapshot of tens of thousands of rows repeats the block checks where
+//! they matter for a streaming writer: at every staging-chunk boundary,
+//! where a block's checksum register carries over from one chunk to the
+//! next, and over blocks long enough for many strides of the checksum's
+//! fold loop.
+//!
 //! Checksums only prove a file is what its writer wrote. The last test
 //! plays a hostile writer: cube-table blocks that lie — unsorted,
 //! duplicated, out-of-domain, mis-sized — under valid CRCs must still be
@@ -21,8 +27,8 @@ use std::sync::Arc;
 use tabula::core::builder::SamplingCubeBuilder;
 use tabula::core::loss::MeanLoss;
 use tabula::core::SamplingCube;
-use tabula::data::example_dcm_table;
-use tabula::store::{Snapshot, SnapshotWriter, StoreError, FOOTER_LEN, HEADER_LEN};
+use tabula::data::{example_dcm_table, TaxiConfig, TaxiGenerator};
+use tabula::store::{Snapshot, SnapshotWriter, StoreError, FOOTER_LEN, HEADER_LEN, STAGING_BYTES};
 
 fn snapshot_bytes() -> Vec<u8> {
     let t = Arc::new(example_dcm_table());
@@ -218,7 +224,7 @@ fn stale_format_version_is_rejected_with_bad_version() {
     // Author a structurally valid file claiming an old (and a future)
     // format version; the reader must refuse both before touching blocks.
     for version in [0u32, 2, u32::MAX] {
-        let mut w = SnapshotWriter::with_version(version);
+        let mut w = SnapshotWriter::with_version(Vec::new(), version);
         w.add_block("payload", 1, &42u64.to_le_bytes()).unwrap();
         let bytes = w.finish().unwrap();
         match Snapshot::from_bytes(bytes) {
@@ -315,17 +321,81 @@ fn encoded_block_corruption_is_typed_and_never_a_wrong_answer() {
     }
 }
 
+/// A cube over ≈ 50 k taxi rows: its column blocks span several staging
+/// chunks and many strides of the checksum's fold loop.
+fn taxi_cube() -> SamplingCube {
+    let t = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 50_000, seed: 7 }).generate());
+    let fare = t.schema().index_of("fare_amount").unwrap();
+    let attrs = ["vendor_name", "payment_type", "rate_code"];
+    SamplingCubeBuilder::new(t, &attrs, MeanLoss::new(fare), 0.05).seed(1).build().unwrap()
+}
+
+#[test]
+fn a_multi_chunk_image_streams_identically_and_pins_every_flip() {
+    let cube = taxi_cube();
+    let bytes = cube.snapshot_bytes(42).unwrap();
+    assert!(bytes.len() > 4 * STAGING_BYTES, "{} bytes is too few chunks", bytes.len());
+    let path = std::env::temp_dir().join(format!("tabula-chunks-{}.tabsnap", std::process::id()));
+    assert_eq!(cube.write_snapshot(&path, 42).unwrap(), bytes.len() as u64);
+    let written = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert!(written == bytes, "the file and the in-memory image differ");
+
+    let clean = Snapshot::from_bytes(bytes.clone()).unwrap();
+    let blocks: Vec<(String, u64, u64)> =
+        clean.manifest().blocks.iter().map(|b| (b.name.clone(), b.offset, b.len)).collect();
+    drop(clean);
+    let boundaries: Vec<u64> =
+        (1..=bytes.len() / STAGING_BYTES).map(|k| (k * STAGING_BYTES) as u64).collect();
+    let mut spanning = 0;
+    for (name, offset, len) in &blocks {
+        let end = offset + len;
+        let inside: Vec<u64> =
+            boundaries.iter().copied().filter(|b| offset < b && *b < end).collect();
+        spanning += usize::from(!inside.is_empty());
+        let mut positions = vec![*offset, end - 1];
+        positions.extend(inside.iter().flat_map(|&b| [b - 1, b, b + 1]));
+        for pos in positions.into_iter().filter(|&p| *offset <= p && p < end) {
+            let e = load_err(&flipped(&bytes, pos as usize, 4));
+            let want = format!("block:{name}");
+            assert!(
+                matches!(&e, StoreError::ChecksumMismatch { region, .. } if *region == want),
+                "block {name} byte {pos}: got {e}"
+            );
+        }
+    }
+    assert!(spanning >= 2, "only {spanning} blocks cross a staging-chunk boundary");
+    // A boundary outside every block (padding, manifest) is still caught.
+    let footer = (bytes.len() as u64) - FOOTER_LEN;
+    for pos in boundaries.iter().flat_map(|&b| [b - 1, b, b + 1]).filter(|&p| p < footer) {
+        if blocks.iter().all(|(_, offset, len)| pos < *offset || offset + len <= pos) {
+            let e = load_err(&flipped(&bytes, pos as usize, 4));
+            assert!(matches!(e, StoreError::ChecksumMismatch { .. }), "byte {pos}: got {e}");
+        }
+    }
+}
+
+/// A replacement block payload, in the block's own word type.
+enum Words {
+    U32(Vec<u32>),
+    U64(Vec<u64>),
+}
+
 /// `bytes` re-authored through [`SnapshotWriter`] with block `name`
 /// carrying `payload` instead: every checksum in the result is valid, so
 /// only the cube loader's own checks stand between it and a served cube.
-fn reauthored(bytes: &[u8], name: &str, payload: &[u8]) -> Vec<u8> {
+fn reauthored(bytes: &[u8], name: &str, payload: &Words) -> Vec<u8> {
     let snap = Snapshot::from_bytes(bytes.to_vec()).unwrap();
-    let mut w = SnapshotWriter::new();
+    let mut w = SnapshotWriter::new(Vec::new());
     w.set_epoch(snap.epoch());
     w.set_meta(snap.meta().to_string());
     for b in &snap.manifest().blocks {
-        let body = if b.name == name { payload } else { snap.block(&b.name).unwrap().bytes() };
-        w.add_block(&b.name, b.rows, body).unwrap();
+        match payload {
+            Words::U32(words) if b.name == name => w.add_words(&b.name, b.rows, words),
+            Words::U64(words) if b.name == name => w.add_words(&b.name, b.rows, words),
+            _ => w.add_block(&b.name, b.rows, snap.block(&b.name).unwrap().bytes()),
+        }
+        .unwrap();
     }
     w.finish().unwrap()
 }
@@ -334,9 +404,8 @@ fn reauthored(bytes: &[u8], name: &str, payload: &[u8]) -> Vec<u8> {
 /// `(case, block to replace, its payload, block the error must name)`.
 fn hostile_cube_tables(
     cube: &SamplingCube,
-) -> Vec<(&'static str, &'static str, Vec<u8>, &'static str)> {
+) -> Vec<(&'static str, &'static str, Words, &'static str)> {
     use tabula::core::CubeKeys;
-    use tabula::store::{encode_u32s, encode_u64s};
     let cards: Vec<usize> =
         cube.cubed_cols().iter().map(|&c| cube.table().cat(c).unwrap().cardinality()).collect();
     let n = cards.len();
@@ -348,22 +417,22 @@ fn hostile_cube_tables(
         (
             "sample id past the sample count",
             "cube:sample_ids",
-            encode_u32s(&bad_id),
+            Words::U32(bad_id),
             "cube:sample_ids",
         ),
-        ("one sample id short", "cube:sample_ids", encode_u32s(&ids[1..]), KEYS),
+        ("one sample id short", "cube:sample_ids", Words::U32(ids[1..].to_vec()), KEYS),
     ];
     let alter = |f: &dyn Fn(&mut Vec<u64>)| {
         let CubeKeys::Packed(keys) = cube.cells().keys() else { unreachable!() };
         let mut keys = keys.clone();
         f(&mut keys);
-        encode_u64s(&keys)
+        Words::U64(keys)
     };
     let alter_flat = |f: &dyn Fn(&mut Vec<u32>)| {
         let CubeKeys::Flat(words) = cube.cells().keys() else { unreachable!() };
         let mut words = words.clone();
         f(&mut words);
-        encode_u32s(&words)
+        Words::U32(words)
     };
     const KEYS: &str = "cube:keys";
     const FLAT: &str = "cube:flat";
@@ -434,11 +503,8 @@ fn checksummed_but_hostile_cube_tables_are_typed_errors() {
     for cube in [dcm, wide] {
         let bytes = cube.snapshot_bytes(42).unwrap();
         // Re-authoring alone changes nothing the loader can see.
-        let same = reauthored(
-            &bytes,
-            "cube:sample_ids",
-            &tabula::store::encode_u32s(cube.cells().sample_ids()),
-        );
+        let same =
+            reauthored(&bytes, "cube:sample_ids", &Words::U32(cube.cells().sample_ids().to_vec()));
         assert_eq!(same, bytes);
         for (case, block, payload, named) in hostile_cube_tables(&cube) {
             let hostile = reauthored(&bytes, block, &payload);
@@ -465,7 +531,7 @@ fn a_cube_over_too_many_attributes_is_refused() {
     let attrs = format!("[{}]", vec![r#""D""#; MAX_CUBED_ATTRS + 1].join(","));
     let meta = snap.meta().replace(r#"["D","C","M"]"#, &attrs);
     assert_ne!(meta, snap.meta(), "the manifest names D, C, M");
-    let mut w = SnapshotWriter::new();
+    let mut w = SnapshotWriter::new(Vec::new());
     w.set_epoch(snap.epoch());
     w.set_meta(meta);
     for b in &snap.manifest().blocks {
