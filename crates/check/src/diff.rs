@@ -14,10 +14,12 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tabula_baselines::{full_sam_cube, part_sam_cube, two_phase_cube};
+use tabula_core::loss::ExprLoss;
 use tabula_core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS};
 use tabula_core::samgraph::SamGraphConfig;
 use tabula_core::{RefreshConfig, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula_serve::Server;
+use tabula_sql::ast::Statement as SqlStatement;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CmpOp, EncodingMode, Predicate, RowId, Table, Value};
 
@@ -172,6 +174,9 @@ pub fn diff_case(case: &CaseSpec, lanes: Lanes) -> Result<CaseReport, Divergence
         }
         LossSpec::Regression { x, y } => {
             diff_with_loss(case, RegressionLoss::new(col(x), col(y)), &case.loss, lanes)
+        }
+        LossSpec::Expr { attr, body } => {
+            diff_with_loss(case, ExprLoss::new(col(attr), body.clone()), &case.loss, lanes)
         }
     }
 }
@@ -869,6 +874,16 @@ fn loss_literal(spec: &LossSpec) -> String {
         LossSpec::Regression { x, y } => {
             format!("LossSpec::Regression {{ x: {x:?}.into(), y: {y:?}.into() }}")
         }
+        LossSpec::Expr { attr, body } => {
+            // The body as its DDL, parsed back by the reproducer.
+            let ddl = SqlStatement::CreateAggregate { name: "l".into(), body: body.clone() };
+            format!(
+                "LossSpec::Expr {{ attr: {attr:?}.into(), body: match tabula_sql::parse({:?}) {{ \
+                 Ok(tabula_sql::ast::Statement::CreateAggregate {{ body, .. }}) => body, \
+                 other => panic!(\"{{other:?}}\") }} }}",
+                ddl.to_string()
+            )
+        }
     }
 }
 
@@ -981,10 +996,6 @@ mod tests {
         // the dry run leaves truly-iceberg cells to the global sample.
         fn finish(&self, ctx: &Self::SampleCtx, state: &Self::State) -> f64 {
             self.0.finish(ctx, state) * 0.5
-        }
-
-        fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {
-            self.0.signature(table, rows)
         }
 
         fn sample_greedy(

@@ -160,28 +160,24 @@ pub fn gen_case(seed: u64) -> CaseSpec {
 }
 
 fn gen_loss(rng: &mut SmallRng) -> (LossSpec, f64) {
-    match rng.gen_range(0..5u32) {
-        0 => (
-            LossSpec::Mean { attr: "fare".to_string() },
-            [0.02, 0.05, 0.1, 0.2][rng.gen_range(0..4usize)],
-        ),
-        1 => (
-            LossSpec::Histogram { attr: "fare".to_string() },
-            [0.5, 1.0, 3.0][rng.gen_range(0..3usize)],
-        ),
-        2 => (
-            LossSpec::Heatmap { attr: "pickup".to_string(), manhattan: false },
-            [0.02, 0.05, 0.1][rng.gen_range(0..3usize)],
-        ),
-        3 => (
-            LossSpec::Heatmap { attr: "pickup".to_string(), manhattan: true },
-            [0.02, 0.05, 0.1][rng.gen_range(0..3usize)],
-        ),
-        _ => (
-            LossSpec::Regression { x: "fare".to_string(), y: "tip".to_string() },
-            [0.5, 2.0, 5.0][rng.gen_range(0..3usize)],
-        ),
-    }
+    let (fare, pickup) = ("fare".to_string(), "pickup".to_string());
+    let (loss, thetas): (_, &[f64]) = match rng.gen_range(0..6u32) {
+        0 => (LossSpec::Mean { attr: fare }, &[0.02, 0.05, 0.1, 0.2]),
+        1 => (LossSpec::Histogram { attr: fare }, &[0.5, 1.0, 3.0]),
+        2 => (LossSpec::Heatmap { attr: pickup, manhattan: false }, &[0.02, 0.05, 0.1]),
+        3 => (LossSpec::Heatmap { attr: pickup, manhattan: true }, &[0.02, 0.05, 0.1]),
+        4 => (LossSpec::Regression { x: fare, y: "tip".to_string() }, &[0.5, 2.0, 5.0]),
+        _ => {
+            // `ABS(E(Raw) − E(Sam))`, one `E` read over each side: the raw
+            // rows score 0 against themselves, so any θ can be met.
+            let (mut raw, mut sam) = (rng.clone(), rng.clone());
+            let e = |rng, side| Box::new(gen_expr(rng, 2, Some(side)));
+            let sub = Expr::Sub(e(&mut raw, Side::Raw), e(&mut sam, Side::Sam));
+            *rng = raw;
+            (LossSpec::Expr { attr: fare, body: Expr::Abs(Box::new(sub)) }, &[0.25, 1.0, 4.0])
+        }
+    };
+    (loss, thetas[rng.gen_range(0..thetas.len())])
 }
 
 /// Random `WHERE` terms over a case's table for SQL executor diffing:
@@ -259,7 +255,9 @@ fn gen_literal(rng: &mut SmallRng) -> Value {
     }
 }
 
-fn gen_expr(rng: &mut SmallRng, depth: usize) -> Expr {
+/// An expression of depth at most `depth`; its aggregates read `side`, or
+/// either side when none is given.
+fn gen_expr(rng: &mut SmallRng, depth: usize, side: Option<Side>) -> Expr {
     if depth == 0 || rng.gen_bool(0.35) {
         return if rng.gen_bool(0.4) {
             // Quarter-steps: non-negative, exactly representable,
@@ -268,16 +266,16 @@ fn gen_expr(rng: &mut SmallRng, depth: usize) -> Expr {
         } else {
             let agg = [AggFn::Avg, AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max, AggFn::StdDev]
                 [rng.gen_range(0..6usize)];
-            let side = if rng.gen_bool(0.5) { Side::Raw } else { Side::Sam };
+            let side = side.unwrap_or(if rng.gen_bool(0.5) { Side::Raw } else { Side::Sam });
             Expr::Agg(agg, side)
         };
     }
-    let a = Box::new(gen_expr(rng, depth - 1));
+    let a = Box::new(gen_expr(rng, depth - 1, side));
     match rng.gen_range(0..6u32) {
-        0 => Expr::Add(a, Box::new(gen_expr(rng, depth - 1))),
-        1 => Expr::Sub(a, Box::new(gen_expr(rng, depth - 1))),
-        2 => Expr::Mul(a, Box::new(gen_expr(rng, depth - 1))),
-        3 => Expr::Div(a, Box::new(gen_expr(rng, depth - 1))),
+        0 => Expr::Add(a, Box::new(gen_expr(rng, depth - 1, side))),
+        1 => Expr::Sub(a, Box::new(gen_expr(rng, depth - 1, side))),
+        2 => Expr::Mul(a, Box::new(gen_expr(rng, depth - 1, side))),
+        3 => Expr::Div(a, Box::new(gen_expr(rng, depth - 1, side))),
         4 => Expr::Neg(a),
         _ => Expr::Abs(a),
     }
@@ -313,7 +311,7 @@ pub fn gen_statement(rng: &mut SmallRng) -> Statement {
                 },
             }
         }
-        1 => Statement::CreateAggregate { name: ident(rng), body: gen_expr(rng, 3) },
+        1 => Statement::CreateAggregate { name: ident(rng), body: gen_expr(rng, 3, None) },
         2 => Statement::SelectSample { cube: ident(rng), conditions: gen_conditions(rng) },
         3 | 4 => Statement::SelectRaw { table: ident(rng), conditions: gen_conditions(rng) },
         5 => Statement::Drop {

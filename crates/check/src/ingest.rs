@@ -18,6 +18,7 @@ use crate::diff::{Divergence, Fingerprint, NaiveEval, THREAD_COUNTS};
 use crate::generate::CaseSpec;
 use crate::oracle::{naive_cube, LossSpec};
 use std::sync::Arc;
+use tabula_core::loss::ExprLoss;
 use tabula_core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS};
 use tabula_core::{RefreshConfig, SamplingCubeBuilder};
 use tabula_ingest::{IngestConfig, Ingestor};
@@ -57,6 +58,9 @@ pub fn diff_ingest_case(case: &CaseSpec) -> Result<IngestReport, Divergence> {
         }
         LossSpec::Regression { x, y } => {
             ingest_with_loss(case, RegressionLoss::new(col(x), col(y)), &case.loss)
+        }
+        LossSpec::Expr { attr, body } => {
+            ingest_with_loss(case, ExprLoss::new(col(attr), body.clone()), &case.loss)
         }
     }
 }

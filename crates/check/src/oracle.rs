@@ -3,14 +3,18 @@
 //!
 //! Everything here is deliberately brute force and shares **no code** with
 //! the production pipeline: losses are recomputed from the raw filtered
-//! rows with linear scans (no grid/sorted indexes, no algebraic states, no
-//! incremental greedy bookkeeping), the cube is an exhaustive group-by over
+//! rows with linear scans (no grid/sorted indexes, no merged states, no
+//! incremental greedy bookkeeping; a user-defined loss folds the raw rows
+//! and the sample a row at a time and walks its expression tree with
+//! [`Expr::eval`], the reference the production evaluation is tested
+//! against), the cube is an exhaustive group-by over
 //! every cuboid of the lattice, and SQL `WHERE` clauses are evaluated by a
 //! per-row tree walk. If the real pipeline and this module ever disagree
 //! beyond float slack ([`tabula_core::loss::LOSS_EPS`]), one of them has a
 //! bug — and the oracle is simple enough to be trusted by inspection.
 
 use std::collections::BTreeMap;
+use tabula_core::loss::expr::{Expr, NumericState};
 use tabula_sql::ast::WhereTerm;
 use tabula_storage::{CmpOp, RowId, StorageError, Table, Value};
 
@@ -43,6 +47,14 @@ pub enum LossSpec {
         /// Dependent (y) column name.
         y: String,
     },
+    /// A user-defined loss: a `CREATE AGGREGATE` body over a numeric
+    /// attribute.
+    Expr {
+        /// Numeric (Float64) column name.
+        attr: String,
+        /// The scalar-expression body.
+        body: Expr,
+    },
 }
 
 impl LossSpec {
@@ -53,6 +65,7 @@ impl LossSpec {
             LossSpec::Histogram { .. } => "histogram_avg_min_dist",
             LossSpec::Heatmap { .. } => "heatmap_avg_min_dist",
             LossSpec::Regression { .. } => "regression_angle",
+            LossSpec::Expr { .. } => "user_defined_expr",
         }
     }
 
@@ -94,6 +107,19 @@ impl LossSpec {
                     (Some(r), Some(s)) => (r - s).abs(),
                 }
             }
+            LossSpec::Expr { attr, body } => {
+                let vals = f64_col(table, attr);
+                let state = |rows: &[RowId]| {
+                    let mut s = NumericState::default();
+                    rows.iter().for_each(|&r| s.add(vals[r as usize]));
+                    s
+                };
+                match (raw, sample) {
+                    ([], _) => 0.0,
+                    (_, []) => f64::INFINITY,
+                    _ => body.eval(&state(raw), &state(sample)).map_or(f64::INFINITY, f64::abs),
+                }
+            }
         }
     }
 
@@ -101,7 +127,7 @@ impl LossSpec {
     pub fn columns(&self) -> Vec<&str> {
         match self {
             LossSpec::Mean { attr } | LossSpec::Histogram { attr } => vec![attr],
-            LossSpec::Heatmap { attr, .. } => vec![attr],
+            LossSpec::Heatmap { attr, .. } | LossSpec::Expr { attr, .. } => vec![attr],
             LossSpec::Regression { x, y } => vec![x, y],
         }
     }

@@ -18,7 +18,7 @@
 //! (`tabula-sql`) parses the DDL body into an [`Expr`]; programmatic users
 //! can build the AST directly.
 
-use super::{AccuracyLoss, NUMERIC, REL_EPS};
+use super::{numeric, AccuracyLoss, NUMERIC, REL_EPS};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use serde::{Deserialize, Serialize};
 use tabula_storage::agg::AggState;
@@ -194,16 +194,6 @@ impl ExprLoss {
         &self.expr
     }
 
-    #[inline]
-    fn value(&self, table: &Table, row: RowId) -> f64 {
-        table
-            .column(self.attr)
-            .as_f64_slice()
-            .map(|s| s[row as usize])
-            .or_else(|| table.column(self.attr).as_i64_slice().map(|s| s[row as usize] as f64))
-            .expect("ExprLoss target attribute must be numeric")
-    }
-
     fn loss_of_states(&self, raw: &NumericState, sam: &NumericState) -> f64 {
         if raw.count == 0 {
             return 0.0;
@@ -236,13 +226,13 @@ impl AccuracyLoss for ExprLoss {
     fn prepare(&self, table: &Table, sample: &[RowId]) -> NumericState {
         let mut s = NumericState::default();
         for &r in sample {
-            s.add(self.value(table, r));
+            s.add(numeric(table, self.attr, r));
         }
         s
     }
 
     fn fold(&self, _ctx: &NumericState, state: &mut NumericState, table: &Table, row: RowId) {
-        state.add(self.value(table, row));
+        state.add(numeric(table, self.attr, row));
     }
 
     fn finish(&self, ctx: &NumericState, state: &NumericState) -> f64 {
@@ -256,7 +246,7 @@ impl AccuracyLoss for ExprLoss {
         start: &[usize],
         theta: f64,
     ) -> Vec<RowId> {
-        let values: Vec<f64> = raw.iter().map(|&r| self.value(table, r)).collect();
+        let values: Vec<f64> = raw.iter().map(|&r| numeric(table, self.attr, r)).collect();
         let mut raw_state = NumericState::default();
         for &v in &values {
             raw_state.add(v);
@@ -338,17 +328,41 @@ mod tests {
         assert_eq!(a, bulk);
     }
 
-    #[test]
-    fn mean_relative_error_expr_matches_builtin_mean_loss() {
-        let t = table(&[2.0, 4.0, 6.0, 8.0, 11.0]);
-        let expr_loss = ExprLoss::new(0, Expr::mean_relative_error());
-        let mean_loss = MeanLoss::new(0);
-        use crate::loss::AccuracyLoss as _;
-        let all: Vec<RowId> = t.all_rows();
-        for sample in [vec![0u32], vec![1, 2], vec![0, 4], vec![0, 1, 2, 3, 4]] {
-            let a = expr_loss.loss(&t, &all, &sample);
-            let b = mean_loss.loss(&t, &all, &sample);
-            assert!((a - b).abs() < 1e-12, "sample {sample:?}: {a} vs {b}");
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        /// Function 1 as an expression is `MeanLoss` bit for bit, in every
+        /// loss and every greedy draw, over zero means, NaN targets and
+        /// sums that overflow.
+        #[test]
+        fn mean_relative_error_expr_matches_builtin_mean_loss(
+            seed in 0u64..u64::MAX,
+            theta in 0.0f64..0.3,
+        ) {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..40usize);
+            let values: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..12u32) {
+                    0 => f64::NAN,
+                    1 => 1e307 * [1.0, -1.0][rng.gen_range(0..2usize)],
+                    2 => 0.0,
+                    _ => rng.gen_range(-20..20i32) as f64 * 0.5,
+                })
+                .collect();
+            let t = table(&values);
+            let (expr, mean) = (ExprLoss::new(0, Expr::mean_relative_error()), MeanLoss::new(0));
+            use crate::loss::AccuracyLoss as _;
+            for _ in 0..8 {
+                let mut rows = |p| (0..n as u32).filter(|_| rng.gen_bool(p)).collect::<Vec<_>>();
+                let (raw, sample) = (rows(0.7), rows(0.3));
+                let (a, b) = (expr.loss(&t, &raw, &sample), mean.loss(&t, &raw, &sample));
+                proptest::prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} / {:?}", raw, sample);
+            }
+            let all: Vec<RowId> = t.all_rows();
+            let a = expr.sample_greedy(&t, &all, &[], theta);
+            let b = mean.sample_greedy(&t, &all, &[], theta);
+            proptest::prop_assert_eq!(a, b, "θ {}", theta);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Function 1 of the paper: relative error of the statistical mean,
 //! `ABS((AVG(Raw) − AVG(Sam)) / AVG(Raw))`.
 
-use super::{AccuracyLoss, NUMERIC, REL_EPS};
+use super::{numeric, AccuracyLoss, NUMERIC, REL_EPS};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula_storage::agg::SumCount;
 use tabula_storage::{ColumnType, RowId, Table};
@@ -19,23 +19,16 @@ impl MeanLoss {
         MeanLoss { attr }
     }
 
-    #[inline]
-    fn value(&self, table: &Table, row: RowId) -> f64 {
-        table
-            .column(self.attr)
-            .as_f64_slice()
-            .map(|s| s[row as usize])
-            .or_else(|| table.column(self.attr).as_i64_slice().map(|s| s[row as usize] as f64))
-            .expect("MeanLoss target attribute must be numeric")
-    }
-
     /// The relative error between a raw mean and a sample mean, with the
-    /// conventions the trait contract requires.
+    /// conventions the trait contract requires; a NaN error (a NaN target,
+    /// or a mean whose sum overflowed) is infinite, as
+    /// [`ExprLoss`](super::ExprLoss) scores an undefined expression.
     pub(crate) fn relative_error(raw: Option<f64>, sample: Option<f64>) -> f64 {
         match (raw, sample) {
             (None, _) => 0.0,
             (Some(_), None) => f64::INFINITY,
-            (Some(r), Some(s)) => (r - s).abs() / r.abs().max(REL_EPS),
+            // `min` returns its other operand for a NaN: the error's ∞.
+            (Some(r), Some(s)) => ((r - s).abs() / r.abs().max(REL_EPS)).min(f64::INFINITY),
         }
     }
 }
@@ -64,25 +57,17 @@ impl AccuracyLoss for MeanLoss {
     fn prepare(&self, table: &Table, sample: &[RowId]) -> MeanCtx {
         let mut sc = SumCount::default();
         for &r in sample {
-            sc.add(self.value(table, r));
+            sc.add(numeric(table, self.attr, r));
         }
         MeanCtx { mean: sc.mean() }
     }
 
     fn fold(&self, _ctx: &MeanCtx, state: &mut SumCount, table: &Table, row: RowId) {
-        state.add(self.value(table, row));
+        state.add(numeric(table, self.attr, row));
     }
 
     fn finish(&self, ctx: &MeanCtx, state: &SumCount) -> f64 {
         Self::relative_error(state.mean(), ctx.mean)
-    }
-
-    fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {
-        if rows.is_empty() {
-            return [0.0, 0.0];
-        }
-        let sum: f64 = rows.iter().map(|&r| self.value(table, r)).sum();
-        [sum / rows.len() as f64, 0.0]
     }
 
     fn sample_greedy(
@@ -92,7 +77,7 @@ impl AccuracyLoss for MeanLoss {
         start: &[usize],
         theta: f64,
     ) -> Vec<RowId> {
-        let values: Vec<f64> = raw.iter().map(|&r| self.value(table, r)).collect();
+        let values: Vec<f64> = raw.iter().map(|&r| numeric(table, self.attr, r)).collect();
         let mut raw_state = SumCount::default();
         for &v in &values {
             raw_state.add(v);

@@ -46,10 +46,21 @@ pub use index::XSortedIndex;
 pub use mean::MeanLoss;
 pub use regression::RegressionLoss;
 
-use tabula_storage::{AggState, ColumnType, RowId, Table};
+use tabula_storage::{AggState, Column, ColumnType, RowId, Table};
 
 /// The column types a loss reads as numbers.
 pub const NUMERIC: &[ColumnType] = &[ColumnType::Int64, ColumnType::Float64];
+
+/// The number at `row` of column `col`, one of the [`NUMERIC`] targets a
+/// loss declares (the builder has checked their types).
+#[inline]
+pub(crate) fn numeric(table: &Table, col: usize, row: RowId) -> f64 {
+    match table.column(col) {
+        Column::Float64(v) => v[row as usize],
+        Column::Int64(v) => v[row as usize] as f64,
+        _ => panic!("a loss's numeric target column is not numeric"),
+    }
+}
 
 /// Denominator guard for relative-error losses.
 pub(crate) const REL_EPS: f64 = 1e-12;
@@ -78,10 +89,11 @@ pub const LOSS_EPS: f64 = 1e-9;
 /// The classifier predicate shared by the dry run and `tabula-baselines`'
 /// naive partial cube: whether a cell with this loss against the global
 /// sample must be materialized. Conservative by [`LOSS_EPS`]: borderline
-/// cells count as iceberg.
+/// cells count as iceberg, and so does a NaN loss, which no sample is
+/// known to meet.
 #[inline]
 pub fn exceeds_theta(loss: f64, theta: f64) -> bool {
-    loss > theta - LOSS_EPS
+    loss.is_nan() || loss > theta - LOSS_EPS
 }
 
 /// A user-defined accuracy loss function. See the module docs for the
@@ -168,7 +180,9 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// A low-dimensional signature of a row set, used ONLY to order
     /// candidate representatives in the representation relation — a pruning
     /// heuristic whose quality affects memory savings, never correctness.
-    /// The default (a constant) disables the ordering.
+    /// Only a sample-dependent loss ([`AccuracyLoss::state_depends_on_sample`])
+    /// is ever asked for one: the relation tests every sample under the
+    /// others. The default (a constant) disables the ordering.
     fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {
         let _ = (table, rows);
         [0.0, 0.0]

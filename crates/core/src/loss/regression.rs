@@ -4,7 +4,7 @@
 //! sample. The paper's running example regresses tip amount on fare
 //! amount.
 
-use super::{AccuracyLoss, NUMERIC};
+use super::{numeric, AccuracyLoss, NUMERIC};
 use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula_storage::agg::Moments2D;
 use tabula_storage::{ColumnType, RowId, Table};
@@ -24,26 +24,18 @@ impl RegressionLoss {
 
     #[inline]
     fn xy(&self, table: &Table, row: RowId) -> (f64, f64) {
-        let get = |col: usize| -> f64 {
-            table
-                .column(col)
-                .as_f64_slice()
-                .map(|s| s[row as usize])
-                .or_else(|| table.column(col).as_i64_slice().map(|s| s[row as usize] as f64))
-                .expect("RegressionLoss attributes must be numeric")
-        };
-        (get(self.x_col), get(self.y_col))
+        (numeric(table, self.x_col, row), numeric(table, self.y_col, row))
     }
 
     /// Angle-difference with the conventions the trait contract requires:
     /// a degenerate raw line means there is nothing to approximate (loss
     /// 0); a sample unable to produce a line while raw can is infinitely
-    /// wrong.
+    /// wrong, and so is a NaN difference (a NaN coordinate on either side).
     pub(crate) fn angle_diff(raw: Option<f64>, sample: Option<f64>) -> f64 {
         match (raw, sample) {
             (None, _) => 0.0,
-            (Some(_), None) => f64::INFINITY,
-            (Some(r), Some(s)) => (r - s).abs(),
+            (Some(r), Some(s)) if !(r - s).is_nan() => (r - s).abs(),
+            (Some(_), _) => f64::INFINITY,
         }
     }
 }
@@ -88,16 +80,6 @@ impl AccuracyLoss for RegressionLoss {
             return 0.0;
         }
         Self::angle_diff(state.angle_degrees(), ctx.angle)
-    }
-
-    fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {
-        let mut m = Moments2D::default();
-        for &r in rows {
-            let (x, y) = self.xy(table, r);
-            m.add(x, y);
-        }
-        // Degenerate sets park far away from every real angle.
-        [m.angle_degrees().unwrap_or(1e6), 0.0]
     }
 
     fn sample_greedy(

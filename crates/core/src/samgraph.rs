@@ -21,7 +21,7 @@
 //!   walk tries every sample;
 //! * for **sample-dependent** losses (heat map, histogram) each pair costs
 //!   a pass over the target cell's raw rows, so candidates are ranked by a
-//!   cheap signature (centroid / mean) and only the `max_candidates`
+//!   cheap signature (the rows' centroid) and only the `max_candidates`
 //!   nearest are checked exactly — with the early-exit
 //!   [`AccuracyLoss::loss_within`] evaluation.
 //!
@@ -74,8 +74,8 @@ pub fn build_samgraph<L: AccuracyLoss>(
 }
 
 /// The representation relation under one loss, θ and candidate cap, over
-/// a set of samples: each one's prepared context and a signature, and the
-/// signatures' index. Sample ids are positions. The build keeps one for the
+/// a set of samples: each one's prepared context and, under a
+/// sample-dependent loss, a signature, and the signatures' index. Sample ids are positions. The build keeps one for the
 /// samples it has kept so far, in the order it kept them, under their own
 /// rows' signatures; a level's join makes one of the level's draws, under
 /// their cells' signatures.
@@ -101,7 +101,9 @@ impl<'a, L: AccuracyLoss> KeptSet<'a, L> {
     ) -> Self {
         let pool = Pool::global();
         let ctxs = pool.par_map(entries, |e| loss.prepare(table, &e.sample));
-        let sigs = pool.par_map(entries, |e| loss.signature(table, &e.rows));
+        // Only a sample-dependent loss ranks candidates by signature.
+        let ranked = if loss.state_depends_on_sample() { entries } else { &[] };
+        let sigs = pool.par_map(ranked, |e| loss.signature(table, &e.rows));
         KeptSet { table, loss, theta, cap, ctxs, index: SignatureIndex::build(sigs) }
     }
 
@@ -118,7 +120,8 @@ impl<'a, L: AccuracyLoss> KeptSet<'a, L> {
             None => self.ctxs.extend(pool.par_map(samples, |sample| loss.prepare(table, sample))),
         }
         let mut sigs = std::mem::take(&mut self.index.sigs);
-        sigs.extend(pool.par_map(samples, |sample| loss.signature(table, sample)));
+        let ranked = if loss.state_depends_on_sample() { samples } else { &[] };
+        sigs.extend(pool.par_map(ranked, |sample| loss.signature(table, sample)));
         self.index = SignatureIndex::build(sigs);
     }
 

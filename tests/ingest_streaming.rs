@@ -171,10 +171,6 @@ impl AccuracyLoss for PanicsOnGrowth {
         self.0.finish(ctx, state)
     }
 
-    fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {
-        self.0.signature(table, rows)
-    }
-
     fn sample_greedy(
         &self,
         table: &Table,

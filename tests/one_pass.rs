@@ -10,7 +10,8 @@
 //! * the work counters are the same at one, two and four threads, and
 //!   every fresh cell is either represented or sampled;
 //! * at θ = 0 a cell is represented only by a sample at zero loss, and a
-//!   cell whose pickups or fares are all NaN by no other cell's sample.
+//!   cell whose pickups or fares are all NaN by no other cell's sample,
+//!   under every loss.
 
 mod common;
 
@@ -184,8 +185,9 @@ fn at_theta_zero_a_cell_is_represented_only_at_zero_loss() {
 }
 
 /// Cells whose pickups (or fares) are all NaN are at infinite distance from
-/// every sample, their own included: each keeps the sample it drew, which
-/// serves no other cell.
+/// every sample, their own included, and their fares' mean and regression
+/// line are undefined against every sample: under each loss, each such cell
+/// keeps the sample it drew, which serves no other cell.
 #[test]
 fn a_cell_of_nan_pickups_is_represented_by_no_other_cell() {
     let schema = Schema::new(vec![
@@ -193,6 +195,7 @@ fn a_cell_of_nan_pickups_is_represented_by_no_other_cell() {
         Field::new("a1", ColumnType::Int64),
         Field::new("pickup", ColumnType::Point),
         Field::new("fare", ColumnType::Float64),
+        Field::new("tip", ColumnType::Float64),
     ]);
     let mut b = TableBuilder::new(schema);
     for r in 0..600i64 {
@@ -201,30 +204,41 @@ fn a_cell_of_nan_pickups_is_represented_by_no_other_cell() {
             0 => (Point { x: f64::NAN, y: f64::NAN }, f64::NAN),
             _ => (Point { x: (r % 13) as f64 * 0.01, y: (r % 11) as f64 * 0.01 }, (r % 17) as f64),
         };
-        b.push_row(&[a0.into(), a1.into(), p.into(), fare.into()]).unwrap();
+        let tip = (r % 5) as f64 + 0.1 * (r % 17) as f64;
+        b.push_row(&[a0.into(), a1.into(), p.into(), fare.into(), tip.into()]).unwrap();
     }
     let table = Arc::new(b.finish());
+    assert_nan_cells_keep_their_own_samples(&table, HeatmapLoss::new(2, Metric::Euclidean), 0.001);
+    assert_nan_cells_keep_their_own_samples(&table, HeatmapLoss::histogram(3), 0.01);
+    assert_nan_cells_keep_their_own_samples(&table, MeanLoss::new(3), 0.01);
+    assert_nan_cells_keep_their_own_samples(&table, RegressionLoss::new(3, 4), 1.0);
+}
+
+/// Every cell of `table` whose `a0` is 0 (NaN targets) is served its own
+/// sample, which serves no other cell.
+fn assert_nan_cells_keep_their_own_samples<L: AccuracyLoss + Clone>(
+    table: &Arc<Table>,
+    loss: L,
+    theta: f64,
+) {
+    let name = loss.name();
     let a0 = table.column(0).as_i64_slice().unwrap();
-    for (loss, theta) in
-        [(HeatmapLoss::new(2, Metric::Euclidean), 0.001), (HeatmapLoss::histogram(3), 0.01)]
-    {
-        let cube = build(&table, &["a0", "a1"], &loss, theta, 0, &Arc::new(Registry::new()));
-        let mut cells_of: HashMap<u32, usize> = HashMap::new();
-        for (_, id) in cube.cube_table() {
-            *cells_of.entry(id).or_default() += 1;
-        }
-        let mut nan_cells = 0;
-        for (cell, rows) in lattice(&cube) {
-            if !rows.iter().all(|&r| a0[r as usize] == 0) {
-                continue;
-            }
-            nan_cells += 1;
-            let SampleProvenance::Local(id) = cube.query_cell(&cell).provenance else {
-                panic!("{loss:?}: cell {cell} of NaN targets is not materialized");
-            };
-            assert!(cube.sample(id).iter().all(|r| rows.binary_search(r).is_ok()), "{cell}");
-            assert_eq!(cells_of[&id], 1, "{loss:?}: cell {cell} shares sample {id}");
-        }
-        assert_eq!(nan_cells, 1 + 7, "{loss:?}: a0 = 0 and its seven cells by a1");
+    let cube = build(table, &["a0", "a1"], &loss, theta, 0, &Arc::new(Registry::new()));
+    let mut cells_of: HashMap<u32, usize> = HashMap::new();
+    for (_, id) in cube.cube_table() {
+        *cells_of.entry(id).or_default() += 1;
     }
+    let mut nan_cells = 0;
+    for (cell, rows) in lattice(&cube) {
+        if !rows.iter().all(|&r| a0[r as usize] == 0) {
+            continue;
+        }
+        nan_cells += 1;
+        let SampleProvenance::Local(id) = cube.query_cell(&cell).provenance else {
+            panic!("{name}: cell {cell} of NaN targets is not materialized");
+        };
+        assert!(cube.sample(id).iter().all(|r| rows.binary_search(r).is_ok()), "{name}: {cell}");
+        assert_eq!(cells_of[&id], 1, "{name}: cell {cell} shares sample {id}");
+    }
+    assert_eq!(nan_cells, 1 + 7, "{name}: a0 = 0 and its seven cells by a1");
 }
