@@ -980,12 +980,12 @@ mod tests {
             "halved_mean"
         }
 
-        fn state_depends_on_sample(&self) -> bool {
-            self.0.state_depends_on_sample()
-        }
-
         fn prepare(&self, table: &Table, sample: &[RowId]) -> Self::SampleCtx {
             self.0.prepare(table, sample)
+        }
+
+        fn context_of(&self, sample: &Self::State) -> Option<Self::SampleCtx> {
+            self.0.context_of(sample)
         }
 
         fn fold(&self, ctx: &Self::SampleCtx, state: &mut Self::State, table: &Table, row: RowId) {
@@ -998,6 +998,8 @@ mod tests {
             self.0.finish(ctx, state) * 0.5
         }
 
+        // The draws use the true loss: only the classification and the
+        // representation tests read the halved one.
         fn sample_greedy(
             &self,
             table: &Table,

@@ -19,7 +19,6 @@
 //! can build the AST directly.
 
 use super::{numeric, AccuracyLoss, NUMERIC, REL_EPS};
-use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use serde::{Deserialize, Serialize};
 use tabula_storage::agg::AggState;
 use tabula_storage::{ColumnType, RowId, Table};
@@ -193,18 +192,6 @@ impl ExprLoss {
     pub fn expr(&self) -> &Expr {
         &self.expr
     }
-
-    fn loss_of_states(&self, raw: &NumericState, sam: &NumericState) -> f64 {
-        if raw.count == 0 {
-            return 0.0;
-        }
-        if sam.count == 0 {
-            return f64::INFINITY;
-        }
-        // Undefined expressions (an aggregate of no rows, a non-finite
-        // value) are treated as unbounded loss so the sampler keeps refining.
-        self.expr.eval(raw, sam).map_or(f64::INFINITY, f64::abs)
-    }
 }
 
 impl AccuracyLoss for ExprLoss {
@@ -219,10 +206,6 @@ impl AccuracyLoss for ExprLoss {
         vec![(self.attr, NUMERIC)]
     }
 
-    fn state_depends_on_sample(&self) -> bool {
-        false
-    }
-
     fn prepare(&self, table: &Table, sample: &[RowId]) -> NumericState {
         let mut s = NumericState::default();
         for &r in sample {
@@ -231,52 +214,25 @@ impl AccuracyLoss for ExprLoss {
         s
     }
 
+    fn context_of(&self, sample: &NumericState) -> Option<NumericState> {
+        Some(*sample)
+    }
+
+    #[inline]
     fn fold(&self, _ctx: &NumericState, state: &mut NumericState, table: &Table, row: RowId) {
         state.add(numeric(table, self.attr, row));
     }
 
     fn finish(&self, ctx: &NumericState, state: &NumericState) -> f64 {
-        self.loss_of_states(state, ctx)
-    }
-
-    fn sample_greedy(
-        &self,
-        table: &Table,
-        raw: &[RowId],
-        start: &[usize],
-        theta: f64,
-    ) -> Vec<RowId> {
-        let values: Vec<f64> = raw.iter().map(|&r| numeric(table, self.attr, r)).collect();
-        let mut raw_state = NumericState::default();
-        for &v in &values {
-            raw_state.add(v);
+        if state.count == 0 {
+            return 0.0;
         }
-        let eval =
-            ExprGreedy { loss: self.clone(), values, raw_state, sample: NumericState::default() };
-        run_incremental_greedy(eval, raw, start, theta)
-    }
-}
-
-struct ExprGreedy {
-    loss: ExprLoss,
-    values: Vec<f64>,
-    raw_state: NumericState,
-    sample: NumericState,
-}
-
-impl IncrementalEval for ExprGreedy {
-    fn current(&self) -> f64 {
-        self.loss.loss_of_states(&self.raw_state, &self.sample)
-    }
-
-    fn loss_if_added(&self, idx: usize) -> f64 {
-        let mut s = self.sample;
-        s.add(self.values[idx]);
-        self.loss.loss_of_states(&self.raw_state, &s)
-    }
-
-    fn add(&mut self, idx: usize) {
-        self.sample.add(self.values[idx]);
+        if ctx.count == 0 {
+            return f64::INFINITY;
+        }
+        // Undefined expressions (an aggregate of no rows, a non-finite
+        // value) are treated as unbounded loss so the sampler keeps refining.
+        self.expr.eval(state, ctx).map_or(f64::INFINITY, f64::abs)
     }
 }
 

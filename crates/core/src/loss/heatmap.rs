@@ -101,10 +101,6 @@ impl AccuracyLoss for HeatmapLoss {
         vec![(self.col, &[ColumnType::Point, ColumnType::Int64, ColumnType::Float64])]
     }
 
-    fn state_depends_on_sample(&self) -> bool {
-        true
-    }
-
     fn monotone(&self) -> bool {
         true
     }

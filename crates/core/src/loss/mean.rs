@@ -2,7 +2,6 @@
 //! `ABS((AVG(Raw) − AVG(Sam)) / AVG(Raw))`.
 
 use super::{numeric, AccuracyLoss, NUMERIC, REL_EPS};
-use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula_storage::agg::SumCount;
 use tabula_storage::{ColumnType, RowId, Table};
 
@@ -50,10 +49,6 @@ impl AccuracyLoss for MeanLoss {
         vec![(self.attr, NUMERIC)]
     }
 
-    fn state_depends_on_sample(&self) -> bool {
-        false
-    }
-
     fn prepare(&self, table: &Table, sample: &[RowId]) -> MeanCtx {
         let mut sc = SumCount::default();
         for &r in sample {
@@ -62,52 +57,17 @@ impl AccuracyLoss for MeanLoss {
         MeanCtx { mean: sc.mean() }
     }
 
+    fn context_of(&self, sample: &SumCount) -> Option<MeanCtx> {
+        Some(MeanCtx { mean: sample.mean() })
+    }
+
+    #[inline]
     fn fold(&self, _ctx: &MeanCtx, state: &mut SumCount, table: &Table, row: RowId) {
         state.add(numeric(table, self.attr, row));
     }
 
     fn finish(&self, ctx: &MeanCtx, state: &SumCount) -> f64 {
         Self::relative_error(state.mean(), ctx.mean)
-    }
-
-    fn sample_greedy(
-        &self,
-        table: &Table,
-        raw: &[RowId],
-        start: &[usize],
-        theta: f64,
-    ) -> Vec<RowId> {
-        let values: Vec<f64> = raw.iter().map(|&r| numeric(table, self.attr, r)).collect();
-        let mut raw_state = SumCount::default();
-        for &v in &values {
-            raw_state.add(v);
-        }
-        let eval = MeanGreedy { values, raw_mean: raw_state.mean(), sample: SumCount::default() };
-        run_incremental_greedy(eval, raw, start, theta)
-    }
-}
-
-/// Incremental greedy evaluator: O(1) per candidate.
-struct MeanGreedy {
-    /// Target values aligned with the raw row list.
-    values: Vec<f64>,
-    raw_mean: Option<f64>,
-    sample: SumCount,
-}
-
-impl IncrementalEval for MeanGreedy {
-    fn current(&self) -> f64 {
-        MeanLoss::relative_error(self.raw_mean, self.sample.mean())
-    }
-
-    fn loss_if_added(&self, idx: usize) -> f64 {
-        let mut s = self.sample;
-        s.add(self.values[idx]);
-        MeanLoss::relative_error(self.raw_mean, s.mean())
-    }
-
-    fn add(&mut self, idx: usize) {
-        self.sample.add(self.values[idx]);
     }
 }
 

@@ -20,10 +20,14 @@
 //!
 //! For the visualization losses (heat map / histogram) the per-row state
 //! contribution is the row's minimum distance *to the fixed sample*, so
-//! the state depends on the sample ([`AccuracyLoss::state_depends_on_sample`]
-//! returns `true`); for mean/regression the state summarizes raw data only
-//! and can be reused against any sample — the dry run and the
-//! representation relation (`samgraph::KeptSet`) exploit this distinction.
+//! the state depends on the sample. For mean, regression and expression
+//! losses the state summarizes raw data only, so a sample is itself a
+//! state: [`AccuracyLoss::context_of`] turns the state a sample's rows
+//! fold to into its context. Such a loss is priced from states alone —
+//! the greedy ([`crate::sampling::greedy`]) merges a candidate row's state
+//! into the sample's, and the representation relation
+//! (`samgraph::KeptSet`) re-evaluates one folded cell state against every
+//! sample. A loss whose `context_of` is `None` is sample-dependent.
 //!
 //! ## Built-ins (the paper's Functions 1–3)
 //!
@@ -116,16 +120,20 @@ pub trait AccuracyLoss: Send + Sync + 'static {
         Vec::new()
     }
 
-    /// Whether [`AccuracyLoss::fold`] reads the sample context. When
-    /// `false`, a folded state cube can be re-evaluated against *different*
-    /// samples with [`AccuracyLoss::finish`] alone — the representation
-    /// relation, before a draw and in the SamGraph join, uses this to price
-    /// candidate representatives in O(1) per pair.
-    fn state_depends_on_sample(&self) -> bool;
-
     /// Prepare the reusable context for a fixed sample (row ids of
     /// `table`).
     fn prepare(&self, table: &Table, sample: &[RowId]) -> Self::SampleCtx;
+
+    /// The context of a sample whose rows fold to `sample`, when the loss
+    /// is sample-independent: [`AccuracyLoss::fold`] never reads its
+    /// context, and `finish(context_of(fold(s)), raw)` is
+    /// `finish(prepare(s), raw)` bit for bit. `None` (the default) marks a
+    /// sample-dependent loss, whose state is folded against one sample and
+    /// cannot be re-evaluated against another.
+    fn context_of(&self, sample: &Self::State) -> Option<Self::SampleCtx> {
+        let _ = sample;
+        None
+    }
 
     /// Fold one raw row into `state`.
     fn fold(&self, ctx: &Self::SampleCtx, state: &mut Self::State, table: &Table, row: RowId);
@@ -180,8 +188,8 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// A low-dimensional signature of a row set, used ONLY to order
     /// candidate representatives in the representation relation — a pruning
     /// heuristic whose quality affects memory savings, never correctness.
-    /// Only a sample-dependent loss ([`AccuracyLoss::state_depends_on_sample`])
-    /// is ever asked for one: the relation tests every sample under the
+    /// Only a sample-dependent loss (no [`AccuracyLoss::context_of`]) is
+    /// ever asked for one: the relation tests every sample under the
     /// others. The default (a constant) disables the ordering.
     fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {
         let _ = (table, rows);
@@ -198,10 +206,10 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// put them first, in order) and meets θ. An empty `start` is
     /// Algorithm 1 from nothing.
     ///
-    /// The default is the literal O(|raw|²·cost(loss)) greedy of the
-    /// paper's pseudocode — correct for any loss, affordable only for
-    /// small cells. Built-ins override it with incremental engines (see
-    /// [`crate::sampling`]).
+    /// The default is [`crate::sampling::greedy`]: O(1) state merges per
+    /// candidate under a loss with a [`AccuracyLoss::context_of`], the
+    /// literal O(|raw|²·cost(loss)) pseudocode otherwise. The coverage
+    /// losses override it with the lazy-forward engine.
     fn sample_greedy(
         &self,
         table: &Table,
@@ -209,7 +217,7 @@ pub trait AccuracyLoss: Send + Sync + 'static {
         start: &[usize],
         theta: f64,
     ) -> Vec<RowId> {
-        crate::sampling::naive_greedy(self, table, raw, start, theta)
+        crate::sampling::greedy(self, table, raw, start, theta)
     }
 }
 

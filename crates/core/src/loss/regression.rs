@@ -5,7 +5,6 @@
 //! amount.
 
 use super::{numeric, AccuracyLoss, NUMERIC};
-use crate::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula_storage::agg::Moments2D;
 use tabula_storage::{ColumnType, RowId, Table};
 
@@ -57,10 +56,6 @@ impl AccuracyLoss for RegressionLoss {
         vec![(self.x_col, NUMERIC), (self.y_col, NUMERIC)]
     }
 
-    fn state_depends_on_sample(&self) -> bool {
-        false
-    }
-
     fn prepare(&self, table: &Table, sample: &[RowId]) -> RegressionCtx {
         let mut m = Moments2D::default();
         for &r in sample {
@@ -70,6 +65,11 @@ impl AccuracyLoss for RegressionLoss {
         RegressionCtx { angle: m.angle_degrees() }
     }
 
+    fn context_of(&self, sample: &Moments2D) -> Option<RegressionCtx> {
+        Some(RegressionCtx { angle: sample.angle_degrees() })
+    }
+
+    #[inline]
     fn fold(&self, _ctx: &RegressionCtx, state: &mut Moments2D, table: &Table, row: RowId) {
         let (x, y) = self.xy(table, row);
         state.add(x, y);
@@ -80,48 +80,6 @@ impl AccuracyLoss for RegressionLoss {
             return 0.0;
         }
         Self::angle_diff(state.angle_degrees(), ctx.angle)
-    }
-
-    fn sample_greedy(
-        &self,
-        table: &Table,
-        raw: &[RowId],
-        start: &[usize],
-        theta: f64,
-    ) -> Vec<RowId> {
-        let xys: Vec<(f64, f64)> = raw.iter().map(|&r| self.xy(table, r)).collect();
-        let mut raw_m = Moments2D::default();
-        for &(x, y) in &xys {
-            raw_m.add(x, y);
-        }
-        let eval =
-            RegGreedy { xys, raw_angle: raw_m.angle_degrees(), sample: Moments2D::default() };
-        run_incremental_greedy(eval, raw, start, theta)
-    }
-}
-
-/// Incremental greedy evaluator: O(1) per candidate.
-struct RegGreedy {
-    xys: Vec<(f64, f64)>,
-    raw_angle: Option<f64>,
-    sample: Moments2D,
-}
-
-impl IncrementalEval for RegGreedy {
-    fn current(&self) -> f64 {
-        RegressionLoss::angle_diff(self.raw_angle, self.sample.angle_degrees())
-    }
-
-    fn loss_if_added(&self, idx: usize) -> f64 {
-        let mut m = self.sample;
-        let (x, y) = self.xys[idx];
-        m.add(x, y);
-        RegressionLoss::angle_diff(self.raw_angle, m.angle_degrees())
-    }
-
-    fn add(&mut self, idx: usize) {
-        let (x, y) = self.xys[idx];
-        self.sample.add(x, y);
     }
 }
 

@@ -85,6 +85,9 @@ pub(crate) struct KeptSet<'a, L: AccuracyLoss> {
     theta: f64,
     cap: usize,
     ctxs: Vec<L::SampleCtx>,
+    /// The context a walk folds a cell against under a sample-independent
+    /// loss ([`AccuracyLoss::context_of`]); `None` ranks by signature.
+    fold_ctx: Option<L::SampleCtx>,
     index: SignatureIndex,
 }
 
@@ -101,10 +104,11 @@ impl<'a, L: AccuracyLoss> KeptSet<'a, L> {
     ) -> Self {
         let pool = Pool::global();
         let ctxs = pool.par_map(entries, |e| loss.prepare(table, &e.sample));
+        let fold_ctx = loss.context_of(&L::State::default());
         // Only a sample-dependent loss ranks candidates by signature.
-        let ranked = if loss.state_depends_on_sample() { entries } else { &[] };
+        let ranked = if fold_ctx.is_none() { entries } else { &[] };
         let sigs = pool.par_map(ranked, |e| loss.signature(table, &e.rows));
-        KeptSet { table, loss, theta, cap, ctxs, index: SignatureIndex::build(sigs) }
+        KeptSet { table, loss, theta, cap, ctxs, fold_ctx, index: SignatureIndex::build(sigs) }
     }
 
     /// Keep `samples` too, after the ones already kept, ranked by their own
@@ -120,7 +124,7 @@ impl<'a, L: AccuracyLoss> KeptSet<'a, L> {
             None => self.ctxs.extend(pool.par_map(samples, |sample| loss.prepare(table, sample))),
         }
         let mut sigs = std::mem::take(&mut self.index.sigs);
-        let ranked = if loss.state_depends_on_sample() { samples } else { &[] };
+        let ranked = if self.fold_ctx.is_none() { samples } else { &[] };
         sigs.extend(pool.par_map(ranked, |sample| loss.signature(table, sample)));
         self.index = SignatureIndex::build(sigs);
     }
@@ -144,10 +148,9 @@ impl<'a, L: AccuracyLoss> KeptSet<'a, L> {
         if self.cap == 0 || self.ctxs.is_empty() {
             return 0;
         }
-        // A sample-independent fold reads no sample: any context will do.
-        let state = (!loss.state_depends_on_sample()).then(|| {
+        let state = self.fold_ctx.as_ref().map(|ctx| {
             let mut state = L::State::default();
-            rows.iter().for_each(|&r| loss.fold(&self.ctxs[0], &mut state, table, r));
+            rows.iter().for_each(|&r| loss.fold(ctx, &mut state, table, r));
             state
         });
         let nearest = |k| self.index.nearest_to(loss.signature(table, rows), k);

@@ -13,10 +13,12 @@
 //! * [`naive_greedy`] — the literal pseudocode, re-evaluating the full
 //!   loss for every candidate each round. Works for *any*
 //!   [`AccuracyLoss`]; cost `O(|T|² · cost(loss))`.
-//! * [`run_incremental_greedy`] — for losses whose value is a function of
-//!   small aggregate states (mean, regression, expression losses), each
-//!   candidate is priced in O(1) by provisionally updating the sample
-//!   state. Cost `O(|T| · rounds)`.
+//! * [`state_greedy`] — for losses whose value is a function of small
+//!   aggregate states ([`AccuracyLoss::context_of`]: mean, regression,
+//!   expression losses), each row is folded once and a candidate is priced
+//!   in O(1) by merging its state into the sample's. Cost
+//!   `O(|T| · rounds)`. [`greedy`], the trait's default, picks between
+//!   these two.
 //! * [`coverage_greedy`] — for the per-tuple-decomposable visualization
 //!   loss (`loss = avg_i min_{s∈t} dist(i, s)`, Function 2, whose 1-D
 //!   reading is the histogram loss), the POIsam **lazy-forward** strategy:
@@ -42,11 +44,25 @@
 use crate::loss::AccuracyLoss;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use tabula_storage::{RowId, Table};
+use tabula_storage::{AggState, RowId, Table};
+
+/// Algorithm 1 for any loss: [`state_greedy`] when the loss has a
+/// [`AccuracyLoss::context_of`], [`naive_greedy`] otherwise.
+pub fn greedy<L: AccuracyLoss + ?Sized>(
+    loss: &L,
+    table: &Table,
+    raw: &[RowId],
+    start: &[usize],
+    theta: f64,
+) -> Vec<RowId> {
+    match loss.context_of(&L::State::default()) {
+        Some(ctx) => state_greedy(loss, &ctx, table, raw, start, theta),
+        None => naive_greedy(loss, table, raw, start, theta),
+    }
+}
 
 /// The literal Algorithm 1. Correct for any loss; affordable only for
-/// small cells (quadratic in `|raw|`). Built-in losses override
-/// [`AccuracyLoss::sample_greedy`] with the faster engines below.
+/// small cells (quadratic in `|raw|`).
 pub fn naive_greedy<L: AccuracyLoss + ?Sized>(
     loss: &L,
     table: &Table,
@@ -59,7 +75,7 @@ pub fn naive_greedy<L: AccuracyLoss + ?Sized>(
         raw.iter().zip(&taken).filter(|(_, &t)| !t).map(|(&r, _)| r).collect();
     let mut sample: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
     let mut current = if start.is_empty() { f64::INFINITY } else { loss.loss(table, raw, &sample) };
-    while current > theta && !remaining.is_empty() {
+    while (current.is_nan() || current > theta) && !remaining.is_empty() {
         let mut best = (f64::INFINITY, 0usize);
         for (i, &cand) in remaining.iter().enumerate() {
             sample.push(cand);
@@ -85,48 +101,56 @@ fn taken(n: usize, start: &[usize]) -> Vec<bool> {
     taken
 }
 
-/// A loss whose value can be re-priced in O(1) when one candidate is
-/// provisionally added to the running sample. Candidates are addressed by
-/// their *position* in the raw row list the engine was started with.
-pub trait IncrementalEval {
-    /// Loss of the current sample.
-    fn current(&self) -> f64;
-    /// Loss if the candidate at `idx` were added (must not mutate).
-    fn loss_if_added(&self, idx: usize) -> f64;
-    /// Commit the candidate at `idx`.
-    fn add(&mut self, idx: usize);
-}
-
-/// Greedy loop over an [`IncrementalEval`]: commits the `start` positions,
-/// then each round scans all remaining candidates (O(1) each) and commits
-/// the argmin, until the threshold is met or every row has been taken.
-pub fn run_incremental_greedy<E: IncrementalEval>(
-    mut eval: E,
+/// Algorithm 1 over a sample-independent loss, with `ctx` any context to
+/// fold against: each raw row is folded once, and a candidate is priced as
+/// `finish(context_of(sample ⊕ row), raw)`. Commits the `start` positions,
+/// then each round commits the cheapest remaining candidate (the first on
+/// a tie) until the loss is at most θ or every row is taken — a NaN loss
+/// meets no θ. Picks what [`naive_greedy`] picks, row for row: merging
+/// one-row states onto sums that start at `+0.0` adds the bits folding
+/// the rows adds, so a sample's state is the one `prepare` folds.
+pub fn state_greedy<L: AccuracyLoss + ?Sized>(
+    loss: &L,
+    ctx: &L::SampleCtx,
+    table: &Table,
     raw: &[RowId],
     start: &[usize],
     theta: f64,
 ) -> Vec<RowId> {
+    let mut raw_state = L::State::default();
+    let states: Vec<L::State> = raw
+        .iter()
+        .map(|&r| {
+            let mut state = L::State::default();
+            loss.fold(ctx, &mut state, table, r);
+            raw_state.merge(&state);
+            state
+        })
+        .collect();
+    let price = |sample: &L::State| {
+        let ctx = loss.context_of(sample).expect("a sample-independent loss");
+        loss.finish(&ctx, &raw_state)
+    };
     let taken = taken(raw.len(), start);
     let mut remaining: Vec<usize> = (0..raw.len()).filter(|&i| !taken[i]).collect();
     let mut picked: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
-    start.iter().for_each(|&i| eval.add(i));
-    let mut current = if start.is_empty() { f64::INFINITY } else { eval.current() };
-    while current > theta && !remaining.is_empty() {
+    let mut sample = L::State::default();
+    start.iter().for_each(|&i| sample.merge(&states[i]));
+    let mut current = if start.is_empty() { f64::INFINITY } else { price(&sample) };
+    while (current.is_nan() || current > theta) && !remaining.is_empty() {
         let mut best = (f64::INFINITY, 0usize);
         for (pos, &idx) in remaining.iter().enumerate() {
-            let l = eval.loss_if_added(idx);
+            let mut with = sample.clone();
+            with.merge(&states[idx]);
+            let l = price(&with);
             if l < best.0 {
                 best = (l, pos);
             }
         }
         let idx = remaining.swap_remove(best.1);
-        eval.add(idx);
+        sample.merge(&states[idx]);
         picked.push(raw[idx]);
-        current = eval.current();
-        debug_assert!(
-            (current - best.0).abs() < 1e-9 || !current.is_finite(),
-            "committed loss must equal the candidate's priced loss"
-        );
+        current = best.0;
     }
     picked
 }
@@ -402,8 +426,9 @@ fn stochastic_greedy<S: CoverageSpace>(space: &S, theta: f64, mut cov: Coverage)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::expr::{AggFn, Expr, NumericState, Side};
     use crate::loss::heatmap::PointSpace;
-    use crate::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric};
+    use crate::loss::{AccuracyLoss, ExprLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use tabula_storage::{ColumnType, Field, Point, Schema, TableBuilder};
@@ -499,21 +524,178 @@ mod tests {
         assert_eq!(chosen.len(), 1, "duplicates are covered by one pick");
     }
 
-    #[test]
-    fn naive_greedy_agrees_with_specialized_engines_on_small_input() {
-        let schema = Schema::new(vec![Field::new("v", ColumnType::Float64)]);
-        let mut b = TableBuilder::new(schema);
-        for v in [1.0, 2.0, 30.0, 4.0, 5.0, 6.0] {
-            b.push_row(&[v.into()]).unwrap();
+    /// `|AVG(Raw) − AVG(Sam)|` with no guard: NaN over a NaN value or a
+    /// sum that overflows both ways, where the built-ins score ∞.
+    struct MeanGap;
+
+    impl AccuracyLoss for MeanGap {
+        type State = NumericState;
+        type SampleCtx = NumericState;
+
+        fn name(&self) -> &'static str {
+            "mean_gap"
         }
-        let t = b.finish();
-        let loss = MeanLoss::new(0);
-        let all: Vec<RowId> = t.all_rows();
-        let theta = 0.02;
-        let naive = naive_greedy(&loss, &t, &all, &[], theta);
-        let fast = loss.sample_greedy(&t, &all, &[], theta);
-        assert!(loss.loss(&t, &all, &naive) <= theta);
-        assert!(loss.loss(&t, &all, &fast) <= theta);
+
+        fn prepare(&self, table: &Table, sample: &[RowId]) -> NumericState {
+            let mut s = NumericState::default();
+            sample.iter().for_each(|&r| s.add(gap_value(table, r)));
+            s
+        }
+
+        fn context_of(&self, sample: &NumericState) -> Option<NumericState> {
+            Some(*sample)
+        }
+
+        fn fold(&self, _: &NumericState, state: &mut NumericState, table: &Table, row: RowId) {
+            state.add(gap_value(table, row));
+        }
+
+        fn finish(&self, ctx: &NumericState, state: &NumericState) -> f64 {
+            match (state.agg(AggFn::Avg), ctx.agg(AggFn::Avg)) {
+                (None, _) => 0.0,
+                (Some(_), None) => f64::INFINITY,
+                (Some(r), Some(s)) => (r - s).abs(),
+            }
+        }
+    }
+
+    fn gap_value(table: &Table, row: RowId) -> f64 {
+        table.column(0).as_f64_slice().unwrap()[row as usize]
+    }
+
+    /// One Float64 column per slice.
+    fn float_table(columns: &[Vec<f64>]) -> Table {
+        let fields = (0..columns.len()).map(|c| Field::new(format!("c{c}"), ColumnType::Float64));
+        let mut b = TableBuilder::new(Schema::new(fields.collect()));
+        for row in 0..columns[0].len() {
+            let values: Vec<_> = columns.iter().map(|c| c[row].into()).collect();
+            b.push_row(&values).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn a_nan_loss_meets_no_theta() {
+        // Every sample of an all-NaN column scores NaN. Stopping at the
+        // first NaN would return one row whose loss is not within θ.
+        let t = float_table(&[vec![f64::NAN; 6]]);
+        let all = t.all_rows();
+        assert!(MeanGap.loss(&t, &all, &all).is_nan());
+        for start in [&[][..], &[4, 1]] {
+            assert_eq!(MeanGap.sample_greedy(&t, &all, start, 0.3).len(), 6, "{start:?}");
+            assert_eq!(naive_greedy(&MeanGap, &t, &all, start, 0.3).len(), 6, "{start:?}");
+        }
+    }
+
+    /// Two Float64 columns of 1 to 29 rows: halves, zeros, NaNs and
+    /// ±1e307, whose sums overflow.
+    fn odd_table(rng: &mut SmallRng) -> Table {
+        let n = rng.gen_range(1..30usize);
+        let mut column = || -> Vec<f64> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..12u32) {
+                    0 => f64::NAN,
+                    1 => 1e307 * [1.0, -1.0][rng.gen_range(0..2usize)],
+                    2 => 0.0,
+                    _ => rng.gen_range(-20..20i32) as f64 * 0.5,
+                })
+                .collect()
+        };
+        float_table(&[column(), column()])
+    }
+
+    /// `|MAX(Raw) − MAX(Sam)| + |MIN(Raw) − MIN(Sam)|`.
+    fn spread() -> Expr {
+        let gap = |f| {
+            let side = |s| Box::new(Expr::Agg(f, s));
+            Box::new(Expr::Abs(Box::new(Expr::Sub(side(Side::Raw), side(Side::Sam)))))
+        };
+        Expr::Add(gap(AggFn::Max), gap(AggFn::Min))
+    }
+
+    /// `finish(prepare(sample), raw)` is `finish(context_of(fold(sample)),
+    /// raw)` bit for bit: the walk, the dry run and verification price
+    /// with the first, the greedy with the second.
+    fn agree<L: AccuracyLoss>(
+        loss: &L,
+        t: &Table,
+        raw: &[RowId],
+        sample: &[RowId],
+    ) -> Result<(), String> {
+        let ctx = loss.context_of(&L::State::default()).expect("sample-independent");
+        let fold = |rows: &[RowId]| {
+            let mut state = L::State::default();
+            rows.iter().for_each(|&r| loss.fold(&ctx, &mut state, t, r));
+            state
+        };
+        let raw_state = fold(raw);
+        let prepared = loss.finish(&loss.prepare(t, sample), &raw_state);
+        let folded = loss.finish(&loss.context_of(&fold(sample)).unwrap(), &raw_state);
+        let name = loss.name();
+        proptest::prop_assert_eq!(
+            prepared.to_bits(),
+            folded.to_bits(),
+            "{} {:?} / {:?}",
+            name,
+            raw,
+            sample
+        );
+        Ok(())
+    }
+
+    /// `loss`'s own greedy draws what the literal Algorithm 1 draws.
+    fn same<L: AccuracyLoss>(
+        loss: &L,
+        t: &Table,
+        raw: &[RowId],
+        start: &[usize],
+        theta: f64,
+    ) -> Result<(), String> {
+        let naive = naive_greedy(loss, t, raw, start, theta);
+        let (name, got) = (loss.name(), loss.sample_greedy(t, raw, start, theta));
+        proptest::prop_assert_eq!(got, naive, "{} θ {} start {:?}", name, theta, start);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// The state engine is Algorithm 1 pick for pick: every
+        /// sample-independent loss draws what the literal pseudocode draws,
+        /// over NaN targets, overflowing sums, zeros and warm starts.
+        #[test]
+        fn the_state_engine_picks_what_naive_greedy_picks(
+            seed in 0u64..u64::MAX,
+            theta in 0.0f64..0.3,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let t = odd_table(&mut rng);
+            let raw: Vec<RowId> = t.all_rows().into_iter().filter(|_| rng.gen_bool(0.8)).collect();
+            let k = rng.gen_range(0..=raw.len() / 2);
+            let start: Vec<usize> =
+                rand::seq::index::sample(&mut rng, raw.len(), k).into_iter().collect();
+            same(&MeanLoss::new(0), &t, &raw, &start, theta)?;
+            same(&RegressionLoss::new(0, 1), &t, &raw, &start, theta * 100.0)?;
+            same(&ExprLoss::new(0, Expr::mean_relative_error()), &t, &raw, &start, theta)?;
+            same(&ExprLoss::new(0, spread()), &t, &raw, &start, theta * 10.0)?;
+            same(&MeanGap, &t, &raw, &start, theta)?;
+        }
+
+        /// Every built-in sample-independent loss prices a sample alike
+        /// from its prepared context and from its folded state.
+        #[test]
+        fn prepare_and_context_of_agree(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let t = odd_table(&mut rng);
+            for _ in 0..4 {
+                let mut rows = |p| t.all_rows().into_iter().filter(|_| rng.gen_bool(p)).collect();
+                let (raw, sample): (Vec<RowId>, Vec<RowId>) = (rows(0.7), rows(0.3));
+                agree(&MeanLoss::new(0), &t, &raw, &sample)?;
+                agree(&RegressionLoss::new(0, 1), &t, &raw, &sample)?;
+                agree(&ExprLoss::new(0, Expr::mean_relative_error()), &t, &raw, &sample)?;
+                agree(&ExprLoss::new(0, spread()), &t, &raw, &sample)?;
+            }
+        }
     }
 
     /// `S` without its `cover` override: the default loop.

@@ -251,8 +251,10 @@ impl Session {
                     .iter()
                     .map(|a| table.schema().index_of(a).map_err(SqlError::from))
                     .collect::<Result<_>>()?;
-                // A loss reads its targets unchecked (a wrong column type
-                // panics mid-build), so arity and types are checked here.
+                // The builder checks each loss's `targets`, but SQL types
+                // them more strictly: a heat map takes a Point and a
+                // histogram a number, where `HeatmapLoss::targets` accepts
+                // either. So arity and types are checked here.
                 let (arity, points) = match decl {
                     LossDecl::Heatmap(_) => (1, true),
                     LossDecl::Regression => (2, false),

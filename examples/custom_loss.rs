@@ -3,9 +3,9 @@
 //!
 //! 1. **SQL** (`CREATE AGGREGATE`): a scalar expression over algebraic
 //!    aggregates of `Raw` and `Sam`, exactly the paper's Section II DDL.
-//! 2. **Rust** (implementing [`AccuracyLoss`]): full control, including
-//!    custom greedy engines; here a "range-coverage" loss that keeps the
-//!    sample's min *and* max close to the raw data's.
+//! 2. **Rust** (implementing [`AccuracyLoss`]): full control over the
+//!    state, the sample context and the loss; here a "range-coverage" loss
+//!    that keeps the sample's min *and* max close to the raw data's.
 //!
 //! ```bash
 //! cargo run --release --example custom_loss
@@ -14,11 +14,10 @@
 use std::sync::Arc;
 use tabula::core::loss::expr::NumericState;
 use tabula::core::loss::AccuracyLoss;
-use tabula::core::sampling::{run_incremental_greedy, IncrementalEval};
 use tabula::core::SamplingCubeBuilder;
 use tabula::data::{TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::sql::{QueryResult, Session};
-use tabula::storage::{Predicate, RowId, Table};
+use tabula::storage::{ColumnType, Predicate, RowId, Table};
 
 /// A hand-written loss: `max(|min(Raw) − min(Sam)|, |max(Raw) − max(Sam)|)`
 /// over one numeric column — the sample must preserve the data's extremes
@@ -42,8 +41,10 @@ impl AccuracyLoss for RangeCoverageLoss {
         "range_coverage"
     }
 
-    fn state_depends_on_sample(&self) -> bool {
-        false
+    // `value` reads a Float64 slice: the builder rejects any other target
+    // type as a configuration error before it reads a row.
+    fn targets(&self) -> Vec<(usize, &'static [ColumnType])> {
+        vec![(self.attr, &[ColumnType::Float64])]
     }
 
     fn prepare(&self, table: &Table, sample: &[RowId]) -> NumericState {
@@ -52,6 +53,15 @@ impl AccuracyLoss for RangeCoverageLoss {
             s.add(self.value(table, r));
         }
         s
+    }
+
+    // The sample's rows fold to the same state as raw rows do, and that
+    // state is the sample's context. With this, the default greedy merges
+    // one row's state per candidate (O(1)) instead of re-running the loss
+    // over the whole cell, and the representation relation prices a cell
+    // against every kept sample from the cell's one folded state.
+    fn context_of(&self, sample: &NumericState) -> Option<NumericState> {
+        Some(*sample)
     }
 
     fn fold(&self, _ctx: &NumericState, state: &mut NumericState, table: &Table, row: RowId) {
@@ -66,56 +76,6 @@ impl AccuracyLoss for RangeCoverageLoss {
             return f64::INFINITY;
         }
         (state.min - ctx.min).abs().max((state.max - ctx.max).abs())
-    }
-
-    // Without this override the trait falls back to the literal
-    // (quadratic) Algorithm 1, which is fine for tiny cells but not for a
-    // 60 k-row table. Custom losses whose value derives from small
-    // aggregate states get an O(1)-per-candidate engine in a few lines:
-    fn sample_greedy(
-        &self,
-        table: &Table,
-        raw: &[RowId],
-        start: &[usize],
-        theta: f64,
-    ) -> Vec<RowId> {
-        struct Eval {
-            values: Vec<f64>,
-            raw: NumericState,
-            sample: NumericState,
-        }
-        impl Eval {
-            fn loss_of(&self, sample: &NumericState) -> f64 {
-                if sample.count == 0 {
-                    return f64::INFINITY;
-                }
-                (self.raw.min - sample.min).abs().max((self.raw.max - sample.max).abs())
-            }
-        }
-        impl IncrementalEval for Eval {
-            fn current(&self) -> f64 {
-                self.loss_of(&self.sample)
-            }
-            fn loss_if_added(&self, idx: usize) -> f64 {
-                let mut s = self.sample;
-                s.add(self.values[idx]);
-                self.loss_of(&s)
-            }
-            fn add(&mut self, idx: usize) {
-                self.sample.add(self.values[idx]);
-            }
-        }
-        let values: Vec<f64> = raw.iter().map(|&r| self.value(table, r)).collect();
-        let mut raw_state = NumericState::default();
-        for &v in &values {
-            raw_state.add(v);
-        }
-        run_incremental_greedy(
-            Eval { values, raw: raw_state, sample: NumericState::default() },
-            raw,
-            start,
-            theta,
-        )
     }
 }
 

@@ -154,13 +154,13 @@ impl AccuracyLoss for PanicsOnGrowth {
         "panics_on_growth"
     }
 
-    fn state_depends_on_sample(&self) -> bool {
-        self.0.state_depends_on_sample()
-    }
-
     fn prepare(&self, table: &Table, sample: &[RowId]) -> Self::SampleCtx {
         assert!(table.len() <= BASE_ROWS, "no sample over {} rows", table.len());
         self.0.prepare(table, sample)
+    }
+
+    fn context_of(&self, sample: &Self::State) -> Option<Self::SampleCtx> {
+        self.0.context_of(sample)
     }
 
     fn fold(&self, ctx: &Self::SampleCtx, state: &mut Self::State, table: &Table, row: RowId) {
@@ -169,16 +169,6 @@ impl AccuracyLoss for PanicsOnGrowth {
 
     fn finish(&self, ctx: &Self::SampleCtx, state: &Self::State) -> f64 {
         self.0.finish(ctx, state)
-    }
-
-    fn sample_greedy(
-        &self,
-        table: &Table,
-        raw: &[RowId],
-        start: &[usize],
-        theta: f64,
-    ) -> Vec<RowId> {
-        self.0.sample_greedy(table, raw, start, theta)
     }
 }
 
