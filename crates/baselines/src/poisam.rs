@@ -37,12 +37,6 @@ impl<L: AccuracyLoss> PoiSam<L> {
         let presample_size = SerflingConfig { epsilon: 0.05, delta: 0.10 }.sample_size();
         PoiSam { table, loss, theta, presample_size, counter: AtomicU64::new(0), base_seed: seed }
     }
-
-    /// Override the pre-sample size.
-    pub fn with_presample_size(mut self, size: usize) -> Self {
-        self.presample_size = size;
-        self
-    }
 }
 
 impl<L: AccuracyLoss> Approach for PoiSam<L> {
@@ -106,7 +100,8 @@ mod tests {
         let t = table();
         let fare = t.schema().index_of("fare_amount").unwrap();
         let loss = HeatmapLoss::histogram(fare);
-        let poisam = PoiSam::new(Arc::clone(&t), loss, 0.25, 9).with_presample_size(50);
+        let mut poisam = PoiSam::new(Arc::clone(&t), loss, 0.25, 9);
+        poisam.presample_size = 50;
         let ans = poisam.query(&Predicate::all());
         assert!(ans.rows.len() <= 50);
     }

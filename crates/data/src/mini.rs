@@ -4,9 +4,6 @@
 
 use tabula_storage::{ColumnType, Field, Point, Schema, Table, TableBuilder};
 
-/// Column names of the mini table, in order.
-pub const MINI_COLUMNS: [&str; 6] = ["D", "C", "M", "fare", "tip", "pickup"];
-
 /// Build the running-example table.
 ///
 /// `D` is the binned trip distance (`"[0,5)"`, `"[5,10)"`, ...), `C` the

@@ -14,7 +14,7 @@
 use crate::IngestError;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tabula_storage::{validate_row, Schema, Value};
 
 /// One appended batch of rows, stamped with its barrier sequence number.
@@ -124,13 +124,13 @@ impl IngestLog {
         Ok(seq)
     }
 
-    /// Maintenance side: wait up to `timeout` for pending batches, then
-    /// drain at most `max_batches` of them (empty when the timeout
-    /// expires or the log closed with nothing left).
-    pub(crate) fn wait_drain(&self, max_batches: usize, timeout: Duration) -> Vec<Batch> {
+    /// Maintenance side: wait until a batch is pending or the log has
+    /// closed, then drain at most `max_batches` batches (empty only when
+    /// the log closed with nothing left).
+    pub(crate) fn wait_drain(&self, max_batches: usize) -> Vec<Batch> {
         let mut s = self.state.lock().unwrap();
-        if s.pending.is_empty() && !s.closed {
-            (s, _) = self.arrival.wait_timeout(s, timeout).unwrap();
+        while s.pending.is_empty() && !s.closed {
+            s = self.arrival.wait(s).unwrap();
         }
         let take = max_batches.max(1).min(s.pending.len());
         let drained: Vec<Batch> = s.pending.drain(..take).collect();
@@ -168,11 +168,6 @@ impl IngestLog {
         drop(s);
         self.arrival.notify_all();
         self.progress.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
     }
 
     /// Highest barrier sequence number folded into a served generation.
@@ -237,7 +232,7 @@ mod tests {
         assert_eq!(log.append(Vec::new()), Err(IngestError::EmptyBatch));
         assert!(matches!(log.append(vec![vec![Value::Int64(1)]]), Err(IngestError::Row(_))));
         // Draining preserves order and frees the backlog accounting.
-        let drained = log.wait_drain(8, Duration::from_millis(1));
+        let drained = log.wait_drain(8);
         assert_eq!(drained.iter().map(|b| b.seq).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(log.pending(), (0, 0));
         log.mark_folded(2);

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tabula_core::{AccuracyLoss, RefreshConfig};
 use tabula_obs::{Counter, Histogram, WindowedHistogram};
 use tabula_serve::Server;
@@ -58,20 +58,11 @@ pub struct IngestConfig {
     /// Backpressure bound on unfolded rows (default 1 Mi rows): appends
     /// block past it, bounding staleness by construction.
     pub pending_rows: usize,
-    /// Idle poll interval of the maintenance thread (default 20 ms).
-    /// Arrivals wake the thread immediately; this only bounds shutdown
-    /// latency.
-    pub poll: Duration,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        IngestConfig {
-            refresh: RefreshConfig::default(),
-            fold_batches: 64,
-            pending_rows: 1 << 20,
-            poll: Duration::from_millis(20),
-        }
+        IngestConfig { refresh: RefreshConfig::default(), fold_batches: 64, pending_rows: 1 << 20 }
     }
 }
 
@@ -261,12 +252,9 @@ fn maintenance_loop<L: AccuracyLoss>(
     shared: Arc<Shared>,
 ) {
     loop {
-        let mut batches = log.wait_drain(config.fold_batches, config.poll);
+        let mut batches = log.wait_drain(config.fold_batches);
         if batches.is_empty() {
-            if log.is_closed() {
-                break;
-            }
-            continue;
+            break;
         }
         let started = Instant::now();
         let barrier = batches.last().map(|b| b.seq).unwrap_or(0);

@@ -513,11 +513,6 @@ impl Tracer {
         self.sample.load(Ordering::Relaxed)
     }
 
-    /// Change the slow-query threshold (0 marks everything slow).
-    pub fn set_slow_ms(&self, slow_ms: u64) {
-        self.slow_ns.store(slow_ms.saturating_mul(1_000_000), Ordering::Relaxed);
-    }
-
     /// The flight recorder behind this tracer.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
@@ -604,7 +599,7 @@ mod tests {
         let tracer = Tracer::new(1, 0, 2); // slow_ms = 0: everything is slow …
         let slow = finished(&tracer, 0);
         assert!(slow.slow);
-        tracer.set_slow_ms(u64::MAX / 2_000_000); // … now nothing is.
+        tracer.slow_ns.store(u64::MAX / 2, Ordering::Relaxed); // … now nothing is.
         for _ in 0..10 {
             assert!(!finished(&tracer, 0).slow);
         }

@@ -224,11 +224,6 @@ impl Server {
         self.current().epoch
     }
 
-    /// Materialized cells in the current generation's cube table.
-    pub fn indexed_cells(&self) -> usize {
-        self.current().cube.materialized_cells()
-    }
-
     /// Serve one dashboard query.
     ///
     /// Identical semantics to [`SamplingCube::query`] followed by
@@ -507,7 +502,6 @@ mod tests {
         assert!(panicked.is_err() && srv.generation.is_poisoned());
         // Reads serve the last good generation...
         assert_eq!(srv.epoch(), epoch);
-        assert_eq!(srv.indexed_cells(), srv.cube().materialized_cells());
         let after = srv.query(&pred).unwrap();
         assert_eq!((&after.rows, after.provenance), (&before.rows, before.provenance));
         // ...and the next writer installs over the poisoned slot.
@@ -669,12 +663,11 @@ mod tests {
         let path = dir.join("gen.tabsnap");
         srv.save_snapshot(&path).unwrap();
 
-        let cells_before = srv.indexed_cells();
+        let cells_before = srv.cube().materialized_cells();
         let info = srv.install_snapshot(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
         // The loaded table covers the same cells.
-        assert_eq!(srv.indexed_cells(), cells_before);
         assert_eq!(info.cells, cells_before);
         assert_eq!(srv.cube().materialized_cells(), cells_before);
         // The pre-install answer is unreachable: the first query against

@@ -426,8 +426,7 @@ impl Session {
                         m.total()
                     ),
                     format!(
-                        "serving: {} indexed cells | answers: {} of {} samples materialized ({}B)",
-                        server.indexed_cells(),
+                        "answers: {} of {} samples materialized ({}B)",
                         answers.len(),
                         cube.persisted_samples(),
                         answers.bytes()

@@ -10,8 +10,7 @@
 //! * [`SumCount`] — powers `AVG` (Function 1: statistical-mean loss) and the
 //!   per-tuple-decomposed visualization losses (Functions 2/histogram),
 //! * [`Moments2D`] — the five regression moments `(n, Σx, Σy, Σxy, Σx²)`
-//!   (Function 3: regression-angle loss),
-//! * [`Count`] — bookkeeping used by cost models and tests.
+//!   (Function 3: regression-angle loss).
 
 use serde::{Deserialize, Serialize};
 
@@ -21,28 +20,6 @@ use serde::{Deserialize, Serialize};
 pub trait AggState: Clone + Send + Sync {
     /// Fold `other` into `self`.
     fn merge(&mut self, other: &Self);
-}
-
-/// Plain row count (distributive).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Count {
-    /// Number of rows folded in.
-    pub n: u64,
-}
-
-impl Count {
-    /// Account one row.
-    #[inline]
-    pub fn add(&mut self) {
-        self.n += 1;
-    }
-}
-
-impl AggState for Count {
-    #[inline]
-    fn merge(&mut self, other: &Self) {
-        self.n += other.n;
-    }
 }
 
 /// Sum and count of a scalar (algebraic; yields `AVG`).
@@ -226,16 +203,5 @@ mod tests {
         a.merge(&b);
         assert!((a.slope().unwrap() - bulk.slope().unwrap()).abs() < 1e-9);
         assert_eq!(a.n, bulk.n);
-    }
-
-    #[test]
-    fn count_merge() {
-        let mut c = Count::default();
-        c.add();
-        c.add();
-        let mut d = Count::default();
-        d.add();
-        c.merge(&d);
-        assert_eq!(c.n, 3);
     }
 }

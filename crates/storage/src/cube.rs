@@ -9,10 +9,10 @@
 //!
 //! For a mergeable (algebraic) aggregate state the whole lattice is
 //! computed from a **single grouping** of the raw data: the runs of a
-//! [`FinestPartition`] fold into the finest cuboid (all attributes), and
-//! every coarser cuboid is derived by merging the states of an
-//! already-computed parent cuboid — the classic data-cube optimization
-//! the paper leans on for its dry-run stage.
+//! [`FinestPartition`](crate::FinestPartition) fold into the finest
+//! cuboid (all attributes), and every coarser cuboid is derived by
+//! merging the states of an already-computed parent cuboid — the classic
+//! data-cube optimization the paper leans on for its dry-run stage.
 //!
 //! Both halves run on the `tabula-par` pool: one task folds a whole run,
 //! rows ascending, and the rollup proceeds level-synchronously — all
@@ -27,9 +27,6 @@
 use crate::agg::AggState;
 use crate::cellspace::{CellSpace, CubeKey};
 use crate::fx::FxHashMap;
-use crate::partition::FinestPartition;
-use crate::table::{RowId, Table};
-use crate::Result;
 use tabula_par::Pool;
 
 /// The most attributes a cube can be over: its `2ⁿ` cuboids are counted
@@ -123,13 +120,6 @@ impl CellKey {
         let present = self.codes.iter().take(32).enumerate().filter(|(_, c)| c.is_some());
         CuboidMask(present.fold(0, |m, (i, _)| m | 1 << i))
     }
-
-    /// Whether this cell is an ancestor of (or equal to) the finest key
-    /// `full` — i.e. `full`'s row group is contained in this cell's group.
-    #[inline]
-    pub fn covers(&self, full: &[u32]) -> bool {
-        self.codes.iter().zip(full).all(|(c, &f)| c.is_none_or(|c| c == f))
-    }
 }
 
 impl std::fmt::Display for CellKey {
@@ -158,37 +148,10 @@ pub struct CubeResult<S> {
 }
 
 impl<S> CubeResult<S> {
-    /// Look up a cell's state.
-    pub fn cell_state(&self, cell: &CellKey) -> Option<&S> {
-        let key = self.space.encode_cell(cell)?;
-        let cells = self.cuboids.get(&self.space.mask_of(&key))?;
-        cells.binary_search_by(|(k, _)| k.cmp(&key)).ok().map(|at| &cells[at].1)
-    }
-
     /// Total number of cells across all cuboids.
     pub fn total_cells(&self) -> usize {
         self.cuboids.values().map(|g| g.len()).sum()
     }
-}
-
-/// Compute every cuboid of the cube by algebraic rollup: one grouping of
-/// the table by the finest key ([`FinestPartition`]) whose runs fold into
-/// the finest cuboid (`make` creates an empty state, `fold` accounts one
-/// row into it), then each coarser cuboid derived by merging an
-/// already-computed immediate parent.
-pub fn compute_cube<S, M, F>(
-    table: &Table,
-    cols: &[usize],
-    make: M,
-    fold: F,
-) -> Result<CubeResult<S>>
-where
-    S: AggState,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, RowId) + Sync,
-{
-    let partition = FinestPartition::build(table, cols)?;
-    Ok(rollup_from_finest(partition.space(), partition.fold_runs(&make, fold), &make))
 }
 
 /// Derive the full lattice from a precomputed finest cuboid, given as
@@ -247,8 +210,9 @@ where
 mod tests {
     use super::*;
     use crate::agg::SumCount;
+    use crate::partition::FinestPartition;
     use crate::schema::{Field, Schema};
-    use crate::table::TableBuilder;
+    use crate::table::{Table, TableBuilder};
     use crate::types::ColumnType;
 
     fn table() -> Table {
@@ -272,10 +236,18 @@ mod tests {
         b.finish()
     }
 
+    /// The build's dry-run path: one partition, its runs folded, rolled up.
     fn fare_cube(t: &Table) -> CubeResult<SumCount> {
-        let fares = t.column(2).as_f64_slice().unwrap().to_vec();
-        compute_cube(t, &[0, 1], SumCount::default, move |s, row| s.add(fares[row as usize]))
-            .unwrap()
+        let fares = t.column(2).as_f64_slice().unwrap();
+        let p = FinestPartition::build(t, &[0, 1]).unwrap();
+        let finest = p.fold_runs(SumCount::default, |s, row| s.add(fares[row as usize]));
+        rollup_from_finest(p.space(), finest, &SumCount::default)
+    }
+
+    fn state_of<'a>(cube: &'a CubeResult<SumCount>, codes: &[Option<u32>]) -> &'a SumCount {
+        let key = cube.space.encode_cell(&CellKey::new(codes.to_vec())).unwrap();
+        let cells = &cube.cuboids[&cube.space.mask_of(&key)];
+        &cells[cells.binary_search_by(|(k, _)| k.cmp(&key)).unwrap()].1
     }
 
     #[test]
@@ -295,15 +267,13 @@ mod tests {
         let key = CellKey::project(CuboidMask(0b101), &[7, 8, 9]);
         assert_eq!(key.codes, vec![Some(7), None, Some(9)]);
         assert_eq!(key.mask(), CuboidMask(0b101));
-        assert!(key.covers(&[7, 123, 9]));
-        assert!(!key.covers(&[6, 123, 9]));
     }
 
     #[test]
     fn cube_all_cell_equals_full_table() {
         let t = table();
         let cube = fare_cube(&t);
-        let all = cube.cell_state(&CellKey::new(vec![None, None])).unwrap();
+        let all = state_of(&cube, &[None, None]);
         assert_eq!(all.count, 6);
         assert!((all.sum - 40.0).abs() < 1e-9);
     }
@@ -313,15 +283,15 @@ mod tests {
         let t = table();
         let cube = fare_cube(&t);
         // ⟨cash, *⟩: rows 0, 2, 4 → fares 5 + 7 + 3.
-        let cash = cube.cell_state(&CellKey::new(vec![Some(0), None])).unwrap();
+        let cash = state_of(&cube, &[Some(0), None]);
         assert_eq!(cash.count, 3);
         assert!((cash.sum - 15.0).abs() < 1e-9);
         // ⟨*, 2⟩: passengers code for value 2 is 1 → rows 1, 4, 5.
-        let two = cube.cell_state(&CellKey::new(vec![None, Some(1)])).unwrap();
+        let two = state_of(&cube, &[None, Some(1)]);
         assert_eq!(two.count, 3);
         assert!((two.sum - 16.0).abs() < 1e-9);
         // Finest cell ⟨credit, 2⟩ = codes (1, 1): rows 1, 5.
-        let fine = cube.cell_state(&CellKey::new(vec![Some(1), Some(1)])).unwrap();
+        let fine = state_of(&cube, &[Some(1), Some(1)]);
         assert_eq!(fine.count, 2);
         assert!((fine.sum - 13.0).abs() < 1e-9);
     }

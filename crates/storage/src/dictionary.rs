@@ -61,17 +61,6 @@ impl Dictionary {
     pub fn heap_bytes(&self) -> usize {
         self.values.iter().map(|v| v.len() + 24).sum::<usize>() * 2
     }
-
-    /// Number of bits a code from this dictionary occupies in a bit-packed
-    /// key (see [`crate::packed::KeyLayout`]): `⌈log₂(len)⌉`, and 0 for a
-    /// dictionary of at most one value — a constant column contributes no
-    /// information to a key.
-    pub fn code_bits(&self) -> u32 {
-        match self.values.len() {
-            0 | 1 => 0,
-            n => usize::BITS - (n - 1).leading_zeros(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,21 +88,5 @@ mod tests {
         }
         let pairs: Vec<_> = d.iter().collect();
         assert_eq!(pairs, vec![(0, "a"), (1, "b"), (2, "c")]);
-    }
-
-    #[test]
-    fn code_bits_is_ceil_log2() {
-        let mut d = Dictionary::new();
-        assert_eq!(d.code_bits(), 0); // empty
-        d.encode("a");
-        assert_eq!(d.code_bits(), 0); // constant column
-        d.encode("b");
-        assert_eq!(d.code_bits(), 1);
-        d.encode("c");
-        assert_eq!(d.code_bits(), 2);
-        d.encode("d");
-        assert_eq!(d.code_bits(), 2);
-        d.encode("e");
-        assert_eq!(d.code_bits(), 3);
     }
 }

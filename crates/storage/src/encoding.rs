@@ -132,14 +132,6 @@ pub struct RunsView<'a, T> {
     pub ends: &'a [u32],
 }
 
-impl<'a, T: Copy> RunsView<'a, T> {
-    /// Index of the run containing `row`.
-    #[inline]
-    pub fn run_of(&self, row: u32) -> usize {
-        self.ends.partition_point(|&e| e <= row)
-    }
-}
-
 /// FOR frame of a column: `ordinal(i) = base + delta(i)` with deltas
 /// bit-packed LSB-first at a fixed `width` across `words`.
 #[derive(Clone, Copy, Debug)]
@@ -556,10 +548,6 @@ mod tests {
         let runs = enc.runs().unwrap();
         assert_eq!(runs.values, &[5, 8, 2]);
         assert_eq!(runs.ends, &[3, 5, 6]);
-        assert_eq!(runs.run_of(0), 0);
-        assert_eq!(runs.run_of(2), 0);
-        assert_eq!(runs.run_of(3), 1);
-        assert_eq!(runs.run_of(5), 2);
     }
 
     #[test]

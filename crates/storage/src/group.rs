@@ -12,9 +12,10 @@
 //!   a whole range;
 //! * **chunked packed** — the space packs its keys: chunks of
 //!   [`CHUNK_ROWS`](crate::kernel::CHUNK_ROWS) rows pack their codes
-//!   column by column into `u64`s, one word hashed per row;
-//! * **slice keys** — the space is flat: row-major `u32` code tuples,
-//!   hashed as slices.
+//!   column by column into a per-morsel `Vec<u64>`, one word hashed per
+//!   row;
+//! * **slice keys** — the space is flat: a per-morsel row-major `Vec<u32>`
+//!   of code tuples, hashed as slices.
 //!
 //! The packed kernels hash the codes packed as they stand under the
 //! space's layout and the slice kernel hashes the code tuples;
@@ -27,7 +28,7 @@ use crate::cellspace::{CellSpace, CubeKey};
 use crate::encoding::RunsView;
 use crate::fx::FxHashMap;
 use crate::kernel;
-use crate::packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+use crate::packed::KeyLayout;
 use crate::table::{Cat, RowId};
 use std::hash::Hash;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
@@ -130,21 +131,36 @@ fn group_runs(
 }
 
 /// Chunked grouping on packed `u64` keys: per morsel, each chunk packs its
-/// keys column by column, then probes the slot map once per row.
+/// keys column by column — OR-ing each column's shifted field in, a
+/// zero-width field skipped — into a buffer that keeps its capacity
+/// across chunks, then probes the slot map once per row.
 fn group_packed(
     layout: &KeyLayout,
     code_slices: &[&[u32]],
     len: usize,
 ) -> FxHashMap<u64, Vec<RowId>> {
+    let fields: Vec<(&[u32], u8)> = code_slices
+        .iter()
+        .zip(&layout.shifts)
+        .enumerate()
+        .filter(|&(i, _)| layout.attr_bits(i) > 0)
+        .map(|(_, (&codes, &shift))| (codes, shift))
+        .collect();
     let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
         let mut slots = FxHashMap::default();
         let mut partial: Partial<u64> = Default::default();
-        let mut packed = PackedKeyBuf::new();
+        let mut keys: Vec<u64> = Vec::new();
         let mut start = range.start;
         while start < range.end {
             let end = range.end.min(start + kernel::CHUNK_ROWS);
-            packed.fill_range(layout, code_slices, start..end);
-            for (row, key) in (start..end).zip(packed.keys()) {
+            keys.clear();
+            keys.resize(end - start, 0);
+            for &(codes, shift) in &fields {
+                for (k, &code) in keys.iter_mut().zip(&codes[start..end]) {
+                    *k |= (code as u64) << shift;
+                }
+            }
+            for (row, key) in (start..end).zip(&keys) {
                 let slot = slot_of(&mut slots, &mut partial, key);
                 partial.1[slot].push(row as RowId);
             }
@@ -155,17 +171,25 @@ fn group_packed(
     merge(partials)
 }
 
-/// Grouping on row-major `u32` code tuples, for keys wider than 64 bits.
+/// Grouping on row-major `u32` code tuples, for keys wider than 64 bits:
+/// per morsel, the codes are copied column by column into one row-major
+/// buffer, and hash-map lookups borrow each row's fixed-width slice.
 fn group_slices(code_slices: &[&[u32]], len: usize) -> FxHashMap<Vec<u32>, Vec<RowId>> {
+    let width = code_slices.len();
     let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
-        let mut packed = PackedCodes::new(code_slices.len());
-        packed.fill_range(code_slices, range.clone());
+        let mut flat = vec![0u32; range.len() * width];
+        for (c, codes) in code_slices.iter().enumerate() {
+            for (at, &code) in (c..).step_by(width).zip(&codes[range.clone()]) {
+                flat[at] = code;
+            }
+        }
         let mut groups: FxHashMap<Vec<u32>, Vec<RowId>> = FxHashMap::default();
         for (i, row) in range.enumerate() {
-            match groups.get_mut(packed.key(i)) {
+            let key = &flat[i * width..(i + 1) * width];
+            match groups.get_mut(key) {
                 Some(rows) => rows.push(row as RowId),
                 None => {
-                    groups.insert(packed.key(i).to_vec(), vec![row as RowId]);
+                    groups.insert(key.to_vec(), vec![row as RowId]);
                 }
             }
         }

@@ -52,7 +52,7 @@ pub use dictionary::Dictionary;
 pub use encoding::{Codable, Encoded, EncodedBuf, EncodingMode};
 pub use fx::{FxHashMap, FxHashSet};
 pub use kernel::SelectionVector;
-pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+pub use packed::KeyLayout;
 pub use partition::FinestPartition;
 pub use predicate::{CmpOp, Predicate, ScanKernel, ScanStats};
 pub use schema::{Field, Schema};

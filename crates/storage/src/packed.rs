@@ -1,87 +1,18 @@
-//! Packed grouping-key buffers for the finest partition's grouping
-//! kernels, and the bit layout of a cube's packed cell keys.
+//! The bit layout of packed grouping keys.
 //!
-//! Two key packings live here, each filled from a contiguous row range:
-//!
-//! * [`PackedCodes`] — row-major `u32` code tuples, `width` codes per row.
-//!   Hash-map lookups borrow fixed-width `&[u32]` slices directly, so the
-//!   per-row key allocation disappears. The slice-key kernel uses it when
-//!   a cube's keys are flat.
-//! * [`KeyLayout`] / [`PackedKeyBuf`] — **bit-packed** keys. Attribute `i`
-//!   with cardinality `cᵢ` needs only `⌈log₂ cᵢ⌉` bits, so a whole key
-//!   occupies `Σ ⌈log₂ cᵢ⌉` bits instead of 32 bits per attribute. When
-//!   that sum fits in 64 bits (true for every realistic dashboard cube —
-//!   e.g. seven attributes of cardinality 100 need 49 bits), a key is one
-//!   `u64`: hashing is a single-word mix, equality one compare.
+//! Attribute `i` with cardinality `cᵢ` needs only `⌈log₂ cᵢ⌉` bits, so a
+//! whole key occupies `Σ ⌈log₂ cᵢ⌉` bits instead of 32 bits per attribute.
+//! When that sum fits in 64 bits (true for every realistic dashboard cube —
+//! e.g. seven attributes of cardinality 100 need 49 bits), a key is one
+//! `u64`: hashing is a single-word mix, equality one compare. The finest
+//! partition's packed grouping kernels (`group.rs`) OR each column's
+//! shifted field into such keys.
 //!
 //! Layouts place attribute 0 in the **highest** bits, so ascending `u64`
 //! order equals ascending lexicographic order of the decoded code tuples.
 //! A cube's cell keys ([`crate::cellspace`]) are this layout over domains
 //! of `cardinality + 1`, which is why sorting them sorts every cuboid's
 //! cells the way sorting its code tuples would.
-//!
-//! Both buffer types reuse their allocation across refills (`clear` +
-//! `resize` never shrink capacity), so a morsel's chunk loop allocates
-//! nothing after its first chunk.
-
-/// A row-major buffer of grouping codes: `width` codes per row, packed
-/// contiguously. Reusable across morsels via [`PackedCodes::fill_range`].
-#[derive(Debug, Default)]
-pub struct PackedCodes {
-    width: usize,
-    rows: usize,
-    flat: Vec<u32>,
-}
-
-impl PackedCodes {
-    /// An empty buffer for keys of `width` codes.
-    pub fn new(width: usize) -> Self {
-        PackedCodes { width, rows: 0, flat: Vec::new() }
-    }
-
-    /// Repack with the codes of the contiguous row range `range`, read from
-    /// the per-column `code_slices` (one `&[u32]` per grouping column, full
-    /// table length). Column-major fill: each source slice is walked once.
-    pub fn fill_range(&mut self, code_slices: &[&[u32]], range: std::ops::Range<usize>) {
-        debug_assert_eq!(code_slices.len(), self.width);
-        self.rows = range.len();
-        self.flat.clear();
-        self.flat.resize(range.len() * self.width, 0);
-        for (c, codes) in code_slices.iter().enumerate() {
-            let mut at = c;
-            for &code in &codes[range.clone()] {
-                self.flat[at] = code;
-                at += self.width;
-            }
-        }
-    }
-
-    /// Number of packed rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the buffer holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Allocated capacity, in codes (diagnostics / capacity tests).
-    pub fn capacity(&self) -> usize {
-        self.flat.capacity()
-    }
-
-    /// The `i`-th row's key as a fixed-width slice.
-    #[inline]
-    pub fn key(&self, i: usize) -> &[u32] {
-        &self.flat[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Iterate the packed keys in row order.
-    pub fn keys(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.rows).map(|i| self.key(i))
-    }
-}
 
 /// Bit-field layout of a packed grouping key: attribute `i` occupies
 /// `bits[i] = ⌈log₂ cᵢ⌉` bits (0 bits when `cᵢ ≤ 1` — a single-valued
@@ -90,14 +21,14 @@ impl PackedCodes {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyLayout {
     bits: Vec<u8>,
-    shifts: Vec<u8>,
+    pub(crate) shifts: Vec<u8>,
     total_bits: u32,
 }
 
 impl KeyLayout {
     /// Build the layout for the given per-attribute cardinalities, or
     /// `None` when the packed key would exceed 64 bits (a cube's keys are
-    /// then flat, and its partition groups on [`PackedCodes`] slice keys).
+    /// then flat, and its partition groups on `u32` code-tuple keys).
     pub fn from_cardinalities(cards: &[usize]) -> Option<KeyLayout> {
         let bits: Vec<u8> = cards.iter().map(|&c| Self::bits_for(c)).collect();
         let total: u32 = bits.iter().map(|&b| b as u32).sum();
@@ -190,106 +121,9 @@ impl KeyLayout {
     }
 }
 
-/// A reusable buffer of bit-packed `u64` grouping keys, one per row —
-/// the [`PackedCodes`] counterpart for layouts that fit 64 bits. Filled
-/// column-major (each code slice walked once, OR-ing its shifted field
-/// in), consumed as a plain `&[u64]`. Refills reuse capacity.
-#[derive(Debug, Default)]
-pub struct PackedKeyBuf {
-    keys: Vec<u64>,
-}
-
-impl PackedKeyBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        PackedKeyBuf::default()
-    }
-
-    /// Pack the keys of a contiguous row range.
-    pub fn fill_range(
-        &mut self,
-        layout: &KeyLayout,
-        code_slices: &[&[u32]],
-        range: std::ops::Range<usize>,
-    ) {
-        debug_assert_eq!(code_slices.len(), layout.width());
-        self.keys.clear();
-        self.keys.resize(range.len(), 0);
-        for (i, codes) in code_slices.iter().enumerate() {
-            let shift = layout.shifts[i];
-            if layout.bits[i] == 0 {
-                continue;
-            }
-            for (k, &code) in self.keys.iter_mut().zip(&codes[range.clone()]) {
-                *k |= (code as u64) << shift;
-            }
-        }
-    }
-
-    /// The packed keys, in row order.
-    #[inline]
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Number of packed rows.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the buffer holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Allocated capacity, in keys (diagnostics / capacity tests).
-    pub fn capacity(&self) -> usize {
-        self.keys.capacity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_width_keys() {
-        let mut p = PackedCodes::new(0);
-        p.fill_range(&[], 0..3);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.key(1), &[] as &[u32]);
-        assert_eq!(p.keys().count(), 3);
-    }
-
-    #[test]
-    fn refill_reuses_buffer() {
-        let (a, b): (&[u32], &[u32]) = (&[1, 2, 3], &[4, 5, 6]);
-        let mut p = PackedCodes::new(2);
-        p.fill_range(&[a, b], 0..3);
-        assert_eq!(p.key(1), &[2, 5]);
-        p.fill_range(&[a, b], 2..3);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.keys().collect::<Vec<_>>(), [&[3, 6]]);
-    }
-
-    #[test]
-    fn packed_codes_refills_never_reallocate() {
-        // Satellite: steady-state refills (incremental-refresh rounds,
-        // morsel loops) must reuse the high-water-mark allocation.
-        let col: Vec<u32> = (0..1000).collect();
-        let slices: Vec<&[u32]> = vec![&col, &col];
-        let mut p = PackedCodes::new(2);
-        p.fill_range(&slices, 0..1000);
-        let cap = p.capacity();
-        let ptr = p.flat.as_ptr();
-        for round in 0..10 {
-            let n = 100 * (round % 5 + 1);
-            p.fill_range(&slices, 0..n);
-            assert_eq!(p.len(), n);
-            assert_eq!(p.capacity(), cap, "capacity changed on round {round}");
-            assert_eq!(p.flat.as_ptr(), ptr, "buffer reallocated on round {round}");
-        }
-    }
 
     #[test]
     // The literal's groups mirror the 2/2/1-bit field widths, not bytes.
@@ -326,33 +160,5 @@ mod tests {
         assert!(KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 20]).is_some());
         // 22 + 22 + 21 = 65 bits: one too many.
         assert!(KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 21]).is_none());
-    }
-
-    #[test]
-    fn key_buf_matches_per_row_encode() {
-        let l = KeyLayout::from_cardinalities(&[4, 3]).unwrap();
-        let a: Vec<u32> = vec![0, 1, 2, 3, 0];
-        let b: Vec<u32> = vec![2, 1, 0, 2, 1];
-        let slices: Vec<&[u32]> = vec![&a, &b];
-        let mut buf = PackedKeyBuf::new();
-        buf.fill_range(&l, &slices, 1..4);
-        let expect: Vec<u64> = (1..4).map(|r| l.encode(&[a[r], b[r]])).collect();
-        assert_eq!(buf.keys(), &expect[..]);
-    }
-
-    #[test]
-    fn key_buf_refills_never_reallocate() {
-        let l = KeyLayout::from_cardinalities(&[16, 16]).unwrap();
-        let a: Vec<u32> = (0..1000).map(|i| i % 16).collect();
-        let slices: Vec<&[u32]> = vec![&a, &a];
-        let mut buf = PackedKeyBuf::new();
-        buf.fill_range(&l, &slices, 0..1000);
-        let cap = buf.capacity();
-        let ptr = buf.keys.as_ptr();
-        for round in 0..10 {
-            buf.fill_range(&l, &slices, 0..(round * 97) % 1000);
-            assert_eq!(buf.capacity(), cap, "capacity changed on round {round}");
-            assert_eq!(buf.keys.as_ptr(), ptr, "buffer reallocated on round {round}");
-        }
     }
 }

@@ -26,11 +26,6 @@ impl ColumnType {
         }
     }
 
-    /// Whether the type can serve as a cubed (grouping) attribute.
-    pub fn is_categorical(self) -> bool {
-        matches!(self, ColumnType::Int64 | ColumnType::Str)
-    }
-
     /// Approximate in-memory width of one value of this type, in bytes.
     /// Used for the memory-footprint accounting of materialized samples.
     pub fn byte_width(self) -> usize {
@@ -121,14 +116,6 @@ impl Value {
         }
     }
 
-    /// Extract an `i64`, if this is an integer value.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Extract an `f64`. Integers widen losslessly; other types yield `None`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -206,21 +193,11 @@ mod tests {
 
     #[test]
     fn value_conversions() {
-        assert_eq!(Value::from(3i64).as_i64(), Some(3));
         assert_eq!(Value::from(3i64).as_f64(), Some(3.0));
         assert_eq!(Value::from(2.5f64).as_f64(), Some(2.5));
         assert_eq!(Value::from("cash").as_str(), Some("cash"));
         // Cross-type extraction fails rather than coercing.
         assert_eq!(Value::from("cash").as_f64(), None);
-        assert_eq!(Value::from(1.5f64).as_i64(), None);
-    }
-
-    #[test]
-    fn categorical_types() {
-        assert!(ColumnType::Int64.is_categorical());
-        assert!(ColumnType::Str.is_categorical());
-        assert!(!ColumnType::Float64.is_categorical());
-        assert!(!ColumnType::Point.is_categorical());
     }
 
     #[test]

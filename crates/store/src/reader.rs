@@ -1,8 +1,10 @@
 //! [`Snapshot`]: zero-copy snapshot reader.
 //!
-//! The file is read once into a single 8-byte-aligned buffer shared
-//! behind an `Arc`; block payloads are typed reinterpretations of that
-//! buffer (`&[u8] → &[u64]/&[i64]/&[f64]/&[u32]`), never per-row decoded.
+//! The file is read once into a single 8-byte-aligned buffer (an
+//! in-memory image is kept as it is when it already starts 8-aligned)
+//! shared behind an `Arc`; block payloads are typed reinterpretations of
+//! that buffer (`&[u8] → &[u64]/&[i64]/&[f64]/&[u32]`), never per-row
+//! decoded.
 //! Every checksum — per block, manifest, whole file — is verified before
 //! [`Snapshot::open`] returns, so a snapshot in hand is a snapshot whose
 //! bytes are exactly what the writer produced.
@@ -23,22 +25,24 @@ use crate::checksum::{crc64, crc64_combine};
 use crate::format::{Manifest, FOOTER_LEN, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use crate::{Result, StoreError, STORE_BYTES, STORE_LOAD_NS};
 
-/// File bytes in an 8-byte-aligned allocation (`Vec<u64>` backed), so
-/// typed views of any 8-aligned block offset are themselves aligned.
-struct AlignedBytes {
-    words: Vec<u64>,
-    len: usize,
+/// File bytes starting at an 8-byte-aligned address, so typed views of
+/// any 8-aligned block offset are themselves aligned: either the caller's
+/// `Vec<u8>`, kept as it is when its allocation is already 8-aligned, or
+/// a `Vec<u64>` holding the bytes.
+enum AlignedBytes {
+    Bytes(Vec<u8>),
+    Words { words: Vec<u64>, len: usize },
 }
 
 impl AlignedBytes {
+    /// Keep `bytes` when it starts 8-aligned (every allocation of the
+    /// usual system allocators does); copy it into words only when not.
     fn from_vec(bytes: Vec<u8>) -> Self {
-        let len = bytes.len();
-        let mut buf = Self::zeroed(len);
-        // SAFETY: a `[u64]` of ⌈len/8⌉ words is at least `len` bytes and
-        // u64 has no invalid byte patterns.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), buf.words.as_mut_ptr() as *mut u8, len);
+        if (bytes.as_ptr() as usize).is_multiple_of(8) {
+            return AlignedBytes::Bytes(bytes);
         }
+        let mut buf = Self::zeroed(bytes.len());
+        buf.bytes_mut().copy_from_slice(&bytes);
         buf
     }
 
@@ -47,12 +51,8 @@ impl AlignedBytes {
     fn read_file(path: &Path) -> std::io::Result<Self> {
         use std::io::Read;
         let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        let mut buf = Self::zeroed(len);
-        // SAFETY: the u64 allocation holds ≥ `len` bytes, all initialized
-        // (zeroed), and u8 has no alignment or validity requirements.
-        let dst = unsafe { std::slice::from_raw_parts_mut(buf.words.as_mut_ptr() as *mut u8, len) };
-        file.read_exact(dst)?;
+        let mut buf = Self::zeroed(file.metadata()?.len() as usize);
+        file.read_exact(buf.bytes_mut())?;
         // A trailing byte would mean the file grew mid-read; surface it as
         // the standard "did not reach EOF" error rather than truncating.
         let mut probe = [0u8; 1];
@@ -66,12 +66,28 @@ impl AlignedBytes {
     }
 
     fn zeroed(len: usize) -> Self {
-        AlignedBytes { words: vec![0u64; len.div_ceil(8)], len }
+        AlignedBytes::Words { words: vec![0u64; len.div_ceil(8)], len }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            AlignedBytes::Bytes(bytes) => bytes,
+            // SAFETY: a `[u64]` of ⌈len/8⌉ words holds at least `len`
+            // initialized bytes, and any byte pattern is a valid u64.
+            AlignedBytes::Words { words, len } => unsafe {
+                std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, *len)
+            },
+        }
     }
 
     fn bytes(&self) -> &[u8] {
-        // SAFETY: the allocation holds at least `len` initialized bytes.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
+        match self {
+            AlignedBytes::Bytes(bytes) => bytes,
+            // SAFETY: as in `bytes_mut`.
+            AlignedBytes::Words { words, len } => unsafe {
+                std::slice::from_raw_parts(words.as_ptr() as *const u8, *len)
+            },
+        }
     }
 }
 
@@ -102,7 +118,7 @@ impl Snapshot {
             ));
         }
         let buf = AlignedBytes::read_file(path)?;
-        let n = buf.len as u64;
+        let n = buf.bytes().len() as u64;
         let manifest = validate(buf.bytes())?;
         let reg = tabula_obs::global();
         reg.histogram(STORE_LOAD_NS).record_duration(start.elapsed());
@@ -110,7 +126,9 @@ impl Snapshot {
         Ok(Snapshot { buf: Arc::new(buf), manifest })
     }
 
-    /// Verify a snapshot image already in memory.
+    /// Verify a snapshot image already in memory. The image becomes the
+    /// snapshot's buffer as it is, with no copy, whenever it starts
+    /// 8-aligned.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot> {
         if cfg!(target_endian = "big") {
             return Err(StoreError::Unsupported(
@@ -139,7 +157,7 @@ impl Snapshot {
 
     /// Total file size in bytes.
     pub fn file_len(&self) -> u64 {
-        self.buf.len as u64
+        self.buf.bytes().len() as u64
     }
 
     /// Whether a block with this name exists.
@@ -179,11 +197,13 @@ impl<'a> BlockView<'a> {
             });
         }
         debug_assert_eq!(self.bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
-        // SAFETY: the buffer is 8-byte aligned and block offsets are
-        // multiples of 8 (verified at open), so the pointer satisfies any
-        // primitive alignment; length is an exact element multiple; the
-        // target types (u32/u64/i64/f64 and repr(C) Point, i.e. two f64s)
-        // have no invalid bit patterns.
+        // SAFETY: whichever backs it — the caller's `Vec<u8>`, kept only
+        // when its start is 8-aligned, or a `Vec<u64>` — the buffer starts
+        // 8-aligned, is immutable while the view borrows it, and block
+        // offsets are multiples of 8 (verified at open), so the pointer
+        // satisfies any primitive alignment; length is an exact element
+        // multiple; the target types (u32/u64/i64/f64 and repr(C) Point,
+        // i.e. two f64s) have no invalid bit patterns.
         Ok(unsafe {
             std::slice::from_raw_parts(self.bytes.as_ptr() as *const T, self.bytes.len() / width)
         })
@@ -197,21 +217,6 @@ impl<'a> BlockView<'a> {
     /// View as little-endian u64 words.
     pub fn u64s(&self) -> Result<&'a [u64]> {
         self.typed::<u64>()
-    }
-
-    /// View as little-endian i64 words.
-    pub fn i64s(&self) -> Result<&'a [i64]> {
-        self.typed::<i64>()
-    }
-
-    /// View as f64 bit patterns (NaN payloads intact).
-    pub fn f64s(&self) -> Result<&'a [f64]> {
-        self.typed::<f64>()
-    }
-
-    /// Decode interleaved `x, y` pairs into points.
-    pub fn points(&self) -> Result<Vec<Point>> {
-        Ok(self.point_slice()?.to_vec())
     }
 
     /// View interleaved `x, y` pairs as `[Point]` without decoding
@@ -231,7 +236,8 @@ impl<'a> BlockView<'a> {
     fn shared<T>(&self, slice: &'a [T]) -> SharedSlice<T> {
         let owner: Arc<dyn std::any::Any + Send + Sync> = Arc::clone(self.owner) as _;
         // SAFETY: `slice` points into the `AlignedBytes` buffer the Arc
-        // owns; the buffer is immutable and pinned for the Arc's life.
+        // owns; either backing's heap allocation is immutable and never
+        // moves for the Arc's life.
         unsafe { SharedSlice::new(owner, slice) }
     }
 
@@ -273,10 +279,11 @@ impl<'a> BlockView<'a> {
             )));
         };
         debug_assert_eq!((self.bytes.as_ptr() as usize + offset) % std::mem::align_of::<T>(), 0);
-        // SAFETY: bounds checked above; the block start is 8-aligned and
-        // every encoded-payload offset (16 or 24 plus whole-element
-        // multiples) preserves the element alignment; the target types
-        // have no invalid bit patterns.
+        // SAFETY: bounds checked above; the block start is 8-aligned for
+        // both backings of the buffer (see `typed`), and every
+        // encoded-payload offset (16 or 24 plus whole-element multiples)
+        // preserves the element alignment; the target types have no
+        // invalid bit patterns.
         Ok(unsafe { std::slice::from_raw_parts(self.bytes[offset..].as_ptr() as *const T, count) })
     }
 

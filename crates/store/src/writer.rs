@@ -300,7 +300,7 @@ mod tests {
         let desc = snap.manifest().block("points").unwrap();
         assert_eq!(desc.offset % 16, 8);
         assert!(desc.offset + desc.len > STAGING_BYTES as u64);
-        assert_eq!(snap.block("points").unwrap().points().unwrap(), points);
+        assert_eq!(snap.block("points").unwrap().shared_points().unwrap()[..], points);
     }
 
     #[test]

@@ -54,7 +54,7 @@ proptest! {
     fn i64_blocks_round_trip(values in proptest::collection::vec(
         (0u64..u64::MAX).prop_map(|s| s as i64), 0..200)) {
         let snap = round_trip(&values, values.len() as u64);
-        prop_assert_eq!(snap.block("b").unwrap().i64s().unwrap(), &values[..]);
+        prop_assert_eq!(&snap.block("b").unwrap().shared_i64s().unwrap()[..], &values[..]);
     }
 
     #[test]
@@ -73,9 +73,9 @@ proptest! {
     fn f64_blocks_round_trip_bit_identically(
         values in proptest::collection::vec(arb_f64(), 0..200)) {
         let snap = round_trip(&values, values.len() as u64);
-        let back = snap.block("b").unwrap().f64s().unwrap();
+        let back = snap.block("b").unwrap().shared_f64s().unwrap();
         prop_assert_eq!(back.len(), values.len());
-        for (a, b) in values.iter().zip(back) {
+        for (a, b) in values.iter().zip(back.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -85,9 +85,9 @@ proptest! {
         coords in proptest::collection::vec((arb_f64(), arb_f64()), 0..100)) {
         let points: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let snap = round_trip(&points, points.len() as u64);
-        let back = snap.block("b").unwrap().points().unwrap();
+        let back = snap.block("b").unwrap().shared_points().unwrap();
         prop_assert_eq!(back.len(), points.len());
-        for (a, b) in points.iter().zip(&back) {
+        for (a, b) in points.iter().zip(back.iter()) {
             prop_assert_eq!(a.x.to_bits(), b.x.to_bits());
             prop_assert_eq!(a.y.to_bits(), b.y.to_bits());
         }

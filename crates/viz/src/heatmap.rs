@@ -137,11 +137,6 @@ impl Heatmap {
         &self.config
     }
 
-    /// Normalized density at `(x, y)`.
-    pub fn density_at(&self, x: usize, y: usize) -> f64 {
-        self.density[y * self.config.width + x]
-    }
-
     /// The normalized density grid, row-major.
     pub fn densities(&self) -> &[f64] {
         &self.density
@@ -218,8 +213,9 @@ mod tests {
     fn density_concentrates_where_points_are() {
         let pts = cluster(0.25, 0.25, 200);
         let hm = Heatmap::render(&pts, HeatmapConfig::default());
-        let near = hm.density_at(32, 32); // (0.25, 0.25) in a 128-grid
-        let far = hm.density_at(100, 100);
+        let at = |x: usize, y: usize| hm.densities()[y * hm.config().width + x];
+        let near = at(32, 32); // (0.25, 0.25) in a 128-grid
+        let far = at(100, 100);
         assert!(near > 0.5, "near {near}");
         assert!(far < 0.05, "far {far}");
     }
@@ -353,8 +349,8 @@ mod tests {
         let pts = vec![Point::new(-5.0, 0.5), Point::new(5.0, 0.5)];
         let hm = Heatmap::render(&pts, HeatmapConfig::default());
         // Mass lands on the left/right edges rather than vanishing.
-        let left: f64 = (0..128).map(|y| hm.density_at(0, y)).sum();
-        let right: f64 = (0..128).map(|y| hm.density_at(127, y)).sum();
+        let left: f64 = (0..128).map(|y| hm.densities()[y * 128]).sum();
+        let right: f64 = (0..128).map(|y| hm.densities()[y * 128 + 127]).sum();
         assert!(left > 0.0 && right > 0.0);
     }
 

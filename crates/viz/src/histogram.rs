@@ -59,13 +59,6 @@ impl Histogram {
     pub fn range(&self) -> (f64, f64) {
         (self.min, self.max)
     }
-
-    /// L1 distance between two histograms' frequency vectors — how
-    /// different the plotted shapes look (0 = identical, 2 = disjoint).
-    pub fn shape_distance(&self, other: &Histogram) -> f64 {
-        assert_eq!(self.counts.len(), other.counts.len(), "bucket counts differ");
-        self.frequencies().iter().zip(other.frequencies()).map(|(a, b)| (a - b).abs()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -95,19 +88,5 @@ mod tests {
         let h = Histogram::auto(&[], 5);
         assert_eq!(h.counts().iter().sum::<u64>(), 0);
         assert_eq!(h.frequencies(), vec![0.0; 5]);
-    }
-
-    #[test]
-    fn shape_distance_reflects_similarity() {
-        let raw: Vec<f64> = (0..1000).map(|i| (i % 100) as f64).collect();
-        // step 7 is coprime with the 100-value cycle, so the subsample
-        // covers every residue and keeps the shape; step 10 would alias.
-        let good: Vec<f64> = raw.iter().step_by(7).cloned().collect();
-        let skewed: Vec<f64> = raw.iter().filter(|&&v| v < 20.0).cloned().collect();
-        let hr = Histogram::build(&raw, 20, 0.0, 100.0);
-        let hg = Histogram::build(&good, 20, 0.0, 100.0);
-        let hs = Histogram::build(&skewed, 20, 0.0, 100.0);
-        assert!(hr.shape_distance(&hg) < 0.05);
-        assert!(hr.shape_distance(&hs) > 1.0);
     }
 }

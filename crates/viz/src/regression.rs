@@ -32,11 +32,6 @@ impl RegressionFit {
         })
     }
 
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-
     /// Absolute angle difference to another fit, in degrees — the paper's
     /// Function 3 applied to two fitted lines.
     pub fn angle_difference(&self, other: &RegressionFit) -> f64 {
@@ -54,7 +49,6 @@ mod tests {
         let fit = RegressionFit::fit(&pts).unwrap();
         assert!((fit.slope - 3.0).abs() < 1e-9);
         assert!((fit.intercept + 2.0).abs() < 1e-9);
-        assert!((fit.predict(10.0) - 28.0).abs() < 1e-9);
         assert_eq!(fit.n, 50);
     }
 

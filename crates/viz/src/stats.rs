@@ -8,57 +8,13 @@ pub fn mean_of(values: &[f64]) -> Option<f64> {
     Some(values.iter().sum::<f64>() / values.len() as f64)
 }
 
-/// Relative error `|a − b| / |a|` with a guard for `a ≈ 0`.
-pub fn relative_error(reference: f64, estimate: f64) -> f64 {
-    (reference - estimate).abs() / reference.abs().max(1e-12)
-}
-
-/// Min / mean / max of a slice — the error-bar triple the paper's
-/// actual-accuracy-loss figures report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MinMeanMax {
-    /// Smallest value.
-    pub min: f64,
-    /// Mean value.
-    pub mean: f64,
-    /// Largest value.
-    pub max: f64,
-}
-
-/// Summarize a non-empty slice as min / mean / max.
-pub fn min_mean_max(values: &[f64]) -> Option<MinMeanMax> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-        sum += v;
-    }
-    Some(MinMeanMax { min: lo, mean: sum / values.len() as f64, max: hi })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_relative_error() {
+    fn mean_of_empty_and_non_empty() {
         assert_eq!(mean_of(&[]), None);
         assert_eq!(mean_of(&[2.0, 4.0]), Some(3.0));
-        assert!((relative_error(10.0, 9.0) - 0.1).abs() < 1e-12);
-        assert!(relative_error(0.0, 1.0).is_finite());
-    }
-
-    #[test]
-    fn min_mean_max_triple() {
-        let s = min_mean_max(&[3.0, -1.0, 4.0]).unwrap();
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(min_mean_max(&[]), None);
     }
 }

@@ -217,7 +217,7 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
     let mut doors: Vec<Door> =
         [&built, &restored].into_iter().map(|cube| Door::new(cube, "roomy")).collect();
     for door in &doors {
-        assert_eq!(door.server.indexed_cells(), cells);
+        assert_eq!(door.server.cube().materialized_cells(), cells);
     }
 
     for (pred, provenance) in &probes {

@@ -51,11 +51,10 @@ fn streamed_generations_stay_fresh_and_guaranteed_under_readers() {
     let srv = Arc::new(Server::in_registry(cube, &registry).unwrap());
     let workload = Workload::new(attrs).generate(&table, 20, 7).unwrap();
 
-    // Barrier-aligned pipeline: one batch per fold, tight poll.
+    // Barrier-aligned pipeline: one batch per fold.
     let mut config = IngestConfig::default();
     config.refresh.seed = 42;
     config.fold_batches = 1;
-    config.poll = Duration::from_millis(2);
     let ingestor = Ingestor::start(Arc::clone(&srv), loss.clone(), config);
 
     // Warm the probe's answer so the first fold provably retires it. The
@@ -187,8 +186,7 @@ fn a_panicking_fold_halts_the_pipeline_instead_of_hanging_its_waiters() {
     let probe = &Workload::new(attrs).generate(&table, 1, 7).unwrap()[0].predicate;
     let before = srv.query(probe).unwrap();
 
-    let config =
-        IngestConfig { fold_batches: 1, poll: Duration::from_millis(2), ..Default::default() };
+    let config = IngestConfig { fold_batches: 1, ..Default::default() };
     let ingestor = Arc::new(Ingestor::start(Arc::clone(&srv), loss, config));
     let feed = taxi(BATCH_ROWS, 60);
     let seq = ingestor.append((0..feed.len()).map(|i| feed.row(i)).collect()).unwrap();

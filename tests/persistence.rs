@@ -44,6 +44,34 @@ fn cube_round_trips_through_a_snapshot_and_keeps_the_guarantee() {
     }
 }
 
+#[test]
+fn an_in_memory_image_is_thawed_in_place() {
+    // A thawed plain column reads straight out of the image it was given:
+    // `from_snapshot_bytes` keeps an 8-aligned image as the snapshot's
+    // buffer instead of copying it.
+    let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 2_000, seed: 24 }).generate());
+    let fare = table.schema().index_of("fare_amount").unwrap();
+    let cube = SamplingCubeBuilder::new(
+        Arc::clone(&table),
+        &CUBED_ATTRIBUTES[..3],
+        MeanLoss::new(fare),
+        0.1,
+    )
+    .build()
+    .unwrap();
+    let image = cube.snapshot_bytes(0).unwrap();
+    // The system allocator returns 16-aligned blocks for a buffer this size.
+    assert_eq!(image.as_ptr() as usize % 8, 0);
+    let inside = image.as_ptr_range();
+    let inside = inside.start as usize..inside.end as usize;
+    let (restored, _) = SamplingCube::from_snapshot_bytes(image).unwrap();
+    let pickup = restored.table().schema().index_of("pickup").unwrap();
+    let points = restored.table().column(pickup).as_point_slice().unwrap();
+    assert!(!points.is_empty());
+    assert!(inside.contains(&(points.as_ptr() as usize)), "pickup column was copied");
+    assert!(inside.contains(&(points.as_ptr_range().end as usize - 1)));
+}
+
 /// Env var carrying the snapshot path when this test re-invokes itself.
 const XPROC_VAR: &str = "TABULA_SNAP_XPROC_PATH";
 
