@@ -526,7 +526,7 @@ fn check_serve(case: &CaseSpec, cube: &SamplingCube, variant: Variant) -> Result
 /// The trace-agreement lane: replay the workload sequentially through a
 /// fully-traced private server (cold pass, then warm pass) and require
 /// each query's [`tabula_obs::trace::CompletedTrace`] to agree exactly
-/// with the cube's [`tabula_obs::ProvenanceCounters`] delta — the
+/// with the delta of the server's `query.provenance.*` counters — the
 /// counters are the accounting ground truth, the trace is the per-query
 /// narrative, and they must never tell different stories. Cold and warm
 /// follow the *sample*, not the cell: a query is a cache hit exactly when
@@ -540,13 +540,14 @@ fn check_serve_traces(
     variant: Variant,
 ) -> Result<(), Divergence> {
     use tabula_obs::trace::{Stage, TraceProvenance, Tracer};
-    // Private registry: re-homing the cube clone gives this lane its own
-    // provenance counters, so concurrent fuzz cases cannot skew deltas.
+    use tabula_serve::{CELL_MISS, GLOBAL_HIT, LOCAL_HIT, SERVE_CACHE_HIT};
+    // Private registry: the server counts there, so concurrent fuzz cases
+    // cannot skew deltas.
     let registry = Arc::new(tabula_obs::Registry::new());
-    let cube = Arc::new(cube.as_ref().clone().with_registry(&registry));
-    let counters = cube.provenance_counters().clone();
+    let counters = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS, SERVE_CACHE_HIT].map(|c| registry.counter(c));
+    let counts = || counters.each_ref().map(|c| c.get());
     let tracer = Arc::new(Tracer::new(1, u64::MAX >> 21, case.queries.len() * 2 + 8));
-    let server = Server::in_registry(Arc::clone(&cube), &registry)
+    let server = Server::in_registry(Arc::clone(cube), &registry)
         .map_err(|e| Divergence {
             check: "serve_build",
             detail: format!("{variant:?}: traced server construction failed: {e:?}"),
@@ -560,12 +561,7 @@ fn check_serve_traces(
             for (column, value) in q {
                 pred = pred.and(column.clone(), CmpOp::Eq, value.clone());
             }
-            let before = (
-                counters.local_hits(),
-                counters.global_hits(),
-                counters.cell_misses(),
-                counters.serve_cache_hits(),
-            );
+            let before = counts();
             let served = server.query(&pred).map_err(|e| Divergence {
                 check: "serve_query",
                 detail: format!("{variant:?} traced pass={pass} query {j}: {e:?}"),
@@ -576,17 +572,13 @@ fn check_serve_traces(
                     "{variant:?} pass={pass} query {q:?}: full-sampling tracer recorded no trace"
                 ),
             })?;
-            let delta = (
-                counters.local_hits() - before.0,
-                counters.global_hits() - before.1,
-                counters.cell_misses() - before.2,
-                counters.serve_cache_hits() - before.3,
-            );
+            let after = counts();
+            let delta: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
             let expected = match trace.provenance {
-                TraceProvenance::Local => (1, 0, 0, 0),
-                TraceProvenance::GlobalSample => (0, 1, 0, 0),
-                TraceProvenance::EmptyDomain => (0, 0, 1, 0),
-                TraceProvenance::CacheHit => (0, 0, 0, 1),
+                TraceProvenance::Local => [1, 0, 0, 0],
+                TraceProvenance::GlobalSample => [0, 1, 0, 0],
+                TraceProvenance::EmptyDomain => [0, 0, 1, 0],
+                TraceProvenance::CacheHit => [0, 0, 0, 1],
                 other => {
                     return Err(Divergence {
                         check: "trace_provenance",

@@ -185,7 +185,6 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
         // Barrier-aligned: exactly one batch per fold, so the streamed
         // cube is a deterministic function of the prefix length.
         fold_batches: 1,
-        ..IngestConfig::default()
     };
     let ingestor = Ingestor::start(Arc::clone(&server), loss.clone(), config);
     let pipeline_err = |stage: &str, e: tabula_ingest::IngestError| Divergence {

@@ -13,7 +13,6 @@ use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
-use tabula_obs::ProvenanceCounters;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CellSpace, CubeKey, Predicate, RowId, Table};
 
@@ -48,12 +47,6 @@ impl QueryAnswer {
     /// Whether the answer carries no tuples.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Materialize the sample as a standalone table (what actually gets
-    /// shipped to the visualization tool).
-    pub fn materialize(&self, table: &Table) -> Table {
-        table.take(&self.rows)
     }
 }
 
@@ -131,12 +124,9 @@ pub struct SamplingCube {
     /// The EmptyDomain answer: no rows, shared by every such query.
     no_rows: Arc<Vec<RowId>>,
     stats: BuildStats,
-    /// The registry this cube reports into: its provenance counters live
-    /// there, and so do the metrics of a refresh that starts from it.
+    /// The registry the metrics of a refresh that starts from this cube
+    /// land in.
     registry: Arc<tabula_obs::Registry>,
-    /// Where each query answer came from (one relaxed counter bump per
-    /// query; clones share the same counters).
-    provenance: ProvenanceCounters,
 }
 
 impl SamplingCube {
@@ -164,7 +154,6 @@ impl SamplingCube {
             no_rows: Arc::new(Vec::new()),
             stats,
             registry: Arc::clone(tabula_obs::global()),
-            provenance: ProvenanceCounters::global(),
         }
     }
 
@@ -192,11 +181,10 @@ impl SamplingCube {
     }
 
     /// Re-home this cube in `registry` (the default is the process-wide
-    /// one): its provenance counters, and the `refresh.*` metrics of every
-    /// generation refreshed from it. Use a private [`tabula_obs::Registry`]
-    /// when isolated accounting is needed, e.g. in tests or benchmarks.
+    /// one): the `refresh.*` metrics of every generation refreshed from it
+    /// land there. Use a private [`tabula_obs::Registry`] when isolated
+    /// accounting is needed, e.g. in tests or benchmarks.
     pub fn with_registry(mut self, registry: &Arc<tabula_obs::Registry>) -> Self {
-        self.provenance = ProvenanceCounters::in_registry(registry);
         self.registry = Arc::clone(registry);
         self
     }
@@ -204,12 +192,6 @@ impl SamplingCube {
     /// The registry this cube reports into.
     pub fn registry(&self) -> &Arc<tabula_obs::Registry> {
         &self.registry
-    }
-
-    /// The cube's provenance counters (local hits / global-sample
-    /// fallbacks / empty-domain misses).
-    pub fn provenance_counters(&self) -> &ProvenanceCounters {
-        &self.provenance
     }
 
     /// The raw table the cube was built over.
@@ -257,7 +239,7 @@ impl SamplingCube {
     ///
     /// Every predicate term must be an equality on a cubed attribute (the
     /// paper: "the attributes in the WHERE clause must be a subset of the
-    /// cubed attributes").
+    /// cubed attributes"). A pure lookup: it counts nothing.
     pub fn query(&self, pred: &Predicate) -> Result<QueryAnswer> {
         let key = self.compile(pred)?;
         Ok(self.answer(key.map_or(SampleProvenance::EmptyDomain, |key| self.probe(&key))))
@@ -278,9 +260,8 @@ impl SamplingCube {
         compile_predicate(&self.table, self.cells.space(), &self.attrs, &self.cols, pred)
     }
 
-    /// The answer from `provenance`, tallied in the provenance counters.
+    /// The answer from `provenance`.
     fn answer(&self, provenance: SampleProvenance) -> QueryAnswer {
-        self.tally(provenance);
         QueryAnswer { rows: Arc::clone(self.rows(provenance)), provenance }
     }
 
@@ -295,19 +276,9 @@ impl SamplingCube {
         }
     }
 
-    /// Which sample serves the cell `key`, counted nowhere. The caller
-    /// owes exactly one [`tally`](Self::tally) per query.
+    /// Which sample serves the cell `key`.
     pub fn probe(&self, key: &CubeKey) -> SampleProvenance {
         self.cells.probe(key).map_or(SampleProvenance::Global, SampleProvenance::Local)
-    }
-
-    /// Count one query answered from `provenance`.
-    pub fn tally(&self, provenance: SampleProvenance) {
-        match provenance {
-            SampleProvenance::Local(_) => self.provenance.record_local_hit(),
-            SampleProvenance::Global => self.provenance.record_global_hit(),
-            SampleProvenance::EmptyDomain => self.provenance.record_cell_miss(),
-        }
     }
 
     /// The paper's memory-footprint accounting: bytes of the three
@@ -406,7 +377,7 @@ mod tests {
         let ans = c.query(&Predicate::eq("M", "bitcoin")).unwrap();
         assert_eq!(ans.provenance, SampleProvenance::EmptyDomain);
         assert!(ans.is_empty());
-        assert_eq!(ans.materialize(c.table()).len(), 0);
+        assert_eq!(c.table().take(&ans.rows).len(), 0);
     }
 
     #[test]
@@ -448,7 +419,7 @@ mod tests {
     fn materialized_answer_has_sample_tuples() {
         let c = cube();
         let ans = c.query(&Predicate::eq("M", "dispute")).unwrap();
-        let mat = ans.materialize(c.table());
+        let mat = c.table().take(&ans.rows);
         assert_eq!(mat.len(), ans.len());
         assert_eq!(mat.schema(), c.table().schema());
     }

@@ -5,10 +5,10 @@
 //! per-cell sampling depend only on the input, never on scheduling.
 
 use std::sync::Arc;
-use tabula_core::cube::{SampleProvenance, SamplingCube};
+use tabula_core::cube::SamplingCube;
 use tabula_core::loss::{HeatmapLoss, MeanLoss, Metric};
 use tabula_core::{refresh, RefreshConfig, SamplingCubeBuilder};
-use tabula_data::{meters_to_norm, TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
+use tabula_data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula_storage::cube::CellKey;
 use tabula_storage::{EncodingMode, RowId, Table, TableBuilder};
 
@@ -200,31 +200,4 @@ fn cube_is_identical_across_encoding_modes_and_threads() {
             assert_eq!(baseline.cells, got.cells, "cube differs under encoding={enc:?} x{threads}");
         }
     }
-}
-
-#[test]
-fn provenance_counters_are_thread_count_independent() {
-    let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 6_000, seed: 23 }).generate());
-    let attrs: Vec<&str> = CUBED_ATTRIBUTES[..4].to_vec();
-    let queries =
-        Workload::new(&attrs).generate(&table, 120, 0xACE).expect("workload generation succeeds");
-    let mut tallies: Vec<(u64, u64)> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        // A private registry per cube keeps the provenance counters from
-        // accumulating across the three builds (they are registry-backed).
-        let registry = Arc::new(tabula_obs::Registry::new());
-        let cube = build(&table, threads).with_registry(&registry);
-        let (mut local, mut global) = (0u64, 0u64);
-        for q in &queries {
-            match cube.query_cell(&q.cell).provenance {
-                SampleProvenance::Local(_) => local += 1,
-                SampleProvenance::Global => global += 1,
-                SampleProvenance::EmptyDomain => unreachable!("query_cell never misses"),
-            }
-        }
-        assert_eq!(cube.provenance_counters().total(), queries.len() as u64);
-        tallies.push((local, global));
-    }
-    assert_eq!(tallies[0], tallies[1], "provenance split differs between 1 and 2 threads");
-    assert_eq!(tallies[0], tallies[2], "provenance split differs between 1 and 8 threads");
 }

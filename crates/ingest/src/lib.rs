@@ -6,7 +6,7 @@
 //!
 //! * **[`IngestLog`]** — a bounded multi-producer append log. Every
 //!   appended batch gets a dense *barrier sequence number*; producers
-//!   block once the unfolded backlog exceeds the pending-row bound, so
+//!   block once the unfolded backlog exceeds 1 Mi rows, so
 //!   staleness is bounded, not merely measured.
 //! * **[`Ingestor`]** — a background maintenance thread that drains
 //!   pending batches, extends the served table

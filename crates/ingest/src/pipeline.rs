@@ -55,14 +55,11 @@ pub struct IngestConfig {
     /// Most batches folded into a single generation (default 64).
     /// Smaller values mean fresher answers and more refresh work per row.
     pub fold_batches: usize,
-    /// Backpressure bound on unfolded rows (default 1 Mi rows): appends
-    /// block past it, bounding staleness by construction.
-    pub pending_rows: usize,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        IngestConfig { refresh: RefreshConfig::default(), fold_batches: 64, pending_rows: 1 << 20 }
+        IngestConfig { refresh: RefreshConfig::default(), fold_batches: 64 }
     }
 }
 
@@ -131,7 +128,9 @@ impl Ingestor {
     pub fn start<L: AccuracyLoss>(server: Arc<Server>, loss: L, config: IngestConfig) -> Ingestor {
         let registry = server.registry();
         let schema = server.cube().table().schema().clone();
-        let log = Arc::new(IngestLog::new(schema, config.pending_rows));
+        // Backpressure bound on unfolded rows: appends block past 1 Mi
+        // rows, bounding staleness by construction.
+        let log = Arc::new(IngestLog::new(schema, 1 << 20));
         let shared = Arc::new(Shared {
             folds: AtomicU64::new(0),
             folded_batches: AtomicU64::new(0),

@@ -4,7 +4,7 @@
 //! deliberately `std`-only (atomics + `Instant`, no external crates) so it can
 //! sit below every other crate without dragging in dependencies.
 //!
-//! Three pillars:
+//! Two pillars:
 //!
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]):
 //!   named atomic metrics with log₂-bucketed latency histograms
@@ -12,13 +12,14 @@
 //!   Prometheus text exporters. The write side times itself here: every
 //!   build and fold records its stages as `{build|refresh}.<stage>`
 //!   histograms in the registry its cube lives in (DESIGN.md §9).
-//! * **Provenance** ([`ProvenanceCounters`]): where did each query answer come
-//!   from — local cell sample, global-sample fallback, or empty cell.
 //! * **Tracing** ([`Tracer`], [`QueryTrace`], [`FlightRecorder`]): request-
 //!   scoped per-stage traces with a slow-query flight recorder, plus
 //!   sliding-window histograms ([`WindowedHistogram`]) for "p99 over the
 //!   last 60 s" questions. Disabled tracing costs one relaxed atomic load
-//!   per query.
+//!   per query. A trace's [`TraceProvenance`] names where the answer came
+//!   from; the serving layer (`tabula-serve`) classifies each served
+//!   answer once and counts the same outcome in its registry's
+//!   `query.provenance.*` counters.
 //!
 //! ```
 //! use std::time::Duration;
@@ -37,14 +38,12 @@
 
 pub mod export;
 pub mod metrics;
-pub mod provenance;
 pub mod trace;
 pub mod window;
 
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
-pub use provenance::ProvenanceCounters;
 pub use trace::{
     CompletedTrace, FlightRecorder, QueryTrace, Stage, StageRecord, TraceProvenance, Tracer,
 };

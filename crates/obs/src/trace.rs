@@ -19,7 +19,8 @@
 //! `TABULA_TRACE_CAP` traces of any speed; the *slow* ring separately retains
 //! traces whose total time crossed `TABULA_SLOW_MS`, so a flood of fast
 //! queries can never evict the one slow capture you care about. `\trace` in
-//! the REPL and [`FlightRecorder::export_jsonl`] dump both as JSONL.
+//! the REPL prints [`FlightRecorder::recent`] (or, as `\trace slow`,
+//! [`FlightRecorder::slow`]) one [`CompletedTrace::to_json`] line each.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -65,9 +66,9 @@ impl Stage {
     }
 }
 
-/// Where the answer ultimately came from — the trace-level refinement of
-/// [`ProvenanceCounters`](crate::ProvenanceCounters): the raw scan path
-/// gets its own label.
+/// Where the answer ultimately came from. The four served outcomes are the
+/// ones the serving layer counts in `query.provenance.*`; the raw scan
+/// path gets its own label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceProvenance {
     /// Not yet resolved (a trace abandoned mid-query).
@@ -278,7 +279,7 @@ pub struct CompletedTrace {
 }
 
 impl CompletedTrace {
-    /// One-line JSON rendering (the JSONL unit of `\trace` / `export_jsonl`).
+    /// One-line JSON rendering (one line of the REPL's `\trace`).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(160 + self.stages.len() * 64);
@@ -328,8 +329,7 @@ impl CompletedTrace {
 ///
 /// Both rings are bounded `VecDeque`s behind their own mutex; the critical
 /// sections are a push and maybe a pop. Slow traces are cloned into the slow
-/// ring *in addition to* the recent ring, so [`export_jsonl`]
-/// (Self::export_jsonl) deduplicates by sequence number.
+/// ring *in addition to* the recent ring.
 #[derive(Debug)]
 pub struct FlightRecorder {
     cap: usize,
@@ -398,21 +398,6 @@ impl FlightRecorder {
     pub fn clear(&self) {
         self.recent.lock().unwrap().clear();
         self.slow.lock().unwrap().clear();
-    }
-
-    /// Every stored trace as JSON lines: the union of both rings,
-    /// deduplicated by `seq`, in sequence order.
-    pub fn export_jsonl(&self) -> String {
-        let mut all = self.recent();
-        all.extend(self.slow());
-        all.sort_by_key(|t| t.seq);
-        all.dedup_by_key(|t| t.seq);
-        let mut out = String::new();
-        for t in &all {
-            out.push_str(&t.to_json());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -606,21 +591,6 @@ mod tests {
         // The recent ring (cap 2) has long evicted seq 1; the slow ring kept it.
         assert_eq!(tracer.recorder().last_slow().unwrap().seq, slow.seq);
         assert!(tracer.recorder().recent().iter().all(|t| t.seq != slow.seq));
-    }
-
-    #[test]
-    fn export_jsonl_dedups_and_parses() {
-        let tracer = Tracer::new(1, 0, 8);
-        finished(&tracer, 0);
-        finished(&tracer, 0);
-        let jsonl = tracer.recorder().export_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2, "slow duplicates must be deduped:\n{jsonl}");
-        for line in lines {
-            assert_eq!(line.matches('{').count(), line.matches('}').count(), "{line}");
-            assert!(line.contains("\"provenance\":\"local\""), "{line}");
-            assert!(line.contains("\"stage\":\"compile\""), "{line}");
-        }
     }
 
     #[test]

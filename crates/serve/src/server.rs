@@ -25,15 +25,20 @@
 //! `memory_breakdown().sample_table_bytes` of the cube they belong to.
 //!
 //! Answers are byte-identical to [`SamplingCube::query`] at any thread
-//! count: the rows are always the cube's own `Arc`, a table is always
-//! `take` of exactly those rows, and provenance accounting stays exact —
-//! one counter per query: a Local table some earlier query materialized
-//! tallies `serve_cache_hit`, one this query materialized `local_hit`,
-//! the generation's global table `global_hit`, the empty answer
-//! `cell_miss`. `serve.misses` counts the slots filled — exactly the
-//! distinct Local samples a generation served, however many clients
-//! raced — `serve.hits` every other cell answer, and
-//! [`ServeAnswer::cached`] is true exactly when `serve.hits` moved.
+//! count: the rows are always the cube's own `Arc`, and a table is always
+//! `take` of exactly those rows.
+//!
+//! The server is the one place a served query is classified. Each query
+//! ends in one `Outcome`, and one accounting step turns it into
+//! everything an observer sees: exactly one `query.provenance.*` counter
+//! in the server's registry (a Local table this query materialized counts
+//! `local_hit`, one some earlier query materialized `serve_cache_hit`, the
+//! generation's global table `global_hit`, the empty answer `cell_miss`),
+//! `serve.misses` for the first and `serve.hits` for the next two, the
+//! trace's [`TraceProvenance`] and [`ServeAnswer::cached`] — true exactly
+//! when `serve.hits` moved. `serve.misses` is thus the slots filled:
+//! exactly the distinct Local samples a generation served, however many
+//! clients raced. The cube itself counts nothing.
 //!
 //! The generation lock only ever guards one `Arc` assignment, so a guard
 //! recovered from a poisoned lock still holds a whole generation: a
@@ -61,12 +66,34 @@ pub const SERVE_EVICTIONS: &str = "serve.evictions";
 pub const SERVE_PROBE_NS: &str = "serve.probe_ns";
 /// Histogram + 60 s sliding window: end-to-end nanoseconds per served query.
 pub const SERVE_QUERY_NS: &str = "serve.query_ns";
+/// Counter: answers that materialized a cell's local sample.
+pub const LOCAL_HIT: &str = "query.provenance.local_hit";
+/// Counter: answers of the global sample (cells the cube table leaves out).
+pub const GLOBAL_HIT: &str = "query.provenance.global_hit";
+/// Counter: queries naming a value outside its attribute's domain.
+pub const CELL_MISS: &str = "query.provenance.cell_miss";
+/// Counter: answers of a local sample an earlier query materialized.
+pub const SERVE_CACHE_HIT: &str = "query.provenance.serve_cache_hit";
+
+/// Where one served answer came from: decided once per query, and the one
+/// value every observer of the query reads (paper §V: a cell's local
+/// sample, the global sample, or nothing; a local sample either filled
+/// its slot now or was found filled).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Local,
+    CacheHit,
+    Global,
+    EmptyDomain,
+}
 
 /// Pre-resolved serving metrics.
 #[derive(Debug, Clone)]
 struct ServeMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
+    /// One counter per [`Outcome`], in declaration order.
+    provenance: [Arc<Counter>; 4],
     probe_ns: Arc<Histogram>,
     query_ns: Arc<Histogram>,
     query_window: Arc<WindowedHistogram>,
@@ -78,10 +105,36 @@ impl ServeMetrics {
         ServeMetrics {
             hits: registry.counter(SERVE_HITS),
             misses: registry.counter(SERVE_MISSES),
+            provenance: [LOCAL_HIT, SERVE_CACHE_HIT, GLOBAL_HIT, CELL_MISS]
+                .map(|name| registry.counter(name)),
             probe_ns: registry.histogram(SERVE_PROBE_NS),
             query_ns: registry.histogram(SERVE_QUERY_NS),
             query_window: registry.window(SERVE_QUERY_NS),
         }
+    }
+
+    /// The accounting step: count `outcome` in its provenance counter and
+    /// in `serve.misses` / `serve.hits`, and name it in `trace`. Returns
+    /// [`ServeAnswer::cached`]: whether `serve.hits` moved.
+    fn account(&self, outcome: Outcome, trace: &mut QueryTrace) -> bool {
+        self.provenance[outcome as usize].inc();
+        let (provenance, cached) = match outcome {
+            Outcome::Local => {
+                self.misses.inc();
+                (TraceProvenance::Local, false)
+            }
+            Outcome::CacheHit => {
+                self.hits.inc();
+                (TraceProvenance::CacheHit, true)
+            }
+            Outcome::Global => {
+                self.hits.inc();
+                (TraceProvenance::GlobalSample, true)
+            }
+            Outcome::EmptyDomain => (TraceProvenance::EmptyDomain, false),
+        };
+        trace.set_provenance(provenance);
+        cached
     }
 }
 
@@ -108,6 +161,26 @@ impl Generation {
         let global = Arc::new(cube.table().take(cube.global_sample()));
         let slots = (0..cube.persisted_samples()).map(|_| OnceLock::new()).collect();
         Generation { cube, empty, global, slots, epoch: 0 }
+    }
+
+    /// Sample `id`'s table from its slot: materialized by this query
+    /// ([`Outcome::Local`]) or by an earlier one ([`Outcome::CacheHit`]).
+    fn local(&self, id: u32, trace: &mut QueryTrace) -> (Arc<Table>, Outcome) {
+        let stage = trace.stage_start();
+        let mut outcome = Outcome::CacheHit;
+        let table = Arc::clone(self.slots[id as usize].get_or_init(|| {
+            trace.stage(Stage::CacheProbe, stage, 0, 0);
+            let stage = trace.stage_start();
+            let rows = self.cube.sample(id);
+            let table = Arc::new(self.cube.table().take(rows));
+            trace.stage(Stage::Materialize, stage, rows.len() as u64, table.heap_bytes() as u64);
+            outcome = Outcome::Local;
+            table
+        }));
+        if outcome == Outcome::CacheHit {
+            trace.stage(Stage::CacheProbe, stage, table.len() as u64, table.heap_bytes() as u64);
+        }
+        (table, outcome)
     }
 }
 
@@ -168,8 +241,11 @@ impl Server {
         Server::in_registry(cube, tabula_obs::global())
     }
 
-    /// Serve `cube` with metrics (and refreshed generations' provenance)
-    /// homed in `registry`.
+    /// Serve `cube` with its metrics — the `query.provenance.*` and
+    /// `serve.*` counters, the latency histograms — homed in `registry`.
+    /// The generations [`refresh`](Self::refresh) and
+    /// [`install_snapshot`](Self::install_snapshot) install report their
+    /// `refresh.*` metrics there too.
     pub fn in_registry(cube: Arc<SamplingCube>, registry: &Arc<Registry>) -> Result<Self> {
         Ok(Server {
             generation: RwLock::new(Arc::new(Generation::new(cube))),
@@ -226,9 +302,9 @@ impl Server {
 
     /// Serve one dashboard query.
     ///
-    /// Identical semantics to [`SamplingCube::query`] followed by
-    /// [`materialize`](tabula_core::QueryAnswer::materialize): same rows,
-    /// same provenance, same errors — just faster on repeats.
+    /// Identical semantics to [`SamplingCube::query`] followed by `take`
+    /// of the answer's rows: same rows, same provenance, same errors —
+    /// just faster on repeats.
     ///
     /// Tracing is governed by this server's [`Tracer`]: deciding costs one
     /// relaxed atomic load; when the trace is enabled the full per-stage
@@ -262,58 +338,31 @@ impl Server {
         let stage = trace.stage_start();
         let compiled = cube.compile(pred)?;
         trace.stage(Stage::Compile, stage, 0, 0);
-        let Some(key) = compiled else {
+        let (provenance, table, outcome) = match compiled {
             // EmptyDomain short-circuit: nothing to probe, nothing to fill.
-            cube.tally(SampleProvenance::EmptyDomain);
-            trace.set_provenance(TraceProvenance::EmptyDomain);
-            return Ok(ServeAnswer {
-                rows: Arc::clone(cube.rows(SampleProvenance::EmptyDomain)),
-                provenance: SampleProvenance::EmptyDomain,
-                table: Arc::clone(&generation.empty),
-                cached: false,
-            });
+            None => {
+                (SampleProvenance::EmptyDomain, Arc::clone(&generation.empty), Outcome::EmptyDomain)
+            }
+            Some(key) => {
+                if trace.is_enabled() {
+                    trace.set_cell(cube.cells().space().decode(&key).to_string());
+                }
+                let stage = trace.stage_start();
+                let start = Instant::now();
+                let provenance = cube.probe(&key);
+                self.metrics.probe_ns.record_duration(start.elapsed());
+                trace.stage(Stage::IndexProbe, stage, 0, 0);
+                match provenance {
+                    SampleProvenance::Local(id) => {
+                        let (table, outcome) = generation.local(id, trace);
+                        (provenance, table, outcome)
+                    }
+                    _ => (provenance, Arc::clone(&generation.global), Outcome::Global),
+                }
+            }
         };
-        if trace.is_enabled() {
-            trace.set_cell(cube.cells().space().decode(&key).to_string());
-        }
-        let stage = trace.stage_start();
-        let start = Instant::now();
-        let provenance = cube.probe(&key);
-        self.metrics.probe_ns.record_duration(start.elapsed());
-        trace.stage(Stage::IndexProbe, stage, 0, 0);
-        let SampleProvenance::Local(id) = provenance else {
-            cube.tally(provenance);
-            trace.set_provenance(TraceProvenance::GlobalSample);
-            self.metrics.hits.inc();
-            return Ok(ServeAnswer {
-                rows: Arc::clone(cube.rows(provenance)),
-                provenance,
-                table: Arc::clone(&generation.global),
-                cached: true,
-            });
-        };
-        let rows = Arc::clone(cube.rows(provenance));
-        let stage = trace.stage_start();
-        let mut materialized = false;
-        let table = Arc::clone(generation.slots[id as usize].get_or_init(|| {
-            trace.stage(Stage::CacheProbe, stage, 0, 0);
-            let stage = trace.stage_start();
-            let table = Arc::new(cube.table().take(&rows));
-            trace.stage(Stage::Materialize, stage, rows.len() as u64, table.heap_bytes() as u64);
-            materialized = true;
-            table
-        }));
-        if materialized {
-            trace.set_provenance(TraceProvenance::Local);
-            self.metrics.misses.inc();
-            cube.tally(provenance);
-        } else {
-            trace.stage(Stage::CacheProbe, stage, table.len() as u64, table.heap_bytes() as u64);
-            trace.set_provenance(TraceProvenance::CacheHit);
-            self.metrics.hits.inc();
-            cube.provenance_counters().record_serve_cache_hit();
-        }
-        Ok(ServeAnswer { rows, provenance, table, cached: !materialized })
+        let cached = self.metrics.account(outcome, trace);
+        Ok(ServeAnswer { rows: Arc::clone(cube.rows(provenance)), provenance, table, cached })
     }
 
     /// Install a new cube generation with empty answer slots: inside one
@@ -435,14 +484,15 @@ mod tests {
     fn provenance_accounting_stays_exact_with_filled_slots() {
         let registry = Arc::new(Registry::new());
         let srv = server(&registry);
-        let counters = srv.cube().provenance_counters().clone();
         let queries = 30u64;
         for i in 0..queries {
             let m = ["cash", "credit", "dispute"][(i % 3) as usize];
             srv.query(&Predicate::eq("M", m)).unwrap();
         }
-        assert_eq!(counters.total(), queries);
-        assert!(counters.serve_cache_hits() >= queries - 6, "repeats must find their slot");
+        let snap = registry.snapshot();
+        let counted = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS, SERVE_CACHE_HIT].map(|c| snap.counter(c));
+        assert_eq!(counted.iter().sum::<u64>(), queries);
+        assert!(counted[3] >= queries - 6, "repeats must find their slot");
     }
 
     #[test]

@@ -11,9 +11,9 @@ use tabula_core::loss::expr::{Expr, ExprLoss};
 use tabula_core::loss::{HeatmapLoss, MeanLoss, Metric, RegressionLoss};
 use tabula_core::{SamplingCubeBuilder, SnapshotInfo};
 use tabula_obs as obs;
-use tabula_obs::trace::{CompletedTrace, Stage, TraceProvenance, Tracer};
+use tabula_obs::trace::{CompletedTrace, QueryTrace, Stage, TraceProvenance, Tracer};
 use tabula_serve::Server;
-use tabula_storage::{ColumnType, Predicate, ScanStats, Table};
+use tabula_storage::{ColumnType, Predicate, ScanKernel, Table};
 
 /// How a registered loss function binds to target attributes at cube
 /// build time.
@@ -116,9 +116,11 @@ impl Session {
         }
     }
 
-    /// Use a private metrics registry instead of the process-wide one
-    /// (statement timings, query latencies and cube provenance counters
-    /// all land there).
+    /// Use a private metrics registry instead of the process-wide one.
+    /// Statement timings land there, and so does everything the servers
+    /// of cubes built or loaded after this call count: the
+    /// `query.provenance.*` and `serve.*` counters, the `serve.query_ns`
+    /// latency, and the `refresh.*` metrics of their generations.
     pub fn with_registry(mut self, registry: Arc<obs::Registry>) -> Self {
         self.registry = registry;
         self
@@ -129,9 +131,10 @@ impl Session {
         &self.registry
     }
 
-    /// Use a private [`Tracer`] instead of the process-wide one. Servers
-    /// created for cubes built after this call inherit it, so their
-    /// [`Server::query`] traces land in the same flight recorder.
+    /// Use a private [`Tracer`] instead of the process-wide one: the
+    /// session's `SELECT` and `EXPLAIN ANALYZE` traces land in its flight
+    /// recorder, and servers created for cubes built after this call
+    /// inherit it for their own [`Server::query`] callers.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = tracer;
         self
@@ -177,11 +180,7 @@ impl Session {
     /// Freeze cube `name`'s current serving generation into a snapshot
     /// file (the REPL's `\save`). Returns the bytes written.
     pub fn save_cube(&self, name: &str, path: &std::path::Path) -> Result<u64> {
-        let server = self
-            .cubes
-            .get(name)
-            .ok_or(SqlError::Unknown { kind: "cube", name: name.to_string() })?;
-        Ok(server.save_snapshot(path)?)
+        Ok(lookup(&self.cubes, "cube", name)?.save_snapshot(path)?)
     }
 
     /// Thaw a cube from a snapshot file and register it under `name` (the
@@ -235,15 +234,8 @@ impl Session {
                 if self.cubes.contains_key(&name) {
                     return Err(SqlError::AlreadyExists(name));
                 }
-                let table = Arc::clone(
-                    self.tables
-                        .get(&source)
-                        .ok_or(SqlError::Unknown { kind: "table", name: source.clone() })?,
-                );
-                let decl = self
-                    .losses
-                    .get(&loss.name)
-                    .ok_or(SqlError::Unknown { kind: "loss function", name: loss.name.clone() })?;
+                let table = Arc::clone(lookup(&self.tables, "table", &source)?);
+                let decl = lookup(&self.losses, "loss function", &loss.name)?;
                 // Resolve target attributes up front (before `table` moves
                 // into the builder).
                 let targets: Vec<usize> = loss
@@ -306,42 +298,17 @@ impl Session {
                 self.cubes.insert(name.clone(), server);
                 Ok(QueryResult::CubeCreated { name, stats })
             }
-            Statement::SelectSample { cube, conditions } => {
-                let server = self
-                    .cubes
-                    .get(&cube)
-                    .ok_or(SqlError::Unknown { kind: "cube", name: cube.clone() })?;
-                let pred = predicate_of(&conditions);
-                let q_start = Instant::now();
-                // The server begins/finishes its own trace (its tracer is
-                // this session's — see CreateCube).
-                let answer = server.query(&pred)?;
-                let elapsed = q_start.elapsed();
-                self.registry.histogram("query.latency").record_duration(elapsed);
-                self.registry.window("query.latency").record_duration(elapsed);
-                Ok(QueryResult::Sample { table: answer.table, provenance: answer.provenance })
-            }
-            Statement::SelectRaw { table, conditions } => {
-                let t = self
-                    .tables
-                    .get(&table)
-                    .ok_or(SqlError::Unknown { kind: "table", name: table.clone() })?;
-                let pred = predicate_of(&conditions);
+            Statement::SelectSample { .. } | Statement::SelectRaw { .. } => {
                 let mut trace = self.tracer.begin();
-                if trace.is_enabled() {
-                    trace.set_label(format!("SELECT * FROM {table}"));
-                }
-                let (rows, _stats) = scan_traced(&pred, t, &mut trace)?;
-                let result = t.take(&rows);
+                let answer = self.select(&stmt, &mut trace);
                 self.tracer.finish(trace);
-                Ok(QueryResult::Table(result))
+                Ok(answer?.0)
             }
             Statement::ExplainAnalyze(inner) => self.explain_analyze(*inner),
             Statement::Drop { kind, name } => match kind {
                 DropKind::Cube => {
-                    self.cubes
-                        .remove(&name)
-                        .ok_or(SqlError::Unknown { kind: "cube", name: name.clone() })?;
+                    lookup(&self.cubes, "cube", &name)?;
+                    self.cubes.remove(&name);
                     Ok(QueryResult::Dropped(name))
                 }
                 DropKind::Aggregate => match self.losses.get(&name) {
@@ -394,10 +361,7 @@ impl Session {
                 Ok(QueryResult::Info(lines))
             }
             Statement::ExplainCube(name) => {
-                let server = self
-                    .cubes
-                    .get(&name)
-                    .ok_or(SqlError::Unknown { kind: "cube", name: name.clone() })?;
+                let server = lookup(&self.cubes, "cube", &name)?;
                 let cube = server.cube();
                 let answers = server.cache();
                 let s = cube.stats();
@@ -436,6 +400,46 @@ impl Session {
         }
     }
 
+    /// Run a SELECT under `trace`: the one path of `SELECT sample` (the
+    /// cube's server classifies, counts and times the answer), of
+    /// `SELECT *` (a raw scan, traced here) and of `EXPLAIN ANALYZE`. A
+    /// scan also names the filter kernel that ran.
+    fn select(
+        &self,
+        stmt: &Statement,
+        trace: &mut QueryTrace,
+    ) -> Result<(QueryResult, Option<ScanKernel>)> {
+        match stmt {
+            Statement::SelectSample { cube, conditions } => {
+                let server = lookup(&self.cubes, "cube", cube)?;
+                let answer = server.query_traced(&predicate_of(conditions), trace)?;
+                let result =
+                    QueryResult::Sample { table: answer.table, provenance: answer.provenance };
+                Ok((result, None))
+            }
+            Statement::SelectRaw { table, conditions } => {
+                let t = lookup(&self.tables, "table", table)?;
+                if trace.is_enabled() {
+                    trace.set_label(format!("SELECT * FROM {table}"));
+                }
+                let stage = trace.stage_start();
+                let (rows, stats) = predicate_of(conditions).filter_with_stats(t)?;
+                trace.stage_chunks(
+                    Stage::Scan,
+                    stage,
+                    stats.rows_matched,
+                    stats.bytes_scanned,
+                    stats.chunks,
+                );
+                trace.set_provenance(TraceProvenance::Scan);
+                Ok((QueryResult::Table(t.take(&rows)), Some(stats.kernel)))
+            }
+            // The parser only wraps SELECTs, but a hand-built AST could
+            // carry anything.
+            _ => Err(SqlError::Parse("EXPLAIN ANALYZE takes a SELECT statement".into())),
+        }
+    }
+
     /// Execute `stmt` under a forced trace and render the stage-by-stage
     /// breakdown — the sampling policy is bypassed, so `EXPLAIN ANALYZE`
     /// always has a trace to show even when tracing is off.
@@ -443,33 +447,16 @@ impl Session {
         let sql_text = stmt.to_string();
         let mut trace = self.tracer.force();
         trace.set_label(sql_text.clone());
-        let (rows, provenance) = match &stmt {
-            Statement::SelectSample { cube, conditions } => {
-                let server = self
-                    .cubes
-                    .get(cube)
-                    .ok_or(SqlError::Unknown { kind: "cube", name: cube.clone() })?;
-                let pred = predicate_of(conditions);
-                let answer = server.query_traced(&pred, &mut trace)?;
-                (answer.table.len(), format!("{:?}", answer.provenance))
-            }
-            Statement::SelectRaw { table, conditions } => {
-                let t = self
-                    .tables
-                    .get(table)
-                    .ok_or(SqlError::Unknown { kind: "table", name: table.clone() })?;
-                let pred = predicate_of(conditions);
-                let (rows, stats) = scan_traced(&pred, t, &mut trace)?;
-                // Surface which filter kernel ran (plain chunked, or pushed
-                // down onto RLE runs / FOR frames) in the answer line.
-                (rows.len(), format!("Scan[{}]", stats.kernel.name()))
-            }
-            // The parser only wraps SELECTs, but a hand-built AST could
-            // carry anything.
-            _ => return Err(SqlError::Parse("EXPLAIN ANALYZE takes a SELECT statement".into())),
-        };
+        let (result, kernel) = self.select(&stmt, &mut trace)?;
         let completed = self.tracer.finish(trace).expect("forced traces always complete");
-        Ok(QueryResult::Info(render_explain(&sql_text, rows, &provenance, &completed)))
+        // A scan's answer line names the filter kernel (plain chunked, or
+        // pushed down onto RLE runs / FOR frames).
+        let source = match (&result, kernel) {
+            (QueryResult::Sample { provenance, .. }, _) => format!("{provenance:?}"),
+            (_, Some(kernel)) => format!("Scan[{}]", kernel.name()),
+            _ => unreachable!("a SELECT answers with a sample or a scan"),
+        };
+        Ok(QueryResult::Info(render_explain(&sql_text, result.len(), &source, &completed)))
     }
 
     fn build<L: tabula_core::AccuracyLoss>(
@@ -501,18 +488,9 @@ fn statement_kind(stmt: &Statement) -> &'static str {
     }
 }
 
-/// Run `pred` over `t` recording a `scan` stage into `trace`. The stats
-/// come with every filter; a disabled trace ignores them.
-fn scan_traced(
-    pred: &Predicate,
-    t: &Arc<Table>,
-    trace: &mut obs::QueryTrace,
-) -> Result<(Vec<tabula_storage::RowId>, ScanStats)> {
-    let stage = trace.stage_start();
-    let (rows, stats) = pred.filter_with_stats(t)?;
-    trace.stage_chunks(Stage::Scan, stage, stats.rows_matched, stats.bytes_scanned, stats.chunks);
-    trace.set_provenance(TraceProvenance::Scan);
-    Ok((rows, stats))
+/// `map[name]`, or the error naming the `kind` of object that is unknown.
+fn lookup<'a, T>(map: &'a HashMap<String, T>, kind: &'static str, name: &str) -> Result<&'a T> {
+    map.get(name).ok_or_else(|| SqlError::Unknown { kind, name: name.to_string() })
 }
 
 /// Render a completed trace as the `EXPLAIN ANALYZE` info lines: the

@@ -1,8 +1,9 @@
-//! End-to-end observability tour: build a sampling cube, run a
-//! 1 000-query dashboard workload against it (plus a served pass with a
-//! fully-sampled query tracer), and dump the resulting metrics snapshot
-//! as JSON and Prometheus text, the build's stage timings, the windowed
-//! serve latency, and the flight recorder's last slow-query trace.
+//! End-to-end observability tour: build a sampling cube, serve a
+//! 1 000-query dashboard session from it with a fully-sampled query
+//! tracer, and dump the resulting metrics snapshot as JSON and Prometheus
+//! text, the build's stage timings, the served latency (lifetime and
+//! sliding window), where the answers came from, and the flight
+//! recorder's last slow-query trace.
 //!
 //! ```bash
 //! cargo run --release --example metrics_dashboard
@@ -15,15 +16,18 @@
 //! prints.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tabula::core::loss::MeanLoss;
 use tabula::core::SamplingCubeBuilder;
 use tabula::data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
 use tabula::obs;
+use tabula::serve::{
+    Server, CELL_MISS, GLOBAL_HIT, LOCAL_HIT, SERVE_CACHE_HIT, SERVE_HITS, SERVE_MISSES,
+    SERVE_QUERY_NS,
+};
 
 const ROWS: usize = 20_000;
 const QUERIES: usize = 1_000;
-const SERVED: usize = 200;
 
 fn main() {
     // 1. Metrics: a private registry isolates this run's numbers. The
@@ -41,31 +45,23 @@ fn main() {
         .build()
         .expect("cube build succeeds");
 
-    // 2. A dashboard workload: 1 000 cell lookups, latency into a
-    //    histogram, provenance tallied by the cube itself.
+    // 2. A dashboard session served with every query traced: the server
+    //    classifies each answer once and counts it in the registry. Slow
+    //    threshold 0 ms means every trace also lands in the always-retained
+    //    slow ring, so the flight recorder is guaranteed to have a capture
+    //    to show.
     let queries = Workload::new(&attrs)
-        .generate(&table, QUERIES, 0xBEEF)
+        .generate_session(&table, QUERIES, 0xBEEF, 0.3)
         .expect("workload generation succeeds");
-    let latency = registry.histogram("query.latency");
-    for q in &queries {
-        let start = Instant::now();
-        let _answer = cube.query_cell(&q.cell);
-        latency.record_duration(start.elapsed());
-    }
-
-    // 3. The served path, with every query traced: slow threshold 0 ms
-    //    means every trace also lands in the always-retained slow ring,
-    //    so the flight recorder is guaranteed to have a capture to show.
-    let cube = Arc::new(cube);
     let tracer = Arc::new(obs::Tracer::new(1, 0, 64));
-    let server = tabula::serve::Server::in_registry(Arc::clone(&cube), &registry)
+    let server = Server::in_registry(Arc::new(cube), &registry)
         .expect("server construction succeeds")
         .with_tracer(Arc::clone(&tracer));
-    for q in &queries[..SERVED] {
+    for q in &queries {
         server.query(&q.predicate).expect("served query succeeds");
     }
 
-    // 4. The numbers. JSON snapshot first (what a dashboard would scrape) …
+    // 3. The numbers. JSON snapshot first (what a dashboard would scrape) …
     let snapshot = registry.snapshot();
     println!("=== JSON metrics snapshot ===");
     println!("{}", snapshot.to_json());
@@ -75,15 +71,14 @@ fn main() {
     print!("{}", snapshot.to_prometheus());
 
     // … and a human-readable digest.
-    let prov = cube.provenance_counters();
     println!("\n=== digest ===");
     println!("build stages (histograms of the registry; a.b ran inside a):");
     for (name, stage) in snapshot.histograms.iter().filter(|(name, _)| name.starts_with("build.")) {
         let indent = 2 * (name.matches('.').count() - 1);
         println!("  {:indent$}{name} {:?}", "", Duration::from_nanos(stage.sum_ns));
     }
-    let lat = &snapshot.histograms["query.latency"];
-    println!("query latency over {} queries:", lat.count);
+    let lat = &snapshot.histograms[SERVE_QUERY_NS];
+    println!("served latency over {} queries:", lat.count);
     println!(
         "  p50 = {}ns   p95 = {}ns   p99 = {}ns   max = {}ns",
         lat.p50(),
@@ -91,24 +86,30 @@ fn main() {
         lat.p99(),
         lat.max_ns
     );
+    let window = &snapshot.windows[SERVE_QUERY_NS];
     println!(
-        "provenance: {} local hits + {} global fallbacks + {} misses + {} cache hits = {}",
-        prov.local_hits(),
-        prov.global_hits(),
-        prov.cell_misses(),
-        prov.serve_cache_hits(),
-        prov.total()
-    );
-    let window = &snapshot.windows[tabula::serve::SERVE_QUERY_NS];
-    println!(
-        "served latency (sliding {}s window, {} queries): p50 = {}ns   p99 = {}ns",
+        "  sliding {}s window ({} queries): p50 = {}ns   p99 = {}ns",
         window.window_secs,
         window.hist.count,
         window.hist.p50(),
         window.hist.p99()
     );
+    let [local, cache, global, miss] =
+        [LOCAL_HIT, SERVE_CACHE_HIT, GLOBAL_HIT, CELL_MISS].map(|c| snapshot.counter(c));
+    let total = local + cache + global + miss;
+    println!(
+        "provenance: {local} local + {cache} cache hits + {global} global + {miss} empty-domain = {total}"
+    );
+    println!(
+        "answer slots: {} filled (serve.misses), {} answers without materializing (serve.hits)",
+        snapshot.counter(SERVE_MISSES),
+        snapshot.counter(SERVE_HITS)
+    );
     let slow = tracer.recorder().last_slow().expect("slow threshold 0 captures every query");
     println!("last slow-query trace (flight recorder holds {}):", tracer.recorder().len());
     println!("  {}", slow.to_json());
-    assert_eq!(prov.total(), (QUERIES + SERVED) as u64, "every query is tallied exactly once");
+    assert_eq!(total, QUERIES as u64, "every served query is counted exactly once");
+    assert_eq!(lat.count, QUERIES as u64, "every served query is timed exactly once");
+    assert_eq!(snapshot.counter(SERVE_MISSES), local);
+    assert_eq!(snapshot.counter(SERVE_HITS), cache + global);
 }

@@ -7,9 +7,11 @@
 //! * [`data`] — synthetic NYC-taxi generator and query workloads,
 //! * [`core`] — the paper's contribution: the materialized sampling cube,
 //! * [`sql`] — the SQL dialect front-end,
-//! * [`viz`] — visualization substrate (heat maps, histograms, regression),
+//! * [`viz`] — visualization substrate (heat maps, regression, means),
 //! * [`baselines`] — the eight compared approaches of the paper's Section V,
-//! * [`obs`] — zero-dependency tracing, metrics and provenance counters.
+//! * [`obs`] — zero-dependency tracing and metrics,
+//! * [`serve`] — the query server: answer slots per cube generation, and
+//!   the one place a served query is classified, counted and timed.
 
 pub use tabula_baselines as baselines;
 pub use tabula_core as core;

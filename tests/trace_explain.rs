@@ -6,6 +6,7 @@
 use std::sync::Arc;
 use tabula::data::{TaxiConfig, TaxiGenerator};
 use tabula::obs::trace::{Stage, TraceProvenance, Tracer};
+use tabula::serve::{CELL_MISS, GLOBAL_HIT, LOCAL_HIT, SERVE_CACHE_HIT};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session, Statement};
 use tabula::storage::{CellKey, CmpOp};
@@ -170,9 +171,12 @@ fn explain_analyze_works_with_tracing_disabled() {
 }
 
 #[test]
-fn traces_agree_with_provenance_counters() {
+fn traces_agree_with_provenance_counter_deltas() {
     let (mut s, tracer) = traced_session(5_000);
-    let counters = s.cube("cube").unwrap().provenance_counters().clone();
+    // The cube's server counts in the session's registry.
+    let counters = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS, SERVE_CACHE_HIT]
+        .map(|c| s.cube_server("cube").unwrap().registry().counter(c));
+    let counts = || counters.each_ref().map(|c| c.get());
     // A cache hit is a Local sample already served in this generation —
     // by whichever cell; the global sample is never one, however warm.
     let local = local_select(&s);
@@ -185,27 +189,18 @@ fn traces_agree_with_provenance_counters() {
     ];
     let mut seen = Vec::new();
     for (sql, expect_cache_hit) in queries {
-        let before = (
-            counters.local_hits(),
-            counters.global_hits(),
-            counters.cell_misses(),
-            counters.serve_cache_hits(),
-        );
+        let before = counts();
         s.execute(sql).unwrap();
         let trace = tracer.recorder().recent().pop().unwrap();
-        let delta = (
-            counters.local_hits() - before.0,
-            counters.global_hits() - before.1,
-            counters.cell_misses() - before.2,
-            counters.serve_cache_hits() - before.3,
-        );
+        let after = counts();
+        let delta: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
         // Exactly one counter moved, and it matches the trace's provenance.
-        assert_eq!(delta.0 + delta.1 + delta.2 + delta.3, 1, "{sql}");
+        assert_eq!(delta.iter().sum::<u64>(), 1, "{sql}");
         let expected = match trace.provenance {
-            TraceProvenance::Local => (1, 0, 0, 0),
-            TraceProvenance::GlobalSample => (0, 1, 0, 0),
-            TraceProvenance::EmptyDomain => (0, 0, 1, 0),
-            TraceProvenance::CacheHit => (0, 0, 0, 1),
+            TraceProvenance::Local => [1, 0, 0, 0],
+            TraceProvenance::GlobalSample => [0, 1, 0, 0],
+            TraceProvenance::EmptyDomain => [0, 0, 1, 0],
+            TraceProvenance::CacheHit => [0, 0, 0, 1],
             other => panic!("unexpected provenance {other:?} for {sql}"),
         };
         assert_eq!(delta, expected, "{sql}");
@@ -264,8 +259,8 @@ fn slow_threshold_zero_marks_everything_slow() {
     let slow = tracer.recorder().last_slow().expect("threshold 0 captures everything");
     assert!(slow.slow);
     assert_eq!(slow.provenance, TraceProvenance::Scan);
-    // JSONL export round-trips the provenance and stage names.
-    let jsonl = tracer.recorder().export_jsonl();
-    assert!(jsonl.contains("\"provenance\":\"scan\""), "{jsonl}");
-    assert!(jsonl.contains("\"stage\":\"scan\""), "{jsonl}");
+    // The JSON line `\trace slow` prints carries the provenance and stage names.
+    let json = slow.to_json();
+    assert!(json.contains("\"provenance\":\"scan\""), "{json}");
+    assert!(json.contains("\"stage\":\"scan\""), "{json}");
 }
