@@ -439,10 +439,9 @@ fn check_cube(
 }
 
 /// The serve-path lane: replay the case's query workload through
-/// `tabula-serve` — cold cache, then warm cache, then [`SERVE_CLIENTS`]
+/// `tabula-serve` — twice per client, for each of [`SERVE_CLIENTS`]
 /// concurrent clients — and require every served answer to match the
-/// direct cube answer byte for byte (rows AND provenance; a cache hit
-/// must reproduce the original provenance, not invent its own).
+/// direct cube answer byte for byte (rows AND provenance).
 fn check_serve(case: &CaseSpec, cube: &SamplingCube, variant: Variant) -> Result<(), Divergence> {
     let cube = Arc::new(cube.clone());
     // Private registry: the fuzz sweep must not depend on (or pollute)
@@ -468,8 +467,7 @@ fn check_serve(case: &CaseSpec, cube: &SamplingCube, variant: Variant) -> Result
         preds.iter().map(|p| cube.query(p).expect("direct query passed the main lane")).collect();
 
     for &clients in &SERVE_CLIENTS {
-        // Two sequential passes per client (cold + warm on the first
-        // sweep; all-warm later — both must stay identical).
+        // Two sequential passes per client: a repeat must stay identical.
         let failure = std::sync::Mutex::new(None::<Divergence>);
         std::thread::scope(|s| {
             for c in 0..clients {
@@ -499,12 +497,11 @@ fn check_serve(case: &CaseSpec, cube: &SamplingCube, variant: Variant) -> Result
                                     check: "serve_path",
                                     detail: format!(
                                         "{variant:?} clients={clients} pass={pass} query {:?}: \
-                                         served ({} rows, {:?}, cached={}) differs from direct \
-                                         ({} rows, {:?})",
+                                         served ({} rows, {:?}) differs from direct ({} rows, \
+                                         {:?})",
                                         case.queries[j],
                                         served.rows.len(),
                                         served.provenance,
-                                        served.cached,
                                         direct[j].rows.len(),
                                         direct[j].provenance
                                     ),
@@ -524,27 +521,26 @@ fn check_serve(case: &CaseSpec, cube: &SamplingCube, variant: Variant) -> Result
 }
 
 /// The trace-agreement lane: replay the workload sequentially through a
-/// fully-traced private server (cold pass, then warm pass) and require
-/// each query's [`tabula_obs::trace::CompletedTrace`] to agree exactly
-/// with the delta of the server's `query.provenance.*` counters — the
-/// counters are the accounting ground truth, the trace is the per-query
-/// narrative, and they must never tell different stories. Cold and warm
-/// follow the *sample*, not the cell: a query is a cache hit exactly when
-/// an earlier one was served the same Local sample, and `cached` exactly
-/// then or when the answer is the global sample. A cache hit must record
-/// no materialize/scan stages, a global-sample or empty-domain answer no
-/// cache-probe/materialize stages.
+/// fully-traced private server, twice, and require each query's
+/// [`tabula_obs::trace::CompletedTrace`] to agree exactly with the delta of
+/// the server's `query.provenance.*` counters — the counters are the
+/// accounting ground truth, the trace is the per-query narrative, and they
+/// must never tell different stories. A served answer records neither the
+/// unused cache-probe / materialize stages nor a scan, and every answer of
+/// one sample (or of the global sample) is the one table the generation
+/// took for it at install.
 fn check_serve_traces(
     case: &CaseSpec,
     cube: &Arc<SamplingCube>,
     variant: Variant,
 ) -> Result<(), Divergence> {
+    use std::collections::HashMap;
     use tabula_obs::trace::{Stage, TraceProvenance, Tracer};
-    use tabula_serve::{CELL_MISS, GLOBAL_HIT, LOCAL_HIT, SERVE_CACHE_HIT};
+    use tabula_serve::{CELL_MISS, GLOBAL_HIT, LOCAL_HIT};
     // Private registry: the server counts there, so concurrent fuzz cases
     // cannot skew deltas.
     let registry = Arc::new(tabula_obs::Registry::new());
-    let counters = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS, SERVE_CACHE_HIT].map(|c| registry.counter(c));
+    let counters = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS].map(|c| registry.counter(c));
     let counts = || counters.each_ref().map(|c| c.get());
     let tracer = Arc::new(Tracer::new(1, u64::MAX >> 21, case.queries.len() * 2 + 8));
     let server = Server::in_registry(Arc::clone(cube), &registry)
@@ -554,7 +550,7 @@ fn check_serve_traces(
         })?
         .with_tracer(Arc::clone(&tracer));
 
-    let mut served_samples = BTreeSet::new();
+    let mut shipped = HashMap::new();
     for pass in 0..2 {
         for (j, q) in case.queries.iter().enumerate() {
             let mut pred = Predicate::all();
@@ -573,12 +569,11 @@ fn check_serve_traces(
                 ),
             })?;
             let after = counts();
-            let delta: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+            let delta: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
             let expected = match trace.provenance {
-                TraceProvenance::Local => [1, 0, 0, 0],
-                TraceProvenance::GlobalSample => [0, 1, 0, 0],
-                TraceProvenance::EmptyDomain => [0, 0, 1, 0],
-                TraceProvenance::CacheHit => [0, 0, 0, 1],
+                TraceProvenance::Local => [1, 0, 0],
+                TraceProvenance::GlobalSample => [0, 1, 0],
+                TraceProvenance::EmptyDomain => [0, 0, 1],
                 other => {
                     return Err(Divergence {
                         check: "trace_provenance",
@@ -594,16 +589,12 @@ fn check_serve_traces(
                     check: "trace_provenance",
                     detail: format!(
                         "{variant:?} pass={pass} query {q:?}: trace says {:?} but counter delta \
-                         is (local, global, miss, cache)={delta:?}, expected {expected:?}",
+                         is (local, global, miss)={delta:?}, expected {expected:?}",
                         trace.provenance
                     ),
                 });
             }
-            let forbidden: &[Stage] = match trace.provenance {
-                TraceProvenance::CacheHit => &[Stage::Materialize, Stage::Scan],
-                TraceProvenance::Local => &[Stage::Scan],
-                _ => &[Stage::CacheProbe, Stage::Materialize, Stage::Scan],
-            };
+            let forbidden = [Stage::CacheProbe, Stage::Materialize, Stage::Scan];
             if forbidden.iter().any(|&stage| trace.stage_ns(stage).is_some()) {
                 return Err(Divergence {
                     check: "trace_stages",
@@ -614,19 +605,14 @@ fn check_serve_traces(
                     ),
                 });
             }
-            let warm = match served.provenance {
-                SampleProvenance::Local(id) => !served_samples.insert(id),
-                SampleProvenance::Global => true,
-                SampleProvenance::EmptyDomain => false,
-            };
-            let hit = warm && served.provenance != SampleProvenance::Global;
-            if served.cached != warm || (trace.provenance == TraceProvenance::CacheHit) != hit {
+            let first =
+                shipped.entry(served.provenance).or_insert_with(|| Arc::clone(&served.table));
+            if !Arc::ptr_eq(first, &served.table) {
                 return Err(Divergence {
-                    check: "serve_warmth",
+                    check: "serve_sharing",
                     detail: format!(
-                        "{variant:?} pass={pass} query {q:?}: {:?} with sample served before={warm} \
-                         came back cached={} and traced {:?}",
-                        served.provenance, served.cached, trace.provenance
+                        "{variant:?} pass={pass} query {q:?}: {:?} shipped a second table",
+                        served.provenance
                     ),
                 });
             }

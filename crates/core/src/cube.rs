@@ -17,7 +17,7 @@ use tabula_storage::cube::CellKey;
 use tabula_storage::{CellSpace, CubeKey, Predicate, RowId, Table};
 
 /// Where a query answer's sample came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SampleProvenance {
     /// A materialized local (representative) sample; payload is the
     /// sample-table id.

@@ -287,7 +287,7 @@ fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
                         format!("code {bad} out of range for dictionary of {n} entries"),
                     ));
                 }
-                Column::Str { codes, dict }
+                Column::Str { codes, dict: dict.into() }
             }
         };
         columns.push(col);

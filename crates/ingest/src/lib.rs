@@ -15,7 +15,7 @@
 //!   contract by construction), refreshes the cube incrementally on the
 //!   tabula-par pool, and publishes each new generation through
 //!   [`Server::install`](tabula_serve::Server)'s generation swap — readers
-//!   never block, and each generation starts with empty answer slots.
+//!   never block, and each generation takes its own sample tables.
 //! * **[`IngestStats`]** and the `ingest.*` metrics — per-fold latency
 //!   and per-batch *freshness lag* (append → visible-to-readers),
 //!   recorded as both lifetime histograms and 60 s sliding windows in

@@ -2,11 +2,11 @@
 //!
 //! A [`QueryTrace`] is a stack-carried context created once per query (by
 //! `serve::Server::query` or the SQL executor) and threaded through the
-//! stages of the serving path — predicate compile, cube-table probe,
-//! answer-slot probe, materialization, raw scan. Each stage records its
-//! elapsed nanos plus the rows and bytes it touched; the query's provenance
-//! (cache hit / local sample / global sample / scan) and the
-//! generation epoch it was served from ride along.
+//! stages of the query path — predicate compile and cube-table probe for a
+//! served query, the scan for a raw one. Each stage records its elapsed
+//! nanos plus the rows and bytes it touched; the query's provenance (local
+//! sample / global sample / empty domain / scan) and the generation epoch
+//! it was served from ride along.
 //!
 //! **Overhead contract.** Deciding whether to trace is one relaxed atomic
 //! load in [`Tracer::begin`]; every stage hook on a disabled trace is a plain
@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Maximum stages a single trace records; later stages are dropped (the
-/// serving path has 4, raw SQL has 2 — 8 leaves headroom).
+/// serving path has 2, raw SQL has 1 — 8 leaves headroom).
 pub const MAX_STAGES: usize = 8;
 
 /// Default capacity of the recent ring when `TABULA_TRACE_CAP` is unset.
@@ -43,11 +43,12 @@ pub const DEFAULT_SLOW_MS: u64 = 100;
 pub enum Stage {
     /// Predicate → the cube table's cell key (`CubeKey`).
     Compile,
-    /// Answer lookup: the generation's slot for a Local sample.
+    /// Nothing records it: a served generation's sample tables are taken
+    /// at install. Kept for readers that name every stage.
     CacheProbe,
     /// Cube-table probe.
     IndexProbe,
-    /// Sample materialization (`Table::take`).
+    /// Nothing records it, like [`Stage::CacheProbe`].
     Materialize,
     /// Raw storage scan (non-served fallback path).
     Scan,
@@ -66,17 +67,14 @@ impl Stage {
     }
 }
 
-/// Where the answer ultimately came from. The four served outcomes are the
-/// ones the serving layer counts in `query.provenance.*`; the raw scan
+/// Where the answer ultimately came from. The three served outcomes are
+/// the ones the serving layer counts in `query.provenance.*`; the raw scan
 /// path gets its own label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceProvenance {
     /// Not yet resolved (a trace abandoned mid-query).
     #[default]
     Unresolved,
-    /// A Local sample's table some earlier query of the generation
-    /// materialized.
-    CacheHit,
     /// Local sample found in the cube table.
     Local,
     /// Fell back to the global sample.
@@ -92,7 +90,6 @@ impl TraceProvenance {
     pub fn name(self) -> &'static str {
         match self {
             TraceProvenance::Unresolved => "unresolved",
-            TraceProvenance::CacheHit => "cache_hit",
             TraceProvenance::Local => "local",
             TraceProvenance::GlobalSample => "global_sample",
             TraceProvenance::EmptyDomain => "empty_domain",
@@ -527,7 +524,7 @@ mod tests {
         assert!(t.stage_start().is_none());
         t.stage(Stage::Compile, None, 10, 10);
         t.set_label("x");
-        t.set_provenance(TraceProvenance::CacheHit);
+        t.set_provenance(TraceProvenance::Local);
         assert_eq!(t.stages().count(), 0);
         assert_eq!(t.provenance(), TraceProvenance::Unresolved);
     }

@@ -38,9 +38,8 @@ pub enum QueryResult {
     Table(Table),
     /// A sample returned by a cube (paper Query 2), with provenance.
     Sample {
-        /// The materialized sample tuples (owned by the serving layer's
-        /// generation — repeat queries return the same table without
-        /// re-materializing).
+        /// The sample tuples: the serving generation's own table, taken
+        /// once at install and shared by every query that lands on it.
         table: Arc<Table>,
         /// Whether the sample was local, global, or empty-domain.
         provenance: SampleProvenance,
@@ -80,13 +79,33 @@ impl QueryResult {
 pub struct Session {
     tables: HashMap<String, Arc<Table>>,
     /// Each cube behind its serving layer: sample queries go through the
-    /// [`Server`] (compiled predicates, cube-table probe, answer slots),
+    /// [`Server`] (compiled predicates, cube-table probe, sample tables),
     /// management statements read its current generation.
     cubes: HashMap<String, Server>,
     losses: HashMap<String, LossDecl>,
     seed: u64,
     registry: Arc<obs::Registry>,
+    statements: StatementMetrics,
     tracer: Arc<Tracer>,
+}
+
+/// The statement metrics, resolved once per registry: the `sql.statement`
+/// latency, `sql.errors`, and one `sql.stmt.<kind>` counter per kind in
+/// [`STATEMENT_KINDS`] order.
+struct StatementMetrics {
+    latency: Arc<obs::Histogram>,
+    errors: Arc<obs::Counter>,
+    kinds: [Arc<obs::Counter>; STATEMENT_KINDS.len()],
+}
+
+impl StatementMetrics {
+    fn in_registry(registry: &obs::Registry) -> Self {
+        StatementMetrics {
+            latency: registry.histogram("sql.statement"),
+            errors: registry.counter("sql.errors"),
+            kinds: STATEMENT_KINDS.map(|kind| registry.counter(&format!("sql.stmt.{kind}"))),
+        }
+    }
 }
 
 impl Default for Session {
@@ -112,6 +131,7 @@ impl Session {
             losses,
             seed: 42,
             registry: Arc::clone(obs::global()),
+            statements: StatementMetrics::in_registry(obs::global()),
             tracer: Arc::clone(Tracer::global()),
         }
     }
@@ -122,6 +142,7 @@ impl Session {
     /// `query.provenance.*` and `serve.*` counters, the `serve.query_ns`
     /// latency, and the `refresh.*` metrics of their generations.
     pub fn with_registry(mut self, registry: Arc<obs::Registry>) -> Self {
+        self.statements = StatementMetrics::in_registry(&registry);
         self.registry = registry;
         self
     }
@@ -185,7 +206,7 @@ impl Session {
 
     /// Thaw a cube from a snapshot file and register it under `name` (the
     /// REPL's `\load`). If the name is already served, the snapshot is
-    /// installed as a new generation whose answer slots start empty,
+    /// installed as a new generation that takes its own sample tables,
     /// exactly as for a refresh.
     pub fn load_cube(&mut self, name: &str, path: &std::path::Path) -> Result<SnapshotInfo> {
         if let Some(server) = self.cubes.get(name) {
@@ -213,10 +234,10 @@ impl Session {
         let kind = statement_kind(&stmt);
         let start = Instant::now();
         let result = self.dispatch(stmt);
-        self.registry.histogram("sql.statement").record_duration(start.elapsed());
-        self.registry.counter(&format!("sql.stmt.{kind}")).inc();
+        self.statements.latency.record_duration(start.elapsed());
+        self.statements.kinds[kind].inc();
         if result.is_err() {
-            self.registry.counter("sql.errors").inc();
+            self.statements.errors.inc();
         }
         result
     }
@@ -363,7 +384,6 @@ impl Session {
             Statement::ExplainCube(name) => {
                 let server = lookup(&self.cubes, "cube", &name)?;
                 let cube = server.cube();
-                let answers = server.cache();
                 let s = cube.stats();
                 let m = cube.memory_breakdown();
                 Ok(QueryResult::Info(vec![
@@ -388,12 +408,6 @@ impl Session {
                         m.cube_table_bytes,
                         m.sample_table_bytes,
                         m.total()
-                    ),
-                    format!(
-                        "answers: {} of {} samples materialized ({}B)",
-                        answers.len(),
-                        cube.persisted_samples(),
-                        answers.bytes()
                     ),
                 ]))
             }
@@ -474,17 +488,29 @@ impl Session {
     }
 }
 
-/// Low-cardinality label for per-statement metrics.
-fn statement_kind(stmt: &Statement) -> &'static str {
+/// Low-cardinality labels for per-statement metrics.
+const STATEMENT_KINDS: [&str; 8] = [
+    "create_aggregate",
+    "create_cube",
+    "select_sample",
+    "select_raw",
+    "drop",
+    "show",
+    "explain_cube",
+    "explain_analyze",
+];
+
+/// `stmt`'s index in [`STATEMENT_KINDS`].
+fn statement_kind(stmt: &Statement) -> usize {
     match stmt {
-        Statement::CreateAggregate { .. } => "create_aggregate",
-        Statement::CreateCube { .. } => "create_cube",
-        Statement::SelectSample { .. } => "select_sample",
-        Statement::SelectRaw { .. } => "select_raw",
-        Statement::Drop { .. } => "drop",
-        Statement::Show(_) => "show",
-        Statement::ExplainCube(_) => "explain_cube",
-        Statement::ExplainAnalyze(_) => "explain_analyze",
+        Statement::CreateAggregate { .. } => 0,
+        Statement::CreateCube { .. } => 1,
+        Statement::SelectSample { .. } => 2,
+        Statement::SelectRaw { .. } => 3,
+        Statement::Drop { .. } => 4,
+        Statement::Show(_) => 5,
+        Statement::ExplainCube(_) => 6,
+        Statement::ExplainAnalyze(_) => 7,
     }
 }
 
@@ -700,9 +726,7 @@ mod tests {
         let QueryResult::Info(lines) = s.execute("EXPLAIN CUBE c").unwrap() else { panic!() };
         assert!(lines.iter().any(|l| l.contains("iceberg")));
         assert!(lines.iter().any(|l| l.starts_with("real run:") && l.contains("finest runs")));
-        let persisted = s.cube("c").unwrap().persisted_samples();
-        let unqueried = format!("answers: 0 of {persisted} samples materialized (0B)");
-        assert!(lines.last().unwrap().ends_with(&unqueried), "{lines:?}");
+        assert!(lines.last().unwrap().starts_with("memory:"), "{lines:?}");
 
         // DROP frees the name for reuse; built-ins cannot be dropped.
         assert!(matches!(s.execute("DROP CUBE c").unwrap(), QueryResult::Dropped(_)));

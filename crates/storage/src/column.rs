@@ -4,6 +4,7 @@ use crate::dictionary::Dictionary;
 use crate::encoding::EncodingMode;
 use crate::shared::ColumnBuf;
 use crate::types::{ColumnType, Point, Value};
+use std::sync::Arc;
 
 /// A single column of a table, stored contiguously by type.
 ///
@@ -21,8 +22,9 @@ pub enum Column {
     Str {
         /// Per-row dictionary codes.
         codes: ColumnBuf<u32>,
-        /// The shared dictionary for this column.
-        dict: Dictionary,
+        /// The dictionary, shared by every column taken from this one; a
+        /// push of a new string copies it first.
+        dict: Arc<Dictionary>,
     },
     /// 2-D points.
     Point(ColumnBuf<Point>),
@@ -34,7 +36,7 @@ impl Column {
         match ty {
             ColumnType::Int64 => Column::Int64(Vec::new().into()),
             ColumnType::Float64 => Column::Float64(Vec::new().into()),
-            ColumnType::Str => Column::Str { codes: Vec::new().into(), dict: Dictionary::new() },
+            ColumnType::Str => Column::Str { codes: Vec::new().into(), dict: Arc::default() },
             ColumnType::Point => Column::Point(Vec::new().into()),
         }
     }
@@ -45,7 +47,7 @@ impl Column {
             ColumnType::Int64 => Column::Int64(Vec::with_capacity(capacity).into()),
             ColumnType::Float64 => Column::Float64(Vec::with_capacity(capacity).into()),
             ColumnType::Str => {
-                Column::Str { codes: Vec::with_capacity(capacity).into(), dict: Dictionary::new() }
+                Column::Str { codes: Vec::with_capacity(capacity).into(), dict: Arc::default() }
             }
             ColumnType::Point => Column::Point(Vec::with_capacity(capacity).into()),
         }
@@ -105,7 +107,8 @@ impl Column {
                 true
             }
             (Column::Str { codes, dict }, Value::Str(s)) => {
-                codes.to_mut().push(dict.encode(s));
+                let code = dict.lookup(s).unwrap_or_else(|| Arc::make_mut(dict).encode(s));
+                codes.to_mut().push(code);
                 true
             }
             (Column::Point(v), Value::Point(p)) => {
@@ -119,9 +122,9 @@ impl Column {
     /// Materialize a new column containing only `rows` (in the given order).
     ///
     /// The output vectors are pre-sized to exactly `rows.len()` before the
-    /// gather loop — this sits on the query-serving hot path (every answer
-    /// materialization gathers every column), where incremental growth
-    /// would re-allocate log₂(n) times per column.
+    /// gather loop, and a string column shares its dictionary: a serving
+    /// generation takes every persisted sample at install, and the raw
+    /// `SELECT *` takes its matches, so both pay one allocation per column.
     pub fn take(&self, rows: &[u32]) -> Column {
         #[inline]
         fn gather<T: Copy>(src: &[T], rows: &[u32]) -> Vec<T> {
@@ -133,7 +136,7 @@ impl Column {
             Column::Int64(v) => Column::Int64(gather(v, rows).into()),
             Column::Float64(v) => Column::Float64(gather(v, rows).into()),
             Column::Str { codes, dict } => {
-                Column::Str { codes: gather(codes, rows).into(), dict: dict.clone() }
+                Column::Str { codes: gather(codes, rows).into(), dict: Arc::clone(dict) }
             }
             Column::Point(v) => Column::Point(gather(v, rows).into()),
         }
@@ -263,8 +266,20 @@ mod tests {
         for s in ["a", "b", "c", "b"] {
             c.push(&Value::Str(s.into()));
         }
-        let t = c.take(&[3, 2]);
+        let mut t = c.take(&[3, 2]);
         assert_eq!(t.value(0), Value::Str("b".into()));
         assert_eq!(t.value(1), Value::Str("c".into()));
+        let dict = |c: &Column| match c {
+            Column::Str { dict, .. } => Arc::clone(dict),
+            _ => unreachable!(),
+        };
+        assert!(Arc::ptr_eq(&dict(&c), &dict(&t)), "a take shares its dictionary");
+        // A known string keeps sharing it; a new one copies it first.
+        assert!(t.push(&Value::Str("a".into())));
+        assert!(Arc::ptr_eq(&dict(&c), &dict(&t)));
+        assert!(t.push(&Value::Str("z".into())));
+        assert!(!Arc::ptr_eq(&dict(&c), &dict(&t)));
+        assert_eq!((dict(&c).len(), dict(&c).lookup("z")), (3, None));
+        assert_eq!(t.value(3), Value::Str("z".into()));
     }
 }

@@ -146,7 +146,8 @@ impl<'t> Cat<'t> {
 /// construction, sampling) reads it concurrently without synchronization.
 #[derive(Debug)]
 pub struct Table {
-    schema: Schema,
+    /// Shared, so a [`take`](Table::take) clones a refcount, not names.
+    schema: Arc<Schema>,
     columns: Vec<Column>,
     len: usize,
     /// Per-column lazily-built categorical indexes for `Int64` columns.
@@ -169,7 +170,12 @@ impl Table {
     pub fn empty(schema: Schema) -> Self {
         let columns: Vec<Column> = schema.fields().iter().map(|f| Column::empty(f.ty)).collect();
         let n = columns.len();
-        Table { schema, columns, len: 0, int_cat: (0..n).map(|_| OnceLock::new()).collect() }
+        Table {
+            schema: Arc::new(schema),
+            columns,
+            len: 0,
+            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Assemble a table directly from pre-built columns (the snapshot
@@ -202,7 +208,7 @@ impl Table {
         }
         let n = columns.len();
         Ok(Table {
-            schema,
+            schema: Arc::new(schema),
             columns,
             len: len.unwrap_or(0),
             int_cat: (0..n).map(|_| OnceLock::new()).collect(),
@@ -260,12 +266,13 @@ impl Table {
     }
 
     /// Materialize a new table containing only `rows`, in order. The new
-    /// table shares no mutable state with `self`.
+    /// table shares its schema and its string columns' dictionaries with
+    /// `self`; appending to either copies them first.
     pub fn take(&self, rows: &[RowId]) -> Table {
         let columns: Vec<Column> = self.columns.iter().map(|c| c.take(rows)).collect();
         let n = columns.len();
         Table {
-            schema: self.schema.clone(),
+            schema: Arc::clone(&self.schema),
             columns,
             len: rows.len(),
             int_cat: (0..n).map(|_| OnceLock::new()).collect(),
@@ -308,7 +315,7 @@ impl Table {
         }
         let n = columns.len();
         Ok(Table {
-            schema: self.schema.clone(),
+            schema: Arc::clone(&self.schema),
             columns,
             len: self.len + rows.len(),
             int_cat: (0..n).map(|_| OnceLock::new()).collect(),
@@ -404,7 +411,7 @@ impl TableBuilder {
         }
         let n = columns.len();
         Table {
-            schema: self.schema,
+            schema: Arc::new(self.schema),
             columns,
             len: self.len,
             int_cat: (0..n).map(|_| OnceLock::new()).collect(),
@@ -506,6 +513,27 @@ mod tests {
         assert_eq!(sub.value(1, 0), Value::Str("cash".into()));
         // Categorical views on the projection still work.
         assert_eq!(sub.cat(0).unwrap().codes(), &[0, 0]);
+        // The schema and the dictionaries are shared, not copied.
+        assert!(Arc::ptr_eq(&sub.schema, &t.schema));
+        let dict = |t: &Table| match t.column(0) {
+            Column::Str { dict, .. } => Arc::clone(dict),
+            _ => unreachable!(),
+        };
+        assert!(Arc::ptr_eq(&dict(&sub), &dict(&t)));
+        // Appending a new value to the projection leaves the source's
+        // dictionary as it was.
+        let ext = sub
+            .extend_rows(&[vec![
+                "voucher".into(),
+                1i64.into(),
+                2.5.into(),
+                Point::default().into(),
+            ]])
+            .unwrap();
+        assert!(Arc::ptr_eq(&ext.schema, &t.schema));
+        assert_eq!(ext.cat(0).unwrap().decode(2), Value::Str("voucher".into()));
+        assert_eq!(t.cat(0).unwrap().cardinality(), 2);
+        assert_eq!(sub.cat(0).unwrap().lookup(&Value::Str("voucher".into())), None);
     }
 
     #[test]
@@ -522,9 +550,10 @@ mod tests {
         for r in 0..t.len() {
             assert_eq!(ext.row(r), t.row(r));
         }
-        // Existing dictionary codes are stable; new values extend the
-        // dictionary in first-seen order.
+        // Existing dictionary codes are stable; new values extend a copy
+        // of the dictionary in first-seen order.
         assert_eq!(ext.cat(0).unwrap().codes(), &[0, 1, 0, 1, 2]);
+        assert_eq!(t.cat(0).unwrap().cardinality(), 2);
         // A bad row is rejected up front (nothing half-appended).
         assert!(t
             .extend_rows(&[vec![

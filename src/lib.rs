@@ -10,8 +10,9 @@
 //! * [`viz`] — visualization substrate (heat maps, regression, means),
 //! * [`baselines`] — the eight compared approaches of the paper's Section V,
 //! * [`obs`] — zero-dependency tracing and metrics,
-//! * [`serve`] — the query server: answer slots per cube generation, and
-//!   the one place a served query is classified, counted and timed.
+//! * [`serve`] — the query server: one table per persisted sample per cube
+//!   generation, and the one place a served query is classified, counted
+//!   and timed.
 
 pub use tabula_baselines as baselines;
 pub use tabula_core as core;

@@ -1,13 +1,15 @@
 //! Shared by the cube tests: tables of `Int64` categorical columns `a0..`
-//! beside one `Float64` measure `v`, a cube's content checksum, and the
-//! row-at-a-time reference lattice.
+//! beside one `Float64` measure `v`, a cube's content checksum, the
+//! row-at-a-time reference lattice, and a cell as a dashboard predicate.
 #![allow(dead_code)]
 
 use std::sync::Arc;
 use tabula::core::loss::MeanLoss;
 use tabula::core::samgraph::SamGraphConfig;
 use tabula::core::{SamplingCube, SamplingCubeBuilder};
-use tabula::storage::{CellKey, ColumnType, Field, RowId, Schema, Table, TableBuilder, Value};
+use tabula::storage::{
+    CellKey, CmpOp, ColumnType, Field, Predicate, RowId, Schema, Table, TableBuilder, Value,
+};
 use tabula::store::{crc64, Snapshot};
 use tabula_check::naive_cube;
 
@@ -88,4 +90,15 @@ pub fn lattice(table: &Table, cols: &[usize]) -> Vec<(CellKey, Vec<RowId>)> {
     let names: Vec<String> = cols.iter().map(|&c| table.schema().field(c).name.clone()).collect();
     let cube = naive_cube(table, &names).unwrap();
     cube.cells.into_iter().map(|(codes, rows)| (CellKey::new(codes), rows)).collect()
+}
+
+/// `cell` as the equality conjunction a dashboard would send.
+pub fn predicate_of(cube: &SamplingCube, cell: &CellKey) -> Predicate {
+    let mut pred = Predicate::all();
+    for ((code, attr), &col) in cell.codes.iter().zip(cube.attrs()).zip(cube.cubed_cols()) {
+        if let Some(code) = code {
+            pred = pred.and(attr.clone(), CmpOp::Eq, cube.table().cat(col).unwrap().decode(*code));
+        }
+    }
+    pred
 }

@@ -5,17 +5,17 @@
 //! `SELECT sample` all end in the same probe of it, before and after a
 //! snapshot round trip, and must agree on every cell — the materialized
 //! ones, the ones that ride the global sample, and the ones that cannot
-//! exist. Behind the probe the server keeps one materialized table per
-//! *sample*: cells that share a sample ship the same `Arc`, the tables
-//! never add up to more than the cube's own sample table, and clients
-//! racing for a cold sample materialize it once.
+//! exist. Behind the probe the server keeps one table per *sample*, taken
+//! at install: cells that share a sample ship the same `Arc`, even to
+//! racing clients, and the tables add up to exactly the cube's own sample
+//! table.
 
 mod common;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 
-use common::{constant_attr_table, cube_over, lattice, measured_table, wide_table};
+use common::{constant_attr_table, cube_over, lattice, measured_table, predicate_of, wide_table};
 use tabula::baselines::two_phase_cube;
 use tabula::core::builder::{RefreshConfig, SamplingCubeBuilder};
 use tabula::core::loss::MeanLoss;
@@ -32,17 +32,6 @@ const ABSENT_PER_CUBOID: usize = 8;
 
 fn rows_of(table: &Table) -> Vec<Vec<Value>> {
     (0..table.len()).map(|r| table.row(r)).collect()
-}
-
-/// `cell` as the equality conjunction a dashboard would send.
-fn predicate_of(cube: &SamplingCube, cell: &CellKey) -> Predicate {
-    let mut pred = Predicate::all();
-    for ((code, attr), &col) in cell.codes.iter().zip(cube.attrs()).zip(cube.cubed_cols()) {
-        if let Some(code) = code {
-            pred = pred.and(attr.clone(), CmpOp::Eq, cube.table().cat(col).unwrap().decode(*code));
-        }
-    }
-    pred
 }
 
 /// Every predicate worth asking of `cube`, with the answer it must get.
@@ -90,103 +79,62 @@ fn probes(cube: &SamplingCube) -> Vec<(Predicate, SampleProvenance)> {
 /// One server under test and what it has shipped so far.
 struct Door {
     server: Server,
-    /// `roomy`: the generation keeps every sample it materialized.
-    cache: &'static str,
     /// The table shipped for each sample (`None`: the global one), kept
     /// alive so no later table can reuse its address.
     shipped: HashMap<Option<u32>, Arc<Table>>,
-    /// Queries answered from a Local sample.
-    local_queries: u64,
-    /// Queries answered from the global sample.
-    global_queries: u64,
+    /// Queries answered from a Local or the global sample.
+    sample_queries: u64,
 }
 
 impl Door {
-    fn new(cube: &Arc<SamplingCube>, cache: &'static str) -> Door {
+    fn new(cube: &Arc<SamplingCube>) -> Door {
         let server = Server::in_registry(Arc::clone(cube), &Arc::new(Registry::new()));
-        Door {
-            server: server.unwrap(),
-            cache,
-            shipped: HashMap::new(),
-            local_queries: 0,
-            global_queries: 0,
-        }
+        Door { server: server.unwrap(), shipped: HashMap::new(), sample_queries: 0 }
     }
 
     /// Ask `pred`, whose answer must be `rows` out of `provenance`.
     fn ask(&mut self, pred: &Predicate, provenance: SampleProvenance, rows: &Arc<Vec<u32>>) {
         let cube = self.server.cube();
         let answer = self.server.query(pred).unwrap();
-        let context = format!("{} cache, {pred:?}", self.cache);
+        let context = format!("{pred:?}");
         assert_eq!((answer.provenance, &answer.rows), (provenance, rows), "{context}");
         let sample = match provenance {
             SampleProvenance::EmptyDomain => {
-                assert!(!answer.cached && answer.table.is_empty(), "{context}");
+                assert!(answer.table.is_empty(), "{context}");
                 assert_eq!(answer.table.schema(), cube.table().schema(), "{context}");
                 return;
             }
-            SampleProvenance::Global => {
-                self.global_queries += 1;
-                None
-            }
-            SampleProvenance::Local(id) => {
-                self.local_queries += 1;
-                Some(id)
-            }
+            SampleProvenance::Global => None,
+            SampleProvenance::Local(id) => Some(id),
         };
-        // Already materialized: the global sample always, a Local sample
-        // once this generation has served it (and kept it).
-        let before = self.shipped.get(&sample);
-        let expect_cached = match (sample, self.cache) {
-            (None, _) => Some(true),
-            (Some(_), "roomy") => Some(before.is_some()),
-            _ => None,
-        };
-        if let Some(cached) = expect_cached {
-            assert_eq!(answer.cached, cached, "{context}");
-        }
-        match before {
-            // A cached answer is the very table shipped before; one
-            // materialized again holds the same tuples.
-            Some(first) if answer.cached => {
-                assert!(Arc::ptr_eq(first, &answer.table), "{context}");
-                return;
-            }
-            Some(first) => assert!(!Arc::ptr_eq(first, &answer.table), "{context}"),
-            None => assert!(!answer.cached || sample.is_none(), "{context}"),
+        self.sample_queries += 1;
+        // A sample shipped before comes back as the very same table.
+        if let Some(first) = self.shipped.get(&sample) {
+            assert!(Arc::ptr_eq(first, &answer.table), "{context}");
+            return;
         }
         assert_eq!(rows_of(&answer.table), rows_of(&cube.table().take(rows)), "{context}");
         self.shipped.insert(sample, answer.table);
     }
 
-    /// `serve.misses` is the Local samples materialized, `serve.hits`
-    /// every other cell answer.
+    /// `serve.hits` is every sample answer; nothing is materialized or
+    /// evicted after the install.
     fn assert_counters(&self) {
         let snap = self.server.registry().snapshot();
-        let (hits, misses) = (snap.counter(SERVE_HITS), snap.counter(SERVE_MISSES));
-        let locals = self.shipped.keys().flatten().count() as u64;
-        assert_eq!(hits + misses, self.local_queries + self.global_queries, "{}", self.cache);
-        match self.cache {
-            "roomy" => {
-                assert_eq!(misses, locals, "one materialization per Local sample touched");
-                assert_eq!(snap.counter(SERVE_EVICTIONS), 0);
-                assert_eq!(self.server.cache().len() as u64, locals);
-            }
-            other => unreachable!("no {other} door"),
-        }
+        assert_eq!(snap.counter(SERVE_HITS), self.sample_queries);
+        assert_eq!((snap.counter(SERVE_MISSES), snap.counter(SERVE_EVICTIONS)), (0, 0));
     }
 
-    /// Once every cell has been asked, the generation holds each
+    /// Once every cell has been asked, the server has shipped each
     /// persisted sample's table once: exactly the cube's own sample table.
-    /// That is the bound, by arithmetic, in place of a byte budget.
     fn assert_bound(&self) {
         let cube = self.server.cube();
         let touched: Vec<u32> = self.shipped.keys().flatten().copied().collect();
         assert_eq!(touched.len(), cube.persisted_samples(), "every sample serves some cell");
         let bytes: usize =
-            touched.iter().map(|&id| cube.table().take(cube.sample(id)).heap_bytes()).sum();
-        assert_eq!(self.server.cache().bytes(), bytes, "{}", self.cache);
-        assert_eq!(bytes, cube.memory_breakdown().sample_table_bytes, "{}", self.cache);
+            self.shipped.iter().filter(|(id, _)| id.is_some()).map(|(_, t)| t.heap_bytes()).sum();
+        assert_eq!(self.server.cache().bytes(), bytes);
+        assert_eq!(bytes, cube.memory_breakdown().sample_table_bytes);
     }
 }
 
@@ -214,8 +162,7 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
 
     let probes = probes(&built);
     let (built, restored) = (Arc::new(built), Arc::new(restored));
-    let mut doors: Vec<Door> =
-        [&built, &restored].into_iter().map(|cube| Door::new(cube, "roomy")).collect();
+    let mut doors: Vec<Door> = [&built, &restored].into_iter().map(Door::new).collect();
     for door in &doors {
         assert_eq!(door.server.cube().materialized_cells(), cells);
     }
@@ -231,7 +178,7 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
             assert_eq!((answer.provenance, &answer.rows), (*provenance, &rows), "{pred:?}");
         }
         for door in &mut doors {
-            // Cold, then warm.
+            // First, then again.
             door.ask(pred, *provenance, &rows);
             door.ask(pred, *provenance, &rows);
         }
@@ -253,16 +200,13 @@ fn assert_every_door_agrees(built: SamplingCube, flat_keys: bool) {
         door.assert_counters();
         door.assert_bound();
         // A new generation of the same cube: nothing the old one shipped
-        // comes back, and its global table is hot from the first query.
+        // comes back.
         let old: Vec<Arc<Table>> = std::mem::take(&mut door.shipped).into_values().collect();
         door.server.install(door.server.cube()).unwrap();
         for (pred, provenance) in &probes {
             let answer = door.server.query(pred).unwrap();
             assert_eq!(answer.provenance, *provenance, "{pred:?}");
             assert!(!old.iter().any(|t| Arc::ptr_eq(t, &answer.table)), "{pred:?}");
-            if *provenance == SampleProvenance::Global {
-                assert!(answer.cached, "{pred:?}");
-            }
         }
     }
 
@@ -403,10 +347,10 @@ fn a_snapshot_from_before_the_cube_table_loads_and_refreezes_identically() {
     }
 }
 
-/// Clients racing for one cold Local cell: one of them materializes the
-/// sample, every other waits for it and ships the very same table.
+/// Clients racing for one Local cell that no query has asked yet: every
+/// one of them ships the table the generation took at install.
 #[test]
-fn racing_clients_materialize_a_cold_sample_once() {
+fn racing_clients_ship_the_one_table_of_their_sample() {
     const CLIENTS: usize = 8;
     let cube = Arc::new(cube_over(&wide_table()));
     let (cell, id) = cube.cube_table().next().expect("an iceberg cell");
@@ -429,9 +373,7 @@ fn racing_clients_materialize_a_cold_sample_once() {
         assert_eq!(answer.provenance, SampleProvenance::Local(id));
         assert!(Arc::ptr_eq(&answer.table, &answers[0].table));
     }
-    assert_eq!(answers.iter().filter(|a| !a.cached).count(), 1, "one client materialized");
+    assert_eq!(rows_of(&answers[0].table), rows_of(&cube.table().take(cube.sample(id))));
     let snap = registry.snapshot();
-    assert_eq!((snap.counter(SERVE_MISSES), snap.counter(SERVE_HITS)), (1, CLIENTS as u64 - 1));
-    assert_eq!(server.cache().len(), 1);
-    assert_eq!(server.cache().bytes(), answers[0].table.heap_bytes());
+    assert_eq!((snap.counter(SERVE_MISSES), snap.counter(SERVE_HITS)), (0, CLIENTS as u64));
 }

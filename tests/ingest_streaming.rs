@@ -4,7 +4,7 @@
 //!
 //! Barrier-aligned (`fold_batches: 1` + `wait_folded` per batch) so every
 //! round is exactly one generation: the epoch must bump once per fold
-//! (one install, its answer slots empty), every acked row must be
+//! (one install, with its own sample tables), every acked row must be
 //! readable at the barrier, and the θ guarantee must hold over a
 //! dashboard workload after every fold. The fine-grained differential
 //! equivalence sweep (streamed cube vs from-scratch build, across thread
@@ -57,13 +57,13 @@ fn streamed_generations_stay_fresh_and_guaranteed_under_readers() {
     config.fold_batches = 1;
     let ingestor = Ingestor::start(Arc::clone(&srv), loss.clone(), config);
 
-    // Warm the probe's answer so the first fold provably retires it. The
+    // Ship the probe's answer so the first fold provably retires it. The
     // table is held on to: one kept alive cannot lend its address to a
     // later generation's.
     let probe = &workload[0].predicate;
     let mut last = srv.query(probe).unwrap().table;
     let again = srv.query(probe).unwrap();
-    assert!(again.cached && Arc::ptr_eq(&again.table, &last), "the repeat ships the same table");
+    assert!(Arc::ptr_eq(&again.table, &last), "the repeat ships the same table");
 
     // A concurrent reader that must keep serving across every swap.
     let stop = Arc::new(AtomicBool::new(false));
@@ -96,13 +96,12 @@ fn streamed_generations_stay_fresh_and_guaranteed_under_readers() {
         assert_eq!(now.len(), BASE_ROWS + BATCH_ROWS * (round + 1), "round {round}");
         assert_eq!(srv.epoch(), epoch0 + round as u64 + 1, "one epoch bump per fold");
 
-        // The swap retired every table of the old generation (the reader
-        // may have asked for the probe's sample first; the slot it filled
-        // is still the new generation's), and the repeat needs no
-        // materializing again.
+        // The swap retired every table of the old generation, and the
+        // repeat ships the new generation's one table again.
         let fresh = srv.query(probe).unwrap().table;
         assert!(!Arc::ptr_eq(&fresh, &last), "round {round}: stale answer served");
-        assert!(srv.query(probe).unwrap().cached, "round {round}: slot filled again");
+        let again = srv.query(probe).unwrap().table;
+        assert!(Arc::ptr_eq(&again, &fresh), "round {round}: a second table for one sample");
         last = fresh;
 
         // The θ guarantee holds on the streamed generation.

@@ -37,7 +37,7 @@ fn scatter(i: usize, salt: u64) -> u64 {
 fn strs(values: impl Iterator<Item = String>) -> Column {
     let mut dict = Dictionary::new();
     let codes: Vec<u32> = values.map(|v| dict.encode(&v)).collect();
-    Column::Str { codes: codes.into(), dict }
+    Column::Str { codes: codes.into(), dict: dict.into() }
 }
 
 fn ints(values: impl Iterator<Item = i64>) -> Column {

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use tabula::data::{TaxiConfig, TaxiGenerator};
 use tabula::obs::trace::{Stage, TraceProvenance, Tracer};
-use tabula::serve::{CELL_MISS, GLOBAL_HIT, LOCAL_HIT, SERVE_CACHE_HIT};
+use tabula::serve::{CELL_MISS, GLOBAL_HIT, LOCAL_HIT};
 use tabula::sql::ast::WhereTerm;
 use tabula::sql::{QueryResult, Session, Statement};
 use tabula::storage::{CellKey, CmpOp};
@@ -91,26 +91,24 @@ fn explain_analyze_served_query_prints_all_stages() {
     assert!(lines[1].starts_with("answer:"), "{lines:#?}");
     assert!(
         lines[1].contains("trace provenance: local |"),
-        "a cold query of a cube-table cell materializes its sample: {lines:#?}"
+        "a query of a cube-table cell ships its local sample: {lines:#?}"
     );
+    let rows: usize = lines[1]["answer: ".len()..].split(' ').next().unwrap().parse().unwrap();
+    assert!(rows > 0, "{lines:#?}");
     let cell = format!("cell: {}", local_cell(&s));
     assert!(lines.contains(&cell), "{cell} in {lines:#?}");
 
-    // All four stages, each with nonzero recorded time: the probe comes
-    // before the cache, which is keyed by what the probe found.
+    // Both stages, each with nonzero recorded time: the sample's table
+    // was taken when the generation was installed.
     let stages = stage_rows(&lines);
     let names: Vec<&str> = stages.iter().map(|(n, ..)| n.as_str()).collect();
-    assert_eq!(names, ["compile", "index_probe", "cache_probe", "materialize"], "{lines:#?}");
+    assert_eq!(names, ["compile", "index_probe"], "{lines:#?}");
     for (name, ns, ..) in &stages {
         assert_ne!(ns, "0ns", "stage {name} must have nonzero nanos");
     }
-    // Materialize reports the rows it shipped.
-    let materialize = stages.iter().find(|(n, ..)| n == "materialize").unwrap();
-    assert!(materialize.2 > 0, "materialize rows: {lines:#?}");
-    assert!(materialize.3 > 0, "materialize bytes: {lines:#?}");
 
-    // A cell outside the cube table ships the generation's global table:
-    // no cache to probe, nothing to materialize, cold or warm.
+    // A cell outside the cube table ships the generation's global table,
+    // through the same two stages, first time or not.
     for _ in 0..2 {
         let QueryResult::Info(lines) =
             s.execute(&format!("EXPLAIN ANALYZE {GLOBAL_SELECT}")).unwrap()
@@ -124,14 +122,19 @@ fn explain_analyze_served_query_prints_all_stages() {
 }
 
 #[test]
-fn explain_analyze_warm_query_reports_cache_hit() {
+fn explain_analyze_repeat_query_reports_what_the_first_did() {
     let (mut s, _tracer) = traced_session(5_000);
     let sql = format!("EXPLAIN ANALYZE {}", local_select(&s));
-    s.execute(&sql).unwrap(); // cold: fills the cache
-    let QueryResult::Info(lines) = s.execute(&sql).unwrap() else { panic!() };
-    assert!(lines[1].contains("cache_hit"), "{lines:#?}");
-    let names: Vec<String> = stage_rows(&lines).into_iter().map(|(n, ..)| n).collect();
-    assert_eq!(names, ["compile", "index_probe", "cache_probe"], "a hit materializes nothing");
+    let explain = |s: &mut Session| {
+        let QueryResult::Info(lines) = s.execute(&sql).unwrap() else { panic!() };
+        let names: Vec<String> = stage_rows(&lines).into_iter().map(|(n, ..)| n).collect();
+        let answer = lines[1].split(" in ").next().unwrap().to_string();
+        (answer, lines[1].contains("trace provenance: local |"), names)
+    };
+    let first = explain(&mut s);
+    assert!(first.1, "{first:?}");
+    assert_eq!(first.2, ["compile", "index_probe"]);
+    assert_eq!(explain(&mut s), first, "there is no second kind of local answer");
 }
 
 #[test]
@@ -174,53 +177,43 @@ fn explain_analyze_works_with_tracing_disabled() {
 fn traces_agree_with_provenance_counter_deltas() {
     let (mut s, tracer) = traced_session(5_000);
     // The cube's server counts in the session's registry.
-    let counters = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS, SERVE_CACHE_HIT]
+    let counters = [LOCAL_HIT, GLOBAL_HIT, CELL_MISS]
         .map(|c| s.cube_server("cube").unwrap().registry().counter(c));
     let counts = || counters.each_ref().map(|c| c.get());
-    // A cache hit is a Local sample already served in this generation —
-    // by whichever cell; the global sample is never one, however warm.
+    // A repeat is counted and traced as the first query was.
     let local = local_select(&s);
     let queries = [
-        (local.as_str(), false),
-        (local.as_str(), true), // warm repeat
-        (GLOBAL_SELECT, false),
-        (GLOBAL_SELECT, false),
-        ("SELECT sample FROM cube WHERE payment_type = 'no_such_payment'", false),
+        local.as_str(),
+        local.as_str(),
+        GLOBAL_SELECT,
+        GLOBAL_SELECT,
+        "SELECT sample FROM cube WHERE payment_type = 'no_such_payment'",
     ];
     let mut seen = Vec::new();
-    for (sql, expect_cache_hit) in queries {
+    for sql in queries {
         let before = counts();
         s.execute(sql).unwrap();
         let trace = tracer.recorder().recent().pop().unwrap();
         let after = counts();
-        let delta: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+        let delta: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
         // Exactly one counter moved, and it matches the trace's provenance.
         assert_eq!(delta.iter().sum::<u64>(), 1, "{sql}");
         let expected = match trace.provenance {
-            TraceProvenance::Local => [1, 0, 0, 0],
-            TraceProvenance::GlobalSample => [0, 1, 0, 0],
-            TraceProvenance::EmptyDomain => [0, 0, 1, 0],
-            TraceProvenance::CacheHit => [0, 0, 0, 1],
+            TraceProvenance::Local => [1, 0, 0],
+            TraceProvenance::GlobalSample => [0, 1, 0],
+            TraceProvenance::EmptyDomain => [0, 0, 1],
             other => panic!("unexpected provenance {other:?} for {sql}"),
         };
         assert_eq!(delta, expected, "{sql}");
-        assert_eq!(trace.provenance == TraceProvenance::CacheHit, expect_cache_hit, "{sql}");
         let ran = |stage| trace.stage_ns(stage).is_some();
-        match trace.provenance {
-            TraceProvenance::CacheHit => assert!(
-                !ran(Stage::Materialize) && !ran(Stage::Scan),
-                "cache hit must record no materialize/scan stages: {trace:?}"
-            ),
-            TraceProvenance::Local => assert!(ran(Stage::Materialize), "{trace:?}"),
-            _ => assert!(
-                !ran(Stage::CacheProbe) && !ran(Stage::Materialize),
-                "the generation's constant answers touch no cache: {trace:?}"
-            ),
-        }
+        assert!(
+            ![Stage::CacheProbe, Stage::Materialize, Stage::Scan].into_iter().any(ran),
+            "a served answer was taken at install: {trace:?}"
+        );
         seen.push(trace.provenance);
     }
     use TraceProvenance::*;
-    assert_eq!(seen, [Local, CacheHit, GlobalSample, GlobalSample, EmptyDomain]);
+    assert_eq!(seen, [Local, Local, GlobalSample, GlobalSample, EmptyDomain]);
 }
 
 #[test]
