@@ -14,8 +14,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tabula_core::loss::AccuracyLoss;
-use tabula_core::SerflingConfig;
 use tabula_storage::{Predicate, RowId, Table};
+
+/// The pre-sample size at the paper's POIsam setting, 5 % error at 10 %
+/// failure probability: `SerflingConfig { epsilon: 0.05, delta: 0.10 }`'s
+/// `⌈ln(2/δ) / (2ε²)⌉`.
+const PRESAMPLE_SIZE: usize = 600;
 
 /// POIsam over a given loss function.
 pub struct PoiSam<L> {
@@ -34,7 +38,7 @@ impl<L: AccuracyLoss> PoiSam<L> {
     /// sized by the law of large numbers at 5 % error / 10 % failure
     /// probability.
     pub fn new(table: Arc<Table>, loss: L, theta: f64, seed: u64) -> Self {
-        let presample_size = SerflingConfig { epsilon: 0.05, delta: 0.10 }.sample_size();
+        let presample_size = PRESAMPLE_SIZE;
         PoiSam { table, loss, theta, presample_size, counter: AtomicU64::new(0), base_seed: seed }
     }
 }
@@ -93,6 +97,12 @@ mod tests {
         let raw = pred.filter(&t).unwrap();
         let achieved = loss.loss(&t, &raw, &ans.rows);
         assert!(achieved <= theta * 2.0, "achieved {achieved} vs θ {theta}");
+    }
+
+    #[test]
+    fn presample_size_is_serflings_at_the_papers_setting() {
+        let config = tabula_core::SerflingConfig { epsilon: 0.05, delta: 0.10 };
+        assert_eq!(config.sample_size(), Ok(PRESAMPLE_SIZE));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn sam_cube<L: AccuracyLoss>(
     let cats = cols.iter().map(|&c| table.cat(c)).collect::<tabula_storage::Result<Vec<_>>>()?;
     let n = cols.len();
     let space = CellSpace::new(cats.iter().map(|cat| cat.cardinality()).collect());
-    let global = draw_global_sample(&table, config.serfling.sample_size(), config.seed);
+    let global = draw_global_sample(&table, config.serfling.sample_size()?, config.seed);
 
     let start = Instant::now();
     let ctx = iceberg_only.then(|| loss.prepare(&table, &global));

@@ -34,7 +34,7 @@ pub fn two_phase_cube<L: AccuracyLoss>(
 ) -> Result<SamplingCube> {
     let total_start = Instant::now();
     let cols = cubed_columns(&table, attrs, loss, theta)?;
-    let global = draw_global_sample(&table, config.serfling.sample_size(), config.seed);
+    let global = draw_global_sample(&table, config.serfling.sample_size()?, config.seed);
 
     let start = Instant::now();
     let partition = FinestPartition::build(&table, &cols)?;

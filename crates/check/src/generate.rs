@@ -92,8 +92,7 @@ pub fn gen_case(seed: u64) -> CaseSpec {
             codes.push(j);
             row.push(match schema[i].1 {
                 ColumnType::Str => Value::Str(format!("v{j}")),
-                // From −1: the grammar spells a negative number only as a
-                // float, so SQL reaches `int_col = <integral float>`.
+                // From −1, so a negative integer is an in-domain literal.
                 _ => Value::Int64(j as i64 - 1),
             });
         }
@@ -192,11 +191,7 @@ pub fn gen_where_terms(rng: &mut SmallRng, case: &CaseSpec) -> Vec<WhereTerm> {
         let (name, _) = &case.schema[col];
         let op = ALL_OPS[rng.gen_range(0..ALL_OPS.len())];
         let value = if rng.gen_bool(0.8) {
-            match case.rows[rng.gen_range(0..case.rows.len())][col] {
-                // What `-1` parses to (see `gen_literal`).
-                Value::Int64(v) if v < 0 => Value::Float64(v as f64),
-                ref v => v.clone(),
-            }
+            case.rows[rng.gen_range(0..case.rows.len())][col].clone()
         } else {
             gen_literal(rng)
         };
@@ -236,15 +231,18 @@ fn distinct_idents(rng: &mut SmallRng, n: usize) -> Vec<String> {
     (start..start + n).map(|i| IDENTS[i % IDENTS.len()].to_string()).collect()
 }
 
-/// A literal the grammar can express: non-negative integers, floats with
-/// a fractional part, negative floats (the grammar's only negative form)
-/// and strings (occasionally containing the quote-escape).
+/// A literal with a spelling (see `tabula_sql`'s printer): integers of
+/// either sign, floats with and without a fractional part, the edges of
+/// the two number kinds, and strings (occasionally containing the
+/// quote-escape). `i64::MIN` is the one integer with no spelling.
 fn gen_literal(rng: &mut SmallRng) -> Value {
-    match rng.gen_range(0..5u32) {
-        0 => Value::Int64(rng.gen_range(0..100i64)),
+    match rng.gen_range(0..7u32) {
+        0 => Value::Int64(rng.gen_range(-100..100i64)),
         1 => Value::Float64(rng.gen_range(0..40i64) as f64 + 0.5),
         2 => Value::Float64(-(rng.gen_range(0..40i64) as f64) - 0.25),
-        3 => Value::Float64(-(rng.gen_range(1..40i64) as f64)),
+        3 => Value::Float64(rng.gen_range(-40..40i64) as f64),
+        4 => Value::Int64([(1 << 53) + 1, -(1 << 53) - 1, i64::MAX][rng.gen_range(0..3usize)]),
+        5 => Value::Float64([-0.0, 1e300][rng.gen_range(0..2usize)]),
         _ => {
             if rng.gen_bool(0.15) {
                 Value::Str("it's".to_string())
@@ -261,7 +259,7 @@ fn gen_expr(rng: &mut SmallRng, depth: usize, side: Option<Side>) -> Expr {
     if depth == 0 || rng.gen_bool(0.35) {
         return if rng.gen_bool(0.4) {
             // Quarter-steps: non-negative, exactly representable,
-            // round-trips through `Display`.
+            // round-trip through the printer.
             Expr::Const(rng.gen_range(0..32u32) as f64 / 4.0)
         } else {
             let agg = [AggFn::Avg, AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max, AggFn::StdDev]

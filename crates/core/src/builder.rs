@@ -214,7 +214,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let total_start = Instant::now();
     let mut stats = BuildStats::default();
     let mut times = StageTimes::default();
-    let global = Arc::new(draw_global_sample(&table, config.serfling.sample_size(), config.seed));
+    let global = Arc::new(draw_global_sample(&table, config.serfling.sample_size()?, config.seed));
     times.global_sample = total_start.elapsed();
     stats.global_sample_size = global.len();
 

@@ -78,7 +78,7 @@ pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};
 pub use incremental::refresh;
 pub use loss::{AccuracyLoss, HeatmapLoss, MeanLoss, RegressionLoss};
-pub use serfling::{global_sample_size, SerflingConfig};
+pub use serfling::SerflingConfig;
 pub use store::SnapshotInfo;
 pub use tabula_storage::MAX_CUBED_ATTRS;
 

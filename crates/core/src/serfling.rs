@@ -30,17 +30,14 @@ impl Default for SerflingConfig {
 }
 
 impl SerflingConfig {
-    /// The required sample size `k ≈ ln(2/δ) / (2ε²)`.
-    pub fn sample_size(&self) -> usize {
-        assert!(self.epsilon > 0.0, "epsilon must be positive");
-        assert!(self.delta > 0.0 && self.delta < 1.0, "delta must be in (0, 1)");
-        ((2.0 / self.delta).ln() / (2.0 * self.epsilon * self.epsilon)).ceil() as usize
+    /// The required sample size `k ≈ ln(2/δ) / (2ε²)`; a configuration
+    /// error unless `ε > 0` and `0 < δ < 1` (a NaN is neither).
+    pub fn sample_size(&self) -> crate::Result<usize> {
+        let SerflingConfig { epsilon, delta } = *self;
+        (epsilon > 0.0 && delta > 0.0 && delta < 1.0)
+            .then(|| ((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize)
+            .ok_or_else(|| crate::CoreError::Config(format!("need ε > 0, 0 < δ < 1: {self:?}")))
     }
-}
-
-/// The paper's default global-sample size (`ε = 0.05`, `δ = 0.01`).
-pub fn global_sample_size() -> usize {
-    SerflingConfig::default().sample_size()
 }
 
 /// Draw a uniform random sample of `k` row ids from `table` without
@@ -62,20 +59,20 @@ mod tests {
     use super::*;
     use tabula_storage::{ColumnType, Field, Schema, TableBuilder};
 
+    fn size(epsilon: f64, delta: f64) -> usize {
+        SerflingConfig { epsilon, delta }.sample_size().unwrap()
+    }
+
     #[test]
     fn default_size_matches_paper() {
         // ln(2/0.01) / (2·0.05²) = ln(200)/0.005 ≈ 1059.7 → 1060.
-        let k = global_sample_size();
-        assert!((1055..=1065).contains(&k), "k = {k}");
+        assert_eq!(SerflingConfig::default().sample_size(), Ok(1060));
     }
 
     #[test]
     fn size_scales_with_epsilon_and_delta() {
-        let tight = SerflingConfig { epsilon: 0.01, delta: 0.01 }.sample_size();
-        let loose = SerflingConfig { epsilon: 0.10, delta: 0.01 }.sample_size();
-        assert!(tight > 20 * loose);
-        let confident = SerflingConfig { epsilon: 0.05, delta: 0.001 }.sample_size();
-        assert!(confident > global_sample_size());
+        assert!(size(0.01, 0.01) > 20 * size(0.10, 0.01));
+        assert!(size(0.05, 0.001) > size(0.05, 0.01));
     }
 
     fn table(n: usize) -> Table {

@@ -28,9 +28,10 @@
 //! count: the rows are always the cube's own `Arc`, and a table is always
 //! `take` of exactly those rows.
 //!
-//! The server is the one place a served query is classified. Each query
-//! ends in one `Outcome` — Local, Global or EmptyDomain — and one
-//! accounting step turns it into everything an observer sees: exactly one
+//! The server is the one place a served query is counted. Each query
+//! ends in the [`SampleProvenance`] its compile and probe decided — Local,
+//! Global or EmptyDomain — and one accounting step turns it into
+//! everything an observer sees: exactly one
 //! `query.provenance.*` counter in the server's registry (`local_hit`,
 //! `global_hit`, `cell_miss`), `serve.hits` for the first two, and the
 //! trace's [`TraceProvenance`]. The cube itself counts nothing.
@@ -68,21 +69,11 @@ pub const GLOBAL_HIT: &str = "query.provenance.global_hit";
 /// Counter: queries naming a value outside its attribute's domain.
 pub const CELL_MISS: &str = "query.provenance.cell_miss";
 
-/// Where one served answer came from: decided once per query, and the one
-/// value every observer of the query reads (paper §V: a cell's local
-/// sample, the global sample, or nothing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Local,
-    Global,
-    EmptyDomain,
-}
-
 /// Pre-resolved serving metrics.
 #[derive(Debug, Clone)]
 struct ServeMetrics {
     hits: Arc<Counter>,
-    /// One counter per [`Outcome`], in declaration order.
+    /// One counter per [`SampleProvenance`] variant, in declaration order.
     provenance: [Arc<Counter>; 3],
     probe_ns: Arc<Histogram>,
     query_ns: Arc<Histogram>,
@@ -102,18 +93,19 @@ impl ServeMetrics {
         }
     }
 
-    /// The accounting step: count `outcome` in its provenance counter and
-    /// in `serve.hits`, and name it in `trace`.
-    fn account(&self, outcome: Outcome, trace: &mut QueryTrace) {
-        self.provenance[outcome as usize].inc();
-        if outcome != Outcome::EmptyDomain {
+    /// The accounting step: count `provenance` in its counter and, for a
+    /// cell answer, in `serve.hits`, and name it in `trace`.
+    fn account(&self, provenance: SampleProvenance, trace: &mut QueryTrace) {
+        let (slot, traced) = match provenance {
+            SampleProvenance::Local(_) => (0, TraceProvenance::Local),
+            SampleProvenance::Global => (1, TraceProvenance::GlobalSample),
+            SampleProvenance::EmptyDomain => (2, TraceProvenance::EmptyDomain),
+        };
+        self.provenance[slot].inc();
+        if provenance != SampleProvenance::EmptyDomain {
             self.hits.inc();
         }
-        trace.set_provenance(match outcome {
-            Outcome::Local => TraceProvenance::Local,
-            Outcome::Global => TraceProvenance::GlobalSample,
-            Outcome::EmptyDomain => TraceProvenance::EmptyDomain,
-        });
+        trace.set_provenance(traced);
     }
 }
 
@@ -281,11 +273,9 @@ impl Server {
         let stage = trace.stage_start();
         let compiled = cube.compile(pred)?;
         trace.stage(Stage::Compile, stage, 0, 0);
-        let (provenance, table, outcome) = match compiled {
+        let (provenance, table) = match compiled {
             // EmptyDomain short-circuit: nothing to probe.
-            None => {
-                (SampleProvenance::EmptyDomain, Arc::clone(&generation.empty), Outcome::EmptyDomain)
-            }
+            None => (SampleProvenance::EmptyDomain, &generation.empty),
             Some(key) => {
                 if trace.is_enabled() {
                     trace.set_cell(cube.cells().space().decode(&key).to_string());
@@ -296,15 +286,17 @@ impl Server {
                 self.metrics.probe_ns.record_duration(start.elapsed());
                 trace.stage(Stage::IndexProbe, stage, 0, 0);
                 match provenance {
-                    SampleProvenance::Local(id) => {
-                        (provenance, Arc::clone(&generation.samples[id as usize]), Outcome::Local)
-                    }
-                    _ => (provenance, Arc::clone(&generation.global), Outcome::Global),
+                    SampleProvenance::Local(id) => (provenance, &generation.samples[id as usize]),
+                    _ => (provenance, &generation.global),
                 }
             }
         };
-        self.metrics.account(outcome, trace);
-        Ok(ServeAnswer { rows: Arc::clone(cube.rows(provenance)), provenance, table })
+        self.metrics.account(provenance, trace);
+        Ok(ServeAnswer {
+            rows: Arc::clone(cube.rows(provenance)),
+            provenance,
+            table: Arc::clone(table),
+        })
     }
 
     /// Install a new cube generation: take its sample tables, then, inside

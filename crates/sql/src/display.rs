@@ -1,16 +1,16 @@
 //! Pretty-printing of [`Statement`] ASTs back to the SQL dialect.
 //!
-//! The printer is the inverse of [`crate::parse`] on every
-//! parser-producible AST: `parse(stmt.to_string()) == stmt`. The
-//! differential test suite (`tests/sql_oracle.rs`) fuzzes exactly that
-//! round-trip. Two lossy corners exist only for ASTs the parser can never
-//! produce, and are best-effort:
+//! The printer is the inverse of [`crate::parse`]: `parse(stmt.to_string())
+//! == stmt` for every AST whose values have a spelling. The differential
+//! test suite (`tests/sql_oracle.rs`) fuzzes exactly that round-trip. A
+//! number's type is its spelling, so an `Int64` prints as digits and a
+//! `Float64` always as a float (`2.0`, `-0.0`, `1e300`). Only these have no
+//! spelling:
 //!
-//! * a `WHERE` literal `Value::Float64(x)` with `x ≥ 0` and zero
-//!   fractional part prints as an integer literal (the parser always
-//!   reads those as `Value::Int64`), and a negative `Value::Int64`
-//!   re-parses as `Value::Float64` (the grammar's only negative literal);
-//! * `Value::Point` has no literal syntax at all.
+//! * `Value::Point`, which has no literal syntax at all;
+//! * a non-finite `Float64` (NaN, ±∞);
+//! * `i64::MIN`, the one integer with no spelling: its digits exceed
+//!   `i64::MAX`, so they lex as a float before the `-` applies.
 //!
 //! Scalar expressions print fully parenthesized, so operator precedence
 //! never has to be reconstructed.
@@ -20,20 +20,16 @@ use std::fmt;
 use tabula_core::loss::expr::{AggFn, Expr, Side};
 use tabula_storage::{CmpOp, Value};
 
-/// Format a number the way the lexer reads it back: `Display` for `f64`
-/// never produces exponent syntax the lexer would reject, and shortest
-/// round-trip formatting preserves the exact value.
+/// Format a finite float the way the lexer reads it back as a float:
+/// `Debug` for `f64` is the shortest round-trip form and always carries a
+/// `.` or an exponent (`2.0`, `-0.0`, `1e300`).
 fn fmt_number(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
-    write!(f, "{n}")
+    write!(f, "{n:?}")
 }
 
 fn fmt_value(f: &mut fmt::Formatter<'_>, v: &Value) -> fmt::Result {
     match v {
         Value::Int64(i) => write!(f, "{i}"),
-        Value::Float64(x) if *x < 0.0 => {
-            write!(f, "-")?;
-            fmt_number(f, -*x)
-        }
         Value::Float64(x) => fmt_number(f, *x),
         Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
         // No literal syntax; printed for diagnostics only.

@@ -10,8 +10,11 @@ pub enum Token {
     /// including multi-word forms like `EXPLAIN ANALYZE` and `GROUP BY` —
     /// lexes as a plain sequence of `Ident`s; the parser decides meaning.
     Ident(String),
-    /// Numeric literal.
-    Number(f64),
+    /// Numeric literal spelled as digits alone that fits `i64`.
+    Int(i64),
+    /// Any other numeric literal: a `.`, an exponent, or too many digits
+    /// for `i64`.
+    Float(f64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
     Str(String),
     /// `(`.
@@ -171,12 +174,16 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 {
                     i += 1;
                 }
+                // A number is typed by its spelling: the scan starts at a
+                // digit or `.`, so `i64` parses exactly the digit strings
+                // that fit it.
                 let text = &input[start..i];
-                let value: f64 = text.parse().map_err(|_| SqlError::Lex {
+                let token =
+                    text.parse().map(Token::Int).or_else(|_| text.parse().map(Token::Float));
+                tokens.push(token.map_err(|_| SqlError::Lex {
                     message: format!("invalid number literal {text:?}"),
                     position: start,
-                })?;
-                tokens.push(Token::Number(value));
+                })?);
             }
             c if c.is_ascii_alphabetic() || c == '_' || c == '[' => {
                 // Identifiers; `[...]` brackets allow the paper's interval
@@ -215,7 +222,7 @@ mod tests {
                    HAVING loss(pickup_point, Sam_global) > 0.1";
         let toks = tokenize(sql).unwrap();
         assert!(toks.iter().any(|t| t.is_kw("SAMPLING")));
-        assert!(toks.iter().any(|t| matches!(t, Token::Number(n) if *n == 0.1)));
+        assert!(toks.contains(&Token::Float(0.1)));
         assert!(toks.iter().any(|t| t.is_kw("Sam_global")));
         assert_eq!(*toks.last().unwrap(), Token::Eof);
     }
@@ -244,13 +251,23 @@ mod tests {
     }
 
     #[test]
-    fn numbers_with_exponents() {
-        let toks = tokenize("0.004 1e-3 2.5E+2").unwrap();
-        let nums: Vec<f64> = toks
-            .iter()
-            .filter_map(|t| if let Token::Number(n) = t { Some(*n) } else { None })
-            .collect();
-        assert_eq!(nums, vec![0.004, 0.001, 250.0]);
+    fn numbers_are_typed_by_their_spelling() {
+        let toks =
+            tokenize("0.004 1e-3 2.5E+2 2.0 2 9007199254740993 9223372036854775808").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Float(0.004),
+                Token::Float(0.001),
+                Token::Float(250.0),
+                Token::Float(2.0),
+                Token::Int(2),
+                Token::Int(9_007_199_254_740_993),
+                // One past `i64::MAX`: digits, but no `i64`.
+                Token::Float(9_223_372_036_854_775_808.0),
+                Token::Eof,
+            ]
+        );
     }
 
     #[test]

@@ -67,9 +67,11 @@ impl Parser {
         }
     }
 
+    /// A number where only its value matters (θ, a loss constant).
     fn number(&mut self) -> Result<f64> {
         match self.next() {
-            Token::Number(n) => Ok(n),
+            Token::Int(n) => Ok(n as f64),
+            Token::Float(x) => Ok(x),
             other => Err(SqlError::Parse(format!("expected number, found {other:?}"))),
         }
     }
@@ -206,7 +208,7 @@ impl Parser {
                 self.expect(Token::RParen)?;
                 self.expect(Token::Gt)?;
                 let theta_having = self.number()?;
-                if (theta_having - theta_sampling).abs() > 1e-12 {
+                if theta_having != theta_sampling {
                     return Err(SqlError::Parse(format!(
                         "SAMPLING threshold {theta_sampling} and HAVING threshold \
                          {theta_having} must agree"
@@ -279,18 +281,14 @@ impl Parser {
                     )))
                 }
             };
+            // A string, or a number typed as the lexer typed it, after an
+            // optional `-` that negates either kind.
+            let negate = *self.peek() == Token::Minus;
+            self.pos += usize::from(negate);
             let value = match self.next() {
-                Token::Number(n) => {
-                    // Integral literals compare against Int64 categorical
-                    // columns; keep them integral when exact.
-                    if n.fract() == 0.0 && n.abs() < i64::MAX as f64 {
-                        Value::Int64(n as i64)
-                    } else {
-                        Value::Float64(n)
-                    }
-                }
-                Token::Str(s) => Value::Str(s),
-                Token::Minus => Value::Float64(-self.number()?),
+                Token::Int(n) => Value::Int64(if negate { -n } else { n }),
+                Token::Float(x) => Value::Float64(if negate { -x } else { x }),
+                Token::Str(s) if !negate => Value::Str(s),
                 other => return Err(SqlError::Parse(format!("expected literal, found {other:?}"))),
             };
             terms.push(WhereTerm { column, op, value });
@@ -347,7 +345,8 @@ impl Parser {
 
     fn scalar_factor(&mut self) -> Result<Expr> {
         match self.next() {
-            Token::Number(n) => Ok(Expr::Const(n)),
+            Token::Int(n) => Ok(Expr::Const(n as f64)),
+            Token::Float(x) => Ok(Expr::Const(x)),
             Token::Minus => Ok(Expr::Neg(Box::new(self.scalar_factor()?))),
             Token::LParen => {
                 let e = self.scalar_expr()?;
@@ -520,10 +519,41 @@ mod tests {
     }
 
     #[test]
-    fn negative_literals_in_where() {
-        let stmt = parse("SELECT * FROM t WHERE x < -2.5").unwrap();
+    fn where_literals_keep_the_lexers_type_under_a_minus() {
+        let stmt = parse(
+            "SELECT * FROM t WHERE x < -2.5 AND x > -1 AND x <> 2.0 AND x = 9007199254740993 \
+             AND x <> -9223372036854775807 AND x <> -0.0",
+        )
+        .unwrap();
         let Statement::SelectRaw { conditions, .. } = stmt else { panic!() };
-        assert_eq!(conditions[0].value, Value::Float64(-2.5));
+        let values: Vec<Value> = conditions.into_iter().map(|t| t.value).collect();
+        assert_eq!(
+            values,
+            vec![
+                Value::Float64(-2.5),
+                Value::Int64(-1),
+                Value::Float64(2.0),
+                Value::Int64(9_007_199_254_740_993),
+                Value::Int64(-i64::MAX),
+                Value::Float64(-0.0),
+            ]
+        );
+        assert!(matches!(&values[5], Value::Float64(z) if z.is_sign_negative()));
+        // A minus negates numbers only.
+        assert!(matches!(parse("SELECT * FROM t WHERE s = -'a'"), Err(SqlError::Parse(_))));
+    }
+
+    #[test]
+    fn thresholds_agree_by_value_whatever_their_spelling() {
+        let create = |a: &str, b: &str| {
+            parse(&format!(
+                "CREATE TABLE c AS SELECT a, SAMPLING(*, {a}) AS sample FROM t \
+                 GROUPBY CUBE(a) HAVING loss(x, Sam_global) > {b}"
+            ))
+        };
+        assert!(create("1", "1.0").is_ok());
+        assert!(create("0.1", "1e-1").is_ok());
+        assert!(matches!(create("0.1", "0.1000000000000001"), Err(SqlError::Parse(_))));
     }
 
     #[test]

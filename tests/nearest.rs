@@ -245,7 +245,7 @@ fn taxi_draws<L: AccuracyLoss>(
     theta: f64,
 ) -> Vec<CubeEntry> {
     let cols: Vec<usize> = attrs.iter().map(|a| table.schema().index_of(a).unwrap()).collect();
-    let global = draw_global_sample(table, SerflingConfig::default().sample_size(), 42);
+    let global = draw_global_sample(table, SerflingConfig::default().sample_size().unwrap(), 42);
     let partition = FinestPartition::build(table, &cols).unwrap();
     let dry = dry_run(table, &partition, loss, &loss.prepare(table, &global), theta);
     let work = dry.iceberg.iter().flat_map(|(mask, keys)| partition.gather(*mask, keys));
