@@ -58,7 +58,7 @@ fn sam_cube<L: AccuracyLoss>(
     let global = draw_global_sample(&table, config.serfling.sample_size()?, config.seed);
 
     let start = Instant::now();
-    let ctx = iceberg_only.then(|| loss.prepare(&table, &global));
+    let ctx = iceberg_only.then(|| loss.prepare_global(&table, &global));
     let (mut cells, mut samples, mut lattice_cells) = (Vec::new(), Vec::new(), 0);
     for mask in CuboidMask::enumerate(n) {
         let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();

@@ -38,7 +38,7 @@ pub fn two_phase_cube<L: AccuracyLoss>(
 
     let start = Instant::now();
     let partition = FinestPartition::build(&table, &cols)?;
-    let dry = dry_run(&table, &partition, loss, &loss.prepare(&table, &global), theta);
+    let dry = dry_run(&table, &partition, loss, &loss.prepare_global(&table, &global), theta);
     let dry_time = start.elapsed();
 
     // Algorithm 2: every iceberg cell's rows and sample, finest cuboid first.

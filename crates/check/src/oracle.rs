@@ -226,9 +226,10 @@ pub fn naive_cube(table: &Table, attrs: &[String]) -> Result<NaiveCube, StorageE
 
 /// Evaluate one `column <op> literal` term against one row by tree walk,
 /// reproducing the typed-comparison semantics of the storage predicate
-/// compiler: Int64/Int64 and Str/Str compare directly, any pairing that
-/// involves a Float64 promotes both sides to f64, and every other pairing
-/// (including anything with a Point) matches nothing.
+/// compiler: Int64/Int64 and Str/Str compare directly, an Int64 column
+/// against a Float64 literal compares the two numbers exactly, any other
+/// pairing that involves a Float64 promotes both sides to f64, and every
+/// other pairing (including anything with a Point) matches nothing.
 pub fn naive_term_matches(table: &Table, row: RowId, term: &WhereTerm) -> Result<bool, String> {
     let col = table
         .schema()
@@ -238,8 +239,10 @@ pub fn naive_term_matches(table: &Table, row: RowId, term: &WhereTerm) -> Result
     let ord = match (&lhs, &term.value) {
         (Value::Int64(a), Value::Int64(b)) => a.partial_cmp(b),
         (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
-        (Value::Float64(_), Value::Int64(_) | Value::Float64(_))
-        | (Value::Int64(_), Value::Float64(_)) => as_f64(&lhs).partial_cmp(&as_f64(&term.value)),
+        (&Value::Int64(a), &Value::Float64(b)) => int_cmp_float(a, b),
+        (Value::Float64(_), Value::Int64(_) | Value::Float64(_)) => {
+            as_f64(&lhs).partial_cmp(&as_f64(&term.value))
+        }
         _ => None,
     };
     let Some(ord) = ord else { return Ok(false) };
@@ -251,6 +254,26 @@ pub fn naive_term_matches(table: &Table, row: RowId, term: &WhereTerm) -> Result
         CmpOp::Gt => ord.is_gt(),
         CmpOp::Ge => ord.is_ge(),
     })
+}
+
+/// An integer against a float with no rounding on either side: every
+/// `i64` and every integral float below 2⁶⁴ in magnitude is an `i128`.
+/// `None` for a NaN.
+fn int_cmp_float(a: i64, b: f64) -> Option<std::cmp::Ordering> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+    if b.is_nan() {
+        None
+    } else if b >= TWO_64 {
+        Some(Less)
+    } else if b <= -TWO_64 {
+        Some(Greater)
+    } else {
+        // a = ⌊b⌋ is below b unless b is integral.
+        let floor = b.floor();
+        let fraction = if floor == b { Equal } else { Less };
+        Some(i128::from(a).cmp(&(floor as i128)).then(fraction))
+    }
 }
 
 fn as_f64(v: &Value) -> f64 {

@@ -38,7 +38,7 @@
 use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::CubeTable;
 use crate::dryrun::dry_run;
-use crate::loss::AccuracyLoss;
+use crate::loss::{AccuracyLoss, NearestWork};
 use crate::realrun::draw;
 use crate::samgraph::{KeptSet, SamGraphConfig};
 use crate::selection::select_representatives;
@@ -109,6 +109,8 @@ pub struct RefreshStats {
     pub retired_cells: usize,
     /// Appended rows processed.
     pub appended_rows: usize,
+    /// The dry run's nearest-distance work against the global sample.
+    pub nearest: NearestWork,
     /// Wall time of the whole run.
     pub total: Duration,
 }
@@ -119,6 +121,7 @@ pub struct RefreshStats {
 #[derive(Default)]
 struct StageTimes {
     global_sample: Duration,
+    index: Duration,
     partition: Duration,
     scan: Duration,
     rollup: Duration,
@@ -218,11 +221,14 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     times.global_sample = total_start.elapsed();
     stats.global_sample_size = global.len();
 
-    // The build's one grouping of the table is the dry run's scan.
-    let ctx = loss.prepare(&table, &global);
+    // The build's one grouping of the table is the dry run's scan, against
+    // the global sample's context indexed for every row.
     let start = Instant::now();
+    let ctx = loss.prepare_global(&table, &global);
+    times.index = start.elapsed();
+    let partition_start = Instant::now();
     let partition = FinestPartition::build(&table, &cols)?;
-    times.partition = start.elapsed();
+    times.partition = partition_start.elapsed();
     let dry = dry_run(&table, &partition, loss, &ctx, theta);
     stats.dry_run = start.elapsed();
     (times.scan, times.rollup, times.classify) = (dry.scan, dry.rollup, dry.classify);
@@ -271,7 +277,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         warm.and_then(|p| Some(p.sample(p.cells().probe_key(&space, key)?).as_slice()))
             .unwrap_or_default()
     };
-    let mut done = RefreshStats { reused_cells: sample_of.len(), ..RefreshStats::default() };
+    let (reused_cells, nearest) = (sample_of.len(), dry.work);
+    let mut done = RefreshStats { reused_cells, nearest, ..RefreshStats::default() };
     let reused_samples = samples.len();
     let cap = config.samgraph.max_candidates;
     let start = Instant::now();
@@ -493,6 +500,7 @@ fn publish_metrics(
     for (name, duration) in [
         ("global_sample", times.global_sample),
         ("dry_run", stats.dry_run),
+        ("dry_run.index", times.index),
         ("dry_run.partition", times.partition),
         ("dry_run.scan", times.scan),
         ("dry_run.rollup", times.rollup),
@@ -521,6 +529,8 @@ fn publish_metrics(
         ("warm_start_rows", refresh.warm_start_rows),
         ("retired_cells", refresh.retired_cells),
         ("appended_rows", refresh.appended_rows),
+        ("work.nearest_queries", refresh.nearest.queries as usize),
+        ("work.nearest_candidates", refresh.nearest.candidates as usize),
     ] {
         registry.counter(&format!("{prefix}.{name}")).add(n as u64);
     }

@@ -13,7 +13,7 @@
 //! cells** and are handed to the real run for local-sample
 //! materialization.
 
-use crate::loss::{exceeds_theta, AccuracyLoss};
+use crate::loss::{exceeds_theta, AccuracyLoss, NearestWork};
 use std::time::{Duration, Instant};
 use tabula_storage::cube::{rollup_from_finest, CellKey, CubeResult, CuboidMask};
 use tabula_storage::{CubeKey, FinestPartition, FxHashMap, Table};
@@ -42,6 +42,8 @@ pub struct DryRun<S> {
     pub total_cells: usize,
     /// Total iceberg cells.
     pub iceberg_count: usize,
+    /// The scan's nearest-neighbour work, summed in key order.
+    pub work: NearestWork,
     /// Wall time folding the partition's runs into the finest cuboid.
     pub scan: Duration,
     /// Wall time merging the finest cuboid's states down the lattice.
@@ -88,8 +90,8 @@ pub fn dry_run<L: AccuracyLoss>(
 ) -> DryRun<L::State> {
     // The partition's runs fold into the finest cuboid of loss states…
     let start = Instant::now();
-    let finest = partition
-        .fold_runs(L::State::default, |state, row| loss.fold(global_ctx, state, table, row));
+    let (finest, work) = partition
+        .fold_runs(L::State::default, |state, rows| loss.fold_rows(global_ctx, state, table, rows));
     let scan = start.elapsed();
     // …and the rest of the lattice is pure state merging.
     let start = Instant::now();
@@ -117,7 +119,8 @@ pub fn dry_run<L: AccuracyLoss>(
             iceberg.insert(mask, cells);
         }
     }
-    DryRun { states, iceberg, total_cells, iceberg_count, scan, rollup, classify: start.elapsed() }
+    let classify = start.elapsed();
+    DryRun { states, iceberg, total_cells, iceberg_count, work, scan, rollup, classify }
 }
 
 #[cfg(test)]

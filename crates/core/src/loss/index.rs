@@ -1,13 +1,39 @@
-//! The nearest-neighbour index of the visualization-aware loss: points
-//! sorted by x. It answers exact nearest-neighbour distance queries; it
-//! only accelerates, never approximates. The histogram loss's values are
-//! the points `(v, 0)`, so they are indexed here too.
+//! The nearest-neighbour indexes of the visualization-aware loss. Both
+//! answer exact nearest-neighbour distance queries; they only accelerate,
+//! never approximate. The histogram loss's values are the points `(v, 0)`,
+//! so they are indexed here too.
 //!
 //! A heat-map sample is small (tens of points for most cells, ≈ 1 000 for
 //! the global sample), so a sweep over the x-sorted points that stops once
-//! the x gap alone exceeds the best distance reads a few neighbours per
-//! query, with no bucket arithmetic and one allocation per index.
+//! the x gap alone exceeds the best distance ([`XSortedIndex`]) reads a few
+//! neighbours per query, with no bucket arithmetic and one allocation per
+//! index. Every sample context uses it.
+//!
+//! The dry run asks the *global* sample for every row of the table, so it
+//! pays to do the sweep's pruning once per region instead of once per
+//! query. [`NearestGrid`] lays a grid over the box of the points that will
+//! be asked about and gives each grid cell the list of sample points that
+//! can be nearest to some point of the cell: a query reads one short list
+//! (≈ 14 points on taxi pickups), with no search. A cell's list is every
+//! sample point `s` with
+//! `d(s, cell) ≤ (d(centre, s_c) + half-diagonal)·(1 + ε)`, where `s_c` is
+//! the centre's nearest. For a query `q` in the cell, the true nearest
+//! `s*` has `d(s*, cell) ≤ d(q, s*) ≤ d(q, s_c) ≤ d(q, centre) +
+//! d(centre, s_c)`, which is within the radius, so `s*` is listed; the
+//! slacks absorb the rounding of every distance involved, and
+//! the query takes the minimum of the very float expression the sweep
+//! minimises, so the two agree bit for bit. Anything the grid does not
+//! cover — a NaN or out-of-box query, an empty sample, a box that is not
+//! finite — is the sweep's.
+//!
+//! The grid has about 16·k cells for a k-point sample (4·√k a side, 130 at
+//! k = 1 060; a flat box, such as the histogram's `y = 0`, spends them all
+//! along its one axis), but at most one per 16 queries: a list costs about
+//! five sweeps to build, so on a small table the grid coarsens rather than
+//! cost more than the sweeps it saves.
 
+use super::heatmap::Metric;
+use tabula_par::Pool;
 use tabula_storage::Point;
 
 /// Exact nearest-neighbour index over a fixed set of 2-D points: the points
@@ -34,33 +60,42 @@ impl XSortedIndex {
         XSortedIndex { points }
     }
 
-    /// Exact Euclidean distance from `q` to its nearest indexed point;
-    /// `INFINITY` if the index is empty or no distance is a number.
-    pub fn nearest_dist(&self, q: &Point) -> f64 {
-        self.sweep(q, |dx| dx * dx, |dx, dy| dx * dx + dy * dy).sqrt()
-    }
-
-    /// Exact Manhattan (L1) distance from `q` to its nearest-under-L1
-    /// indexed point; `INFINITY` if the index is empty or no distance is a
-    /// number.
-    pub fn nearest_dist_manhattan(&self, q: &Point) -> f64 {
-        self.sweep(q, f64::abs, |dx, dy| dx.abs() + dy.abs())
-    }
-
-    /// The least `dist(q − p)` over the indexed points `p`, skipping NaNs.
-    /// `gap(dx) ≤ dist(dx, dy)` for every `dy` and grows with `|dx|`, which
-    /// grows monotonically along each side of `q.x` (float subtraction is
-    /// monotone), so the first `gap` above the best bounds the rest of that
-    /// side. A NaN `q.x` finds no side to stop and no number to keep.
+    /// Exact distance under `metric` from `q` to its nearest indexed point
+    /// (`INFINITY` if the index is empty or no distance is a number), and
+    /// the number of points the sweep computed a distance to.
     #[inline(always)]
-    fn sweep(&self, q: &Point, gap: impl Fn(f64) -> f64, dist: impl Fn(f64, f64) -> f64) -> f64 {
+    pub fn nearest(&self, q: &Point, metric: Metric) -> (f64, usize) {
+        match metric {
+            Metric::Euclidean => {
+                let (best, steps) = self.sweep(q, |dx| dx * dx, |dx, dy| dx * dx + dy * dy);
+                (best.sqrt(), steps)
+            }
+            Metric::Manhattan => self.sweep(q, f64::abs, |dx, dy| dx.abs() + dy.abs()),
+        }
+    }
+
+    /// The least `dist(q − p)` over the indexed points `p`, skipping NaNs,
+    /// and the number of points it was computed for. `gap(dx) ≤ dist(dx,
+    /// dy)` for every `dy` and grows with `|dx|`, which grows monotonically
+    /// along each side of `q.x` (float subtraction is monotone), so the
+    /// first `gap` above the best bounds the rest of that side. A NaN `q.x`
+    /// finds no side to stop and no number to keep.
+    #[inline(always)]
+    fn sweep(
+        &self,
+        q: &Point,
+        gap: impl Fn(f64) -> f64,
+        dist: impl Fn(f64, f64) -> f64,
+    ) -> (f64, usize) {
         let split = self.points.partition_point(|p| p.x < q.x);
         let mut best = f64::INFINITY;
+        let mut steps = 0;
         for p in &self.points[split..] {
             let dx = q.x - p.x;
             if gap(dx) > best {
                 break;
             }
+            steps += 1;
             let d = dist(dx, q.y - p.y);
             if d < best {
                 best = d;
@@ -71,12 +106,172 @@ impl XSortedIndex {
             if gap(dx) > best {
                 break;
             }
+            steps += 1;
             let d = dist(dx, q.y - p.y);
             if d < best {
                 best = d;
             }
         }
-        best
+        (best, steps)
+    }
+}
+
+/// Relative slack of a grid cell's list radius and of its rectangle: far
+/// above the few units in the last place that the radius, the cell's
+/// geometry, a query's cell index and each distance may be off by, so
+/// rounding can never leave a nearest point unlisted.
+const SLACK: f64 = 1e-12;
+/// Absolute slack of the radius, for distances whose squares underflow:
+/// below it a squared distance's rounding is no longer relative.
+const TINY: f64 = 1e-150;
+/// The longest list a cell keeps; a cell whose list would be longer is
+/// left to the sweep, which bounds the grid's memory on any sample.
+const MAX_LIST: usize = 64;
+
+/// Exact nearest-distance lookups against an [`XSortedIndex`]'s points,
+/// for queries inside a fixed box: per grid cell, the points that can be
+/// nearest to some point of the cell. See the module docs for why a
+/// cell's list always holds the nearest point. Built once per dry run over
+/// the global sample; every other context uses the sweep alone.
+#[derive(Debug, Clone)]
+pub struct NearestGrid {
+    metric: Metric,
+    /// The box's least and greatest corners, and its cells per unit along
+    /// each axis (0 along an axis of one cell).
+    lo: Point,
+    hi: Point,
+    inv: Point,
+    nx: usize,
+    ny: usize,
+    /// Cell `c`'s list is `cand[start[c]..start[c + 1]]`, row-major; an
+    /// empty list sends a query to the sweep.
+    start: Vec<u32>,
+    cand: Vec<Point>,
+}
+
+impl NearestGrid {
+    /// A grid over the box of the finite `queries`, answering for `index`
+    /// under `metric`. Only the cells some query falls in get a list.
+    /// `None` when the index is empty or the box is empty or not finite:
+    /// the sweep answers then.
+    pub fn build(
+        index: &XSortedIndex,
+        metric: Metric,
+        queries: impl Iterator<Item = Point> + Clone,
+    ) -> Option<NearestGrid> {
+        let finite = |q: &Point| q.x.is_finite() && q.y.is_finite();
+        let (mut lo, mut hi) = (Point::new(f64::MAX, f64::MAX), Point::new(f64::MIN, f64::MIN));
+        let mut n = 0.0;
+        for q in queries.clone().filter(finite) {
+            (lo.x, lo.y, hi.x, hi.y) = (lo.x.min(q.x), lo.y.min(q.y), hi.x.max(q.x), hi.y.max(q.y));
+            n += 1.0;
+        }
+        let pad = Point::new((lo.x.abs() + hi.x.abs()) * SLACK, (lo.y.abs() + hi.y.abs()) * SLACK);
+        let k = index.points.len() as f64;
+        if k == 0.0 || !(hi.x >= lo.x && hi.y >= lo.y && (pad.x + pad.y).is_finite()) {
+            return None;
+        }
+        // About 16·k cells, at most 2²⁰ and one per 16 queries (see the
+        // module docs); a flat box spends them all along its one axis.
+        let cells = (16.0 * k).min(n / 16.0).min((1 << 20) as f64);
+        let cells = if hi.x > lo.x && hi.y > lo.y { cells.sqrt() } else { cells };
+        let side = (cells as usize).max(1);
+        // An axis whose width and cells per unit are positive numbers has
+        // `side` cells, any other one.
+        let axis = |w: f64| match side as f64 / w {
+            inv if w > 0.0 && inv.is_finite() => (side, inv),
+            _ => (1, 0.0),
+        };
+        let ((nx, inv_x), (ny, inv_y)) = (axis(hi.x - lo.x), axis(hi.y - lo.y));
+        let inv = Point::new(inv_x, inv_y);
+        let mut grid = NearestGrid { metric, lo, hi, inv, nx, ny, start: vec![0], cand: vec![] };
+        let mut occupied = vec![false; nx * ny];
+        // Duplicate points are at the same distance from every query.
+        let mut points = index.points.clone();
+        points.dedup();
+        let index = &XSortedIndex { points };
+        queries.filter(finite).for_each(|q| occupied[grid.cell(&q)] = true);
+        let lists = Pool::global().par_chunks(nx * ny, 256, |cells| {
+            cells
+                .map(|c| if occupied[c] { grid.list(index, c, pad) } else { vec![] })
+                .collect::<Vec<_>>()
+        });
+        for list in lists.into_iter().flatten() {
+            grid.start.push(grid.start[grid.start.len() - 1] + list.len() as u32);
+            grid.cand.extend(list);
+        }
+        Some(grid)
+    }
+
+    /// Every indexed point whose distance to cell `c`'s rectangle, widened
+    /// by `pad` against the rounding of a query's cell index, is within the
+    /// list radius; none if more than [`MAX_LIST`] are. The radius's
+    /// absolute slack `pad` covers the rounding of differences of
+    /// coordinates of that magnitude.
+    fn list(&self, index: &XSortedIndex, c: usize, pad: Point) -> Vec<Point> {
+        let (i, j) = ((c % self.nx) as f64, (c / self.nx) as f64);
+        let (w, h) =
+            ((self.hi.x - self.lo.x) / self.nx as f64, (self.hi.y - self.lo.y) / self.ny as f64);
+        let centre = Point::new(self.lo.x + (i + 0.5) * w, self.lo.y + (j + 0.5) * h);
+        let half = Point::new(w * 0.5 + pad.x, h * 0.5 + pad.y);
+        let origin = Point::default();
+        let nearest = index.nearest(&centre, self.metric).0;
+        let radius =
+            (nearest + self.metric.dist(&half, &origin)) * (1.0 + SLACK) + pad.x + pad.y + TINY;
+        let gap = |p: &Point| {
+            Point::new(
+                ((p.x - centre.x).abs() - half.x).max(0.0),
+                ((p.y - centre.y).abs() - half.y).max(0.0),
+            )
+        };
+        let first = index.points.partition_point(|p| p.x < centre.x - half.x - radius);
+        let near = index.points[first..].iter().take_while(|p| p.x <= centre.x + half.x + radius);
+        let list: Vec<Point> =
+            near.filter(|p| self.metric.dist(&gap(p), &origin) <= radius).copied().collect();
+        if list.len() <= MAX_LIST {
+            list
+        } else {
+            vec![]
+        }
+    }
+
+    /// The cell of an in-box query.
+    #[inline]
+    fn cell(&self, q: &Point) -> usize {
+        let i = (((q.x - self.lo.x) * self.inv.x) as usize).min(self.nx - 1);
+        let j = (((q.y - self.lo.y) * self.inv.y) as usize).min(self.ny - 1);
+        j * self.nx + i
+    }
+
+    /// The nearest distance from `q` to the indexed points, and how many
+    /// candidates it read: the sweep's answer bit for bit, from the same
+    /// `q − p` distance expression. `None` for a NaN or out-of-box query
+    /// and in a cell with no list, which the sweep must answer.
+    #[inline]
+    pub fn nearest(&self, q: &Point) -> Option<(f64, usize)> {
+        // NaN fails every comparison.
+        if !(q.x >= self.lo.x && q.x <= self.hi.x && q.y >= self.lo.y && q.y <= self.hi.y) {
+            return None;
+        }
+        let c = self.cell(q);
+        let list = &self.cand[self.start[c] as usize..self.start[c + 1] as usize];
+        // An in-box query is finite and no listed point is NaN, so no
+        // distance is NaN and `min` is the sweep's `<`.
+        let diffs = list.iter().map(|p| (q.x - p.x, q.y - p.y));
+        let best = match self.metric {
+            Metric::Euclidean => {
+                diffs.map(|(dx, dy)| dx * dx + dy * dy).fold(f64::INFINITY, f64::min).sqrt()
+            }
+            Metric::Manhattan => {
+                diffs.map(|(dx, dy)| dx.abs() + dy.abs()).fold(f64::INFINITY, f64::min)
+            }
+        };
+        (!list.is_empty()).then_some((best, list.len()))
+    }
+
+    /// Cells along x and y.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.nx, self.ny)
     }
 }
 
@@ -89,7 +284,10 @@ mod tests {
         // The index is compared with brute force bit for bit in the
         // root package's `tests/nearest.rs`.
         let g = XSortedIndex::build(Vec::new());
-        assert_eq!(g.nearest_dist(&Point::new(0.5, 0.5)), f64::INFINITY);
-        assert_eq!(g.nearest_dist_manhattan(&Point::new(0.5, 0.5)), f64::INFINITY);
+        for metric in [Metric::Euclidean, Metric::Manhattan] {
+            assert_eq!(g.nearest(&Point::new(0.5, 0.5), metric), (f64::INFINITY, 0));
+        }
+        let queries = [Point::new(0.5, 0.5)].into_iter();
+        assert!(NearestGrid::build(&g, Metric::Euclidean, queries).is_none());
     }
 }

@@ -46,7 +46,7 @@ pub mod regression;
 
 pub use expr::ExprLoss;
 pub use heatmap::{HeatmapLoss, Metric};
-pub use index::XSortedIndex;
+pub use index::{NearestGrid, XSortedIndex};
 pub use mean::MeanLoss;
 pub use regression::RegressionLoss;
 
@@ -100,6 +100,24 @@ pub fn exceeds_theta(loss: f64, theta: f64) -> bool {
     loss.is_nan() || loss > theta - LOSS_EPS
 }
 
+/// The nearest-neighbour work of a fold ([`AccuracyLoss::fold_rows`]): zero
+/// for a loss that computes no distances.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NearestWork {
+    /// Nearest-distance queries, one per row folded.
+    pub queries: u64,
+    /// Sample points a distance was computed to: grid candidates, or the
+    /// sweep's steps where the grid does not cover a query.
+    pub candidates: u64,
+}
+
+impl std::ops::AddAssign for NearestWork {
+    fn add_assign(&mut self, other: NearestWork) {
+        self.queries += other.queries;
+        self.candidates += other.candidates;
+    }
+}
+
 /// A user-defined accuracy loss function. See the module docs for the
 /// contract; see `MeanLoss` for the simplest reference implementation.
 pub trait AccuracyLoss: Send + Sync + 'static {
@@ -124,6 +142,14 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// `table`).
     fn prepare(&self, table: &Table, sample: &[RowId]) -> Self::SampleCtx;
 
+    /// Prepare the context of the global sample, which the dry run folds
+    /// every row of `table` against: [`AccuracyLoss::prepare`] (the
+    /// default) or a context indexed for that many queries, with the same
+    /// answers bit for bit.
+    fn prepare_global(&self, table: &Table, sample: &[RowId]) -> Self::SampleCtx {
+        self.prepare(table, sample)
+    }
+
     /// The context of a sample whose rows fold to `sample`, when the loss
     /// is sample-independent: [`AccuracyLoss::fold`] never reads its
     /// context, and `finish(context_of(fold(s)), raw)` is
@@ -137,6 +163,22 @@ pub trait AccuracyLoss: Send + Sync + 'static {
 
     /// Fold one raw row into `state`.
     fn fold(&self, ctx: &Self::SampleCtx, state: &mut Self::State, table: &Table, row: RowId);
+
+    /// Fold the rows of one finest run into `state`, in order, as
+    /// [`AccuracyLoss::fold`] row by row (the default) would, and report
+    /// the nearest-neighbour work done.
+    fn fold_rows(
+        &self,
+        ctx: &Self::SampleCtx,
+        state: &mut Self::State,
+        table: &Table,
+        rows: &[RowId],
+    ) -> NearestWork {
+        for &row in rows {
+            self.fold(ctx, state, table, row);
+        }
+        NearestWork::default()
+    }
 
     /// The loss of using `ctx`'s sample in place of the raw data
     /// summarized by `state`. Empty raw data must yield `0.0`; a sample

@@ -240,7 +240,11 @@ mod tests {
     fn fare_cube(t: &Table) -> CubeResult<SumCount> {
         let fares = t.column(2).as_f64_slice().unwrap();
         let p = FinestPartition::build(t, &[0, 1]).unwrap();
-        let finest = p.fold_runs(SumCount::default, |s, row| s.add(fares[row as usize]));
+        let (finest, rows) = p.fold_runs(SumCount::default, |s, run| {
+            run.iter().for_each(|&row| s.add(fares[row as usize]));
+            run.len()
+        });
+        assert_eq!(rows, t.len());
         rollup_from_finest(p.space(), finest, &SumCount::default)
     }
 

@@ -29,6 +29,7 @@ use crate::cube::CuboidMask;
 use crate::group::finest_groups;
 use crate::table::{Cat, RowId, Table};
 use crate::Result;
+use std::ops::AddAssign;
 use std::time::Instant;
 use tabula_par::Pool;
 
@@ -107,29 +108,35 @@ impl FinestPartition {
         &self.keys[i]
     }
 
-    /// The finest cuboid: each run's key with the state obtained by
-    /// folding the run's rows, ascending, into a fresh `make()`. One pool
-    /// task folds a whole run, so a state's fold sequence — and its float
-    /// bits — cannot depend on the thread count.
-    pub fn fold_runs<S, M, F>(&self, make: M, fold: F) -> Vec<(CubeKey, S)>
+    /// The finest cuboid: each run's key with the state `fold` makes of a
+    /// fresh `make()` and the run's rows (ascending), and the sum of the
+    /// work `fold` reports, per pool task and then over the tasks, in key
+    /// order. One pool task folds a whole run, so a state's fold sequence —
+    /// and its float bits — cannot depend on the thread count.
+    pub fn fold_runs<S, W, M, F>(&self, make: M, fold: F) -> (Vec<(CubeKey, S)>, W)
     where
         S: Send,
+        W: Default + AddAssign + Send,
         M: Fn() -> S + Sync,
-        F: Fn(&mut S, RowId) + Sync,
+        F: Fn(&mut S, &[RowId]) -> W + Sync,
     {
         let started = Instant::now();
         let folded = Pool::global().par_chunks(self.runs(), RUNS_PER_TASK, |runs| {
-            runs.map(|run| {
+            let (mut states, mut work) = (Vec::with_capacity(runs.len()), W::default());
+            for run in runs {
                 let mut state = make();
-                for &row in self.run_rows(run) {
-                    fold(&mut state, row);
-                }
-                (self.keys[run].clone(), state)
-            })
-            .collect::<Vec<_>>()
+                work += fold(&mut state, self.run_rows(run));
+                states.push((self.keys[run].clone(), state));
+            }
+            (states, work)
         });
         record_kernel_ns(started);
-        folded.into_iter().flatten().collect()
+        let (mut finest, mut work) = (Vec::with_capacity(self.runs()), W::default());
+        for (states, task_work) in folded {
+            finest.extend(states);
+            work += task_work;
+        }
+        (finest, work)
     }
 
     /// Fetch the rows of `cells`, cells of cuboid `mask`. Returns each
@@ -247,10 +254,13 @@ mod tests {
     #[test]
     fn fold_runs_sees_each_run_whole_and_ascending() {
         let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
-        let folded = p.fold_runs(Vec::new, |seen: &mut Vec<RowId>, row| seen.push(row));
+        let (folded, rows) = p.fold_runs(Vec::new, |seen: &mut Vec<RowId>, run| {
+            seen.extend_from_slice(run);
+            run.len()
+        });
         let want: Vec<(CubeKey, Vec<RowId>)> =
             (0..p.runs()).map(|i| (p.run_key(i).clone(), p.run_rows(i).to_vec())).collect();
-        assert_eq!(folded, want);
+        assert_eq!((folded, rows), (want, 6));
     }
 
     #[test]

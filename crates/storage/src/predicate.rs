@@ -186,10 +186,19 @@ impl Predicate {
             .iter()
             .map(|t| {
                 let col = table.schema().index_of(&t.column)?;
+                let (op, value) = match (&t.value, table.column(col).as_i64_buf()) {
+                    // An Int64 column against a float: the integer term that
+                    // holds on the same rows.
+                    (&Value::Float64(f), Some(_)) => {
+                        let (op, k) = int_term(t.op, f);
+                        (op, Value::Int64(k))
+                    }
+                    _ => (t.op, t.value.clone()),
+                };
                 // Fast path: categorical equality compiled to a code compare.
-                if t.op == CmpOp::Eq {
+                if op == CmpOp::Eq {
                     if let Ok(cat) = table.cat(col) {
-                        return Ok(match cat.lookup(&t.value) {
+                        return Ok(match cat.lookup(&value) {
                             Some(code) => CompiledTerm::CatEq { col, code },
                             // Value absent from the column's domain: the
                             // term can never match.
@@ -197,9 +206,42 @@ impl Predicate {
                         });
                     }
                 }
-                Ok(CompiledTerm::General { col, op: t.op, value: t.value.clone() })
+                Ok(CompiledTerm::General { col, op, value })
             })
             .collect()
+    }
+}
+
+/// The integer term `x <op'> k` that holds for exactly the `i64` x with
+/// `x <op> f`: `x < f` is `x < ⌈f⌉` and `x ≤ f` is `x ≤ ⌊f⌋`, and a
+/// fractional `f` equals no integer. A bound that no `i64` reaches gives
+/// `x < i64::MIN` (never) or `x ≥ i64::MIN` (always). A NaN compares false
+/// under every operator, `Ne` included, as a float column's NaN does
+/// ([`compare`]).
+pub(crate) fn int_term(op: CmpOp, f: f64) -> (CmpOp, i64) {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    let (never, always) = ((CmpOp::Lt, i64::MIN), (CmpOp::Ge, i64::MIN));
+    let bound = match op {
+        _ if f.is_nan() => return never,
+        CmpOp::Eq | CmpOp::Ne if f.fract() != 0.0 => f64::INFINITY,
+        CmpOp::Eq | CmpOp::Ne => f,
+        CmpOp::Lt | CmpOp::Ge => f.ceil(),
+        CmpOp::Le | CmpOp::Gt => f.floor(),
+    };
+    if (-TWO_63..TWO_63).contains(&bound) {
+        return (op, bound as i64);
+    }
+    // No integer is the bound: it lies above every i64 or below them all.
+    let holds = match op {
+        CmpOp::Eq => false,
+        CmpOp::Ne => true,
+        CmpOp::Lt | CmpOp::Le => bound > 0.0,
+        CmpOp::Gt | CmpOp::Ge => bound < 0.0,
+    };
+    if holds {
+        always
+    } else {
+        never
     }
 }
 
@@ -365,7 +407,6 @@ enum VecTerm<'t> {
     // materializes a `String`.
     CodeLut(Col<'t, u32>, Vec<bool>),
     Int(Col<'t, i64>, CmpOp, i64),
-    IntAsFloat(Col<'t, i64>, CmpOp, f64),
     Float(Col<'t, f64>, CmpOp, f64),
     // A term over an RLE column, any payload type: the comparison ran
     // once per run at compile time, so a scan consults one bool per run
@@ -404,13 +445,10 @@ fn compile_vectorized<'t>(compiled: &[CompiledTerm], table: &'t Table) -> Vec<Ve
                 let column = table.column(*col);
                 let op = *op;
                 if let Some(data) = column.as_i64_buf() {
+                    // `compile` turned a float literal into an integer one.
                     return match (value, data.runs()) {
                         (&Value::Int64(rhs), Some(runs)) => rle_keep(runs, |x| cmp(op, x, rhs)),
                         (&Value::Int64(rhs), None) => VecTerm::Int(Col::of(data), op, rhs),
-                        (&Value::Float64(rhs), Some(runs)) => {
-                            rle_keep(runs, |x| cmp(op, x as f64, rhs))
-                        }
-                        (&Value::Float64(rhs), None) => VecTerm::IntAsFloat(Col::of(data), op, rhs),
                         _ => VecTerm::Never,
                     };
                 }
@@ -482,7 +520,7 @@ fn scan_cost(terms: &[VecTerm<'_>]) -> ScanCost {
         match t {
             VecTerm::Never => {}
             VecTerm::CodeEq(c, _) | VecTerm::CodeLut(c, _) => col(&mut cost, c),
-            VecTerm::Int(c, ..) | VecTerm::IntAsFloat(c, ..) => col(&mut cost, c),
+            VecTerm::Int(c, ..) => col(&mut cost, c),
             VecTerm::Float(c, ..) => col(&mut cost, c),
             VecTerm::Runs { keep, bytes, .. } => {
                 cost.bytes += bytes;
@@ -509,11 +547,8 @@ impl VecTerm<'_> {
             VecTerm::Never => sel.clear(),
             VecTerm::CodeEq(col, code) => col.narrow(from, sel, |c| c == *code),
             VecTerm::CodeLut(col, lut) => col.narrow(from, sel, |c| lut[c as usize]),
-            VecTerm::Int(col, op, rhs) => narrow_cmp(col, from, sel, *op, *rhs, |x| x),
-            VecTerm::IntAsFloat(col, op, rhs) => {
-                narrow_cmp(col, from, sel, *op, *rhs, |x| x as f64)
-            }
-            VecTerm::Float(col, op, rhs) => narrow_cmp(col, from, sel, *op, *rhs, |x| x),
+            VecTerm::Int(col, op, rhs) => narrow_cmp(col, from, sel, *op, *rhs),
+            VecTerm::Float(col, op, rhs) => narrow_cmp(col, from, sel, *op, *rhs),
             // One branch per run, no per-row work on a clustered scan.
             VecTerm::Runs { keep, ends, .. } => match from {
                 Some(range) => {
@@ -551,22 +586,21 @@ impl VecTerm<'_> {
 }
 
 /// Comparison kernels: the op is dispatched once per chunk, so each arm is
-/// a tight monomorphic loop over `widen(value) <op> rhs`.
-fn narrow_cmp<T: Codable, V: PartialOrd + Copy>(
+/// a tight monomorphic loop over `value <op> rhs`.
+fn narrow_cmp<T: Codable + PartialOrd>(
     col: &Col<'_, T>,
     from: Option<Range<usize>>,
     sel: &mut SelectionVector,
     op: CmpOp,
-    rhs: V,
-    widen: impl Fn(T) -> V,
+    rhs: T,
 ) {
     match op {
-        CmpOp::Eq => col.narrow(from, sel, |x| cmp(CmpOp::Eq, widen(x), rhs)),
-        CmpOp::Ne => col.narrow(from, sel, |x| cmp(CmpOp::Ne, widen(x), rhs)),
-        CmpOp::Lt => col.narrow(from, sel, |x| cmp(CmpOp::Lt, widen(x), rhs)),
-        CmpOp::Le => col.narrow(from, sel, |x| cmp(CmpOp::Le, widen(x), rhs)),
-        CmpOp::Gt => col.narrow(from, sel, |x| cmp(CmpOp::Gt, widen(x), rhs)),
-        CmpOp::Ge => col.narrow(from, sel, |x| cmp(CmpOp::Ge, widen(x), rhs)),
+        CmpOp::Eq => col.narrow(from, sel, |x| cmp(CmpOp::Eq, x, rhs)),
+        CmpOp::Ne => col.narrow(from, sel, |x| cmp(CmpOp::Ne, x, rhs)),
+        CmpOp::Lt => col.narrow(from, sel, |x| cmp(CmpOp::Lt, x, rhs)),
+        CmpOp::Le => col.narrow(from, sel, |x| cmp(CmpOp::Le, x, rhs)),
+        CmpOp::Gt => col.narrow(from, sel, |x| cmp(CmpOp::Gt, x, rhs)),
+        CmpOp::Ge => col.narrow(from, sel, |x| cmp(CmpOp::Ge, x, rhs)),
     }
 }
 
@@ -903,4 +937,49 @@ mod tests {
             assert_eq!(p.filter(&enc).unwrap(), p.filter(&plain).unwrap(), "pred={p:?}");
         }
     }
+
+    /// An Int64 column against a float is decided exactly, the same on RLE
+    /// runs, plain rows and row at a time: `=` and `<>` are complements,
+    /// and a float at 2⁵³ or ±2⁶³ names no integer but its own.
+    #[test]
+    fn an_int_column_against_a_float_compares_exactly() {
+        const TWO_53: i64 = 1 << 53;
+        let two_63 = -(i64::MIN as f64);
+        let schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]);
+        let mut b = TableBuilder::new(schema);
+        let ids = [TWO_53, TWO_53 + 1, TWO_53 + 1, i64::MAX, i64::MIN, 0, 0, 0];
+        for id in ids.iter().flat_map(|&id| std::iter::repeat_n(id, 50)) {
+            b.push_row(&[Value::Int64(id)]).unwrap();
+        }
+        let plain = b.finish();
+        let runs = force_encoded(&plain);
+        assert!(runs.column(0).as_i64_buf().unwrap().runs().is_some(), "RLE");
+        let rows_of = |want: &[i64]| -> Vec<RowId> {
+            (0..plain.len() as RowId).filter(|&r| want.contains(&ids[r as usize / 50])).collect()
+        };
+        let filter = |t: &Table, op: CmpOp, f: f64| {
+            let p = Predicate::all().and("id", op, f);
+            let rows = p.filter(t).unwrap();
+            assert_eq!(rows, p.filter_rows(t, &t.all_rows()).unwrap(), "id {op:?} {f}");
+            rows
+        };
+        for t in [&plain, &runs] {
+            for f in [TWO_53 as f64, (TWO_53 + 2) as f64, two_63, -two_63, 0.5, -0.0, f64::INFINITY]
+            {
+                let (mut eq, ne) = (filter(t, CmpOp::Eq, f), filter(t, CmpOp::Ne, f));
+                eq.extend(ne);
+                eq.sort_unstable();
+                assert_eq!(eq, t.all_rows(), "id = {f} and id <> {f} split the rows");
+            }
+            assert_eq!(filter(t, CmpOp::Eq, TWO_53 as f64), rows_of(&[TWO_53]));
+            assert_eq!(filter(t, CmpOp::Gt, TWO_53 as f64), rows_of(&[TWO_53 + 1, i64::MAX]));
+            assert_eq!(filter(t, CmpOp::Eq, two_63), rows_of(&[]));
+            assert_eq!(filter(t, CmpOp::Lt, two_63), t.all_rows());
+            assert_eq!(filter(t, CmpOp::Eq, -two_63), rows_of(&[i64::MIN]));
+            assert_eq!(filter(t, CmpOp::Le, -0.5), rows_of(&[i64::MIN]));
+            assert!(OPS_ALL.iter().all(|&op| filter(t, op, f64::NAN).is_empty()), "NaN");
+        }
+    }
+
+    const OPS_ALL: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 }

@@ -4,6 +4,7 @@ use crate::column::Column;
 use crate::dictionary::Dictionary;
 use crate::encoding::{EncodingMode, RunsView};
 use crate::fx::FxHashMap;
+use crate::predicate::{int_term, CmpOp};
 use crate::schema::Schema;
 use crate::shared::ColumnBuf;
 use crate::types::{ColumnType, Value};
@@ -131,10 +132,11 @@ impl<'t> Cat<'t> {
         match (self, value) {
             (Cat::Str(_, dict), Value::Str(s)) => dict.lookup(s),
             (Cat::Int(idx), Value::Int64(v)) => idx.index.get(v).copied(),
-            // `as` saturates and sends NaN to 0; the round trip rejects both.
-            (Cat::Int(idx), &Value::Float64(f)) if (f as i64) as f64 == f => {
-                idx.index.get(&(f as i64)).copied()
-            }
+            // The integer a float equals, if any (`Predicate`'s rule).
+            (Cat::Int(idx), &Value::Float64(f)) => match int_term(CmpOp::Eq, f) {
+                (CmpOp::Eq, k) => idx.index.get(&k).copied(),
+                _ => None,
+            },
             _ => None,
         }
     }

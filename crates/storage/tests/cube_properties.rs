@@ -31,7 +31,11 @@ fn arb_table() -> impl Strategy<Value = Table> {
 fn sum_cube(table: &Table) -> CubeResult<SumCount> {
     let values = table.column(3).as_f64_slice().unwrap();
     let partition = FinestPartition::build(table, &[0, 1, 2]).unwrap();
-    let finest = partition.fold_runs(SumCount::default, |s, row| s.add(values[row as usize]));
+    let (finest, rows) = partition.fold_runs(SumCount::default, |s, run| {
+        run.iter().for_each(|&row| s.add(values[row as usize]));
+        run.len()
+    });
+    assert_eq!(rows, table.len());
     rollup_from_finest(partition.space(), finest, &SumCount::default)
 }
 

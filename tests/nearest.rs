@@ -3,6 +3,9 @@
 //!
 //! * the heat-map loss's x-sorted index returns the brute-force nearest
 //!   distance bit for bit, under both metrics, on every shape of input;
+//! * so does the dry run's grid of candidate lists wherever it answers, on
+//!   cell edges, box corners and adversarial boxes, and the dry run's
+//!   finest states equal a verbatim copy of the sweep-only scan's;
 //! * the signature ranking's sweep returns exactly the first `cap`
 //!   candidates of the total order (squared signature distance, index);
 //!   the SamGraph join's edges are exactly the representations among those
@@ -15,11 +18,12 @@
 mod common;
 
 use common::lattice;
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabula::core::dryrun::dry_run;
-use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric, XSortedIndex, LOSS_EPS};
+use tabula::core::loss::{HeatmapLoss, MeanLoss, Metric, NearestGrid, XSortedIndex, LOSS_EPS};
 use tabula::core::realrun::draw;
 use tabula::core::realrun::CubeEntry;
 use tabula::core::samgraph::{build_samgraph, SamGraphConfig, SignatureIndex};
@@ -124,10 +128,7 @@ fn the_x_sorted_index_is_brute_force_bit_for_bit() {
         let index = XSortedIndex::build(points.clone());
         for q in queries(&mut rng, &points) {
             for metric in METRICS {
-                let got = match metric {
-                    Metric::Euclidean => index.nearest_dist(&q),
-                    Metric::Manhattan => index.nearest_dist_manhattan(&q),
-                };
+                let got = index.nearest(&q, metric).0;
                 let want = brute_nearest(&points, &q, metric);
                 assert_eq!(
                     got.to_bits(),
@@ -138,6 +139,278 @@ fn the_x_sorted_index_is_brute_force_bit_for_bit() {
                 );
             }
         }
+    }
+}
+
+/// `x` moved by `ulps` units in the last place, towards +∞ when positive.
+fn ulps(x: f64, ulps: i32) -> f64 {
+    (0..ulps.unsigned_abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+}
+
+/// Queries on every cell edge of `grid` (and a few ulps either side, so
+/// some fall just outside the box), at the box's corners and off both of
+/// its ends; `other` supplies the second coordinate.
+fn edge_queries(grid: &NearestGrid, lo: Point, hi: Point, other: &[Point]) -> Vec<Point> {
+    let (nx, ny) = grid.shape();
+    let edges = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
+        let w = (hi - lo) / n as f64;
+        let exact = (0..=n).map(|i| if i == n { hi } else { lo + i as f64 * w });
+        exact.flat_map(|e| (-2..=2).map(move |u| ulps(e, u))).collect()
+    };
+    let mut qs = Vec::new();
+    for (i, x) in edges(lo.x, hi.x, nx).into_iter().enumerate() {
+        qs.push(Point::new(x, other[i % other.len()].y));
+        qs.push(Point::new(x, lo.y));
+    }
+    for (i, y) in edges(lo.y, hi.y, ny).into_iter().enumerate() {
+        qs.push(Point::new(other[i % other.len()].x, y));
+        qs.push(Point::new(hi.x, y));
+    }
+    for x in [lo.x, hi.x, ulps(lo.x, -1), ulps(hi.x, 1)] {
+        for y in [lo.y, hi.y, ulps(lo.y, -1), ulps(hi.y, 1)] {
+            qs.push(Point::new(x, y));
+        }
+    }
+    qs
+}
+
+/// The box of the finite points among `points`.
+fn finite_box(points: &[Point]) -> Option<(Point, Point)> {
+    let finite: Vec<&Point> =
+        points.iter().filter(|p| p.x.is_finite() && p.y.is_finite()).collect();
+    let lo = finite.iter().fold(Point::new(f64::INFINITY, f64::INFINITY), |b, p| {
+        Point::new(b.x.min(p.x), b.y.min(p.y))
+    });
+    let hi = finite.iter().fold(Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY), |b, p| {
+        Point::new(b.x.max(p.x), b.y.max(p.y))
+    });
+    (!finite.is_empty()).then_some((lo, hi))
+}
+
+/// `qs` cycled to at least 1 024 queries per sample point: the grid spends a
+/// cell on no fewer than 16 queries, so this buys it its full ≈ 16·k cells.
+fn repeated(qs: &[Point], k: usize) -> impl Iterator<Item = Point> + Clone + '_ {
+    qs.iter().copied().cycle().take(qs.len().max(1024 * k))
+}
+
+/// A grid over the box of `box_points`, whose edge queries are then added
+/// so that the cells they fall in have lists too, checked against the
+/// sweep and brute force on those and on `queries`. Returns how many
+/// queries the grid answered.
+fn assert_grid_is_exact(
+    name: &str,
+    points: &[Point],
+    box_points: &[Point],
+    queries: &[Point],
+    metric: Metric,
+) -> usize {
+    let index = XSortedIndex::build(points.to_vec());
+    let Some(first) = NearestGrid::build(&index, metric, repeated(box_points, points.len())) else {
+        return 0;
+    };
+    let (lo, hi) = finite_box(box_points).expect("a grid has a box");
+    let mut all = edge_queries(&first, lo, hi, box_points);
+    let inside = |q: &&Point| q.x >= lo.x && q.x <= hi.x && q.y >= lo.y && q.y <= hi.y;
+    let occupy: Vec<Point> = box_points.iter().chain(all.iter().filter(inside)).copied().collect();
+    let grid =
+        NearestGrid::build(&index, metric, repeated(&occupy, points.len())).expect("same box");
+    assert_eq!(grid.shape(), first.shape(), "{name}: the edges kept the box");
+    all.extend_from_slice(queries);
+    let mut answered = 0;
+    for q in &all {
+        let want = brute_nearest(points, q, metric);
+        let swept = index.nearest(q, metric).0;
+        assert_eq!(swept.to_bits(), want.to_bits(), "{name}: sweep at {q:?}");
+        if let Some((got, read)) = grid.nearest(q) {
+            answered += 1;
+            assert!(read > 0, "{name}: an answering list is not empty");
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{name}, {metric:?}, query ({:e}, {:e}): grid {got:e}, brute force {want:e}",
+                q.x,
+                q.y
+            );
+        }
+    }
+    answered
+}
+
+#[test]
+fn the_grid_is_the_sweep_and_brute_force_bit_for_bit() {
+    let mut rng = SmallRng::seed_from_u64(12);
+    let mut sets = point_sets();
+    let line: Vec<Point> =
+        (0..150).map(|i| Point::new(i as f64 / 150.0, 2.0 * i as f64 / 150.0)).collect();
+    sets.push(("collinear", line));
+    for (name, points) in sets {
+        let qs = queries(&mut rng, &points);
+        // The queries' box, a box of zero width, one of zero height (the
+        // histogram's), a single point, and a box inside the set's hull.
+        let scale = finite_box(&qs[..300]).map_or(1.0, |(lo, hi)| (hi.x - lo.x).max(hi.y - lo.y));
+        let column: Vec<Point> = qs[..300].iter().map(|q| Point::new(0.5 * scale, q.y)).collect();
+        let row: Vec<Point> = qs[..300].iter().map(|q| Point::new(q.x, 0.0)).collect();
+        let inner: Vec<Point> = points.iter().step_by(3).copied().collect();
+        let boxes = [
+            ("queries' box", qs[..300].to_vec()),
+            ("zero width", column),
+            ("zero height", row),
+            ("one point", vec![Point::new(0.25 * scale, 0.75 * scale)]),
+            ("inner box", inner),
+        ];
+        for (shape, box_points) in boxes {
+            for metric in METRICS {
+                let what = format!("{name} in the {shape}");
+                let answered = assert_grid_is_exact(&what, &points, &box_points, &qs, metric);
+                // Where squares underflow or overflow, every list is the
+                // whole set and too long to keep: the sweep answers there.
+                if ["random", "clustered", "duplicates", "one x", "collinear"].contains(&name) {
+                    assert!(answered > 0, "{what}, {metric:?}: the grid answered nothing");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Boxes far from the origin relative to their width (so subtraction
+    /// rounds), of any magnitude (subnormal to near overflow), flat or
+    /// not, with sample points on and a few ulps off the cell edges: every
+    /// query the grid answers, on or beside an edge, is the sweep's and
+    /// brute force's answer.
+    #[test]
+    fn grid_cells_round_no_nearest_point_away(
+        seed in 0u64..u64::MAX,
+        magnitude in -300i32..290,
+        offset in -1i32..13,
+        n in 1usize..48,
+        flat in 0u8..4,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let width = 10f64.powi(magnitude);
+        let corner = Point::new(width * 10f64.powi(offset), -width * 10f64.powi(offset / 2));
+        let size = |axis: u8| if flat == axis { 0.0 } else { width };
+        let (w, h) = (size(1), size(2));
+        let hi = Point::new(corner.x + w, corner.y + h);
+        let side = (4.0 * (n as f64).sqrt()) as usize;
+        let side = 1usize << side.max(1).ilog2();
+        let on_edge = |rng: &mut SmallRng, lo: f64, hi: f64| {
+            let k = rng.gen_range(0..=side);
+            let e = lo + k as f64 * ((hi - lo) / side as f64);
+            ulps(e.min(hi), rng.gen_range(-3..=3))
+        };
+        let points: Vec<Point> = (0..n)
+            .map(|i| match i % 3 {
+                0 => Point::new(on_edge(&mut rng, corner.x, hi.x), on_edge(&mut rng, corner.y, hi.y)),
+                1 => Point::new(
+                    corner.x + rng.gen_range(-0.5..1.5) * width,
+                    corner.y + rng.gen_range(-0.5..1.5) * width,
+                ),
+                _ => Point::new(on_edge(&mut rng, corner.x, hi.x), corner.y + rng.gen_range(0.0..1.0) * h),
+            })
+            .collect();
+        let box_points = [corner, hi];
+        let queries: Vec<Point> = (0..64)
+            .map(|_| Point::new(on_edge(&mut rng, corner.x, hi.x), on_edge(&mut rng, corner.y, hi.y)))
+            .collect();
+        for metric in METRICS {
+            let what = format!("case {corner:?}..{hi:?}");
+            let answered = assert_grid_is_exact(&what, &points, &box_points, &queries, metric);
+            // Away from underflowing squares, the grid answers.
+            prop_assert!(answered > 0 || magnitude.abs() > 100, "{}: no answer", what);
+        }
+    }
+}
+
+/// The dry run's scan as it was before the grid, kept verbatim but for the
+/// sweep's name: each row's point read through its row id and its distance
+/// found by the x-sorted sweep, one row at a time, run by run.
+mod sweep_scan {
+    use super::*;
+    use tabula::storage::agg::SumCount;
+    use tabula::storage::{Column, CubeKey};
+
+    fn point(col: usize, table: &Table, row: RowId) -> Point {
+        let row = row as usize;
+        match table.column(col) {
+            Column::Point(v) => v[row],
+            Column::Float64(v) => Point::new(v[row], 0.0),
+            Column::Int64(v) => Point::new(v[row] as f64, 0.0),
+            Column::Str { .. } => panic!("HeatmapLoss target attribute must be a point or number"),
+        }
+    }
+
+    fn nearest(index: &XSortedIndex, metric: Metric, q: &Point) -> f64 {
+        index.nearest(q, metric).0
+    }
+
+    pub fn finest(
+        table: &Table,
+        partition: &FinestPartition,
+        col: usize,
+        metric: Metric,
+        sample: &[RowId],
+    ) -> Vec<(CubeKey, SumCount)> {
+        let points: Vec<Point> = sample.iter().map(|&r| point(col, table, r)).collect();
+        let index = XSortedIndex::build(points);
+        (0..partition.runs())
+            .map(|run| {
+                let mut state = SumCount::default();
+                for &row in partition.run_rows(run) {
+                    let p = point(col, table, row);
+                    state.add(nearest(&index, metric, &p));
+                }
+                (partition.run_key(run).clone(), state)
+            })
+            .collect()
+    }
+}
+
+/// The dry run's finest states, at one thread and at four, are the
+/// sweep-only scan's bit for bit under the heat map (both metrics) and the
+/// histogram over a float and an integer column; the scan makes one
+/// nearest query per row and reads the same candidates at either count.
+#[test]
+fn the_dry_runs_finest_states_are_the_sweep_scans_bit_for_bit() {
+    let table = TaxiGenerator::new(TaxiConfig { rows: 40_000, seed: 48 }).generate();
+    let cols: Vec<usize> =
+        CUBED_ATTRIBUTES[..4].iter().map(|a| table.schema().index_of(a).unwrap()).collect();
+    let partition = FinestPartition::build(&table, &cols).unwrap();
+    let global = draw_global_sample(&table, SerflingConfig::default().sample_size().unwrap(), 42);
+    let column = |name: &str| table.schema().index_of(name).unwrap();
+    let losses = [
+        (column("pickup"), Metric::Euclidean),
+        (column("pickup"), Metric::Manhattan),
+        (column("fare_amount"), Metric::Manhattan),
+        (column("passenger_count"), Metric::Manhattan),
+    ];
+    let finest_mask = tabula::storage::CuboidMask::finest(cols.len());
+    for (col, metric) in losses {
+        let want = sweep_scan::finest(&table, &partition, col, metric, &global);
+        let loss = HeatmapLoss::new(col, metric);
+        let mut work = Vec::new();
+        for threads in [1, 4] {
+            tabula_par::set_threads(threads);
+            let ctx = loss.prepare_global(&table, &global);
+            let dry = dry_run(&table, &partition, &loss, &ctx, f64::INFINITY);
+            tabula_par::set_threads(0);
+            let got = &dry.states.cuboids[&finest_mask];
+            assert_eq!(got.len(), want.len());
+            for ((key, state), (want_key, want_state)) in got.iter().zip(&want) {
+                assert_eq!(key, want_key);
+                assert_eq!(
+                    (state.sum.to_bits(), state.count),
+                    (want_state.sum.to_bits(), want_state.count),
+                    "column {col}, {metric:?}, {threads} threads"
+                );
+            }
+            assert_eq!(dry.work.queries, table.len() as u64, "one query per row");
+            assert!(dry.work.candidates > 0);
+            work.push(dry.work);
+        }
+        assert_eq!(work[0], work[1], "column {col}, {metric:?}: work at 1 and 4 threads");
     }
 }
 

@@ -7,8 +7,9 @@
 //! * θ holds on every cell of the lattice for the heat-map, mean,
 //!   regression and histogram losses, and the cube is the same bytes at one
 //!   and four threads;
-//! * the work counters are the same at one, two and four threads, and
-//!   every fresh cell is either represented or sampled;
+//! * the work counters are the same at one, two and four threads, every
+//!   fresh cell is either represented or sampled, and the dry run makes one
+//!   nearest-distance query per row;
 //! * at θ = 0 a cell is represented only by a sample at zero loss, and a
 //!   cell whose pickups or fares are all NaN by no other cell's sample,
 //!   under every loss.
@@ -151,7 +152,14 @@ fn work_counters_do_not_depend_on_the_thread_count() {
         let counted =
             [stats.represent_tests, by_parent, by_neighbour, stats.sampled_cells, stats.join_tests];
         assert_eq!(refreshed, counted.map(|n| n as u64), "the fold's stats are its counters");
-        (built, refreshed, content_crc(&cube), content_crc(&folded))
+        // The dry run asks the global sample once per row of its table.
+        let nearest = |stage: &str| {
+            ["queries", "candidates"].map(|n| snap.counter(&format!("{stage}.work.nearest_{n}")))
+        };
+        let nearest = (nearest("build"), nearest("refresh"));
+        assert_eq!((nearest.0[0], nearest.1[0]), (base.len() as u64, grown.len() as u64));
+        assert_eq!(nearest.1, [stats.nearest.queries, stats.nearest.candidates]);
+        (built, refreshed, nearest, content_crc(&cube), content_crc(&folded))
     };
     let serial = run(1);
     let [tests, by_parent, by_neighbour, sampled, join_tests] = serial.0;

@@ -205,9 +205,10 @@ fn edge_tables_and_thresholds_go_through_both_entry_points() {
 
 /// The write side's stage histograms, as `publish_metrics` names them
 /// under `build.` and `refresh.`; a `a.b` stage runs inside `a`.
-const STAGES: [&str; 14] = [
+const STAGES: [&str; 15] = [
     "global_sample",
     "dry_run",
+    "dry_run.index",
     "dry_run.partition",
     "dry_run.scan",
     "dry_run.rollup",

@@ -22,7 +22,7 @@ fn table() -> Arc<Table> {
         Field::new("fare", ColumnType::Float64),
     ]);
     let mut b = TableBuilder::new(schema);
-    let rows: [(i64, &str, f64); 9] = [
+    let rows: [(i64, &str, f64); 10] = [
         (-3, "a", -3.0),
         (0, "a", -0.0),
         (0, "b", 0.0),
@@ -32,6 +32,7 @@ fn table() -> Arc<Table> {
         (TWO_53, "b", TWO_53 as f64),
         (TWO_53 + 1, "a", 1e300),
         (i64::MAX, "b", -2.5),
+        (i64::MIN, "a", 1.5),
     ];
     for (id, city, fare) in rows {
         b.push_row(&[id.into(), city.into(), fare.into()]).unwrap();
@@ -58,16 +59,16 @@ fn an_integer_past_two_to_the_53_names_its_own_row() {
 
 /// Every kind of literal the grammar spells: integers of either sign and
 /// at the `Int64` edges, floats with and without a fraction (`-0.0`
-/// included), and strings in and out of a column's domain.
-///
-/// A float of magnitude in [2⁵³, 2⁶³] is left out: against an Int64
-/// column holding integers past 2⁵³ the raw scan's `=` (an exact
-/// dictionary probe) and its other operators (which widen the column to
-/// `f64`, as the naive filter does) disagree; ROADMAP item 10(c) has it.
+/// included) and at ±2⁵³, 2⁵³ + 2 and ±2⁶³, where a float no longer names
+/// every integer near it or none, and strings in and out of a column's
+/// domain.
 fn literals() -> Vec<Value> {
     let mut values: Vec<Value> =
         [-3, 0, 2, 99, TWO_53 + 1, -(TWO_53 + 1), i64::MAX].map(Value::Int64).to_vec();
     values.extend([2.0, -3.0, -0.0, 2.5, -2.5, 7.25, 1e300].map(Value::Float64));
+    let two_63 = -(i64::MIN as f64);
+    let edges = [TWO_53 as f64, -(TWO_53 as f64), (TWO_53 + 2) as f64, two_63, -two_63];
+    values.extend(edges.map(Value::Float64));
     values.extend(["a", "it's", "zz"].map(|s| Value::Str(s.into())));
     values
 }
