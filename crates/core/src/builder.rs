@@ -38,7 +38,7 @@
 use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::CubeTable;
 use crate::dryrun::dry_run;
-use crate::loss::{AccuracyLoss, NearestWork};
+use crate::loss::AccuracyLoss;
 use crate::realrun::draw;
 use crate::samgraph::{KeptSet, SamGraphConfig};
 use crate::selection::select_representatives;
@@ -48,6 +48,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabula_obs as obs;
 use tabula_par::Pool;
+use tabula_storage::agg::SumCount;
 use tabula_storage::{
     CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table, MAX_CUBED_ATTRS,
 };
@@ -109,8 +110,10 @@ pub struct RefreshStats {
     pub retired_cells: usize,
     /// Appended rows processed.
     pub appended_rows: usize,
-    /// The dry run's nearest-distance work against the global sample.
-    pub nearest: NearestWork,
+    /// The dry run's nearest-distance work against the global sample: its
+    /// `count` is the queries, its `sum` the sample points they computed a
+    /// distance to ([`AccuracyLoss::fold_rows`]).
+    pub nearest: SumCount,
     /// Wall time of the whole run.
     pub total: Duration,
 }
@@ -226,9 +229,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let start = Instant::now();
     let ctx = loss.prepare_global(&table, &global);
     times.index = start.elapsed();
-    let partition_start = Instant::now();
     let partition = FinestPartition::build(&table, &cols)?;
-    times.partition = partition_start.elapsed();
+    times.partition = start.elapsed() - times.index;
     let dry = dry_run(&table, &partition, loss, &ctx, theta);
     stats.dry_run = start.elapsed();
     (times.scan, times.rollup, times.classify) = (dry.scan, dry.rollup, dry.classify);
@@ -529,8 +531,8 @@ fn publish_metrics(
         ("warm_start_rows", refresh.warm_start_rows),
         ("retired_cells", refresh.retired_cells),
         ("appended_rows", refresh.appended_rows),
-        ("work.nearest_queries", refresh.nearest.queries as usize),
-        ("work.nearest_candidates", refresh.nearest.candidates as usize),
+        ("work.nearest_queries", refresh.nearest.count as usize),
+        ("work.nearest_candidates", refresh.nearest.sum as usize),
     ] {
         registry.counter(&format!("{prefix}.{name}")).add(n as u64);
     }

@@ -13,8 +13,9 @@
 //! cells** and are handed to the real run for local-sample
 //! materialization.
 
-use crate::loss::{exceeds_theta, AccuracyLoss, NearestWork};
+use crate::loss::{exceeds_theta, AccuracyLoss};
 use std::time::{Duration, Instant};
+use tabula_storage::agg::SumCount;
 use tabula_storage::cube::{rollup_from_finest, CellKey, CubeResult, CuboidMask};
 use tabula_storage::{CubeKey, FinestPartition, FxHashMap, Table};
 
@@ -42,8 +43,9 @@ pub struct DryRun<S> {
     pub total_cells: usize,
     /// Total iceberg cells.
     pub iceberg_count: usize,
-    /// The scan's nearest-neighbour work, summed in key order.
-    pub work: NearestWork,
+    /// The scan's nearest-neighbour work ([`AccuracyLoss::fold_rows`]),
+    /// summed per pool task and then over the tasks, in key order.
+    pub work: SumCount,
     /// Wall time folding the partition's runs into the finest cuboid.
     pub scan: Duration,
     /// Wall time merging the finest cuboid's states down the lattice.

@@ -10,7 +10,7 @@
 //! fares as the target its unit is US dollars (the paper's Section V).
 
 use super::index::{NearestGrid, XSortedIndex};
-use super::{AccuracyLoss, NearestWork};
+use super::AccuracyLoss;
 use crate::sampling::{coverage_greedy, CoverageSpace};
 use tabula_storage::agg::SumCount;
 use tabula_storage::{Column, ColumnType, Point, RowId, Table};
@@ -25,12 +25,31 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Distance between two points under this metric.
+    /// Distance between two points under this metric: [`Metric::of_key`]
+    /// of the [`Metric::key`] of `a − b`.
     #[inline]
     pub fn dist(self, a: &Point, b: &Point) -> f64 {
+        self.of_key(self.key(a.x - b.x, a.y - b.y))
+    }
+
+    /// The quantity the nearest-neighbour searches minimise over the
+    /// coordinate differences `(dx, dy)`: the squared distance under
+    /// Euclid, the distance under Manhattan. Every search and
+    /// [`Metric::dist`] use this one expression, so they agree bit for bit.
+    #[inline(always)]
+    pub fn key(self, dx: f64, dy: f64) -> f64 {
         match self {
-            Metric::Euclidean => a.euclidean(b),
-            Metric::Manhattan => a.manhattan(b),
+            Metric::Euclidean => dx * dx + dy * dy,
+            Metric::Manhattan => dx.abs() + dy.abs(),
+        }
+    }
+
+    /// The distance of a [`Metric::key`], which is monotone in it.
+    #[inline(always)]
+    pub fn of_key(self, key: f64) -> f64 {
+        match self {
+            Metric::Euclidean => key.sqrt(),
+            Metric::Manhattan => key,
         }
     }
 }
@@ -120,21 +139,11 @@ impl AccuracyLoss for HeatmapLoss {
     }
 
     /// [`Self::prepare`] plus a [`NearestGrid`] over the box of every
-    /// point of `table`, read off the column (a `match` per row costs
-    /// ≈ 10 ns in the grid's two passes).
+    /// point of `table`.
     fn prepare_global(&self, table: &Table, sample: &[RowId]) -> HeatmapCtx {
         let mut ctx = self.prepare(table, sample);
-        let (index, m) = (&ctx.index, self.metric);
-        ctx.grid = match table.column(self.col) {
-            Column::Point(v) => NearestGrid::build(index, m, v.iter().copied()),
-            Column::Float64(v) => {
-                NearestGrid::build(index, m, v.iter().map(|&x| Point::new(x, 0.0)))
-            }
-            Column::Int64(v) => {
-                NearestGrid::build(index, m, v.iter().map(|&x| Point::new(x as f64, 0.0)))
-            }
-            Column::Str { .. } => None,
-        };
+        let points = (0..table.len() as RowId).map(|r| self.point(table, r));
+        ctx.grid = NearestGrid::build(&ctx.index, self.metric, points);
         ctx
     }
 
@@ -150,16 +159,14 @@ impl AccuracyLoss for HeatmapLoss {
         state: &mut SumCount,
         table: &Table,
         rows: &[RowId],
-    ) -> NearestWork {
-        let mut work = NearestWork { queries: rows.len() as u64, candidates: 0 };
+    ) -> SumCount {
+        let mut work = SumCount::default();
         let mut points = [Point::default(); GATHER];
         for chunk in rows.chunks(GATHER) {
-            let points = &mut points[..chunk.len()];
             points.iter_mut().zip(chunk).for_each(|(p, &row)| *p = self.point(table, row));
-            for p in points.iter() {
-                let (d, read) = ctx.nearest(p);
+            for (d, read) in points[..chunk.len()].iter().map(|p| ctx.nearest(p)) {
                 state.add(d);
-                work.candidates += read as u64;
+                work.add(read as f64);
             }
         }
         work
@@ -250,7 +257,8 @@ impl CoverageSpace for PointSpace {
     fn gain(&self, cur: f64, a: usize, b: usize) -> f64 {
         match self.metric {
             Metric::Euclidean => {
-                let d2 = self.points[a].euclidean_sq(&self.points[b]);
+                let (a, b) = (&self.points[a], &self.points[b]);
+                let d2 = Metric::Euclidean.key(a.x - b.x, a.y - b.y);
                 if d2 >= (cur * cur).max(f64::MIN_POSITIVE) {
                     0.0
                 } else {
@@ -264,8 +272,7 @@ impl CoverageSpace for PointSpace {
     /// One [`XSortedIndex`] over the start points, queried once per point.
     fn cover(&self, start: &[usize]) -> Vec<f64> {
         let index = XSortedIndex::build(start.iter().map(|&s| self.points[s]).collect());
-        let ctx = HeatmapCtx { index, grid: None, metric: self.metric };
-        self.points.iter().map(|p| ctx.nearest(p).0).collect()
+        self.points.iter().map(|p| index.nearest(p, self.metric).0).collect()
     }
 
     fn center_element(&self) -> usize {
@@ -299,6 +306,18 @@ mod tests {
             b.push_row(&[Point::new(x, y).into()]).unwrap();
         }
         b.finish()
+    }
+
+    #[test]
+    fn metric_distances() {
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(3.0, 4.0));
+        assert_eq!(Metric::Euclidean.dist(&a, &b), 5.0);
+        assert_eq!(Metric::Euclidean.key(a.x - b.x, a.y - b.y), 25.0);
+        assert_eq!(Metric::Manhattan.dist(&a, &b), 7.0);
+        // Symmetry.
+        for m in [Metric::Euclidean, Metric::Manhattan] {
+            assert_eq!(m.dist(&a, &b), m.dist(&b, &a));
+        }
     }
 
     #[test]
@@ -384,7 +403,9 @@ mod tests {
         assert!(achieved <= 0.01);
         let pickups = t.column(0).as_point_slice().unwrap();
         let near = |c: (f64, f64)| {
-            sample.iter().any(|&r| pickups[r as usize].euclidean(&Point::new(c.0, c.1)) < 0.1)
+            sample
+                .iter()
+                .any(|&r| Metric::Euclidean.dist(&pickups[r as usize], &Point::new(c.0, c.1)) < 0.1)
         };
         assert!(near((0.1, 0.1)) && near((0.9, 0.9)));
         // Far fewer sample points than raw points.

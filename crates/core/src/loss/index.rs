@@ -20,11 +20,11 @@
 //! the centre's nearest. For a query `q` in the cell, the true nearest
 //! `s*` has `d(s*, cell) ≤ d(q, s*) ≤ d(q, s_c) ≤ d(q, centre) +
 //! d(centre, s_c)`, which is within the radius, so `s*` is listed; the
-//! slacks absorb the rounding of every distance involved, and
-//! the query takes the minimum of the very float expression the sweep
-//! minimises, so the two agree bit for bit. Anything the grid does not
-//! cover — a NaN or out-of-box query, an empty sample, a box that is not
-//! finite — is the sweep's.
+//! slacks absorb the rounding of every distance involved. The query takes
+//! the minimum of [`Metric::key`] of `q − s`, the one float expression the
+//! sweep minimises too, so the two agree bit for bit. Anything the grid
+//! does not cover — a NaN or out-of-box query, an empty sample, a box that
+//! is not finite, a cell whose list would be too long — is the sweep's.
 //!
 //! The grid has about 16·k cells for a k-point sample (4·√k a side, 130 at
 //! k = 1 060; a flat box, such as the histogram's `y = 0`, spends them all
@@ -40,14 +40,15 @@ use tabula_storage::Point;
 /// sorted by x. A query walks outwards from its own x, on each side, and
 /// stops a side as soon as the x gap alone rules out an improvement — once
 /// dx² exceeds the best squared distance so far (Manhattan: once |dx|
-/// exceeds the best distance). Every distance is computed by the expression
-/// [`Point::euclidean_sq`] / [`Point::manhattan`] use, so the answer is the
-/// brute-force minimum bit for bit.
+/// exceeds the best distance). Every distance is [`Metric::key`] of `q − p`,
+/// the expression [`Metric::dist`] uses, so the answer is the brute-force
+/// minimum bit for bit.
 #[derive(Debug, Clone)]
 pub struct XSortedIndex {
-    /// The indexed points without NaN coordinates, ascending by x. A point
-    /// with a NaN coordinate is at NaN distance from every query, and NaN
-    /// never wins a comparison, so dropping it changes no answer.
+    /// The distinct indexed points without NaN coordinates, ascending by x.
+    /// A point with a NaN coordinate is at NaN distance from every query,
+    /// NaN never wins a comparison, and a duplicate is at its twin's
+    /// distance, so dropping either changes no answer.
     points: Vec<Point>,
 }
 
@@ -56,7 +57,8 @@ impl XSortedIndex {
     /// return `f64::INFINITY`.
     pub fn build(mut points: Vec<Point>) -> Self {
         points.retain(|p| !p.x.is_nan() && !p.y.is_nan());
-        points.sort_unstable_by(|a, b| a.x.total_cmp(&b.x));
+        points.sort_unstable_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+        points.dedup();
         XSortedIndex { points }
     }
 
@@ -65,53 +67,36 @@ impl XSortedIndex {
     /// the number of points the sweep computed a distance to.
     #[inline(always)]
     pub fn nearest(&self, q: &Point, metric: Metric) -> (f64, usize) {
-        match metric {
-            Metric::Euclidean => {
-                let (best, steps) = self.sweep(q, |dx| dx * dx, |dx, dy| dx * dx + dy * dy);
-                (best.sqrt(), steps)
-            }
-            Metric::Manhattan => self.sweep(q, f64::abs, |dx, dy| dx.abs() + dy.abs()),
-        }
+        // One monomorphic sweep per metric.
+        let (best, steps) = match metric {
+            Metric::Euclidean => self.sweep(q, |dx, dy| Metric::Euclidean.key(dx, dy)),
+            Metric::Manhattan => self.sweep(q, |dx, dy| Metric::Manhattan.key(dx, dy)),
+        };
+        (metric.of_key(best), steps)
     }
 
-    /// The least `dist(q − p)` over the indexed points `p`, skipping NaNs,
-    /// and the number of points it was computed for. `gap(dx) ≤ dist(dx,
+    /// The least `key(q − p)` over the indexed points `p`, skipping NaNs,
+    /// and the number of points it was computed for. `key(dx, 0) ≤ key(dx,
     /// dy)` for every `dy` and grows with `|dx|`, which grows monotonically
     /// along each side of `q.x` (float subtraction is monotone), so the
-    /// first `gap` above the best bounds the rest of that side. A NaN `q.x`
-    /// finds no side to stop and no number to keep.
+    /// first `key(dx, 0)` above the best bounds the rest of that side. A
+    /// NaN `q.x` finds no side to stop and no number to keep.
     #[inline(always)]
-    fn sweep(
-        &self,
-        q: &Point,
-        gap: impl Fn(f64) -> f64,
-        dist: impl Fn(f64, f64) -> f64,
-    ) -> (f64, usize) {
+    fn sweep(&self, q: &Point, key: impl Fn(f64, f64) -> f64) -> (f64, usize) {
         let split = self.points.partition_point(|p| p.x < q.x);
-        let mut best = f64::INFINITY;
-        let mut steps = 0;
-        for p in &self.points[split..] {
+        let (mut best, mut steps) = (f64::INFINITY, 0);
+        // Whether the side goes on past `p`.
+        let mut visit = |p: &Point| {
             let dx = q.x - p.x;
-            if gap(dx) > best {
-                break;
+            let go_on = key(dx, 0.0) <= best;
+            if go_on {
+                let d = key(dx, q.y - p.y);
+                (best, steps) = (if d < best { d } else { best }, steps + 1);
             }
-            steps += 1;
-            let d = dist(dx, q.y - p.y);
-            if d < best {
-                best = d;
-            }
-        }
-        for p in self.points[..split].iter().rev() {
-            let dx = q.x - p.x;
-            if gap(dx) > best {
-                break;
-            }
-            steps += 1;
-            let d = dist(dx, q.y - p.y);
-            if d < best {
-                best = d;
-            }
-        }
+            go_on
+        };
+        self.points[split..].iter().all(&mut visit);
+        self.points[..split].iter().rev().all(&mut visit);
         (best, steps)
     }
 }
@@ -154,28 +139,25 @@ impl NearestGrid {
     /// under `metric`. Only the cells some query falls in get a list.
     /// `None` when the index is empty or the box is empty or not finite:
     /// the sweep answers then.
-    pub fn build(
-        index: &XSortedIndex,
-        metric: Metric,
-        queries: impl Iterator<Item = Point> + Clone,
-    ) -> Option<NearestGrid> {
-        let finite = |q: &Point| q.x.is_finite() && q.y.is_finite();
+    pub fn build<Q>(index: &XSortedIndex, metric: Metric, queries: Q) -> Option<NearestGrid>
+    where
+        Q: Iterator<Item = Point> + Clone,
+    {
+        let queries = queries.filter(|q| q.x.is_finite() && q.y.is_finite());
         let (mut lo, mut hi) = (Point::new(f64::MAX, f64::MAX), Point::new(f64::MIN, f64::MIN));
         let mut n = 0.0;
-        for q in queries.clone().filter(finite) {
+        for q in queries.clone() {
             (lo.x, lo.y, hi.x, hi.y) = (lo.x.min(q.x), lo.y.min(q.y), hi.x.max(q.x), hi.y.max(q.y));
             n += 1.0;
         }
         let pad = Point::new((lo.x.abs() + hi.x.abs()) * SLACK, (lo.y.abs() + hi.y.abs()) * SLACK);
         let k = index.points.len() as f64;
-        if k == 0.0 || !(hi.x >= lo.x && hi.y >= lo.y && (pad.x + pad.y).is_finite()) {
-            return None;
-        }
+        // An empty index or box, or one that is not finite, is the sweep's.
+        (k > 0.0 && hi.x >= lo.x && hi.y >= lo.y && (pad.x + pad.y).is_finite()).then_some(())?;
         // About 16·k cells, at most 2²⁰ and one per 16 queries (see the
         // module docs); a flat box spends them all along its one axis.
         let cells = (16.0 * k).min(n / 16.0).min((1 << 20) as f64);
-        let cells = if hi.x > lo.x && hi.y > lo.y { cells.sqrt() } else { cells };
-        let side = (cells as usize).max(1);
+        let side = (if hi.x > lo.x && hi.y > lo.y { cells.sqrt() } else { cells } as usize).max(1);
         // An axis whose width and cells per unit are positive numbers has
         // `side` cells, any other one.
         let axis = |w: f64| match side as f64 / w {
@@ -186,19 +168,12 @@ impl NearestGrid {
         let inv = Point::new(inv_x, inv_y);
         let mut grid = NearestGrid { metric, lo, hi, inv, nx, ny, start: vec![0], cand: vec![] };
         let mut occupied = vec![false; nx * ny];
-        // Duplicate points are at the same distance from every query.
-        let mut points = index.points.clone();
-        points.dedup();
-        let index = &XSortedIndex { points };
-        queries.filter(finite).for_each(|q| occupied[grid.cell(&q)] = true);
-        let lists = Pool::global().par_chunks(nx * ny, 256, |cells| {
-            cells
-                .map(|c| if occupied[c] { grid.list(index, c, pad) } else { vec![] })
-                .collect::<Vec<_>>()
-        });
-        for list in lists.into_iter().flatten() {
-            grid.start.push(grid.start[grid.start.len() - 1] + list.len() as u32);
-            grid.cand.extend(list);
+        queries.for_each(|q| occupied[grid.cell(&q)] = true);
+        let list = |c: usize| if occupied[c] { grid.list(index, c, pad) } else { vec![] };
+        let lists = Pool::global().par_chunks(nx * ny, 256, |cs| cs.map(&list).collect::<Vec<_>>());
+        for cell in lists.into_iter().flatten() {
+            grid.cand.extend(cell);
+            grid.start.push(grid.cand.len() as u32);
         }
         Some(grid)
     }
@@ -209,29 +184,24 @@ impl NearestGrid {
     /// absolute slack `pad` covers the rounding of differences of
     /// coordinates of that magnitude.
     fn list(&self, index: &XSortedIndex, c: usize, pad: Point) -> Vec<Point> {
-        let (i, j) = ((c % self.nx) as f64, (c / self.nx) as f64);
+        let (m, i, j) = (self.metric, (c % self.nx) as f64, (c / self.nx) as f64);
         let (w, h) =
             ((self.hi.x - self.lo.x) / self.nx as f64, (self.hi.y - self.lo.y) / self.ny as f64);
         let centre = Point::new(self.lo.x + (i + 0.5) * w, self.lo.y + (j + 0.5) * h);
         let half = Point::new(w * 0.5 + pad.x, h * 0.5 + pad.y);
-        let origin = Point::default();
-        let nearest = index.nearest(&centre, self.metric).0;
-        let radius =
-            (nearest + self.metric.dist(&half, &origin)) * (1.0 + SLACK) + pad.x + pad.y + TINY;
-        let gap = |p: &Point| {
-            Point::new(
-                ((p.x - centre.x).abs() - half.x).max(0.0),
-                ((p.y - centre.y).abs() - half.y).max(0.0),
-            )
-        };
+        let dist = |dx: f64, dy: f64| m.of_key(m.key(dx, dy));
+        let slack = pad.x + pad.y + TINY;
+        let radius = (index.nearest(&centre, m).0 + dist(half.x, half.y)) * (1.0 + SLACK) + slack;
+        // `p`'s distance to the rectangle is `dist` of the two axis gaps.
+        let gap = |d: f64, half: f64| (d.abs() - half).max(0.0);
         let first = index.points.partition_point(|p| p.x < centre.x - half.x - radius);
         let near = index.points[first..].iter().take_while(|p| p.x <= centre.x + half.x + radius);
-        let list: Vec<Point> =
-            near.filter(|p| self.metric.dist(&gap(p), &origin) <= radius).copied().collect();
+        let reach = |p: &Point| dist(gap(p.x - centre.x, half.x), gap(p.y - centre.y, half.y));
+        let list: Vec<Point> = near.filter(|p| reach(p) <= radius).copied().collect();
         if list.len() <= MAX_LIST {
             list
         } else {
-            vec![]
+            Vec::new()
         }
     }
 
@@ -244,29 +214,22 @@ impl NearestGrid {
     }
 
     /// The nearest distance from `q` to the indexed points, and how many
-    /// candidates it read: the sweep's answer bit for bit, from the same
-    /// `q − p` distance expression. `None` for a NaN or out-of-box query
-    /// and in a cell with no list, which the sweep must answer.
+    /// candidates it read: the sweep's answer bit for bit, the least
+    /// [`Metric::key`] of `q − p` under [`Metric::of_key`]. `None` for a
+    /// NaN or out-of-box query and in a cell with no list, which the sweep
+    /// must answer.
     #[inline]
     pub fn nearest(&self, q: &Point) -> Option<(f64, usize)> {
         // NaN fails every comparison.
         if !(q.x >= self.lo.x && q.x <= self.hi.x && q.y >= self.lo.y && q.y <= self.hi.y) {
             return None;
         }
-        let c = self.cell(q);
+        let (c, m) = (self.cell(q), self.metric);
         let list = &self.cand[self.start[c] as usize..self.start[c + 1] as usize];
-        // An in-box query is finite and no listed point is NaN, so no
-        // distance is NaN and `min` is the sweep's `<`.
-        let diffs = list.iter().map(|p| (q.x - p.x, q.y - p.y));
-        let best = match self.metric {
-            Metric::Euclidean => {
-                diffs.map(|(dx, dy)| dx * dx + dy * dy).fold(f64::INFINITY, f64::min).sqrt()
-            }
-            Metric::Manhattan => {
-                diffs.map(|(dx, dy)| dx.abs() + dy.abs()).fold(f64::INFINITY, f64::min)
-            }
-        };
-        (!list.is_empty()).then_some((best, list.len()))
+        // An in-box query is finite and no listed point is NaN, so no key
+        // is NaN and `min` is the sweep's `<`.
+        let best = list.iter().map(|p| m.key(q.x - p.x, q.y - p.y)).fold(f64::INFINITY, f64::min);
+        (!list.is_empty()).then_some((m.of_key(best), list.len()))
     }
 
     /// Cells along x and y.

@@ -50,6 +50,7 @@ pub use index::{NearestGrid, XSortedIndex};
 pub use mean::MeanLoss;
 pub use regression::RegressionLoss;
 
+use tabula_storage::agg::SumCount;
 use tabula_storage::{AggState, Column, ColumnType, RowId, Table};
 
 /// The column types a loss reads as numbers.
@@ -100,24 +101,6 @@ pub fn exceeds_theta(loss: f64, theta: f64) -> bool {
     loss.is_nan() || loss > theta - LOSS_EPS
 }
 
-/// The nearest-neighbour work of a fold ([`AccuracyLoss::fold_rows`]): zero
-/// for a loss that computes no distances.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NearestWork {
-    /// Nearest-distance queries, one per row folded.
-    pub queries: u64,
-    /// Sample points a distance was computed to: grid candidates, or the
-    /// sweep's steps where the grid does not cover a query.
-    pub candidates: u64,
-}
-
-impl std::ops::AddAssign for NearestWork {
-    fn add_assign(&mut self, other: NearestWork) {
-        self.queries += other.queries;
-        self.candidates += other.candidates;
-    }
-}
-
 /// A user-defined accuracy loss function. See the module docs for the
 /// contract; see `MeanLoss` for the simplest reference implementation.
 pub trait AccuracyLoss: Send + Sync + 'static {
@@ -166,18 +149,19 @@ pub trait AccuracyLoss: Send + Sync + 'static {
 
     /// Fold the rows of one finest run into `state`, in order, as
     /// [`AccuracyLoss::fold`] row by row (the default) would, and report
-    /// the nearest-neighbour work done.
+    /// the nearest-neighbour work done: one count per nearest-distance
+    /// query and, summed, the sample points each computed a distance to
+    /// (grid candidates, or the sweep's steps where the grid does not
+    /// answer). The default computes no distances.
     fn fold_rows(
         &self,
         ctx: &Self::SampleCtx,
         state: &mut Self::State,
         table: &Table,
         rows: &[RowId],
-    ) -> NearestWork {
-        for &row in rows {
-            self.fold(ctx, state, table, row);
-        }
-        NearestWork::default()
+    ) -> SumCount {
+        rows.iter().for_each(|&row| self.fold(ctx, state, table, row));
+        SumCount::default()
     }
 
     /// The loss of using `ctx`'s sample in place of the raw data
@@ -195,9 +179,7 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// Exact loss against an already-prepared sample context.
     fn loss_with_ctx(&self, table: &Table, raw: &[RowId], ctx: &Self::SampleCtx) -> f64 {
         let mut state = Self::State::default();
-        for &r in raw {
-            self.fold(ctx, &mut state, table, r);
-        }
+        self.fold_rows(ctx, &mut state, table, raw);
         self.finish(ctx, &state)
     }
 

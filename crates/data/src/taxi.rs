@@ -373,7 +373,10 @@ mod tests {
         let pickups = t.column_by_name("pickup").unwrap().as_point_slice().unwrap();
         let near_jfk = rows
             .iter()
-            .filter(|&&r| pickups[r as usize].euclidean(&Point::new(0.78, 0.22)) < 0.05)
+            .filter(|&&r| {
+                let p = pickups[r as usize];
+                (p.x - 0.78).hypot(p.y - 0.22) < 0.05
+            })
             .count();
         assert!(
             near_jfk as f64 > 0.8 * rows.len() as f64,
@@ -417,7 +420,10 @@ mod tests {
         let t = small();
         let pickups = t.column_by_name("pickup").unwrap().as_point_slice().unwrap();
         let manhattan_center = Point::new(0.465, 0.58);
-        let near = pickups.iter().filter(|p| p.euclidean(&manhattan_center) < 0.12).count();
+        let near = pickups
+            .iter()
+            .filter(|p| (p.x - manhattan_center.x).hypot(p.y - manhattan_center.y) < 0.12)
+            .count();
         let frac = near as f64 / pickups.len() as f64;
         assert!(frac > 0.45, "Manhattan share too low: {frac}");
     }

@@ -242,9 +242,9 @@ mod tests {
         let p = FinestPartition::build(t, &[0, 1]).unwrap();
         let (finest, rows) = p.fold_runs(SumCount::default, |s, run| {
             run.iter().for_each(|&row| s.add(fares[row as usize]));
-            run.len()
+            SumCount { sum: run.len() as f64, count: 1 }
         });
-        assert_eq!(rows, t.len());
+        assert_eq!((rows.sum, rows.count), (t.len() as f64, p.runs() as u64));
         rollup_from_finest(p.space(), finest, &SumCount::default)
     }
 

@@ -28,8 +28,7 @@ use crate::cellspace::{CellSpace, CubeKey};
 use crate::cube::CuboidMask;
 use crate::group::finest_groups;
 use crate::table::{Cat, RowId, Table};
-use crate::Result;
-use std::ops::AddAssign;
+use crate::{AggState, Result};
 use std::time::Instant;
 use tabula_par::Pool;
 
@@ -116,7 +115,7 @@ impl FinestPartition {
     pub fn fold_runs<S, W, M, F>(&self, make: M, fold: F) -> (Vec<(CubeKey, S)>, W)
     where
         S: Send,
-        W: Default + AddAssign + Send,
+        W: AggState + Default,
         M: Fn() -> S + Sync,
         F: Fn(&mut S, &[RowId]) -> W + Sync,
     {
@@ -125,7 +124,7 @@ impl FinestPartition {
             let (mut states, mut work) = (Vec::with_capacity(runs.len()), W::default());
             for run in runs {
                 let mut state = make();
-                work += fold(&mut state, self.run_rows(run));
+                work.merge(&fold(&mut state, self.run_rows(run)));
                 states.push((self.keys[run].clone(), state));
             }
             (states, work)
@@ -134,7 +133,7 @@ impl FinestPartition {
         let (mut finest, mut work) = (Vec::with_capacity(self.runs()), W::default());
         for (states, task_work) in folded {
             finest.extend(states);
-            work += task_work;
+            work.merge(&task_work);
         }
         (finest, work)
     }
@@ -205,6 +204,7 @@ const SPAN_WORDS_PER_ROW: usize = 4;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::SumCount;
     use crate::schema::{Field, Schema};
     use crate::table::TableBuilder;
     use crate::types::ColumnType;
@@ -256,11 +256,11 @@ mod tests {
         let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
         let (folded, rows) = p.fold_runs(Vec::new, |seen: &mut Vec<RowId>, run| {
             seen.extend_from_slice(run);
-            run.len()
+            SumCount { sum: run.len() as f64, count: 1 }
         });
         let want: Vec<(CubeKey, Vec<RowId>)> =
             (0..p.runs()).map(|i| (p.run_key(i).clone(), p.run_rows(i).to_vec())).collect();
-        assert_eq!((folded, rows), (want, 6));
+        assert_eq!((folded, rows.sum, rows.count), (want, 6.0, p.runs() as u64));
     }
 
     #[test]

@@ -189,10 +189,7 @@ impl Predicate {
                 let (op, value) = match (&t.value, table.column(col).as_i64_buf()) {
                     // An Int64 column against a float: the integer term that
                     // holds on the same rows.
-                    (&Value::Float64(f), Some(_)) => {
-                        let (op, k) = int_term(t.op, f);
-                        (op, Value::Int64(k))
-                    }
+                    (&Value::Float64(f), Some(_)) => int_term(t.op, f),
                     _ => (t.op, t.value.clone()),
                 };
                 // Fast path: categorical equality compiled to a code compare.
@@ -218,31 +215,27 @@ impl Predicate {
 /// `x < i64::MIN` (never) or `x ≥ i64::MIN` (always). A NaN compares false
 /// under every operator, `Ne` included, as a float column's NaN does
 /// ([`compare`]).
-pub(crate) fn int_term(op: CmpOp, f: f64) -> (CmpOp, i64) {
+pub(crate) fn int_term(op: CmpOp, f: f64) -> (CmpOp, Value) {
     const TWO_63: f64 = 9_223_372_036_854_775_808.0;
-    let (never, always) = ((CmpOp::Lt, i64::MIN), (CmpOp::Ge, i64::MIN));
     let bound = match op {
-        _ if f.is_nan() => return never,
         CmpOp::Eq | CmpOp::Ne if f.fract() != 0.0 => f64::INFINITY,
         CmpOp::Eq | CmpOp::Ne => f,
         CmpOp::Lt | CmpOp::Ge => f.ceil(),
         CmpOp::Le | CmpOp::Gt => f.floor(),
     };
     if (-TWO_63..TWO_63).contains(&bound) {
-        return (op, bound as i64);
+        return (op, Value::Int64(bound as i64));
     }
-    // No integer is the bound: it lies above every i64 or below them all.
-    let holds = match op {
-        CmpOp::Eq => false,
-        CmpOp::Ne => true,
-        CmpOp::Lt | CmpOp::Le => bound > 0.0,
-        CmpOp::Gt | CmpOp::Ge => bound < 0.0,
-    };
-    if holds {
-        always
-    } else {
-        never
-    }
+    // No integer is the bound (a NaN's is NaN, `fract` included): it lies
+    // above every i64 or below them all.
+    let holds = !f.is_nan()
+        && match op {
+            CmpOp::Eq => false,
+            CmpOp::Ne => true,
+            CmpOp::Lt | CmpOp::Le => bound > 0.0,
+            CmpOp::Gt | CmpOp::Ge => bound < 0.0,
+        };
+    (if holds { CmpOp::Ge } else { CmpOp::Lt }, Value::Int64(i64::MIN))
 }
 
 /// Chunked columnar scan: per chunk, the first term narrows the chunk's

@@ -133,8 +133,8 @@ impl<'t> Cat<'t> {
             (Cat::Str(_, dict), Value::Str(s)) => dict.lookup(s),
             (Cat::Int(idx), Value::Int64(v)) => idx.index.get(v).copied(),
             // The integer a float equals, if any (`Predicate`'s rule).
-            (Cat::Int(idx), &Value::Float64(f)) => match int_term(CmpOp::Eq, f) {
-                (CmpOp::Eq, k) => idx.index.get(&k).copied(),
+            (Cat::Int(_), &Value::Float64(f)) => match int_term(CmpOp::Eq, f) {
+                (CmpOp::Eq, k) => self.lookup(&k),
                 _ => None,
             },
             _ => None,

@@ -56,29 +56,6 @@ impl Point {
     pub fn new(x: f64, y: f64) -> Self {
         Point { x, y }
     }
-
-    /// Euclidean distance to `other`.
-    #[inline]
-    pub fn euclidean(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Squared Euclidean distance (avoids the sqrt on hot paths where only
-    /// comparisons matter).
-    #[inline]
-    pub fn euclidean_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
-    /// Manhattan (L1) distance to `other`.
-    #[inline]
-    pub fn manhattan(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
 }
 
 /// A dynamically-typed scalar value: the row-oriented interface of the
@@ -178,18 +155,6 @@ impl std::fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn point_distances() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 4.0);
-        assert_eq!(a.euclidean(&b), 5.0);
-        assert_eq!(a.euclidean_sq(&b), 25.0);
-        assert_eq!(a.manhattan(&b), 7.0);
-        // Symmetry.
-        assert_eq!(a.euclidean(&b), b.euclidean(&a));
-        assert_eq!(a.manhattan(&b), b.manhattan(&a));
-    }
 
     #[test]
     fn value_conversions() {

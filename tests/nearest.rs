@@ -406,8 +406,8 @@ fn the_dry_runs_finest_states_are_the_sweep_scans_bit_for_bit() {
                     "column {col}, {metric:?}, {threads} threads"
                 );
             }
-            assert_eq!(dry.work.queries, table.len() as u64, "one query per row");
-            assert!(dry.work.candidates > 0);
+            assert_eq!(dry.work.count, table.len() as u64, "one query per row");
+            assert!(dry.work.sum > 0.0);
             work.push(dry.work);
         }
         assert_eq!(work[0], work[1], "column {col}, {metric:?}: work at 1 and 4 threads");

@@ -158,7 +158,7 @@ fn work_counters_do_not_depend_on_the_thread_count() {
         };
         let nearest = (nearest("build"), nearest("refresh"));
         assert_eq!((nearest.0[0], nearest.1[0]), (base.len() as u64, grown.len() as u64));
-        assert_eq!(nearest.1, [stats.nearest.queries, stats.nearest.candidates]);
+        assert_eq!(nearest.1, [stats.nearest.count, stats.nearest.sum as u64]);
         (built, refreshed, nearest, content_crc(&cube), content_crc(&folded))
     };
     let serial = run(1);
