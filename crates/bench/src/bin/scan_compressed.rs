@@ -68,7 +68,7 @@ fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
         Field::new("x", ColumnType::Float64),
         Field::new("m", ColumnType::Float64),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::with_capacity(schema, 0);
     for i in 0..rows {
         let cluster = i / run_len;
         // A cheap deterministic scatter for the measure column.
@@ -95,7 +95,7 @@ fn conj_table(rows: usize, run_len: usize) -> (Arc<Table>, Predicate) {
             Field::new(format!("c{c}"), if c == 3 { ColumnType::Int64 } else { ColumnType::Str })
         })
         .collect();
-    let mut b = TableBuilder::new(Schema::new(fields));
+    let mut b = TableBuilder::with_capacity(Schema::new(fields), 0);
     let value = |row: usize, c: usize| {
         // splitmix64's finalizer: a multiplicative hash of consecutive run
         // numbers is regular enough for a branch predictor to learn.

@@ -53,7 +53,7 @@ impl CaseSpec {
     pub fn table_with(&self, mode: EncodingMode) -> Arc<Table> {
         let fields =
             self.schema.iter().map(|(n, ty)| Field::new(n.clone(), *ty)).collect::<Vec<_>>();
-        let mut b = TableBuilder::new(Schema::new(fields));
+        let mut b = TableBuilder::with_capacity(Schema::new(fields), 0);
         for row in &self.rows {
             b.push_row(row).expect("case rows match case schema");
         }

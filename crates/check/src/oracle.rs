@@ -310,7 +310,7 @@ mod tests {
             Field::new("k", ColumnType::Int64),
             Field::new("fare", ColumnType::Float64),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         let rows = [("a", 0i64, 10.0), ("a", 1, 20.0), ("b", 0, 30.0), ("b", 1, 40.0)];
         for (c, k, f) in rows {
             b.push_row(&[Value::Str(c.into()), Value::Int64(k), Value::Float64(f)]).unwrap();

@@ -64,7 +64,7 @@ mod tests {
     fn table() -> Table {
         let schema =
             Schema::new(vec![Field::new("a", ColumnType::Str), Field::new("b", ColumnType::Int64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for (s, i) in [("x", 1i64), ("y", 2), ("x", 2)] {
             b.push_row(&[s.into(), i.into()]).unwrap();
         }

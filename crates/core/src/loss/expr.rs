@@ -187,11 +187,6 @@ impl ExprLoss {
     pub fn new(attr: usize, expr: Expr) -> Self {
         ExprLoss { attr, expr, name: "user_defined_expr" }
     }
-
-    /// The expression body.
-    pub fn expr(&self) -> &Expr {
-        &self.expr
-    }
 }
 
 impl AccuracyLoss for ExprLoss {
@@ -244,7 +239,7 @@ mod tests {
 
     fn table(values: &[f64]) -> Table {
         let schema = Schema::new(vec![Field::new("v", ColumnType::Float64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for &v in values {
             b.push_row(&[v.into()]).unwrap();
         }

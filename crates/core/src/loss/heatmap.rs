@@ -74,11 +74,6 @@ impl HeatmapLoss {
         HeatmapLoss::new(col, Metric::Manhattan)
     }
 
-    /// The metric in use.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
     #[inline]
     fn point(&self, table: &Table, row: RowId) -> Point {
         let row = row as usize;
@@ -301,7 +296,7 @@ mod tests {
 
     fn table(points: &[(f64, f64)]) -> Table {
         let schema = Schema::new(vec![Field::new("p", ColumnType::Point)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for &(x, y) in points {
             b.push_row(&[Point::new(x, y).into()]).unwrap();
         }
@@ -335,7 +330,7 @@ mod tests {
 
     fn fares(values: &[f64]) -> Table {
         let schema = Schema::new(vec![Field::new("fare", ColumnType::Float64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for &v in values {
             b.push_row(&[v.into()]).unwrap();
         }

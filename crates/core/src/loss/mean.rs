@@ -78,7 +78,7 @@ mod tests {
 
     fn table(values: &[f64]) -> Table {
         let schema = Schema::new(vec![Field::new("v", ColumnType::Float64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for &v in values {
             b.push_row(&[v.into()]).unwrap();
         }
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn works_on_integer_columns() {
         let schema = Schema::new(vec![Field::new("v", ColumnType::Int64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for v in [1i64, 2, 3, 4] {
             b.push_row(&[v.into()]).unwrap();
         }

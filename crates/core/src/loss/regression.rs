@@ -95,7 +95,7 @@ mod tests {
             Field::new("fare", ColumnType::Float64),
             Field::new("tip", ColumnType::Float64),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for &(x, y) in xys {
             b.push_row(&[x.into(), y.into()]).unwrap();
         }

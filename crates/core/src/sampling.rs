@@ -566,7 +566,7 @@ mod tests {
     /// One Float64 column per slice.
     fn float_table(columns: &[Vec<f64>]) -> Table {
         let fields = (0..columns.len()).map(|c| Field::new(format!("c{c}"), ColumnType::Float64));
-        let mut b = TableBuilder::new(Schema::new(fields.collect()));
+        let mut b = TableBuilder::with_capacity(Schema::new(fields.collect()), 0);
         for row in 0..columns[0].len() {
             let values: Vec<_> = columns.iter().map(|c| c[row].into()).collect();
             b.push_row(&values).unwrap();
@@ -795,7 +795,7 @@ mod tests {
             Field::new("p", ColumnType::Point),
             Field::new("x", ColumnType::Float64),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..n {
             let (x, y) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
@@ -847,7 +847,7 @@ mod tests {
         let space = Line { xs: vec![] };
         assert!(coverage_greedy(&space, &[], 0.1).is_empty());
         let schema = Schema::new(vec![Field::new("v", ColumnType::Float64)]);
-        let t = TableBuilder::new(schema).finish();
+        let t = TableBuilder::with_capacity(schema, 0).finish();
         let loss = MeanLoss::new(0);
         assert!(loss.sample_greedy(&t, &[], &[], 0.1).is_empty());
     }

@@ -77,7 +77,7 @@ mod tests {
 
     fn table(n: usize) -> Table {
         let schema = Schema::new(vec![Field::new("v", ColumnType::Int64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for i in 0..n {
             b.push_row(&[(i as i64).into()]).unwrap();
         }

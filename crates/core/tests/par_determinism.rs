@@ -122,7 +122,7 @@ fn sample_dependent_selection_path_is_identical_across_thread_counts() {
 /// An appends-only extension of `base`: same schema, every base row in
 /// order, then every row of `extra`.
 fn extend(base: &Table, extra: &Table) -> Arc<Table> {
-    let mut b = TableBuilder::new(base.schema().clone());
+    let mut b = TableBuilder::with_capacity(base.schema().clone(), 0);
     for i in 0..base.len() {
         b.push_row(&base.row(i)).expect("base row");
     }
@@ -173,7 +173,7 @@ fn refreshed_cube_is_identical_across_thread_counts() {
 
 /// `table`'s rows pushed into a fresh builder and frozen under `mode`.
 fn refreeze(table: &Table, mode: EncodingMode) -> Arc<Table> {
-    let mut b = TableBuilder::new(table.schema().clone());
+    let mut b = TableBuilder::with_capacity(table.schema().clone(), 0);
     for i in 0..table.len() {
         b.push_row(&table.row(i)).expect("row of the same schema");
     }

@@ -113,7 +113,7 @@ pub fn read_table<R: BufRead>(reader: R) -> Result<Table, CsvError> {
         fields.push(Field::new(name, parse_type(ty, 1)?));
     }
     let schema = Schema::new(fields);
-    let mut builder = TableBuilder::new(schema.clone());
+    let mut builder = TableBuilder::with_capacity(schema.clone(), 0);
     for (idx, line) in lines.enumerate() {
         let line_no = idx + 2;
         let line = line?;

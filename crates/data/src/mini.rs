@@ -19,7 +19,7 @@ pub fn example_dcm_table() -> Table {
         Field::new("tip", ColumnType::Float64),
         Field::new("pickup", ColumnType::Point),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::with_capacity(schema, 0);
     // (D, C, M, fare, tip, x, y) — a small but deliberately skewed mix:
     // short cash trips cluster spatially at (0.2, 0.2); dispute trips sit
     // far away at (0.9, 0.9) with outlier fares.

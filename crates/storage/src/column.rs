@@ -31,17 +31,8 @@ pub enum Column {
 }
 
 impl Column {
-    /// An empty column of the given type.
-    pub fn empty(ty: ColumnType) -> Self {
-        match ty {
-            ColumnType::Int64 => Column::Int64(Vec::new().into()),
-            ColumnType::Float64 => Column::Float64(Vec::new().into()),
-            ColumnType::Str => Column::Str { codes: Vec::new().into(), dict: Arc::default() },
-            ColumnType::Point => Column::Point(Vec::new().into()),
-        }
-    }
-
-    /// An empty column of the given type with row capacity pre-reserved.
+    /// An empty column of the given type with row capacity pre-reserved
+    /// (0 reserves nothing).
     pub fn with_capacity(ty: ColumnType, capacity: usize) -> Self {
         match ty {
             ColumnType::Int64 => Column::Int64(Vec::with_capacity(capacity).into()),
@@ -225,33 +216,33 @@ mod tests {
 
     #[test]
     fn push_and_read_each_type() {
-        let mut c = Column::empty(ColumnType::Int64);
+        let mut c = Column::with_capacity(ColumnType::Int64, 0);
         assert!(c.push(&Value::Int64(5)));
         assert!(!c.push(&Value::Str("x".into())));
         assert_eq!(c.value(0), Value::Int64(5));
 
-        let mut c = Column::empty(ColumnType::Str);
+        let mut c = Column::with_capacity(ColumnType::Str, 0);
         assert!(c.push(&Value::Str("cash".into())));
         assert!(c.push(&Value::Str("credit".into())));
         assert!(c.push(&Value::Str("cash".into())));
         assert_eq!(c.value(2), Value::Str("cash".into()));
         assert_eq!(c.value(1), Value::Str("credit".into()));
 
-        let mut c = Column::empty(ColumnType::Point);
+        let mut c = Column::with_capacity(ColumnType::Point, 0);
         assert!(c.push(&Value::Point(Point::new(1.0, 2.0))));
         assert_eq!(c.value(0), Value::Point(Point::new(1.0, 2.0)));
     }
 
     #[test]
     fn int_widens_into_float_column() {
-        let mut c = Column::empty(ColumnType::Float64);
+        let mut c = Column::with_capacity(ColumnType::Float64, 0);
         assert!(c.push(&Value::Int64(3)));
         assert_eq!(c.value(0), Value::Float64(3.0));
     }
 
     #[test]
     fn take_projects_rows_in_order() {
-        let mut c = Column::empty(ColumnType::Float64);
+        let mut c = Column::with_capacity(ColumnType::Float64, 0);
         for i in 0..5 {
             c.push(&Value::Float64(i as f64));
         }
@@ -262,7 +253,7 @@ mod tests {
 
     #[test]
     fn take_preserves_dictionary() {
-        let mut c = Column::empty(ColumnType::Str);
+        let mut c = Column::with_capacity(ColumnType::Str, 0);
         for s in ["a", "b", "c", "b"] {
             c.push(&Value::Str(s.into()));
         }

@@ -204,7 +204,7 @@ mod tests {
     use crate::encoding::EncodingMode;
     use crate::schema::{Field, Schema};
     use crate::table::TableBuilder;
-    use crate::types::ColumnType;
+    use crate::types::{ColumnType, Value};
     use std::collections::BTreeMap;
 
     /// Each group as (packed codes, rows), sorted.
@@ -230,7 +230,7 @@ mod tests {
     fn run_aligned_grouping_matches_decoded_kernels() {
         let schema =
             Schema::new(vec![Field::new("a", ColumnType::Str), Field::new("b", ColumnType::Int64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for row in 0..150_000usize {
             let blk = row / 53;
             b.push_row(&[["x", "y", "z"][blk % 3].into(), ((blk % 5) as i64).into()]).unwrap();
@@ -267,7 +267,9 @@ mod tests {
 
     /// Whichever kernel the input picks, `finest_groups` finds each finest
     /// cell's rows under the cell's key in the space; a row-at-a-time
-    /// `BTreeMap` is the reference.
+    /// `BTreeMap` is the reference. Under `Force` both attributes, the
+    /// `Int64` one too, keep their codes as runs, and those decode to the
+    /// row-at-a-time first-seen coding.
     #[test]
     fn every_kernel_spells_keys_in_the_space() {
         let table = |mode| {
@@ -275,10 +277,14 @@ mod tests {
                 Field::new("a", ColumnType::Str),
                 Field::new("b", ColumnType::Int64),
             ]);
-            let mut b = TableBuilder::new(schema);
+            let mut b = TableBuilder::with_capacity(schema, 0);
             for row in 0..600usize {
                 let blk = row / 50;
-                b.push_row(&[["x", "y", "z"][blk % 3].into(), ((blk % 4) as i64).into()]).unwrap();
+                b.push_row(&[
+                    ["x", "y", "z"][blk % 3].into(),
+                    [9, -4, 9, i64::MIN][blk % 4].into(),
+                ])
+                .unwrap();
             }
             b.finish_with(mode)
         };
@@ -286,6 +292,20 @@ mod tests {
         {
             let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
             assert!(cats.iter().all(|c| c.runs().is_some() == encoded));
+            for (col, cat) in cats.iter().enumerate() {
+                let mut seen: Vec<Value> = Vec::new();
+                let first_seen: Vec<u32> = (0..t.len())
+                    .map(|row| {
+                        let v = t.value(row, col);
+                        let code = seen.iter().position(|s| *s == v).unwrap_or(seen.len());
+                        if code == seen.len() {
+                            seen.push(v);
+                        }
+                        code as u32
+                    })
+                    .collect();
+                assert_eq!(cat.codes(), &first_seen[..], "column {col}, encoded {encoded}");
+            }
             let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
             for space in [CellSpace::new(cards.clone()), CellSpace::flat(cards.clone())] {
                 let mut got = finest_groups(&cats, &space, t.len());

@@ -215,7 +215,7 @@ mod tests {
             Field::new("passengers", ColumnType::Int64),
             Field::new("fare", ColumnType::Float64),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         let data: [(&str, i64, f64); 6] = [
             ("cash", 1, 5.0),
             ("credit", 2, 9.5),

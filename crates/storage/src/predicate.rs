@@ -22,7 +22,7 @@ use crate::dictionary::Dictionary;
 use crate::encoding::{Codable, ForView};
 use crate::kernel::{self, SelectionVector};
 use crate::shared::ColumnBuf;
-use crate::table::{Cat, RowId, Table};
+use crate::table::{RowId, Table};
 use crate::types::Value;
 use crate::Result;
 use std::ops::Range;
@@ -426,12 +426,9 @@ fn compile_vectorized<'t>(compiled: &[CompiledTerm], table: &'t Table) -> Vec<Ve
             CompiledTerm::CatEq { col, code } => {
                 let cat = table.cat(*col).expect("compile() verified the column is categorical");
                 let code = *code;
-                match (cat.runs(), cat) {
-                    (Some(runs), _) => rle_keep(runs, |c| c == code),
-                    // A string column's codes may be a FOR frame; an integer
-                    // attribute's expanded codes (`IntCatIndex`) are plain.
-                    (None, Cat::Str(codes, _)) => VecTerm::CodeEq(Col::of(codes), code),
-                    (None, Cat::Int(idx)) => VecTerm::CodeEq(Col::Plain(&idx.codes), code),
+                match cat.runs() {
+                    Some(runs) => rle_keep(runs, |c| c == code),
+                    None => VecTerm::CodeEq(Col::of(cat.buf), code),
                 }
             }
             CompiledTerm::General { col, op, value } => {
@@ -624,7 +621,7 @@ mod tests {
             Field::new("passengers", ColumnType::Int64),
             Field::new("fare", ColumnType::Float64),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         let data: [(&str, i64, f64); 5] = [
             ("cash", 1, 5.0),
             ("credit", 2, 9.5),
@@ -744,7 +741,7 @@ mod tests {
             Field::new("f", ColumnType::Float64),
             Field::new("p", ColumnType::Point),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for (s, i, f) in
             [("b", 5i64, 1.5), ("a", -2, f64::NAN), ("c", 5, -0.0), ("a", 0, 2.5), ("bb", 9, 1.5)]
         {
@@ -793,7 +790,7 @@ mod tests {
             Field::new("fd", ColumnType::Float64),
         ]);
         let pay = ["cash", "credit", "dispute", "unknown"];
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for row in 0..3000usize {
             let block = row / 97;
             let f = match block % 3 {
@@ -939,7 +936,7 @@ mod tests {
         const TWO_53: i64 = 1 << 53;
         let two_63 = -(i64::MIN as f64);
         let schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         let ids = [TWO_53, TWO_53 + 1, TWO_53 + 1, i64::MAX, i64::MIN, 0, 0, 0];
         for id in ids.iter().flat_map(|&id| std::iter::repeat_n(id, 50)) {
             b.push_row(&[Value::Int64(id)]).unwrap();

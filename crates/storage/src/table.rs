@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::dictionary::Dictionary;
-use crate::encoding::{EncodingMode, RunsView};
+use crate::encoding::{Encoded, EncodedBuf, EncodingMode, RunsView};
 use crate::fx::FxHashMap;
 use crate::predicate::{int_term, CmpOp};
 use crate::schema::Schema;
@@ -16,111 +16,93 @@ use std::sync::{Arc, OnceLock};
 /// row-id lists relative to `usize`.
 pub type RowId = u32;
 
-/// Categorical index for an `Int64` column: dense codes per row plus the
-/// decode table, built lazily the first time the column is used as a cubed
+/// Categorical index for an `Int64` column: dense codes plus the decode
+/// table, built lazily the first time the column is used as a cubed
 /// attribute.
 #[derive(Debug)]
 pub struct IntCatIndex {
-    /// Per-row dense codes (first-seen order).
-    pub codes: Vec<u32>,
+    /// Dense codes (first-seen order). An RLE source column keeps its
+    /// runs: one code per run over the source's run ends, decoded to
+    /// per-row codes only if [`Cat::codes`] asks.
+    pub codes: ColumnBuf<u32>,
     /// Decode table: code → original integer.
     pub values: Vec<i64>,
     /// Encode table: original integer → code.
     pub index: FxHashMap<i64, u32>,
-    /// RLE of `codes` — (run codes, cumulative exclusive ends) — carried
-    /// over from an RLE-encoded source column so the run-aligned group
-    /// and cube kernels can consume integer attributes too.
-    pub code_runs: Option<(Vec<u32>, Vec<u32>)>,
 }
 
 impl IntCatIndex {
+    /// Code `data` in first-seen order: per run when it is RLE-encoded
+    /// (one hash probe per run; runs keep row order, so every code equals
+    /// the per-row build's), per row otherwise.
     fn build(data: &ColumnBuf<i64>) -> Self {
-        if let Some(rv) = data.runs() {
-            return Self::build_from_runs(rv);
-        }
         let mut index = FxHashMap::default();
         let mut values = Vec::new();
-        let mut codes = Vec::with_capacity(data.len());
-        for &v in data.iter() {
-            let code = *index.entry(v).or_insert_with(|| {
+        let mut code = |v: i64| {
+            *index.entry(v).or_insert_with(|| {
                 values.push(v);
                 (values.len() - 1) as u32
-            });
-            codes.push(code);
-        }
-        IntCatIndex { codes, values, index, code_runs: None }
-    }
-
-    /// Build from an RLE view without decoding: one hash probe per run
-    /// instead of per row, and the expanded per-row codes fall out of the
-    /// run structure. First-seen order — hence every code — is identical
-    /// to the per-row build, because runs preserve row order.
-    fn build_from_runs(rv: RunsView<'_, i64>) -> Self {
-        let mut index = FxHashMap::default();
-        let mut values = Vec::new();
-        let mut run_codes = Vec::with_capacity(rv.values.len());
-        for &v in rv.values {
-            let code = *index.entry(v).or_insert_with(|| {
-                values.push(v);
-                (values.len() - 1) as u32
-            });
-            run_codes.push(code);
-        }
-        let len = rv.ends.last().copied().unwrap_or(0) as usize;
-        let mut codes = Vec::with_capacity(len);
-        let mut start = 0u32;
-        for (&c, &end) in run_codes.iter().zip(rv.ends) {
-            codes.resize(codes.len() + (end - start) as usize, c);
-            start = end;
-        }
-        IntCatIndex { codes, values, index, code_runs: Some((run_codes, rv.ends.to_vec())) }
+            })
+        };
+        let codes = match data.encoded() {
+            Some(Encoded::Rle { len, values: runs, ends }) => {
+                let runs = runs.iter().map(|&v| code(v)).collect::<Vec<_>>().into();
+                let rle = Encoded::Rle { len: *len, values: runs, ends: ends.clone() };
+                ColumnBuf::Encoded(EncodedBuf::new(rle))
+            }
+            _ => data.iter().map(|&v| code(v)).collect::<Vec<_>>().into(),
+        };
+        IntCatIndex { codes, values, index }
     }
 }
 
-/// A borrowed view of a column as a categorical attribute: dense codes plus
-/// decode/encode. `Str` columns expose their dictionary directly; `Int64`
-/// columns go through a cached [`IntCatIndex`].
-pub enum Cat<'t> {
-    /// Dictionary-encoded string column. Holds the backing buffer, not a
-    /// decoded slice, so that constructing the view never forces an
-    /// encoded column's decode — only [`Cat::codes`] does.
-    Str(&'t ColumnBuf<u32>, &'t Dictionary),
-    /// Lazily-indexed integer column.
+/// What a categorical attribute's codes stand for: the values they decode
+/// to and encode from.
+#[derive(Clone, Copy)]
+enum Domain<'t> {
+    /// A string column's dictionary.
+    Str(&'t Dictionary),
+    /// An integer column's cached [`IntCatIndex`].
     Int(&'t IntCatIndex),
+}
+
+/// A borrowed view of a column as a categorical attribute: dense codes plus
+/// decode/encode through its domain. `Str` columns expose their dictionary
+/// codes directly; `Int64` columns go through a cached [`IntCatIndex`].
+pub struct Cat<'t> {
+    /// The backing code buffer, not a decoded slice, so that constructing
+    /// the view never forces an encoded buffer's decode — only
+    /// [`Cat::codes`] does.
+    pub(crate) buf: &'t ColumnBuf<u32>,
+    domain: Domain<'t>,
 }
 
 impl<'t> Cat<'t> {
     /// Per-row dense codes (decoding an encoded backing on first use;
     /// the decode is cached, see [`crate::encoding::EncodedBuf`]).
     pub fn codes(&self) -> &'t [u32] {
-        match self {
-            Cat::Str(codes, _) => codes,
-            Cat::Int(idx) => &idx.codes,
-        }
+        self.buf
     }
 
     /// The attribute's codes as RLE runs, if available without decoding
     /// — the entry point for the run-aligned kernels.
     pub fn runs(&self) -> Option<RunsView<'t, u32>> {
-        match self {
-            Cat::Str(codes, _) => codes.runs(),
-            Cat::Int(idx) => idx.code_runs.as_ref().map(|(v, e)| RunsView { values: v, ends: e }),
-        }
+        self.buf.runs()
     }
 
     /// Number of distinct values.
     pub fn cardinality(&self) -> usize {
-        match self {
-            Cat::Str(_, dict) => dict.len(),
-            Cat::Int(idx) => idx.values.len(),
+        match self.domain {
+            Domain::Str(dict) => dict.len(),
+            Domain::Int(idx) => idx.values.len(),
         }
     }
 
     /// Decode a code back to a [`Value`].
     pub fn decode(&self, code: u32) -> Value {
-        match self {
-            Cat::Str(_, dict) => Value::Str(dict.decode(code).to_owned()),
-            Cat::Int(idx) => Value::Int64(idx.values[code as usize]),
+        match self.domain {
+            Domain::Str(dict) => Value::Str(dict.decode(code).to_owned()),
+            Domain::Int(idx) => Value::Int64(idx.values[code as usize]),
         }
     }
 
@@ -129,11 +111,11 @@ impl<'t> Cat<'t> {
     /// is `passengers = 2`, as the widening comparison of `>=` / `<=` has
     /// it; `2.5`, `NaN` and `±∞` are outside every integer domain.
     pub fn lookup(&self, value: &Value) -> Option<u32> {
-        match (self, value) {
-            (Cat::Str(_, dict), Value::Str(s)) => dict.lookup(s),
-            (Cat::Int(idx), Value::Int64(v)) => idx.index.get(v).copied(),
+        match (self.domain, value) {
+            (Domain::Str(dict), Value::Str(s)) => dict.lookup(s),
+            (Domain::Int(idx), Value::Int64(v)) => idx.index.get(v).copied(),
             // The integer a float equals, if any (`Predicate`'s rule).
-            (Cat::Int(_), &Value::Float64(f)) => match int_term(CmpOp::Eq, f) {
+            (Domain::Int(_), &Value::Float64(f)) => match int_term(CmpOp::Eq, f) {
                 (CmpOp::Eq, k) => self.lookup(&k),
                 _ => None,
             },
@@ -146,38 +128,23 @@ impl<'t> Cat<'t> {
 ///
 /// Built once via [`TableBuilder`]; all analysis (filters, group-bys, cube
 /// construction, sampling) reads it concurrently without synchronization.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Shared, so a [`take`](Table::take) clones a refcount, not names.
     schema: Arc<Schema>,
     columns: Vec<Column>,
     len: usize,
     /// Per-column lazily-built categorical indexes for `Int64` columns.
+    /// An index never changes once built, so a clone shares it.
     int_cat: Vec<OnceLock<Arc<IntCatIndex>>>,
 }
 
-impl Clone for Table {
-    fn clone(&self) -> Self {
-        Table {
-            schema: self.schema.clone(),
-            columns: self.columns.clone(),
-            len: self.len,
-            int_cat: (0..self.columns.len()).map(|_| OnceLock::new()).collect(),
-        }
-    }
-}
-
 impl Table {
-    /// An empty table with the given schema.
-    pub fn empty(schema: Schema) -> Self {
-        let columns: Vec<Column> = schema.fields().iter().map(|f| Column::empty(f.ty)).collect();
-        let n = columns.len();
-        Table {
-            schema: Arc::new(schema),
-            columns,
-            len: 0,
-            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
-        }
+    /// The one place a table is put together: every constructor ends here
+    /// with columns that agree with `schema` and hold `len` rows each.
+    fn assemble(schema: Arc<Schema>, columns: Vec<Column>, len: usize) -> Table {
+        let int_cat = columns.iter().map(|_| OnceLock::new()).collect();
+        Table { schema, columns, len, int_cat }
     }
 
     /// Assemble a table directly from pre-built columns (the snapshot
@@ -208,13 +175,7 @@ impl Table {
                 _ => {}
             }
         }
-        let n = columns.len();
-        Ok(Table {
-            schema: Arc::new(schema),
-            columns,
-            len: len.unwrap_or(0),
-            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
-        })
+        Ok(Table::assemble(Arc::new(schema), columns, len.unwrap_or(0)))
     }
 
     /// The table's schema.
@@ -258,10 +219,10 @@ impl Table {
     /// cache) a dense code index on first use. Other types are rejected.
     pub fn cat(&self, col: usize) -> Result<Cat<'_>> {
         match &self.columns[col] {
-            Column::Str { codes, dict } => Ok(Cat::Str(codes, dict)),
+            Column::Str { codes, dict } => Ok(Cat { buf: codes, domain: Domain::Str(dict) }),
             Column::Int64(data) => {
                 let idx = self.int_cat[col].get_or_init(|| Arc::new(IntCatIndex::build(data)));
-                Ok(Cat::Int(idx))
+                Ok(Cat { buf: &idx.codes, domain: Domain::Int(idx) })
             }
             _ => Err(StorageError::NotCategorical(self.schema.field(col).name.clone())),
         }
@@ -271,14 +232,8 @@ impl Table {
     /// table shares its schema and its string columns' dictionaries with
     /// `self`; appending to either copies them first.
     pub fn take(&self, rows: &[RowId]) -> Table {
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.take(rows)).collect();
-        let n = columns.len();
-        Table {
-            schema: Arc::clone(&self.schema),
-            columns,
-            len: rows.len(),
-            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
-        }
+        let columns = self.columns.iter().map(|c| c.take(rows)).collect();
+        Table::assemble(Arc::clone(&self.schema), columns, rows.len())
     }
 
     /// Approximate bytes one row of this table occupies.
@@ -310,18 +265,17 @@ impl Table {
         }
         let mut columns = self.columns.clone();
         for values in rows {
-            for (c, v) in columns.iter_mut().zip(values) {
-                let pushed = c.push(v);
-                debug_assert!(pushed, "type validated above");
-            }
+            push_valid_row(&mut columns, values);
         }
-        let n = columns.len();
-        Ok(Table {
-            schema: Arc::clone(&self.schema),
-            columns,
-            len: self.len + rows.len(),
-            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
-        })
+        Ok(Table::assemble(Arc::clone(&self.schema), columns, self.len + rows.len()))
+    }
+}
+
+/// Append a row that [`validate_row`] accepted to `columns`, one value each.
+fn push_valid_row(columns: &mut [Column], values: &[Value]) {
+    for (c, v) in columns.iter_mut().zip(values) {
+        let pushed = c.push(v);
+        debug_assert!(pushed, "type validated by validate_row");
     }
 }
 
@@ -359,13 +313,8 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// A builder for `schema`.
-    pub fn new(schema: Schema) -> Self {
-        let columns = schema.fields().iter().map(|f| Column::empty(f.ty)).collect();
-        TableBuilder { schema, columns, len: 0 }
-    }
-
-    /// A builder with per-column capacity pre-reserved for `capacity` rows.
+    /// A builder for `schema` with per-column capacity pre-reserved for
+    /// `capacity` rows (0 reserves nothing).
     pub fn with_capacity(schema: Schema, capacity: usize) -> Self {
         let columns =
             schema.fields().iter().map(|f| Column::with_capacity(f.ty, capacity)).collect();
@@ -377,10 +326,7 @@ impl TableBuilder {
         // Validate every value before mutating anything so a failed push
         // leaves the builder consistent.
         validate_row(&self.schema, values)?;
-        for (c, v) in self.columns.iter_mut().zip(values) {
-            let pushed = c.push(v);
-            debug_assert!(pushed, "type validated above");
-        }
+        push_valid_row(&mut self.columns, values);
         self.len += 1;
         Ok(())
     }
@@ -411,13 +357,7 @@ impl TableBuilder {
         for c in &mut columns {
             c.encode_for_freeze(mode);
         }
-        let n = columns.len();
-        Table {
-            schema: Arc::new(self.schema),
-            columns,
-            len: self.len,
-            int_cat: (0..n).map(|_| OnceLock::new()).collect(),
-        }
+        Table::assemble(Arc::new(self.schema), columns, self.len)
     }
 }
 
@@ -434,7 +374,7 @@ mod tests {
             Field::new("fare", ColumnType::Float64),
             Field::new("pickup", ColumnType::Point),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         let rows: Vec<Vec<Value>> = vec![
             vec!["cash".into(), 1i64.into(), 5.0.into(), Point::new(0.0, 0.0).into()],
             vec!["credit".into(), 2i64.into(), 9.5.into(), Point::new(1.0, 1.0).into()],
@@ -467,7 +407,7 @@ mod tests {
     fn arity_and_type_errors_leave_builder_intact() {
         let schema =
             Schema::new(vec![Field::new("a", ColumnType::Str), Field::new("b", ColumnType::Int64)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         assert!(matches!(
             b.push_row(&["x".into()]),
             Err(StorageError::ArityMismatch { expected: 2, got: 1 })
@@ -566,6 +506,14 @@ mod tests {
             ]])
             .is_err());
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn a_clone_shares_the_built_int_index() {
+        let t = taxi_mini();
+        let codes = t.cat(1).unwrap().codes().as_ptr();
+        let copy = t.clone();
+        assert_eq!(copy.cat(1).unwrap().codes().as_ptr(), codes);
     }
 
     #[test]

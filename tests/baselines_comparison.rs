@@ -173,7 +173,7 @@ fn baselines_violate_theta_on_planted_iceberg_cell_while_tabula_does_not() {
         Field::new("payment", ColumnType::Str),
         Field::new("fare", ColumnType::Float64),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::with_capacity(schema, 0);
     // 4 000 unremarkable rows across 8×4 ordinary cells.
     for i in 0..4_000usize {
         b.push_row(&[

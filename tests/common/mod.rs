@@ -21,7 +21,7 @@ pub fn measured_table(attrs: &[Vec<i64>], v: &[f64]) -> Arc<Table> {
     let mut fields: Vec<Field> =
         (0..attrs.len()).map(|c| Field::new(format!("a{c}"), ColumnType::Int64)).collect();
     fields.push(Field::new("v", ColumnType::Float64));
-    let mut b = TableBuilder::new(Schema::new(fields));
+    let mut b = TableBuilder::with_capacity(Schema::new(fields), 0);
     for (r, &measure) in v.iter().enumerate() {
         let mut row: Vec<Value> = attrs.iter().map(|col| col[r].into()).collect();
         row.push(measure.into());

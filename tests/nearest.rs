@@ -901,7 +901,8 @@ impl CoverageSpace for Line {
 }
 
 fn point_table(points: &[Point]) -> Table {
-    let mut b = TableBuilder::new(Schema::new(vec![Field::new("p", ColumnType::Point)]));
+    let mut b =
+        TableBuilder::with_capacity(Schema::new(vec![Field::new("p", ColumnType::Point)]), 0);
     for &p in points {
         b.push_row(&[p.into()]).unwrap();
     }
@@ -909,7 +910,8 @@ fn point_table(points: &[Point]) -> Table {
 }
 
 fn value_table(values: &[f64]) -> Table {
-    let mut b = TableBuilder::new(Schema::new(vec![Field::new("v", ColumnType::Float64)]));
+    let mut b =
+        TableBuilder::with_capacity(Schema::new(vec![Field::new("v", ColumnType::Float64)]), 0);
     for &v in values {
         b.push_row(&[v.into()]).unwrap();
     }

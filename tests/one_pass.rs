@@ -205,7 +205,7 @@ fn a_cell_of_nan_pickups_is_represented_by_no_other_cell() {
         Field::new("fare", ColumnType::Float64),
         Field::new("tip", ColumnType::Float64),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::with_capacity(schema, 0);
     for r in 0..600i64 {
         let (a0, a1) = (r % 4, r % 7);
         let (p, fare) = match a0 {

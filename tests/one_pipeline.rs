@@ -23,7 +23,7 @@ fn taxi(rows: usize, seed: u64) -> Arc<Table> {
 /// The rows `[0, len)` of `table`, as a table of their own — rebuilt row by
 /// row, so its dictionaries hold only the values those rows use.
 fn prefix(table: &Table, len: usize) -> Arc<Table> {
-    let mut b = TableBuilder::new(table.schema().clone());
+    let mut b = TableBuilder::with_capacity(table.schema().clone(), 0);
     for r in 0..len {
         b.push_row(&table.row(r)).unwrap();
     }

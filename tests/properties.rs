@@ -21,7 +21,7 @@ fn arb_table() -> impl Strategy<Value = Table> {
             Field::new("b", ColumnType::Int64),
             Field::new("v", ColumnType::Float64),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::with_capacity(schema, 0);
         for (a, bb, v) in rows {
             b.push_row(&[(a as i64).into(), (bb as i64).into(), v.into()]).expect("conforming row");
         }

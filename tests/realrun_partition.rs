@@ -23,7 +23,7 @@ fn taxi(rows: usize, seed: u64) -> Table {
 /// A table of `Int64` categorical columns, one per entry of `columns`.
 fn int_table(columns: &[Vec<i64>]) -> Table {
     let fields = (0..columns.len()).map(|c| Field::new(format!("a{c}"), ColumnType::Int64));
-    let mut b = TableBuilder::new(Schema::new(fields.collect()));
+    let mut b = TableBuilder::with_capacity(Schema::new(fields.collect()), 0);
     for r in 0..columns.first().map_or(0, Vec::len) {
         let row: Vec<Value> = columns.iter().map(|col| col[r].into()).collect();
         b.push_row(&row).unwrap();

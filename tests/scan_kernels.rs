@@ -293,7 +293,7 @@ fn an_integral_float_literal_names_the_integer() {
         Field::new("k", ColumnType::Int64),
         Field::new("fare", ColumnType::Float64),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::with_capacity(schema, 0);
     for row in 0..600i64 {
         b.push_row(&[Value::Int64(row % 5 - 2), Value::Float64(10.0 + (row % 7) as f64)]).unwrap();
     }

@@ -21,7 +21,7 @@ fn table() -> Arc<Table> {
         Field::new("city", ColumnType::Str),
         Field::new("fare", ColumnType::Float64),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::with_capacity(schema, 0);
     let rows: [(i64, &str, f64); 10] = [
         (-3, "a", -3.0),
         (0, "a", -0.0),
