@@ -1,10 +1,12 @@
 //! The ingest lane: stream a generated case's rows through the real
 //! `tabula-ingest` pipeline and, **at every barrier**, require the
-//! streamed cube to be differentially equivalent to a from-scratch build
-//! on the same prefix — θ guarantee over every lattice cell, identical
-//! iceberg set, identical served workload answers — and byte-identical
-//! across thread counts (the risinglight-style barrier-aligned
-//! consistency check).
+//! streamed cube to keep the global sample a fold keeps (the previous
+//! generation's when it holds Serfling's k rows, a draw over the prefix
+//! otherwise) and to be differentially equivalent to a from-scratch build
+//! on the same prefix given that sample — θ guarantee over every lattice
+//! cell, identical iceberg set, identical served workload answers — and
+//! byte-identical across thread counts (the risinglight-style
+//! barrier-aligned consistency check).
 //!
 //! The lane splits a case's rows into a base prefix plus up to
 //! [`INGEST_BARRIERS`] batches, builds a cube and [`Server`] on the
@@ -20,11 +22,12 @@ use crate::oracle::{naive_cube, LossSpec};
 use std::sync::Arc;
 use tabula_core::loss::ExprLoss;
 use tabula_core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric, RegressionLoss, LOSS_EPS};
+use tabula_core::serfling::draw_global_sample;
 use tabula_core::{RefreshConfig, SamplingCubeBuilder};
 use tabula_ingest::{IngestConfig, Ingestor};
 use tabula_serve::Server;
 use tabula_storage::cube::CellKey;
-use tabula_storage::{CmpOp, Field, Predicate, Schema, Table, TableBuilder};
+use tabula_storage::{CmpOp, Field, Predicate, RowId, Schema, Table, TableBuilder};
 
 /// Most batches (= barriers) a case's streamed suffix is split into.
 pub const INGEST_BARRIERS: usize = 3;
@@ -155,17 +158,25 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
     report: &mut IngestReport,
 ) -> Result<Vec<Fingerprint>, Divergence> {
     let theta = case.theta;
-    let build = |table: Arc<Table>| {
-        SamplingCubeBuilder::new(table, attr_refs, loss.clone(), theta)
-            .serfling(case.serfling_config())
-            .seed(case.build_seed)
-            .build()
-            .map_err(|e| Divergence {
-                check: "ingest_build",
-                detail: format!("threads={threads}: build failed: {e:?}"),
-            })
+    let build_err = |e| Divergence {
+        check: "ingest_build",
+        detail: format!("threads={threads}: build failed: {e:?}"),
     };
-    let base_cube = build(prefix_table(case, base))?;
+    let build = |table: Arc<Table>, global: Option<Arc<Vec<RowId>>>| {
+        let builder = SamplingCubeBuilder::new(table, attr_refs, loss.clone(), theta)
+            .serfling(case.serfling_config())
+            .seed(case.build_seed);
+        match global {
+            Some(global) => builder.global_sample(global),
+            None => builder,
+        }
+        .build()
+        .map_err(build_err)
+    };
+    let k = case.serfling_config().sample_size().map_err(build_err)?;
+    let base_cube = build(prefix_table(case, base), None)?;
+    // The global sample the previous generation served.
+    let mut global = Arc::clone(base_cube.global_sample());
     // Private registry, like the serve lane: the sweep must not depend on
     // (or pollute) process-wide state.
     let server = Arc::new(
@@ -226,12 +237,31 @@ fn stream_one_sweep<L: AccuracyLoss + Clone>(
         }
         epoch = now;
 
-        // Differential equivalence against a from-scratch build on the
-        // same prefix: identical iceberg set (the dry run sees identical
-        // inputs), θ guarantee over every lattice cell, and identical
-        // served workload answers.
+        // A fold keeps the previous generation's global sample when it holds
+        // Serfling's k rows, and draws one over the prefix otherwise.
         let prefix = prefix_table(case, fed);
-        let rebuilt = build(Arc::clone(&prefix))?;
+        let kept = global.len() == k;
+        let want =
+            if kept { global.to_vec() } else { draw_global_sample(&prefix, k, case.build_seed) };
+        if **streamed.global_sample() != want {
+            return Err(Divergence {
+                check: "ingest_global_sample",
+                detail: format!(
+                    "threads={threads} barrier {barrier}: the streamed cube's {}-row global \
+                     sample is not the {} {}-row one (k = {k})",
+                    streamed.global_sample().len(),
+                    if kept { "previous generation's" } else { "one drawn over the prefix, a" },
+                    want.len()
+                ),
+            });
+        }
+        global = Arc::clone(streamed.global_sample());
+
+        // Differential equivalence against a from-scratch build on the
+        // same prefix given the same global sample: identical iceberg set
+        // (the dry run sees identical inputs), θ guarantee over every
+        // lattice cell, and identical served workload answers.
+        let rebuilt = build(Arc::clone(&prefix), Some(Arc::clone(&global)))?;
         let mut streamed_keys: Vec<_> = streamed.cube_table().map(|(k, _)| k.codes).collect();
         let mut rebuilt_keys: Vec<_> = rebuilt.cube_table().map(|(k, _)| k.codes).collect();
         streamed_keys.sort();

@@ -37,7 +37,8 @@
 
 use crate::cube::{BuildStats, SamplingCube};
 use crate::cube_table::CubeTable;
-use crate::dryrun::dry_run;
+use crate::dryrun::dry_run_carried;
+use crate::incremental::FoldCarry;
 use crate::loss::AccuracyLoss;
 use crate::realrun::draw;
 use crate::samgraph::{KeptSet, SamGraphConfig};
@@ -110,6 +111,9 @@ pub struct RefreshStats {
     pub retired_cells: usize,
     /// Appended rows processed.
     pub appended_rows: usize,
+    /// Rows whose dry-run states the fold carried over from the previous
+    /// one ([`FoldCarry`]), so did not scan: 0 when it scanned the table.
+    pub carried_rows: usize,
     /// The dry run's nearest-distance work against the global sample: its
     /// `count` is the queries, its `sum` the sample points they computed a
     /// distance to ([`AccuracyLoss::fold_rows`]).
@@ -143,6 +147,7 @@ pub struct SamplingCubeBuilder<L: AccuracyLoss> {
     loss: L,
     theta: f64,
     config: RefreshConfig,
+    global: Option<Arc<Vec<RowId>>>,
     registry: Option<Arc<obs::Registry>>,
 }
 
@@ -156,6 +161,7 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
             loss,
             theta,
             config: RefreshConfig::default(),
+            global: None,
             registry: None,
         }
     }
@@ -179,6 +185,15 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
         self
     }
 
+    /// Use `rows` as the global sample instead of drawing one: ascending,
+    /// distinct row ids of the table, or the build is a configuration
+    /// error. A fold keeps its previous generation's sample, so a build given
+    /// a fold's sample is the build that fold is compared with.
+    pub fn global_sample(mut self, rows: Arc<Vec<RowId>>) -> Self {
+        self.global = Some(rows);
+        self
+    }
+
     /// Metrics registry receiving build metrics and the cube's provenance
     /// counters (default: the process-wide [`tabula_obs::global`] registry).
     pub fn registry(mut self, registry: Arc<obs::Registry>) -> Self {
@@ -188,15 +203,34 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 
     /// Run the pipeline.
     pub fn build(self) -> Result<SamplingCube> {
+        let len = self.table.len();
+        if let Some(rows) = &self.global {
+            if !rows.windows(2).all(|w| w[0] < w[1])
+                || rows.last().is_some_and(|&r| r as usize >= len)
+            {
+                return Err(CoreError::Config(format!(
+                    "a global sample must be ascending, distinct row ids below {len}"
+                )));
+            }
+        }
         let registry = self.registry.unwrap_or_else(|| Arc::clone(obs::global()));
-        materialize(self.table, self.attrs, &self.loss, self.theta, &self.config, None, &registry)
-            .map(|(cube, _)| cube)
+        let prior = Prior::Build(self.global);
+        materialize(self.table, self.attrs, &self.loss, self.theta, &self.config, prior, &registry)
+            .map(|(cube, _, _)| cube)
     }
+}
+
+/// What a run of the pipeline starts from.
+pub(crate) enum Prior<'a, L: AccuracyLoss> {
+    /// Nothing: a build, over the given global sample or a drawn one.
+    Build(Option<Arc<Vec<RowId>>>),
+    /// The previous generation, and what the fold that made it carried.
+    Fold(&'a SamplingCube, Option<Box<FoldCarry<L>>>),
 }
 
 /// Run the pipeline over `table` and assemble a cube homed in `registry`.
 ///
-/// With a `previous` generation (whose table must be a prefix of `table` —
+/// With a previous generation (whose table must be a prefix of `table` —
 /// [`refresh`](crate::incremental::refresh) checks), an iceberg cell that
 /// was iceberg before and holds no appended row keeps its old sample; one
 /// that holds an appended row is sampled afresh, starting from the rows of
@@ -206,36 +240,71 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 /// tested against them too. Without a previous generation, every cell is
 /// fresh. Metrics are named `refresh.*` in the first case, `build.*` in the
 /// second.
+///
+/// The global sample is the given one, else the previous generation's when
+/// it holds Serfling's k rows, else a draw over `table`. The dry run checks
+/// every cell against whichever it is, so θ does not depend on the choice.
+/// A fold that keeps the sample resumes the dry run from the carry, when it
+/// fits (see [`refresh_carried`](crate::incremental::refresh_carried)), and
+/// partitions and scans the appended rows alone; the returned carry covers
+/// all of `table`.
 pub(crate) fn materialize<L: AccuracyLoss>(
     table: Arc<Table>,
     attrs: Vec<String>,
     loss: &L,
     theta: f64,
     config: &RefreshConfig,
-    previous: Option<&SamplingCube>,
+    prior: Prior<'_, L>,
     registry: &Arc<obs::Registry>,
-) -> Result<(SamplingCube, RefreshStats)> {
+) -> Result<(SamplingCube, RefreshStats, FoldCarry<L>)> {
     let cols = cubed_columns(&table, &attrs, loss, theta)?;
+    let (previous, given, carry) = match prior {
+        Prior::Build(given) => (None, given, None),
+        Prior::Fold(previous, carry) => (Some(previous), None, carry),
+    };
 
     let total_start = Instant::now();
     let mut stats = BuildStats::default();
     let mut times = StageTimes::default();
-    let global = Arc::new(draw_global_sample(&table, config.serfling.sample_size()?, config.seed));
+    let k = config.serfling.sample_size()?;
+    let global = match (given, previous) {
+        (Some(given), _) => given,
+        (None, Some(p)) if p.global_sample().len() == k => Arc::clone(p.global_sample()),
+        _ => Arc::new(draw_global_sample(&table, k, config.seed)),
+    };
     times.global_sample = total_start.elapsed();
     stats.global_sample_size = global.len();
 
     // The build's one grouping of the table is the dry run's scan, against
-    // the global sample's context indexed for every row.
+    // the global sample's context indexed for every row. A carry that fits
+    // holds both for the old rows, so only the appended ones are grouped
+    // and scanned.
     let start = Instant::now();
-    let ctx = loss.prepare_global(&table, &global);
+    let old_len = previous.map_or(0, |p| p.table().len());
+    let cards = (cols.iter().map(|&c| table.cat(c).map(|cat| cat.cardinality())))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let fits = |c: &FoldCarry<L>| {
+        c.rows == old_len
+            && Arc::ptr_eq(&c.global, &global)
+            && c.cols == cols
+            && c.partition.space().cards() == cards
+    };
+    let (ctx, head, carried) = match carry.filter(|c| fits(c)).map(|c| *c) {
+        Some(c) => (c.ctx, Some(c.partition), c.finest),
+        None => (loss.prepare_global(&table, &global), None, Vec::new()),
+    };
+    let carried_rows = head.as_ref().map_or(0, |_| old_len);
     times.index = start.elapsed();
-    let partition = FinestPartition::build(&table, &cols)?;
+    let delta = FinestPartition::build_from(&table, &cols, carried_rows)?;
+    let merged = head.map(|head| head.merge(&delta));
+    let partition = merged.as_ref().unwrap_or(&delta);
     times.partition = start.elapsed() - times.index;
-    let dry = dry_run(&table, &partition, loss, &ctx, theta);
+    let mut dry = dry_run_carried(&table, &delta, carried, loss, &ctx, theta);
     stats.dry_run = start.elapsed();
     (times.scan, times.rollup, times.classify) = (dry.scan, dry.rollup, dry.classify);
     stats.total_cells = dry.total_cells;
     stats.iceberg_cells = dry.iceberg_count;
+    let finest = dry.states.cuboids.remove(&CuboidMask::finest(cols.len())).unwrap_or_default();
 
     // The kept set is the sample table: a sample's id is its position.
     // Split the iceberg set into cells that keep the previous generation's
@@ -244,8 +313,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     // samples start as the reused ones, once per old id. From nothing, all
     // cells are fresh.
     let space = partition.space().clone();
-    let touched =
-        previous.map_or_else(FxHashSet::default, |p| touched_cells(&partition, p.table().len()));
+    let touched = previous.map_or_else(FxHashSet::default, |_| touched_cells(&delta, old_len));
     let mut samples: Vec<Arc<Vec<RowId>>> = Vec::new();
     let mut sample_of: FxHashMap<CubeKey, u32> = FxHashMap::default();
     let mut new_id_of_old: FxHashMap<u32, u32> = FxHashMap::default();
@@ -280,7 +348,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
             .unwrap_or_default()
     };
     let (reused_cells, nearest) = (sample_of.len(), dry.work);
-    let mut done = RefreshStats { reused_cells, nearest, ..RefreshStats::default() };
+    let mut done = RefreshStats { reused_cells, carried_rows, nearest, ..RefreshStats::default() };
     let reused_samples = samples.len();
     let cap = config.samgraph.max_candidates;
     let start = Instant::now();
@@ -380,9 +448,18 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     stats.cuboids_skipped = (1usize << space.width()) - masks.len();
     stats.finest_runs = partition.runs();
     stats.samples_before_selection = done.reused_cells + done.sampled_cells;
-    // The grouping, the dry run's cells and the kept contexts are spent:
-    // free them before assembly allocates.
-    drop((ctx, partition, dry, touched, fresh, kept));
+    // The dry run's coarser cells and the kept contexts are spent: free them
+    // before assembly allocates. The next fold resumes from the rest.
+    drop((dry, touched, fresh, kept));
+    let partition = merged.unwrap_or(delta);
+    let carry = FoldCarry {
+        global: Arc::clone(&global),
+        ctx,
+        cols: cols.clone(),
+        partition,
+        finest,
+        rows: table.len(),
+    };
 
     // Assemble the cube table: every cell's sample id, then the table's
     // one sort.
@@ -395,7 +472,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let refresh_stats = RefreshStats {
         resampled_cells: samples.len() - reused_samples,
         retired_cells,
-        appended_rows: table.len() - previous.map_or(0, |p| p.table().len()),
+        appended_rows: table.len() - old_len,
         total: stats.total,
         ..done
     };
@@ -403,7 +480,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     publish_metrics(registry, prefix, &stats, &times, &refresh_stats);
     let cube = SamplingCube::new(table, attrs, cols, theta, cells, samples, global, stats)
         .with_registry(registry);
-    Ok((cube, refresh_stats))
+    Ok((cube, refresh_stats, carry))
 }
 
 /// The columns of the cubed `attrs` in `table`, once `theta`, the
@@ -471,16 +548,17 @@ pub(crate) fn attr_columns(
 }
 
 /// Every cell, of every cuboid, that holds a row appended after the first
-/// `old_len`: the projections of the runs whose last (largest) row id is
-/// an appended one.
-fn touched_cells(partition: &FinestPartition, old_len: usize) -> FxHashSet<CubeKey> {
-    let space = partition.space();
+/// `old_len`: the projections of the runs of `delta` — a partition of the
+/// rows from some point on — whose last (largest) row id is an appended
+/// one.
+fn touched_cells(delta: &FinestPartition, old_len: usize) -> FxHashSet<CubeKey> {
+    let space = delta.space();
     let projections: Vec<_> =
         CuboidMask::enumerate(space.width()).into_iter().map(|mask| space.project(mask)).collect();
     let mut touched = FxHashSet::default();
-    for run in 0..partition.runs() {
-        if partition.run_rows(run).last().is_some_and(|&last| last as usize >= old_len) {
-            touched.extend(projections.iter().map(|project| project(partition.run_key(run))));
+    for run in 0..delta.runs() {
+        if delta.run_rows(run).last().is_some_and(|&last| last as usize >= old_len) {
+            touched.extend(projections.iter().map(|project| project(delta.run_key(run))));
         }
     }
     touched
@@ -531,6 +609,7 @@ fn publish_metrics(
         ("warm_start_rows", refresh.warm_start_rows),
         ("retired_cells", refresh.retired_cells),
         ("appended_rows", refresh.appended_rows),
+        ("carried_rows", refresh.carried_rows),
         ("work.nearest_queries", refresh.nearest.count as usize),
         ("work.nearest_candidates", refresh.nearest.sum as usize),
     ] {

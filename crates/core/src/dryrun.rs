@@ -90,21 +90,44 @@ pub fn dry_run<L: AccuracyLoss>(
     global_ctx: &L::SampleCtx,
     theta: f64,
 ) -> DryRun<L::State> {
-    // The partition's runs fold into the finest cuboid of loss states…
+    dry_run_carried(table, partition, Vec::new(), loss, global_ctx, theta)
+}
+
+/// [`dry_run`] continued from `carried`, the finest cuboid (ascending by
+/// key) that the rows of a prefix of `table` fold to against the same
+/// context, given `delta`, the partition of the rows after that prefix.
+/// Each of `delta`'s runs continues its key's carried state, or a fresh
+/// one, over the run's rows in row order: the fold the run of the whole
+/// table's partition makes, so every state is [`dry_run`]'s bit for bit.
+/// An empty `carried` over the whole table's partition is [`dry_run`].
+pub fn dry_run_carried<L: AccuracyLoss>(
+    table: &Table,
+    delta: &FinestPartition,
+    carried: Vec<(CubeKey, L::State)>,
+    loss: &L,
+    global_ctx: &L::SampleCtx,
+    theta: f64,
+) -> DryRun<L::State> {
+    // The runs fold into the finest cuboid of loss states…
     let start = Instant::now();
-    let (finest, work) = partition
-        .fold_runs(L::State::default, |state, rows| loss.fold_rows(global_ctx, state, table, rows));
+    let resume = |key: &CubeKey| match carried.binary_search_by(|(k, _)| k.cmp(key)) {
+        Ok(i) => carried[i].1.clone(),
+        Err(_) => L::State::default(),
+    };
+    let (folded, work) =
+        delta.fold_runs(resume, |state, rows| loss.fold_rows(global_ctx, state, table, rows));
+    let finest = merge_states(carried, folded);
     let scan = start.elapsed();
     // …and the rest of the lattice is pure state merging.
     let start = Instant::now();
-    let states = rollup_from_finest(partition.space(), finest, &L::State::default);
+    let states = rollup_from_finest(delta.space(), finest, &L::State::default);
     let rollup = start.elapsed();
 
     // Per-cuboid loss-predicate evaluation is embarrassingly parallel:
     // one task per cuboid, filtering cells that are already in key order,
     // assembled in deterministic (finest-first) mask order afterwards.
     let start = Instant::now();
-    let masks = CuboidMask::enumerate(partition.space().width());
+    let masks = CuboidMask::enumerate(delta.space().width());
     let classified: Vec<Vec<CubeKey>> = tabula_par::Pool::global().par_map(&masks, |mask| {
         states.cuboids[mask]
             .iter()
@@ -123,6 +146,22 @@ pub fn dry_run<L: AccuracyLoss>(
     }
     let classify = start.elapsed();
     DryRun { states, iceberg, total_cells, iceberg_count, work, scan, rollup, classify }
+}
+
+/// `old` and `new`, each ascending by key, as one list ascending by key;
+/// a key both hold keeps `new`'s state.
+fn merge_states<S>(old: Vec<(CubeKey, S)>, new: Vec<(CubeKey, S)>) -> Vec<(CubeKey, S)> {
+    if old.is_empty() {
+        return new;
+    }
+    let mut merged = Vec::with_capacity(old.len() + new.len());
+    let mut new = new.into_iter().peekable();
+    for (key, state) in old {
+        merged.extend(std::iter::from_fn(|| new.next_if(|(k, _)| *k < key)));
+        merged.push(new.next_if(|(k, _)| *k == key).unwrap_or((key, state)));
+    }
+    merged.extend(new);
+    merged
 }
 
 #[cfg(test)]

@@ -7,14 +7,22 @@
 //! which keeps dictionary codes stable) while reusing as much prior work
 //! as possible:
 //!
-//! * the partition and the dry run re-run in full (they are the cheap,
-//!   single-grouping stage, and the global sample is redrawn over the
-//!   grown table);
+//! * the global sample is kept: the previous generation's, when it holds
+//!   Serfling's k rows (a draw over the grown table otherwise). The dry
+//!   run checks every cell against it, so θ does not depend on which;
+//! * the dry run resumes from what the previous fold carried
+//!   ([`FoldCarry`]: the sample's prepared context, the finest-key
+//!   partition and the finest cuboid's loss states). Only the appended
+//!   rows are partitioned, their runs merged into the carried partition,
+//!   and each touched run's state continued over its new rows in row
+//!   order, the fold a whole-table scan makes, so the states are the same
+//!   bits. The lattice is then rolled up and classified as in a build.
+//!   Without a carry that fits, the dry run scans the whole table;
 //! * iceberg cells **untouched by the appended rows** keep their old
 //!   sample: the sample was within θ of exactly the same raw data before,
 //!   so the guarantee carries over verbatim — no resampling, no data
-//!   access (a cell is touched iff one of its finest-key runs ends in an
-//!   appended row id);
+//!   access (a cell is touched iff it is a projection of a finest key the
+//!   appended rows hold);
 //! * cells with appended rows, and cells new to the iceberg set, go
 //!   through the builder's one pass: each is tested against the kept
 //!   samples — the reused ones from the start, and those the fold keeps
@@ -25,24 +33,24 @@
 //!   was iceberg before does not start from nothing: Algorithm 1 begins
 //!   with the rows of its old sample that are its own rows, which still
 //!   cover its old rows, and adds rows only until the appended ones are
-//!   covered too. Cells that became iceberg only under the new global
-//!   sample, and touched cells under any other loss, are drawn from
-//!   nothing;
+//!   covered too. Cells new to the iceberg set, and touched cells under
+//!   any other loss, are drawn from nothing;
 //! * representative selection runs among each level's redrawn samples.
 //!
 //! The result satisfies the same invariant as a from-scratch build: every
 //! query's answer is within θ of its raw answer *on the new table*. It is
 //! also the same code: [`refresh`] checks the prefix contract and hands
 //! over to the builder's one pipeline with the old cube as the previous
-//! generation — a build is that pipeline with none.
+//! generation — a build is that pipeline with none. [`refresh_carried`]
+//! writes the bytes [`refresh`] writes.
 
-use crate::builder::materialize;
+use crate::builder::{materialize, Prior};
 pub use crate::builder::{RefreshConfig, RefreshStats};
 use crate::cube::SamplingCube;
 use crate::loss::AccuracyLoss;
 use crate::{CoreError, Result};
 use std::sync::Arc;
-use tabula_storage::{Table, Value};
+use tabula_storage::{CubeKey, FinestPartition, RowId, Table, Value};
 
 /// Rows spot-checked by [`verify_prefix`] (the first and last old row are
 /// always probed in addition).
@@ -127,6 +135,21 @@ fn verify_prefix(old: &Table, new: &Table, cols: &[usize]) -> Result<()> {
     Ok(())
 }
 
+/// What a fold hands to the next one: the global sample's prepared
+/// context, the finest-key partition and the finest cuboid's loss states,
+/// over the first `rows` rows of the table. [`refresh_carried`] returns it;
+/// given back to the next fold of the same cube under the same loss, that
+/// fold partitions and scans only the rows appended since. It is a cache:
+/// a fold that ignores it writes the same cube.
+pub struct FoldCarry<L: AccuracyLoss> {
+    pub(crate) global: Arc<Vec<RowId>>,
+    pub(crate) ctx: L::SampleCtx,
+    pub(crate) cols: Vec<usize>,
+    pub(crate) partition: FinestPartition,
+    pub(crate) finest: Vec<(CubeKey, L::State)>,
+    pub(crate) rows: usize,
+}
+
 /// Refresh `cube` against `new_table`, which must be the cube's table with
 /// zero or more rows appended (same schema; old rows first, in order).
 /// Metrics (`refresh.*`) go to the registry `cube` is homed in, as does the
@@ -137,6 +160,22 @@ pub fn refresh<L: AccuracyLoss>(
     loss: &L,
     config: RefreshConfig,
 ) -> Result<(SamplingCube, RefreshStats)> {
+    refresh_carried(cube, new_table, loss, config, None).map(|(cube, stats, _)| (cube, stats))
+}
+
+/// [`refresh`], resuming the dry run from `carry`, what the fold that made
+/// `cube` returned, and returning what this fold carries to the next. The
+/// carry is used when it covers all of `cube`'s rows, was folded against
+/// `cube`'s global sample (the same allocation) and over the same cubed
+/// columns and cardinalities; otherwise, or without one, the dry run scans
+/// the whole table. The cube is the same either way.
+pub fn refresh_carried<L: AccuracyLoss>(
+    cube: &SamplingCube,
+    new_table: Arc<Table>,
+    loss: &L,
+    config: RefreshConfig,
+    carry: Option<FoldCarry<L>>,
+) -> Result<(SamplingCube, RefreshStats, FoldCarry<L>)> {
     let old_table = cube.table();
     if new_table.schema() != old_table.schema() {
         return Err(CoreError::Config(
@@ -148,7 +187,8 @@ pub fn refresh<L: AccuracyLoss>(
     }
     verify_prefix(old_table, &new_table, cube.cubed_cols())?;
     let attrs = cube.attrs().to_vec();
-    materialize(new_table, attrs, loss, cube.theta(), &config, Some(cube), cube.registry())
+    let prior = Prior::Fold(cube, carry.map(Box::new));
+    materialize(new_table, attrs, loss, cube.theta(), &config, prior, cube.registry())
 }
 
 #[cfg(test)]
@@ -192,7 +232,10 @@ mod tests {
             refresh(&cube, Arc::clone(&new_t), &loss, RefreshConfig::default()).unwrap();
         assert_eq!(stats.appended_rows, 1_500);
         assert!(stats.reused_cells > 0, "untouched cells must be reused");
-        assert!(stats.resampled_cells > 0, "touched cells must be resampled");
+        // Under the kept global sample the touched cells may all be
+        // represented by kept samples, so none need draw.
+        let redone = stats.represented_by_parent + stats.represented_by_neighbour;
+        assert!(redone + stats.sampled_cells > 0, "touched cells must be redone");
         assert!(
             stats.sampled_cells >= stats.resampled_cells,
             "selection can only shrink the persisted set"
@@ -227,10 +270,11 @@ mod tests {
         )
         .unwrap();
         let rebuilt = SamplingCubeBuilder::new(Arc::clone(&new_t), attrs, loss.clone(), theta)
-            .seed(9)
+            .global_sample(Arc::clone(refreshed.global_sample()))
             .build()
             .unwrap();
-        // Same iceberg cell set (the dry run is identical).
+        // Same iceberg cell set (the dry run is identical: the fold kept the
+        // old global sample, and the rebuild was given it).
         let a: Vec<_> = refreshed.cube_table().map(|(k, _)| k).collect();
         let b: Vec<_> = rebuilt.cube_table().map(|(k, _)| k).collect();
         assert_eq!(a, b);

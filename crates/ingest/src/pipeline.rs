@@ -3,14 +3,16 @@
 //! server's epoch swap.
 //!
 //! One fold = one generation. The fold extends the served table via
-//! [`Table::extend_rows`] (old columns are memcpy'd, dictionary codes
+//! [`Table::extend_rows`] (old columns are copied once, dictionary codes
 //! stay stable, so the incremental-refresh prefix contract holds by
-//! construction), then runs [`Server::refresh`] — the dry-run classifier
-//! re-scans in one cheap pass, and only cells whose loss could have
-//! crossed θ (cells touched by the appended rows, plus cells pushed over
-//! the boundary by the redrawn global sample) are resampled; every other
-//! iceberg cell keeps its prior sample verbatim. The refresh stages run
-//! on the shared tabula-par pool.
+//! construction), then runs [`Server::refresh_carried`] with what the
+//! previous fold carried: the global sample is kept, and the dry run
+//! partitions and scans the batch alone, resuming the finest cells'
+//! states. Only the iceberg cells the batch touches, and cells new to the
+//! iceberg set, are redone; every other iceberg cell keeps its prior
+//! sample verbatim. A generation installed by anyone else makes the next
+//! fold scan the whole table once. The refresh stages run on the shared
+//! tabula-par pool.
 //! [`Server::install`] swaps the generation under a write lock readers
 //! only briefly contend on, and bumps the server's epoch exactly once per
 //! generation.
@@ -250,6 +252,8 @@ fn maintenance_loop<L: AccuracyLoss>(
     log: Arc<IngestLog>,
     shared: Arc<Shared>,
 ) {
+    // What each fold hands to the next, so a fold scans only its batch.
+    let mut carry = None;
     loop {
         let mut batches = log.wait_drain(config.fold_batches);
         if batches.is_empty() {
@@ -267,12 +271,13 @@ fn maintenance_loop<L: AccuracyLoss>(
         // fold (or re-raised from a pool task) halts the loop like an
         // error does, so no waiter is left blocked on a dead thread.
         let result = catch_unwind(AssertUnwindSafe(|| {
+            let carry = carry.take();
             server
                 .cube()
                 .table()
                 .extend_rows(&rows)
                 .map_err(tabula_core::CoreError::from)
-                .and_then(|t| server.refresh(Arc::new(t), &loss, config.refresh))
+                .and_then(|t| server.refresh_carried(Arc::new(t), &loss, config.refresh, carry))
                 .map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|panic| {
@@ -284,7 +289,8 @@ fn maintenance_loop<L: AccuracyLoss>(
             Err(format!("fold panicked: {msg}"))
         });
         match result {
-            Ok(_refresh_stats) => {
+            Ok((_, next)) => {
+                carry = Some(next);
                 let fold_ns = started.elapsed().as_nanos() as u64;
                 shared.fold_ns.record(fold_ns);
                 shared.fold_window.record(fold_ns);

@@ -79,6 +79,19 @@ impl Column {
         }
     }
 
+    /// An owned copy with room for `extra` more rows; a string column
+    /// shares its dictionary until a new string is pushed.
+    pub(crate) fn with_room(&self, extra: usize) -> Column {
+        match self {
+            Column::Int64(v) => Column::Int64(v.with_room(extra)),
+            Column::Float64(v) => Column::Float64(v.with_room(extra)),
+            Column::Str { codes, dict } => {
+                Column::Str { codes: codes.with_room(extra), dict: Arc::clone(dict) }
+            }
+            Column::Point(v) => Column::Point(v.with_room(extra)),
+        }
+    }
+
     /// Append a value. Returns `false` (leaving the column unchanged) on a
     /// type mismatch; the caller converts that into a schema-aware error.
     pub(crate) fn push(&mut self, value: &Value) -> bool {

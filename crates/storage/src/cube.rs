@@ -240,10 +240,13 @@ mod tests {
     fn fare_cube(t: &Table) -> CubeResult<SumCount> {
         let fares = t.column(2).as_f64_slice().unwrap();
         let p = FinestPartition::build(t, &[0, 1]).unwrap();
-        let (finest, rows) = p.fold_runs(SumCount::default, |s, run| {
-            run.iter().for_each(|&row| s.add(fares[row as usize]));
-            SumCount { sum: run.len() as f64, count: 1 }
-        });
+        let (finest, rows) = p.fold_runs(
+            |_| SumCount::default(),
+            |s, run| {
+                run.iter().for_each(|&row| s.add(fares[row as usize]));
+                SumCount { sum: run.len() as f64, count: 1 }
+            },
+        );
         assert_eq!((rows.sum, rows.count), (t.len() as f64, p.runs() as u64));
         rollup_from_finest(p.space(), finest, &SumCount::default)
     }

@@ -31,19 +31,20 @@ use crate::kernel;
 use crate::packed::KeyLayout;
 use crate::table::{Cat, RowId};
 use std::hash::Hash;
+use std::ops::Range;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 
-/// The finest groups of the `len` rows of the columns `cats`, keyed in
+/// The finest groups of the `rows` of the columns `cats`, keyed in
 /// `space` (the space over the columns' cardinalities), in no particular
 /// order; each group's rows ascend.
 pub(crate) fn finest_groups(
     cats: &[Cat<'_>],
     space: &CellSpace,
-    len: usize,
+    rows: Range<usize>,
 ) -> Vec<(CubeKey, Vec<RowId>)> {
     let Some(layout) = space.layout() else {
         let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-        let groups = group_slices(&code_slices, len);
+        let groups = group_slices(&code_slices, rows);
         return groups.into_iter().map(|(codes, rows)| (space.finest(&codes), rows)).collect();
     };
     // Checked *before* `codes()`, which would decode an encoded column.
@@ -51,11 +52,11 @@ pub(crate) fn finest_groups(
     let groups = match run_views {
         Some(runs) if !runs.is_empty() => {
             tabula_obs::global().counter("group.kernel.runs").inc();
-            group_runs(layout, &runs, len)
+            group_runs(layout, &runs, rows)
         }
         _ => {
             let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-            group_packed(layout, &code_slices, len)
+            group_packed(layout, &code_slices, rows)
         }
     };
     groups.into_iter().map(|(codes, rows)| (space.finest_packed(codes), rows)).collect()
@@ -64,6 +65,15 @@ pub(crate) fn finest_groups(
 /// One morsel's groups: each distinct key in first-seen order, with its
 /// rows.
 type Partial<K> = (Vec<K>, Vec<Vec<RowId>>);
+
+/// `rows` cut into morsels, each grouped by `group` on the pool, in
+/// ascending order.
+fn morsels<P: Send>(rows: Range<usize>, group: impl Fn(Range<usize>) -> P + Sync) -> Vec<P> {
+    let from = rows.start;
+    Pool::global().par_chunks(rows.len(), DEFAULT_MORSEL_ROWS, |morsel| {
+        group(from + morsel.start..from + morsel.end)
+    })
+}
 
 /// The slot of `key` in `partial`, opened when the morsel first sees it.
 fn slot_of<K: Hash + Eq + Clone>(
@@ -99,9 +109,9 @@ fn merge<K: Hash + Eq>(partials: Vec<Partial<K>>) -> FxHashMap<K, Vec<RowId>> {
 fn group_runs(
     layout: &KeyLayout,
     runs: &[RunsView<'_, u32>],
-    len: usize,
+    rows: Range<usize>,
 ) -> FxHashMap<u64, Vec<RowId>> {
-    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+    let partials = morsels(rows, |range| {
         let mut slots = FxHashMap::default();
         let mut partial: Partial<u64> = Default::default();
         let mut cursors: Vec<usize> = runs
@@ -137,7 +147,7 @@ fn group_runs(
 fn group_packed(
     layout: &KeyLayout,
     code_slices: &[&[u32]],
-    len: usize,
+    rows: Range<usize>,
 ) -> FxHashMap<u64, Vec<RowId>> {
     let fields: Vec<(&[u32], u8)> = code_slices
         .iter()
@@ -146,7 +156,7 @@ fn group_packed(
         .filter(|&(i, _)| layout.attr_bits(i) > 0)
         .map(|(_, (&codes, &shift))| (codes, shift))
         .collect();
-    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+    let partials = morsels(rows, |range| {
         let mut slots = FxHashMap::default();
         let mut partial: Partial<u64> = Default::default();
         let mut keys: Vec<u64> = Vec::new();
@@ -174,9 +184,9 @@ fn group_packed(
 /// Grouping on row-major `u32` code tuples, for keys wider than 64 bits:
 /// per morsel, the codes are copied column by column into one row-major
 /// buffer, and hash-map lookups borrow each row's fixed-width slice.
-fn group_slices(code_slices: &[&[u32]], len: usize) -> FxHashMap<Vec<u32>, Vec<RowId>> {
+fn group_slices(code_slices: &[&[u32]], rows: Range<usize>) -> FxHashMap<Vec<u32>, Vec<RowId>> {
     let width = code_slices.len();
-    let partials = Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+    let partials = morsels(rows, |range| {
         let mut flat = vec![0u32; range.len() * width];
         for (c, codes) in code_slices.iter().enumerate() {
             for (at, &code) in (c..).step_by(width).zip(&codes[range.clone()]) {
@@ -220,7 +230,7 @@ mod tests {
         code_slices: &[&[u32]],
         len: usize,
     ) -> Vec<(u64, Vec<RowId>)> {
-        let groups = group_slices(code_slices, len);
+        let groups = group_slices(code_slices, 0..len);
         sorted(groups.into_iter().map(|(codes, rows)| (layout.encode(&codes), rows)).collect())
     }
 
@@ -240,10 +250,10 @@ mod tests {
         let runs: Vec<RunsView<'_, u32>> = cats.iter().map(|c| c.runs().unwrap()).collect();
         let space = CellSpace::new(cats.iter().map(|c| c.cardinality()).collect());
         let layout = space.layout().unwrap();
-        let aligned = sorted(group_runs(layout, &runs, t.len()));
+        let aligned = sorted(group_runs(layout, &runs, 0..t.len()));
         assert_eq!(aligned.len(), 15);
         let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-        assert_eq!(aligned, sorted(group_packed(layout, &code_slices, t.len())));
+        assert_eq!(aligned, sorted(group_packed(layout, &code_slices, 0..t.len())));
         assert_eq!(aligned, sorted_slices(layout, &code_slices, t.len()));
     }
 
@@ -259,7 +269,7 @@ mod tests {
         let code_slices: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
         let layout = CellSpace::new(vec![7, 5, 4]).layout().unwrap().clone();
         for len in [0, 1, 2_049, 150_000] {
-            let packed = sorted(group_packed(&layout, &code_slices, len));
+            let packed = sorted(group_packed(&layout, &code_slices, 0..len));
             assert_eq!(packed, sorted_slices(&layout, &code_slices, len), "{len} rows");
             assert_eq!(packed.iter().map(|(_, rows)| rows.len()).sum::<usize>(), len);
         }
@@ -308,7 +318,7 @@ mod tests {
             }
             let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
             for space in [CellSpace::new(cards.clone()), CellSpace::flat(cards.clone())] {
-                let mut got = finest_groups(&cats, &space, t.len());
+                let mut got = finest_groups(&cats, &space, 0..t.len());
                 got.sort_unstable();
                 let mut want: BTreeMap<CubeKey, Vec<RowId>> = BTreeMap::new();
                 for row in 0..t.len() {

@@ -29,6 +29,7 @@ use crate::cube::CuboidMask;
 use crate::group::finest_groups;
 use crate::table::{Cat, RowId, Table};
 use crate::{AggState, Result};
+use std::cmp::Ordering;
 use std::time::Instant;
 use tabula_par::Pool;
 
@@ -62,12 +63,18 @@ impl FinestPartition {
     /// The keys' [`CellSpace`] is the cube table's, a function of the
     /// columns' cardinalities alone.
     pub fn build(table: &Table, cols: &[usize]) -> Result<FinestPartition> {
+        FinestPartition::build_from(table, cols, 0)
+    }
+
+    /// [`FinestPartition::build`] over the rows `from..` of `table` alone —
+    /// an appended batch — with keys in the space of the whole table.
+    pub fn build_from(table: &Table, cols: &[usize], from: usize) -> Result<FinestPartition> {
         let started = Instant::now();
         let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
         let space = CellSpace::new(cats.iter().map(|cat| cat.cardinality()).collect());
-        let mut groups = finest_groups(&cats, &space, table.len());
+        let mut groups = finest_groups(&cats, &space, from.min(table.len())..table.len());
         groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut rows = Vec::with_capacity(table.len());
+        let mut rows = Vec::with_capacity(table.len().saturating_sub(from));
         let mut starts = Vec::with_capacity(groups.len() + 1);
         let mut keys = Vec::with_capacity(groups.len());
         for (key, members) in groups {
@@ -76,9 +83,40 @@ impl FinestPartition {
             keys.push(key);
         }
         starts.push(rows.len() as u32);
-        tabula_obs::global().counter("cube.scan_rows").add(table.len() as u64);
+        tabula_obs::global().counter("cube.scan_rows").add(rows.len() as u64);
         record_kernel_ns(started);
         Ok(FinestPartition { space, rows, starts, keys })
+    }
+
+    /// This partition with `delta` merged in: `delta` partitions rows that
+    /// all follow this partition's, in the same space. One linear walk of
+    /// both key lists; a key they share gets its old rows, then its new
+    /// ones, so every run stays ascending.
+    pub fn merge(self, delta: &FinestPartition) -> FinestPartition {
+        debug_assert_eq!(self.space, delta.space);
+        let runs = self.runs() + delta.runs();
+        let mut rows = Vec::with_capacity(self.rows.len() + delta.rows.len());
+        let (mut starts, mut keys) = (Vec::with_capacity(runs + 1), Vec::with_capacity(runs));
+        let (mut i, mut j) = (0, 0);
+        while i < self.runs() || j < delta.runs() {
+            let order = match (self.keys.get(i), delta.keys.get(j)) {
+                (Some(old), Some(new)) => old.cmp(new),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            starts.push(rows.len() as u32);
+            keys.push(if order.is_le() { &self.keys[i] } else { &delta.keys[j] }.clone());
+            if order.is_le() {
+                rows.extend_from_slice(self.run_rows(i));
+                i += 1;
+            }
+            if order.is_ge() {
+                rows.extend_from_slice(delta.run_rows(j));
+                j += 1;
+            }
+        }
+        starts.push(rows.len() as u32);
+        FinestPartition { space: self.space, rows, starts, keys }
     }
 
     /// The key space of the run keys — and of every cell gathered from
@@ -107,8 +145,8 @@ impl FinestPartition {
         &self.keys[i]
     }
 
-    /// The finest cuboid: each run's key with the state `fold` makes of a
-    /// fresh `make()` and the run's rows (ascending), and the sum of the
+    /// The finest cuboid: each run's key with the state `fold` makes of
+    /// `make(key)` and the run's rows (ascending), and the sum of the
     /// work `fold` reports, per pool task and then over the tasks, in key
     /// order. One pool task folds a whole run, so a state's fold sequence —
     /// and its float bits — cannot depend on the thread count.
@@ -116,14 +154,14 @@ impl FinestPartition {
     where
         S: Send,
         W: AggState + Default,
-        M: Fn() -> S + Sync,
+        M: Fn(&CubeKey) -> S + Sync,
         F: Fn(&mut S, &[RowId]) -> W + Sync,
     {
         let started = Instant::now();
         let folded = Pool::global().par_chunks(self.runs(), RUNS_PER_TASK, |runs| {
             let (mut states, mut work) = (Vec::with_capacity(runs.len()), W::default());
             for run in runs {
-                let mut state = make();
+                let mut state = make(&self.keys[run]);
                 work.merge(&fold(&mut state, self.run_rows(run)));
                 states.push((self.keys[run].clone(), state));
             }
@@ -254,13 +292,38 @@ mod tests {
     #[test]
     fn fold_runs_sees_each_run_whole_and_ascending() {
         let p = FinestPartition::build(&table(), &[0, 1]).unwrap();
-        let (folded, rows) = p.fold_runs(Vec::new, |seen: &mut Vec<RowId>, run| {
-            seen.extend_from_slice(run);
-            SumCount { sum: run.len() as f64, count: 1 }
-        });
+        let (folded, rows) = p.fold_runs(
+            |_| Vec::new(),
+            |seen: &mut Vec<RowId>, run| {
+                seen.extend_from_slice(run);
+                SumCount { sum: run.len() as f64, count: 1 }
+            },
+        );
         let want: Vec<(CubeKey, Vec<RowId>)> =
             (0..p.runs()).map(|i| (p.run_key(i).clone(), p.run_rows(i).to_vec())).collect();
         assert_eq!((folded, rows.sum, rows.count), (want, 6.0, p.runs() as u64));
+    }
+
+    #[test]
+    fn a_delta_merged_into_its_prefix_is_the_whole_partition() {
+        let t = table();
+        let runs = |p: &FinestPartition| -> Vec<(CubeKey, Vec<RowId>)> {
+            (0..p.runs()).map(|i| (p.run_key(i).clone(), p.run_rows(i).to_vec())).collect()
+        };
+        let whole = runs(&FinestPartition::build(&t, &[0, 1]).unwrap());
+        // Rows 0..4 hold every value already, so a prefix of 4 rows or more
+        // is partitioned in the whole table's space.
+        for from in 4..=t.len() {
+            let prefix: Vec<RowId> = (0..from as RowId).collect();
+            let head = FinestPartition::build(&t.take(&prefix), &[0, 1]).unwrap();
+            let delta = FinestPartition::build_from(&t, &[0, 1], from).unwrap();
+            assert_eq!(delta.rows().len(), t.len() - from);
+            assert_eq!(runs(&head.merge(&delta)), whole, "from row {from}");
+        }
+        let all = FinestPartition::build_from(&t, &[0, 1], 0).unwrap();
+        let none = FinestPartition::build_from(&t, &[0, 1], t.len()).unwrap();
+        assert_eq!(none.runs(), 0);
+        assert_eq!(runs(&all.merge(&none)), whole);
     }
 
     #[test]

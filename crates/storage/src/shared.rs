@@ -104,6 +104,14 @@ impl<T: Codable> Deref for ColumnBuf<T> {
 }
 
 impl<T: Codable> ColumnBuf<T> {
+    /// An owned copy of the values with room for `extra` more, so that
+    /// appending them copies nothing again.
+    pub fn with_room(&self, extra: usize) -> ColumnBuf<T> {
+        let mut values = Vec::with_capacity(self.len() + extra);
+        values.extend_from_slice(self);
+        ColumnBuf::Owned(values)
+    }
+
     /// Mutable access, promoting a shared view or an encoded payload to
     /// an owned copy first (copy-on-write / decode-on-write).
     pub fn to_mut(&mut self) -> &mut Vec<T> {

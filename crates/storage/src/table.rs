@@ -36,23 +36,44 @@ impl IntCatIndex {
     /// (one hash probe per run; runs keep row order, so every code equals
     /// the per-row build's), per row otherwise.
     fn build(data: &ColumnBuf<i64>) -> Self {
-        let mut index = FxHashMap::default();
-        let mut values = Vec::new();
-        let mut code = |v: i64| {
-            *index.entry(v).or_insert_with(|| {
-                values.push(v);
-                (values.len() - 1) as u32
-            })
+        let mut idx = IntCatIndex {
+            codes: ColumnBuf::Owned(Vec::new()),
+            values: Vec::new(),
+            index: FxHashMap::default(),
         };
-        let codes = match data.encoded() {
+        idx.codes = match data.encoded() {
             Some(Encoded::Rle { len, values: runs, ends }) => {
-                let runs = runs.iter().map(|&v| code(v)).collect::<Vec<_>>().into();
+                let runs = runs.iter().map(|&v| idx.code(v)).collect::<Vec<_>>().into();
                 let rle = Encoded::Rle { len: *len, values: runs, ends: ends.clone() };
                 ColumnBuf::Encoded(EncodedBuf::new(rle))
             }
-            _ => data.iter().map(|&v| code(v)).collect::<Vec<_>>().into(),
+            _ => data.iter().map(|&v| idx.code(v)).collect::<Vec<_>>().into(),
         };
-        IntCatIndex { codes, values, index }
+        idx
+    }
+
+    /// This index over its column with the rows `appended` added: the
+    /// codes a build over the grown column makes, for the appended rows'
+    /// probes alone.
+    fn extended(&self, appended: &[i64]) -> Self {
+        let mut idx = IntCatIndex {
+            codes: ColumnBuf::Owned(Vec::new()),
+            values: self.values.clone(),
+            index: self.index.clone(),
+        };
+        let mut codes = Vec::with_capacity(self.codes.len() + appended.len());
+        codes.extend_from_slice(&self.codes);
+        codes.extend(appended.iter().map(|&v| idx.code(v)));
+        idx.codes = codes.into();
+        idx
+    }
+
+    /// The code of `v`, the next one if `v` is new.
+    fn code(&mut self, v: i64) -> u32 {
+        *self.index.entry(v).or_insert_with(|| {
+            self.values.push(v);
+            (self.values.len() - 1) as u32
+        })
     }
 }
 
@@ -252,22 +273,31 @@ impl Table {
     }
 
     /// A new table equal to `self` with `rows` appended at the end — the
-    /// streaming-ingest fold path. Existing column data is cloned (a
-    /// per-column memcpy; shared snapshot-backed columns copy-on-write)
+    /// streaming-ingest fold path. Existing column data is copied once, into
+    /// columns with room for the new rows (an encoded column is decoded),
     /// and the dictionary codes of old rows are untouched: appends only
     /// ever extend a first-seen-order dictionary. The result therefore
     /// satisfies the incremental-refresh "old rows are a prefix"
-    /// contract by construction. Every row is validated before anything
-    /// is cloned, so a failed extend allocates nothing.
+    /// contract by construction. An `Int64` column's categorical index,
+    /// once built, is extended by the appended rows' codes rather than
+    /// rebuilt. Every row is validated before anything is cloned, so a
+    /// failed extend allocates nothing.
     pub fn extend_rows(&self, rows: &[Vec<Value>]) -> Result<Table> {
         for values in rows {
             validate_row(&self.schema, values)?;
         }
-        let mut columns = self.columns.clone();
+        let mut columns: Vec<Column> =
+            self.columns.iter().map(|c| c.with_room(rows.len())).collect();
         for values in rows {
             push_valid_row(&mut columns, values);
         }
-        Ok(Table::assemble(Arc::clone(&self.schema), columns, self.len + rows.len()))
+        let table = Table::assemble(Arc::clone(&self.schema), columns, self.len + rows.len());
+        for ((built, slot), column) in self.int_cat.iter().zip(&table.int_cat).zip(&table.columns) {
+            if let (Some(idx), Column::Int64(data)) = (built.get(), column) {
+                slot.get_or_init(|| Arc::new(idx.extended(&data[self.len..])));
+            }
+        }
+        Ok(table)
     }
 }
 
@@ -506,6 +536,32 @@ mod tests {
             ]])
             .is_err());
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn an_extended_int_index_is_a_fresh_builds() {
+        for mode in [EncodingMode::Off, EncodingMode::Force] {
+            let schema = Schema::new(vec![Field::new("passengers", ColumnType::Int64)]);
+            let mut b = TableBuilder::with_capacity(schema, 0);
+            // Long runs of far-apart values: `Force` keeps the codes as runs.
+            for v in [[9i64; 50], [i64::MIN; 50], [9; 50]].concat() {
+                b.push_row(&[v.into()]).unwrap();
+            }
+            let t = b.finish_with(mode);
+            let source = t.cat(0).unwrap();
+            assert_eq!(source.runs().is_some(), mode == EncodingMode::Force);
+            let batch = [5, i64::MIN, 5].map(|v| vec![Value::Int64(v)]);
+            let ext = t.extend_rows(&batch).unwrap();
+            let carried = ext.int_cat[0].get().expect("a built index is carried");
+            let Column::Int64(data) = ext.column(0) else { unreachable!() };
+            let fresh = IntCatIndex::build(data);
+            assert_eq!((&carried.codes[..], &carried.values), (&fresh.codes[..], &fresh.values));
+            assert_eq!(&carried.codes[148..], &[0, 0, 2, 1, 2]);
+            assert_eq!(ext.cat(0).unwrap().lookup(&Value::Int64(5)), Some(2));
+        }
+        // An index nobody built is left to the first `cat`.
+        let ext = taxi_mini().extend_rows(&[]).unwrap();
+        assert!(ext.int_cat[1].get().is_none());
     }
 
     #[test]

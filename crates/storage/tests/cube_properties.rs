@@ -31,10 +31,13 @@ fn arb_table() -> impl Strategy<Value = Table> {
 fn sum_cube(table: &Table) -> CubeResult<SumCount> {
     let values = table.column(3).as_f64_slice().unwrap();
     let partition = FinestPartition::build(table, &[0, 1, 2]).unwrap();
-    let (finest, rows) = partition.fold_runs(SumCount::default, |s, run| {
-        run.iter().for_each(|&row| s.add(values[row as usize]));
-        SumCount { sum: run.len() as f64, count: 1 }
-    });
+    let (finest, rows) = partition.fold_runs(
+        |_| SumCount::default(),
+        |s, run| {
+            run.iter().for_each(|&row| s.add(values[row as usize]));
+            SumCount { sum: run.len() as f64, count: 1 }
+        },
+    );
     assert_eq!((rows.sum, rows.count), (table.len() as f64, partition.runs() as u64));
     rollup_from_finest(partition.space(), finest, &SumCount::default)
 }

@@ -172,13 +172,17 @@ fn edge_tables_and_thresholds_go_through_both_entry_points() {
     ];
     for (what, first, last, theta) in cases {
         let build = |t: &Arc<Table>| {
-            SamplingCubeBuilder::new(Arc::clone(t), &["a0", "a1"], loss.clone(), theta).build()
+            SamplingCubeBuilder::new(Arc::clone(t), &["a0", "a1"], loss.clone(), theta)
         };
-        let built = build(&last).unwrap_or_else(|e| panic!("{what}: build: {e}"));
-        assert_theta_holds(&built, &loss, theta, what);
-        let base = build(&first).unwrap_or_else(|e| panic!("{what}: build of the prefix: {e}"));
+        let base =
+            build(&first).build().unwrap_or_else(|e| panic!("{what}: build of the prefix: {e}"));
         let (refreshed, stats) = refresh(&base, Arc::clone(&last), &loss, RefreshConfig::default())
             .unwrap_or_else(|e| panic!("{what}: refresh: {e}"));
+        let built = build(&last)
+            .global_sample(Arc::clone(refreshed.global_sample()))
+            .build()
+            .unwrap_or_else(|e| panic!("{what}: build: {e}"));
+        assert_theta_holds(&built, &loss, theta, what);
         assert_eq!(stats.appended_rows, last.len() - first.len(), "{what}");
         assert_theta_holds(&refreshed, &loss, theta, what);
         // What a fold may reuse, counted from outside: the previous iceberg

@@ -145,7 +145,11 @@ fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, samgraph: SamGraphConfig)
 
         if star {
             let rebuilt =
-                build(Arc::clone(&grown), &loss, theta, samgraph, &Arc::new(Registry::new()));
+                SamplingCubeBuilder::new(Arc::clone(&grown), attrs(), loss.clone(), theta)
+                    .samgraph(samgraph)
+                    .global_sample(Arc::clone(next.global_sample()))
+                    .build()
+                    .unwrap();
             let (folded, scratch) = (sample_rows(&next), sample_rows(&rebuilt));
             assert!(
                 folded as f64 <= 1.10 * scratch as f64,
