@@ -204,14 +204,13 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
     /// Run the pipeline.
     pub fn build(self) -> Result<SamplingCube> {
         let len = self.table.len();
-        if let Some(rows) = &self.global {
-            if !rows.windows(2).all(|w| w[0] < w[1])
-                || rows.last().is_some_and(|&r| r as usize >= len)
-            {
-                return Err(CoreError::Config(format!(
-                    "a global sample must be ascending, distinct row ids below {len}"
-                )));
-            }
+        let valid = |rows: &Arc<Vec<RowId>>| {
+            rows.windows(2).all(|w| w[0] < w[1])
+                && rows.last().map_or(0, |&r| r as usize + 1) <= len
+        };
+        if self.global.as_ref().is_some_and(|rows| !valid(rows)) {
+            let msg = format!("a global sample must be ascending, distinct row ids below {len}");
+            return Err(CoreError::Config(msg));
         }
         let registry = self.registry.unwrap_or_else(|| Arc::clone(obs::global()));
         let prior = Prior::Build(self.global);
@@ -284,12 +283,13 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let cards = (cols.iter().map(|&c| table.cat(c).map(|cat| cat.cardinality())))
         .collect::<std::result::Result<Vec<_>, _>>()?;
     let fits = |c: &FoldCarry<L>| {
-        c.rows == old_len
+        let (rows, space) = (c.partition.rows().len(), c.partition.space());
+        rows == old_len
             && Arc::ptr_eq(&c.global, &global)
             && c.cols == cols
-            && c.partition.space().cards() == cards
+            && space.cards() == cards
     };
-    let (ctx, head, carried) = match carry.filter(|c| fits(c)).map(|c| *c) {
+    let (ctx, head, carried) = match carry.map(|c| *c).filter(fits) {
         Some(c) => (c.ctx, Some(c.partition), c.finest),
         None => (loss.prepare_global(&table, &global), None, Vec::new()),
     };
@@ -452,14 +452,8 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     // before assembly allocates. The next fold resumes from the rest.
     drop((dry, touched, fresh, kept));
     let partition = merged.unwrap_or(delta);
-    let carry = FoldCarry {
-        global: Arc::clone(&global),
-        ctx,
-        cols: cols.clone(),
-        partition,
-        finest,
-        rows: table.len(),
-    };
+    let carry =
+        FoldCarry { global: Arc::clone(&global), ctx, cols: cols.clone(), partition, finest };
 
     // Assemble the cube table: every cell's sample id, then the table's
     // one sort.

@@ -110,13 +110,20 @@ pub fn dry_run_carried<L: AccuracyLoss>(
 ) -> DryRun<L::State> {
     // The runs fold into the finest cuboid of loss states…
     let start = Instant::now();
-    let resume = |key: &CubeKey| match carried.binary_search_by(|(k, _)| k.cmp(key)) {
-        Ok(i) => carried[i].1.clone(),
-        Err(_) => L::State::default(),
-    };
+    let find = |key: &CubeKey| carried.binary_search_by(|(k, _)| k.cmp(key)).ok();
+    let resume = |key: &CubeKey| find(key).map_or_else(L::State::default, |i| carried[i].1.clone());
     let (folded, work) =
         delta.fold_runs(resume, |state, rows| loss.fold_rows(global_ctx, state, table, rows));
-    let finest = merge_states(carried, folded);
+    // A run the prefix had takes its continued state; a new one goes last,
+    // and the roll-up puts the finest cuboid in key order.
+    let old = carried.len();
+    let mut finest = carried;
+    for (key, state) in folded {
+        match finest[..old].binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => finest[i].1 = state,
+            Err(_) => finest.push((key, state)),
+        }
+    }
     let scan = start.elapsed();
     // …and the rest of the lattice is pure state merging.
     let start = Instant::now();
@@ -146,22 +153,6 @@ pub fn dry_run_carried<L: AccuracyLoss>(
     }
     let classify = start.elapsed();
     DryRun { states, iceberg, total_cells, iceberg_count, work, scan, rollup, classify }
-}
-
-/// `old` and `new`, each ascending by key, as one list ascending by key;
-/// a key both hold keeps `new`'s state.
-fn merge_states<S>(old: Vec<(CubeKey, S)>, new: Vec<(CubeKey, S)>) -> Vec<(CubeKey, S)> {
-    if old.is_empty() {
-        return new;
-    }
-    let mut merged = Vec::with_capacity(old.len() + new.len());
-    let mut new = new.into_iter().peekable();
-    for (key, state) in old {
-        merged.extend(std::iter::from_fn(|| new.next_if(|(k, _)| *k < key)));
-        merged.push(new.next_if(|(k, _)| *k == key).unwrap_or((key, state)));
-    }
-    merged.extend(new);
-    merged
 }
 
 #[cfg(test)]

@@ -137,7 +137,7 @@ fn verify_prefix(old: &Table, new: &Table, cols: &[usize]) -> Result<()> {
 
 /// What a fold hands to the next one: the global sample's prepared
 /// context, the finest-key partition and the finest cuboid's loss states,
-/// over the first `rows` rows of the table. [`refresh_carried`] returns it;
+/// over the rows the partition holds. [`refresh_carried`] returns it;
 /// given back to the next fold of the same cube under the same loss, that
 /// fold partitions and scans only the rows appended since. It is a cache:
 /// a fold that ignores it writes the same cube.
@@ -147,7 +147,6 @@ pub struct FoldCarry<L: AccuracyLoss> {
     pub(crate) cols: Vec<usize>,
     pub(crate) partition: FinestPartition,
     pub(crate) finest: Vec<(CubeKey, L::State)>,
-    pub(crate) rows: usize,
 }
 
 /// Refresh `cube` against `new_table`, which must be the cube's table with

@@ -5,14 +5,13 @@
 //! One fold = one generation. The fold extends the served table via
 //! [`Table::extend_rows`] (old columns are copied once, dictionary codes
 //! stay stable, so the incremental-refresh prefix contract holds by
-//! construction), then runs [`Server::refresh_carried`] with what the
-//! previous fold carried: the global sample is kept, and the dry run
-//! partitions and scans the batch alone, resuming the finest cells'
-//! states. Only the iceberg cells the batch touches, and cells new to the
-//! iceberg set, are redone; every other iceberg cell keeps its prior
-//! sample verbatim. A generation installed by anyone else makes the next
-//! fold scan the whole table once. The refresh stages run on the shared
-//! tabula-par pool.
+//! construction), then runs [`refresh_carried`] with what the previous
+//! fold carried: the global sample is kept, and the dry run partitions and
+//! scans the batch alone, resuming the finest cells' states. Only the
+//! iceberg cells the batch touches, and cells new to the iceberg set, are
+//! redone; every other iceberg cell keeps its prior sample verbatim. A
+//! generation installed by anyone else makes the next fold scan the whole
+//! table once. The refresh stages run on the shared tabula-par pool.
 //! [`Server::install`] swaps the generation under a write lock readers
 //! only briefly contend on, and bumps the server's epoch exactly once per
 //! generation.
@@ -26,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tabula_core::{AccuracyLoss, RefreshConfig};
+use tabula_core::{refresh_carried, AccuracyLoss, CoreError, RefreshConfig};
 use tabula_obs::{Counter, Histogram, WindowedHistogram};
 use tabula_serve::Server;
 use tabula_storage::Value;
@@ -265,20 +264,19 @@ fn maintenance_loop<L: AccuracyLoss>(
         for b in &mut batches {
             rows.append(&mut b.rows);
         }
-        // Extend (memcpy + append; prefix contract holds by construction),
-        // refresh incrementally, publish. `Server::refresh` installs the
-        // new generation and bumps the epoch exactly once. A panic in the
-        // fold (or re-raised from a pool task) halts the loop like an
-        // error does, so no waiter is left blocked on a dead thread.
+        // Extend (one copy + append; prefix contract holds by construction),
+        // refresh from the last fold's carry, publish: `Server::install`
+        // bumps the epoch exactly once. A panic in the fold (or re-raised
+        // from a pool task) halts the loop like an error does, so no waiter
+        // is left blocked on a dead thread; the carry dies with it.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let carry = carry.take();
-            server
-                .cube()
-                .table()
-                .extend_rows(&rows)
-                .map_err(tabula_core::CoreError::from)
-                .and_then(|t| server.refresh_carried(Arc::new(t), &loss, config.refresh, carry))
-                .map_err(|e| e.to_string())
+            let (old, carry) = (server.cube(), carry.take());
+            let fold = |t| refresh_carried(&old, Arc::new(t), &loss, config.refresh, carry);
+            let (cube, _, next) = (old.table().extend_rows(&rows).map_err(CoreError::from))
+                .and_then(fold)
+                .map_err(|e| e.to_string())?;
+            server.install(Arc::new(cube)).map_err(|e| e.to_string())?;
+            Ok(next)
         }))
         .unwrap_or_else(|panic| {
             let msg = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
@@ -289,7 +287,7 @@ fn maintenance_loop<L: AccuracyLoss>(
             Err(format!("fold panicked: {msg}"))
         });
         match result {
-            Ok((_, next)) => {
+            Ok(next) => {
                 carry = Some(next);
                 let fold_ns = started.elapsed().as_nanos() as u64;
                 shared.fold_ns.record(fold_ns);

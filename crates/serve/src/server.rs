@@ -42,7 +42,7 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
-use tabula_core::incremental::{refresh_carried, FoldCarry, RefreshConfig, RefreshStats};
+use tabula_core::incremental::{refresh, RefreshConfig, RefreshStats};
 use tabula_core::loss::AccuracyLoss;
 use tabula_core::{Result, SampleProvenance, SamplingCube, SnapshotInfo};
 use tabula_obs::metrics::{Counter, Histogram, Registry};
@@ -345,24 +345,10 @@ impl Server {
         loss: &L,
         config: RefreshConfig,
     ) -> Result<RefreshStats> {
-        self.refresh_carried(new_table, loss, config, None).map(|(stats, _)| stats)
-    }
-
-    /// [`refresh`](Self::refresh) through
-    /// [`tabula_core::refresh_carried`]: `carry` is what the previous fold
-    /// returned, and the returned one is for the next. A generation
-    /// installed in between makes the next fold scan the whole table.
-    pub fn refresh_carried<L: AccuracyLoss>(
-        &self,
-        new_table: Arc<Table>,
-        loss: &L,
-        config: RefreshConfig,
-        carry: Option<FoldCarry<L>>,
-    ) -> Result<(RefreshStats, FoldCarry<L>)> {
         let old = self.cube();
-        let (new_cube, stats, carry) = refresh_carried(&old, new_table, loss, config, carry)?;
+        let (new_cube, stats) = refresh(&old, new_table, loss, config)?;
         self.install(Arc::new(new_cube.with_registry(&self.registry)))?;
-        Ok((stats, carry))
+        Ok(stats)
     }
 }
 

@@ -29,7 +29,6 @@ use crate::cube::CuboidMask;
 use crate::group::finest_groups;
 use crate::table::{Cat, RowId, Table};
 use crate::{AggState, Result};
-use std::cmp::Ordering;
 use std::time::Instant;
 use tabula_par::Pool;
 
@@ -99,10 +98,10 @@ impl FinestPartition {
         let (mut starts, mut keys) = (Vec::with_capacity(runs + 1), Vec::with_capacity(runs));
         let (mut i, mut j) = (0, 0);
         while i < self.runs() || j < delta.runs() {
+            // An exhausted side orders after the other.
             let order = match (self.keys.get(i), delta.keys.get(j)) {
                 (Some(old), Some(new)) => old.cmp(new),
-                (Some(_), None) => Ordering::Less,
-                _ => Ordering::Greater,
+                (old, new) => old.is_none().cmp(&new.is_none()),
             };
             starts.push(rows.len() as u32);
             keys.push(if order.is_le() { &self.keys[i] } else { &delta.keys[j] }.clone());

@@ -37,18 +37,16 @@ impl IntCatIndex {
     /// the per-row build's), per row otherwise.
     fn build(data: &ColumnBuf<i64>) -> Self {
         let mut idx = IntCatIndex {
-            codes: ColumnBuf::Owned(Vec::new()),
+            codes: Vec::new().into(),
             values: Vec::new(),
             index: FxHashMap::default(),
         };
-        idx.codes = match data.encoded() {
-            Some(Encoded::Rle { len, values: runs, ends }) => {
-                let runs = runs.iter().map(|&v| idx.code(v)).collect::<Vec<_>>().into();
-                let rle = Encoded::Rle { len: *len, values: runs, ends: ends.clone() };
-                ColumnBuf::Encoded(EncodedBuf::new(rle))
-            }
-            _ => data.iter().map(|&v| idx.code(v)).collect::<Vec<_>>().into(),
+        let Some(Encoded::Rle { len, values: runs, ends }) = data.encoded() else {
+            return idx.extended(data);
         };
+        let runs = runs.iter().map(|&v| idx.code(v)).collect::<Vec<_>>().into();
+        let rle = Encoded::Rle { len: *len, values: runs, ends: ends.clone() };
+        idx.codes = ColumnBuf::Encoded(EncodedBuf::new(rle));
         idx
     }
 
@@ -56,11 +54,8 @@ impl IntCatIndex {
     /// codes a build over the grown column makes, for the appended rows'
     /// probes alone.
     fn extended(&self, appended: &[i64]) -> Self {
-        let mut idx = IntCatIndex {
-            codes: ColumnBuf::Owned(Vec::new()),
-            values: self.values.clone(),
-            index: self.index.clone(),
-        };
+        let (values, index) = (self.values.clone(), self.index.clone());
+        let mut idx = IntCatIndex { codes: Vec::new().into(), values, index };
         let mut codes = Vec::with_capacity(self.codes.len() + appended.len());
         codes.extend_from_slice(&self.codes);
         codes.extend(appended.iter().map(|&v| idx.code(v)));

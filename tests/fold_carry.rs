@@ -109,7 +109,9 @@ fn fold(
     let (loss, config) = (heatmap(), RefreshConfig::default());
     let before = server.cube();
     let grown = Arc::new(before.table().extend_rows(rows).unwrap());
-    let (stats, carry) = server.refresh_carried(Arc::clone(&grown), &loss, config, carry).unwrap();
+    let (cube, stats, carry) =
+        refresh_carried(&before, Arc::clone(&grown), &loss, config, carry).unwrap();
+    server.install(Arc::new(cube)).unwrap();
     let (plain, _) = refresh(&before, grown, &loss, config).unwrap();
     assert_eq!(content_crc(&server.cube()), content_crc(&plain));
     (stats, carry)
