@@ -51,7 +51,8 @@ use tabula_obs as obs;
 use tabula_par::Pool;
 use tabula_storage::agg::SumCount;
 use tabula_storage::{
-    CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table, MAX_CUBED_ATTRS,
+    CellSpace, CubeKey, CuboidMask, FinestPartition, FxHashMap, FxHashSet, RowId, Table,
+    MAX_CUBED_ATTRS,
 };
 
 /// The pipeline's knobs: one struct for [`SamplingCubeBuilder`],
@@ -111,6 +112,10 @@ pub struct RefreshStats {
     pub retired_cells: usize,
     /// Appended rows processed.
     pub appended_rows: usize,
+    /// Reused samples retired because a sample drawn this round holds all
+    /// their rows and serves a cell they served: their cells moved to it
+    /// (monotone losses only).
+    pub superseded_samples: usize,
     /// Rows whose dry-run states the fold carried over from the previous
     /// one ([`FoldCarry`]), so did not scan: 0 when it scanned the table.
     pub carried_rows: usize,
@@ -246,7 +251,8 @@ pub(crate) enum Prior<'a, L: AccuracyLoss> {
 /// A fold that keeps the sample resumes the dry run from the carry, when it
 /// fits (see [`refresh_carried`](crate::incremental::refresh_carried)), and
 /// partitions and scans the appended rows alone; the returned carry covers
-/// all of `table`.
+/// all of `table`. Under a monotone loss, reused samples that a fresh one
+/// holds all of retire (`retire_superseded`).
 pub(crate) fn materialize<L: AccuracyLoss>(
     table: Arc<Table>,
     attrs: Vec<String>,
@@ -444,6 +450,12 @@ pub(crate) fn materialize<L: AccuracyLoss>(
         kept.extend(&samples[first..], Some((drawn, &sel.representatives)));
         stats.selection += start.elapsed();
     }
+    if let Some(p) = warm {
+        let cells = masks.iter().flat_map(|mask| &fresh[mask]);
+        let (olds, first_fresh) = (&new_id_of_old, reused_samples);
+        done.superseded_samples =
+            retire_superseded(p, &space, cells, olds, first_fresh, &mut samples, &mut sample_of);
+    }
     stats.cuboids_processed = masks.len();
     stats.cuboids_skipped = (1usize << space.width()) - masks.len();
     stats.finest_runs = partition.runs();
@@ -464,7 +476,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     stats.total = total_start.elapsed();
 
     let refresh_stats = RefreshStats {
-        resampled_cells: samples.len() - reused_samples,
+        resampled_cells: samples.len() + done.superseded_samples - reused_samples,
         retired_cells,
         appended_rows: table.len() - old_len,
         total: stats.total,
@@ -541,6 +553,48 @@ pub(crate) fn attr_columns(
     Ok(cols)
 }
 
+/// Retire each reused sample (an id below `first_fresh`) that a fresh
+/// sample serving one of `cells`, a cell the reused one served in
+/// `previous`, holds all of. Under a monotone loss a superset serves every
+/// cell the sample served, no worse, so those cells move to it; without
+/// this a chain of folds keeps both, fold after fold. The first such fresh
+/// sample in `cells`' order wins; the other samples keep their order.
+/// Returns the samples retired.
+fn retire_superseded<'a>(
+    previous: &SamplingCube,
+    space: &CellSpace,
+    cells: impl Iterator<Item = &'a CubeKey>,
+    new_id_of_old: &FxHashMap<u32, u32>,
+    first_fresh: usize,
+    samples: &mut Vec<Arc<Vec<RowId>>>,
+    sample_of: &mut FxHashMap<CubeKey, u32>,
+) -> usize {
+    let mut moved: FxHashMap<u32, u32> = FxHashMap::default();
+    for cell in cells {
+        let old = previous.cells().probe_key(space, cell);
+        let Some(&reused) = old.and_then(|old| new_id_of_old.get(&old)) else { continue };
+        let id = sample_of[cell];
+        if (id as usize) < first_fresh || moved.contains_key(&reused) {
+            continue;
+        }
+        let mut superset = samples[id as usize].to_vec();
+        superset.sort_unstable();
+        if samples[reused as usize].iter().all(|r| superset.binary_search(r).is_ok()) {
+            moved.insert(reused, id);
+        }
+    }
+    // An id drops by the retired ids below it.
+    let mut retired: Vec<u32> = moved.keys().copied().collect();
+    retired.sort_unstable();
+    for id in sample_of.values_mut() {
+        let to = moved.get(id).copied().unwrap_or(*id);
+        *id = to - retired.partition_point(|&r| r < to) as u32;
+    }
+    let all = std::mem::take(samples).into_iter().enumerate();
+    samples.extend(all.filter(|(id, _)| !moved.contains_key(&(*id as u32))).map(|(_, s)| s));
+    retired.len()
+}
+
 /// Every cell, of every cuboid, that holds a row appended after the first
 /// `old_len`: the projections of the runs of `delta` — a partition of the
 /// rows from some point on — whose last (largest) row id is an appended
@@ -603,6 +657,7 @@ fn publish_metrics(
         ("warm_start_rows", refresh.warm_start_rows),
         ("retired_cells", refresh.retired_cells),
         ("appended_rows", refresh.appended_rows),
+        ("superseded_samples", refresh.superseded_samples),
         ("carried_rows", refresh.carried_rows),
         ("work.nearest_queries", refresh.nearest.count as usize),
         ("work.nearest_candidates", refresh.nearest.sum as usize),

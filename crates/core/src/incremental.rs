@@ -35,7 +35,12 @@
 //!   cover its old rows, and adds rows only until the appended ones are
 //!   covered too. Cells new to the iceberg set, and touched cells under
 //!   any other loss, are drawn from nothing;
-//! * representative selection runs among each level's redrawn samples.
+//! * representative selection runs among each level's redrawn samples;
+//! * under a monotone loss, a reused sample that a fresh sample holds all
+//!   of, where the fresh one serves a cell the reused one served, retires:
+//!   the cells it served move to the superset, which serves them no worse.
+//!   Otherwise the old sample and its warm-started superset would both
+//!   persist, fold after fold.
 //!
 //! The result satisfies the same invariant as a from-scratch build: every
 //! query's answer is within θ of its raw answer *on the new table*. It is
@@ -197,7 +202,7 @@ mod tests {
     use crate::loss::MeanLoss;
     use crate::SamplingCubeBuilder;
     use tabula_data::{TaxiConfig, TaxiGenerator, Workload, CUBED_ATTRIBUTES};
-    use tabula_storage::cube::CellKey;
+    use tabula_storage::cube::{CellKey, CuboidMask};
     use tabula_storage::{FxHashSet, TableBuilder};
 
     /// Build `base` rows, then a second table extending them with `extra`
@@ -231,10 +236,27 @@ mod tests {
             refresh(&cube, Arc::clone(&new_t), &loss, RefreshConfig::default()).unwrap();
         assert_eq!(stats.appended_rows, 1_500);
         assert!(stats.reused_cells > 0, "untouched cells must be reused");
-        // Under the kept global sample the touched cells may all be
-        // represented by kept samples, so none need draw.
-        let redone = stats.represented_by_parent + stats.represented_by_neighbour;
-        assert!(redone + stats.sampled_cells > 0, "touched cells must be redone");
+        // The cells the fold must redo, counted from outside: the iceberg
+        // cells an appended row projects to, and those new to the iceberg
+        // set. Each is represented by a kept sample or sampled afresh.
+        let cols = refreshed.cubed_cols();
+        let cats: Vec<_> = cols.iter().map(|&c| new_t.cat(c).unwrap()).collect();
+        let mut touched = FxHashSet::default();
+        for r in old_t.len()..new_t.len() {
+            let full: Vec<u32> = cats.iter().map(|cat| cat.codes()[r]).collect();
+            for mask in CuboidMask::enumerate(cols.len()) {
+                touched.insert(CellKey::project(mask, &full));
+            }
+        }
+        let before: FxHashSet<CellKey> = cube.cube_table().map(|(k, _)| k).collect();
+        let redo = refreshed
+            .cube_table()
+            .filter(|(k, _)| touched.contains(k) || !before.contains(k))
+            .count();
+        assert!(redo > 0, "the batch touches no iceberg cell");
+        let represented = stats.represented_by_parent + stats.represented_by_neighbour;
+        assert_eq!(represented + stats.sampled_cells, redo, "touched and new cells must be redone");
+        assert_eq!(stats.reused_cells + redo, refreshed.materialized_cells());
         assert!(
             stats.sampled_cells >= stats.resampled_cells,
             "selection can only shrink the persisted set"

@@ -5,7 +5,7 @@
 //! One fold = one generation. The fold extends the served table via
 //! [`Table::extend_rows`] (old columns are copied once, dictionary codes
 //! stay stable, so the incremental-refresh prefix contract holds by
-//! construction), then runs [`refresh_carried`] with what the previous
+//! construction), then runs [`Server::refresh`] with what the previous
 //! fold carried: the global sample is kept, and the dry run partitions and
 //! scans the batch alone, resuming the finest cells' states. Only the
 //! iceberg cells the batch touches, and cells new to the iceberg set, are
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tabula_core::{refresh_carried, AccuracyLoss, CoreError, RefreshConfig};
+use tabula_core::{AccuracyLoss, CoreError, RefreshConfig};
 use tabula_obs::{Counter, Histogram, WindowedHistogram};
 use tabula_serve::Server;
 use tabula_storage::Value;
@@ -265,18 +265,21 @@ fn maintenance_loop<L: AccuracyLoss>(
             rows.append(&mut b.rows);
         }
         // Extend (one copy + append; prefix contract holds by construction),
-        // refresh from the last fold's carry, publish: `Server::install`
-        // bumps the epoch exactly once. A panic in the fold (or re-raised
-        // from a pool task) halts the loop like an error does, so no waiter
-        // is left blocked on a dead thread; the carry dies with it.
+        // refresh from the last fold's carry, publish: `Server::refresh`
+        // installs the new generation and bumps the epoch exactly once. A
+        // panic in the fold (or re-raised from a pool task) halts the loop
+        // like an error does, so no waiter is left blocked on a dead
+        // thread; the carry dies with it.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let (old, carry) = (server.cube(), carry.take());
-            let fold = |t| refresh_carried(&old, Arc::new(t), &loss, config.refresh, carry);
-            let (cube, _, next) = (old.table().extend_rows(&rows).map_err(CoreError::from))
-                .and_then(fold)
-                .map_err(|e| e.to_string())?;
-            server.install(Arc::new(cube)).map_err(|e| e.to_string())?;
-            Ok(next)
+            let carry = carry.take();
+            server
+                .cube()
+                .table()
+                .extend_rows(&rows)
+                .map_err(CoreError::from)
+                .and_then(|t| server.refresh(Arc::new(t), &loss, config.refresh, carry))
+                .map(|(_, next)| next)
+                .map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|panic| {
             let msg = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {

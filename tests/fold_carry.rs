@@ -7,8 +7,10 @@
 //!   `refresh`, step by step, at 1 and at 4 threads, and each carried fold
 //!   asks the global sample once per batch row;
 //! * a batch that grows a cubed column's dictionary, and a generation
-//!   installed between folds, each make the next fold scan the whole table;
-//! * the ingest pipeline keeps the carry from fold to fold.
+//!   installed between folds, each make the next fold through
+//!   `Server::refresh` scan the whole table;
+//! * the ingest pipeline keeps the carry from fold to fold, and every
+//!   fold reports into the server's registry, not the base cube's.
 
 mod common;
 
@@ -99,8 +101,9 @@ fn a_carried_chain_writes_the_plain_chains_bytes() {
     chain(MeanLoss::new(fare), 0.05, false);
 }
 
-/// One fold of `rows` into `server`'s cube from `carry`, checked against a
-/// plain `refresh` of the cube it started from.
+/// One fold of `rows` into `server`'s cube from `carry` through
+/// `Server::refresh`, checked against a plain `refresh` of the cube it
+/// started from.
 fn fold(
     server: &Server,
     rows: &[Vec<Value>],
@@ -109,9 +112,7 @@ fn fold(
     let (loss, config) = (heatmap(), RefreshConfig::default());
     let before = server.cube();
     let grown = Arc::new(before.table().extend_rows(rows).unwrap());
-    let (cube, stats, carry) =
-        refresh_carried(&before, Arc::clone(&grown), &loss, config, carry).unwrap();
-    server.install(Arc::new(cube)).unwrap();
+    let (stats, carry) = server.refresh(Arc::clone(&grown), &loss, config, carry).unwrap();
     let (plain, _) = refresh(&before, grown, &loss, config).unwrap();
     assert_eq!(content_crc(&server.cube()), content_crc(&plain));
     (stats, carry)
@@ -145,7 +146,7 @@ fn a_new_category_or_a_foreign_generation_voids_the_carry() {
     // The same cube through a snapshot: another global sample allocation.
     let image = server.cube().snapshot_bytes(0).unwrap();
     let (thawed, _) = SamplingCube::from_snapshot_bytes(image).unwrap();
-    server.install(Arc::new(thawed)).unwrap();
+    server.install(Arc::new(thawed.with_registry(&registry))).unwrap();
     let (stats, carry) = fold(&server, &batch(5), Some(carry));
     assert_eq!(stats.carried_rows, 0, "an installed generation voids the carry");
     let old = len();
@@ -153,13 +154,15 @@ fn a_new_category_or_a_foreign_generation_voids_the_carry() {
     assert_eq!(stats.carried_rows, old);
 }
 
+/// The base cube is homed in a registry of its own: every fold's
+/// `refresh.*` metrics, the first included, go to the server's.
 #[test]
 fn the_ingest_pipeline_carries_from_fold_to_fold() {
-    let registry = Arc::new(Registry::new());
+    let (home, registry) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
     let loss = heatmap();
     let theta = meters_to_norm(500.0);
     let server =
-        Arc::new(Server::in_registry(Arc::new(build(&loss, theta, &registry)), &registry).unwrap());
+        Arc::new(Server::in_registry(Arc::new(build(&loss, theta, &home)), &registry).unwrap());
     let config = IngestConfig { fold_batches: 1, ..IngestConfig::default() };
     let ingestor = Ingestor::start(Arc::clone(&server), loss.clone(), config);
     let mut plain = build(&loss, theta, &Arc::new(Registry::new()));
@@ -173,6 +176,9 @@ fn the_ingest_pipeline_carries_from_fold_to_fold() {
         plain = refresh(&plain, grown, &loss, config.refresh).unwrap().0;
         assert_eq!(content_crc(&server.cube()), content_crc(&plain), "fold {fold}");
         assert_eq!(counters(&registry)[1], resumed, "fold {fold}");
+        assert!(Arc::ptr_eq(server.cube().registry(), &registry), "fold {fold}");
     }
     ingestor.shutdown().unwrap();
+    assert!(counters(&registry)[0] > 0);
+    assert_eq!(counters(&home), [0, 0], "a fold reported into the base cube's registry");
 }

@@ -125,9 +125,12 @@ const BUILD_CRC: u64 = 0x7fd7_e8c9_f533_eb79;
 /// Re-recorded when a fold began keeping the previous generation's global
 /// sample (it holds Serfling's 1 060 rows of the 20 000) instead of drawing
 /// one over the grown table: the dry run checks the cells against that
-/// sample, so the iceberg set and the samples moved. The flat refresh did
-/// not: its table is smaller than k, so the fold still draws.
-const REFRESH_CRC: u64 = 0xb0d4_b0ba_46f8_5028;
+/// sample, so the iceberg set and the samples moved. Under this monotone
+/// loss the fold also retires each reused sample that a fresh sample
+/// serving a cell it served holds all of, and moves its cells there. The
+/// flat refresh did not move: its table is smaller than k, so the fold
+/// still draws, and its mean loss is not monotone.
+const REFRESH_CRC: u64 = 0x6f86_cf19_6410_06e2;
 const FLAT_BUILD_CRC: u64 = 0x4758_e1fb_bff5_2539;
 const FLAT_REFRESH_CRC: u64 = 0xee76_b4c6_a6c5_0b86;
 /// The paper's two-phase order, `tabula_baselines::two_phase_cube`: the

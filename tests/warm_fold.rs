@@ -11,7 +11,12 @@
 //! * the coverage losses started cells warm and the mean loss did not, and
 //!   the `refresh.warm_*` counters say how many and from how many rows;
 //! * the persisted samples hold at most 10 % more rows than a from-scratch
-//!   build on the same table.
+//!   build on the same table given the fold's global sample.
+//!
+//! Over the chain, only a monotone loss under representative selection
+//! retires reused samples that a fresh draw holds all of
+//! (`refresh.superseded_samples`): elsewhere every cell keeps its own
+//! sample, or the loss is not monotone.
 //!
 //! Most chains keep every cell's own sample (Tabula\*): a fold then differs
 //! from a from-scratch build only in how its touched cells were drawn. The
@@ -90,7 +95,7 @@ fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, samgraph: SamGraphConfig)
         Arc::new(TaxiGenerator::new(TaxiConfig { rows: BASE_ROWS, seed: 42 }).generate());
     let mut cube = build(Arc::clone(&table), &loss, theta, samgraph, &registry);
     let config = RefreshConfig { serfling: SMALL_GLOBAL, seed: 42, samgraph };
-    let (mut warm_cells, mut warm_start_rows) = (0, 0);
+    let (mut warm_cells, mut warm_start_rows, mut superseded) = (0, 0, 0);
     // Cells that were iceberg before and after a fold that touched them,
     // within the exact engine's reach and above it.
     let (mut small, mut big) = (0, 0);
@@ -109,9 +114,11 @@ fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, samgraph: SamGraphConfig)
         assert!(stats.warm_cells <= stats.sampled_cells, "{what} fold {fold}: {stats:?}");
         warm_cells += stats.warm_cells as u64;
         warm_start_rows += stats.warm_start_rows as u64;
+        superseded += stats.superseded_samples as u64;
         let counters = registry.snapshot();
         assert_eq!(counters.counter("refresh.warm_cells"), warm_cells, "{what} fold {fold}");
         assert_eq!(counters.counter("refresh.warm_start_rows"), warm_start_rows, "{what}");
+        assert_eq!(counters.counter("refresh.superseded_samples"), superseded, "{what}");
 
         let (was, is) = (materialized(&cube), materialized(&next));
         // owned[id]: some cell served by sample `id` holds all its rows.
@@ -162,6 +169,7 @@ fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, samgraph: SamGraphConfig)
         small > 0 && big > 0,
         "{what}: {small} / {big} kept touched cells ≤ / > {EXACT_LIMIT} rows"
     );
+    assert_eq!(superseded > 0, loss.monotone() && !star, "{what}: {superseded} superseded");
 }
 
 fn column(name: &str) -> usize {
