@@ -116,8 +116,8 @@ pub struct RefreshStats {
     /// their rows and serves a cell they served: their cells moved to it
     /// (monotone losses only).
     pub superseded_samples: usize,
-    /// Rows whose dry-run states the fold carried over from the previous
-    /// one ([`FoldCarry`]), so did not scan: 0 when it scanned the table.
+    /// Rows whose dry-run states the fold resumed from the previous
+    /// generation's carry, so did not scan: 0 when it scanned the table.
     pub carried_rows: usize,
     /// The dry run's nearest-distance work against the global sample: its
     /// `count` is the queries, its `sum` the sample points they computed a
@@ -220,16 +220,16 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
         let registry = self.registry.unwrap_or_else(|| Arc::clone(obs::global()));
         let prior = Prior::Build(self.global);
         materialize(self.table, self.attrs, &self.loss, self.theta, &self.config, prior, &registry)
-            .map(|(cube, _, _)| cube)
+            .map(|(cube, _)| cube)
     }
 }
 
 /// What a run of the pipeline starts from.
-pub(crate) enum Prior<'a, L: AccuracyLoss> {
+pub(crate) enum Prior<'a> {
     /// Nothing: a build, over the given global sample or a drawn one.
     Build(Option<Arc<Vec<RowId>>>),
-    /// The previous generation, and what the fold that made it carried.
-    Fold(&'a SamplingCube, Option<Box<FoldCarry<L>>>),
+    /// The previous generation.
+    Fold(&'a SamplingCube),
 }
 
 /// Run the pipeline over `table` and assemble a cube homed in `registry`.
@@ -248,24 +248,25 @@ pub(crate) enum Prior<'a, L: AccuracyLoss> {
 /// The global sample is the given one, else the previous generation's when
 /// it holds Serfling's k rows, else a draw over `table`. The dry run checks
 /// every cell against whichever it is, so θ does not depend on the choice.
-/// A fold that keeps the sample resumes the dry run from the carry, when it
-/// fits (see [`refresh_carried`](crate::incremental::refresh_carried)), and
-/// partitions and scans the appended rows alone; the returned carry covers
-/// all of `table`. Under a monotone loss, reused samples that a fresh one
-/// holds all of retire (`retire_superseded`).
+/// A fold that keeps the sample, into a cell space no appended row grew,
+/// resumes the dry run from the previous generation's carry and partitions
+/// and scans the appended rows alone. The cube returned keeps the carry
+/// over all of `table` for its own next fold. Under a monotone loss,
+/// reused samples that a fresh one holds all of retire
+/// (`retire_superseded`).
 pub(crate) fn materialize<L: AccuracyLoss>(
     table: Arc<Table>,
     attrs: Vec<String>,
     loss: &L,
     theta: f64,
     config: &RefreshConfig,
-    prior: Prior<'_, L>,
+    prior: Prior<'_>,
     registry: &Arc<obs::Registry>,
-) -> Result<(SamplingCube, RefreshStats, FoldCarry<L>)> {
+) -> Result<(SamplingCube, RefreshStats)> {
     let cols = cubed_columns(&table, &attrs, loss, theta)?;
-    let (previous, given, carry) = match prior {
-        Prior::Build(given) => (None, given, None),
-        Prior::Fold(previous, carry) => (Some(previous), None, carry),
+    let (previous, given) = match prior {
+        Prior::Build(given) => (None, given),
+        Prior::Fold(previous) => (Some(previous), None),
     };
 
     let total_start = Instant::now();
@@ -281,21 +282,18 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     stats.global_sample_size = global.len();
 
     // The build's one grouping of the table is the dry run's scan, against
-    // the global sample's context indexed for every row. A carry that fits
-    // holds both for the old rows, so only the appended ones are grouped
-    // and scanned.
+    // the global sample's context indexed for every row. The previous
+    // generation's carry holds both for the old rows, so only the appended
+    // ones are grouped and scanned, when the fold kept its global sample
+    // and no appended row grew a dictionary (a new category, or a wider
+    // key).
     let start = Instant::now();
     let old_len = previous.map_or(0, |p| p.table().len());
     let cards = (cols.iter().map(|&c| table.cat(c).map(|cat| cat.cardinality())))
         .collect::<std::result::Result<Vec<_>, _>>()?;
-    let fits = |c: &FoldCarry<L>| {
-        let (rows, space) = (c.partition.rows().len(), c.partition.space());
-        rows == old_len
-            && Arc::ptr_eq(&c.global, &global)
-            && c.cols == cols
-            && space.cards() == cards
-    };
-    let (ctx, head, carried) = match carry.map(|c| *c).filter(fits) {
+    let kept_global = previous.is_some_and(|p| Arc::ptr_eq(p.global_sample(), &global));
+    let fits = |c: &FoldCarry<L>| kept_global && c.partition.space().cards() == cards;
+    let (ctx, head, carried) = match previous.and_then(SamplingCube::take_carry).filter(fits) {
         Some(c) => (c.ctx, Some(c.partition), c.finest),
         None => (loss.prepare_global(&table, &global), None, Vec::new()),
     };
@@ -463,9 +461,7 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     // The dry run's coarser cells and the kept contexts are spent: free them
     // before assembly allocates. The next fold resumes from the rest.
     drop((dry, touched, fresh, kept));
-    let partition = merged.unwrap_or(delta);
-    let carry =
-        FoldCarry { global: Arc::clone(&global), ctx, cols: cols.clone(), partition, finest };
+    let carry = FoldCarry::<L> { ctx, partition: merged.unwrap_or(delta), finest };
 
     // Assemble the cube table: every cell's sample id, then the table's
     // one sort.
@@ -485,8 +481,9 @@ pub(crate) fn materialize<L: AccuracyLoss>(
     let prefix = if previous.is_some() { "refresh" } else { "build" };
     publish_metrics(registry, prefix, &stats, &times, &refresh_stats);
     let cube = SamplingCube::new(table, attrs, cols, theta, cells, samples, global, stats)
-        .with_registry(registry);
-    Ok((cube, refresh_stats, carry))
+        .with_registry(registry)
+        .with_carry(carry);
+    Ok((cube, refresh_stats))
 }
 
 /// The columns of the cubed `attrs` in `table`, once `theta`, the

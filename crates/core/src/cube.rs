@@ -9,9 +9,12 @@
 use crate::builder::attr_columns;
 use crate::compile::compile_predicate;
 use crate::cube_table::CubeTable;
+use crate::incremental::FoldCarry;
+use crate::loss::AccuracyLoss;
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use tabula_storage::cube::CellKey;
 use tabula_storage::{CellSpace, CubeKey, Predicate, RowId, Table};
@@ -127,6 +130,11 @@ pub struct SamplingCube {
     /// The registry the metrics of a refresh that starts from this cube
     /// land in.
     registry: Arc<tabula_obs::Registry>,
+    /// What the run of the pipeline that made this cube leaves the next
+    /// fold ([`FoldCarry`] under that run's loss), until a fold takes it.
+    /// Clones share it; a thawed or [`from_entries`](Self::from_entries)
+    /// cube has none.
+    carry: Arc<Mutex<Option<Box<dyn Any + Send + Sync>>>>,
 }
 
 impl SamplingCube {
@@ -154,7 +162,22 @@ impl SamplingCube {
             no_rows: Arc::new(Vec::new()),
             stats,
             registry: Arc::clone(tabula_obs::global()),
+            carry: Arc::default(),
         }
+    }
+
+    /// Keep `carry` for the next fold of this cube.
+    pub(crate) fn with_carry<L: AccuracyLoss>(self, carry: FoldCarry<L>) -> Self {
+        *self.carry.lock().unwrap_or_else(PoisonError::into_inner) = Some(Box::new(carry));
+        self
+    }
+
+    /// Take what the run that made this cube carried, if it ran under a
+    /// loss of type `L`: the first fold of this cube (or of a clone)
+    /// resumes from it, any other scans the whole table.
+    pub(crate) fn take_carry<L: AccuracyLoss>(&self) -> Option<FoldCarry<L>> {
+        let carry = self.carry.lock().unwrap_or_else(PoisonError::into_inner).take()?;
+        carry.downcast().ok().map(|carry| *carry)
     }
 
     /// Assemble a cube whose cells were materialized outside the builder

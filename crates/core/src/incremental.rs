@@ -10,14 +10,17 @@
 //! * the global sample is kept: the previous generation's, when it holds
 //!   Serfling's k rows (a draw over the grown table otherwise). The dry
 //!   run checks every cell against it, so θ does not depend on which;
-//! * the dry run resumes from what the previous fold carried
-//!   ([`FoldCarry`]: the sample's prepared context, the finest-key
-//!   partition and the finest cuboid's loss states). Only the appended
-//!   rows are partitioned, their runs merged into the carried partition,
-//!   and each touched run's state continued over its new rows in row
-//!   order, the fold a whole-table scan makes, so the states are the same
-//!   bits. The lattice is then rolled up and classified as in a build.
-//!   Without a carry that fits, the dry run scans the whole table;
+//! * the dry run resumes from the cube's own carry (`FoldCarry`: what
+//!   the build or fold that made the cube leaves the next one — the
+//!   sample's prepared context, the finest-key partition and the finest
+//!   cuboid's loss states). Only the appended rows are partitioned, their
+//!   runs merged into the carried partition, and each touched run's state
+//!   continued over its new rows in row order, the fold a whole-table scan
+//!   makes, so the states are the same bits. The lattice is then rolled up
+//!   and classified as in a build. The first fold of a cube takes its
+//!   carry; a thawed cube, a [`SamplingCube::from_entries`] cube, a second
+//!   fold of the same cube, a fold that redraws the global sample and one
+//!   whose batch grows a cubed column's dictionary scan the whole table;
 //! * iceberg cells **untouched by the appended rows** keep their old
 //!   sample: the sample was within θ of exactly the same raw data before,
 //!   so the guarantee carries over verbatim — no resampling, no data
@@ -46,8 +49,11 @@
 //! query's answer is within θ of its raw answer *on the new table*. It is
 //! also the same code: [`refresh`] checks the prefix contract and hands
 //! over to the builder's one pipeline with the old cube as the previous
-//! generation — a build is that pipeline with none. [`refresh_carried`]
-//! writes the bytes [`refresh`] writes.
+//! generation — a build is that pipeline with none. A carried fold writes
+//! the bytes a whole-table scan writes.
+//!
+//! The loss must be the one the cube was built with: the reused samples
+//! were only ever tested under it, and the carry holds its states.
 
 use crate::builder::{materialize, Prior};
 pub use crate::builder::{RefreshConfig, RefreshStats};
@@ -55,7 +61,7 @@ use crate::cube::SamplingCube;
 use crate::loss::AccuracyLoss;
 use crate::{CoreError, Result};
 use std::sync::Arc;
-use tabula_storage::{CubeKey, FinestPartition, RowId, Table, Value};
+use tabula_storage::{CubeKey, FinestPartition, Table, Value};
 
 /// Rows spot-checked by [`verify_prefix`] (the first and last old row are
 /// always probed in addition).
@@ -140,46 +146,36 @@ fn verify_prefix(old: &Table, new: &Table, cols: &[usize]) -> Result<()> {
     Ok(())
 }
 
-/// What a fold hands to the next one: the global sample's prepared
-/// context, the finest-key partition and the finest cuboid's loss states,
-/// over the rows the partition holds. [`refresh_carried`] returns it;
-/// given back to the next fold of the same cube under the same loss, that
-/// fold partitions and scans only the rows appended since. It is a cache:
-/// a fold that ignores it writes the same cube.
-pub struct FoldCarry<L: AccuracyLoss> {
-    pub(crate) global: Arc<Vec<RowId>>,
+/// What a run of the pipeline hands to the next fold of its cube: the
+/// global sample's prepared context, the finest-key partition and the
+/// finest cuboid's loss states, over every row of the cube's table. The
+/// cube keeps it ([`SamplingCube::take_carry`]); the fold that takes it,
+/// when it keeps the global sample and no cubed column's dictionary grew,
+/// partitions and scans only the rows appended since. It is a cache: a
+/// fold without it writes the same cube.
+pub(crate) struct FoldCarry<L: AccuracyLoss> {
     pub(crate) ctx: L::SampleCtx,
-    pub(crate) cols: Vec<usize>,
     pub(crate) partition: FinestPartition,
     pub(crate) finest: Vec<(CubeKey, L::State)>,
 }
 
 /// Refresh `cube` against `new_table`, which must be the cube's table with
-/// zero or more rows appended (same schema; old rows first, in order).
-/// Metrics (`refresh.*`) go to the registry `cube` is homed in, as does the
-/// refreshed cube.
+/// zero or more rows appended (same schema; old rows first, in order),
+/// under the loss the cube was built with. Metrics (`refresh.*`) go to the
+/// registry `cube` is homed in, as does the refreshed cube.
+///
+/// The dry run resumes from the cube's own carry, which the fold takes:
+/// the first fold of a built or folded cube (or of a clone of one) scans
+/// only the appended rows. A cube thawed from a snapshot or assembled by
+/// [`SamplingCube::from_entries`] has no carry, nor has one whose carry a
+/// fold took; folding it scans the whole table. The cube is the same
+/// either way, and the refreshed cube keeps the carry for its next fold.
 pub fn refresh<L: AccuracyLoss>(
     cube: &SamplingCube,
     new_table: Arc<Table>,
     loss: &L,
     config: RefreshConfig,
 ) -> Result<(SamplingCube, RefreshStats)> {
-    refresh_carried(cube, new_table, loss, config, None).map(|(cube, stats, _)| (cube, stats))
-}
-
-/// [`refresh`], resuming the dry run from `carry`, what the fold that made
-/// `cube` returned, and returning what this fold carries to the next. The
-/// carry is used when it covers all of `cube`'s rows, was folded against
-/// `cube`'s global sample (the same allocation) and over the same cubed
-/// columns and cardinalities; otherwise, or without one, the dry run scans
-/// the whole table. The cube is the same either way.
-pub fn refresh_carried<L: AccuracyLoss>(
-    cube: &SamplingCube,
-    new_table: Arc<Table>,
-    loss: &L,
-    config: RefreshConfig,
-    carry: Option<FoldCarry<L>>,
-) -> Result<(SamplingCube, RefreshStats, FoldCarry<L>)> {
     let old_table = cube.table();
     if new_table.schema() != old_table.schema() {
         return Err(CoreError::Config(
@@ -191,7 +187,7 @@ pub fn refresh_carried<L: AccuracyLoss>(
     }
     verify_prefix(old_table, &new_table, cube.cubed_cols())?;
     let attrs = cube.attrs().to_vec();
-    let prior = Prior::Fold(cube, carry.map(Box::new));
+    let prior = Prior::Fold(cube);
     materialize(new_table, attrs, loss, cube.theta(), &config, prior, cube.registry())
 }
 

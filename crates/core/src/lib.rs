@@ -76,7 +76,7 @@ pub use builder::{RefreshConfig, RefreshStats, SamplingCubeBuilder};
 pub use compile::compile_predicate;
 pub use cube::{MemoryBreakdown, QueryAnswer, SampleProvenance, SamplingCube};
 pub use cube_table::{CubeKeys, CubeTable};
-pub use incremental::{refresh, refresh_carried, FoldCarry};
+pub use incremental::refresh;
 pub use loss::{AccuracyLoss, HeatmapLoss, MeanLoss, RegressionLoss};
 pub use serfling::SerflingConfig;
 pub use store::SnapshotInfo;

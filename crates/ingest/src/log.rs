@@ -13,9 +13,21 @@
 
 use crate::IngestError;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tabula_storage::{validate_row, Schema, Value};
+
+/// Lock `mutex`, recovering the guard when a holder panicked: every
+/// critical section of this crate only pushes, drains or assigns, and none
+/// can panic midway, so a poisoned state is still a whole one.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `condvar`, recovering the guard as [`lock`] does.
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One appended batch of rows, stamped with its barrier sequence number.
 #[derive(Debug, Clone)]
@@ -103,12 +115,12 @@ impl IngestLog {
         for row in &rows {
             validate_row(&self.schema, row).map_err(IngestError::Row)?;
         }
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         while !s.closed
             && !s.pending.is_empty()
             && s.pending_rows + rows.len() > self.max_pending_rows
         {
-            s = self.progress.wait(s).unwrap();
+            s = wait(&self.progress, s);
         }
         if s.closed {
             return Err(IngestError::Closed);
@@ -128,9 +140,9 @@ impl IngestLog {
     /// closed, then drain at most `max_batches` batches (empty only when
     /// the log closed with nothing left).
     pub(crate) fn wait_drain(&self, max_batches: usize) -> Vec<Batch> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         while s.pending.is_empty() && !s.closed {
-            s = self.arrival.wait(s).unwrap();
+            s = wait(&self.arrival, s);
         }
         let take = max_batches.max(1).min(s.pending.len());
         let drained: Vec<Batch> = s.pending.drain(..take).collect();
@@ -146,7 +158,7 @@ impl IngestLog {
 
     /// Maintenance side: everything up to `seq` is now served.
     pub(crate) fn mark_folded(&self, seq: u64) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         s.folded_seq = s.folded_seq.max(seq);
         drop(s);
         self.progress.notify_all();
@@ -154,7 +166,7 @@ impl IngestLog {
 
     /// Maintenance side: the loop exited; wake every waiter for good.
     pub(crate) fn mark_halted(&self) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         s.halted = true;
         drop(s);
         self.progress.notify_all();
@@ -163,7 +175,7 @@ impl IngestLog {
 
     /// Stop accepting appends and let the maintenance thread drain out.
     pub fn close(&self) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         s.closed = true;
         drop(s);
         self.arrival.notify_all();
@@ -172,19 +184,19 @@ impl IngestLog {
 
     /// Highest barrier sequence number folded into a served generation.
     pub fn folded_seq(&self) -> u64 {
-        self.state.lock().unwrap().folded_seq
+        lock(&self.state).folded_seq
     }
 
     /// Sequence number of the most recently appended batch (0 if none).
     pub fn last_appended_seq(&self) -> u64 {
-        self.state.lock().unwrap().next_seq - 1
+        lock(&self.state).next_seq - 1
     }
 
     /// Block until every batch up to `seq` is part of the served
     /// generation. Returns `false` if the maintenance loop halted before
     /// getting there (shutdown or fold failure).
     pub fn wait_folded(&self, seq: u64) -> bool {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         loop {
             if s.folded_seq >= seq {
                 return true;
@@ -192,19 +204,19 @@ impl IngestLog {
             if s.halted {
                 return false;
             }
-            s = self.progress.wait(s).unwrap();
+            s = wait(&self.progress, s);
         }
     }
 
     /// Unfolded backlog: (batches, rows).
     pub fn pending(&self) -> (usize, usize) {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         (s.pending.len(), s.pending_rows)
     }
 
     /// Totals accepted so far: (batches, rows).
     pub fn appended(&self) -> (u64, u64) {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         (s.appended_batches, s.appended_rows)
     }
 }
@@ -250,5 +262,28 @@ mod tests {
         // Batch 1 never folds; a halted log must not hang the waiter.
         log.mark_halted();
         assert!(!log.wait_folded(1));
+    }
+
+    #[test]
+    fn a_poisoned_log_still_appends_and_drains() {
+        let schema =
+            TaxiGenerator::new(TaxiConfig { rows: 1, seed: 1 }).generate().schema().clone();
+        let log = IngestLog::new(schema, 16);
+        log.append(rows(2, 5)).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = log.state.lock();
+                panic!("a holder dies with the log locked");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && log.state.is_poisoned());
+        assert_eq!(log.append(rows(1, 6)).unwrap(), 2);
+        assert_eq!(log.pending(), (2, 3));
+        let drained = log.wait_drain(8);
+        assert_eq!(drained.iter().map(|b| b.seq).collect::<Vec<_>>(), vec![1, 2]);
+        log.mark_folded(2);
+        assert!(log.wait_folded(2));
+        assert_eq!(log.folded_seq(), 2);
     }
 }

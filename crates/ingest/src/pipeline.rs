@@ -5,20 +5,21 @@
 //! One fold = one generation. The fold extends the served table via
 //! [`Table::extend_rows`] (old columns are copied once, dictionary codes
 //! stay stable, so the incremental-refresh prefix contract holds by
-//! construction), then runs [`Server::refresh`] with what the previous
-//! fold carried: the global sample is kept, and the dry run partitions and
-//! scans the batch alone, resuming the finest cells' states. Only the
-//! iceberg cells the batch touches, and cells new to the iceberg set, are
-//! redone; every other iceberg cell keeps its prior sample verbatim. A
-//! generation installed by anyone else makes the next fold scan the whole
-//! table once. The refresh stages run on the shared tabula-par pool.
+//! construction), then runs [`Server::refresh`], which resumes from the
+//! served cube's own carry: the global sample is kept, and the dry run
+//! partitions and scans the batch alone, resuming the finest cells'
+//! states. Only the iceberg cells the batch touches, and cells new to the
+//! iceberg set, are redone; every other iceberg cell keeps its prior sample
+//! verbatim. A generation thawed from a snapshot has no carry, so the
+//! first fold into it scans the whole table. The refresh stages run on the
+//! shared tabula-par pool.
 //! [`Server::install`] swaps the generation under a write lock readers
 //! only briefly contend on, and bumps the server's epoch exactly once per
 //! generation.
 //!
 //! [`Table::extend_rows`]: tabula_storage::Table::extend_rows
 
-use crate::log::IngestLog;
+use crate::log::{lock, IngestLog};
 use crate::IngestError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,14 +218,14 @@ impl Ingestor {
     /// final stats, or the fold error that halted the loop early.
     pub fn shutdown(mut self) -> Result<IngestStats, IngestError> {
         self.close_and_join();
-        if let Some(msg) = self.shared.error.lock().unwrap().clone() {
+        if let Some(msg) = lock(&self.shared.error).clone() {
             return Err(IngestError::Fold(msg));
         }
         Ok(self.stats())
     }
 
     fn halt_error(&self) -> IngestError {
-        match self.shared.error.lock().unwrap().clone() {
+        match lock(&self.shared.error).clone() {
             Some(msg) => IngestError::Fold(msg),
             None => IngestError::Closed,
         }
@@ -251,8 +252,6 @@ fn maintenance_loop<L: AccuracyLoss>(
     log: Arc<IngestLog>,
     shared: Arc<Shared>,
 ) {
-    // What each fold hands to the next, so a fold scans only its batch.
-    let mut carry = None;
     loop {
         let mut batches = log.wait_drain(config.fold_batches);
         if batches.is_empty() {
@@ -265,20 +264,18 @@ fn maintenance_loop<L: AccuracyLoss>(
             rows.append(&mut b.rows);
         }
         // Extend (one copy + append; prefix contract holds by construction),
-        // refresh from the last fold's carry, publish: `Server::refresh`
+        // refresh from the served cube's carry, publish: `Server::refresh`
         // installs the new generation and bumps the epoch exactly once. A
         // panic in the fold (or re-raised from a pool task) halts the loop
         // like an error does, so no waiter is left blocked on a dead
-        // thread; the carry dies with it.
+        // thread; the carry taken from the served cube dies with it.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let carry = carry.take();
             server
                 .cube()
                 .table()
                 .extend_rows(&rows)
                 .map_err(CoreError::from)
-                .and_then(|t| server.refresh(Arc::new(t), &loss, config.refresh, carry))
-                .map(|(_, next)| next)
+                .and_then(|t| server.refresh(Arc::new(t), &loss, config.refresh))
                 .map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|panic| {
@@ -290,8 +287,7 @@ fn maintenance_loop<L: AccuracyLoss>(
             Err(format!("fold panicked: {msg}"))
         });
         match result {
-            Ok(next) => {
-                carry = Some(next);
+            Ok(_) => {
                 let fold_ns = started.elapsed().as_nanos() as u64;
                 shared.fold_ns.record(fold_ns);
                 shared.fold_window.record(fold_ns);
@@ -309,7 +305,7 @@ fn maintenance_loop<L: AccuracyLoss>(
             }
             Err(msg) => {
                 shared.fold_errors.inc();
-                *shared.error.lock().unwrap() = Some(msg);
+                *lock(&shared.error) = Some(msg);
                 break;
             }
         }

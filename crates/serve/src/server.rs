@@ -42,7 +42,7 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
-use tabula_core::incremental::{refresh_carried, FoldCarry, RefreshConfig, RefreshStats};
+use tabula_core::incremental::{refresh, RefreshConfig, RefreshStats};
 use tabula_core::loss::AccuracyLoss;
 use tabula_core::{Result, SampleProvenance, SamplingCube, SnapshotInfo};
 use tabula_obs::metrics::{Counter, Histogram, Registry};
@@ -340,22 +340,21 @@ impl Server {
     /// Incrementally refresh the served cube against `new_table` (the
     /// current table with rows appended) and install the result, homed in
     /// this server's registry, where the fold's `refresh.*` metrics go
-    /// too. `carry` is what the previous call returned, if any
-    /// ([`refresh_carried`]); the returned carry is for the next.
+    /// too. The fold resumes from the served cube's own carry
+    /// ([`refresh`]).
     pub fn refresh<L: AccuracyLoss>(
         &self,
         new_table: Arc<Table>,
         loss: &L,
         config: RefreshConfig,
-        carry: Option<FoldCarry<L>>,
-    ) -> Result<(RefreshStats, FoldCarry<L>)> {
+    ) -> Result<RefreshStats> {
         let mut old = self.cube();
         if !Arc::ptr_eq(old.registry(), &self.registry) {
             old = Arc::new(old.as_ref().clone().with_registry(&self.registry));
         }
-        let (new_cube, stats, next) = refresh_carried(&old, new_table, loss, config, carry)?;
+        let (new_cube, stats) = refresh(&old, new_table, loss, config)?;
         self.install(Arc::new(new_cube))?;
-        Ok((stats, next))
+        Ok(stats)
     }
 }
 

@@ -106,8 +106,8 @@ fn refresh_never_serves_stale_cached_answers() {
     // generation's sample ids name other samples in the new one.
     let fare = new.schema().index_of("fare_amount").unwrap();
     let loss = MeanLoss::new(fare);
-    let (stats, _) = srv
-        .refresh(Arc::clone(&new), &loss, RefreshConfig { seed: 9, ..Default::default() }, None)
+    let stats = srv
+        .refresh(Arc::clone(&new), &loss, RefreshConfig { seed: 9, ..Default::default() })
         .unwrap();
     assert!(stats.resampled_cells > 0, "appends must have touched cells");
 

@@ -1,36 +1,40 @@
-//! A fold hands the next one a `FoldCarry`: the global sample's prepared
-//! context, the finest-key partition and the finest cuboid's loss states.
-//! The next fold of the same cube partitions and scans only its batch, and
-//! writes the bytes a fold without the carry writes:
+//! A cube keeps what the build or fold that made it carries to its next
+//! fold: the global sample's prepared context, the finest-key partition
+//! and the finest cuboid's loss states. The first fold of the cube takes
+//! it, partitions and scans only its batch, and writes the bytes a fold
+//! without the carry writes:
 //!
-//! * a chain of six carried folds equals the same chain through plain
-//!   `refresh`, step by step, at 1 and at 4 threads, and each carried fold
-//!   asks the global sample once per batch row;
-//! * a batch that grows a cubed column's dictionary, and a generation
-//!   installed between folds, each make the next fold through
-//!   `Server::refresh` scan the whole table;
-//! * the ingest pipeline keeps the carry from fold to fold, and every
-//!   fold reports into the server's registry, not the base cube's.
+//! * a chain of seven folds from a build, each resuming from its
+//!   predecessor's carry, equals an uncarried fold of the same cube, step
+//!   by step, at 1 and at 4 threads, and each fold asks the global sample
+//!   once per batch row;
+//! * a batch that grows a cubed column's dictionary, and a thawed
+//!   generation installed between folds, each make the next fold through
+//!   `Server::refresh` scan the whole table; an installed built cube
+//!   brings its own carry;
+//! * the ingest pipeline's every fold resumes, the first included, and
+//!   reports into the server's registry, not the base cube's;
+//! * a cube built through SQL and folded through an `Ingestor` resumes
+//!   from the build's carry.
 
 mod common;
 
 use common::content_crc;
 use std::sync::Arc;
 use tabula::core::loss::{AccuracyLoss, HeatmapLoss, MeanLoss, Metric};
-use tabula::core::{
-    refresh, refresh_carried, FoldCarry, RefreshConfig, RefreshStats, SamplingCube,
-    SamplingCubeBuilder,
-};
+use tabula::core::{refresh, RefreshConfig, RefreshStats, SamplingCube, SamplingCubeBuilder};
 use tabula::data::{meters_to_norm, TaxiConfig, TaxiGenerator, CUBED_ATTRIBUTES};
 use tabula::ingest::{IngestConfig, Ingestor};
 use tabula::obs::Registry;
 use tabula::serve::Server;
+use tabula::sql::{QueryResult, Session};
 use tabula::storage::{Table, Value};
 
 const BASE_ROWS: usize = 20_000;
 const BATCH_ROWS: usize = 1_000;
-/// Carried folds in a chain; the chain's first fold has nothing to resume.
-const CARRIED: u64 = 6;
+/// Folds in a chain, each resuming from its predecessor's carry (the first
+/// from the build's).
+const FOLDS: u64 = 7;
 
 fn taxi(rows: usize, seed: u64) -> Table {
     TaxiGenerator::new(TaxiConfig { rows, seed }).generate()
@@ -46,10 +50,30 @@ fn heatmap() -> HeatmapLoss {
 }
 
 fn build<L: AccuracyLoss + Clone>(loss: &L, theta: f64, registry: &Arc<Registry>) -> SamplingCube {
-    SamplingCubeBuilder::new(Arc::new(taxi(BASE_ROWS, 42)), &CUBED_ATTRIBUTES, loss.clone(), theta)
+    build_over(Arc::new(taxi(BASE_ROWS, 42)), loss, theta, registry)
+}
+
+fn build_over<L: AccuracyLoss + Clone>(
+    table: Arc<Table>,
+    loss: &L,
+    theta: f64,
+    registry: &Arc<Registry>,
+) -> SamplingCube {
+    SamplingCubeBuilder::new(table, &CUBED_ATTRIBUTES, loss.clone(), theta)
         .registry(Arc::clone(registry))
         .build()
         .unwrap()
+}
+
+/// `cube` folded with `rows` from its thawed twin, which has no carry: the
+/// fold scans the whole table.
+fn uncarried<L: AccuracyLoss>(cube: &SamplingCube, rows: &[Vec<Value>], loss: &L) -> SamplingCube {
+    let (twin, _) = SamplingCube::from_snapshot_bytes(cube.snapshot_bytes(0).unwrap()).unwrap();
+    let twin = twin.with_registry(&Arc::new(Registry::new()));
+    let grown = Arc::new(twin.table().extend_rows(rows).unwrap());
+    let (folded, stats) = refresh(&twin, grown, loss, RefreshConfig::default()).unwrap();
+    assert_eq!(stats.carried_rows, 0, "a thawed cube has no carry");
+    folded
 }
 
 /// The counters `refresh.work.nearest_queries` and `refresh.carried_rows`.
@@ -58,37 +82,33 @@ fn counters(registry: &Registry) -> [u64; 2] {
     ["work.nearest_queries", "carried_rows"].map(|n| snap.counter(&format!("refresh.{n}")))
 }
 
-/// Fold `1 + CARRIED` batches into a cube twice, resuming each fold from
-/// the last one's carry and through plain `refresh`, at 1 and 4 threads.
+/// Fold `FOLDS` batches into a built cube, each fold resuming from the
+/// cube's carry, and check each against a second fold of the same cube,
+/// whose carry the first took, at 1 and 4 threads.
 fn chain<L: AccuracyLoss + Clone>(loss: L, theta: f64, distances: bool) {
     let config = RefreshConfig::default();
     for threads in [1, 4] {
         tabula_par::set_threads(threads);
         let registry = Arc::new(Registry::new());
-        let mut carried = build(&loss, theta, &registry);
-        let mut plain = build(&loss, theta, &Arc::new(Registry::new()));
-        let mut carry: Option<FoldCarry<L>> = None;
-        for fold in 0..=CARRIED {
+        let mut cube = build(&loss, theta, &registry);
+        for fold in 0..FOLDS {
             let rows = batch(100 + fold);
-            let old_len = carried.table().len();
-            let grown = Arc::new(carried.table().extend_rows(&rows).unwrap());
+            let old_len = cube.table().len();
+            let grown = Arc::new(cube.table().extend_rows(&rows).unwrap());
             let before = counters(&registry);
-            let (next, stats, next_carry) =
-                refresh_carried(&carried, grown, &loss, config, carry).unwrap();
-            let grown = Arc::new(plain.table().extend_rows(&rows).unwrap());
-            let (next_plain, _) = refresh(&plain, grown, &loss, config).unwrap();
-            let what = format!("{} fold {fold} at {threads} threads", loss.name());
-            assert_eq!(content_crc(&next), content_crc(&next_plain), "{what}");
-
-            // The first fold scans the table; every later one its batch.
-            let scanned = if fold == 0 { old_len + rows.len() } else { rows.len() };
-            let resumed = if fold == 0 { 0 } else { old_len };
-            assert_eq!(stats.carried_rows, resumed, "{what}");
-            let queries = if distances { scanned as u64 } else { 0 };
-            assert_eq!(stats.nearest.count, queries, "{what}");
+            let (next, stats) = refresh(&cube, Arc::clone(&grown), &loss, config).unwrap();
             let after = counters(&registry);
-            assert_eq!([after[0] - before[0], after[1] - before[1]], [queries, resumed as u64]);
-            (carried, plain, carry) = (next, next_plain, Some(next_carry));
+            let (plain, plain_stats) = refresh(&cube, grown, &loss, config).unwrap();
+            let what = format!("{} fold {fold} at {threads} threads", loss.name());
+            assert_eq!(plain_stats.carried_rows, 0, "{what}: the first fold took the carry");
+            assert_eq!(content_crc(&next), content_crc(&plain), "{what}");
+
+            // Every fold scans its batch.
+            let queries = if distances { rows.len() as u64 } else { 0 };
+            assert_eq!(stats.carried_rows, old_len, "{what}");
+            assert_eq!(stats.nearest.count, queries, "{what}");
+            assert_eq!([after[0] - before[0], after[1] - before[1]], [queries, old_len as u64]);
+            cube = next;
         }
     }
     tabula_par::set_threads(0);
@@ -101,35 +121,28 @@ fn a_carried_chain_writes_the_plain_chains_bytes() {
     chain(MeanLoss::new(fare), 0.05, false);
 }
 
-/// One fold of `rows` into `server`'s cube from `carry` through
-/// `Server::refresh`, checked against a plain `refresh` of the cube it
-/// started from.
-fn fold(
-    server: &Server,
-    rows: &[Vec<Value>],
-    carry: Option<FoldCarry<HeatmapLoss>>,
-) -> (RefreshStats, FoldCarry<HeatmapLoss>) {
+/// One fold of `rows` into `server`'s cube through `Server::refresh`,
+/// checked against an uncarried fold of the cube it started from.
+fn fold(server: &Server, rows: &[Vec<Value>]) -> RefreshStats {
     let (loss, config) = (heatmap(), RefreshConfig::default());
     let before = server.cube();
     let grown = Arc::new(before.table().extend_rows(rows).unwrap());
-    let (stats, carry) = server.refresh(Arc::clone(&grown), &loss, config, carry).unwrap();
-    let (plain, _) = refresh(&before, grown, &loss, config).unwrap();
-    assert_eq!(content_crc(&server.cube()), content_crc(&plain));
-    (stats, carry)
+    let stats = server.refresh(grown, &loss, config).unwrap();
+    assert_eq!(content_crc(&server.cube()), content_crc(&uncarried(&before, rows, &loss)));
+    stats
 }
 
 #[test]
 fn a_new_category_or_a_foreign_generation_voids_the_carry() {
-    let registry = Arc::new(Registry::new());
-    let cube = build(&heatmap(), meters_to_norm(500.0), &registry);
+    let (registry, theta) = (Arc::new(Registry::new()), meters_to_norm(500.0));
+    let cube = build(&heatmap(), theta, &registry);
     let server = Server::in_registry(Arc::new(cube), &registry).unwrap();
     let len = || server.cube().table().len();
 
-    let (stats, carry) = fold(&server, &batch(1), None);
-    assert_eq!(stats.carried_rows, 0);
     let old = len();
-    let (stats, carry) = fold(&server, &batch(2), Some(carry));
-    assert_eq!(stats.carried_rows, old, "a fitting carry is resumed");
+    assert_eq!(fold(&server, &batch(1)).carried_rows, old, "the build's carry is resumed");
+    let old = len();
+    assert_eq!(fold(&server, &batch(2)).carried_rows, old, "a fold's carry is resumed");
 
     // Five rides with a passenger count no earlier row has.
     let passengers = server.cube().table().schema().index_of("passenger_count").unwrap();
@@ -137,21 +150,24 @@ fn a_new_category_or_a_foreign_generation_voids_the_carry() {
     for row in rows.iter_mut().step_by(200) {
         row[passengers] = Value::Int64(42);
     }
-    let (stats, carry) = fold(&server, &rows, Some(carry));
+    let stats = fold(&server, &rows);
     assert_eq!(stats.carried_rows, 0, "a grown dictionary changes the cell space");
     let old = len();
-    let (stats, carry) = fold(&server, &batch(4), Some(carry));
-    assert_eq!(stats.carried_rows, old);
+    assert_eq!(fold(&server, &batch(4)).carried_rows, old);
 
-    // The same cube through a snapshot: another global sample allocation.
+    // The same cube through a snapshot: no carry.
     let image = server.cube().snapshot_bytes(0).unwrap();
     let (thawed, _) = SamplingCube::from_snapshot_bytes(image).unwrap();
     server.install(Arc::new(thawed.with_registry(&registry))).unwrap();
-    let (stats, carry) = fold(&server, &batch(5), Some(carry));
-    assert_eq!(stats.carried_rows, 0, "an installed generation voids the carry");
+    assert_eq!(fold(&server, &batch(5)).carried_rows, 0, "a thawed generation has no carry");
     let old = len();
-    let (stats, _) = fold(&server, &batch(6), Some(carry));
-    assert_eq!(stats.carried_rows, old);
+    assert_eq!(fold(&server, &batch(6)).carried_rows, old);
+
+    // A cube built over the served table: the fold resumes its own carry.
+    let rebuilt = build_over(Arc::clone(server.cube().table()), &heatmap(), theta, &registry);
+    server.install(Arc::new(rebuilt)).unwrap();
+    let old = len();
+    assert_eq!(fold(&server, &batch(7)).carried_rows, old, "an installed build brings its carry");
 }
 
 /// The base cube is homed in a registry of its own: every fold's
@@ -170,10 +186,10 @@ fn the_ingest_pipeline_carries_from_fold_to_fold() {
     for fold in 0..3 {
         let rows = batch(200 + fold);
         ingestor.wait_folded(ingestor.append(rows.clone()).unwrap()).unwrap();
-        // Every fold but the first resumes from its predecessor's carry.
-        resumed += if fold == 0 { 0 } else { plain.table().len() as u64 };
-        let grown = Arc::new(plain.table().extend_rows(&rows).unwrap());
-        plain = refresh(&plain, grown, &loss, config.refresh).unwrap().0;
+        // Every fold resumes from its predecessor's carry, the first from
+        // the build's.
+        resumed += plain.table().len() as u64;
+        plain = uncarried(&plain, &rows, &loss);
         assert_eq!(content_crc(&server.cube()), content_crc(&plain), "fold {fold}");
         assert_eq!(counters(&registry)[1], resumed, "fold {fold}");
         assert!(Arc::ptr_eq(server.cube().registry(), &registry), "fold {fold}");
@@ -181,4 +197,33 @@ fn the_ingest_pipeline_carries_from_fold_to_fold() {
     ingestor.shutdown().unwrap();
     assert!(counters(&registry)[0] > 0);
     assert_eq!(counters(&home), [0, 0], "a fold reported into the base cube's registry");
+}
+
+/// `CREATE TABLE … CUBE` keeps the build's carry in the cube it serves:
+/// the first fold through an `Ingestor` scans the batch alone.
+#[test]
+fn a_cube_built_through_sql_resumes_from_the_builds_carry() {
+    let theta = meters_to_norm(500.0);
+    let mut session = Session::new().with_seed(4);
+    session.register_table("nyctaxi", Arc::new(taxi(BASE_ROWS, 42)));
+    let attrs = CUBED_ATTRIBUTES.join(", ");
+    let created = session
+        .execute(&format!(
+            "CREATE TABLE cube AS SELECT {attrs}, SAMPLING(*, {theta}) AS sample FROM nyctaxi \
+             GROUPBY CUBE({attrs}) HAVING heatmap_loss(pickup, Sam_global) > {theta}"
+        ))
+        .unwrap();
+    assert!(matches!(created, QueryResult::CubeCreated { .. }));
+    let built = session.cube("cube").unwrap();
+
+    let registry = Arc::new(Registry::new());
+    let server = Arc::new(Server::in_registry(Arc::clone(&built), &registry).unwrap());
+    let ingestor = Ingestor::start(Arc::clone(&server), heatmap(), IngestConfig::default());
+    let rows = batch(300);
+    ingestor.wait_folded(ingestor.append(rows.clone()).unwrap()).unwrap();
+    ingestor.shutdown().unwrap();
+
+    assert_eq!(counters(&registry)[1], BASE_ROWS as u64, "the first fold resumes");
+    let plain = uncarried(&built, &rows, &heatmap());
+    assert_eq!(content_crc(&server.cube()), content_crc(&plain));
 }

@@ -50,7 +50,7 @@ fn expect_config<L: AccuracyLoss + Clone>(
     let entries: [(&str, Result<(), CoreError>); 6] = [
         ("builder", built.map(drop)),
         ("refresh", refresh(&good_cube(), Arc::clone(&table), &loss, config).map(drop)),
-        ("Server::refresh", server.refresh(Arc::clone(&table), &loss, config, None).map(drop)),
+        ("Server::refresh", server.refresh(Arc::clone(&table), &loss, config).map(drop)),
         (
             "two_phase_cube",
             two_phase_cube(Arc::clone(&table), &ATTRS, &loss, 0.1, &config).map(drop),

@@ -152,12 +152,15 @@ fn work_counters_do_not_depend_on_the_thread_count() {
         let counted =
             [stats.represent_tests, by_parent, by_neighbour, stats.sampled_cells, stats.join_tests];
         assert_eq!(refreshed, counted.map(|n| n as u64), "the fold's stats are its counters");
-        // The dry run asks the global sample once per row of its table.
+        // The dry run asks the global sample once per row it scans: the
+        // build's table, and the batch alone for the fold, which resumes
+        // from the build's carry.
         let nearest = |stage: &str| {
             ["queries", "candidates"].map(|n| snap.counter(&format!("{stage}.work.nearest_{n}")))
         };
         let nearest = (nearest("build"), nearest("refresh"));
-        assert_eq!((nearest.0[0], nearest.1[0]), (base.len() as u64, grown.len() as u64));
+        assert_eq!(stats.carried_rows, base.len());
+        assert_eq!((nearest.0[0], nearest.1[0]), (base.len() as u64, batch.len() as u64));
         assert_eq!(nearest.1, [stats.nearest.count, stats.nearest.sum as u64]);
         (built, refreshed, nearest, content_crc(&cube), content_crc(&folded))
     };

@@ -120,7 +120,7 @@ fn management_statements_follow_the_served_generation() {
     let rows: Vec<_> = (0..batch.len()).map(|r| batch.row(r)).collect();
     let grown = Arc::new(table.extend_rows(&rows).unwrap());
     let loss = MeanLoss::new(table.schema().index_of("fare_amount").unwrap());
-    s.cube_server("cube").unwrap().refresh(grown, &loss, RefreshConfig::default(), None).unwrap();
+    s.cube_server("cube").unwrap().refresh(grown, &loss, RefreshConfig::default()).unwrap();
 
     let served = s.cube_server("cube").unwrap().cube();
     let (show, cells, total) = described(&served);
