@@ -24,8 +24,8 @@
 //! losses the state summarizes raw data only, so a sample is itself a
 //! state: [`AccuracyLoss::context_of`] turns the state a sample's rows
 //! fold to into its context. Such a loss is priced from states alone —
-//! the greedy ([`crate::sampling::greedy`]) merges a candidate row's state
-//! into the sample's, and the representation relation
+//! the greedy ([`crate::sampling::state_greedy`]) merges a candidate
+//! row's state into the sample's, and the representation relation
 //! (`samgraph::KeptSet`) re-evaluates one folded cell state against every
 //! sample. A loss whose `context_of` is `None` is sample-dependent.
 //!
@@ -202,9 +202,11 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// Whether adding rows to a sample never raises its loss, as with the
     /// coverage losses: another sample point only shortens distances. A fold
     /// then starts a touched cell's draw from its old sample, which still
-    /// covers the cell's old rows. Under any other loss (a mean, say) the
-    /// old sample may lean the wrong way, and starting from it would only
-    /// grow the sample fold after fold, so the fold draws from nothing.
+    /// covers the cell's old rows, and the loss takes that start in its
+    /// own [`AccuracyLoss::sample_greedy`] (the default ignores it). Under
+    /// any other loss (a mean, say) the old sample may lean the wrong way,
+    /// and starting from it would only grow the sample fold after fold, so
+    /// the fold draws from nothing.
     fn monotone(&self) -> bool {
         false
     }
@@ -225,15 +227,17 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     /// guaranteed because the loop can at worst pick every row, and
     /// `loss(raw, raw) = 0` for any well-formed loss.
     ///
-    /// `start` holds distinct positions in `raw` that the sample begins
-    /// with: the result contains `raw[i]` for each of them (the built-ins
-    /// put them first, in order) and meets θ. An empty `start` is
-    /// Algorithm 1 from nothing.
+    /// `start` holds distinct positions in `raw` for a warm draw, which the
+    /// builder passes only to a [`AccuracyLoss::monotone`] loss: its result
+    /// contains `raw[i]` for each of them (the heat map puts them first, in
+    /// order) and meets θ. An empty `start` is Algorithm 1 from nothing.
     ///
-    /// The default is [`crate::sampling::greedy`]: O(1) state merges per
-    /// candidate under a loss with a [`AccuracyLoss::context_of`], the
-    /// literal O(|raw|²·cost(loss)) pseudocode otherwise. The coverage
-    /// losses override it with the lazy-forward engine.
+    /// The default draws from nothing and ignores `start`:
+    /// [`crate::sampling::state_greedy`] (O(1) state merges per candidate)
+    /// under a loss with a [`AccuracyLoss::context_of`], the literal
+    /// O(|raw|²·cost(loss)) [`crate::sampling::naive_greedy`] otherwise.
+    /// The coverage losses override it with the lazy-forward engine, which
+    /// takes the start.
     fn sample_greedy(
         &self,
         table: &Table,
@@ -241,7 +245,11 @@ pub trait AccuracyLoss: Send + Sync + 'static {
         start: &[usize],
         theta: f64,
     ) -> Vec<RowId> {
-        crate::sampling::greedy(self, table, raw, start, theta)
+        let _ = start;
+        match self.context_of(&Self::State::default()) {
+            Some(ctx) => crate::sampling::state_greedy(self, &ctx, table, raw, theta),
+            None => crate::sampling::naive_greedy(self, table, raw, theta),
+        }
     }
 }
 

@@ -17,8 +17,8 @@
 //!   aggregate states ([`AccuracyLoss::context_of`]: mean, regression,
 //!   expression losses), each row is folded once and a candidate is priced
 //!   in O(1) by merging its state into the sample's. Cost
-//!   `O(|T| · rounds)`. [`greedy`], the trait's default, picks between
-//!   these two.
+//!   `O(|T| · rounds)`. The trait's default
+//!   [`AccuracyLoss::sample_greedy`] picks between these two.
 //! * [`coverage_greedy`] — for the per-tuple-decomposable visualization
 //!   loss (`loss = avg_i min_{s∈t} dist(i, s)`, Function 2, whose 1-D
 //!   reading is the histogram loss), the POIsam **lazy-forward** strategy:
@@ -36,30 +36,18 @@
 //! never a bit of what is: every sample is the one the plain expressions
 //! give.
 //!
-//! Every engine can also start *warm*, from a subset of the rows given as
-//! positions (`start` of [`AccuracyLoss::sample_greedy`]): it commits those
-//! first and adds rows only until θ holds. A fold starts a touched cell
-//! from its old sample, which already covers the cell's old rows.
+//! The coverage engine can also start *warm*, from a subset of the rows
+//! given as positions (`start` of [`AccuracyLoss::sample_greedy`]): it
+//! commits those first and adds rows only until θ holds. A fold starts a
+//! touched cell of a monotone loss from its old sample, which already
+//! covers the cell's old rows. The other two always draw from nothing: a
+//! mean's old sample may lean the wrong way, and a warm draw would only
+//! grow it fold after fold.
 
 use crate::loss::AccuracyLoss;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tabula_storage::{AggState, RowId, Table};
-
-/// Algorithm 1 for any loss: [`state_greedy`] when the loss has a
-/// [`AccuracyLoss::context_of`], [`naive_greedy`] otherwise.
-pub fn greedy<L: AccuracyLoss + ?Sized>(
-    loss: &L,
-    table: &Table,
-    raw: &[RowId],
-    start: &[usize],
-    theta: f64,
-) -> Vec<RowId> {
-    match loss.context_of(&L::State::default()) {
-        Some(ctx) => state_greedy(loss, &ctx, table, raw, start, theta),
-        None => naive_greedy(loss, table, raw, start, theta),
-    }
-}
 
 /// The literal Algorithm 1. Correct for any loss; affordable only for
 /// small cells (quadratic in `|raw|`).
@@ -67,14 +55,11 @@ pub fn naive_greedy<L: AccuracyLoss + ?Sized>(
     loss: &L,
     table: &Table,
     raw: &[RowId],
-    start: &[usize],
     theta: f64,
 ) -> Vec<RowId> {
-    let taken = taken(raw.len(), start);
-    let mut remaining: Vec<RowId> =
-        raw.iter().zip(&taken).filter(|(_, &t)| !t).map(|(&r, _)| r).collect();
-    let mut sample: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
-    let mut current = if start.is_empty() { f64::INFINITY } else { loss.loss(table, raw, &sample) };
+    let mut remaining = raw.to_vec();
+    let mut sample = Vec::new();
+    let mut current = f64::INFINITY;
     while (current.is_nan() || current > theta) && !remaining.is_empty() {
         let mut best = (f64::INFINITY, 0usize);
         for (i, &cand) in remaining.iter().enumerate() {
@@ -92,29 +77,19 @@ pub fn naive_greedy<L: AccuracyLoss + ?Sized>(
     sample
 }
 
-/// `taken[i]` is whether position `i` is one of `start`'s.
-fn taken(n: usize, start: &[usize]) -> Vec<bool> {
-    let mut taken = vec![false; n];
-    for &i in start {
-        taken[i] = true;
-    }
-    taken
-}
-
 /// Algorithm 1 over a sample-independent loss, with `ctx` any context to
 /// fold against: each raw row is folded once, and a candidate is priced as
-/// `finish(context_of(sample ⊕ row), raw)`. Commits the `start` positions,
-/// then each round commits the cheapest remaining candidate (the first on
-/// a tie) until the loss is at most θ or every row is taken — a NaN loss
-/// meets no θ. Picks what [`naive_greedy`] picks, row for row: merging
-/// one-row states onto sums that start at `+0.0` adds the bits folding
-/// the rows adds, so a sample's state is the one `prepare` folds.
+/// `finish(context_of(sample ⊕ row), raw)`. Each round commits the
+/// cheapest remaining candidate (the first on a tie) until the loss is at
+/// most θ or every row is taken — a NaN loss meets no θ. Picks what
+/// [`naive_greedy`] picks, row for row: merging one-row states onto sums
+/// that start at `+0.0` adds the bits folding the rows adds, so a sample's
+/// state is the one `prepare` folds.
 pub fn state_greedy<L: AccuracyLoss + ?Sized>(
     loss: &L,
     ctx: &L::SampleCtx,
     table: &Table,
     raw: &[RowId],
-    start: &[usize],
     theta: f64,
 ) -> Vec<RowId> {
     let mut raw_state = L::State::default();
@@ -131,12 +106,10 @@ pub fn state_greedy<L: AccuracyLoss + ?Sized>(
         let ctx = loss.context_of(sample).expect("a sample-independent loss");
         loss.finish(&ctx, &raw_state)
     };
-    let taken = taken(raw.len(), start);
-    let mut remaining: Vec<usize> = (0..raw.len()).filter(|&i| !taken[i]).collect();
-    let mut picked: Vec<RowId> = start.iter().map(|&i| raw[i]).collect();
+    let mut remaining: Vec<usize> = (0..raw.len()).collect();
+    let mut picked = Vec::new();
     let mut sample = L::State::default();
-    start.iter().for_each(|&i| sample.merge(&states[i]));
-    let mut current = if start.is_empty() { f64::INFINITY } else { price(&sample) };
+    let mut current = f64::INFINITY;
     while (current.is_nan() || current > theta) && !remaining.is_empty() {
         let mut best = (f64::INFINITY, 0usize);
         for (pos, &idx) in remaining.iter().enumerate() {
@@ -259,7 +232,9 @@ pub fn coverage_greedy<S: CoverageSpace>(space: &S, start: &[usize], theta: f64)
         }
         _ => (start.to_vec(), space.cover(start)),
     };
-    let cov = Coverage { selected: taken(n, &chosen), chosen, sum: cur.iter().sum(), cur };
+    let mut selected = vec![false; n];
+    chosen.iter().for_each(|&c| selected[c] = true);
+    let cov = Coverage { selected, chosen, sum: cur.iter().sum(), cur };
     // An element no start element reaches (a NaN coordinate, an overflowing
     // distance) leaves the sum at ∞, and no pick brings it back to a number
     // (∞ − ∞ is NaN): keep the start rather than take every row. From the
@@ -581,10 +556,8 @@ mod tests {
         let t = float_table(&[vec![f64::NAN; 6]]);
         let all = t.all_rows();
         assert!(MeanGap.loss(&t, &all, &all).is_nan());
-        for start in [&[][..], &[4, 1]] {
-            assert_eq!(MeanGap.sample_greedy(&t, &all, start, 0.3).len(), 6, "{start:?}");
-            assert_eq!(naive_greedy(&MeanGap, &t, &all, start, 0.3).len(), 6, "{start:?}");
-        }
+        assert_eq!(MeanGap.sample_greedy(&t, &all, &[], 0.3).len(), 6);
+        assert_eq!(naive_greedy(&MeanGap, &t, &all, 0.3).len(), 6);
     }
 
     /// Two Float64 columns of 1 to 29 rows: halves, zeros, NaNs and
@@ -644,16 +617,10 @@ mod tests {
     }
 
     /// `loss`'s own greedy draws what the literal Algorithm 1 draws.
-    fn same<L: AccuracyLoss>(
-        loss: &L,
-        t: &Table,
-        raw: &[RowId],
-        start: &[usize],
-        theta: f64,
-    ) -> Result<(), String> {
-        let naive = naive_greedy(loss, t, raw, start, theta);
-        let (name, got) = (loss.name(), loss.sample_greedy(t, raw, start, theta));
-        proptest::prop_assert_eq!(got, naive, "{} θ {} start {:?}", name, theta, start);
+    fn same<L: AccuracyLoss>(loss: &L, t: &Table, raw: &[RowId], theta: f64) -> Result<(), String> {
+        let naive = naive_greedy(loss, t, raw, theta);
+        let (name, got) = (loss.name(), loss.sample_greedy(t, raw, &[], theta));
+        proptest::prop_assert_eq!(got, naive, "{} θ {}", name, theta);
         Ok(())
     }
 
@@ -662,7 +629,7 @@ mod tests {
 
         /// The state engine is Algorithm 1 pick for pick: every
         /// sample-independent loss draws what the literal pseudocode draws,
-        /// over NaN targets, overflowing sums, zeros and warm starts.
+        /// over NaN targets, overflowing sums and zeros.
         #[test]
         fn the_state_engine_picks_what_naive_greedy_picks(
             seed in 0u64..u64::MAX,
@@ -671,14 +638,11 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let t = odd_table(&mut rng);
             let raw: Vec<RowId> = t.all_rows().into_iter().filter(|_| rng.gen_bool(0.8)).collect();
-            let k = rng.gen_range(0..=raw.len() / 2);
-            let start: Vec<usize> =
-                rand::seq::index::sample(&mut rng, raw.len(), k).into_iter().collect();
-            same(&MeanLoss::new(0), &t, &raw, &start, theta)?;
-            same(&RegressionLoss::new(0, 1), &t, &raw, &start, theta * 100.0)?;
-            same(&ExprLoss::new(0, Expr::mean_relative_error()), &t, &raw, &start, theta)?;
-            same(&ExprLoss::new(0, spread()), &t, &raw, &start, theta * 10.0)?;
-            same(&MeanGap, &t, &raw, &start, theta)?;
+            same(&MeanLoss::new(0), &t, &raw, theta)?;
+            same(&RegressionLoss::new(0, 1), &t, &raw, theta * 100.0)?;
+            same(&ExprLoss::new(0, Expr::mean_relative_error()), &t, &raw, theta)?;
+            same(&ExprLoss::new(0, spread()), &t, &raw, theta * 10.0)?;
+            same(&MeanGap, &t, &raw, theta)?;
         }
 
         /// Every built-in sample-independent loss prices a sample alike
@@ -784,9 +748,6 @@ mod tests {
         let start: Vec<usize> = (0..50).collect();
         let loss = HeatmapLoss::new(0, Metric::Euclidean);
         assert_eq!(loss.sample_greedy(&t, &all, &start, 0.0), all);
-        let mean = MeanLoss::new(1);
-        assert_eq!(mean.sample_greedy(&t, &all, &[7, 3], f64::INFINITY), vec![7, 3]);
-        assert_eq!(naive_greedy(&mean, &t, &all, &[7, 3], f64::INFINITY), vec![7, 3]);
     }
 
     /// `n` random points in column 0 and their x as a number in column 1.
@@ -828,18 +789,13 @@ mod tests {
                     check(&HeatmapLoss::new(0, metric), &t, &raw, &start, 0.01);
                 }
                 check(&HeatmapLoss::histogram(1), &t, &raw, &start, 0.001);
-                check(&MeanLoss::new(1), &t, &raw, &start, 0.001);
             }
+            check(&MeanLoss::new(1), &t, &raw, &[], 0.001);
         }
         // The literal Algorithm 1, on a cell small enough for it.
         let t = points_table(40, 8);
-        let raw = t.all_rows();
-        let mean = MeanLoss::new(1);
-        for start in starts(40, &mut SmallRng::seed_from_u64(9)) {
-            let sample = naive_greedy(&mean, &t, &raw, &start, 1e-4);
-            assert!(start.iter().zip(&sample).all(|(&i, &r)| raw[i] == r));
-            assert!(mean.loss(&t, &raw, &sample) <= 1e-4);
-        }
+        let (raw, mean) = (t.all_rows(), MeanLoss::new(1));
+        assert!(mean.loss(&t, &raw, &naive_greedy(&mean, &t, &raw, 1e-4)) <= 1e-4);
     }
 
     #[test]

@@ -48,3 +48,13 @@ pub use trace::{
     CompletedTrace, FlightRecorder, QueryTrace, Stage, StageRecord, TraceProvenance, Tracer,
 };
 pub use window::{WindowSnapshot, WindowedHistogram};
+
+use std::sync::{LockResult, PoisonError};
+
+/// A lock's guard, whether or not a thread panicked holding it. Every
+/// critical section of the registry and the flight recorder only inserts
+/// an `Arc`, reads, pushes, pops or clears, and none can stop midway, so a
+/// poisoned map or ring is still a whole one.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

@@ -4,8 +4,10 @@
 //! single relaxed `fetch_add`, a [`Histogram`] record is three. Locks are only
 //! taken when *resolving* a metric by name (`Registry::counter` & friends) or
 //! when taking a [`MetricsSnapshot`], both of which are cold operations —
-//! callers on hot paths resolve their `Arc` handle once and keep it.
+//! callers on hot paths resolve their `Arc` handle once and keep it. A lock
+//! a panicking thread poisoned is taken as it is ([`crate::recover`]).
 
+use crate::recover;
 use crate::window::{WindowSnapshot, WindowedHistogram, DEFAULT_WINDOW_SECS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -255,68 +257,36 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().unwrap().get(name) {
-            return Arc::clone(c);
-        }
-        let mut w = self.counters.write().unwrap();
-        Arc::clone(w.entry(name.to_string()).or_default())
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().unwrap().get(name) {
-            return Arc::clone(g);
-        }
-        let mut w = self.gauges.write().unwrap();
-        Arc::clone(w.entry(name.to_string()).or_default())
+        get_or_create(&self.gauges, name, Gauge::new)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().unwrap().get(name) {
-            return Arc::clone(h);
-        }
-        let mut w = self.histograms.write().unwrap();
-        Arc::clone(w.entry(name.to_string()).or_default())
+        get_or_create(&self.histograms, name, Histogram::new)
     }
 
-    /// Get or create the sliding-window histogram named `name` with the
-    /// default 60 s window (see [`window_with_secs`](Self::window_with_secs)).
+    /// Get or create the sliding-window histogram named `name`, a
+    /// [`DEFAULT_WINDOW_SECS`] window.
     pub fn window(&self, name: &str) -> Arc<WindowedHistogram> {
-        self.window_with_secs(name, DEFAULT_WINDOW_SECS)
-    }
-
-    /// Get or create the sliding-window histogram named `name`. The window
-    /// length only applies on creation; later calls return the existing
-    /// window whatever its length.
-    pub fn window_with_secs(&self, name: &str, window_secs: u64) -> Arc<WindowedHistogram> {
-        if let Some(w) = self.windows.read().unwrap().get(name) {
-            return Arc::clone(w);
-        }
-        let mut w = self.windows.write().unwrap();
-        Arc::clone(
-            w.entry(name.to_string())
-                .or_insert_with(|| Arc::new(WindowedHistogram::new(window_secs))),
-        )
+        get_or_create(&self.windows, name, || WindowedHistogram::new(DEFAULT_WINDOW_SECS))
     }
 
     /// Point-in-time snapshot of every metric in the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters =
-            self.counters.read().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect();
+            recover(self.counters.read()).iter().map(|(k, v)| (k.clone(), v.get())).collect();
         let gauges =
-            self.gauges.read().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap()
+            recover(self.gauges.read()).iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let histograms = recover(self.histograms.read())
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let windows = self
-            .windows
-            .read()
-            .unwrap()
+        let windows = recover(self.windows.read())
             .iter()
             .map(|(k, v)| {
                 (k.clone(), WindowSnapshot { window_secs: v.window_secs(), hist: v.snapshot() })
@@ -330,16 +300,29 @@ impl Registry {
     /// accumulation). Benches and the diff engine call this between phases
     /// to isolate per-phase counters instead of diffing cumulative snapshots.
     pub fn reset(&self) {
-        for c in self.counters.read().unwrap().values() {
+        for c in recover(self.counters.read()).values() {
             c.reset();
         }
-        for h in self.histograms.read().unwrap().values() {
+        for h in recover(self.histograms.read()).values() {
             h.reset();
         }
-        for w in self.windows.read().unwrap().values() {
+        for w in recover(self.windows.read()).values() {
             w.reset();
         }
     }
+}
+
+/// The metric named `name` in `map`, created by `make` on first use: a
+/// read lock when it exists, the write lock only to insert it.
+fn get_or_create<M>(
+    map: &RwLock<BTreeMap<String, Arc<M>>>,
+    name: &str,
+    make: impl FnOnce() -> M,
+) -> Arc<M> {
+    if let Some(m) = recover(map.read()).get(name) {
+        return Arc::clone(m);
+    }
+    Arc::clone(recover(map.write()).entry(name.to_string()).or_insert_with(|| Arc::new(make())))
 }
 
 /// Immutable snapshot of a whole [`Registry`]; see the `export` module for
@@ -462,12 +445,42 @@ mod tests {
     fn registry_window_handles_are_shared() {
         let r = Registry::new();
         let a = r.window("w");
-        let b = r.window_with_secs("w", 10); // existing wins, length ignored
+        let b = r.window("w");
         a.record(100);
         b.record(200);
         let s = r.snapshot();
         assert_eq!(s.windows["w"].window_secs, crate::window::DEFAULT_WINDOW_SECS);
         assert_eq!(s.windows["w"].hist.count, 2);
+    }
+
+    #[test]
+    fn a_registry_a_thread_panicked_in_still_serves() {
+        fn poison<T: Send + Sync>(lock: &RwLock<T>) {
+            std::thread::scope(|s| {
+                let holder = s.spawn(|| {
+                    let _guard = lock.write();
+                    panic!("a metric holder panics");
+                });
+                assert!(holder.join().is_err());
+            });
+            assert!(lock.is_poisoned());
+        }
+        let r = Registry::new();
+        r.counter("c").add(2);
+        poison(&r.counters);
+        poison(&r.gauges);
+        poison(&r.histograms);
+        poison(&r.windows);
+        r.counter("c").add(3);
+        r.counter("d").inc();
+        r.gauge("g").set(4);
+        r.histogram("h").record(5);
+        r.window("w").record(6);
+        let s = r.snapshot();
+        assert_eq!((s.counter("c"), s.counter("d"), s.gauges["g"]), (5, 1, 4));
+        assert_eq!((s.histograms["h"].count, s.windows["w"].hist.count), (1, 1));
+        r.reset();
+        assert_eq!(r.snapshot().counter("c"), 0);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! the REPL prints [`FlightRecorder::recent`] (or, as `\trace slow`,
 //! [`FlightRecorder::slow`]) one [`CompletedTrace::to_json`] line each.
 
+use crate::recover;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -353,13 +354,13 @@ impl FlightRecorder {
     /// Store a completed trace, evicting the oldest beyond capacity.
     pub fn record(&self, trace: CompletedTrace) {
         if trace.slow {
-            let mut slow = self.slow.lock().unwrap();
+            let mut slow = recover(self.slow.lock());
             if slow.len() >= self.slow_cap() {
                 slow.pop_front();
             }
             slow.push_back(trace.clone());
         }
-        let mut recent = self.recent.lock().unwrap();
+        let mut recent = recover(self.recent.lock());
         if recent.len() >= self.cap {
             recent.pop_front();
         }
@@ -368,22 +369,22 @@ impl FlightRecorder {
 
     /// The recent ring, oldest first.
     pub fn recent(&self) -> Vec<CompletedTrace> {
-        self.recent.lock().unwrap().iter().cloned().collect()
+        recover(self.recent.lock()).iter().cloned().collect()
     }
 
     /// The slow ring, oldest first.
     pub fn slow(&self) -> Vec<CompletedTrace> {
-        self.slow.lock().unwrap().iter().cloned().collect()
+        recover(self.slow.lock()).iter().cloned().collect()
     }
 
     /// The most recently captured slow trace, if any.
     pub fn last_slow(&self) -> Option<CompletedTrace> {
-        self.slow.lock().unwrap().back().cloned()
+        recover(self.slow.lock()).back().cloned()
     }
 
     /// Number of traces in the recent ring.
     pub fn len(&self) -> usize {
-        self.recent.lock().unwrap().len()
+        recover(self.recent.lock()).len()
     }
 
     /// Whether the recent ring is empty.
@@ -393,8 +394,8 @@ impl FlightRecorder {
 
     /// Drop every stored trace.
     pub fn clear(&self) {
-        self.recent.lock().unwrap().clear();
-        self.slow.lock().unwrap().clear();
+        recover(self.recent.lock()).clear();
+        recover(self.slow.lock()).clear();
     }
 }
 
@@ -614,6 +615,28 @@ mod tests {
         }
         let done = tracer.finish(t).unwrap();
         assert_eq!(done.stages.len(), MAX_STAGES);
+    }
+
+    #[test]
+    fn a_recorder_a_thread_panicked_in_still_records() {
+        let tracer = Tracer::new(1, 0, 4); // slow_ms = 0: both rings record
+        let rec = tracer.recorder();
+        for ring in [&rec.recent, &rec.slow] {
+            std::thread::scope(|s| {
+                let holder = s.spawn(|| {
+                    let _guard = ring.lock();
+                    panic!("a recorder holder panics");
+                });
+                assert!(holder.join().is_err());
+            });
+            assert!(ring.is_poisoned());
+        }
+        let done = finished(&tracer, 0);
+        assert_eq!(rec.recent().last().map(|t| t.seq), Some(done.seq));
+        assert_eq!(rec.last_slow().map(|t| t.seq), Some(done.seq));
+        assert_eq!((rec.len(), rec.slow().len()), (1, 1));
+        rec.clear();
+        assert!(rec.is_empty());
     }
 
     #[test]

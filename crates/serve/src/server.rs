@@ -216,7 +216,9 @@ impl Server {
         Arc::clone(&self.current().cube)
     }
 
-    /// The served generation's sample tables.
+    /// The served generation's sample tables: the bytes
+    /// `cube().memory_breakdown()` reports as `sample_table_bytes`, in the
+    /// wrapper the benchmark harness (`perf/`) reads.
     pub fn cache(&self) -> SampleTables {
         SampleTables { bytes: self.current().cube.memory_breakdown().sample_table_bytes }
     }

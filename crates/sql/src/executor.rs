@@ -13,7 +13,7 @@ use tabula_core::{SamplingCubeBuilder, SnapshotInfo};
 use tabula_obs as obs;
 use tabula_obs::trace::{CompletedTrace, QueryTrace, Stage, TraceProvenance, Tracer};
 use tabula_serve::Server;
-use tabula_storage::{ColumnType, Predicate, ScanKernel, Table};
+use tabula_storage::{Predicate, ScanKernel, Table};
 
 /// How a registered loss function binds to target attributes at cube
 /// build time.
@@ -21,7 +21,8 @@ use tabula_storage::{ColumnType, Predicate, ScanKernel, Table};
 enum LossDecl {
     /// Built-in Function 1 (statistical mean; one numeric attribute).
     Mean,
-    /// Built-in Function 2 (heat map; one point attribute).
+    /// Built-in Function 2 (heat map; one point attribute, or a numeric
+    /// one read as the points `(v, 0)`).
     Heatmap(Metric),
     /// Built-in Function 2 over one numeric attribute (the histogram loss).
     Histogram,
@@ -264,38 +265,15 @@ impl Session {
                     .iter()
                     .map(|a| table.schema().index_of(a).map_err(SqlError::from))
                     .collect::<Result<_>>()?;
-                // The builder checks each loss's `targets`, but SQL types
-                // them more strictly: a heat map takes a Point and a
-                // histogram a number, where `HeatmapLoss::targets` accepts
-                // either. So arity and types are checked here.
-                let (arity, points) = match decl {
-                    LossDecl::Heatmap(_) => (1, true),
-                    LossDecl::Regression => (2, false),
-                    _ => (1, false),
-                };
+                // Arity picks the constructor; the builder checks each
+                // target's type against the loss's `targets`.
+                let arity = if matches!(decl, LossDecl::Regression) { 2 } else { 1 };
                 if targets.len() != arity {
                     return Err(SqlError::Parse(format!(
                         "loss function {} takes {arity} target attribute(s), got {}",
                         loss.name,
                         targets.len()
                     )));
-                }
-                for &t in &targets {
-                    let field = table.schema().field(t);
-                    let fits = match field.ty {
-                        ColumnType::Point => points,
-                        ColumnType::Int64 | ColumnType::Float64 => !points,
-                        ColumnType::Str => false,
-                    };
-                    if !fits {
-                        let want = if points { "a Point" } else { "an Int64 or Float64" };
-                        return Err(SqlError::Parse(format!(
-                            "loss function {} needs {want} target, {} is {}",
-                            loss.name,
-                            field.name,
-                            field.ty.name()
-                        )));
-                    }
                 }
                 let (attrs, t) = (&cubed_attrs, targets[0]);
                 let cube = match decl.clone() {

@@ -51,7 +51,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, token: Token) -> Result<()> {
+    fn expect_token(&mut self, token: Token) -> Result<()> {
         if *self.peek() == token {
             self.pos += 1;
             Ok(())
@@ -160,14 +160,14 @@ impl Parser {
                 break;
             }
             cubed_attrs.push(self.ident()?);
-            self.expect(Token::Comma)?;
+            self.expect_token(Token::Comma)?;
         }
         self.expect_kw("SAMPLING")?;
-        self.expect(Token::LParen)?;
-        self.expect(Token::Star)?;
-        self.expect(Token::Comma)?;
+        self.expect_token(Token::LParen)?;
+        self.expect_token(Token::Star)?;
+        self.expect_token(Token::Comma)?;
         let theta_sampling = self.number()?;
-        self.expect(Token::RParen)?;
+        self.expect_token(Token::RParen)?;
         self.expect_kw("AS")?;
         self.expect_kw("sample")?;
         self.expect_kw("FROM")?;
@@ -180,7 +180,7 @@ impl Parser {
             self.expect_kw("BY")?;
         }
         self.expect_kw("CUBE")?;
-        self.expect(Token::LParen)?;
+        self.expect_token(Token::LParen)?;
         let mut cube_attrs = Vec::new();
         loop {
             cube_attrs.push(self.ident()?);
@@ -189,7 +189,7 @@ impl Parser {
             }
             self.pos += 1;
         }
-        self.expect(Token::RParen)?;
+        self.expect_token(Token::RParen)?;
         if cube_attrs != cubed_attrs {
             return Err(SqlError::Parse(format!(
                 "CUBE attribute list {cube_attrs:?} must match the SELECT list {cubed_attrs:?}"
@@ -198,15 +198,15 @@ impl Parser {
 
         self.expect_kw("HAVING")?;
         let loss_name = self.ident()?;
-        self.expect(Token::LParen)?;
+        self.expect_token(Token::LParen)?;
         let mut target_attrs = vec![self.ident()?];
         while matches!(self.peek(), Token::Comma) {
             self.pos += 1;
             let ident = self.ident()?;
             if ident.eq_ignore_ascii_case("Sam_global") {
                 // End of target attributes.
-                self.expect(Token::RParen)?;
-                self.expect(Token::Gt)?;
+                self.expect_token(Token::RParen)?;
+                self.expect_token(Token::Gt)?;
                 let theta_having = self.number()?;
                 if theta_having != theta_sampling {
                     return Err(SqlError::Parse(format!(
@@ -232,11 +232,11 @@ impl Parser {
     /// `CREATE AGGREGATE name(Raw, Sam) RETURN decimal_value AS BEGIN expr END`
     fn create_aggregate(&mut self) -> Result<Statement> {
         let name = self.ident()?;
-        self.expect(Token::LParen)?;
+        self.expect_token(Token::LParen)?;
         self.expect_kw("Raw")?;
-        self.expect(Token::Comma)?;
+        self.expect_token(Token::Comma)?;
         self.expect_kw("Sam")?;
-        self.expect(Token::RParen)?;
+        self.expect_token(Token::RParen)?;
         self.expect_kw("RETURN")?;
         self.expect_kw("decimal_value")?;
         self.expect_kw("AS")?;
@@ -254,7 +254,7 @@ impl Parser {
             let conditions = self.where_clause()?;
             return Ok(Statement::SelectSample { cube, conditions });
         }
-        self.expect(Token::Star)?;
+        self.expect_token(Token::Star)?;
         self.expect_kw("FROM")?;
         let table = self.ident()?;
         let conditions = self.where_clause()?;
@@ -350,14 +350,14 @@ impl Parser {
             Token::Minus => Ok(Expr::Neg(Box::new(self.scalar_factor()?))),
             Token::LParen => {
                 let e = self.scalar_expr()?;
-                self.expect(Token::RParen)?;
+                self.expect_token(Token::RParen)?;
                 Ok(e)
             }
             Token::Ident(name) => {
                 if name.eq_ignore_ascii_case("ABS") {
-                    self.expect(Token::LParen)?;
+                    self.expect_token(Token::LParen)?;
                     let e = self.scalar_expr()?;
-                    self.expect(Token::RParen)?;
+                    self.expect_token(Token::RParen)?;
                     return Ok(Expr::Abs(Box::new(e)));
                 }
                 let agg = match name.to_ascii_uppercase().as_str() {
@@ -373,7 +373,7 @@ impl Parser {
                         )))
                     }
                 };
-                self.expect(Token::LParen)?;
+                self.expect_token(Token::LParen)?;
                 let side_name = self.ident()?;
                 let side = if side_name.eq_ignore_ascii_case("Raw") {
                     Side::Raw
@@ -384,7 +384,7 @@ impl Parser {
                         "aggregate argument must be Raw or Sam, found {side_name}"
                     )));
                 };
-                self.expect(Token::RParen)?;
+                self.expect_token(Token::RParen)?;
                 Ok(Expr::Agg(agg, side))
             }
             other => {

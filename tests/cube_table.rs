@@ -133,7 +133,6 @@ impl Door {
         assert_eq!(touched.len(), cube.persisted_samples(), "every sample serves some cell");
         let bytes: usize =
             self.shipped.iter().filter(|(id, _)| id.is_some()).map(|(_, t)| t.heap_bytes()).sum();
-        assert_eq!(self.server.cache().bytes(), bytes);
         assert_eq!(bytes, cube.memory_breakdown().sample_table_bytes);
     }
 }

@@ -154,25 +154,39 @@ fn errors_surface_cleanly() {
          HAVING mean_loss(no_such_column, Sam_global) > 0.1",
     );
     assert!(matches!(err, Err(SqlError::Storage(_))), "{err:?}");
-    // A target column of the wrong type: the heat map reads points, every
-    // other loss numbers.
+    // A target column of the wrong type: the loss's own `targets` refuse
+    // it in the builder, before any work, naming the column. The heat map
+    // reads points or numbers, every other loss numbers.
     s.execute(
         "CREATE AGGREGATE my_loss(Raw, Sam) RETURN decimal_value AS \
          BEGIN ABS((AVG(Raw) - AVG(Sam)) / AVG(Raw)) END",
     )
     .unwrap();
-    for having in [
-        "heatmap_loss(fare_amount, Sam_global)",
-        "histogram_loss(payment_type, Sam_global)",
-        "mean_loss(payment_type, Sam_global)",
-        "mean_loss(pickup, Sam_global)",
-        "regression_loss(fare_amount, payment_type, Sam_global)",
-        "my_loss(pickup, Sam_global)",
+    for (having, column) in [
+        ("histogram_loss(payment_type, Sam_global)", "payment_type"),
+        ("mean_loss(payment_type, Sam_global)", "payment_type"),
+        ("mean_loss(pickup, Sam_global)", "pickup"),
+        ("regression_loss(fare_amount, payment_type, Sam_global)", "payment_type"),
+        ("my_loss(pickup, Sam_global)", "pickup"),
     ] {
         let err = s.execute(&format!(
             "CREATE TABLE c3 AS SELECT payment_type, SAMPLING(*, 0.1) AS sample \
              FROM nyctaxi GROUPBY CUBE(payment_type) HAVING {having} > 0.1"
         ));
-        assert!(matches!(err, Err(SqlError::Parse(_))), "{having}: {err:?}");
+        match err {
+            Err(SqlError::Core(e)) => {
+                assert!(e.to_string().contains(&format!("column {column} ")), "{having}: {e}")
+            }
+            other => panic!("{having}: {other:?}"),
+        }
     }
+    // A heat map over a number reads each value v as the point (v, 0).
+    s.execute(
+        "CREATE TABLE c4 AS SELECT payment_type, SAMPLING(*, 0.5) AS sample \
+         FROM nyctaxi GROUPBY CUBE(payment_type) HAVING heatmap_loss(fare_amount, Sam_global) > 0.5",
+    )
+    .unwrap();
+    let answer = s.execute("SELECT sample FROM c4 WHERE payment_type = 'cash'").unwrap();
+    let QueryResult::Sample { table, .. } = answer else { panic!("{answer:?}") };
+    assert!(!table.is_empty());
 }
